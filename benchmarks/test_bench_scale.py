@@ -78,7 +78,8 @@ def test_bench_watch_many_paths(benchmark):
     build.network.run(6.0)  # two poll cycles so rates exist
 
     def emit():
-        monitor._emit_reports()
+        for label in monitor.watched_paths():
+            monitor.current_report(label)
         return monitor.reports_emitted
 
     total = benchmark(emit)

@@ -14,16 +14,28 @@ Pipeline (paper §3):
 4. :mod:`repro.core.bandwidth` -- per-connection used/available bandwidth
    with the switch rule (u_i = t_i) and the hub rule (u_i = Σ t_j, clamped
    to the hub speed); path available bandwidth A = min_i (m_i - u_i).
-5. :mod:`repro.core.monitor`   -- :class:`NetworkMonitor` orchestrates the
-   above and emits :class:`~repro.core.report.PathReport` records into
-   :mod:`repro.core.history` and to subscribers (the RM middleware).
+5. :mod:`repro.core.monitor`   -- :class:`~repro.core.monitor.ReportCore`
+   is steps 1, 3 and 4 plus watches, history, subscribers and the
+   optional streaming / probing / topology-sync planes, emitting
+   :class:`~repro.core.report.PathReport` records into
+   :mod:`repro.core.history` and to subscribers (the RM middleware);
+   :class:`NetworkMonitor` is that core fed by a local step-2 poller.
 
 Extensions implementing the paper's §5 future work:
 
 - :mod:`repro.core.latency`     -- path latency estimation + UDP probes.
 - :mod:`repro.core.discovery`   -- dynamic topology discovery from the
   switches' bridge-MIB forwarding tables.
-- :mod:`repro.core.distributed` -- cooperating monitors with a merger.
+- :mod:`repro.core.topology_sync` -- keeps any plane's active topology
+  in step with spanning tree and host moves.
+- :mod:`repro.core.distributed` -- the same report core fed by remote
+  workers: ``UplinkEndpoint`` (the sending end of a sample stream; a
+  ``MonitorWorker`` is one over a poller), ``SampleIngest`` (leases,
+  ARQ, assignments) and :class:`DistributedMonitor` = core + ingest.
+- :mod:`repro.core.hierarchy`   -- the two-level tree: a
+  ``LeafCoordinator`` is an uplink endpoint over an ingest, and
+  ``HierarchicalMonitor`` a ``DistributedMonitor`` whose endpoints are
+  leaves.
 """
 
 from repro.core.bandwidth import BandwidthCalculator, ConnectionMeasurement

@@ -6,8 +6,8 @@ load.  The distributed variant partitions the SNMP targets across several
 *worker* hosts; each worker polls its share locally and ships the derived
 rate samples to a *coordinator* host over the same simulated network.
 The coordinator merges them into one
-:class:`~repro.core.poller.RateTable` and computes path reports exactly
-like the single monitor.
+:class:`~repro.core.poller.RateTable` and computes path reports with
+the single monitor's own report core.
 
 The plane is built to survive its own failures, not just the network's:
 
@@ -42,11 +42,13 @@ datagrams heal themselves within a heartbeat.  A dead coordinator
 cannot wedge a worker: shipping is fire-and-forget UDP and the resend
 buffer is the only send-side state, bounded and drop-oldest.
 
-**Integration.**  Coordinator ingest routes through the
-:mod:`repro.integrity` pipeline (rate bounds and quarantine apply to
-shipped samples exactly as to local polls), plane state is exported as
-telemetry gauges and flat ``stats()`` keys, and ``repro distributed``
-exercises the whole plane from the CLI.
+**Integration.**  The coordinator's report half is the same
+:class:`~repro.core.monitor.ReportCore` the single monitor has (watches
+that follow topology epochs, streaming, probing, topology sync); ingest
+routes through the :mod:`repro.integrity` pipeline (rate bounds and
+quarantine apply to shipped samples exactly as to local polls), plane
+state is exported as telemetry gauges and flat ``stats()`` keys, and
+``repro distributed`` exercises the whole plane from the CLI.
 
 Everything -- polls, responses, batches, heartbeats, retransmits,
 assignments -- is real simulated traffic, so the monitoring system's own
@@ -55,12 +57,12 @@ footprint (and its failure modes) remain measurable.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.core.bandwidth import BandwidthCalculator
 from repro.core.counters import required_poll_targets
 from repro.core.dataflow import DegradedSourceSet
 from repro.core.deltas import (
@@ -71,11 +73,9 @@ from repro.core.deltas import (
     parse_delta,
 )
 from repro.core.health import LeaseTransition, WorkerLeaseTracker, WorkerState
-from repro.core.history import MeasurementHistory
+from repro.core.monitor import ReportCore
 from repro.core.poller import InterfaceRates, PollTarget, RateTable, SnmpPoller
-from repro.core.report import PathReport
-from repro.core.traversal import find_path
-from repro.integrity import IntegrityConfig, IntegrityPipeline
+from repro.integrity import IntegrityConfig
 from repro.simnet.address import IPv4Address
 from repro.snmp.manager import SnmpManager
 from repro.spec.builder import BuildResult
@@ -183,28 +183,17 @@ def _targets_doc(targets: Sequence[PollTarget]) -> List[Dict[str, object]]:
     ]
 
 
-def partition_targets(
-    pool: Sequence[PollTarget], worker_hosts: Sequence[str]
-) -> Dict[str, List[PollTarget]]:
-    """Deterministic affinity-first assignment of ``pool`` over workers.
-
-    A target whose node *is* a listed worker goes to that worker (polling
-    thyself costs loopback only); the rest round-robin over the workers
-    in the given order.  Same inputs, same map -- this one function is
-    initial assignment, failover and failback alike, at both tiers of
-    the coordinator tree (workers under a coordinator, shards under the
-    hierarchy root).
-    """
-    assignments: Dict[str, List[PollTarget]] = {w: [] for w in worker_hosts}
-    leftovers: List[PollTarget] = []
-    for target in sorted(pool, key=lambda t: t.node):
-        if target.node in assignments:
-            assignments[target.node].append(target)
-        else:
-            leftovers.append(target)
-    for i, target in enumerate(leftovers):
-        assignments[worker_hosts[i % len(worker_hosts)]].append(target)
-    return assignments
+def _targets_from_doc(network, docs: Sequence[Dict[str, object]]) -> List[PollTarget]:
+    """Inverse of :func:`_targets_doc` (addresses come from the network)."""
+    return [
+        PollTarget(
+            node=t["n"],
+            address=network.ip_of(t["n"]),
+            if_indexes=[int(i) for i in t["ifs"]],
+            community=t["c"],
+        )
+        for t in docs
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +234,7 @@ class SampleShipper:
         self.max_batch = max_batch
         self.resend_buffer = resend_buffer
         self.incarnation = 1
-        self._next_seq = 1
+        self.next_seq = 1
         self._pending: List[InterfaceRates] = []
         self._resend: "OrderedDict[int, bytes]" = OrderedDict()
         self.delta: Optional[DeltaEncoder] = DeltaEncoder(name) if delta else None
@@ -259,10 +248,6 @@ class SampleShipper:
         self.retransmits_served = 0
         self.retransmits_missed = 0
 
-    @property
-    def next_seq(self) -> int:
-        return self._next_seq
-
     def force_keyframe(self) -> None:
         if self.delta is not None:
             self.delta.force_keyframe()
@@ -275,8 +260,8 @@ class SampleShipper:
     def flush(self) -> None:
         if not self._pending:
             return
-        seq = self._next_seq
-        self._next_seq += 1
+        seq = self.next_seq
+        self.next_seq += 1
         samples = self._pending
         self._pending = []
         baseline = encode_batch(self.name, self.incarnation, seq, samples)
@@ -334,73 +319,60 @@ class SampleShipper:
     def reset(self, incarnation: int) -> None:
         """The owning process restarted: new incarnation, fresh state."""
         self.incarnation = incarnation
-        self._next_seq = 1
+        self.next_seq = 1
         self._pending.clear()
         self._resend.clear()
         self._since_keyframe = 0
         if self.delta is not None:
             self.delta.reset()
 
-
 # ----------------------------------------------------------------------
-# Worker
+# Uplink endpoints: the sending end of one sample stream
 # ----------------------------------------------------------------------
-class MonitorWorker:
-    """One polling worker: manager + poller + shipping on its own host.
+class UplinkEndpoint:
+    """What a polling worker and a leaf coordinator have in common.
 
-    Samples accumulate into batches (flushed when ``max_batch`` fills or
-    every ``batch_linger`` seconds) and are shipped with a per-
-    incarnation monotonic sequence number; the last ``resend_buffer``
-    encoded batches are kept for selective retransmission, drop-oldest.
-    ``crash()``/``restart()`` simulate the worker process dying and
-    coming back (used by :class:`~repro.simnet.faults.WorkerCrash`): a
-    restarted worker bumps its incarnation, restarts its sequence at 1,
-    and rejoins with *no* poll targets -- its first heartbeat advertises
-    assignment version 0 and the coordinator ships the current
+    Samples handed to :meth:`_enqueue` accumulate into batches (flushed
+    when ``max_batch`` fills or every ``batch_linger`` seconds) and are
+    shipped upstream with a per-incarnation monotonic sequence number;
+    periodic heartbeats renew the lease and echo the applied assignment
+    version; a control listener serves ``retx`` / ``assign`` / ``kfreq``.
+    ``crash()``/``restart()`` simulate the process dying and coming back
+    (used by :class:`~repro.simnet.faults.WorkerCrash`): a restarted
+    endpoint bumps its incarnation, restarts its sequence at 1, and
+    advertises assignment version 0 so upstream ships the current
     assignment back.
+
+    Subclasses supply where the samples come from, through two hooks:
+    :meth:`_rebuild` (bring the source back after a restart) and
+    :meth:`_apply_targets` (a new target list arrived), and extend
+    :meth:`_begin_tasks` / :meth:`_teardown` to run and halt it.
+    ``poller.targets`` is the applied target list either way.
     """
 
     def __init__(
         self,
         build: BuildResult,
         host_name: str,
-        targets: Sequence[PollTarget],
-        coordinator_ip: IPv4Address,
+        upstream_ip: IPv4Address,
         poll_interval: float,
-        jitter: float,
-        seed: int,
-        heartbeat_interval: Optional[float] = None,
-        batch_linger: Optional[float] = None,
-        max_batch: int = 8,
-        resend_buffer: int = 32,
-        poll_mode: str = "get",
-        pipeline_window: int = 0,
-        delta_shipping: bool = False,
-        keyframe_every: int = 16,
-        control_port: int = CONTROL_PORT,
+        heartbeat_interval: float,
+        max_batch: int,
+        resend_buffer: int,
+        delta_shipping: bool,
+        keyframe_every: int,
     ) -> None:
         self.build = build
         self.name = host_name
         self.host = build.network.host(host_name)
         self.sim = self.host.sim
-        self.coordinator_ip = coordinator_ip
+        self.upstream_ip = upstream_ip
         self.poll_interval = poll_interval
-        self.jitter = jitter
-        self.seed = seed
-        self.poll_mode = poll_mode
-        self.pipeline_window = pipeline_window
-        self.control_port = control_port
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None else poll_interval * 0.4
-        )
-        self.batch_linger = (
-            batch_linger if batch_linger is not None else poll_interval * 0.25
-        )
-        self.max_batch = max_batch
-        self.resend_buffer = resend_buffer
+        self.heartbeat_interval = heartbeat_interval
+        self.batch_linger = poll_interval * 0.25
         # Shipping (sequencing, resend buffer, optional delta encoding)
         # lives in the shipper: the only send-side state, bounded, so a
-        # dead coordinator can never wedge this worker.
+        # dead upstream can never wedge this endpoint.
         self.shipper = SampleShipper(
             host_name,
             self._send_report,
@@ -412,84 +384,47 @@ class MonitorWorker:
         self.assign_version = 0
         self.crashed = False
         self._started = False
-        self._hb_task = None
-        self._flush_task = None
-        # Statistics (shipping counters live on the shipper).
-        self.heartbeats_sent = 0
-        self.assignments_applied = 0
-        self._build_stack(list(targets))
+        self._tasks: list = []  # heartbeat + linger flush while running
+        self._open_sockets()
 
-    # -- shipping statistics (the attribute names are the old API) -----
     @property
     def incarnation(self) -> int:
         return self.shipper.incarnation
 
-    @property
-    def samples_shipped(self) -> int:
-        return self.shipper.samples_shipped
+    # -- hooks -----------------------------------------------------------
+    def _rebuild(self) -> None:
+        """Bring the sample source back, empty, after a restart."""
+        raise NotImplementedError
 
-    @property
-    def batches_shipped(self) -> int:
-        return self.shipper.batches_shipped
+    def _apply_targets(self, targets: List[PollTarget]) -> None:
+        raise NotImplementedError
 
-    @property
-    def retransmits_served(self) -> int:
-        return self.shipper.retransmits_served
-
-    @property
-    def retransmits_missed(self) -> int:
-        return self.shipper.retransmits_missed
-
-    @property
-    def requests_sent(self) -> int:
-        return self.manager.requests_sent
-
-    # -- construction / teardown ---------------------------------------
-    def _build_stack(self, targets: List[PollTarget]) -> None:
-        """(Re)create manager, poller and sockets (fresh after restart)."""
-        self.manager = SnmpManager(self.host)
-        self.poller = SnmpPoller(
-            self.manager,
-            targets,
-            interval=self.poll_interval,
-            jitter=self.jitter,
-            seed=self.seed,
-            rate_table=RateTable(keep_history=False),
-            poll_mode=self.poll_mode,
-            pipeline_window=self.pipeline_window,
-        )
-        self.poller.on_sample = self._enqueue
+    # -- construction / teardown ----------------------------------------
+    def _open_sockets(self) -> None:
         self._report_socket = self.host.create_socket()
-        self._control_socket = self.host.create_socket(self.control_port)
+        self._control_socket = self.host.create_socket(CONTROL_PORT)
         self._control_socket.on_receive = self._on_control
 
     def _send_report(self, payload: bytes) -> None:
-        self._report_socket.sendto(payload, (self.coordinator_ip, REPORT_PORT))
+        self._report_socket.sendto(payload, (self.upstream_ip, REPORT_PORT))
 
     def _begin_tasks(self) -> None:
         if self.crashed:
             return  # crashed before the scheduled start; restart() re-runs this
         start = self.sim.now
-        self.poller.start(first_poll_at=start)
-        self._hb_task = self.sim.call_every(
-            self.heartbeat_interval, self._heartbeat, start=start
-        )
-        self._flush_task = self.sim.call_every(
-            self.batch_linger, self._flush, start=start + self.batch_linger
-        )
+        self._tasks = [
+            self.sim.call_every(self.heartbeat_interval, self._heartbeat, start=start),
+            self.sim.call_every(
+                self.batch_linger, self._flush, start=start + self.batch_linger
+            ),
+        ]
 
     def _teardown(self) -> None:
-        self.poller.stop()
-        if self._hb_task is not None:
-            self._hb_task.cancel()
-            self._hb_task = None
-        if self._flush_task is not None:
-            self._flush_task.cancel()
-            self._flush_task = None
-        self.manager.cancel_all()  # drop in-flight polls so nothing ships late
-        # Close every socket so the host's ports are reusable (a stopped
+        for task in self._tasks:
+            task.cancel()
+        self._tasks = []
+        # Close the sockets so the host's ports are reusable (a stopped
         # or crashed plane must be restartable on the same host).
-        self.manager.socket.close()
         self._report_socket.close()
         self._control_socket.close()
 
@@ -507,7 +442,7 @@ class MonitorWorker:
             self._teardown()
 
     def crash(self) -> None:
-        """The worker process dies: no polls, no heartbeats, no shipping."""
+        """The process dies: no samples, no heartbeats, no shipping."""
         if self.crashed:
             return
         self.crashed = True
@@ -515,21 +450,23 @@ class MonitorWorker:
 
     def restart(self) -> None:
         """The process comes back: new incarnation, sequence restarts at
-        1, resend buffer and counter baselines are gone, and the worker
-        rejoins with no targets until the coordinator re-assigns."""
+        1, the resend buffer is gone, and assignment version 0 makes
+        upstream re-ship the current assignment."""
         if not self.crashed:
             return
         self.crashed = False
         self.shipper.reset(self.shipper.incarnation + 1)
         self.assign_version = 0
-        self._build_stack([])
+        self._open_sockets()
+        self._rebuild()
         if self._started:
             self._begin_tasks()
 
     # -- shipping --------------------------------------------------------
-    def _enqueue(self, sample: InterfaceRates) -> None:
+    def _enqueue(self, sample: InterfaceRates) -> bool:
         if self.shipper.enqueue(sample):
             self._flush()
+        return True  # an ingest sink's "accepted"
 
     def _flush(self) -> None:
         if self.crashed:
@@ -539,7 +476,6 @@ class MonitorWorker:
     def _heartbeat(self) -> None:
         if self.crashed:
             return
-        self.heartbeats_sent += 1
         self._send_report(
             encode_heartbeat(
                 self.name, self.incarnation, self.shipper.next_seq,
@@ -569,24 +505,78 @@ class MonitorWorker:
         version = int(doc["v"])
         if version <= self.assign_version:
             return  # duplicate or out-of-date assignment: idempotent drop
-        network = self.build.network
-        targets = [
-            PollTarget(
-                node=t["n"],
-                address=network.ip_of(t["n"]),
-                if_indexes=[int(i) for i in t["ifs"]],
-                community=t["c"],
-            )
-            for t in doc["t"]
-        ]
-        added = {t.node for t in targets} - {t.node for t in self.poller.targets}
+        targets = _targets_from_doc(self.build.network, doc["t"])
         self.assign_version = version
-        self.assignments_applied += 1
-        self.poller.targets[:] = targets
         logger.info(
-            "worker %s applied assignment v%d: %s",
+            "%s applied assignment v%d: %s",
             self.name, version, sorted(t.node for t in targets),
         )
+        self._apply_targets(targets)
+
+
+class MonitorWorker(UplinkEndpoint):
+    """One polling worker: manager + poller + shipping on its own host.
+
+    A restarted worker has lost its counter baselines and rejoins with
+    *no* poll targets until the coordinator re-assigns.
+    """
+
+    def __init__(
+        self,
+        build: BuildResult,
+        host_name: str,
+        targets: Sequence[PollTarget],
+        coordinator_ip: IPv4Address,
+        poll_interval: float,
+        jitter: float,
+        seed: int,
+        heartbeat_interval: float,
+        max_batch: int = 8,
+        resend_buffer: int = 32,
+        poll_mode: str = "get",
+        pipeline_window: int = 0,
+        delta_shipping: bool = False,
+        keyframe_every: int = 16,
+    ) -> None:
+        super().__init__(
+            build, host_name, coordinator_ip, poll_interval, heartbeat_interval,
+            max_batch, resend_buffer, delta_shipping, keyframe_every,
+        )
+        # Every life of this worker polls the same way.
+        self._poller_options = dict(
+            interval=poll_interval, jitter=jitter, seed=seed,
+            poll_mode=poll_mode, pipeline_window=pipeline_window,
+        )
+        self._rebuild(targets)
+
+    @property
+    def requests_sent(self) -> int:
+        return self.manager.requests_sent
+
+    def _rebuild(self, targets: Sequence[PollTarget] = ()) -> None:
+        self.manager = SnmpManager(self.host)
+        self.poller = SnmpPoller(
+            self.manager,
+            targets,
+            rate_table=RateTable(keep_history=False),
+            **self._poller_options,
+        )
+        self.poller.on_sample = self._enqueue
+
+    def _begin_tasks(self) -> None:
+        if not self.crashed:
+            self.poller.start(first_poll_at=self.sim.now)
+        super()._begin_tasks()
+
+    def _teardown(self) -> None:
+        self.poller.stop()
+        super()._teardown()
+        self.manager.cancel_all()  # drop in-flight polls so nothing ships late
+        self.manager.socket.close()
+
+    def _apply_targets(self, targets: List[PollTarget]) -> None:
+        added = {t.node for t in targets} - {t.node for t in self.poller.targets}
+        self.poller.targets[:] = targets
         if added:
             # Adopted targets have no counter baselines here: poll once
             # immediately to establish them and once again shortly after
@@ -603,15 +593,13 @@ class MonitorWorker:
 # ----------------------------------------------------------------------
 # Coordinator-side ingest bookkeeping
 # ----------------------------------------------------------------------
+@dataclasses.dataclass(slots=True)
 class _Gap:
     """One missing batch sequence number under ARQ."""
 
-    __slots__ = ("seq", "attempts", "next_retry")
-
-    def __init__(self, seq: int, now: float, first_retry_after: float) -> None:
-        self.seq = seq
-        self.attempts = 0
-        self.next_retry = now + first_retry_after
+    seq: int
+    next_retry: float  # first request goes out at once
+    attempts: int = 0
 
 
 class _WorkerIngest:
@@ -635,9 +623,6 @@ class _WorkerIngest:
         "gaps",
         "delta",
         "kfreq_after",
-        "delivered",
-        "duplicates",
-        "stale_incarnation",
     )
 
     def __init__(self, name: str, anchored: bool = True) -> None:
@@ -649,9 +634,6 @@ class _WorkerIngest:
         self.gaps: Dict[int, _Gap] = {}
         self.delta = DeltaDecoder()
         self.kfreq_after = 0.0  # earliest next keyframe request
-        self.delivered = 0
-        self.duplicates = 0
-        self.stale_incarnation = 0
 
     def reset_for(self, incarnation: int) -> None:
         self.incarnation = incarnation
@@ -662,15 +644,19 @@ class _WorkerIngest:
         self.delta.reset()
 
 
-class DistributedMonitor:
-    """Coordinator + workers implementing the fault-tolerant plane.
+class SampleIngest:
+    """The receiving end of the plane: workers, leases, ARQ, assignments.
 
-    ``worker_hosts`` take the polling load; ``coordinator_host`` receives
-    their batches and serves path reports.  Target assignment is
-    affinity-first (a worker polling itself costs loopback only) with the
-    rest round-robined deterministically; the same partitioning function
-    re-runs over the surviving workers on every lease expiry and
-    recovery, so failover and failback are one mechanism.
+    Owns the worker endpoints on ``worker_hosts`` and the coordinator
+    sockets on ``coordinator_host``; every sample that arrives in
+    sequence is handed to ``sink`` (returning whether it was accepted).
+    Target assignment is affinity-first (a worker polling itself costs
+    loopback only) with the rest round-robined deterministically; the
+    same partitioning function re-runs over the surviving workers on
+    every lease expiry and recovery, so failover and failback are one
+    mechanism.  A :class:`DistributedMonitor` *is* one of these feeding
+    its own rate table; a leaf coordinator composes one feeding its
+    uplink.
     """
 
     def __init__(
@@ -678,14 +664,11 @@ class DistributedMonitor:
         build: BuildResult,
         coordinator_host: str,
         worker_hosts: Sequence[str],
+        sink: Callable[[InterfaceRates], bool],
+        telemetry: Telemetry,
         poll_interval: float = 2.0,
         poll_jitter: float = 0.05,
-        report_offset: float = 0.5,
         seed: int = 0,
-        stale_after: Optional[float] = None,
-        dead_after: Optional[float] = None,
-        telemetry: Union[bool, Telemetry] = True,
-        integrity: Union[bool, IntegrityConfig] = True,
         lease_timeout: Optional[float] = None,
         suspect_after: Optional[float] = None,
         heartbeat_interval: Optional[float] = None,
@@ -699,7 +682,6 @@ class DistributedMonitor:
         delta_shipping: bool = False,
         keyframe_every: int = 16,
         targets: Optional[Sequence[PollTarget]] = None,
-        emit_reports: bool = True,
         adopt_streams: bool = False,
     ) -> None:
         if not worker_hosts:
@@ -708,31 +690,14 @@ class DistributedMonitor:
         self.spec = build.spec
         self.network = build.network
         self.sim = self.network.sim
+        self.sink = sink
+        self.telemetry = telemetry
         self.poll_interval = poll_interval
-        self.report_offset = report_offset
         self.poll_jitter = poll_jitter
         self.seed = seed
-        self.poll_mode = poll_mode
-        self.pipeline_window = pipeline_window
-        self.delta_shipping = delta_shipping
-        self.keyframe_every = keyframe_every
-        self.max_batch = max_batch
-        self.resend_buffer = resend_buffer
-        self.emit_reports = emit_reports
         self.adopt_streams = adopt_streams
-        # Forwarding hook: called with every sample accepted into the
-        # rate table (a leaf coordinator chains its uplink shipper here).
-        self.on_sample: Optional[Callable[[InterfaceRates], None]] = None
         self._suspended = False
         self.coordinator = self.network.host(coordinator_host)
-        if isinstance(telemetry, Telemetry):
-            self.telemetry = telemetry
-        else:
-            self.telemetry = Telemetry(
-                clock=lambda: self.sim.now,
-                enabled=bool(telemetry),
-                slow_threshold=poll_interval,
-            )
         # Liveness knobs.  Defaults detect a dead worker in ~one poll
         # interval (just over two missed heartbeats) so failover plus the
         # adopters' re-baselining completes within three poll cycles.
@@ -749,12 +714,16 @@ class DistributedMonitor:
         self.retx_backoff = (
             retx_backoff if retx_backoff is not None else poll_interval * 0.25
         )
-        # Staleness bounds mirror NetworkMonitor's.
-        if stale_after is None:
-            stale_after = poll_interval * 2.5
-        if dead_after is None:
-            dead_after = max(poll_interval * 6.0, stale_after * 2.0)
-        self.rates = RateTable()
+        # What every endpoint under this coordinator is built with.
+        self._endpoint_options = dict(
+            heartbeat_interval=self.heartbeat_interval,
+            max_batch=max_batch,
+            resend_buffer=resend_buffer,
+            poll_mode=poll_mode,
+            pipeline_window=pipeline_window,
+            delta_shipping=delta_shipping,
+            keyframe_every=keyframe_every,
+        )
         self.degraded = DegradedSourceSet()
         self.leases = WorkerLeaseTracker(
             lease_timeout=self.lease_timeout,
@@ -763,41 +732,16 @@ class DistributedMonitor:
             events=self.telemetry.events,
         )
         self.leases.subscribe(self._on_lease_transition)
-        self.integrity: Optional[IntegrityPipeline] = None
-        if integrity:
-            config = integrity if isinstance(integrity, IntegrityConfig) else None
-            self.integrity = IntegrityPipeline(
-                speeds=self._interface_speeds(),
-                poll_interval=poll_interval,
-                config=config,
-                telemetry=self.telemetry,
-                now=self.sim.now,
-            )
-        self.calculator = BandwidthCalculator(
-            self.spec,
-            self.rates,
-            stale_after=stale_after,
-            dead_after=dead_after,
-            telemetry=self.telemetry,
-            integrity=self.integrity,
-            degraded_sources=self.degraded,
-        )
-        self.history = MeasurementHistory()
-        self._watches: Dict[str, tuple] = {}
-        self._subscribers: List[Callable[[PathReport], None]] = []
-        self._report_task = None
         self._sweep_task = None
-
-        self._sink = self.coordinator.create_socket(REPORT_PORT)
-        self._sink.on_receive = self._on_datagram
-        self._control = self.coordinator.create_socket()  # retx/assign sender
+        self._open_sockets()
 
         self._worker_order = list(worker_hosts)
-        self._target_pool: List[PollTarget] = (
+        #: The poll-target pool partitioned over the workers.
+        self.targets: List[PollTarget] = (
             list(targets) if targets is not None else self._derive_pool()
         )
         assignments = self._partition(self._worker_order)
-        self.workers: Dict[str, MonitorWorker] = {
+        self.workers: Dict[str, UplinkEndpoint] = {
             name: self._make_worker(name, assignments.get(name, []), i)
             for i, name in enumerate(self._worker_order)
         }
@@ -847,22 +791,12 @@ class DistributedMonitor:
             "counter sources currently marked lossy by the plane",
         ).set_function(lambda: float(len(self.degraded)))
 
-    def _interface_speeds(self) -> Dict[tuple, float]:
-        speeds: Dict[tuple, float] = {}
-        for node_name, if_indexes in required_poll_targets(
-            self.spec, list(self.spec.connections)
-        ).items():
-            node = self.spec.node(node_name)
-            for if_index in if_indexes:
-                speeds[(node_name, if_index)] = node.interfaces[if_index - 1].speed_bps
-        return speeds
-
     # ------------------------------------------------------------------
     # Partitioning
     # ------------------------------------------------------------------
     def _make_worker(
         self, name: str, targets: List[PollTarget], index: int
-    ) -> MonitorWorker:
+    ) -> UplinkEndpoint:
         """Construct one polling worker (the hierarchy root overrides
         this to construct leaf coordinators instead)."""
         return MonitorWorker(
@@ -873,13 +807,7 @@ class DistributedMonitor:
             self.poll_interval,
             self.poll_jitter,
             seed=self.seed + index,
-            heartbeat_interval=self.heartbeat_interval,
-            max_batch=self.max_batch,
-            resend_buffer=self.resend_buffer,
-            poll_mode=self.poll_mode,
-            pipeline_window=self.pipeline_window,
-            delta_shipping=self.delta_shipping,
-            keyframe_every=self.keyframe_every,
+            **self._endpoint_options,
         )
 
     def _derive_pool(self) -> List[PollTarget]:
@@ -910,7 +838,7 @@ class DistributedMonitor:
         """
         assignments: Dict[str, List[PollTarget]] = {w: [] for w in worker_hosts}
         leftovers: List[PollTarget] = []
-        for target in sorted(self._target_pool, key=lambda t: t.node):
+        for target in sorted(self.targets, key=lambda t: t.node):
             preferred = self._affinity(target)
             if preferred in assignments:
                 assignments[preferred].append(target)
@@ -923,7 +851,7 @@ class DistributedMonitor:
     def set_target_pool(self, targets: Sequence[PollTarget]) -> None:
         """Replace the poll-target pool and repartition over the live
         workers (the hierarchy root resizes a leaf's shard this way)."""
-        self._target_pool = list(targets)
+        self.targets = list(targets)
         self._rebalance(reason="rebalance", about="pool")
 
     def targets_of(self, worker: str) -> List[str]:
@@ -941,15 +869,18 @@ class DistributedMonitor:
         if transition.new is WorkerState.DEAD:
             # Everything the dead worker was responsible for is now
             # known-lossy until a survivor's samples land.
-            for target in self._assignments.get(transition.worker, []):
-                for if_index in target.if_indexes:
-                    self.degraded.mark(target.node, if_index)
+            self._mark_degraded(transition.worker)
             self._rebalance(reason="failover", about=transition.worker)
         elif (
             transition.new is WorkerState.ALIVE
             and transition.old is WorkerState.RECOVERING
         ):
             self._rebalance(reason="rebalance", about=transition.worker)
+
+    def _mark_degraded(self, worker: str) -> None:
+        for target in self._assignments.get(worker, []):
+            for if_index in target.if_indexes:
+                self.degraded.mark(target.node, if_index)
 
     def _live_workers(self) -> List[str]:
         return [
@@ -1034,7 +965,6 @@ class DistributedMonitor:
         # Any datagram from a known worker renews its lease.
         self.leases.beat(worker, self.sim.now)
         if incarnation < state.incarnation:
-            state.stale_incarnation += 1
             return None  # straggler from a previous life: drop
         if incarnation > state.incarnation:
             # The worker restarted: its sequence space starts over.
@@ -1070,18 +1000,12 @@ class DistributedMonitor:
             state.anchored = True
             state.expected = seq
         if seq < state.expected or seq in state.buffer:
-            state.duplicates += 1
             self._m_duplicates.inc()
             return  # retransmit overshoot or duplicate: sequence dedup
+        state.buffer[seq] = entry
         if seq == state.expected:
-            gap = state.gaps.pop(seq, None)
-            if gap is not None and gap.attempts > 0:
-                self._m_gaps_filled.inc()
-            self._deliver_entry(state, entry)
-            state.expected += 1
             self._drain(state)
         else:
-            state.buffer[seq] = entry
             self._note_gaps(state, upto=seq)
 
     def _on_heartbeat(self, doc: Dict[str, object]) -> None:
@@ -1125,7 +1049,7 @@ class DistributedMonitor:
         if not new_gaps:
             return
         for seq in new_gaps:
-            state.gaps[seq] = _Gap(seq, self.sim.now, 0.0)
+            state.gaps[seq] = _Gap(seq, self.sim.now)
             self._m_gaps.inc()
         self.telemetry.events.publish(
             SAMPLE_GAP,
@@ -1188,9 +1112,7 @@ class DistributedMonitor:
         # interfaces; without them we cannot know which, so every counter
         # source currently assigned to the worker is marked lossy until a
         # fresh sample clears it.
-        for target in self._assignments.get(state.name, []):
-            for if_index in target.if_indexes:
-                self.degraded.mark(target.node, if_index)
+        self._mark_degraded(state.name)
         # A delta stream cannot advance over a hole: its per-interface
         # context is now stale, so drop rate-only records until the
         # sender re-states everything with a keyframe.
@@ -1230,20 +1152,13 @@ class DistributedMonitor:
                 self._request_keyframe(state)
         else:
             samples = payload
-        self._deliver(state, samples)
-
-    def _deliver(self, state: _WorkerIngest, samples: List[InterfaceRates]) -> None:
         self._m_batches.inc()
-        state.delivered += 1
         for sample in samples:
-            if self.integrity is not None and not self.integrity.inspect_remote(sample):
+            if not self.sink(sample):
                 continue  # rejected or quarantined: never reaches the table
-            self.rates.update(sample)
             self._m_samples.inc()
             # Fresh in-order data for this source: no longer known-lossy.
             self.degraded.clear(sample.node, sample.if_index)
-            if self.on_sample is not None:
-                self.on_sample(sample)
 
     # ------------------------------------------------------------------
     # Periodic sweep: lease expiry + ARQ retries/abandonment
@@ -1257,63 +1172,46 @@ class DistributedMonitor:
             self._abandon_front_gaps(state)
 
     # ------------------------------------------------------------------
-    # Watch / report surface (mirrors NetworkMonitor)
+    # Lifecycle
     # ------------------------------------------------------------------
-    def watch_path(self, src: str, dst: str, name: Optional[str] = None) -> str:
-        label = name if name else f"{src}<->{dst}"
-        if label in self._watches:
-            raise ValueError(f"watch {label!r} exists")
-        self._watches[label] = (src, dst, find_path(self.spec, src, dst))
-        return label
+    def _open_sockets(self) -> None:
+        self._sink = self.coordinator.create_socket(REPORT_PORT)
+        self._sink.on_receive = self._on_datagram
+        self._control = self.coordinator.create_socket()  # retx/assign sender
 
-    def subscribe(self, callback: Callable[[PathReport], None]) -> None:
-        self._subscribers.append(callback)
+    def _begin_sweeps(self, at: float) -> None:
+        self._sweep_task = self.sim.call_every(
+            self.heartbeat_interval * 0.5,
+            self._sweep,
+            start=at + self.heartbeat_interval,
+        )
 
     def start(self, at: Optional[float] = None) -> None:
         start = self.sim.now if at is None else at
         for worker in self.workers.values():
             worker.start(at=start)
-        if self.emit_reports:
-            self._report_task = self.sim.call_every(
-                self.poll_interval,
-                self._emit_reports,
-                start=start + self.poll_interval + self.report_offset,
-            )
-        self._sweep_task = self.sim.call_every(
-            self.heartbeat_interval * 0.5,
-            self._sweep,
-            start=start + self.heartbeat_interval,
-        )
+        self._begin_sweeps(start)
 
     def stop(self) -> None:
-        """Stop polling and release every socket (coordinator included),
-        so a new plane can be built on the same hosts."""
+        """Stop the workers and release every socket (coordinator
+        included), so a new plane can be built on the same hosts."""
         for worker in self.workers.values():
             worker.stop()
-        for task_attr in ("_report_task", "_sweep_task"):
-            task = getattr(self, task_attr)
-            if task is not None:
-                task.cancel()
-                setattr(self, task_attr, None)
-        if not self._suspended:
-            self._sink.close()
-            self._control.close()
+        self.suspend()
 
     def suspend(self) -> None:
         """The coordinator *process* stops (crash simulation): its
-        sockets close and its periodic tasks stop, but the workers --
-        separate processes on separate hosts -- keep polling and
-        shipping into the void.  Assignment state survives as the
-        recovering process's warm state; per-stream ingest state does
-        not, and is rebuilt on :meth:`resume`."""
+        sockets close and its sweeps stop, but the workers -- separate
+        processes on separate hosts -- keep polling and shipping into
+        the void.  Assignment state survives as the recovering
+        process's warm state; per-stream ingest state does not, and is
+        rebuilt on :meth:`resume`."""
         if self._suspended:
             return
         self._suspended = True
-        for task_attr in ("_report_task", "_sweep_task"):
-            task = getattr(self, task_attr)
-            if task is not None:
-                task.cancel()
-                setattr(self, task_attr, None)
+        if self._sweep_task is not None:
+            self._sweep_task.cancel()
+            self._sweep_task = None
         self._sink.close()
         self._control.close()
 
@@ -1326,35 +1224,14 @@ class DistributedMonitor:
         if not self._suspended:
             return
         self._suspended = False
-        self._sink = self.coordinator.create_socket(REPORT_PORT)
-        self._sink.on_receive = self._on_datagram
-        self._control = self.coordinator.create_socket()
+        self._open_sockets()
         now = self.sim.now
         for name in self._worker_order:
             self._ingest[name] = _WorkerIngest(
                 name, anchored=not self.adopt_streams
             )
             self.leases.beat(name, now)
-        if self.emit_reports:
-            self._report_task = self.sim.call_every(
-                self.poll_interval,
-                self._emit_reports,
-                start=now + self.report_offset,
-            )
-        self._sweep_task = self.sim.call_every(
-            self.heartbeat_interval * 0.5,
-            self._sweep,
-            start=now + self.heartbeat_interval,
-        )
-
-    def _emit_reports(self) -> None:
-        for label, (src, dst, path) in self._watches.items():
-            report = self.calculator.measure_path(
-                path, src, dst, time=self.sim.now, name=label
-            )
-            self.history.append(report)
-            for callback in self._subscribers:
-                callback(report)
+        self._begin_sweeps(now)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1395,3 +1272,62 @@ class DistributedMonitor:
         for name, worker in self.workers.items():
             out[f"per_worker_requests.{name}"] = float(worker.requests_sent)
         return out
+
+
+class DistributedMonitor(ReportCore, SampleIngest):
+    """Coordinator + workers implementing the fault-tolerant plane.
+
+    ``worker_hosts`` take the polling load; ``coordinator_host`` receives
+    their batches (:class:`SampleIngest`) into the rate table of a
+    :class:`~repro.core.monitor.ReportCore` and serves path reports,
+    streaming, probing and topology sync exactly like the single
+    monitor.  Shipped samples pass the :mod:`repro.integrity` pipeline
+    on the way in.
+    """
+
+    def __init__(
+        self,
+        build: BuildResult,
+        coordinator_host: str,
+        worker_hosts: Sequence[str],
+        poll_interval: float = 2.0,
+        report_offset: float = 0.5,
+        stale_after: Optional[float] = None,
+        dead_after: Optional[float] = None,
+        telemetry: Union[bool, Telemetry] = True,
+        integrity: Union[bool, IntegrityConfig] = True,
+        **ingest_options,
+    ) -> None:
+        """``ingest_options`` are :class:`SampleIngest`'s (``poll_jitter``,
+        ``seed``, the lease/ARQ knobs, the shipping and polling modes,
+        ``targets``, ``adopt_streams``)."""
+        ReportCore.__init__(
+            self, build, coordinator_host, poll_interval, report_offset,
+            stale_after, dead_after, telemetry,
+        )
+        SampleIngest.__init__(
+            self, build, coordinator_host, worker_hosts, self._accept,
+            self.telemetry, poll_interval, **ingest_options,
+        )
+        self._build_pipeline(
+            integrity, self.targets, degraded_sources=self.degraded
+        )
+
+    def _accept(self, sample: InterfaceRates) -> bool:
+        """Ingest sink: shipped samples face the same integrity gauntlet
+        as local polls before they reach the rate table."""
+        if self.integrity is not None and not self.integrity.inspect_remote(sample):
+            return False
+        self.rates.update(sample)
+        return True
+
+    # -- sample source: the workers, through the inherited ingest --------
+    def _start_source(self, at: float) -> None:
+        SampleIngest.start(self, at)
+
+    def _stop_source(self) -> None:
+        SampleIngest.stop(self)
+
+    def stats(self) -> Dict[str, float]:
+        """The core's keys plus the ingest's plane counters."""
+        return {**ReportCore.stats(self), **SampleIngest.stats(self)}

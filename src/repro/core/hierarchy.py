@@ -3,10 +3,10 @@
 One coordinator ingesting every worker's batches scales linearly in one
 host's receive path and one process's ARQ bookkeeping.  The hierarchical
 plane splits the poll-target pool into *shards*: each shard is owned by
-a :class:`LeafCoordinator` -- a full fault-tolerant
-:class:`~repro.core.distributed.DistributedMonitor` over the shard's
-worker hosts, minus the report surface -- which aggregates its workers'
-samples locally and ships them up one delta-encoded, sequenced stream.
+a :class:`LeafCoordinator` -- the fault-tolerant
+:class:`~repro.core.distributed.SampleIngest` of the flat plane over the
+shard's worker hosts, with no report core behind it -- which merges its
+workers' streams and ships them up one delta-encoded, sequenced stream.
 The :class:`HierarchicalMonitor` root therefore sees *one stream per
 shard* (plus heartbeats), not one per worker, and its rate table and
 path reports are computed exactly like the flat plane's.
@@ -21,10 +21,11 @@ construction rather than duplication:
   Shard assignment rides the same ``assign`` control message workers
   use, so a lost shard datagram heals through the same stale-echo
   resend.
-* **Leaf uplink** -- the leaf ships with the same
-  :class:`~repro.core.distributed.SampleShipper` a worker uses
-  (sequencing, bounded resend buffer, retransmit service), with delta
-  encoding on by default: quiescent shards cost a few bytes per
+* **Leaf uplink** -- a leaf and a worker are the same
+  :class:`~repro.core.distributed.UplinkEndpoint` (heartbeats, sequenced
+  shipping with a bounded resend buffer, retransmit/assign/keyframe
+  control) over different sample sources, with delta encoding on by
+  default for leaves: quiescent shards cost a few bytes per
   interface per batch, and periodic keyframes bound the cost of any
   lost context.
 * **Failover, twice** -- a dead *worker* is handled inside its leaf
@@ -42,49 +43,25 @@ back to seq 1, and heals its delta decoders with keyframe requests.
 
 from __future__ import annotations
 
-import logging
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.distributed import (
-    CONTROL_PORT,
-    REPORT_PORT,
-    DistributedMonitor,
-    SampleShipper,
-    decode_message,
-    encode_heartbeat,
-)
-from repro.core.poller import InterfaceRates, PollTarget
+from repro.core.distributed import DistributedMonitor, SampleIngest, UplinkEndpoint
+from repro.core.poller import PollTarget
 from repro.simnet.address import IPv4Address
 from repro.spec.builder import BuildResult
-
-logger = logging.getLogger("repro.hierarchy")
-
-
-class _PoolView:
-    """Adapter giving a leaf the worker's ``poller.targets`` surface
-    (what :meth:`DistributedMonitor.targets_of` reads)."""
-
-    __slots__ = ("_dm",)
-
-    def __init__(self, dm: DistributedMonitor) -> None:
-        self._dm = dm
-
-    @property
-    def targets(self) -> List[PollTarget]:
-        return list(self._dm._target_pool)
+from repro.telemetry import Telemetry
 
 
-class LeafCoordinator:
+class LeafCoordinator(UplinkEndpoint):
     """One shard: a local coordinator over its worker hosts, plus an
     uplink to the hierarchy root.
 
-    Presents the same surface to the root that a
-    :class:`~repro.core.distributed.MonitorWorker` presents to a flat
-    coordinator -- ``start``/``stop``/``crash``/``restart``, an
-    ``assign_version`` echo, a control listener serving ``retx`` /
-    ``assign`` / ``kfreq``, and sequenced (delta-encoded) sample
-    batches -- so the root can drive leaves with the unmodified flat
-    machinery.
+    The sample source is a :class:`~repro.core.distributed.SampleIngest`
+    over the shard's workers whose sink is this endpoint's shipper, so
+    the root drives leaves with the unmodified flat machinery.  No
+    report core (the root reports), no integrity (the root inspects
+    once, so shipped samples face exactly the same gauntlet as in the
+    flat plane), no telemetry registry worth exporting.
     """
 
     def __init__(
@@ -97,75 +74,42 @@ class LeafCoordinator:
         poll_interval: float,
         poll_jitter: float,
         seed: int,
-        heartbeat_interval: Optional[float] = None,
-        batch_linger: Optional[float] = None,
-        max_batch: int = 32,
-        resend_buffer: int = 32,
-        poll_mode: str = "bulk",
-        pipeline_window: int = 8,
-        delta_shipping: bool = True,
-        keyframe_every: int = 16,
+        heartbeat_interval: float,
+        max_batch: int,
+        resend_buffer: int,
+        poll_mode: str,
+        pipeline_window: int,
+        delta_shipping: bool,
+        keyframe_every: int,
     ) -> None:
-        self.build = build
-        self.name = host_name
-        self.host = build.network.host(host_name)
-        self.sim = self.host.sim
-        self.root_ip = root_ip
-        self.poll_interval = poll_interval
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None else poll_interval * 0.4
+        shipping = dict(
+            max_batch=max_batch, resend_buffer=resend_buffer,
+            delta_shipping=delta_shipping, keyframe_every=keyframe_every,
         )
-        self.batch_linger = (
-            batch_linger if batch_linger is not None else poll_interval * 0.25
+        super().__init__(
+            build, host_name, root_ip, poll_interval, heartbeat_interval, **shipping
         )
-        # The shard: a full fault-tolerant plane over this leaf's
-        # workers, aggregating into its own rate table; samples accepted
-        # there chain straight into the uplink shipper.  No report task
-        # (the root reports), no integrity (the root inspects once, so
-        # shipped samples face exactly the same gauntlet as in the flat
-        # plane), no telemetry registry of its own.
-        self.dm = DistributedMonitor(
+        self.dm = SampleIngest(
             build,
-            coordinator_host=host_name,
-            worker_hosts=list(worker_hosts),
+            host_name,
+            list(worker_hosts),
+            sink=self._enqueue,
+            telemetry=Telemetry.disabled(clock=lambda: self.sim.now),
             poll_interval=poll_interval,
             poll_jitter=poll_jitter,
             seed=seed,
-            telemetry=False,
-            integrity=False,
-            max_batch=max_batch,
-            resend_buffer=resend_buffer,
             poll_mode=poll_mode,
             pipeline_window=pipeline_window,
-            delta_shipping=delta_shipping,
-            keyframe_every=keyframe_every,
             targets=list(targets),
-            emit_reports=False,
             adopt_streams=True,
+            **shipping,
         )
-        self.dm.on_sample = self._enqueue
-        self.poller = _PoolView(self.dm)  # root reads poller.targets
-        self.shipper = SampleShipper(
-            host_name,
-            self._send_up,
-            max_batch=max_batch,
-            resend_buffer=resend_buffer,
-            delta=delta_shipping,
-            keyframe_every=keyframe_every,
-        )
-        self.assign_version = 0
-        self.crashed = False
-        self._started = False
-        self._hb_task = None
-        self._flush_task = None
-        self.heartbeats_sent = 0
-        self.assignments_applied = 0
-        self._open_sockets()
 
-    # -- root-facing worker surface --------------------------------------
     @property
-    def incarnation(self) -> int:
-        return self.shipper.incarnation
+    def poller(self) -> SampleIngest:
+        """Where ``targets`` (the applied target list) lives: a worker's
+        is its poller's, a shard's is its ingest's pool."""
+        return self.dm
 
     @property
     def requests_sent(self) -> int:
@@ -179,133 +123,27 @@ class LeafCoordinator:
             (w.poller.window_peak for w in self.dm.workers.values()), default=0
         )
 
-    # -- construction / teardown -----------------------------------------
-    def _open_sockets(self) -> None:
-        self._uplink = self.host.create_socket()
-        self._listener = self.host.create_socket(CONTROL_PORT)
-        self._listener.on_receive = self._on_control
-
-    def _send_up(self, payload: bytes) -> None:
-        self._uplink.sendto(payload, (self.root_ip, REPORT_PORT))
-
-    # -- lifecycle --------------------------------------------------------
     def start(self, at: Optional[float] = None) -> None:
-        self._started = True
         self.dm.start(at=at)
-        if at is None or at <= self.sim.now:
-            self._begin_tasks()
-        else:
-            self.sim.schedule_at(at, self._begin_tasks)
-
-    def _begin_tasks(self) -> None:
-        if self.crashed:
-            return
-        start = self.sim.now
-        self._hb_task = self.sim.call_every(
-            self.heartbeat_interval, self._heartbeat, start=start
-        )
-        self._flush_task = self.sim.call_every(
-            self.batch_linger, self._flush, start=start + self.batch_linger
-        )
-
-    def _cancel_tasks(self) -> None:
-        for attr in ("_hb_task", "_flush_task"):
-            task = getattr(self, attr)
-            if task is not None:
-                task.cancel()
-                setattr(self, attr, None)
+        super().start(at)
 
     def stop(self) -> None:
-        self._started = False
-        if not self.crashed:
-            self._cancel_tasks()
-            self._uplink.close()
-            self._listener.close()
+        super().stop()
         self.dm.stop()
 
-    def crash(self) -> None:
-        """The leaf coordinator *process* dies.  Its workers -- separate
+    def _teardown(self) -> None:
+        """The leaf coordinator *process* goes.  Its workers -- separate
         hosts -- keep polling and shipping into the void; only the
-        shard-local ingest, the uplink and the control listener go."""
-        if self.crashed:
-            return
-        self.crashed = True
-        self._cancel_tasks()
-        self._uplink.close()
-        self._listener.close()
+        shard-local ingest, the uplink and the control listener stop."""
+        super()._teardown()
         self.dm.suspend()
 
-    def restart(self) -> None:
-        """The process comes back: fresh uplink incarnation, fresh
-        shard ingest that *adopts* the workers' mid-flight streams, and
-        assignment version 0 so the root re-ships the shard."""
-        if not self.crashed:
-            return
-        self.crashed = False
-        self.shipper.reset(self.shipper.incarnation + 1)
-        self.assign_version = 0
-        self._open_sockets()
+    def _rebuild(self) -> None:
+        """Fresh shard ingest that *adopts* the workers' mid-flight
+        streams rather than demanding history it never saw."""
         self.dm.resume()
-        if self._started:
-            self._begin_tasks()
 
-    # -- uplink shipping ---------------------------------------------------
-    def _enqueue(self, sample: InterfaceRates) -> None:
-        if self.shipper.enqueue(sample):
-            self._flush()
-
-    def _flush(self) -> None:
-        if self.crashed:
-            return
-        self.shipper.flush()
-
-    def _heartbeat(self) -> None:
-        if self.crashed:
-            return
-        self.heartbeats_sent += 1
-        self._send_up(
-            encode_heartbeat(
-                self.name, self.incarnation, self.shipper.next_seq,
-                self.assign_version,
-            )
-        )
-
-    # -- control (root -> leaf) -------------------------------------------
-    def _on_control(self, payload, size, src_ip, src_port) -> None:
-        if payload is None or self.crashed:
-            return
-        try:
-            doc = decode_message(payload)
-            kind = doc["k"]
-            if kind == "retx":
-                self.shipper.serve_retransmit(doc)
-            elif kind == "assign":
-                self._apply_assignment(doc)
-            elif kind == "kfreq":
-                self.shipper.force_keyframe()
-        except (ValueError, KeyError, TypeError):
-            return  # malformed control traffic: ignore
-
-    def _apply_assignment(self, doc: Dict[str, object]) -> None:
-        version = int(doc["v"])
-        if version <= self.assign_version:
-            return  # duplicate or out-of-date: idempotent drop
-        network = self.build.network
-        targets = [
-            PollTarget(
-                node=t["n"],
-                address=network.ip_of(t["n"]),
-                if_indexes=[int(i) for i in t["ifs"]],
-                community=t["c"],
-            )
-            for t in doc["t"]
-        ]
-        self.assign_version = version
-        self.assignments_applied += 1
-        logger.info(
-            "leaf %s applied shard v%d: %d targets",
-            self.name, version, len(targets),
-        )
+    def _apply_targets(self, targets: List[PollTarget]) -> None:
         self.dm.set_target_pool(targets)
 
 
@@ -375,13 +213,7 @@ class HierarchicalMonitor(DistributedMonitor):
             self.poll_interval,
             self.poll_jitter,
             seed=self.seed + 1000 * (index + 1),
-            heartbeat_interval=self.heartbeat_interval,
-            max_batch=self.max_batch,
-            resend_buffer=self.resend_buffer,
-            poll_mode=self.poll_mode,
-            pipeline_window=self.pipeline_window,
-            delta_shipping=self.delta_shipping,
-            keyframe_every=self.keyframe_every,
+            **self._endpoint_options,
         )
 
     # -- introspection ------------------------------------------------------

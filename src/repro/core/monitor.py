@@ -1,20 +1,39 @@
 """The network QoS monitor (paper §3, assembled).
 
-:class:`NetworkMonitor` runs on one host of the managed system -- the
-paper's monitor ran on the Linux machine L -- and:
+The paper's monitor is one pipeline: poll -> counter rates -> path
+traversal -> ``A = min(m_i - u_i)`` -> report to RM.  Everything after
+"counter rates" is the same whichever way the samples were collected,
+so it lives here once: :class:`ReportCore` owns the
+:class:`~repro.core.poller.RateTable`, the integrity pipeline, the
+:class:`~repro.core.bandwidth.BandwidthCalculator`, the watched paths
+(resolved on the shared :class:`~repro.topology.graph.TopologyGraph`
+and re-resolved when its topology epoch moves), the history, the
+subscribers, and the optional streaming / probing / topology-sync /
+trap-listener planes.
+
+A concrete monitor *is* a ``ReportCore`` plus a sample source; the seam
+is "who calls ``rates.update``" plus :meth:`ReportCore._start_source` /
+:meth:`ReportCore._stop_source`.  :class:`NetworkMonitor` (below) is the
+paper's: it runs on one host of the managed system -- the paper's ran
+on the Linux machine L -- and
 
 1. reads the topology from the specification (via a
    :class:`~repro.spec.builder.BuildResult`),
 2. resolves which agents and interfaces must be polled so that every
    measurable connection has a counter source,
-3. polls them every ``poll_interval`` seconds over genuine SNMP traffic,
+3. polls them every ``poll_interval`` seconds over genuine SNMP traffic
+   with a local :class:`~repro.core.poller.SnmpPoller`,
 4. traverses the communication path of every watched host pair, and
 5. emits a :class:`~repro.core.report.PathReport` per path per interval
    into its history and to subscribers (e.g. the RM middleware in
    :mod:`repro.rm`).
 
+:class:`~repro.core.distributed.DistributedMonitor` (and, by
+inheritance, :class:`~repro.core.hierarchy.HierarchicalMonitor`) feeds
+the same core from sequenced remote ingest instead.
+
 Report generation is offset from the polls by ``report_offset`` so each
-report sees that cycle's responses; the first report only fires after two
+report sees that cycle's samples; the first report only fires after two
 cycles, when counter deltas exist.
 """
 
@@ -22,11 +41,17 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bandwidth import BandwidthCalculator
 from repro.core.counters import if_index_of, required_poll_targets
+from repro.core.health import HealthState
 from repro.core.history import MeasurementHistory
+from repro.core.linkstate import LinkStateRegistry
+from repro.core.poller import PollTarget, RateTable, SnmpPoller
+from repro.core.report import PathReport
+from repro.core.topology_sync import register_topology_metrics
+from repro.core.traversal import NoPathError, find_path, pair_redundant
 from repro.integrity import (
     IntegrityConfig,
     IntegrityPipeline,
@@ -34,12 +59,7 @@ from repro.integrity import (
     register_integrity_metrics,
     two_ended_pairs,
 )
-from repro.core.linkstate import LinkStateRegistry
-from repro.core.poller import PollTarget, RateTable, SnmpPoller
-from repro.core.report import PathReport
 from repro.probe.scheduler import register_probe_metrics
-from repro.core.topology_sync import register_topology_metrics
-from repro.core.traversal import NoPathError, find_path, pair_redundant
 from repro.snmp.manager import SnmpManager
 from repro.spec.builder import BuildResult
 from repro.stream.manager import register_stream_metrics
@@ -56,65 +76,39 @@ DEFAULT_POLL_INTERVAL = 2.0
 DEFAULT_REPORT_OFFSET = 0.5
 
 
+@dataclasses.dataclass(slots=True)
 class _Watch:
-    __slots__ = ("name", "src", "dst", "path", "epoch")
-
-    def __init__(
-        self,
-        name: str,
-        src: str,
-        dst: str,
-        path: List[ConnectionSpec],
-        epoch: int,
-    ) -> None:
-        self.name = name
-        self.src = src
-        self.dst = dst
-        self.path = path
-        # Graph topology epoch the path was resolved under; when the
-        # graph moves past it the watch re-resolves before measuring.
-        self.epoch = epoch
+    name: str
+    src: str
+    dst: str
+    path: List[ConnectionSpec]
+    # Graph topology epoch the path was resolved under; when the graph
+    # moves past it the watch re-resolves before measuring.
+    epoch: int
 
 
-class MonitorError(RuntimeError):
+class MonitorError(ValueError):
     """Raised for monitor misconfiguration."""
 
 
-class NetworkMonitor:
-    """SNMP-based bandwidth monitor for a specified real-time system."""
+class ReportCore:
+    """Rates -> integrity -> calculator -> watches -> reports, once."""
 
     def __init__(
         self,
         build: BuildResult,
-        monitor_host: str,
-        poll_interval: float = DEFAULT_POLL_INTERVAL,
-        poll_jitter: float = 0.05,
-        report_offset: float = DEFAULT_REPORT_OFFSET,
-        snmp_timeout: float = 1.0,
-        snmp_retries: int = 1,
-        snmp_adaptive: bool = True,
-        stale_after: Optional[float] = None,
-        dead_after: Optional[float] = None,
-        seed: int = 0,
-        telemetry: Union[bool, Telemetry] = True,
+        host: str,
+        poll_interval: float,
+        report_offset: float,
+        stale_after: Optional[float],
+        dead_after: Optional[float],
+        telemetry: Union[bool, Telemetry],
         history_retention_s: Optional[float] = None,
         history_downsample_s: Optional[float] = None,
-        integrity: Union[bool, IntegrityConfig] = True,
-        cross_check: bool = False,
-        poll_mode: str = "get",
-        pipeline_window: int = 0,
     ) -> None:
-        """``integrity``: run every sample through the measurement-
-        integrity pipeline (True: default knobs; an
-        :class:`~repro.integrity.IntegrityConfig` tunes them; False:
-        trust the agents like the paper did).  ``cross_check``: also
-        poll the *secondary* end of every two-ended connection (plus
-        ifSpeed) and compare both ends' octet rates each report cycle.
-        Off by default because the extra polling itself adds SNMP
-        traffic to the measured links.  ``poll_mode`` / ``pipeline_window``
-        pass straight to :class:`~repro.core.poller.SnmpPoller` (GetBulk
-        batching and bounded-in-flight scheduling for large target
-        counts)."""
+        """``host`` is where the reports are computed (the paper's L; a
+        coordinator on the distributed planes): the trap listener and
+        the topology-sync SNMP manager bind there."""
         if not 0 < report_offset < poll_interval:
             raise MonitorError(
                 f"report_offset must lie inside the poll interval, got "
@@ -123,10 +117,10 @@ class NetworkMonitor:
         self.build = build
         self.spec: TopologySpec = build.spec
         self.network = build.network
-        self.monitor_host = self.network.host(monitor_host)
+        self.sim = self.network.sim
+        self.host = self.network.host(host)
         self.poll_interval = poll_interval
         self.report_offset = report_offset
-        self.sim = self.network.sim
         # One telemetry hub for the whole stack: the manager's RTT
         # quantiles, the poller's cycle spans, the calculator's staleness
         # figures and the middleware's QoS events all share it.  A span
@@ -140,13 +134,9 @@ class NetworkMonitor:
                 enabled=bool(telemetry),
                 slow_threshold=poll_interval,
             )
-        self.manager = SnmpManager(
-            self.monitor_host,
-            timeout=snmp_timeout,
-            retries=snmp_retries,
-            adaptive=snmp_adaptive,
-            telemetry=self.telemetry,
-        )
+        # Only the planes that speak SNMP from ``host`` have one: the
+        # local poller's, or the one topology sync creates on demand.
+        self.manager: Optional[SnmpManager] = None
         self.rates = RateTable()
         self.link_state: Optional[LinkStateRegistry] = None
         self.trap_receiver = None
@@ -173,90 +163,77 @@ class NetworkMonitor:
         )
         self._watches: Dict[str, _Watch] = {}
         self._subscribers: List[ReportCallback] = []
-        self.cross_check = cross_check
-        self._cross_pairs = two_ended_pairs(self.spec) if cross_check else []
-        self._poller = SnmpPoller(
-            self.manager,
-            targets=self._build_targets(),
-            interval=poll_interval,
-            jitter=poll_jitter,
-            seed=seed,
-            rate_table=self.rates,
-            telemetry=self.telemetry,
-            poll_mode=poll_mode,
-            pipeline_window=pipeline_window,
-        )
-        # Let the manager label RTT samples by agent name, not IP.
-        for target in self._poller.targets:
-            self.manager.agent_labels[target.address] = target.node
-        # Measurement-integrity pipeline: validates every sample before
-        # it reaches the rate table and quarantines untrustworthy
-        # interfaces.  The metric families are registered either way so
-        # ``stats()`` keys resolve even with the pipeline disabled.
-        register_integrity_metrics(self.telemetry.registry)
-        self.integrity: Optional[IntegrityPipeline] = None
-        if integrity:
-            config = integrity if isinstance(integrity, IntegrityConfig) else None
-            self.integrity = IntegrityPipeline(
-                speeds=self._interface_speeds(),
-                poll_interval=poll_interval,
-                config=config,
-                pairs=self._cross_pairs,
-                health=self._poller.health,
-                telemetry=self.telemetry,
-                now=self.sim.now,
-            )
-            self._poller.integrity = self.integrity
-        self.calculator = BandwidthCalculator(
-            self.spec,
-            self.rates,
-            stale_after=stale_after,
-            dead_after=dead_after,
-            health=self._poller.health,
-            telemetry=self.telemetry,
-            integrity=self.integrity,
-        )
         # One shared graph: watch traversal memoizes into it, and matrix
         # consumers (the CLI passes it to BandwidthMatrix) reuse the memos.
         self.graph = TopologyGraph(self.spec)
-        # Streaming surface (see :meth:`enable_streaming`).  The metric
-        # families are registered unconditionally, like the integrity
-        # ones, so ``stats()`` keys resolve with streaming disabled.
-        register_stream_metrics(self.telemetry.registry)
-        self.stream = None  # Optional[MatrixPublisher]
-        # Active probing plane (see :meth:`enable_probing`); metric
-        # families registered unconditionally for the same reason.
-        register_probe_metrics(self.telemetry.registry)
-        self.prober = None  # Optional[ProbeScheduler]
-        # Self-healing topology plane (see :meth:`enable_topology_sync`).
-        register_topology_metrics(self.telemetry.registry)
+        registry = self.telemetry.registry
+        # Every optional plane's metric families are registered
+        # unconditionally so ``stats()`` keys resolve with it disabled.
+        register_integrity_metrics(registry)
+        register_stream_metrics(registry)
+        register_probe_metrics(registry)
+        register_topology_metrics(registry)
+        self.integrity: Optional[IntegrityPipeline] = None
+        self.stream = None  # Optional[MatrixPublisher], see enable_streaming
+        self.prober = None  # Optional[ProbeScheduler], see enable_probing
         self.topology_sync = None  # Optional[TopologySync]
         self._report_task = None
-        self._m_reports = self.telemetry.registry.counter(
-            "reports_total", "path reports emitted"
-        )
-        self._m_reroutes = self.telemetry.registry.counter(
+        self._m_reports = registry.counter("reports_total", "path reports emitted")
+        self._m_reroutes = registry.counter(
             "path_reroutes_total",
             "watched paths re-resolved onto different links",
         )
-        self._register_health_gauges()
-        self._register_dataflow_gauges()
+        self._register_gauges()
 
-    def _register_health_gauges(self) -> None:
-        """Function-backed gauges sampling the health tracker on read."""
-        from repro.core.health import HealthState
+    def _build_pipeline(
+        self,
+        integrity: Union[bool, IntegrityConfig],
+        targets: Iterable[PollTarget],
+        pairs: Sequence = (),
+        health=None,
+        degraded_sources=None,
+    ) -> None:
+        """Integrity pipeline + calculator over ``rates``.
 
-        registry = self.telemetry.registry
-        health = self._poller.health
-        for state in HealthState:
-            gauge = registry.gauge(
-                f"agents_{state.value}",
-                f"polled agents currently in the {state.value} state",
+        Called by the concrete monitor once its sample source exists:
+        ``targets`` (what the source polls) fixes the interfaces the
+        integrity pipeline knows speeds for, ``health`` is the local
+        poller's agent tracker and ``degraded_sources`` the remote
+        ingest's known-lossy set -- each plane has one of the two.
+        """
+        if integrity:
+            self.integrity = IntegrityPipeline(
+                speeds=self._interface_speeds(targets),
+                poll_interval=self.poll_interval,
+                config=integrity if isinstance(integrity, IntegrityConfig) else None,
+                pairs=pairs,
+                health=health,
+                telemetry=self.telemetry,
+                now=self.sim.now,
             )
-            gauge.set_function(lambda s=state: float(health.count(s)))
-        registry.gauge(
-            "polls_suppressed", "routine polls suppressed by the circuit breaker"
-        ).set_function(lambda: float(health.polls_suppressed))
+        self.calculator = BandwidthCalculator(
+            self.spec,
+            self.rates,
+            stale_after=self.stale_after,
+            dead_after=self.dead_after,
+            health=health,
+            telemetry=self.telemetry,
+            integrity=self.integrity,
+            degraded_sources=degraded_sources,
+        )
+
+    def _interface_speeds(self, targets: Iterable[PollTarget]) -> Dict[tuple, float]:
+        """Topology-declared speed per polled (node, ifIndex)."""
+        speeds: Dict[tuple, float] = {}
+        for target in targets:
+            node = self.spec.node(target.node)
+            for if_index in target.if_indexes:
+                speeds[(target.node, if_index)] = node.interfaces[if_index - 1].speed_bps
+        return speeds
+
+    def _register_gauges(self) -> None:
+        """Function-backed gauges sampled on read."""
+        registry = self.telemetry.registry
         registry.gauge(
             "watched_paths", "path watches currently registered"
         ).set_function(lambda: float(len(self._watches)))
@@ -269,10 +246,6 @@ class NetworkMonitor:
         registry.gauge(
             "history_bytes", "compressed bytes held by the history tsdb"
         ).set_function(lambda: float(self.history.storage_stats().nbytes))
-
-    def _register_dataflow_gauges(self) -> None:
-        """Cache-effectiveness gauges for the incremental dataflow."""
-        registry = self.telemetry.registry
         registry.gauge(
             "dataflow_cache_hits",
             "connection measurements served from the epoch cache",
@@ -292,86 +265,25 @@ class NetworkMonitor:
     def reports_emitted(self) -> int:
         return int(self._m_reports.value)
 
-    # ------------------------------------------------------------------
-    # Target construction
-    # ------------------------------------------------------------------
-    def _build_targets(self) -> List[PollTarget]:
-        """One target per SNMP node, covering every measurable connection.
-
-        In cross-check mode the secondary end of every two-ended
-        connection is polled too (the redundancy the cross-checker
-        compares), and every target also reads ifSpeed so the
-        speed-mismatch validator has the agent's own claim.
-        """
-        needed = required_poll_targets(self.spec, list(self.spec.connections))
-        # Inter-switch uplinks are polled at BOTH ends.  The counter
-        # source alone leaves the far switch's port invisible, yet a
-        # redundant uplink can fail (or be spanning-tree blocked) in a
-        # way only the far side observes; link-state tracking must see
-        # linkDown from either end.
-        for conn in self.spec.connections:
-            ends = conn.endpoints()
-            nodes = [self.spec.node(end.node) for end in ends]
-            if not all(
-                n.kind is DeviceKind.SWITCH and n.snmp_enabled for n in nodes
-            ):
-                continue
-            for end, node in zip(ends, nodes):
-                indexes = needed.setdefault(node.name, [])
-                if_index = if_index_of(node, end.interface)
-                if if_index not in indexes:
-                    indexes.append(if_index)
-                    indexes.sort()
-        if self._cross_pairs:
-            for node_name, extra in extra_poll_indexes(self._cross_pairs).items():
-                indexes = needed.setdefault(node_name, [])
-                for if_index in extra:
-                    if if_index not in indexes:
-                        indexes.append(if_index)
-                indexes.sort()
-        targets: List[PollTarget] = []
-        for node_name, if_indexes in sorted(needed.items()):
-            node = self.spec.node(node_name)
-            targets.append(
-                PollTarget(
-                    node=node_name,
-                    address=self.network.ip_of(node_name),
-                    if_indexes=if_indexes,
-                    community=node.snmp_community,
-                    include_speed=self.cross_check,
-                )
-            )
-        return targets
-
-    def _interface_speeds(self) -> Dict[tuple, float]:
-        """Topology-declared speed per polled (node, ifIndex)."""
-        speeds: Dict[tuple, float] = {}
-        for target in self._poller.targets:
-            node = self.spec.node(target.node)
-            for if_index in target.if_indexes:
-                speeds[(target.node, if_index)] = node.interfaces[if_index - 1].speed_bps
-        return speeds
-
     @property
-    def poller(self) -> SnmpPoller:
-        return self._poller
-
-    @property
-    def health(self) -> "AgentHealthTracker":
-        """The per-agent health tracker (reachability state machine)."""
-        return self._poller.health
-
-    def agent_health(self) -> Dict[str, str]:
-        """Current health state name per polled agent."""
-        return {
-            target.node: self._poller.health.state(target.node).value
-            for target in self._poller.targets
-        }
+    def started(self) -> bool:
+        return self._report_task is not None
 
     # ------------------------------------------------------------------
     # Link-state notifications (traps)
     # ------------------------------------------------------------------
-    def enable_trap_listener(self, confirmed: bool = False) -> "LinkStateRegistry":
+    def _link_state_registry(self) -> LinkStateRegistry:
+        if self.link_state is None:
+            addresses = {
+                node.name: self.network.ip_of(node.name)
+                for node in self.spec.nodes
+                if node.snmp_enabled and node.name in self.build.agents
+            }
+            self.link_state = LinkStateRegistry(self.spec, addresses)
+            self.calculator.link_state = self.link_state
+        return self.link_state
+
+    def enable_trap_listener(self, confirmed: bool = False) -> LinkStateRegistry:
         """Listen for linkDown/linkUp notifications, fold them into reports.
 
         Starts a receiver on this host's UDP :162, registers every SNMP
@@ -389,48 +301,15 @@ class NetworkMonitor:
             return self.link_state
         from repro.snmp.trap import TrapReceiver  # local: optional feature
 
-        if self.link_state is None:
-            addresses = {
-                node.name: self.network.ip_of(node.name)
-                for node in self.spec.nodes
-                if node.snmp_enabled and node.name in self.build.agents
-            }
-            self.link_state = LinkStateRegistry(self.spec, addresses)
-            self.calculator.link_state = self.link_state
-        self.trap_receiver = TrapReceiver(
-            self.monitor_host,
-            callback=self.link_state.apply_trap,
-        )
-        monitor_ip = self.monitor_host.primary_ip
+        link_state = self._link_state_registry()
+        self.trap_receiver = TrapReceiver(self.host, callback=link_state.apply_trap)
+        monitor_ip = self.host.primary_ip
         for agent in self.build.agents.values():
             if confirmed:
                 agent.enable_link_informs(monitor_ip)
             else:
                 agent.enable_link_traps(monitor_ip)
-        return self.link_state
-
-    def enable_oper_status_tracking(self) -> "LinkStateRegistry":
-        """Poll ifOperStatus as a link-state source (trap backstop).
-
-        Works with or without the trap listener: each polling cycle also
-        reads every tracked interface's operational status and folds it
-        into the link-state registry.  Detection latency is one polling
-        interval -- slower than traps, but immune to trap loss.  A trap
-        and a poll can disagree transiently around a transition; the next
-        cycle converges them.  Idempotent.
-        """
-        if self.link_state is None:
-            addresses = {
-                node.name: self.network.ip_of(node.name)
-                for node in self.spec.nodes
-                if node.snmp_enabled and node.name in self.build.agents
-            }
-            self.link_state = LinkStateRegistry(self.spec, addresses)
-            self.calculator.link_state = self.link_state
-        for target in self._poller.targets:
-            target.include_oper_status = True
-        self._poller.on_status = self.link_state.apply_oper_status
-        return self.link_state
+        return link_state
 
     # ------------------------------------------------------------------
     # Watches
@@ -439,8 +318,8 @@ class NetworkMonitor:
         """Monitor the communication path between two hosts.
 
         Returns the watch label used in :attr:`history`.  The path is
-        traversed once, up front, from the specification -- the paper's
-        design (topology is static between spec updates).
+        traversed up front from the specification (the paper's design)
+        and again whenever the graph's topology epoch moves.
         """
         label = name if name else f"{src}<->{dst}"
         if label in self._watches:
@@ -454,16 +333,28 @@ class NetworkMonitor:
         )
         return label
 
+    def _watch(self, label: str) -> _Watch:
+        try:
+            return self._watches[label]
+        except KeyError:
+            raise MonitorError(f"no path watch {label!r}") from None
+
     def unwatch_path(self, label: str) -> None:
-        if label not in self._watches:
-            raise MonitorError(f"no path watch {label!r}")
+        self._watch(label)  # raises for an unknown label
         del self._watches[label]
 
     def watched_paths(self) -> List[str]:
-        return sorted(self._watches)
+        """Watch labels in registration order (the probe scheduler's
+        round-robin tie-break, so it must not depend on spelling)."""
+        return list(self._watches)
 
     def path_of(self, label: str) -> List[ConnectionSpec]:
-        return list(self._watches[label].path)
+        return list(self._watch(label).path)
+
+    def endpoints_of(self, label: str) -> Tuple[str, str]:
+        """The watched ``(src, dst)`` host names."""
+        watch = self._watch(label)
+        return watch.src, watch.dst
 
     def subscribe(self, callback: ReportCallback) -> None:
         """Receive every future :class:`PathReport` (the RM hook)."""
@@ -542,7 +433,7 @@ class NetworkMonitor:
         from repro.probe.scheduler import ProbeScheduler
 
         self.prober = ProbeScheduler(self, **options)
-        if self._report_task is not None:
+        if self.started:
             self.prober.start()
         return self.prober
 
@@ -559,33 +450,40 @@ class NetworkMonitor:
         topology epoch), so the next report cycle re-resolves watched
         paths -- retiring the manual ``invalidate_paths()`` contract.
         ``options`` are forwarded (``interval``, ``full_every``,
-        ``community``).  If the monitor is already running, syncing
-        starts immediately; otherwise it starts with :meth:`start`.
-        Idempotent -- returns the existing sync on repeat calls.
+        ``community``).  The rounds are SNMP traffic from this host: a
+        plane with no local manager gets one here, on first use, so a
+        coordinator that never syncs owns no idle socket.  If the
+        monitor is already running, syncing starts immediately;
+        otherwise it starts with :meth:`start`.  Idempotent -- returns
+        the existing sync on repeat calls.
         """
         if self.topology_sync is not None:
             return self.topology_sync
         from repro.core.topology_sync import TopologySync
 
+        if self.manager is None:
+            self.manager = SnmpManager(self.host, telemetry=self.telemetry)
         self.topology_sync = TopologySync(self, **options)
-        if self._report_task is not None:
+        if self.started:
             self.topology_sync.start()
         return self.topology_sync
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def _start_source(self, at: float) -> None:
+        """Begin feeding ``rates``; the first poll cycle is at ``at``."""
+        raise NotImplementedError
+
+    def _stop_source(self) -> None:
+        raise NotImplementedError
+
     def start(self, at: Optional[float] = None) -> None:
         """Begin polling (and reporting one offset later each cycle)."""
-        if self._report_task is not None:
+        if self.started:
             raise MonitorError("monitor already started")
         first_poll = self.sim.now if at is None else at
-        logger.info(
-            "monitor on %s starting at t=%.3f: %d poll target(s), interval %.2fs",
-            self.monitor_host.name, first_poll, len(self._poller.targets),
-            self.poll_interval,
-        )
-        self._poller.start(first_poll_at=first_poll)
+        self._start_source(first_poll)
         # First report after the second poll's responses have landed.
         first_report = first_poll + self.poll_interval + self.report_offset
         self._report_task = self.sim.call_every(
@@ -602,7 +500,7 @@ class NetworkMonitor:
             self.topology_sync.start(at=first_poll + self.poll_interval / 2.0)
 
     def stop(self) -> None:
-        self._poller.stop()
+        self._stop_source()
         if self._report_task is not None:
             self._report_task.cancel()
             self._report_task = None
@@ -610,11 +508,20 @@ class NetworkMonitor:
             self.prober.stop()
         if self.topology_sync is not None:
             self.topology_sync.stop()
-        self.manager.cancel_all()
+        if self.manager is not None:
+            self.manager.cancel_all()
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    def _measure(self, watch: _Watch) -> PathReport:
+        if watch.epoch != self.graph.topology_epoch:
+            self._refresh_watch(watch)
+        return self.calculator.measure_path(
+            watch.path, watch.src, watch.dst, time=self.sim.now, name=watch.name,
+            redundant=pair_redundant(self.graph, watch.src, watch.dst),
+        )
+
     def _emit_reports(self) -> None:
         # Cross-checks run first so a mismatch discovered this cycle is
         # already reflected (trust decay, quarantine) in the reports
@@ -624,15 +531,7 @@ class NetworkMonitor:
         # Subscribers may add/remove watches in reaction to a report (the
         # application runtime rebinds paths on reallocation); iterate a copy.
         for watch in list(self._watches.values()):
-            if watch.epoch != self.graph.topology_epoch:
-                self._refresh_watch(watch)
-            report = self._apply_probe_cap(
-                self.calculator.measure_path(
-                    watch.path, watch.src, watch.dst, time=self.sim.now,
-                    name=watch.name,
-                    redundant=pair_redundant(self.graph, watch.src, watch.dst),
-                )
-            )
+            report = self._apply_probe_cap(self._measure(watch))
             self.history.append(report)
             self._m_reports.inc()
             for callback in self._subscribers:
@@ -650,16 +549,7 @@ class NetworkMonitor:
         cap -- the probe cross-validator uses it to compare against the
         raw passive figure rather than its own earlier judgement.
         """
-        try:
-            watch = self._watches[label]
-        except KeyError:
-            raise MonitorError(f"no path watch {label!r}") from None
-        if watch.epoch != self.graph.topology_epoch:
-            self._refresh_watch(watch)
-        report = self.calculator.measure_path(
-            watch.path, watch.src, watch.dst, time=self.sim.now, name=watch.name,
-            redundant=pair_redundant(self.graph, watch.src, watch.dst),
-        )
+        report = self._measure(self._watch(label))
         return self._apply_probe_cap(report) if _probe_cap else report
 
     def _refresh_watch(self, watch: _Watch) -> None:
@@ -736,28 +626,15 @@ class NetworkMonitor:
         """Operational counters, sourced from the telemetry registry.
 
         The keys are a stable public surface (tests and operators rely on
-        them); each maps onto the registry metric that now owns the
-        underlying count.
+        them) and the same on every plane; each maps onto the registry
+        metric that owns the underlying count.  Concrete monitors add
+        their sample source's keys.
         """
         value = self.telemetry.registry.value
         return {
-            "poll_cycles": value("poll_cycles_total"),
-            "poll_errors": value("poll_errors_total"),
-            "poll_timeout_errors": value("poll_timeout_errors_total"),
-            "poll_error_responses": value("poll_error_responses_total"),
-            "poll_parse_errors": value("poll_parse_errors_total"),
-            "polls_suppressed": value("polls_suppressed"),
-            "agent_restarts": value("agent_restarts_total"),
-            "agents_healthy": value("agents_healthy"),
-            "agents_dead": value("agents_dead"),
-            "samples": value("poll_samples_total"),
             "reports": value("reports_total"),
             "history_samples": value("history_samples"),
             "history_dropped": value("history_dropped_samples"),
-            "snmp_requests": value("snmp_requests_total"),
-            "snmp_responses": value("snmp_responses_total"),
-            "snmp_timeouts": value("snmp_timeouts_total"),
-            "snmp_retransmissions": value("snmp_retransmissions_total"),
             "integrity_violations": value("integrity_violations_total"),
             "integrity_rejected": value("integrity_samples_rejected_total"),
             "integrity_quarantined": value("quarantined_interfaces"),
@@ -781,4 +658,203 @@ class NetworkMonitor:
             "topology_changes": value("topology_changes_total"),
             "path_reroutes": value("path_reroutes_total"),
             "blocked_connections": value("topology_blocked_connections"),
+        }
+
+
+class NetworkMonitor(ReportCore):
+    """SNMP-based bandwidth monitor for a specified real-time system."""
+
+    def __init__(
+        self,
+        build: BuildResult,
+        monitor_host: str,
+        poll_interval: float = DEFAULT_POLL_INTERVAL,
+        poll_jitter: float = 0.05,
+        report_offset: float = DEFAULT_REPORT_OFFSET,
+        snmp_timeout: float = 1.0,
+        snmp_retries: int = 1,
+        snmp_adaptive: bool = True,
+        stale_after: Optional[float] = None,
+        dead_after: Optional[float] = None,
+        seed: int = 0,
+        telemetry: Union[bool, Telemetry] = True,
+        history_retention_s: Optional[float] = None,
+        history_downsample_s: Optional[float] = None,
+        integrity: Union[bool, IntegrityConfig] = True,
+        cross_check: bool = False,
+        poll_mode: str = "get",
+        pipeline_window: int = 0,
+    ) -> None:
+        """``integrity``: run every sample through the measurement-
+        integrity pipeline (True: default knobs; an
+        :class:`~repro.integrity.IntegrityConfig` tunes them; False:
+        trust the agents like the paper did).  ``cross_check``: also
+        poll the *secondary* end of every two-ended connection (plus
+        ifSpeed) and compare both ends' octet rates each report cycle.
+        Off by default because the extra polling itself adds SNMP
+        traffic to the measured links.  ``poll_mode`` / ``pipeline_window``
+        pass straight to :class:`~repro.core.poller.SnmpPoller` (GetBulk
+        batching and bounded-in-flight scheduling for large target
+        counts)."""
+        super().__init__(
+            build, monitor_host, poll_interval, report_offset, stale_after,
+            dead_after, telemetry, history_retention_s, history_downsample_s,
+        )
+        self.manager = SnmpManager(
+            self.host,
+            timeout=snmp_timeout,
+            retries=snmp_retries,
+            adaptive=snmp_adaptive,
+            telemetry=self.telemetry,
+        )
+        self.cross_check = cross_check
+        cross_pairs = two_ended_pairs(self.spec) if cross_check else []
+        self.poller = SnmpPoller(
+            self.manager,
+            targets=self._build_targets(cross_pairs),
+            interval=poll_interval,
+            jitter=poll_jitter,
+            seed=seed,
+            rate_table=self.rates,
+            telemetry=self.telemetry,
+            poll_mode=poll_mode,
+            pipeline_window=pipeline_window,
+        )
+        #: The per-agent health tracker (reachability state machine).
+        self.health = self.poller.health
+        # Let the manager label RTT samples by agent name, not IP.
+        for target in self.poller.targets:
+            self.manager.agent_labels[target.address] = target.node
+        # The integrity pipeline validates every sample before it
+        # reaches the rate table and quarantines untrustworthy
+        # interfaces; here it sits inside the poller, which has the raw
+        # counter snapshots the regression diagnosis reads.
+        self._build_pipeline(
+            integrity, self.poller.targets, pairs=cross_pairs, health=self.health
+        )
+        self.poller.integrity = self.integrity
+        self._register_health_gauges()
+
+    def _register_health_gauges(self) -> None:
+        """Function-backed gauges sampling the health tracker on read."""
+        registry = self.telemetry.registry
+        health = self.health
+        for state in HealthState:
+            gauge = registry.gauge(
+                f"agents_{state.value}",
+                f"polled agents currently in the {state.value} state",
+            )
+            gauge.set_function(lambda s=state: float(health.count(s)))
+        registry.gauge(
+            "polls_suppressed", "routine polls suppressed by the circuit breaker"
+        ).set_function(lambda: float(health.polls_suppressed))
+
+    # ------------------------------------------------------------------
+    # Target construction
+    # ------------------------------------------------------------------
+    def _build_targets(self, cross_pairs: Sequence) -> List[PollTarget]:
+        """One target per SNMP node, covering every measurable connection.
+
+        In cross-check mode the secondary end of every two-ended
+        connection is polled too (the redundancy the cross-checker
+        compares), and every target also reads ifSpeed so the
+        speed-mismatch validator has the agent's own claim.
+        """
+        needed = required_poll_targets(self.spec, list(self.spec.connections))
+
+        def also_poll(node_name: str, if_index: int) -> None:
+            indexes = needed.setdefault(node_name, [])
+            if if_index not in indexes:
+                indexes.append(if_index)
+                indexes.sort()
+
+        # Inter-switch uplinks are polled at BOTH ends.  The counter
+        # source alone leaves the far switch's port invisible, yet a
+        # redundant uplink can fail (or be spanning-tree blocked) in a
+        # way only the far side observes; link-state tracking must see
+        # linkDown from either end.
+        for conn in self.spec.connections:
+            ends = conn.endpoints()
+            nodes = [self.spec.node(end.node) for end in ends]
+            if not all(
+                n.kind is DeviceKind.SWITCH and n.snmp_enabled for n in nodes
+            ):
+                continue
+            for end, node in zip(ends, nodes):
+                also_poll(node.name, if_index_of(node, end.interface))
+        for node_name, extra in extra_poll_indexes(cross_pairs).items():
+            for if_index in extra:
+                also_poll(node_name, if_index)
+        targets: List[PollTarget] = []
+        for node_name, if_indexes in sorted(needed.items()):
+            node = self.spec.node(node_name)
+            targets.append(
+                PollTarget(
+                    node=node_name,
+                    address=self.network.ip_of(node_name),
+                    if_indexes=if_indexes,
+                    community=node.snmp_community,
+                    include_speed=self.cross_check,
+                )
+            )
+        return targets
+
+    def agent_health(self) -> Dict[str, str]:
+        """Current health state name per polled agent."""
+        return {
+            target.node: self.health.state(target.node).value
+            for target in self.poller.targets
+        }
+
+    def enable_oper_status_tracking(self) -> LinkStateRegistry:
+        """Poll ifOperStatus as a link-state source (trap backstop).
+
+        Works with or without the trap listener: each polling cycle also
+        reads every tracked interface's operational status and folds it
+        into the link-state registry.  Detection latency is one polling
+        interval -- slower than traps, but immune to trap loss.  A trap
+        and a poll can disagree transiently around a transition; the next
+        cycle converges them.  Idempotent.
+        """
+        link_state = self._link_state_registry()
+        for target in self.poller.targets:
+            target.include_oper_status = True
+        self.poller.on_status = link_state.apply_oper_status
+        return link_state
+
+    # ------------------------------------------------------------------
+    # Sample source: the local poller
+    # ------------------------------------------------------------------
+    def _start_source(self, at: float) -> None:
+        logger.info(
+            "monitor on %s starting at t=%.3f: %d poll target(s), interval %.2fs",
+            self.host.name, at, len(self.poller.targets), self.poll_interval,
+        )
+        self.poller.start(first_poll_at=at)
+
+    def _stop_source(self) -> None:
+        self.poller.stop()
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    def stats(self) -> Dict[str, float]:
+        """The core's keys plus the local poller's and SNMP manager's."""
+        value = self.telemetry.registry.value
+        return {
+            "poll_cycles": value("poll_cycles_total"),
+            "poll_errors": value("poll_errors_total"),
+            "poll_timeout_errors": value("poll_timeout_errors_total"),
+            "poll_error_responses": value("poll_error_responses_total"),
+            "poll_parse_errors": value("poll_parse_errors_total"),
+            "polls_suppressed": value("polls_suppressed"),
+            "agent_restarts": value("agent_restarts_total"),
+            "agents_healthy": value("agents_healthy"),
+            "agents_dead": value("agents_dead"),
+            "samples": value("poll_samples_total"),
+            "snmp_requests": value("snmp_requests_total"),
+            "snmp_responses": value("snmp_responses_total"),
+            "snmp_timeouts": value("snmp_timeouts_total"),
+            "snmp_retransmissions": value("snmp_retransmissions_total"),
+            **super().stats(),
         }

@@ -88,7 +88,12 @@ def register_topology_metrics(registry) -> None:
 
 
 class TopologySync:
-    """Keeps a monitor's topology graph in sync with the live network."""
+    """Keeps a monitor's topology graph in sync with the live network.
+
+    ``monitor`` is any monitor plane (a
+    :class:`~repro.core.monitor.ReportCore`); the rounds go out through
+    its ``manager`` from its report host.
+    """
 
     def __init__(
         self,

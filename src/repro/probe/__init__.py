@@ -15,7 +15,8 @@ turns debounced active/passive disagreements into localized findings
 that feed the integrity pipeline, the telemetry event bus, and the
 streaming surface.
 
-Entry point: :meth:`repro.core.monitor.NetworkMonitor.enable_probing`.
+Entry point: :meth:`repro.core.monitor.ReportCore.enable_probing` (every
+monitor plane).
 """
 
 from repro.probe.crossval import ProbeCrossValidator, ProbeDisagreementFinding

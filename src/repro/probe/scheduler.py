@@ -75,9 +75,10 @@ def register_probe_metrics(registry) -> None:
 class ProbeScheduler:
     """Round-robin probe trains over a monitor's watched paths.
 
-    ``monitor`` is a :class:`~repro.core.monitor.NetworkMonitor`; the
-    scheduler reads its watch table each round, so paths added or
-    removed after :meth:`start` are picked up automatically.
+    ``monitor`` is any monitor plane (a
+    :class:`~repro.core.monitor.ReportCore`); the scheduler reads its
+    watch list each round, so paths added or removed after
+    :meth:`start` are picked up automatically.
     """
 
     def __init__(
@@ -162,16 +163,17 @@ class ProbeScheduler:
 
     def narrowest_bytes(self, label: str) -> float:
         """Capacity (bytes/s) of the narrowest link on ``label``'s path."""
-        watch = self.monitor._watches[label]
         spec = self.monitor.spec
-        return min(spec.effective_bandwidth(conn) for conn in watch.path) / 8.0
+        return min(
+            spec.effective_bandwidth(conn) for conn in self.monitor.path_of(label)
+        ) / 8.0
 
     def required_interval(self, label: str) -> float:
         """Round interval keeping ``label``'s narrowest link in budget."""
         return self.train_bytes / (self.budget_fraction * self.narrowest_bytes(label))
 
     def _compute_interval(self) -> float:
-        labels = list(self.monitor._watches)
+        labels = self.monitor.watched_paths()
         if not labels:
             raise ProbeError("no watched paths to probe; call watch_path() first")
         return max(self.required_interval(label) for label in labels)
@@ -224,7 +226,7 @@ class ProbeScheduler:
         return report.degraded or report.confidence < self.priority_confidence
 
     def _pick(self) -> Optional[str]:
-        labels = list(self.monitor._watches)
+        labels = self.monitor.watched_paths()
         if not labels:
             return None
         # Drop ledger entries for watches that went away.
@@ -249,12 +251,10 @@ class ProbeScheduler:
         if label is None:
             self.rounds_skipped += 1
             return
-        watch = self.monitor._watches[label]
-        src = self.monitor.network.host(watch.src)
-        dst = self.monitor.network.host(watch.dst)
+        src, dst = self.monitor.endpoints_of(label)
         train = ProbeTrain(
-            src,
-            dst,
+            self.monitor.network.host(src),
+            self.monitor.network.host(dst),
             count=self.count,
             payload_size=self.payload_size,
             warmup=self.warmup,

@@ -1,7 +1,8 @@
 """Resource-management middleware loop: monitor -> detect -> diagnose -> advise.
 
 :class:`RmMiddleware` is the integration object a scenario instantiates
-next to a :class:`~repro.core.monitor.NetworkMonitor`.  It subscribes to
+next to a monitor of any plane (a
+:class:`~repro.core.monitor.ReportCore`).  It subscribes to
 the monitor's report stream; each report is routed to the matching
 requirement's detector; violation transitions trigger diagnosis and (if an
 advisor is configured) reallocation advice, all recorded in the action
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.monitor import NetworkMonitor
+from repro.core.monitor import ReportCore
 from repro.core.report import PathReport
 from repro.rm.allocator import PlacementAdvice, ReallocationAdvisor
 from repro.rm.detector import (
@@ -54,7 +55,7 @@ class RmMiddleware:
 
     def __init__(
         self,
-        monitor: NetworkMonitor,
+        monitor: ReportCore,
         requirements: Sequence[QosRequirement],
         breach_count: int = 2,
         clear_count: int = 2,

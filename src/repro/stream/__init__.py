@@ -11,8 +11,8 @@ dirty-pair recomputation.  Standing :class:`ThresholdQuery` /
 feed, and :class:`QuantileDeadbandFilter` significance filters keep
 sub-noise-floor twitches from ever becoming events.
 
-Entry points: :meth:`repro.core.monitor.NetworkMonitor.enable_streaming`
-wires a publisher into the monitor's emit cycle; ``repro stream`` on the
+Entry points: :meth:`repro.core.monitor.ReportCore.enable_streaming`
+(every monitor plane) wires a publisher into the monitor's emit cycle; ``repro stream`` on the
 CLI demonstrates the surface end to end.
 """
 

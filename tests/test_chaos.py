@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.core.distributed import DistributedMonitor
 from repro.core.health import HealthState
 from repro.core.monitor import NetworkMonitor
 from repro.core.report import PathReport
@@ -377,3 +378,50 @@ class TestUplinkFailover:
         assert events.count("topology_changed") >= 2  # initial block + failover
         assert events.count("path_rerouted") == 1
         assert events.count("fault_injected") >= 1  # the LinkFailure itself
+
+
+class TestDistributedUplinkFailover:
+    def test_watch_follows_the_reroute(self):
+        """The same kill under the plane built for scale: a
+        ``DistributedMonitor`` with topology sync must move the A<->B
+        watch onto the backup uplink within three poll cycles, exactly
+        once, without missing a report cycle -- it used to resolve the
+        path once from the spec and keep reporting on the dead link."""
+        build = build_network(parse_spec(UPLINK_FAILOVER_SPEC))
+        net = build.network
+        dm = DistributedMonitor(
+            build, "A", ["C", "D"], poll_interval=POLL, poll_jitter=0.0, seed=SEED
+        )
+        assert dm.manager is None  # no coordinator-side SNMP socket...
+        dm.enable_topology_sync()
+        assert dm.manager is not None  # ...until topology sync needs one
+        ab = dm.watch_path("A", "B")
+        reports = []
+        dm.subscribe(reports.append)
+        StaircaseLoad(
+            net.host("A"), net.ip_of("B"), StepSchedule.pulse(3.0, 37.0, 150 * KBPS)
+        ).start()
+        net.announce_hosts(at=2.0)
+        uplinks = [
+            conn
+            for conn in dm.spec.connections
+            if {conn.end_a.node, conn.end_b.node} == {"sw1", "sw2"}
+        ]
+        dm.start(at=2.5)
+        net.run(12.9)
+        active = next(c for c in uplinks if c in dm.path_of(ab))
+        backup = next(c for c in uplinks if c is not active)
+        LinkFailure.between(
+            net, "sw1", "sw2", at=FAIL_AT, index=uplinks.index(active),
+            events=dm.telemetry.events,
+        )
+        net.run(FAIL_AT + 3 * POLL)
+        assert backup in dm.path_of(ab)
+        assert active not in dm.path_of(ab)
+        net.run(40.0)
+        assert dm.stats()["path_reroutes"] == 1
+        assert dm.telemetry.events.count("path_rerouted") == 1
+        gaps = [b.time - a.time for a, b in zip(reports, reports[1:])]
+        assert gaps and all(g == pytest.approx(POLL) for g in gaps)
+        assert reports[-1].status == "fresh", reports[-1].summary()
+        dm.stop()

@@ -11,11 +11,18 @@ the leaves emulate.
 
 import pytest
 
+from repro.core.distributed import DistributedMonitor
 from repro.core.hierarchy import HierarchicalMonitor, LeafCoordinator
+from repro.core.monitor import NetworkMonitor
 from repro.experiments.scale import hierarchy_plan, scale_spec
+from repro.rm.detector import QosState
+from repro.rm.middleware import RmMiddleware
+from repro.rm.qos import QosRequirement
 from repro.simnet.faults import WorkerCrash
 from repro.simnet.trafficgen import KBPS, StaircaseLoad, StepSchedule
 from repro.spec.builder import build_network
+from repro.spec.parser import parse_spec
+from repro.stream.events import PairChanged
 
 PODS, SWITCHES, HOSTS = 2, 2, 3
 POD_SWITCHES = [f"p{p}sw{s}" for p in range(PODS) for s in range(SWITCHES)]
@@ -184,3 +191,112 @@ class TestLeafFailover:
         # requests -- both end with zero decode errors.
         assert stats["decode_errors"] == 0.0
         dm.stop()
+
+
+# ----------------------------------------------------------------------
+# One report surface on all three planes
+# ----------------------------------------------------------------------
+PARITY_SPEC = """
+network topology parity {
+    host A  { snmp community "public"; }
+    host B  { snmp community "public"; }
+    host R  { }
+    host M1 { }
+    host M2 { }
+    host W1 { }
+    host W2 { }
+    switch sw1 { snmp community "public"; ports 8; stp "on"; }
+    switch sw2 { snmp community "public"; ports 8; stp "on"; }
+    connect A.eth0  <-> sw1.port1;
+    connect W1.eth0 <-> sw1.port2;
+    connect M1.eth0 <-> sw1.port3;
+    connect R.eth0  <-> sw1.port4;
+    connect B.eth0  <-> sw2.port1;
+    connect W2.eth0 <-> sw2.port2;
+    connect M2.eth0 <-> sw2.port3;
+    connect sw1.port7 <-> sw2.port7;
+    connect sw1.port8 <-> sw2.port8;
+}
+"""
+PARITY_PLAN = {
+    "root": "R",
+    "shards": {
+        "M1": {"workers": ["W1"], "members": ["sw1", "A", "W1", "M1", "R"]},
+        "M2": {"workers": ["W2"], "members": ["sw2", "B", "W2", "M2"]},
+    },
+}
+PLANES = {
+    "flat": lambda build: NetworkMonitor(build, "R", poll_jitter=0.0),
+    "distributed": lambda build: DistributedMonitor(
+        build, "R", ["W1", "W2"], poll_jitter=0.0
+    ),
+    "hierarchical": lambda build: HierarchicalMonitor(
+        build, PARITY_PLAN, poll_jitter=0.0
+    ),
+}
+CORE_STATS_KEYS = {
+    "reports", "history_samples", "history_dropped",
+    "integrity_violations", "integrity_rejected", "integrity_quarantined",
+    "cross_check_mismatches", "cache_hits", "recomputes", "dirty_pairs",
+    "stream_subscribers", "stream_events_delivered",
+    "stream_events_suppressed", "stream_events_dropped",
+    "probe_trains", "probe_packets_sent", "probe_packets_lost",
+    "probe_bytes_sent", "probe_disagreements", "probe_recoveries",
+    "probe_active_disagreements", "topology_rounds", "topology_full_rounds",
+    "topology_changes", "path_reroutes", "blocked_connections",
+}
+
+
+@pytest.mark.parametrize("plane", sorted(PLANES))
+def test_report_surface_is_the_same_on_every_plane(plane):
+    """Watches, on-demand reports, the redundancy flag, streaming,
+    budgeted probing, the RM hook and the core ``stats()`` keys behave
+    alike whichever way the samples are collected."""
+    build = build_network(parse_spec(PARITY_SPEC))
+    net = build.network
+    monitor = PLANES[plane](build)
+    assert CORE_STATS_KEYS <= set(monitor.stats())
+
+    ab = monitor.watch_path("A", "B")
+    extra = monitor.watch_path("B", "A", name="spare")
+    assert monitor.watched_paths() == [ab, extra]
+    assert [str(c) for c in monitor.path_of(ab)][0].startswith("A.eth0")
+    assert len(monitor.path_of(ab)) == 3  # A-sw1, one uplink, sw2-B
+    monitor.unwatch_path(extra)
+    assert monitor.watched_paths() == [ab]
+
+    rm = RmMiddleware(
+        monitor, [QosRequirement(name=ab, src="A", dst="B", min_available_bps=1.0)]
+    )
+    events = []
+    publisher = monitor.enable_streaming()
+    publisher.manager.subscribe("ui", pairs=[("A", "B")], callback=events.append)
+    prober = monitor.enable_probing()
+    reports = []
+    monitor.subscribe(reports.append)
+
+    StaircaseLoad(
+        net.host("A"), net.ip_of("B"), StepSchedule.pulse(6.0, 30.0, 200 * KBPS)
+    ).start()
+    net.announce_hosts(at=2.0)  # after spanning tree settled
+    monitor.start(at=2.5)
+    net.run(20.0)
+    before = monitor.reports_emitted
+    net.run(20.0 + 3 * monitor.poll_interval)
+    assert monitor.reports_emitted == before + 3  # one watch, three cycles
+    assert monitor.stats()["reports"] == len(reports)
+
+    assert reports[-1].redundant  # two parallel uplinks
+    assert reports[-1].trusted
+    assert reports[-1].used_bps >= 0.9 * 200 * KBPS  # the load (+ probe trains)
+    now = monitor.current_report(ab)
+    assert now.time == net.now and now.label == ab and now.redundant
+
+    assert any(isinstance(e, PairChanged) and e.pair == ("A", "B") for e in events)
+    assert rm.state_of(ab) is QosState.OK
+
+    stats = monitor.stats()
+    assert stats["probe_trains"] >= 1 and prober.trains_abandoned == 0
+    elapsed = net.now - 2.5
+    assert stats["probe_bytes_sent"] / elapsed <= 0.02 * 100e6 / 8.0
+    monitor.stop()

@@ -427,7 +427,7 @@ class TestTimeTicksWrap:
         """Drive the real poller ingest across the sysUpTime wrap."""
         build = build_testbed()
         monitor = NetworkMonitor(build, "L", poll_interval=POLL)
-        poller = monitor._poller
+        poller = monitor.poller
         wrap = 2 ** 32
         # Baseline 1 s before the wrap, next poll 1 s after: the raw
         # tick values regress but the wrap-aware delta is 2 s.
