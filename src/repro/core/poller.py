@@ -164,25 +164,33 @@ class PollTarget:
     include_oper_status: bool = False  # also read ifOperStatus per interface
     include_speed: bool = False  # also read ifSpeed (integrity cross-check mode)
 
-    def oids(self) -> List[Oid]:
-        out: List[Oid] = [SYS_UPTIME]
-        for index in self.if_indexes:
-            for column in _COLUMNS:
-                out.append(column + str(index))
-            if self.include_oper_status:
-                out.append(IF_OPER_STATUS + str(index))
-            if self.include_speed:
-                out.append(IF_SPEED + str(index))
-        return out
+    # (shape, table) behind :meth:`instance_oids`.
+    _oid_table: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def columns(self) -> List[Oid]:
-        """The table columns a bulk walk of this target must cover."""
+        """The table columns a poll of this target must cover."""
         cols = list(_COLUMNS)
         if self.include_oper_status:
             cols.append(IF_OPER_STATUS)
         if self.include_speed:
             cols.append(IF_SPEED)
         return cols
+
+    def instance_oids(self) -> Dict[int, Tuple[Oid, ...]]:
+        """ifIndex -> the instance OID under each of :meth:`columns`, in order.
+
+        Built once and kept until the target's interfaces or optional
+        columns change, so parsing a response costs dict lookups only.
+        """
+        shape = (tuple(self.if_indexes), self.include_oper_status, self.include_speed)
+        if self._oid_table is None or self._oid_table[0] != shape:
+            cols = self.columns()
+            table = {i: tuple(col.extend(i) for col in cols) for i in self.if_indexes}
+            self._oid_table = (shape, table)
+        return self._oid_table[1]
+
+    def oids(self) -> List[Oid]:
+        return [SYS_UPTIME] + [oid for row in self.instance_oids().values() for oid in row]
 
 
 class _PollUnit:
@@ -590,37 +598,28 @@ class SnmpPoller:
         if not isinstance(uptime, TimeTicks):
             self._m_parse_errors.inc()
             return
-        for index in target.if_indexes:
-            if target.include_oper_status and self.on_status is not None:
-                status = values.get(IF_OPER_STATUS + str(index))
+        n = len(_COLUMNS)
+        track_status = target.include_oper_status and self.on_status is not None
+        for index, row in target.instance_oids().items():
+            if track_status:
+                status = values.get(row[n])
                 if isinstance(status, Integer):
                     self.on_status(target.node, index, status.value == IF_STATUS_UP)
-            try:
-                snapshot = _CounterSnapshot(
-                    uptime=uptime,
-                    octets_in=self._counter(values, IF_IN_OCTETS, index),
-                    octets_out=self._counter(values, IF_OUT_OCTETS, index),
-                    ucast_in=self._counter(values, IF_IN_UCAST_PKTS, index),
-                    ucast_out=self._counter(values, IF_OUT_UCAST_PKTS, index),
-                    nucast_in=self._counter(values, IF_IN_NUCAST_PKTS, index),
-                    nucast_out=self._counter(values, IF_OUT_NUCAST_PKTS, index),
-                )
-            except KeyError:
+            counters = [
+                value
+                for value in map(values.get, row[:n])
+                if isinstance(value, Counter32)
+            ]
+            if len(counters) != n:
                 self._m_parse_errors.inc()
                 continue
+            snapshot = _CounterSnapshot(uptime, *counters)
             polled_speed = None
             if target.include_speed:
-                speed_value = values.get(IF_SPEED + str(index))
+                speed_value = values.get(row[-1])
                 if isinstance(speed_value, Gauge32):
                     polled_speed = float(speed_value.value)
             self._ingest(target.node, index, snapshot, polled_speed)
-
-    @staticmethod
-    def _counter(values: Dict[Oid, object], column: Oid, index: int) -> Counter32:
-        value = values.get(column + str(index))
-        if not isinstance(value, Counter32):
-            raise KeyError(str(column))
-        return value
 
     def _ingest(
         self,

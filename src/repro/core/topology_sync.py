@@ -50,7 +50,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.discovery import DiscoveryResult, TopologyDiscoverer
 from repro.snmp.datatypes import EndOfMibView, NoSuchInstance, NoSuchObject
 from repro.snmp.mib import DOT1D_STP_PORT_STATE
-from repro.snmp.oid import Oid
 from repro.telemetry.events import TOPOLOGY_CHANGED
 from repro.topology.model import ConnectionSpec, DeviceKind
 
@@ -238,7 +237,6 @@ class TopologySync:
         self._round_states = {}
         self._round_failed = set()
         self._inflight = len(self._uplink_ports)
-        base = Oid(DOT1D_STP_PORT_STATE)
         for name, ports in self._uplink_ports.items():
 
             def done(varbinds, switch=name):
@@ -256,7 +254,7 @@ class TopologySync:
 
             self.manager.get(
                 self._switch_addresses[name],
-                [base.extend(port) for port in ports],
+                [DOT1D_STP_PORT_STATE.extend(port) for port in ports],
                 done,
                 failed,
             )

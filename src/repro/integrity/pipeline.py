@@ -172,6 +172,7 @@ class IntegrityPipeline:
         self._last_offence: Dict[Key, float] = {}
         self._wrap_warned: set = set()
         self._metrics = register_integrity_metrics(self.telemetry.registry)
+        self._trust_gauges: Dict[Key, object] = {}  # labelled child per interface
         self._warn_wrap_risk_config(now)
 
     # ------------------------------------------------------------------
@@ -236,14 +237,14 @@ class IntegrityPipeline:
         suspects = [v for v in verdicts if v.severity is Severity.SUSPECT]
         if verdicts:
             self._record_verdicts(key, verdicts, sample.time)
-            self.quarantine.apply(key[0], key[1], verdicts, sample.time)
+            rec = self.quarantine.apply(key[0], key[1], verdicts, sample.time)
         if not violating and not suspects:
-            self.quarantine.record_clean(key[0], key[1], sample.time)
-        self._sync_trust_gauge(key)
+            rec = self.quarantine.record_clean(key[0], key[1], sample.time)
+        self._sync_trust_gauge(key, rec)
         if violating:
             self._metrics["rejected"].inc()
             return False  # demonstrably wrong: never let it into the table
-        if self.quarantine.is_quarantined(*key):
+        if rec.quarantined:
             self._metrics["rejected"].inc()
             return False
         return True
@@ -293,8 +294,9 @@ class IntegrityPipeline:
             for verdict in verdicts:
                 key = (verdict.node, verdict.if_index)
                 self._record_verdicts(key, [verdict], now)
-                self.quarantine.apply(key[0], key[1], [verdict], now)
-                self._sync_trust_gauge(key)
+                self._sync_trust_gauge(
+                    key, self.quarantine.apply(key[0], key[1], [verdict], now)
+                )
             applied.extend(verdicts)
         return applied
 
@@ -313,8 +315,9 @@ class IntegrityPipeline:
         for verdict in verdicts:
             key = (verdict.node, verdict.if_index)
             self._record_verdicts(key, [verdict], now)
-            self.quarantine.apply(key[0], key[1], [verdict], now)
-            self._sync_trust_gauge(key)
+            self._sync_trust_gauge(
+                key, self.quarantine.apply(key[0], key[1], [verdict], now)
+            )
 
     # ------------------------------------------------------------------
     # Queries (calculator, monitor, CLI)
@@ -393,18 +396,19 @@ class IntegrityPipeline:
                     # cross-checker even though they do not decay trust.
                     self._last_offence[key] = now
 
-    def _sync_trust_gauge(self, key: Key) -> None:
-        rec = self.quarantine.record(*key)
-        self._metrics["trust"].labels(interface=f"{key[0]}:{key[1]}").set(
-            round(rec.score, 4)
-        )
-        quarantined = len(self.quarantine.quarantined_keys())
-        self._metrics["quarantined"].set(float(quarantined))
-        total_q = sum(r.quarantines for r in self.quarantine.records().values())
-        total_r = sum(r.releases for r in self.quarantine.records().values())
-        q_counter = self._metrics["quarantines"]
-        r_counter = self._metrics["releases"]
-        if total_q > q_counter.value:
-            q_counter.inc(total_q - q_counter.value)
-        if total_r > r_counter.value:
-            r_counter.inc(total_r - r_counter.value)
+    def _sync_trust_gauge(self, key: Key, rec: TrustRecord) -> None:
+        gauge = self._trust_gauges.get(key)
+        if gauge is None:
+            gauge = self._trust_gauges[key] = self._metrics["trust"].labels(
+                interface=f"{key[0]}:{key[1]}"
+            )
+        gauge.set(round(rec.score, 4))
+        totals = self.quarantine
+        metrics = self._metrics
+        metrics["quarantined"].set(float(totals.quarantined))
+        behind = totals.quarantines - metrics["quarantines"].value
+        if behind > 0:
+            metrics["quarantines"].inc(behind)
+        behind = totals.releases - metrics["releases"].value
+        if behind > 0:
+            metrics["releases"].inc(behind)

@@ -72,6 +72,11 @@ class QuarantineManager:
         self.recover_step = recover_step
         self.events = events
         self._records: Dict[Key, TrustRecord] = {}
+        # Running totals over all records, moved only at the two transitions
+        # in ``_update_state``: per-sample readers never walk the records.
+        self.quarantined = 0  # interfaces quarantined right now
+        self.quarantines = 0  # enter transitions so far
+        self.releases = 0  # release transitions so far
         # Epochs bump on quarantine enter/release only -- trust-score
         # drift between the thresholds does not change what the bandwidth
         # calculator sees, so it must not invalidate caches.
@@ -134,6 +139,8 @@ class QuarantineManager:
             rec.quarantined = True
             rec.quarantined_since = now
             rec.quarantines += 1
+            self.quarantined += 1
+            self.quarantines += 1
             self._epochs.bump((node, if_index))
             if self.events is not None:
                 self.events.publish(
@@ -148,6 +155,8 @@ class QuarantineManager:
             since = rec.quarantined_since
             rec.quarantined_since = None
             rec.releases += 1
+            self.quarantined -= 1
+            self.releases += 1
             self._epochs.bump((node, if_index))
             if self.events is not None:
                 self.events.publish(

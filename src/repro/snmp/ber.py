@@ -90,7 +90,10 @@ def decode_length(data: bytes, offset: int) -> Tuple[int, int]:
 # TLV plumbing
 # ----------------------------------------------------------------------
 def encode_tlv(tag: int, content: bytes) -> bytes:
-    return bytes([tag]) + encode_length(len(content)) + content
+    length = len(content)
+    if length < 0x80:  # short form: nearly every TLV on the poll path
+        return bytes((tag, length)) + content
+    return bytes((tag,)) + encode_length(length) + content
 
 
 def decode_tlv(data: bytes, offset: int = 0) -> Tuple[int, bytes, int]:
@@ -98,7 +101,11 @@ def decode_tlv(data: bytes, offset: int = 0) -> Tuple[int, bytes, int]:
     if offset >= len(data):
         raise BerError("truncated TLV: no tag")
     tag = data[offset]
-    length, body_start = decode_length(data, offset + 1)
+    body_start = offset + 2
+    if body_start <= len(data) and data[offset + 1] < 0x80:
+        length = data[offset + 1]  # short form: nearly every TLV on the poll path
+    else:
+        length, body_start = decode_length(data, offset + 1)
     body_end = body_start + length
     if body_end > len(data):
         raise BerError(f"truncated TLV: need {length} content bytes")
@@ -184,11 +191,16 @@ def _encode_base128(value: int) -> bytes:
     return bytes(reversed(chunks))
 
 
+@lru_cache(maxsize=16384)
 def decode_oid_content(content: bytes) -> Oid:
-    return decode_oid_interned(content)
+    """Decode OID content octets, memoized (and thus interned).
 
-
-def _decode_oid_content_uncached(content: bytes) -> Oid:
+    Decoding is the receive-side twin of :func:`encode_oid`'s cache: a
+    bulk response carries hundreds of row OIDs drawn from the same small
+    column set, and the manager decodes the identical byte strings every
+    cycle.  Interning also makes the returned ``Oid`` objects shared, so
+    downstream dict lookups hash already-seen instances.
+    """
     if not content:
         raise BerError("empty OID content")
     subids = []
@@ -215,10 +227,6 @@ def _decode_oid_content_uncached(content: bytes) -> Oid:
 
 
 @lru_cache(maxsize=16384)
-def _encode_oid_cached(oid: Oid) -> bytes:
-    return encode_tlv(TAG_OID, encode_oid_content(oid))
-
-
 def encode_oid(oid: Oid) -> bytes:
     """TLV-encode an OID, memoized.
 
@@ -228,24 +236,7 @@ def encode_oid(oid: Oid) -> bytes:
     turns the per-varbind base-128 arithmetic into a dict hit -- the
     "batched BER encode" half of the GetBulk poll path.
     """
-    return _encode_oid_cached(oid)
-
-
-@lru_cache(maxsize=16384)
-def _decode_oid_cached(content: bytes) -> Oid:
-    return _decode_oid_content_uncached(content)
-
-
-def decode_oid_interned(content: bytes) -> Oid:
-    """Decode OID content bytes, memoized (and thus interned).
-
-    Decoding is the receive-side twin of :func:`encode_oid`'s cache: a
-    bulk response carries hundreds of row OIDs drawn from the same small
-    column set, and the manager decodes the identical byte strings every
-    cycle.  Interning also makes the returned ``Oid`` objects shared, so
-    downstream dict lookups hash already-seen instances.
-    """
-    return _decode_oid_cached(bytes(content))
+    return encode_tlv(TAG_OID, encode_oid_content(oid))
 
 
 # ----------------------------------------------------------------------

@@ -240,7 +240,7 @@ class SnmpManager:
         (agents on different nodes may use different community strings).
         """
         request_id = next(self._request_ids)
-        pdu = Pdu.get_request(request_id, [Oid(o) for o in oids])
+        pdu = Pdu.get_request(request_id, oids)
         return self._send(request_id, pdu, dst_ip, callback, errback, community)
 
     def get_next(
@@ -252,7 +252,7 @@ class SnmpManager:
         community: Optional[str] = None,
     ) -> int:
         request_id = next(self._request_ids)
-        pdu = Pdu.get_next_request(request_id, [Oid(o) for o in oids])
+        pdu = Pdu.get_next_request(request_id, oids)
         return self._send(request_id, pdu, dst_ip, callback, errback, community)
 
     def get_bulk(
@@ -268,9 +268,7 @@ class SnmpManager:
         if self.version != VERSION_2C:
             raise SnmpError("GETBULK requires SNMPv2c")
         request_id = next(self._request_ids)
-        pdu = Pdu.get_bulk_request(
-            request_id, [Oid(o) for o in oids], non_repeaters, max_repetitions
-        )
+        pdu = Pdu.get_bulk_request(request_id, oids, non_repeaters, max_repetitions)
         return self._send(request_id, pdu, dst_ip, callback, errback, community)
 
     def walk(
@@ -286,7 +284,6 @@ class SnmpManager:
         ``callback`` receives the accumulated in-subtree varbinds once the
         walk leaves the subtree or hits endOfMibView.
         """
-        root = Oid(root)
         collected: List[VarBind] = []
 
         def step(varbinds: List[VarBind]) -> None:
@@ -357,7 +354,7 @@ class SnmpManager:
             self.sim.schedule(0.0, callback, [])
             return
         walk = _BulkWalk(
-            self, dst_ip, [int(i) for i in if_indexes], [Oid(c) for c in columns],
+            self, dst_ip, [int(i) for i in if_indexes], list(columns),
             callback, errback, include_uptime=include_uptime,
             community=community, max_exchanges=max_exchanges,
         )
@@ -513,7 +510,8 @@ class _BulkWalk:
 
     Walks every counter column in parallel with chained GetBulk requests,
     keeping a per-column cursor and done flag.  Classification of response
-    varbinds is by column-prefix match, not position, so it tolerates both
+    varbinds is by column prefix (one dict lookup per column length in
+    use -- one, for ifTable columns), not position, so it tolerates both
     this model's column-major response layout and the row-interleaved
     layout RFC 1905 describes.
     """
@@ -522,7 +520,7 @@ class _BulkWalk:
         "manager", "dst_ip", "columns", "callback", "errback", "community",
         "max_exchanges", "min_idx", "max_idx", "cursors", "cursor_rows",
         "done", "collected", "extra", "exchanges", "include_uptime",
-        "finished",
+        "finished", "column_lengths",
     )
 
     def __init__(
@@ -551,10 +549,12 @@ class _BulkWalk:
         # resumes at get_next(cursor).  Seeding at row min-1 makes the
         # first returned row the first one we actually want.
         self.cursors: Dict[Oid, Oid] = {
-            col: col + str(self.min_idx - 1) for col in columns
+            col: col.extend(self.min_idx - 1) for col in columns
         }
         self.cursor_rows: Dict[Oid, int] = {col: self.min_idx - 1 for col in columns}
         self.done: Dict[Oid, bool] = {col: False for col in columns}
+        # The prefix lengths a varbind's column can have (one, for ifTable).
+        self.column_lengths = sorted({len(col) for col in columns})
         self.collected: List[VarBind] = []
         self.extra: List[VarBind] = []  # the sysUpTime non-repeater result
         self.exchanges = 0
@@ -588,32 +588,40 @@ class _BulkWalk:
         if self.finished:
             return
         progressed: set = set()
+        done, lengths = self.done, self.column_lengths
         for vb in varbinds:
-            col = self._classify(vb.oid)
-            if col is None:
-                # Non-repeater result (sysUpTime) -- or an out-of-table
-                # OID an exhausted column walked into; the former only
-                # arrives on the first exchange before any column rows.
-                if not self.collected and len(self.extra) < 1:
-                    self.extra.append(vb)
+            oid = vb.oid
+            arcs = tuple(oid)  # plain tuple: slicing and indexing stay in C
+            # An Oid *is* the tuple of its arcs, so the sliced prefix keys
+            # the per-column dicts directly.
+            for n in lengths:
+                col = arcs[:n]
+                if col in done:
+                    break
+            else:
+                # The sysUpTime non-repeater, asked for on the first
+                # exchange only -- anything else is an out-of-table OID
+                # an exhausted column walked into.
+                if self.include_uptime and self.exchanges == 1 and oid == SYS_UPTIME:
+                    self.extra = [vb]
                 continue
-            if self.done[col]:
+            if done[col]:
                 continue
             if isinstance(vb.value, (EndOfMibView, NoSuchObject, NoSuchInstance)):
-                self.done[col] = True
+                done[col] = True
                 continue
-            row = vb.oid.arcs[len(col.arcs)] if len(vb.oid.arcs) > len(col.arcs) else -1
+            row = arcs[n] if len(arcs) > n else -1
             if row <= self.cursor_rows[col]:
                 continue  # duplicate/stale; progress judged per column below
             if row > self.max_idx:
-                self.done[col] = True
+                done[col] = True
                 continue
             self.collected.append(vb)
-            self.cursors[col] = vb.oid
+            self.cursors[col] = oid
             self.cursor_rows[col] = row
             progressed.add(col)
             if row == self.max_idx:
-                self.done[col] = True
+                done[col] = True
         # A column that neither advanced nor terminated would loop the
         # same cursor forever (e.g. the whole column is absent and the
         # agent's walk left the table immediately): declare it done.
@@ -624,12 +632,6 @@ class _BulkWalk:
             self._finish()
         else:
             self.issue()
-
-    def _classify(self, oid: Oid) -> Optional[Oid]:
-        for col in self.columns:
-            if oid.startswith(col):
-                return col
-        return None
 
     def _on_error(self, exc: Exception) -> None:
         if self.finished:

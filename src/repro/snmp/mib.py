@@ -21,8 +21,9 @@ enumerate rows on demand.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
-from typing import Callable, Dict, List, Optional, Protocol, Tuple, Union
+from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple, Union
 
 from repro.snmp.datatypes import (
     Counter32,
@@ -113,7 +114,8 @@ class MibTree:
 
     ``get`` answers exact-instance reads; ``get_next`` answers the
     lexicographic successor query that powers GETNEXT/GETBULK walks,
-    merging static entries with every provider's view.
+    merging static entries with the view of every provider whose subtree
+    can hold the successor.
     """
 
     def __init__(self) -> None:
@@ -126,7 +128,6 @@ class MibTree:
     # ------------------------------------------------------------------
     def register(self, oid: Oid, value: Union[SnmpValue, Accessor]) -> None:
         """Register a scalar instance (a full OID ending in its index)."""
-        oid = Oid(oid)
         if oid in self._static:
             raise MibError(f"OID {oid} registered twice")
         accessor: Accessor = value if callable(value) else (lambda v=value: v)
@@ -158,11 +159,18 @@ class MibTree:
     def get_next(self, oid: Oid) -> Optional[Tuple[Oid, SnmpValue]]:
         """Smallest registered instance strictly greater than ``oid``."""
         best: Optional[Tuple[Oid, SnmpValue]] = None
+        candidate: Optional[Oid] = None
         idx = bisect_right(self._sorted, oid)
         if idx < len(self._sorted):
             candidate = self._sorted[idx]
             best = (candidate, self._static[candidate]())
         for provider in self._providers:
+            prefix = provider.prefix
+            # Every row of a provider extends its prefix, so it cannot
+            # hold the successor when a static instance already sorts
+            # before the whole subtree or the cursor is past its end.
+            if (candidate is not None and candidate < prefix) or oid[: len(prefix)] > prefix:
+                continue
             hit = provider.next(oid)
             if hit is not None and (best is None or hit[0] < best[0]):
                 best = hit
@@ -369,96 +377,109 @@ class CachingMibTree:
         return len(self.inner)
 
 
+class _RowIndex:
+    """One dynamic table's rows in OID order, looked up by ``bisect``.
+
+    A row's value is an :data:`SnmpValue`, or an accessor called at
+    lookup time for state that changes without the row set changing.
+    """
+
+    __slots__ = ("_oids", "_values")
+
+    def __init__(
+        self, rows: Iterable[Tuple[Oid, Union[SnmpValue, Accessor]]] = ()
+    ) -> None:
+        ordered = sorted(rows, key=itemgetter(0))
+        self._oids = [oid for oid, _value in ordered]
+        self._values = [value for _oid, value in ordered]
+
+    def _value(self, i: int) -> SnmpValue:
+        value = self._values[i]
+        return value() if callable(value) else value
+
+    def get(self, oid: Oid) -> Optional[SnmpValue]:
+        i = bisect_left(self._oids, oid)
+        if i < len(self._oids) and self._oids[i] == oid:
+            return self._value(i)
+        return None
+
+    def next(self, oid: Oid) -> Optional[Tuple[Oid, SnmpValue]]:
+        i = bisect_right(self._oids, oid)
+        if i < len(self._oids):
+            return (self._oids[i], self._value(i))
+        return None
+
+
 class BridgeFdbProvider:
     """RFC 1493 ``dot1dTpFdbTable`` rows backed by a live switch FDB.
 
     Row index is the MAC address as six OID arcs.  The topology-discovery
     extension (paper §5 "dynamic network topology discovery") walks this
     table to learn which MACs sit behind which switch port.
+
+    Rows are materialised on the first query that reaches this subtree
+    (:meth:`MibTree.get_next` never asks for a walk that stays in the
+    ifTable) and reused until the FDB's bindings change.
     """
 
     prefix = DOT1D_TP_FDB_ENTRY
 
     # Aging only removes rows on this granularity boundary, so a cached
-    # row list is revalidated at most this often even without FDB churn.
+    # row index is revalidated at most this often even without FDB churn.
     _AGE_GRANULARITY = 10.0
 
     def __init__(self, switch) -> None:
         self.switch = switch
-        self._cache: List[Tuple[Oid, SnmpValue]] = []
-        self._cache_key = (-1, -1.0)
+        self._index = _RowIndex()
+        self._index_key = (-1, -1.0)
 
-    def _rows(self) -> List[Tuple[Oid, SnmpValue]]:
+    def _rows(self) -> _RowIndex:
         key = (
             self.switch.fdb_version,
             self.switch.sim.now // self._AGE_GRANULARITY,
         )
-        if key == self._cache_key:
-            return self._cache
-        rows: List[Tuple[Oid, SnmpValue]] = []
-        for mac, port_index, _age in self.switch.fdb_entries():
-            index = tuple(mac.to_bytes())
-            rows.append((Oid(DOT1D_TP_FDB_ADDRESS.arcs + index),
-                         OctetString(mac.to_bytes())))
-            rows.append((Oid(DOT1D_TP_FDB_PORT.arcs + index),
-                         Integer(port_index)))
-            rows.append((Oid(DOT1D_TP_FDB_STATUS.arcs + index),
-                         Integer(FDB_STATUS_LEARNED)))
-        rows.sort(key=lambda r: r[0])
-        self._cache = rows
-        self._cache_key = key
-        return rows
+        if key != self._index_key:
+            rows: List[Tuple[Oid, SnmpValue]] = []
+            for mac, port_index, _age in self.switch.fdb_entries():
+                octets = mac.to_bytes()
+                index = Oid(octets)
+                rows.append((DOT1D_TP_FDB_ADDRESS + index, OctetString(octets)))
+                rows.append((DOT1D_TP_FDB_PORT + index, Integer(port_index)))
+                rows.append((DOT1D_TP_FDB_STATUS + index, Integer(FDB_STATUS_LEARNED)))
+            self._index = _RowIndex(rows)
+            self._index_key = key
+        return self._index
 
     def get(self, oid: Oid) -> Optional[SnmpValue]:
-        for row_oid, value in self._rows():
-            if row_oid == oid:
-                return value
-        return None
+        return self._rows().get(oid)
 
     def next(self, oid: Oid) -> Optional[Tuple[Oid, SnmpValue]]:
-        for row_oid, value in self._rows():
-            if row_oid > oid:
-                return (row_oid, value)
-        return None
+        return self._rows().next(oid)
 
 
-class BridgeStpProvider:
+class BridgeStpProvider(_RowIndex):
     """RFC 1493 ``dot1dStpPortTable`` rows backed by a live spanning tree.
 
     Serves ``dot1dStpPort`` (the port index) and ``dot1dStpPortState``
     (disabled(1) / blocking(2) / forwarding(5)) per switch port.  The
     monitor's topology-sync loop walks this column to map the switch's
     active tree onto the topology graph's blocked-connection view.
+
+    A switch's ports are fixed at construction, so the row set is built
+    once; only the state values are read live.
     """
 
     prefix = DOT1D_STP_PORT_ENTRY
 
     def __init__(self, switch) -> None:
-        self.switch = switch
-
-    def _rows(self) -> List[Tuple[Oid, SnmpValue]]:
-        stp = self.switch.stp
-        rows: List[Tuple[Oid, SnmpValue]] = []
-        for iface in self.switch.interfaces:
+        rows: List[Tuple[Oid, Union[SnmpValue, Accessor]]] = []
+        for iface in switch.interfaces:
             i = iface.if_index
-            rows.append((Oid(DOT1D_STP_PORT.arcs + (i,)), Integer(i)))
-        for iface in self.switch.interfaces:
-            i = iface.if_index
+            rows.append((DOT1D_STP_PORT.extend(i), Integer(i)))
             rows.append(
-                (Oid(DOT1D_STP_PORT_STATE.arcs + (i,)),
-                 Integer(stp.port_state_value(i)))
+                (
+                    DOT1D_STP_PORT_STATE.extend(i),
+                    lambda i=i: Integer(switch.stp.port_state_value(i)),
+                )
             )
-        return rows
-
-    def get(self, oid: Oid) -> Optional[SnmpValue]:
-        for row_oid, value in self._rows():
-            if row_oid == oid:
-                return value
-        return None
-
-    def next(self, oid: Oid) -> Optional[Tuple[Oid, SnmpValue]]:
-        best: Optional[Tuple[Oid, SnmpValue]] = None
-        for row_oid, value in self._rows():
-            if row_oid > oid and (best is None or row_oid < best[0]):
-                best = (row_oid, value)
-        return best
+        super().__init__(rows)

@@ -3,13 +3,15 @@
 An OID is a sequence of non-negative integer arcs, written in dotted
 notation (``1.3.6.1.2.1.2.2.1.10.3`` is ``ifInOctets`` for interface 3).
 MIB traversal (GETNEXT / walking a table) depends on the *lexicographic*
-order of OIDs, which :class:`Oid` implements via plain tuple comparison.
+order of OIDs, which :class:`Oid` gets by *being* a tuple of its arcs:
+equality, ordering, hashing, length and iteration are the tuple's own and
+run without a Python frame, which is what lets a sorted list of OIDs be
+``bisect``-ed at C speed on the poll path.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 OidLike = Union["Oid", str, Iterable[int]]
 
@@ -18,16 +20,14 @@ class OidError(ValueError):
     """Raised for malformed OID literals."""
 
 
-@total_ordering
-class Oid:
+class Oid(tuple):
     """Immutable, hashable, lexicographically ordered OID."""
 
-    __slots__ = ("_arcs",)
+    __slots__ = ()
 
-    def __init__(self, value: OidLike) -> None:
-        if isinstance(value, Oid):
-            self._arcs: Tuple[int, ...] = value._arcs
-            return
+    def __new__(cls, value: OidLike) -> "Oid":
+        if type(value) is Oid:
+            return value
         if isinstance(value, str):
             text = value.strip().lstrip(".")
             if not text:
@@ -42,79 +42,52 @@ class Oid:
             raise OidError("an OID needs at least one arc")
         if any(a < 0 for a in arcs):
             raise OidError(f"negative arc in OID {arcs!r}")
-        self._arcs = arcs
+        return tuple.__new__(cls, arcs)
 
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
     @property
     def arcs(self) -> Tuple[int, ...]:
-        return self._arcs
-
-    def __len__(self) -> int:
-        return len(self._arcs)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._arcs)
+        """The arcs as a plain tuple (slicing it yields plain tuples)."""
+        return tuple(self)
 
     def __getitem__(self, index) -> Union[int, "Oid"]:
+        part = tuple.__getitem__(self, index)
         if isinstance(index, slice):
-            part = self._arcs[index]
             if not part:
                 raise OidError("OID slice would be empty")
-            return Oid(part)
-        return self._arcs[index]
+            return tuple.__new__(Oid, part)
+        return part
 
     def extend(self, *arcs: int) -> "Oid":
         """A new OID with extra arcs appended."""
-        return Oid(self._arcs + arcs)
+        return self + arcs if arcs else self
 
     def __add__(self, other: OidLike) -> "Oid":
-        return Oid(self._arcs + Oid(other)._arcs)
+        # Two valid OIDs concatenate to a valid OID: no re-validation.
+        return tuple.__new__(Oid, tuple.__add__(self, Oid(other)))
 
     def startswith(self, prefix: OidLike) -> bool:
-        p = Oid(prefix)._arcs
-        return self._arcs[: len(p)] == p
+        p = Oid(prefix)
+        return tuple(self)[: len(p)] == p
 
     def strip_prefix(self, prefix: OidLike) -> Tuple[int, ...]:
         """The arcs after ``prefix`` (raises if not actually a prefix)."""
-        p = Oid(prefix)._arcs
-        if self._arcs[: len(p)] != p:
-            raise OidError(f"{self} does not start with {Oid(prefix)}")
-        return self._arcs[len(p):]
+        p = Oid(prefix)
+        if not self.startswith(p):
+            raise OidError(f"{self} does not start with {p}")
+        return tuple(self)[len(p):]
 
     @property
     def parent(self) -> "Oid":
-        if len(self._arcs) <= 1:
+        if len(self) <= 1:
             raise OidError(f"{self} has no parent")
-        return Oid(self._arcs[:-1])
-
-    # ------------------------------------------------------------------
-    # Ordering / identity
-    # ------------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Oid):
-            return self._arcs == other._arcs
-        return NotImplemented
-
-    def __lt__(self, other: "Oid") -> bool:
-        if not isinstance(other, Oid):
-            return NotImplemented
-        return self._arcs < other._arcs
-
-    def __hash__(self) -> int:
-        return hash(self._arcs)
+        return self[:-1]
 
     def __str__(self) -> str:
-        return ".".join(str(a) for a in self._arcs)
+        return ".".join(map(str, self))
 
     def __repr__(self) -> str:
         return f"Oid('{self}')"
 
-
-# Well-known roots used throughout the package.
-MIB2 = Oid("1.3.6.1.2.1")
-SYSTEM = MIB2 + "1"
-INTERFACES = MIB2 + "2"
-IF_TABLE_ENTRY = INTERFACES + "2.1"
-DOT1D_BRIDGE = MIB2 + "17"

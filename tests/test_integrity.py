@@ -18,10 +18,11 @@ paper's Figure-3 testbed and assert the pipeline's end-to-end promises:
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.monitor import NetworkMonitor
@@ -300,6 +301,87 @@ class TestQuarantineManager:
                 assert rec.score < 0.8
         rec = qm.record("A", 1)
         assert rec.releases <= rec.quarantines
+
+
+# ----------------------------------------------------------------------
+# Per-sample bookkeeping stays O(1) in the number of tracked interfaces
+# ----------------------------------------------------------------------
+def tracked_pipeline(n_interfaces):
+    """A pipeline that has already seen one sample from every interface."""
+    speeds = {(f"sw{i // 50}", i % 50 + 1): 100e6 for i in range(n_interfaces)}
+    pipe = IntegrityPipeline(speeds, POLL)
+    for node, if_index in speeds:
+        assert pipe.inspect_remote(sample(node=node, if_index=if_index))
+    return pipe
+
+
+def python_calls(fn):
+    """Python-level function calls made while ``fn`` runs (no wall clock)."""
+    calls = 0
+
+    def on_event(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(on_event)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestPerSampleCost:
+    def test_inspect_call_count_independent_of_tracked_interfaces(self):
+        """The trust gauges must not walk every record on every sample."""
+        counts = {}
+        for n in (10, 1000):
+            pipe = tracked_pipeline(n)
+            again = sample(node="sw0", if_index=1, time=4.0)
+            counts[n] = python_calls(lambda: pipe.inspect_remote(again))
+        assert counts[10] == counts[1000], counts
+
+    MOVES = st.tuples(
+        st.sampled_from([("A", 1), ("A", 2), ("B", 1)]),
+        st.sampled_from(["violation", "suspect", "clean", "clean"]),
+    )
+
+    @given(st.lists(MOVES, max_size=120))
+    @example(  # quarantine, release, quarantine again on one interface
+        [(("A", 1), "violation")] * 2
+        + [(("A", 1), "clean")] * 6
+        + [(("A", 1), "violation")] * 2
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_running_counts_match_a_recount(self, moves):
+        pipe = IntegrityPipeline({}, POLL)
+        manager = pipe.quarantine
+        registry = pipe.telemetry.registry
+        for i, ((node, if_index), move) in enumerate(moves):
+            t = POLL * i
+            if move == "clean":
+                pipe.inspect_remote(sample(node=node, if_index=if_index, time=t))
+            else:
+                sev = Severity.VIOLATION if move == "violation" else Severity.SUSPECT
+                pipe.apply_external_verdicts(
+                    [IntegrityVerdict("probe", sev, node, if_index, t)], t
+                )
+            records = manager.records().values()
+            recount = (
+                sum(r.quarantined for r in records),
+                sum(r.quarantines for r in records),
+                sum(r.releases for r in records),
+            )
+            assert recount[0] == len(manager.quarantined_keys())
+            assert (
+                manager.quarantined, manager.quarantines, manager.releases
+            ) == recount
+            assert (
+                registry.value("quarantined_interfaces"),
+                registry.value("integrity_quarantines_total"),
+                registry.value("integrity_quarantine_releases_total"),
+            ) == recount
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.snmp.manager import SnmpManager
 from repro.snmp.message import VERSION_1, VERSION_2C, Message
 from repro.snmp.mib import (
     IF_DESCR,
+    IF_ENTRY,
     IF_IN_OCTETS,
     IF_OUT_OCTETS,
     SYS_NAME,
@@ -216,3 +217,44 @@ class TestPollInterfaces:
         net.run(0.1)
         assert got.results == []
         assert mgr.requests_sent == 0
+
+    def test_no_uptime_slot_unless_requested(self):
+        """An out-of-table varbind is never filed as the sysUpTime result.
+
+        Column 15 does not exist, so the agent's walk answers with the
+        first row of column 16 -- a column nobody asked for.
+        """
+        net, mgr, sw_ip = switch_net(ports=8)
+        got = Collect()
+        mgr.poll_interfaces(
+            sw_ip, range(1, 9), [IF_ENTRY + "15"], got.ok, got.fail,
+            include_uptime=False,
+        )
+        net.run(1.0)
+        assert got.error is None
+        assert got.results == []
+
+    def test_iftable_walk_never_materialises_the_fdb(self):
+        """Cost guard: a counter poll must not pay for the bridge table."""
+        net = Network()
+        mgr_host = net.add_host("L")
+        sw = net.add_switch("sw", 12, managed=True)
+        net.connect(mgr_host, sw)
+        for i in range(8):
+            net.connect(net.add_host(f"h{i}"), sw)
+        net.announce_hosts()
+        net.run(0.5)
+        assert len(sw.fdb_entries()) >= 9
+        SnmpAgent(net.endpoint("sw"), build_mib2(sw, net.sim))
+        mgr = SnmpManager(mgr_host, timeout=0.5, retries=1)
+        calls = []
+        live_entries = sw.fdb_entries
+        sw.fdb_entries = lambda: calls.append(net.sim.now) or live_entries()
+        got = Collect()
+        mgr.poll_interfaces(
+            net.endpoint("sw").primary_ip, range(1, 13), self.COLUMNS, got.ok, got.fail
+        )
+        net.run(2.0)
+        assert got.error is None
+        assert len(got.results) == 1 + len(self.COLUMNS) * 12
+        assert calls == []

@@ -1,13 +1,32 @@
 """Unit tests for the MIB tree, MIB-II bindings and the caching view."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.simnet.address import MacAddress
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
 from repro.simnet.sockets import DISCARD_PORT
-from repro.snmp.datatypes import Counter32, Gauge32, Integer, OctetString, TimeTicks
+from repro.snmp.datatypes import (
+    Counter32,
+    EndOfMibView,
+    Gauge32,
+    Integer,
+    OctetString,
+    TimeTicks,
+)
+from repro.snmp.agent import SnmpAgent
 from repro.snmp.mib import (
     CachingMibTree,
+    DOT1D_STP_PORT,
+    DOT1D_STP_PORT_ENTRY,
+    DOT1D_STP_PORT_STATE,
+    DOT1D_TP_FDB_ADDRESS,
+    DOT1D_TP_FDB_ENTRY,
+    DOT1D_TP_FDB_STATUS,
+    FDB_STATUS_LEARNED,
+    IF_ENTRY,
     IF_IN_OCTETS,
     IF_NUMBER,
     IF_PHYS_ADDRESS,
@@ -20,6 +39,7 @@ from repro.snmp.mib import (
     DOT1D_TP_FDB_PORT,
 )
 from repro.snmp.oid import Oid
+from repro.snmp.pdu import Pdu, VarBind
 
 
 class TestMibTree:
@@ -223,3 +243,150 @@ class TestCachingMibTree:
         hit = cached.get_next(IF_IN_OCTETS)
         assert hit[0] == IF_IN_OCTETS + "1"
         assert hit[1] == Counter32(0)  # snapshot value, not live
+
+
+# ----------------------------------------------------------------------
+# The indexed lookups against a naive reference
+# ----------------------------------------------------------------------
+class NaiveMib:
+    """Reference view: every row materialised from ground truth (the
+    tree's scalars, ``fdb_entries()``, the spanning tree), sorted, and
+    scanned linearly."""
+
+    def __init__(self, tree, switch):
+        self.tree = tree
+        self.switch = switch
+
+    def rows(self):
+        rows = {oid: accessor() for oid, accessor in self.tree._static.items()}
+        for mac, port, _age in self.switch.fdb_entries():
+            index = tuple(mac.to_bytes())
+            rows[DOT1D_TP_FDB_ADDRESS.extend(*index)] = OctetString(mac.to_bytes())
+            rows[DOT1D_TP_FDB_PORT.extend(*index)] = Integer(port)
+            rows[DOT1D_TP_FDB_STATUS.extend(*index)] = Integer(FDB_STATUS_LEARNED)
+        stp = self.switch.stp
+        for iface in self.switch.interfaces:
+            i = iface.if_index
+            rows[DOT1D_STP_PORT.extend(i)] = Integer(i)
+            rows[DOT1D_STP_PORT_STATE.extend(i)] = Integer(stp.port_state_value(i))
+        return sorted(rows.items())
+
+    def get(self, oid):
+        for row_oid, value in self.rows():
+            if row_oid == oid:
+                return value
+        return None
+
+    def get_next(self, oid):
+        for row_oid, value in self.rows():
+            if row_oid > oid:
+                return (row_oid, value)
+        return None
+
+
+def bridge_rig(ports=6, hosts=3):
+    """A spanning-tree switch with a learned FDB, its tree and the reference."""
+    net = Network()
+    sw = net.add_switch("sw", ports, managed=True, stp=True)
+    for i in range(hosts):
+        net.connect(net.add_host(f"h{i}"), sw)
+    net.announce_hosts()
+    net.run(0.1)
+    tree = build_mib2(sw, net.sim)
+    return net, sw, tree, NaiveMib(tree, sw)
+
+
+PREFIXES = (IF_ENTRY, DOT1D_STP_PORT_ENTRY, DOT1D_TP_FDB_ENTRY)
+
+
+def cursor_for(kind, a, b, rows):
+    """Cursors before, at, inside, just past and shorter than each subtree
+    prefix, plus existing rows and their neighbours."""
+    if kind == "row" and rows:
+        oid = rows[a % len(rows)][0]
+        return (oid, oid.parent, oid.extend(0), oid[:-1].extend(oid[-1] + 1))[b % 4]
+    prefix = PREFIXES[a % len(PREFIXES)]
+    return (
+        prefix.parent.extend(prefix[-1] - 1, 999),  # before
+        prefix,  # equal
+        prefix.extend(1 + b % 3),  # a column inside
+        prefix.extend(1 + b % 3, b % 7),  # a (possibly partial) index inside
+        prefix.parent.extend(prefix[-1] + 1),  # just past
+        prefix[: 1 + b % (len(prefix) - 1)],  # shorter
+        Oid("0"),
+        Oid("2.999"),
+    )[b % 8]
+
+
+OPS = st.one_of(
+    st.tuples(st.just("learn"), st.integers(1, 12), st.integers(0, 5)),
+    st.tuples(st.just("age"), st.sampled_from([10.0, 40.0, 160.0, 310.0]), st.just(0)),
+    st.tuples(st.just("flush"), st.just(0), st.just(0)),
+    st.tuples(st.just("admin"), st.integers(0, 5), st.booleans()),
+    st.tuples(st.sampled_from(["row", "prefix"]), st.integers(0, 500), st.integers(0, 500)),
+)
+
+
+class TestIndexedLookupsMatchNaiveReference:
+    @given(st.lists(OPS, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_get_and_get_next(self, ops):
+        net, sw, tree, naive = bridge_rig()
+        cached = CachingMibTree(tree, net.sim, refresh_interval=5.0)
+        era = 0
+        for op, a, b in ops + [("row", 0, 0), ("prefix", 2, 2)]:
+            if op == "learn":
+                # Fresh MACs after every ageing step: the switch does not
+                # bump fdb_version when an expired binding is re-learned
+                # on its old port, which is its gap and not the index's.
+                sw._learn(MacAddress(0x020000000000 | era << 8 | a), sw.interfaces[b])
+            elif op == "age":
+                # Whole ageing-granularity steps: a row that aged out is
+                # gone from the provider's next answer.
+                net.run(net.sim.now + a)
+                era += 1
+            elif op == "flush":
+                sw.flush_fdb()
+            elif op == "admin":
+                sw.interfaces[a].set_admin_up(b)
+            else:
+                rows = naive.rows()
+                cursor = cursor_for(op, a, b, rows)
+                assert tree.get(cursor) == naive.get(cursor), cursor
+                assert tree.get_next(cursor) == naive.get_next(cursor), cursor
+                hit, want = cached.get_next(cursor), naive.get_next(cursor)
+                assert (hit and hit[0]) == (want and want[0]), cursor
+        assert tree.walk_all() == naive.rows()
+        assert [oid for oid, _v in cached.walk_all()] == [o for o, _v in naive.rows()]
+        cached.stop()
+
+    def test_get_bulk_equals_a_chain_of_get_next(self):
+        """50-port switch: the agent's GetBulk answer is byte-identical to
+        successor queries chained over the naive reference -- through the
+        ifTable, across the provider subtrees and off the end of the MIB."""
+        net, sw, tree, naive = bridge_rig(ports=50, hosts=12)
+        agent = SnmpAgent(net.endpoint("sw"), tree)
+        cursors = [IF_IN_OCTETS, IF_ENTRY + "20.40", DOT1D_STP_PORT_STATE, DOT1D_TP_FDB_PORT]
+        request = Pdu.get_bulk_request(
+            7, [SYS_UPTIME.parent] + cursors, non_repeaters=1, max_repetitions=50
+        )
+        rows = naive.rows()  # nothing moves: no sim time passes below
+
+        def successor(oid):
+            return next(((o, v) for o, v in rows if o > oid), None)
+
+        want = [VarBind(*successor(SYS_UPTIME.parent))]
+        for cursor in cursors:
+            for _ in range(50):
+                hit = successor(cursor)
+                if hit is None:
+                    want.append(VarBind(cursor, EndOfMibView()))
+                    break
+                want.append(VarBind(*hit))
+                cursor = hit[0]
+        answer = agent._handle_get_bulk(request)
+        assert answer.encode() == request.response(want).encode()
+        seen = [vb.oid for vb in answer.varbinds]
+        assert any(oid.startswith(DOT1D_TP_FDB_ENTRY) for oid in seen)
+        assert any(oid.startswith(DOT1D_STP_PORT_ENTRY) for oid in seen)
+        assert isinstance(answer.varbinds[-1].value, EndOfMibView)
