@@ -173,6 +173,7 @@ class IntegrityPipeline:
         self._wrap_warned: set = set()
         self._metrics = register_integrity_metrics(self.telemetry.registry)
         self._trust_gauges: Dict[Key, object] = {}  # labelled child per interface
+        self._transitions_synced = 0  # enter + release transitions the aggregates show
         self._warn_wrap_risk_config(now)
 
     # ------------------------------------------------------------------
@@ -404,6 +405,10 @@ class IntegrityPipeline:
             )
         gauge.set(round(rec.score, 4))
         totals = self.quarantine
+        transitions = totals.quarantines + totals.releases
+        if transitions == self._transitions_synced:
+            return  # the aggregates move at enter/release only
+        self._transitions_synced = transitions
         metrics = self._metrics
         metrics["quarantined"].set(float(totals.quarantined))
         behind = totals.quarantines - metrics["quarantines"].value

@@ -1,34 +1,30 @@
 """Discrete-event simulation engine.
 
-A minimal but production-grade event scheduler: a binary heap of timestamped
-callbacks with stable FIFO ordering for simultaneous events, cancellable
-handles, and a monotonic simulation clock.  Everything else in
-:mod:`repro.simnet` (links, hosts, traffic generators, the SNMP poller) is
-driven by this loop.
+A binary heap of timestamped callbacks with stable FIFO ordering for
+simultaneous events, cancellable handles, and a monotonic simulation
+clock.  Everything else in :mod:`repro.simnet` (links, hosts, traffic
+generators, the SNMP poller) is driven by this loop.
 
-The paper's experiments run for a few hundred simulated seconds with loads
-up to 2000 KB/s of 1472-byte datagrams; at roughly five events per frame
-that is a few million events per experiment, which this pure-Python heap
-handles in seconds.
+A heap entry is a plain ``(time, seq, handle)`` tuple, ``seq`` being the
+order of scheduling.  It is unique, so the heap is ordered entirely by C
+tuple comparison -- no Python-level ``__lt__`` on the hot path -- and
+simultaneous events fire first-scheduled first.  That tie order is part
+of every experiment's result (same seed, same event trace; pinned in
+``tests/test_seed_stability.py``): a change here may make an event
+cheaper but never reorder, add or drop one.  The Figure-4 staircase fires
+about 1 800 events per simulated second and the 300-host campus 319 000
+during its announce flood, at two Python calls each beside the callback.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 
 class SimulationError(RuntimeError):
     """Raised for scheduler misuse (negative delays, running backwards)."""
-
-
-@dataclass(order=True)
-class _HeapEntry:
-    time: float
-    seq: int
-    handle: "EventHandle" = field(compare=False)
 
 
 class EventHandle:
@@ -86,11 +82,10 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: list[_HeapEntry] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._events_processed = 0
-        self._running = False
 
     # ------------------------------------------------------------------
     # Clock
@@ -114,7 +109,10 @@ class Simulator:
         """Schedule ``callback(*args, **kwargs)`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule_at(self._now + delay, callback, *args, **kwargs)
+        time = self._now + delay
+        handle = EventHandle(time, callback, args, kwargs)
+        heappush(self._heap, (time, next(self._seq), handle))
+        return handle
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
@@ -125,7 +123,7 @@ class Simulator:
                 f"cannot schedule at t={time!r}, clock already at t={self._now!r}"
             )
         handle = EventHandle(time, callback, args, kwargs)
-        heapq.heappush(self._heap, _HeapEntry(time, next(self._seq), handle))
+        heappush(self._heap, (time, next(self._seq), handle))
         return handle
 
     def call_every(
@@ -163,44 +161,31 @@ class Simulator:
         """
         if until < self._now:
             raise SimulationError(f"cannot run backwards to t={until!r}")
-        self._running = True
-        try:
-            while self._heap and self._heap[0].time <= until:
-                entry = heapq.heappop(self._heap)
-                handle = entry.handle
-                if handle.cancelled:
-                    continue
-                self._now = entry.time
-                handle.fired = True
-                self._events_processed += 1
-                handle.callback(*handle.args, **handle.kwargs)
-            self._now = until
-        finally:
-            self._running = False
+        self._drain(until)
+        self._now = until
 
     def run_until_idle(self, max_time: float = float("inf")) -> None:
         """Process every pending event, or stop at ``max_time``."""
-        self._running = True
-        try:
-            while self._heap:
-                entry = self._heap[0]
-                if entry.time > max_time:
-                    self._now = max_time
-                    return
-                heapq.heappop(self._heap)
-                handle = entry.handle
-                if handle.cancelled:
-                    continue
-                self._now = entry.time
-                handle.fired = True
-                self._events_processed += 1
-                handle.callback(*handle.args, **handle.kwargs)
-        finally:
-            self._running = False
+        self._drain(max_time)
+        if self._heap:
+            self._now = max_time
+
+    def _drain(self, until: float) -> None:
+        """Fire every event due at or before ``until``, in heap order."""
+        heap = self._heap
+        pop = heappop
+        while heap and heap[0][0] <= until:
+            time, _seq, handle = pop(heap)
+            if handle.cancelled:
+                continue
+            self._now = time
+            handle.fired = True
+            self._events_processed += 1
+            handle.callback(*handle.args, **handle.kwargs)
 
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for e in self._heap if not e.handle.cancelled)
+        return sum(1 for _time, _seq, handle in self._heap if not handle.cancelled)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator t={self._now:.6f} queued={len(self._heap)}>"

@@ -22,7 +22,6 @@ them, as in the paper.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from typing import Deque, List, Tuple
 
@@ -134,7 +133,9 @@ class Hub:
         self.sim.schedule(repeat_time, self._emit, in_port, frame)
 
     def _emit(self, in_port: Interface, frame: EthernetFrame) -> None:
-        out_frame = dataclasses.replace(frame, hops=frame.hops + 1)
+        out_frame = EthernetFrame(
+            frame.src, frame.dst, frame.payload, frame.l2_overhead, frame.hops + 1
+        )
         self.frames_repeated += 1
         for port in self.interfaces:
             if port is not in_port and port.link is not None:

@@ -75,16 +75,14 @@ class _Channel:
 
     def send(self, frame: EthernetFrame) -> bool:
         """Accept a frame for transmission; False means tail-drop."""
-        if self.drop_filter is not None and self.drop_filter(frame):
+        size = frame.size
+        lost = self.drop_filter is not None and self.drop_filter(frame)
+        if lost or self.queue_bytes + size > self.max_queue_bytes:
             self.frames_dropped += 1
-            self.octets_dropped += frame.size
-            return False
-        if self.queue_bytes + frame.size > self.max_queue_bytes:
-            self.frames_dropped += 1
-            self.octets_dropped += frame.size
+            self.octets_dropped += size
             return False
         self.queue.append(frame)
-        self.queue_bytes += frame.size
+        self.queue_bytes += size
         if not self.busy:
             self._start_next()
         return True
@@ -95,9 +93,9 @@ class _Channel:
             return
         self.busy = True
         frame = self.queue.popleft()
-        self.queue_bytes -= frame.size
-        tx_time = frame.size * 8.0 / self.bandwidth_bps
-        self.sim.schedule(tx_time, self._tx_done, frame)
+        size = frame.size
+        self.queue_bytes -= size
+        self.sim.schedule(size * 8.0 / self.bandwidth_bps, self._tx_done, frame)
 
     def _tx_done(self, frame: EthernetFrame) -> None:
         self.sim.schedule(self.prop_delay, self._deliver, frame)
@@ -145,14 +143,6 @@ class Link:
         end_a.attach(self)
         end_b.attach(self)
 
-    def send_from(self, src: "Interface", frame: EthernetFrame) -> bool:
-        """Transmit ``frame`` out of endpoint ``src``; False on tail-drop."""
-        if src is self.end_a:
-            return self._a_to_b.send(frame)
-        if src is self.end_b:
-            return self._b_to_a.send(frame)
-        raise LinkError(f"{src.full_name} is not an endpoint of this link")
-
     def peer_of(self, iface: "Interface") -> "Interface":
         """The interface on the other end of the link."""
         if iface is self.end_a:
@@ -162,7 +152,7 @@ class Link:
         raise LinkError(f"{iface.full_name} is not an endpoint of this link")
 
     def channel_from(self, src: "Interface") -> _Channel:
-        """Expose the directional channel for tests and diagnostics."""
+        """The directional channel that carries what ``src`` transmits."""
         if src is self.end_a:
             return self._a_to_b
         if src is self.end_b:

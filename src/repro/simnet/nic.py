@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.simnet.address import IPv4Address, MacAddress
-from repro.simnet.link import Link
+from repro.simnet.link import Link, _Channel
 from repro.simnet.packet import DEFAULT_MTU, EthernetFrame
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,6 +111,7 @@ class Interface:
         self.promiscuous = promiscuous
         self.if_index = if_index  # 1-based, assigned by the owning device
         self.link: Optional[Link] = None
+        self._tx: Optional[_Channel] = None  # this end's transmit direction of ``link``
         self.counters = InterfaceCounters()
         # Per-ToS octet accounting (ToS octet -> octets), charged alongside
         # the MIB-II octet counters.  Lets experiments separate DSCP-marked
@@ -144,6 +145,7 @@ class Interface:
         if self.link is not None:
             raise InterfaceError(f"{self.full_name} already attached")
         self.link = link
+        self._tx = link.channel_from(self)
 
     @property
     def connected_peer(self) -> Optional["Interface"]:
@@ -168,41 +170,41 @@ class Interface:
         tail-dropped frames land in ``out_discards`` instead, mirroring
         how real NIC drivers account output drops.
         """
-        if self.link is None:
+        if self._tx is None:
             raise InterfaceError(f"{self.full_name} is not connected")
-        if not self.admin_up:
-            self.counters.out_discards += 1
+        counters = self.counters
+        if not self.admin_up or not self._tx.send(frame):
+            counters.out_discards += 1
             return False
-        accepted = self.link.send_from(self, frame)
-        if not accepted:
-            self.counters.out_discards += 1
-            return False
-        self.counters.out_octets += frame.size
+        size = frame.size
+        counters.out_octets += size
         tos = frame.payload.tos
-        self.tos_out_octets[tos] = self.tos_out_octets.get(tos, 0) + frame.size
+        self.tos_out_octets[tos] = self.tos_out_octets.get(tos, 0) + size
         if frame.is_unicast:
-            self.counters.out_ucast_pkts += 1
+            counters.out_ucast_pkts += 1
         else:
-            self.counters.out_nucast_pkts += 1
+            counters.out_nucast_pkts += 1
         return True
 
     def deliver(self, frame: EthernetFrame) -> None:
         """Called by the link when a frame arrives at this interface."""
+        counters = self.counters
         if not self.admin_up:
-            self.counters.in_discards += 1
+            counters.in_discards += 1
             return
-        if not self.promiscuous:
-            wanted = frame.dst == self.mac or frame.dst.is_broadcast or frame.dst.is_multicast
-            if not wanted:
-                self.counters.in_filtered_pkts += 1
-                return
-        self.counters.in_octets += frame.size
+        # Non-unicast means broadcast or multicast: a host NIC takes those
+        # and frames for its own MAC, nothing else.
+        if not self.promiscuous and frame.is_unicast and frame.dst != self.mac:
+            counters.in_filtered_pkts += 1
+            return
+        size = frame.size
+        counters.in_octets += size
         tos = frame.payload.tos
-        self.tos_in_octets[tos] = self.tos_in_octets.get(tos, 0) + frame.size
+        self.tos_in_octets[tos] = self.tos_in_octets.get(tos, 0) + size
         if frame.is_unicast:
-            self.counters.in_ucast_pkts += 1
+            counters.in_ucast_pkts += 1
         else:
-            self.counters.in_nucast_pkts += 1
+            counters.in_nucast_pkts += 1
         if self.rx_tap is not None:
             self.rx_tap(frame)
         self.device.on_frame(self, frame)  # type: ignore[attr-defined]

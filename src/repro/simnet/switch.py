@@ -27,7 +27,6 @@ paths in bounded sim-time.
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
 from typing import Dict, List, Optional, Tuple
 
@@ -162,7 +161,9 @@ class Switch:
             self.frames_dropped_hops += 1
             return
         out = self._lookup(frame.dst)
-        forwarded = dataclasses.replace(frame, hops=frame.hops + 1)
+        forwarded = EthernetFrame(
+            frame.src, frame.dst, frame.payload, frame.l2_overhead, frame.hops + 1
+        )
         if (
             out is not None
             and frame.is_unicast
@@ -187,10 +188,14 @@ class Switch:
     def _learn(self, mac: MacAddress, port: Interface) -> None:
         if mac.is_broadcast or mac.is_multicast:
             return
+        now = self.sim.now
         existing = self._fdb.get(mac)
-        if existing is None or existing.port is not port:
+        # An expired binding is no binding: fdb_entries() stopped listing
+        # it when it aged out, so learning it again changes the row set.
+        expired = existing is not None and now - existing.learned_at > self.mac_aging
+        if existing is None or expired or existing.port is not port:
             self.fdb_version += 1
-        self._fdb[mac] = FdbEntry(mac, port, self.sim.now)
+        self._fdb[mac] = FdbEntry(mac, port, now)
 
     def _lookup(self, mac: MacAddress) -> Optional[Interface]:
         entry = self._fdb.get(mac)

@@ -100,13 +100,16 @@ class MibError(RuntimeError):
 
 
 class MibProvider(Protocol):
-    """A dynamic subtree: rows are enumerated at query time."""
+    """A dynamic subtree: rows are enumerated at query time (``items``:
+    all of them, in OID order)."""
 
     prefix: Oid
 
     def get(self, oid: Oid) -> Optional[SnmpValue]: ...
 
     def next(self, oid: Oid) -> Optional[Tuple[Oid, SnmpValue]]: ...
+
+    def items(self) -> List[Tuple[Oid, SnmpValue]]: ...
 
 
 class MibTree:
@@ -187,15 +190,19 @@ class MibTree:
         return nxt is not None and nxt[0].startswith(oid)
 
     def walk_all(self) -> List[Tuple[Oid, SnmpValue]]:
-        """Fully materialise the tree (tests and debugging)."""
-        out: List[Tuple[Oid, SnmpValue]] = []
-        cursor = Oid("0")
-        while True:
-            hit = self.get_next(cursor)
-            if hit is None:
-                return out
-            out.append(hit)
-            cursor = hit[0]
+        """Fully materialise the tree, in OID order.
+
+        Every :class:`CachingMibTree` refresh tick pays this, so each row
+        is read once, not found by ``get_next`` from its predecessor; the
+        sort only merges runs that are already sorted.
+        """
+        static = self._static
+        rows = [(oid, static[oid]()) for oid in self._sorted]
+        if self._providers:
+            for provider in self._providers:
+                rows.extend(provider.items())
+            rows.sort(key=itemgetter(0))
+        return rows
 
     def __len__(self) -> int:
         return len(self._static)
@@ -335,15 +342,13 @@ class CachingMibTree:
         self.sim = sim
         self.refresh_interval = refresh_interval
         self._snapshot: Dict[Oid, SnmpValue] = {}
-        self._last_refresh = float("-inf")
         self.refreshes = 0
         # Eager periodic snapshots: the real artefact is that the agent's
         # values were captured *at the timer tick*, not at request time.
         self._task = sim.call_every(refresh_interval, self._take_snapshot, start=sim.now)
 
     def _take_snapshot(self) -> None:
-        self._snapshot = {oid: value for oid, value in self.inner.walk_all()}
-        self._last_refresh = self.sim.now
+        self._snapshot = dict(self.inner.walk_all())
         self.refreshes += 1
 
     def stop(self) -> None:
@@ -409,6 +414,12 @@ class _RowIndex:
             return (self._oids[i], self._value(i))
         return None
 
+    def items(self) -> List[Tuple[Oid, SnmpValue]]:
+        return [
+            (oid, value() if callable(value) else value)
+            for oid, value in zip(self._oids, self._values)
+        ]
+
 
 class BridgeFdbProvider:
     """RFC 1493 ``dot1dTpFdbTable`` rows backed by a live switch FDB.
@@ -455,6 +466,9 @@ class BridgeFdbProvider:
 
     def next(self, oid: Oid) -> Optional[Tuple[Oid, SnmpValue]]:
         return self._rows().next(oid)
+
+    def items(self) -> List[Tuple[Oid, SnmpValue]]:
+        return self._rows().items()
 
 
 class BridgeStpProvider(_RowIndex):

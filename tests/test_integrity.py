@@ -18,7 +18,6 @@ paper's Figure-3 testbed and assert the pipeline's end-to-end promises:
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -56,6 +55,7 @@ from repro.telemetry.events import (
     QUARANTINE_ENTER,
     QUARANTINE_EXIT,
 )
+from tests.costs import python_calls
 
 POLL = 2.0
 
@@ -315,32 +315,19 @@ def tracked_pipeline(n_interfaces):
     return pipe
 
 
-def python_calls(fn):
-    """Python-level function calls made while ``fn`` runs (no wall clock)."""
-    calls = 0
-
-    def on_event(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(on_event)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 class TestPerSampleCost:
     def test_inspect_call_count_independent_of_tracked_interfaces(self):
-        """The trust gauges must not walk every record on every sample."""
+        """The trust gauges must not walk every record on every sample,
+        and a clean sample that moves no interface in or out of quarantine
+        writes its own trust gauge only: 18 Python calls in all (27 while
+        the aggregate gauge and both transition counters were re-written
+        per sample)."""
         counts = {}
         for n in (10, 1000):
             pipe = tracked_pipeline(n)
             again = sample(node="sw0", if_index=1, time=4.0)
             counts[n] = python_calls(lambda: pipe.inspect_remote(again))
-        assert counts[10] == counts[1000], counts
+        assert counts[10] == counts[1000] <= 19, counts
 
     MOVES = st.tuples(
         st.sampled_from([("A", 1), ("A", 2), ("B", 1)]),

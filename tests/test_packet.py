@@ -1,9 +1,13 @@
 """Unit tests for packets, header accounting, fragmentation, reassembly."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.simnet.address import IPv4Address, MacAddress
+from repro.simnet.address import BROADCAST_MAC, IPv4Address, MacAddress
+from repro.simnet.network import BROADCAST_IP, Network
 from repro.simnet.packet import (
+    ETHERNET_OVERHEAD,
     IPV4_HEADER_SIZE,
     UDP_HEADER_SIZE,
     EthernetFrame,
@@ -13,6 +17,7 @@ from repro.simnet.packet import (
     UDPDatagram,
     fragment_ip_packet,
 )
+from repro.simnet.sockets import DISCARD_PORT
 
 SRC = IPv4Address("10.0.0.1")
 DST = IPv4Address("10.0.0.2")
@@ -214,3 +219,104 @@ class TestTosOctet:
                 src=SRC, dst=DST,
                 payload=UDPDatagram(1, 2, payload_size=1), tos=256,
             )
+
+
+# ----------------------------------------------------------------------
+# Sizes are fixed at construction: they must never drift from the fields
+# ----------------------------------------------------------------------
+def assert_sizes_follow_fields(frame: EthernetFrame) -> None:
+    """Every layer's cached size equals header + payload recomputed here."""
+    packet = frame.payload
+    datagram = packet.payload
+    if datagram is not None:
+        assert datagram.size == UDP_HEADER_SIZE + datagram.payload_size
+    transport = (
+        packet.fragment_payload_size
+        if packet.fragment_payload_size is not None
+        else UDP_HEADER_SIZE + datagram.payload_size
+    )
+    assert packet.transport_size == transport
+    assert packet.size == IPV4_HEADER_SIZE + transport
+    assert frame.size == frame.l2_overhead + IPV4_HEADER_SIZE + transport
+    assert frame.is_broadcast == frame.dst.is_broadcast
+    assert frame.is_unicast == (not (frame.dst.is_broadcast or frame.dst.is_multicast))
+
+
+class TestSizesFollowFields:
+    MACS = st.sampled_from(
+        [MacAddress(0x020000000001), MacAddress(0x01005E000001), BROADCAST_MAC]
+    )
+
+    @given(
+        payload_size=st.integers(0, 9000),
+        mtu=st.integers(IPV4_HEADER_SIZE + 9, 1500),
+        l2_overhead=st.sampled_from([0, ETHERNET_OVERHEAD]),
+        dst=MACS,
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_through_fragmentation_and_reassembly(
+        self, payload_size, mtu, l2_overhead, dst, order
+    ):
+        whole = make_packet(payload_size)
+        fragments = fragment_ip_packet(whole, mtu)
+        for fragment in fragments:
+            assert fragment.size <= mtu
+            assert_sizes_follow_fields(
+                EthernetFrame(MacAddress(0x020000000002), dst, fragment, l2_overhead)
+            )
+        assert sum(f.transport_size for f in fragments) == whole.transport_size
+        order.shuffle(fragments)
+        buf = ReassemblyBuffer()
+        done = [p for p in (buf.add(f, 0.0) for f in fragments) if p is not None]
+        assert len(done) == 1 and buf.pending_groups() == 0
+        assert_sizes_follow_fields(
+            EthernetFrame(MacAddress(0x020000000002), dst, done[0], l2_overhead)
+        )
+        assert done[0].size == whole.size
+
+    @given(
+        payload_size=st.integers(0, 4000),
+        to_broadcast=st.booleans(),
+        l2_overhead=st.sampled_from([0, ETHERNET_OVERHEAD]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_through_switch_and_hub_forwarding(
+        self, payload_size, to_broadcast, l2_overhead
+    ):
+        """A frame rebuilt by a switch or a hub (hop count + 1) carries the
+        size of the frame it was built from, and every port charges it."""
+        net = Network()
+        a, b = net.add_host("A"), net.add_host("B")
+        sw = net.add_switch("sw", 4, managed=False)
+        hub = net.add_hub("hub", 4)
+        net.connect(a, sw)
+        net.connect(sw, hub)
+        net.connect(hub, b)
+        net.announce_hosts()
+        net.run(0.1)
+        seen = []
+        for iface in net.all_interfaces():
+            iface.rx_tap = lambda frame, iface=iface: seen.append((iface, frame))
+        src = a.interfaces[0]
+        packet = IPPacket(
+            src=src.ip,
+            dst=BROADCAST_IP if to_broadcast else b.primary_ip,
+            payload=UDPDatagram(4000, DISCARD_PORT, payload_size=payload_size),
+        )
+        dst_mac = BROADCAST_MAC if to_broadcast else b.interfaces[0].mac
+        before = b.interfaces[0].counters.in_octets
+        sent = [
+            EthernetFrame(src.mac, dst_mac, fragment, l2_overhead)
+            for fragment in fragment_ip_packet(packet, src.mtu)
+        ]
+        for frame in sent:
+            assert src.transmit(frame)
+        net.run(1.0)
+        hops = {0: 0, 1: 0, 2: 0}
+        for iface, frame in seen:
+            assert_sizes_follow_fields(frame)
+            hops[frame.hops] += 1
+        # A -> switch port (0 hops) -> hub port (1) -> B (2), per fragment.
+        assert hops == {0: len(sent), 1: len(sent), 2: len(sent)}
+        assert b.interfaces[0].counters.in_octets - before == sum(f.size for f in sent)

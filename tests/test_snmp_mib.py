@@ -38,6 +38,7 @@ from repro.snmp.mib import (
     build_mib2,
     DOT1D_TP_FDB_PORT,
 )
+from tests.costs import call_counts
 from repro.snmp.oid import Oid
 from repro.snmp.pdu import Pdu, VarBind
 
@@ -333,18 +334,13 @@ class TestIndexedLookupsMatchNaiveReference:
     def test_get_and_get_next(self, ops):
         net, sw, tree, naive = bridge_rig()
         cached = CachingMibTree(tree, net.sim, refresh_interval=5.0)
-        era = 0
         for op, a, b in ops + [("row", 0, 0), ("prefix", 2, 2)]:
             if op == "learn":
-                # Fresh MACs after every ageing step: the switch does not
-                # bump fdb_version when an expired binding is re-learned
-                # on its old port, which is its gap and not the index's.
-                sw._learn(MacAddress(0x020000000000 | era << 8 | a), sw.interfaces[b])
+                sw._learn(MacAddress(0x020000000000 | a), sw.interfaces[b])
             elif op == "age":
                 # Whole ageing-granularity steps: a row that aged out is
                 # gone from the provider's next answer.
                 net.run(net.sim.now + a)
-                era += 1
             elif op == "flush":
                 sw.flush_fdb()
             elif op == "admin":
@@ -359,6 +355,22 @@ class TestIndexedLookupsMatchNaiveReference:
         assert tree.walk_all() == naive.rows()
         assert [oid for oid, _v in cached.walk_all()] == [o for o, _v in naive.rows()]
         cached.stop()
+
+    def test_relearning_an_aged_out_binding_shows_at_once(self):
+        """An expired binding learned again on its old port is a new row:
+        the provider must not keep serving the index it cached while the
+        row was gone until the next ageing-granularity boundary."""
+        net, sw, tree, _naive = bridge_rig()
+        mac = MacAddress(0x020000000042)
+        row = DOT1D_TP_FDB_PORT.extend(*mac.to_bytes())
+        sw._learn(mac, sw.interfaces[0])
+        assert tree.get(row) == Integer(1)
+        net.run(net.sim.now + 310.0)  # past the 300 s MAC ageing
+        assert tree.get(row) is None
+        version = sw.fdb_version
+        sw._learn(mac, sw.interfaces[0])
+        assert sw.fdb_version == version + 1
+        assert tree.get(row) == Integer(1)
 
     def test_get_bulk_equals_a_chain_of_get_next(self):
         """50-port switch: the agent's GetBulk answer is byte-identical to
@@ -390,3 +402,25 @@ class TestIndexedLookupsMatchNaiveReference:
         assert any(oid.startswith(DOT1D_TP_FDB_ENTRY) for oid in seen)
         assert any(oid.startswith(DOT1D_STP_PORT_ENTRY) for oid in seen)
         assert isinstance(answer.varbinds[-1].value, EndOfMibView)
+
+
+class TestSnapshotCost:
+    def test_refresh_is_one_pass_over_the_rows(self):
+        """No wall clock: a caching agent's refresh tick on a 50-port
+        switch (958 static rows + 100 spanning-tree + 36 FDB rows) reads
+        each row once -- about two Python calls per row, the accessor and
+        the value it builds -- and asks no successor query.  Walking by
+        ``get_next`` took 4 374 Python calls here; one pass takes 2 122
+        (asserted with 10 % headroom)."""
+        net, sw, tree, naive = bridge_rig(ports=50, hosts=12)
+        for i in range(12):
+            sw._learn(MacAddress(0x020000000100 | i), sw.interfaces[i])
+        cached = CachingMibTree(tree, net.sim, refresh_interval=5.0)
+        cached._take_snapshot()  # builds the FDB row index, reused below
+        rows = naive.rows()
+        calls = call_counts(cached._take_snapshot)
+        cached.stop()
+        assert len(rows) == 958 + 100 + 36
+        assert cached._snapshot == dict(rows)
+        assert "get_next" not in calls and "next" not in calls, calls
+        assert sum(calls.values()) <= 2.13 * len(rows), calls

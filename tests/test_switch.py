@@ -5,6 +5,7 @@ import pytest
 from repro.simnet.network import Network
 from repro.simnet.sockets import DISCARD_PORT
 from repro.simnet.switch import SwitchError
+from tests.costs import call_counts
 
 
 def star(n_hosts=3, managed=False):
@@ -189,3 +190,26 @@ class TestLoopGuard:
         a.create_socket().sendto(10, (BROADCAST_IP, 520))
         net.run(5.0)  # must terminate rather than loop forever
         assert sw1.frames_dropped_hops + sw2.frames_dropped_hops > 0
+
+
+class TestForwardingCost:
+    def test_one_datagram_costs_a_bounded_number_of_python_calls(self):
+        """No wall clock: one 1000-byte datagram host -> switch -> host,
+        socket to DISCARD service, two links and one FDB lookup.  With
+        every ``size`` a property chain, a ``dataclasses.replace`` per hop
+        and dataclass heap entries this took 174 Python calls; sizes fixed
+        at construction, a direct frame constructor and tuple heap entries
+        leave 77 (asserted with 10 % headroom)."""
+        net, (h0, h1, _h2), sw = star()
+        sock = h0.create_socket()
+        sock.sendto(972, (h1.primary_ip, DISCARD_PORT))  # warm: ports, routes
+        net.run(1.0)
+        delivered = h1.discard.datagrams
+
+        def send_one():
+            sock.sendto(972, (h1.primary_ip, DISCARD_PORT))
+            net.run(2.0)
+
+        calls = call_counts(send_one)
+        assert h1.discard.datagrams == delivered + 1
+        assert sum(calls.values()) <= 84, calls
