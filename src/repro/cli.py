@@ -25,18 +25,58 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.charts import render_pair
-from repro.core.monitor import MonitorError, NetworkMonitor
+from repro.core.monitor import NetworkMonitor
 from repro.simnet.network import NetworkError
 from repro.simnet.trafficgen import KBPS, StaircaseLoad, StepSchedule
 from repro.spec.builder import build_network
 from repro.spec.parser import ParseError, parse_file
 from repro.spec.lexer import LexError
-from repro.spec.validate import SpecValidationError, validate_spec
+from repro.spec.validate import validate_spec
 from repro.spec.writer import write_spec
 from repro.topology.graph import TopologyGraph
 from repro.topology.model import TopologyError
 
 EXPERIMENTS = ("fig4", "fig5", "fig6", "table2")
+
+# A spec file that cannot be read, parsed, validated or built: exit 1.
+# (SpecValidationError is a TopologyError.)
+_SPEC_ERRORS = (ParseError, LexError, TopologyError, OSError)
+# A command line that names something the network does not have, or
+# spells an argument wrong: exit 2.  (MonitorError, MatrixError,
+# StreamError, QueryError and ProbeError are ValueErrors.)
+_USAGE_ERRORS = (ValueError, KeyError, NetworkError)
+_NEED_HOST = "--host is required with a spec file"
+_NEED_WATCH = "at least one --watch SRC:DST is required"
+
+
+def _scenario_args(
+    until: float = 60.0, host: bool = True, watch: bool = True
+) -> argparse.ArgumentParser:
+    """The arguments every monitoring subcommand shares, as an argparse
+    parent: which network, who monitors it, what is watched, what load
+    runs over it, and for how long."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "specfile", nargs="?", default=None,
+        help="topology spec (default: the paper's Figure-3 testbed)",
+    )
+    if host:
+        parent.add_argument(
+            "--host", default=None,
+            help="host running the monitor (default: L on the built-in testbed)",
+        )
+    if watch:
+        parent.add_argument(
+            "--watch", action="append", default=[], metavar="SRC:DST",
+            help="host pair to watch (repeatable; default on the testbed: S1:N1)",
+        )
+    parent.add_argument(
+        "--load", action="append", default=[], metavar="SRC:DST:KBPS:T0:T1",
+        help="UDP load to generate (repeatable)",
+    )
+    parent.add_argument("--until", type=float, default=until, help="simulated seconds")
+    parent.add_argument("--interval", type=float, default=2.0, help="poll interval")
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,74 +96,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("name", choices=EXPERIMENTS)
     p_exp.add_argument("--seed", type=int, default=0)
 
-    p_mon = sub.add_parser("monitor", help="monitor paths on a specified network")
-    p_mon.add_argument("specfile")
-    p_mon.add_argument("--host", required=True, help="host running the monitor")
-    p_mon.add_argument(
-        "--watch", action="append", default=[], metavar="SRC:DST",
-        help="host pair to watch (repeatable)",
+    p_mon = sub.add_parser(
+        "monitor", parents=[_scenario_args()], help="monitor paths on a specified network"
     )
-    p_mon.add_argument(
-        "--load", action="append", default=[], metavar="SRC:DST:KBPS:T0:T1",
-        help="UDP load to generate (repeatable)",
-    )
-    p_mon.add_argument("--until", type=float, default=60.0, help="simulated seconds")
-    p_mon.add_argument("--interval", type=float, default=2.0, help="poll interval")
     p_mon.add_argument("--chart", action="store_true", help="render ASCII charts")
 
     p_tel = sub.add_parser(
-        "telemetry",
+        "telemetry", parents=[_scenario_args()],
         help="run a monitoring scenario and print the monitor's own telemetry",
-    )
-    p_tel.add_argument(
-        "specfile", nargs="?", default=None,
-        help="topology spec (default: the paper's Figure-3 testbed)",
-    )
-    p_tel.add_argument(
-        "--host", default=None,
-        help="host running the monitor (default: L on the built-in testbed)",
-    )
-    p_tel.add_argument(
-        "--watch", action="append", default=[], metavar="SRC:DST",
-        help="host pair to watch (default on the testbed: S1:N1)",
-    )
-    p_tel.add_argument(
-        "--load", action="append", default=[], metavar="SRC:DST:KBPS:T0:T1",
-        help="UDP load to generate (repeatable)",
     )
     p_tel.add_argument(
         "--qos", action="append", default=[], metavar="SRC:DST:MIN_KBPS",
         help="QoS floor on a path; enables the RM middleware (repeatable)",
     )
-    p_tel.add_argument("--until", type=float, default=60.0, help="simulated seconds")
-    p_tel.add_argument("--interval", type=float, default=2.0, help="poll interval")
     p_tel.add_argument(
         "--format", choices=("text", "prometheus", "json"), default="text",
         help="output format (text includes a Prometheus section)",
     )
 
     p_tsdb = sub.add_parser(
-        "tsdb",
+        "tsdb", parents=[_scenario_args()],
         help="run a monitoring scenario and inspect the embedded time-series store",
     )
-    p_tsdb.add_argument(
-        "specfile", nargs="?", default=None,
-        help="topology spec (default: the paper's Figure-3 testbed)",
-    )
-    p_tsdb.add_argument(
-        "--host", default=None,
-        help="host running the monitor (default: L on the built-in testbed)",
-    )
-    p_tsdb.add_argument(
-        "--watch", action="append", default=[], metavar="SRC:DST",
-        help="host pair to watch (default on the testbed: S1:N1)",
-    )
-    p_tsdb.add_argument(
-        "--load", action="append", default=[], metavar="SRC:DST:KBPS:T0:T1",
-        help="UDP load to generate (repeatable)",
-    )
-    p_tsdb.add_argument("--until", type=float, default=60.0, help="simulated seconds")
-    p_tsdb.add_argument("--interval", type=float, default=2.0, help="poll interval")
     p_tsdb.add_argument(
         "--retention", type=float, default=None, metavar="S",
         help="drop raw history older than S simulated seconds",
@@ -152,24 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_int = sub.add_parser(
-        "integrity",
+        "integrity", parents=[_scenario_args()],
         help="run a monitoring scenario and report measurement-integrity state",
-    )
-    p_int.add_argument(
-        "specfile", nargs="?", default=None,
-        help="topology spec (default: the paper's Figure-3 testbed)",
-    )
-    p_int.add_argument(
-        "--host", default=None,
-        help="host running the monitor (default: L on the built-in testbed)",
-    )
-    p_int.add_argument(
-        "--watch", action="append", default=[], metavar="SRC:DST",
-        help="host pair to watch (default on the testbed: S1:N1)",
-    )
-    p_int.add_argument(
-        "--load", action="append", default=[], metavar="SRC:DST:KBPS:T0:T1",
-        help="UDP load to generate (repeatable)",
     )
     p_int.add_argument(
         "--corrupt", action="append", default=[], metavar="AGENT:MODE:T0[:T1]",
@@ -180,20 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--cross-check", action="store_true",
         help="poll both ends of two-ended connections and compare",
     )
-    p_int.add_argument("--until", type=float, default=60.0, help="simulated seconds")
-    p_int.add_argument("--interval", type=float, default=2.0, help="poll interval")
     p_int.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format",
     )
 
     p_dist = sub.add_parser(
-        "distributed",
+        "distributed", parents=[_scenario_args(until=40.0, host=False)],
         help="run the fault-tolerant distributed monitoring plane",
-    )
-    p_dist.add_argument(
-        "specfile", nargs="?", default=None,
-        help="topology spec (default: the paper's Figure-3 testbed)",
     )
     p_dist.add_argument(
         "--coordinator", default=None,
@@ -203,14 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker", action="append", default=[], metavar="HOST",
         help="polling worker host (repeatable; default on the testbed: "
              "L, S1 and S2)",
-    )
-    p_dist.add_argument(
-        "--watch", action="append", default=[], metavar="SRC:DST",
-        help="host pair to watch (default on the testbed: S1:N1)",
-    )
-    p_dist.add_argument(
-        "--load", action="append", default=[], metavar="SRC:DST:KBPS:T0:T1",
-        help="UDP load to generate (repeatable)",
     )
     p_dist.add_argument(
         "--crash", action="append", default=[], metavar="WORKER:T0[:T1]",
@@ -231,41 +195,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="hosts per switch with --hierarchy (default 4)",
     )
     p_dist.add_argument(
-        "--mode", choices=("get", "bulk", "per-varbind"), default=None,
-        help="SNMP poll mode (default: bulk with --hierarchy, get otherwise)",
+        "--window", type=int, default=8, metavar="N",
+        help="max in-flight poll units per worker, 0 = unbounded (default 8)",
     )
-    p_dist.add_argument(
-        "--window", type=int, default=None, metavar="N",
-        help="max in-flight poll units per worker, 0 = unbounded "
-             "(default: 8 with --hierarchy, 0 otherwise)",
-    )
-    p_dist.add_argument(
-        "--delta", choices=("on", "off"), default=None,
-        help="delta-encode shipped sample batches "
-             "(default: on with --hierarchy, off otherwise)",
-    )
-    p_dist.add_argument("--until", type=float, default=40.0, help="simulated seconds")
-    p_dist.add_argument("--interval", type=float, default=2.0, help="poll interval")
 
     p_stream = sub.add_parser(
-        "stream",
+        "stream", parents=[_scenario_args(until=40.0, watch=False)],
         help="subscribe to streaming matrix events and continuous queries",
-    )
-    p_stream.add_argument(
-        "specfile", nargs="?", default=None,
-        help="topology spec (default: the paper's Figure-3 testbed)",
-    )
-    p_stream.add_argument(
-        "--host", default=None,
-        help="host running the monitor (default: L on the built-in testbed)",
     )
     p_stream.add_argument(
         "--pair", action="append", default=[], metavar="SRC:DST",
         help="host pair to subscribe to (repeatable; default: every pair)",
-    )
-    p_stream.add_argument(
-        "--load", action="append", default=[], metavar="SRC:DST:KBPS:T0:T1",
-        help="UDP load to generate (repeatable)",
     )
     p_stream.add_argument(
         "--policy", choices=("drop_oldest", "conflate", "block"),
@@ -301,29 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--events", type=int, default=40,
         help="print at most this many events (the rest are summarised)",
     )
-    p_stream.add_argument("--until", type=float, default=40.0, help="simulated seconds")
-    p_stream.add_argument("--interval", type=float, default=2.0, help="poll interval")
 
     p_probe = sub.add_parser(
-        "probe",
+        "probe", parents=[_scenario_args(until=40.0)],
         help="active probe trains cross-validated against passive reports",
-    )
-    p_probe.add_argument(
-        "specfile", nargs="?", default=None,
-        help="topology spec (default: the paper's Figure-3 testbed)",
-    )
-    p_probe.add_argument(
-        "--host", default=None,
-        help="host running the monitor (default: L on the built-in testbed)",
-    )
-    p_probe.add_argument(
-        "--watch", action="append", default=[], metavar="SRC:DST",
-        help="host pair to watch and probe (repeatable; default on the "
-        "testbed: S1:N1)",
-    )
-    p_probe.add_argument(
-        "--load", action="append", default=[], metavar="SRC:DST:KBPS:T0:T1",
-        help="UDP load to generate (repeatable)",
     )
     p_probe.add_argument(
         "--budget", type=float, default=0.02,
@@ -341,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rtt", action="store_true",
         help="also run an RTT probe session (UDP echo) over each watch",
     )
-    p_probe.add_argument("--until", type=float, default=40.0, help="simulated seconds")
-    p_probe.add_argument("--interval", type=float, default=2.0, help="poll interval")
 
     p_disc = sub.add_parser("discover", help="SNMP topology discovery + verification")
     p_disc.add_argument("specfile")
@@ -376,13 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument(
         "--metric", choices=("available", "used", "utilization"), default="available"
     )
-    p_matrix.add_argument(
-        "--incremental",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="epoch-cached recomputation (--no-incremental recomputes "
-        "every pair from the raw tables; the outputs must match)",
-    )
     return parser
 
 
@@ -392,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_validate(args) -> int:
     try:
         spec = parse_file(args.specfile)
-    except (ParseError, LexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except _SPEC_ERRORS as exc:
+        return _fail(exc, 1)
     issues = validate_spec(spec, strict=False)
     for issue in issues:
         print(issue)
@@ -411,9 +322,8 @@ def cmd_show(args) -> int:
     try:
         spec = parse_file(args.specfile)
         validate_spec(spec, strict=True)
-    except (ParseError, LexError, SpecValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except _SPEC_ERRORS as exc:
+        return _fail(exc, 1)
     print(write_spec(spec), end="")
     graph = TopologyGraph(spec)
     print(f"# hosts: {', '.join(n.name for n in spec.hosts())}")
@@ -432,44 +342,77 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _parse_watch(text: str):
+def _fail(error, code: int) -> int:
+    print(f"error: {error}", file=sys.stderr)
+    return code
+
+
+def _fields(text: str, option: str, shape: str, *counts: int) -> List[str]:
+    """The ``:``-separated fields of one option value, ``counts`` of them."""
     parts = text.split(":")
-    if len(parts) != 2 or not all(parts):
-        raise ValueError(f"--watch wants SRC:DST, got {text!r}")
-    return parts[0], parts[1]
+    if len(parts) not in counts or not all(parts):
+        raise ValueError(f"{option} wants {shape}, got {text!r}")
+    return parts
+
+
+def _parse_watch(text: str):
+    src, dst = _fields(text, "--watch", "SRC:DST", 2)
+    return src, dst
 
 
 def _parse_load(text: str):
-    parts = text.split(":")
-    if len(parts) != 5:
-        raise ValueError(f"--load wants SRC:DST:KBPS:T0:T1, got {text!r}")
-    src, dst, rate, t0, t1 = parts
+    src, dst, rate, t0, t1 = _fields(text, "--load", "SRC:DST:KBPS:T0:T1", 5)
     return src, dst, float(rate), float(t0), float(t1)
 
 
+def _open(args, host, watches, needs=None):
+    """The network a monitoring subcommand runs on, who monitors it and
+    what is watched: ``(build, host, watches)``, or the exit code once
+    the error has been printed.
+
+    Without a spec file that is the paper's Figure-3 testbed, monitored
+    from L, watching S1:N1 unless the command line says otherwise.  A
+    spec file has no such defaults: every ``(message, value)`` in
+    ``needs`` (default: ``host`` and ``watches``) must have a value.
+    """
+    from repro.experiments.testbed import MONITOR_HOST, build_testbed
+
+    try:
+        if args.specfile is None:
+            return build_testbed(), host or MONITOR_HOST, watches or ["S1:N1"]
+        build = build_network(parse_file(args.specfile))
+    except _SPEC_ERRORS as exc:
+        return _fail(exc, 1)
+    if needs is None:
+        needs = [(_NEED_HOST, host), (_NEED_WATCH, watches)]
+    for message, value in needs:
+        if not value:
+            return _fail(message, 2)
+    return build, host, watches
+
+
+def _start_loads(build, loads) -> None:
+    """Start one UDP pulse per ``--load SRC:DST:KBPS:T0:T1``."""
+    for text in loads:
+        src, dst, rate, t0, t1 = _parse_load(text)
+        StaircaseLoad(
+            build.network.host(src),
+            build.network.ip_of(dst),
+            StepSchedule.pulse(t0, t1, rate * KBPS),
+        ).start()
+
+
 def cmd_monitor(args) -> int:
+    opened = _open(args, args.host, args.watch)
+    if isinstance(opened, int):
+        return opened
+    build, host, watches = opened
     try:
-        spec = parse_file(args.specfile)
-        build = build_network(spec)
-    except (ParseError, LexError, SpecValidationError, TopologyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not args.watch:
-        print("error: at least one --watch SRC:DST is required", file=sys.stderr)
-        return 2
-    try:
-        monitor = NetworkMonitor(build, args.host, poll_interval=args.interval)
-        labels = [monitor.watch_path(*_parse_watch(w)) for w in args.watch]
-        for load_text in args.load:
-            src, dst, rate, t0, t1 = _parse_load(load_text)
-            StaircaseLoad(
-                build.network.host(src),
-                build.network.ip_of(dst),
-                StepSchedule.pulse(t0, t1, rate * KBPS),
-            ).start()
-    except (ValueError, TopologyError, KeyError, NetworkError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        monitor = NetworkMonitor(build, host, poll_interval=args.interval)
+        labels = [monitor.watch_path(*_parse_watch(w)) for w in watches]
+        _start_loads(build, args.load)
+    except _USAGE_ERRORS as exc:
+        return _fail(exc, 2)
     monitor.start()
     build.network.run(args.until)
     for label in labels:
@@ -497,10 +440,8 @@ def cmd_monitor(args) -> int:
 
 
 def _parse_qos(text: str):
-    parts = text.split(":")
-    if len(parts) != 3 or not all(parts):
-        raise ValueError(f"--qos wants SRC:DST:MIN_KBPS, got {text!r}")
-    return parts[0], parts[1], float(parts[2])
+    src, dst, kbps = _fields(text, "--qos", "SRC:DST:MIN_KBPS", 3)
+    return src, dst, float(kbps)
 
 
 def _print_histogram_table(family, unit_scale: float, unit: str) -> None:
@@ -519,33 +460,18 @@ def _print_histogram_table(family, unit_scale: float, unit: str) -> None:
 
 
 def cmd_telemetry(args) -> int:
-    from repro.experiments.testbed import MONITOR_HOST, build_testbed
     from repro.rm.middleware import RmMiddleware
     from repro.rm.qos import QosRequirement
     from repro.telemetry import json_snapshot, prometheus_text
 
-    try:
-        if args.specfile is None:
-            build = build_testbed()
-            host = args.host or MONITOR_HOST
-            watches = args.watch or ["S1:N1"]
-        else:
-            spec = parse_file(args.specfile)
-            build = build_network(spec)
-            host = args.host
-            watches = args.watch
-            if host is None:
-                print("error: --host is required with a spec file", file=sys.stderr)
-                return 2
-            if not watches and not args.qos:
-                print(
-                    "error: at least one --watch SRC:DST (or --qos) is required",
-                    file=sys.stderr,
-                )
-                return 2
-    except (ParseError, LexError, SpecValidationError, TopologyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    opened = _open(args, args.host, args.watch, needs=[
+        (_NEED_HOST, args.host),
+        ("at least one --watch SRC:DST (or --qos) is required",
+         args.watch or args.qos),
+    ])
+    if isinstance(opened, int):
+        return opened
+    build, host, watches = opened
     try:
         monitor = NetworkMonitor(build, host, poll_interval=args.interval)
         for watch in watches:
@@ -559,16 +485,9 @@ def cmd_telemetry(args) -> int:
         ]
         if requirements:
             RmMiddleware(monitor, requirements)
-        for load_text in args.load:
-            src, dst, rate, t0, t1 = _parse_load(load_text)
-            StaircaseLoad(
-                build.network.host(src),
-                build.network.ip_of(dst),
-                StepSchedule.pulse(t0, t1, rate * KBPS),
-            ).start()
-    except (ValueError, TopologyError, KeyError, NetworkError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _start_loads(build, args.load)
+    except _USAGE_ERRORS as exc:
+        return _fail(exc, 2)
     monitor.start()
     build.network.run(args.until)
 
@@ -609,28 +528,10 @@ def cmd_telemetry(args) -> int:
 
 
 def cmd_tsdb(args) -> int:
-    from repro.experiments.testbed import MONITOR_HOST, build_testbed
-
-    try:
-        if args.specfile is None:
-            build = build_testbed()
-            host = args.host or MONITOR_HOST
-            watches = args.watch or ["S1:N1"]
-        else:
-            spec = parse_file(args.specfile)
-            build = build_network(spec)
-            host = args.host
-            watches = args.watch
-            if host is None:
-                print("error: --host is required with a spec file", file=sys.stderr)
-                return 2
-            if not watches:
-                print("error: at least one --watch SRC:DST is required",
-                      file=sys.stderr)
-                return 2
-    except (ParseError, LexError, SpecValidationError, TopologyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    opened = _open(args, args.host, args.watch)
+    if isinstance(opened, int):
+        return opened
+    build, host, watches = opened
     try:
         monitor = NetworkMonitor(
             build, host, poll_interval=args.interval,
@@ -639,16 +540,9 @@ def cmd_tsdb(args) -> int:
         )
         for watch in watches:
             monitor.watch_path(*_parse_watch(watch))
-        for load_text in args.load:
-            src, dst, rate, t0, t1 = _parse_load(load_text)
-            StaircaseLoad(
-                build.network.host(src),
-                build.network.ip_of(dst),
-                StepSchedule.pulse(t0, t1, rate * KBPS),
-            ).start()
-    except (ValueError, TopologyError, KeyError, NetworkError, MonitorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _start_loads(build, args.load)
+    except _USAGE_ERRORS as exc:
+        return _fail(exc, 2)
     monitor.start()
     build.network.run(args.until)
 
@@ -679,13 +573,9 @@ def cmd_tsdb(args) -> int:
             src, dst = _parse_watch(label)
             label = f"{src}<->{dst}"
         if label not in db:
-            print(f"error: no series {label!r} (have {db.labels()})",
-                  file=sys.stderr)
-            return 2
+            return _fail(f"no series {label!r} (have {db.labels()})", 2)
         if args.field not in db.fields:
-            print(f"error: no field {args.field!r} (have {list(db.fields)})",
-                  file=sys.stderr)
-            return 2
+            return _fail(f"no field {args.field!r} (have {list(db.fields)})", 2)
         print(f"\n{label}:")
         if args.window is not None:
             starts, values = db.aggregate(
@@ -706,19 +596,13 @@ def cmd_tsdb(args) -> int:
 
 
 def _parse_corrupt(text: str):
-    parts = text.split(":")
-    if len(parts) not in (3, 4) or not all(parts):
-        raise ValueError(f"--corrupt wants AGENT:MODE:T0[:T1], got {text!r}")
-    agent, mode = parts[0], parts[1]
-    t0 = float(parts[2])
-    t1 = float(parts[3]) if len(parts) == 4 else None
-    return agent, mode, t0, t1
+    agent, mode, t0, *t1 = _fields(text, "--corrupt", "AGENT:MODE:T0[:T1]", 3, 4)
+    return agent, mode, float(t0), float(t1[0]) if t1 else None
 
 
 def cmd_integrity(args) -> int:
     import json as json_module
 
-    from repro.experiments.testbed import MONITOR_HOST, build_testbed
     from repro.simnet.faults import CounterCorruption, FaultError, StuckCounters
     from repro.telemetry.events import (
         COUNTER_WRAP_RISK,
@@ -728,26 +612,10 @@ def cmd_integrity(args) -> int:
         QUARANTINE_EXIT,
     )
 
-    try:
-        if args.specfile is None:
-            build = build_testbed()
-            host = args.host or MONITOR_HOST
-            watches = args.watch or ["S1:N1"]
-        else:
-            spec = parse_file(args.specfile)
-            build = build_network(spec)
-            host = args.host
-            watches = args.watch
-            if host is None:
-                print("error: --host is required with a spec file", file=sys.stderr)
-                return 2
-            if not watches:
-                print("error: at least one --watch SRC:DST is required",
-                      file=sys.stderr)
-                return 2
-    except (ParseError, LexError, SpecValidationError, TopologyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    opened = _open(args, args.host, args.watch)
+    if isinstance(opened, int):
+        return opened
+    build, host, watches = opened
     try:
         monitor = NetworkMonitor(
             build, host, poll_interval=args.interval,
@@ -755,13 +623,7 @@ def cmd_integrity(args) -> int:
         )
         for watch in watches:
             monitor.watch_path(*_parse_watch(watch))
-        for load_text in args.load:
-            src, dst, rate, t0, t1 = _parse_load(load_text)
-            StaircaseLoad(
-                build.network.host(src),
-                build.network.ip_of(dst),
-                StepSchedule.pulse(t0, t1, rate * KBPS),
-            ).start()
+        _start_loads(build, args.load)
         for corrupt_text in args.corrupt:
             agent_name, mode, t0, t1 = _parse_corrupt(corrupt_text)
             if agent_name not in build.agents:
@@ -777,17 +639,14 @@ def cmd_integrity(args) -> int:
                     build.network.sim, agent, at=t0, until=t1, mode=mode,
                     events=monitor.telemetry.events,
                 )
-    except (ValueError, TopologyError, KeyError, NetworkError,
-            FaultError, MonitorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except _USAGE_ERRORS + (FaultError,) as exc:
+        return _fail(exc, 2)
     monitor.start()
     build.network.run(args.until)
 
     pipeline = monitor.integrity
     if pipeline is None:
-        print("error: integrity pipeline is disabled", file=sys.stderr)
-        return 1
+        return _fail("integrity pipeline is disabled", 1)
     status = pipeline.status()
     bus = monitor.telemetry.events
     event_counts = {
@@ -842,12 +701,10 @@ def cmd_discover(args) -> int:
     from repro.snmp.manager import SnmpManager
 
     try:
-        spec = parse_file(args.specfile)
-        build = build_network(spec)
-    except (ParseError, LexError, SpecValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    net = build.network
+        build = build_network(parse_file(args.specfile))
+    except _SPEC_ERRORS as exc:
+        return _fail(exc, 1)
+    spec, net = build.spec, build.network
     net.run(1.0)
     for host in net.hosts.values():
         host.create_socket().sendto(10, (BROADCAST_IP, 520))
@@ -855,8 +712,7 @@ def cmd_discover(args) -> int:
     try:
         manager = SnmpManager(net.host(args.host))
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     candidates = [
         (node.name, net.ip_of(node.name))
         for node in spec.nodes
@@ -868,8 +724,7 @@ def cmd_discover(args) -> int:
     )
     net.run(net.now + args.until)
     if "result" not in box:
-        print("error: discovery did not complete in time", file=sys.stderr)
-        return 1
+        return _fail("discovery did not complete in time", 1)
     result = box["result"]
     for att in result.attachments:
         stations = list(att.known_nodes) + [str(m) for m in att.unknown_macs]
@@ -892,25 +747,19 @@ def cmd_topology(args) -> int:
     fail_between = None
     fail_at = None
     if args.fail_uplink is not None:
-        parts = args.fail_uplink.split(":")
-        if len(parts) not in (2, 3) or not all(parts):
-            print(
-                f"error: --fail-uplink wants A:B[:AT], got {args.fail_uplink!r}",
-                file=sys.stderr,
-            )
-            return 2
-        fail_between = (parts[0], parts[1])
-        fail_at = float(parts[2]) if len(parts) == 3 else args.until / 2.0
+        try:
+            a, b, *at = _fields(args.fail_uplink, "--fail-uplink", "A:B[:AT]", 2, 3)
+        except ValueError as exc:
+            return _fail(exc, 2)
+        fail_between = (a, b)
+        fail_at = float(at[0]) if at else args.until / 2.0
     try:
-        spec = parse_file(args.specfile)
-        build = build_network(spec)
+        build = build_network(parse_file(args.specfile))
         monitor = NetworkMonitor(build, args.host, poll_jitter=0.0)
         monitor.enable_topology_sync()
-    except (ParseError, LexError, SpecValidationError, TopologyError,
-            NetworkError, MonitorError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    net = build.network
+    except _SPEC_ERRORS + _USAGE_ERRORS as exc:
+        return _fail(exc, 1)
+    spec, net = build.spec, build.network
     graph = monitor.graph
     hosts = [n.name for n in spec.hosts()]
     for a, b in combinations(hosts, 2):
@@ -928,9 +777,7 @@ def cmd_topology(args) -> int:
         blocked = graph.blocked_connections()
         active = [c for c in uplinks if c not in blocked]
         if not active:
-            print(f"error: no active uplink between {a!r} and {b!r}",
-                  file=sys.stderr)
-            return 1
+            return _fail(f"no active uplink between {a!r} and {b!r}", 1)
         try:
             LinkFailure.between(
                 net, a, b, at=fail_at,
@@ -938,8 +785,7 @@ def cmd_topology(args) -> int:
                 events=monitor.telemetry.events,
             )
         except FaultError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _fail(exc, 1)
         print(f"failing active uplink {active[0]} at {fail_at:.1f}s")
     net.run(args.until)
 
@@ -986,30 +832,15 @@ def cmd_topology(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    from repro.core.matrix import BandwidthMatrix, MatrixError
+    from repro.core.matrix import BandwidthMatrix
 
     try:
-        spec = parse_file(args.specfile)
-        build = build_network(spec)
+        build = build_network(parse_file(args.specfile))
         monitor = NetworkMonitor(build, args.host)
-        for load_text in args.load:
-            src, dst, rate, t0, t1 = _parse_load(load_text)
-            StaircaseLoad(
-                build.network.host(src),
-                build.network.ip_of(dst),
-                StepSchedule.pulse(t0, t1, rate * KBPS),
-            ).start()
-        monitor.calculator.incremental = args.incremental
-        matrix = BandwidthMatrix(
-            spec,
-            monitor.calculator,
-            incremental=args.incremental,
-            graph=monitor.graph,
-        )
-    except (ParseError, LexError, SpecValidationError, TopologyError,
-            NetworkError, MatrixError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        _start_loads(build, args.load)
+        matrix = BandwidthMatrix(build.spec, monitor.calculator, graph=monitor.graph)
+    except _SPEC_ERRORS + _USAGE_ERRORS as exc:
+        return _fail(exc, 1)
     monitor.start()
     build.network.run(args.until)
     snapshot = matrix.snapshot(time=build.network.now)
@@ -1019,57 +850,35 @@ def cmd_matrix(args) -> int:
         a, b, available = worst
         print(f"\ntightest pair: {a} <-> {b} "
               f"({available / 1000:.1f} KB/s available)")
-    if args.incremental:
-        calc = monitor.calculator
-        total = calc.cache_hits + calc.recomputes
-        rate = (calc.cache_hits / total * 100.0) if total else 0.0
-        print(f"\ndataflow: {calc.cache_hits} cache hit(s), "
-              f"{calc.recomputes} recompute(s) ({rate:.1f}% hit rate), "
-              f"{matrix.dirty_pairs_last} dirty pair(s) in last snapshot")
+    calc = monitor.calculator
+    total = calc.cache_hits + calc.recomputes
+    rate = (calc.cache_hits / total * 100.0) if total else 0.0
+    print(f"\ndataflow: {calc.cache_hits} cache hit(s), "
+          f"{calc.recomputes} recompute(s) ({rate:.1f}% hit rate), "
+          f"{matrix.dirty_pairs_last} dirty pair(s) in last snapshot")
     return 0
 
 
 def _parse_threshold(text: str):
-    parts = text.split(":")
-    if len(parts) not in (3, 4) or not all(parts):
-        raise ValueError(
-            f"--threshold wants SRC:DST:MIN_KBPS[:SAMPLES], got {text!r}"
-        )
-    samples = int(parts[3]) if len(parts) == 4 else 2
-    return parts[0], parts[1], float(parts[2]), samples
+    src, dst, kbps, *samples = _fields(
+        text, "--threshold", "SRC:DST:MIN_KBPS[:SAMPLES]", 3, 4
+    )
+    return src, dst, float(kbps), int(samples[0]) if samples else 2
 
 
 def _parse_percentile(text: str):
-    parts = text.split(":")
-    if len(parts) != 4 or not all(parts):
-        raise ValueError(f"--percentile wants SRC:DST:P:UTIL, got {text!r}")
-    return parts[0], parts[1], float(parts[2]), float(parts[3])
+    src, dst, p, util = _fields(text, "--percentile", "SRC:DST:P:UTIL", 4)
+    return src, dst, float(p), float(util)
 
 
 def cmd_stream(args) -> int:
-    from repro.experiments.testbed import MONITOR_HOST, build_testbed
-    from repro.stream import (
-        OverflowPolicy,
-        PercentileQuery,
-        QueryError,
-        StreamError,
-        ThresholdQuery,
-    )
+    from repro.stream import OverflowPolicy, PercentileQuery, ThresholdQuery
 
-    try:
-        if args.specfile is None:
-            build = build_testbed()
-            host = args.host or MONITOR_HOST
-        else:
-            spec = parse_file(args.specfile)
-            build = build_network(spec)
-            host = args.host
-            if host is None:
-                print("error: --host is required with a spec file", file=sys.stderr)
-                return 2
-    except (ParseError, LexError, SpecValidationError, TopologyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # No --pair subscribes to every pair, on a spec file too.
+    opened = _open(args, args.host, args.pair, needs=[(_NEED_HOST, args.host)])
+    if isinstance(opened, int):
+        return opened
+    build, host, _ = opened
     try:
         monitor = NetworkMonitor(build, host, poll_interval=args.interval)
         publisher = monitor.enable_streaming(significance=args.significance)
@@ -1108,17 +917,9 @@ def cmd_stream(args) -> int:
                 ),
                 "cli",
             )
-        for load_text in args.load:
-            src, dst, rate, t0, t1 = _parse_load(load_text)
-            StaircaseLoad(
-                build.network.host(src),
-                build.network.ip_of(dst),
-                StepSchedule.pulse(t0, t1, rate * KBPS),
-            ).start()
-    except (ValueError, TopologyError, KeyError, NetworkError,
-            StreamError, QueryError, MonitorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _start_loads(build, args.load)
+    except _USAGE_ERRORS as exc:
+        return _fail(exc, 2)
     monitor.start()
     build.network.run(args.until)
 
@@ -1144,108 +945,57 @@ def cmd_stream(args) -> int:
 
 
 def _parse_crash(text: str):
-    parts = text.split(":")
-    if len(parts) not in (2, 3) or not parts[0]:
-        raise ValueError(f"--crash wants WORKER:T0[:T1], got {text!r}")
-    worker = parts[0]
-    t0 = float(parts[1])
-    t1 = float(parts[2]) if len(parts) == 3 else None
-    return worker, t0, t1
+    worker, t0, *t1 = _fields(text, "--crash", "WORKER:T0[:T1]", 2, 3)
+    return worker, float(t0), float(t1[0]) if t1 else None
 
 
 def cmd_distributed(args) -> int:
     from repro.core.distributed import DistributedMonitor
-    from repro.experiments.testbed import MONITOR_HOST, build_testbed
     from repro.simnet.faults import WorkerCrash
 
     hierarchy = args.hierarchy
-    mode = args.mode or ("bulk" if hierarchy else "get")
-    window = args.window if args.window is not None else (8 if hierarchy else 0)
-    delta = (args.delta == "on") if args.delta else bool(hierarchy)
-    try:
-        if hierarchy:
-            from repro.core.hierarchy import HierarchicalMonitor
-            from repro.experiments.scale import hierarchy_plan, scale_spec
+    if hierarchy:
+        from repro.core.hierarchy import HierarchicalMonitor
+        from repro.experiments.scale import hierarchy_plan, scale_spec
 
-            spec = scale_spec(
-                hierarchical=hierarchy,
-                switches=args.pod_switches,
-                hosts_per_switch=args.pod_hosts,
-                host_agents=False,
+        shape = dict(switches=args.pod_switches, hosts_per_switch=args.pod_hosts)
+        try:
+            build = build_network(
+                scale_spec(hierarchical=hierarchy, host_agents=False, **shape)
             )
-            plan = hierarchy_plan(
-                hierarchy,
-                switches=args.pod_switches,
-                hosts_per_switch=args.pod_hosts,
-            )
-            build = build_network(spec)
-            coordinator = plan["root"]
-            watches = args.watch or [
-                f"p0h0_0:p{hierarchy - 1}"
-                f"h{args.pod_switches - 1}_{args.pod_hosts - 1}"
-            ]
-        elif args.specfile is None:
-            build = build_testbed()
-            coordinator = args.coordinator or MONITOR_HOST
-            workers = args.worker or ["L", "S1", "S2"]
-            watches = args.watch or ["S1:N1"]
-        else:
-            spec = parse_file(args.specfile)
-            build = build_network(spec)
-            coordinator = args.coordinator
-            workers = args.worker
-            watches = args.watch
-            if coordinator is None or not workers:
-                print(
-                    "error: --coordinator and at least one --worker are "
-                    "required with a spec file",
-                    file=sys.stderr,
-                )
-                return 2
-            if not watches:
-                print("error: at least one --watch SRC:DST is required",
-                      file=sys.stderr)
-                return 2
-    except (ParseError, LexError, SpecValidationError, TopologyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            plan = hierarchy_plan(hierarchy, **shape)
+        except _SPEC_ERRORS as exc:
+            return _fail(exc, 1)
+        coordinator = plan["root"]
+        watches = args.watch or [
+            f"p0h0_0:p{hierarchy - 1}h{args.pod_switches - 1}_{args.pod_hosts - 1}"
+        ]
+    else:
+        opened = _open(args, args.coordinator, args.watch, needs=[
+            ("--coordinator and at least one --worker are required "
+             "with a spec file", args.coordinator and args.worker),
+            (_NEED_WATCH, args.watch),
+        ])
+        if isinstance(opened, int):
+            return opened
+        build, coordinator, watches = opened
+    options = dict(poll_interval=args.interval, pipeline_window=args.window)
     try:
         if hierarchy:
-            dm = HierarchicalMonitor(
-                build,
-                plan,
-                poll_interval=args.interval,
-                poll_mode=mode,
-                pipeline_window=window,
-                delta_shipping=delta,
-            )
+            dm = HierarchicalMonitor(build, plan, **options)
         else:
-            dm = DistributedMonitor(
-                build,
-                coordinator,
-                workers,
-                poll_interval=args.interval,
-                poll_mode=mode,
-                pipeline_window=window,
-                delta_shipping=delta,
-            )
+            workers = args.worker or ["L", "S1", "S2"]
+            dm = DistributedMonitor(build, coordinator, workers, **options)
         labels = [dm.watch_path(*_parse_watch(w)) for w in watches]
-        for load_text in args.load:
-            src, dst, rate, t0, t1 = _parse_load(load_text)
-            StaircaseLoad(
-                build.network.host(src),
-                build.network.ip_of(dst),
-                StepSchedule.pulse(t0, t1, rate * KBPS),
-            ).start()
+        _start_loads(build, args.load)
         for crash_text in args.crash:
             worker, t0, t1 = _parse_crash(crash_text)
             WorkerCrash(
                 build.network.sim, dm.workers[worker], at=t0, until=t1,
                 events=dm.telemetry.events,
             )
-    except (ValueError, TopologyError, KeyError, NetworkError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except _USAGE_ERRORS as exc:
+        return _fail(exc, 2)
     dm.start()
     build.network.run(args.until)
 
@@ -1269,11 +1019,12 @@ def cmd_distributed(args) -> int:
                 f"{shipper.keyframes_shipped}/{shipper.batches_shipped}"
                 if shipper.batches_shipped else "0/0"
             )
+            per_sample = shipper.bytes_shipped / max(1, shipper.samples_shipped)
             print(f"  {name:>8}: {leaf.requests_sent} SNMP exchanges, "
                   f"uplink keyframes/batches {ratio}, "
-                  f"delta reduction {shipper.traffic_reduction:.1%}, "
+                  f"{per_sample:.1f} uplink bytes/sample, "
                   f"pipeline window peak {leaf.window_peak}")
-    elif window:
+    elif args.window:
         print("\npipeline windows:")
         for name in sorted(dm.workers):
             poller = dm.workers[name].poller
@@ -1295,30 +1046,12 @@ def cmd_distributed(args) -> int:
 
 def cmd_probe(args) -> int:
     from repro.core.latency import PathProber
-    from repro.experiments.testbed import MONITOR_HOST, build_testbed
-    from repro.probe import ProbeError
     from repro.simnet.sockets import EchoService
 
-    try:
-        if args.specfile is None:
-            build = build_testbed()
-            host = args.host or MONITOR_HOST
-            watches = args.watch or ["S1:N1"]
-        else:
-            spec = parse_file(args.specfile)
-            build = build_network(spec)
-            host = args.host
-            watches = args.watch
-            if host is None:
-                print("error: --host is required with a spec file", file=sys.stderr)
-                return 2
-            if not watches:
-                print("error: at least one --watch SRC:DST is required",
-                      file=sys.stderr)
-                return 2
-    except (ParseError, LexError, SpecValidationError, TopologyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    opened = _open(args, args.host, args.watch)
+    if isinstance(opened, int):
+        return opened
+    build, host, watches = opened
     rtt_sessions = []
     try:
         monitor = NetworkMonitor(build, host, poll_interval=args.interval)
@@ -1329,13 +1062,7 @@ def cmd_probe(args) -> int:
             payload_size=args.payload,
             timeout=args.timeout,
         )
-        for load_text in args.load:
-            src, dst, rate, t0, t1 = _parse_load(load_text)
-            StaircaseLoad(
-                build.network.host(src),
-                build.network.ip_of(dst),
-                StepSchedule.pulse(t0, t1, rate * KBPS),
-            ).start()
+        _start_loads(build, args.load)
         if args.rtt:
             for watch in watches:
                 src, dst = _parse_watch(watch)
@@ -1345,10 +1072,8 @@ def cmd_probe(args) -> int:
                 )
                 rtt_sessions.append((f"{src}<->{dst}", session))
                 session.start()
-    except (ValueError, TopologyError, KeyError, NetworkError,
-            ProbeError, MonitorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except _USAGE_ERRORS as exc:
+        return _fail(exc, 2)
     monitor.start()
     build.network.run(args.until)
 

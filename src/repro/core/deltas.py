@@ -1,12 +1,12 @@
 """Wire-level delta shipping for rate samples (the dataflow layer).
 
 Workers (and leaf coordinators) ship rate samples upstream every poll
-cycle.  At 10k-host scale the legacy JSON batches are dominated by bytes
+cycle.  At 10k-host scale a self-describing batch is dominated by bytes
 that never change: node names, interface indexes, and -- on a quiescent
 network -- the rates themselves, which sit at exactly ``0.0`` cycle after
-cycle.  This module defines a compact binary batch format in which a
-sender tracks the last value it shipped per (node, ifIndex) key and
-encodes only what changed:
+cycle.  This module defines the plane's one sample wire format: a compact
+binary batch in which a sender tracks the last value it shipped per
+(node, ifIndex) key and encodes only what changed:
 
 ``full``
     First appearance of a key: numeric id assignment, node name,
@@ -16,24 +16,25 @@ encodes only what changed:
     Known key whose rates moved: id plus the six float fields.
 ``advance``
     Known key whose four rates are bit-identical to the last shipped
-    sample: id, new sample time, new interval.  ~18 bytes instead of a
-    ~90-byte JSON document.
+    sample: id, new sample time, new interval.  ~18 bytes instead of
+    the ~60 of a full record.
 ``advance (same interval)``
     As above with the interval also unchanged: id and time only.
 ``refresh``
     Keyframe filler: re-states a key's mapping and last value for
     resynchronising receivers, but is *not* delivered as a sample (a
     receiver that was never desynchronised must not see duplicate
-    samples, or the delta path would stop being bit-identical to the
-    legacy path).
+    samples: the coordinator's rate table receives exactly the samples
+    the pollers produced).
 
 Floats travel as IEEE-754 doubles (``struct '<d'``), so a decoded sample
-is **bit-identical** to the sample the sender measured -- the delta path
+is **bit-identical** to the sample the sender measured -- delta encoding
 changes the wire cost, never the data.
 
-Every batch carries the same (worker, incarnation, seq) envelope as the
-legacy JSON batches, so the sequencing/ARQ machinery in
-:mod:`repro.core.distributed` applies unchanged.  Decoding is split into
+Every batch carries a (worker, incarnation, seq) envelope for the
+sequencing/ARQ machinery in :mod:`repro.core.distributed`; control
+messages (heartbeats, assignments, retransmit requests) stay JSON and
+are told apart by the first byte.  Decoding is split into
 a stateless :func:`parse_delta` (safe on out-of-order arrivals, feeds the
 reorder buffer) and a stateful :meth:`DeltaDecoder.apply` that must run
 in sequence order at delivery time.
@@ -50,7 +51,7 @@ one (the ``kfreq`` control message); senders also emit a keyframe every
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.poller import InterfaceRates
 
@@ -114,7 +115,10 @@ def _get_str(data: bytes, pos: int) -> Tuple[str, int]:
     length, pos = _get_varint(data, pos)
     if pos + length > len(data):
         raise DeltaError("truncated string")
-    return data[pos : pos + length].decode(), pos + length
+    try:
+        return data[pos : pos + length].decode(), pos + length
+    except UnicodeDecodeError as exc:
+        raise DeltaError(f"name is not UTF-8: {exc}") from None
 
 
 # Six float fields of a sample, in wire order.
@@ -143,7 +147,7 @@ def _sample(node: str, if_index: int, fields: Sequence[float]) -> InterfaceRates
 
 
 def is_delta(payload: bytes) -> bool:
-    """Whether a datagram is a binary delta batch (vs legacy JSON)."""
+    """Whether a datagram is a sample batch (vs a JSON control message)."""
     return len(payload) > 0 and payload[0] == DELTA_MAGIC
 
 
@@ -238,9 +242,6 @@ class DeltaEncoder:
     def force_keyframe(self) -> None:
         """Make the next batch a keyframe (receiver asked via ``kfreq``)."""
         self._kf_pending = True
-
-    def keyframe_due(self) -> bool:
-        return self._kf_pending
 
     def encode(
         self, incarnation: int, seq: int, samples: Sequence[InterfaceRates],

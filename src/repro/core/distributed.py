@@ -18,8 +18,10 @@ machine (alive -> suspect -> dead -> recovering, with hysteresis on the
 way back) and publishes transitions on the telemetry event bus.
 
 **Reliable sample shipping.**  Samples travel in *sequenced, batched
-report datagrams*: each worker stamps batches with a per-incarnation
-monotonic sequence number and keeps a bounded drop-oldest resend buffer.
+report datagrams* in one wire format, the binary delta encoding of
+:mod:`repro.core.deltas`: each worker stamps batches with a
+per-incarnation monotonic sequence number and keeps a bounded
+drop-oldest resend buffer.
 The coordinator detects sequence gaps (from later batches, or from the
 ``next_seq`` carried by heartbeats), requests selective retransmits
 (ARQ with capped retries and exponential backoff) and, when a gap is
@@ -61,11 +63,13 @@ import dataclasses
 import json
 import logging
 from collections import OrderedDict
+from math import isfinite
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.counters import required_poll_targets
 from repro.core.dataflow import DegradedSourceSet
 from repro.core.deltas import (
+    DeltaBatch,
     DeltaDecoder,
     DeltaEncoder,
     DeltaError,
@@ -77,6 +81,7 @@ from repro.core.monitor import ReportCore
 from repro.core.poller import InterfaceRates, PollTarget, RateTable, SnmpPoller
 from repro.integrity import IntegrityConfig
 from repro.simnet.address import IPv4Address
+from repro.simnet.network import NetworkError
 from repro.snmp.manager import SnmpManager
 from repro.spec.builder import BuildResult
 from repro.telemetry import Telemetry
@@ -89,89 +94,37 @@ CONTROL_PORT = 8766  # each worker's assignment/retransmit listener
 
 
 # ----------------------------------------------------------------------
-# Wire codecs (JSON keeps every message debuggable on the simulated wire)
+# Control messages (JSON keeps them debuggable on the simulated wire;
+# samples travel as binary delta batches, see repro.core.deltas)
 # ----------------------------------------------------------------------
-def _sample_doc(sample: InterfaceRates) -> Dict[str, object]:
-    return {
-        "n": sample.node,
-        "i": sample.if_index,
-        "t": sample.time,
-        "d": sample.interval,
-        "ib": sample.in_bytes_per_s,
-        "ob": sample.out_bytes_per_s,
-        "ip": sample.in_pkts_per_s,
-        "op": sample.out_pkts_per_s,
-    }
+def encode_message(kind: str, **fields) -> bytes:
+    """One control message: ``hb`` (``w, inc, q, av``: lease renewal;
+    ``q``, the next seq, exposes trailing gaps and ``av`` lets the
+    coordinator re-send a lost assignment), ``gone`` (``w, inc, seqs``),
+    ``retx`` (``inc, seqs``), ``assign`` (``v, t``), ``kfreq`` (``inc``)."""
+    return json.dumps({"k": kind, **fields}).encode()
 
 
-def _sample_from_doc(doc: Dict[str, object]) -> InterfaceRates:
-    return InterfaceRates(
-        node=doc["n"],
-        if_index=int(doc["i"]),
-        time=float(doc["t"]),
-        interval=float(doc["d"]),
-        in_bytes_per_s=float(doc["ib"]),
-        out_bytes_per_s=float(doc["ob"]),
-        in_pkts_per_s=float(doc["ip"]),
-        out_pkts_per_s=float(doc["op"]),
-    )
+#: What a handler reading fields out of a decoded message may raise on a
+#: malformed one (missing key, wrong type, unparseable number).
+_MALFORMED = (ValueError, KeyError, TypeError)
 
 
-def encode_sample(sample: InterfaceRates) -> bytes:
-    """Wire form of one bare rate sample (kept for tooling and tests;
-    the plane itself ships samples inside sequenced batches)."""
-    return json.dumps(_sample_doc(sample)).encode()
-
-
-def decode_sample(payload: bytes) -> InterfaceRates:
-    """Inverse of :func:`encode_sample`.
-
-    Raises ``ValueError``/``KeyError``/``TypeError`` on malformed input
-    (bad JSON, missing keys, type-confused documents such as a JSON list
-    or non-numeric fields); callers must treat all three as decode
-    failures.
-    """
-    doc = json.loads(payload.decode())
-    return _sample_from_doc(doc)
-
-
-def encode_batch(
-    worker: str, incarnation: int, seq: int, samples: Sequence[InterfaceRates]
-) -> bytes:
-    """One sequenced report datagram carrying several samples."""
-    return json.dumps(
-        {
-            "k": "batch",
-            "w": worker,
-            "inc": incarnation,
-            "q": seq,
-            "s": [_sample_doc(s) for s in samples],
-        }
-    ).encode()
-
-
-def encode_heartbeat(
-    worker: str, incarnation: int, next_seq: int, assign_version: int
-) -> bytes:
-    """Lease renewal; ``next_seq`` exposes trailing gaps, ``assign_version``
-    lets the coordinator re-send a lost assignment."""
-    return json.dumps(
-        {
-            "k": "hb",
-            "w": worker,
-            "inc": incarnation,
-            "q": next_seq,
-            "av": assign_version,
-        }
-    ).encode()
+def _finite(text: str) -> float:
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")  # 1e400: int() overflows
+    return value
 
 
 def decode_message(payload: bytes) -> Dict[str, object]:
-    """Decode any plane message; the ``"k"`` key discriminates.
+    """Decode a control message; the ``"k"`` key discriminates.
 
-    Raises ``ValueError``/``KeyError``/``TypeError`` on malformed input.
+    Raises ``ValueError`` on anything that is not a JSON object with a
+    ``"k"`` key, and on non-finite numbers (``Infinity``, ``NaN``,
+    ``1e400``), which ``json`` accepts but no field of the plane means.
     """
-    doc = json.loads(payload.decode())
+    doc = json.loads(payload.decode(), parse_float=_finite, parse_constant=_finite)
     if not isinstance(doc, dict) or "k" not in doc:
         raise ValueError(f"not a plane message: {payload[:64]!r}")
     return doc
@@ -184,36 +137,36 @@ def _targets_doc(targets: Sequence[PollTarget]) -> List[Dict[str, object]]:
 
 
 def _targets_from_doc(network, docs: Sequence[Dict[str, object]]) -> List[PollTarget]:
-    """Inverse of :func:`_targets_doc` (addresses come from the network)."""
-    return [
-        PollTarget(
-            node=t["n"],
-            address=network.ip_of(t["n"]),
-            if_indexes=[int(i) for i in t["ifs"]],
-            community=t["c"],
-        )
-        for t in docs
-    ]
+    """Inverse of :func:`_targets_doc` (addresses come from the network);
+    ``ValueError`` when a target names a node the network does not have."""
+    try:
+        return [
+            PollTarget(
+                node=t["n"],
+                address=network.ip_of(t["n"]),
+                if_indexes=[int(i) for i in t["ifs"]],
+                community=str(t["c"]),
+            )
+            for t in docs
+        ]
+    except NetworkError as exc:
+        raise ValueError(str(exc)) from None
 
 
 # ----------------------------------------------------------------------
 # Send-side shipping (shared by workers and leaf coordinators)
 # ----------------------------------------------------------------------
 class SampleShipper:
-    """Sequenced, batched, optionally delta-encoded sample shipping.
+    """Sequenced, batched, delta-encoded sample shipping.
 
     Owns the per-incarnation monotonic sequence number, the bounded
-    drop-oldest resend buffer, and (when ``delta=True``) the
-    :class:`~repro.core.deltas.DeltaEncoder` whose last-shipped tracking
-    turns quiescent batches into a few bytes per interface.  ``send`` is
-    the owner's transmit function, so the same shipper serves a worker
-    shipping to its coordinator and a leaf coordinator shipping to the
-    hierarchy root.
-
-    Byte accounting: ``bytes_shipped`` is what actually left;
-    ``bytes_baseline`` is what the legacy JSON encoding of the same
-    samples would have cost -- their ratio is the delta path's measured
-    traffic reduction, not an estimate.
+    drop-oldest resend buffer, and the
+    :class:`~repro.core.deltas.DeltaEncoder` (``delta``) whose
+    last-shipped tracking turns quiescent batches into a few bytes per
+    interface.  ``send`` is the owner's transmit function, so the same
+    shipper serves a worker shipping to its coordinator and a leaf
+    coordinator shipping to the hierarchy root.  ``bytes_shipped`` over
+    ``samples_shipped`` is the uplink's cost per sample.
     """
 
     def __init__(
@@ -222,7 +175,6 @@ class SampleShipper:
         send: Callable[[bytes], None],
         max_batch: int = 8,
         resend_buffer: int = 32,
-        delta: bool = False,
         keyframe_every: int = 16,
     ) -> None:
         if max_batch < 1:
@@ -237,20 +189,15 @@ class SampleShipper:
         self.next_seq = 1
         self._pending: List[InterfaceRates] = []
         self._resend: "OrderedDict[int, bytes]" = OrderedDict()
-        self.delta: Optional[DeltaEncoder] = DeltaEncoder(name) if delta else None
+        self.delta = DeltaEncoder(name)
         self.keyframe_every = keyframe_every
         self._since_keyframe = 0
         self.samples_shipped = 0
         self.batches_shipped = 0
         self.bytes_shipped = 0
-        self.bytes_baseline = 0
         self.keyframes_shipped = 0
         self.retransmits_served = 0
         self.retransmits_missed = 0
-
-    def force_keyframe(self) -> None:
-        if self.delta is not None:
-            self.delta.force_keyframe()
 
     def enqueue(self, sample: InterfaceRates) -> bool:
         """Queue one sample; True when the batch is full (caller flushes)."""
@@ -264,36 +211,30 @@ class SampleShipper:
         self.next_seq += 1
         samples = self._pending
         self._pending = []
-        baseline = encode_batch(self.name, self.incarnation, seq, samples)
-        if self.delta is not None:
-            due = (
-                self.keyframe_every > 0
-                and self._since_keyframe + 1 >= self.keyframe_every
-            )
-            payload = self.delta.encode(
-                self.incarnation, seq, samples, keyframe=due
-            )
-            if payload[1] & 0x01:  # the encoder may also have had one pending
-                self._since_keyframe = 0
-                self.keyframes_shipped += 1
-            else:
-                self._since_keyframe += 1
+        due = (
+            self.keyframe_every > 0
+            and self._since_keyframe + 1 >= self.keyframe_every
+        )
+        payload = self.delta.encode(self.incarnation, seq, samples, keyframe=due)
+        if payload[1] & 0x01:  # the encoder may also have had one pending
+            self._since_keyframe = 0
+            self.keyframes_shipped += 1
         else:
-            payload = baseline
+            self._since_keyframe += 1
         self.samples_shipped += len(samples)
         self.batches_shipped += 1
         self.bytes_shipped += len(payload)
-        self.bytes_baseline += len(baseline)
         self._resend[seq] = payload
         while len(self._resend) > self.resend_buffer:
             self._resend.popitem(last=False)  # drop-oldest: bounded memory
         self.send(payload)
 
     def serve_retransmit(self, doc: Dict[str, object]) -> None:
-        if int(doc["inc"]) != self.incarnation:
+        incarnation, seqs = int(doc["inc"]), [int(s) for s in doc["seqs"]]
+        if incarnation != self.incarnation:
             return  # request addresses a previous life of this sender
         gone: List[int] = []
-        for seq in [int(s) for s in doc["seqs"]]:
+        for seq in seqs:
             payload = self._resend.get(seq)
             if payload is None:
                 gone.append(seq)  # evicted from the bounded buffer
@@ -303,18 +244,8 @@ class SampleShipper:
                 self.send(payload)
         if gone:
             self.send(
-                json.dumps(
-                    {"k": "gone", "w": self.name, "inc": self.incarnation,
-                     "seqs": gone}
-                ).encode()
+                encode_message("gone", w=self.name, inc=self.incarnation, seqs=gone)
             )
-
-    @property
-    def traffic_reduction(self) -> float:
-        """Fraction of baseline bytes the delta encoding saved."""
-        if self.bytes_baseline <= 0:
-            return 0.0
-        return 1.0 - self.bytes_shipped / self.bytes_baseline
 
     def reset(self, incarnation: int) -> None:
         """The owning process restarted: new incarnation, fresh state."""
@@ -323,8 +254,8 @@ class SampleShipper:
         self._pending.clear()
         self._resend.clear()
         self._since_keyframe = 0
-        if self.delta is not None:
-            self.delta.reset()
+        self.delta.reset()
+
 
 # ----------------------------------------------------------------------
 # Uplink endpoints: the sending end of one sample stream
@@ -348,6 +279,8 @@ class UplinkEndpoint:
     :meth:`_apply_targets` (a new target list arrived), and extend
     :meth:`_begin_tasks` / :meth:`_teardown` to run and halt it.
     ``poller.targets`` is the applied target list either way.
+    ``shipping`` is :class:`SampleShipper`'s ``max_batch`` /
+    ``resend_buffer`` / ``keyframe_every``.
     """
 
     def __init__(
@@ -357,10 +290,7 @@ class UplinkEndpoint:
         upstream_ip: IPv4Address,
         poll_interval: float,
         heartbeat_interval: float,
-        max_batch: int,
-        resend_buffer: int,
-        delta_shipping: bool,
-        keyframe_every: int,
+        **shipping,
     ) -> None:
         self.build = build
         self.name = host_name
@@ -370,17 +300,10 @@ class UplinkEndpoint:
         self.poll_interval = poll_interval
         self.heartbeat_interval = heartbeat_interval
         self.batch_linger = poll_interval * 0.25
-        # Shipping (sequencing, resend buffer, optional delta encoding)
-        # lives in the shipper: the only send-side state, bounded, so a
+        # Shipping (sequencing, resend buffer, delta encoding) lives in
+        # the shipper: the only send-side state, bounded, so a
         # dead upstream can never wedge this endpoint.
-        self.shipper = SampleShipper(
-            host_name,
-            self._send_report,
-            max_batch=max_batch,
-            resend_buffer=resend_buffer,
-            delta=delta_shipping,
-            keyframe_every=keyframe_every,
-        )
+        self.shipper = SampleShipper(host_name, self._send_report, **shipping)
         self.assign_version = 0
         self.crashed = False
         self._started = False
@@ -477,9 +400,9 @@ class UplinkEndpoint:
         if self.crashed:
             return
         self._send_report(
-            encode_heartbeat(
-                self.name, self.incarnation, self.shipper.next_seq,
-                self.assign_version,
+            encode_message(
+                "hb", w=self.name, inc=self.incarnation,
+                q=self.shipper.next_seq, av=self.assign_version,
             )
         )
 
@@ -497,9 +420,9 @@ class UplinkEndpoint:
             elif kind == "kfreq":
                 # The receiver lost delta context: re-state everything
                 # with the next flush.
-                self.shipper.force_keyframe()
-        except (ValueError, KeyError, TypeError):
-            return  # malformed control traffic: ignore
+                self.shipper.delta.force_keyframe()
+        except _MALFORMED:
+            return  # malformed control traffic: ignore, nothing applied
 
     def _apply_assignment(self, doc: Dict[str, object]) -> None:
         version = int(doc["v"])
@@ -531,21 +454,18 @@ class MonitorWorker(UplinkEndpoint):
         jitter: float,
         seed: int,
         heartbeat_interval: float,
-        max_batch: int = 8,
-        resend_buffer: int = 32,
-        poll_mode: str = "get",
-        pipeline_window: int = 0,
-        delta_shipping: bool = False,
-        keyframe_every: int = 16,
+        pipeline_window: int,
+        **shipping,
     ) -> None:
         super().__init__(
             build, host_name, coordinator_ip, poll_interval, heartbeat_interval,
-            max_batch, resend_buffer, delta_shipping, keyframe_every,
+            **shipping,
         )
-        # Every life of this worker polls the same way.
+        # Every life of this worker polls the same way: GetBulk column
+        # walks, at most ``pipeline_window`` agents in flight.
         self._poller_options = dict(
             interval=poll_interval, jitter=jitter, seed=seed,
-            poll_mode=poll_mode, pipeline_window=pipeline_window,
+            poll_mode="bulk", pipeline_window=pipeline_window,
         )
         self._rebuild(targets)
 
@@ -605,13 +525,11 @@ class _Gap:
 class _WorkerIngest:
     """Per-stream sequencing state on the receiving coordinator.
 
-    Buffer entries are tagged: ``("s", [InterfaceRates, ...])`` for JSON
-    batches (parsed eagerly, so malformed documents surface as decode
-    errors at arrival) and ``("d", DeltaBatch)`` for binary delta batches
-    (parsed statelessly at arrival; the stateful
+    The reorder buffer holds batches parsed statelessly at arrival (so
+    malformed ones surface as decode errors there); the stateful
     :class:`~repro.core.deltas.DeltaDecoder` applies them only at
     in-order delivery, because applying out of order would corrupt the
-    decoder's last-sample context).
+    decoder's last-sample context.
     """
 
     __slots__ = (
@@ -630,7 +548,7 @@ class _WorkerIngest:
         self.incarnation = 0  # adopts the worker's on first contact
         self.expected = 1  # next in-order batch seq
         self.anchored = anchored  # False: adopt the first observed seq
-        self.buffer: Dict[int, tuple] = {}  # seq -> out-of-order entry
+        self.buffer: Dict[int, DeltaBatch] = {}  # seq -> out-of-order batch
         self.gaps: Dict[int, _Gap] = {}
         self.delta = DeltaDecoder()
         self.kfreq_after = 0.0  # earliest next keyframe request
@@ -675,15 +593,15 @@ class SampleIngest:
         recovery_beats: int = 2,
         retx_max_attempts: int = 3,
         retx_backoff: Optional[float] = None,
-        max_batch: int = 8,
-        resend_buffer: int = 32,
-        poll_mode: str = "get",
-        pipeline_window: int = 0,
-        delta_shipping: bool = False,
-        keyframe_every: int = 16,
+        pipeline_window: int = 8,
         targets: Optional[Sequence[PollTarget]] = None,
         adopt_streams: bool = False,
+        **shipping,
     ) -> None:
+        """``pipeline_window`` bounds each worker's in-flight polls;
+        ``shipping`` (:class:`SampleShipper`'s ``max_batch`` /
+        ``resend_buffer`` / ``keyframe_every``) reaches every endpoint
+        under this coordinator."""
         if not worker_hosts:
             raise ValueError("need at least one worker host")
         self.build = build
@@ -716,13 +634,9 @@ class SampleIngest:
         )
         # What every endpoint under this coordinator is built with.
         self._endpoint_options = dict(
+            shipping,
             heartbeat_interval=self.heartbeat_interval,
-            max_batch=max_batch,
-            resend_buffer=resend_buffer,
-            poll_mode=poll_mode,
             pipeline_window=pipeline_window,
-            delta_shipping=delta_shipping,
-            keyframe_every=keyframe_every,
         )
         self.degraded = DegradedSourceSet()
         self.leases = WorkerLeaseTracker(
@@ -923,15 +837,14 @@ class SampleIngest:
 
     def _send_assignment(self, worker: str) -> None:
         self._assign_version[worker] += 1
-        payload = json.dumps(
-            {
-                "k": "assign",
-                "v": self._assign_version[worker],
-                "t": _targets_doc(self._assignments[worker]),
-            }
-        ).encode()
+        self._send_control(
+            worker, "assign", v=self._assign_version[worker],
+            t=_targets_doc(self._assignments[worker]),
+        )
+
+    def _send_control(self, worker: str, kind: str, **fields) -> None:
         self._control.sendto(
-            payload, (self.network.ip_of(worker), CONTROL_PORT)
+            encode_message(kind, **fields), (self.network.ip_of(worker), CONTROL_PORT)
         )
 
     # ------------------------------------------------------------------
@@ -947,16 +860,14 @@ class SampleIngest:
         try:
             doc = decode_message(payload)
             kind = doc["k"]
-            if kind == "batch":
-                self._on_batch(doc)
-            elif kind == "hb":
+            if kind == "hb":
                 self._on_heartbeat(doc)
             elif kind == "gone":
                 self._on_gone(doc)
             else:
                 self._m_decode_errors.inc()
-        except (ValueError, KeyError, TypeError):
-            self._m_decode_errors.inc()
+        except _MALFORMED:
+            self._m_decode_errors.inc()  # dropped whole: no state touched
 
     def _ingest_state(self, worker: str, incarnation: int) -> Optional[_WorkerIngest]:
         state = self._ingest.get(worker)
@@ -971,16 +882,8 @@ class SampleIngest:
             state.reset_for(incarnation)
         return state
 
-    def _on_batch(self, doc: Dict[str, object]) -> None:
-        worker = doc["w"]
-        samples = [_sample_from_doc(d) for d in doc["s"]]
-        state = self._ingest_state(worker, int(doc["inc"]))
-        if state is None:
-            return
-        self._on_sequenced(state, int(doc["q"]), ("s", samples))
-
     def _on_delta(self, payload: bytes) -> None:
-        """Binary delta batch: parse statelessly now, apply the stateful
+        """Sample batch: parse statelessly now, apply the stateful
         decoder only at in-order delivery."""
         try:
             batch = parse_delta(payload)
@@ -990,50 +893,52 @@ class SampleIngest:
         state = self._ingest_state(batch.worker, batch.incarnation)
         if state is None:
             return
-        self._on_sequenced(state, batch.seq, ("d", batch))
-
-    def _on_sequenced(self, state: _WorkerIngest, seq: int, entry: tuple) -> None:
+        seq = batch.seq
         if not state.anchored:
             # Adopting a mid-flight stream (coordinator resume): accept
             # from here instead of demanding retransmits back to seq 1;
-            # a delta stream heals its decoder via keyframe request.
+            # the stream heals its decoder via keyframe request.
             state.anchored = True
             state.expected = seq
         if seq < state.expected or seq in state.buffer:
             self._m_duplicates.inc()
             return  # retransmit overshoot or duplicate: sequence dedup
-        state.buffer[seq] = entry
+        state.buffer[seq] = batch
         if seq == state.expected:
             self._drain(state)
         else:
             self._note_gaps(state, upto=seq)
 
     def _on_heartbeat(self, doc: Dict[str, object]) -> None:
-        worker = doc["w"]
-        state = self._ingest_state(worker, int(doc["inc"]))
+        # Every field is read before the first side effect (the lease
+        # renewal in _ingest_state): a malformed heartbeat changes nothing.
+        worker, incarnation = doc["w"], int(doc["inc"])
+        next_seq, applied = int(doc["q"]), int(doc.get("av", 0))
+        state = self._ingest_state(worker, incarnation)
         if state is None:
             return
         if not state.anchored:
             state.anchored = True
-            state.expected = int(doc["q"])
+            state.expected = next_seq
         # ``q`` is the seq the *next* batch will carry: anything below it
         # that we have not seen was shipped and lost with nothing after
         # it to reveal the gap -- a trailing gap only liveness traffic
         # can expose.
-        self._note_gaps(state, upto=int(doc["q"]))
+        self._note_gaps(state, upto=next_seq)
         # Self-healing control: a stale applied-version echo means the
         # last assignment datagram was lost; ship it again.
-        if int(doc.get("av", 0)) != self._assign_version.get(worker, 0):
+        if applied != self._assign_version.get(worker, 0):
             if self.leases.state(worker) is not WorkerState.DEAD:
                 self._send_assignment(worker)
 
     def _on_gone(self, doc: Dict[str, object]) -> None:
         """The worker evicted requested batches: those gaps are unfillable."""
-        worker = doc["w"]
-        state = self._ingest_state(worker, int(doc["inc"]))
+        worker, incarnation = doc["w"], int(doc["inc"])
+        seqs = [int(s) for s in doc["seqs"]]
+        state = self._ingest_state(worker, incarnation)
         if state is None:
             return
-        for seq in [int(s) for s in doc["seqs"]]:
+        for seq in seqs:
             gap = state.gaps.get(seq)
             if gap is not None:
                 gap.attempts = self.retx_max_attempts  # abandon at next sweep
@@ -1072,24 +977,18 @@ class SampleIngest:
             # Exponential backoff, capped by the attempt limit.
             gap.next_retry = now + self.retx_backoff * (2 ** (gap.attempts - 1))
         self._m_retx.inc()
-        self._control.sendto(
-            json.dumps(
-                {
-                    "k": "retx",
-                    "inc": state.incarnation,
-                    "seqs": sorted(g.seq for g in due),
-                }
-            ).encode(),
-            (self.network.ip_of(state.name), CONTROL_PORT),
+        self._send_control(
+            state.name, "retx", inc=state.incarnation,
+            seqs=sorted(g.seq for g in due),
         )
 
     def _drain(self, state: _WorkerIngest) -> None:
         while state.expected in state.buffer:
-            entry = state.buffer.pop(state.expected)
+            batch = state.buffer.pop(state.expected)
             gap = state.gaps.pop(state.expected, None)
             if gap is not None and gap.attempts > 0:
                 self._m_gaps_filled.inc()
-            self._deliver_entry(state, entry)
+            self._deliver(state, batch)
             state.expected += 1
 
     def _abandon_front_gaps(self, state: _WorkerIngest) -> None:
@@ -1135,23 +1034,12 @@ class SampleIngest:
             return
         state.kfreq_after = now + self.retx_backoff
         self._m_kfreq.inc()
-        self._control.sendto(
-            json.dumps({"k": "kfreq", "inc": state.incarnation}).encode(),
-            (self.network.ip_of(state.name), CONTROL_PORT),
-        )
+        self._send_control(state.name, "kfreq", inc=state.incarnation)
 
-    def _deliver_entry(self, state: _WorkerIngest, entry: tuple) -> None:
-        kind, payload = entry
-        if kind == "d":
-            try:
-                samples = state.delta.apply(payload)
-            except DeltaError:
-                self._m_decode_errors.inc()
-                samples = []
-            if state.delta.needs_keyframe:
-                self._request_keyframe(state)
-        else:
-            samples = payload
+    def _deliver(self, state: _WorkerIngest, batch: DeltaBatch) -> None:
+        samples = state.delta.apply(batch)
+        if state.delta.needs_keyframe:
+            self._request_keyframe(state)
         self._m_batches.inc()
         for sample in samples:
             if not self.sink(sample):
@@ -1299,7 +1187,7 @@ class DistributedMonitor(ReportCore, SampleIngest):
         **ingest_options,
     ) -> None:
         """``ingest_options`` are :class:`SampleIngest`'s (``poll_jitter``,
-        ``seed``, the lease/ARQ knobs, the shipping and polling modes,
+        ``seed``, the lease/ARQ knobs, the batching and pipelining sizes,
         ``targets``, ``adopt_streams``)."""
         ReportCore.__init__(
             self, build, coordinator_host, poll_interval, report_offset,

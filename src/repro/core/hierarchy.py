@@ -24,10 +24,9 @@ construction rather than duplication:
 * **Leaf uplink** -- a leaf and a worker are the same
   :class:`~repro.core.distributed.UplinkEndpoint` (heartbeats, sequenced
   shipping with a bounded resend buffer, retransmit/assign/keyframe
-  control) over different sample sources, with delta encoding on by
-  default for leaves: quiescent shards cost a few bytes per
-  interface per batch, and periodic keyframes bound the cost of any
-  lost context.
+  control) over different sample sources: quiescent shards cost a few
+  bytes per interface per batch, and periodic keyframes bound the cost
+  of any lost context.
 * **Failover, twice** -- a dead *worker* is handled inside its leaf
   (the shard repartitions over the surviving workers); a dead *leaf*
   is handled by the root (its shard's targets repartition over the
@@ -75,17 +74,9 @@ class LeafCoordinator(UplinkEndpoint):
         poll_jitter: float,
         seed: int,
         heartbeat_interval: float,
-        max_batch: int,
-        resend_buffer: int,
-        poll_mode: str,
         pipeline_window: int,
-        delta_shipping: bool,
-        keyframe_every: int,
+        **shipping,
     ) -> None:
-        shipping = dict(
-            max_batch=max_batch, resend_buffer=resend_buffer,
-            delta_shipping=delta_shipping, keyframe_every=keyframe_every,
-        )
         super().__init__(
             build, host_name, root_ip, poll_interval, heartbeat_interval, **shipping
         )
@@ -98,7 +89,6 @@ class LeafCoordinator(UplinkEndpoint):
             poll_interval=poll_interval,
             poll_jitter=poll_jitter,
             seed=seed,
-            poll_mode=poll_mode,
             pipeline_window=pipeline_window,
             targets=list(targets),
             adopt_streams=True,
@@ -157,20 +147,17 @@ class HierarchicalMonitor(DistributedMonitor):
     monitoring traffic stays inside the pod until aggregation).  Leaves
     are driven through the inherited flat-plane machinery -- leases,
     ARQ, versioned ``assign`` messages -- and ship delta-encoded sample
-    streams; the root's report surface is the flat coordinator's.
+    streams; the root's report surface is the flat coordinator's, and so
+    are its options, except that a shard's merged uplink batches more
+    samples per datagram than one worker's.
     """
 
     def __init__(
         self,
         build: BuildResult,
         plan: Dict[str, object],
-        poll_interval: float = 2.0,
-        poll_mode: str = "bulk",
-        pipeline_window: int = 8,
-        delta_shipping: bool = True,
-        keyframe_every: int = 16,
         max_batch: int = 32,
-        **kwargs,
+        **options,
     ) -> None:
         shards = plan["shards"]
         if not shards:
@@ -188,13 +175,8 @@ class HierarchicalMonitor(DistributedMonitor):
             build,
             coordinator_host=plan["root"],
             worker_hosts=list(shards),
-            poll_interval=poll_interval,
-            poll_mode=poll_mode,
-            pipeline_window=pipeline_window,
-            delta_shipping=delta_shipping,
-            keyframe_every=keyframe_every,
             max_batch=max_batch,
-            **kwargs,
+            **options,
         )
 
     # -- hooks into the flat machinery ------------------------------------
@@ -227,9 +209,6 @@ class HierarchicalMonitor(DistributedMonitor):
         out["shards"] = float(len(self.workers))
         for name, leaf in self.workers.items():
             out[f"per_shard_exchanges.{name}"] = float(leaf.requests_sent)
-            out[f"per_shard_delta_reduction.{name}"] = (
-                leaf.shipper.traffic_reduction
-            )
             out[f"per_shard_keyframes.{name}"] = float(
                 leaf.shipper.keyframes_shipped
             )

@@ -367,7 +367,6 @@ class ReportCore:
         self,
         hosts: Optional[Sequence[str]] = None,
         significance: Union[bool, "SignificanceFilter", None] = True,
-        incremental: bool = True,
     ) -> "MatrixPublisher":
         """Publish matrix changes as typed stream events each cycle.
 
@@ -396,11 +395,7 @@ class ReportCore:
         elif significance is False:
             significance = None
         matrix = BandwidthMatrix(
-            self.spec,
-            self.calculator,
-            hosts=hosts,
-            incremental=incremental,
-            graph=self.graph,
+            self.spec, self.calculator, hosts=hosts, graph=self.graph
         )
         self.stream = MatrixPublisher(
             matrix,
@@ -682,8 +677,6 @@ class NetworkMonitor(ReportCore):
         history_downsample_s: Optional[float] = None,
         integrity: Union[bool, IntegrityConfig] = True,
         cross_check: bool = False,
-        poll_mode: str = "get",
-        pipeline_window: int = 0,
     ) -> None:
         """``integrity``: run every sample through the measurement-
         integrity pipeline (True: default knobs; an
@@ -692,10 +685,7 @@ class NetworkMonitor(ReportCore):
         poll the *secondary* end of every two-ended connection (plus
         ifSpeed) and compare both ends' octet rates each report cycle.
         Off by default because the extra polling itself adds SNMP
-        traffic to the measured links.  ``poll_mode`` / ``pipeline_window``
-        pass straight to :class:`~repro.core.poller.SnmpPoller` (GetBulk
-        batching and bounded-in-flight scheduling for large target
-        counts)."""
+        traffic to the measured links."""
         super().__init__(
             build, monitor_host, poll_interval, report_offset, stale_after,
             dead_after, telemetry, history_retention_s, history_downsample_s,
@@ -717,8 +707,7 @@ class NetworkMonitor(ReportCore):
             seed=seed,
             rate_table=self.rates,
             telemetry=self.telemetry,
-            poll_mode=poll_mode,
-            pipeline_window=pipeline_window,
+            poll_mode="get",  # the paper's layout: one GET per agent per cycle
         )
         #: The per-agent health tracker (reachability state machine).
         self.health = self.poller.health

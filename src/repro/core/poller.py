@@ -203,53 +203,7 @@ class _PollUnit:
         self.span = span
 
 
-class _Assembly:
-    """Reassemble a per-varbind poll: one GET per OID, merged on completion.
-
-    This is the degenerate baseline the paper's scale problem implies --
-    every counter instance its own request/response exchange -- kept as a
-    measurable mode so the GetBulk path's exchange-count win is a number,
-    not a claim.
-    """
-
-    __slots__ = ("poller", "target", "span", "on_done", "remaining", "varbinds", "error")
-
-    def __init__(self, poller: "SnmpPoller", target: PollTarget, span, on_done) -> None:
-        self.poller = poller
-        self.target = target
-        self.span = span
-        self.on_done = on_done
-        self.varbinds: List[VarBind] = []
-        self.error: Optional[Exception] = None
-        oids = target.oids()
-        self.remaining = len(oids)
-        for oid in oids:
-            poller.manager.get(
-                target.address, [oid], callback=self._one_ok,
-                errback=self._one_err, community=target.community,
-            )
-
-    def _one_ok(self, varbinds: List[VarBind]) -> None:
-        self.varbinds.extend(varbinds)
-        self._settle()
-
-    def _one_err(self, exc: Exception) -> None:
-        if self.error is None:
-            self.error = exc
-        self._settle()
-
-    def _settle(self) -> None:
-        self.remaining -= 1
-        if self.remaining > 0:
-            return
-        if self.error is not None:
-            self.poller._on_error(self.target, self.error, self.span)
-        else:
-            self.poller._on_response(self.target, self.varbinds, self.span)
-        self.on_done()
-
-
-POLL_MODES = ("get", "bulk", "per-varbind")
+POLL_MODES = ("get", "bulk")
 
 
 class SnmpPoller:
@@ -261,11 +215,11 @@ class SnmpPoller:
     after each cycle instead, leaving the poller reusable on its own.
 
     ``poll_mode`` selects the wire strategy per target: ``"get"`` (one
-    GET naming every instance -- the paper's layout), ``"bulk"`` (a
-    GetBulk column walk via :meth:`SnmpManager.poll_interfaces`, 1-2
-    exchanges per agent regardless of interface count), or
-    ``"per-varbind"`` (one GET per instance -- the measurable worst-case
-    baseline).  All three feed the same parse/ingest path, so the rate
+    GET naming every instance -- the paper's layout, what the single
+    monitor uses) or ``"bulk"`` (a GetBulk column walk via
+    :meth:`SnmpManager.poll_interfaces`, 1-2 exchanges per agent
+    regardless of interface count -- what the distributed plane's
+    workers use).  Both feed the same parse/ingest path, so the rate
     table contents are mode-independent on a fault-free network.
 
     ``pipeline_window`` > 0 bounds how many targets may be in flight at
@@ -273,7 +227,7 @@ class SnmpPoller:
     ``pipeline_window``; each completion launches the next.  Backlog
     still queued when the next cycle begins is dropped and counted as an
     overrun (the new cycle's fresher poll of the same target supersedes
-    it).  0 keeps the legacy launch-everything behaviour.
+    it).  0 launches everything at once.
     """
 
     def __init__(
@@ -518,8 +472,6 @@ class SnmpPoller:
                 errback=on_err,
                 community=target.community,
             )
-        elif self.poll_mode == "per-varbind":
-            _Assembly(self, target, span, self._unit_done)
         else:
             self.manager.get(
                 target.address,

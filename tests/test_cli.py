@@ -447,3 +447,114 @@ class TestProbe:
 
     def test_bad_budget_rejected(self, capsys):
         assert main(["probe", "--budget", "0.9"]) == 2
+
+
+# ----------------------------------------------------------------------
+# The prologue every spec-taking subcommand shares: load the spec, pick
+# the monitor host, require and resolve the watches, start the loads.
+# One row per (subcommand, malformed invocation) -> the exit code it has
+# always returned.  ``--host`` may be rejected by argparse or by the
+# command itself; both are a usage error, exit code 2.
+# ----------------------------------------------------------------------
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_MONITORING = ("monitor", "telemetry", "tsdb", "integrity", "distributed", "stream", "probe")
+_SPEC_ONLY = ("discover", "topology", "matrix")
+
+
+def _host_args(command, host="L"):
+    if command == "distributed":
+        return ["--coordinator", host, "--worker", "L"]
+    return ["--host", host]
+
+
+def _watch_flag(command):
+    return "--pair" if command == "stream" else "--watch"
+
+
+class TestSharedPrologue:
+    @pytest.mark.parametrize("command", _MONITORING + _SPEC_ONLY)
+    def test_missing_spec_file_exits_one(self, command, capsys):
+        argv = [command, "/nonexistent/path.net"] + _host_args(command)
+        assert _exit_code(argv) == 1
+        assert "No such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", _MONITORING + _SPEC_ONLY)
+    def test_unparseable_spec_exits_one(self, command, tmp_path, capsys):
+        path = tmp_path / "junk.net"
+        path.write_text("this is not a spec")
+        assert _exit_code([command, str(path)] + _host_args(command)) == 1
+        assert "expected keyword 'network'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", _MONITORING + _SPEC_ONLY)
+    def test_spec_without_host_exits_two(self, command, good_spec, capsys):
+        assert _exit_code([command, good_spec]) == 2
+
+    @pytest.mark.parametrize(
+        "command", [c for c in _MONITORING if c != "stream"]  # stream: every pair
+    )
+    def test_spec_without_watch_exits_two(self, command, good_spec, capsys):
+        assert _exit_code([command, good_spec] + _host_args(command)) == 2
+        assert "--watch SRC:DST" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [(c, 2) for c in _MONITORING]
+        + [("discover", 2), ("topology", 1), ("matrix", 1)],
+    )
+    def test_unknown_monitor_host(self, command, code, good_spec, capsys):
+        argv = [command, good_spec] + _host_args(command, "zzz")
+        if command in _MONITORING:
+            argv += [_watch_flag(command), "S1:N1"]
+        assert _exit_code(argv) == code
+        assert "no host named 'zzz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [c for c in _MONITORING if c != "stream"]  # pairs filter, unresolved
+    )
+    def test_unknown_watch_endpoint_exits_two(self, command, good_spec, capsys):
+        argv = [command, good_spec] + _host_args(command) + ["--watch", "S1:ghost"]
+        assert _exit_code(argv) == 2
+        assert "no node named 'ghost'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", _MONITORING)
+    def test_malformed_watch_exits_two(self, command, good_spec, capsys):
+        argv = [command, good_spec] + _host_args(command) + [_watch_flag(command), "S1"]
+        assert _exit_code(argv) == 2
+        assert "wants SRC:DST" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, code", [(c, 2) for c in _MONITORING] + [("matrix", 1)]
+    )
+    @pytest.mark.parametrize(
+        "load, message",
+        [
+            ("L:N1:200", "--load wants SRC:DST:KBPS:T0:T1"),
+            ("L:ghost:200:1:2", "'ghost' is not an addressable endpoint"),
+        ],
+    )
+    def test_bad_load(self, command, code, load, message, good_spec, capsys):
+        argv = [command, good_spec] + _host_args(command) + ["--load", load]
+        if command in _MONITORING:
+            argv += [_watch_flag(command), "S1:N1"]
+        assert _exit_code(argv) == code
+        assert message in capsys.readouterr().err
+
+
+class TestDistributedHierarchy:
+    def test_two_pod_tree_runs_clean(self, capsys):
+        assert main(["distributed", "--hierarchy", "2", "--until", "12"]) == 0
+        out = capsys.readouterr().out
+        assert "coordinator monroot; workers: mon0 [alive], mon1 [alive]" in out
+        assert "mon0: p0sw0, p0sw1, core" in out
+        assert "mon1: p1sw0, p1sw1" in out
+        assert "shard economics:" in out
+        assert "mon0: 18 SNMP exchanges, uplink keyframes/batches 1/5" in out
+        assert "p0h0_0<->p1h1_3: 5 reports (4 trusted)" in out
+        assert "samples_received                 115" in out
+        assert "decode_errors                    0" in out

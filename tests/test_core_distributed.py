@@ -1,7 +1,9 @@
 """Tests for the fault-tolerant distributed-monitoring plane.
 
-Covers the sample/batch codecs (including type-confused payload
-hardening), deterministic target partitioning and its edge cases,
+Covers the two wire codecs (binary sample batches, JSON control
+messages, including type-confused payload hardening; the byte-mutation
+fuzz lives in test_uplink_fuzz.py), deterministic target partitioning
+and its edge cases,
 normal-operation semantics vs. the single monitor, worker-crash
 failover/failback (the chaos acceptance scenario), ARQ gap repair under
 a network partition, and a hypothesis property proving sequence-number
@@ -12,12 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distributed import (
-    DistributedMonitor,
-    decode_sample,
-    encode_sample,
-)
-from repro.core.health import WorkerState
+from repro.core.deltas import DeltaDecoder, DeltaEncoder, DeltaError, parse_delta
+from repro.core.distributed import DistributedMonitor, decode_message
 from repro.core.poller import InterfaceRates
 from repro.experiments.testbed import build_testbed
 from repro.simnet.faults import NetworkPartition, WorkerCrash
@@ -26,57 +24,60 @@ from repro.simnet.trafficgen import StaircaseLoad, StepSchedule
 ALL_SNMP_NODES = ["L", "N1", "N2", "S1", "S2", "switch"]
 
 
-def batch_doc(seq, samples=(("N1", 1),), worker="S1", inc=1):
-    """A coordinator-side batch document carrying one sample per source."""
-    return {
-        "k": "batch",
-        "w": worker,
-        "inc": inc,
-        "q": seq,
-        "s": [
-            {
-                "n": node, "i": if_index, "t": float(seq), "d": 1.0,
-                "ib": 10.0, "ob": 10.0, "ip": 1.0, "op": 1.0,
-            }
+def batch(seq, samples=(("N1", 1),), worker="S1", inc=1):
+    """A sample batch as it arrives at the coordinator: one sample per
+    source, every batch a keyframe so that it decodes on its own."""
+    return DeltaEncoder(worker).encode(
+        inc, seq,
+        [
+            InterfaceRates(node, if_index, float(seq), 1.0, 10.0, 10.0, 1.0, 1.0)
             for node, if_index in samples
         ],
-    }
+    )
 
 
 class TestSampleCodec:
     def test_roundtrip(self):
         sample = InterfaceRates("S1", 3, 12.5, 2.0, 100.5, 50.25, 10.0, 5.0)
-        assert decode_sample(encode_sample(sample)) == sample
+        parsed = parse_delta(DeltaEncoder("w").encode(1, 1, [sample]))
+        assert DeltaDecoder().apply(parsed) == [sample]
 
     def test_garbage_rejected(self):
+        with pytest.raises(DeltaError):
+            parse_delta(b"not json")
         with pytest.raises(ValueError):
-            decode_sample(b"not json")
+            decode_message(b"not json")
 
     @pytest.mark.parametrize(
         "payload",
         [
-            b"[1, 2, 3]",  # JSON list: indexing by key is a TypeError
+            b"[1, 2, 3]",  # JSON, but not an object
             b'"just a string"',
             b"12345",
             b"null",
-            b'{"n": "S1"}',  # missing fields: KeyError
+            b'{"n": "S1"}',  # an object without a kind
             b'{"n": "S1", "i": "x", "t": 0, "d": 1,'
-            b' "ib": 0, "ob": 0, "ip": 0, "op": 0}',  # non-numeric: ValueError
+            b' "ib": 0, "ob": 0, "ip": 0, "op": 0}',  # what a JSON sample was
             b'{"n": "S1", "i": [1], "t": 0, "d": 1,'
-            b' "ib": 0, "ob": 0, "ip": 0, "op": 0}',  # type confusion
+            b' "ib": 0, "ob": 0, "ip": 0, "op": 0}',
         ],
     )
     def test_type_confused_payloads_rejected(self, payload):
-        with pytest.raises((ValueError, KeyError, TypeError)):
-            decode_sample(payload)
+        """Valid JSON that is not a control message is neither of the
+        two things the uplink carries."""
+        with pytest.raises(DeltaError):
+            parse_delta(payload)
+        with pytest.raises(ValueError):
+            decode_message(payload)
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=64))
     def test_fuzzed_payloads_raise_only_decode_errors(self, payload):
-        try:
-            decode_sample(payload)
-        except (ValueError, KeyError, TypeError):
-            pass  # the documented decode-failure surface
+        for decode in (parse_delta, decode_message):
+            try:
+                decode(payload)
+            except ValueError:
+                pass  # the documented decode-failure surface (DeltaError is one)
 
 
 def distributed(worker_hosts=("L", "S1", "S2"), **kwargs):
@@ -223,8 +224,10 @@ class TestOperation:
         bad = [
             b"\x00\xff garbage",
             b"[1,2,3]",
-            b'{"k": "batch", "w": "S1"}',  # missing inc/q/s
-            b'{"k": "batch", "w": ["S1"], "inc": 1, "q": 1, "s": {}}',
+            b'{"k": "hb", "w": "S1"}',  # missing inc/q
+            b'{"k": "hb", "w": ["S1"], "inc": 1, "q": 1}',
+            b'{"k": "batch", "w": "S1", "inc": 1, "q": 1, "s": []}',  # retired
+            batch(1)[:-3],  # truncated sample batch
             b'{"k": "wat"}',
             b'{"no": "kind"}',
         ]
@@ -317,8 +320,8 @@ class TestArq:
         build, dm = distributed(integrity=False)
         # S1's affinity share is itself plus round-robined N2.
         assert sorted(dm.assigned_targets_of("S1")) == ["N2", "S1"]
-        dm._on_batch(batch_doc(1))
-        dm._on_batch(batch_doc(3))  # seq 2 never arrives: gap + retx
+        dm._on_delta(batch(1))
+        dm._on_delta(batch(3))  # seq 2 never arrives: gap + retx
         assert dm.stats()["gaps_detected"] == 1.0
         # The worker answers that seq 2 fell out of its resend buffer.
         dm._on_gone({"k": "gone", "w": "S1", "inc": 1, "seqs": [2]})
@@ -332,7 +335,7 @@ class TestArq:
         assert dm.degraded.is_degraded("S1", 1)
         assert dm.degraded.is_degraded("N2", 1)
         # ...until fresh in-order samples arrive and clear the marks.
-        dm._on_batch(batch_doc(4, samples=(("S1", 1), ("N2", 1))))
+        dm._on_delta(batch(4, samples=(("S1", 1), ("N2", 1))))
         assert dm.stats()["degraded_sources"] == 0.0
 
 
@@ -349,7 +352,7 @@ class TestSequenceDedup:
     def test_each_sequence_delivered_exactly_once(self, order, dups):
         build, dm = distributed(integrity=False)
         for seq in list(order) + dups:
-            dm._on_batch(batch_doc(seq))
+            dm._on_delta(batch(seq))
         # All 8 unique batches delivered exactly once, however mangled
         # the arrival order and however many duplicates came in.
         assert dm.samples_received == 8
@@ -362,13 +365,12 @@ class TestSequenceDedup:
         must adopt the new incarnation instead of treating seq 1 as a
         duplicate of the old seq 1."""
         build, dm = distributed(integrity=False)
-        dm._on_batch(batch_doc(1))
-        dm._on_batch(batch_doc(2))
+        dm._on_delta(batch(1))
+        dm._on_delta(batch(2))
         assert dm.samples_received == 2
-        restarted = batch_doc(1, inc=2)
-        dm._on_batch(restarted)
+        dm._on_delta(batch(1, inc=2))
         assert dm.samples_received == 3
         assert dm.stats()["duplicate_batches"] == 0.0
         # Stragglers from the previous incarnation are dropped.
-        dm._on_batch(batch_doc(2))
+        dm._on_delta(batch(2))
         assert dm.samples_received == 3

@@ -1,10 +1,13 @@
 """Pipelined poll scheduling, delta shipping, and measurement equivalence.
 
-The refactored poll path must change the *cost* of measurement, never
-the measurement itself: GetBulk batching, windowed scheduling and
-wire-level delta shipping all have equivalence tests against the
-naive per-varbind / JSON baselines here.
+The scaled poll path must change the *cost* of measurement, never the
+measurement itself: GetBulk batching against the paper's one GET per
+agent, and wire-level delta shipping against the samples the workers'
+own pollers produced.
 """
+
+import struct
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,12 @@ from repro.core.deltas import (
     parse_delta,
 )
 from repro.core.distributed import DistributedMonitor, SampleShipper
-from repro.core.poller import InterfaceRates, PollTarget, RateTable, SnmpPoller
+from repro.core.poller import (
+    POLL_MODES,
+    InterfaceRates,
+    PollTarget,
+    SnmpPoller,
+)
 from repro.experiments.testbed import MONITOR_HOST, build_testbed
 from repro.simnet.network import Network
 from repro.simnet.trafficgen import KBPS, StaircaseLoad, StepSchedule
@@ -55,16 +63,17 @@ class TestPollModes:
         net, poller, mgr, *_ = switch_poller("get")
         with pytest.raises(ValueError):
             SnmpPoller(mgr, [], poll_mode="telepathy")
+        assert POLL_MODES == ("get", "bulk")  # one per plane, nothing else
 
     def test_bulk_slashes_exchange_count(self):
-        """The headline economy: >= 5x fewer exchanges than per-varbind."""
-        counts = {}
-        for mode in ("bulk", "per-varbind"):
-            net, poller, manager, *_ = switch_poller(mode, ports=8)
-            poller.start()
-            net.run(10.0)  # 5 cycles
-            counts[mode] = manager.requests_sent
-        assert counts["bulk"] * 5 <= counts["per-varbind"]
+        """The headline economy: >= 5x fewer exchanges than one GET per
+        counter instance, which costs exactly one exchange per OID."""
+        net, poller, manager, *_ = switch_poller("bulk", ports=8)
+        poller.start()
+        net.run(10.0)
+        per_varbind = poller.cycles * sum(len(t.oids()) for t in poller.targets)
+        assert poller.cycles >= 5
+        assert manager.requests_sent * 5 <= per_varbind
 
     def test_modes_measure_identically(self):
         """Identical background traffic must yield identical rates on
@@ -76,7 +85,7 @@ class TestPollModes:
         the measurement pipeline derives must match bit for bit.
         """
         results = {}
-        for mode in ("get", "bulk", "per-varbind"):
+        for mode in ("get", "bulk"):
             net, poller, manager, t, d = switch_poller(mode, ports=4)
             StaircaseLoad(
                 t, d.primary_ip, StepSchedule.pulse(3.0, 15.0, 48 * KBPS)
@@ -92,7 +101,7 @@ class TestPollModes:
                 for s in [poller.rates.latest(node, i)]
                 if i in (2, 3)
             }
-        assert results["get"] == results["bulk"] == results["per-varbind"]
+        assert results["get"] == results["bulk"]
         assert ("sw", 2) in results["get"]  # the comparison is not vacuous
         assert results["get"][("sw", 2)][1] > 0  # and saw the load
 
@@ -193,16 +202,14 @@ class TestDeltaCodec:
             assert decoder.apply(batch) == samples
 
     def test_quiescent_stream_shrinks(self):
-        """Unchanged rates ship as ADVANCE records, far below the JSON
-        baseline's per-sample cost."""
+        """Unchanged rates ship as ADVANCE records, a fraction of what
+        the same sample costs as a FULL record."""
         samples = [
             InterfaceRates("sw1", i, 10.0, 2.0, 100.0, 50.0, 10.0, 5.0)
             for i in range(1, 9)
         ]
         sent = []
-        shipper = SampleShipper(
-            "w1", sent.append, max_batch=8, delta=True, keyframe_every=0
-        )
+        shipper = SampleShipper("w1", sent.append, max_batch=8, keyframe_every=0)
         for cycle in range(10):
             for s in samples:
                 shipper.enqueue(
@@ -213,7 +220,10 @@ class TestDeltaCodec:
                     )
                 )
             shipper.flush()
-        assert shipper.traffic_reduction > 0.8
+        assert len(sent) == 10
+        assert shipper.delta.records_full == 8  # the first batch only
+        assert shipper.delta.records_advance == 72
+        assert max(map(len, sent[1:])) * 4 < len(sent[0])
 
     def test_desync_drops_advance_until_keyframe(self):
         encoder = DeltaEncoder("w1")
@@ -243,53 +253,69 @@ class TestDeltaCodec:
 
 
 class TestShippedEquivalence:
-    def _run(self, delta):
+    def _run(self, **options):
         build = build_testbed()
         dm = DistributedMonitor(
             build, MONITOR_HOST, ["L", "S1", "S2"], poll_interval=2.0,
-            delta_shipping=delta, max_batch=4,
+            max_batch=4, integrity=False, **options,
         )
-        # The watch and the compared counters live on the hub side,
-        # which the workers' report shipping (whose byte count is
-        # exactly what delta encoding changes) never crosses -- the
-        # remaining keys must then match bit for bit.
         dm.watch_path("N1", "N2")
+        # Everything any worker's poller produces, in production order.
+        produced = []
+        for worker in dm.workers.values():
+            ship = worker.poller.on_sample
+            worker.poller.on_sample = lambda s, ship=ship: (produced.append(s), ship(s))
+        # ...and everything the coordinator's rate table admits.
+        landed = []
+        update = dm.rates.update
+        dm.rates.update = lambda s: (landed.append(s), update(s))
         StaircaseLoad(
             build.network.host("S1"), build.network.ip_of("N1"),
             StepSchedule.pulse(4.0, 20.0, 64 * KBPS),
         ).start()
         dm.start()
         build.network.run(24.0)
-        table = {
-            key: dm.rates.latest(*key)
-            for key in dm.rates.keys()
-            if key[0] in ("N1", "N2")
-        }
-        reports = [
-            (r.time, r.bottleneck.used_bps, r.bottleneck.capacity_bps,
-             r.confidence)
-            for r in dm.history.series("N1<->N2").reports
-        ]
-        stats = dm.stats()
-        stats["_bytes_shipped"] = sum(
-            w.shipper.bytes_shipped for w in dm.workers.values()
-        )
-        stats["_bytes_baseline"] = sum(
-            w.shipper.bytes_baseline for w in dm.workers.values()
-        )
         dm.stop()
-        return table, reports, stats
+        build.network.run(25.0)  # drain batches already on the wire
+        return dm, produced, landed
 
-    def test_delta_shipping_is_bit_identical(self):
-        """Same polls, same samples: the delta wire encoding must land
-        the exact same rate table and path reports as legacy JSON."""
-        t_json, r_json, s_json = self._run(delta=False)
-        t_delta, r_delta, s_delta = self._run(delta=True)
-        assert t_json == t_delta
-        assert r_json == r_delta
-        assert s_delta["samples_received"] == s_json["samples_received"]
+    def test_every_polled_sample_lands_bit_identical(self):
+        """Same polls, same samples: every sample a worker's poller
+        produced reaches the coordinator's rate table bit for bit, float
+        fields included, whichever record type carried it."""
+        dm, produced, landed = self._run(keyframe_every=4)
+        shipped = [s for s in produced if s.time < 24.0 - 0.5]  # linger + flight
+        assert len(shipped) > 100
 
-    def test_delta_shipping_saves_traffic(self):
-        _, _, stats = self._run(delta=True)
-        assert stats["decode_errors"] == 0
-        assert stats["_bytes_shipped"] < stats["_bytes_baseline"]
+        def bits(sample):
+            return (sample.node, sample.if_index) + tuple(
+                struct.pack("<d", f)
+                for f in (sample.time, sample.interval, sample.in_bytes_per_s,
+                          sample.out_bytes_per_s, sample.in_pkts_per_s,
+                          sample.out_pkts_per_s)
+            )
+
+        assert Counter(map(bits, shipped)) <= Counter(map(bits, landed))
+        # Nothing invented, nothing doubled.
+        assert Counter(map(bits, landed)) <= Counter(map(bits, produced))
+        # The latest sample of every key is the poller's own latest.
+        for worker in dm.workers.values():
+            for key in worker.poller.rates.keys():
+                assert bits(dm.rates.latest(*key)) == bits(worker.poller.rates.latest(*key))
+        # The run exercised every way a sample can travel.
+        encoders = [w.shipper.delta for w in dm.workers.values()]
+        assert sum(e.keyframes for e in encoders) > len(encoders)  # periodic ones too
+        assert sum(e.records_full for e in encoders) > 0
+        assert sum(e.records_changed for e in encoders) > 0
+        assert sum(e.records_advance for e in encoders) > 0
+        assert dm.stats()["decode_errors"] == 0
+
+    def test_a_sample_ships_for_less_than_a_full_record(self):
+        """Even on the ten-interface testbed, where most interfaces
+        carry the monitor's own traffic and so ship CHANGED, a sample
+        costs less on the wire than one FULL record (>= 53 bytes)."""
+        dm, produced, _ = self._run()
+        shippers = [w.shipper for w in dm.workers.values()]
+        samples = sum(s.samples_shipped for s in shippers)
+        assert samples == len(produced)
+        assert sum(s.bytes_shipped for s in shippers) < 50 * samples
