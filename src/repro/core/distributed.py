@@ -92,6 +92,20 @@ logger = logging.getLogger("repro.distributed")
 REPORT_PORT = 8765  # coordinator's sample/heartbeat sink
 CONTROL_PORT = 8766  # each worker's assignment/retransmit listener
 
+# Liveness and ARQ tuning: fixed ratios of the poll interval, not
+# options.  They detect a dead worker in ~one poll interval (just over
+# two missed heartbeats) so failover plus the adopters' re-baselining
+# completes within three poll cycles.
+HEARTBEAT_RATIO = 0.4  # heartbeat period / poll interval
+LEASE_RATIO = 0.9  # lease timeout / poll interval
+SUSPECT_RATIO = 0.55  # suspect threshold / lease timeout
+RETX_BACKOFF_RATIO = 0.25  # first ARQ (and keyframe-request) backoff / poll interval
+RECOVERY_BEATS = 2  # consecutive renewals before a dead worker is trusted again
+RETX_MAX_ATTEMPTS = 3  # retransmit requests per gap before it is abandoned
+# Batches a sender keeps for retransmission, drop-oldest; the receiver
+# gives up at once on a missing seq further behind than this.
+RESEND_BUFFER = 32
+
 
 # ----------------------------------------------------------------------
 # Control messages (JSON keeps them debuggable on the simulated wire;
@@ -174,17 +188,13 @@ class SampleShipper:
         name: str,
         send: Callable[[bytes], None],
         max_batch: int = 8,
-        resend_buffer: int = 32,
         keyframe_every: int = 16,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch!r}")
-        if resend_buffer < 1:
-            raise ValueError(f"resend_buffer must be >= 1, got {resend_buffer!r}")
         self.name = name
         self.send = send
         self.max_batch = max_batch
-        self.resend_buffer = resend_buffer
         self.incarnation = 1
         self.next_seq = 1
         self._pending: List[InterfaceRates] = []
@@ -225,7 +235,7 @@ class SampleShipper:
         self.batches_shipped += 1
         self.bytes_shipped += len(payload)
         self._resend[seq] = payload
-        while len(self._resend) > self.resend_buffer:
+        while len(self._resend) > RESEND_BUFFER:
             self._resend.popitem(last=False)  # drop-oldest: bounded memory
         self.send(payload)
 
@@ -280,7 +290,7 @@ class UplinkEndpoint:
     :meth:`_begin_tasks` / :meth:`_teardown` to run and halt it.
     ``poller.targets`` is the applied target list either way.
     ``shipping`` is :class:`SampleShipper`'s ``max_batch`` /
-    ``resend_buffer`` / ``keyframe_every``.
+    ``keyframe_every``.
     """
 
     def __init__(
@@ -289,7 +299,6 @@ class UplinkEndpoint:
         host_name: str,
         upstream_ip: IPv4Address,
         poll_interval: float,
-        heartbeat_interval: float,
         **shipping,
     ) -> None:
         self.build = build
@@ -298,7 +307,7 @@ class UplinkEndpoint:
         self.sim = self.host.sim
         self.upstream_ip = upstream_ip
         self.poll_interval = poll_interval
-        self.heartbeat_interval = heartbeat_interval
+        self.heartbeat_interval = poll_interval * HEARTBEAT_RATIO
         self.batch_linger = poll_interval * 0.25
         # Shipping (sequencing, resend buffer, delta encoding) lives in
         # the shipper: the only send-side state, bounded, so a
@@ -453,14 +462,10 @@ class MonitorWorker(UplinkEndpoint):
         poll_interval: float,
         jitter: float,
         seed: int,
-        heartbeat_interval: float,
         pipeline_window: int,
         **shipping,
     ) -> None:
-        super().__init__(
-            build, host_name, coordinator_ip, poll_interval, heartbeat_interval,
-            **shipping,
-        )
+        super().__init__(build, host_name, coordinator_ip, poll_interval, **shipping)
         # Every life of this worker polls the same way: GetBulk column
         # walks, at most ``pipeline_window`` agents in flight.
         self._poller_options = dict(
@@ -522,6 +527,7 @@ class _Gap:
     attempts: int = 0
 
 
+@dataclasses.dataclass(slots=True, eq=False)
 class _WorkerIngest:
     """Per-stream sequencing state on the receiving coordinator.
 
@@ -532,26 +538,15 @@ class _WorkerIngest:
     decoder's last-sample context.
     """
 
-    __slots__ = (
-        "name",
-        "incarnation",
-        "expected",
-        "anchored",
-        "buffer",
-        "gaps",
-        "delta",
-        "kfreq_after",
-    )
-
-    def __init__(self, name: str, anchored: bool = True) -> None:
-        self.name = name
-        self.incarnation = 0  # adopts the worker's on first contact
-        self.expected = 1  # next in-order batch seq
-        self.anchored = anchored  # False: adopt the first observed seq
-        self.buffer: Dict[int, DeltaBatch] = {}  # seq -> out-of-order batch
-        self.gaps: Dict[int, _Gap] = {}
-        self.delta = DeltaDecoder()
-        self.kfreq_after = 0.0  # earliest next keyframe request
+    name: str
+    anchored: bool = True  # False: adopt the first observed seq
+    incarnation: int = 0  # adopts the worker's on first contact
+    expected: int = 1  # next in-order batch seq
+    #: seq -> out-of-order batch
+    buffer: Dict[int, DeltaBatch] = dataclasses.field(default_factory=dict)
+    gaps: Dict[int, _Gap] = dataclasses.field(default_factory=dict)
+    delta: DeltaDecoder = dataclasses.field(default_factory=DeltaDecoder)
+    kfreq_after: float = 0.0  # earliest next keyframe request
 
     def reset_for(self, incarnation: int) -> None:
         self.incarnation = incarnation
@@ -587,12 +582,6 @@ class SampleIngest:
         poll_interval: float = 2.0,
         poll_jitter: float = 0.05,
         seed: int = 0,
-        lease_timeout: Optional[float] = None,
-        suspect_after: Optional[float] = None,
-        heartbeat_interval: Optional[float] = None,
-        recovery_beats: int = 2,
-        retx_max_attempts: int = 3,
-        retx_backoff: Optional[float] = None,
         pipeline_window: int = 8,
         targets: Optional[Sequence[PollTarget]] = None,
         adopt_streams: bool = False,
@@ -600,8 +589,9 @@ class SampleIngest:
     ) -> None:
         """``pipeline_window`` bounds each worker's in-flight polls;
         ``shipping`` (:class:`SampleShipper`'s ``max_batch`` /
-        ``resend_buffer`` / ``keyframe_every``) reaches every endpoint
-        under this coordinator."""
+        ``keyframe_every``) reaches every endpoint under this
+        coordinator.  Lease, heartbeat and ARQ timing are not options:
+        they are the module's fixed ratios of ``poll_interval``."""
         if not worker_hosts:
             raise ValueError("need at least one worker host")
         self.build = build
@@ -616,33 +606,16 @@ class SampleIngest:
         self.adopt_streams = adopt_streams
         self._suspended = False
         self.coordinator = self.network.host(coordinator_host)
-        # Liveness knobs.  Defaults detect a dead worker in ~one poll
-        # interval (just over two missed heartbeats) so failover plus the
-        # adopters' re-baselining completes within three poll cycles.
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None else poll_interval * 0.4
-        )
-        self.lease_timeout = (
-            lease_timeout if lease_timeout is not None else poll_interval * 0.9
-        )
-        self.suspect_after = (
-            suspect_after if suspect_after is not None else self.lease_timeout * 0.55
-        )
-        self.retx_max_attempts = retx_max_attempts
-        self.retx_backoff = (
-            retx_backoff if retx_backoff is not None else poll_interval * 0.25
-        )
+        self.heartbeat_interval = poll_interval * HEARTBEAT_RATIO
+        self.retx_backoff = poll_interval * RETX_BACKOFF_RATIO
         # What every endpoint under this coordinator is built with.
-        self._endpoint_options = dict(
-            shipping,
-            heartbeat_interval=self.heartbeat_interval,
-            pipeline_window=pipeline_window,
-        )
+        self._endpoint_options = dict(shipping, pipeline_window=pipeline_window)
         self.degraded = DegradedSourceSet()
+        lease_timeout = poll_interval * LEASE_RATIO
         self.leases = WorkerLeaseTracker(
-            lease_timeout=self.lease_timeout,
-            suspect_after=self.suspect_after,
-            recovery_beats=recovery_beats,
+            lease_timeout=lease_timeout,
+            suspect_after=lease_timeout * SUSPECT_RATIO,
+            recovery_beats=RECOVERY_BEATS,
             events=self.telemetry.events,
         )
         self.leases.subscribe(self._on_lease_transition)
@@ -683,18 +656,23 @@ class SampleIngest:
     # ------------------------------------------------------------------
     def _register_metrics(self) -> None:
         registry = self.telemetry.registry
-        c = registry.counter
-        self._m_samples = c("dist_samples_received_total", "samples merged into the rate table")
-        self._m_batches = c("dist_batches_received_total", "sequenced report batches delivered")
-        self._m_decode_errors = c("dist_decode_errors_total", "undecodable plane datagrams")
-        self._m_duplicates = c("dist_duplicate_batches_total", "batches dropped by sequence dedup")
-        self._m_gaps = c("dist_gaps_detected_total", "batch sequence gaps detected")
-        self._m_gaps_filled = c("dist_gaps_filled_total", "gaps closed by retransmission")
-        self._m_gaps_abandoned = c("dist_gaps_abandoned_total", "gaps given up after ARQ caps")
-        self._m_retx = c("dist_retx_requests_total", "selective retransmit requests sent")
-        self._m_kfreq = c("dist_keyframe_requests_total", "delta keyframe requests sent")
-        self._m_failovers = c("dist_failovers_total", "lease expiries that moved poll targets")
-        self._m_rebalances = c("dist_rebalances_total", "recoveries that moved poll targets back")
+        self._stat_counters: List[str] = []  # stats() key -> dist_<key>_total
+
+        def c(key: str, help_text: str):
+            self._stat_counters.append(key)
+            return registry.counter(f"dist_{key}_total", help_text)
+
+        self._m_samples = c("samples_received", "samples merged into the rate table")
+        self._m_batches = c("batches_received", "sequenced report batches delivered")
+        self._m_decode_errors = c("decode_errors", "undecodable plane datagrams")
+        self._m_duplicates = c("duplicate_batches", "batches dropped by sequence dedup")
+        self._m_gaps = c("gaps_detected", "batch sequence gaps detected")
+        self._m_gaps_filled = c("gaps_filled", "gaps closed by retransmission")
+        self._m_gaps_abandoned = c("gaps_abandoned", "gaps given up after ARQ caps")
+        self._m_retx = c("retx_requests", "selective retransmit requests sent")
+        self._m_kfreq = c("keyframe_requests", "delta keyframe requests sent")
+        self._m_failovers = c("failovers", "lease expiries that moved poll targets")
+        self._m_rebalances = c("rebalances", "recoveries that moved poll targets back")
         for state in WorkerState:
             registry.gauge(
                 f"dist_workers_{state.value}",
@@ -941,11 +919,30 @@ class SampleIngest:
         for seq in seqs:
             gap = state.gaps.get(seq)
             if gap is not None:
-                gap.attempts = self.retx_max_attempts  # abandon at next sweep
+                gap.attempts = RETX_MAX_ATTEMPTS  # abandon at next sweep
                 gap.next_retry = self.sim.now
 
     def _note_gaps(self, state: _WorkerIngest, upto: int) -> None:
-        """Register ARQ gaps for every missing seq in [expected, upto)."""
+        """Register ARQ gaps for every missing seq in [expected, upto).
+
+        Only the newest :data:`RESEND_BUFFER` seqs can still be resent;
+        anything missing further behind ``upto`` is given up at once, by
+        count, so a far-ahead seq costs O(window), not O(jump).
+        """
+        horizon = upto - RESEND_BUFFER
+        if state.expected < horizon:
+            first = state.expected
+            held = sorted(seq for seq in state.buffer if seq < horizon)
+            known = [seq for seq in state.gaps if seq < horizon]
+            lost = horizon - first - len(held)
+            self._m_gaps.inc(lost - len(known))
+            for seq in known:
+                del state.gaps[seq]
+            state.expected = horizon
+            self._abandoned(state, lost, first=first, upto=horizon)
+            for seq in held:
+                self._deliver(state, state.buffer.pop(seq))
+            self._drain(state)
         new_gaps = [
             seq
             for seq in range(state.expected, upto)
@@ -956,20 +953,19 @@ class SampleIngest:
         for seq in new_gaps:
             state.gaps[seq] = _Gap(seq, self.sim.now)
             self._m_gaps.inc()
-        self.telemetry.events.publish(
-            SAMPLE_GAP,
-            self.sim.now,
-            worker=state.name,
-            action="detected",
-            seqs=new_gaps,
-        )
+        self._publish_gap(state, "detected", seqs=new_gaps)
         self._request_retransmits(state)
+
+    def _publish_gap(self, state: _WorkerIngest, action: str, **which) -> None:
+        self.telemetry.events.publish(
+            SAMPLE_GAP, self.sim.now, worker=state.name, action=action, **which
+        )
 
     def _request_retransmits(self, state: _WorkerIngest) -> None:
         """Ask the worker for every currently-due gap, one datagram."""
         now = self.sim.now
         due = [g for g in state.gaps.values() if g.next_retry <= now
-               and g.attempts < self.retx_max_attempts]
+               and g.attempts < RETX_MAX_ATTEMPTS]
         if not due:
             return
         for gap in due:
@@ -996,7 +992,7 @@ class SampleIngest:
         abandoned: List[int] = []
         while True:
             gap = state.gaps.get(state.expected)
-            if gap is None or gap.attempts < self.retx_max_attempts:
+            if gap is None or gap.attempts < RETX_MAX_ATTEMPTS:
                 break
             if gap.next_retry > self.sim.now:
                 break  # the last retransmit may still be in flight
@@ -1004,9 +1000,13 @@ class SampleIngest:
             abandoned.append(state.expected)
             state.expected += 1
             self._drain(state)
-        if not abandoned:
-            return
-        self._m_gaps_abandoned.inc(len(abandoned))
+        if abandoned:
+            self._abandoned(state, len(abandoned), seqs=abandoned)
+
+    def _abandoned(self, state: _WorkerIngest, count: int, **which) -> None:
+        """``count`` batches (``seqs``, or the range ``[first, upto)``)
+        of this stream are lost for good."""
+        self._m_gaps_abandoned.inc(count)
         # The lost batches carried samples for *some* of this worker's
         # interfaces; without them we cannot know which, so every counter
         # source currently assigned to the worker is marked lossy until a
@@ -1017,13 +1017,7 @@ class SampleIngest:
         # sender re-states everything with a keyframe.
         state.delta.mark_desync()
         self._request_keyframe(state)
-        self.telemetry.events.publish(
-            SAMPLE_GAP,
-            self.sim.now,
-            worker=state.name,
-            action="abandoned",
-            seqs=abandoned,
-        )
+        self._publish_gap(state, "abandoned", **which)
 
     def _request_keyframe(self, state: _WorkerIngest) -> None:
         """Ask a delta sender to re-state its full universe; rate-limited
@@ -1140,21 +1134,10 @@ class SampleIngest:
         per-worker request counts appear as ``per_worker_requests.<name>``
         keys)."""
         value = self.telemetry.registry.value
-        out: Dict[str, float] = {
-            "workers": float(len(self.workers)),
-            "samples_received": value("dist_samples_received_total"),
-            "batches_received": value("dist_batches_received_total"),
-            "decode_errors": value("dist_decode_errors_total"),
-            "duplicate_batches": value("dist_duplicate_batches_total"),
-            "gaps_detected": value("dist_gaps_detected_total"),
-            "gaps_filled": value("dist_gaps_filled_total"),
-            "gaps_abandoned": value("dist_gaps_abandoned_total"),
-            "retx_requests": value("dist_retx_requests_total"),
-            "keyframe_requests": value("dist_keyframe_requests_total"),
-            "failovers": value("dist_failovers_total"),
-            "rebalances": value("dist_rebalances_total"),
-            "degraded_sources": float(len(self.degraded)),
-        }
+        out: Dict[str, float] = {"workers": float(len(self.workers))}
+        for key in self._stat_counters:
+            out[key] = value(f"dist_{key}_total")
+        out["degraded_sources"] = float(len(self.degraded))
         for state in WorkerState:
             out[f"workers_{state.value}"] = float(self.leases.count(state))
         for name, worker in self.workers.items():
@@ -1187,8 +1170,8 @@ class DistributedMonitor(ReportCore, SampleIngest):
         **ingest_options,
     ) -> None:
         """``ingest_options`` are :class:`SampleIngest`'s (``poll_jitter``,
-        ``seed``, the lease/ARQ knobs, the batching and pipelining sizes,
-        ``targets``, ``adopt_streams``)."""
+        ``seed``, the batching and pipelining sizes, ``targets``,
+        ``adopt_streams``)."""
         ReportCore.__init__(
             self, build, coordinator_host, poll_interval, report_offset,
             stale_after, dead_after, telemetry,

@@ -34,16 +34,80 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import logging
 
 from repro.core.dataflow import EpochClock
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.telemetry.events import EventBus
+from repro.telemetry.events import HEALTH_TRANSITION, WORKER_TRANSITION, EventBus
 
 logger = logging.getLogger("repro.monitor")
+
+#: Transitions a tracker keeps, oldest dropped first: a flapping agent adds
+#: two per flap forever, and nothing reads further back than one run's printout.
+TRANSITION_LOG_CAP = 4096
+
+
+class _LadderTracker:
+    """What the two liveness ladders below share: per-name records, and
+    what happens when one changes state.
+
+    A subclass judges its own signals (poll outcomes by consecutive count,
+    heartbeats by silence) and hands every verdict to :meth:`_move`, which
+    returns at once when the state did not change -- the per-sample path
+    gets no further.  A real transition bumps the name's epoch (so tracker
+    state is a legal dataflow input), is logged when it enters or leaves
+    ``_dead``, appended to the bounded :attr:`transitions` log, published
+    on the optional event bus as an ``_event`` and pushed to subscribers.
+    ``_transition`` is the frozen record type, fields ``(whom, old, new,
+    time, why)``; its first and last field names are ``_subject`` and
+    ``_evidence``, which also name the record slot and the event attributes.
+    """
+
+    def __init__(self, events: Optional[EventBus]) -> None:
+        self.events = events
+        self._records: dict = {}
+        self._epochs = EpochClock()
+        self.transitions: list = []
+        self._callbacks: List[Callable] = []
+
+    def states(self) -> dict:
+        return {name: record.state for name, record in self._records.items()}
+
+    def count(self, state: Enum) -> int:
+        return sum(1 for r in self._records.values() if r.state is state)
+
+    @property
+    def clock(self) -> int:
+        """Global clock of this tracker: increases on every transition."""
+        return self._epochs.clock
+
+    def epoch_of(self, name: str) -> int:
+        """Transition epoch of one name (0: never transitioned)."""
+        return self._epochs.epoch(name)
+
+    def subscribe(self, callback: Callable) -> None:
+        self._callbacks.append(callback)
+
+    def _move(self, record, new_state: Enum, now: float, evidence) -> None:
+        old = record.state
+        if new_state is old:
+            return
+        record.state = new_state
+        name = getattr(record, self._subject)
+        self._epochs.bump(name)
+        transition = self._transition(name, old, new_state, now, evidence)
+        if self._dead in (old, new_state):
+            logger.warning("%s", transition)
+        self.transitions.append(transition)
+        if len(self.transitions) > TRANSITION_LOG_CAP:
+            del self.transitions[0]
+        if self.events is not None:
+            attrs = {self._subject: name, "old": old.value, "new": new_state.value}
+            attrs[self._evidence] = round(evidence, 3)  # silence: to the ms
+            self.events.publish(self._event, now, **attrs)
+        for callback in self._callbacks:
+            callback(transition)
 
 
 class HealthState(Enum):
@@ -51,11 +115,6 @@ class HealthState(Enum):
     DEGRADED = "degraded"  # at least one recent failure
     SUSPECT = "suspect"  # several consecutive failures
     DEAD = "dead"  # circuit open; only slow re-probes go out
-
-    @property
-    def usable(self) -> bool:
-        """Whether fresh data from this agent is still expected."""
-        return self is not HealthState.DEAD
 
 
 @dataclass(frozen=True)
@@ -75,45 +134,28 @@ class HealthTransition:
         )
 
 
+@dataclass(slots=True, eq=False)
 class AgentHealth:
     """Mutable health record of one agent."""
 
-    __slots__ = (
-        "node",
-        "state",
-        "consecutive_failures",
-        "consecutive_successes",
-        "total_failures",
-        "total_successes",
-        "last_success_time",
-        "last_failure_time",
-        "last_probe_time",
-        "data_violations",
-        "last_data_violation_time",
-    )
-
-    def __init__(self, node: str) -> None:
-        self.node = node
-        self.state = HealthState.HEALTHY
-        self.consecutive_failures = 0
-        self.consecutive_successes = 0
-        self.total_failures = 0
-        self.total_successes = 0
-        self.last_success_time: Optional[float] = None
-        self.last_failure_time: Optional[float] = None
-        self.last_probe_time: Optional[float] = None
-        # Data-*quality* strikes recorded by the integrity pipeline.
-        # These never move the reachability state machine -- a lying
-        # agent answers promptly -- but they feed cross-check suspicion
-        # attribution and the status surfaces.
-        self.data_violations = 0
-        self.last_data_violation_time: Optional[float] = None
+    node: str
+    state: HealthState = HealthState.HEALTHY
+    consecutive_failures: int = 0
+    consecutive_successes: int = 0
+    total_failures: int = 0
+    total_successes: int = 0
+    last_success_time: Optional[float] = None
+    last_failure_time: Optional[float] = None
+    last_probe_time: Optional[float] = None
+    # Data-*quality* strikes recorded by the integrity pipeline.  These
+    # never move the reachability state machine -- a lying agent answers
+    # promptly -- but they feed cross-check suspicion attribution and the
+    # status surfaces.
+    data_violations: int = 0
+    last_data_violation_time: Optional[float] = None
 
 
-TransitionCallback = Callable[[HealthTransition], None]
-
-
-class AgentHealthTracker:
+class AgentHealthTracker(_LadderTracker):
     """Drives :class:`AgentHealth` records from poll outcomes.
 
     Thresholds:
@@ -127,17 +169,21 @@ class AgentHealthTracker:
         half-open probe cadence).
     """
 
+    _subject, _evidence = "node", "consecutive_failures"
+    _transition, _event, _dead = HealthTransition, HEALTH_TRANSITION, HealthState.DEAD
+
     def __init__(
         self,
         suspect_after: int = 3,
         dead_after: int = 5,
         recovery_successes: int = 2,
         probe_interval: float = 6.0,
-        events: Optional["EventBus"] = None,
+        events: Optional[EventBus] = None,
     ) -> None:
         """``events``: optional :class:`~repro.telemetry.events.EventBus`;
         every state change is published on it as a ``health_transition``
         event in addition to the transition list and callbacks."""
+        super().__init__(events)
         if not 1 <= suspect_after <= dead_after:
             raise ValueError(
                 f"need 1 <= suspect_after <= dead_after, got "
@@ -151,11 +197,6 @@ class AgentHealthTracker:
         self.dead_after = dead_after
         self.recovery_successes = recovery_successes
         self.probe_interval = probe_interval
-        self._agents: Dict[str, AgentHealth] = {}
-        self._epochs = EpochClock()
-        self.transitions: List[HealthTransition] = []
-        self._callbacks: List[TransitionCallback] = []
-        self.events = events
         self.polls_suppressed = 0
 
     # ------------------------------------------------------------------
@@ -163,39 +204,21 @@ class AgentHealthTracker:
     # ------------------------------------------------------------------
     def agent(self, node: str) -> AgentHealth:
         """The (auto-created) health record for ``node``."""
-        record = self._agents.get(node)
+        record = self._records.get(node)
         if record is None:
-            record = self._agents[node] = AgentHealth(node)
+            record = self._records[node] = AgentHealth(node)
         return record
 
     def state(self, node: str) -> HealthState:
         """Current state; unknown agents are optimistically HEALTHY."""
-        record = self._agents.get(node)
+        record = self._records.get(node)
         return record.state if record is not None else HealthState.HEALTHY
 
     def is_dead(self, node: str) -> bool:
         return self.state(node) is HealthState.DEAD
 
     def nodes(self) -> List[str]:
-        return sorted(self._agents)
-
-    def states(self) -> Dict[str, HealthState]:
-        return {node: record.state for node, record in self._agents.items()}
-
-    def count(self, state: HealthState) -> int:
-        return sum(1 for r in self._agents.values() if r.state is state)
-
-    @property
-    def clock(self) -> int:
-        """Global health clock: increases on every state transition."""
-        return self._epochs.clock
-
-    def epoch_of(self, node: str) -> int:
-        """Transition epoch of one agent (0: never transitioned)."""
-        return self._epochs.epoch(node)
-
-    def subscribe(self, callback: TransitionCallback) -> None:
-        self._callbacks.append(callback)
+        return sorted(self._records)
 
     # ------------------------------------------------------------------
     # Circuit breaker
@@ -238,7 +261,7 @@ class AgentHealthTracker:
             and record.consecutive_successes >= self.recovery_successes
         ):
             new_state = HealthState.HEALTHY
-        self._move(record, new_state, now)
+        self._move(record, new_state, now, record.consecutive_failures)
 
     def record_data_violation(self, node: str, now: float) -> None:
         """The integrity pipeline rejected data from ``node``.
@@ -261,50 +284,15 @@ class AgentHealthTracker:
         record.consecutive_failures += 1
         if record.consecutive_failures >= self.dead_after:
             new_state = HealthState.DEAD
+            if record.state is not HealthState.DEAD:
+                # Start the probe clock at death so the first re-probe waits
+                # a full interval instead of firing on the very next cycle.
+                record.last_probe_time = now
         elif record.consecutive_failures >= self.suspect_after:
             new_state = HealthState.SUSPECT
         else:
             new_state = HealthState.DEGRADED
-        self._move(record, new_state, now)
-
-    def _move(self, record: AgentHealth, new_state: HealthState, now: float) -> None:
-        if new_state is record.state:
-            return
-        old = record.state
-        record.state = new_state
-        self._epochs.bump(record.node)
-        if new_state is HealthState.DEAD:
-            # Start the probe clock at death so the first re-probe waits a
-            # full interval instead of firing on the very next cycle.
-            record.last_probe_time = now
-            logger.warning(
-                "agent %s is DEAD after %d consecutive failures; "
-                "circuit open, re-probing every %.1fs",
-                record.node, record.consecutive_failures, self.probe_interval,
-            )
-        elif old is HealthState.DEAD:
-            logger.warning("agent %s responded again: %s", record.node, new_state.value)
-        transition = HealthTransition(
-            node=record.node,
-            old=old,
-            new=new_state,
-            time=now,
-            consecutive_failures=record.consecutive_failures,
-        )
-        self.transitions.append(transition)
-        if self.events is not None:
-            from repro.telemetry.events import HEALTH_TRANSITION
-
-            self.events.publish(
-                HEALTH_TRANSITION,
-                now,
-                node=record.node,
-                old=old.value,
-                new=new_state.value,
-                consecutive_failures=record.consecutive_failures,
-            )
-        for callback in self._callbacks:
-            callback(transition)
+        self._move(record, new_state, now, record.consecutive_failures)
 
 
 # ----------------------------------------------------------------------
@@ -342,33 +330,20 @@ class LeaseTransition:
         )
 
 
+@dataclass(slots=True, eq=False)
 class WorkerLease:
     """Mutable lease record of one worker."""
 
-    __slots__ = (
-        "worker",
-        "state",
-        "last_beat",
-        "beats",
-        "recovery_streak",
-        "expiries",
-        "recoveries",
-    )
-
-    def __init__(self, worker: str, now: float) -> None:
-        self.worker = worker
-        self.state = WorkerState.ALIVE
-        self.last_beat = now
-        self.beats = 0
-        self.recovery_streak = 0
-        self.expiries = 0
-        self.recoveries = 0
+    worker: str
+    last_beat: float
+    state: WorkerState = WorkerState.ALIVE
+    beats: int = 0
+    recovery_streak: int = 0
+    expiries: int = 0
+    recoveries: int = 0
 
 
-LeaseCallback = Callable[[LeaseTransition], None]
-
-
-class WorkerLeaseTracker:
+class WorkerLeaseTracker(_LadderTracker):
     """Per-worker lease state machine driven by heartbeats and a clock.
 
     ``beat`` renews a lease (heartbeats and sample batches both count --
@@ -382,19 +357,21 @@ class WorkerLeaseTracker:
         crawled out of a healing partition does not trigger failback)
         RECOVERING --silent > lease_timeout--> DEAD (relapse)
 
-    Transitions are appended to :attr:`transitions`, pushed to
-    subscribers, published on the optional event bus as
-    ``worker_transition`` events, and bump an :class:`EpochClock` so
-    plane state is a legal dataflow input.
+    Transitions are published on the optional event bus as
+    ``worker_transition`` events.
     """
+
+    _subject, _evidence = "worker", "silence"
+    _transition, _event, _dead = LeaseTransition, WORKER_TRANSITION, WorkerState.DEAD
 
     def __init__(
         self,
         lease_timeout: float = 6.0,
         suspect_after: float = 3.0,
         recovery_beats: int = 2,
-        events: Optional["EventBus"] = None,
+        events: Optional[EventBus] = None,
     ) -> None:
+        super().__init__(events)
         if not 0 < suspect_after < lease_timeout:
             raise ValueError(
                 f"need 0 < suspect_after < lease_timeout, got "
@@ -405,43 +382,19 @@ class WorkerLeaseTracker:
         self.lease_timeout = lease_timeout
         self.suspect_after = suspect_after
         self.recovery_beats = recovery_beats
-        self.events = events
-        self._leases: Dict[str, WorkerLease] = {}
-        self._epochs = EpochClock()
-        self.transitions: List[LeaseTransition] = []
-        self._callbacks: List[LeaseCallback] = []
 
     # -- registration and lookup ---------------------------------------
     def register(self, worker: str, now: float) -> WorkerLease:
-        lease = self._leases.get(worker)
+        lease = self._records.get(worker)
         if lease is None:
-            lease = self._leases[worker] = WorkerLease(worker, now)
+            lease = self._records[worker] = WorkerLease(worker, now)
         return lease
 
     def lease(self, worker: str) -> WorkerLease:
-        return self._leases[worker]
+        return self._records[worker]
 
     def state(self, worker: str) -> WorkerState:
-        return self._leases[worker].state
-
-    def states(self) -> Dict[str, WorkerState]:
-        return {name: lease.state for name, lease in self._leases.items()}
-
-    def count(self, state: WorkerState) -> int:
-        return sum(1 for l in self._leases.values() if l.state is state)
-
-    def workers(self) -> List[str]:
-        return sorted(self._leases)
-
-    @property
-    def clock(self) -> int:
-        return self._epochs.clock
-
-    def epoch_of(self, worker: str) -> int:
-        return self._epochs.epoch(worker)
-
-    def subscribe(self, callback: LeaseCallback) -> None:
-        self._callbacks.append(callback)
+        return self._records[worker].state
 
     # -- intake ---------------------------------------------------------
     def beat(self, worker: str, now: float) -> None:
@@ -462,47 +415,14 @@ class WorkerLeaseTracker:
 
     def check(self, now: float) -> None:
         """Expire silent leases (the coordinator's periodic sweep)."""
-        for lease in self._leases.values():
+        for lease in self._records.values():
             silence = now - lease.last_beat
-            if lease.state in (WorkerState.ALIVE, WorkerState.SUSPECT,
-                               WorkerState.RECOVERING):
-                if silence > self.lease_timeout:
-                    lease.expiries += 1
-                    lease.recovery_streak = 0
-                    self._move(lease, WorkerState.DEAD, now, silence)
-                elif lease.state is WorkerState.ALIVE and silence > self.suspect_after:
-                    self._move(lease, WorkerState.SUSPECT, now, silence)
+            if lease.state is WorkerState.DEAD:
+                continue
+            if silence > self.lease_timeout:
+                lease.expiries += 1
+                lease.recovery_streak = 0
+                self._move(lease, WorkerState.DEAD, now, silence)
+            elif lease.state is WorkerState.ALIVE and silence > self.suspect_after:
+                self._move(lease, WorkerState.SUSPECT, now, silence)
 
-    # -- transition plumbing --------------------------------------------
-    def _move(
-        self, lease: WorkerLease, new_state: WorkerState, now: float, silence: float
-    ) -> None:
-        if new_state is lease.state:
-            return
-        old = lease.state
-        lease.state = new_state
-        self._epochs.bump(lease.worker)
-        if new_state is WorkerState.DEAD:
-            logger.warning(
-                "worker %s lease expired after %.1fs of silence; "
-                "poll targets eligible for failover", lease.worker, silence,
-            )
-        elif old is WorkerState.DEAD:
-            logger.warning("worker %s is heartbeating again", lease.worker)
-        transition = LeaseTransition(
-            worker=lease.worker, old=old, new=new_state, time=now, silence=silence
-        )
-        self.transitions.append(transition)
-        if self.events is not None:
-            from repro.telemetry.events import WORKER_TRANSITION
-
-            self.events.publish(
-                WORKER_TRANSITION,
-                now,
-                worker=lease.worker,
-                old=old.value,
-                new=new_state.value,
-                silence=round(silence, 3),
-            )
-        for callback in self._callbacks:
-            callback(transition)

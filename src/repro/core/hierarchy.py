@@ -73,13 +73,10 @@ class LeafCoordinator(UplinkEndpoint):
         poll_interval: float,
         poll_jitter: float,
         seed: int,
-        heartbeat_interval: float,
         pipeline_window: int,
         **shipping,
     ) -> None:
-        super().__init__(
-            build, host_name, root_ip, poll_interval, heartbeat_interval, **shipping
-        )
+        super().__init__(build, host_name, root_ip, poll_interval, **shipping)
         self.dm = SampleIngest(
             build,
             host_name,
@@ -148,8 +145,10 @@ class HierarchicalMonitor(DistributedMonitor):
     are driven through the inherited flat-plane machinery -- leases,
     ARQ, versioned ``assign`` messages -- and ship delta-encoded sample
     streams; the root's report surface is the flat coordinator's, and so
-    are its options, except that a shard's merged uplink batches more
-    samples per datagram than one worker's.
+    are its options, except that the tree batches 32 samples per
+    datagram where the flat plane batches 8 -- at both levels:
+    ``max_batch`` rides the shipping options through each leaf into its
+    shard's ingest and on to every worker under it.
     """
 
     def __init__(

@@ -35,7 +35,16 @@ This module injects the failures a real LAN suffers:
   oper-status change, only end-to-end liveness machinery notices.
 
 All injections are plain objects driven by the simulation clock and are
-fully deterministic under a seed.
+fully deterministic under a seed.  Each is a :class:`Fault`: a window
+``[at, until)`` plus an ``(apply, revert)`` pair.
+
+**Overlapping faults compose.**  What a fault overrides on its target --
+a channel's ``drop_filter``, an interface's admin state, an agent's
+``on_receive``, ``mib`` or ``response_delay``, a worker's ``crashed``
+flag -- it *holds* (:class:`_Override`): the value in force is the
+target's own passed through every active holder in arrival order, so the
+newest filter or handler wins, MIB rewrites and extra delays stack, and
+the target is back at its base exactly when the last of them ends.
 
 The lying faults are **size-preserving**: a corrupted value is re-encoded
 padded with leading zero octets to the genuine value's BER content
@@ -48,11 +57,12 @@ measurements on every shared link, not just lie about one interface.
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.simnet.engine import Simulator
-from repro.simnet.link import Link, _Channel
+from repro.simnet.link import Link
 from repro.simnet.packet import EthernetFrame
 
 if TYPE_CHECKING:  # pragma: no cover - simnet must not import telemetry eagerly
@@ -89,28 +99,116 @@ def find_link(network, a: str, b: str, index: int = 0) -> Link:
     return matches[index]
 
 
-def _publish(
-    events: Optional["EventBus"], injected: bool, now: float, fault: object, **attrs
-) -> None:
-    """Publish a fault lifecycle event when an :class:`EventBus` is wired.
+class _Override:
+    """One overridable attribute of one target: the ``base`` value it has
+    with no fault in force and each active fault's ``over(below) ->
+    value``, re-derived whenever a holder comes or goes, in any order."""
 
-    Every fault class takes an optional ``events`` bus (normally the
-    monitor's ``telemetry.events``) so experiments can correlate injected
-    failures with the monitor's reaction on one timeline.
+    def __init__(self, write) -> None:
+        self.write = write
+        self.base = None
+        self.holders = {}  # fault -> over, in arrival order
+
+    def derive(self) -> None:
+        value = self.base
+        for over in self.holders.values():
+            value = over(value)
+        self.write(value)
+
+
+class Fault:
+    """A window ``[at, until)`` plus an ``(apply, revert)`` pair.
+
+    The base owns what every injection repeats: the window check, begin
+    (and, when bounded, end) scheduling, the :attr:`active` flag -- the
+    ground truth "is this fault in force right now?" --, the idempotent
+    end, and lifecycle publication on the optional ``events`` bus
+    (normally the monitor's ``telemetry.events``), so experiments can
+    correlate injected failures with the monitor's reaction on one
+    timeline.  A concrete fault validates its own parameters and supplies
+    ``apply()`` and ``revert()``, each returning the attributes of the
+    event it causes.  What ``apply`` overrides on the target it takes with
+    :meth:`_hold`, never by saving the previous value itself; the base
+    gives it back, whatever else overlaps, before ``revert`` runs.
     """
-    if events is None:
-        return
-    from repro.telemetry.events import FAULT_CLEARED, FAULT_INJECTED
 
-    events.publish(
-        FAULT_INJECTED if injected else FAULT_CLEARED,
-        now,
-        fault=type(fault).__name__,
-        **attrs,
-    )
+    def __init__(
+        self,
+        sim: Simulator,
+        at: Optional[float],
+        until: Optional[float] = None,
+        events: Optional["EventBus"] = None,
+    ) -> None:
+        """``at=None``: nothing is scheduled; the subclass begins it."""
+        if until is not None and until <= at:
+            raise FaultError(
+                f"{type(self).__name__} end {until!r} must follow start {at!r}"
+            )
+        self.sim = sim
+        self.at = at
+        self.until = until
+        self.events = events
+        self.active = False
+        self._held: List[_Override] = []
+        if at is not None:
+            sim.schedule_at(max(at, sim.now), self._begin)
+        if until is not None:
+            sim.schedule_at(max(until, sim.now), self._end)
+
+    def _begin(self) -> None:
+        self.active = True
+        self._publish(True, self.apply())
+
+    def _end(self) -> None:
+        if not self.active:
+            return
+        self.active = False
+        while self._held:
+            override = self._held.pop()
+            override.holders.pop(self, None)  # None: held twice (a link listed twice)
+            override.derive()
+        self._publish(False, self.revert())
+
+    def _publish(self, injected: bool, attrs: dict) -> None:
+        if self.events is None:
+            return
+        from repro.telemetry.events import FAULT_CLEARED, FAULT_INJECTED
+
+        self.events.publish(
+            FAULT_INJECTED if injected else FAULT_CLEARED,
+            self.sim.now,
+            fault=type(self).__name__,
+            **attrs,
+        )
+
+    def _override(self, target, attr: str, write=None) -> _Override:
+        """The record for ``target.attr`` (set through ``write(value)``
+        if given), kept on the simulator all faults of one run share."""
+        overrides = vars(self.sim).setdefault("fault_overrides", {})
+        override = overrides.get((target, attr))
+        if override is None:
+            write = write or functools.partial(setattr, target, attr)
+            override = overrides[target, attr] = _Override(write)
+        if not override.holders:
+            override.base = getattr(target, attr)
+        return override
+
+    def _hold(self, target, attr: str, over, write=None) -> None:
+        """Override ``target.attr`` with ``over(below)`` until this fault ends."""
+        override = self._override(target, attr, write)
+        override.holders[self] = over
+        override.derive()
+        self._held.append(override)
+
+    def _rebase(self, target, attr: str, remake) -> None:
+        """Replace the un-overridden value itself with ``remake(old)`` (a
+        reboot's fresh MIB): active holders now override the new base."""
+        override = self._override(target, attr)
+        override.base = remake(override.base)
+        override.derive()
 
 
-class LinkFailure:
+class LinkFailure(Fault):
     """Severs a link at ``at`` and optionally restores it at ``until``.
 
     Implementation: both endpoint interfaces are administratively downed,
@@ -126,57 +224,35 @@ class LinkFailure:
         until: Optional[float] = None,
         events: Optional["EventBus"] = None,
     ) -> None:
-        if until is not None and until <= at:
-            raise FaultError(f"restore time {until!r} must follow failure time {at!r}")
-        self.sim = sim
+        super().__init__(sim, at, until, events)
         self.link = link
-        self.at = at
-        self.until = until
-        self.events = events
-        self.failed = False
-        sim.schedule_at(max(at, sim.now), self._fail)
-        if until is not None:
-            sim.schedule_at(max(until, sim.now), self._restore)
 
     @classmethod
-    def between(
-        cls,
-        network,
-        a: str,
-        b: str,
-        at: float,
-        until: Optional[float] = None,
-        index: int = 0,
-        events: Optional["EventBus"] = None,
-    ) -> "LinkFailure":
-        """Sever the ``index``-th link joining devices ``a`` and ``b``.
+    def between(cls, network, a: str, b: str, *args, index: int = 0, **kwargs):
+        """This fault on the ``index``-th link joining devices ``a`` and
+        ``b`` (the rest are the constructor's arguments after ``link``):
+        the by-name form chaos scenarios use to hit a specific uplink of
+        a redundant switch-to-switch pair."""
+        return cls(network.sim, find_link(network, a, b, index), *args, **kwargs)
 
-        The by-name form chaos scenarios use to kill a specific uplink of
-        a redundant switch-to-switch pair.
-        """
-        return cls(
-            network.sim, find_link(network, a, b, index), at, until=until, events=events
-        )
-
-    def _fail(self) -> None:
-        self.failed = True
+    def apply(self) -> dict:
         for iface in self.link.endpoints:
-            iface.set_admin_up(False)
-        _publish(self.events, True, self.sim.now, self, link=_link_label(self.link))
+            # set_admin_up notifies the link-state observers (traps).
+            self._hold(iface, "admin_up", lambda below: False, iface.set_admin_up)
+        return dict(link=_link_label(self.link))
 
-    def _restore(self) -> None:
-        self.failed = False
-        for iface in self.link.endpoints:
-            iface.set_admin_up(True)
-        _publish(self.events, False, self.sim.now, self, link=_link_label(self.link))
+    def revert(self) -> dict:
+        return dict(link=_link_label(self.link))
 
 
-class PacketLoss:
+class PacketLoss(Fault):
     """Seeded random frame loss on a link (both directions).
 
     Installs a drop filter on both directional channels: each offered
     frame is dropped with probability ``loss_rate`` before it enqueues,
-    counted in the channel's drop statistics.
+    counted in the channel's drop statistics.  Permanent from
+    construction: the injection event fires immediately and there is no
+    matching cleared event.
     """
 
     def __init__(
@@ -192,26 +268,22 @@ class PacketLoss:
         self.loss_rate = loss_rate
         self.rng = random.Random(seed)
         self.frames_lost = 0
-        self._wrap(link._a_to_b)
-        self._wrap(link._b_to_a)
-        # PacketLoss is permanent from construction; the injection event
-        # fires immediately and there is no matching cleared event.
-        _publish(
-            events, True, link.sim.now, self,
-            link=_link_label(link), loss_rate=loss_rate,
-        )
+        super().__init__(link.sim, None, None, events)
+        self._begin()
 
-    def _wrap(self, channel: _Channel) -> None:
-        def should_drop(frame: EthernetFrame) -> bool:
-            if self.rng.random() < self.loss_rate:
-                self.frames_lost += 1
-                return True
-            return False
+    def _should_drop(self, frame: EthernetFrame) -> bool:
+        if self.rng.random() < self.loss_rate:
+            self.frames_lost += 1
+            return True
+        return False
 
-        channel.drop_filter = should_drop
+    def apply(self) -> dict:
+        for channel in (self.link._a_to_b, self.link._b_to_a):
+            self._hold(channel, "drop_filter", lambda below: self._should_drop)
+        return dict(link=_link_label(self.link), loss_rate=self.loss_rate)
 
 
-class AgentOutage:
+class AgentOutage(Fault):
     """An SNMP agent stops responding during [at, until).
 
     Models a crashed/hung daemon: requests are still *received* (and
@@ -227,36 +299,23 @@ class AgentOutage:
         until: float,
         events: Optional["EventBus"] = None,
     ) -> None:
-        if until <= at:
-            raise FaultError(f"outage end {until!r} must follow start {at!r}")
-        self.sim = sim
+        super().__init__(sim, at, until, events)
         self.agent = agent
-        self.at = at
-        self.until = until
-        self.events = events
-        self.down = False
         self.requests_ignored = 0
-        self._original = agent.socket.on_receive
-        sim.schedule_at(max(at, sim.now), self._begin)
-        sim.schedule_at(max(until, sim.now), self._end)
 
-    def _begin(self) -> None:
-        self.down = True
+    def _black_hole(self, payload, size, src_ip, src_port) -> None:
+        self.agent.in_packets += 1
+        self.requests_ignored += 1
 
-        def black_hole(payload, size, src_ip, src_port):
-            self.agent.in_packets += 1
-            self.requests_ignored += 1
+    def apply(self) -> dict:
+        self._hold(self.agent.socket, "on_receive", lambda below: self._black_hole)
+        return dict(agent=self.agent.name)
 
-        self.agent.socket.on_receive = black_hole
-        _publish(self.events, True, self.sim.now, self, agent=self.agent.name)
-
-    def _end(self) -> None:
-        self.down = False
-        self.agent.socket.on_receive = self._original
-        _publish(self.events, False, self.sim.now, self, agent=self.agent.name)
+    def revert(self) -> dict:
+        return dict(agent=self.agent.name)
 
 
-class AgentReboot:
+class AgentReboot(AgentOutage):
     """The SNMP daemon's host reboots: silent during [at, at+outage),
     then back **with sysUpTime restarted and every counter zeroed**.
 
@@ -277,29 +336,11 @@ class AgentReboot:
     ) -> None:
         if outage <= 0:
             raise FaultError(f"non-positive reboot outage {outage!r}")
-        self.sim = sim
-        self.agent = agent
-        self.at = at
+        super().__init__(sim, agent, at, at + outage, events)
         self.outage = outage
-        self.events = events
-        self.down = False
         self.rebooted = False
-        self.requests_ignored = 0
-        self._original = agent.socket.on_receive
-        sim.schedule_at(max(at, sim.now), self._begin)
-        sim.schedule_at(max(at + outage, sim.now), self._come_back)
 
-    def _begin(self) -> None:
-        self.down = True
-
-        def black_hole(payload, size, src_ip, src_port):
-            self.agent.in_packets += 1
-            self.requests_ignored += 1
-
-        self.agent.socket.on_receive = black_hole
-        _publish(self.events, True, self.sim.now, self, agent=self.agent.name)
-
-    def _come_back(self) -> None:
+    def revert(self) -> dict:
         # Local imports: simnet must not depend on snmp at module level.
         from repro.snmp.mib import CachingMibTree, MibError, build_mib2, register_snmp_group
 
@@ -308,27 +349,28 @@ class AgentReboot:
             counters = iface.counters
             for name in counters.__slots__:
                 setattr(counters, name, 0)
-        # Rebuild the MIB with boot_time = now, so sysUpTime restarts at
-        # zero; preserve a caching wrapper's refresh interval if present.
-        old_mib = self.agent.mib
-        mib = build_mib2(device, self.sim, boot_time=self.sim.now)
-        try:
-            register_snmp_group(mib, self.agent)
-        except MibError:
-            pass
-        if isinstance(old_mib, CachingMibTree):
-            mib = CachingMibTree(mib, self.sim, old_mib.refresh_interval)
-        self.agent.mib = mib
-        self.agent.socket.on_receive = self._original
-        self.down = False
+
+        def fresh_mib(old_mib):
+            # Rebuild the MIB with boot_time = now, so sysUpTime restarts at
+            # zero; preserve a caching wrapper's refresh interval if present.
+            mib = build_mib2(device, self.sim, boot_time=self.sim.now)
+            try:
+                register_snmp_group(mib, self.agent)
+            except MibError:
+                pass
+            if isinstance(old_mib, CachingMibTree):
+                mib = CachingMibTree(mib, self.sim, old_mib.refresh_interval)
+            return mib
+
+        # The fresh tree replaces the agent's own, not whatever a lying
+        # fault serves in front of it: one still active keeps lying over
+        # the new tree until its own window closes.
+        self._rebase(self.agent, "mib", fresh_mib)
         self.rebooted = True
-        _publish(
-            self.events, False, self.sim.now, self,
-            agent=self.agent.name, rebooted=True,
-        )
+        return dict(super().revert(), rebooted=True)
 
 
-class ResponseDelay:
+class ResponseDelay(Fault):
     """An alive-but-slow agent: responses take ``extra`` seconds longer
     during [at, until) (or forever, when ``until`` is None).
 
@@ -349,30 +391,16 @@ class ResponseDelay:
     ) -> None:
         if extra <= 0:
             raise FaultError(f"non-positive extra delay {extra!r}")
-        if until is not None and until <= at:
-            raise FaultError(f"delay end {until!r} must follow start {at!r}")
-        self.sim = sim
+        super().__init__(sim, at, until, events)
         self.agent = agent
         self.extra = extra
-        self.events = events
-        self.active = False
-        sim.schedule_at(max(at, sim.now), self._begin)
-        if until is not None:
-            sim.schedule_at(max(until, sim.now), self._end)
 
-    def _begin(self) -> None:
-        self.active = True
-        self.agent.response_delay += self.extra
-        _publish(
-            self.events, True, self.sim.now, self,
-            agent=self.agent.name, extra=self.extra,
-        )
+    def apply(self) -> dict:
+        self._hold(self.agent, "response_delay", lambda below: below + self.extra)
+        return dict(agent=self.agent.name, extra=self.extra)
 
-    def _end(self) -> None:
-        if self.active:
-            self.agent.response_delay -= self.extra
-            self.active = False
-            _publish(self.events, False, self.sim.now, self, agent=self.agent.name)
+    def revert(self) -> dict:
+        return dict(agent=self.agent.name)
 
 
 class _TamperedMib:
@@ -443,7 +471,7 @@ def _fit_to_length(value: int, prototype) -> int:
     return value
 
 
-class CounterCorruption:
+class CounterCorruption(Fault):
     """An agent that answers normally but serves corrupted octet counters.
 
     Modes (all size-preserving, see the module docstring):
@@ -467,6 +495,9 @@ class CounterCorruption:
     """
 
     MODES = ("random", "stuck", "scaled")
+    #: Default corrupted columns, as names in :mod:`repro.snmp.mib`
+    #: (resolved at injection: simnet must not import snmp at module level).
+    COLUMNS = ("IF_IN_OCTETS", "IF_OUT_OCTETS")
 
     def __init__(
         self,
@@ -483,58 +514,34 @@ class CounterCorruption:
     ) -> None:
         if mode not in self.MODES:
             raise FaultError(f"unknown corruption mode {mode!r}; pick from {self.MODES}")
-        if until is not None and until <= at:
-            raise FaultError(f"corruption end {until!r} must follow start {at!r}")
         if mode == "scaled" and scale < 0:
             raise FaultError(f"negative scale {scale!r}")
-        self.sim = sim
+        super().__init__(sim, at, until, events)
         self.agent = agent
-        self.at = at
-        self.until = until
         self.mode = mode
         self.scale = scale
         self.if_index = if_index
         self.rng = random.Random(seed)
-        self.events = events
-        self.active = False
         self.values_corrupted = 0
         self._frozen = {}  # oid -> first value served while stuck
-        self._proxy = None
-        self._columns = columns  # resolved lazily (simnet must not import snmp here)
-        sim.schedule_at(max(at, sim.now), self._begin)
-        if until is not None:
-            sim.schedule_at(max(until, sim.now), self._end)
+        self._columns = columns
 
-    def _column_oids(self):
-        from repro.snmp.mib import IF_IN_OCTETS, IF_OUT_OCTETS
-
-        return (IF_IN_OCTETS, IF_OUT_OCTETS)
-
-    def _begin(self) -> None:
+    def apply(self) -> dict:
         if self._columns is None:
-            self._columns = self._column_oids()
-        self._proxy = _TamperedMib(self.agent.mib, self._rewrite)
-        self.agent.mib = self._proxy
-        self.active = True
-        _publish(
-            self.events, True, self.sim.now, self,
+            from repro.snmp import mib
+
+            self._columns = tuple(getattr(mib, name) for name in self.COLUMNS)
+        self._hold(
+            self.agent, "mib", lambda below: _TamperedMib(below, self._rewrite)
+        )
+        return dict(
             agent=self.agent.name, mode=self.mode,
             if_index=self.if_index if self.if_index is not None else "*",
         )
 
-    def _end(self) -> None:
-        if not self.active:
-            return
-        self.active = False
-        # Unwrap only our own proxy; an AgentReboot may have replaced
-        # agent.mib since, in which case the corruption died with it.
-        if self.agent.mib is self._proxy:
-            self.agent.mib = self._proxy.inner
+    def revert(self) -> dict:
         self._frozen.clear()
-        _publish(
-            self.events, False, self.sim.now, self,
-            agent=self.agent.name, mode=self.mode,
-        )
+        return dict(agent=self.agent.name, mode=self.mode)
 
     def _targets(self, oid) -> bool:
         for column in self._columns:
@@ -568,6 +575,13 @@ class StuckCounters(CounterCorruption):
     updating its statistics block.
     """
 
+    COLUMNS = CounterCorruption.COLUMNS + (
+        "IF_IN_UCAST_PKTS",
+        "IF_OUT_UCAST_PKTS",
+        "IF_IN_NUCAST_PKTS",
+        "IF_OUT_NUCAST_PKTS",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -582,27 +596,8 @@ class StuckCounters(CounterCorruption):
             if_index=if_index, events=events,
         )
 
-    def _column_oids(self):
-        from repro.snmp.mib import (
-            IF_IN_NUCAST_PKTS,
-            IF_IN_OCTETS,
-            IF_IN_UCAST_PKTS,
-            IF_OUT_NUCAST_PKTS,
-            IF_OUT_OCTETS,
-            IF_OUT_UCAST_PKTS,
-        )
 
-        return (
-            IF_IN_OCTETS,
-            IF_OUT_OCTETS,
-            IF_IN_UCAST_PKTS,
-            IF_OUT_UCAST_PKTS,
-            IF_IN_NUCAST_PKTS,
-            IF_OUT_NUCAST_PKTS,
-        )
-
-
-class SpeedMisreport:
+class SpeedMisreport(Fault):
     """The agent claims a wrong ifSpeed for one interface.
 
     Models a misnegotiated NIC or buggy firmware: the monitor's
@@ -624,42 +619,25 @@ class SpeedMisreport:
         until: Optional[float] = None,
         events: Optional["EventBus"] = None,
     ) -> None:
-        if until is not None and until <= at:
-            raise FaultError(f"misreport end {until!r} must follow start {at!r}")
         if claimed_bps <= 0:
             raise FaultError(f"non-positive claimed speed {claimed_bps!r}")
-        self.sim = sim
+        super().__init__(sim, at, until, events)
         self.agent = agent
         self.if_index = if_index
         self.claimed_bps = int(claimed_bps)
-        self.events = events
-        self.active = False
         self.values_corrupted = 0
-        self._proxy = None
-        sim.schedule_at(max(at, sim.now), self._begin)
-        if until is not None:
-            sim.schedule_at(max(until, sim.now), self._end)
 
-    def _begin(self) -> None:
-        self._proxy = _TamperedMib(self.agent.mib, self._rewrite)
-        self.agent.mib = self._proxy
-        self.active = True
-        _publish(
-            self.events, True, self.sim.now, self,
+    def apply(self) -> dict:
+        self._hold(
+            self.agent, "mib", lambda below: _TamperedMib(below, self._rewrite)
+        )
+        return dict(
             agent=self.agent.name, if_index=self.if_index,
             claimed_bps=self.claimed_bps,
         )
 
-    def _end(self) -> None:
-        if not self.active:
-            return
-        self.active = False
-        if self.agent.mib is self._proxy:
-            self.agent.mib = self._proxy.inner
-        _publish(
-            self.events, False, self.sim.now, self,
-            agent=self.agent.name, if_index=self.if_index,
-        )
+    def revert(self) -> dict:
+        return dict(agent=self.agent.name, if_index=self.if_index)
 
     def _rewrite(self, oid, value):
         from repro.snmp.datatypes import Gauge32
@@ -679,7 +657,7 @@ class SpeedMisreport:
         return _padded_unsigned(value, claimed)
 
 
-class WorkerCrash:
+class WorkerCrash(Fault):
     """A monitoring *worker* process dies at ``at`` (and optionally comes
     back at ``until``).
 
@@ -689,8 +667,9 @@ class WorkerCrash:
     coordinator's lease expiry, poll-target failover and (with
     ``until``) recovery rebalancing.
 
-    Duck-typed against the worker (``crash()`` / ``restart()``) so simnet
-    never imports ``repro.core``; anything exposing that pair works.
+    Duck-typed against the worker (``crash()`` / ``restart()`` and the
+    ``crashed`` flag they keep) so simnet never imports ``repro.core``;
+    anything exposing those works.
     """
 
     def __init__(
@@ -701,33 +680,24 @@ class WorkerCrash:
         until: Optional[float] = None,
         events: Optional["EventBus"] = None,
     ) -> None:
-        if until is not None and until <= at:
-            raise FaultError(f"restart time {until!r} must follow crash time {at!r}")
-        self.sim = sim
+        super().__init__(sim, at, until, events)
         self.worker = worker
-        self.at = at
-        self.until = until
-        self.events = events
-        self.crashed = False
-        sim.schedule_at(max(at, sim.now), self._crash)
-        if until is not None:
-            sim.schedule_at(max(until, sim.now), self._restart)
 
-    def _crash(self) -> None:
-        self.crashed = True
-        self.worker.crash()
-        _publish(self.events, True, self.sim.now, self, worker=self.worker.name)
+    def _set_crashed(self, crashed: bool) -> None:
+        if crashed:
+            self.worker.crash()
+        else:
+            self.worker.restart()
 
-    def _restart(self) -> None:
-        self.crashed = False
-        self.worker.restart()
-        _publish(
-            self.events, False, self.sim.now, self,
-            worker=self.worker.name, restarted=True,
-        )
+    def apply(self) -> dict:
+        self._hold(self.worker, "crashed", lambda below: True, self._set_crashed)
+        return dict(worker=self.worker.name)
+
+    def revert(self) -> dict:
+        return dict(worker=self.worker.name, restarted=True)
 
 
-class NetworkPartition:
+class NetworkPartition(Fault):
     """One or more links drop *everything* during [at, until) -- but stay
     administratively up.
 
@@ -738,8 +708,9 @@ class NetworkPartition:
     Frames offered to the partitioned channels are silently dropped and
     counted in :attr:`frames_dropped`.
 
-    Composes with :class:`PacketLoss`: the previous ``drop_filter`` of
-    each channel is saved at begin and restored verbatim at heal.
+    Composes with :class:`PacketLoss` and with other partitions of the
+    same link: whatever filtered the channel before filters it again at
+    heal, unless that has ended meanwhile.
     """
 
     def __init__(
@@ -750,63 +721,44 @@ class NetworkPartition:
         until: float,
         events: Optional["EventBus"] = None,
     ) -> None:
-        if until <= at:
-            raise FaultError(f"heal time {until!r} must follow partition time {at!r}")
-        self.sim = sim
         self.links = list(links)
         if not self.links:
             raise FaultError("NetworkPartition needs at least one link")
-        self.at = at
-        self.until = until
-        self.events = events
-        self.active = False
+        super().__init__(sim, at, until, events)
         self.frames_dropped = 0
-        self._saved = {}  # channel -> previous drop_filter
-        sim.schedule_at(max(at, sim.now), self._begin)
-        sim.schedule_at(max(until, sim.now), self._heal)
 
     def _channels(self):
         for link in self.links:
             yield link._a_to_b
             yield link._b_to_a
 
-    def _begin(self) -> None:
-        self.active = True
+    def _drop(self, frame: EthernetFrame) -> bool:
+        self.frames_dropped += 1
+        return True
 
-        def drop_all(frame: EthernetFrame) -> bool:
-            self.frames_dropped += 1
-            return True
-
+    def apply(self) -> dict:
         for channel in self._channels():
-            self._saved[channel] = channel.drop_filter
-            channel.drop_filter = drop_all
-        _publish(
-            self.events, True, self.sim.now, self,
-            links=[_link_label(link) for link in self.links],
-        )
+            self._hold(channel, "drop_filter", lambda below: self._drop)
+        return dict(links=[_link_label(link) for link in self.links])
 
-    def _heal(self) -> None:
-        if not self.active:
-            return
-        self.active = False
-        for channel, previous in self._saved.items():
-            channel.drop_filter = previous
-        self._saved.clear()
-        _publish(
-            self.events, False, self.sim.now, self,
+    def revert(self) -> dict:
+        return dict(
             links=[_link_label(link) for link in self.links],
             frames_dropped=self.frames_dropped,
         )
 
 
-class Flap:
+class Flap(LinkFailure):
     """A link that cycles down/up: down for ``down_for`` seconds, up for
-    ``up_for``, repeating from ``at`` until ``until`` (inclusive of any
-    cycle in progress -- the link is always restored at the end).
+    ``up_for``, repeating from ``at`` until ``until`` (a down phase in
+    progress then is cut short -- the link is always restored at the end).
 
     The classic half-seated connector.  Exercises trap storms, the
     poller's oper-status backstop, and the health tracker's requirement
-    of *consecutive* successes before declaring recovery.
+    of *consecutive* successes before declaring recovery.  Each down
+    phase is one :class:`LinkFailure` application: :attr:`active` reads
+    true while the link is down and every phase publishes its own
+    injected/cleared pair.
     """
 
     def __init__(
@@ -823,62 +775,21 @@ class Flap:
             raise FaultError(
                 f"flap phases must be positive, got down {down_for!r} / up {up_for!r}"
             )
-        if until is not None and until <= at:
-            raise FaultError(f"flap end {until!r} must follow start {at!r}")
-        self.sim = sim
-        self.link = link
-        self.at = at
+        super().__init__(sim, link, at, until, events)
         self.down_for = down_for
         self.up_for = up_for
-        self.until = until
-        self.events = events
-        self.down = False
-        self.flaps = 0  # completed down->up cycles
-        sim.schedule_at(max(at, sim.now), self._go_down)
+        self.flaps = 0  # down phases begun
 
-    @classmethod
-    def between(
-        cls,
-        network,
-        a: str,
-        b: str,
-        at: float,
-        down_for: float,
-        up_for: float,
-        until: Optional[float] = None,
-        index: int = 0,
-        events: Optional["EventBus"] = None,
-    ) -> "Flap":
-        """Flap the ``index``-th link joining devices ``a`` and ``b``."""
-        return cls(
-            network.sim,
-            find_link(network, a, b, index),
-            at,
-            down_for,
-            up_for,
-            until=until,
-            events=events,
-        )
-
-    def _go_down(self) -> None:
-        if self.until is not None and self.sim.now >= self.until:
-            return  # window closed while we were up: stay up
-        self.down = True
+    def apply(self) -> dict:
         self.flaps += 1
-        for iface in self.link.endpoints:
-            iface.set_admin_up(False)
-        _publish(
-            self.events, True, self.sim.now, self,
-            link=_link_label(self.link), flap=self.flaps,
-        )
-        self.sim.schedule(self.down_for, self._go_up)
+        attrs = super().apply()
+        self.sim.schedule(self.down_for, self._end)
+        return dict(attrs, flap=self.flaps)
 
-    def _go_up(self) -> None:
-        self.down = False
-        for iface in self.link.endpoints:
-            iface.set_admin_up(True)
-        _publish(
-            self.events, False, self.sim.now, self,
-            link=_link_label(self.link), flap=self.flaps,
-        )
-        self.sim.schedule(self.up_for, self._go_down)
+    def revert(self) -> dict:
+        self.sim.schedule(self.up_for, self._rearm)
+        return dict(super().revert(), flap=self.flaps)
+
+    def _rearm(self) -> None:
+        if self.until is None or self.sim.now < self.until:
+            self._begin()

@@ -1,17 +1,27 @@
-"""Tests for fault injection: link failures, packet loss, agent outages."""
+"""Tests for fault injection: link failures, packet loss, agent outages,
+and what overlapping faults on one target leave behind."""
+
+import os
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.core.monitor import NetworkMonitor
 from repro.experiments.testbed import build_testbed
 from repro.simnet.faults import (
     AgentOutage,
     AgentReboot,
+    CounterCorruption,
     FaultError,
     Flap,
     LinkFailure,
+    NetworkPartition,
     PacketLoss,
     ResponseDelay,
+    SpeedMisreport,
+    StuckCounters,
+    WorkerCrash,
 )
 from repro.simnet.network import Network
 from repro.simnet.sockets import DISCARD_PORT
@@ -53,10 +63,10 @@ class TestLinkFailure:
         link = b.interfaces[0].link
         failure = LinkFailure(net.sim, link, at=1.0, until=2.0)
         net.run(1.5)
-        assert failure.failed
+        assert failure.active
         assert not b.interfaces[0].admin_up
         net.run(3.0)
-        assert not failure.failed
+        assert not failure.active
         assert b.interfaces[0].admin_up
 
     def test_permanent_failure(self):
@@ -249,14 +259,14 @@ class TestFlap:
         link = b.interfaces[0].link
         fault = Flap(net.sim, link, at=2.0, down_for=1.0, up_for=2.0, until=12.0)
         net.run(2.5)
-        assert fault.down
+        assert fault.active
         assert not b.interfaces[0].admin_up
         net.run(3.5)
-        assert not fault.down
+        assert not fault.active
         assert b.interfaces[0].admin_up
         net.run(30.0)
         # The window closed: whatever the phase, the link ends up.
-        assert not fault.down
+        assert not fault.active
         assert b.interfaces[0].admin_up
         assert fault.flaps >= 3
 
@@ -269,3 +279,207 @@ class TestFlap:
             Flap(net.sim, link, at=0.0, down_for=1.0, up_for=0.0)
         with pytest.raises(FaultError):
             Flap(net.sim, link, at=5.0, down_for=1.0, up_for=1.0, until=5.0)
+
+
+# ----------------------------------------------------------------------
+# Overlapping faults on one target compose: the target is back at its
+# base exactly when the last of them ends, whatever the order.
+# ----------------------------------------------------------------------
+def agent_net():
+    """The three-node net with an SNMP agent on each host and a manager
+    on A that gives up after half a second."""
+    from repro.snmp.agent import SnmpAgent
+    from repro.snmp.manager import SnmpManager
+    from repro.snmp.mib import build_mib2
+
+    net, a, b = small_net()
+    agents = [SnmpAgent(host, build_mib2(host, net.sim)) for host in (a, b)]
+    return net, a, b, agents, SnmpManager(a, timeout=0.5, retries=0)
+
+
+def channels(net):
+    return [ch for link in net.links for ch in (link._a_to_b, link._b_to_a)]
+
+
+class TestOverlappingFaults:
+    def test_overlapping_partitions_heal_to_no_filter_and_traffic_flows(self):
+        net, a, b = small_net()
+        link = b.interfaces[0].link
+        first = NetworkPartition(net.sim, [link], at=1.0, until=3.0)
+        second = NetworkPartition(net.sim, [link], at=2.0, until=4.0)
+        sock = a.create_socket()
+        for t in (2.5, 3.5, 4.5):  # both active, second only, healed
+            net.sim.schedule_at(t, sock.sendto, 100, (b.primary_ip, DISCARD_PORT))
+        net.run(3.6)
+        assert not first.active and second.active
+        assert b.discard.datagrams == 0  # still partitioned by the second
+        net.run(5.0)
+        assert not second.active
+        assert link._a_to_b.drop_filter is None and link._b_to_a.drop_filter is None
+        assert b.discard.datagrams == 1
+        assert first.frames_dropped + second.frames_dropped == 2
+
+    def test_stuck_counters_then_speed_misreport_ends_on_the_live_tree(self):
+        from repro.snmp.mib import IF_IN_OCTETS
+
+        net, a, b, (_, agent), manager = agent_net()
+        original = agent.mib
+        stuck = CounterCorruption(net.sim, agent, at=1.0, until=3.0, mode="stuck")
+        speed = SpeedMisreport(net.sim, agent, 1, 1_000_000, at=2.0, until=4.0)
+        StaircaseLoad(
+            a, b.primary_ip, StepSchedule([(0.0, 50_000.0), (8.0, 0.0)])
+        ).start()
+        seen = []
+        for t in (5.0, 6.0):
+            net.sim.schedule_at(
+                t, manager.get, b.primary_ip, [IF_IN_OCTETS.extend(1)],
+                lambda vbs: seen.append(vbs[0].value.value),
+            )
+        net.run(7.0)
+        assert not stuck.active and not speed.active
+        assert agent.mib is original
+        assert len(seen) == 2 and seen[1] > seen[0]  # counters move again
+
+    def test_reboot_inside_outage_stays_silent_until_the_later_end(self):
+        from repro.snmp.mib import SYS_UPTIME
+
+        net, a, b, (_, agent), manager = agent_net()
+        outage = AgentOutage(net.sim, agent, at=1.0, until=5.0)
+        reboot = AgentReboot(net.sim, agent, at=2.0, outage=2.0)  # back at 4
+        answered, timed_out = [], []
+        for t in (4.2, 5.2):
+            net.sim.schedule_at(
+                t, manager.get, b.primary_ip, [SYS_UPTIME],
+                lambda vbs: answered.append(net.sim.now),
+                lambda err: timed_out.append(net.sim.now),
+            )
+        net.run(4.9)
+        assert answered == [] and len(timed_out) == 1  # the outage still holds
+        assert reboot.rebooted and not reboot.active and outage.active
+        net.run(6.0)
+        assert not outage.active
+        assert len(answered) == 1 and answered[0] > 5.2
+        assert agent.socket.on_receive == agent._on_datagram
+
+    def test_flap_over_a_permanent_link_failure_never_raises_the_link(self):
+        net, a, b = small_net()
+        link = b.interfaces[0].link
+        failure = LinkFailure(net.sim, link, at=1.0)
+        flap = Flap(net.sim, link, at=2.0, down_for=1.0, up_for=1.0, until=6.0)
+        ups = []
+        for iface in link.endpoints:
+            iface.state_observers.append(lambda iface, up: ups.append((net.sim.now, up)))
+        for t in (2.5, 3.5, 4.5, 10.0):  # flap down, up, down, over
+            net.run(t)
+            assert not any(iface.admin_up for iface in link.endpoints), t
+        assert failure.active and not flap.active and flap.flaps >= 2
+        # One transition per endpoint, the failure's; the flap moved nothing.
+        assert ups == [(1.0, False), (1.0, False)]
+
+
+class _StubWorker:
+    """What WorkerCrash needs of a worker."""
+
+    name = "w"
+
+    def __init__(self):
+        self.crashed = False
+        self.restarts = 0
+
+    def crash(self):
+        self.crashed = True
+
+    def restart(self):
+        self.crashed = False
+        self.restarts += 1
+
+
+def test_overlapping_worker_crashes_keep_the_worker_down_until_the_later_end():
+    net, a, b = small_net()
+    worker = _StubWorker()
+    WorkerCrash(net.sim, worker, at=1.0, until=3.0)
+    later = WorkerCrash(net.sim, worker, at=2.0, until=4.0)
+    net.run(3.5)
+    assert later.active and worker.crashed  # the first one's end restarted nothing
+    net.run(4.5)
+    assert not worker.crashed and worker.restarts == 1
+
+
+# Replay with REPRO_CHAOS_SEED=<n> (CI sets it, like tests/test_chaos.py).
+SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
+
+#: Every window-taking fault class.
+WINDOWED = [
+    "link_failure", "flap", "partition", "outage", "reboot", "delay",
+    "corruption", "stuck", "speed", "worker_crash",
+]
+_fault = st.tuples(
+    st.sampled_from(WINDOWED),
+    st.integers(0, 1),  # which link / which agent
+    st.floats(min_value=0.0, max_value=8.0, allow_nan=False),  # at
+    st.floats(min_value=0.05, max_value=4.0, allow_nan=False),  # window length
+    st.sampled_from(CounterCorruption.MODES),
+)
+
+
+@seed(SEED)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_fault, min_size=1, max_size=6))
+def test_any_overlap_of_bounded_faults_returns_every_target_to_base(drawn):
+    from repro.telemetry.events import FAULT_CLEARED, FAULT_INJECTED, EventBus
+
+    net, a, b, agents, manager = agent_net()
+    sim, bus, worker = net.sim, EventBus(), _StubWorker()
+    base_mibs = [agent.mib for agent in agents]
+    base_delays = [agent.response_delay for agent in agents]
+    faults, rebooted = [], set()
+    for kind, which, at, length, mode in drawn:
+        link, agent, until = net.links[which], agents[which], at + length
+        if kind == "link_failure":
+            fault = LinkFailure(sim, link, at, until, events=bus)
+        elif kind == "flap":
+            fault = Flap(sim, link, at, length / 3, length / 5, until, events=bus)
+        elif kind == "partition":
+            fault = NetworkPartition(sim, net.links[: which + 1], at, until, events=bus)
+        elif kind == "outage":
+            fault = AgentOutage(sim, agent, at, until, events=bus)
+        elif kind == "reboot":
+            fault = AgentReboot(sim, agent, at, outage=length, events=bus)
+            rebooted.add(which)
+        elif kind == "delay":
+            fault = ResponseDelay(sim, agent, 0.1 + length, at, until, events=bus)
+        elif kind == "corruption":
+            fault = CounterCorruption(sim, agent, at, until, mode=mode, events=bus)
+        elif kind == "stuck":
+            fault = StuckCounters(sim, agent, at, until, if_index=1, events=bus)
+        elif kind == "speed":
+            fault = SpeedMisreport(sim, agent, 1, 1_000_000, at, until, events=bus)
+        else:
+            fault = WorkerCrash(sim, worker, at, until, events=bus)
+        faults.append(fault)
+    # Polls keep the lying MIB views and the silenced sockets exercised.
+    from repro.snmp.mib import IF_IN_OCTETS, IF_SPEED
+
+    sim.call_every(
+        0.7, lambda: manager.get(
+            b.primary_ip, [IF_IN_OCTETS.extend(1), IF_SPEED.extend(1)], lambda vbs: None,
+            lambda err: None,
+        ),
+    )
+    net.run(13.0)  # the last window closes by 8 + 4
+
+    for channel in channels(net):
+        assert channel.drop_filter is None
+    for link in net.links:
+        assert all(iface.admin_up for iface in link.endpoints)
+    for which, agent in enumerate(agents):
+        assert agent.socket.on_receive == agent._on_datagram
+        assert agent.response_delay == base_delays[which]
+        if which in rebooted:  # the (last) reboot's replacement, unwrapped
+            assert type(agent.mib) is type(base_mibs[which])
+            assert agent.mib is not base_mibs[which]
+        else:
+            assert agent.mib is base_mibs[which]
+    assert not worker.crashed
+    assert [f for f in faults if f.active] == []
+    assert bus.count(FAULT_INJECTED) == bus.count(FAULT_CLEARED) >= len(faults)

@@ -2,10 +2,20 @@
 
 import pytest
 
-from repro.core.health import AgentHealthTracker, HealthState
+from repro.core.health import (
+    TRANSITION_LOG_CAP,
+    AgentHealthTracker,
+    HealthState,
+    HealthTransition,
+    LeaseTransition,
+    WorkerLeaseTracker,
+    WorkerState,
+)
 from repro.core.monitor import NetworkMonitor
 from repro.experiments.testbed import build_testbed
 from repro.simnet.faults import AgentOutage
+from repro.telemetry.events import HEALTH_TRANSITION, WORKER_TRANSITION, EventBus
+from tests.costs import python_calls
 
 
 class TestStateMachine:
@@ -107,6 +117,168 @@ class TestCircuitBreaker:
         assert not t.should_poll("a", 12.0)
         assert t.should_poll("a", 16.0)
         assert t.polls_suppressed == 3
+
+
+class TestLeaseMachine:
+    def tracker(self, **kw):
+        t = WorkerLeaseTracker(lease_timeout=6.0, suspect_after=3.0, recovery_beats=2, **kw)
+        t.register("w", 0.0)
+        return t
+
+    def dead(self):
+        t = self.tracker()
+        t.check(7.0)
+        assert t.state("w") is WorkerState.DEAD
+        return t
+
+    def test_silence_walks_alive_suspect_dead(self):
+        t = self.tracker()
+        for now, state in [
+            (3.0, WorkerState.ALIVE),  # thresholds are strict: not yet
+            (3.1, WorkerState.SUSPECT),
+            (6.0, WorkerState.SUSPECT),
+            (6.1, WorkerState.DEAD),
+            (60.0, WorkerState.DEAD),  # stays dead, expires once
+        ]:
+            t.check(now)
+            assert t.state("w") is state, now
+        assert [tr.silence for tr in t.transitions] == [3.1, 6.1]
+        assert t.lease("w").expiries == 1
+
+    def test_alive_can_expire_without_passing_suspect(self):
+        t = self.tracker()
+        t.check(10.0)
+        assert [tr.new for tr in t.transitions] == [WorkerState.DEAD]
+
+    def test_one_beat_clears_suspicion(self):
+        t = self.tracker()
+        t.check(4.0)
+        t.beat("w", 4.5)
+        assert t.state("w") is WorkerState.ALIVE
+        t.check(7.0)  # 2.5 s since the beat: the clock restarted
+        assert t.state("w") is WorkerState.ALIVE
+        assert t.lease("w").recoveries == 0  # never died, nothing to recover
+
+    def test_recovery_needs_consecutive_beats(self):
+        t = self.dead()
+        t.beat("w", 8.0)
+        assert t.state("w") is WorkerState.RECOVERING  # one beat is not enough
+        t.beat("w", 9.0)
+        assert t.state("w") is WorkerState.ALIVE
+        lease = t.lease("w")
+        assert (lease.expiries, lease.recoveries, lease.beats) == (1, 1, 2)
+        assert "dead -> recovering" in str(t.transitions[-2])
+
+    def test_relapse_resets_the_streak(self):
+        t = self.dead()
+        t.beat("w", 8.0)
+        t.check(14.5)  # silent again past the lease: relapse
+        assert t.state("w") is WorkerState.DEAD
+        assert t.lease("w").recovery_streak == 0
+        t.beat("w", 15.0)
+        assert t.state("w") is WorkerState.RECOVERING  # the old beat does not count
+        t.beat("w", 15.5)
+        assert t.state("w") is WorkerState.ALIVE
+        lease = t.lease("w")
+        assert (lease.expiries, lease.recoveries) == (2, 1)
+
+    def test_beat_registers_an_unknown_worker_alive(self):
+        t = WorkerLeaseTracker()
+        t.beat("new", 5.0)
+        assert t.states() == {"new": WorkerState.ALIVE}
+        with pytest.raises(KeyError):
+            t.state("never seen")
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            WorkerLeaseTracker(lease_timeout=3.0, suspect_after=3.0)
+        with pytest.raises(ValueError):
+            WorkerLeaseTracker(suspect_after=0.0)
+        with pytest.raises(ValueError):
+            WorkerLeaseTracker(recovery_beats=0)
+
+
+def _agent_ladder(events=None):
+    """(tracker, one-transition step, no-op step, expected event)"""
+    t = AgentHealthTracker(events=events)
+    return (
+        t,
+        lambda: t.record_failure("x", 1.0),
+        lambda: t.record_failure("x", 2.0),  # still DEGRADED
+        HealthTransition("x", HealthState.HEALTHY, HealthState.DEGRADED, 1.0, 1),
+        (HEALTH_TRANSITION, dict(node="x", old="healthy", new="degraded",
+                                 consecutive_failures=1)),
+    )
+
+
+def _lease_ladder(events=None):
+    t = WorkerLeaseTracker(lease_timeout=6.0, suspect_after=3.0, events=events)
+    t.register("x", 0.0)
+    return (
+        t,
+        lambda: t.check(3.25),
+        lambda: t.check(3.5),  # still SUSPECT
+        LeaseTransition("x", WorkerState.ALIVE, WorkerState.SUSPECT, 3.25, 3.25),
+        (WORKER_TRANSITION, dict(worker="x", old="alive", new="suspect", silence=3.25)),
+    )
+
+
+@pytest.mark.parametrize("ladder", [_agent_ladder, _lease_ladder])
+def test_shared_transition_plumbing(ladder):
+    bus, seen = EventBus(), []
+    tracker, move, noop, transition, (kind, attrs) = ladder(events=bus)
+    tracker.subscribe(seen.append)
+    assert tracker.clock == 0 and tracker.epoch_of("x") == 0
+    move()
+    assert tracker.transitions == [transition] == seen
+    assert (tracker.clock, tracker.epoch_of("x")) == (1, 1)
+    event = bus.last(kind)
+    assert event.time == transition.time and event.attrs == attrs
+    noop()
+    assert len(tracker.transitions) == 1 and tracker.clock == 1 and bus.count(kind) == 1
+    states = tracker.states()
+    assert states == {"x": transition.new}
+    assert tracker.count(transition.new) == 1 and tracker.count(transition.old) == 0
+
+
+@pytest.mark.parametrize("ladder", [_agent_ladder, _lease_ladder])
+def test_transition_log_is_a_bounded_ring(ladder, monkeypatch):
+    monkeypatch.setattr("repro.core.health.TRANSITION_LOG_CAP", 4)
+    tracker = ladder()[0]
+    if isinstance(tracker, AgentHealthTracker):
+        def flap(i):  # HEALTHY -> DEGRADED -> (2 successes) -> HEALTHY
+            tracker.record_failure("x", i)
+            tracker.record_success("x", i)
+            tracker.record_success("x", i)
+    else:
+        def flap(i):  # ALIVE -> SUSPECT -> ALIVE
+            tracker.beat("x", 10.0 * i)
+            tracker.check(10.0 * i + 4.0)
+            tracker.beat("x", 10.0 * i + 5.0)
+    for i in range(1, 11):
+        flap(float(i))
+    assert tracker.clock == 20  # every transition still counted ...
+    assert len(tracker.transitions) == 4  # ... the log keeps the newest
+    assert tracker.transitions[-1].time >= 10.0
+    assert TRANSITION_LOG_CAP >= 1024  # no printout or test here truncates
+
+
+class TestSteadyStateCost:
+    """The shared base stays off the per-sample path: the parent's call
+    counts (lambda included), measured with ``tests/costs.py``."""
+
+    def test_agent_tracker(self):
+        t = AgentHealthTracker()
+        t.record_success("a", 0.0)
+        assert python_calls(lambda: t.record_success("a", 1.0)) <= 4
+        assert python_calls(lambda: t.should_poll("a", 1.0)) <= 3
+
+    def test_lease_tracker(self):
+        t = WorkerLeaseTracker()
+        for w in ("a", "b", "c"):
+            t.register(w, 0.0)
+        assert python_calls(lambda: t.beat("a", 1.0)) <= 3
+        assert python_calls(lambda: t.check(1.5)) <= 2
 
 
 class TestMonitorIntegration:

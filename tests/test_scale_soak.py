@@ -95,6 +95,10 @@ def test_campus_soak(seed):
     stats = monitor.stats()
     assert stats["snmp_timeouts"] == 0
     assert stats["poll_errors"] == 0
+    # The one log that grows with flapping rather than with hosts is a ring.
+    from repro.core.health import TRANSITION_LOG_CAP
+
+    assert len(monitor.health.transitions) <= TRANSITION_LOG_CAP
     for label in watches:
         series = monitor.history.series(label)
         assert len(series) >= 50

@@ -8,9 +8,8 @@ The contract for both, at every level: a typed decode error or a valid
 object, never another exception, and no state change on a reject.
 
 Seeds are valid datagrams with small numbers; mutations replace bytes
-and truncate.  (A sequence number far ahead of the stream is *valid* and
-costs one gap record per missing batch -- bounding that is the open part
-of ROADMAP 4b, not this contract.)
+and truncate.  A sequence number far ahead of the stream is *valid*, not
+hostile bytes; what it may cost is bounded separately, at the end.
 """
 
 import pytest
@@ -254,3 +253,61 @@ class TestEndpointControl:
             # The version moved: then the whole target list came with it.
             assert doc["k"] == "assign" and worker.assign_version == int(doc["v"])
             assert [t.node for t in worker.poller.targets] == [t["n"] for t in doc["t"]]
+
+
+# ----------------------------------------------------------------------
+# A valid sequence number far ahead of the stream
+# ----------------------------------------------------------------------
+class TestFarAheadSequence:
+    """A ``q``/seq of 2**40 is a *valid* datagram.  Everything missing
+    further back than the sender's resend buffer is given up by count;
+    only the newest window gets gap records and a retransmit request."""
+
+    FAR = 2**40
+
+    @pytest.mark.parametrize("kind", ["heartbeat", "batch"])
+    def test_costs_the_window_not_the_jump(self, kind):
+        from repro.core.distributed import RESEND_BUFFER
+        from repro.telemetry.events import SAMPLE_GAP
+        from tests.costs import python_calls
+
+        build, dm = plane()
+        dm._on_datagram(BATCHES[0], len(BATCHES[0]), None, 1234)  # expected = 2
+        if kind == "heartbeat":
+            payload = encode_message("hb", w="S1", inc=1, q=self.FAR, av=1)
+        else:
+            payload = DeltaEncoder("S1").encode(1, self.FAR, _samples(4.0))
+        calls = python_calls(
+            lambda: dm._on_datagram(payload, len(payload), None, 1234)
+        )
+        # Measured 304 / 315, ~6 per gap record in the window (what the
+        # parent paid per *missing seq*: 603 769 calls for a jump of 1e5).
+        assert calls < 15 * RESEND_BUFFER
+
+        state, stats = dm._ingest["S1"], dm.stats()
+        missing = self.FAR - 2
+        assert len(state.gaps) == RESEND_BUFFER
+        assert state.expected == self.FAR - RESEND_BUFFER
+        assert len(state.buffer) == (kind == "batch")
+        assert stats["gaps_detected"] == missing
+        assert stats["gaps_abandoned"] == missing - RESEND_BUFFER
+        assert stats["retx_requests"] == 1 and stats["keyframe_requests"] == 1
+        assert stats["degraded_sources"] > 0 and state.delta.needs_keyframe
+        abandoned = [
+            e for e in dm.telemetry.events.events(SAMPLE_GAP)
+            if e.attrs["action"] == "abandoned"
+        ]
+        assert [(e.attrs["first"], e.attrs["upto"]) for e in abandoned] == [
+            (2, self.FAR - RESEND_BUFFER)
+        ]
+
+    def test_batches_held_below_the_horizon_are_delivered_not_leaked(self):
+        build, dm = plane()
+        for payload in (BATCHES[0], BATCHES[2]):  # seq 1 delivered, seq 3 held
+            dm._on_datagram(payload, len(payload), None, 1234)
+        state = dm._ingest["S1"]
+        assert sorted(state.buffer) == [3] and sorted(state.gaps) == [2]
+        far = encode_message("hb", w="S1", inc=1, q=self.FAR, av=1)
+        dm._on_datagram(far, len(far), None, 1234)
+        assert state.buffer == {} and min(state.gaps) >= state.expected
+        assert dm.stats()["batches_received"] == 2
