@@ -10,10 +10,13 @@ Fidelity notes:
 - The **interval denominator is the sysUpTime delta**, not the poll
   schedule: if a response is delayed or a poll is lost, the next delta
   simply covers a longer (exactly measured) interval.
-- Counter32 values wrap at 2^32; :meth:`Counter32.delta` subtracts
-  modulo 2^32, correct for at most one wrap per interval.
-- Each poll is one GET carrying sysUpTime plus the four traffic counters
-  for every interface of interest on that agent, like the paper's Table 1.
+- Counter32 values wrap at 2^32; deltas are taken modulo 2^32, correct
+  for at most one wrap per interval.
+- Each poll fetches sysUpTime plus the six traffic counters for every
+  interface of interest on that agent, like the paper's Table 1: as one
+  GET naming every instance, or as a GetBulk column walk -- the same
+  :meth:`SnmpManager.poll_interfaces` call either way, answering with
+  per-column integer tables that one parser turns into snapshots.
 - Poll scheduling can carry seeded jitter, and agents add processing
   delay, so octets occasionally land in the *next* interval -- the paper's
   "abnormally small value followed by an abnormally large one".
@@ -23,16 +26,15 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dataflow import EpochClock
 from repro.core.health import AgentHealthTracker
 from repro.simnet.address import IPv4Address
-from repro.snmp.datatypes import Counter32, Gauge32, TimeTicks
+from repro.snmp.ber import TAG_COUNTER32, TAG_GAUGE32, TAG_INTEGER
 from repro.snmp.errors import SnmpErrorResponse, SnmpTimeout
-from repro.snmp.manager import SnmpManager
-from repro.snmp.datatypes import Integer
+from repro.snmp.manager import SnmpManager, interface_oids
 from repro.snmp.mib import (
     IF_IN_OCTETS,
     IF_IN_UCAST_PKTS,
@@ -46,7 +48,6 @@ from repro.snmp.mib import (
     SYS_UPTIME,
 )
 from repro.snmp.oid import Oid
-from repro.snmp.pdu import VarBind
 from repro.telemetry import Telemetry
 from repro.telemetry.events import AGENT_RESTART
 
@@ -60,6 +61,9 @@ _COLUMNS = (
     IF_IN_NUCAST_PKTS,
     IF_OUT_NUCAST_PKTS,
 )
+_ALL_COUNTER32 = (TAG_COUNTER32,) * len(_COLUMNS)
+_ABSENT = (None, 0)  # the table cell of a row the agent did not serve
+_WRAP = 1 << 32  # Counter32 and TimeTicks both wrap here
 
 
 @dataclass(frozen=True)
@@ -85,15 +89,17 @@ class InterfaceRates:
         return max(0.0, now - self.time)
 
 
-@dataclass
+@dataclass(slots=True)
 class _CounterSnapshot:
-    uptime: TimeTicks
-    octets_in: Counter32
-    octets_out: Counter32
-    ucast_in: Counter32
-    ucast_out: Counter32
-    nucast_in: Counter32
-    nucast_out: Counter32
+    """One interface's raw reading: sysUpTime ticks, then :data:`_COLUMNS`."""
+
+    uptime: int
+    octets_in: int
+    octets_out: int
+    ucast_in: int
+    ucast_out: int
+    nucast_in: int
+    nucast_out: int
 
 
 class RateTable:
@@ -164,9 +170,6 @@ class PollTarget:
     include_oper_status: bool = False  # also read ifOperStatus per interface
     include_speed: bool = False  # also read ifSpeed (integrity cross-check mode)
 
-    # (shape, table) behind :meth:`instance_oids`.
-    _oid_table: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
     def columns(self) -> List[Oid]:
         """The table columns a poll of this target must cover."""
         cols = list(_COLUMNS)
@@ -176,21 +179,9 @@ class PollTarget:
             cols.append(IF_SPEED)
         return cols
 
-    def instance_oids(self) -> Dict[int, Tuple[Oid, ...]]:
-        """ifIndex -> the instance OID under each of :meth:`columns`, in order.
-
-        Built once and kept until the target's interfaces or optional
-        columns change, so parsing a response costs dict lookups only.
-        """
-        shape = (tuple(self.if_indexes), self.include_oper_status, self.include_speed)
-        if self._oid_table is None or self._oid_table[0] != shape:
-            cols = self.columns()
-            table = {i: tuple(col.extend(i) for col in cols) for i in self.if_indexes}
-            self._oid_table = (shape, table)
-        return self._oid_table[1]
-
     def oids(self) -> List[Oid]:
-        return [SYS_UPTIME] + [oid for row in self.instance_oids().values() for oid in row]
+        """Every instance a poll of this target must fetch (what its GET names)."""
+        return [SYS_UPTIME, *interface_oids(tuple(self.if_indexes), tuple(self.columns()))]
 
 
 class _PollUnit:
@@ -216,10 +207,11 @@ class SnmpPoller:
 
     ``poll_mode`` selects the wire strategy per target: ``"get"`` (one
     GET naming every instance -- the paper's layout, what the single
-    monitor uses) or ``"bulk"`` (a GetBulk column walk via
-    :meth:`SnmpManager.poll_interfaces`, 1-2 exchanges per agent
-    regardless of interface count -- what the distributed plane's
-    workers use).  Both feed the same parse/ingest path, so the rate
+    monitor uses) or ``"bulk"`` (a GetBulk column walk, 1-2 exchanges
+    per agent regardless of interface count -- what the distributed
+    plane's workers use).  It is one argument of the one
+    :meth:`SnmpManager.poll_interfaces` call; both answer with the same
+    per-column tables and feed the same parse/ingest path, so the rate
     table contents are mode-independent on a fault-free network.
 
     ``pipeline_window`` > 0 bounds how many targets may be in flight at
@@ -455,31 +447,24 @@ class SnmpPoller:
             self.window_peak = self._in_flight
         target, span = unit.target, unit.span
 
-        def on_ok(varbinds: List[VarBind], t=target, s=span) -> None:
-            self._on_response(t, varbinds, s)
+        def on_ok(reply, t=target, s=span) -> None:
+            self._on_response(t, reply, s)
             self._unit_done()
 
         def on_err(exc: Exception, t=target, s=span) -> None:
             self._on_error(t, exc, s)
             self._unit_done()
 
-        if self.poll_mode == "bulk" and target.if_indexes:
-            self.manager.poll_interfaces(
-                target.address,
-                target.if_indexes,
-                target.columns(),
-                callback=on_ok,
-                errback=on_err,
-                community=target.community,
-            )
-        else:
-            self.manager.get(
-                target.address,
-                target.oids(),
-                callback=on_ok,
-                errback=on_err,
-                community=target.community,
-            )
+        # A target with no interfaces is still probed (a GET of sysUpTime).
+        self.manager.poll_interfaces(
+            target.address,
+            target.if_indexes,
+            target.columns(),
+            callback=on_ok,
+            errback=on_err,
+            bulk=self.poll_mode == "bulk" and bool(target.if_indexes),
+            community=target.community,
+        )
 
     def _unit_done(self) -> None:
         self._in_flight = max(0, self._in_flight - 1)
@@ -540,38 +525,33 @@ class SnmpPoller:
         else:
             self._exchange_done(span, "error")
 
-    def _on_response(
-        self, target: PollTarget, varbinds: List[VarBind], span=None
-    ) -> None:
+    def _on_response(self, target: PollTarget, reply, span=None) -> None:
+        """Turn ``(uptime_ticks, {column: {ifIndex: (tag, value)}})`` into
+        one snapshot per interface; a value of the wrong type (its tag
+        says) or a missing row is a parse error for that interface."""
         self._exchange_done(span, "ok")
         self.health.record_success(target.node, self.sim.now)
-        values: Dict[Oid, object] = {vb.oid: vb.value for vb in varbinds}
-        uptime = values.get(SYS_UPTIME)
-        if not isinstance(uptime, TimeTicks):
+        uptime, tables = reply
+        if uptime is None:
             self._m_parse_errors.inc()
             return
-        n = len(_COLUMNS)
+        counters = [tables[col] for col in _COLUMNS]
         track_status = target.include_oper_status and self.on_status is not None
-        for index, row in target.instance_oids().items():
-            if track_status:
-                status = values.get(row[n])
-                if isinstance(status, Integer):
-                    self.on_status(target.node, index, status.value == IF_STATUS_UP)
-            counters = [
-                value
-                for value in map(values.get, row[:n])
-                if isinstance(value, Counter32)
-            ]
-            if len(counters) != n:
+        statuses = tables[IF_OPER_STATUS] if track_status else {}
+        speeds = tables[IF_SPEED] if target.include_speed else {}
+        for index in dict.fromkeys(target.if_indexes):
+            tag, status = statuses.get(index, _ABSENT)
+            if tag == TAG_INTEGER:
+                self.on_status(target.node, index, status == IF_STATUS_UP)
+            tags, values = zip(*[table.get(index, _ABSENT) for table in counters])
+            if tags != _ALL_COUNTER32:
                 self._m_parse_errors.inc()
                 continue
-            snapshot = _CounterSnapshot(uptime, *counters)
-            polled_speed = None
-            if target.include_speed:
-                speed_value = values.get(row[-1])
-                if isinstance(speed_value, Gauge32):
-                    polled_speed = float(speed_value.value)
-            self._ingest(target.node, index, snapshot, polled_speed)
+            tag, speed = speeds.get(index, _ABSENT)
+            self._ingest(
+                target.node, index, _CounterSnapshot(uptime, *values),
+                float(speed) if tag == TAG_GAUGE32 else None,
+            )
 
     def _ingest(
         self,
@@ -585,7 +565,7 @@ class SnmpPoller:
         self._last[key] = snapshot
         if previous is None:
             return  # first poll only establishes the baseline
-        seconds = snapshot.uptime.delta_seconds(previous.uptime)
+        seconds = ((snapshot.uptime - previous.uptime) % _WRAP) / 100.0
         if seconds <= 0:
             # Same-tick duplicate; drop the sample.
             return
@@ -601,21 +581,22 @@ class SnmpPoller:
             if self.integrity is not None:
                 self.integrity.note_restart(node, if_index)
             return
+        # "The old value is subtracted from the new one", modulo the wrap.
         in_pkts = (
-            snapshot.ucast_in.delta(previous.ucast_in)
-            + snapshot.nucast_in.delta(previous.nucast_in)
+            (snapshot.ucast_in - previous.ucast_in) % _WRAP
+            + (snapshot.nucast_in - previous.nucast_in) % _WRAP
         )
         out_pkts = (
-            snapshot.ucast_out.delta(previous.ucast_out)
-            + snapshot.nucast_out.delta(previous.nucast_out)
+            (snapshot.ucast_out - previous.ucast_out) % _WRAP
+            + (snapshot.nucast_out - previous.nucast_out) % _WRAP
         )
         sample = InterfaceRates(
             node=node,
             if_index=if_index,
             time=self.sim.now,
             interval=seconds,
-            in_bytes_per_s=snapshot.octets_in.delta(previous.octets_in) / seconds,
-            out_bytes_per_s=snapshot.octets_out.delta(previous.octets_out) / seconds,
+            in_bytes_per_s=(snapshot.octets_in - previous.octets_in) % _WRAP / seconds,
+            out_bytes_per_s=(snapshot.octets_out - previous.octets_out) % _WRAP / seconds,
             in_pkts_per_s=in_pkts / seconds,
             out_pkts_per_s=out_pkts / seconds,
         )

@@ -71,7 +71,7 @@ class SampleContext:
 
     ``prev``/``cur`` are the poller's raw ``_CounterSnapshot`` records
     (duck-typed here: ``uptime``, ``octets_in``, ``octets_out`` and the
-    four packet counters) -- or ``None`` for samples shipped from a
+    four packet counters, all plain integers) -- or ``None`` for samples shipped from a
     remote worker, which arrive pre-derived without raw snapshots;
     validators must tolerate that.  ``speed_bps`` is the topology-declared
     interface speed; ``polled_speed_bps`` is what the agent's own MIB
@@ -133,7 +133,7 @@ class RateBoundValidator:
         for name, rate, cur, prev in directions:
             if rate <= limit:
                 continue
-            regressed = have_raw and cur.value < prev.value
+            regressed = have_raw and cur < prev
             verdicts.append(
                 IntegrityVerdict(
                     check="counter_regression" if regressed else "rate_bound",
@@ -189,10 +189,10 @@ class StuckCounterValidator:
                 and s.out_pkts_per_s == 0.0
             )
         return (
-            cur.octets_in.value == prev.octets_in.value
-            and cur.octets_out.value == prev.octets_out.value
-            and cur.ucast_in.value == prev.ucast_in.value
-            and cur.ucast_out.value == prev.ucast_out.value
+            cur.octets_in == prev.octets_in
+            and cur.octets_out == prev.octets_out
+            and cur.ucast_in == prev.ucast_in
+            and cur.ucast_out == prev.ucast_out
         )
 
     def forget(self, node: str, if_index: int) -> None:

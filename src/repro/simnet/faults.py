@@ -407,11 +407,13 @@ class _TamperedMib:
     """Delegating MIB view that rewrites selected values on the way out.
 
     Wraps whatever the agent currently serves (a plain ``MibTree`` or a
-    ``CachingMibTree``) and applies ``rewrite(oid, value)`` to every GET
-    and GETNEXT result.  Everything else -- subtree checks, attributes
-    like ``refresh_interval`` -- delegates to the wrapped tree, so the
-    agent cannot tell the difference and neither can a reboot fault that
-    later replaces ``agent.mib`` wholesale.
+    ``CachingMibTree``) and applies ``rewrite(oid, value)`` to every GET,
+    GETNEXT and successor-run result.  Everything else -- subtree checks,
+    attributes like ``refresh_interval`` -- delegates to the wrapped
+    tree, so the agent cannot tell the difference and neither can a
+    reboot fault that later replaces ``agent.mib`` wholesale.  **Every
+    method that returns MIB values must be defined here**: one that fell
+    through ``__getattr__`` would bypass the lie.
     """
 
     def __init__(self, inner, rewrite) -> None:
@@ -428,6 +430,14 @@ class _TamperedMib:
             return None
         next_oid, value = hit
         return next_oid, self._rewrite(next_oid, value)
+
+    def get_next_run(self, oid, count):
+        # Spelled out, not left to __getattr__: forwarded to the wrapped
+        # tree a GetBulk repeater would be served the truth, not the lie.
+        return [
+            (next_oid, self._rewrite(next_oid, value))
+            for next_oid, value in self.inner.get_next_run(oid, count)
+        ]
 
     def has_subtree(self, oid):
         return self.inner.has_subtree(oid)

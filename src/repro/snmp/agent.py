@@ -3,7 +3,9 @@
 An agent binds UDP port 161 on a host or on a switch's management stack,
 decodes incoming BER messages, services Get / GetNext / GetBulk against a
 :class:`~repro.snmp.mib.MibTree`, and sends the response back across the
-simulated network after a small processing delay.
+simulated network after a small processing delay.  The handlers return
+``(oid, value)`` pairs -- a GetBulk repeater's as one run of successors --
+and one writer turns them into the reply's bytes; nothing else is built.
 
 The processing delay matters for fidelity: the paper observed that
 "occasionally, some data bytes are counted in a later SNMP message instead
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.snmp import ber
 from repro.snmp.datatypes import EndOfMibView, NoSuchInstance, NoSuchObject, SnmpValue
@@ -33,6 +35,13 @@ DEFAULT_RESPONSE_DELAY = 0.5e-3  # seconds of agent processing
 DEFAULT_RESPONSE_JITTER = 1.5e-3  # uniform extra, seeded
 
 __all__ = ["SnmpAgent", "MAX_BULK_REPETITIONS"]
+
+Pair = Tuple[Oid, SnmpValue]
+
+
+class _Refused(Exception):
+    """``(error_status, error_index)``, raised by a handler: the request is
+    answered with that error and its own varbinds."""
 
 
 class SnmpAgent:
@@ -130,7 +139,6 @@ class SnmpAgent:
     def _on_link_state(self, iface, up: bool) -> None:
         from repro.snmp.mib import SYS_UPTIME  # local import avoids a cycle
         from repro.snmp.trap import build_trap_pdu, TRAP_LINK_DOWN, TRAP_LINK_UP
-        from repro.snmp.pdu import VarBind
         from repro.snmp.mib import IF_INDEX
         from repro.snmp.datatypes import Integer
 
@@ -171,25 +179,30 @@ class SnmpAgent:
             # trap); the manager sees a timeout.
             self.bad_community += 1
             return
-        pdu = message.pdu
-        if pdu.kind == "get":
-            self.get_requests += 1
-            response = self._handle_get(message.version, pdu)
-        elif pdu.kind == "get-next":
-            response = self._handle_get_next(message.version, pdu)
-        elif pdu.kind == "get-bulk" and message.version == VERSION_2C:
-            response = self._handle_get_bulk(pdu)
-        elif pdu.kind == "set":
-            # The monitor is read-only; reject all sets.
-            status = (
-                ErrorStatus.READ_ONLY if message.version == VERSION_1
-                else ErrorStatus.NOT_WRITABLE
-            )
-            response = pdu.response(pdu.varbinds, status, 1 if pdu.varbinds else 0)
-        else:
-            self.unsupported += 1
-            return
-        reply = Message(message.version, self.community, response).encode()
+        pdu, version = message.pdu, message.version
+        status, index = ErrorStatus.NO_ERROR, 0
+        try:
+            if pdu.kind == "get":
+                self.get_requests += 1
+                pairs = self._handle_get(version, pdu)
+            elif pdu.kind == "get-next":
+                pairs = self._handle_get_next(version, pdu.varbinds)
+            elif pdu.kind == "get-bulk" and version == VERSION_2C:
+                pairs = self._handle_get_bulk(pdu)
+            elif pdu.kind == "set":
+                # The monitor is read-only; reject all sets.
+                read_only = (
+                    ErrorStatus.READ_ONLY if version == VERSION_1 else ErrorStatus.NOT_WRITABLE
+                )
+                raise _Refused(read_only, 1 if pdu.varbinds else 0)
+            else:
+                self.unsupported += 1
+                return
+        except _Refused as refused:
+            # An error response echoes the request's own varbinds.
+            status, index = refused.args
+            pairs = [(vb.oid, vb.value) for vb in pdu.varbinds]
+        reply = self._encode_reply(version, pdu.request_id, pairs, status, index)
         delay = self.response_delay + self.rng.random() * self.response_jitter
         self.sim.schedule(delay, self._send_reply, reply, src_ip, src_port)
 
@@ -197,59 +210,71 @@ class SnmpAgent:
         self.out_packets += 1
         self.socket.sendto(payload, (dst_ip, dst_port))
 
+    def _encode_reply(
+        self, version: int, request_id: int, pairs: List[Pair],
+        status: ErrorStatus = ErrorStatus.NO_ERROR, index: int = 0,
+    ) -> bytes:
+        """The one reply writer: a Response straight from (oid, value)
+        pairs, byte for byte ``Message(version, community,
+        request.response(varbinds, status, index)).encode()`` -- one
+        ``encode_oid`` cache hit and one ``value.encode()`` per varbind,
+        the header once, and no VarBind, Pdu or Message built."""
+        encode_oid, varbinds = ber.encode_oid, []
+        for oid, value in pairs:
+            body = encode_oid(oid) + value.encode()
+            if len(body) < 0x80:  # short form: every varbind on the poll path
+                varbinds.append(bytes((ber.TAG_SEQUENCE, len(body))) + body)
+            else:
+                varbinds.append(ber.encode_tlv(ber.TAG_SEQUENCE, body))
+        body = (
+            ber.encode_integer(request_id) + ber.encode_integer(int(status))
+            + ber.encode_integer(index) + ber.encode_sequence(*varbinds)
+        )
+        return ber.encode_sequence(
+            ber.encode_integer(version), ber.encode_octet_string(self.community.encode()),
+            ber.encode_tlv(ber.TAG_GET_RESPONSE, body),
+        )
+
     # ------------------------------------------------------------------
-    # Operations
+    # Operations: each returns the (oid, value) pairs of its response
     # ------------------------------------------------------------------
-    def _handle_get(self, version: int, pdu: Pdu) -> Pdu:
-        out: List[VarBind] = []
+    def _handle_get(self, version: int, pdu: Pdu) -> List[Pair]:
+        out: List[Pair] = []
         for i, vb in enumerate(pdu.varbinds):
-            value = self.mib.get(vb.oid)
+            oid = vb.oid
+            value = self.mib.get(oid)
             if value is None:
                 if version == VERSION_1:
                     # v1: whole request fails with noSuchName at this index.
-                    return pdu.response(pdu.varbinds, ErrorStatus.NO_SUCH_NAME, i + 1)
-                exc: SnmpValue = (
-                    NoSuchInstance() if self.mib.has_subtree(vb.oid.parent)
+                    raise _Refused(ErrorStatus.NO_SUCH_NAME, i + 1)
+                value = (
+                    NoSuchInstance()
+                    if len(oid) > 1 and self.mib.has_subtree(oid.parent)
                     else NoSuchObject()
-                ) if len(vb.oid) > 1 else NoSuchObject()
-                out.append(VarBind(vb.oid, exc))
-            else:
-                out.append(VarBind(vb.oid, value))
-        return pdu.response(out)
+                )
+            out.append((oid, value))
+        return out
 
-    def _handle_get_next(self, version: int, pdu: Pdu) -> Pdu:
-        out: List[VarBind] = []
-        for i, vb in enumerate(pdu.varbinds):
+    def _handle_get_next(self, version: int, varbinds: List[VarBind]) -> List[Pair]:
+        out: List[Pair] = []
+        for i, vb in enumerate(varbinds):
             hit = self.mib.get_next(vb.oid)
-            if hit is None:
-                if version == VERSION_1:
-                    return pdu.response(pdu.varbinds, ErrorStatus.NO_SUCH_NAME, i + 1)
-                out.append(VarBind(vb.oid, EndOfMibView()))
-            else:
-                out.append(VarBind(hit[0], hit[1]))
-        return pdu.response(out)
+            if hit is None and version == VERSION_1:
+                raise _Refused(ErrorStatus.NO_SUCH_NAME, i + 1)
+            out.append(hit or (vb.oid, EndOfMibView()))
+        return out
 
-    def _handle_get_bulk(self, pdu: Pdu) -> Pdu:
+    def _handle_get_bulk(self, pdu: Pdu) -> List[Pair]:
         # Decode already validated both fields as non-negative; the agent
         # additionally clamps the repetition count to its own bound.
         non_repeaters = pdu.non_repeaters
         max_repetitions = min(pdu.max_repetitions, MAX_BULK_REPETITIONS)
-        out: List[VarBind] = []
-        for vb in pdu.varbinds[:non_repeaters]:
-            hit = self.mib.get_next(vb.oid)
-            out.append(
-                VarBind(hit[0], hit[1]) if hit is not None else VarBind(vb.oid, EndOfMibView())
-            )
+        out = self._handle_get_next(VERSION_2C, pdu.varbinds[:non_repeaters])
         for vb in pdu.varbinds[non_repeaters:]:
-            cursor = vb.oid
-            ended = False
-            for _ in range(max_repetitions):
-                hit = self.mib.get_next(cursor)
-                if hit is None:
-                    if not ended:
-                        out.append(VarBind(cursor, EndOfMibView()))
-                        ended = True
-                    break
-                out.append(VarBind(hit[0], hit[1]))
-                cursor = hit[0]
-        return pdu.response(out)
+            run = self.mib.get_next_run(vb.oid, max_repetitions)
+            out.extend(run)
+            if len(run) < max_repetitions:
+                # The MIB ended inside this repeater: one endOfMibView,
+                # named after the last instance there was.
+                out.append((run[-1][0] if run else vb.oid, EndOfMibView()))
+        return out

@@ -15,7 +15,7 @@ zero octet where the high bit would otherwise read as a sign.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.snmp.oid import Oid, OidError
 
@@ -69,9 +69,12 @@ def encode_length(length: int) -> bytes:
     return bytes([0x80 | len(body)]) + body
 
 
-def decode_length(data: bytes, offset: int) -> Tuple[int, int]:
-    """Return (length, new_offset).  Rejects the indefinite form."""
-    if offset >= len(data):
+def decode_length(data: bytes, offset: int, end: Optional[int] = None) -> Tuple[int, int]:
+    """Return (length, new_offset), reading no further than ``end``
+    (default: all of ``data``).  Rejects the indefinite form."""
+    if end is None:
+        end = len(data)
+    if offset >= end:
         raise BerError("truncated length")
     first = data[offset]
     offset += 1
@@ -80,7 +83,7 @@ def decode_length(data: bytes, offset: int) -> Tuple[int, int]:
     n = first & 0x7F
     if n == 0:
         raise BerError("indefinite lengths are forbidden in SNMP")
-    if offset + n > len(data):
+    if offset + n > end:
         raise BerError("truncated long-form length")
     length = int.from_bytes(data[offset : offset + n], "big")
     return length, offset + n
@@ -96,19 +99,27 @@ def encode_tlv(tag: int, content: bytes) -> bytes:
     return bytes((tag,)) + encode_length(length) + content
 
 
-def decode_tlv(data: bytes, offset: int = 0) -> Tuple[int, bytes, int]:
-    """Return (tag, content, new_offset)."""
-    if offset >= len(data):
+def tlv_span(data: bytes, offset: int, end: int) -> Tuple[int, int, int]:
+    """Return (tag, content_start, content_end) of the TLV at ``offset``
+    in ``data[:end]``, copying nothing: a message's header can be read in
+    place and its varbind list handed on as a byte range."""
+    if offset >= end:
         raise BerError("truncated TLV: no tag")
     tag = data[offset]
     body_start = offset + 2
-    if body_start <= len(data) and data[offset + 1] < 0x80:
+    if body_start <= end and data[offset + 1] < 0x80:
         length = data[offset + 1]  # short form: nearly every TLV on the poll path
     else:
-        length, body_start = decode_length(data, offset + 1)
+        length, body_start = decode_length(data, offset + 1, end)
     body_end = body_start + length
-    if body_end > len(data):
+    if body_end > end:
         raise BerError(f"truncated TLV: need {length} content bytes")
+    return tag, body_start, body_end
+
+
+def decode_tlv(data: bytes, offset: int = 0) -> Tuple[int, bytes, int]:
+    """Return (tag, content, new_offset)."""
+    tag, body_start, body_end = tlv_span(data, offset, len(data))
     return tag, data[body_start:body_end], body_end
 
 
@@ -135,6 +146,13 @@ def decode_integer_content(content: bytes) -> int:
 
 def encode_integer(value: int) -> bytes:
     return encode_tlv(TAG_INTEGER, encode_integer_content(value))
+
+
+def decode_integer(data: bytes, offset: int, end: int, what: str) -> Tuple[int, int]:
+    """Return (value, new_offset) of the INTEGER TLV at ``offset``."""
+    tag, start, stop = tlv_span(data, offset, end)
+    expect_tag(tag, TAG_INTEGER, what)
+    return decode_integer_content(data[start:stop]), stop
 
 
 # ----------------------------------------------------------------------

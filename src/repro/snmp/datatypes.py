@@ -118,7 +118,12 @@ class _Unsigned(SnmpValue):
         self.value = value
 
     def encode(self) -> bytes:
-        return ber.encode_tlv(self.tag, ber.encode_unsigned_content(self.value, self.bits))
+        # One frame per counter on the agent's reply path: bit_length // 8
+        # + 1 octets *is* the minimal form with the sign bit clear that
+        # ber.encode_unsigned_content builds, and <= 9 octets is short-form.
+        value = self.value
+        content = value.to_bytes(value.bit_length() // 8 + 1, "big")
+        return bytes((self.tag, len(content))) + content
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.value})"

@@ -6,7 +6,7 @@ from enum import IntEnum
 
 
 class ErrorStatus(IntEnum):
-    """PDU error-status values (RFC 1157 §4.1.1 plus v2c additions)."""
+    """PDU error-status values (RFC 3416 §3: 0-5 from RFC 1157, 6-18 v2c)."""
 
     NO_ERROR = 0
     TOO_BIG = 1
@@ -14,10 +14,23 @@ class ErrorStatus(IntEnum):
     BAD_VALUE = 3
     READ_ONLY = 4
     GEN_ERR = 5
-    # SNMPv2c (RFC 1905) -- subset we can emit.
     NO_ACCESS = 6
     WRONG_TYPE = 7
+    WRONG_LENGTH = 8
+    WRONG_ENCODING = 9
+    WRONG_VALUE = 10
+    NO_CREATION = 11
+    INCONSISTENT_VALUE = 12
+    RESOURCE_UNAVAILABLE = 13
+    COMMIT_FAILED = 14
+    UNDO_FAILED = 15
+    AUTHORIZATION_ERROR = 16
     NOT_WRITABLE = 17
+    INCONSISTENT_NAME = 18
+
+    @classmethod
+    def _missing_(cls, value: object) -> "ErrorStatus":
+        return cls.GEN_ERR  # a corrupt datagram can carry anything
 
 
 class SnmpError(RuntimeError):
@@ -34,9 +47,11 @@ class SnmpTimeout(SnmpError):
 
 
 class SnmpErrorResponse(SnmpError):
-    """The agent answered with a non-zero error-status."""
+    """The agent answered with a non-zero error-status: ``raw_status`` off
+    the wire, ``status`` its :class:`ErrorStatus` (``GEN_ERR`` if unlisted)."""
 
-    def __init__(self, status: ErrorStatus, index: int) -> None:
-        super().__init__(f"SNMP error {status.name} at varbind index {index}")
-        self.status = status
+    def __init__(self, status: int, index: int) -> None:
+        self.raw_status = int(status)
+        self.status = ErrorStatus(self.raw_status)
+        super().__init__(f"SNMP error {self.status.name} at varbind index {index}")
         self.index = index

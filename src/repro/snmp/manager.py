@@ -5,6 +5,12 @@ Event-driven (the simulator has no threads): each operation takes a
 are matched to responses by request-id; unanswered requests retransmit up
 to ``retries`` times and then fail with :class:`SnmpTimeout`.
 
+A response is decoded once and completely *before* its request is popped:
+the header in place, then the varbinds -- by the general decoder, or, for
+the interface poll (:meth:`SnmpManager.poll_interfaces`), by a column
+reader that files integers straight from the bytes.  A datagram rejected
+anywhere changes no state; any non-zero error-status reaches ``errback``.
+
 Retransmission timeouts are **adaptive, per destination** (RFC 6298
 style): each agent gets an :class:`RtoEstimator` that smooths observed
 round-trip times (SRTT/RTTVAR, Karn's rule: no samples from
@@ -26,15 +32,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.snmp import ber
-from repro.snmp.datatypes import EndOfMibView, NoSuchInstance, NoSuchObject
-from repro.snmp.errors import ErrorStatus, SnmpError, SnmpErrorResponse, SnmpTimeout
-from repro.snmp.message import VERSION_2C, Message
+from repro.snmp.datatypes import EndOfMibView, NoSuchInstance, NoSuchObject, TimeTicks
+from repro.snmp.errors import SnmpError, SnmpErrorResponse, SnmpTimeout
+from repro.snmp.message import VERSION_2C, Message, decode_header
 from repro.snmp.mib import SYS_UPTIME
 from repro.snmp.oid import Oid
-from repro.snmp.pdu import MAX_BULK_REPETITIONS, Pdu, VarBind
+from repro.snmp.pdu import MAX_BULK_REPETITIONS, Pdu, VarBind, decode_varbinds
 from repro.simnet.address import IPv4Address
 from repro.simnet.sockets import SNMP_PORT
 from repro.telemetry import Telemetry
@@ -44,6 +51,7 @@ ErrorCallback = Callable[[Exception], None]
 
 DEFAULT_TIMEOUT = 1.0
 DEFAULT_RETRIES = 1
+MAX_WALK_EXCHANGES = 8  # a bulk interface poll chains at most this many requests
 
 # RFC 6298 smoothing gains and variance multiplier.
 RTO_ALPHA = 0.125
@@ -111,12 +119,13 @@ class DestinationStats:
 class _Pending:
     __slots__ = (
         "payload", "dst", "attempts", "timer", "callback", "errback",
-        "sent_at", "first_sent_at",
+        "sent_at", "first_sent_at", "columns",
     )
 
-    def __init__(self, payload, dst, callback, errback) -> None:
+    def __init__(self, payload, dst, callback, errback, columns=None) -> None:
         self.payload = payload
         self.dst = dst
+        self.columns = columns  # set by the interface poll: read the reply by column
         self.attempts = 0
         self.timer = None
         self.callback = callback
@@ -315,50 +324,55 @@ class SnmpManager:
         dst_ip: IPv4Address,
         if_indexes: Sequence[int],
         columns: Sequence[Oid],
-        callback: SuccessCallback,
+        callback: Callable,
         errback: Optional[ErrorCallback] = None,
         *,
+        bulk: bool = True,
         include_uptime: bool = True,
         community: Optional[str] = None,
-        max_exchanges: int = 8,
     ) -> None:
-        """Fetch every ``columns`` counter for rows ``if_indexes`` via GetBulk.
+        """Fetch every ``columns`` counter for rows ``if_indexes``: the
+        poll path's primitive, in either wire form.
 
-        This is the poll path's bulk primitive: instead of one GET naming
-        sysUpTime plus ``len(columns) * len(if_indexes)`` exact instances,
-        it walks all the columns *in parallel inside one PDU* -- the first
-        exchange carries sysUpTime as a non-repeater plus one cursor per
-        column, with max-repetitions sized to the row span, so an agent
-        whose table fits under :data:`MAX_BULK_REPETITIONS` rows answers
-        the entire poll in a single exchange.  Larger tables continue from
-        per-column cursors until every requested row (or endOfMibView) is
-        reached, chaining at most ``max_exchanges`` requests.
+        ``bulk`` (SNMPv2c) is a GetBulk column walk (:class:`_BulkWalk`):
+        one exchange for a table of up to :data:`MAX_BULK_REPETITIONS`
+        rows, at most :data:`MAX_WALK_EXCHANGES` for a larger one.
+        ``bulk=False`` is the paper's layout: one GET naming sysUpTime.0,
+        then every instance row by row (:func:`interface_oids`).
 
-        ``callback`` receives the accumulated varbinds -- the sysUpTime
-        instance first, then every in-column row seen -- which is a
-        superset of what the equivalent GET would return, so existing
-        response parsers work unchanged.  Each exchange is an ordinary
-        request underneath: the per-destination adaptive RTO, retry and
-        RTT accounting all apply per exchange.  Any exchange that times
-        out or errors fails the whole walk through ``errback``.
-
-        Note the uptime skew: sysUpTime rides only the *first* exchange,
-        so on a multi-exchange walk later rows are read slightly after
-        the uptime they are paired with -- the same error class as the
-        paper's "abnormally small value followed by an abnormally large
-        one", and bounded by a couple of round trips.
+        ``callback`` receives ``(uptime_ticks, tables)``: sysUpTime as an
+        integer (``None`` unless served as TimeTicks) and, per requested
+        column, ``{ifIndex: (tag, value)}`` -- the BER tag of what the
+        agent served for that row and its integer (0 where the type has
+        none).  Replies are read by :func:`_read_columns` straight from
+        the datagram.  Each exchange is an ordinary request (adaptive
+        RTO, retries, RTT accounting); one that times out or errors
+        fails the whole poll through ``errback``.
         """
-        if self.version != VERSION_2C:
-            raise SnmpError("poll_interfaces requires SNMPv2c (GetBulk)")
-        if not if_indexes or not columns:
-            self.sim.schedule(0.0, callback, [])
-            return
-        walk = _BulkWalk(
-            self, dst_ip, [int(i) for i in if_indexes], list(columns),
-            callback, errback, include_uptime=include_uptime,
-            community=community, max_exchanges=max_exchanges,
-        )
-        walk.issue()
+        key = tuple(columns)
+        column_set = _column_set(key)
+        if not bulk:
+            oids = interface_oids(tuple(if_indexes), key)
+            request_id = next(self._request_ids)
+            pdu = Pdu.get_request(request_id, [SYS_UPTIME, *oids] if include_uptime else oids)
+
+            def file_rows(reply) -> None:
+                uptime, rows = reply
+                tables: List[Dict[int, Tuple[int, int]]] = [{} for _ in key]
+                for column, row, tag, value in rows:
+                    tables[column][row] = (tag, value)
+                callback((uptime, dict(zip(key, tables))))
+
+            self._send(request_id, pdu, dst_ip, file_rows, errback, community, column_set)
+        elif self.version != VERSION_2C:
+            raise SnmpError("a bulk poll_interfaces requires SNMPv2c (GetBulk)")
+        elif not if_indexes or not columns:
+            self.sim.schedule(0.0, callback, (None, {col: {} for col in key}))
+        else:
+            _BulkWalk(
+                self, dst_ip, if_indexes, column_set, callback, errback,
+                include_uptime, community,
+            ).issue()
 
     @property
     def outstanding(self) -> int:
@@ -400,15 +414,20 @@ class SnmpManager:
         request_id: int,
         pdu: Pdu,
         dst_ip: IPv4Address,
-        callback: SuccessCallback,
+        callback: Callable,
         errback: Optional[ErrorCallback],
         community: Optional[str] = None,
+        columns: Optional["_ColumnSet"] = None,
     ) -> int:
+        """Transmit ``pdu``.  ``callback`` gets the response's ``VarBind``
+        list -- or, given the ``columns`` of an interface poll, what
+        :func:`_read_columns` makes of the same bytes."""
         payload = Message(
             self.version, community if community is not None else self.community, pdu
         ).encode()
-        pending = _Pending(payload, (dst_ip, self.agent_port), callback, errback)
-        self._pending[request_id] = pending
+        self._pending[request_id] = _Pending(
+            payload, (dst_ip, self.agent_port), callback, errback, columns
+        )
         self._transmit(request_id)
         return request_id
 
@@ -453,20 +472,29 @@ class SnmpManager:
         if payload is None:
             self._m_decode_errors.inc()
             return
+        # Decode before touching anything: the header once, in place, then
+        # the varbind range by the general decoder or a pending interface
+        # poll's column reader.  The request is looked up, not popped: a
+        # datagram rejected in its varbinds changes no state.
         try:
-            message = Message.decode(payload)
+            _v, _c, tag, request_id, status, index, start, end = decode_header(payload)
+            pending = None
+            if tag != ber.TAG_GET_RESPONSE:
+                Message.decode(payload)  # not for us; malformed or unmatched, as ever
+            else:
+                pending = self._pending.get(request_id)
+                if pending is None or pending.columns is None:
+                    result = decode_varbinds(payload, start, end)
+                else:
+                    result = _read_columns(payload, start, end, pending.columns)
         except ber.BerError:
             self._m_decode_errors.inc()
             return
-        pdu = message.pdu
-        if pdu.kind != "response":
-            self._m_unmatched.inc()
-            return
-        pending = self._pending.pop(pdu.request_id, None)
         if pending is None:
-            # Late duplicate after a retransmit already succeeded.
+            # Not a response, or a late duplicate after a retransmit succeeded.
             self._m_unmatched.inc()
             return
+        del self._pending[request_id]
         if pending.timer is not None:
             pending.timer.cancel()
         self._m_responses.inc()
@@ -478,63 +506,159 @@ class SnmpManager:
         # copy went out; feeding that overestimate keeps the estimator
         # converging upward for an agent slower than the current RTO
         # (pure Karn would starve it of samples and retransmit forever).
+        # Only unambiguous first-transmission RTTs feed the histogram.
+        first_try = pending.attempts == 1
+        rtt = self.sim.now - (pending.sent_at if first_try else pending.first_sent_at)
         if self.adaptive:
-            if pending.attempts == 1:
-                rtt = self.sim.now - pending.sent_at
+            if first_try:
                 stats.last_rtt = rtt
-                self.estimator_for(pending.dst[0]).observe(rtt)
-                if self.telemetry.enabled:
-                    self._h_rtt.labels(
-                        agent=self._agent_label(pending.dst[0])
-                    ).observe(rtt)
-            else:
-                self.estimator_for(pending.dst[0]).observe(
-                    self.sim.now - pending.first_sent_at
-                )
-        elif pending.attempts == 1 and self.telemetry.enabled:
-            # Karn's rule still applies without adaptive RTO: only
-            # unambiguous first-transmission RTTs feed the histogram.
-            self._h_rtt.labels(agent=self._agent_label(pending.dst[0])).observe(
-                self.sim.now - pending.sent_at
-            )
-        if pdu.error_status != int(ErrorStatus.NO_ERROR):
-            exc = SnmpErrorResponse(ErrorStatus(pdu.error_status), pdu.error_index)
+            self.estimator_for(pending.dst[0]).observe(rtt)
+        if first_try and self.telemetry.enabled:
+            self._h_rtt.labels(agent=self._agent_label(pending.dst[0])).observe(rtt)
+        if status != 0:
+            # Any non-zero status, RFC 3416's or not, fails the request.
             if pending.errback is not None:
-                pending.errback(exc)
+                pending.errback(SnmpErrorResponse(status, index))
             return
-        pending.callback(pdu.varbinds)
+        pending.callback(result)
+
+
+@lru_cache(maxsize=4096)
+def interface_oids(if_indexes: Tuple[int, ...], columns: Tuple[Oid, ...]) -> Tuple[Oid, ...]:
+    """The instances a GET-form interface poll names, row by row."""
+    return tuple(col.extend(i) for i in dict.fromkeys(if_indexes) for col in columns)
+
+
+class _ColumnSet:
+    """What reading a poll's replies needs of its columns: their position
+    by encoded OID prefix (the fast shape's one lookup) and by arcs (for
+    a decoded OID), and the prefix lengths in use (one, for ifTable)."""
+
+    __slots__ = ("columns", "prefixes", "prefix_lengths", "by_arcs", "arc_lengths")
+
+    def __init__(self, columns: Tuple[Oid, ...]) -> None:
+        self.columns = columns
+        self.prefixes = {ber.encode_oid_content(col): i for i, col in enumerate(columns)}
+        self.prefix_lengths = sorted({len(prefix) for prefix in self.prefixes})
+        self.by_arcs = {tuple(col): i for i, col in enumerate(columns)}
+        self.arc_lengths = sorted({len(col) for col in columns})
+
+
+_column_set = lru_cache(maxsize=256)(_ColumnSet)  # derived once per distinct column tuple
+_EXCEPTION_TAGS = (ber.TAG_NO_SUCH_OBJECT, ber.TAG_NO_SUCH_INSTANCE, ber.TAG_END_OF_MIB_VIEW)
+
+
+def _read_columns(
+    data: bytes, start: int, end: int, columns: _ColumnSet
+) -> Tuple[Optional[int], List[Tuple[int, int, int, int]]]:
+    """Read an interface poll's reply ``data[start:end]`` by column.
+
+    Returns ``(uptime, rows)``: sysUpTime.0 in ticks (``None`` unless
+    served as TimeTicks) and, per varbind under a requested column,
+    ``(column position, first arc after it or -1, value tag, value as an
+    integer or 0)``.  The **fast shape** -- short-form lengths, OID
+    content starting byte for byte with a column's encoded prefix, one
+    row arc of one or two octets, a 32-bit unsigned, INTEGER or empty
+    exception value ending the varbind -- costs indexing, one
+    ``dict.get`` on a slice and ``int.from_bytes``.  **Anything else**
+    goes through :meth:`VarBind.decode` and is classified from the
+    decoded object, so the reader accepts only what the general decoder
+    accepts and means the same by it (docs/architecture.md, "Cost of one
+    poll cycle").  Pure: it touches no manager state.
+    """
+    if end != len(data):
+        data = data[:end]  # offsets stay valid; the list's end bounds every TLV in it
+    prefixes, prefix_lengths = columns.prefixes, columns.prefix_lengths
+    from_bytes = int.from_bytes
+    uptime: Optional[int] = None
+    rows: List[Tuple[int, int, int, int]] = []
+    pos = start
+    while pos < end:
+        try:
+            # 30 len 06 len <oid> tag len <value>, the value ending the
+            # varbind (which holds the OID's length octet short-form too).
+            oid_at = pos + 4
+            value_at = oid_at + data[pos + 3]
+            tag, value_len = data[value_at], data[value_at + 1]
+            after = value_at + 2 + value_len
+            if (
+                data[pos] == ber.TAG_SEQUENCE and data[pos + 2] == ber.TAG_OID
+                and data[pos + 1] < 0x80 and value_len < 0x80
+                and after == pos + 2 + data[pos + 1] and after <= end
+            ):
+                column = None
+                for n in prefix_lengths:
+                    column = prefixes.get(data[oid_at : oid_at + n])
+                    if column is not None:
+                        break
+                row = value = None
+                row_octets = value_at - oid_at - n if column is not None else 0
+                if row_octets == 1 and data[value_at - 1] < 0x80:
+                    row = data[value_at - 1]
+                elif row_octets == 2 and data[value_at - 2] >= 0x80 > data[value_at - 1]:
+                    row = (data[value_at - 2] & 0x7F) << 7 | data[value_at - 1]
+                # The general decoder's own rejections: no empty integer,
+                # no 32-bit overflow, no content in an exception value.
+                if row is None:
+                    pass  # not a row of one arc: fall back
+                elif not value_len:
+                    value = 0 if tag in _EXCEPTION_TAGS else None
+                elif ber.TAG_COUNTER32 <= tag <= ber.TAG_TIMETICKS:
+                    value = from_bytes(data[value_at + 2 : after], "big")
+                    if value > 0xFFFFFFFF:
+                        value = None
+                elif tag == ber.TAG_INTEGER:
+                    value = from_bytes(data[value_at + 2 : after], "big", signed=True)
+                if value is not None:
+                    rows.append((column, row, tag, value))
+                    pos = after
+                    continue
+        except IndexError:
+            pass  # ran off the buffer: the general decoder words the error
+        varbind, pos = VarBind.decode(data, pos)
+        arcs, value = tuple(varbind.oid), varbind.value
+        for n in columns.arc_lengths:
+            column = columns.by_arcs.get(arcs[:n])
+            if column is not None:
+                number = getattr(value, "value", 0)
+                rows.append((
+                    column, arcs[n] if len(arcs) > n else -1, value.tag,
+                    number if isinstance(number, int) else 0,
+                ))
+                break
+        else:
+            if arcs == SYS_UPTIME:
+                uptime = value.value if isinstance(value, TimeTicks) else None
+    return uptime, rows
 
 
 class _BulkWalk:
-    """State machine behind :meth:`SnmpManager.poll_interfaces`.
+    """State machine behind a bulk :meth:`SnmpManager.poll_interfaces`.
 
-    Walks every counter column in parallel with chained GetBulk requests,
-    keeping a per-column cursor and done flag.  Classification of response
-    varbinds is by column prefix (one dict lookup per column length in
-    use -- one, for ifTable columns), not position, so it tolerates both
-    this model's column-major response layout and the row-interleaved
-    layout RFC 1905 describes.
+    Walks every column *in parallel inside one GetBulk PDU*: the first
+    exchange carries sysUpTime as a non-repeater plus one cursor per
+    column, max-repetitions sized to the row span; a larger table
+    continues from per-column cursors until every requested row (or
+    endOfMibView) is reached.  sysUpTime rides only the first exchange,
+    so later rows are read a round trip or two after the uptime they are
+    paired with -- the paper's "abnormally small value followed by an
+    abnormally large one".  Per column the walk keeps a cursor row (the
+    request cursor is ``column.extend(cursor_row)``), a done flag and the
+    table of rows filed so far.  :func:`_read_columns` classifies rows by
+    column prefix, not position, so both this model's column-major
+    response layout and RFC 1905's row-interleaved one are understood.
     """
 
     __slots__ = (
         "manager", "dst_ip", "columns", "callback", "errback", "community",
-        "max_exchanges", "min_idx", "max_idx", "cursors", "cursor_rows",
-        "done", "collected", "extra", "exchanges", "include_uptime",
-        "finished", "column_lengths",
+        "max_idx", "cursor_rows", "done", "tables", "uptime", "exchanges",
+        "include_uptime",
     )
 
     def __init__(
-        self,
-        manager: SnmpManager,
-        dst_ip: IPv4Address,
-        if_indexes: List[int],
-        columns: List[Oid],
-        callback: SuccessCallback,
-        errback: Optional[ErrorCallback],
-        *,
-        include_uptime: bool,
-        community: Optional[str],
-        max_exchanges: int,
+        self, manager: SnmpManager, dst_ip: IPv4Address, if_indexes: Sequence[int],
+        columns: _ColumnSet, callback: Callable, errback: Optional[ErrorCallback],
+        include_uptime: bool, community: Optional[str],
     ) -> None:
         self.manager = manager
         self.dst_ip = dst_ip
@@ -542,106 +666,72 @@ class _BulkWalk:
         self.callback = callback
         self.errback = errback
         self.community = community
-        self.max_exchanges = max(1, max_exchanges)
-        self.min_idx = min(if_indexes)
-        self.max_idx = max(if_indexes)
-        # A cursor is the last OID seen in a column (exclusive): GetBulk
-        # resumes at get_next(cursor).  Seeding at row min-1 makes the
-        # first returned row the first one we actually want.
-        self.cursors: Dict[Oid, Oid] = {
-            col: col.extend(self.min_idx - 1) for col in columns
-        }
-        self.cursor_rows: Dict[Oid, int] = {col: self.min_idx - 1 for col in columns}
-        self.done: Dict[Oid, bool] = {col: False for col in columns}
-        # The prefix lengths a varbind's column can have (one, for ifTable).
-        self.column_lengths = sorted({len(col) for col in columns})
-        self.collected: List[VarBind] = []
-        self.extra: List[VarBind] = []  # the sysUpTime non-repeater result
+        self.max_idx = int(max(if_indexes))
+        # A cursor row is the last row seen in a column (exclusive):
+        # GetBulk resumes at get_next(column.cursor_row).  Seeding at row
+        # min-1 makes the first returned row the first one we want.
+        n = len(columns.columns)
+        self.cursor_rows: List[int] = [int(min(if_indexes)) - 1] * n
+        self.done: List[bool] = [False] * n
+        self.tables: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(n)]
+        self.uptime: Optional[int] = None  # the sysUpTime non-repeater result
         self.exchanges = 0
         self.include_uptime = include_uptime
-        self.finished = False
 
     def issue(self) -> None:
-        """Send the next exchange of the walk."""
-        live = [col for col in self.columns if not self.done[col]]
-        if not live:
-            self._finish()
-            return
-        reps = max(self.max_idx - self.cursor_rows[col] for col in live)
+        """Send the next exchange of the walk: one cursor per live column."""
+        cursor_rows = self.cursor_rows
+        live = [i for i, done in enumerate(self.done) if not done]
+        reps = max(self.max_idx - cursor_rows[i] for i in live)
         reps = max(1, min(reps, MAX_BULK_REPETITIONS))
         oids: List[Oid] = []
-        non_repeaters = 0
         if self.include_uptime and self.exchanges == 0:
             # get_next(sysUpTime-object) yields the .0 instance; naming
             # the instance itself would return its successor instead.
-            oids.append(SYS_UPTIME[: len(SYS_UPTIME) - 1])
-            non_repeaters = 1
-        oids.extend(self.cursors[col] for col in live)
+            oids.append(SYS_UPTIME.parent)
+        non_repeaters = len(oids)
+        oids.extend(self.columns.columns[i].extend(cursor_rows[i]) for i in live)
         self.exchanges += 1
-        self.manager.get_bulk(
-            self.dst_ip, oids, self._on_response, self._on_error,
-            non_repeaters=non_repeaters, max_repetitions=reps,
-            community=self.community,
+        manager = self.manager
+        request_id = next(manager._request_ids)
+        manager._send(
+            request_id, Pdu.get_bulk_request(request_id, oids, non_repeaters, reps),
+            self.dst_ip, self._on_response, self.errback, self.community, self.columns,
         )
 
-    def _on_response(self, varbinds: List[VarBind]) -> None:
-        if self.finished:
-            return
+    def _on_response(self, reply) -> None:
+        uptime, rows = reply
+        if self.include_uptime and self.exchanges == 1:
+            # Asked for on the first exchange only; any other varbind
+            # outside the columns is where an exhausted column walked to.
+            self.uptime = uptime
         progressed: set = set()
-        done, lengths = self.done, self.column_lengths
-        for vb in varbinds:
-            oid = vb.oid
-            arcs = tuple(oid)  # plain tuple: slicing and indexing stay in C
-            # An Oid *is* the tuple of its arcs, so the sliced prefix keys
-            # the per-column dicts directly.
-            for n in lengths:
-                col = arcs[:n]
-                if col in done:
-                    break
-            else:
-                # The sysUpTime non-repeater, asked for on the first
-                # exchange only -- anything else is an out-of-table OID
-                # an exhausted column walked into.
-                if self.include_uptime and self.exchanges == 1 and oid == SYS_UPTIME:
-                    self.extra = [vb]
+        done, cursor_rows, tables, max_idx = (
+            self.done, self.cursor_rows, self.tables, self.max_idx
+        )
+        for column, row, tag, value in rows:
+            if done[column]:
                 continue
-            if done[col]:
+            if tag in _EXCEPTION_TAGS:
+                done[column] = True
                 continue
-            if isinstance(vb.value, (EndOfMibView, NoSuchObject, NoSuchInstance)):
-                done[col] = True
-                continue
-            row = arcs[n] if len(arcs) > n else -1
-            if row <= self.cursor_rows[col]:
+            if row <= cursor_rows[column]:
                 continue  # duplicate/stale; progress judged per column below
-            if row > self.max_idx:
-                done[col] = True
+            if row > max_idx:
+                done[column] = True
                 continue
-            self.collected.append(vb)
-            self.cursors[col] = oid
-            self.cursor_rows[col] = row
-            progressed.add(col)
-            if row == self.max_idx:
-                done[col] = True
+            tables[column][row] = (tag, value)
+            cursor_rows[column] = row
+            progressed.add(column)
+            if row == max_idx:
+                done[column] = True
         # A column that neither advanced nor terminated would loop the
         # same cursor forever (e.g. the whole column is absent and the
         # agent's walk left the table immediately): declare it done.
-        for col in self.columns:
-            if not self.done[col] and col not in progressed:
-                self.done[col] = True
-        if all(self.done.values()) or self.exchanges >= self.max_exchanges:
-            self._finish()
+        for column in range(len(done)):
+            if not done[column] and column not in progressed:
+                done[column] = True
+        if all(done) or self.exchanges >= MAX_WALK_EXCHANGES:
+            self.callback((self.uptime, dict(zip(self.columns.columns, tables))))
         else:
             self.issue()
-
-    def _on_error(self, exc: Exception) -> None:
-        if self.finished:
-            return
-        self.finished = True
-        if self.errback is not None:
-            self.errback(exc)
-
-    def _finish(self) -> None:
-        if self.finished:
-            return
-        self.finished = True
-        self.callback(self.extra + self.collected)

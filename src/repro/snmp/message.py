@@ -9,9 +9,10 @@ v2c with per-varbind exception values).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.snmp import ber
-from repro.snmp.pdu import Pdu
+from repro.snmp.pdu import Pdu, decode_pdu_header, decode_varbinds
 
 VERSION_1 = 0
 VERSION_2C = 1
@@ -38,25 +39,40 @@ class Message:
 
     @staticmethod
     def decode(data: bytes) -> "Message":
-        content, end = ber.decode_sequence(data, 0)
-        if end != len(data):
-            raise ber.BerError("trailing bytes after SNMP message")
-        pos = 0
-        tag, c, pos = ber.decode_tlv(content, pos)
-        ber.expect_tag(tag, ber.TAG_INTEGER, "version")
-        version = ber.decode_integer_content(c)
-        if version not in _KNOWN_VERSIONS:
-            raise ber.BerError(f"unsupported SNMP version {version!r}")
-        tag, c, pos = ber.decode_tlv(content, pos)
-        ber.expect_tag(tag, ber.TAG_OCTET_STRING, "community")
-        community = c.decode(errors="replace")
-        if pos < len(content) and content[pos] == ber.TAG_TRAP_V1:
-            # RFC 1157 Trap-PDUs have their own structure entirely.
+        version, community, tag, request_id, status, index, start, end = decode_header(data)
+        if tag == ber.TAG_TRAP_V1:
             from repro.snmp.trap import TrapV1Pdu  # local: avoids a cycle
 
-            pdu, pos = TrapV1Pdu.decode(content, pos)
+            pdu, pos = TrapV1Pdu.decode(data, start)
+            if pos != end:
+                raise ber.BerError("trailing bytes inside SNMP message")
         else:
-            pdu, pos = Pdu.decode(content, pos)
-        if pos != len(content):
-            raise ber.BerError("trailing bytes inside SNMP message")
+            pdu = Pdu(tag, request_id, status, index, decode_varbinds(data, start, end))
         return Message(version, community, pdu)
+
+
+def decode_header(data: bytes) -> Tuple[int, str, int, int, int, int, int, int]:
+    """Read a message's fixed fields in place: the one header parser.
+
+    Returns ``(version, community, pdu_tag, request_id, error_status,
+    error_index, start, end)`` with the varbind list left undecoded as
+    ``data[start:end]`` (see :func:`~repro.snmp.pdu.decode_pdu_header`).
+    An RFC 1157 Trap-PDU has its own structure entirely: its three
+    integers read 0 and the range is the whole Trap-PDU.
+    """
+    tag, pos, end = ber.tlv_span(data, 0, len(data))
+    ber.expect_tag(tag, ber.TAG_SEQUENCE, "SEQUENCE")
+    if end != len(data):
+        raise ber.BerError("trailing bytes after SNMP message")
+    version, pos = ber.decode_integer(data, pos, end, "version")
+    if version not in _KNOWN_VERSIONS:
+        raise ber.BerError(f"unsupported SNMP version {version!r}")
+    tag, start, pos = ber.tlv_span(data, pos, end)
+    ber.expect_tag(tag, ber.TAG_OCTET_STRING, "community")
+    community = data[start:pos].decode(errors="replace")
+    if pos < end and data[pos] == ber.TAG_TRAP_V1:
+        return version, community, ber.TAG_TRAP_V1, 0, 0, 0, pos, end
+    fields = decode_pdu_header(data, pos, end)
+    if fields[-1] != end:
+        raise ber.BerError("trailing bytes inside SNMP message")
+    return (version, community) + fields

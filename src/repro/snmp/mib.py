@@ -125,6 +125,7 @@ class MibTree:
         self._static: Dict[Oid, Accessor] = {}
         self._sorted: List[Oid] = []
         self._providers: List[MibProvider] = []
+        self._provider_floor: Optional[Oid] = None  # the smallest provider prefix
 
     # ------------------------------------------------------------------
     # Registration
@@ -146,6 +147,7 @@ class MibTree:
                     f"provider prefix {provider.prefix} overlaps {existing.prefix}"
                 )
         self._providers.append(provider)
+        self._provider_floor = min(p.prefix for p in self._providers)
 
     # ------------------------------------------------------------------
     # Queries
@@ -178,6 +180,33 @@ class MibTree:
             if hit is not None and (best is None or hit[0] < best[0]):
                 best = hit
         return best
+
+    def get_next_run(self, oid: Oid, count: int) -> List[Tuple[Oid, SnmpValue]]:
+        """Up to ``count`` successive successors of ``oid`` (what chaining
+        :meth:`get_next` gives; shorter only where the MIB ends): a
+        GetBulk repeater's whole run at once.  Static instances sorting
+        before every provider's prefix are each other's successors, so
+        that stretch is one ``bisect`` and a slice; from the first one a
+        provider might own, the run continues through :meth:`get_next`.
+
+        A view wrapped around a tree must define this itself, in terms of
+        its own ``get``/rewrite: delegated, it serves the wrapped values.
+        """
+        start = bisect_right(self._sorted, oid)
+        ahead = self._sorted[start : start + count]
+        floor = self._provider_floor
+        if floor is not None and ahead and ahead[-1] >= floor:
+            ahead = ahead[: bisect_left(ahead, floor)]
+        static = self._static
+        run = [(next_oid, static[next_oid]()) for next_oid in ahead]
+        cursor = ahead[-1] if ahead else oid
+        while len(run) < count:
+            hit = self.get_next(cursor)
+            if hit is None:
+                break
+            run.append(hit)
+            cursor = hit[0]
+        return run
 
     def has_subtree(self, oid: Oid) -> bool:
         """True when any instance lives strictly under ``oid``.
@@ -363,14 +392,18 @@ class CachingMibTree:
         return self._snapshot.get(oid)
 
     def get_next(self, oid: Oid) -> Optional[Tuple[Oid, SnmpValue]]:
-        hit = self.inner.get_next(oid)
-        if hit is None:
-            return None
-        next_oid = hit[0]
-        value = self.get(next_oid)
-        # A row that appeared after the snapshot serves its live value
-        # (same behaviour as real agents walking a half-updated table).
-        return (next_oid, value if value is not None else hit[1])
+        run = self.get_next_run(oid, 1)
+        return run[0] if run else None
+
+    def get_next_run(self, oid: Oid, count: int) -> List[Tuple[Oid, SnmpValue]]:
+        """The inner tree's successors, each served as :meth:`get` serves
+        it.  A row that appeared after the snapshot serves its live value
+        (same behaviour as real agents walking a half-updated table)."""
+        run = []
+        for next_oid, live in self.inner.get_next_run(oid, count):
+            value = self.get(next_oid)
+            run.append((next_oid, value if value is not None else live))
+        return run
 
     def has_subtree(self, oid: Oid) -> bool:
         return self.inner.has_subtree(oid)

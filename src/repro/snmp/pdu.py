@@ -56,6 +56,38 @@ class VarBind:
         return VarBind(oid, value), new_offset
 
 
+def decode_pdu_header(data: bytes, offset: int, end: int) -> Tuple[int, int, int, int, int, int]:
+    """Read the fixed fields of the PDU at ``offset`` in place.
+
+    Returns ``(tag, request_id, error_status, error_index, start, end)``:
+    the varbind list is left undecoded as the byte range ``data[start:end]``
+    (which is also where the PDU ends), for :func:`decode_varbinds` or a
+    reader of the caller's own.
+    """
+    tag, pos, pdu_end = ber.tlv_span(data, offset, end)
+    if tag not in PDU_TAGS:
+        raise ber.BerError(f"unknown PDU tag 0x{tag:02x}")
+    request_id, pos = ber.decode_integer(data, pos, pdu_end, "request-id")
+    error_status, pos = ber.decode_integer(data, pos, pdu_end, "error-status")
+    error_index, pos = ber.decode_integer(data, pos, pdu_end, "error-index")
+    list_tag, start, stop = ber.tlv_span(data, pos, pdu_end)
+    ber.expect_tag(list_tag, ber.TAG_SEQUENCE, "varbind list")
+    if stop != pdu_end:
+        raise ber.BerError("trailing bytes inside PDU")
+    return tag, request_id, error_status, error_index, start, stop
+
+
+def decode_varbinds(data: bytes, start: int, end: int) -> List[VarBind]:
+    """The general decoder of a varbind list left as ``data[start:end]``."""
+    if end != len(data):
+        data = data[:end]  # offsets stay valid; the list's end bounds every TLV in it
+    varbinds: List[VarBind] = []
+    while start < end:
+        varbind, start = VarBind.decode(data, start)
+        varbinds.append(varbind)
+    return varbinds
+
+
 @dataclass
 class Pdu:
     """A Get/GetNext/GetBulk/Set/Response PDU."""
@@ -111,31 +143,11 @@ class Pdu:
 
     @staticmethod
     def decode(data: bytes, offset: int = 0) -> Tuple["Pdu", int]:
-        tag, content, new_offset = ber.decode_tlv(data, offset)
-        if tag not in PDU_TAGS:
-            raise ber.BerError(f"unknown PDU tag 0x{tag:02x}")
-        pos = 0
-        t, c, pos = ber.decode_tlv(content, pos)
-        ber.expect_tag(t, ber.TAG_INTEGER, "request-id")
-        request_id = ber.decode_integer_content(c)
-        t, c, pos = ber.decode_tlv(content, pos)
-        ber.expect_tag(t, ber.TAG_INTEGER, "error-status")
-        error_status = ber.decode_integer_content(c)
-        t, c, pos = ber.decode_tlv(content, pos)
-        ber.expect_tag(t, ber.TAG_INTEGER, "error-index")
-        error_index = ber.decode_integer_content(c)
-        vb_content, pos = ber.decode_sequence(content, pos)
-        if pos != len(content):
-            raise ber.BerError("trailing bytes inside PDU")
-        varbinds: List[VarBind] = []
-        vpos = 0
-        while vpos < len(vb_content):
-            vb, vpos = VarBind.decode(vb_content, vpos)
-            varbinds.append(vb)
-        return (
-            Pdu(tag, request_id, error_status, error_index, varbinds),
-            new_offset,
+        tag, request_id, error_status, error_index, start, end = decode_pdu_header(
+            data, offset, len(data)
         )
+        varbinds = decode_varbinds(data, start, end)
+        return Pdu(tag, request_id, error_status, error_index, varbinds), end
 
     # ------------------------------------------------------------------
     # Builders

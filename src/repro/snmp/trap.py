@@ -22,7 +22,7 @@ from repro.snmp.datatypes import Integer, ObjectIdentifier, SnmpValue, TimeTicks
 from repro.snmp.message import VERSION_2C, Message
 from repro.snmp.mib import IF_INDEX, SYS_UPTIME
 from repro.snmp.oid import Oid
-from repro.snmp.pdu import Pdu, VarBind
+from repro.snmp.pdu import Pdu, VarBind, decode_varbinds
 from repro.simnet.address import IPv4Address
 
 TRAP_PORT = 162  # standard notification-receiver port
@@ -122,23 +122,19 @@ class TrapV1Pdu:
         agent_addr, pos = decode_value(content, pos)
         if not isinstance(agent_addr, IpAddress):
             raise ber.BerError("v1 trap agent-addr must be an IpAddress")
-        t, c, pos = ber.decode_tlv(content, pos)
-        ber.expect_tag(t, ber.TAG_INTEGER, "generic-trap")
-        generic = ber.decode_integer_content(c)
-        t, c, pos = ber.decode_tlv(content, pos)
-        ber.expect_tag(t, ber.TAG_INTEGER, "specific-trap")
-        specific = ber.decode_integer_content(c)
+        generic, pos = ber.decode_integer(content, pos, len(content), "generic-trap")
+        specific, pos = ber.decode_integer(content, pos, len(content), "specific-trap")
+        if generic < 0 or specific < 0:
+            # RFC 1157 §4.1.6 declares both non-negative; a negative
+            # specific-trap would not even make an enterprise.0.<n> OID.
+            raise ber.BerError(f"negative v1 trap code {generic!r}/{specific!r}")
         timestamp, pos = decode_value(content, pos)
         if not isinstance(timestamp, TimeTicks):
             raise ber.BerError("v1 trap time-stamp must be TimeTicks")
         vb_content, pos = ber.decode_sequence(content, pos)
         if pos != len(content):
             raise ber.BerError("trailing bytes inside v1 Trap-PDU")
-        varbinds: List[VarBind] = []
-        vpos = 0
-        while vpos < len(vb_content):
-            vb, vpos = VarBind.decode(vb_content, vpos)
-            varbinds.append(vb)
+        varbinds = decode_varbinds(vb_content, 0, len(vb_content))
         return (
             TrapV1Pdu(enterprise, agent_addr, generic, specific, timestamp, varbinds),
             new_offset,

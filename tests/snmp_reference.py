@@ -1,0 +1,139 @@
+"""The SNMP message path as it was before it was made fast, kept as the
+reference the fast one is held equal to.
+
+- :func:`old_reply` is the agent of the parent commit: three handlers that
+  build ``VarBind`` lists, answered through ``Message(...).encode()``.
+  The reply writer must produce these bytes.
+- :func:`old_classification` is what ``_BulkWalk._on_response`` and the
+  poller's ``{vb.oid: vb.value}`` parser made of a decoded varbind list.
+  The column reader must produce these rows, or the same ``BerError``.
+
+Nothing here is called by the product.
+"""
+
+from repro.snmp.datatypes import (
+    EndOfMibView,
+    NoSuchInstance,
+    NoSuchObject,
+    TimeTicks,
+)
+from repro.snmp.errors import ErrorStatus
+from repro.snmp.message import VERSION_1, VERSION_2C, Message
+from repro.snmp.mib import SYS_UPTIME
+from repro.snmp.pdu import MAX_BULK_REPETITIONS, VarBind
+
+
+def old_handle_get(mib, version, pdu):
+    out = []
+    for i, vb in enumerate(pdu.varbinds):
+        value = mib.get(vb.oid)
+        if value is None:
+            if version == VERSION_1:
+                return pdu.response(pdu.varbinds, ErrorStatus.NO_SUCH_NAME, i + 1)
+            exc = (
+                NoSuchInstance() if mib.has_subtree(vb.oid.parent) else NoSuchObject()
+            ) if len(vb.oid) > 1 else NoSuchObject()
+            out.append(VarBind(vb.oid, exc))
+        else:
+            out.append(VarBind(vb.oid, value))
+    return pdu.response(out)
+
+
+def old_handle_get_next(mib, version, pdu):
+    out = []
+    for i, vb in enumerate(pdu.varbinds):
+        hit = mib.get_next(vb.oid)
+        if hit is None:
+            if version == VERSION_1:
+                return pdu.response(pdu.varbinds, ErrorStatus.NO_SUCH_NAME, i + 1)
+            out.append(VarBind(vb.oid, EndOfMibView()))
+        else:
+            out.append(VarBind(hit[0], hit[1]))
+    return pdu.response(out)
+
+
+def old_handle_get_bulk(mib, pdu):
+    non_repeaters = pdu.non_repeaters
+    max_repetitions = min(pdu.max_repetitions, MAX_BULK_REPETITIONS)
+    out = []
+    for vb in pdu.varbinds[:non_repeaters]:
+        hit = mib.get_next(vb.oid)
+        out.append(
+            VarBind(hit[0], hit[1]) if hit is not None else VarBind(vb.oid, EndOfMibView())
+        )
+    for vb in pdu.varbinds[non_repeaters:]:
+        cursor = vb.oid
+        for _ in range(max_repetitions):
+            hit = mib.get_next(cursor)
+            if hit is None:
+                out.append(VarBind(cursor, EndOfMibView()))
+                break
+            out.append(VarBind(hit[0], hit[1]))
+            cursor = hit[0]
+    return pdu.response(out)
+
+
+def old_reply(mib, community, payload):
+    """The reply datagram the parent's agent sent for ``payload``, by
+    successor queries chained one ``get_next`` at a time; ``None`` where
+    it sent none.  ``payload`` must decode."""
+    message = Message.decode(payload)
+    if message.community != community:
+        return None
+    pdu, version = message.pdu, message.version
+    if pdu.kind == "get":
+        response = old_handle_get(mib, version, pdu)
+    elif pdu.kind == "get-next":
+        response = old_handle_get_next(mib, version, pdu)
+    elif pdu.kind == "get-bulk" and version == VERSION_2C:
+        response = old_handle_get_bulk(mib, pdu)
+    elif pdu.kind == "set":
+        status = ErrorStatus.READ_ONLY if version == VERSION_1 else ErrorStatus.NOT_WRITABLE
+        response = pdu.response(pdu.varbinds, status, 1 if pdu.varbinds else 0)
+    else:
+        return None
+    return Message(version, community, response).encode()
+
+
+def agent_reply(agent, payload, src_ip, src_port=4000):
+    """Hand ``payload`` to ``agent`` and return the reply it scheduled
+    (``None``: it scheduled none), read off the simulator's queue."""
+    before = {id(handle) for _t, _s, handle in agent.sim._heap}
+    agent._on_datagram(payload, len(payload), src_ip, src_port)
+    replies = [
+        handle.args[0]
+        for _t, _s, handle in agent.sim._heap
+        if id(handle) not in before and handle.callback == agent._send_reply
+    ]
+    assert len(replies) <= 1
+    return replies[0] if replies else None
+
+
+def old_classification(varbinds, columns):
+    """``(uptime, rows)`` as the parent filed a response's varbinds.
+
+    A varbind belongs to the first (shortest) requested column its OID
+    starts with; its row is the arc after the column (-1: none); a
+    varbind under no column counts only if it is sysUpTime.0, whose last
+    occurrence wins and must be TimeTicks.  A row is ``(column position,
+    row, value tag, value as an integer or 0)``.
+    """
+    positions = {tuple(col): i for i, col in enumerate(columns)}
+    lengths = sorted({len(col) for col in columns})
+    uptime, rows = None, []
+    for vb in varbinds:
+        arcs = tuple(vb.oid)
+        for n in lengths:
+            if arcs[:n] in positions:
+                number = getattr(vb.value, "value", 0)
+                rows.append((
+                    positions[arcs[:n]],
+                    arcs[n] if len(arcs) > n else -1,
+                    vb.value.tag,
+                    number if isinstance(number, int) else 0,
+                ))
+                break
+        else:
+            if vb.oid == SYS_UPTIME:
+                uptime = vb.value.value if isinstance(vb.value, TimeTicks) else None
+    return uptime, rows

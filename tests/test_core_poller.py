@@ -226,11 +226,11 @@ class TestIngestEdges:
         from repro.core.poller import _CounterSnapshot
         from repro.snmp.datatypes import Counter32, TimeTicks
 
-        c = Counter32.wrap(octets)
+        c = Counter32.wrap(octets).value
         return _CounterSnapshot(
-            uptime=TimeTicks.from_seconds(uptime_s),
+            uptime=TimeTicks.from_seconds(uptime_s).value,
             octets_in=c, octets_out=c, ucast_in=c, ucast_out=c,
-            nucast_in=Counter32(0), nucast_out=Counter32(0),
+            nucast_in=0, nucast_out=0,
         )
 
     def test_same_tick_duplicate_dropped(self):

@@ -377,6 +377,85 @@ class TestOverlappingFaults:
         assert ups == [(1.0, False), (1.0, False)]
 
 
+# ----------------------------------------------------------------------
+# Lying agents are believed alike on both wire forms of the poll
+# ----------------------------------------------------------------------
+LIES = {
+    "random": lambda sim, agent: CounterCorruption(
+        sim, agent, at=1.0, until=3.0, mode="random", if_index=3, seed=5
+    ),
+    "stuck": lambda sim, agent: CounterCorruption(sim, agent, at=1.0, until=3.0, mode="stuck"),
+    "scaled": lambda sim, agent: CounterCorruption(
+        sim, agent, at=1.0, until=3.0, mode="scaled", scale=0.5
+    ),
+    "stuck-counters": lambda sim, agent: StuckCounters(sim, agent, at=1.0, until=3.0, if_index=2),
+    "speed": lambda sim, agent: SpeedMisreport(sim, agent, 3, 10_000_000, at=1.0, until=3.0),
+}
+POLL_AT = (1.1, 2.0, 4.0)  # lying, still lying (traffic has moved since), cleared
+
+
+def lying_run(cached, lie, bulk):
+    """Poll ports 2 and 3 of a switch agent three times.  Traffic crosses
+    those ports in two bursts that end before each poll, and the polls
+    themselves cross port 1 only, so what a poll reads does not depend on
+    how long its request was."""
+    from repro.core.poller import PollTarget
+    from repro.snmp.agent import SnmpAgent
+    from repro.snmp.manager import SnmpManager
+    from repro.snmp.mib import CachingMibTree, build_mib2
+
+    net = Network()
+    a, b, c = (net.add_host(name) for name in "ABC")
+    sw = net.add_switch("sw", 4, managed=True)
+    for host in (a, b, c):
+        net.connect(host, sw)
+    net.announce_hosts()
+    mib = build_mib2(sw, net.sim)
+    if cached:
+        mib = CachingMibTree(mib, net.sim, 0.25)
+    agent = SnmpAgent(net.endpoint("sw"), mib, seed=3)
+    fault = lie(net.sim, agent) if lie else None
+    StaircaseLoad(
+        b, c.primary_ip,
+        StepSchedule([(0.0, 50_000.0), (0.7, 0.0), (1.3, 80_000.0), (1.6, 0.0)]),
+    ).start()
+    sizes, polls = [], {}
+    send_reply = agent._send_reply
+    agent._send_reply = lambda payload, *to: sizes.append(len(payload)) or send_reply(payload, *to)
+    manager = SnmpManager(a, timeout=0.5, retries=0)
+    target = PollTarget("sw", net.endpoint("sw").primary_ip, [2, 3], include_oper_status=True,
+                        include_speed=True)
+    for t in POLL_AT:
+        net.sim.schedule_at(
+            t, manager.poll_interfaces, target.address, target.if_indexes, target.columns(),
+            lambda reply, t=t: polls.__setitem__(t, reply), bulk=bulk,
+        )
+    net.run(5.0)
+    assert sorted(polls) == list(POLL_AT)
+    return polls, sizes, fault
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["mib-tree", "caching-tree"])
+@pytest.mark.parametrize("lie", sorted(LIES))
+def test_a_lying_agent_is_believed_alike_in_bulk_and_get_mode(lie, cached):
+    """The bulk path reads the MIB through ``get_next_run``; a lying view
+    that left that method to the tree it wraps would serve the truth
+    there while every other test stayed green."""
+    honest, honest_sizes, _ = lying_run(cached, None, bulk=True)
+    by_get, get_sizes, get_fault = lying_run(cached, LIES[lie], bulk=False)
+    by_bulk, bulk_sizes, bulk_fault = lying_run(cached, LIES[lie], bulk=True)
+    for t in POLL_AT:
+        assert by_bulk[t] == by_get[t], t  # uptime and every cell, tag and value
+    assert by_bulk[1.1] != honest[1.1] or lie in ("stuck", "stuck-counters")
+    assert by_bulk[2.0] != honest[2.0]  # the lie is served ...
+    assert by_bulk[4.0] == honest[4.0]  # ... and the truth once it clears
+    # Size-preserving: every reply is as long as the honest agent's.
+    assert bulk_sizes == honest_sizes
+    assert get_sizes == lying_run(cached, None, bulk=False)[1]
+    assert bulk_fault.values_corrupted == get_fault.values_corrupted > 0
+    assert not bulk_fault.active
+
+
 class _StubWorker:
     """What WorkerCrash needs of a worker."""
 

@@ -78,13 +78,13 @@ def collect_reports(scenario):
 # ----------------------------------------------------------------------
 def snapshot(uptime_s=0.0, octets_in=0, octets_out=0, ucast=0):
     return _CounterSnapshot(
-        uptime=TimeTicks.from_seconds(uptime_s),
-        octets_in=Counter32.wrap(octets_in),
-        octets_out=Counter32.wrap(octets_out),
-        ucast_in=Counter32.wrap(ucast),
-        ucast_out=Counter32.wrap(ucast),
-        nucast_in=Counter32(0),
-        nucast_out=Counter32(0),
+        uptime=TimeTicks.from_seconds(uptime_s).value,
+        octets_in=Counter32.wrap(octets_in).value,
+        octets_out=Counter32.wrap(octets_out).value,
+        ucast_in=Counter32.wrap(ucast).value,
+        ucast_out=Counter32.wrap(ucast).value,
+        nucast_in=0,
+        nucast_out=0,
     )
 
 
@@ -136,7 +136,7 @@ class TestRateBoundValidator:
         # A counter running backwards reads as a near-4GB wrap delta.
         prev = snapshot(0.0, octets_out=50_000)
         cur = snapshot(2.0, octets_out=10_000)
-        rate = cur.octets_out.delta(prev.octets_out) / 2.0
+        rate = (cur.octets_out - prev.octets_out) % 2**32 / 2.0
         bad = sample(out_bps=rate)
         found = RateBoundValidator().check(context(bad, prev=prev, cur=cur))
         assert [f.check for f in found] == ["counter_regression"]
@@ -514,13 +514,13 @@ class TestTimeTicksWrap:
 
 def snapshot_at_ticks(ticks, octets):
     return _CounterSnapshot(
-        uptime=TimeTicks(ticks % 2 ** 32),
-        octets_in=Counter32.wrap(octets),
-        octets_out=Counter32.wrap(octets),
-        ucast_in=Counter32.wrap(octets // 500),
-        ucast_out=Counter32.wrap(octets // 500),
-        nucast_in=Counter32(0),
-        nucast_out=Counter32(0),
+        uptime=TimeTicks(ticks % 2 ** 32).value,
+        octets_in=Counter32.wrap(octets).value,
+        octets_out=Counter32.wrap(octets).value,
+        ucast_in=Counter32.wrap(octets // 500).value,
+        ucast_out=Counter32.wrap(octets // 500).value,
+        nucast_in=0,
+        nucast_out=0,
     )
 
 

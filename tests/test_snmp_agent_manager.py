@@ -232,3 +232,47 @@ class TestAgentRobustness:
         mgr.get(host.primary_ip, [SYS_UPTIME, IF_IN_OCTETS + "1"], got.ok, got.fail)
         net.run(1.0)
         assert iface.counters.out_octets > base_out  # the response was real bytes
+
+
+class TestErrorStatusOffTheWire:
+    """RFC 3416 defines error-status 0-18 and a corrupt datagram can carry
+    anything; at the parent commit an unlisted one raised ``ValueError``
+    out of the socket callback *after* the request had been popped, so
+    neither callback nor errback ever fired."""
+
+    @pytest.mark.parametrize(
+        "status, reads_as",
+        [(16, ErrorStatus.AUTHORIZATION_ERROR), (18, ErrorStatus.INCONSISTENT_NAME),
+         (65, ErrorStatus.GEN_ERR), (-3, ErrorStatus.GEN_ERR)],
+    )
+    def test_any_status_fails_the_request_exactly_once(self, status, reads_as):
+        from repro.snmp import ber
+        from repro.snmp.message import Message
+
+        net, mgr, agent, host = snmp_net()
+        errors, results = [], []
+        request_id = mgr.get(host.primary_ip, [SYS_NAME], results.append, errors.append)
+        reply = Message(
+            VERSION_2C, "public", Pdu(ber.TAG_GET_RESPONSE, request_id, status, 1)
+        ).encode()
+        mgr._on_datagram(reply, len(reply), host.primary_ip, 161)
+        assert mgr.outstanding == 0 and results == []
+        (exc,) = errors
+        assert isinstance(exc, SnmpErrorResponse)
+        assert (exc.status, exc.raw_status, exc.index) == (reads_as, status, 1)
+        net.run(2.0)  # the timer went with the request: no timeout, no second errback
+        assert len(errors) == 1 and mgr.timeouts == 0
+
+    def test_the_poller_counts_it_as_an_error_response(self):
+        from repro.core.poller import PollTarget, SnmpPoller
+        from repro.snmp import ber
+        from repro.snmp.message import Message
+
+        net, mgr, agent, host = snmp_net()
+        poller = SnmpPoller(mgr, [PollTarget("S1", host.primary_ip, [1])], jitter=0.0)
+        poller._poll_cycle()
+        (request_id,) = mgr._pending
+        reply = Message(VERSION_2C, "public", Pdu(ber.TAG_GET_RESPONSE, request_id, 65, 0)).encode()
+        mgr._on_datagram(reply, len(reply), host.primary_ip, 161)
+        assert (poller.error_responses, poller.poll_errors, poller.in_flight) == (1, 1, 0)
+

@@ -21,7 +21,11 @@ from repro.snmp.mib import (
     build_mib2,
 )
 from repro.snmp.oid import Oid
+from repro.core.poller import _COLUMNS as POLLED
+from repro.core.poller import PollTarget, SnmpPoller
 from repro.snmp.pdu import MAX_BULK_REPETITIONS, Pdu
+from tests.costs import call_counts
+from tests.snmp_reference import agent_reply
 
 
 def snmp_net():
@@ -37,16 +41,20 @@ def snmp_net():
     return net, manager, agent_host
 
 
-def switch_net(ports=24):
+def switch_rig(ports=24):
     """A managed many-port switch: the realistic bulk-walk target."""
     net = Network()
     mgr_host = net.add_host("L")
     sw = net.add_switch("sw", ports, managed=True)
     net.connect(mgr_host, sw)
     net.announce_hosts()
-    SnmpAgent(net.endpoint("sw"), build_mib2(net.device("sw"), net.sim))
+    agent = SnmpAgent(net.endpoint("sw"), build_mib2(net.device("sw"), net.sim))
     manager = SnmpManager(mgr_host, timeout=0.5, retries=1)
-    return net, manager, net.endpoint("sw").primary_ip
+    return net, manager, net.endpoint("sw").primary_ip, agent
+
+
+def switch_net(ports=24):
+    return switch_rig(ports)[:3]
 
 
 class Collect:
@@ -172,11 +180,11 @@ class TestPollInterfaces:
         net.run(1.0)
         assert got.error is None
         assert mgr.requests_sent == 1
-        assert got.results[0].oid == SYS_UPTIME  # uptime rides first
-        by_oid = {vb.oid: vb.value for vb in got.results}
+        uptime, tables = got.results
+        assert isinstance(uptime, int)  # uptime rides first
         for col in self.COLUMNS:
             for i in range(1, 9):
-                assert isinstance(by_oid[col + str(i)], Counter32)
+                assert tables[col][i][0] == Counter32.tag
 
     def test_large_table_chains_exchanges(self):
         """> MAX_BULK_REPETITIONS rows cannot fit one exchange."""
@@ -186,10 +194,10 @@ class TestPollInterfaces:
         net.run(2.0)
         assert got.error is None
         assert mgr.requests_sent == 2
-        by_oid = {vb.oid: vb.value for vb in got.results}
+        _uptime, tables = got.results
         for col in self.COLUMNS:
             for i in range(1, 71):
-                assert isinstance(by_oid[col + str(i)], Counter32)
+                assert tables[col][i][0] == Counter32.tag
 
     def test_bulk_matches_get(self):
         """The bulk walk returns a superset of the equivalent GET."""
@@ -204,7 +212,9 @@ class TestPollInterfaces:
         net.run(2.0)
         assert got_get.error is None and got_bulk.error is None
         get_map = {vb.oid: vb.value for vb in got_get.results}
-        bulk_map = {vb.oid: vb.value for vb in got_bulk.results}
+        uptime, tables = got_bulk.results
+        bulk_map = {col.extend(i): cell for col, rows in tables.items() for i, cell in rows.items()}
+        bulk_map[SYS_UPTIME] = uptime
         # Counters may have advanced between the two polls (the polls
         # themselves are traffic on the switch's port 1), so compare
         # coverage, not instantaneous values.
@@ -215,7 +225,7 @@ class TestPollInterfaces:
         got = Collect()
         mgr.poll_interfaces(sw_ip, [], self.COLUMNS, got.ok, got.fail)
         net.run(0.1)
-        assert got.results == []
+        assert got.results == (None, {col: {} for col in self.COLUMNS})
         assert mgr.requests_sent == 0
 
     def test_no_uptime_slot_unless_requested(self):
@@ -232,7 +242,7 @@ class TestPollInterfaces:
         )
         net.run(1.0)
         assert got.error is None
-        assert got.results == []
+        assert got.results == (None, {IF_ENTRY + "15": {}})
 
     def test_iftable_walk_never_materialises_the_fdb(self):
         """Cost guard: a counter poll must not pay for the bridge table."""
@@ -256,5 +266,61 @@ class TestPollInterfaces:
         )
         net.run(2.0)
         assert got.error is None
-        assert len(got.results) == 1 + len(self.COLUMNS) * 12
+        uptime, tables = got.results
+        assert uptime is not None
+        assert [len(tables[col]) for col in self.COLUMNS] == [12, 12]
         assert calls == []
+
+
+# ----------------------------------------------------------------------
+# Cost guards without a wall clock (tests/costs.py)
+# ----------------------------------------------------------------------
+class TestCostPerVarbind:
+    def second_poll(self, ports, consumer):
+        """The calls one whole-table bulk poll of a ``ports``-port switch
+        costs, agent receive to ``consumer``, split (agent, manager).  It
+        is the second poll: baselines exist, every row yields a sample."""
+        net, mgr, sw_ip, agent = switch_rig(ports)
+        if consumer == "poller":
+            poller = SnmpPoller(
+                mgr, [PollTarget("sw", sw_ip, list(range(1, ports + 1)))],
+                jitter=0.0, poll_mode="bulk",
+            )
+            poll, done = poller._poll_cycle, lambda: poller.samples_produced
+            poll()
+            net.run(2.0)
+        else:
+            got = Collect()
+            poll = lambda: mgr.poll_interfaces(sw_ip, range(1, ports + 1), POLLED, got.ok)  # noqa: E731
+            done = lambda: len(got.results[1][IF_IN_OCTETS])  # noqa: E731
+        poll()
+        (request,) = [pending.payload for pending in mgr._pending.values()]
+        reply = []
+        agent_side = call_counts(lambda: reply.append(agent_reply(agent, request, sw_ip)))
+        manager_side = call_counts(lambda: mgr._on_datagram(reply[0], len(reply[0]), sw_ip, 161))
+        assert mgr.outstanding == 0 and mgr.requests_sent == 2 - (consumer != "poller")
+        assert done() == ports
+        return agent_side, manager_side
+
+    def test_marginal_cost_of_a_varbind_agent_receive_to_poller_ingest(self):
+        """(calls for a 48-port poll - calls for a 16-port one) / the 192
+        extra varbinds.  The parent paid about 25: get_next, accessor,
+        wrap, VarBind(), encode and three encode_tlv on the agent; ten
+        frames of VarBind.decode, a dict entry and an isinstance on the
+        manager.  Now 4 on the agent (accessor, wrap, Counter32(), encode)
+        and the poller's per-interface work spread over six columns."""
+        small, big = (self.second_poll(ports, "poller") for ports in (16, 48))
+        total = lambda sides: sum(sum(side.values()) for side in sides)  # noqa: E731
+        marginal = (total(big) - total(small)) / ((48 - 16) * len(POLLED))
+        assert marginal <= 6, (marginal, big[0] - small[0], big[1] - small[1])
+
+    def test_an_in_column_row_costs_the_manager_no_call_at_all(self):
+        """Three times the rows, the same Python calls from datagram to
+        callback: no decode_tlv, no VarBind.decode, no Oid, no value object
+        per row -- nothing per row but the reader's own loop."""
+        (_, small), (_, big) = (self.second_poll(ports, "callback") for ports in (16, 48))
+        assert big == small, big - small
+        for name in ("decode_tlv", "decode_value", "decode_unsigned_content", "__new__"):
+            assert big[name] <= 3, (name, big[name])  # sysUpTime's varbind only
+        assert big["_read_columns"] == 1
+

@@ -1,0 +1,568 @@
+"""Hostile input on the SNMP ports: byte-mutated *valid* messages at every
+receiver, and the streaming column reader held equal to the general decoder.
+
+``tests/test_robustness.py`` throws random bytes, which die at the first
+TLV.  Here the seeds are valid messages -- every PDU kind, v1 traps, every
+value type, a 97-varbind interface-poll reply -- and one to three bytes are
+set, deleted, inserted or bit-flipped, so a mutant gets as deep into a
+decoder as a real corrupt datagram would.  The contract at every receiver
+(``Message.decode``, ``SnmpAgent``, ``SnmpManager`` with a GET and an
+interface-poll walk pending, ``TrapReceiver``, ``InformSender``): a
+``BerError`` / counted reject or a valid object, never another exception,
+and on a reject no pending request, timer, estimator, walk table or dedup
+entry has changed.
+
+The differential properties at the end hold the two fast paths to the
+general codec (``tests/snmp_reference.py``): the agent's reply writer to
+the old handlers' ``Message(...).encode()``, and ``_read_columns`` to
+``decode_varbinds`` plus the old classification -- same rows, same uptime,
+the same ``BerError`` or none.
+"""
+
+import dataclasses
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.simnet.network import Network
+from repro.snmp import ber
+from repro.snmp.agent import SnmpAgent
+from repro.snmp.ber import BerError
+from repro.snmp.datatypes import (
+    Counter32,
+    Counter64,
+    EndOfMibView,
+    Gauge32,
+    Integer,
+    IpAddress,
+    NoSuchInstance,
+    NoSuchObject,
+    Null,
+    ObjectIdentifier,
+    OctetString,
+    TimeTicks,
+)
+from repro.snmp.manager import SnmpManager, _column_set, _read_columns
+from repro.snmp.message import VERSION_1, VERSION_2C, Message, decode_header
+from repro.snmp.mib import (
+    IF_DESCR,
+    IF_ENTRY,
+    IF_IN_NUCAST_PKTS,
+    IF_IN_OCTETS,
+    IF_IN_UCAST_PKTS,
+    IF_OPER_STATUS,
+    IF_OUT_NUCAST_PKTS,
+    IF_OUT_OCTETS,
+    IF_OUT_UCAST_PKTS,
+    IF_SPEED,
+    SYS_DESCR,
+    SYS_UPTIME,
+    build_mib2,
+)
+from repro.snmp.oid import Oid
+from repro.snmp.pdu import Pdu, VarBind, decode_varbinds
+from repro.snmp.trap import (
+    TRAP_LINK_DOWN,
+    InformSender,
+    TrapReceiver,
+    TrapV1Pdu,
+    build_trap_pdu,
+    link_trap_pdu,
+)
+from tests.snmp_reference import agent_reply, old_classification, old_reply
+
+COLUMNS = [
+    IF_IN_OCTETS, IF_OUT_OCTETS, IF_IN_UCAST_PKTS, IF_OUT_UCAST_PKTS,
+    IF_IN_NUCAST_PKTS, IF_OUT_NUCAST_PKTS,
+]
+PORTS = 16
+INFORM_ID = 0x7001
+EVERY_VALUE = [
+    Integer(-5), Integer(2**31 - 1), OctetString(b"eth0"), Null(),
+    ObjectIdentifier("1.3.6.1.4.1.99999.1"), IpAddress("10.0.0.7"),
+    Counter32(2**32 - 1), Gauge32(100_000_000), TimeTicks(4242),
+    Counter64(2**63), NoSuchObject(), NoSuchInstance(), EndOfMibView(),
+]
+
+
+# ----------------------------------------------------------------------
+# Rigs and seeds
+# ----------------------------------------------------------------------
+def lan():
+    """Manager host L, a second host S1 and a managed 16-port switch with
+    an agent.  Nothing runs: datagrams are handed to the receivers."""
+    net = Network()
+    host, peer = net.add_host("L"), net.add_host("S1")
+    switch = net.add_switch("sw", PORTS, managed=True)
+    net.connect(host, switch)
+    net.connect(peer, switch)
+    net.announce_hosts()
+    agent = SnmpAgent(net.endpoint("sw"), build_mib2(switch, net.sim))
+    return net, host, peer, agent
+
+
+class Outcomes:
+    """Callbacks that record which request ended how."""
+
+    def __init__(self):
+        self.ended = []
+
+    def ok(self, name):
+        return lambda result: self.ended.append((name, "ok", result))
+
+    def fail(self, name):
+        return lambda exc: self.ended.append((name, "error", exc))
+
+
+def manager_rig():
+    """A manager with one GET (request-id 1) and one interface-poll walk
+    (request-id 2, its first exchange) pending."""
+    net, host, _peer, agent = lan()
+    manager = SnmpManager(host, timeout=0.5, retries=1)
+    got = Outcomes()
+    agent_ip = net.endpoint("sw").primary_ip
+    manager.get(
+        agent_ip, [SYS_UPTIME, IF_DESCR.extend(1)], got.ok("get"), got.fail("get")
+    )
+    manager.poll_interfaces(
+        agent_ip, range(1, PORTS + 1), COLUMNS, got.ok("poll"), got.fail("poll")
+    )
+    walk = manager._pending[2].callback.__self__
+    return net, manager, agent, walk, got
+
+
+def _message(pdu, version=VERSION_2C, community="public"):
+    return Message(version, community, pdu).encode()
+
+
+def _seeds():
+    _net, manager, agent, _walk, _got = manager_rig()
+    get_request, walk_request = (manager._pending[i].payload for i in (1, 2))
+    reply_get = old_reply(agent.mib, "public", get_request)
+    reply_walk = old_reply(agent.mib, "public", walk_request)
+    assert len(Message.decode(reply_walk).pdu.varbinds) == 1 + len(COLUMNS) * PORTS
+    oids = [SYS_UPTIME, IF_IN_OCTETS.extend(1), IF_ENTRY + "99.1"]
+    requests = [
+        get_request,
+        walk_request,
+        _message(Pdu.get_request(5, oids), VERSION_1),
+        _message(Pdu.get_next_request(6, [SYS_DESCR, Oid("2.999")])),
+        _message(Pdu.get_next_request(7, [Oid("2.999")]), VERSION_1),
+        _message(Pdu.get_bulk_request(8, [SYS_UPTIME.parent, IF_SPEED], 1, 20)),
+        _message(Pdu(ber.TAG_SET_REQUEST, 9, 0, 0, [VarBind(SYS_DESCR, OctetString("x"))])),
+        _message(Pdu.get_request(10, oids), community="private"),
+    ]
+    every_value = Pdu(
+        ber.TAG_GET_RESPONSE, 1, 0, 0,
+        [VarBind(IF_ENTRY.extend(1, i + 1), value) for i, value in enumerate(EVERY_VALUE)],
+    )
+    responses = [
+        reply_get,
+        reply_walk,
+        _message(every_value),
+        _message(Pdu(ber.TAG_GET_RESPONSE, 1, 2, 1, [VarBind(SYS_UPTIME)]), VERSION_1),
+        _message(Pdu(ber.TAG_GET_RESPONSE, INFORM_ID, 0, 0, [])),
+    ]
+    v1_trap = TrapV1Pdu(
+        Oid("1.3.6.1.4.1.99999"), IpAddress("10.0.0.7"), 2, 0, TimeTicks(4242),
+        [VarBind(IF_DESCR.extend(3), OctetString("eth2"))],
+    )
+    notifications = [
+        _message(link_trap_pdu(TimeTicks(100), 3, up=False)),
+        _message(inform_pdu()),
+        _message(v1_trap, VERSION_1),
+        _message(dataclasses.replace(v1_trap, generic_trap=6, specific_trap=17), VERSION_1),
+    ]
+    return requests, responses, notifications
+
+
+def inform_pdu():
+    pdu = build_trap_pdu(
+        TimeTicks(100), TRAP_LINK_DOWN, [VarBind(IF_DESCR.extend(3), Integer(3))],
+        confirmed=True,
+    )
+    pdu.request_id = INFORM_ID
+    return pdu
+
+
+REQUESTS, RESPONSES, NOTIFICATIONS = _seeds()
+EVERYTHING = REQUESTS + RESPONSES + NOTIFICATIONS
+REPLY_GET, REPLY_WALK = RESPONSES[0], RESPONSES[1]
+
+# The two inputs that escaped a socket callback at the parent commit.
+STATUS_16 = _message(Pdu(ber.TAG_GET_RESPONSE, 1, 16, 1, [VarBind(SYS_UPTIME)]))
+STATUS_65 = _message(Pdu(ber.TAG_GET_RESPONSE, 1, 65, 0, []))
+NEGATIVE_SPECIFIC_TRAP = _message(
+    TrapV1Pdu(
+        Oid("1.3.6.1.4.1.99999"), IpAddress("10.0.0.7"), 6, -1, TimeTicks(1), []
+    ),
+    VERSION_1,
+)
+
+
+@st.composite
+def mutated(draw, seeds, least=1, hows=("set", "delete", "insert", "flip")):
+    data = bytearray(draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(least, 3))):
+        how = draw(st.sampled_from(hows))
+        if how == "insert":
+            data.insert(draw(st.integers(0, len(data))), draw(st.integers(0, 255)))
+        elif data:
+            at = draw(st.integers(0, len(data) - 1))
+            if how == "set":
+                data[at] = draw(st.integers(0, 255))
+            elif how == "delete":
+                del data[at]
+            else:
+                data[at] ^= 1 << draw(st.integers(0, 7))
+    return bytes(data)
+
+
+# An insert or a delete breaks every enclosing length; to reach the
+# varbinds behind a header that still parses, keep the size.
+SAME_SIZE = ("set", "flip")
+
+
+# ----------------------------------------------------------------------
+# Message.decode
+# ----------------------------------------------------------------------
+class TestMessageDecode:
+    def test_every_seed_is_valid(self):
+        for payload in EVERYTHING:
+            assert Message.decode(payload).encode() == payload
+
+    @settings(max_examples=600, deadline=None)
+    @given(payload=mutated(EVERYTHING))
+    @example(payload=NEGATIVE_SPECIFIC_TRAP)
+    def test_ber_error_or_a_message_that_round_trips(self, payload):
+        try:
+            message = Message.decode(payload)
+        except BerError:
+            return
+        assert isinstance(message, Message) and isinstance(message.pdu.kind, str)
+        # A valid object: it encodes, and decodes again to itself.
+        assert Message.decode(message.encode()) == message
+
+
+# ----------------------------------------------------------------------
+# SnmpAgent
+# ----------------------------------------------------------------------
+class TestAgent:
+    @settings(max_examples=400, deadline=None)
+    @given(payload=mutated(REQUESTS + RESPONSES[2:] + NOTIFICATIONS, least=0))
+    def test_counted_reject_or_the_old_handlers_reply(self, payload):
+        net, _host, peer, agent = lan()
+        events = net.sim.pending_count()
+        reply = agent_reply(agent, payload, peer.primary_ip)
+        assert agent.in_packets == 1
+        rejected = agent.malformed + agent.bad_community + agent.unsupported
+        assert rejected in (0, 1)
+        if rejected:
+            assert reply is None and net.sim.pending_count() == events
+            assert (agent.get_requests, agent.out_packets) == (0, 0)
+        else:
+            # Answered: one reply scheduled, and byte for byte the one the
+            # parent's handlers built through Message(...).encode().
+            assert reply == old_reply(agent.mib, agent.community, payload)
+            assert net.sim.pending_count() == events + 1
+
+
+# ----------------------------------------------------------------------
+# SnmpManager, with a GET and an interface-poll walk pending
+# ----------------------------------------------------------------------
+def manager_state(manager, walk):
+    """Everything a datagram can move, bar the two reject counters."""
+    return (
+        sorted((i, p.attempts, p.timer.pending) for i, p in manager._pending.items()),
+        {ip: (e.srtt, e.rttvar, e.rto, e.samples) for ip, e in manager._estimators.items()},
+        {ip: dataclasses.astuple(d) for ip, d in manager.destinations.items()},
+        (manager.requests_sent, manager.responses_received),
+        (walk.exchanges, walk.uptime, list(walk.cursor_rows), list(walk.done)),
+        [dict(table) for table in walk.tables],
+    )
+
+
+class TestManager:
+    @settings(max_examples=400, deadline=None)
+    @given(payload=mutated(RESPONSES + REQUESTS[:2] + NOTIFICATIONS[2:], least=0))
+    @example(payload=STATUS_16)
+    @example(payload=STATUS_65)
+    @example(payload=NOTIFICATIONS[2])  # a v1 Trap-PDU on the manager's port
+    def test_reject_changes_nothing_and_a_match_ends_one_request(self, payload):
+        net, manager, _agent, walk, got = manager_rig()
+        before = manager_state(manager, walk)
+        manager._on_datagram(payload, len(payload), None, 161)
+        rejects = manager.decode_errors + manager.responses_unmatched
+        assert rejects in (0, 1)
+        if rejects:
+            assert manager_state(manager, walk) == before and got.ended == []
+            return
+        # Matched: that request is gone and ended exactly once -- or, for
+        # the walk, went on to its next exchange.
+        assert manager.responses_received == 1
+        if 1 not in manager._pending:
+            assert [name for name, _how, _what in got.ended] == ["get"]
+            assert 2 in manager._pending
+        else:
+            assert 2 not in manager._pending
+            went_on = manager.requests_sent == 3 and manager.outstanding == 2
+            assert went_on != ([name for name, *_ in got.ended] == ["poll"])
+
+    def test_the_valid_replies_complete_both_requests(self):
+        net, manager, _agent, walk, got = manager_rig()
+        for payload in (REPLY_WALK, REPLY_GET):
+            manager._on_datagram(payload, len(payload), None, 161)
+        (_, how, (uptime, tables)), (_, _, varbinds) = got.ended
+        assert how == "ok" and manager.outstanding == 0
+        assert uptime == 0 and [len(tables[col]) for col in COLUMNS] == [PORTS] * 6
+        assert [vb.oid for vb in varbinds] == [SYS_UPTIME, IF_DESCR.extend(1)]
+
+    def test_a_v1_trap_on_the_managers_port_is_unmatched(self):
+        net, manager, _agent, walk, got = manager_rig()
+        manager._on_datagram(NOTIFICATIONS[2], len(NOTIFICATIONS[2]), None, 162)
+        assert (manager.responses_unmatched, manager.decode_errors) == (1, 0)
+        manager._on_datagram(NEGATIVE_SPECIFIC_TRAP, len(NEGATIVE_SPECIFIC_TRAP), None, 162)
+        assert (manager.responses_unmatched, manager.decode_errors) == (1, 1)
+
+
+# ----------------------------------------------------------------------
+# TrapReceiver and InformSender
+# ----------------------------------------------------------------------
+def receiver_state(net, receiver):
+    return (
+        list(receiver.events), set(receiver._seen_informs), receiver.informs_acked,
+        receiver.duplicate_informs, net.sim.pending_count(),
+    )
+
+
+class TestTrapReceiver:
+    @settings(max_examples=400, deadline=None)
+    @given(payload=mutated(NOTIFICATIONS + RESPONSES[2:] + REQUESTS[:1], least=0))
+    @example(payload=NEGATIVE_SPECIFIC_TRAP)
+    def test_counted_reject_or_one_event(self, payload):
+        net, host, peer, _agent = lan()
+        receiver = TrapReceiver(host)
+        before = receiver_state(net, receiver)
+        receiver._on_datagram(payload, len(payload), peer.primary_ip, 4000)
+        rejected = receiver.malformed + receiver.bad_community
+        assert rejected in (0, 1)
+        if rejected:
+            assert receiver_state(net, receiver) == before
+        else:
+            assert len(receiver.events) == 1
+            event = receiver.events[0]
+            assert isinstance(event.trap_oid, Oid) and isinstance(event.uptime, TimeTicks)
+            assert len(receiver._seen_informs) == receiver.informs_acked <= 1
+
+    def test_negative_specific_trap_is_malformed(self):
+        """The parent's failing case: ``enterprise.0.-1`` is no OID, and
+        ``OidError`` left the socket callback."""
+        net, host, peer, _agent = lan()
+        receiver = TrapReceiver(host)
+        receiver._on_datagram(
+            NEGATIVE_SPECIFIC_TRAP, len(NEGATIVE_SPECIFIC_TRAP), peer.primary_ip, 4000
+        )
+        assert receiver.malformed == 1 and receiver.events == []
+
+
+class TestInformSender:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=mutated(RESPONSES + NOTIFICATIONS[:2], least=0))
+    def test_only_its_own_acknowledgement_settles_an_inform(self, payload):
+        net, host, peer, _agent = lan()
+        sender = InformSender(peer, host.primary_ip)
+        sender.send(inform_pdu())
+        (attempts, timer), sent = sender._pending[INFORM_ID][1:], sender.sent
+        sender._on_datagram(payload, len(payload), host.primary_ip, 162)
+        try:
+            pdu = Message.decode(payload).pdu
+            settles = pdu.kind == "response" and pdu.request_id == INFORM_ID
+        except BerError:
+            settles = False
+        if settles:
+            assert sender.acked == 1 and sender.outstanding == 0 and not timer.pending
+        else:
+            assert sender.acked == 0 and sender.sent == sent
+            assert sender._pending[INFORM_ID][1:] == [attempts, timer] and timer.pending
+
+
+# ----------------------------------------------------------------------
+# Differential: the column reader is the general decoder, on a subset
+# ----------------------------------------------------------------------
+def read_both_ways(payload, columns):
+    """(reader's answer, general decoder's answer), ``BerError`` standing
+    for itself; ``None`` when the header already fails (one parser)."""
+    try:
+        start, end = decode_header(payload)[-2:]
+    except BerError:
+        return None
+    answers = []
+    for read in (
+        lambda: _read_columns(payload, start, end, _column_set(tuple(columns))),
+        lambda: old_classification(decode_varbinds(payload, start, end), columns),
+    ):
+        try:
+            answers.append(read())
+        except BerError:
+            answers.append(BerError)
+    return tuple(answers)
+
+
+POLL_COLUMNS = COLUMNS + [IF_OPER_STATUS, IF_SPEED]
+# Prefixes of two encoded lengths, one column nested in another, and one
+# whose arcs need two octets each.
+ODD_COLUMNS = [IF_IN_OCTETS, IF_IN_OCTETS.extend(7), IF_ENTRY, Oid("1.3.6.1.4.1.99999.300")]
+
+
+def _tlv(tag, content, long_form=False):
+    if long_form:  # a legal, non-minimal length
+        return bytes((tag, 0x81, len(content))) + content
+    return ber.encode_tlv(tag, content)
+
+
+@st.composite
+def arc_octets(draw, arc):
+    """Base-128 octets of one arc, sometimes with redundant 0x80 leads."""
+    minimal = ber.encode_oid_content(Oid((1, 3, arc)))[1:]
+    return b"\x80" * draw(st.sampled_from([0, 0, 0, 1, 2])) + minimal
+
+
+UNSIGNED32 = [
+    b"\x00", b"\x7f", b"\x00\x80", b"\xff\xff", b"\x00\xff\xff\xff\xff",
+    b"\x00\x00\x00\x00\x91", b"\xff\xff\xff\xff",
+]
+LEGAL_VALUES = (
+    [(tag, c) for tag in (ber.TAG_COUNTER32,) * 3 + (ber.TAG_GAUGE32, ber.TAG_TIMETICKS)
+     for c in UNSIGNED32]
+    + [(ber.TAG_INTEGER, c) for c in (b"\x01", b"\x80", b"\xff\xff", b"\x01\x00\x00\x00\x00")]
+    + [(ber.TAG_END_OF_MIB_VIEW, b""), (ber.TAG_NO_SUCH_INSTANCE, b""), (ber.TAG_NULL, b""),
+       (ber.TAG_OCTET_STRING, b"eth0"), (ber.TAG_IPADDRESS, b"\x0a\x00\x00\x07"),
+       (ber.TAG_COUNTER64, b"\x00\xff\xff\xff\xff\xff\xff\xff\xff")]
+)
+ILLEGAL_VALUES = [
+    (ber.TAG_COUNTER32, b""), (ber.TAG_COUNTER32, b"\x01\x00\x00\x00\x00"),
+    (ber.TAG_GAUGE32, b"\x00\x01\x00\x00\x00\x00"), (ber.TAG_INTEGER, b""),
+    (ber.TAG_END_OF_MIB_VIEW, b"\x00"), (ber.TAG_NULL, b"\x00"), (ber.TAG_OPAQUE, b"\x01"),
+    (ber.TAG_IPADDRESS, b"\x0a\x00\x07"), (ber.TAG_COUNTER64, b"\x01" + b"\x00" * 8),
+]
+
+
+@st.composite
+def values(draw, hostile):
+    pool = LEGAL_VALUES + ILLEGAL_VALUES if hostile and draw(st.integers(0, 5)) == 0 else LEGAL_VALUES
+    tag, content = draw(st.sampled_from(pool))
+    return _tlv(tag, content, draw(st.integers(0, 7)) == 0)
+
+
+@st.composite
+def poll_replies(draw):
+    """A Response shaped like an interface poll's -- column-major,
+    row-interleaved or GET-ordered, rows 1-300 -- with legal oddities
+    (long-form lengths, redundant arc octets, zero-padded counters, other
+    types) and, in a ``hostile`` one, illegal ones mixed in cell by cell
+    (empty and overflowing integers, trailing octets)."""
+    columns = draw(st.sampled_from([POLL_COLUMNS, ODD_COLUMNS]))
+    hostile = draw(st.booleans())
+    rows = draw(st.lists(st.integers(0, 300), min_size=1, max_size=6, unique=True))
+    layout = draw(st.sampled_from(["column-major", "row-interleaved", "get"]))
+    if layout != "get":
+        rows.sort()
+    if layout == "column-major":
+        cells = [(col, row) for col in columns for row in rows]
+    else:
+        cells = [(col, row) for row in rows for col in columns]
+    varbinds = []
+    uptime = draw(st.sampled_from(["ticks", "ticks", "counter", "absent", "last"]))
+    if uptime in ("ticks", "counter"):
+        value = TimeTicks(77) if uptime == "ticks" else Counter32(77)
+        varbinds.append(VarBind(SYS_UPTIME, value).encode())
+    for col, row in cells:
+        prefix = ber.encode_oid_content(col)
+        if draw(st.integers(0, 9)) == 0:
+            prefix = prefix[:-1] + b"\x80" + prefix[-1:]  # same arcs, other bytes
+        oid = prefix + draw(arc_octets(row))
+        if draw(st.integers(0, 9)) == 0:
+            oid += draw(arc_octets(draw(st.integers(0, 200))))  # a second index arc
+        elif draw(st.integers(0, 19)) == 0:
+            oid = prefix  # the column itself, no row
+        odd = draw(st.integers(0, 11))
+        body = _tlv(ber.TAG_OID, oid, odd == 0) + draw(values(hostile))
+        if odd == 1 and hostile:
+            body += b"\x00"  # trailing octet inside the varbind
+        varbinds.append(_tlv(ber.TAG_SEQUENCE, body, odd == 2))
+    if uptime == "last":
+        varbinds.append(VarBind(SYS_UPTIME, TimeTicks(78)).encode())
+    if draw(st.booleans()):
+        varbinds.append(VarBind(IF_DESCR.extend(1), OctetString("eth0")).encode())
+    pdu = ber.encode_tlv(
+        ber.TAG_GET_RESPONSE,
+        ber.encode_integer(2) + ber.encode_integer(0) + ber.encode_integer(0)
+        + ber.encode_sequence(*varbinds),
+    )
+    payload = ber.encode_sequence(
+        ber.encode_integer(VERSION_2C), ber.encode_octet_string(b"public"), pdu
+    )
+    return columns, payload
+
+
+class TestColumnReaderIsTheGeneralDecoder:
+    def test_on_the_valid_replies(self):
+        for payload in (REPLY_WALK, REPLY_GET, RESPONSES[2]):
+            got, want = read_both_ways(payload, COLUMNS)
+            assert got == want and got is not BerError
+        uptime, rows = read_both_ways(REPLY_WALK, COLUMNS)[0]
+        assert uptime == 0
+        assert rows[:2] == [(0, 1, Counter32.tag, rows[0][3]), (0, 2, Counter32.tag, rows[1][3])]
+        assert len(rows) == len(COLUMNS) * PORTS
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        payload=st.one_of(mutated(RESPONSES[:3]), mutated(RESPONSES[:3], hows=SAME_SIZE)),
+        columns=st.sampled_from([COLUMNS, ODD_COLUMNS]),
+    )
+    def test_on_the_mutation_corpus(self, payload, columns):
+        answers = read_both_ways(payload, columns)
+        if answers is not None:
+            assert answers[0] == answers[1]
+
+    @settings(max_examples=800, deadline=None)
+    @given(reply=poll_replies(), data=st.data())
+    def test_on_every_layout_and_legal_oddity(self, reply, data):
+        columns, payload = reply
+        if data.draw(st.integers(0, 3)) == 0:
+            payload = data.draw(mutated([payload], hows=SAME_SIZE))
+        answers = read_both_ways(payload, columns)
+        if answers is not None:
+            assert answers[0] == answers[1]
+
+    def test_the_named_oddities_one_by_one(self):
+        """Rows 127/128/300 (one and two index octets), a redundant 0x80
+        lead, a long-form length, a Counter32 padded to five octets and one
+        overflowing 2**32: read alike, and the last one rejected alike."""
+        def reply(oid_content, value_tlv, long_form=False):
+            varbind = _tlv(
+                ber.TAG_SEQUENCE, _tlv(ber.TAG_OID, oid_content) + value_tlv, long_form
+            )
+            return ber.encode_sequence(
+                ber.encode_integer(VERSION_2C), ber.encode_octet_string(b"public"),
+                ber.encode_tlv(
+                    ber.TAG_GET_RESPONSE,
+                    ber.encode_integer(2) * 3 + ber.encode_sequence(varbind),
+                ),
+            )
+
+        prefix = ber.encode_oid_content(IF_IN_OCTETS)
+        counter = Counter32(145).encode()
+        for octets, row in ((b"\x7f", 127), (b"\x81\x00", 128), (b"\x82\x2c", 300),
+                            (b"\x80\x05", 5), (b"\x80\x80\x05", 5)):
+            got, want = read_both_ways(reply(prefix + octets, counter), COLUMNS)
+            assert got == want == (None, [(0, row, Counter32.tag, 145)])
+        got, want = read_both_ways(reply(prefix + b"\x05", counter, long_form=True), COLUMNS)
+        assert got == want == (None, [(0, 5, Counter32.tag, 145)])
+        padded = _tlv(ber.TAG_COUNTER32, b"\x00\xff\xff\xff\xff")
+        got, want = read_both_ways(reply(prefix + b"\x05", padded), COLUMNS)
+        assert got == want == (None, [(0, 5, Counter32.tag, 2**32 - 1)])
+        overflow = _tlv(ber.TAG_COUNTER32, b"\x01\x00\x00\x00\x00")
+        assert read_both_ways(reply(prefix + b"\x05", overflow), COLUMNS) == (BerError, BerError)
+        empty = _tlv(ber.TAG_COUNTER32, b"")
+        assert read_both_ways(reply(prefix + b"\x05", empty), COLUMNS) == (BerError, BerError)

@@ -39,8 +39,12 @@ from repro.snmp.mib import (
     DOT1D_TP_FDB_PORT,
 )
 from tests.costs import call_counts
+from tests.snmp_reference import agent_reply, old_reply
+from repro.simnet.faults import _TamperedMib
+from repro.snmp import ber
+from repro.snmp.message import VERSION_1, VERSION_2C, Message
 from repro.snmp.oid import Oid
-from repro.snmp.pdu import Pdu, VarBind
+from repro.snmp.pdu import MAX_BULK_REPETITIONS, Pdu, VarBind
 
 
 class TestMibTree:
@@ -396,12 +400,148 @@ class TestIndexedLookupsMatchNaiveReference:
                     break
                 want.append(VarBind(*hit))
                 cursor = hit[0]
-        answer = agent._handle_get_bulk(request)
+        answer = request.response([VarBind(*p) for p in agent._handle_get_bulk(request)])
         assert answer.encode() == request.response(want).encode()
         seen = [vb.oid for vb in answer.varbinds]
         assert any(oid.startswith(DOT1D_TP_FDB_ENTRY) for oid in seen)
         assert any(oid.startswith(DOT1D_STP_PORT_ENTRY) for oid in seen)
         assert isinstance(answer.varbinds[-1].value, EndOfMibView)
+
+
+# Static instances between the two provider subtrees and after both, and
+# OCTET STRINGs whose varbinds straddle the 127-octet short-form limit.
+BETWEEN_PROVIDERS = Oid("1.3.6.1.2.1.17.3.0")
+PAST_PROVIDERS = Oid("1.3.6.1.4.1.99999.5")
+
+
+def widened_rig(**kwargs):
+    net, sw, tree, naive = bridge_rig(**kwargs)
+    for i in range(4):  # the rig's ports are still listening: learn by hand
+        sw._learn(MacAddress(0x020000000100 | i), sw.interfaces[i])
+    tree.register(BETWEEN_PROVIDERS, Integer(3))
+    for n in range(104, 124, 3):
+        tree.register(PAST_PROVIDERS.extend(n, 0), OctetString(b"x" * n))
+    return net, sw, tree, naive
+
+
+class TestSuccessorRuns:
+    """``get_next_run`` is ``get_next`` chained, whoever serves it."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["row", "prefix"]), st.integers(0, 500),
+                st.integers(0, 500), st.integers(0, 70),
+            ),
+            min_size=1, max_size=12,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_run_equals_the_chain_on_every_view(self, queries):
+        net, sw, tree, naive = widened_rig()
+        cached = CachingMibTree(tree, net.sim, refresh_interval=5.0)
+        net.run(net.sim.now + 1.0)  # past the first snapshot
+        sw.interfaces[1].counters.in_octets += 4242  # live value != snapshot
+        lie = lambda oid, value: (  # noqa: E731
+            Integer(value.value + 1000) if isinstance(value, Integer) else value
+        )
+        rows = naive.rows()
+        for kind, a, b, count in queries + [("prefix", 0, 2, 64), ("row", 0, 0, 0)]:
+            cursor = cursor_for(kind, a, b, rows)
+            chain = [(o, v) for o, v in rows if o > cursor][:count]
+            assert tree.get_next_run(cursor, count) == chain, cursor
+            assert cached.get_next_run(cursor, count) == [
+                (o, cached.get(o)) for o, _live in chain
+            ], cursor
+            for view in (tree, cached):
+                assert _TamperedMib(view, lie).get_next_run(cursor, count) == [
+                    (o, lie(o, v)) for o, v in view.get_next_run(cursor, count)
+                ], cursor
+        cached.stop()
+
+    def test_a_run_inside_the_iftable_is_one_bisect(self, monkeypatch):
+        """No wall clock: 48 repetitions down one ifTable column cost one
+        ``bisect`` (two where the slice reaches a provider's prefix), not
+        one per row, and no provider is asked anything."""
+        import repro.snmp.mib as mib_module
+
+        net, sw, tree, naive = bridge_rig(ports=50, hosts=2)
+        bisects = []
+        for name in ("bisect_left", "bisect_right"):
+            real = getattr(mib_module, name)
+            monkeypatch.setattr(
+                mib_module, name,
+                lambda *args, real=real, name=name: bisects.append(name) or real(*args),
+            )
+        calls = call_counts(lambda: tree.get_next_run(IF_IN_OCTETS, 48))
+        assert len(bisects) <= 2, bisects
+        assert "get_next" not in calls and "next" not in calls, calls
+        run = tree.get_next_run(IF_IN_OCTETS, 48)
+        assert [oid for oid, _v in run] == [IF_IN_OCTETS.extend(i) for i in range(1, 49)]
+
+
+class TestReplyWriterEqualsTheOldHandlers:
+    """The agent's reply bytes are those of the parent's three handlers
+    answered through ``Message(...).encode()``."""
+
+    def requests(self):
+        bulk = Pdu.get_bulk_request
+        last = PAST_PROVIDERS.extend(122, 0)
+        in_table = [IF_IN_OCTETS, IF_SPEED.extend(3), IF_ENTRY + "20.49"]
+        crossing = [IF_ENTRY + "20.40", DOT1D_STP_PORT_STATE, DOT1D_TP_FDB_PORT, BETWEEN_PROVIDERS]
+        gets = [SYS_UPTIME, IF_SPEED.extend(2), IF_ENTRY + "99.1", IF_ENTRY, Oid("2.999"),
+                DOT1D_STP_PORT.extend(2), PAST_PROVIDERS.extend(107, 0), last]
+        return [
+            (VERSION_2C, Pdu.get_request(1, gets)),
+            (VERSION_1, Pdu.get_request(2, gets)),  # noSuchName at index 3
+            (VERSION_1, Pdu.get_request(3, gets[:2])),
+            (VERSION_2C, Pdu.get_request(4, [])),
+            (VERSION_2C, Pdu.get_next_request(5, gets)),
+            (VERSION_1, Pdu.get_next_request(6, gets)),  # noSuchName at the last
+            (VERSION_2C, Pdu(ber.TAG_SET_REQUEST, 7, 0, 0, [VarBind(SYS_NAME, OctetString("x"))])),
+            (VERSION_1, Pdu(ber.TAG_SET_REQUEST, 8, 0, 0, [])),
+            (VERSION_2C, bulk(9, [SYS_UPTIME.parent] + in_table, 1, 48)),
+            (VERSION_2C, bulk(10, in_table, 0, 10_000)),  # clamped to 64
+            (VERSION_2C, bulk(11, in_table, 2, 5)),
+            (VERSION_2C, bulk(12, in_table, 0, 0)),
+            (VERSION_2C, bulk(13, in_table, 7, 3)),  # more non-repeaters than varbinds
+            (VERSION_2C, bulk(14, [SYS_UPTIME.parent] + crossing, 1, 50)),
+            (VERSION_2C, bulk(15, [PAST_PROVIDERS, last, Oid("2.999")], 0, 20)),  # end of MIB
+        ]
+
+    @pytest.mark.parametrize("view", ["tree", "caching", "lying"])
+    def test_byte_for_byte(self, view):
+        net, sw, tree, naive = widened_rig(ports=50, hosts=12)
+        mib = tree
+        if view == "caching":
+            mib = CachingMibTree(tree, net.sim, refresh_interval=5.0)
+            net.run(net.sim.now + 1.0)
+            sw.interfaces[1].counters.in_octets += 4242
+        elif view == "lying":
+            mib = _TamperedMib(
+                tree, lambda oid, v: Counter32(7) if isinstance(v, Counter32) else v
+            )
+        agent = SnmpAgent(net.endpoint("sw"), mib)
+        for version, pdu in self.requests():
+            payload = Message(version, "public", pdu).encode()
+            reply = agent_reply(agent, payload, None)
+            assert reply == old_reply(mib, "public", payload), (view, pdu.request_id)
+        # What the list above is meant to reach.
+        crossed = Message.decode(
+            agent_reply(agent, Message(VERSION_2C, "public", self.requests()[13][1]).encode(), None)
+        ).pdu.varbinds
+        for prefix in (DOT1D_STP_PORT_ENTRY, DOT1D_TP_FDB_ENTRY, PAST_PROVIDERS):
+            assert any(vb.oid.startswith(prefix) for vb in crossed), prefix
+        sizes = {len(vb.encode()) for vb in crossed if vb.oid.startswith(PAST_PROVIDERS)}
+        assert min(sizes) <= 129 < max(sizes)  # both sides of the short-form limit
+        clamped = Message.decode(
+            agent_reply(agent, Message(VERSION_2C, "public", self.requests()[9][1]).encode(), None)
+        ).pdu.varbinds
+        assert len(clamped) == 3 * MAX_BULK_REPETITIONS
+        ended = Message.decode(
+            agent_reply(agent, Message(VERSION_2C, "public", self.requests()[14][1]).encode(), None)
+        ).pdu.varbinds
+        assert [type(vb.value) for vb in ended[-2:]] == [EndOfMibView, EndOfMibView]
 
 
 class TestSnapshotCost:

@@ -56,6 +56,19 @@ class TestWireFormat:
         with pytest.raises(ber.BerError):
             Message.decode(raw[:-3])
 
+    @pytest.mark.parametrize("generic, specific", [(6, -1), (-1, 0), (-128, -128)])
+    def test_negative_trap_codes_rejected(self, generic, specific):
+        """RFC 1157: both are non-negative.  One flipped bit in the
+        INTEGER makes ``enterprise.0.<specific>`` no OID at all; at the
+        parent commit ``OidError`` left ``TrapReceiver._on_datagram``."""
+        raw = Message(VERSION_1, "public", v1_trap(generic, specific)).encode()
+        with pytest.raises(ber.BerError):
+            Message.decode(raw)
+        net = Network()
+        receiver = TrapReceiver(net.add_host("L"))
+        receiver._on_datagram(raw, len(raw), None, 4000)
+        assert receiver.malformed == 1 and receiver.events == []
+
     def test_v2_identity_mapping(self):
         assert v1_trap(GENERIC_LINK_DOWN).v2_identity() == TRAP_LINK_DOWN
         assert v1_trap(GENERIC_LINK_UP).v2_identity() == TRAP_LINK_UP
