@@ -56,7 +56,7 @@ def _stack(spec, graph=None):
     rates = RateTable(keep_history=False)
     populate_rates(spec, rates, time=0.0)
     calculator = BandwidthCalculator(spec, rates, stale_after=1e9, dead_after=1e12)
-    matrix = BandwidthMatrix(spec, calculator, incremental=True, graph=graph)
+    matrix = BandwidthMatrix(spec, calculator, graph=graph)
     return rates, matrix
 
 

@@ -24,7 +24,9 @@ same medium.
 
 Path figures: available ``A = min_i (m_i - u_i)``; used = ``max_i u_i``
 (the paper's plotted "measured traffic between hosts" -- the busiest
-segment along the path).
+segment along the path).  A report is composed from per-connection cache
+entries bound to its path (:meth:`BandwidthCalculator.bind`), each
+measured at most once per instant.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.counters import CounterSource, hub_host_connections, resolve_counter_source
-from repro.core.dataflow import ConnCacheEntry
+from repro.core.dataflow import BoundPath, ConnCacheEntry
 from repro.core.poller import InterfaceRates, RateTable
 from repro.core.report import ConnectionMeasurement, PathReport
 from repro.telemetry import Telemetry
@@ -51,16 +53,17 @@ class BandwidthCalculator:
     all, and a path left without trustworthy figures reports
     ``unavailable`` instead of a stale number.
 
-    **Incremental mode** (the default): measurements are memoized per
-    connection on an epoch token drawn from every input -- rate-table
-    ingest, link-state flips, quarantine enter/release, health
-    transitions (see :mod:`repro.core.dataflow`).  A request whose token
-    matches the cached one reuses the measurement; when only the report
-    instant moved, the time-independent core is kept and just the age
-    fields are re-derived.  Hub aggregates are computed once per hub per
-    epoch and shared by every leg.  The cache may only ever change how
-    much work is done: outputs are bit-identical to ``incremental=False``
-    (enforced by ``tests/test_dataflow.py``).
+    Measurements are memoized per connection on an epoch token drawn
+    from every input -- rate-table ingest, link-state flips, quarantine
+    enter/release, health transitions (see :mod:`repro.core.dataflow`).
+    A holder binds its path to the cache entries once (:meth:`bind`); a
+    report is then a composition of entries, each brought up to date at
+    most once per instant: untouched while nothing moved, re-aged when
+    only the report instant moved, re-tokenised only when an input clock
+    moved.  Hub aggregates are computed once per hub per epoch and shared
+    by every leg.  The cache may only ever change how much work is done:
+    outputs are bit-identical to ``measure_path(..., fresh=True)``, the
+    from-scratch reference (enforced by ``tests/test_dataflow.py``).
     """
 
     def __init__(
@@ -74,7 +77,6 @@ class BandwidthCalculator:
         telemetry: Optional[Telemetry] = None,
         integrity=None,
         degraded_sources=None,
-        incremental: bool = True,
     ) -> None:
         """``link_state``: optional :class:`~repro.core.linkstate.
         LinkStateRegistry`; connections it marks down report zero
@@ -82,9 +84,10 @@ class BandwidthCalculator:
         :class:`~repro.core.health.AgentHealthTracker` consulted for the
         counter-source agents.  ``stale_after``/``dead_after``: sample
         ages (seconds) beyond which data is degraded / untrustworthy.
-        ``telemetry``: optional hub; path measurements are then traced,
-        report staleness feeds a histogram, and per-path trust-status
-        changes (fresh/degraded/unavailable) publish events.
+        ``telemetry``: optional hub; reports handed to a consumer (see
+        :meth:`observe_report`) are then traced, their staleness feeds a
+        histogram, and per-path trust-status changes
+        (fresh/degraded/unavailable) publish events.
         ``integrity``: optional
         :class:`~repro.integrity.IntegrityPipeline`; connections whose
         counter source it quarantines are flagged on the measurement and
@@ -130,19 +133,25 @@ class BandwidthCalculator:
         # Hub membership: hub name -> its host-facing connections.
         self._hub_host_conns: Dict[str, List[ConnectionSpec]] = hub_host_connections(spec)
         # --- incremental dataflow state ---------------------------------
-        self.incremental = incremental
-        self.cache_hits = 0
+        self.lookups = 0  # entries asked for through the cache
         self.recomputes = 0
         self._entries: Dict[Tuple, ConnCacheEntry] = {}
         self._hub_by_conn: Dict[Tuple, Optional[str]] = {}
         self._hub_leg_keys: Dict[str, Tuple] = {}
         # hub -> (rates token, total, newest sample, any_measured)
         self._hub_cache: Dict[str, Tuple] = {}
-        # Validation stamp: entries checked during the current cycle (one
-        # combination of report instant + all global input clocks) skip
-        # even the per-connection token comparison.
-        self._cycle_token: Optional[Tuple] = None
+        # Validation stamps (see _revalidate): ``_stamp`` moves with the
+        # report instant or any input clock, ``_inputs_stamp`` is its
+        # value when an input clock last moved.
+        self._input_clocks: Optional[Tuple] = None
+        self._now: Optional[float] = None
         self._stamp = 0
+        self._inputs_stamp = 0
+
+    @property
+    def cache_hits(self) -> int:
+        """Entry lookups served without recomputing from the raw tables."""
+        return self.lookups - self.recomputes
 
     # ------------------------------------------------------------------
     # Per-connection traffic
@@ -189,13 +198,25 @@ class BandwidthCalculator:
             keys = self._hub_leg_keys[hub] = tuple(resolved)
         return tuple(self.rates.epoch(*k) if k is not None else 0 for k in keys)
 
+    @staticmethod
+    def _epoch_part(collaborator, state: str, *key) -> object:
+        """One collaborator's share of a token: its epoch for ``key``.
+
+        A collaborator that predates the epoch surface (a test double)
+        falls back to its raw boolean ``state`` query, which still flips
+        whenever the answer would.  0: no collaborator, or no counter
+        source to ask it about.
+        """
+        if collaborator is None or key[0] is None:
+            return 0
+        epoch_of = getattr(collaborator, "epoch_of", None)
+        return (epoch_of or getattr(collaborator, state))(*key)
+
     def connection_token(self, conn: ConnectionSpec) -> Tuple:
-        """The epochs of every input ``measure_connection`` reads.
+        """The epochs of every input ``_compute_measurement`` reads.
 
         A measurement computed under one token is valid exactly as long
-        as the token is unchanged.  Collaborators that predate the epoch
-        surface (test doubles) fall back to the raw boolean state, which
-        still flips whenever the answer would.
+        as the token is unchanged.
         """
         source = self.counter_source(conn)
         hub = self.hub_of(conn)
@@ -205,84 +226,50 @@ class BandwidthCalculator:
             rates_part = self.rates.epoch(source.node, source.if_index)
         else:
             rates_part = 0
-        ls = self.link_state
-        if ls is None:
-            ls_part: object = 0
-        else:
-            epoch_of = getattr(ls, "epoch_of", None)
-            ls_part = epoch_of(conn) if epoch_of is not None else ls.is_down(conn)
-        integ = self.integrity
-        if integ is None or source is None:
-            integ_part: object = 0
-        else:
-            epoch_of = getattr(integ, "epoch_of", None)
-            integ_part = (
-                epoch_of(source.node, source.if_index)
-                if epoch_of is not None
-                else integ.is_quarantined(source.node, source.if_index)
-            )
-        health = self.health
-        if health is None or source is None:
-            health_part: object = 0
-        else:
-            epoch_of = getattr(health, "epoch_of", None)
-            health_part = (
-                epoch_of(source.node)
-                if epoch_of is not None
-                else health.is_dead(source.node)
-            )
-        degraded = self.degraded_sources
-        if degraded is None or source is None:
-            degraded_part: object = 0
-        else:
-            epoch_of = getattr(degraded, "epoch_of", None)
-            degraded_part = (
-                epoch_of(source.node, source.if_index)
-                if epoch_of is not None
-                else degraded.is_degraded(source.node, source.if_index)
-            )
-        return (rates_part, ls_part, integ_part, health_part, degraded_part)
+        node, if_index = source.key() if source is not None else (None, None)
+        return (
+            rates_part,
+            self._epoch_part(self.link_state, "is_down", conn),
+            self._epoch_part(self.integrity, "is_quarantined", node, if_index),
+            self._epoch_part(self.health, "is_dead", node),
+            self._epoch_part(self.degraded_sources, "is_degraded", node, if_index),
+        )
 
     def _revalidate(self, now: Optional[float]) -> None:
-        """Advance the validation stamp when any global input clock moved.
+        """Advance the validation stamps for a report at instant ``now``.
 
-        When every collaborator exposes a clock, an unchanged cycle token
-        proves *nothing anywhere changed* and cached entries validated
-        this cycle are reusable on a single int compare.  A collaborator
-        without a clock (a test double) yields None, which never equals
-        itself across calls here -- the stamp then bumps every time and
-        each entry falls back to its full token comparison.
+        Run once per report.  *An input clock moved* (rates, link state,
+        health, integrity, degraded sources): both stamps advance and
+        every entry re-reads its token before it is used again.  *Only
+        the instant moved*: ``_stamp`` alone advances, tokens are known
+        current and entries merely re-derive their ages.  Nothing moved:
+        entries already validated are reusable on a single int compare.
+        A collaborator without a clock (a test double) yields None and
+        proves nothing, so it forces the token re-read every time.
         """
-        token = (
-            now,
+        ls, health = self.link_state, self.health
+        integ, degraded = self.integrity, self.degraded_sources
+        clocks = (
             getattr(self.rates, "clock", None),
-            getattr(self.link_state, "clock", None) if self.link_state is not None else 0,
-            getattr(self.health, "clock", None) if self.health is not None else 0,
-            getattr(self.integrity, "clock", None) if self.integrity is not None else 0,
-            getattr(self.degraded_sources, "clock", None)
-            if self.degraded_sources is not None
-            else 0,
+            getattr(ls, "clock", None) if ls is not None else 0,
+            getattr(health, "clock", None) if health is not None else 0,
+            getattr(integ, "clock", None) if integ is not None else 0,
+            getattr(degraded, "clock", None) if degraded is not None else 0,
         )
-        if None in token[1:] or token != self._cycle_token:
-            self._cycle_token = token
+        if None in clocks or clocks != self._input_clocks:
+            self._input_clocks = clocks
+            self._now = now
+            self._stamp += 1
+            self._inputs_stamp = self._stamp
+        elif now != self._now:
+            self._now = now
             self._stamp += 1
 
     # ------------------------------------------------------------------
     # The two rules
     # ------------------------------------------------------------------
-    def used_bandwidth(self, conn: ConnectionSpec) -> Tuple[Optional[float], str, Optional[InterfaceRates]]:
-        """(u_i in bytes/s, rule name, underlying sample).
-
-        Returns ``(None, "unmeasured", None)`` when no counter source (or
-        no sample yet) exists for the inputs the rule needs.
-        """
-        hub = self.hub_of(conn)
-        if hub is None:
-            sample = self.raw_traffic(conn)
-            if sample is None:
-                return None, "unmeasured", None
-            return sample.total_bytes_per_s, "switch", sample
-        # Hub rule: sum the host legs, clamp to the hub speed.
+    def _hub_sum(self, hub: str) -> Tuple[float, Optional[InterfaceRates], bool]:
+        """(summed host-leg traffic, newest sample, any leg measured)."""
         total = 0.0
         newest: Optional[InterfaceRates] = None
         any_measured = False
@@ -294,81 +281,103 @@ class BandwidthCalculator:
             total += sample.total_bytes_per_s
             if newest is None or sample.time > newest.time:
                 newest = sample
-        if not any_measured:
-            return None, "unmeasured", None
-        hub_speed_bytes = self.spec.node(hub).interfaces[0].speed_bps / 8.0
-        return min(total, hub_speed_bytes), "hub", newest
+        return total, newest, any_measured
 
-    def _used_bandwidth_cached(
-        self, conn: ConnectionSpec
+    def used_bandwidth(
+        self, conn: ConnectionSpec, cached: bool = False
     ) -> Tuple[Optional[float], str, Optional[InterfaceRates]]:
-        """Like :meth:`used_bandwidth`, sharing hub sums across legs.
+        """(u_i in bytes/s, rule name, underlying sample).
 
-        The hub aggregate is computed once per hub per rates epoch and
-        reused by every connection touching that hub; summation order is
-        the naive method's, so the float result is bit-identical.
+        Returns ``(None, "unmeasured", None)`` when no counter source (or
+        no sample yet) exists for the inputs the rule needs.  ``cached``
+        shares the hub aggregate across legs: it is computed once per hub
+        per rates epoch and reused by every connection touching that hub
+        (same summation order, so the float result is bit-identical).
         """
         hub = self.hub_of(conn)
         if hub is None:
-            return self.used_bandwidth(conn)
-        token = self._hub_rates_token(hub)
-        cached = self._hub_cache.get(hub)
-        if cached is not None and cached[0] == token:
-            _, total, newest, any_measured = cached
+            sample = self.raw_traffic(conn)
+            if sample is None:
+                return None, "unmeasured", None
+            return sample.total_bytes_per_s, "switch", sample
+        # Hub rule: sum the host legs, clamp to the hub speed.
+        if cached:
+            token = self._hub_rates_token(hub)
+            memo = self._hub_cache.get(hub)
+            if memo is None or memo[0] != token:
+                memo = self._hub_cache[hub] = (token, *self._hub_sum(hub))
+            _, total, newest, any_measured = memo
         else:
-            total = 0.0
-            newest = None
-            any_measured = False
-            for leg in self._hub_host_conns.get(hub, []):
-                sample = self.raw_traffic(leg)
-                if sample is None:
-                    continue
-                any_measured = True
-                total += sample.total_bytes_per_s
-                if newest is None or sample.time > newest.time:
-                    newest = sample
-            self._hub_cache[hub] = (token, total, newest, any_measured)
+            total, newest, any_measured = self._hub_sum(hub)
         if not any_measured:
             return None, "unmeasured", None
         hub_speed_bytes = self.spec.node(hub).interfaces[0].speed_bps / 8.0
         return min(total, hub_speed_bytes), "hub", newest
 
-    def measure_connection(
-        self, conn: ConnectionSpec, now: Optional[float] = None, fresh: bool = False
-    ) -> ConnectionMeasurement:
-        """The connection's measurement at instant ``now``.
+    # ------------------------------------------------------------------
+    # Cache entries
+    # ------------------------------------------------------------------
+    def bind(self, path) -> BoundPath:
+        """Resolve a traversed path to its cache entries, once.
 
-        ``fresh=True`` bypasses every cache and recomputes from the raw
-        tables (the naive baseline the benchmarks and property tests
-        compare against).
+        The only place ``conn.endpoints()`` is hashed on the report path:
+        whoever holds a path for longer than one call (a watch, a matrix
+        pair) keeps the bound form and hands it to :meth:`measure_path`.
         """
-        if fresh or not self.incremental:
-            return self._compute_measurement(conn, now, cached=False)
+        entries = self._entries
+        bound = []
+        for conn in path:
+            key = conn.endpoints()
+            entry = entries.get(key)
+            if entry is None:
+                entry = entries[key] = ConnCacheEntry(conn)
+            bound.append(entry)
+        return BoundPath(bound)
+
+    def refresh(self, bound: BoundPath, now: Optional[float]) -> None:
+        """Bring every entry of ``bound`` up to date at instant ``now``.
+
+        One :meth:`_revalidate` for the lot; an entry already validated at
+        the current stamp costs one int compare.
+        """
         self._revalidate(now)
-        key = conn.endpoints()
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self._entries[key] = ConnCacheEntry()
-        elif entry.stamp == self._stamp:
-            self.cache_hits += 1
-            return entry.measurement  # validated this very cycle
-        token = self.connection_token(conn)
-        if entry.token == token and entry.measurement is not None:
-            if entry.now != now:
-                # Same inputs, different instant: only the age-derived
-                # fields can differ, so re-derive just those.
-                entry.measurement = self._refresh_measurement(entry.measurement, now)
+        self.lookups += len(bound)
+        stamp = self._stamp
+        for entry in bound:
+            if entry.stamp != stamp:
+                self._validate(entry, now)
+
+    def _validate(self, entry: ConnCacheEntry, now: Optional[float]) -> None:
+        """The per-entry routine behind :meth:`refresh`."""
+        if entry.stamp < self._inputs_stamp:
+            # An input clock moved since this entry was last looked at.
+            token = self.connection_token(entry.conn)
+            if token != entry.token:
+                measurement = self._compute_measurement(entry.conn, now, cached=True)
+                entry.token = token
                 entry.now = now
-                entry.has_confidence = False
-            self.cache_hits += 1
-        else:
-            entry.measurement = self._compute_measurement(conn, now, cached=True)
-            entry.token = token
+                entry.measurement = measurement
+                entry.confidence = self._connection_confidence(measurement)
+                entry.stamp = self._stamp
+                self.recomputes += 1
+                return
+        if entry.now != now:
+            # Same inputs, different instant: only the age-derived
+            # fields (and with them the confidence) can differ.
+            measurement = self._refresh_measurement(entry.measurement, now)
+            if measurement is not entry.measurement:
+                entry.measurement = measurement
+                entry.confidence = self._connection_confidence(measurement)
             entry.now = now
-            entry.has_confidence = False
-            self.recomputes += 1
         entry.stamp = self._stamp
-        return entry.measurement
+
+    def measure_connection(
+        self, conn: ConnectionSpec, now: Optional[float] = None
+    ) -> ConnectionMeasurement:
+        """The connection's measurement at instant ``now``."""
+        bound = self.bind((conn,))
+        self.refresh(bound, now)
+        return bound[0].measurement
 
     def _refresh_measurement(
         self, m: ConnectionMeasurement, now: Optional[float]
@@ -406,9 +415,7 @@ class BandwidthCalculator:
                 source=source.endpoint if source is not None else None,
                 rule="down",
             )
-        used, rule, sample = (
-            self._used_bandwidth_cached(conn) if cached else self.used_bandwidth(conn)
-        )
+        used, rule, sample = self.used_bandwidth(conn, cached)
         source = self.counter_source(conn)
         age = sample.age(now) if (sample is not None and now is not None) else None
         stale = (
@@ -479,30 +486,12 @@ class BandwidthCalculator:
         decayed = max(0.0, 1.0 - (m.sample_age - self.stale_after) / span)
         return min(decayed, 0.5) if capped else decayed
 
-    def _confidence_cached(
-        self, conn: ConnectionSpec, m: ConnectionMeasurement
-    ) -> Optional[float]:
-        """Per-entry memo of :meth:`_connection_confidence`.
-
-        Valid only while the entry still holds this exact measurement
-        object (the flag is cleared whenever the measurement is replaced
-        or re-aged); fresh-mode measurements never match and fall back to
-        the direct computation.
-        """
-        entry = self._entries.get(conn.endpoints())
-        if entry is None or entry.measurement is not m:
-            return self._connection_confidence(m)
-        if not entry.has_confidence:
-            entry.confidence = self._connection_confidence(m)
-            entry.has_confidence = True
-        return entry.confidence
-
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
     def measure_path(
         self,
-        path: List[ConnectionSpec],
+        path,
         src: str,
         dst: str,
         time: float,
@@ -512,64 +501,100 @@ class BandwidthCalculator:
     ) -> PathReport:
         """A :class:`PathReport` for an already-traversed path.
 
+        ``path`` is a connection list or, from a caller that holds the
+        path for longer than one call, its :meth:`bind` result (a plain
+        list is bound on the way in).
         NOTE: all figures are in **bytes/second** (the paper reports
         KB/s); capacities are converted from the spec's bits/second.
-        ``fresh=True`` recomputes every connection from the raw tables
-        (the naive baseline; see :meth:`measure_connection`).
+        ``fresh=True`` recomputes every connection of a plain connection
+        list from the raw tables (the from-scratch reference, bypassing
+        every cache).
         ``redundant`` is the pair's physical-redundancy flag (the caller
         resolves it from the topology graph; see
         :func:`repro.core.traversal.pair_redundant`).
         """
-        tel = self.telemetry
-        tracing = tel is not None and tel.enabled
-        span = (
-            tel.tracer.begin("measure_path", path=name or f"{src}<->{dst}")
-            if tracing
-            else None
-        )
-        measurements = tuple(
-            self.measure_connection(conn, now=time, fresh=fresh) for conn in path
-        )
-        ages = [m.sample_age for m in measurements if m.sample_age is not None]
-        confidences = [
-            c
-            for c in (
-                self._confidence_cached(conn, m)
-                for conn, m in zip(path, measurements)
-            )
-            if c is not None
-        ]
-        confidence = min(confidences) if confidences else 1.0
-        report = PathReport(
+        if fresh:
+            entries = []
+            for conn in path:
+                m = self._compute_measurement(conn, time, cached=False)
+                entries.append(
+                    ConnCacheEntry(
+                        conn, measurement=m, confidence=self._connection_confidence(m)
+                    )
+                )
+        else:
+            entries = path if type(path) is BoundPath else self.bind(path)
+            self.refresh(entries, time)
+        measurements = []
+        freshness: Optional[float] = None  # max of the known ages
+        confidence: Optional[float] = None  # min of the expected sources'
+        for entry in entries:
+            m = entry.measurement
+            measurements.append(m)
+            age = m.sample_age
+            if age is not None and (freshness is None or age > freshness):
+                freshness = age
+            c = entry.confidence
+            if c is not None and (confidence is None or c < confidence):
+                confidence = c
+        measured = confidence is not None
+        if not measured:
+            confidence = 1.0
+        return PathReport(
             src=src,
             dst=dst,
             time=time,
-            connections=measurements,
+            connections=tuple(measurements),
             name=name,
-            freshness=max(ages) if ages else None,
+            freshness=freshness,
             confidence=confidence,
             degraded=confidence < 1.0,
-            unavailable=confidence <= 0.0 and bool(confidences),
+            unavailable=confidence <= 0.0 and measured,
             redundant=redundant,
         )
-        if tracing:
-            if report.freshness is not None:
-                self._h_staleness.observe(report.freshness)
-            if report.unavailable:
-                self._m_reports_unavailable.inc()
-            elif report.degraded:
-                self._m_reports_degraded.inc()
-            span.finish(status=report.status, connections=len(measurements))
-            label = report.label
-            previous = self._last_status.get(label, "fresh")
-            if report.status != previous:
-                self._last_status[label] = report.status
-                tel.events.publish(
-                    REPORT_STATUS,
-                    time,
-                    path=label,
-                    old=previous,
-                    new=report.status,
-                    confidence=round(confidence, 3),
-                )
+
+    def path_confidence(self, bound: BoundPath, now: float) -> float:
+        """The ``confidence`` :meth:`measure_path` would report for
+        ``bound`` at ``now``, without building the report."""
+        self.refresh(bound, now)
+        confidence: Optional[float] = None
+        for entry in bound:
+            c = entry.confidence
+            if c is not None and (confidence is None or c < confidence):
+                confidence = c
+        return 1.0 if confidence is None else confidence
+
+    def observe_report(self, report: PathReport) -> PathReport:
+        """Record telemetry for a report handed to a consumer.
+
+        Paid per report somebody receives (a watch report, a
+        ``current_report``), never per matrix cell: a span carrying the
+        report's status, its staleness in the histogram, the degraded /
+        unavailable counters, and an event when the path's trust status
+        changed.  Returns ``report``.
+        """
+        tel = self.telemetry
+        if tel is None or not tel.enabled:
+            return report
+        label = report.label
+        if report.freshness is not None:
+            self._h_staleness.observe(report.freshness)
+        if report.unavailable:
+            self._m_reports_unavailable.inc()
+        elif report.degraded:
+            self._m_reports_degraded.inc()
+        tel.tracer.begin("path_report", path=label).finish(
+            status=report.status, connections=len(report.connections)
+        )
+        previous = self._last_status.get(label, "fresh")
+        if report.status != previous:
+            self._last_status[label] = report.status
+            tel.events.publish(
+                REPORT_STATUS,
+                report.time,
+                path=label,
+                old=previous,
+                new=report.status,
+                confidence=round(report.confidence, 3),
+            )
         return report

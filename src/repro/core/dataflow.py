@@ -17,6 +17,7 @@ link-state registry   connection endpoints                         linkDown/link
                                                                    mark_down/mark_up
 agent health          node                                         health-state transition
 quarantine            (node, ifIndex)                              quarantine enter/release
+degraded sources      (node, ifIndex)                              mark/clear (lossy uplink)
 topology graph        (whole graph)                                ``invalidate_paths``
 ====================  ==========================================  =====================
 
@@ -38,10 +39,12 @@ per-key epochs they actually depend on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
-__all__ = ["EpochClock", "ConnCacheEntry", "DegradedSourceSet", "PublishClock"]
+__all__ = [
+    "EpochClock", "ConnCacheEntry", "BoundPath", "DegradedSourceSet", "PublishClock",
+]
 
 
 class EpochClock:
@@ -167,22 +170,37 @@ class PublishClock:
         return self.epoch
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class ConnCacheEntry:
     """One connection's memoized measurement inside the calculator.
 
+    The entry owns its ``conn``: a holder that keeps entries (a
+    :class:`BoundPath`) never hashes ``conn.endpoints()`` again.
     ``token`` is the tuple of input epochs the measurement was computed
-    from; ``now`` the report instant it was aged against.  ``stamp`` is
-    the calculator's validation stamp: entries checked during the
-    current validation cycle skip even the token comparison.
-    ``confidence`` is the per-connection trust figure derived from the
-    measurement (None is a legal value -- ``has_confidence`` carries the
-    cache state).
+    from; ``now`` the report instant it was aged against; ``confidence``
+    the trust figure derived from exactly this ``measurement`` (None is a
+    legal value: structurally unmeasured).  ``stamp`` is the calculator's
+    validation stamp at which the entry was last brought up to date: equal
+    to the current stamp it is reusable as is, at or past the stamp at
+    which an input clock last moved its token is still current and only
+    the ages may need re-deriving.  Entries compare by identity, so they
+    key the matrix's reverse index directly.
     """
 
+    conn: object
     token: Optional[Tuple] = None
     now: Optional[float] = None
     measurement: object = None
     confidence: Optional[float] = None
-    has_confidence: bool = False
     stamp: int = -1
+
+
+class BoundPath(tuple):
+    """A traversed path resolved to its cache entries, in path order.
+
+    Made by :meth:`~repro.core.bandwidth.BandwidthCalculator.bind`; held by
+    whoever keeps a path for longer than one call (a watch, a matrix pair)
+    and re-made when the path changes.
+    """
+
+    __slots__ = ()

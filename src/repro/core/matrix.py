@@ -7,13 +7,16 @@ measurement pass over the shared rate table, and a rendered matrix of
 available bandwidth / utilisation that an operator (or the RM's placement
 search) can read at a glance.
 
-Incremental mode (the default) keeps the previous snapshot and a reverse
-index from connections to the host pairs whose path crosses them.  A new
-snapshot re-reads each connection's epoch token (see
-:mod:`repro.core.dataflow`); pairs that cross no dirty connection reuse
-their previous report verbatim when the report instant is unchanged, and
-otherwise recompose it from the calculator's (memoized) connection
-measurements.  Output is bit-identical to ``incremental=False``.
+The matrix binds every pair's path to the calculator's cache entries
+once per topology epoch and keeps the previous snapshot plus a reverse
+index from those entries to the host pairs whose path crosses them.  A
+new snapshot validates each distinct connection once (see
+:mod:`repro.core.dataflow`) and reads its epoch token off the entry;
+pairs that cross no dirty connection reuse their previous report verbatim
+when the report instant is unchanged, and otherwise recompose it from the
+bound entries.  Cells are not consumer-facing reports: a snapshot records
+one ``matrix_snapshot`` span and no per-pair telemetry.  Output is
+bit-identical to ``measure_path(..., fresh=True)`` per pair.
 """
 
 from __future__ import annotations
@@ -24,15 +27,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.bandwidth import BandwidthCalculator
+from repro.core.dataflow import BoundPath, ConnCacheEntry
 from repro.core.report import PathReport
 from repro.core.traversal import NoPathError, find_path
+from repro.telemetry.trace import NULL_SPAN
 from repro.topology.graph import TopologyGraph
-from repro.topology.model import ConnectionSpec, DeviceKind, TopologySpec
+from repro.topology.model import DeviceKind, TopologySpec
 
 _METRICS = ("available", "used", "utilization")
-
-DIRTY_PAIRS_GAUGE = "dataflow_dirty_pairs"
-_DIRTY_PAIRS_HELP = "host pairs crossing a dirty connection in the last matrix snapshot"
 
 
 class MatrixError(ValueError):
@@ -135,16 +137,12 @@ class BandwidthMatrix:
         spec: TopologySpec,
         calculator: BandwidthCalculator,
         hosts: Optional[Sequence[str]] = None,
-        incremental: bool = True,
         graph: Optional[TopologyGraph] = None,
     ) -> None:
-        """``incremental=False`` recomputes every pair from the raw
-        tables on each snapshot (the naive baseline the benchmarks
-        compare against); ``graph`` shares a caller-owned
-        :class:`TopologyGraph` so traversal memos are shared too."""
+        """``graph`` shares a caller-owned :class:`TopologyGraph` so
+        traversal memos are shared too."""
         self.spec = spec
         self.calculator = calculator
-        self.incremental = incremental
         self.graph = graph if graph is not None else TopologyGraph(spec)
         if hosts is None:
             hosts = [n.name for n in spec.hosts()]
@@ -152,110 +150,81 @@ class BandwidthMatrix:
             if spec.node(host).kind is not DeviceKind.HOST:
                 raise MatrixError(f"{host!r} is not a host")
         self.hosts = list(hosts)
-        # Paths traversed once, up front (topology is static, paper §3.2)
-        # and re-traversed only when the graph's topology epoch moves.
-        self._paths: Dict[Tuple[str, str], Optional[list]] = {}
-        self._conns: Dict[Tuple, ConnectionSpec] = {}
-        self._pairs_of_conn: Dict[Tuple, List[Tuple[str, str]]] = {}
-        self._topology_epoch: int = -1
+        # Paths traversed, bound to the calculator's cache entries and
+        # named once, up front (topology is static, paper §3.2), and again
+        # only when the graph's topology epoch moves.
         self._build_paths()
-        # Previous-snapshot state for dirty-pair reuse.
-        self._prev_reports: Dict[Tuple[str, str], Optional[PathReport]] = {}
-        self._prev_time: Optional[float] = None
-        self._prev_tokens: Dict[Tuple, Tuple] = {}
         self.pair_cache_hits = 0
         self.pair_recomputes = 0
         self.dirty_pairs_last = 0
         # Stream hook: the dirty-pair set behind the latest snapshot, and
         # whether that snapshot rebuilt its paths (topology epoch moved).
-        # The stream publisher reads these instead of diffing snapshots;
-        # None means "dirtiness unknown -- consider every pair" (the
-        # non-incremental mode, or no snapshot yet).
-        self.last_dirty_pairs: Optional[Set[Tuple[str, str]]] = None
+        # The stream publisher reads these instead of diffing snapshots.
+        self.last_dirty_pairs: Set[Tuple[str, str]] = set()
         self.last_snapshot_rebuilt = False
-        tel = getattr(calculator, "telemetry", None)
-        self._g_dirty = (
-            tel.registry.gauge(DIRTY_PAIRS_GAUGE, _DIRTY_PAIRS_HELP)
-            if tel is not None
-            else None
-        )
 
     def _build_paths(self) -> None:
         self._topology_epoch = self.graph.topology_epoch
-        self._paths = {}
-        self._conns = {}
-        self._pairs_of_conn = {}
+        # pair -> (bound path, report name), None when disconnected
+        self._paths: Dict[Tuple[str, str], Optional[Tuple[BoundPath, str]]] = {}
+        self._pairs_of_conn: Dict[ConnCacheEntry, List[Tuple[str, str]]] = {}
+        bind = self.calculator.bind
         for i, a in enumerate(self.hosts):
             for b in self.hosts[i + 1:]:
                 try:
-                    path = find_path(self.graph, a, b)
+                    bound = bind(find_path(self.graph, a, b))
                 except NoPathError:
-                    path = None
-                self._paths[(a, b)] = path
-                if path:
-                    for conn in path:
-                        key = conn.endpoints()
-                        self._conns.setdefault(key, conn)
-                        self._pairs_of_conn.setdefault(key, []).append((a, b))
+                    self._paths[(a, b)] = None
+                    continue
+                self._paths[(a, b)] = (bound, f"matrix:{a}<->{b}")
+                for entry in bound:
+                    self._pairs_of_conn.setdefault(entry, []).append((a, b))
+        self._conns = BoundPath(self._pairs_of_conn)  # each distinct entry
+        # Previous-snapshot state for dirty-pair reuse: void on new paths.
+        self._prev_reports: Dict[Tuple[str, str], Optional[PathReport]] = {}
+        self._prev_time: Optional[float] = None
+        self._prev_tokens: Dict[ConnCacheEntry, Tuple] = {}
 
     def snapshot(self, time: float) -> MatrixSnapshot:
-        if not self.incremental:
-            self.last_dirty_pairs = None  # dirtiness unknown in naive mode
-            self.last_snapshot_rebuilt = False
-            if self.graph.topology_epoch != self._topology_epoch:
-                self._build_paths()
-                self.last_snapshot_rebuilt = True
-            reports: Dict[Tuple[str, str], Optional[PathReport]] = {}
-            for (a, b), path in self._paths.items():
-                if path is None:
-                    reports[(a, b)] = None
-                else:
-                    reports[(a, b)] = self.calculator.measure_path(
-                        path, a, b, time=time, name=f"matrix:{a}<->{b}", fresh=True
-                    )
-            return MatrixSnapshot(hosts=list(self.hosts), time=time, reports=reports)
-        return self._snapshot_incremental(time)
-
-    def _snapshot_incremental(self, time: float) -> MatrixSnapshot:
+        tel = getattr(self.calculator, "telemetry", None)
+        span = tel.tracer.begin("matrix_snapshot") if tel is not None else NULL_SPAN
         rebuilt = False
         if self.graph.topology_epoch != self._topology_epoch:
             # Topology changed: paths may differ, previous state is void.
             self._build_paths()
-            self._prev_reports = {}
-            self._prev_tokens = {}
-            self._prev_time = None
             rebuilt = True
-        tokens: Dict[Tuple, Tuple] = {}
+        # One validation pass over the distinct connections; a pair is
+        # dirty when it crosses an entry whose token moved since the
+        # previous snapshot.
+        self.calculator.refresh(self._conns, time)
         dirty_pairs: Set[Tuple[str, str]] = set()
         prev_tokens = self._prev_tokens
-        for key, conn in self._conns.items():
-            token = self.calculator.connection_token(conn)
-            tokens[key] = token
-            if prev_tokens.get(key) != token:
-                dirty_pairs.update(self._pairs_of_conn[key])
+        for entry, pairs in self._pairs_of_conn.items():
+            if prev_tokens.get(entry) != entry.token:
+                prev_tokens[entry] = entry.token
+                dirty_pairs.update(pairs)
         # A previous report is reusable *verbatim* only at the same report
         # instant (age fields depend on it); across instants the pair is
         # recomposed from the calculator's memoized measurements, which is
         # cheap but produces a new PathReport with fresh age figures.
         same_time = self._prev_time == time and bool(self._prev_reports)
+        measure_path = self.calculator.measure_path
         reports: Dict[Tuple[str, str], Optional[PathReport]] = {}
-        for (a, b), path in self._paths.items():
-            if path is None:
-                reports[(a, b)] = None
+        for pair, held in self._paths.items():
+            if held is None:
+                reports[pair] = None
                 continue
-            if same_time and (a, b) not in dirty_pairs:
-                prev = self._prev_reports.get((a, b))
+            if same_time and pair not in dirty_pairs:
+                prev = self._prev_reports.get(pair)
                 if prev is not None:
-                    reports[(a, b)] = prev
+                    reports[pair] = prev
                     self.pair_cache_hits += 1
                     continue
-            reports[(a, b)] = self.calculator.measure_path(
-                path, a, b, time=time, name=f"matrix:{a}<->{b}"
-            )
+            bound, name = held
+            reports[pair] = measure_path(bound, *pair, time=time, name=name)
             self.pair_recomputes += 1
         self._prev_reports = reports
         self._prev_time = time
-        self._prev_tokens = tokens
         self.dirty_pairs_last = len(dirty_pairs)
         # After a rebuild previous tokens were void, so every measurable
         # pair landed in dirty_pairs -- exactly what the stream publisher
@@ -263,6 +232,5 @@ class BandwidthMatrix:
         # its significance filters.
         self.last_dirty_pairs = dirty_pairs
         self.last_snapshot_rebuilt = rebuilt
-        if self._g_dirty is not None:
-            self._g_dirty.set(float(len(dirty_pairs)))
+        span.finish(pairs=len(reports), dirty_pairs=len(dirty_pairs), rebuilt=rebuilt)
         return MatrixSnapshot(hosts=list(self.hosts), time=time, reports=reports)

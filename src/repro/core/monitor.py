@@ -45,6 +45,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from repro.core.bandwidth import BandwidthCalculator
 from repro.core.counters import if_index_of, required_poll_targets
+from repro.core.dataflow import BoundPath
 from repro.core.health import HealthState
 from repro.core.history import MeasurementHistory
 from repro.core.linkstate import LinkStateRegistry
@@ -82,6 +83,9 @@ class _Watch:
     src: str
     dst: str
     path: List[ConnectionSpec]
+    # The path bound to the calculator's cache entries; re-bound when
+    # ``_refresh_watch`` finds the path changed.
+    bound: BoundPath
     # Graph topology epoch the path was resolved under; when the graph
     # moves past it the watch re-resolves before measuring.
     epoch: int
@@ -254,11 +258,11 @@ class ReportCore:
             "dataflow_recomputes",
             "connection measurements recomputed from the raw tables",
         ).set_function(lambda: float(self.calculator.recomputes))
-        # Plain stored gauge: BandwidthMatrix sets it per snapshot (the
-        # get-or-create registry hands both of us the same family).
         registry.gauge(
             "dataflow_dirty_pairs",
             "host pairs crossing a dirty connection in the last matrix snapshot",
+        ).set_function(
+            lambda: float(self.stream.matrix.dirty_pairs_last) if self.stream else 0.0
         )
 
     @property
@@ -326,7 +330,8 @@ class ReportCore:
             raise MonitorError(f"path watch {label!r} already exists")
         path = find_path(self.graph, src, dst)
         self._watches[label] = _Watch(
-            label, src, dst, path, self.graph.topology_epoch
+            label, src, dst, path, self.calculator.bind(path),
+            self.graph.topology_epoch,
         )
         logger.info(
             "watching path %s: %d connection(s) %s -> %s", label, len(path), src, dst
@@ -510,12 +515,14 @@ class ReportCore:
     # Reporting
     # ------------------------------------------------------------------
     def _measure(self, watch: _Watch) -> PathReport:
+        """A report about to be handed to a consumer (hence observed)."""
         if watch.epoch != self.graph.topology_epoch:
             self._refresh_watch(watch)
-        return self.calculator.measure_path(
-            watch.path, watch.src, watch.dst, time=self.sim.now, name=watch.name,
+        report = self.calculator.measure_path(
+            watch.bound, watch.src, watch.dst, time=self.sim.now, name=watch.name,
             redundant=pair_redundant(self.graph, watch.src, watch.dst),
         )
+        return self.calculator.observe_report(report)
 
     def _emit_reports(self) -> None:
         # Cross-checks run first so a mismatch discovered this cycle is
@@ -547,6 +554,17 @@ class ReportCore:
         report = self._measure(self._watch(label))
         return self._apply_probe_cap(report) if _probe_cap else report
 
+    def watch_trust(self, label: str) -> Tuple[float, bool]:
+        """``(confidence, degraded)`` of the report :meth:`current_report`
+        would build right now, without building it (the probe
+        scheduler's pick asks this of every watch on every round)."""
+        watch = self._watch(label)
+        if watch.epoch != self.graph.topology_epoch:
+            self._refresh_watch(watch)
+        return self._probe_capped(
+            label, self.calculator.path_confidence(watch.bound, self.sim.now)
+        )
+
     def _refresh_watch(self, watch: _Watch) -> None:
         """Re-resolve a watch's path after a topology-epoch move.
 
@@ -573,6 +591,7 @@ class ReportCore:
         old_nodes = tuple(str(conn) for conn in watch.path)
         new_nodes = tuple(str(conn) for conn in new_path)
         watch.path = new_path
+        watch.bound = self.calculator.bind(new_path)
         self._m_reroutes.inc()
         logger.warning(
             "watch %s rerouted: %s ==> %s",
@@ -603,16 +622,20 @@ class ReportCore:
                 )
             )
 
+    def _probe_capped(self, label: str, confidence: float) -> Tuple[float, bool]:
+        """``(confidence, degraded)`` of a report on ``label`` once the
+        cap is applied that holds while the probe plane disputes it."""
+        if self.prober is not None:
+            cap = self.prober.confidence_cap_for(label)
+            if cap is not None and confidence > cap:
+                return cap, True
+        return confidence, confidence < 1.0
+
     def _apply_probe_cap(self, report: PathReport) -> PathReport:
-        """Cap confidence while the probe plane disputes this path."""
-        if self.prober is None:
+        confidence, degraded = self._probe_capped(report.label, report.confidence)
+        if confidence == report.confidence:
             return report
-        cap = self.prober.confidence_cap_for(report.label)
-        if cap is None or report.confidence <= cap:
-            return report
-        return dataclasses.replace(
-            report, confidence=min(report.confidence, cap), degraded=True
-        )
+        return dataclasses.replace(report, confidence=confidence, degraded=degraded)
 
     # ------------------------------------------------------------------
     # Introspection

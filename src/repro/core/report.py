@@ -124,9 +124,14 @@ class PathReport:
             # A dead path has *unknown* availability; NaN refuses to let a
             # stale minimum masquerade as a live measurement.
             return float("nan")
-        if not self.connections:
-            return float("inf")
-        return min(m.available_bps for m in self.connections)
+        # A plain loop, not min() over a generator: the stream publisher
+        # reads this twice per matrix pair per cycle.
+        least = float("inf")  # what an empty path offers
+        for m in self.connections:
+            available = m.available_bps
+            if available < least:
+                least = available
+        return least
 
     @property
     def used_bps(self) -> float:

@@ -13,7 +13,11 @@ train crossed the same link, that link would carry at most
 Within that budget, rounds go to the least-recently-probed path, with a
 priority boost for paths that most need a second opinion: passive
 report degraded, confidence below ``priority_confidence``, or an active
-cross-validation disagreement.  A train that never completes (flapped
+cross-validation disagreement.  That question is asked of every watch on
+every round only to rank them, so the pick reads the trust figures the
+passive report would carry (``ReportCore.watch_trust``) and builds no
+report; the one passive report a round needs is built when its train
+completes, for the cross-validator.  A train that never completes (flapped
 link, blackholed probes) is abandoned by its own timeout, and the
 in-flight guard merely skips rounds until then -- the scheduler cannot
 wedge, and a skipped round only *lowers* probe load, never raises it.
@@ -220,10 +224,10 @@ class ProbeScheduler:
         if self.validator is not None and label in self.validator.active:
             return True
         try:
-            report = self.monitor.current_report(label)
+            confidence, degraded = self.monitor.watch_trust(label)
         except Exception:
             return False
-        return report.degraded or report.confidence < self.priority_confidence
+        return degraded or confidence < self.priority_confidence
 
     def _pick(self) -> Optional[str]:
         labels = self.monitor.watched_paths()

@@ -13,7 +13,7 @@ Per :meth:`publish` cycle:
 
 1. advance the :class:`~repro.core.dataflow.PublishClock` (all events
    this cycle share the new epoch -- the coherence guarantee);
-2. take an (incremental) matrix snapshot and read the dirty-pair hook;
+2. take a matrix snapshot and read the dirty-pair hook;
 3. for each dirty pair: route the raw value to continuous queries,
    emit trust-status transitions unconditionally, and emit a
    ``PairChanged`` only if the significance filter agrees;
@@ -108,21 +108,12 @@ class MatrixPublisher:
         self.cycles += 1
         if self.matrix.last_snapshot_rebuilt:
             self._rebaseline()
-        dirty = self.matrix.last_dirty_pairs
-        if dirty is None:
-            # Naive matrix (or first cycle): dirtiness unknown, consider
-            # every measurable pair.  The significance filter still keeps
-            # unchanged pairs from becoming events.
-            candidates = [
-                pair for pair, report in snapshot.reports.items() if report is not None
-            ]
-        else:
-            candidates = [
-                pair
-                for pair in dirty
-                if snapshot.reports.get(pair) is not None
-            ]
-            candidates.sort()
+        candidates = [
+            pair
+            for pair in self.matrix.last_dirty_pairs
+            if snapshot.reports.get(pair) is not None
+        ]
+        candidates.sort()
         for pair in candidates:
             self._publish_pair(pair, snapshot.reports[pair], time, epoch)
         self._serve_heartbeats(snapshot, time, epoch)

@@ -9,17 +9,21 @@ import sys
 from collections import Counter
 
 
-def call_counts(fn) -> Counter:
+def call_counts(fn, by_file: bool = False) -> Counter:
     """Python-level calls made while ``fn`` runs, by function name.
 
-    The collector is held off meanwhile: ``gc.callbacks`` hooks (hypothesis
-    installs one) are Python calls that come and go with memory pressure.
+    ``by_file`` keys them ``(source file, function name)`` instead, for a
+    guard that must tell one module's ``begin`` or ``__init__`` from
+    another's.  The collector is held off meanwhile: ``gc.callbacks``
+    hooks (hypothesis installs one) are Python calls that come and go
+    with memory pressure.
     """
     calls: Counter = Counter()
 
     def on_event(frame, event, arg):
         if event == "call":
-            calls[frame.f_code.co_name] += 1
+            code = frame.f_code
+            calls[(code.co_filename, code.co_name) if by_file else code.co_name] += 1
 
     collecting = gc.isenabled()
     gc.disable()

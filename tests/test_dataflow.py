@@ -8,21 +8,30 @@ matrix and a naive from-scratch one and requires exact report equality
 after every operation.
 """
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bandwidth import BandwidthCalculator
+from repro.core.dataflow import DegradedSourceSet
 from repro.core.health import AgentHealthTracker
 from repro.core.linkstate import LinkStateRegistry
 from repro.core.matrix import BandwidthMatrix, MatrixError, MatrixSnapshot
+from repro.core.monitor import NetworkMonitor, ReportCore
 from repro.core.poller import InterfaceRates, RateTable
-from repro.core.traversal import NoPathError, find_all_paths, find_path
+from repro.core.traversal import NoPathError, find_all_paths, find_path, pair_redundant
 from repro.experiments.scale import populate_rates, scale_spec
 from repro.integrity.quarantine import QuarantineManager
 from repro.integrity.validators import IntegrityVerdict, Severity
+from repro.spec.builder import build_network
+from repro.telemetry import Telemetry
 from repro.topology.graph import TopologyGraph
+from tests.costs import call_counts
+from tests.dataflow_reference import reference_snapshot
 
 
 def sample(node, if_index, time, bps=1e6):
@@ -310,57 +319,110 @@ for _conn in _SPEC.connections:
         _SOURCES.append(_src)
 _NODES = sorted({s.node for s in _SOURCES})
 
+def _op(name, high=0):
+    return st.tuples(st.just(name), st.integers(0, high), st.just(0.0))
+
+
 _OPS = st.one_of(
     st.tuples(
         st.just("sample"),
         st.integers(0, len(_SOURCES) - 1),
         st.floats(0.0, 1e7, allow_nan=False),
     ),
-    st.tuples(st.just("advance"), st.just(0), st.just(0.0)),
-    st.tuples(st.just("down"), st.integers(0, len(_SPEC.connections) - 1), st.just(0.0)),
-    st.tuples(st.just("up"), st.integers(0, len(_SPEC.connections) - 1), st.just(0.0)),
-    st.tuples(st.just("fail"), st.integers(0, len(_NODES) - 1), st.just(0.0)),
-    st.tuples(st.just("ok"), st.integers(0, len(_NODES) - 1), st.just(0.0)),
-    st.tuples(st.just("violate"), st.integers(0, len(_SOURCES) - 1), st.just(0.0)),
-    st.tuples(st.just("clean"), st.integers(0, len(_SOURCES) - 1), st.just(0.0)),
+    _op("advance"),
+    # A sub-poll advance (the probe round interval): the instant moves
+    # and no input clock does, interleaved with the input changes below.
+    _op("tick"),
+    # Polls lost for a while: ages cross ``stale_after`` on re-ageing alone.
+    _op("stall"),
+    _op("down", len(_SPEC.connections) - 1),
+    _op("up", len(_SPEC.connections) - 1),
+    _op("fail", len(_NODES) - 1),
+    _op("ok", len(_NODES) - 1),
+    _op("violate", len(_SOURCES) - 1),
+    _op("clean", len(_SOURCES) - 1),
+    _op("degrade", len(_SOURCES) - 1),
+    _op("restore", len(_SOURCES) - 1),
+    # The probe plane opens / lifts its dispute cap on the watched pair.
+    _op("cap"),
+    _op("uncap"),
     # Topology churn: spanning-tree blocking/unblocking connections in
     # the shared graph's active view, plus a bare epoch bump.  Paths
-    # re-resolve (possibly to "disconnected"); the incremental matrix
-    # must still match the naive one bit for bit.
-    st.tuples(st.just("block"), st.integers(0, len(_SPEC.connections) - 1), st.just(0.0)),
-    st.tuples(st.just("unblock"), st.integers(0, len(_SPEC.connections) - 1), st.just(0.0)),
-    st.tuples(st.just("rewire"), st.just(0), st.just(0.0)),
+    # re-resolve (possibly to "disconnected"); the matrix and the watch
+    # must still match the from-scratch reference bit for bit.
+    _op("block", len(_SPEC.connections) - 1),
+    _op("unblock", len(_SPEC.connections) - 1),
+    _op("rewire"),
 )
 
 
-@settings(max_examples=25, deadline=None)
-@given(ops=st.lists(_OPS, min_size=1, max_size=40))
-def test_incremental_equals_full_recompute(ops):
+class _ClocklessLinkState:
+    """A collaborator that predates the epoch surface: ``is_down`` only."""
+
+    def __init__(self, registry):
+        self.is_down = registry.is_down
+
+
+class _ProbeCap:
+    """The one thing the report core asks of a prober."""
+
+    cap = None
+
+    def confidence_cap_for(self, label):
+        return self.cap
+
+
+def _report_core(calc, graph, prober):
+    """A :class:`ReportCore` over ``calc`` with no network behind it:
+    watches, ``current_report`` and ``watch_trust`` are the real code."""
+    core = ReportCore.__new__(ReportCore)
+    core.calculator, core.graph, core.prober = calc, graph, prober
+    core.sim = SimpleNamespace(now=0.0)
+    core.telemetry = Telemetry.disabled()
+    core._m_reroutes = core.telemetry.registry.counter("path_reroutes_total", "")
+    core.stream = None
+    core._watches = {}
+    return core
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_OPS, min_size=1, max_size=40), clockless=st.booleans())
+def test_incremental_equals_full_recompute(ops, clockless):
     rates = RateTable()
     ls = LinkStateRegistry(_SPEC, {})
     health = AgentHealthTracker()
     qm = QuarantineManager()
+    lossy = DegradedSourceSet()
     calc = BandwidthCalculator(
         _SPEC,
         rates,
-        link_state=ls,
+        link_state=_ClocklessLinkState(ls) if clockless else ls,
         stale_after=4.0,
         dead_after=12.0,
         health=health,
         integrity=qm,
-        incremental=True,
+        degraded_sources=lossy,
     )
-    incremental = BandwidthMatrix(_SPEC, calc, incremental=True)
-    naive = BandwidthMatrix(_SPEC, calc, incremental=False, graph=incremental.graph)
-    graph = incremental.graph  # shared: both matrices see one active view
+    incremental = BandwidthMatrix(_SPEC, calc)
+    graph = incremental.graph  # the reference traverses the same active view
+    # A watch holds one bound path across the topology churn and re-binds
+    # the way ``_refresh_watch`` does, because it *is* ``_refresh_watch``.
+    prober = _ProbeCap()
+    core = _report_core(calc, graph, prober)
+    src, dst = "n0_1", "h1_1"  # hub pocket, then the redundant uplink
+    label = core.watch_path(src, dst)
     blocked_idx = set()
     t = 0.0
-    for op, index, arg in ops:
+    for step, (op, index, arg) in enumerate(ops):
         if op == "sample":
             source = _SOURCES[index]
             rates.update(sample(source.node, source.if_index, t, bps=arg))
         elif op == "advance":
             t += 2.0
+        elif op == "tick":
+            t += 0.096
+        elif op == "stall":
+            t += 5.0
         elif op == "down":
             ls.mark_down(_SPEC.connections[index])
         elif op == "up":
@@ -385,6 +447,14 @@ def test_incremental_equals_full_recompute(ops):
         elif op == "clean":
             source = _SOURCES[index]
             qm.record_clean(source.node, source.if_index, t)
+        elif op == "degrade":
+            lossy.mark(*_SOURCES[index].key())
+        elif op == "restore":
+            lossy.clear(*_SOURCES[index].key())
+        elif op == "cap":
+            prober.cap = 0.4
+        elif op == "uncap":
+            prober.cap = None
         elif op == "block":
             blocked_idx.add(index)
             graph.set_blocked([_SPEC.connections[i] for i in sorted(blocked_idx)])
@@ -393,13 +463,98 @@ def test_incremental_equals_full_recompute(ops):
             graph.set_blocked([_SPEC.connections[i] for i in sorted(blocked_idx)])
         elif op == "rewire":
             graph.invalidate_paths()
-        got = incremental.snapshot(t)
-        want = naive.snapshot(t)
-        # Exact equality, field by field: confidence, trusted/degraded
-        # flags, freshness, every ConnectionMeasurement.  Caching must be
-        # invisible in the output.
-        assert got.reports == want.reports
-        assert np.array_equal(got.values(), want.values(), equal_nan=True)
-        assert np.array_equal(
-            got.values("utilization"), want.values("utilization"), equal_nan=True
+        core.sim.now = t
+        # The pick query, asked before anything else validated the entries
+        # at this instant on even steps and after the matrix did on odd.
+        trust = core.watch_trust(label) if step % 2 == 0 else None
+        # Every third step only the watch reports, so entries off its path
+        # fall more than one stamp behind before the matrix next asks.
+        if step % 3 != 2:
+            got = incremental.snapshot(t)
+            want = reference_snapshot(incremental, t)
+            # Exact equality, field by field: confidence, trusted/degraded
+            # flags, freshness, every ConnectionMeasurement.  Caching must
+            # be invisible in the output.
+            assert got.reports == want.reports
+            assert np.array_equal(got.values(), want.values(), equal_nan=True)
+            assert np.array_equal(
+                got.values("utilization"), want.values("utilization"),
+                equal_nan=True,
+            )
+        # The watch: its held, re-bound path against the same path from
+        # scratch; and the pick query against the report it stands for.
+        report = core.current_report(label)
+        assert core.current_report(label, _probe_cap=False) == calc.measure_path(
+            core.path_of(label), src, dst, time=t, name=label, fresh=True,
+            redundant=pair_redundant(graph, src, dst),
         )
+        if trust is None:
+            trust = core.watch_trust(label)
+        assert trust == (report.confidence, report.degraded)
+        if prober.cap is not None:
+            assert report.confidence <= prober.cap and report.degraded
+
+
+# ----------------------------------------------------------------------
+# Cost guards (Python calls, not wall clock): a report is a composition
+# of bound entries, telemetry is paid per report somebody receives
+# ----------------------------------------------------------------------
+def _in(where, calls):
+    """Calls made inside source files matching ``where``, from a
+    ``by_file`` count."""
+    return sum(n for (path, _), n in calls.items() if where in path)
+
+
+class TestReportCost:
+    # The ledger's mesh_flat matrix: 36 hosts, 630 pairs, mean path 4.0.
+    SPEC = scale_spec(switches=6, hosts_per_switch=6, arity=1, redundant_uplinks=1)
+
+    def _matrix(self):
+        rates = RateTable(keep_history=False)
+        populate_rates(self.SPEC, rates, time=0.0)
+        calc = BandwidthCalculator(
+            self.SPEC, rates, link_state=LinkStateRegistry(self.SPEC, {}),
+            stale_after=5.0, dead_after=12.0, health=AgentHealthTracker(),
+            integrity=QuarantineManager(), telemetry=Telemetry(),
+        )
+        matrix = BandwidthMatrix(self.SPEC, calc)
+        matrix.snapshot(0.5)
+        return rates, matrix
+
+    def test_new_instant_snapshot_is_o_connections_not_o_pairs(self):
+        rates, matrix = self._matrix()
+        populate_rates(self.SPEC, rates, time=2.0)  # every interface re-sampled
+        calls = call_counts(lambda: matrix.snapshot(2.5), by_file=True)
+        pairs, conns = len(matrix._paths), len(matrix._conns)
+        assert (pairs, matrix.dirty_pairs_last) == (630, 630)
+        assert sum(calls.values()) <= 14 * pairs
+        by_name = Counter()
+        for (_, name), n in calls.items():
+            by_name[name] += n
+        assert by_name["connection_token"] == conns
+        assert by_name["endpoints"] <= 8 * conns
+        assert by_name["measure_path"] == pairs  # still the one way to a report
+        # Telemetry: the one matrix_snapshot span, whatever the size.
+        assert _in("/repro/telemetry/", calls) <= 6
+
+    def test_instant_only_move_reads_no_token(self):
+        _, matrix = self._matrix()
+        calls = call_counts(lambda: matrix.snapshot(0.596))
+        assert matrix.dirty_pairs_last == 0
+        assert calls["connection_token"] == 0
+        assert calls["_compute_measurement"] == 0
+        assert calls["_refresh_measurement"] == len(matrix._conns)
+
+    def test_probe_pick_builds_no_report(self):
+        build = build_network(self.SPEC)
+        monitor = NetworkMonitor(build, "h0_0", poll_jitter=0.0)
+        for a, b in (("h0_1", "h5_0"), ("h1_0", "h4_0"), ("h2_0", "h3_0"), ("h0_2", "h3_1")):
+            monitor.watch_path(a, b)
+        prober = monitor.enable_probing()
+        monitor.start()
+        build.network.run(7.0)
+        started = monitor.telemetry.tracer.spans_started
+        calls = call_counts(prober._pick, by_file=True)
+        assert sum(calls.values()) <= 250
+        assert _in("/repro/core/report.py", calls) == 0  # no PathReport built or read
+        assert monitor.telemetry.tracer.spans_started == started

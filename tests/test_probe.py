@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import NetworkMonitor, build_network, parse_spec
+from repro.experiments.scale import scale_spec
 from repro.experiments.testbed import build_testbed
 from repro.probe import (
     PROBE_TOS,
@@ -212,6 +213,52 @@ class TestScheduler:
         build.network.run(40.0)
         counts = prober.stats()["trains_per_path"]
         assert counts["S1<->N1"] > counts["S1<->S2"]
+
+    def test_pick_sequence_equals_report_building_formulation(self):
+        """The pick reads ``(confidence, degraded)`` off the bound entries
+        instead of building a report per watch per round; the rounds it
+        hands out must be the ones the report-building pick handed out."""
+
+        class Ledger(dict):
+            def __init__(self):
+                self.order = []
+
+            def __setitem__(self, label, when):
+                self.order.append((label, when))
+                super().__setitem__(label, when)
+
+        def run(report_building):
+            build = build_network(
+                scale_spec(switches=4, hosts_per_switch=3, arity=1, redundant_uplinks=1)
+            )
+            monitor = NetworkMonitor(build, "h0_0", poll_jitter=0.0)
+            for a, b in (("h0_1", "h3_0"), ("h1_0", "h2_0"), ("h0_2", "h2_1"), ("h1_1", "h3_1")):
+                monitor.watch_path(a, b)
+            prober = monitor.enable_probing()
+            prober._last_probed = ledger = Ledger()
+            if report_building:  # the pick as it was before watch_trust
+
+                def needs_attention(label):
+                    if label in prober.validator.active:
+                        return True
+                    report = monitor.current_report(label)
+                    return report.degraded or report.confidence < prober.priority_confidence
+
+                prober._needs_attention = needs_attention
+            # h3_0 answers no more polls: its watch ages into degraded,
+            # then its agent is DEAD and the watch unavailable.
+            AgentOutage(build.network.sim, build.agents["h3_0"], at=3.0, until=60.0)
+            monitor.start()
+            build.network.run(2.5 + 12 * 2.0)  # DEAD for the last two cycles
+            assert monitor.health.state("h3_0").value == "dead"
+            return prober.stats()["trains_per_path"], ledger.order
+
+        trains, order = run(report_building=False)
+        assert (trains, order) == run(report_building=True)
+        assert len(order) > 40 and len(trains) == 4
+        assert trains["h0_1<->h3_0"] > max(
+            n for label, n in trains.items() if label != "h0_1<->h3_0"
+        )
 
     def test_enable_probing_is_idempotent(self):
         _, monitor, prober = probed_testbed()

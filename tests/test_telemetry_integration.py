@@ -5,11 +5,13 @@ import pytest
 from repro.cli import main
 from repro.core.health import HealthState
 from repro.core.monitor import NetworkMonitor
+from repro.experiments.scale import scale_spec
 from repro.experiments.testbed import MONITOR_HOST, build_testbed
 from repro.rm.middleware import RmMiddleware
 from repro.rm.qos import QosRequirement
 from repro.simnet.faults import AgentOutage, LinkFailure
 from repro.simnet.trafficgen import KBPS, StaircaseLoad, StepSchedule
+from repro.spec.builder import build_network
 from repro.telemetry import Telemetry, prometheus_text
 from repro.telemetry.events import (
     FAULT_CLEARED,
@@ -17,6 +19,7 @@ from repro.telemetry.events import (
     HEALTH_TRANSITION,
     QOS_RECOVERY,
     QOS_VIOLATION,
+    REPORT_STATUS,
 )
 
 
@@ -165,6 +168,75 @@ class TestMonitorTelemetry:
         assert "# TYPE snmp_rtt_seconds summary" in text
         assert 'snmp_rtt_seconds{agent="S1",quantile="0.99"}' in text
         assert "poll_cycles_total" in text
+
+
+def _streamed_testbed():
+    build = build_testbed()
+    monitor = NetworkMonitor(build, MONITOR_HOST, poll_jitter=0.0)
+    monitor.watch_path("S1", "N1")
+    return build, monitor
+
+
+def _streamed_mesh():
+    # 24 hosts on 4 chained switches: 276 pairs a snapshot, 28 agents.
+    build = build_network(scale_spec(switches=4, hosts_per_switch=6, arity=1))
+    monitor = NetworkMonitor(build, "h0_0", poll_jitter=0.0)
+    monitor.watch_path("h0_1", "h3_0")
+    return build, monitor
+
+
+class TestMatrixTelemetry:
+    """A matrix cell is not a report somebody received: the all-pairs
+    snapshot must neither flood the span ring nor pose as reports in the
+    staleness histogram, the trust counters and the event bus."""
+
+    @pytest.mark.parametrize("rig", [_streamed_testbed, _streamed_mesh])
+    def test_snapshot_leaves_the_poll_spans_in_the_ring(self, rig):
+        build, monitor = rig()
+        monitor.enable_streaming()
+        monitor.start()
+        build.network.run(19.5)  # ten poll cycles, nine of them publishing
+        tracer = monitor.telemetry.tracer
+        assert len(tracer.finished) < tracer.finished.maxlen
+        cycles = tracer.spans("poll_cycle")
+        assert [s.attrs["cycle"] for s in cycles] == list(range(1, 11))
+        exchanges = tracer.children_of(cycles[-1])
+        assert {s.name for s in exchanges} == {"snmp_exchange"}
+        assert len(exchanges) == len(monitor.poller.targets)
+        snapshots = tracer.spans("matrix_snapshot")
+        assert len(snapshots) == monitor.stream.cycles == 9
+        pairs = len(monitor.stream.matrix.hosts) * (len(monitor.stream.matrix.hosts) - 1) // 2
+        for span in snapshots:
+            assert span.attrs["pairs"] == pairs
+            assert 0 <= span.attrs["dirty_pairs"] <= pairs
+        assert snapshots[0].attrs["dirty_pairs"] == pairs
+
+    def test_staleness_and_trust_counters_describe_delivered_reports(self):
+        build, monitor = _streamed_testbed()
+        monitor.watch_path("S1", "S2")
+        monitor.enable_streaming()
+        # S2's samples age through degraded into unavailable (agent DEAD).
+        AgentOutage(build.network.sim, build.agents["S2"], at=4.0, until=60.0)
+        delivered = []
+        monitor.subscribe(delivered.append)
+        monitor.start()
+        build.network.run(30.0)
+        delivered += [monitor.current_report("S1<->S2") for _ in range(3)]
+        assert monitor.health.state("S2") is HealthState.DEAD
+        assert len(delivered) == monitor.reports_emitted + 3
+        value = monitor.telemetry.registry.value
+        assert value("report_staleness_seconds")["count"] == sum(
+            r.freshness is not None for r in delivered
+        )
+        unavailable = sum(r.unavailable for r in delivered)
+        degraded = sum(r.degraded and not r.unavailable for r in delivered)
+        assert unavailable > 0 and degraded > 0
+        assert value("reports_unavailable_total") == unavailable
+        assert value("reports_degraded_total") == degraded
+        # The dead agent's pairs went degraded in the matrix too; that is
+        # the publisher's PathDegraded to tell, not a report-status event.
+        changes = monitor.telemetry.events.events(REPORT_STATUS)
+        assert {e.attrs["path"] for e in changes} == {"S1<->S2"}
 
 
 class TestTelemetryCli:
