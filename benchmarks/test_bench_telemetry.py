@@ -1,29 +1,20 @@
 """Telemetry overhead guard: the monitor watching itself must stay cheap.
 
 Runs the Figure-4 scenario twice -- histograms/spans enabled vs disabled
--- and asserts the instrumented run costs at most 10 % more wall time.
-Uses plain ``perf_counter`` best-of-rounds rather than the
-pytest-benchmark fixture so CI can run this file with stock pytest.
+-- and asserts the instrumented run makes at most 10 % more Python-level
+calls (``tests/costs.py``: exact, the same on every box and every run).
+The budget used to be on best-of-rounds wall time, but the layer is
+under 1 % of the cycle and the simulator it is divided by keeps getting
+cheaper: the wall ratio read 1.00 to 1.10 minutes apart on one box.  It
+is still printed, as information.
 """
-
-import time
 
 import numpy as np
 
 from repro.experiments import fig4
+from tests.costs import overhead
 
-ROUNDS = 3
 MAX_OVERHEAD_RATIO = 1.10
-
-
-def _best_of(fn, rounds=ROUNDS):
-    """Minimum wall time over ``rounds`` runs (noise-robust estimator)."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def test_bench_telemetry_overhead_under_ten_percent():
@@ -38,12 +29,14 @@ def test_bench_telemetry_overhead_under_ten_percent():
     )
     assert baseline_result.monitor_stats == instrumented_result.monitor_stats
 
-    off = _best_of(lambda: fig4.run(seed=0, telemetry=False))
-    on = _best_of(lambda: fig4.run(seed=0, telemetry=True))
+    on, off, wall = overhead(
+        lambda: fig4.run(seed=0, telemetry=True), lambda: fig4.run(seed=0, telemetry=False)
+    )
     ratio = on / off
     print(
-        f"\nfig4 wall time: telemetry off {off:.3f}s, on {on:.3f}s, "
-        f"ratio {ratio:.3f} (budget {MAX_OVERHEAD_RATIO:.2f})"
+        f"\nfig4 Python calls: telemetry off {off}, on {on}, "
+        f"ratio {ratio:.3f} (budget {MAX_OVERHEAD_RATIO:.2f}); "
+        f"wall ratio {wall:.3f} (not asserted)"
     )
     assert ratio <= MAX_OVERHEAD_RATIO, (
         f"telemetry overhead {ratio:.3f}x exceeds the "

@@ -23,38 +23,35 @@ class AddressError(ValueError):
 
 @total_ordering
 class MacAddress:
-    """48-bit IEEE MAC address."""
+    """48-bit IEEE MAC address.
 
-    __slots__ = ("_value",)
+    ``is_broadcast`` and ``is_multicast`` (the group bit, LSB of the
+    first octet; broadcast sets it too) are fixed at construction.  The
+    forwarding path compares and keys its tables on ``_value``, so no
+    Python-level ``__eq__`` or ``__hash__`` runs per frame.
+    """
+
+    __slots__ = ("_value", "is_broadcast", "is_multicast")
 
     def __init__(self, value: Union[int, str, "MacAddress"]) -> None:
         if isinstance(value, MacAddress):
-            self._value = value._value
-            return
-        if isinstance(value, str):
+            value = value._value
+        elif isinstance(value, str):
             if not _MAC_RE.match(value):
                 raise AddressError(f"malformed MAC address {value!r}")
-            self._value = int(value.replace("-", ":").replace(":", ""), 16)
-            return
-        if isinstance(value, int):
+            value = int(value.replace("-", ":").replace(":", ""), 16)
+        elif isinstance(value, int):
             if not 0 <= value < (1 << 48):
                 raise AddressError(f"MAC address out of range: {value!r}")
-            self._value = value
-            return
-        raise AddressError(f"cannot build MacAddress from {type(value).__name__}")
+        else:
+            raise AddressError(f"cannot build MacAddress from {type(value).__name__}")
+        self._value = value
+        self.is_broadcast = value == (1 << 48) - 1
+        self.is_multicast = bool((value >> 40) & 0x01)
 
     @property
     def value(self) -> int:
         return self._value
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self._value == (1 << 48) - 1
-
-    @property
-    def is_multicast(self) -> bool:
-        """True when the group bit (LSB of the first octet) is set."""
-        return bool((self._value >> 40) & 0x01)
 
     def to_bytes(self) -> bytes:
         """Six-octet wire form, as served by SNMP ``ifPhysAddress``."""

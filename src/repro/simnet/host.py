@@ -227,6 +227,8 @@ class Host:
             return True
         dst_mac = self.network.resolve_mac(dst_ip)
         packet = IPPacket(src=iface.ip, dst=dst_ip, payload=datagram, tos=tos)
+        if packet.size <= iface.mtu:  # the common case: nothing to fragment
+            return iface.transmit(EthernetFrame(src=iface.mac, dst=dst_mac, payload=packet))
         ok = True
         for frag in fragment_ip_packet(packet, iface.mtu):
             frame = EthernetFrame(src=iface.mac, dst=dst_mac, payload=frag)
@@ -246,13 +248,14 @@ class Host:
             # different IP is silently refused (counted for diagnostics).
             self.ip_forward_refused += 1
             return
-        try:
-            complete = self._reassembly.add(packet, self.sim.now)
-        except PacketError:
-            return
-        if complete is None:
-            return
-        self._deliver_udp(complete)
+        if packet.more_fragments or packet.fragment_offset > 0:
+            try:
+                packet = self._reassembly.add(packet, self.sim.now)
+            except PacketError:
+                return
+            if packet is None:
+                return
+        self._deliver_udp(packet)
 
     def _deliver_udp(self, packet: IPPacket) -> None:
         datagram = packet.payload
@@ -270,7 +273,11 @@ class Host:
         )
 
     def _is_local_ip(self, ip: IPv4Address) -> bool:
-        return any(i.ip == ip for i in self.interfaces)
+        value = ip._value
+        for iface in self.interfaces:
+            if iface.ip is not None and iface.ip._value == value:
+                return True
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Host {self.name} ({self.os_label}) ifs={len(self.interfaces)}>"

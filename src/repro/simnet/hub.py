@@ -110,37 +110,35 @@ class Hub:
     # Repeating
     # ------------------------------------------------------------------
     def on_frame(self, in_port: Interface, frame: EthernetFrame) -> None:
+        size = frame.size
         if frame.hops >= MAX_L2_HOPS:
             self.frames_dropped_hops += 1
             return
-        if self._queue_bytes + frame.size > HUB_QUEUE_BYTES:
+        if self._queue_bytes + size > HUB_QUEUE_BYTES:
             self.frames_dropped += 1
             return
-        self._queue.append((in_port, frame))
-        self._queue_bytes += frame.size
-        if not self._busy:
-            self._repeat_next()
-
-    def _repeat_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        in_port, frame = self._queue.popleft()
-        self._queue_bytes -= frame.size
-        # The shared medium carries the frame once, at hub speed.
-        repeat_time = frame.size * 8.0 / self.speed_bps
-        self.sim.schedule(repeat_time, self._emit, in_port, frame)
+        if self._busy:
+            self._queue.append((in_port, frame))
+            self._queue_bytes += size
+        else:
+            # An idle medium takes the frame at once, never queued, and
+            # carries it once, at hub speed.
+            self._busy = True
+            self.sim.schedule(size * 8.0 / self.speed_bps, self._emit, in_port, frame)
 
     def _emit(self, in_port: Interface, frame: EthernetFrame) -> None:
-        out_frame = EthernetFrame(
-            frame.src, frame.dst, frame.payload, frame.l2_overhead, frame.hops + 1
-        )
+        out_frame = frame.hop_copy()
         self.frames_repeated += 1
         for port in self.interfaces:
             if port is not in_port and port.link is not None:
                 port.transmit(out_frame)
-        self._repeat_next()
+        if self._queue:
+            in_port, frame = self._queue.popleft()
+            size = frame.size
+            self._queue_bytes -= size
+            self.sim.schedule(size * 8.0 / self.speed_bps, self._emit, in_port, frame)
+        else:
+            self._busy = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Hub {self.name} ports={len(self.interfaces)} {self.speed_bps / 1e6:.0f} Mb/s>"

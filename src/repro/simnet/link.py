@@ -3,16 +3,26 @@
 A :class:`Link` joins exactly two interfaces -- the paper's connection
 model is strictly 1-to-1 ("one interface may only be connected to one
 interface on another host/device").  Each direction is an independent
-:class:`_Channel` that serialises frames at the link bandwidth through a
+:class:`_Channel` that serialises frames at the link bandwidth behind a
 bounded FIFO queue and delivers them after a propagation delay.
 
 Bandwidth defaults to the *minimum* of the two endpoint interface speeds,
 which is how a real auto-negotiated Ethernet segment behaves (a 100 Mb/s
 NIC plugged into a 10 Mb/s hub runs at 10 Mb/s).
+
+A crossing is one event, the arrival.  FIFO departures follow from the
+offers alone -- a frame starts when it is offered or when the one before
+it ends, whichever is later -- so each is computed as the frame is
+accepted.  The last bit leaving the wire changes no counter (the sender's
+are charged on acceptance, the receiver's on arrival) and needs no event;
+``tests/link_reference.py`` keeps the event-per-stage channel this
+replaced, as the reference.  A queueing discipline other than FIFO is a
+different rule for ``start`` in :meth:`_Channel.send`.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
@@ -37,10 +47,10 @@ class _Channel:
         "sim",
         "bandwidth_bps",
         "prop_delay",
-        "queue",
-        "queue_bytes",
         "max_queue_bytes",
-        "busy",
+        "free_at",
+        "_waiting",
+        "_waiting_bytes",
         "dst",
         "frames_delivered",
         "octets_delivered",
@@ -58,12 +68,16 @@ class _Channel:
         dst: "Interface",
     ) -> None:
         self.sim = sim
+        # May be assigned mid-run; applies to frames offered afterwards.
         self.bandwidth_bps = bandwidth_bps
         self.prop_delay = prop_delay
-        self.queue: Deque[EthernetFrame] = deque()
-        self.queue_bytes = 0
         self.max_queue_bytes = max_queue_bytes
-        self.busy = False
+        #: When the serialiser next idles (in the past on an idle channel).
+        self.free_at = 0.0
+        # For admission only: (start of serialisation, size) of accepted
+        # frames that may still be waiting for the wire, and their total.
+        self._waiting: Deque[Tuple[float, int]] = deque()
+        self._waiting_bytes = 0
         self.dst = dst
         self.frames_delivered = 0
         self.octets_delivered = 0
@@ -76,35 +90,41 @@ class _Channel:
     def send(self, frame: EthernetFrame) -> bool:
         """Accept a frame for transmission; False means tail-drop."""
         size = frame.size
+        now = self.sim._now
         lost = self.drop_filter is not None and self.drop_filter(frame)
-        if lost or self.queue_bytes + size > self.max_queue_bytes:
+        # Settle: a frame whose serialisation has started -- at this very
+        # instant included -- has left the queue.
+        waiting = self._waiting
+        while waiting and waiting[0][0] <= now:
+            self._waiting_bytes -= waiting.popleft()[1]
+        if lost or self._waiting_bytes + size > self.max_queue_bytes:
             self.frames_dropped += 1
             self.octets_dropped += size
             return False
-        self.queue.append(frame)
-        self.queue_bytes += size
-        if not self.busy:
-            self._start_next()
+        start = self.free_at
+        if start > now:
+            waiting.append((start, size))
+            self._waiting_bytes += size
+        else:
+            start = now  # idle: straight onto the wire, never queued
+        # The float expressions, and their association, of the two
+        # ``schedule`` calls (end of serialisation, then propagation)
+        # this replaces: arrival times are equal to the last bit.
+        done = start + size * 8.0 / self.bandwidth_bps
+        self.free_at = done
+        self.sim.schedule_at(done + self.prop_delay, self._deliver, frame)
         return True
-
-    def _start_next(self) -> None:
-        if not self.queue:
-            self.busy = False
-            return
-        self.busy = True
-        frame = self.queue.popleft()
-        size = frame.size
-        self.queue_bytes -= size
-        self.sim.schedule(size * 8.0 / self.bandwidth_bps, self._tx_done, frame)
-
-    def _tx_done(self, frame: EthernetFrame) -> None:
-        self.sim.schedule(self.prop_delay, self._deliver, frame)
-        self._start_next()
 
     def _deliver(self, frame: EthernetFrame) -> None:
         self.frames_delivered += 1
         self.octets_delivered += frame.size
         self.dst.deliver(frame)
+
+    @property
+    def queue_bytes(self) -> int:
+        """Bytes accepted whose serialisation has not started yet."""
+        now = self.sim.now
+        return sum(size for start, size in self._waiting if start > now)
 
     @property
     def utilization_estimate(self) -> float:
@@ -132,8 +152,9 @@ class Link:
             raise LinkError(f"interface {end_b.full_name} is already connected")
         if bandwidth_bps is None:
             bandwidth_bps = min(end_a.speed_bps, end_b.speed_bps)
-        if bandwidth_bps <= 0:
-            raise LinkError(f"non-positive bandwidth {bandwidth_bps!r}")
+        # A NaN bandwidth would put NaN timestamps on the event heap.
+        if not (bandwidth_bps > 0 and math.isfinite(bandwidth_bps)):
+            raise LinkError(f"bandwidth must be positive and finite, got {bandwidth_bps!r}")
         self.sim = sim
         self.end_a = end_a
         self.end_b = end_b

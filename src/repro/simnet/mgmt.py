@@ -117,10 +117,8 @@ class ManagementStack:
     # ------------------------------------------------------------------
     def _on_frame(self, in_port: Interface, frame: EthernetFrame) -> None:
         packet = frame.payload
-        if packet.dst != self.ip and not frame.is_broadcast:
-            return
-        if packet.dst != self.ip:
-            return  # broadcasts not for our IP are ignored at L3
+        if packet.dst._value != self.ip._value:
+            return  # not ours; broadcasts not for our IP are ignored at L3 too
         try:
             complete = self._reassembly.add(packet, self.sim.now)
         except PacketError:

@@ -46,8 +46,9 @@ class Network:
         self.management: Dict[str, ManagementStack] = {}
         self._mac_alloc = MacAllocator()
         self._ip_alloc = IPv4Allocator(subnet, 16)
-        self._arp: Dict[IPv4Address, MacAddress] = {}
-        self._ip_owner: Dict[IPv4Address, object] = {}
+        # Both keyed by the IP's integer; broadcast resolves like any other.
+        self._arp: Dict[int, MacAddress] = {BROADCAST_IP._value: BROADCAST_MAC}
+        self._ip_owner: Dict[int, object] = {}
 
     # ------------------------------------------------------------------
     # Device construction
@@ -178,23 +179,21 @@ class Network:
         return self.endpoint(name).primary_ip
 
     def _register(self, ip: IPv4Address, mac: MacAddress, owner: object) -> None:
-        if ip in self._arp:
+        if ip._value in self._arp:
             raise NetworkError(f"IP {ip} registered twice")
-        self._arp[ip] = mac
-        self._ip_owner[ip] = owner
+        self._arp[ip._value] = mac
+        self._ip_owner[ip._value] = owner
 
     def resolve_mac(self, ip: IPv4Address) -> MacAddress:
         """ARP substitute: map an IP to its MAC (broadcast-aware)."""
-        if ip == BROADCAST_IP:
-            return BROADCAST_MAC
         try:
-            return self._arp[ip]
+            return self._arp[ip._value]
         except KeyError:
             raise NetworkError(f"no device owns IP {ip}") from None
 
     def owner_of(self, ip: IPv4Address) -> object:
         try:
-            return self._ip_owner[ip]
+            return self._ip_owner[ip._value]
         except KeyError:
             raise NetworkError(f"no device owns IP {ip}") from None
 

@@ -194,7 +194,7 @@ class Interface:
             return
         # Non-unicast means broadcast or multicast: a host NIC takes those
         # and frames for its own MAC, nothing else.
-        if not self.promiscuous and frame.is_unicast and frame.dst != self.mac:
+        if not self.promiscuous and frame.is_unicast and frame.dst._value != self.mac._value:
             counters.in_filtered_pkts += 1
             return
         size = frame.size

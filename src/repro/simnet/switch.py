@@ -39,6 +39,7 @@ from repro.simnet.stp import STP_MULTICAST, SpanningTree
 MAX_L2_HOPS = 32  # broadcast-storm guard; generous for any sane LAN
 DEFAULT_MAC_AGING = 300.0  # seconds, as in common switch defaults
 SWITCH_FORWARD_LATENCY = 10e-6  # store-and-forward processing time
+_STP_GROUP = STP_MULTICAST._value
 
 
 class SwitchError(RuntimeError):
@@ -82,7 +83,7 @@ class Switch:
         self.management_mac = management_mac
         self.interfaces: List[Interface] = []
         self.network = None  # set by Network.add_switch
-        self._fdb: Dict[MacAddress, FdbEntry] = {}
+        self._fdb: Dict[int, FdbEntry] = {}  # keyed by the MAC's integer
         # Bumped whenever the set of (mac, port) bindings changes; lets
         # the bridge-MIB provider cache its row list between changes.
         self.fdb_version = 0
@@ -140,19 +141,34 @@ class Switch:
     # Forwarding
     # ------------------------------------------------------------------
     def on_frame(self, in_port: Interface, frame: EthernetFrame) -> None:
+        """Consume, learn, then forward, flood or filter -- decided on the
+        addresses' integers and one clock read."""
+        dst = frame.dst._value
+        stp = self.stp
         # Bridge-group traffic is consumed here, never forwarded or
         # learned (IEEE 802.1D reserved address) -- even with STP off.
-        if frame.dst == STP_MULTICAST:
-            if self.stp is not None:
-                self.stp.receive(in_port, frame)
+        if dst == _STP_GROUP:
+            if stp is not None:
+                stp.receive(in_port, frame)
             return
         # A blocking port drops all data frames, in both directions.
-        if self.stp is not None and not self.stp.forwarding(in_port):
+        if stp is not None and not stp.forwarding(in_port):
             self.frames_dropped_blocked += 1
             return
-        self._learn(frame.src, in_port)
+        now = self.sim._now
+        src = frame.src
+        entry = self._fdb.get(src._value)
+        if (
+            entry is not None
+            and entry.port is in_port
+            and now - entry.learned_at <= self.mac_aging
+        ):
+            entry.learned_at = now  # unchanged and live: refreshed in place
+        else:
+            self._learn(src, in_port)
         # In-band management: frames addressed to the switch itself.
-        if self.management_mac is not None and frame.dst == self.management_mac:
+        management_mac = self.management_mac
+        if management_mac is not None and dst == management_mac._value:
             self.frames_local += 1
             if self._mgmt_handler is not None:
                 self._mgmt_handler(in_port, frame)
@@ -160,25 +176,21 @@ class Switch:
         if frame.hops >= MAX_L2_HOPS:
             self.frames_dropped_hops += 1
             return
-        out = self._lookup(frame.dst)
-        forwarded = EthernetFrame(
-            frame.src, frame.dst, frame.payload, frame.l2_overhead, frame.hops + 1
-        )
-        if (
-            out is not None
-            and frame.is_unicast
-            and (self.stp is None or self.stp.forwarding(out))
-        ):
+        # Only station addresses are ever learned, so only a unicast
+        # destination can be in the FDB.
+        out = self._lookup(dst, now) if frame.is_unicast else None
+        if out is not None and (stp is None or stp.forwarding(out)):
             if out is in_port:
                 return  # destination is back where it came from; filter
             self.frames_forwarded += 1
-            self.sim.schedule(SWITCH_FORWARD_LATENCY, out.transmit, forwarded)
+            self.sim.schedule(SWITCH_FORWARD_LATENCY, out.transmit, frame.hop_copy())
         else:
             self.frames_flooded += 1
+            forwarded = frame.hop_copy()
             for port in self.interfaces:
                 if port is in_port or port.link is None:
                     continue
-                if self.stp is not None and not self.stp.forwarding(port):
+                if stp is not None and not stp.forwarding(port):
                     continue
                 self.sim.schedule(SWITCH_FORWARD_LATENCY, port.transmit, forwarded)
             # Broadcasts also reach the management plane.
@@ -186,22 +198,23 @@ class Switch:
                 self._mgmt_handler(in_port, frame)
 
     def _learn(self, mac: MacAddress, port: Interface) -> None:
-        if mac.is_broadcast or mac.is_multicast:
-            return
-        now = self.sim.now
-        existing = self._fdb.get(mac)
-        # An expired binding is no binding: fdb_entries() stopped listing
-        # it when it aged out, so learning it again changes the row set.
-        expired = existing is not None and now - existing.learned_at > self.mac_aging
-        if existing is None or expired or existing.port is not port:
-            self.fdb_version += 1
-        self._fdb[mac] = FdbEntry(mac, port, now)
+        """Bind a station to a port it was not (or is no longer) bound to.
 
-    def _lookup(self, mac: MacAddress) -> Optional[Interface]:
+        New, moved, or aged out -- and an expired binding is no binding:
+        fdb_entries() stopped listing it when it aged out, so learning it
+        again changes the row set like the other two.
+        """
+        if mac.is_multicast:  # group addresses (broadcast too) are no station
+            return
+        self._fdb[mac._value] = FdbEntry(mac, port, self.sim.now)
+        self.fdb_version += 1
+
+    def _lookup(self, mac: int, now: float) -> Optional[Interface]:
+        """The live binding's port for a MAC's integer; ages it out if stale."""
         entry = self._fdb.get(mac)
         if entry is None:
             return None
-        if self.sim.now - entry.learned_at > self.mac_aging:
+        if now - entry.learned_at > self.mac_aging:
             del self._fdb[mac]
             self.fdb_version += 1
             return None
@@ -226,7 +239,7 @@ class Switch:
         If the destination is unlearned the frame floods, exactly like
         transit traffic -- management responses are ordinary packets.
         """
-        out = self._lookup(frame.dst)
+        out = self._lookup(frame.dst._value, self.sim.now)
         if (
             out is not None
             and frame.is_unicast

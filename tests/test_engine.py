@@ -78,6 +78,35 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(4.0, lambda: None)
 
+    def test_nan_time_rejected_and_heap_untouched(self):
+        """``nan < 0`` and ``nan < now`` are both false: a NaN time used to
+        be pushed, and a heap holding one is no longer ordered -- this very
+        sequence fired a, b, c (c *after* b), never fired d, and returned
+        with two events pending."""
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), fired.append, "x")
+        sim.schedule(2.0, fired.append, "b")
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), fired.append, "y")
+        sim.schedule(0.5, fired.append, "c")
+        sim.schedule(3.0, fired.append, "d")
+        assert sim.pending_count() == 4  # the refused ones left nothing behind
+        sim.run(10.0)
+        assert fired == ["c", "a", "b", "d"]
+        assert sim.pending_count() == 0
+
+    def test_infinite_time_is_accepted_and_never_fires(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(float("inf"), fired.append, "never")
+        sim.schedule_at(float("inf"), fired.append, "never")
+        sim.schedule(1.0, fired.append, "a")
+        sim.run(1e12)
+        assert fired == ["a"] and sim.pending_count() == 2
+
     def test_run_backwards_rejected(self):
         sim = Simulator()
         sim.run(5.0)

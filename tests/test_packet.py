@@ -320,3 +320,30 @@ class TestSizesFollowFields:
         # A -> switch port (0 hops) -> hub port (1) -> B (2), per fragment.
         assert hops == {0: len(sent), 1: len(sent), 2: len(sent)}
         assert b.interfaces[0].counters.in_octets - before == sum(f.size for f in sent)
+
+    @given(
+        payload_size=st.integers(0, 4000),
+        l2_overhead=st.sampled_from([0, ETHERNET_OVERHEAD]),
+        dst=MACS,
+        hops=st.integers(0, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_hop_copy_is_the_frame_the_constructor_would_build(
+        self, payload_size, l2_overhead, dst, hops
+    ):
+        """Switch and hub copy a frame field for field instead of
+        validating and sizing it again: every field and every derived
+        attribute equals a frame built through the constructor with
+        ``hops + 1``, and the original is left as it was."""
+        frame = EthernetFrame(
+            MacAddress(0x020000000002), dst, make_packet(payload_size), l2_overhead, hops
+        )
+        before = dict(vars(frame))
+        copy = frame.hop_copy()
+        built = EthernetFrame(frame.src, frame.dst, frame.payload, l2_overhead, hops + 1)
+        assert copy is not frame and type(copy) is EthernetFrame
+        assert vars(copy) == vars(built)  # derived attributes included
+        assert copy == built  # and the dataclass's own field comparison
+        assert copy.payload is frame.payload
+        assert vars(frame) == before
+        assert_sizes_follow_fields(copy)

@@ -9,6 +9,7 @@ the same event trace, to the last timestamp bit and tie-break.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.experiments.scenarios import Scenario
 from repro.simnet.engine import Simulator
 from repro.simnet.trafficgen import KBPS, StaircaseLoad, StepSchedule
 from repro.spec.builder import build_network
+from tests import link_reference
 
 SCHEDULE = StepSchedule([(20.0, 200 * KBPS), (110.0, 0.0)])
 RUN_UNTIL = 140.0
@@ -58,14 +60,34 @@ def test_seeds_differ_but_agree():
 # ----------------------------------------------------------------------
 # Same seed -> same event trace (ROADMAP 4c)
 # ----------------------------------------------------------------------
-# The golden hashes were recorded at the commit *before* the simulator's
-# heap, frame and snapshot paths were rewritten for speed (PR 14) and
-# must never change in a PR that claims "same events, same order": they
-# cover every callback the engine fires, its timestamp to the last bit,
-# and the FIFO order of simultaneous events.  A change that alters the
-# trace on purpose re-records them and says so.
-GOLDEN_TESTBED_TRACE = "9f50e3cbae33d13d081402d37750c792e35a2c1fb15db038d87857aad405488a"
-GOLDEN_CAMPUS_TRACE = "d809a119c41e87225f41b75c7edead6af52ed9dd77e63b7e824e6c04f36169b5"
+# Two goldens per pinned run.
+#
+# ``GOLDEN_*_EVENTS`` is order-free: sha256 over the *sorted*
+# ``(time, qualname)`` lines of every event the engine fires, the old
+# channel's ``_Channel._tx_done`` left out.  It was recorded on the
+# commit before PR 19 (which made a link crossing one event instead of
+# two) and has not been edited since: it fails if any surviving event
+# moves by one bit, appears or disappears.
+#
+# ``GOLDEN_*_TRACE`` is ordered: the same lines as fired, so it also
+# holds the FIFO order of simultaneous events.  PR 14 recorded it before
+# the heap, frame and snapshot paths were rewritten for speed
+# (``PARENT_*_TRACE`` below, unedited).  PR 19 removed ``_tx_done`` --
+# an event that touched no counter and no device -- so an arrival's tie
+# order is now drawn when the frame is offered, not when its last bit
+# leaves; the new values are *derived* from the old ones, and
+# ``test_ordered_goldens_are_derived_from_the_parents`` re-derives them
+# on every run by putting the old channel (``tests/link_reference.py``)
+# back under the same scenarios.  A change that claims "same events,
+# same order" leaves all of them alone; one that alters the trace on
+# purpose re-records the ordered pair, says so, and shows the diff of
+# event counts by callback.
+GOLDEN_TESTBED_EVENTS = "ee26af59fe60b8c412587d47769a095cd6e591559029da28d97d18fe6e8f7b1c"
+GOLDEN_CAMPUS_EVENTS = "a4326cd7c0c84e64fcfc8cc1454be53c99f6d0df8661a4ad73ac102c3f805e54"
+PARENT_TESTBED_TRACE = "9f50e3cbae33d13d081402d37750c792e35a2c1fb15db038d87857aad405488a"
+PARENT_CAMPUS_TRACE = "d809a119c41e87225f41b75c7edead6af52ed9dd77e63b7e824e6c04f36169b5"
+GOLDEN_TESTBED_TRACE = "35b7fe502f23c85edad7593719b8bd6329635d013091a88953cbaa0ec95552e8"
+GOLDEN_CAMPUS_TRACE = "d8dbda411d3e30ca7776293b787326f83c4f3aa015d64b5431fa51d15bafa36d"
 TRACE_UNTIL = 20.0
 
 
@@ -83,33 +105,41 @@ class _Traced:
         return self.fn(*args, **kwargs)
 
 
-def traced_run(monkeypatch, build_and_run):
-    """Run ``build_and_run()`` with every event the engine fires hashed.
+def trace_lines(monkeypatch, build_and_run):
+    """Run ``build_and_run()``; return one line per event the engine fired.
 
     Wraps callbacks at the two public scheduling entry points, so it
     holds for any engine that keeps that surface -- it does not look at
-    the heap.  Returns ``(sha256 hexdigest, events logged)``.
+    the heap.
     """
-    digest = hashlib.sha256()
-    count = [0]
-
-    def log(line):
-        digest.update(line)
-        count[0] += 1
-
+    lines = []
     with monkeypatch.context() as patch:
         for name in ("schedule", "schedule_at"):
             original = getattr(Simulator, name)
 
             def traced(self, when, callback, *args, _original=original, **kwargs):
                 if not isinstance(callback, _Traced):  # schedule may call schedule_at
-                    callback = _Traced(self, callback, log)
+                    callback = _Traced(self, callback, lines.append)
                 return _original(self, when, callback, *args, **kwargs)
 
             patch.setattr(Simulator, name, traced)
         sim = build_and_run()
-    assert count[0] == sim.events_processed  # nothing fired unlogged
-    return digest.hexdigest(), count[0]
+    assert len(lines) == sim.events_processed  # nothing fired unlogged
+    return lines
+
+
+def trace_hash(lines):
+    return hashlib.sha256(b"".join(lines)).hexdigest()
+
+
+def traced_run(monkeypatch, build_and_run):
+    """``(sha256 of the trace as fired, events logged)``."""
+    lines = trace_lines(monkeypatch, build_and_run)
+    return trace_hash(lines), len(lines)
+
+
+def without_tx_done(lines):
+    return [line for line in lines if not line.endswith(b" _Channel._tx_done\n")]
 
 
 def figure3_under_load():
@@ -153,3 +183,78 @@ def test_event_trace_is_pinned(monkeypatch, build_and_run, golden):
         f"event trace changed ({events} events): a timestamp, a tie-break "
         "or an event count moved"
     )
+
+
+@pytest.mark.parametrize(
+    "build_and_run, golden",
+    [(figure3_under_load, GOLDEN_TESTBED_EVENTS), (small_campus, GOLDEN_CAMPUS_EVENTS)],
+    ids=["testbed", "campus"],
+)
+def test_event_set_is_pinned(monkeypatch, build_and_run, golden):
+    """Order-free: which callbacks fire, and at which instants."""
+    lines = without_tx_done(trace_lines(monkeypatch, build_and_run))
+    assert trace_hash(sorted(lines)) == golden, (
+        f"the set of events changed ({len(lines)} events): one moved by a bit, "
+        "appeared or disappeared"
+    )
+
+
+def same_instant_transpositions(old, new):
+    """Adjacent swaps of simultaneous events that turn ``old`` into ``new``.
+
+    Returns the swapped pairs' callback names; fails if the two traces
+    differ by anything else.
+    """
+    assert len(old) == len(new)
+    swapped, i = [], 0
+    while i < len(old):
+        if old[i] == new[i]:
+            i += 1
+            continue
+        assert i + 1 < len(old) and (old[i], old[i + 1]) == (new[i + 1], new[i]), (
+            f"traces differ at event {i} by more than an adjacent swap: "
+            f"{old[i : i + 2]} became {new[i : i + 2]}"
+        )
+        (time_a, name_a), (time_b, name_b) = old[i].split(), old[i + 1].split()
+        assert time_a == time_b, f"events at different instants swapped: {old[i : i + 2]}"
+        swapped.append(frozenset((name_a.decode(), name_b.decode())))
+        i += 2
+    return swapped
+
+
+@pytest.mark.parametrize(
+    "build_and_run, parent_golden, golden, transpositions",
+    [
+        (figure3_under_load, PARENT_TESTBED_TRACE, GOLDEN_TESTBED_TRACE, 6),
+        (small_campus, PARENT_CAMPUS_TRACE, GOLDEN_CAMPUS_TRACE, 0),
+    ],
+    ids=["testbed", "campus"],
+)
+def test_ordered_goldens_are_derived_from_the_parents(
+    monkeypatch, build_and_run, parent_golden, golden, transpositions
+):
+    """The old channel under today's simulator fires the parent's trace;
+    today's trace is that one with ``_tx_done`` removed, up to a counted
+    number of adjacent swaps of simultaneous events.
+
+    On the campus there is none.  On the testbed each is an arrival at
+    the hub coinciding with the hub finishing a repeat: the arrival's
+    place among simultaneous events is now drawn when the frame is
+    offered, not a transmission time later, and either order emits the
+    queued frame at the same instant (busy-then-pop or idle-then-start).
+    """
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.simnet.link._Channel", link_reference._Channel)
+        parents = trace_lines(monkeypatch, build_and_run)
+    assert trace_hash(parents) == parent_golden
+    by_callback = Counter(line.split()[1] for line in parents)
+    assert by_callback[b"_Channel._tx_done"] == by_callback[b"_Channel._deliver"] > 0
+
+    todays = trace_lines(monkeypatch, build_and_run)
+    assert trace_hash(todays) == golden
+    assert Counter(line.split()[1] for line in todays) == by_callback - Counter(
+        {b"_Channel._tx_done": by_callback[b"_Channel._tx_done"]}
+    )
+    swapped = same_instant_transpositions(without_tx_done(parents), todays)
+    assert len(swapped) == transpositions
+    assert set(swapped) <= {frozenset(("Hub._emit", "_Channel._deliver"))}

@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.simnet.network import Network
+from repro.simnet import switch as switch_module
+from repro.simnet.address import BROADCAST_MAC
+from repro.simnet.network import BROADCAST_IP, Network
+from repro.simnet.packet import EthernetFrame, IPPacket, UDPDatagram
 from repro.simnet.sockets import DISCARD_PORT
 from repro.simnet.switch import SwitchError
-from tests.costs import call_counts
+from tests.costs import PER_FRAME_FORBIDDEN, datagram_cost, switch_chain
 
 
 def star(n_hosts=3, managed=False):
@@ -100,6 +103,66 @@ class TestForwarding:
         assert len(sw.fdb_entries()) == 3
         net.run(400.0)  # beyond the 300 s aging time
         assert sw.fdb_entries() == []
+
+
+class TestLearning:
+    """``fdb_version`` moves exactly when the set of live (mac, port)
+    rows does; refreshing a binding that has not changed moves nothing
+    and allocates nothing."""
+
+    @staticmethod
+    def say_hello(net, host, to):
+        host.create_socket().sendto(10, (to.primary_ip, DISCARD_PORT))
+        net.run(net.now + 0.01)
+
+    def test_relearning_an_unchanged_binding_updates_it_in_place(self, monkeypatch):
+        net, (h0, h1, _h2), sw = star()
+        built = []
+
+        class CountedEntry(switch_module.FdbEntry):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(switch_module, "FdbEntry", CountedEntry)
+        version, rows = sw.fdb_version, sw.fdb_entries()
+        entry = sw._fdb[h0.interfaces[0].mac.value]
+        net.run(5.0)
+        self.say_hello(net, h0, h1)
+        assert built == [] and sw.fdb_version == version
+        assert sw._fdb[h0.interfaces[0].mac.value] is entry
+        assert entry.learned_at == pytest.approx(5.0, abs=1e-3)  # the refresh did land
+        assert [row[:2] for row in sw.fdb_entries()] == [row[:2] for row in rows]
+
+    def test_a_moved_station_bumps_the_version_exactly_once(self):
+        net, (h0, h1, h2), sw = star()
+        # h2 starts speaking with h0's MAC: the station moved to h2's port.
+        h2.interfaces[0].mac = h0.interfaces[0].mac
+        version = sw.fdb_version
+        self.say_hello(net, h2, h1)
+        assert sw.fdb_version == version + 1
+        moved = {mac: port for mac, port, _age in sw.fdb_entries()}
+        assert moved[h0.interfaces[0].mac] == h2.interfaces[0].connected_peer.if_index
+        self.say_hello(net, h2, h1)  # and now it is an unchanged binding
+        assert sw.fdb_version == version + 1
+
+    def test_an_aged_out_station_bumps_the_version_exactly_once(self):
+        net, (h0, h1, _h2), sw = star()
+        net.run(400.0)  # beyond the 300 s aging time: nothing is listed
+        assert sw.fdb_entries() == []
+        version = sw.fdb_version
+        # A broadcast, so no lookup ages anything out on the way: only
+        # the re-learn of h0 may move the version.
+        h0.interfaces[0].transmit(
+            EthernetFrame(
+                h0.interfaces[0].mac,
+                BROADCAST_MAC,
+                IPPacket(h0.primary_ip, BROADCAST_IP, UDPDatagram(68, 68, payload_size=18)),
+            )
+        )
+        net.run(net.now + 0.01)
+        assert sw.fdb_version == version + 1
+        assert [mac for mac, _port, _age in sw.fdb_entries()] == [h0.interfaces[0].mac]
 
 
 class TestPorts:
@@ -199,17 +262,28 @@ class TestForwardingCost:
         every ``size`` a property chain, a ``dataclasses.replace`` per hop
         and dataclass heap entries this took 174 Python calls; sizes fixed
         at construction, a direct frame constructor and tuple heap entries
-        leave 77 (asserted with 10 % headroom)."""
+        left 76 and 5 events; integer-keyed tables, a field-for-field hop
+        copy and one event per link crossing leave 38 and 3 (asserted with
+        10 % headroom on the calls, none on the events)."""
         net, (h0, h1, _h2), sw = star()
-        sock = h0.create_socket()
-        sock.sendto(972, (h1.primary_ip, DISCARD_PORT))  # warm: ports, routes
-        net.run(1.0)
-        delivered = h1.discard.datagrams
+        calls, events = datagram_cost(net, h0, h1)
+        assert sum(calls.values()) <= 42, calls
+        assert events == 3  # arrive at the switch, leave it, arrive at the host
 
-        def send_one():
-            sock.sendto(972, (h1.primary_ip, DISCARD_PORT))
-            net.run(2.0)
-
-        calls = call_counts(send_one)
-        assert h1.discard.datagrams == delivered + 1
-        assert sum(calls.values()) <= 84, calls
+    def test_each_further_switch_adds_eleven_calls_and_two_events(self):
+        """The guard is on the slope, not the intercept: one more switch
+        on a host -> switch x n -> host chain is one more arrival, one
+        decision (``on_frame`` + ``_lookup`` + the hop copy), one
+        forwarding-latency event and one more link crossing.  It was 29
+        calls and 3 events while every hop hashed and compared address
+        objects in Python, rebuilt the frame through its constructor and
+        paid an event for the last bit leaving the wire."""
+        costs = [datagram_cost(*switch_chain(n)) for n in (1, 2, 3)]
+        for (calls, events), (more_calls, more_events) in zip(costs, costs[1:]):
+            assert sum(more_calls.values()) - sum(calls.values()) <= 11, more_calls - calls
+            assert more_events - events == 2
+        for calls, _events in costs:
+            assert not [name for name in PER_FRAME_FORBIDDEN if calls[name]], calls
+            # Validation runs where a thing is built -- datagram, packet,
+            # the sender's frame -- and never again however long the chain.
+            assert calls["__post_init__"] == 3
