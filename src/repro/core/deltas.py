@@ -66,7 +66,15 @@ REC_ADVANCE_SAME_D = 3
 REC_REFRESH = 4
 
 _F64 = struct.Struct("<d")
+_F64X2 = struct.Struct("<2d")
 _F64X6 = struct.Struct("<6d")
+# What follows the id of a record that names no key: its floats, and
+# what a truncated one is called.
+_UNKEYED = {
+    REC_CHANGED: (_F64X6, "changed"),
+    REC_ADVANCE: (_F64X2, "advance"),
+    REC_ADVANCE_SAME_D: (_F64, "advance"),
+}
 
 
 class DeltaError(ValueError):
@@ -121,31 +129,6 @@ def _get_str(data: bytes, pos: int) -> Tuple[str, int]:
         raise DeltaError(f"name is not UTF-8: {exc}") from None
 
 
-# Six float fields of a sample, in wire order.
-def _fields(sample: InterfaceRates) -> Tuple[float, float, float, float, float, float]:
-    return (
-        sample.time,
-        sample.interval,
-        sample.in_bytes_per_s,
-        sample.out_bytes_per_s,
-        sample.in_pkts_per_s,
-        sample.out_pkts_per_s,
-    )
-
-
-def _sample(node: str, if_index: int, fields: Sequence[float]) -> InterfaceRates:
-    return InterfaceRates(
-        node=node,
-        if_index=if_index,
-        time=fields[0],
-        interval=fields[1],
-        in_bytes_per_s=fields[2],
-        out_bytes_per_s=fields[3],
-        in_pkts_per_s=fields[4],
-        out_pkts_per_s=fields[5],
-    )
-
-
 def is_delta(payload: bytes) -> bool:
     """Whether a datagram is a sample batch (vs a JSON control message)."""
     return len(payload) > 0 and payload[0] == DELTA_MAGIC
@@ -184,42 +167,31 @@ def parse_delta(payload: bytes) -> DeltaBatch:
     seq, pos = _get_varint(payload, pos)
     count, pos = _get_varint(payload, pos)
     records: List[tuple] = []
+    end = len(payload)
     for _ in range(count):
-        if pos >= len(payload):
+        if pos >= end:
             raise DeltaError("truncated record")
         rec_type = payload[pos]
-        pos += 1
-        rec_id, pos = _get_varint(payload, pos)
+        # An id below 128 is its own varint: read the byte in place.
+        if pos + 1 < end and payload[pos + 1] < 0x80:
+            rec_id = payload[pos + 1]
+            pos += 2
+        else:
+            rec_id, pos = _get_varint(payload, pos + 1)
         if rec_type in (REC_FULL, REC_REFRESH):
             node, pos = _get_str(payload, pos)
             if_index, pos = _get_varint(payload, pos)
-            if pos + _F64X6.size > len(payload):
-                raise DeltaError("truncated full record")
-            fields = _F64X6.unpack_from(payload, pos)
-            pos += _F64X6.size
-            records.append((rec_type, rec_id, node, if_index, fields))
-        elif rec_type == REC_CHANGED:
-            if pos + _F64X6.size > len(payload):
-                raise DeltaError("truncated changed record")
-            fields = _F64X6.unpack_from(payload, pos)
-            pos += _F64X6.size
-            records.append((rec_type, rec_id, None, None, fields))
-        elif rec_type == REC_ADVANCE:
-            if pos + 2 * _F64.size > len(payload):
-                raise DeltaError("truncated advance record")
-            t = _F64.unpack_from(payload, pos)[0]
-            d = _F64.unpack_from(payload, pos + _F64.size)[0]
-            pos += 2 * _F64.size
-            records.append((rec_type, rec_id, None, None, (t, d)))
-        elif rec_type == REC_ADVANCE_SAME_D:
-            if pos + _F64.size > len(payload):
-                raise DeltaError("truncated advance record")
-            t = _F64.unpack_from(payload, pos)[0]
-            pos += _F64.size
-            records.append((rec_type, rec_id, None, None, (t,)))
+            floats, what = _F64X6, "full"
+        elif rec_type in _UNKEYED:
+            node = if_index = None
+            floats, what = _UNKEYED[rec_type]
         else:
             raise DeltaError(f"unknown record type {rec_type!r}")
-    if pos != len(payload):
+        if pos + floats.size > end:
+            raise DeltaError(f"truncated {what} record")
+        records.append((rec_type, rec_id, node, if_index, floats.unpack_from(payload, pos)))
+        pos += floats.size
+    if pos != end:
         raise DeltaError("trailing bytes in delta batch")
     return DeltaBatch(worker, incarnation, seq, bool(flags & _FLAG_KEYFRAME), records)
 
@@ -251,49 +223,53 @@ class DeltaEncoder:
         kf = keyframe or self._kf_pending
         self._kf_pending = False
         body = bytearray()
-        records = 0
-        touched: set = set()
+        ids = self._ids
         for sample in samples:
             key = (sample.node, sample.if_index)
-            fields = _fields(sample)
-            rec_id = self._ids.get(key)
+            fields = (  # the six floats of a sample, in wire order
+                sample.time,
+                sample.interval,
+                sample.in_bytes_per_s,
+                sample.out_bytes_per_s,
+                sample.in_pkts_per_s,
+                sample.out_pkts_per_s,
+            )
+            rec_id = ids.get(key)
             if rec_id is None:
-                rec_id = self._ids[key] = self._next_id
+                rec_id = ids[key] = self._next_id
                 self._next_id += 1
-                self._encode_keyed(body, REC_FULL, rec_id, sample.node,
-                                   sample.if_index, fields)
-                self.records_full += 1
-            else:
+            elif not kf:
                 last = self._last[rec_id]
-                if kf:
-                    # Inside a keyframe every delivered sample travels
-                    # full, so a reset receiver can rebuild its maps.
-                    self._encode_keyed(body, REC_FULL, rec_id, sample.node,
-                                       sample.if_index, fields)
-                    self.records_full += 1
-                elif fields[2:] != last[2:]:
-                    body.append(REC_CHANGED)
-                    _put_varint(body, rec_id)
-                    body.extend(_F64X6.pack(*fields))
+                if fields[2:] != last[2:]:
+                    rec_type, packed = REC_CHANGED, _F64X6.pack(*fields)
                     self.records_changed += 1
                 elif fields[1] != last[1]:
-                    body.append(REC_ADVANCE)
-                    _put_varint(body, rec_id)
-                    body.extend(_F64.pack(fields[0]))
-                    body.extend(_F64.pack(fields[1]))
+                    rec_type, packed = REC_ADVANCE, _F64X2.pack(fields[0], fields[1])
                     self.records_advance += 1
                 else:
-                    body.append(REC_ADVANCE_SAME_D)
-                    _put_varint(body, rec_id)
-                    body.extend(_F64.pack(fields[0]))
+                    rec_type, packed = REC_ADVANCE_SAME_D, _F64.pack(fields[0])
                     self.records_advance += 1
+                self._last[rec_id] = fields
+                body.append(rec_type)
+                if rec_id < 0x80:
+                    body.append(rec_id)  # an id below 128 is its own varint
+                else:
+                    _put_varint(body, rec_id)
+                body += packed
+                continue
+            # A key's first appearance -- and, inside a keyframe, every
+            # delivered sample -- travels full, so a reset receiver can
+            # rebuild its maps.
             self._last[rec_id] = fields
-            touched.add(rec_id)
-            records += 1
+            self._encode_keyed(body, REC_FULL, rec_id, key[0], key[1], fields)
+            self.records_full += 1
+        records = len(samples)
         if kf:
             # Re-state every key the batch did not touch, as map-only
-            # refresh records (not delivered as samples downstream).
-            for key, rec_id in sorted(self._ids.items(), key=lambda kv: kv[1]):
+            # refresh records (not delivered as samples downstream).  Ids
+            # are handed out in insertion order: the map is already sorted.
+            touched = {ids[(sample.node, sample.if_index)] for sample in samples}
+            for key, rec_id in ids.items():
                 if rec_id in touched:
                     continue
                 self._encode_keyed(body, REC_REFRESH, rec_id, key[0], key[1],
@@ -349,7 +325,7 @@ class DeltaDecoder:
                 self._keys[rec_id] = (node, if_index)
                 self._last[rec_id] = fields
                 if rec_type == REC_FULL:
-                    out.append(_sample(node, if_index, fields))
+                    out.append(InterfaceRates(node, if_index, *fields))
                 continue
             key = self._keys.get(rec_id)
             if key is None:
@@ -360,7 +336,7 @@ class DeltaDecoder:
                 continue
             if rec_type == REC_CHANGED:
                 self._last[rec_id] = fields
-                out.append(_sample(key[0], key[1], fields))
+                out.append(InterfaceRates(key[0], key[1], *fields))
             elif rec_type == REC_ADVANCE or rec_type == REC_ADVANCE_SAME_D:
                 if self.desync:
                     # The base values are stale; delivering would present
@@ -374,7 +350,7 @@ class DeltaDecoder:
                 else:
                     new = (fields[0],) + last[1:]
                 self._last[rec_id] = new
-                out.append(_sample(key[0], key[1], new))
+                out.append(InterfaceRates(key[0], key[1], *new))
         if batch.keyframe:
             # Every key was just re-stated: advance records are safe again.
             self.desync = False

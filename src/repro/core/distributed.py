@@ -209,18 +209,28 @@ class SampleShipper:
         self.retransmits_served = 0
         self.retransmits_missed = 0
 
-    def enqueue(self, sample: InterfaceRates) -> bool:
-        """Queue one sample; True when the batch is full (caller flushes)."""
-        self._pending.append(sample)
-        return len(self._pending) >= self.max_batch
+    def enqueue(self, *samples: InterfaceRates) -> Sequence[InterfaceRates]:
+        """Queue samples, shipping a batch each time ``max_batch`` fills,
+        and return them: a sink (see :class:`SampleIngest`) that accepts
+        everything.  A worker's poller hands over one sample at a time, a
+        leaf's ingest a delivered batch whole -- cut at the same
+        boundaries either way."""
+        pending = self._pending
+        pending.extend(samples)
+        while len(pending) >= self.max_batch:
+            self._ship(pending[: self.max_batch])
+            del pending[: self.max_batch]
+        return samples
 
     def flush(self) -> None:
-        if not self._pending:
-            return
+        """Ship whatever is queued (the linger timer: a partial batch)."""
+        if self._pending:
+            samples, self._pending = self._pending, []
+            self._ship(samples)
+
+    def _ship(self, samples: List[InterfaceRates]) -> None:
         seq = self.next_seq
         self.next_seq += 1
-        samples = self._pending
-        self._pending = []
         due = (
             self.keyframe_every > 0
             and self._since_keyframe + 1 >= self.keyframe_every
@@ -273,7 +283,7 @@ class SampleShipper:
 class UplinkEndpoint:
     """What a polling worker and a leaf coordinator have in common.
 
-    Samples handed to :meth:`_enqueue` accumulate into batches (flushed
+    Samples handed to the shipper accumulate into batches (flushed
     when ``max_batch`` fills or every ``batch_linger`` seconds) and are
     shipped upstream with a per-incarnation monotonic sequence number;
     periodic heartbeats renew the lease and echo the applied assignment
@@ -395,11 +405,6 @@ class UplinkEndpoint:
             self._begin_tasks()
 
     # -- shipping --------------------------------------------------------
-    def _enqueue(self, sample: InterfaceRates) -> bool:
-        if self.shipper.enqueue(sample):
-            self._flush()
-        return True  # an ingest sink's "accepted"
-
     def _flush(self) -> None:
         if self.crashed:
             return
@@ -486,7 +491,7 @@ class MonitorWorker(UplinkEndpoint):
             rate_table=RateTable(keep_history=False),
             **self._poller_options,
         )
-        self.poller.on_sample = self._enqueue
+        self.poller.on_sample = self.shipper.enqueue
 
     def _begin_tasks(self) -> None:
         if not self.crashed:
@@ -561,8 +566,9 @@ class SampleIngest:
     """The receiving end of the plane: workers, leases, ARQ, assignments.
 
     Owns the worker endpoints on ``worker_hosts`` and the coordinator
-    sockets on ``coordinator_host``; every sample that arrives in
-    sequence is handed to ``sink`` (returning whether it was accepted).
+    sockets on ``coordinator_host``; the samples of every batch that
+    arrives in sequence are handed to ``sink(*samples)`` together, in
+    order, and it returns those it accepted.
     Target assignment is affinity-first (a worker polling itself costs
     loopback only) with the rest round-robined deterministically; the
     same partitioning function re-runs over the surviving workers on
@@ -577,7 +583,7 @@ class SampleIngest:
         build: BuildResult,
         coordinator_host: str,
         worker_hosts: Sequence[str],
-        sink: Callable[[InterfaceRates], bool],
+        sink: Callable[..., Sequence[InterfaceRates]],
         telemetry: Telemetry,
         poll_interval: float = 2.0,
         poll_jitter: float = 0.05,
@@ -1035,12 +1041,14 @@ class SampleIngest:
         if state.delta.needs_keyframe:
             self._request_keyframe(state)
         self._m_batches.inc()
-        for sample in samples:
-            if not self.sink(sample):
-                continue  # rejected or quarantined: never reaches the table
-            self._m_samples.inc()
-            # Fresh in-order data for this source: no longer known-lossy.
-            self.degraded.clear(sample.node, sample.if_index)
+        # Rejected or quarantined samples never reach the table.
+        accepted = self.sink(*samples)
+        if accepted:
+            self._m_samples.inc(len(accepted))
+            if self.degraded:
+                # Fresh in-order data for these sources: no longer known-lossy.
+                for sample in accepted:
+                    self.degraded.clear(sample.node, sample.if_index)
 
     # ------------------------------------------------------------------
     # Periodic sweep: lease expiry + ARQ retries/abandonment
@@ -1184,13 +1192,17 @@ class DistributedMonitor(ReportCore, SampleIngest):
             integrity, self.targets, degraded_sources=self.degraded
         )
 
-    def _accept(self, sample: InterfaceRates) -> bool:
+    def _accept(self, *samples: InterfaceRates) -> List[InterfaceRates]:
         """Ingest sink: shipped samples face the same integrity gauntlet
-        as local polls before they reach the rate table."""
-        if self.integrity is not None and not self.integrity.inspect_remote(sample):
-            return False
-        self.rates.update(sample)
-        return True
+        as local polls before they reach the rate table -- remotely (see
+        :meth:`IntegrityPipeline.inspect_remote`), with no raw snapshots."""
+        inspect = self.integrity.inspect if self.integrity is not None else None
+        accepted = []
+        for sample in samples:
+            if inspect is None or inspect(sample, None, None):
+                self.rates.update(sample)
+                accepted.append(sample)
+        return accepted
 
     # -- sample source: the workers, through the inherited ingest --------
     def _start_source(self, at: float) -> None:

@@ -81,7 +81,7 @@ class LeafCoordinator(UplinkEndpoint):
             build,
             host_name,
             list(worker_hosts),
-            sink=self._enqueue,
+            sink=self.shipper.enqueue,
             telemetry=Telemetry.disabled(clock=lambda: self.sim.now),
             poll_interval=poll_interval,
             poll_jitter=poll_jitter,

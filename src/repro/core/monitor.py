@@ -141,7 +141,9 @@ class ReportCore:
         # Only the planes that speak SNMP from ``host`` have one: the
         # local poller's, or the one topology sync creates on demand.
         self.manager: Optional[SnmpManager] = None
-        self.rates = RateTable()
+        # Latest sample per interface only: reports read nothing older,
+        # and retention is ``history``'s job (MeasurementHistory below).
+        self.rates = RateTable(keep_history=False)
         self.link_state: Optional[LinkStateRegistry] = None
         self.trap_receiver = None
         # Staleness bounds: a sample normally arrives every cycle, so age

@@ -29,7 +29,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.dataflow import EpochClock
 from repro.core.health import AgentHealthTracker
 from repro.simnet.address import IPv4Address
 from repro.snmp.ber import TAG_COUNTER32, TAG_GAUGE32, TAG_INTEGER
@@ -66,9 +65,15 @@ _ABSENT = (None, 0)  # the table cell of a row the agent did not serve
 _WRAP = 1 << 32  # Counter32 and TimeTicks both wrap here
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InterfaceRates:
-    """One interface's traffic rates over one measured interval."""
+    """One interface's traffic rates over one measured interval.
+
+    A value, never mutated once built (``dataclasses.replace`` makes the
+    changed copy), but slotted rather than ``frozen``: every tier builds
+    one per interface per cycle, and a frozen dataclass's eight
+    ``object.__setattr__`` cost four times these eight plain stores.
+    """
 
     node: str
     if_index: int
@@ -125,21 +130,19 @@ class RateTable:
         self._history: Dict[Tuple[str, int], Deque[InterfaceRates]] = {}
         self.keep_history = keep_history
         self.max_history = max_history
-        self._epochs = EpochClock()
-
-    @property
-    def clock(self) -> int:
-        """Global ingest clock: increases whenever *any* sample lands."""
-        return self._epochs.clock
+        #: Global ingest clock: increases whenever *any* sample lands.  (An
+        #: ``EpochClock`` written out: admitting a sample is one call.)
+        self.clock = 0
+        self._epochs: Dict[Tuple[str, int], int] = {}
 
     def epoch(self, node: str, if_index: int) -> int:
         """Ingest epoch of one interface (0: no sample ever admitted)."""
-        return self._epochs.epoch((node, if_index))
+        return self._epochs.get((node, if_index), 0)
 
     def update(self, sample: InterfaceRates) -> None:
         key = (sample.node, sample.if_index)
         self._latest[key] = sample
-        self._epochs.bump(key)
+        self.clock = self._epochs[key] = self.clock + 1
         if self.keep_history:
             ring = self._history.get(key)
             if ring is None:
@@ -264,6 +267,9 @@ class SnmpPoller:
             )
         )
         self._last: Dict[Tuple[str, int], _CounterSnapshot] = {}
+        # Samples ``_ingest`` produced that ``poll_samples_total`` has not
+        # been told of yet: the counter catches up once per response.
+        self._uncounted = 0
         self._task = None
         registry = self.telemetry.registry
         self._m_cycles = registry.counter(
@@ -356,7 +362,7 @@ class SnmpPoller:
 
     @property
     def samples_produced(self) -> int:
-        return self._m_samples.value
+        return self._m_samples.value + self._uncounted
 
     @property
     def agent_restarts(self) -> int:
@@ -552,6 +558,9 @@ class SnmpPoller:
                 target.node, index, _CounterSnapshot(uptime, *values),
                 float(speed) if tag == TAG_GAUGE32 else None,
             )
+        if self._uncounted:
+            self._m_samples.inc(self._uncounted)
+            self._uncounted = 0
 
     def _ingest(
         self,
@@ -600,9 +609,9 @@ class SnmpPoller:
             in_pkts_per_s=in_pkts / seconds,
             out_pkts_per_s=out_pkts / seconds,
         )
-        self._m_samples.inc()
+        self._uncounted += 1
         if self.integrity is not None and not self.integrity.inspect(
-            sample, previous, snapshot, polled_speed_bps=polled_speed
+            sample, previous, snapshot, polled_speed
         ):
             # Withheld: the table keeps its last admitted sample, which
             # ages into staleness -- bad data degrades like missing data.

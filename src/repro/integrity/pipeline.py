@@ -26,6 +26,7 @@ trust) instead of vanishing from view and quietly recovering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,6 +49,22 @@ from repro.telemetry.events import COUNTER_WRAP_RISK, CROSS_CHECK_MISMATCH, INTE
 from repro.telemetry.metrics import MetricsRegistry
 
 Key = Tuple[str, int]
+
+
+@dataclass(slots=True)
+class _Interface:
+    """What the per-sample path binds for one (node, ifIndex) on first
+    sight, to find with one dict probe: the rate-bound and wrap-risk
+    rules' arithmetic on the declared speed (infinite: none declared, the
+    rule cannot fire), the quarantine manager's record, and the
+    stuck-counter validator's live ``[streak, was_active]`` (``None``
+    before the first sample, and again once a restart dropped it)."""
+
+    speed_bps: Optional[float]
+    rate_limit: float
+    half_wrap: float
+    trust: TrustRecord
+    stuck: Optional[list] = None
 
 
 @dataclass(frozen=True)
@@ -139,11 +156,12 @@ class IntegrityPipeline:
         self.poll_interval = poll_interval
         self.health = health
         self.telemetry = telemetry if telemetry is not None else Telemetry(enabled=False)
+        self._rate_bound = RateBoundValidator(tolerance=cfg.rate_tolerance)
         self._stuck = StuckCounterValidator(
             stuck_after=cfg.stuck_after, decay_trust=cfg.stuck_decays_trust
         )
         self._validators = [
-            RateBoundValidator(tolerance=cfg.rate_tolerance),
+            self._rate_bound,
             self._stuck,
             SpeedValidator(rel_tolerance=cfg.speed_rel_tolerance),
             WrapRiskValidator(),
@@ -168,12 +186,16 @@ class IntegrityPipeline:
             if pairs
             else None
         )
+        self._interfaces: Dict[Key, _Interface] = {}
         self._shadow: Dict[Key, InterfaceRates] = {}
         self._last_offence: Dict[Key, float] = {}
         self._wrap_warned: set = set()
         self._metrics = register_integrity_metrics(self.telemetry.registry)
-        self._trust_gauges: Dict[Key, object] = {}  # labelled child per interface
-        self._transitions_synced = 0  # enter + release transitions the aggregates show
+        self._suspects = self._metrics["suspects"].inc  # the two per-sample counters
+        self._rejected = self._metrics["rejected"].inc
+        self._metrics["quarantined"].set_function(
+            lambda: float(self.quarantine.quarantined)
+        )
         self._warn_wrap_risk_config(now)
 
     # ------------------------------------------------------------------
@@ -213,6 +235,21 @@ class IntegrityPipeline:
     # ------------------------------------------------------------------
     # Per-sample path (called from SnmpPoller._ingest)
     # ------------------------------------------------------------------
+    def _bind(self, key: Key) -> _Interface:
+        """First sight of an interface, by a sample or by a verdict."""
+        speed = self.speeds.get(key)
+        trust = self.quarantine.record(*key)
+        self._metrics["trust"].labels(interface=f"{key[0]}:{key[1]}").set_function(
+            lambda: round(trust.score, 4)
+        )
+        iface = self._interfaces[key] = _Interface(
+            speed_bps=speed,
+            rate_limit=self._rate_bound.limit(speed) if speed else math.inf,
+            half_wrap=wrap_period_seconds(speed) / 2.0 if speed else math.inf,
+            trust=trust,
+        )
+        return iface
+
     def inspect(
         self,
         sample: InterfaceRates,
@@ -220,33 +257,60 @@ class IntegrityPipeline:
         cur: object,
         polled_speed_bps: Optional[float] = None,
     ) -> bool:
-        """Validate one sample; return True when it may enter the table."""
+        """Validate one sample; return True when it may enter the table.
+
+        Whether a stateless rule *may* fire is decided here, on the
+        numbers bound to the interface; the *verdicts* are the
+        validators', asked for only then, so a sample on which nothing
+        fires allocates nothing.  The guard is written in the form that
+        is false for NaN (``not (rate <= limit)``, never ``rate >
+        limit``): a value that is no number falls through and is judged.
+        """
         key = (sample.node, sample.if_index)
         self._shadow[key] = sample
-        ctx = SampleContext(
-            sample=sample,
-            prev=prev,
-            cur=cur,
-            speed_bps=self.speeds.get(key),
-            polled_speed_bps=polled_speed_bps,
-            configured_interval=self.poll_interval,
-        )
-        verdicts: List[IntegrityVerdict] = []
-        for validator in self._validators:
-            verdicts.extend(validator.check(ctx))
-        violating = [v for v in verdicts if v.severity is Severity.VIOLATION]
-        suspects = [v for v in verdicts if v.severity is Severity.SUSPECT]
-        if verdicts:
-            self._record_verdicts(key, verdicts, sample.time)
-            rec = self.quarantine.apply(key[0], key[1], verdicts, sample.time)
-        if not violating and not suspects:
-            rec = self.quarantine.record_clean(key[0], key[1], sample.time)
-        self._sync_trust_gauge(key, rec)
-        if violating:
-            self._metrics["rejected"].inc()
-            return False  # demonstrably wrong: never let it into the table
-        if rec.quarantined:
-            self._metrics["rejected"].inc()
+        iface = self._interfaces.get(key) or self._bind(key)
+        trust = iface.trust
+        violated = False
+        if not (
+            sample.in_bytes_per_s <= iface.rate_limit
+            and sample.out_bytes_per_s <= iface.rate_limit
+            and sample.interval <= iface.half_wrap
+        ) or (polled_speed_bps is not None and polled_speed_bps != iface.speed_bps):
+            # A rule may have a case (or the agent's ifSpeed moves the
+            # limits): every validator looks at the sample its own way.
+            ctx = SampleContext(
+                sample=sample,
+                prev=prev,
+                cur=cur,
+                speed_bps=iface.speed_bps,
+                polled_speed_bps=polled_speed_bps,
+                configured_interval=self.poll_interval,
+            )
+            verdicts = [v for validator in self._validators for v in validator.check(ctx)]
+            violated = self._settle(key, verdicts, sample.time)
+        else:
+            # Only the stuck-counter rule is left: it keeps state, so it
+            # sees every sample -- on the validator's own list, bound here.
+            if iface.stuck is None:
+                iface.stuck = self._stuck.state(key)
+            stuck = self._stuck.advance(iface.stuck, sample, prev, cur)
+            if stuck is None:
+                if trust.score >= 1.0:
+                    return True  # clean and pristine: no trust to recover
+                self._settle(key, (), sample.time)
+            elif stuck.decays_trust:
+                self._settle(key, [stuck], sample.time)
+            else:
+                # Frozen counters, noted (nine idle-campus samples in ten).
+                # A lone suspect that decays no trust moves no score, so
+                # nothing to settle: the four tallies it does move, in place.
+                self._suspects()
+                self._last_offence[key] = sample.time
+                trust.last_verdict = stuck
+                trust.suspects += 1
+        if violated or trust.quarantined:
+            # Demonstrably wrong, or its source is: never let it into the table.
+            self._rejected()
             return False
         return True
 
@@ -261,11 +325,14 @@ class IntegrityPipeline:
         simply have nothing to read.  Admission semantics are identical
         to :meth:`inspect`.
         """
-        return self.inspect(sample, prev=None, cur=None, polled_speed_bps=None)
+        return self.inspect(sample, None, None)
 
     def note_restart(self, node: str, if_index: int) -> None:
         """Agent restarted: streak state is meaningless, drop it."""
         self._stuck.forget(node, if_index)
+        iface = self._interfaces.get((node, if_index))
+        if iface is not None:
+            iface.stuck = None  # the next sample binds the fresh list
 
     # ------------------------------------------------------------------
     # Cross-check path (called from the monitor's report cycle)
@@ -292,12 +359,7 @@ class IntegrityPipeline:
                 detail=finding.detail,
             )
             verdicts = self.cross_checker.verdicts_for(finding)
-            for verdict in verdicts:
-                key = (verdict.node, verdict.if_index)
-                self._record_verdicts(key, [verdict], now)
-                self._sync_trust_gauge(
-                    key, self.quarantine.apply(key[0], key[1], [verdict], now)
-                )
+            self.apply_external_verdicts(verdicts, now)
             applied.extend(verdicts)
         return applied
 
@@ -315,10 +377,9 @@ class IntegrityPipeline:
         """
         for verdict in verdicts:
             key = (verdict.node, verdict.if_index)
-            self._record_verdicts(key, [verdict], now)
-            self._sync_trust_gauge(
-                key, self.quarantine.apply(key[0], key[1], [verdict], now)
-            )
+            if key not in self._interfaces:
+                self._bind(key)
+            self._settle(key, [verdict], now)
 
     # ------------------------------------------------------------------
     # Queries (calculator, monitor, CLI)
@@ -374,9 +435,15 @@ class IntegrityPipeline:
         }
 
     # ------------------------------------------------------------------
-    def _record_verdicts(self, key: Key, verdicts: List[IntegrityVerdict], now: float) -> None:
+    def _settle(self, key: Key, verdicts: Sequence[IntegrityVerdict], now: float) -> bool:
+        """Everything one interface's verdicts -- or their absence, a
+        clean poll -- move: counters and events per verdict, then the
+        trust score and quarantine state, then the transition counters.
+        True when a verdict was a violation."""
+        violated = False
         for verdict in verdicts:
             if verdict.severity is Severity.VIOLATION:
+                violated = True
                 self._metrics["violations"].inc()
                 self._metrics["violations_by_check"].labels(check=verdict.check).inc()
                 self._last_offence[key] = now
@@ -391,29 +458,22 @@ class IntegrityPipeline:
                 if self.health is not None:
                     self.health.record_data_violation(verdict.node, now)
             elif verdict.severity is Severity.SUSPECT:
-                self._metrics["suspects"].inc()
+                self._suspects()
                 if verdict.check == "stuck_counters":
                     # Frozen counters are offender evidence for the
                     # cross-checker even though they do not decay trust.
                     self._last_offence[key] = now
-
-    def _sync_trust_gauge(self, key: Key, rec: TrustRecord) -> None:
-        gauge = self._trust_gauges.get(key)
-        if gauge is None:
-            gauge = self._trust_gauges[key] = self._metrics["trust"].labels(
-                interface=f"{key[0]}:{key[1]}"
-            )
-        gauge.set(round(rec.score, 4))
         totals = self.quarantine
-        transitions = totals.quarantines + totals.releases
-        if transitions == self._transitions_synced:
-            return  # the aggregates move at enter/release only
-        self._transitions_synced = transitions
-        metrics = self._metrics
-        metrics["quarantined"].set(float(totals.quarantined))
-        behind = totals.quarantines - metrics["quarantines"].value
-        if behind > 0:
-            metrics["quarantines"].inc(behind)
-        behind = totals.releases - metrics["releases"].value
-        if behind > 0:
-            metrics["releases"].inc(behind)
+        if verdicts:
+            totals.apply(key[0], key[1], verdicts, now)
+        else:
+            totals.record_clean(key[0], key[1], now)
+        # After an enter or a release the two transition counters catch up
+        # (the gauges read the manager and the records when collected).
+        for counter, total in (
+            (self._metrics["quarantines"], totals.quarantines),
+            (self._metrics["releases"], totals.releases),
+        ):
+            if total > counter.value:
+                counter.inc(total - counter.value)
+        return violated

@@ -65,6 +65,8 @@ class QuarantineManager:
         ):
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {value!r}")
+        if not recover_step >= 0.0:  # a pristine record stays pristine when clean
+            raise ValueError(f"recover_step must be >= 0, got {recover_step!r}")
         self.quarantine_below = quarantine_below
         self.release_above = release_above
         self.violation_decay = violation_decay
@@ -93,7 +95,12 @@ class QuarantineManager:
 
     # ------------------------------------------------------------------
     def record(self, node: str, if_index: int) -> TrustRecord:
-        return self._records.setdefault((node, if_index), TrustRecord())
+        """The interface's trust record, created pristine on first sight."""
+        key = (node, if_index)
+        rec = self._records.get(key)
+        if rec is None:
+            rec = self._records[key] = TrustRecord()
+        return rec
 
     def trust(self, node: str, if_index: int) -> float:
         rec = self._records.get((node, if_index))

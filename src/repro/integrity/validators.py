@@ -46,9 +46,10 @@ class Severity(enum.Enum):
     VIOLATION = "violation"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntegrityVerdict:
-    """One validator's finding about one sample (or interface pair)."""
+    """One validator's finding about one sample (or interface pair); a
+    value, slotted and not ``frozen`` for ``InterfaceRates``'s reason."""
 
     check: str  # e.g. "rate_bound", "cross_check"
     severity: Severity
@@ -107,11 +108,15 @@ class RateBoundValidator:
             raise ValueError(f"negative rate tolerance {tolerance!r}")
         self.tolerance = tolerance
 
+    def limit(self, speed_bps: float) -> float:
+        """The highest byte rate an interface of this speed may show."""
+        return (speed_bps / 8.0) * (1.0 + self.tolerance)
+
     def check(self, ctx: SampleContext) -> List[IntegrityVerdict]:
         speed = ctx.polled_speed_bps or ctx.speed_bps
         if not speed:
             return []
-        limit = (speed / 8.0) * (1.0 + self.tolerance)
+        limit = self.limit(speed)
         verdicts: List[IntegrityVerdict] = []
         # Remotely shipped samples arrive without raw snapshots; the rate
         # bound still applies, only the regression diagnosis is skipped.
@@ -131,7 +136,7 @@ class RateBoundValidator:
             ),
         )
         for name, rate, cur, prev in directions:
-            if rate <= limit:
+            if rate <= limit:  # false for NaN: a rate that is no number is over
                 continue
             regressed = have_raw and cur < prev
             verdicts.append(
@@ -171,58 +176,69 @@ class StuckCounterValidator:
             raise ValueError(f"stuck_after must be >= 1, got {stuck_after!r}")
         self.stuck_after = stuck_after
         self.decay_trust = decay_trust
-        # (node, if_index) -> [consecutive frozen polls, ever saw octets move]
+        # (node, if_index) -> [consecutive frozen polls, ever saw octets move],
+        # advanced in place: whoever holds a list from ``state`` holds the
+        # live one until ``forget`` drops it.
         self._state: Dict[Tuple[str, int], List] = {}
 
-    @staticmethod
-    def _frozen(ctx: SampleContext) -> bool:
-        prev, cur = ctx.prev, ctx.cur
-        if prev is None or cur is None:
-            # No raw snapshots (remotely shipped sample): fall back to the
-            # derived figures -- all-zero rates mean the counters did not
-            # move over the sample's interval.
-            s = ctx.sample
-            return (
-                s.in_bytes_per_s == 0.0
-                and s.out_bytes_per_s == 0.0
-                and s.in_pkts_per_s == 0.0
-                and s.out_pkts_per_s == 0.0
-            )
-        return (
-            cur.octets_in == prev.octets_in
-            and cur.octets_out == prev.octets_out
-            and cur.ucast_in == prev.ucast_in
-            and cur.ucast_out == prev.ucast_out
-        )
+    def state(self, key: Tuple[str, int]) -> List:
+        """One interface's live ``[streak, was_active]``, made on first ask."""
+        state = self._state.get(key)
+        if state is None:
+            state = self._state[key] = [0, False]
+        return state
 
     def forget(self, node: str, if_index: int) -> None:
         """Drop streak state (agent restarted: baselines are new)."""
         self._state.pop((node, if_index), None)
 
-    def check(self, ctx: SampleContext) -> List[IntegrityVerdict]:
-        key = (ctx.sample.node, ctx.sample.if_index)
-        streak, was_active = self._state.get(key, (0, False))
-        if self._frozen(ctx):
-            streak += 1
+    def advance(
+        self, state: List, sample: InterfaceRates, prev: object, cur: object
+    ) -> Optional[IntegrityVerdict]:
+        """Move one interface's ``state`` over one sample; the verdict the
+        sample draws, if any.  The rule keeps state, so it sees every
+        sample: ``check`` is this on the state it looks up itself."""
+        if prev is None or cur is None:
+            # No raw snapshots (remotely shipped sample): fall back to the
+            # derived figures -- all-zero rates mean the counters did not
+            # move over the sample's interval.
+            frozen = (
+                sample.in_bytes_per_s == 0.0
+                and sample.out_bytes_per_s == 0.0
+                and sample.in_pkts_per_s == 0.0
+                and sample.out_pkts_per_s == 0.0
+            )
         else:
-            streak, was_active = 0, True
-        self._state[key] = [streak, was_active]
-        if was_active and streak >= self.stuck_after:
-            return [
-                IntegrityVerdict(
-                    check="stuck_counters",
-                    severity=Severity.SUSPECT,
-                    node=ctx.sample.node,
-                    if_index=ctx.sample.if_index,
-                    time=ctx.sample.time,
-                    detail=(
-                        f"counters frozen for {streak} consecutive polls"
-                        " after earlier activity"
-                    ),
-                    decays_trust=self.decay_trust,
-                )
-            ]
-        return []
+            frozen = (
+                cur.octets_in == prev.octets_in
+                and cur.octets_out == prev.octets_out
+                and cur.ucast_in == prev.ucast_in
+                and cur.ucast_out == prev.ucast_out
+            )
+        if frozen:
+            state[0] += 1
+        else:
+            state[0], state[1] = 0, True
+        if not (state[1] and state[0] >= self.stuck_after):
+            return None
+        return IntegrityVerdict(
+            check="stuck_counters",
+            severity=Severity.SUSPECT,
+            node=sample.node,
+            if_index=sample.if_index,
+            time=sample.time,
+            detail=(
+                f"counters frozen for {state[0]} consecutive polls"
+                " after earlier activity"
+            ),
+            decays_trust=self.decay_trust,
+        )
+
+    def check(self, ctx: SampleContext) -> List[IntegrityVerdict]:
+        sample = ctx.sample
+        state = self.state((sample.node, sample.if_index))
+        verdict = self.advance(state, sample, ctx.prev, ctx.cur)
+        return [verdict] if verdict is not None else []
 
 
 class SpeedValidator:
@@ -234,6 +250,8 @@ class SpeedValidator:
     """
 
     def __init__(self, rel_tolerance: float = 0.01) -> None:
+        if not rel_tolerance >= 0:  # equal speeds always agree
+            raise ValueError(f"negative speed tolerance {rel_tolerance!r}")
         self.rel_tolerance = rel_tolerance
 
     def check(self, ctx: SampleContext) -> List[IntegrityVerdict]:

@@ -158,11 +158,21 @@ class MetricFamily:
     """One named metric and its labelled children.
 
     A family with no ``labelnames`` has exactly one (anonymous) child and
-    proxies the child's mutators, so unlabelled metrics read naturally:
-    ``reg.counter("poll_cycles_total").inc()``.
+    takes the child's methods as its own, so unlabelled metrics read
+    naturally -- ``reg.counter("poll_cycles_total").inc()`` -- and cost
+    what the child costs: ``family.inc`` *is* ``child.inc``, one call.
+    That binding is per instance, which is why the class has no
+    ``__slots__`` (an instance attribute cannot share a name with a
+    method of a slotted class); a family is created once per metric
+    name, so the attribute table is paid a few hundred times a process.
     """
 
-    __slots__ = ("name", "kind", "help", "labelnames", "_children", "_make", "_default")
+    #: What an unlabelled family takes from its child, where the child's
+    #: kind has it.  ``value`` and ``count`` are read, not called: they
+    #: stay properties below.
+    _CHILD_METHODS = (
+        "inc", "dec", "set", "set_function", "observe", "quantile", "quantiles",
+    )
 
     def __init__(
         self,
@@ -179,6 +189,10 @@ class MetricFamily:
         self._make = make
         self._children: Dict[Tuple[str, ...], object] = {}
         self._default = None if labelnames else make()
+        for method in self._CHILD_METHODS:
+            bound = getattr(self._default, method, None)
+            if bound is not None:
+                setattr(self, method, bound)
 
     # -- labelled access ------------------------------------------------
     def labels(self, **labels: str) -> object:
@@ -205,7 +219,7 @@ class MetricFamily:
             return [((), self._default)]
         return sorted(self._children.items())
 
-    # -- unlabelled proxying --------------------------------------------
+    # -- unlabelled access ----------------------------------------------
     def _only(self):
         if self._default is None:
             raise MetricError(
@@ -214,26 +228,13 @@ class MetricFamily:
             )
         return self._default
 
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        self._only().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._only().dec(amount)
-
-    def set(self, value: float) -> None:
-        self._only().set(value)
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        self._only().set_function(fn)
-
-    def observe(self, x: float) -> None:
-        self._only().observe(x)
-
-    def quantile(self, q: float) -> float:
-        return self._only().quantile(q)
-
-    def quantiles(self) -> Dict[float, float]:
-        return self._only().quantiles()
+    def __getattr__(self, name: str):
+        """Reached only for a name ``__init__`` did not bind: a child's
+        method asked of a labelled family (a :class:`MetricError` that
+        says to use ``.labels``) or of a child whose kind lacks it."""
+        if name in MetricFamily._CHILD_METHODS:
+            return getattr(self._only(), name)
+        raise AttributeError(name)
 
     @property
     def count(self) -> int:

@@ -105,3 +105,107 @@ def datagram_cost(net, src, dst):
 #: Names that must not run per frame: addresses are compared and hashed
 #: as integers, and their flags are attributes fixed at construction.
 PER_FRAME_FORBIDDEN = ("__hash__", "__eq__", "__ne__", "is_broadcast", "is_multicast")
+
+
+class ThreeTiers:
+    """A worker, its leaf coordinator and the hierarchy root, driven by hand.
+
+    One pod of one switch under a :class:`HierarchicalMonitor` that is
+    never started.  What the worker and the leaf ship lands in
+    ``worker_out`` and ``leaf_out`` (every payload ever, in order);
+    :meth:`carry` takes what is new one tier up.  :meth:`poll` feeds the
+    worker's poller one reply for the first ``n`` interfaces of the
+    switch and carries the samples to the root, returning the Python
+    calls each tier made on the way -- worker ``_on_response`` + flush,
+    leaf ingest + relay + flush, root ingest -- by ``(source file,
+    function name)``.
+    """
+
+    NODE = "p0sw0"
+
+    def __init__(self, hosts: int = 32, **options) -> None:
+        from repro.core.hierarchy import HierarchicalMonitor
+        from repro.experiments.scale import hierarchy_plan, scale_spec
+        from repro.spec.builder import build_network
+
+        spec = scale_spec(hierarchical=1, switches=1, hosts_per_switch=hosts,
+                          host_agents=False)
+        self.build = build_network(spec)
+        plan = hierarchy_plan(1, switches=1, hosts_per_switch=hosts, workers_per_shard=1)
+        self.root = HierarchicalMonitor(
+            self.build, plan, poll_interval=2.0, poll_jitter=0.0, **options
+        )
+        (self.leaf,) = self.root.leaves.values()
+        (self.worker,) = self.leaf.dm.workers.values()
+        self.worker_out, self.leaf_out = [], []
+        self.worker.shipper.send = self.worker_out.append
+        self.leaf.shipper.send = self.leaf_out.append
+        self._carried = [0, 0]  # payloads of each list already taken up
+        self._polls = 0
+
+    def carry(self, tier: int) -> None:
+        """Hand tier ``tier``'s new payloads (0: worker's, 1: leaf's) to
+        the ingest above it."""
+        out, ingest = (
+            (self.worker_out, self.leaf.dm), (self.leaf_out, self.root)
+        )[tier]
+        for payload in out[self._carried[tier]:]:
+            ingest._on_delta(payload)
+        self._carried[tier] = len(out)
+
+    def poll(self, n: int, octets: int):
+        """One poll cycle through all three tiers: every counter of the
+        first ``n`` interfaces reads ``octets``, two seconds of sysUpTime
+        after the last poll."""
+        from repro.core.poller import _COLUMNS, PollTarget
+        from repro.snmp.ber import TAG_COUNTER32
+
+        self._polls += 1
+        target = PollTarget(
+            self.NODE, self.build.network.ip_of(self.NODE), list(range(1, n + 1))
+        )
+        row = {i: (TAG_COUNTER32, octets) for i in target.if_indexes}
+        reply = 200 * self._polls, {column: row for column in _COLUMNS}
+
+        def on_worker():
+            self.worker.poller._on_response(target, reply)
+            self.worker._flush()
+
+        def on_leaf():
+            self.carry(0)
+            self.leaf._flush()
+
+        def on_root():
+            self.carry(1)
+
+        return {
+            tier: call_counts(step, by_file=True)
+            for tier, step in (("worker", on_worker), ("leaf", on_leaf), ("root", on_root))
+        }
+
+
+def per_record(active: bool, sizes=(16, 32)):
+    """``{tier: Counter}``: what one more steady ``ADVANCE`` record costs
+    each tier, by ``(source file, function name)`` -- the difference
+    between a ``sizes[1]``- and a ``sizes[0]``-interface cycle over the
+    difference in records.  Both sizes fit one batch and one-byte record
+    ids, so the slope is the record and the intercept (the batch, the
+    datagram) drops out.  With ``active`` the counters move once and
+    then freeze, and by the measured cycle the root's stuck-counter rule
+    fires on every record; without, they never move and nothing fires.
+    """
+    cycles = []
+    for n in sizes:
+        tiers = ThreeTiers()
+        tiers.poll(n, 1000)  # the baseline
+        for _ in range(5):  # into the steady state: ADVANCE records only
+            calls = tiers.poll(n, 1500 if active else 1000)
+        cycles.append(calls)
+    small, large = cycles
+    span = sizes[1] - sizes[0]
+    out = {}
+    for tier in small:
+        delta = Counter(large[tier])
+        delta.subtract(small[tier])
+        out[tier] = Counter({k: v / span for k, v in delta.items() if v})
+    return out

@@ -55,7 +55,7 @@ from repro.telemetry.events import (
     QUARANTINE_ENTER,
     QUARANTINE_EXIT,
 )
-from tests.costs import python_calls
+from tests.costs import call_counts, python_calls
 
 POLL = 2.0
 
@@ -216,6 +216,13 @@ class TestSpeedValidator:
         # A >= 2^32 bit/s declared speed cannot fit in a Gauge32.
         assert v.check(context(sample(), speed=10e9, polled_speed=1e6)) == []
 
+    @pytest.mark.parametrize("tolerance", [-0.01, math.nan])
+    def test_a_tolerance_under_which_equal_speeds_disagree_is_rejected(self, tolerance):
+        """``inspect`` asks no validator about a polled ifSpeed equal to
+        the declared one: with a tolerance >= 0 none could object."""
+        with pytest.raises(ValueError):
+            SpeedValidator(rel_tolerance=tolerance)
+
 
 class TestWrapRiskValidator:
     def test_wrap_period(self):
@@ -282,6 +289,34 @@ class TestQuarantineManager:
         assert qm.trust("nobody", 9) == 1.0
         assert not qm.is_quarantined("nobody", 9)
 
+    @pytest.mark.parametrize("step", [-0.1, math.nan])
+    def test_a_recovery_that_loses_trust_is_rejected(self, step):
+        """``inspect`` settles nothing for a clean sample of a pristine
+        interface: with a step >= 0 there is nothing to recover."""
+        with pytest.raises(ValueError):
+            QuarantineManager(recover_step=step)
+        assert QuarantineManager(recover_step=0.0).recover_step == 0.0
+
+    def test_a_known_interface_builds_no_record(self):
+        """``record`` probes before it creates: ``setdefault(key,
+        TrustRecord())`` built an eight-field record per sample, per
+        ``record_clean`` and per ``apply``, to throw it away."""
+        qm = QuarantineManager()
+        first = qm.record("A", 1)
+        noted = [verdict(severity=Severity.SUSPECT, decays=False)]
+        found = []
+
+        def a_thousand_calls():
+            for i in range(1000):
+                found.append(qm.record("A", 1))
+                qm.record_clean("A", 1, float(i))
+                qm.apply("A", 1, noted, float(i))
+
+        calls = call_counts(a_thousand_calls, by_file=True)
+        assert calls[("<string>", "__init__")] == 0, calls  # dataclass constructors
+        assert all(rec is first for rec in found)
+        assert qm.records() == {("A", 1): first} and first.suspects == 1000
+
     @given(st.lists(st.sampled_from(["violation", "suspect", "clean"]), max_size=80))
     @settings(max_examples=60, deadline=None)
     def test_score_bounded_and_state_consistent(self, moves):
@@ -318,16 +353,46 @@ def tracked_pipeline(n_interfaces):
 class TestPerSampleCost:
     def test_inspect_call_count_independent_of_tracked_interfaces(self):
         """The trust gauges must not walk every record on every sample,
-        and a clean sample that moves no interface in or out of quarantine
-        writes its own trust gauge only: 18 Python calls in all (27 while
-        the aggregate gauge and both transition counters were re-written
-        per sample)."""
+        and a clean sample of a pristine interface looks its interface up
+        once, builds nothing, settles nothing and writes no gauge: 4
+        Python calls in all -- this test's lambda, ``inspect_remote``,
+        ``inspect`` and the stuck-counter rule, which keeps state and so
+        sees every sample (18 while every sample built a context, asked
+        four validators for a list each and wrote its trust gauge; 27
+        while the aggregate gauge and both transition counters were
+        re-written per sample too)."""
         counts = {}
         for n in (10, 1000):
             pipe = tracked_pipeline(n)
             again = sample(node="sw0", if_index=1, time=4.0)
             counts[n] = python_calls(lambda: pipe.inspect_remote(again))
-        assert counts[10] == counts[1000] <= 19, counts
+        assert counts[10] == counts[1000] <= 4, counts
+
+    @pytest.mark.parametrize("remote", [True, False], ids=["remote", "local"])
+    def test_a_firing_rule_costs_its_verdict_and_no_more(self, remote):
+        """The stuck-counter rule fires on nine idle-campus samples in
+        ten, so the firing path is the common one: the validator's
+        verdict and the suspect counter are all it adds, the trust
+        record's tallies moved in place (6 calls remote, 5 local; 23 and
+        22 before)."""
+        counts = {}
+        for n in (10, 1000):
+            pipe = tracked_pipeline(n)
+            frozen = snapshot(0.0, octets_in=500, octets_out=500, ucast=5)
+            moved = snapshot(2.0, octets_in=900, octets_out=900, ucast=9)
+
+            def poll(i, before, after, rate):
+                s = sample(node="sw0", if_index=1, time=4.0 + 2 * i, in_bps=rate)
+                if remote:
+                    return python_calls(lambda: pipe.inspect_remote(s))
+                return python_calls(lambda: pipe.inspect(s, before, after))
+
+            poll(0, frozen, moved, 200.0)  # activity, then three frozen polls
+            quiet = [poll(i, moved, moved, 0.0) for i in (1, 2, 3, 4)]
+            assert quiet[0] == quiet[1] < quiet[2] == quiet[3], quiet
+            assert pipe.quarantine.record("sw0", 1).suspects == 2
+            counts[n] = quiet[3]
+        assert counts[10] == counts[1000] <= 6, counts
 
     MOVES = st.tuples(
         st.sampled_from([("A", 1), ("A", 2), ("B", 1)]),
@@ -369,6 +434,51 @@ class TestPerSampleCost:
                 registry.value("integrity_quarantines_total"),
                 registry.value("integrity_quarantine_releases_total"),
             ) == recount
+
+
+# ----------------------------------------------------------------------
+# What the direction of a comparison decides
+# ----------------------------------------------------------------------
+class TestRatesThatAreNoNumber:
+    """``RateBoundValidator`` passes a rate on ``rate <= limit`` and
+    ``WrapRiskValidator`` an interval on ``interval <= half_wrap``; both
+    are false for NaN, so a value that is no number falls through and is
+    judged.  Any guard put in front of them must be written the same way
+    round: ``rate > limit`` would wave a NaN into the rate table."""
+
+    @pytest.mark.parametrize("direction", ["in_bps", "out_bps"])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_a_remote_nan_or_infinite_rate_is_a_rate_bound_violation(
+        self, rate, direction
+    ):
+        build = build_testbed()
+        monitor = NetworkMonitor(build, "L")
+        pipe = IntegrityPipeline({("S1", 1): 100e6}, POLL, telemetry=monitor.telemetry)
+        bad = sample(**{direction: rate})
+
+        def accept(s):  # what DistributedMonitor._accept does with one sample
+            if pipe.inspect_remote(s):
+                monitor.rates.update(s)
+
+        accept(bad)
+        assert monitor.rates.latest("S1", 1) is None  # never reached the table
+        rec = pipe.quarantine.record("S1", 1)
+        assert rec.violations == 1 and rec.score == 0.5
+        assert rec.last_verdict.check == "rate_bound"
+        assert rec.last_verdict.severity is Severity.VIOLATION
+        registry = monitor.telemetry.registry
+        assert registry.value("integrity_violations_by_check_total", check="rate_bound") == 1
+        assert registry.value("integrity_samples_rejected_total") == 1
+        accept(sample(time=4.0, in_bps=1000.0))  # a sane one still lands
+        assert monitor.rates.latest("S1", 1).time == 4.0
+
+    def test_a_nan_interval_draws_wrap_risk_and_is_admitted(self):
+        pipe = IntegrityPipeline({("S1", 1): 100e6}, POLL)
+        assert pipe.inspect_remote(sample(interval=math.nan))
+        rec = pipe.quarantine.record("S1", 1)
+        assert rec.last_verdict.check == "wrap_risk"
+        assert rec.last_verdict.severity is Severity.SUSPECT
+        assert (rec.suspects, rec.violations, rec.score) == (1, 0, 1.0)
 
 
 # ----------------------------------------------------------------------
