@@ -19,24 +19,32 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.snmp import ber
 from repro.snmp.datatypes import EndOfMibView, NoSuchInstance, NoSuchObject, SnmpValue
 from repro.snmp.errors import ErrorStatus
-from repro.snmp.message import VERSION_1, VERSION_2C, Message
+from repro.snmp.message import VERSION_1, VERSION_2C, Message, encode_message
 from repro.snmp.mib import MibError, MibTree, register_snmp_group
 from repro.snmp.oid import Oid
-from repro.snmp.pdu import MAX_BULK_REPETITIONS, Pdu, VarBind
+from repro.snmp.pdu import MAX_BULK_REPETITIONS, Pdu, VarBind, encode_pdu
 from repro.simnet.address import IPv4Address
 from repro.simnet.sockets import SNMP_PORT
 
 DEFAULT_RESPONSE_DELAY = 0.5e-3  # seconds of agent processing
 DEFAULT_RESPONSE_JITTER = 1.5e-3  # uniform extra, seeded
 
+# UDP's payload limit over IPv4 (65 535 - 20 - 8): no reply is longer.
+MAX_MESSAGE_BYTES = 65507
+
 __all__ = ["SnmpAgent", "MAX_BULK_REPETITIONS"]
 
 Pair = Tuple[Oid, SnmpValue]
+
+# The reply writer's memo of written varbinds is bounded in entries and in
+# bytes per entry: a walker names every OID there is and a hostile peer
+# any.  A polled varbind is ~20 bytes; one agent serves at most 8 x 64.
+_MEMO_VARBINDS, _MEMO_VARBIND_BYTES = 4096, 64
 
 
 class _Refused(Exception):
@@ -81,6 +89,7 @@ class SnmpAgent:
         self.bad_community = 0
         self.unsupported = 0
         self.get_requests = 0
+        self._written: Dict[Oid, Tuple[SnmpValue, bytes]] = {}  # see _encode_reply
         try:
             register_snmp_group(mib, self)
         except MibError:
@@ -179,17 +188,17 @@ class SnmpAgent:
             # trap); the manager sees a timeout.
             self.bad_community += 1
             return
-        pdu, version = message.pdu, message.version
+        pdu, version, kind = message.pdu, message.version, message.pdu.kind
         status, index = ErrorStatus.NO_ERROR, 0
         try:
-            if pdu.kind == "get":
+            if kind == "get":
                 self.get_requests += 1
                 pairs = self._handle_get(version, pdu)
-            elif pdu.kind == "get-next":
+            elif kind == "get-next":
                 pairs = self._handle_get_next(version, pdu.varbinds)
-            elif pdu.kind == "get-bulk" and version == VERSION_2C:
+            elif kind == "get-bulk" and version == VERSION_2C:
                 pairs = self._handle_get_bulk(pdu)
-            elif pdu.kind == "set":
+            elif kind == "set":
                 # The monitor is read-only; reject all sets.
                 read_only = (
                     ErrorStatus.READ_ONLY if version == VERSION_1 else ErrorStatus.NOT_WRITABLE
@@ -202,7 +211,9 @@ class SnmpAgent:
             # An error response echoes the request's own varbinds.
             status, index = refused.args
             pairs = [(vb.oid, vb.value) for vb in pdu.varbinds]
-        reply = self._encode_reply(version, pdu.request_id, pairs, status, index)
+        reply = self._encode_reply(
+            version, pdu.request_id, pairs, status, index, bulk=kind == "get-bulk"
+        )
         delay = self.response_delay + self.rng.random() * self.response_jitter
         self.sim.schedule(delay, self._send_reply, reply, src_ip, src_port)
 
@@ -212,28 +223,55 @@ class SnmpAgent:
 
     def _encode_reply(
         self, version: int, request_id: int, pairs: List[Pair],
-        status: ErrorStatus = ErrorStatus.NO_ERROR, index: int = 0,
+        status: ErrorStatus = ErrorStatus.NO_ERROR, index: int = 0, bulk: bool = False,
     ) -> bytes:
         """The one reply writer: a Response straight from (oid, value)
         pairs, byte for byte ``Message(version, community,
-        request.response(varbinds, status, index)).encode()`` -- one
-        ``encode_oid`` cache hit and one ``value.encode()`` per varbind,
-        the header once, and no VarBind, Pdu or Message built."""
+        request.response(varbinds, status, index)).encode()`` with no
+        VarBind, Pdu or Message built -- and no value written twice:
+        ``_written`` keeps, per OID, the value object last served and its
+        varbind's bytes, and a pair carrying that very object (``is``)
+        costs one dict probe.  A value is immutable, so one object's bytes
+        cannot go stale, whichever MIB view handed it out; a view makes an
+        unchanged instance cheap by handing out the same object again.
+        The memo sits here, never on the value (``SnmpValue.__eq__``
+        compares ``__dict__``), is bounded, and an error reply's varbinds
+        -- the request's own -- are written past it.
+
+        No reply exceeds :data:`MAX_MESSAGE_BYTES`: a GetBulk response is
+        cut short until it fits (RFC 3416 section 4.2.3), any other is
+        answered ``tooBig`` with an empty list (section 4.2.1).
+        """
         encode_oid, varbinds = ber.encode_oid, []
+        written = self._written if status == ErrorStatus.NO_ERROR else {}
         for oid, value in pairs:
+            entry = written.get(oid)
+            if entry is not None and entry[0] is value:
+                varbinds.append(entry[1])
+                continue
             body = encode_oid(oid) + value.encode()
             if len(body) < 0x80:  # short form: every varbind on the poll path
-                varbinds.append(bytes((ber.TAG_SEQUENCE, len(body))) + body)
+                varbind = bytes((ber.TAG_SEQUENCE, len(body))) + body
             else:
-                varbinds.append(ber.encode_tlv(ber.TAG_SEQUENCE, body))
-        body = (
-            ber.encode_integer(request_id) + ber.encode_integer(int(status))
-            + ber.encode_integer(index) + ber.encode_sequence(*varbinds)
-        )
-        return ber.encode_sequence(
-            ber.encode_integer(version), ber.encode_octet_string(self.community.encode()),
-            ber.encode_tlv(ber.TAG_GET_RESPONSE, body),
-        )
+                varbind = ber.encode_tlv(ber.TAG_SEQUENCE, body)
+            varbinds.append(varbind)
+            if len(varbind) <= _MEMO_VARBIND_BYTES:
+                if entry is None and len(written) >= _MEMO_VARBINDS:
+                    written.clear()  # a walk's leavings: polled rows re-enter next poll
+                written[oid] = (value, varbind)
+        while True:
+            reply = encode_message(version, self.community, encode_pdu(
+                ber.TAG_GET_RESPONSE, request_id, int(status), index,
+                ber.encode_sequence(*varbinds),
+            ))
+            excess = len(reply) - MAX_MESSAGE_BYTES
+            if excess <= 0:
+                return reply
+            if bulk:
+                while excess > 0:  # shorter length octets come on top
+                    excess -= len(varbinds.pop())
+            else:
+                status, index, varbinds = ErrorStatus.TOO_BIG, 0, []
 
     # ------------------------------------------------------------------
     # Operations: each returns the (oid, value) pairs of its response

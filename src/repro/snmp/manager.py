@@ -33,15 +33,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.snmp import ber
 from repro.snmp.datatypes import EndOfMibView, NoSuchInstance, NoSuchObject, TimeTicks
 from repro.snmp.errors import SnmpError, SnmpErrorResponse, SnmpTimeout
-from repro.snmp.message import VERSION_2C, Message, decode_header
+from repro.snmp.message import VERSION_2C, Message, decode_header, encode_message
 from repro.snmp.mib import SYS_UPTIME
 from repro.snmp.oid import Oid
-from repro.snmp.pdu import MAX_BULK_REPETITIONS, Pdu, VarBind, decode_varbinds
+from repro.snmp.pdu import MAX_BULK_REPETITIONS, Pdu, VarBind, decode_varbinds, encode_pdu
 from repro.simnet.address import IPv4Address
 from repro.simnet.sockets import SNMP_PORT
 from repro.telemetry import Telemetry
@@ -352,9 +352,11 @@ class SnmpManager:
         key = tuple(columns)
         column_set = _column_set(key)
         if not bulk:
-            oids = interface_oids(tuple(if_indexes), key)
             request_id = next(self._request_ids)
-            pdu = Pdu.get_request(request_id, [SYS_UPTIME, *oids] if include_uptime else oids)
+            pdu = encode_pdu(
+                ber.TAG_GET_REQUEST, request_id, 0, 0,
+                _poll_varbinds(key, tuple(if_indexes), include_uptime, bulk=False),
+            )
 
             def file_rows(reply) -> None:
                 uptime, rows = reply
@@ -412,19 +414,21 @@ class SnmpManager:
     def _send(
         self,
         request_id: int,
-        pdu: Pdu,
+        pdu: Union[Pdu, bytes],
         dst_ip: IPv4Address,
         callback: Callable,
         errback: Optional[ErrorCallback],
         community: Optional[str] = None,
         columns: Optional["_ColumnSet"] = None,
     ) -> int:
-        """Transmit ``pdu``.  ``callback`` gets the response's ``VarBind``
-        list -- or, given the ``columns`` of an interface poll, what
-        :func:`_read_columns` makes of the same bytes."""
-        payload = Message(
-            self.version, community if community is not None else self.community, pdu
-        ).encode()
+        """Transmit ``pdu`` (or one already encoded: an interface poll's).
+        ``callback`` gets the response's ``VarBind`` list -- or, given the
+        ``columns`` of an interface poll, what :func:`_read_columns` makes
+        of the same bytes."""
+        payload = encode_message(
+            self.version, community if community is not None else self.community,
+            pdu if isinstance(pdu, bytes) else pdu.encode(),
+        )
         self._pending[request_id] = _Pending(
             payload, (dst_ip, self.agent_port), callback, errback, columns
         )
@@ -523,10 +527,29 @@ class SnmpManager:
         pending.callback(result)
 
 
-@lru_cache(maxsize=4096)
 def interface_oids(if_indexes: Tuple[int, ...], columns: Tuple[Oid, ...]) -> Tuple[Oid, ...]:
     """The instances a GET-form interface poll names, row by row."""
     return tuple(col.extend(i) for i in dict.fromkeys(if_indexes) for col in columns)
+
+
+@lru_cache(maxsize=1024)
+def _poll_varbinds(
+    columns: Tuple[Oid, ...], rows: Tuple[Optional[int], ...], include_uptime: bool, bulk: bool
+) -> bytes:
+    """The encoded varbind list of an interface-poll request: a pure
+    function of what it asks for, so asking every agent the same thing
+    every cycle encodes it once.  GET form: sysUpTime.0, then ``columns``
+    at ``rows``.  Bulk form: the sysUpTime *object* -- ``get_next`` of it
+    yields the .0 instance; naming that would return its successor --
+    then each column at its cursor row (``None``: done, not named)."""
+    if bulk:
+        first = SYS_UPTIME.parent
+        oids = [col.extend(row) for col, row in zip(columns, rows) if row is not None]
+    else:
+        first, oids = SYS_UPTIME, interface_oids(rows, columns)
+    if include_uptime:
+        oids = [first, *oids]
+    return ber.encode_sequence(*[VarBind(oid).encode() for oid in oids])
 
 
 class _ColumnSet:
@@ -680,23 +703,20 @@ class _BulkWalk:
 
     def issue(self) -> None:
         """Send the next exchange of the walk: one cursor per live column."""
-        cursor_rows = self.cursor_rows
-        live = [i for i, done in enumerate(self.done) if not done]
-        reps = max(self.max_idx - cursor_rows[i] for i in live)
+        rows = tuple([None if done else row for row, done in zip(self.cursor_rows, self.done)])
+        reps = self.max_idx - min([row for row in rows if row is not None])
         reps = max(1, min(reps, MAX_BULK_REPETITIONS))
-        oids: List[Oid] = []
-        if self.include_uptime and self.exchanges == 0:
-            # get_next(sysUpTime-object) yields the .0 instance; naming
-            # the instance itself would return its successor instead.
-            oids.append(SYS_UPTIME.parent)
-        non_repeaters = len(oids)
-        oids.extend(self.columns.columns[i].extend(cursor_rows[i]) for i in live)
+        uptime = self.include_uptime and self.exchanges == 0  # the one non-repeater
         self.exchanges += 1
         manager = self.manager
         request_id = next(manager._request_ids)
+        pdu = encode_pdu(
+            ber.TAG_GET_BULK_REQUEST, request_id, int(uptime), reps,
+            _poll_varbinds(self.columns.columns, rows, uptime, bulk=True),
+        )
         manager._send(
-            request_id, Pdu.get_bulk_request(request_id, oids, non_repeaters, reps),
-            self.dst_ip, self._on_response, self.errback, self.community, self.columns,
+            request_id, pdu, self.dst_ip, self._on_response, self.errback,
+            self.community, self.columns,
         )
 
     def _on_response(self, reply) -> None:

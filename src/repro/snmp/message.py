@@ -9,15 +9,29 @@ v2c with per-varbind exception values).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 from repro.snmp import ber
-from repro.snmp.pdu import Pdu, decode_pdu_header, decode_varbinds
+from repro.snmp.pdu import Pdu, VarBind, decode_pdu_header, decode_varbinds
 
 VERSION_1 = 0
 VERSION_2C = 1
 
 _KNOWN_VERSIONS = {VERSION_1, VERSION_2C}
+
+# Bounds of the memo below, in entries and in bytes per entry: the longest
+# poll request (a GET of eight columns of 64 rows) is 9 KB, a peer's 64 KB.
+_MEMO_LISTS, _MEMO_LIST_BYTES = 64, 16384
+
+
+@lru_cache(maxsize=_MEMO_LISTS)
+def _decoded(varbind_list: bytes) -> Tuple[VarBind, ...]:
+    """:func:`decode_varbinds`, remembered by the list's bytes: a poller
+    sends the same list every cycle, to every agent it polls alike.  The
+    tuple is shared and its varbinds immutable; a ``BerError`` is not
+    remembered, it is raised anew."""
+    return tuple(decode_varbinds(varbind_list, 0, len(varbind_list)))
 
 
 @dataclass
@@ -31,11 +45,7 @@ class Message:
             raise ber.BerError(f"unsupported SNMP version {self.version!r}")
 
     def encode(self) -> bytes:
-        return ber.encode_sequence(
-            ber.encode_integer(self.version),
-            ber.encode_octet_string(self.community.encode()),
-            self.pdu.encode(),
-        )
+        return encode_message(self.version, self.community, self.pdu.encode())
 
     @staticmethod
     def decode(data: bytes) -> "Message":
@@ -46,9 +56,22 @@ class Message:
             pdu, pos = TrapV1Pdu.decode(data, start)
             if pos != end:
                 raise ber.BerError("trailing bytes inside SNMP message")
-        else:
+        elif end - start > _MEMO_LIST_BYTES:
             pdu = Pdu(tag, request_id, status, index, decode_varbinds(data, start, end))
+        else:
+            pdu = Pdu(tag, request_id, status, index, list(_decoded(data[start:end])))
         return Message(version, community, pdu)
+
+
+def encode_message(version: int, community: str, pdu: bytes) -> bytes:
+    """The one envelope writer: an encoded PDU (:func:`~repro.snmp.pdu.
+    encode_pdu`, or a v1 Trap-PDU's own writer) under version and
+    community.  Refuses the versions :func:`decode_header` refuses."""
+    if version not in _KNOWN_VERSIONS:
+        raise ber.BerError(f"unsupported SNMP version {version!r}")
+    return ber.encode_sequence(
+        ber.encode_integer(version), ber.encode_octet_string(community.encode()), pdu
+    )
 
 
 def decode_header(data: bytes) -> Tuple[int, str, int, int, int, int, int, int]:

@@ -77,6 +77,18 @@ def decode_pdu_header(data: bytes, offset: int, end: int) -> Tuple[int, int, int
     return tag, request_id, error_status, error_index, start, stop
 
 
+def encode_pdu(tag: int, request_id: int, field_1: int, field_2: int, varbind_list: bytes) -> bytes:
+    """The one PDU writer: ``varbind_list`` -- the encoded SEQUENCE of
+    varbinds, which a sender may have kept from last time -- behind the
+    three integers (error-status and error-index, or GetBulk's
+    non-repeaters and max-repetitions), under ``tag``."""
+    return ber.encode_tlv(
+        tag,
+        ber.encode_integer(request_id) + ber.encode_integer(field_1)
+        + ber.encode_integer(field_2) + varbind_list,
+    )
+
+
 def decode_varbinds(data: bytes, start: int, end: int) -> List[VarBind]:
     """The general decoder of a varbind list left as ``data[start:end]``."""
     if end != len(data):
@@ -133,13 +145,10 @@ class Pdu:
         return PDU_TAGS[self.pdu_type]
 
     def encode(self) -> bytes:
-        body = (
-            ber.encode_integer(self.request_id)
-            + ber.encode_integer(self.error_status)
-            + ber.encode_integer(self.error_index)
-            + ber.encode_sequence(*[vb.encode() for vb in self.varbinds])
+        return encode_pdu(
+            self.pdu_type, self.request_id, self.error_status, self.error_index,
+            ber.encode_sequence(*[vb.encode() for vb in self.varbinds]),
         )
-        return ber.encode_tlv(self.pdu_type, body)
 
     @staticmethod
     def decode(data: bytes, offset: int = 0) -> Tuple["Pdu", int]:

@@ -7,10 +7,20 @@ reference the fast one is held equal to.
 - :func:`old_classification` is what ``_BulkWalk._on_response`` and the
   poller's ``{vb.oid: vb.value}`` parser made of a decoded varbind list.
   The column reader must produce these rows, or the same ``BerError``.
+- :func:`old_decode` and :func:`old_encode` are ``Message.decode`` and
+  ``Message.encode`` before a varbind list was remembered by its bytes and
+  before ``Message.encode``, the reply writer's tail and the poll request
+  shared one envelope writer over one PDU writer; :func:`old_reply` goes
+  through both.  :func:`old_outcome` is which of the agent's counters a
+  datagram moved.  :func:`old_get_poll` and :func:`old_bulk_poll` are the
+  requests ``poll_interfaces`` built as ``Pdu`` objects before it kept
+  their varbind lists as bytes.
 
 Nothing here is called by the product.
 """
 
+from repro.snmp import ber
+from repro.snmp.ber import BerError
 from repro.snmp.datatypes import (
     EndOfMibView,
     NoSuchInstance,
@@ -18,9 +28,11 @@ from repro.snmp.datatypes import (
     TimeTicks,
 )
 from repro.snmp.errors import ErrorStatus
-from repro.snmp.message import VERSION_1, VERSION_2C, Message
+from repro.snmp.manager import interface_oids
+from repro.snmp.message import VERSION_1, VERSION_2C, Message, decode_header
 from repro.snmp.mib import SYS_UPTIME
-from repro.snmp.pdu import MAX_BULK_REPETITIONS, VarBind
+from repro.snmp.pdu import MAX_BULK_REPETITIONS, Pdu, VarBind, decode_varbinds
+from repro.snmp.trap import TrapV1Pdu
 
 
 def old_handle_get(mib, version, pdu):
@@ -77,7 +89,7 @@ def old_reply(mib, community, payload):
     """The reply datagram the parent's agent sent for ``payload``, by
     successor queries chained one ``get_next`` at a time; ``None`` where
     it sent none.  ``payload`` must decode."""
-    message = Message.decode(payload)
+    message = old_decode(payload)
     if message.community != community:
         return None
     pdu, version = message.pdu, message.version
@@ -92,7 +104,7 @@ def old_reply(mib, community, payload):
         response = pdu.response(pdu.varbinds, status, 1 if pdu.varbinds else 0)
     else:
         return None
-    return Message(version, community, response).encode()
+    return old_encode(Message(version, community, response))
 
 
 def agent_reply(agent, payload, src_ip, src_port=4000):
@@ -137,3 +149,83 @@ def old_classification(varbinds, columns):
             if vb.oid == SYS_UPTIME:
                 uptime = vb.value.value if isinstance(vb.value, TimeTicks) else None
     return uptime, rows
+
+
+def old_decode(payload):
+    """``Message.decode(payload)`` as the parent read it: every varbind
+    list decoded afresh, none remembered."""
+    version, community, tag, request_id, status, index, start, end = decode_header(payload)
+    if tag == ber.TAG_TRAP_V1:
+        pdu, pos = TrapV1Pdu.decode(payload, start)
+        if pos != end:
+            raise BerError("trailing bytes inside SNMP message")
+    else:
+        pdu = Pdu(tag, request_id, status, index, decode_varbinds(payload, start, end))
+    return Message(version, community, pdu)
+
+
+def old_encode(message):
+    """``message.encode()`` as the parent wrote it: ``Message.encode``
+    around ``Pdu.encode`` (a v1 Trap-PDU writes itself, then as now)."""
+    pdu = message.pdu
+    if isinstance(pdu, Pdu):
+        body = (
+            ber.encode_integer(pdu.request_id)
+            + ber.encode_integer(pdu.error_status)
+            + ber.encode_integer(pdu.error_index)
+            + ber.encode_sequence(*[vb.encode() for vb in pdu.varbinds])
+        )
+        encoded = ber.encode_tlv(pdu.pdu_type, body)
+    else:
+        encoded = pdu.encode()
+    return ber.encode_sequence(
+        ber.encode_integer(message.version),
+        ber.encode_octet_string(message.community.encode()),
+        encoded,
+    )
+
+
+def counted(agent):
+    """The agent's four outcome counters, by the names :func:`old_outcome` uses."""
+    names = ("malformed", "bad_community", "unsupported", "get_requests")
+    return {name: getattr(agent, name) for name in names}
+
+
+def old_outcome(community, payload):
+    """Which counter the parent's ``SnmpAgent._on_datagram`` moved for
+    ``payload`` beside ``in_packets``: ``"malformed"``, ``"bad_community"``,
+    ``"unsupported"``, ``"get_requests"`` -- or ``None``, answered and not
+    a Get."""
+    try:
+        message = old_decode(payload)
+    except BerError:
+        return "malformed"
+    if message.community != community:
+        return "bad_community"
+    kind = message.pdu.kind
+    if kind == "get":
+        return "get_requests"
+    if kind in ("get-next", "set") or (kind == "get-bulk" and message.version == VERSION_2C):
+        return None
+    return "unsupported"
+
+
+def old_get_poll(request_id, if_indexes, columns, include_uptime):
+    """The GET form of ``poll_interfaces`` as the parent built it."""
+    oids = interface_oids(tuple(if_indexes), tuple(columns))
+    return Pdu.get_request(request_id, [SYS_UPTIME, *oids] if include_uptime else oids)
+
+
+def old_bulk_poll(request_id, walk):
+    """The request the parent's ``_BulkWalk.issue`` built from the walk's
+    state as it stands *before* the exchange is issued."""
+    cursor_rows = walk.cursor_rows
+    live = [i for i, done in enumerate(walk.done) if not done]
+    reps = max(walk.max_idx - cursor_rows[i] for i in live)
+    reps = max(1, min(reps, MAX_BULK_REPETITIONS))
+    oids = []
+    if walk.include_uptime and walk.exchanges == 0:
+        oids.append(SYS_UPTIME.parent)
+    non_repeaters = len(oids)
+    oids.extend(walk.columns.columns[i].extend(cursor_rows[i]) for i in live)
+    return Pdu.get_bulk_request(request_id, oids, non_repeaters, reps)

@@ -69,7 +69,14 @@ from repro.snmp.trap import (
     build_trap_pdu,
     link_trap_pdu,
 )
-from tests.snmp_reference import agent_reply, old_classification, old_reply
+from tests.snmp_reference import (
+    agent_reply,
+    counted,
+    old_classification,
+    old_encode,
+    old_outcome,
+    old_reply,
+)
 
 COLUMNS = [
     IF_IN_OCTETS, IF_OUT_OCTETS, IF_IN_UCAST_PKTS, IF_OUT_UCAST_PKTS,
@@ -231,6 +238,14 @@ class TestMessageDecode:
         for payload in EVERYTHING:
             assert Message.decode(payload).encode() == payload
 
+    def test_the_one_envelope_writer_writes_the_old_bytes(self):
+        """``Message.encode`` through ``encode_message`` over ``encode_pdu``
+        (or a v1 Trap-PDU's own writer) against the parent's two nested
+        writers, on every PDU kind and value type."""
+        for payload in EVERYTHING:
+            message = Message.decode(payload)
+            assert message.encode() == old_encode(message) == payload
+
     @settings(max_examples=600, deadline=None)
     @given(payload=mutated(EVERYTHING))
     @example(payload=NEGATIVE_SPECIFIC_TRAP)
@@ -265,6 +280,30 @@ class TestAgent:
             # parent's handlers built through Message(...).encode().
             assert reply == old_reply(agent.mib, agent.community, payload)
             assert net.sim.pending_count() == events + 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(payload=mutated(REQUESTS + RESPONSES[2:] + NOTIFICATIONS, least=0))
+    def test_the_same_twice_at_a_warm_agent(self, payload):
+        """The test above meets a cold agent every time and cannot see a
+        stale memo.  Here the agent has answered every valid request, and
+        each mutant arrives twice: the same counted reject both times, or
+        the old handlers' reply to the MIB as it then stands -- whatever
+        the first delivery left behind (a decoded list, a written
+        varbind), the second is served as if it were the first."""
+        net, _host, peer, agent = lan()
+        for request in REQUESTS:
+            agent._on_datagram(request, len(request), peer.primary_ip, 4000)
+        outcome = old_outcome(agent.community, payload)
+        for _delivery in range(2):
+            before = counted(agent)
+            reply = agent_reply(agent, payload, peer.primary_ip)
+            if outcome is not None:
+                before[outcome] += 1
+            assert counted(agent) == before
+            if outcome in (None, "get_requests"):
+                assert reply == old_reply(agent.mib, agent.community, payload)
+            else:
+                assert reply is None
 
 
 # ----------------------------------------------------------------------

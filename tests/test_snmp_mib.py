@@ -28,19 +28,24 @@ from repro.snmp.mib import (
     FDB_STATUS_LEARNED,
     IF_ENTRY,
     IF_IN_OCTETS,
+    IF_IN_UCAST_PKTS,
     IF_NUMBER,
+    IF_OPER_STATUS,
+    IF_OUT_DISCARDS,
+    IF_OUT_OCTETS,
     IF_PHYS_ADDRESS,
     IF_SPEED,
     MibError,
     MibTree,
+    SNMP_GROUP,
     SYS_NAME,
     SYS_UPTIME,
     build_mib2,
     DOT1D_TP_FDB_PORT,
 )
 from tests.costs import call_counts
-from tests.snmp_reference import agent_reply, old_reply
-from repro.simnet.faults import _TamperedMib
+from tests.snmp_reference import agent_reply, counted, old_outcome, old_reply
+from repro.simnet.faults import AgentReboot, CounterCorruption, _TamperedMib
 from repro.snmp import ber
 from repro.snmp.message import VERSION_1, VERSION_2C, Message
 from repro.snmp.oid import Oid
@@ -542,6 +547,155 @@ class TestReplyWriterEqualsTheOldHandlers:
             agent_reply(agent, Message(VERSION_2C, "public", self.requests()[14][1]).encode(), None)
         ).pdu.varbinds
         assert [type(vb.value) for vb in ended[-2:]] == [EndOfMibView, EndOfMibView]
+
+
+# ----------------------------------------------------------------------
+# A warm agent over a sequence: what it remembers is never what it serves
+# ----------------------------------------------------------------------
+SEQUENCE_PORTS = 6
+COUNTER_NAMES = ("in_octets", "out_octets", "in_ucast_pkts", "out_discards")
+# By nothing, by one, half way round (twice: across the wrap), to the last
+# value before it, and by exactly 2**32 -- the same Counter32, a new read.
+MOVES = (0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1)
+ASKED = (
+    IF_IN_OCTETS, IF_OUT_OCTETS, IF_IN_UCAST_PKTS, IF_OUT_DISCARDS, IF_SPEED, IF_OPER_STATUS,
+    SNMP_GROUP, SYS_UPTIME.parent, IF_ENTRY + "15", PAST_PROVIDERS, DOT1D_STP_PORT_STATE,
+)
+
+NAMES = st.lists(
+    st.tuples(st.sampled_from(ASKED), st.integers(0, SEQUENCE_PORTS + 1)), min_size=0, max_size=7
+)
+STEPS = st.one_of(
+    st.tuples(
+        st.just("move"), st.integers(0, SEQUENCE_PORTS - 1), st.sampled_from(COUNTER_NAMES),
+        st.sampled_from(MOVES),
+    ),
+    st.tuples(
+        st.just("poll"), st.sampled_from(["bulk", "bulk", "get", "get-next", "set"]), NAMES,
+        st.sampled_from([VERSION_2C, VERSION_2C, VERSION_1]),
+        st.sampled_from(["public", "public", "public", "private"]),
+    ),
+    st.tuples(
+        st.just("lie"), st.sampled_from(["stuck", "scaled"]),
+        st.sampled_from([None, 1, 2]),
+    ),
+    st.tuples(st.just("truth"), st.integers(0, 3)),
+    st.tuples(st.just("reboot")),
+    st.tuples(st.just("tick"), st.sampled_from([0.01, 1.0, 6.0])),
+    st.tuples(st.just("register"), st.sampled_from([IF_IN_OCTETS, IF_ENTRY + "15", PAST_PROVIDERS])),
+)
+WHOLE_TABLE = ("poll", "bulk", [(column, 0) for column in ASKED[:6]], VERSION_2C, "public")
+
+
+class TestWarmAgentEqualsTheOldHandlers:
+    """One agent, many requests: after any sequence of counters moving (or
+    not), lying faults coming and going, reboots, snapshot ticks and new
+    instances, every reply is byte for byte what the parent's handlers
+    build from ``agent.mib`` as it stands, and the same counter moved."""
+
+    def request(self, form, names, version, request_id):
+        if form == "get":
+            oids = [column.extend(row) for column, row in names]
+            return Pdu.get_request(request_id, oids)
+        cursors = [column.extend(row) if row else column for column, row in names]
+        if form == "get-next":
+            return Pdu.get_next_request(request_id, cursors)
+        if form == "set":
+            return Pdu(
+                ber.TAG_SET_REQUEST, request_id, 0, 0,
+                [VarBind(oid, Integer(1)) for oid in cursors],
+            )
+        return Pdu.get_bulk_request(request_id, cursors, min(1, len(cursors)), SEQUENCE_PORTS)
+
+    @pytest.mark.parametrize("view", ["tree", "caching"])
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(STEPS, min_size=3, max_size=40), lying=st.booleans())
+    def test_after_every_poll_of_a_sequence(self, view, steps, lying):
+        net, sw, tree, naive = widened_rig(ports=SEQUENCE_PORTS, hosts=3)
+        sim, peer = net.sim, net.device("h0").primary_ip
+        if view == "caching":
+            tree = CachingMibTree(tree, sim, refresh_interval=5.0)
+        agent = SnmpAgent(net.endpoint("sw"), tree)
+        lies, registered, polls = [], 0, 0
+        if lying:
+            steps = [("lie", "stuck", None)] + steps
+        for step in [WHOLE_TABLE, WHOLE_TABLE] + steps + [WHOLE_TABLE]:
+            if step[0] == "move":
+                _, port, name, by = step
+                counters = sw.interfaces[port].counters
+                setattr(counters, name, getattr(counters, name) + by)
+            elif step[0] == "lie":
+                lies.append(CounterCorruption(sim, agent, None, mode=step[1], if_index=step[2]))
+                lies[-1]._begin()
+            elif step[0] == "truth":
+                if lies:
+                    lies.pop(step[1] % len(lies))._end()  # in any order: they overlap
+            elif step[0] == "reboot":
+                AgentReboot(sim, agent, at=sim.now, outage=0.01)
+                net.run(sim.now + 0.02)
+            elif step[0] == "tick":
+                net.run(sim.now + step[1])  # replies leave, uptime moves, a snapshot may fall
+            elif step[0] == "register":
+                registered += 1
+                inner = agent.mib
+                while not isinstance(inner, MibTree):
+                    inner = inner.inner
+                inner.register(step[1].extend(200 + registered, 0), Counter32(registered))
+            else:
+                _, form, names, version, community = step
+                polls += 1
+                payload = Message(
+                    version, community, self.request(form, names, version, polls)
+                ).encode()
+                before = counted(agent)
+                reply = agent_reply(agent, payload, peer)
+                outcome = old_outcome(agent.community, payload)
+                if outcome is not None:
+                    before[outcome] += 1
+                assert counted(agent) == before, (step, outcome)
+                if outcome in (None, "get_requests"):
+                    assert reply == old_reply(agent.mib, agent.community, payload), step
+                else:
+                    assert reply is None, step
+        for lie in lies:
+            lie._end()
+        assert not isinstance(agent.mib, _TamperedMib)
+        if view == "caching":
+            agent.mib.stop()
+
+
+class TestLiveCounter:
+    """The MIB hands out the same Counter32 for as long as the raw
+    simulator counter stands still, and never otherwise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(moves=st.lists(st.sampled_from(MOVES), min_size=1, max_size=12))
+    def test_one_object_per_raw_value(self, moves):
+        net, host, _peer = make_host_net()
+        tree = build_mib2(host, net.sim)
+        counters, oid = host.interfaces[0].counters, IF_IN_OCTETS.extend(1)
+        raw, last = counters.in_octets, tree.get(oid)
+        for by in moves:
+            counters.in_octets += by
+            value = tree.get(oid)
+            assert value == Counter32((raw + by) % 2**32) == tree.get_next(IF_IN_OCTETS)[1]
+            assert (value is last) == (by == 0)
+            assert tree.get(oid) is value is tree.get_next_run(IF_IN_OCTETS, 1)[0][1]
+            raw, last = raw + by, value
+
+    def test_values_stay_plain_values(self):
+        """The memo sits beside the writer, not on the value: two reads of
+        one number are equal and hash alike, whoever encoded what."""
+        net, mgr_host, peer = make_host_net()
+        tree = build_mib2(mgr_host, net.sim)
+        agent = SnmpAgent(mgr_host, tree)
+        payload = Message(
+            VERSION_2C, "public", Pdu.get_request(1, [IF_IN_OCTETS.extend(1)])
+        ).encode()
+        agent_reply(agent, payload, peer.primary_ip)
+        served = tree.get(IF_IN_OCTETS.extend(1))
+        assert served == Counter32(served.value) and hash(served) == hash(Counter32(served.value))
+        assert vars(served) == {"value": served.value}
 
 
 class TestSnapshotCost:
