@@ -47,7 +47,7 @@ def test_bench_dataflow_speedup_and_bit_identity():
     hosts = [n.name for n in spec.hosts()]
     assert len(hosts) >= 100, f"benchmark topology too small: {len(hosts)} hosts"
 
-    rates = RateTable(keep_history=False)
+    rates = RateTable()
     populate_rates(spec, rates, time=0.0)
     calculator = BandwidthCalculator(spec, rates, stale_after=6.0, dead_after=30.0)
     incremental = BandwidthMatrix(spec, calculator)

@@ -53,7 +53,7 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_stream.json"
 
 
 def _stack(spec, graph=None):
-    rates = RateTable(keep_history=False)
+    rates = RateTable()
     populate_rates(spec, rates, time=0.0)
     calculator = BandwidthCalculator(spec, rates, stale_after=1e9, dead_after=1e12)
     matrix = BandwidthMatrix(spec, calculator, graph=graph)

@@ -42,7 +42,6 @@ class AsciiChart:
         width: int = 70,
         height: int = 14,
         y_label: str = "",
-        x_label: str = "time (s)",
     ) -> None:
         if width < 20 or height < 4:
             raise ChartError("chart too small to be legible")
@@ -50,7 +49,6 @@ class AsciiChart:
         self.width = width
         self.height = height
         self.y_label = y_label
-        self.x_label = x_label
         self._series: List[_Series] = []
 
     def add_series(
@@ -114,7 +112,7 @@ class AsciiChart:
         left = f"{t_min:.0f}"
         right = f"{t_max:.0f}"
         pad = self.width - len(left) - len(right)
-        lines.append(f"{' ' * label_width}  {left}{' ' * max(pad, 1)}{right}  {self.x_label}")
+        lines.append(f"{' ' * label_width}  {left}{' ' * max(pad, 1)}{right}  time (s)")
         legend = "   ".join(f"{s.marker} {s.label}" for s in self._series)
         lines.append(f"{' ' * label_width}  {legend}")
         if self.y_label:

@@ -78,7 +78,7 @@ from repro.core.deltas import (
 )
 from repro.core.health import LeaseTransition, WorkerLeaseTracker, WorkerState
 from repro.core.monitor import ReportCore
-from repro.core.poller import InterfaceRates, PollTarget, RateTable, SnmpPoller
+from repro.core.poller import InterfaceRates, PollTarget, SnmpPoller
 from repro.integrity import IntegrityConfig
 from repro.simnet.address import IPv4Address
 from repro.simnet.network import NetworkError
@@ -485,12 +485,8 @@ class MonitorWorker(UplinkEndpoint):
 
     def _rebuild(self, targets: Sequence[PollTarget] = ()) -> None:
         self.manager = SnmpManager(self.host)
-        self.poller = SnmpPoller(
-            self.manager,
-            targets,
-            rate_table=RateTable(keep_history=False),
-            **self._poller_options,
-        )
+        self.poller = SnmpPoller(self.manager, targets, **self._poller_options)
+        # A worker keeps no table of its own: every sample leaves on the uplink.
         self.poller.on_sample = self.shipper.enqueue
 
     def _begin_tasks(self) -> None:

@@ -11,9 +11,8 @@ values; see :mod:`repro.tsdb`).  Decoding is bit-exact, so the arrays
 these classes return are identical to the ones the old Python-object
 lists produced.  The full :class:`PathReport` objects (which carry the
 per-connection measurements arrays cannot) are additionally retained in
-``reports`` unless ``keep_reports=False``; a retention policy prunes
-both representations together, with aged-out chunks optionally
-downsampled instead of discarded.
+``reports``; a retention policy prunes both representations together,
+with aged-out chunks optionally downsampled instead of discarded.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 
 from repro.core.report import PathReport
 from repro.tsdb import Retention, Series, SeriesStats, TSDB
-from repro.tsdb.series import DEFAULT_CHUNK_SIZE
 
 #: Numeric columns extracted from every report, in storage order.
 HISTORY_FIELDS = ("used_bps", "available_bps", "capacity_bps", "confidence", "status")
@@ -57,25 +55,18 @@ class PathSeries:
     """All reports for one watched path, in time order.
 
     A thin view over one tsdb :class:`~repro.tsdb.Series`: appends write
-    the numeric row into compressed storage (and keep the full report
-    object when ``keep_reports``); array reads decode lazily and are
-    cached until the next append.  ``between()`` returns a read-only
+    the numeric row into compressed storage and keep the full report
+    object; array reads decode lazily and are cached until the next
+    append.  ``between()`` returns a read-only
     window sharing no storage with the parent.
     """
 
-    def __init__(
-        self,
-        label: str,
-        series: Optional[Series] = None,
-        keep_reports: bool = True,
-    ) -> None:
+    def __init__(self, label: str, series: Optional[Series] = None) -> None:
         self.label = label
         self._ts = series if series is not None else Series(
-            label, HISTORY_FIELDS, chunk_size=DEFAULT_CHUNK_SIZE,
-            predictors=HISTORY_PREDICTORS,
+            label, HISTORY_FIELDS, predictors=HISTORY_PREDICTORS
         )
         self.reports: List[PathReport] = []
-        self._keep_reports = keep_reports
         self._latest: Optional[PathReport] = None
         self._cache: Optional[Tuple[np.ndarray, Dict[str, np.ndarray]]] = None
         self._window: Optional[Tuple[np.ndarray, Dict[str, np.ndarray]]] = None
@@ -97,8 +88,7 @@ class PathSeries:
                 f"{report.time} after {last}"
             )
         self._ts.append(report.time, _report_row(report))
-        if self._keep_reports:
-            self.reports.append(report)
+        self.reports.append(report)
         self._latest = report
         self._cache = None
 
@@ -140,7 +130,7 @@ class PathSeries:
             raise ValueError(
                 f"series({self.label}): custom extraction needs the full "
                 f"report objects, but only {len(self.reports)} of "
-                f"{len(times)} are retained (keep_reports/retention)"
+                f"{len(times)} survived retention"
             )
         values = np.array([extract(r) for r in self.reports], dtype=float)
         return times, values
@@ -150,7 +140,7 @@ class PathSeries:
         times, columns = self._arrays()
         lo = int(np.searchsorted(times, t_start, "left"))
         hi = int(np.searchsorted(times, t_end, "left"))
-        out = PathSeries(self.label, series=self._ts, keep_reports=self._keep_reports)
+        out = PathSeries(self.label, series=self._ts)
         out._window = (
             times[lo:hi],
             {name: values[lo:hi] for name, values in columns.items()},
@@ -192,30 +182,20 @@ class MeasurementHistory:
         self,
         retention_s: Optional[float] = None,
         downsample_s: Optional[float] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        keep_reports: bool = True,
     ) -> None:
         retention = (
             Retention(retention_s, downsample_window_s=downsample_s)
             if retention_s is not None
             else None
         )
-        self.db = TSDB(
-            HISTORY_FIELDS,
-            chunk_size=chunk_size,
-            retention=retention,
-            predictors=HISTORY_PREDICTORS,
-        )
-        self.keep_reports = keep_reports
+        self.db = TSDB(HISTORY_FIELDS, retention=retention, predictors=HISTORY_PREDICTORS)
         self._series: Dict[str, PathSeries] = {}
 
     def append(self, report: PathReport) -> None:
         series = self._series.get(report.label)
         if series is None:
             series = self._series[report.label] = PathSeries(
-                report.label,
-                series=self.db.series(report.label),
-                keep_reports=self.keep_reports,
+                report.label, series=self.db.series(report.label)
             )
         series.append(report)
         if self.db.retention is not None:

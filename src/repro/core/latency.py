@@ -37,6 +37,7 @@ from repro.topology.model import DeviceKind, TopologySpec
 
 DEFAULT_PROP_DELAY = 5e-6  # matches repro.simnet.link.DEFAULT_PROP_DELAY
 SWITCH_LATENCY = 10e-6  # matches repro.simnet.switch.SWITCH_FORWARD_LATENCY
+FRAME_BYTES = 1500  # the frame whose transmission time a hop is charged
 MAX_UTILISATION = 0.97  # cap rho so the M/M/1 term stays finite
 
 
@@ -59,16 +60,10 @@ class LatencyEstimator:
     """Estimate path latency from the bandwidth monitor's measurements."""
 
     def __init__(
-        self,
-        spec: TopologySpec,
-        calculator: BandwidthCalculator,
-        frame_bytes: int = 1500,
-        prop_delay: float = DEFAULT_PROP_DELAY,
+        self, spec: TopologySpec, calculator: BandwidthCalculator
     ) -> None:
         self.spec = spec
         self.calculator = calculator
-        self.frame_bytes = frame_bytes
-        self.prop_delay = prop_delay
 
     def estimate_path(self, src: str, dst: str) -> LatencyEstimate:
         path = find_path(self.spec, src, dst)
@@ -77,17 +72,17 @@ class LatencyEstimator:
         charged_hubs: set = set()
         for conn in path:
             capacity_bps = self.spec.effective_bandwidth(conn)  # bits/s
-            tx = self.frame_bytes * 8.0 / capacity_bps
+            tx = FRAME_BYTES * 8.0 / capacity_bps
             hub = self.calculator.hub_of(conn)
             if hub is not None and hub in charged_hubs:
                 # Second connection of the same shared medium: the frame
                 # crosses the hub once, so only propagation is added.
-                per_conn.append(self.prop_delay)
+                per_conn.append(DEFAULT_PROP_DELAY)
                 continue
             measurement = self.calculator.measure_connection(conn)
             rho = min(measurement.utilization, MAX_UTILISATION)
             queueing = tx * rho / (1.0 - rho)
-            hop = tx + self.prop_delay + queueing
+            hop = tx + DEFAULT_PROP_DELAY + queueing
             # Store-and-forward devices add their own forwarding cost once
             # per traversed device; attribute it to the inbound connection.
             for end in conn.endpoints():

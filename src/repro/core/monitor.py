@@ -141,9 +141,9 @@ class ReportCore:
         # Only the planes that speak SNMP from ``host`` have one: the
         # local poller's, or the one topology sync creates on demand.
         self.manager: Optional[SnmpManager] = None
-        # Latest sample per interface only: reports read nothing older,
-        # and retention is ``history``'s job (MeasurementHistory below).
-        self.rates = RateTable(keep_history=False)
+        # Latest sample per interface: reports read nothing older, and
+        # retention is ``history``'s job (MeasurementHistory below).
+        self.rates = RateTable()
         self.link_state: Optional[LinkStateRegistry] = None
         self.trap_receiver = None
         # Staleness bounds: a sample normally arrives every cycle, so age
@@ -162,6 +162,11 @@ class ReportCore:
         if history_retention_s is not None and history_retention_s <= 0:
             raise MonitorError(
                 f"history_retention_s must be positive, got {history_retention_s!r}"
+            )
+        if history_downsample_s is not None and history_retention_s is None:
+            raise MonitorError(
+                "history_downsample_s needs history_retention_s: only chunks "
+                "aged past the retention horizon are downsampled"
             )
         self.history = MeasurementHistory(
             retention_s=history_retention_s,
@@ -425,7 +430,7 @@ class ReportCore:
         telemetry/stream events, and feed the integrity quarantine.
         ``options`` are forwarded to the scheduler (``budget_fraction``,
         ``count``, ``payload_size``, ``timeout``, ``rel_tolerance``,
-        ``breach_count``, ``cross_validate``, ...).  If the monitor is
+        ``breach_count``, ``abs_floor_bps``, ``tos``).  If the monitor is
         already running, probing starts immediately; otherwise it starts
         with :meth:`start`.  Idempotent -- returns the existing
         scheduler on repeat calls (options are then ignored).
@@ -691,9 +696,6 @@ class NetworkMonitor(ReportCore):
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         poll_jitter: float = 0.05,
         report_offset: float = DEFAULT_REPORT_OFFSET,
-        snmp_timeout: float = 1.0,
-        snmp_retries: int = 1,
-        snmp_adaptive: bool = True,
         stale_after: Optional[float] = None,
         dead_after: Optional[float] = None,
         seed: int = 0,
@@ -715,13 +717,7 @@ class NetworkMonitor(ReportCore):
             build, monitor_host, poll_interval, report_offset, stale_after,
             dead_after, telemetry, history_retention_s, history_downsample_s,
         )
-        self.manager = SnmpManager(
-            self.host,
-            timeout=snmp_timeout,
-            retries=snmp_retries,
-            adaptive=snmp_adaptive,
-            telemetry=self.telemetry,
-        )
+        self.manager = SnmpManager(self.host, telemetry=self.telemetry)
         self.cross_check = cross_check
         cross_pairs = two_ended_pairs(self.spec) if cross_check else []
         self.poller = SnmpPoller(

@@ -108,28 +108,20 @@ class _CounterSnapshot:
 
 
 class RateTable:
-    """Latest (and historical) rate samples keyed by (node, ifIndex).
+    """The latest rate sample of every interface, keyed by (node, ifIndex).
 
-    History is a per-key ring buffer capped at ``max_history`` samples
-    (default 512 ~= 17 minutes at the paper's 2 s interval): a
-    long-running monitor must not grow without bound.  Consumers that
-    need deeper retention (the experiment figures) use
-    :class:`~repro.core.history.MeasurementHistory` instead.
+    One sample per key, so a long-running monitor does not grow: retention
+    is :class:`~repro.core.history.MeasurementHistory`'s job.
 
-    Every admitted sample also bumps the key's **ingest epoch** (see
+    Every admitted sample bumps the key's **ingest epoch** (see
     :mod:`repro.core.dataflow`): downstream caches -- connection
     measurements, hub aggregates, matrix cells -- key their validity on
     these stamps, so a poll cycle that refreshed three interfaces dirties
     exactly the measurements resting on those three interfaces.
     """
 
-    def __init__(self, keep_history: bool = True, max_history: int = 512) -> None:
-        if max_history < 1:
-            raise ValueError(f"max_history must be >= 1, got {max_history!r}")
+    def __init__(self) -> None:
         self._latest: Dict[Tuple[str, int], InterfaceRates] = {}
-        self._history: Dict[Tuple[str, int], Deque[InterfaceRates]] = {}
-        self.keep_history = keep_history
-        self.max_history = max_history
         #: Global ingest clock: increases whenever *any* sample lands.  (An
         #: ``EpochClock`` written out: admitting a sample is one call.)
         self.clock = 0
@@ -143,17 +135,9 @@ class RateTable:
         key = (sample.node, sample.if_index)
         self._latest[key] = sample
         self.clock = self._epochs[key] = self.clock + 1
-        if self.keep_history:
-            ring = self._history.get(key)
-            if ring is None:
-                ring = self._history[key] = deque(maxlen=self.max_history)
-            ring.append(sample)
 
     def latest(self, node: str, if_index: int) -> Optional[InterfaceRates]:
         return self._latest.get((node, if_index))
-
-    def history(self, node: str, if_index: int) -> List[InterfaceRates]:
-        return list(self._history.get((node, if_index), []))
 
     def keys(self) -> List[Tuple[str, int]]:
         return sorted(self._latest)
@@ -203,10 +187,11 @@ POLL_MODES = ("get", "bulk")
 class SnmpPoller:
     """Polls a set of targets every ``interval`` seconds.
 
-    ``on_cycle`` (if set) fires after each scheduled cycle's requests have
-    been *issued*; fresh samples appear in the :class:`RateTable` as the
-    responses arrive.  The monitor attaches its report generation slightly
-    after each cycle instead, leaving the poller reusable on its own.
+    Each response's admitted samples leave through the one exit,
+    ``on_sample``: the poller's own :class:`RateTable` unless the owner
+    assigns another sink (a worker ships them instead).  The monitor
+    schedules its report generation slightly after each cycle itself,
+    leaving the poller reusable on its own.
 
     ``poll_mode`` selects the wire strategy per target: ``"get"`` (one
     GET naming every instance -- the paper's layout, what the single
@@ -326,7 +311,8 @@ class SnmpPoller:
         # admitted samples reach the rate table.  Duck-typed so the
         # poller stays usable without the integrity package.
         self.integrity = None
-        self.on_sample: Optional[Callable[[InterfaceRates], None]] = None
+        #: The one exit: every admitted sample is handed to this callable.
+        self.on_sample: Callable[[InterfaceRates], object] = self.rates.update
         # Invoked as (node, if_index, up: bool) for every polled interface
         # whose target requests oper-status tracking -- the poll-based
         # link-state backstop for when linkDown traps are lost.
@@ -616,6 +602,4 @@ class SnmpPoller:
             # Withheld: the table keeps its last admitted sample, which
             # ages into staleness -- bad data degrades like missing data.
             return
-        self.rates.update(sample)
-        if self.on_sample is not None:
-            self.on_sample(sample)
+        self.on_sample(sample)

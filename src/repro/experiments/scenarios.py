@@ -21,7 +21,6 @@ from repro.simnet.trafficgen import (
     StaircaseLoad,
     StepSchedule,
 )
-from repro.spec.builder import BuildResult
 
 DEFAULT_POLL_INTERVAL = 2.0
 
@@ -48,7 +47,6 @@ class Scenario:
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         chatter_rate: float = 600.0,
         seed: int = 0,
-        build: Optional[BuildResult] = None,
         poll_jitter: float = 0.25,
         telemetry: bool = True,
         history_retention_s: Optional[float] = None,
@@ -60,7 +58,7 @@ class Scenario:
         # polling": combined with the agents' timer-refreshed counters it
         # displaces octets between intervals, giving single-sample errors
         # in the paper's 5-16 % band while averages stay tight.
-        self.build = build if build is not None else build_testbed(agent_seed=seed)
+        self.build = build_testbed(agent_seed=seed)
         self.network = self.build.network
         self.monitor = NetworkMonitor(
             self.build,

@@ -33,7 +33,7 @@ two-ended cross-checks blame a byzantine counter:
   reported to the integrity quarantine as a SUSPECT.
 
 An active disagreement caps the path's report confidence (the monitor
-applies :attr:`ProbeCrossValidator.confidence_cap`) until the planes
+applies :data:`CONFIDENCE_CAP`) until the planes
 re-agree, at which point a recovery is signalled and the cap lifts.
 """
 
@@ -47,6 +47,9 @@ import numpy as np
 from repro.core.report import ConnectionMeasurement, PathReport
 from repro.integrity.validators import IntegrityVerdict, Severity
 from repro.probe.stats import ProbeReport
+
+#: Ceiling on a path's report confidence while a disagreement is active.
+CONFIDENCE_CAP = 0.4
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,6 @@ class ProbeCrossValidator:
         rel_tolerance: float = 0.35,
         abs_floor_bps: float = 100_000.0,
         breach_count: int = 2,
-        confidence_cap: float = 0.4,
     ) -> None:
         if not 0.0 < rel_tolerance < 1.0:
             raise ValueError(f"rel_tolerance out of (0, 1): {rel_tolerance!r}")
@@ -101,7 +103,6 @@ class ProbeCrossValidator:
         self.rel_tolerance = rel_tolerance
         self.abs_floor_bps = abs_floor_bps
         self.breach_count = breach_count
-        self.confidence_cap = confidence_cap
         self._streaks: Dict[str, int] = {}
         #: Findings currently holding a confidence cap, per path label.
         self.active: Dict[str, ProbeDisagreementFinding] = {}
@@ -174,7 +175,7 @@ class ProbeCrossValidator:
 
     def confidence_cap_for(self, label: str) -> Optional[float]:
         """The cap to apply to ``label``'s reports, if one is active."""
-        return self.confidence_cap if label in self.active else None
+        return CONFIDENCE_CAP if label in self.active else None
 
     # ------------------------------------------------------------------
     # Localization

@@ -32,7 +32,7 @@ reports until the planes re-agree.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.probe.crossval import ProbeCrossValidator, ProbeDisagreementFinding
 from repro.probe.stats import ProbeReport
@@ -46,6 +46,8 @@ from repro.telemetry.events import (
 
 #: Default ceiling on probe load per link, as a fraction of its capacity.
 DEFAULT_BUDGET_FRACTION = 0.02
+#: A watch whose passive confidence is below this is probed ahead of its turn.
+PRIORITY_CONFIDENCE = 0.7
 
 # Metric family names (see register_probe_metrics).
 TRAINS_TOTAL = "probe_trains_total"
@@ -93,22 +95,15 @@ class ProbeScheduler:
         payload_size: int = 1472,
         warmup: int = 2,
         timeout: float = 1.0,
-        round_interval: Optional[float] = None,
-        cross_validate: bool = True,
         rel_tolerance: float = 0.35,
         abs_floor_bps: float = 100_000.0,
         breach_count: int = 2,
-        confidence_cap: float = 0.4,
-        priority_confidence: float = 0.7,
         tos: int = PROBE_TOS,
-        on_report: Optional[Callable[[ProbeReport], None]] = None,
     ) -> None:
         if not 0.0 < budget_fraction <= 0.25:
             raise ProbeError(
                 f"budget_fraction out of (0, 0.25]: {budget_fraction!r}"
             )
-        if round_interval is not None and round_interval <= 0:
-            raise ProbeError(f"round_interval must be > 0: {round_interval!r}")
         self.monitor = monitor
         self.sim = monitor.sim
         self.budget_fraction = budget_fraction
@@ -117,19 +112,15 @@ class ProbeScheduler:
         self.warmup = warmup
         self.timeout = timeout
         self.tos = tos
-        self.on_report = on_report
-        self._explicit_interval = round_interval
-        self.round_interval: Optional[float] = round_interval
-        self.priority_confidence = priority_confidence
-        self.validator: Optional[ProbeCrossValidator] = None
-        if cross_validate:
-            self.validator = ProbeCrossValidator(
-                calculator=monitor.calculator,
-                rel_tolerance=rel_tolerance,
-                abs_floor_bps=abs_floor_bps,
-                breach_count=breach_count,
-                confidence_cap=confidence_cap,
-            )
+        #: Sized from the budget over the watched paths when probing starts.
+        self.round_interval: Optional[float] = None
+        self.priority_confidence = PRIORITY_CONFIDENCE
+        self.validator = ProbeCrossValidator(
+            calculator=monitor.calculator,
+            rel_tolerance=rel_tolerance,
+            abs_floor_bps=abs_floor_bps,
+            breach_count=breach_count,
+        )
         #: Latest completed report per watch label.
         self.reports: Dict[str, ProbeReport] = {}
         #: Trains completed per watch label (the fairness ledger).
@@ -152,7 +143,7 @@ class ProbeScheduler:
         self._m_disagreements = registry.counter(DISAGREEMENTS_TOTAL, "")
         self._m_recoveries = registry.counter(RECOVERIES_TOTAL, "")
         registry.gauge(ACTIVE_DISAGREEMENTS, "").set_function(
-            lambda: float(len(self.validator.active)) if self.validator else 0.0
+            lambda: float(len(self.validator.active))
         )
 
     # ------------------------------------------------------------------
@@ -201,12 +192,7 @@ class ProbeScheduler:
         """
         if self._task is not None:
             raise ProbeError("probe scheduler already started")
-        interval = (
-            self._explicit_interval
-            if self._explicit_interval is not None
-            else self._compute_interval()
-        )
-        self.round_interval = interval
+        self.round_interval = interval = self._compute_interval()
         if at is None:
             base = self.sim.now if after is None else max(self.sim.now, after)
             at = base + interval
@@ -221,7 +207,7 @@ class ProbeScheduler:
     # Round execution
     # ------------------------------------------------------------------
     def _needs_attention(self, label: str) -> bool:
-        if self.validator is not None and label in self.validator.active:
+        if label in self.validator.active:
             return True
         try:
             confidence, degraded = self.monitor.watch_trust(label)
@@ -294,10 +280,6 @@ class ProbeScheduler:
             jitter_s=report.jitter_s,
             delivered=report.delivered,
         )
-        if self.on_report is not None:
-            self.on_report(report)
-        if self.validator is None:
-            return
         try:
             passive = self.monitor.current_report(label, _probe_cap=False)
         except Exception:
@@ -351,14 +333,10 @@ class ProbeScheduler:
     # Queries
     # ------------------------------------------------------------------
     def confidence_cap_for(self, label: str) -> Optional[float]:
-        if self.validator is None:
-            return None
         return self.validator.confidence_cap_for(label)
 
     def findings(self) -> List[ProbeDisagreementFinding]:
         """Active disagreement findings, ordered by path label."""
-        if self.validator is None:
-            return []
         return [self.validator.active[k] for k in sorted(self.validator.active)]
 
     def stats(self) -> Dict[str, object]:
@@ -371,9 +349,7 @@ class ProbeScheduler:
             "trains_started": self.trains_started,
             "trains_abandoned": self.trains_abandoned,
             "trains_per_path": dict(self.trains_per_path),
-            "comparisons": self.validator.comparisons if self.validator else 0,
-            "disagreements": self.validator.disagreements if self.validator else 0,
-            "active_disagreements": (
-                sorted(self.validator.active) if self.validator else []
-            ),
+            "comparisons": self.validator.comparisons,
+            "disagreements": self.validator.disagreements,
+            "active_disagreements": sorted(self.validator.active),
         }

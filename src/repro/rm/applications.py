@@ -37,6 +37,8 @@ from repro.topology.model import DeviceKind, TopologyError
 
 logger = logging.getLogger("repro.rm")
 
+MOVE_COOLDOWN = 10.0  # seconds between automatic moves: limits thrash
+
 
 @dataclass
 class MoveEvent:
@@ -77,7 +79,6 @@ class ApplicationRuntime:
         breach_count: int = 2,
         clear_count: int = 2,
         auto_move: bool = False,
-        move_cooldown: float = 10.0,
         payload_size: int = 1472,
     ) -> None:
         if headroom < 1.0:
@@ -90,7 +91,7 @@ class ApplicationRuntime:
         self.breach_count = breach_count
         self.clear_count = clear_count
         self.auto_move = auto_move
-        self.move_cooldown = move_cooldown
+        self.move_cooldown = MOVE_COOLDOWN
         self.payload_size = payload_size
         self.placements: Dict[str, str] = {
             app.name: app.host for app in self.spec.applications

@@ -37,7 +37,7 @@ class NetworkError(RuntimeError):
 class Network:
     """A complete simulated LAN."""
 
-    def __init__(self, sim: Optional[Simulator] = None, subnet: str = "10.0.0.0") -> None:
+    def __init__(self, sim: Optional[Simulator] = None) -> None:
         self.sim = sim if sim is not None else Simulator()
         self.hosts: Dict[str, Host] = {}
         self.switches: Dict[str, Switch] = {}
@@ -45,7 +45,7 @@ class Network:
         self.links: List[Link] = []
         self.management: Dict[str, ManagementStack] = {}
         self._mac_alloc = MacAllocator()
-        self._ip_alloc = IPv4Allocator(subnet, 16)
+        self._ip_alloc = IPv4Allocator("10.0.0.0", 16)
         # Both keyed by the IP's integer; broadcast resolves like any other.
         self._arp: Dict[int, MacAddress] = {BROADCAST_IP._value: BROADCAST_MAC}
         self._ip_owner: Dict[int, object] = {}

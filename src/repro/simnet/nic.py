@@ -113,9 +113,10 @@ class Interface:
         self.link: Optional[Link] = None
         self._tx: Optional[_Channel] = None  # this end's transmit direction of ``link``
         self.counters = InterfaceCounters()
-        # Per-ToS octet accounting (ToS octet -> octets), charged alongside
-        # the MIB-II octet counters.  Lets experiments separate DSCP-marked
-        # probe/class traffic from best-effort workload on the same port.
+        # Per-ToS octet accounting (ToS octet -> octets) of *marked* frames
+        # only: best-effort (ToS 0) is the MIB-II octet counter less the sum
+        # of these.  Lets experiments separate DSCP-marked probe/class
+        # traffic from best-effort workload on the same port.
         self.tos_out_octets: dict[int, int] = {}
         self.tos_in_octets: dict[int, int] = {}
         self.admin_up = True
@@ -179,7 +180,8 @@ class Interface:
         size = frame.size
         counters.out_octets += size
         tos = frame.payload.tos
-        self.tos_out_octets[tos] = self.tos_out_octets.get(tos, 0) + size
+        if tos:
+            self.tos_out_octets[tos] = self.tos_out_octets.get(tos, 0) + size
         if frame.is_unicast:
             counters.out_ucast_pkts += 1
         else:
@@ -200,7 +202,8 @@ class Interface:
         size = frame.size
         counters.in_octets += size
         tos = frame.payload.tos
-        self.tos_in_octets[tos] = self.tos_in_octets.get(tos, 0) + size
+        if tos:
+            self.tos_in_octets[tos] = self.tos_in_octets.get(tos, 0) + size
         if frame.is_unicast:
             counters.in_ucast_pkts += 1
         else:

@@ -12,12 +12,12 @@ a compact, deterministic RSTP-flavoured protocol:
   BPDU heard on its segment; root-path candidates add the port cost
   (derived from port speed, 802.1D-style) and the lexicographic minimum
   wins.  Root / designated / alternate roles follow directly.
-- **Blocking/forwarding states** with a short ``forward_delay``:
-  every port starts blocking and is only promoted ``forward_delay``
+- **Blocking/forwarding states** with a short ``FORWARD_DELAY``:
+  every port starts blocking and is only promoted ``FORWARD_DELAY``
   after its role settles, so transient loops during (re)convergence
   cannot happen.  Demotion is immediate.
 - **Hello + max-age timers**: designated ports refresh their segment
-  every ``hello`` seconds; a vector not refreshed within ``max_age``
+  every ``HELLO`` seconds; a vector not refreshed within ``MAX_AGE``
   expires and triggers re-convergence, bounding failover time even when
   the failure is remote.  Local link-down is observed through the
   interface state observers and re-converges immediately.
@@ -43,9 +43,9 @@ from repro.simnet.packet import EthernetFrame, IPPacket, UDPDatagram
 # IEEE 802.1D bridge group address: multicast, link-constrained.
 STP_MULTICAST = MacAddress(0x0180C2000000)
 
-DEFAULT_HELLO = 1.0
-MAX_AGE_HELLOS = 3  # vectors expire after this many missed hellos
-DEFAULT_FORWARD_DELAY = 0.5
+HELLO = 1.0
+MAX_AGE = 3 * HELLO  # vectors expire after three missed hellos
+FORWARD_DELAY = 0.5
 TC_HOPS = 8  # how far a topology-change notification floods
 _NULL_IP = IPv4Address(0)
 
@@ -155,20 +155,10 @@ class SpanningTree:
     interface state observers.
     """
 
-    def __init__(
-        self,
-        switch,
-        priority: int = 0x8000,
-        hello: float = DEFAULT_HELLO,
-        forward_delay: float = DEFAULT_FORWARD_DELAY,
-        max_age: Optional[float] = None,
-    ) -> None:
+    def __init__(self, switch, priority: int = 0x8000) -> None:
         self.switch = switch
         self.sim = switch.sim
         self.priority = priority
-        self.hello = hello
-        self.forward_delay = forward_delay
-        self.max_age = max_age if max_age is not None else MAX_AGE_HELLOS * hello
         self.bridge = switch.name
         self.root = switch.name
         self.root_priority = priority
@@ -180,7 +170,7 @@ class SpanningTree:
         # Edge detection: during the probe window every port sends BPDUs;
         # afterwards only ports that ever heard one keep participating,
         # so host-facing ports stop paying the hello tax.
-        self._probe_until = self.sim.now + 2 * MAX_AGE_HELLOS * hello
+        self._probe_until = self.sim.now + 2 * MAX_AGE
         self._tc_hops = 0
         self._tc_until = 0.0
         self.bpdus_sent = 0
@@ -189,7 +179,7 @@ class SpanningTree:
         self.reconverge_count = 0
         for iface in switch.interfaces:
             iface.state_observers.append(self._on_port_state)
-        self._hello_task = self.sim.call_every(hello, self._on_hello, start=self.sim.now)
+        self._hello_task = self.sim.call_every(HELLO, self._on_hello, start=self.sim.now)
 
     # ------------------------------------------------------------------
     # Data-plane queries
@@ -289,7 +279,7 @@ class SpanningTree:
         now = self.sim.now
         aged = False
         for iface, info in self._ports.items():
-            if info.bpdu is not None and now - info.received_at > self.max_age:
+            if info.bpdu is not None and now - info.received_at > MAX_AGE:
                 info.bpdu = None  # the designated bridge went silent
                 aged = True
         if aged:
@@ -380,10 +370,8 @@ class SpanningTree:
                 changed_info = True
             if role in (ROLE_ROOT, ROLE_DESIGNATED):
                 if info.state != STATE_FORWARDING and info.promote_at is None:
-                    info.promote_at = now + self.forward_delay
-                    self.sim.schedule(
-                        self.forward_delay, self._maybe_promote, iface
-                    )
+                    info.promote_at = now + FORWARD_DELAY
+                    self.sim.schedule(FORWARD_DELAY, self._maybe_promote, iface)
             else:
                 info.promote_at = None
                 if info.state == STATE_FORWARDING:
@@ -413,7 +401,7 @@ class SpanningTree:
         now = self.sim.now
         if hops > self._tc_hops or now >= self._tc_until:
             self._tc_hops = hops
-            self._tc_until = now + 2 * self.hello
+            self._tc_until = now + 2 * HELLO
             self._send_bpdus()
 
     def _flush_fdb(self) -> None:

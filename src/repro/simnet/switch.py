@@ -37,7 +37,7 @@ from repro.simnet.packet import DEFAULT_MTU, EthernetFrame
 from repro.simnet.stp import STP_MULTICAST, SpanningTree
 
 MAX_L2_HOPS = 32  # broadcast-storm guard; generous for any sane LAN
-DEFAULT_MAC_AGING = 300.0  # seconds, as in common switch defaults
+MAC_AGING = 300.0  # seconds, as in common switch defaults
 SWITCH_FORWARD_LATENCY = 10e-6  # store-and-forward processing time
 _STP_GROUP = STP_MULTICAST._value
 
@@ -68,9 +68,6 @@ class Switch:
         name: str,
         n_ports: int,
         port_speed_bps: float = 100e6,
-        mac_aging: float = DEFAULT_MAC_AGING,
-        management_ip: Optional[IPv4Address] = None,
-        management_mac: Optional[MacAddress] = None,
         stp: bool = False,
         stp_priority: int = 0x8000,
     ) -> None:
@@ -78,9 +75,9 @@ class Switch:
             raise SwitchError(f"a switch needs at least 2 ports, got {n_ports}")
         self.sim = sim
         self.name = name
-        self.mac_aging = mac_aging
-        self.management_ip = management_ip
-        self.management_mac = management_mac
+        # Both assigned by the management stack when the switch gets one.
+        self.management_ip: Optional[IPv4Address] = None
+        self.management_mac: Optional[MacAddress] = None
         self.interfaces: List[Interface] = []
         self.network = None  # set by Network.add_switch
         self._fdb: Dict[int, FdbEntry] = {}  # keyed by the MAC's integer
@@ -161,7 +158,7 @@ class Switch:
         if (
             entry is not None
             and entry.port is in_port
-            and now - entry.learned_at <= self.mac_aging
+            and now - entry.learned_at <= MAC_AGING
         ):
             entry.learned_at = now  # unchanged and live: refreshed in place
         else:
@@ -214,7 +211,7 @@ class Switch:
         entry = self._fdb.get(mac)
         if entry is None:
             return None
-        if now - entry.learned_at > self.mac_aging:
+        if now - entry.learned_at > MAC_AGING:
             del self._fdb[mac]
             self.fdb_version += 1
             return None
@@ -261,7 +258,7 @@ class Switch:
         out = []
         for entry in self._fdb.values():
             age = now - entry.learned_at
-            if age <= self.mac_aging:
+            if age <= MAC_AGING:
                 out.append((entry.mac, entry.port.if_index, age))
         out.sort(key=lambda row: row[0])
         return out

@@ -21,7 +21,7 @@ fast one is declared lost quickly.  Unlike TCP, a request that fails
 outright does *not* persist its backoff into the next request -- the
 poller's health layer (:mod:`repro.core.health`) owns the give-up policy
 for persistently dead agents, and polls to distinct agents are
-independent.  ``adaptive=False`` restores the legacy fixed ``timeout``.
+independent.  ``timeout`` is each destination's RTO before its first sample.
 
 The manager's packets are real BER bytes travelling the simulated LAN, so
 polling consumes bandwidth that the monitor itself then measures -- the
@@ -144,22 +144,14 @@ class SnmpManager:
         version: int = VERSION_2C,
         timeout: float = DEFAULT_TIMEOUT,
         retries: int = DEFAULT_RETRIES,
-        agent_port: int = SNMP_PORT,
-        adaptive: bool = True,
-        min_rto: float = DEFAULT_MIN_RTO,
-        max_rto: float = DEFAULT_MAX_RTO,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.endpoint = endpoint
         self.sim = endpoint.sim
         self.community = community
         self.version = version
-        self.timeout = timeout  # initial RTO (and the fixed one when not adaptive)
+        self.timeout = timeout  # every destination's RTO before its first sample
         self.retries = retries
-        self.agent_port = agent_port
-        self.adaptive = adaptive
-        self.min_rto = min_rto
-        self.max_rto = max_rto
         self.socket = endpoint.create_socket()  # one ephemeral port for all requests
         self.socket.on_receive = self._on_datagram
         self._request_ids = itertools.count(1)
@@ -384,15 +376,11 @@ class SnmpManager:
         """The (auto-created) RTO estimator for one destination."""
         estimator = self._estimators.get(dst_ip)
         if estimator is None:
-            estimator = self._estimators[dst_ip] = RtoEstimator(
-                initial=self.timeout, min_rto=self.min_rto, max_rto=self.max_rto
-            )
+            estimator = self._estimators[dst_ip] = RtoEstimator(initial=self.timeout)
         return estimator
 
     def current_rto(self, dst_ip: IPv4Address) -> float:
         """The first-attempt timeout currently in force for ``dst_ip``."""
-        if not self.adaptive:
-            return self.timeout
         return self.estimator_for(dst_ip).rto
 
     def destination_stats(self, dst_ip: IPv4Address) -> DestinationStats:
@@ -430,7 +418,7 @@ class SnmpManager:
             pdu if isinstance(pdu, bytes) else pdu.encode(),
         )
         self._pending[request_id] = _Pending(
-            payload, (dst_ip, self.agent_port), callback, errback, columns
+            payload, (dst_ip, SNMP_PORT), callback, errback, columns
         )
         self._transmit(request_id)
         return request_id
@@ -451,10 +439,7 @@ class SnmpManager:
         if pending.attempts == 1:
             pending.first_sent_at = self.sim.now
         self.socket.sendto(pending.payload, pending.dst)
-        if self.adaptive:
-            rto = self.estimator_for(dst_ip).timeout_for(pending.attempts)
-        else:
-            rto = self.timeout
+        rto = self.estimator_for(dst_ip).timeout_for(pending.attempts)
         pending.timer = self.sim.schedule(rto, self._on_timeout, request_id)
 
     def _on_timeout(self, request_id: int) -> None:
@@ -513,10 +498,9 @@ class SnmpManager:
         # Only unambiguous first-transmission RTTs feed the histogram.
         first_try = pending.attempts == 1
         rtt = self.sim.now - (pending.sent_at if first_try else pending.first_sent_at)
-        if self.adaptive:
-            if first_try:
-                stats.last_rtt = rtt
-            self.estimator_for(pending.dst[0]).observe(rtt)
+        if first_try:
+            stats.last_rtt = rtt
+        self.estimator_for(pending.dst[0]).observe(rtt)
         if first_try and self.telemetry.enabled:
             self._h_rtt.labels(agent=self._agent_label(pending.dst[0])).observe(rtt)
         if status != 0:
@@ -586,8 +570,8 @@ def _read_columns(
     ``dict.get`` on a slice and ``int.from_bytes``.  **Anything else**
     goes through :meth:`VarBind.decode` and is classified from the
     decoded object, so the reader accepts only what the general decoder
-    accepts and means the same by it (docs/architecture.md, "Cost of one
-    poll cycle").  Pure: it touches no manager state.
+    accepts and means the same by it (docs/architecture.md, "Where a
+    cycle's time goes").  Pure: it touches no manager state.
     """
     if end != len(data):
         data = data[:end]  # offsets stay valid; the list's end bounds every TLV in it

@@ -29,20 +29,13 @@ class Telemetry:
         self,
         clock: Optional[Callable[[], float]] = None,
         enabled: bool = True,
-        span_capacity: int = 512,
         slow_threshold: Optional[float] = None,
-        event_capacity: int = 1024,
     ) -> None:
         self.clock = clock if clock is not None else lambda: 0.0
         self.enabled = enabled
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(
-            self.clock,
-            capacity=span_capacity,
-            slow_threshold=slow_threshold,
-            enabled=enabled,
-        )
-        self.events = EventBus(capacity=event_capacity)
+        self.tracer = Tracer(self.clock, slow_threshold=slow_threshold, enabled=enabled)
+        self.events = EventBus()
 
     @classmethod
     def disabled(cls, clock: Optional[Callable[[], float]] = None) -> "Telemetry":

@@ -32,7 +32,7 @@ import math
 import re
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.telemetry.quantile import EwmaQuantile, P2Quantile
+from repro.telemetry.quantile import P2Quantile
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -96,24 +96,14 @@ class Histogram:
 
     __slots__ = ("count", "sum", "min", "max", "_estimators")
 
-    def __init__(
-        self,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        estimator: str = "p2",
-        ewma_weight: float = 0.05,
-    ) -> None:
+    def __init__(self, quantiles: Sequence[float] = DEFAULT_QUANTILES) -> None:
         if not quantiles:
             raise MetricError("histogram needs at least one target quantile")
-        if estimator not in ("p2", "ewma"):
-            raise MetricError(f"unknown estimator {estimator!r}; use 'p2' or 'ewma'")
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        if estimator == "p2":
-            self._estimators = {q: P2Quantile(q) for q in quantiles}
-        else:
-            self._estimators = {q: EwmaQuantile(q, ewma_weight) for q in quantiles}
+        self._estimators = {q: P2Quantile(q) for q in quantiles}
 
     def observe(self, x: float) -> None:
         self.count += 1
@@ -270,16 +260,10 @@ class MetricsRegistry:
         help: str = "",
         labelnames: Sequence[str] = (),
         quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        estimator: str = "p2",
-        ewma_weight: float = 0.05,
     ) -> MetricFamily:
         quantiles = tuple(quantiles)
         return self._register(
-            name,
-            "histogram",
-            help,
-            labelnames,
-            lambda: Histogram(quantiles, estimator, ewma_weight),
+            name, "histogram", help, labelnames, lambda: Histogram(quantiles)
         )
 
     def _register(self, name, kind, help, labelnames, make) -> MetricFamily:

@@ -22,6 +22,8 @@ from typing import Callable, Deque, Dict, List, Optional
 
 logger = logging.getLogger("repro.telemetry")
 
+SLOW_CAPACITY = 64  # slow spans kept for the forensic trail
+
 
 class Span:
     """One timed operation; ``finish`` may happen many events later."""
@@ -113,16 +115,15 @@ class Tracer:
         clock: Callable[[], float],
         capacity: int = 512,
         slow_threshold: Optional[float] = None,
-        slow_capacity: int = 64,
         enabled: bool = True,
     ) -> None:
-        if capacity < 1 or slow_capacity < 1:
-            raise ValueError("tracer ring capacities must be >= 1")
+        if capacity < 1:
+            raise ValueError("tracer ring capacity must be >= 1")
         self.clock = clock
         self.enabled = enabled
         self.slow_threshold = slow_threshold
         self.finished: Deque[Span] = deque(maxlen=capacity)
-        self.slow: Deque[Span] = deque(maxlen=slow_capacity)
+        self.slow: Deque[Span] = deque(maxlen=SLOW_CAPACITY)
         self.spans_started = 0
         self.spans_finished = 0
         self._ids = itertools.count(1)

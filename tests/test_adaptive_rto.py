@@ -130,14 +130,6 @@ class TestManagerAdaptation:
             > manager.current_rto(fast.primary_ip)
         )
 
-    def test_legacy_fixed_timeout_mode(self):
-        net, manager, fast, slow = agent_pair()
-        fixed = SnmpManager(net.host("L"), timeout=0.7, retries=1, adaptive=False)
-        fixed.get(fast.primary_ip, [SYS_NAME], lambda vbs: None)
-        net.run(5.0)
-        assert fixed.current_rto(fast.primary_ip) == 0.7
-        assert fixed.responses_received == 1
-
     def test_timeout_counted_per_destination(self):
         net, manager, fast, slow = agent_pair()
         errors = []

@@ -273,6 +273,12 @@ class TestTsdb:
         assert main(["tsdb", "--until", "10", "--retention", "-5"]) == 2
         assert "history_retention_s" in capsys.readouterr().err
 
+    def test_downsample_without_retention_rejected(self, capsys):
+        """The help says "needs --retention": nothing ages out without a
+        horizon, so the flag alone used to be silently ignored."""
+        assert main(["tsdb", "--until", "20", "--downsample", "10"]) == 2
+        assert "needs history_retention_s" in capsys.readouterr().err
+
 
 class TestDistributed:
     def test_testbed_defaults_run_clean(self, capsys):

@@ -133,6 +133,17 @@ class TestLifecycle:
         with pytest.raises(MonitorError):
             NetworkMonitor(build, "L", poll_interval=2.0, report_offset=3.0)
 
+    def test_downsampling_without_a_retention_horizon_rejected(self):
+        """Only chunks aged past the horizon are downsampled: without one
+        the window used to be accepted and never applied."""
+        build = build_testbed()
+        with pytest.raises(MonitorError, match="needs history_retention_s"):
+            NetworkMonitor(build, "L", history_downsample_s=10.0)
+        monitor = NetworkMonitor(
+            build, "L", history_retention_s=60.0, history_downsample_s=10.0
+        )
+        assert monitor.history.db.retention.downsample_window_s == 10.0
+
     def test_snmpless_hosts_still_measurable(self):
         """The paper's S4<->S5 case: no agents, measured via the switch."""
         build, monitor = monitored()

@@ -26,6 +26,15 @@ def polling_net(interval=2.0, jitter=0.0):
     return net, poller, target_host, peer
 
 
+def collect_samples(poller):
+    """Every sample the poller hands over from now on, in order (each
+    still lands in its table)."""
+    seen = []
+    land = poller.on_sample
+    poller.on_sample = lambda sample: (seen.append(sample), land(sample))
+    return seen
+
+
 class TestRateTable:
     def sample(self, t=1.0, in_rate=10.0):
         return InterfaceRates("n", 1, t, 2.0, in_rate, 5.0, 1.0, 0.5)
@@ -35,14 +44,7 @@ class TestRateTable:
         table.update(self.sample(t=1.0, in_rate=10.0))
         table.update(self.sample(t=2.0, in_rate=20.0))
         assert table.latest("n", 1).in_bytes_per_s == 20.0
-        assert len(table.history("n", 1)) == 2
         assert table.latest("n", 2) is None
-
-    def test_history_disabled(self):
-        table = RateTable(keep_history=False)
-        table.update(self.sample())
-        assert table.history("n", 1) == []
-        assert table.latest("n", 1) is not None
 
     def test_keys_sorted(self):
         table = RateTable()
@@ -84,6 +86,7 @@ class TestPolling:
         """A delayed poll must not corrupt the rate (uptime delta is exact)."""
         net, poller, target, peer = polling_net(interval=2.0, jitter=0.5)
         poller.rng.seed(123)
+        samples = collect_samples(poller)
         poller.start()
         from repro.simnet.trafficgen import StaircaseLoad, StepSchedule
 
@@ -92,7 +95,7 @@ class TestPolling:
             payload_size=972,
         ).start()
         net.run(40.0)
-        history = poller.rates.history("S1", 1)[2:]  # skip warmup
+        history = samples[2:]  # skip warmup
         rates = [s.in_bytes_per_s for s in history]
         expected = 50_000 * (1000 / 972)
         for rate in rates:
@@ -104,6 +107,7 @@ class TestPolling:
         net, poller, target, peer = polling_net(interval=2.0)
         # Pre-position the counter just below the 32-bit wrap.
         target.interfaces[0].counters.in_octets = (1 << 32) - 5000
+        history = collect_samples(poller)
         poller.start()
         net.run(3.0)  # baseline taken near the top
         from repro.simnet.trafficgen import StaircaseLoad, StepSchedule
@@ -113,7 +117,6 @@ class TestPolling:
             payload_size=972,
         ).start()
         net.run(30.0)
-        history = poller.rates.history("S1", 1)
         assert all(s.in_bytes_per_s >= 0 for s in history)
         busy = [s for s in history if 6.0 < s.time < 29.0]
         expected = 50_000 * (1000 / 972)
@@ -162,6 +165,7 @@ class TestPolling:
         """A sysUpTime reset (daemon restart) must not produce garbage
         rates; the poller re-baselines and resumes."""
         net, poller, target, peer = polling_net(interval=2.0)
+        history = collect_samples(poller)
         poller.start()
         net.run(6.0)  # a few clean samples exist
         # Simulate the daemon restarting: rebuild its MIB with a fresh
@@ -176,7 +180,6 @@ class TestPolling:
         samples_before = poller.samples_produced
         net.run(20.0)
         assert poller.agent_restarts >= 1
-        history = poller.rates.history("S1", 1)
         # No sample may span the restart with an absurd interval.
         assert all(s.interval < 100.0 for s in history)
         # And polling resumed producing samples afterwards.
@@ -194,29 +197,6 @@ class TestPolling:
         net.run(20.0)
         latest = poller.rates.latest("S1", 1)
         assert latest.in_pkts_per_s == pytest.approx(10.0, rel=0.1)
-
-
-class TestRateTableCap:
-    def test_history_is_a_ring_buffer(self):
-        table = RateTable(max_history=4)
-        for i in range(10):
-            table.update(InterfaceRates("n", 1, float(i), 1.0, float(i), 0, 0, 0))
-        history = table.history("n", 1)
-        assert len(history) == 4
-        assert [s.time for s in history] == [6.0, 7.0, 8.0, 9.0]  # newest kept
-        assert table.latest("n", 1).time == 9.0
-
-    def test_cap_is_per_key(self):
-        table = RateTable(max_history=2)
-        for i in range(5):
-            table.update(InterfaceRates("a", 1, float(i), 1.0, 0, 0, 0, 0))
-        table.update(InterfaceRates("b", 1, 0.0, 1.0, 0, 0, 0, 0))
-        assert len(table.history("a", 1)) == 2
-        assert len(table.history("b", 1)) == 1
-
-    def test_bad_cap_rejected(self):
-        with pytest.raises(ValueError):
-            RateTable(max_history=0)
 
 
 class TestIngestEdges:

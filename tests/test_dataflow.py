@@ -510,7 +510,7 @@ class TestReportCost:
     SPEC = scale_spec(switches=6, hosts_per_switch=6, arity=1, redundant_uplinks=1)
 
     def _matrix(self):
-        rates = RateTable(keep_history=False)
+        rates = RateTable()
         populate_rates(self.SPEC, rates, time=0.0)
         calc = BandwidthCalculator(
             self.SPEC, rates, link_state=LinkStateRegistry(self.SPEC, {}),

@@ -260,11 +260,13 @@ class TestShippedEquivalence:
             max_batch=4, integrity=False, **options,
         )
         dm.watch_path("N1", "N2")
-        # Everything any worker's poller produces, in production order.
-        produced = []
-        for worker in dm.workers.values():
+        # Everything each worker's poller produces, in production order.
+        produced = {name: [] for name in dm.workers}
+        for name, worker in dm.workers.items():
             ship = worker.poller.on_sample
-            worker.poller.on_sample = lambda s, ship=ship: (produced.append(s), ship(s))
+            worker.poller.on_sample = (
+                lambda s, ship=ship, mine=produced[name]: (mine.append(s), ship(s))
+            )
         # ...and everything the coordinator's rate table admits.
         landed = []
         update = dm.rates.update
@@ -283,7 +285,8 @@ class TestShippedEquivalence:
         """Same polls, same samples: every sample a worker's poller
         produced reaches the coordinator's rate table bit for bit, float
         fields included, whichever record type carried it."""
-        dm, produced, landed = self._run(keyframe_every=4)
+        dm, per_worker, landed = self._run(keyframe_every=4)
+        produced = [s for samples in per_worker.values() for s in samples]
         shipped = [s for s in produced if s.time < 24.0 - 0.5]  # linger + flight
         assert len(shipped) > 100
 
@@ -298,10 +301,12 @@ class TestShippedEquivalence:
         assert Counter(map(bits, shipped)) <= Counter(map(bits, landed))
         # Nothing invented, nothing doubled.
         assert Counter(map(bits, landed)) <= Counter(map(bits, produced))
-        # The latest sample of every key is the poller's own latest.
-        for worker in dm.workers.values():
-            for key in worker.poller.rates.keys():
-                assert bits(dm.rates.latest(*key)) == bits(worker.poller.rates.latest(*key))
+        # The latest sample of every key is the producing worker's own latest.
+        for samples in per_worker.values():
+            latest = {(s.node, s.if_index): s for s in samples}
+            assert len(latest) > 0
+            for key, sample in latest.items():
+                assert bits(dm.rates.latest(*key)) == bits(sample)
         # The run exercised every way a sample can travel.
         encoders = [w.shipper.delta for w in dm.workers.values()]
         assert sum(e.keyframes for e in encoders) > len(encoders)  # periodic ones too
@@ -314,8 +319,8 @@ class TestShippedEquivalence:
         """Even on the ten-interface testbed, where most interfaces
         carry the monitor's own traffic and so ship CHANGED, a sample
         costs less on the wire than one FULL record (>= 53 bytes)."""
-        dm, produced, _ = self._run()
+        dm, per_worker, _ = self._run()
         shippers = [w.shipper for w in dm.workers.values()]
         samples = sum(s.samples_shipped for s in shippers)
-        assert samples == len(produced)
+        assert samples == sum(map(len, per_worker.values()))
         assert sum(s.bytes_shipped for s in shippers) < 50 * samples

@@ -326,10 +326,9 @@ class TestCostPerRecord:
 
     def test_worker(self, quiet):
         """The reply's row gathered, ``_ingest``, the clock read, the
-        sample and the raw snapshot it was derived from, the worker's own
-        table, the shipper."""
+        sample and the raw snapshot it was derived from, the shipper."""
         calls = quiet["worker"]
-        assert sum(calls.values()) <= 7, calls
+        assert sum(calls.values()) <= 6, calls
         assert calls[_BUILT] == 2, calls
 
     def test_leaf(self, quiet):
@@ -347,7 +346,7 @@ class TestCostPerRecord:
         calls = stuck["root"]
         assert sum(calls.values()) <= 6, calls
         assert calls[_BUILT] == 2, calls  # the sample and its verdict
-        for tier, bound in (("worker", 7), ("leaf", 1)):  # a verdict is not their cost
+        for tier, bound in (("worker", 6), ("leaf", 1)):  # a verdict is not their cost
             assert sum(stuck[tier].values()) <= bound, stuck[tier]
 
     @pytest.mark.parametrize("tier", ["worker", "leaf", "root"])

@@ -57,7 +57,7 @@ def make_publisher(significance=None, **spec_kw):
     spec_kw.setdefault("switches", 2)
     spec_kw.setdefault("hosts_per_switch", 3)
     spec = scale_spec(**spec_kw)
-    rates = RateTable(keep_history=False)
+    rates = RateTable()
     populate_rates(spec, rates, time=0.0)
     calculator = BandwidthCalculator(spec, rates, stale_after=6.0, dead_after=30.0)
     matrix = BandwidthMatrix(spec, calculator)
