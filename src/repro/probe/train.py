@@ -200,8 +200,8 @@ class ProbeTrain:
         self._timer = self.sim.schedule(self.timeout, self._finish)
 
     def _all_arrived(self) -> None:
-        if self._timer is not None and self._timer.pending:
-            self._timer.cancel()
+        if self._timer is not None:
+            self.sim.cancel(self._timer)
         # Reduce on a fresh event, not inside the delivering NIC's frame.
         self.sim.schedule(0.0, self._finish)
 

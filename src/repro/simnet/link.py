@@ -3,21 +3,25 @@
 A :class:`Link` joins exactly two interfaces -- the paper's connection
 model is strictly 1-to-1 ("one interface may only be connected to one
 interface on another host/device").  Each direction is an independent
-:class:`_Channel` that serialises frames at the link bandwidth behind a
-bounded FIFO queue and delivers them after a propagation delay.
+:class:`_Channel`: frames serialise at the link bandwidth behind a
+bounded FIFO queue and arrive after a propagation delay.
 
 Bandwidth defaults to the *minimum* of the two endpoint interface speeds,
 which is how a real auto-negotiated Ethernet segment behaves (a 100 Mb/s
 NIC plugged into a 10 Mb/s hub runs at 10 Mb/s).
 
-A crossing is one event, the arrival.  FIFO departures follow from the
-offers alone -- a frame starts when it is offered or when the one before
-it ends, whichever is later -- so each is computed as the frame is
-accepted.  The last bit leaving the wire changes no counter (the sender's
-are charged on acceptance, the receiver's on arrival) and needs no event;
-``tests/link_reference.py`` keeps the event-per-stage channel this
-replaced, as the reference.  A queueing discipline other than FIFO is a
-different rule for ``start`` in :meth:`_Channel.send`.
+A crossing is one event, the arrival, and one call on each side of it.
+FIFO departures follow from the offers alone -- a frame starts when it is
+offered or when the one before it ends, whichever is later -- so each is
+computed as the frame is accepted: :meth:`repro.simnet.nic.Interface.
+transmit` makes the sender's decision (admin state, fault hook, tail-drop,
+counters) and the channel's (departure, arrival) in one place, on the
+state a :class:`_Channel` holds, and the arrival event is the receiving
+interface's ``deliver`` itself.  The last bit leaving the wire changes no
+counter (the sender's are charged on acceptance, the receiver's on
+arrival) and needs no event; ``tests/link_reference.py`` keeps the
+event-per-stage channel this replaced, as the reference.  A queueing
+discipline other than FIFO is a different rule for ``start`` there.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
 from repro.simnet.engine import Simulator
-from repro.simnet.packet import EthernetFrame
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.nic import Interface
@@ -41,7 +44,8 @@ class LinkError(RuntimeError):
 
 
 class _Channel:
-    """One direction of a link: FIFO queue + serialiser + propagation."""
+    """One direction of a link: the state of its FIFO queue, serialiser
+    and propagation, advanced by the transmitting interface."""
 
     __slots__ = (
         "sim",
@@ -49,11 +53,9 @@ class _Channel:
         "prop_delay",
         "max_queue_bytes",
         "free_at",
-        "_waiting",
-        "_waiting_bytes",
+        "waiting",
+        "waiting_bytes",
         "dst",
-        "frames_delivered",
-        "octets_delivered",
         "frames_dropped",
         "octets_dropped",
         "drop_filter",
@@ -76,55 +78,20 @@ class _Channel:
         self.free_at = 0.0
         # For admission only: (start of serialisation, size) of accepted
         # frames that may still be waiting for the wire, and their total.
-        self._waiting: Deque[Tuple[float, int]] = deque()
-        self._waiting_bytes = 0
+        self.waiting: Deque[Tuple[float, int]] = deque()
+        self.waiting_bytes = 0
         self.dst = dst
-        self.frames_delivered = 0
-        self.octets_delivered = 0
         self.frames_dropped = 0
         self.octets_dropped = 0
         # Optional fault hook (see repro.simnet.faults.PacketLoss): called
         # per frame; returning True drops it before it enqueues.
         self.drop_filter = None
 
-    def send(self, frame: EthernetFrame) -> bool:
-        """Accept a frame for transmission; False means tail-drop."""
-        size = frame.size
-        now = self.sim._now
-        lost = self.drop_filter is not None and self.drop_filter(frame)
-        # Settle: a frame whose serialisation has started -- at this very
-        # instant included -- has left the queue.
-        waiting = self._waiting
-        while waiting and waiting[0][0] <= now:
-            self._waiting_bytes -= waiting.popleft()[1]
-        if lost or self._waiting_bytes + size > self.max_queue_bytes:
-            self.frames_dropped += 1
-            self.octets_dropped += size
-            return False
-        start = self.free_at
-        if start > now:
-            waiting.append((start, size))
-            self._waiting_bytes += size
-        else:
-            start = now  # idle: straight onto the wire, never queued
-        # The float expressions, and their association, of the two
-        # ``schedule`` calls (end of serialisation, then propagation)
-        # this replaces: arrival times are equal to the last bit.
-        done = start + size * 8.0 / self.bandwidth_bps
-        self.free_at = done
-        self.sim.schedule_at(done + self.prop_delay, self._deliver, frame)
-        return True
-
-    def _deliver(self, frame: EthernetFrame) -> None:
-        self.frames_delivered += 1
-        self.octets_delivered += frame.size
-        self.dst.deliver(frame)
-
     @property
     def queue_bytes(self) -> int:
         """Bytes accepted whose serialisation has not started yet."""
         now = self.sim.now
-        return sum(size for start, size in self._waiting if start > now)
+        return sum(size for start, size in self.waiting if start > now)
 
     @property
     def utilization_estimate(self) -> float:

@@ -120,6 +120,9 @@ class Interface:
         self.tos_out_octets: dict[int, int] = {}
         self.tos_in_octets: dict[int, int] = {}
         self.admin_up = True
+        # False while a spanning tree holds this (switch) port blocking;
+        # a port no tree runs on forwards.  Read by the switch per frame.
+        self.forwarding = True
         # Optional tap invoked on every delivered frame (testing/tracing).
         self.rx_tap: Optional[Callable[[EthernetFrame], None]] = None
         # Observers notified with (interface, up: bool) on admin-state
@@ -167,17 +170,46 @@ class Interface:
     def transmit(self, frame: EthernetFrame) -> bool:
         """Send a frame out this interface.  Returns False on tail-drop.
 
-        Octet/packet counters are charged on acceptance by the link queue;
-        tail-dropped frames land in ``out_discards`` instead, mirroring
-        how real NIC drivers account output drops.
+        Offer and admission in one call: the frame joins this end's
+        transmit channel (FIFO behind ``free_at``, see :mod:`repro.simnet.
+        link`) and its arrival at the far interface is scheduled.  Octet/
+        packet counters are charged on acceptance; tail-dropped frames
+        land in ``out_discards`` instead, mirroring how real NIC drivers
+        account output drops.
         """
-        if self._tx is None:
+        tx = self._tx
+        if tx is None:
             raise InterfaceError(f"{self.full_name} is not connected")
         counters = self.counters
-        if not self.admin_up or not self._tx.send(frame):
+        if not self.admin_up:
             counters.out_discards += 1
             return False
         size = frame.size
+        sim = tx.sim
+        now = sim._now
+        lost = tx.drop_filter is not None and tx.drop_filter(frame)
+        # Settle: a frame whose serialisation has started -- at this very
+        # instant included -- has left the queue.
+        waiting = tx.waiting
+        while waiting and waiting[0][0] <= now:
+            tx.waiting_bytes -= waiting.popleft()[1]
+        if lost or tx.waiting_bytes + size > tx.max_queue_bytes:
+            tx.frames_dropped += 1
+            tx.octets_dropped += size
+            counters.out_discards += 1
+            return False
+        start = tx.free_at
+        if start > now:
+            waiting.append((start, size))
+            tx.waiting_bytes += size
+        else:
+            start = now  # idle: straight onto the wire, never queued
+        # The float expressions, and their association, of the two
+        # ``schedule`` calls (end of serialisation, then propagation)
+        # this replaces: arrival times are equal to the last bit.
+        done = start + size * 8.0 / tx.bandwidth_bps
+        tx.free_at = done
+        sim.schedule_at(done + tx.prop_delay, tx.dst.deliver, frame)
         counters.out_octets += size
         tos = frame.payload.tos
         if tos:
@@ -189,7 +221,7 @@ class Interface:
         return True
 
     def deliver(self, frame: EthernetFrame) -> None:
-        """Called by the link when a frame arrives at this interface."""
+        """The arrival event: a frame reaches this interface off the wire."""
         counters = self.counters
         if not self.admin_up:
             counters.in_discards += 1

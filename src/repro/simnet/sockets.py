@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 from repro.simnet.address import IPv4Address
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.simnet.host import Host
+    from repro.simnet.host import UDPEndpoint
 
 ECHO_PORT = 7  # RFC 862
 DISCARD_PORT = 9  # RFC 863
@@ -34,14 +34,14 @@ class SocketError(RuntimeError):
 
 
 class UDPSocket:
-    """A bound UDP endpoint on one host.
+    """A bound UDP endpoint on one host (or switch management stack).
 
-    Obtained via :meth:`repro.simnet.host.Host.create_socket`; never
+    Obtained via :meth:`repro.simnet.host.UDPEndpoint.create_socket`; never
     constructed directly.  ``sendto`` accepts either real payload bytes or
     a synthetic byte count, mirroring :class:`repro.simnet.packet.UDPDatagram`.
     """
 
-    def __init__(self, host: "Host", port: int) -> None:
+    def __init__(self, host: "UDPEndpoint", port: int) -> None:
         self._host = host
         self.port = port
         self.on_receive: Optional[ReceiveCallback] = None
@@ -110,7 +110,7 @@ class EchoService:
     round-trip times by timestamping datagrams to this service.
     """
 
-    def __init__(self, host: "Host", port: int = ECHO_PORT) -> None:
+    def __init__(self, host: "UDPEndpoint", port: int = ECHO_PORT) -> None:
         self.socket = host.create_socket(port)
         self.socket.on_receive = self._on_receive
         self.echoed = 0
@@ -130,7 +130,7 @@ class DiscardService:
     actually arrived end-to-end.
     """
 
-    def __init__(self, host: "Host", port: int = DISCARD_PORT) -> None:
+    def __init__(self, host: "UDPEndpoint", port: int = DISCARD_PORT) -> None:
         self.socket = host.create_socket(port)
         self.socket.on_receive = self._on_receive
         self.datagrams = 0

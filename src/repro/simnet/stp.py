@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.simnet.address import IPv4Address, MacAddress
 from repro.simnet.nic import Interface
-from repro.simnet.packet import EthernetFrame, IPPacket, UDPDatagram
+from repro.simnet.packet import EthernetFrame, udp_frame
 
 # IEEE 802.1D bridge group address: multicast, link-constrained.
 STP_MULTICAST = MacAddress(0x0180C2000000)
@@ -149,8 +149,9 @@ class _PortInfo:
 class SpanningTree:
     """The spanning-tree instance of one switch.
 
-    The owning :class:`~repro.simnet.switch.Switch` consults
-    :meth:`forwarding` on every data frame and hands received BPDUs to
+    The owning :class:`~repro.simnet.switch.Switch` reads each port's
+    ``forwarding`` flag on every data frame -- :meth:`_set_state` keeps it
+    equal to the port's state -- and hands received BPDUs to
     :meth:`receive`; everything else runs off the hello timer and the
     interface state observers.
     """
@@ -177,19 +178,20 @@ class SpanningTree:
         self.bpdus_received = 0
         self.topology_changes = 0
         self.reconverge_count = 0
-        for iface in switch.interfaces:
+        for iface, info in self._ports.items():
+            self._set_state(iface, info, STATE_BLOCKING)
             iface.state_observers.append(self._on_port_state)
         self._hello_task = self.sim.call_every(HELLO, self._on_hello, start=self.sim.now)
 
     # ------------------------------------------------------------------
     # Data-plane queries
     # ------------------------------------------------------------------
-    def forwarding(self, iface: Interface) -> bool:
-        """May data frames enter/leave through this port right now?"""
-        info = self._ports.get(iface)
-        if info is None:
-            return True
-        return info.state == STATE_FORWARDING
+    @staticmethod
+    def _set_state(iface: Interface, info: _PortInfo, state: str) -> None:
+        """The one place a port's state changes: may data frames enter or
+        leave through it is what the switch reads off the interface."""
+        info.state = state
+        iface.forwarding = state == STATE_FORWARDING
 
     def role_of(self, iface: Interface) -> str:
         if not iface.admin_up or iface.link is None:
@@ -250,16 +252,10 @@ class SpanningTree:
             self.priority, self.bridge, iface.if_index,
             tc_hops=self._tc_hops if self.sim.now < self._tc_until else 0,
         )
-        frame = EthernetFrame(
-            src=iface.mac,
-            dst=STP_MULTICAST,
-            payload=IPPacket(
-                src=_NULL_IP, dst=_NULL_IP,
-                payload=UDPDatagram(0, 0, payload=bpdu.encode()),
-            ),
-        )
         self.bpdus_sent += 1
-        iface.transmit(frame)
+        iface.transmit(
+            udp_frame(iface.mac, STP_MULTICAST, _NULL_IP, _NULL_IP, 0, 0, bpdu.encode(), None)
+        )
 
     def _send_bpdus(self) -> None:
         """Originate config BPDUs on every port that owes its segment one."""
@@ -297,7 +293,7 @@ class SpanningTree:
             info.bpdu = None
             info.promote_at = None
             if info.state == STATE_FORWARDING:
-                info.state = STATE_BLOCKING
+                self._set_state(iface, info, STATE_BLOCKING)
                 self._note_topology_change()
         self._reconverge()
 
@@ -305,7 +301,7 @@ class SpanningTree:
         info.promote_at = None
         if info.role in (ROLE_ROOT, ROLE_DESIGNATED) and iface.admin_up and iface.link is not None:
             if info.state != STATE_FORWARDING:
-                info.state = STATE_FORWARDING
+                self._set_state(iface, info, STATE_FORWARDING)
                 self._note_topology_change()
 
     # ------------------------------------------------------------------
@@ -348,7 +344,7 @@ class SpanningTree:
         for iface, info in self._ports.items():
             if not iface.admin_up or iface.link is None:
                 info.role = ROLE_DISABLED
-                info.state = STATE_BLOCKING
+                self._set_state(iface, info, STATE_BLOCKING)
                 info.promote_at = None
                 continue
             if iface is self.root_port:
@@ -375,7 +371,7 @@ class SpanningTree:
             else:
                 info.promote_at = None
                 if info.state == STATE_FORWARDING:
-                    info.state = STATE_BLOCKING
+                    self._set_state(iface, info, STATE_BLOCKING)
                     self._note_topology_change()
         if changed_info:
             self._send_bpdus()

@@ -139,22 +139,23 @@ class Switch:
     # ------------------------------------------------------------------
     def on_frame(self, in_port: Interface, frame: EthernetFrame) -> None:
         """Consume, learn, then forward, flood or filter -- decided on the
-        addresses' integers and one clock read."""
+        addresses' integers, the ports' ``forwarding`` flags (a spanning
+        tree's to clear, see :mod:`repro.simnet.stp`) and one clock read."""
         dst = frame.dst._value
-        stp = self.stp
         # Bridge-group traffic is consumed here, never forwarded or
         # learned (IEEE 802.1D reserved address) -- even with STP off.
         if dst == _STP_GROUP:
-            if stp is not None:
-                stp.receive(in_port, frame)
+            if self.stp is not None:
+                self.stp.receive(in_port, frame)
             return
         # A blocking port drops all data frames, in both directions.
-        if stp is not None and not stp.forwarding(in_port):
+        if not in_port.forwarding:
             self.frames_dropped_blocked += 1
             return
         now = self.sim._now
         src = frame.src
-        entry = self._fdb.get(src._value)
+        fdb = self._fdb
+        entry = fdb.get(src._value)
         if (
             entry is not None
             and entry.port is in_port
@@ -174,9 +175,17 @@ class Switch:
             self.frames_dropped_hops += 1
             return
         # Only station addresses are ever learned, so only a unicast
-        # destination can be in the FDB.
-        out = self._lookup(dst, now) if frame.is_unicast else None
-        if out is not None and (stp is None or stp.forwarding(out)):
+        # destination can be in the FDB; a stale binding ages out here.
+        out = None
+        if frame.is_unicast:
+            bound = fdb.get(dst)
+            if bound is not None:
+                if now - bound.learned_at > MAC_AGING:
+                    del fdb[dst]
+                    self.fdb_version += 1
+                else:
+                    out = bound.port
+        if out is not None and out.forwarding:
             if out is in_port:
                 return  # destination is back where it came from; filter
             self.frames_forwarded += 1
@@ -185,9 +194,7 @@ class Switch:
             self.frames_flooded += 1
             forwarded = frame.hop_copy()
             for port in self.interfaces:
-                if port is in_port or port.link is None:
-                    continue
-                if stp is not None and not stp.forwarding(port):
+                if port is in_port or port.link is None or not port.forwarding:
                     continue
                 self.sim.schedule(SWITCH_FORWARD_LATENCY, port.transmit, forwarded)
             # Broadcasts also reach the management plane.
@@ -230,24 +237,18 @@ class Switch:
         """Install the upward frame handler for the management stack."""
         self._mgmt_handler = handler
 
-    def send_management_frame(self, out_hint: Optional[Interface], frame: EthernetFrame) -> bool:
+    def send_management_frame(self, frame: EthernetFrame) -> bool:
         """Transmit a management-plane frame using the FDB.
 
         If the destination is unlearned the frame floods, exactly like
         transit traffic -- management responses are ordinary packets.
         """
-        out = self._lookup(frame.dst._value, self.sim.now)
-        if (
-            out is not None
-            and frame.is_unicast
-            and (self.stp is None or self.stp.forwarding(out))
-        ):
+        out = self._lookup(frame.dst._value, self.sim._now)
+        if out is not None and frame.is_unicast and out.forwarding:
             return out.transmit(frame)
         ok = False
         for port in self.interfaces:
-            if port.link is None or port is out_hint:
-                continue
-            if self.stp is not None and not self.stp.forwarding(port):
+            if port.link is None or not port.forwarding:
                 continue
             ok = port.transmit(frame) or ok
         return ok

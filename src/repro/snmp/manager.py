@@ -393,7 +393,7 @@ class SnmpManager:
         """Abort every outstanding request without invoking errbacks."""
         for pending in self._pending.values():
             if pending.timer is not None:
-                pending.timer.cancel()
+                self.sim.cancel(pending.timer)
         self._pending.clear()
 
     # ------------------------------------------------------------------
@@ -485,7 +485,7 @@ class SnmpManager:
             return
         del self._pending[request_id]
         if pending.timer is not None:
-            pending.timer.cancel()
+            self.sim.cancel(pending.timer)
         self._m_responses.inc()
         stats = self.destination_stats(pending.dst[0])
         stats.responses += 1

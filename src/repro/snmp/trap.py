@@ -337,7 +337,7 @@ class InformSender:
         if entry is None:
             return
         if entry[2] is not None:
-            entry[2].cancel()
+            self.sim.cancel(entry[2])
         self.acked += 1
 
     @property

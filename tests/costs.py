@@ -103,8 +103,13 @@ def datagram_cost(net, src, dst):
 
 
 #: Names that must not run per frame: addresses are compared and hashed
-#: as integers, and their flags are attributes fixed at construction.
-PER_FRAME_FORBIDDEN = ("__hash__", "__eq__", "__ne__", "is_broadcast", "is_multicast")
+#: as integers, and their flags are attributes fixed at construction; a
+#: destination is resolved once per sender, the FDB probed and a port's
+#: spanning-tree state read without a call.
+PER_FRAME_FORBIDDEN = (
+    "__hash__", "__eq__", "__ne__", "is_broadcast", "is_multicast",
+    "forwarding", "_lookup", "route_for", "resolve_mac", "_is_local_ip",
+)
 
 
 class ThreeTiers:

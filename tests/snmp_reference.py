@@ -110,12 +110,12 @@ def old_reply(mib, community, payload):
 def agent_reply(agent, payload, src_ip, src_port=4000):
     """Hand ``payload`` to ``agent`` and return the reply it scheduled
     (``None``: it scheduled none), read off the simulator's queue."""
-    before = {id(handle) for _t, _s, handle in agent.sim._heap}
+    before = {seq for _t, seq, _callback, _args in agent.sim._heap}
     agent._on_datagram(payload, len(payload), src_ip, src_port)
     replies = [
-        handle.args[0]
-        for _t, _s, handle in agent.sim._heap
-        if id(handle) not in before and handle.callback == agent._send_reply
+        args[0]
+        for _t, seq, callback, args in agent.sim._heap
+        if seq not in before and callback == agent._send_reply
     ]
     assert len(replies) <= 1
     return replies[0] if replies else None

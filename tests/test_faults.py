@@ -1,6 +1,7 @@
 """Tests for fault injection: link failures, packet loss, agent outages,
 and what overlapping faults on one target leave behind."""
 
+import functools
 import os
 
 import pytest
@@ -426,9 +427,10 @@ def lying_run(cached, lie, bulk):
     target = PollTarget("sw", net.endpoint("sw").primary_ip, [2, 3], include_oper_status=True,
                         include_speed=True)
     for t in POLL_AT:
-        net.sim.schedule_at(
-            t, manager.poll_interfaces, target.address, target.if_indexes, target.columns(),
-            lambda reply, t=t: polls.__setitem__(t, reply), bulk=bulk,
+        net.sim.schedule_at(  # an event takes no keywords: bind ``bulk`` here
+            t, functools.partial(manager.poll_interfaces, bulk=bulk),
+            target.address, target.if_indexes, target.columns(),
+            lambda reply, t=t: polls.__setitem__(t, reply),
         )
     net.run(5.0)
     assert sorted(polls) == list(POLL_AT)

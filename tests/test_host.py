@@ -6,6 +6,7 @@ from repro.simnet.address import IPv4Address
 from repro.simnet.host import HostError
 from repro.simnet.network import Network, NetworkError
 from repro.simnet.sockets import DISCARD_PORT, SocketError
+from tests.costs import PER_FRAME_FORBIDDEN, call_counts
 
 
 def two_hosts():
@@ -152,12 +153,75 @@ class TestRouting:
         assert b.discard.datagrams == 1
         assert c.discard.datagrams == 1
 
+    def two_lans(self):
+        """A on sw1; C on sw2, which A does not reach yet."""
+        net = Network()
+        a, c = net.add_host("A"), net.add_host("C")
+        sw1 = net.add_switch("sw1", 4, managed=False)
+        sw2 = net.add_switch("sw2", 4, managed=False)
+        net.connect(a, sw1)
+        net.connect(c, sw2)
+        net.announce_hosts()
+        net.run(0.01)
+        return net, a, c, sw2
+
+    def test_a_route_gained_after_the_first_datagram_moves_the_next_one(self):
+        """A destination is resolved once per sender -- until a route is
+        added: the memo is cleared, not consulted stale."""
+        net, a, c, sw2 = self.two_lans()
+        eth1 = net.add_host_interface(a, "eth1")
+        net.connect(eth1, sw2)
+        sock, target = a.create_socket(), (c.primary_ip, DISCARD_PORT)
+        sock.sendto(100, target)  # no route: out of eth0, into the wrong LAN
+        net.run(1.0)
+        assert (a.interfaces[0].counters.out_ucast_pkts, c.discard.datagrams) == (1, 0)
+        a.add_route(c.primary_ip, 32, eth1)
+        sock.sendto(100, target)
+        net.run(2.0)
+        assert (a.interfaces[0].counters.out_ucast_pkts, c.discard.datagrams) == (1, 1)
+        assert eth1.counters.out_ucast_pkts == 1
+
+    def test_an_interface_gained_after_the_first_datagram_is_used_and_is_local(self):
+        net, a, c, sw2 = self.two_lans()
+        sock, target = a.create_socket(), (c.primary_ip, DISCARD_PORT)
+        sock.sendto(100, target)
+        net.run(1.0)
+        assert c.discard.datagrams == 0
+        eth1 = net.add_host_interface(a, "eth1")
+        net.connect(eth1, sw2)
+        a.add_route(c.primary_ip, 32, eth1)
+        sock.sendto(100, target)
+        sock.sendto(100, (eth1.ip, DISCARD_PORT))  # its address is one of A's own now
+        net.run(2.0)
+        assert (eth1.counters.out_ucast_pkts, c.discard.datagrams) == (1, 1)
+        assert a.discard.datagrams == 1 and eth1.counters.in_ucast_pkts == 0
+
     def test_route_must_use_own_interface(self):
         net = Network()
         a = net.add_host("A")
         b = net.add_host("B")
         with pytest.raises(HostError):
             a.add_route(b.primary_ip, 32, b.interfaces[0])
+
+
+class TestSendCost:
+    def test_sendto_reaches_the_wire_in_five_calls(self):
+        """No wall clock: from ``sendto`` to the frame's arrival being
+        scheduled is ``sendto``, ``send_udp``, the one constructor of all
+        three layers (``udp_frame``), ``transmit`` and ``schedule_at``.
+        It was 16 while each send looked up the route, the destination's
+        MAC and its own addresses, and built and validated datagram,
+        packet and frame one dataclass at a time."""
+        net, a, b = two_hosts()
+        sock, target = a.create_socket(), (b.primary_ip, DISCARD_PORT)
+        sock.sendto(972, target)  # resolves the destination
+        queued = net.sim.pending_count()
+        calls = call_counts(lambda: sock.sendto(972, target))
+        assert net.sim.pending_count() == queued + 1  # the arrival at the switch
+        del calls["<lambda>"]
+        assert sum(calls.values()) <= 5, calls
+        assert not [name for name in PER_FRAME_FORBIDDEN if calls[name]], calls
+        assert not calls["__post_init__"] and calls["udp_frame"] == 1
 
 
 class TestHostErrors:

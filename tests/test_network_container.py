@@ -5,6 +5,7 @@ import pytest
 from repro.simnet.address import IPv4Address
 from repro.simnet.network import BROADCAST_IP, Network, NetworkError
 from repro.simnet.sockets import DISCARD_PORT, SocketError
+from tests.costs import PER_FRAME_FORBIDDEN, call_counts
 
 
 class TestDeviceRegistry:
@@ -156,6 +157,48 @@ class TestManagementStack:
         net.run(1.0)
         assert got == [64]
         assert port.counters.out_octets > base
+
+    def test_ephemeral_ports_run_out_with_an_error(self, monkeypatch):
+        """The stack's own copy of the port picker had no exhaustion
+        check: with the range bound it span for ever where a host raised."""
+        monkeypatch.setattr("repro.simnet.host.EPHEMERAL_PORT_MAX", 49155)
+        net, host, stack = self.managed_net()
+        ports = [stack.create_socket().port for _ in range(4)]
+        assert ports == [49152, 49153, 49154, 49155]
+        with pytest.raises(SocketError, match="exhausted"):
+            stack.create_socket()
+        stack._sockets[49153].close()
+        assert stack.create_socket().port == 49153
+
+    def test_a_datagram_in_and_its_reply_out_take_no_detour(self):
+        """No wall clock.  The stack is the hosts' endpoint: an
+        unfragmented datagram goes round the reassembly buffer, not
+        through it, and a reply that fits the MTU is never offered to the
+        fragmenter -- ``sendto`` to the arrival being scheduled is
+        ``sendto``, ``send_udp``, ``udp_frame``, the fabric
+        (``send_management_frame`` + ``_lookup``), ``transmit`` and
+        ``schedule_at``."""
+        net, host, stack = self.managed_net()
+        sock = stack.create_socket(9000)
+        replies = []
+        sock.on_receive = lambda payload, size, ip, port: replies.append(
+            call_counts(lambda: sock.sendto(size, (ip, port)))
+        )
+        asker = host.create_socket(9002)
+        asker.sendto(64, (stack.primary_ip, 9000))  # resolves, learns, warms
+        net.run(1.0)
+
+        def ask():
+            asker.sendto(64, (stack.primary_ip, 9000))
+            net.run(2.0)
+
+        calls = call_counts(ask)
+        assert asker.datagrams_received == 2
+        assert not calls["add"] and not calls["fragment_ip_packet"], calls
+        assert not [name for name in PER_FRAME_FORBIDDEN if name != "_lookup" and calls[name]]
+        reply = replies[-1]
+        del reply["<lambda>"]
+        assert sum(reply.values()) <= 7, reply
 
 
 class TestAnnouncements:

@@ -15,7 +15,9 @@ from repro.simnet.packet import (
     PacketError,
     ReassemblyBuffer,
     UDPDatagram,
+    _packet_ids,
     fragment_ip_packet,
+    udp_frame,
 )
 from repro.simnet.sockets import DISCARD_PORT
 
@@ -240,6 +242,61 @@ def assert_sizes_follow_fields(frame: EthernetFrame) -> None:
     assert frame.size == frame.l2_overhead + IPV4_HEADER_SIZE + transport
     assert frame.is_broadcast == frame.dst.is_broadcast
     assert frame.is_unicast == (not (frame.dst.is_broadcast or frame.dst.is_multicast))
+
+
+class TestOneShotConstructor:
+    """``udp_frame`` against the three dataclasses it stands in for."""
+
+    SRC_MAC = MacAddress(0x020000000002)
+    PORTS = st.one_of(st.sampled_from([-1, 0, 9, 65535, 65536]), st.integers(-70000, 70000))
+    SIZES = st.one_of(st.none(), st.sampled_from([-1, 0, 3, 1472, 1473]), st.integers(-5, 70000))
+
+    @staticmethod
+    def outcome(build):
+        """What ``build`` raised or every attribute, derived ones included,
+        of the three layers it built -- and the packet ids it drew."""
+        before = next(_packet_ids)
+        try:
+            frame = build()
+            layers = [dict(vars(layer)) for layer in (frame, frame.payload, frame.payload.payload)]
+            layers[0].pop("payload"), layers[1].pop("payload")
+            layers[1]["fragment_id"] -= before
+            result = layers
+        except PacketError as error:
+            result = str(error)
+        return result, next(_packet_ids) - before
+
+    @given(
+        dst_mac=st.sampled_from(
+            [MacAddress(0x020000000001), MacAddress(0x01005E000001), BROADCAST_MAC]
+        ),
+        src_port=PORTS,
+        dst_port=PORTS,
+        payload=st.one_of(st.none(), st.binary(max_size=3)),
+        payload_size=SIZES,
+        tos=st.one_of(st.sampled_from([-1, 0, 184, 255, 256]), st.integers(-300, 300)),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_raises_when_they_raise_and_builds_what_they_build(
+        self, dst_mac, src_port, dst_port, payload, payload_size, tos
+    ):
+        """Port range, payload bytes against the stated size, negative
+        size, ToS range: the same refusals with the same words, else the
+        same three objects field for field (sizes and address flags too),
+        drawing the same number of fragment ids either way."""
+        one_shot = self.outcome(
+            lambda: udp_frame(
+                self.SRC_MAC, dst_mac, SRC, DST, src_port, dst_port, payload, payload_size, tos
+            )
+        )
+        layer_by_layer = self.outcome(
+            lambda: EthernetFrame(
+                self.SRC_MAC,
+                dst_mac,
+                IPPacket(SRC, DST, UDPDatagram(src_port, dst_port, payload, payload_size), tos=tos),
+            )
+        )
+        assert one_shot == layer_by_layer
 
 
 class TestSizesFollowFields:

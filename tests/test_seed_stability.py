@@ -19,6 +19,7 @@ from repro.core.hierarchy import HierarchicalMonitor
 from repro.experiments.scale import hierarchy_plan, scale_spec
 from repro.experiments.scenarios import Scenario
 from repro.simnet.engine import Simulator
+from repro.simnet.nic import Interface
 from repro.simnet.trafficgen import KBPS, StaircaseLoad, StepSchedule
 from repro.spec.builder import build_network
 from tests import link_reference
@@ -90,6 +91,16 @@ GOLDEN_TESTBED_TRACE = "35b7fe502f23c85edad7593719b8bd6329635d013091a88953cbaa0e
 GOLDEN_CAMPUS_TRACE = "d8dbda411d3e30ca7776293b787326f83c4f3aa015d64b5431fa51d15bafa36d"
 TRACE_UNTIL = 20.0
 
+# A callback that moved since the goldens were recorded is logged under
+# the name it had then: the event is the same one.  PR 24 made the arrival
+# event the receiving interface's ``deliver`` itself, and a host's UDP/IP
+# half the endpoint it shares with a switch's management stack.
+RECORDED_AS = {
+    "Interface.deliver": "_Channel._deliver",
+    "UDPEndpoint._deliver_udp": "Host._deliver_udp",
+    "transmit_through_send": "Interface.transmit",  # the reference channel's way in
+}
+
 
 class _Traced:
     """A scheduled callback that logs ``(time, qualname)`` when fired."""
@@ -99,10 +110,10 @@ class _Traced:
     def __init__(self, sim, fn, log):
         self.sim, self.fn, self.log = sim, fn, log
 
-    def __call__(self, *args, **kwargs):
+    def __call__(self, *args):
         name = getattr(self.fn, "__qualname__", type(self.fn).__qualname__)
-        self.log(f"{self.sim.now!r} {name}\n".encode())
-        return self.fn(*args, **kwargs)
+        self.log(f"{self.sim.now!r} {RECORDED_AS.get(name, name)}\n".encode())
+        return self.fn(*args)
 
 
 def trace_lines(monkeypatch, build_and_run):
@@ -117,10 +128,10 @@ def trace_lines(monkeypatch, build_and_run):
         for name in ("schedule", "schedule_at"):
             original = getattr(Simulator, name)
 
-            def traced(self, when, callback, *args, _original=original, **kwargs):
+            def traced(self, when, callback, *args, _original=original):
                 if not isinstance(callback, _Traced):  # schedule may call schedule_at
                     callback = _Traced(self, callback, lines.append)
-                return _original(self, when, callback, *args, **kwargs)
+                return _original(self, when, callback, *args)
 
             patch.setattr(Simulator, name, traced)
         sim = build_and_run()
@@ -199,6 +210,26 @@ def test_event_set_is_pinned(monkeypatch, build_and_run, golden):
     )
 
 
+def transmit_through_send(self, frame):
+    """``Interface.transmit`` as it was while a channel had a ``send`` of
+    its own -- offer here, admission there: how the reference channel,
+    which still has one, is put back under today's interfaces."""
+    counters = self.counters
+    if not self.admin_up or not self._tx.send(frame):
+        counters.out_discards += 1
+        return False
+    size = frame.size
+    counters.out_octets += size
+    tos = frame.payload.tos
+    if tos:
+        self.tos_out_octets[tos] = self.tos_out_octets.get(tos, 0) + size
+    if frame.is_unicast:
+        counters.out_ucast_pkts += 1
+    else:
+        counters.out_nucast_pkts += 1
+    return True
+
+
 def same_instant_transpositions(old, new):
     """Adjacent swaps of simultaneous events that turn ``old`` into ``new``.
 
@@ -245,6 +276,7 @@ def test_ordered_goldens_are_derived_from_the_parents(
     """
     with monkeypatch.context() as patch:
         patch.setattr("repro.simnet.link._Channel", link_reference._Channel)
+        patch.setattr(Interface, "transmit", transmit_through_send)
         parents = trace_lines(monkeypatch, build_and_run)
     assert trace_hash(parents) == parent_golden
     by_callback = Counter(line.split()[1] for line in parents)

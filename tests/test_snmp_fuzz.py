@@ -312,7 +312,7 @@ class TestAgent:
 def manager_state(manager, walk):
     """Everything a datagram can move, bar the two reject counters."""
     return (
-        sorted((i, p.attempts, p.timer.pending) for i, p in manager._pending.items()),
+        sorted((i, p.attempts, manager.sim.pending(p.timer)) for i, p in manager._pending.items()),
         {ip: (e.srtt, e.rttvar, e.rto, e.samples) for ip, e in manager._estimators.items()},
         {ip: dataclasses.astuple(d) for ip, d in manager.destinations.items()},
         (manager.requests_sent, manager.responses_received),
@@ -419,10 +419,10 @@ class TestInformSender:
         except BerError:
             settles = False
         if settles:
-            assert sender.acked == 1 and sender.outstanding == 0 and not timer.pending
+            assert sender.acked == 1 and sender.outstanding == 0 and not net.sim.pending(timer)
         else:
             assert sender.acked == 0 and sender.sent == sent
-            assert sender._pending[INFORM_ID][1:] == [attempts, timer] and timer.pending
+            assert sender._pending[INFORM_ID][1:] == [attempts, timer] and net.sim.pending(timer)
 
 
 # ----------------------------------------------------------------------

@@ -150,6 +150,39 @@ class TestRedundantPair:
         for sw in net.switches.values():
             assert sw.frames_dropped_hops == 0
 
+    def test_a_state_change_decides_the_very_next_frame(self):
+        """The switch reads the port's flag per frame -- nothing about a
+        flow is remembered: a warm unicast flow loses the first datagram
+        after the active uplink dies (the backup's far port is still
+        blocking) and the first one after the backup is promoted gets
+        through; when the uplink returns and the tree blocks the backup
+        again, the next copy offered to it is dropped there."""
+        net = self.build().network
+        a, b, sw2 = net.host("A"), net.host("B"), net.switches["sw2"]
+        net.run(4.0)
+        b.create_socket().sendto(10, (a.primary_ip, 9))  # both FDBs learn B
+        sock, target = a.create_socket(), (b.primary_ip, 9)
+
+        def send_then_run(until):
+            sock.sendto(100, target)
+            net.run(until)
+            return b.discard.datagrams, sw2.frames_dropped_blocked
+
+        got, blocked = send_then_run(4.1)
+        assert got == 1 and sw2.port(3).forwarding and not sw2.port(4).forwarding
+        LinkFailure.between(net, "sw1", "sw2", at=4.2, until=6.0, index=0)
+        net.run(4.25)
+        assert send_then_run(4.3) == (got, blocked + 1)  # into the backup, still blocking
+        net.run(4.75)  # forward_delay after the failure
+        assert sw2.port(4).forwarding
+        assert send_then_run(4.8) == (got + 1, blocked + 1)
+        net.run(8.0)  # the uplink is back: port3 is root again, port4 blocked at once
+        assert states_of(sw2)[4] == (ROLE_ALTERNATE, STATE_BLOCKING)
+        assert sw2.port(3).forwarding and not sw2.port(4).forwarding
+        blocked = sw2.frames_dropped_blocked
+        net.switches["sw1"].flush_fdb()  # so the next datagram is offered to both uplinks
+        assert send_then_run(8.1) == (got + 2, blocked + 1)
+
     def test_failover_is_bounded(self):
         """Local link-down re-converges within forward_delay, not max_age."""
         build = self.build()
