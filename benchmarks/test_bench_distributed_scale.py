@@ -9,10 +9,6 @@ delta-encoded uplinks.  Acceptance properties:
   SNMP exchanges per poll cycle than one GET per counter instance would,
   which costs exactly one exchange per polled OID per cycle (6171 at
   this scale, which is the point) and is therefore computed, not run.
-- **Bounded cycle wall-time.**  Simulating a steady poll cycle of the
-  full plane must stay under a fixed wall-clock ceiling, so the
-  benchmark itself proves the scheduling pipeline doesn't collapse at
-  scale.
 - **>= 80 % uplink traffic reduction, quiescent.**  With no offered
   load, shard uplinks ship deltas (ADVANCE/CHANGED records) whose cost
   per sample is at most a fifth of what a self-describing JSON sample
@@ -21,12 +17,9 @@ delta-encoded uplinks.  Acceptance properties:
   coordinator mid-run must leave every watched path in its shard back
   to trusted reports within three poll intervals.
 
-Writes ``BENCH_distributed.json`` for the CI artifact upload.
+How long a cycle takes is the perf ledger's to measure (``bench/``,
+``cycle_ms_p50``), not a gate's.
 """
-
-import json
-import time
-from pathlib import Path
 
 import pytest
 
@@ -41,18 +34,14 @@ STEADY_UNTIL = 30.0
 STEADY_CYCLES = int(STEADY_UNTIL / POLL) + 1  # t = 0, 2, ..., 30 inclusive
 EXCHANGE_RATIO_FLOOR = 5.0
 # What one sample cost on this uplink as a JSON document inside JSON
-# batches: 1 495 804 bytes (the uplink baseline in the
-# BENCH_distributed.json of PR 14, the last commit that still carried
-# that encoder) for the 14 350 samples of this same run.  The delta
-# encoding shipped them in 261 397 bytes, 18.2 per sample.
+# batches: 1 495 804 bytes, measured by the last version that still
+# carried that encoder, for the 14 350 samples of this same run.  The
+# delta encoding shipped them in 261 397 bytes, 18.2 per sample.
 JSON_BYTES_PER_SAMPLE = 1_495_804 / 14_350  # 104.2
 REDUCTION_FLOOR = 0.80
-CYCLE_WALL_CEILING_S = 10.0  # generous: CI boxes vary, collapse doesn't
 CRASH_AT = 10.0
 RECOVER_AT = 25.0
 CHAOS_UNTIL = 36.0
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_distributed.json"
 
 
 def _plane():
@@ -76,12 +65,10 @@ def _exchanges(dm):
 
 @pytest.fixture(scope="module")
 def steady_run():
-    """The plane, quiescent, 16 cycles; also wall-timed."""
+    """The plane, quiescent, 16 cycles."""
     build, dm = _plane()
     dm.start()
-    t0 = time.perf_counter()
     build.network.run(STEADY_UNTIL)
-    wall = time.perf_counter() - t0
     shipped = sum(l.shipper.bytes_shipped for l in dm.leaves.values())
     samples = sum(l.shipper.samples_shipped for l in dm.leaves.values())
     out = {
@@ -89,26 +76,12 @@ def steady_run():
         "exchanges_per_cycle": _exchanges(dm) / STEADY_CYCLES,
         # One GET per counter instance: an exchange per polled OID.
         "per_varbind_exchanges_per_cycle": sum(len(t.oids()) for t in dm.targets),
-        "wall_s_per_cycle": wall / STEADY_CYCLES,
         "uplink_samples": samples,
-        # Recorded as uplink_bytes_<what> next to uplink_reduction.
-        "uplink_bytes": {
-            "shipped": shipped,
-            "baseline": round(samples * JSON_BYTES_PER_SAMPLE),
-        },
+        "uplink_bytes_shipped": shipped,
         "uplink_reduction": 1.0 - shipped / samples / JSON_BYTES_PER_SAMPLE,
     }
     dm.stop()
     return out
-
-
-def _merge_results(update):
-    results = {}
-    if RESULTS_PATH.exists():
-        results = json.loads(RESULTS_PATH.read_text())
-    results.update(update)
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    return results
 
 
 def test_bench_scale_exchange_economy(steady_run):
@@ -120,23 +93,6 @@ def test_bench_scale_exchange_economy(steady_run):
           f"({ratio:.1f}x fewer)")
     assert steady_run["stats"]["samples_received"] > 0
     assert ratio >= EXCHANGE_RATIO_FLOOR
-    _merge_results({
-        "hosts": PODS * SWITCHES * HOSTS,
-        "switch_agents": PODS * SWITCHES + 1,
-        "shards": PODS,
-        "poll_interval_s": POLL,
-        "per_varbind_exchanges_per_cycle": naive,
-        "bulk_exchanges_per_cycle": bulk,
-        "exchange_ratio": ratio,
-    })
-
-
-def test_bench_scale_cycle_wall_time(steady_run):
-    wall = steady_run["wall_s_per_cycle"]
-    print(f"\n{wall:.2f}s wall per simulated poll cycle "
-          f"(ceiling {CYCLE_WALL_CEILING_S:.0f}s)")
-    assert wall < CYCLE_WALL_CEILING_S
-    _merge_results({"wall_s_per_cycle": wall})
 
 
 def test_bench_scale_quiescent_delta_reduction(steady_run):
@@ -145,17 +101,13 @@ def test_bench_scale_quiescent_delta_reduction(steady_run):
     keyframes = sum(
         v for k, v in stats.items() if k.startswith("per_shard_keyframes.")
     )
-    shipped, samples = steady_run["uplink_bytes"]["shipped"], steady_run["uplink_samples"]
+    shipped, samples = steady_run["uplink_bytes_shipped"], steady_run["uplink_samples"]
     print(f"\nuplink bytes quiescent: {shipped} for {samples} samples = "
           f"{shipped / samples:.1f} B/sample vs {JSON_BYTES_PER_SAMPLE:.1f} as JSON "
           f"({reduction:.1%} reduction, {keyframes:.0f} keyframes)")
     assert stats["decode_errors"] == 0.0
     assert keyframes >= 1
     assert reduction >= REDUCTION_FLOOR
-    _merge_results({
-        **{f"uplink_bytes_{k}": v for k, v in steady_run["uplink_bytes"].items()},
-        "uplink_reduction": reduction,
-    })
 
 
 def test_bench_scale_leaf_failover_recoverage(benchmark):
@@ -189,8 +141,3 @@ def test_bench_scale_leaf_failover_recoverage(benchmark):
           f"{len(degraded)}/{len(gap_window)} gap-window reports degraded")
     late = [r for r in reports if r.time >= RECOVER_AT + 3 * POLL]
     assert late and all(r.trusted for r in late)
-    _merge_results({
-        "leaf_crash_recoverage_s": recovered - CRASH_AT,
-        "recoverage_deadline_s": 3 * POLL,
-        "failovers": stats["failovers"],
-    })

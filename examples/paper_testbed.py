@@ -8,8 +8,8 @@ L to N1, and prints:
 - the generated-vs-measured series (Figures 4a/4b);
 - the Table-2 accuracy statistics next to the paper's reference values.
 
-For the full-length (480 simulated seconds) runs see the benchmark
-harness: ``pytest benchmarks/ --benchmark-only``.
+For the full-length (480 simulated seconds) runs see the paper-artefact
+gates: ``pytest benchmarks/ --benchmark-only``.
 
 Run:  python examples/paper_testbed.py
 """

@@ -49,26 +49,6 @@ def combined_stable_mask(
     return mask
 
 
-def windowed(
-    times: np.ndarray,
-    values: np.ndarray,
-    window: float,
-    agg: str = "mean",
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Per-window aggregates of a sample series.
-
-    Thin wrapper over :func:`repro.tsdb.downsample.window_aggregate`
-    (windows aligned to multiples of ``window``; empty windows absent;
-    ``agg`` one of min/max/mean/last) so analysis code summarises decoded
-    history arrays with the same bucketing the storage engine's retention
-    downsampler uses -- a chart of live data and one of aged-out data
-    line up bucket for bucket.
-    """
-    from repro.tsdb.downsample import window_aggregate
-
-    return window_aggregate(times, values, window, agg)
-
-
 def percent_errors(
     measured: np.ndarray, reference: np.ndarray
 ) -> np.ndarray:

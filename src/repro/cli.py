@@ -578,10 +578,13 @@ def cmd_tsdb(args) -> int:
             return _fail(f"no field {args.field!r} (have {list(db.fields)})", 2)
         print(f"\n{label}:")
         if args.window is not None:
-            starts, values = db.aggregate(
-                label, args.field, args.window, args.agg,
-                t_start=args.start, t_end=args.end,
-            )
+            try:
+                starts, values = db.aggregate(
+                    label, args.field, args.window, args.agg,
+                    t_start=args.start, t_end=args.end,
+                )
+            except ValueError as exc:
+                return _fail(exc, 2)
             print(f"{'window':>10} {args.agg + '(' + args.field + ')':>24}")
             for t, v in zip(starts, values):
                 print(f"{t:>10.1f} {v:>24.1f}")
@@ -749,10 +752,10 @@ def cmd_topology(args) -> int:
     if args.fail_uplink is not None:
         try:
             a, b, *at = _fields(args.fail_uplink, "--fail-uplink", "A:B[:AT]", 2, 3)
+            fail_at = float(at[0]) if at else args.until / 2.0
         except ValueError as exc:
             return _fail(exc, 2)
         fail_between = (a, b)
-        fail_at = float(at[0]) if at else args.until / 2.0
     try:
         build = build_network(parse_file(args.specfile))
         monitor = NetworkMonitor(build, args.host, poll_jitter=0.0)
@@ -964,8 +967,8 @@ def cmd_distributed(args) -> int:
                 scale_spec(hierarchical=hierarchy, host_agents=False, **shape)
             )
             plan = hierarchy_plan(hierarchy, **shape)
-        except _SPEC_ERRORS as exc:
-            return _fail(exc, 1)
+        except ValueError as exc:  # the shape on the command line
+            return _fail(exc, 2)
         coordinator = plan["root"]
         watches = args.watch or [
             f"p0h0_0:p{hierarchy - 1}h{args.pod_switches - 1}_{args.pod_hosts - 1}"

@@ -55,7 +55,7 @@ from repro.core.matrix import BandwidthMatrix, MatrixSnapshot
 from repro.core.monitor import NetworkMonitor
 from repro.core.poller import InterfaceRates, RateTable, SnmpPoller
 from repro.core.report import PathReport
-from repro.core.traversal import NoPathError, PathLoopError, find_all_paths, find_path
+from repro.core.traversal import NoPathError, find_all_paths, find_path
 
 __all__ = [
     "AgentHealth",
@@ -75,7 +75,6 @@ __all__ = [
     "MeasurementHistory",
     "NetworkMonitor",
     "NoPathError",
-    "PathLoopError",
     "PathProber",
     "PathReport",
     "PathSeries",

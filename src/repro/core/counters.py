@@ -33,14 +33,6 @@ from repro.topology.model import (
 )
 
 
-class UnmeasurableConnection(RuntimeError):
-    """Raised when a traffic figure is demanded for an unobservable link."""
-
-    def __init__(self, conn: ConnectionSpec) -> None:
-        super().__init__(f"connection {conn} has no SNMP-enabled endpoint")
-        self.connection = conn
-
-
 @dataclass(frozen=True)
 class CounterSource:
     """The polled interface standing for one connection's traffic."""

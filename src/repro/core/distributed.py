@@ -1167,8 +1167,6 @@ class DistributedMonitor(ReportCore, SampleIngest):
         worker_hosts: Sequence[str],
         poll_interval: float = 2.0,
         report_offset: float = 0.5,
-        stale_after: Optional[float] = None,
-        dead_after: Optional[float] = None,
         telemetry: Union[bool, Telemetry] = True,
         integrity: Union[bool, IntegrityConfig] = True,
         **ingest_options,
@@ -1177,8 +1175,7 @@ class DistributedMonitor(ReportCore, SampleIngest):
         ``seed``, the batching and pipelining sizes, ``targets``,
         ``adopt_streams``)."""
         ReportCore.__init__(
-            self, build, coordinator_host, poll_interval, report_offset,
-            stale_after, dead_after, telemetry,
+            self, build, coordinator_host, poll_interval, report_offset, telemetry
         )
         SampleIngest.__init__(
             self, build, coordinator_host, worker_hosts, self._accept,

@@ -71,11 +71,6 @@ class PathSeries:
         self._cache: Optional[Tuple[np.ndarray, Dict[str, np.ndarray]]] = None
         self._window: Optional[Tuple[np.ndarray, Dict[str, np.ndarray]]] = None
 
-    @property
-    def tsdb_series(self) -> Series:
-        """The backing compressed series (storage stats, raw queries)."""
-        return self._ts
-
     def append(self, report: PathReport) -> None:
         if self._window is not None:
             raise ValueError(

@@ -75,6 +75,11 @@ logger = logging.getLogger("repro.monitor")
 
 DEFAULT_POLL_INTERVAL = 2.0
 DEFAULT_REPORT_OFFSET = 0.5
+# Staleness bounds, in poll intervals: a sample normally arrives every
+# cycle, so age beyond 2.5 intervals means consecutive polls were lost
+# (the data is suspect) and beyond 6 it is no longer data.
+STALE_AFTER_POLLS = 2.5
+DEAD_AFTER_POLLS = 6.0
 
 
 @dataclasses.dataclass(slots=True)
@@ -104,8 +109,6 @@ class ReportCore:
         host: str,
         poll_interval: float,
         report_offset: float,
-        stale_after: Optional[float],
-        dead_after: Optional[float],
         telemetry: Union[bool, Telemetry],
         history_retention_s: Optional[float] = None,
         history_downsample_s: Optional[float] = None,
@@ -146,15 +149,8 @@ class ReportCore:
         self.rates = RateTable()
         self.link_state: Optional[LinkStateRegistry] = None
         self.trap_receiver = None
-        # Staleness bounds: a sample normally arrives every cycle, so age
-        # beyond ~2.5 intervals means consecutive polls were lost (the
-        # data is suspect) and beyond ~6 intervals it is no longer data.
-        if stale_after is None:
-            stale_after = poll_interval * 2.5
-        if dead_after is None:
-            dead_after = max(poll_interval * 6.0, stale_after * 2.0)
-        self.stale_after = stale_after
-        self.dead_after = dead_after
+        self.stale_after = poll_interval * STALE_AFTER_POLLS
+        self.dead_after = poll_interval * DEAD_AFTER_POLLS
         # History storage: compressed tsdb columns (always) plus the full
         # report objects.  ``history_retention_s`` bounds both -- chunks
         # older than the horizon are downsampled (when configured) and
@@ -696,8 +692,6 @@ class NetworkMonitor(ReportCore):
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         poll_jitter: float = 0.05,
         report_offset: float = DEFAULT_REPORT_OFFSET,
-        stale_after: Optional[float] = None,
-        dead_after: Optional[float] = None,
         seed: int = 0,
         telemetry: Union[bool, Telemetry] = True,
         history_retention_s: Optional[float] = None,
@@ -714,8 +708,8 @@ class NetworkMonitor(ReportCore):
         Off by default because the extra polling itself adds SNMP
         traffic to the measured links."""
         super().__init__(
-            build, monitor_host, poll_interval, report_offset, stale_after,
-            dead_after, telemetry, history_retention_s, history_downsample_s,
+            build, monitor_host, poll_interval, report_offset, telemetry,
+            history_retention_s, history_downsample_s,
         )
         self.manager = SnmpManager(self.host, telemetry=self.telemetry)
         self.cross_check = cross_check

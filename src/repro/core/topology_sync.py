@@ -16,9 +16,9 @@ visible to the measurements like any other management traffic):
 just the *inter-switch* ports -- one multi-varbind GET per switch, not
 a table walk: spanning tree only ever blocks redundant uplinks, their
 ifIndexes are known from the spec, and a whole-table walk would cost
-several GETBULK exchanges per switch per poll cycle (the steady-state
-overhead budget is <10 % of the monitoring load, see
-``benchmarks/test_bench_topology.py``).  Ports reported non-forwarding
+several GETBULK exchanges per switch per poll cycle (what the rounds
+cost is the perf ledger's ``snmp.exchanges_per_cycle`` on ``mesh_flat``,
+which runs this sync).  Ports reported non-forwarding
 map (via the spec's ifIndex ordering) onto inter-switch connections,
 and the set of those becomes the graph's blocked set
 (:meth:`~repro.topology.graph.TopologyGraph.set_blocked`).

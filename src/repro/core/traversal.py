@@ -46,10 +46,6 @@ class NoPathError(TopologyError):
         self.dst = dst
 
 
-class PathLoopError(TopologyError):
-    """Raised only by paranoid callers; traversal itself never loops."""
-
-
 def _as_graph(topology: Union[TopologySpec, TopologyGraph]) -> TopologyGraph:
     if isinstance(topology, TopologyGraph):
         return topology

@@ -65,22 +65,9 @@ class Fig4Result:
     scenario: Scenario
 
 
-def run(
-    seed: int = 0,
-    poll_interval: float = 2.0,
-    telemetry: bool = True,
-    integrity=True,
-) -> Fig4Result:
-    """Run the Figure 4 experiment; deterministic for a given seed.
-
-    ``telemetry=False`` turns off histogram/span collection (counters and
-    events stay on) -- the overhead benchmark compares the two.
-    ``integrity=False`` bypasses the measurement-integrity pipeline --
-    its overhead benchmark compares the two the same way.
-    """
-    scenario = Scenario(
-        poll_interval=poll_interval, seed=seed, telemetry=telemetry, integrity=integrity
-    )
+def run(seed: int = 0, poll_interval: float = 2.0) -> Fig4Result:
+    """Run the Figure 4 experiment; deterministic for a given seed."""
+    scenario = Scenario(poll_interval=poll_interval, seed=seed)
     label = scenario.watch(PATH_SRC, PATH_DST)
     scenario.add_load(LOAD_SRC, LOAD_DST, LOAD_SCHEDULE)
     scenario.run(RUN_UNTIL)

@@ -4,8 +4,8 @@
 optional hub pockets -- the shape a campus deployment of the paper's
 monitor would face: switched access layers chained toward a root, with a
 few legacy shared-medium (hub) segments hanging off the edge.  The
-generated specs drive the dataflow benchmarks
-(``benchmarks/test_bench_dataflow.py``) and any experiment that needs a
+generated specs drive the perf ledger's campus and mesh workloads
+(``bench/``), the 1000-host scale gate and any test that needs a
 topology bigger than the testbed.
 
 :func:`populate_rates` fills a :class:`~repro.core.poller.RateTable` with

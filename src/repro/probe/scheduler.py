@@ -36,7 +36,7 @@ from typing import Dict, List, Optional
 
 from repro.probe.crossval import ProbeCrossValidator, ProbeDisagreementFinding
 from repro.probe.stats import ProbeReport
-from repro.probe.train import PROBE_TOS, ProbeError, ProbeTrain
+from repro.probe.train import PROBE_TOS, ProbeError, ProbeTrain, check_train
 from repro.stream.events import ProbeDisagreement, pair_key
 from repro.telemetry.events import (
     PROBE_DISAGREEMENT,
@@ -104,6 +104,9 @@ class ProbeScheduler:
             raise ProbeError(
                 f"budget_fraction out of (0, 0.25]: {budget_fraction!r}"
             )
+        # Every round builds a train from these: refuse them here, not
+        # at the first round.
+        check_train(count, payload_size, warmup, timeout)
         self.monitor = monitor
         self.sim = monitor.sim
         self.budget_fraction = budget_fraction

@@ -15,8 +15,8 @@ the arrivals to one :class:`~repro.probe.stats.ProbeReport`:
 
 Probe packets are DSCP-marked (:data:`PROBE_DSCP`, Expedited Forwarding)
 so per-interface ToS counters can separate measurement traffic from
-workload -- which is how the benchmark proves probing stays within its
-overhead budget rather than perturbing what it measures.
+workload -- which is how probe load is held to its overhead budget
+rather than perturbing what it measures.
 
 The train *always* completes: the reducing callback is scheduled at
 start, unconditionally, so lost probes, downed links, and dead hosts
@@ -61,6 +61,20 @@ _sinks: "weakref.WeakKeyDictionary[Host, Dict[int, ProbeSink]]" = (
 
 class ProbeError(ValueError):
     """Raised for malformed train parameters."""
+
+
+def check_train(count: int, payload_size: int, warmup: int, timeout: float) -> None:
+    """Raise :class:`ProbeError` unless these parameters make a train."""
+    if count < 2:
+        raise ProbeError("a train needs at least two probes")
+    if payload_size < _HEADER_BYTES:
+        raise ProbeError(f"payload_size must be >= {_HEADER_BYTES} bytes")
+    if not 0 <= warmup < count - 1:
+        raise ProbeError(
+            f"warmup {warmup} must leave at least two measured probes"
+        )
+    if timeout <= 0:
+        raise ProbeError(f"non-positive timeout {timeout!r}")
 
 
 class ProbeSink:
@@ -142,16 +156,7 @@ class ProbeTrain:
         port: int = PROBE_PORT,
         on_complete: Optional[Callable[[ProbeReport], None]] = None,
     ) -> None:
-        if count < 2:
-            raise ProbeError("a train needs at least two probes")
-        if payload_size < _HEADER_BYTES:
-            raise ProbeError(f"payload_size must be >= {_HEADER_BYTES} bytes")
-        if not 0 <= warmup < count - 1:
-            raise ProbeError(
-                f"warmup {warmup} must leave at least two measured probes"
-            )
-        if timeout <= 0:
-            raise ProbeError(f"non-positive timeout {timeout!r}")
+        check_train(count, payload_size, warmup, timeout)
         self.src = src
         self.dst = dst
         self.count = count

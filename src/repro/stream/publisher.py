@@ -91,10 +91,6 @@ class MatrixPublisher:
         self._queries[query.name] = query
         self._query_owner[query.name] = subscriber
 
-    def unregister_query(self, name: str) -> None:
-        del self._queries[name]
-        del self._query_owner[name]
-
     def queries(self) -> List[ContinuousQuery]:
         return [self._queries[name] for name in sorted(self._queries)]
 

@@ -196,7 +196,9 @@ class PercentileQuery(ContinuousQuery):
     def _estimator(self, pair: PairKey) -> EwmaQuantile:
         estimator = self._estimators.get(pair)
         if estimator is None:
-            estimator = self._estimators[pair] = EwmaQuantile(self.p, self.weight)
+            estimator = self._estimators[pair] = EwmaQuantile(
+                self.p, weight=self.weight
+            )
         return estimator
 
     def value(self, pair: Tuple[str, str]) -> float:

@@ -133,32 +133,24 @@ class QuantileDeadbandFilter(SignificanceFilter):
     follows a drifting noise floor faster.
     """
 
-    def __init__(
-        self,
-        q: float = 0.9,
-        factor: float = 2.0,
-        floor_bps: float = 0.0,
-        min_samples: int = 8,
-        weight: float = 0.1,
-    ) -> None:
-        if factor <= 0.0:
-            raise ValueError(f"factor must be > 0, got {factor!r}")
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {min_samples!r}")
+    factor = 2.0
+    min_samples = 8
+    weight = 0.1
+
+    def __init__(self, q: float = 0.9, floor_bps: float = 0.0) -> None:
         if floor_bps < 0.0:
             raise ValueError(f"floor_bps must be >= 0, got {floor_bps!r}")
         super().__init__()
         self.q = q
-        self.factor = factor
         self.floor_bps = floor_bps
-        self.min_samples = min_samples
-        self.weight = weight
         self._estimators: Dict[PairKey, EwmaQuantile] = {}
 
     def _observe(self, pair: PairKey, delta: float) -> None:
         estimator = self._estimators.get(pair)
         if estimator is None:
-            estimator = self._estimators[pair] = EwmaQuantile(self.q, self.weight)
+            estimator = self._estimators[pair] = EwmaQuantile(
+                self.q, weight=self.weight
+            )
         estimator.observe(delta)
 
     def _deadband(self, pair: PairKey, last: float, value: float) -> float:

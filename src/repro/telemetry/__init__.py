@@ -17,13 +17,12 @@ Layout:
   transitions, QoS violations, faults, report-status changes).
 - :mod:`repro.telemetry.hub`      -- :class:`Telemetry`, the bundle the
   monitor threads through every instrumented component.
-- :mod:`repro.telemetry.export`   -- Prometheus text, JSON snapshot, and
-  periodic sim-time series output.
+- :mod:`repro.telemetry.export`   -- Prometheus text and JSON snapshot
+  output.
 """
 
 from repro.telemetry.events import Event, EventBus
 from repro.telemetry.export import (
-    TimeSeriesRecorder,
     json_snapshot,
     prometheus_text,
     snapshot_dict,
@@ -51,7 +50,6 @@ __all__ = [
     "P2Quantile",
     "Span",
     "Telemetry",
-    "TimeSeriesRecorder",
     "Tracer",
     "json_snapshot",
     "prometheus_text",

@@ -1,6 +1,6 @@
-"""Exporters: Prometheus text, JSON snapshot, and sim-time series.
+"""Exporters: Prometheus text and JSON snapshot.
 
-Three consumers, three formats:
+Two consumers, two formats:
 
 - :func:`prometheus_text` renders the registry in the Prometheus
   exposition format (v0.0.4).  Histograms export as *summaries* --
@@ -9,9 +9,6 @@ Three consumers, three formats:
   fully sorted, so it is stable for golden-file tests.
 - :func:`json_snapshot` bundles metrics, event counts/ring, and the
   span rings into one dict for programmatic consumers.
-- :class:`TimeSeriesRecorder` samples chosen metrics every ``interval``
-  simulated seconds into rows, rendering to the line-oriented CSV the
-  :mod:`repro.analysis` layer ingests.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.metrics import Histogram, MetricsRegistry
-from repro.tsdb import TSDB
 
 
 # ----------------------------------------------------------------------
@@ -134,132 +130,3 @@ def json_snapshot(
     return json.dumps(
         snapshot_dict(telemetry, time=time), indent=indent, cls=_NanSafeEncoder
     )
-
-
-# ----------------------------------------------------------------------
-# Periodic sim-time series
-# ----------------------------------------------------------------------
-class TimeSeriesRecorder:
-    """Samples metric values every ``interval`` simulated seconds.
-
-    ``metrics`` names the families to record; labelled families expand
-    to one column per child (``name{a=b}``), histograms to one column
-    per tracked quantile plus the count.  Unspecified means "whatever
-    the registry holds at each sample", with columns unioned at render
-    time -- convenient for exploration, fixed ``metrics`` for pipelines.
-
-    Samples land in an embedded compressed :class:`~repro.tsdb.TSDB`
-    (one single-field series per column, keyed by sample index so
-    late-appearing columns stay aligned), not in Python row dicts --
-    long recordings cost bits per sample, not objects.  ``rows`` and
-    ``to_csv()`` decode on demand and are unchanged observably.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        sim,
-        interval: float = 2.0,
-        metrics: Optional[Sequence[str]] = None,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError(f"non-positive sample interval {interval!r}")
-        self.registry = registry
-        self.sim = sim
-        self.interval = interval
-        self.metrics = list(metrics) if metrics is not None else None
-        # Column store: series "t" maps sample index -> sim time; every
-        # other column is one series of (sample index, value).
-        self._db = TSDB(fields=("value",), chunk_size=512)
-        self._count = 0
-        self._columns: List[str] = []  # first-appearance order
-        self._rows_cache: Optional[tuple] = None  # (count, rows)
-        self._task = None
-
-    # -- lifecycle -----------------------------------------------------
-    def start(self, at: Optional[float] = None) -> "TimeSeriesRecorder":
-        if self._task is not None:
-            raise RuntimeError("recorder already started")
-        self._task = self.sim.call_every(
-            self.interval, self.sample, start=at if at is not None else self.sim.now
-        )
-        return self
-
-    def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            self._task = None
-
-    # -- sampling ------------------------------------------------------
-    def _columns_of(self, family) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for label_values, child in family.children():
-            suffix = ""
-            if family.labelnames:
-                inner = ",".join(
-                    f"{n}={v}" for n, v in zip(family.labelnames, label_values)
-                )
-                suffix = "{" + inner + "}"
-            if isinstance(child, Histogram):
-                for q, estimate in child.quantiles().items():
-                    out[f"{family.name}{suffix}:p{int(round(q * 100))}"] = estimate
-                out[f"{family.name}{suffix}:count"] = child.count
-            else:
-                out[f"{family.name}{suffix}"] = child.value
-        return out
-
-    def sample(self) -> Dict[str, float]:
-        """Take one sample row now (also the periodic callback)."""
-        row: Dict[str, float] = {"time": self.sim.now}
-        if self.metrics is None:
-            families = self.registry.families()
-        else:
-            families = [self.registry.get(name) for name in self.metrics]
-        for family in families:
-            row.update(self._columns_of(family))
-        index = float(self._count)
-        self._db.append("t", index, (row["time"],))
-        for name, value in row.items():
-            if name == "time":
-                continue
-            if "c:" + name not in self._db:
-                self._columns.append(name)
-            self._db.append("c:" + name, index, (float(value),))
-        self._count += 1
-        self._rows_cache = None
-        return row
-
-    # -- rendering -----------------------------------------------------
-    @property
-    def rows(self) -> List[Dict[str, float]]:
-        """All sample rows, decoded from the column store."""
-        if self._rows_cache is not None and self._rows_cache[0] == self._count:
-            return self._rows_cache[1]
-        if self._count == 0:
-            rows: List[Dict[str, float]] = []
-        else:
-            _, tvals = self._db.range("t")
-            rows = [{"time": float(t)} for t in tvals["value"]]
-            for name in self._columns:
-                indexes, vals = self._db.range("c:" + name)
-                for i, v in zip(indexes, vals["value"]):
-                    rows[int(i)][name] = float(v)
-        self._rows_cache = (self._count, rows)
-        return rows
-
-    def columns(self) -> List[str]:
-        return ["time"] + list(self._columns)
-
-    def storage_stats(self):
-        """Compressed column-store accounting (a tsdb SeriesStats)."""
-        return self._db.stats()
-
-    def to_csv(self) -> str:
-        """Line-oriented series: header row then one line per sample."""
-        cols = self.columns()
-        lines = [",".join(cols)]
-        for row in self.rows:
-            lines.append(
-                ",".join(_fmt(row[c]) if c in row else "" for c in cols)
-            )
-        return "\n".join(lines) + "\n"

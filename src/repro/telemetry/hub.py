@@ -9,8 +9,9 @@ component's bookkeeping now -- while skipping the optional costs:
 histogram updates and span records no-op.  Events stay on either way;
 they fire on rare transitions, not per packet.
 
-``enabled`` is the single overhead switch the benchmark guard flips to
-prove instrumentation stays under its budget.
+``enabled`` is the single overhead switch; the cost guard in
+``tests/test_telemetry_integration.py`` flips it to hold instrumentation
+under its budget.
 """
 
 from __future__ import annotations

@@ -67,9 +67,6 @@ class TopologyGraph:
         self.invalidate_paths()
         return True
 
-    def is_blocked(self, conn: ConnectionSpec) -> bool:
-        return conn.endpoints() in self._blocked
-
     def blocked_connections(self) -> List[ConnectionSpec]:
         return [c for c in self.spec.connections if c.endpoints() in self._blocked]
 

@@ -88,10 +88,6 @@ class BitReader:
         self._pos = end
         return (window >> shift) & ((1 << nbits) - 1)
 
-    @property
-    def bits_read(self) -> int:
-        return self._pos
-
 
 def zigzag_encode(value: int) -> int:
     """Map signed ints to unsigned so small magnitudes stay small."""

@@ -73,14 +73,14 @@ class TSDB:
     def __init__(
         self,
         fields: Sequence[str],
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         retention: Optional[Retention] = None,
         predictors: "Predictors" = None,
     ) -> None:
         if not fields:
             raise ValueError("a TSDB needs at least one value field")
         self.fields: Tuple[str, ...] = tuple(fields)
-        self.chunk_size = chunk_size
+        # Samples per sealed chunk of every series created from now on.
+        self.chunk_size = DEFAULT_CHUNK_SIZE
         self.retention = retention
         self.predictors = predictors
         self._series: Dict[str, Series] = {}

@@ -1,13 +1,15 @@
 """Cost guards without a wall clock: count Python-level calls instead.
 
 A function's Python-call count is exact and repeats bit for bit, so a
-test can bound the cost of a hot path on any box, however noisy.
+test can bound the cost of a hot path on any box, however noisy.  The
+rigs those guards run on live here too.
 """
 
+import functools
 import gc
 import sys
-import time
 from collections import Counter
+from unittest import mock
 
 
 def call_counts(fn, by_file: bool = False) -> Counter:
@@ -43,25 +45,30 @@ def python_calls(fn) -> int:
     return sum(call_counts(fn).values())
 
 
-def overhead(with_feature, without, rounds: int = 3):
-    """``(calls with, calls without, wall ratio)`` of two whole runs.
+def scenario_with(monitor_options, **options):
+    """A :class:`~repro.experiments.scenarios.Scenario` (``options``)
+    whose monitor is also built with ``monitor_options``: how a test
+    reaches a monitor option the scenario does not forward."""
+    from repro.core.monitor import NetworkMonitor
+    from repro.experiments import scenarios
 
-    The call counts are what a guard asserts on; the wall ratio (best of
-    ``rounds`` each, the noise-robust estimator) is for printing beside
-    them: for a feature that is a percent of the run it moves by more
-    between two readings than the feature costs.
-    """
+    monitor = functools.partial(NetworkMonitor, **monitor_options)
+    with mock.patch.object(scenarios, "NetworkMonitor", monitor):
+        return scenarios.Scenario(**options)
 
-    def best_of(fn):
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
 
-    calls = python_calls(with_feature), python_calls(without)
-    return (*calls, best_of(with_feature) / best_of(without))
+def fig4_prefix(until: float = 120.0, **monitor_options):
+    """``(scenario, watch label)``: the Figure-4 experiment
+    (:mod:`repro.experiments.fig4`, seed 0) run to ``until`` -- by default
+    its quiet lead-in and first load level -- with ``monitor_options``
+    passed to its monitor."""
+    from repro.experiments import fig4
+
+    scenario = scenario_with(monitor_options, seed=0)
+    label = scenario.watch(fig4.PATH_SRC, fig4.PATH_DST)
+    scenario.add_load(fig4.LOAD_SRC, fig4.LOAD_DST, fig4.LOAD_SCHEDULE)
+    scenario.run(until)
+    return scenario, label
 
 
 def switch_chain(n_switches: int):

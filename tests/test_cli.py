@@ -552,6 +552,29 @@ class TestSharedPrologue:
         assert message in capsys.readouterr().err
 
 
+class TestValuesTheRunCannotUse:
+    """Arguments argparse accepts but the run cannot use are a usage
+    error -- one ``error:`` line and exit code 2 -- never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["topology", "SPEC", "--host", "L", "--fail-uplink", "switch:hub:xyz"], "'xyz'"),
+            (["tsdb", "--range", "S1:N1", "--window", "0", "--until", "6"],
+             "window must be positive"),
+            (["distributed", "--hierarchy", "1", "--pod-switches", "0"],
+             "need at least one switch"),
+            (["probe", "--count", "1", "--until", "6"], "at least two probes"),
+            (["probe", "--payload", "4", "--until", "6"], "payload_size must be >= 16"),
+        ],
+    )
+    def test_exits_two(self, argv, message, good_spec, capsys):
+        argv = [good_spec if arg == "SPEC" else arg for arg in argv]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
 class TestDistributedHierarchy:
     def test_two_pod_tree_runs_clean(self, capsys):
         assert main(["distributed", "--hierarchy", "2", "--until", "12"]) == 0

@@ -89,6 +89,18 @@ def distributed(worker_hosts=("L", "S1", "S2"), **kwargs):
     return build, dm
 
 
+def footprint(build, dm):
+    """``(SNMP requests the workers sent, octets every host NIC sent)``."""
+    requests = sum(
+        value for key, value in dm.stats().items()
+        if key.startswith("per_worker_requests.")
+    )
+    octets = sum(
+        host.interfaces[0].counters.out_octets for host in build.network.hosts.values()
+    )
+    return requests, octets
+
+
 class TestPartitioning:
     def test_every_snmp_node_assigned_exactly_once(self):
         build, dm = distributed()
@@ -247,9 +259,17 @@ class TestFailover:
         mid-run; its targets move to survivors and every watched path
         reports trusted fresh data within three poll cycles; affected
         reports are degraded (never silently stale) in between; on
-        recovery the plane rebalances back."""
+        recovery the plane rebalances back.  Surviving the crash costs
+        within 10 % of a fault-free twin's SNMP requests and NIC octets
+        under the same 200 KB/s load."""
         build, dm = distributed()  # poll_interval=2.0
-        dm.watch_path("S1", "N1")
+        twin_build, twin = distributed()
+        for b, plane in ((build, dm), (twin_build, twin)):
+            plane.watch_path("S1", "N1")
+            StaircaseLoad(
+                b.network.host("L"), b.network.ip_of("N1"),
+                StepSchedule.pulse(5.0, 35.0, 200_000.0),
+            ).start()
         reports = []
         dm.subscribe(reports.append)
         net = build.network
@@ -280,6 +300,11 @@ class TestFailover:
         late = [r for r in reports if r.time >= 28.0]
         assert late and all(r.trusted for r in late)
         assert dm.stats()["degraded_sources"] == 0.0
+
+        twin.start()
+        twin_build.network.run(40.0)
+        for chaos, calm in zip(footprint(build, dm), footprint(twin_build, twin)):
+            assert 0.90 <= chaos / calm <= 1.10
 
     def test_lease_states_exported(self):
         build, dm = distributed()

@@ -55,7 +55,7 @@ from repro.telemetry.events import (
     QUARANTINE_ENTER,
     QUARANTINE_EXIT,
 )
-from tests.costs import call_counts, python_calls
+from tests.costs import call_counts, python_calls, scenario_with
 
 POLL = 2.0
 
@@ -772,7 +772,7 @@ class TestCorruptionAcceptance:
 def byzantine_run():
     """S1 under-reports ifOutOctets by 70% from t=0: no onset transient,
     so only the cross-check can catch it."""
-    scenario = Scenario(poll_interval=POLL, seed=1, cross_check=True)
+    scenario = scenario_with({"cross_check": True}, poll_interval=POLL, seed=1)
     scenario.watch("S1", "N1")
     scenario.reports = collect_reports(scenario)
     scenario.add_load("L", "S1", StepSchedule.pulse(5.0, 35.0, 200 * KBPS))
@@ -787,7 +787,7 @@ def byzantine_run():
 
 class TestCrossCheckAcceptance:
     def test_clean_cross_check_run_is_quiet(self):
-        scenario = Scenario(poll_interval=POLL, seed=1, cross_check=True)
+        scenario = scenario_with({"cross_check": True}, poll_interval=POLL, seed=1)
         scenario.watch("S1", "N1")
         scenario.add_load("L", "S1", StepSchedule.pulse(5.0, 35.0, 200 * KBPS))
         scenario.run(RUN_UNTIL)
@@ -830,7 +830,7 @@ class TestCrossCheckAcceptance:
 # ----------------------------------------------------------------------
 class TestOtherFaultClasses:
     def test_stuck_counters_blamed_by_cross_check(self):
-        scenario = Scenario(poll_interval=POLL, seed=0, cross_check=True)
+        scenario = scenario_with({"cross_check": True}, poll_interval=POLL, seed=0)
         scenario.watch("S2", "N1")
         scenario.add_load("L", "S2", StepSchedule.pulse(5.0, 38.0, 250 * KBPS))
         StuckCounters(
@@ -849,7 +849,7 @@ class TestOtherFaultClasses:
         ) > 0
 
     def test_speed_misreport_caught_by_polled_ifspeed(self):
-        scenario = Scenario(poll_interval=POLL, seed=0, cross_check=True)
+        scenario = scenario_with({"cross_check": True}, poll_interval=POLL, seed=0)
         scenario.watch("S1", "N1")
         SpeedMisreport(
             scenario.network.sim, scenario.build.agents["S1"],

@@ -267,6 +267,18 @@ class TestScheduler:
         _, monitor, prober = probed_testbed()
         assert monitor.enable_probing() is prober
 
+    @pytest.mark.parametrize(
+        "options", [{"count": 1}, {"payload_size": 8}, {"count": 4, "warmup": 3}, {"timeout": 0.0}]
+    )
+    def test_a_train_that_cannot_be_built_is_refused_at_the_call(self, options):
+        """Not at the first probe round, out of ``network.run``."""
+        build = build_testbed()
+        monitor = NetworkMonitor(build, "L", poll_interval=2.0)
+        monitor.watch_path("S1", "N1")
+        with pytest.raises(ProbeError):
+            monitor.enable_probing(**options)
+        assert monitor.prober is None
+
     def test_start_requires_watches(self):
         build = build_testbed()
         monitor = NetworkMonitor(build, "L", poll_interval=2.0)

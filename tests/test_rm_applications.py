@@ -197,6 +197,12 @@ class TestAdaptationLoop:
         # Moved to a switch host, never onto another occupied placement.
         assert move.to_host not in ("N1", "N2", "S1")
         assert rt.state_of("sensor->tracker") is QosState.OK
+        # Recovered within a few poll intervals of the violation.
+        violated_at = next(e.time for e in rt.events if e.state is QosState.VIOLATED)
+        recovered_at = next(
+            e.time for e in rt.events if e.state is QosState.OK and e.time > violated_at
+        )
+        assert recovered_at - violated_at <= 6.0
         # The flow kept running at its declared rate on the new host.
         new_home = build.network.host(move.to_host)
         assert new_home.discard.octets > 1_000_000

@@ -1,16 +1,12 @@
-"""Tests for the telemetry exporters: Prometheus text, JSON, time series."""
+"""Tests for the telemetry exporters: Prometheus text and JSON."""
 
 import json
 import os
 
-import pytest
-
-from repro.simnet.engine import Simulator
 from repro.stream import register_stream_metrics
 from repro.telemetry import (
     MetricsRegistry,
     Telemetry,
-    TimeSeriesRecorder,
     json_snapshot,
     prometheus_text,
     snapshot_dict,
@@ -113,55 +109,3 @@ class TestJsonSnapshot:
     def test_snapshot_dict_time_override(self):
         tel = Telemetry(clock=lambda: 5.0)
         assert snapshot_dict(tel, time=9.0)["time"] == 9.0
-
-
-class TestTimeSeriesRecorder:
-    def test_periodic_sampling_on_sim_time(self):
-        sim = Simulator()
-        reg = MetricsRegistry()
-        counter = reg.counter("ticks_total")
-        sim.call_every(1.0, counter.inc, start=0.5)
-        rec = TimeSeriesRecorder(reg, sim, interval=2.0).start(at=2.0)
-        sim.run(7.0)
-        rec.stop()
-        sim.run(9.0)  # no rows after stop
-        times = [row["time"] for row in rec.rows]
-        assert times == [2.0, 4.0, 6.0]
-        assert [row["ticks_total"] for row in rec.rows] == [2, 4, 6]
-
-    def test_histogram_columns_and_csv(self):
-        sim = Simulator()
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", quantiles=(0.5,), labelnames=("agent",))
-        h.labels(agent="S1").observe(1.0)
-        rec = TimeSeriesRecorder(reg, sim, metrics=["lat"])
-        rec.sample()
-        row = rec.rows[0]
-        assert row["lat{agent=S1}:p50"] == 1.0
-        assert row["lat{agent=S1}:count"] == 1
-        csv = rec.to_csv()
-        assert csv.splitlines()[0] == "time,lat{agent=S1}:p50,lat{agent=S1}:count"
-        assert csv.splitlines()[1] == "0,1,1"
-
-    def test_column_union_over_late_families(self):
-        sim = Simulator()
-        reg = MetricsRegistry()
-        reg.counter("a_total").inc()
-        rec = TimeSeriesRecorder(reg, sim)
-        rec.sample()
-        reg.counter("b_total").inc(2)
-        rec.sample()
-        cols = rec.columns()
-        assert cols == ["time", "a_total", "b_total"]
-        lines = rec.to_csv().splitlines()
-        assert lines[1].endswith(",")  # b_total blank in the first row
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            TimeSeriesRecorder(MetricsRegistry(), Simulator(), interval=0.0)
-
-    def test_double_start_rejected(self):
-        rec = TimeSeriesRecorder(MetricsRegistry(), Simulator())
-        rec.start()
-        with pytest.raises(RuntimeError):
-            rec.start()

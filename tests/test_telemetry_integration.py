@@ -1,5 +1,6 @@
 """Integration tests: the monitor stack feeding the telemetry subsystem."""
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -21,6 +22,7 @@ from repro.telemetry.events import (
     QOS_VIOLATION,
     REPORT_STATUS,
 )
+from tests.costs import fig4_prefix, python_calls
 
 
 @pytest.fixture
@@ -237,6 +239,49 @@ class TestMatrixTelemetry:
         # the publisher's PathDegraded to tell, not a report-status event.
         changes = monitor.telemetry.events.events(REPORT_STATUS)
         assert {e.attrs["path"] for e in changes} == {"S1<->S2"}
+
+
+def _profiled_prefix(**monitor_options):
+    """``((scenario, label), Python calls)`` of one Figure-4 prefix run,
+    built and run under the call counter once a short run has paid the
+    one-time costs (lazy imports), so the count is the same in any order."""
+    fig4_prefix(until=4.0, **monitor_options)
+    runs = []
+    calls = python_calls(lambda: runs.append(fig4_prefix(**monitor_options)))
+    return runs[0], calls
+
+
+class TestTheCostOfWatching:
+    """Telemetry and the integrity pipeline observe the monitor and never
+    perturb it: on the Figure-4 run's first 120 s each costs at most 10 %
+    more Python calls (exact, the same on every box) than the run without
+    it, and every reported figure is the same."""
+
+    MAX_CALL_RATIO = 1.10
+
+    @pytest.fixture(scope="class")
+    def watched(self):
+        return _profiled_prefix()
+
+    @pytest.mark.parametrize("feature", ["telemetry", "integrity"])
+    def test_costs_at_most_a_tenth_more_calls_and_moves_no_figure(
+        self, watched, feature
+    ):
+        (on, label), on_calls = watched
+        (off, _), off_calls = _profiled_prefix(**{feature: False})
+        assert on_calls <= self.MAX_CALL_RATIO * off_calls, on_calls / off_calls
+        assert np.array_equal(on.path_series(label).used(), off.path_series(label).used())
+        stats = on.monitor.stats()
+        if feature == "telemetry":
+            assert stats == off.monitor.stats()
+            return
+        # A clean run admits every sample and trusts every interface fully.
+        assert stats["integrity_violations"] == stats["integrity_rejected"] == 0
+        assert stats["samples"] == off.monitor.stats()["samples"]
+        records = on.monitor.integrity.quarantine.records()
+        assert len(records) >= 10
+        assert all(record.score == 1.0 for record in records.values())
+        assert on.monitor.integrity.quarantined_keys() == []
 
 
 class TestTelemetryCli:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.history import HISTORY_FIELDS, HISTORY_PREDICTORS, _report_row
 from repro.tsdb import (
     BitReader,
     BitWriter,
@@ -21,6 +22,7 @@ from repro.tsdb import (
 from repro.tsdb.bits import zigzag_decode, zigzag_encode
 from repro.tsdb.chunk import HeadChunk
 from repro.tsdb.downsample import DownsampledSeries
+from tests.costs import fig4_prefix
 
 
 def bits_equal(a, b) -> bool:
@@ -231,6 +233,24 @@ class TestSeries:
             series.append(2.5 + 2.0 * i, (1000.0 + (i % 4),))
         assert series.nbytes < series.raw_nbytes / 4
 
+    def test_the_monitors_stream_compresses_four_fold_bit_identically(self):
+        """The history of the Figure-4 run's first 120 s, replayed into
+        sealed chunks, takes at most a quarter of its raw float64 bytes
+        and decodes to the very bits the monitor stored."""
+        scenario, label = fig4_prefix()
+        history = scenario.path_series(label)
+        replay = Series(
+            "fig4-replay", HISTORY_FIELDS, chunk_size=64, predictors=HISTORY_PREDICTORS
+        )
+        for report in history.reports:
+            replay.append(report.time, _report_row(report))
+        replay.flush()  # seal the tail: the ratio is compression only
+        assert replay.raw_nbytes >= 4 * replay.nbytes
+        times, columns = replay.arrays()
+        assert bits_equal(times, history.times())
+        assert bits_equal(columns["used_bps"], history.used())
+        assert bits_equal(columns["available_bps"], history.available())
+
 
 # ----------------------------------------------------------------------
 # Downsampling
@@ -293,10 +313,8 @@ class TestTSDB:
             TSDB(())
 
     def test_retention_drops_and_downsamples(self):
-        db = TSDB(
-            ("v",), chunk_size=8,
-            retention=Retention(20.0, downsample_window_s=10.0),
-        )
+        db = TSDB(("v",), retention=Retention(20.0, downsample_window_s=10.0))
+        db.chunk_size = 8
         for i in range(100):
             db.append("s", float(i), (float(i),))
         stats = db.stats()
@@ -313,7 +331,8 @@ class TestTSDB:
         assert list(starts)[0] == 0.0 and maxima[0] == 9.0
 
     def test_aggregate_query(self):
-        db = TSDB(("v",), chunk_size=8)
+        db = TSDB(("v",))
+        db.chunk_size = 8
         for i in range(40):
             db.append("s", float(i), (float(i),))
         starts, means = db.aggregate("s", "v", window=10.0, agg="mean")
@@ -321,7 +340,8 @@ class TestTSDB:
         assert list(means) == [4.5, 14.5, 24.5, 34.5]
 
     def test_stats_and_compression_ratio(self):
-        db = TSDB(("v",), chunk_size=32)
+        db = TSDB(("v",))
+        db.chunk_size = 32
         for i in range(128):
             db.append("s", 2.5 + 2.0 * i, (42.0,))
         db.flush()
@@ -335,9 +355,10 @@ class TestTSDB:
     def test_predictors_thread_through_retention(self):
         predictors = {"b": lambda cols: cols["a"] * 2.0}
         db = TSDB(
-            ("a", "b"), chunk_size=8, predictors=predictors,
+            ("a", "b"), predictors=predictors,
             retention=Retention(20.0, downsample_window_s=10.0),
         )
+        db.chunk_size = 8
         for i in range(60):
             db.append("s", float(i), (float(i), float(i) * 2.0))
         down = db.downsampled("s")
