@@ -8,6 +8,7 @@ NT machines, because the hub repeats every frame to every host.
 import numpy as np
 
 from repro.experiments import fig5
+from repro.experiments.scenarios import format_series
 
 
 def window_mean(pair, t0, t1):
@@ -18,7 +19,7 @@ def window_mean(pair, t0, t1):
 def test_bench_fig5_hub_sum(benchmark, fig5_result):
     benchmark.pedantic(lambda: fig5.run(seed=1), rounds=1, iterations=1)
     print()
-    for line in fig5.format_series(fig5_result, stride=3):
+    for line in format_series(fig5_result, stride=3):
         print(line)
     for label, stats in sorted(fig5_result.stats.items()):
         print(f"{label}: mean %err {stats.mean_pct_error:.1f}, "

@@ -8,6 +8,7 @@ load to S1 on both (S1 has a single switch connection).
 import numpy as np
 
 from repro.experiments import fig6
+from repro.experiments.scenarios import format_series
 
 
 def window_mean(pair, t0, t1):
@@ -18,7 +19,7 @@ def window_mean(pair, t0, t1):
 def test_bench_fig6_switch_isolation(benchmark, fig6_result):
     benchmark.pedantic(lambda: fig6.run(seed=1), rounds=1, iterations=1)
     print()
-    for line in fig6.format_series(fig6_result, stride=3):
+    for line in format_series(fig6_result, stride=3):
         print(line)
     for label, stats in sorted(fig6_result.stats.items()):
         print(f"{label}: mean %err {stats.mean_pct_error:.1f}, "

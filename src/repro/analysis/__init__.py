@@ -6,13 +6,12 @@ from repro.analysis.stats import (
     background_estimate,
     compute_table2,
 )
-from repro.analysis.series import stable_mask, percent_errors
+from repro.analysis.series import stable_mask
 
 __all__ = [
     "LevelStats",
     "TrafficStatistics",
     "background_estimate",
     "compute_table2",
-    "percent_errors",
     "stable_mask",
 ]

@@ -48,18 +48,3 @@ def combined_stable_mask(
         mask &= stable_mask(times, schedule, window, guard)
     return mask
 
-
-def percent_errors(
-    measured: np.ndarray, reference: np.ndarray
-) -> np.ndarray:
-    """Elementwise |measured - reference| / reference * 100 (ref > 0 only).
-
-    Entries with a non-positive reference yield NaN so that callers can
-    drop them explicitly instead of dividing by zero.
-    """
-    measured = np.asarray(measured, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    out = np.full(measured.shape, np.nan)
-    ok = reference > 0
-    out[ok] = np.abs(measured[ok] - reference[ok]) / reference[ok] * 100.0
-    return out

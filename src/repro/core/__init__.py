@@ -39,7 +39,7 @@ Extensions implementing the paper's §5 future work:
 """
 
 from repro.core.bandwidth import BandwidthCalculator, ConnectionMeasurement
-from repro.core.counters import CounterSource, resolve_counter_sources
+from repro.core.counters import CounterSource
 from repro.core.discovery import DiscoveryResult, TopologyDiscoverer
 from repro.core.distributed import DistributedMonitor
 from repro.core.health import (
@@ -83,5 +83,4 @@ __all__ = [
     "TopologyDiscoverer",
     "find_all_paths",
     "find_path",
-    "resolve_counter_sources",
 ]

@@ -81,15 +81,6 @@ def resolve_counter_source(spec: TopologySpec, conn: ConnectionSpec) -> Optional
     )
 
 
-def resolve_counter_sources(
-    spec: TopologySpec,
-) -> Dict[Tuple[InterfaceRef, InterfaceRef], Optional[CounterSource]]:
-    """Counter sources for every connection, keyed by its endpoint pair."""
-    return {
-        conn.endpoints(): resolve_counter_source(spec, conn) for conn in spec.connections
-    }
-
-
 def hub_host_connections(spec: TopologySpec) -> Dict[str, List[ConnectionSpec]]:
     """Host-facing connections of every hub, in declaration order.
 

@@ -1188,7 +1188,7 @@ class DistributedMonitor(ReportCore, SampleIngest):
     def _accept(self, *samples: InterfaceRates) -> List[InterfaceRates]:
         """Ingest sink: shipped samples face the same integrity gauntlet
         as local polls before they reach the rate table -- remotely (see
-        :meth:`IntegrityPipeline.inspect_remote`), with no raw snapshots."""
+        :meth:`IntegrityPipeline.inspect`), with no raw snapshots."""
         inspect = self.integrity.inspect if self.integrity is not None else None
         accepted = []
         for sample in samples:

@@ -269,10 +269,6 @@ class ReportCore:
         )
 
     @property
-    def reports_emitted(self) -> int:
-        return int(self._m_reports.value)
-
-    @property
     def started(self) -> bool:
         return self._report_task is not None
 

@@ -335,18 +335,6 @@ class SnmpPoller:
         return self._m_errors.value
 
     @property
-    def timeout_errors(self) -> int:
-        return self._m_timeout_errors.value
-
-    @property
-    def error_responses(self) -> int:
-        return self._m_error_responses.value
-
-    @property
-    def parse_errors(self) -> int:
-        return self._m_parse_errors.value
-
-    @property
     def samples_produced(self) -> int:
         return self._m_samples.value + self._uncounted
 
@@ -361,11 +349,6 @@ class SnmpPoller:
     @property
     def window_overruns(self) -> int:
         return self._m_window_overruns.value
-
-    @property
-    def in_flight(self) -> int:
-        """Poll units currently awaiting their responses."""
-        return self._in_flight
 
     # ------------------------------------------------------------------
     # Lifecycle

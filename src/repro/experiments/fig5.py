@@ -24,12 +24,7 @@ background), with maximum individual error of 7.8 %".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
-
-from repro.analysis.series import combined_stable_mask
-from repro.analysis.stats import TrafficStatistics, compute_table2
-from repro.experiments.scenarios import Scenario, SeriesPair
+from repro.experiments.scenarios import PathsResult, print_report, run_paths
 from repro.simnet.trafficgen import KBPS, StepSchedule
 
 RUN_UNTIL = 110.0
@@ -41,75 +36,26 @@ TRANSITION_GUARD = 1.0
 PAPER_AVG_PCT_ERROR = 3.7
 PAPER_MAX_PCT_ERROR = 7.8
 
-
-@dataclass
-class Fig5Result:
-    pairs: Dict[str, SeriesPair]  # watch label -> series (measured vs hub sum)
-    stats: Dict[str, TrafficStatistics]
-    poll_interval: float
-    monitor_stats: dict
-    scenario: Scenario
+# Both paths cross the hub: each is expected to carry the hub sum.
+EXPECTED_LOADS = {("S1", host): HUB_HOSTS for host in HUB_HOSTS}
+LOADS = {"N1": LOAD_N1, "N2": LOAD_N2}
 
 
-def run(seed: int = 0, poll_interval: float = 2.0) -> Fig5Result:
-    scenario = Scenario(poll_interval=poll_interval, seed=seed)
-    labels = [scenario.watch("S1", host) for host in HUB_HOSTS]
-    scenario.add_load("L", "N1", LOAD_N1)
-    scenario.add_load("L", "N2", LOAD_N2)
-    scenario.run(RUN_UNTIL)
-
-    pairs: Dict[str, SeriesPair] = {}
-    stats: Dict[str, TrafficStatistics] = {}
-    for label in labels:
-        # Both paths cross the hub: expected traffic is the hub sum.
-        pair = scenario.series_pair(label, HUB_HOSTS)
-        pairs[label] = pair
-        stable = combined_stable_mask(
-            pair.times, [LOAD_N1, LOAD_N2], window=poll_interval, guard=TRANSITION_GUARD
-        )
-        stats[label] = compute_table2(
-            pair.measured_kbps, pair.generated_kbps, stable=stable
-        )
-    return Fig5Result(
-        pairs=pairs,
-        stats=stats,
-        poll_interval=poll_interval,
-        monitor_stats=scenario.monitor.stats(),
-        scenario=scenario,
+def run(seed: int = 0, poll_interval: float = 2.0) -> PathsResult:
+    return run_paths(
+        EXPECTED_LOADS, LOADS, RUN_UNTIL, TRANSITION_GUARD, seed, poll_interval
     )
 
 
-def format_series(result: Fig5Result, stride: int = 2) -> List[str]:
-    labels = sorted(result.pairs)
-    lines = [
-        f"{'time (s)':>9} "
-        + " ".join(f"{'gen->'+lab:>16} {'meas '+lab:>16}" for lab in labels)
-    ]
-    n = len(result.pairs[labels[0]].times)
-    for i in range(0, n, stride):
-        row = [f"{result.pairs[labels[0]].times[i]:9.1f}"]
-        for lab in labels:
-            pair = result.pairs[lab]
-            row.append(f"{pair.generated_kbps[i]:16.1f} {pair.measured_kbps[i]:16.2f}")
-        lines.append(" ".join(row))
-    return lines
-
-
-def main(seed: int = 0) -> Fig5Result:
-    from repro.analysis.charts import render_pair
-
+def main(seed: int = 0) -> PathsResult:
     result = run(seed=seed)
-    print("Figure 5 -- hub-connected hosts (paths S1<->N1 and S1<->N2 see the hub sum)")
-    for label in sorted(result.pairs):
-        print(render_pair(result.pairs[label], title=f"hub sum (-) vs measured (*) on {label}"))
-        print()
-    for line in format_series(result):
-        print(line)
-    for label, stats in sorted(result.stats.items()):
-        print()
-        print(stats.format_table(title=f"accuracy on {label}"))
-    print()
-    print(f"paper: avg error {PAPER_AVG_PCT_ERROR}%, max individual {PAPER_MAX_PCT_ERROR}%")
+    print_report(
+        result,
+        "Figure 5 -- hub-connected hosts (paths S1<->N1 and S1<->N2 see the hub sum)",
+        "hub sum (-) vs measured (*) on {label}",
+        PAPER_AVG_PCT_ERROR,
+        PAPER_MAX_PCT_ERROR,
+    )
     return result
 
 

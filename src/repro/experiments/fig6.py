@@ -22,12 +22,7 @@ traffic generated."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
-
-from repro.analysis.series import combined_stable_mask
-from repro.analysis.stats import TrafficStatistics, compute_table2
-from repro.experiments.scenarios import Scenario, SeriesPair
+from repro.experiments.scenarios import PathsResult, print_report, run_paths
 from repro.simnet.trafficgen import KBPS, StepSchedule
 
 RUN_UNTIL = 140.0
@@ -42,82 +37,27 @@ PAPER_MAX_PCT_ERROR = 7.8
 # Which destination loads each watched path is expected to carry: the
 # far-end host's loads plus S1's own (S1 has only one switch connection).
 EXPECTED_LOADS = {
-    "S1<->S2": ["S2", "S1"],
-    "S1<->S3": ["S3", "S1"],
+    ("S1", "S2"): ["S2", "S1"],
+    ("S1", "S3"): ["S3", "S1"],
 }
+LOADS = {"S2": LOAD_S2, "S3": LOAD_S3, "S1": LOAD_S1}
 
 
-@dataclass
-class Fig6Result:
-    pairs: Dict[str, SeriesPair]
-    stats: Dict[str, TrafficStatistics]
-    poll_interval: float
-    monitor_stats: dict
-    scenario: Scenario
-
-
-def run(seed: int = 0, poll_interval: float = 2.0) -> Fig6Result:
-    scenario = Scenario(poll_interval=poll_interval, seed=seed)
-    for dst in ("S2", "S3"):
-        scenario.watch("S1", dst)
-    scenario.add_load("L", "S2", LOAD_S2)
-    scenario.add_load("L", "S3", LOAD_S3)
-    scenario.add_load("L", "S1", LOAD_S1)
-    scenario.run(RUN_UNTIL)
-
-    schedules = [LOAD_S2, LOAD_S3, LOAD_S1]
-    pairs: Dict[str, SeriesPair] = {}
-    stats: Dict[str, TrafficStatistics] = {}
-    for label, expected in EXPECTED_LOADS.items():
-        pair = scenario.series_pair(label, expected)
-        pairs[label] = pair
-        stable = combined_stable_mask(
-            pair.times, schedules, window=poll_interval, guard=TRANSITION_GUARD
-        )
-        stats[label] = compute_table2(
-            pair.measured_kbps, pair.generated_kbps, stable=stable
-        )
-    return Fig6Result(
-        pairs=pairs,
-        stats=stats,
-        poll_interval=poll_interval,
-        monitor_stats=scenario.monitor.stats(),
-        scenario=scenario,
+def run(seed: int = 0, poll_interval: float = 2.0) -> PathsResult:
+    return run_paths(
+        EXPECTED_LOADS, LOADS, RUN_UNTIL, TRANSITION_GUARD, seed, poll_interval
     )
 
 
-def format_series(result: Fig6Result, stride: int = 2) -> List[str]:
-    labels = sorted(result.pairs)
-    lines = [
-        f"{'time (s)':>9} "
-        + " ".join(f"{'gen->'+lab:>16} {'meas '+lab:>16}" for lab in labels)
-    ]
-    n = len(result.pairs[labels[0]].times)
-    for i in range(0, n, stride):
-        row = [f"{result.pairs[labels[0]].times[i]:9.1f}"]
-        for lab in labels:
-            pair = result.pairs[lab]
-            row.append(f"{pair.generated_kbps[i]:16.1f} {pair.measured_kbps[i]:16.2f}")
-        lines.append(" ".join(row))
-    return lines
-
-
-def main(seed: int = 0) -> Fig6Result:
-    from repro.analysis.charts import render_pair
-
+def main(seed: int = 0) -> PathsResult:
     result = run(seed=seed)
-    print("Figure 6 -- switch-connected hosts (per-port isolation)")
-    for label in sorted(result.pairs):
-        print(render_pair(result.pairs[label],
-                          title=f"expected (-) vs measured (*) on {label}"))
-        print()
-    for line in format_series(result):
-        print(line)
-    for label, stats in sorted(result.stats.items()):
-        print()
-        print(stats.format_table(title=f"accuracy on {label}"))
-    print()
-    print(f"paper: avg error {PAPER_AVG_PCT_ERROR}%, max individual {PAPER_MAX_PCT_ERROR}%")
+    print_report(
+        result,
+        "Figure 6 -- switch-connected hosts (per-port isolation)",
+        "expected (-) vs measured (*) on {label}",
+        PAPER_AVG_PCT_ERROR,
+        PAPER_MAX_PCT_ERROR,
+    )
     return result
 
 

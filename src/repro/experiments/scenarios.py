@@ -3,6 +3,9 @@
 A :class:`Scenario` wraps a built testbed with a monitor on L, scheduled
 UDP loads (the paper's load generator), background chatter, and helpers to
 extract generated-vs-measured series in the paper's units (KB/s).
+:func:`run_paths`, :func:`format_series` and :func:`print_report` are the
+run, rows and printout Figures 5 and 6 share: several watched paths, each
+scored against the loads it should carry.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.series import combined_stable_mask
+from repro.analysis.stats import TrafficStatistics, compute_table2
 from repro.core.history import PathSeries
 from repro.core.monitor import NetworkMonitor
 from repro.experiments.testbed import MONITOR_HOST, build_testbed
@@ -153,3 +158,99 @@ class Scenario:
             dtype=float,
         ) / KBPS
         return SeriesPair(watch_label, times, measured, generated)
+
+
+@dataclass
+class PathsResult:
+    """Several watched paths, each against the loads it should carry."""
+
+    pairs: Dict[str, SeriesPair]  # watch label -> generated vs measured
+    stats: Dict[str, TrafficStatistics]
+    poll_interval: float
+    monitor_stats: dict
+    scenario: Scenario
+
+
+def run_paths(
+    expected: Dict[Tuple[str, str], Sequence[str]],
+    loads: Dict[str, StepSchedule],
+    until: float,
+    guard: float,
+    seed: int,
+    poll_interval: float,
+) -> PathsResult:
+    """Watch every path, load L -> each host, run to ``until``, score.
+
+    ``expected`` maps each watched ``(src, dst)`` to the load
+    destinations whose traffic it should carry; ``loads`` maps each
+    destination to its schedule.  A sample counts toward a path's
+    Table-2 statistics only when it is stable with respect to every
+    load, ``guard`` seconds clear of each transition.
+    """
+    scenario = Scenario(poll_interval=poll_interval, seed=seed)
+    labels = {scenario.watch(src, dst): hosts for (src, dst), hosts in expected.items()}
+    for dst, schedule in loads.items():
+        scenario.add_load("L", dst, schedule)
+    scenario.run(until)
+
+    schedules = list(loads.values())
+    pairs: Dict[str, SeriesPair] = {}
+    stats: Dict[str, TrafficStatistics] = {}
+    for label, hosts in labels.items():
+        pair = scenario.series_pair(label, hosts)
+        pairs[label] = pair
+        stable = combined_stable_mask(
+            pair.times, schedules, window=poll_interval, guard=guard
+        )
+        stats[label] = compute_table2(
+            pair.measured_kbps, pair.generated_kbps, stable=stable
+        )
+    return PathsResult(
+        pairs=pairs,
+        stats=stats,
+        poll_interval=poll_interval,
+        monitor_stats=scenario.monitor.stats(),
+        scenario=scenario,
+    )
+
+
+def format_series(result: PathsResult, stride: int = 2) -> List[str]:
+    """Rows of time, then generated and measured KB/s for every path."""
+    labels = sorted(result.pairs)
+    lines = [
+        f"{'time (s)':>9} "
+        + " ".join(f"{'gen->'+lab:>16} {'meas '+lab:>16}" for lab in labels)
+    ]
+    n = len(result.pairs[labels[0]].times)
+    for i in range(0, n, stride):
+        row = [f"{result.pairs[labels[0]].times[i]:9.1f}"]
+        for lab in labels:
+            pair = result.pairs[lab]
+            row.append(f"{pair.generated_kbps[i]:16.1f} {pair.measured_kbps[i]:16.2f}")
+        lines.append(" ".join(row))
+    return lines
+
+
+def print_report(
+    result: PathsResult,
+    heading: str,
+    chart_title: str,
+    paper_avg_pct: float,
+    paper_max_pct: float,
+) -> None:
+    """A figure's printout: one chart per path (``chart_title`` is
+    formatted with its ``label``), the rows, each path's accuracy table,
+    and the paper's own error figures."""
+    from repro.analysis.charts import render_pair
+
+    print(heading)
+    for label in sorted(result.pairs):
+        print(render_pair(result.pairs[label], title=chart_title.format(label=label)))
+        print()
+    for line in format_series(result):
+        print(line)
+    for label, stats in sorted(result.stats.items()):
+        print()
+        print(stats.format_table(title=f"accuracy on {label}"))
+    print()
+    print(f"paper: avg error {paper_avg_pct}%, max individual {paper_max_pct}%")

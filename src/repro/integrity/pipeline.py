@@ -265,6 +265,13 @@ class IntegrityPipeline:
         fires allocates nothing.  The guard is written in the form that
         is false for NaN (``not (rate <= limit)``, never ``rate >
         limit``): a value that is no number falls through and is judged.
+
+        A sample shipped from a remote worker arrives as derived rates,
+        not raw counter snapshots, so the coordinator passes
+        ``prev``/``cur`` as None: the rate bound still applies (a remote worker, or anything
+        spoofing one, must not inject impossible rates into the table);
+        the regression diagnosis and polled-ifSpeed cross-check simply
+        have nothing to read.
         """
         key = (sample.node, sample.if_index)
         self._shadow[key] = sample
@@ -313,19 +320,6 @@ class IntegrityPipeline:
             self._rejected()
             return False
         return True
-
-    def inspect_remote(self, sample: InterfaceRates) -> bool:
-        """Validate a sample shipped from a remote worker.
-
-        Workers ship derived :class:`InterfaceRates`, not raw counter
-        snapshots, so the coordinator inspects with ``prev``/``cur``
-        absent: the rate-bound check still applies (a remote worker, or
-        anything spoofing one, must not inject impossible rates into the
-        table), the regression diagnosis and polled-ifSpeed cross-check
-        simply have nothing to read.  Admission semantics are identical
-        to :meth:`inspect`.
-        """
-        return self.inspect(sample, None, None)
 
     def note_restart(self, node: str, if_index: int) -> None:
         """Agent restarted: streak state is meaningless, drop it."""

@@ -235,9 +235,6 @@ class ApplicationRuntime:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def flow_labels(self) -> List[str]:
-        return sorted(self._flows)
-
     def state_of(self, label: str) -> QosState:
         return self._flows[label].detector.state
 

@@ -123,20 +123,6 @@ class ViolationDetector:
     def violated(self) -> bool:
         return self.state is QosState.VIOLATED
 
-    def violation_spans(self) -> List[tuple]:
-        """(start, end) times of completed violations; end=None if open."""
-        spans: List[tuple] = []
-        start: Optional[float] = None
-        for event in self.events:
-            if event.state is QosState.VIOLATED and start is None:
-                start = event.time
-            elif event.state is QosState.OK and start is not None:
-                spans.append((start, event.time))
-                start = None
-        if start is not None:
-            spans.append((start, None))
-        return spans
-
 
 class StreamViolationAdapter:
     """Feeds a detector from stream events instead of monitor callbacks.

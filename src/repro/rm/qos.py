@@ -99,26 +99,15 @@ class QosRequirement:
             return True
         return self.min_confidence > 0.0 and report.any_quarantined
 
-    def satisfied_by(self, report: PathReport) -> bool:
-        """Does ``report`` meet every threshold?
+    def violation_reason(self, report: PathReport) -> Optional[str]:
+        """Human-readable reason, or None when ``report`` meets every threshold.
 
-        An ``unavailable`` report (the monitor has no fresh data for the
-        path) never satisfies a requirement: "no idea" must be treated
+        This is the predicate the violation detector evaluates.  An
+        ``unavailable`` report (the monitor has no fresh data for the
+        path) never meets a requirement: "no idea" must be treated
         conservatively, not as silence.  NaN comparisons would otherwise
         read as healthy.
         """
-        if report.unavailable:
-            return False
-        if self.min_available_bps is not None and report.available_bps < self.min_available_bps:
-            return False
-        if self.max_utilization is not None:
-            bottleneck = report.bottleneck
-            if bottleneck is not None and bottleneck.utilization > self.max_utilization:
-                return False
-        return True
-
-    def violation_reason(self, report: PathReport) -> Optional[str]:
-        """Human-readable reason, or None when satisfied."""
         if report.unavailable:
             age = report.freshness
             return (

@@ -38,7 +38,6 @@ from repro.simnet.sockets import DISCARD_PORT, UDPSocket
 from repro.simnet.switch import Switch
 from repro.simnet.trafficgen import (
     BackgroundChatter,
-    PoissonLoad,
     StaircaseLoad,
     StepSchedule,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "Link",
     "MacAddress",
     "Network",
-    "PoissonLoad",
     "Simulator",
     "StaircaseLoad",
     "StepSchedule",

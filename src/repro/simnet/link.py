@@ -151,10 +151,6 @@ class Link:
     def endpoints(self) -> Tuple["Interface", "Interface"]:
         return (self.end_a, self.end_b)
 
-    @property
-    def total_drops(self) -> int:
-        return self._a_to_b.frames_dropped + self._b_to_a.frames_dropped
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Link {self.end_a.full_name} <-> {self.end_b.full_name} "

@@ -46,9 +46,8 @@ class Network:
         self.management: Dict[str, ManagementStack] = {}
         self._mac_alloc = MacAllocator()
         self._ip_alloc = IPv4Allocator("10.0.0.0", 16)
-        # Both keyed by the IP's integer; broadcast resolves like any other.
+        # Keyed by the IP's integer; broadcast resolves like any other.
         self._arp: Dict[int, MacAddress] = {BROADCAST_IP._value: BROADCAST_MAC}
-        self._ip_owner: Dict[int, object] = {}
 
     # ------------------------------------------------------------------
     # Device construction
@@ -79,7 +78,7 @@ class Network:
         mac = self._mac_alloc.allocate()
         ip = self._ip_alloc.allocate()
         iface = host.add_interface(local_name, mac, ip, speed_bps)
-        self._register(ip, mac, host)
+        self._register(ip, mac)
         return iface
 
     def add_switch(
@@ -108,7 +107,7 @@ class Network:
             stack = ManagementStack(switch, ip, mac)
             stack.network = self
             self.management[name] = stack
-            self._register(ip, mac, switch)
+            self._register(ip, mac)
         return switch
 
     def add_hub(self, name: str, n_ports: int, speed_bps: float = 10e6) -> Hub:
@@ -178,22 +177,15 @@ class Network:
     def ip_of(self, name: str) -> IPv4Address:
         return self.endpoint(name).primary_ip
 
-    def _register(self, ip: IPv4Address, mac: MacAddress, owner: object) -> None:
+    def _register(self, ip: IPv4Address, mac: MacAddress) -> None:
         if ip._value in self._arp:
             raise NetworkError(f"IP {ip} registered twice")
         self._arp[ip._value] = mac
-        self._ip_owner[ip._value] = owner
 
     def resolve_mac(self, ip: IPv4Address) -> MacAddress:
         """ARP substitute: map an IP to its MAC (broadcast-aware)."""
         try:
             return self._arp[ip._value]
-        except KeyError:
-            raise NetworkError(f"no device owns IP {ip}") from None
-
-    def owner_of(self, ip: IPv4Address) -> object:
-        try:
-            return self._ip_owner[ip._value]
         except KeyError:
             raise NetworkError(f"no device owns IP {ip}") from None
 

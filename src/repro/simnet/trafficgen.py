@@ -107,11 +107,6 @@ class StepSchedule:
     def breakpoints(self) -> List[float]:
         return list(self._times)
 
-    @property
-    def end_time(self) -> float:
-        """Last breakpoint (when the final rate takes effect)."""
-        return self._times[-1] if self._times else 0.0
-
 
 class StaircaseLoad:
     """The paper's UDP load generator, driven by a :class:`StepSchedule`.
@@ -188,46 +183,6 @@ class StaircaseLoad:
         self.datagrams_sent += 1
         self.payload_octets_sent += self.payload_size
         self._send_handle = self.sim.schedule(self.payload_size / rate, self._send_one)
-
-
-class PoissonLoad:
-    """Poisson datagram arrivals at a mean payload rate (ablation tool)."""
-
-    def __init__(
-        self,
-        src: Host,
-        dst_ip: IPv4Address,
-        mean_rate_bps: float,
-        payload_size: int = DEFAULT_PAYLOAD,
-        dst_port: int = DISCARD_PORT,
-        seed: int = 0,
-        start: float = 0.0,
-        end: float = float("inf"),
-        dscp: int = 0,
-    ) -> None:
-        if mean_rate_bps <= 0:
-            raise TrafficError(f"non-positive mean rate {mean_rate_bps!r}")
-        if not 0 <= dscp <= 63:
-            raise TrafficError(f"DSCP out of range: {dscp!r}")
-        self.src = src
-        self.dst_ip = dst_ip
-        self.dst_port = dst_port
-        self.payload_size = payload_size
-        self.mean_interval = payload_size / mean_rate_bps
-        self.end = end
-        self.socket = src.create_socket()
-        self.socket.tos = dscp << 2
-        self.sim = src.sim
-        self.rng = random.Random(seed)
-        self.datagrams_sent = 0
-        self.sim.schedule_at(max(start, self.sim.now), self._send_one)
-
-    def _send_one(self) -> None:
-        if self.sim.now >= self.end:
-            return
-        self.socket.sendto(self.payload_size, (self.dst_ip, self.dst_port))
-        self.datagrams_sent += 1
-        self.sim.schedule(self.rng.expovariate(1.0 / self.mean_interval), self._send_one)
 
 
 class BackgroundChatter:

@@ -264,10 +264,6 @@ def encode_octet_string(value: bytes) -> bytes:
     return encode_tlv(TAG_OCTET_STRING, value)
 
 
-def encode_null() -> bytes:
-    return encode_tlv(TAG_NULL, b"")
-
-
 def encode_sequence(*parts: bytes) -> bytes:
     return encode_tlv(TAG_SEQUENCE, b"".join(parts))
 

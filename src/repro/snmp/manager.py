@@ -209,14 +209,6 @@ class SnmpManager:
         return self._m_timeouts.value
 
     @property
-    def responses_received(self) -> int:
-        return self._m_responses.value
-
-    @property
-    def responses_unmatched(self) -> int:
-        return self._m_unmatched.value
-
-    @property
     def decode_errors(self) -> int:
         return self._m_decode_errors.value
 

@@ -72,14 +72,6 @@ def build_trap_pdu(
     return Pdu(tag, next(_trap_request_ids), varbinds=payload)
 
 
-def link_trap_pdu(uptime: TimeTicks, if_index: int, up: bool) -> Pdu:
-    """The linkUp/linkDown notification for one interface."""
-    trap_oid = TRAP_LINK_UP if up else TRAP_LINK_DOWN
-    return build_trap_pdu(
-        uptime, trap_oid, [VarBind(IF_INDEX + str(if_index), Integer(if_index))]
-    )
-
-
 @dataclass
 class TrapV1Pdu:
     """The RFC 1157 Trap-PDU (tag 0xA4) -- a different shape entirely.

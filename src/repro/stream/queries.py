@@ -23,10 +23,6 @@ O(1) per pair change -- never a rescan of history.
     buffer.  The estimate is readable at any time
     (:meth:`PercentileQuery.value`), and with a ``threshold`` the query
     also fires/clears like a threshold query on the *estimate*.
-    :meth:`PercentileQuery.prime` replays a
-    :class:`~repro.core.history.PathSeries` window (served from the
-    compressed tsdb) so a freshly-registered query starts from history
-    instead of cold.
 
 Queries see the pair's *raw* per-cycle values -- the publisher routes
 every recomputed dirty pair to them before significance filtering, so
@@ -223,34 +219,6 @@ class PercentileQuery(ContinuousQuery):
             self._firing[pair] = False
             return ("cleared", estimate)
         return None
-
-    def prime(self, pair: Tuple[str, str], series, now: float) -> int:
-        """Warm one pair's estimator from stored history.
-
-        ``series`` is a :class:`~repro.core.history.PathSeries` (or any
-        object with ``between(t0, t1)`` returning ``times()`` /
-        ``column(field)`` arrays, i.e. a tsdb-backed view); the last
-        ``window_s`` seconds before ``now`` are replayed in time order.
-        Returns the number of samples replayed.
-        """
-        window = series.between(now - self.window_s, now)
-        if self.metric == "utilization":
-            capacity = window.column("capacity_bps")
-            used = window.column("used_bps")
-            values = [
-                min(1.0, u / c) if c else 0.0 for u, c in zip(used, capacity)
-            ]
-        else:
-            field = "available_bps" if self.metric == "available" else "used_bps"
-            values = window.column(field)
-        estimator = self._estimator(pair_key(*pair))
-        primed = 0
-        for value in values:
-            if math.isnan(value):
-                continue
-            estimator.observe(float(value))
-            primed += 1
-        return primed
 
     def reset(self) -> None:
         super().reset()

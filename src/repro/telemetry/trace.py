@@ -166,12 +166,6 @@ class Tracer:
             return list(self.finished)
         return [s for s in self.finished if s.name == name]
 
-    def children_of(self, span: Span) -> List[Span]:
-        return [s for s in self.finished if s.parent_id == span.span_id]
-
-    def durations(self, name: str) -> List[float]:
-        return [s.duration for s in self.finished if s.name == name]
-
     def format_slow(self) -> str:
         """Human-readable slow-span log (newest last)."""
         if not self.slow:

@@ -1,15 +1,13 @@
 """Graph view of a :class:`~repro.topology.model.TopologySpec`.
 
 Provides the adjacency structure the monitor's recursive path traversal
-walks, connectivity/cycle queries used by spec validation, and a networkx
-export for analysis and visualisation.
+walks (:mod:`repro.core.traversal`), its path memos, and the
+connectivity/cycle queries used by spec validation.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
 
 from repro.topology.model import ConnectionSpec, InterfaceRef, TopologyError, TopologySpec
 
@@ -143,8 +141,10 @@ class TopologyGraph:
     def has_cycle(self) -> bool:
         """True when the physical topology contains a layer-2 loop.
 
-        Loops matter because neither the simulated devices nor the paper's
-        testbed run spanning-tree; validation warns on them.
+        The simulated switches run spanning tree where the spec declares
+        ``stp "on"`` (the paper's testbed had no loop to break), so a loop
+        is a redundant mesh when every switch does; validation warns on a
+        loop when some switch does not, since frames may circulate.
         """
         parent: Dict[str, str] = {}
 
@@ -160,34 +160,3 @@ class TopologyGraph:
                 return True
             parent[ra] = rb
         return False
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-    def to_networkx(self) -> "nx.MultiGraph":
-        """A MultiGraph (parallel links are legal between two devices)."""
-        graph = nx.MultiGraph(name=self.spec.name)
-        for node in self.spec.nodes:
-            graph.add_node(
-                node.name,
-                kind=node.kind.value,
-                snmp=node.snmp_enabled,
-                os=node.os_label,
-            )
-        for conn in self.spec.connections:
-            graph.add_edge(
-                conn.end_a.node,
-                conn.end_b.node,
-                interface_a=conn.end_a.interface,
-                interface_b=conn.end_b.interface,
-                bandwidth_bps=self.spec.effective_bandwidth(conn),
-            )
-        return graph
-
-    def shortest_hop_path(self, src: str, dst: str) -> Optional[List[str]]:
-        """Node names along a minimum-hop path, or None if disconnected."""
-        graph = self.to_networkx()
-        try:
-            return nx.shortest_path(graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            return None

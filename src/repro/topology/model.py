@@ -238,12 +238,6 @@ class TopologySpec:
     def connections_of(self, node_name: str) -> List[ConnectionSpec]:
         return [c for c in self.connections if c.touches(node_name)]
 
-    def connection_at(self, ref: InterfaceRef) -> Optional[ConnectionSpec]:
-        for conn in self.connections:
-            if ref in conn.endpoints():
-                return conn
-        return None
-
     def effective_bandwidth(self, conn: ConnectionSpec) -> float:
         """Connection bandwidth: explicit, else min of endpoint speeds."""
         if conn.bandwidth_bps is not None:
@@ -252,17 +246,8 @@ class TopologySpec:
         speed_b = self.node(conn.end_b.node).interface(conn.end_b.interface).speed_bps
         return min(speed_a, speed_b)
 
-    def qos_path(self, name: str) -> QosPathSpec:
-        for path in self.qos_paths:
-            if path.name == name:
-                return path
-        raise TopologyError(f"no QoS path named {name!r}")
-
     def application(self, name: str) -> ApplicationSpec:
         for app in self.applications:
             if app.name == name:
                 return app
         raise TopologyError(f"no application named {name!r}")
-
-    def has_application(self, name: str) -> bool:
-        return any(app.name == name for app in self.applications)

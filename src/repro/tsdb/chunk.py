@@ -136,15 +136,6 @@ class SealedChunk:
     def decode_times(self) -> np.ndarray:
         return decode_timestamps(self.time_data, self.count)
 
-    def decode_field(self, name: str, predictors: "Predictors" = None) -> np.ndarray:
-        if name not in self.fields:
-            raise KeyError(f"no field {name!r} in chunk (have {self.fields})")
-        if name in self.predicted:
-            # Needs its prediction inputs: decode the whole chunk.
-            return self.arrays(predictors)[1][name]
-        index = self.fields.index(name)
-        return decode_column(self.column_data[index], self.count)
-
     def arrays(self, predictors: "Predictors" = None) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
         """Decode every column: (times, {field: values}).
 

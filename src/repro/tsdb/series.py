@@ -205,19 +205,6 @@ class Series:
         """One field's values over the window (no timestamps)."""
         return self.arrays([name], t_start, t_end)[1][name]
 
-    def iter_samples(
-        self, t_start: Optional[float] = None, t_end: Optional[float] = None
-    ) -> Iterator[Tuple[float, Tuple[float, ...]]]:
-        """Lazy sample iterator; decodes one chunk at a time."""
-        for times, values in self._blocks(t_start, t_end):
-            columns = [values[name] for name in self.fields]
-            for i, t in enumerate(times):
-                if t_start is not None and t < t_start:
-                    continue
-                if t_end is not None and t >= t_end:
-                    return
-                yield float(t), tuple(float(col[i]) for col in columns)
-
     # ------------------------------------------------------------------
     # Retention
     # ------------------------------------------------------------------

@@ -300,9 +300,6 @@ class ReferencePipeline(IntegrityPipeline):
             return False
         return True
 
-    def inspect_remote(self, sample: InterfaceRates) -> bool:
-        return self.inspect(sample, prev=None, cur=None, polled_speed_bps=None)
-
     def note_restart(self, node: str, if_index: int) -> None:
         """Agent restarted: streak state is meaningless, drop it."""
         self._stuck.forget(node, if_index)
@@ -635,7 +632,7 @@ def reference_enqueue(endpoint, sample: InterfaceRates) -> bool:
 
 def reference_accept(monitor, sample: InterfaceRates) -> bool:
     """``DistributedMonitor._accept``: the root's per-sample sink."""
-    if monitor.integrity is not None and not monitor.integrity.inspect_remote(sample):
+    if monitor.integrity is not None and not monitor.integrity.inspect(sample, None, None):
         return False
     monitor.rates.update(sample)
     return True

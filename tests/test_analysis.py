@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.series import combined_stable_mask, percent_errors, stable_mask
+from repro.analysis.series import combined_stable_mask, stable_mask
 from repro.analysis.stats import (
     StatsError,
     background_estimate,
@@ -35,16 +35,6 @@ class TestStableMask:
         times = np.array([11.0, 21.0, 30.0])
         mask = combined_stable_mask(times, [s1, s2], window=2.0)
         assert mask.tolist() == [False, False, True]
-
-
-class TestPercentErrors:
-    def test_basic(self):
-        errs = percent_errors(np.array([110.0, 95.0]), np.array([100.0, 100.0]))
-        np.testing.assert_allclose(errs, [10.0, 5.0])
-
-    def test_zero_reference_gives_nan(self):
-        errs = percent_errors(np.array([5.0]), np.array([0.0]))
-        assert np.isnan(errs[0])
 
 
 class TestBackground:

@@ -236,7 +236,6 @@ class TestUnavailableReportPolicy:
     def test_unavailable_never_satisfies(self):
         req = QosRequirement(name="r", src="A", dst="A", min_available_bps=0.0)
         bad = self.report(unavailable=True, confidence=0.0, freshness=12.0)
-        assert not req.satisfied_by(bad)
         reason = req.violation_reason(bad)
         assert reason is not None and "unavailable" in reason
         assert "12.0s" in reason
@@ -249,7 +248,7 @@ class TestUnavailableReportPolicy:
     def test_degraded_report_still_evaluated(self):
         req = QosRequirement(name="r", src="A", dst="A", min_available_bps=0.0)
         ok = self.report(degraded=True, confidence=0.5, freshness=6.0)
-        assert req.satisfied_by(ok)
+        assert req.violation_reason(ok) is None
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ from repro.core.counters import (
     if_index_of,
     required_poll_targets,
     resolve_counter_source,
-    resolve_counter_sources,
 )
 from repro.spec.parser import parse_spec
 from repro.topology.model import InterfaceRef
@@ -88,9 +87,7 @@ class TestResolution:
 
     def test_resolve_all(self):
         s = spec()
-        sources = resolve_counter_sources(s)
-        assert len(sources) == len(s.connections)
-        unmeasured = [k for k, v in sources.items() if v is None]
+        unmeasured = [c for c in s.connections if resolve_counter_source(s, c) is None]
         assert len(unmeasured) == 1
 
 

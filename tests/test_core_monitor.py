@@ -122,10 +122,10 @@ class TestLifecycle:
         monitor.watch_path("S1", "N1")
         monitor.start()
         build.network.run(8.0)
-        reports = monitor.reports_emitted
+        reports = monitor.stats()["reports"]
         monitor.stop()
         build.network.run(20.0)
-        assert monitor.reports_emitted == reports
+        assert monitor.stats()["reports"] == reports
         assert monitor.manager.outstanding == 0
 
     def test_bad_report_offset_rejected(self):

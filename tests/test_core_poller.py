@@ -250,8 +250,9 @@ class TestErrorClassification:
         poller.targets[0] = PollTarget("S1", target.primary_ip, [99])
         poller.start()
         net.run(10.0)
-        assert poller.parse_errors >= 4
-        assert poller.timeout_errors == 0
+        value = poller.telemetry.registry.value
+        assert value("poll_parse_errors_total") >= 4
+        assert value("poll_timeout_errors_total") == 0
         assert poller.poll_errors == 0  # the agent did answer
         assert poller.health.state("S1") is HealthState.HEALTHY
 
@@ -273,7 +274,8 @@ class TestErrorClassification:
         net.run(10.0)
         # v1 has no per-varbind exceptions: the whole request fails with
         # noSuchName, which proves the agent alive but the poll useless.
-        assert v1_poller.error_responses >= 4
-        assert v1_poller.poll_errors == v1_poller.error_responses
-        assert v1_poller.timeout_errors == 0
+        value = v1_poller.telemetry.registry.value
+        assert value("poll_error_responses_total") >= 4
+        assert v1_poller.poll_errors == value("poll_error_responses_total")
+        assert value("poll_timeout_errors_total") == 0
         assert v1_poller.health.state("S1") is HealthState.HEALTHY

@@ -59,7 +59,7 @@ class TestTutorialSpecs:
         spec = parse_spec(specs[0])
         issues = validate_spec(spec, strict=True)
         assert not any(i.severity == "error" for i in issues)
-        assert spec.has_application("sensor")
+        assert spec.application("sensor").name == "sensor"
 
     def test_readme_quickstart_spec_parses(self):
         text = README.read_text()

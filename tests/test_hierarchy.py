@@ -284,9 +284,9 @@ def test_report_surface_is_the_same_on_every_plane(plane):
     net.announce_hosts(at=2.0)  # after spanning tree settled
     monitor.start(at=2.5)
     net.run(20.0)
-    before = monitor.reports_emitted
+    before = monitor.stats()["reports"]
     net.run(20.0 + 3 * monitor.poll_interval)
-    assert monitor.reports_emitted == before + 3  # one watch, three cycles
+    assert monitor.stats()["reports"] == before + 3  # one watch, three cycles
     assert monitor.stats()["reports"] == len(reports)
 
     assert reports[-1].redundant  # two parallel uplinks

@@ -346,7 +346,7 @@ def tracked_pipeline(n_interfaces):
     speeds = {(f"sw{i // 50}", i % 50 + 1): 100e6 for i in range(n_interfaces)}
     pipe = IntegrityPipeline(speeds, POLL)
     for node, if_index in speeds:
-        assert pipe.inspect_remote(sample(node=node, if_index=if_index))
+        assert pipe.inspect(sample(node=node, if_index=if_index), None, None)
     return pipe
 
 
@@ -354,9 +354,9 @@ class TestPerSampleCost:
     def test_inspect_call_count_independent_of_tracked_interfaces(self):
         """The trust gauges must not walk every record on every sample,
         and a clean sample of a pristine interface looks its interface up
-        once, builds nothing, settles nothing and writes no gauge: 4
-        Python calls in all -- this test's lambda, ``inspect_remote``,
-        ``inspect`` and the stuck-counter rule, which keeps state and so
+        once, builds nothing, settles nothing and writes no gauge: 3
+        Python calls in all -- this test's lambda, ``inspect`` and the
+        stuck-counter rule, which keeps state and so
         sees every sample (18 while every sample built a context, asked
         four validators for a list each and wrote its trust gauge; 27
         while the aggregate gauge and both transition counters were
@@ -365,15 +365,15 @@ class TestPerSampleCost:
         for n in (10, 1000):
             pipe = tracked_pipeline(n)
             again = sample(node="sw0", if_index=1, time=4.0)
-            counts[n] = python_calls(lambda: pipe.inspect_remote(again))
-        assert counts[10] == counts[1000] <= 4, counts
+            counts[n] = python_calls(lambda: pipe.inspect(again, None, None))
+        assert counts[10] == counts[1000] <= 3, counts
 
     @pytest.mark.parametrize("remote", [True, False], ids=["remote", "local"])
     def test_a_firing_rule_costs_its_verdict_and_no_more(self, remote):
         """The stuck-counter rule fires on nine idle-campus samples in
         ten, so the firing path is the common one: the validator's
         verdict and the suspect counter are all it adds, the trust
-        record's tallies moved in place (6 calls remote, 5 local; 23 and
+        record's tallies moved in place (5 calls, remote or local; 23 and
         22 before)."""
         counts = {}
         for n in (10, 1000):
@@ -384,7 +384,7 @@ class TestPerSampleCost:
             def poll(i, before, after, rate):
                 s = sample(node="sw0", if_index=1, time=4.0 + 2 * i, in_bps=rate)
                 if remote:
-                    return python_calls(lambda: pipe.inspect_remote(s))
+                    return python_calls(lambda: pipe.inspect(s, None, None))
                 return python_calls(lambda: pipe.inspect(s, before, after))
 
             poll(0, frozen, moved, 200.0)  # activity, then three frozen polls
@@ -392,7 +392,7 @@ class TestPerSampleCost:
             assert quiet[0] == quiet[1] < quiet[2] == quiet[3], quiet
             assert pipe.quarantine.record("sw0", 1).suspects == 2
             counts[n] = quiet[3]
-        assert counts[10] == counts[1000] <= 6, counts
+        assert counts[10] == counts[1000] <= 5, counts
 
     MOVES = st.tuples(
         st.sampled_from([("A", 1), ("A", 2), ("B", 1)]),
@@ -413,7 +413,7 @@ class TestPerSampleCost:
         for i, ((node, if_index), move) in enumerate(moves):
             t = POLL * i
             if move == "clean":
-                pipe.inspect_remote(sample(node=node, if_index=if_index, time=t))
+                pipe.inspect(sample(node=node, if_index=if_index, time=t), None, None)
             else:
                 sev = Severity.VIOLATION if move == "violation" else Severity.SUSPECT
                 pipe.apply_external_verdicts(
@@ -457,7 +457,7 @@ class TestRatesThatAreNoNumber:
         bad = sample(**{direction: rate})
 
         def accept(s):  # what DistributedMonitor._accept does with one sample
-            if pipe.inspect_remote(s):
+            if pipe.inspect(s, None, None):
                 monitor.rates.update(s)
 
         accept(bad)
@@ -474,7 +474,7 @@ class TestRatesThatAreNoNumber:
 
     def test_a_nan_interval_draws_wrap_risk_and_is_admitted(self):
         pipe = IntegrityPipeline({("S1", 1): 100e6}, POLL)
-        assert pipe.inspect_remote(sample(interval=math.nan))
+        assert pipe.inspect(sample(interval=math.nan), None, None)
         rec = pipe.quarantine.record("S1", 1)
         assert rec.last_verdict.check == "wrap_risk"
         assert rec.last_verdict.severity is Severity.SUSPECT

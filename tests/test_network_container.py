@@ -53,7 +53,6 @@ class TestDeviceRegistry:
         assert len(set(ips)) == 5
         for host in hosts:
             assert net.resolve_mac(host.primary_ip) == host.interfaces[0].mac
-            assert net.owner_of(host.primary_ip) is host
 
     def test_broadcast_resolution(self):
         net = Network()
@@ -65,8 +64,6 @@ class TestDeviceRegistry:
         net = Network()
         with pytest.raises(NetworkError):
             net.resolve_mac(IPv4Address("1.2.3.4"))
-        with pytest.raises(NetworkError):
-            net.owner_of(IPv4Address("1.2.3.4"))
 
 
 class TestWiring:

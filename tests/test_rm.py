@@ -61,15 +61,15 @@ class TestQosRequirement:
 
     def test_min_available_check(self):
         req = QosRequirement("r", "S1", "N1", min_available_bps=500_000)
-        assert req.satisfied_by(make_report(available=600_000))
-        assert not req.satisfied_by(make_report(available=400_000))
+        assert req.violation_reason(make_report(available=600_000)) is None
+        assert req.violation_reason(make_report(available=400_000)) is not None
 
     def test_max_utilization_check(self):
         req = QosRequirement("r", "S1", "N1", max_utilization=0.5)
         ok = make_report(available=600_000)  # 40% used
         bad = make_report(available=300_000)  # 70% used
-        assert req.satisfied_by(ok)
-        assert not req.satisfied_by(bad)
+        assert req.violation_reason(ok) is None
+        assert req.violation_reason(bad) is not None
 
     def test_violation_reason_text(self):
         req = QosRequirement("r", "S1", "N1", min_available_bps=500_000)
@@ -122,8 +122,10 @@ class TestDetector:
         det.offer(make_report(available=400_000, time=1.0))
         det.offer(make_report(available=600_000, time=2.0))
         det.offer(make_report(available=400_000, time=3.0))
-        spans = det.violation_spans()
-        assert spans == [(1.0, 2.0), (3.0, None)]
+        transitions = [(e.state, e.time) for e in det.events]
+        assert transitions == [
+            (QosState.VIOLATED, 1.0), (QosState.OK, 2.0), (QosState.VIOLATED, 3.0),
+        ]
 
     def test_foreign_report_ignored(self):
         det = ViolationDetector(self.req())

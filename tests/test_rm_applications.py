@@ -108,7 +108,7 @@ class TestRuntimeDeployment:
         build, monitor, rt = runtime()
         rt.start()
         assert "sensor->tracker" in monitor.watched_paths()
-        assert rt.flow_labels() == ["sensor->tracker"]
+        assert rt.state_of("sensor->tracker") is QosState.UNKNOWN  # nothing judged yet
 
     def test_requirement_derived_from_rate(self):
         build, monitor, rt = runtime(headroom=1.5)

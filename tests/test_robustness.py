@@ -52,7 +52,7 @@ class TestAgentFuzz:
         manager = SnmpManager(victim)
         attacker.create_socket().sendto(blob, (victim.primary_ip, manager.socket.port))
         net.run(2.0)
-        assert manager.responses_received == 0
+        assert manager.telemetry.registry.value("snmp_responses_total") == 0
 
     def test_truncated_valid_message_rejected(self):
         """Every prefix of a valid message must be rejected cleanly."""

@@ -127,7 +127,7 @@ def _run(pipe, op, now):
             node, if_index, now, interval, in_rate, out_rate, pkts, pkts
         )
         if raw is None:
-            return pipe.inspect_remote(sample)
+            return pipe.inspect(sample, None, None)
         moved, polled_speed = raw
         prev = _CounterSnapshot(100, 50_000, 50_000, 500, 500, 0, 0)
         cur = _CounterSnapshot(

@@ -274,5 +274,6 @@ class TestErrorStatusOffTheWire:
         (request_id,) = mgr._pending
         reply = Message(VERSION_2C, "public", Pdu(ber.TAG_GET_RESPONSE, request_id, 65, 0)).encode()
         mgr._on_datagram(reply, len(reply), host.primary_ip, 161)
-        assert (poller.error_responses, poller.poll_errors, poller.in_flight) == (1, 1, 0)
+        error_responses = poller.telemetry.registry.value("poll_error_responses_total")
+        assert (error_responses, poller.poll_errors, poller._in_flight) == (1, 1, 0)
 

@@ -141,7 +141,7 @@ class TestOid:
 
 class TestTlv:
     def test_sequence_roundtrip(self):
-        seq = ber.encode_sequence(ber.encode_integer(1), ber.encode_null())
+        seq = ber.encode_sequence(ber.encode_integer(1), ber.encode_tlv(ber.TAG_NULL, b""))
         content, end = ber.decode_sequence(seq)
         assert end == len(seq)
         tag, c, pos = ber.decode_tlv(content)

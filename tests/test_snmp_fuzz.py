@@ -50,6 +50,7 @@ from repro.snmp.mib import (
     IF_IN_NUCAST_PKTS,
     IF_IN_OCTETS,
     IF_IN_UCAST_PKTS,
+    IF_INDEX,
     IF_OPER_STATUS,
     IF_OUT_NUCAST_PKTS,
     IF_OUT_OCTETS,
@@ -67,7 +68,6 @@ from repro.snmp.trap import (
     TrapReceiver,
     TrapV1Pdu,
     build_trap_pdu,
-    link_trap_pdu,
 )
 from tests.snmp_reference import (
     agent_reply,
@@ -175,7 +175,7 @@ def _seeds():
         [VarBind(IF_DESCR.extend(3), OctetString("eth2"))],
     )
     notifications = [
-        _message(link_trap_pdu(TimeTicks(100), 3, up=False)),
+        _message(build_trap_pdu(TimeTicks(100), TRAP_LINK_DOWN, [VarBind(IF_INDEX + "3", Integer(3))])),
         _message(inform_pdu()),
         _message(v1_trap, VERSION_1),
         _message(dataclasses.replace(v1_trap, generic_trap=6, specific_trap=17), VERSION_1),
@@ -309,13 +309,19 @@ class TestAgent:
 # ----------------------------------------------------------------------
 # SnmpManager, with a GET and an interface-poll walk pending
 # ----------------------------------------------------------------------
+def responses(manager):
+    """(matched, unmatched) responses, as the manager's registry counts them."""
+    value = manager.telemetry.registry.value
+    return value("snmp_responses_total"), value("snmp_responses_unmatched_total")
+
+
 def manager_state(manager, walk):
     """Everything a datagram can move, bar the two reject counters."""
     return (
         sorted((i, p.attempts, manager.sim.pending(p.timer)) for i, p in manager._pending.items()),
         {ip: (e.srtt, e.rttvar, e.rto, e.samples) for ip, e in manager._estimators.items()},
         {ip: dataclasses.astuple(d) for ip, d in manager.destinations.items()},
-        (manager.requests_sent, manager.responses_received),
+        (manager.requests_sent, responses(manager)[0]),
         (walk.exchanges, walk.uptime, list(walk.cursor_rows), list(walk.done)),
         [dict(table) for table in walk.tables],
     )
@@ -331,14 +337,14 @@ class TestManager:
         net, manager, _agent, walk, got = manager_rig()
         before = manager_state(manager, walk)
         manager._on_datagram(payload, len(payload), None, 161)
-        rejects = manager.decode_errors + manager.responses_unmatched
+        rejects = manager.decode_errors + responses(manager)[1]
         assert rejects in (0, 1)
         if rejects:
             assert manager_state(manager, walk) == before and got.ended == []
             return
         # Matched: that request is gone and ended exactly once -- or, for
         # the walk, went on to its next exchange.
-        assert manager.responses_received == 1
+        assert responses(manager)[0] == 1
         if 1 not in manager._pending:
             assert [name for name, _how, _what in got.ended] == ["get"]
             assert 2 in manager._pending
@@ -359,9 +365,9 @@ class TestManager:
     def test_a_v1_trap_on_the_managers_port_is_unmatched(self):
         net, manager, _agent, walk, got = manager_rig()
         manager._on_datagram(NOTIFICATIONS[2], len(NOTIFICATIONS[2]), None, 162)
-        assert (manager.responses_unmatched, manager.decode_errors) == (1, 0)
+        assert (responses(manager)[1], manager.decode_errors) == (1, 0)
         manager._on_datagram(NEGATIVE_SPECIFIC_TRAP, len(NEGATIVE_SPECIFIC_TRAP), None, 162)
-        assert (manager.responses_unmatched, manager.decode_errors) == (1, 1)
+        assert (responses(manager)[1], manager.decode_errors) == (1, 1)
 
 
 # ----------------------------------------------------------------------

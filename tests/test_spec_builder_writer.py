@@ -107,7 +107,8 @@ class TestWriter:
         """
         spec = parse_spec(text)
         again = parse_spec(write_spec(spec))
-        path = again.qos_path("p")
+        (path,) = again.qos_paths
+        assert path.name == "p"
         assert path.min_available_bps == 1600e3
         assert path.max_utilization == 0.8
 

@@ -96,7 +96,8 @@ class TestHappyPath:
             }
             """
         )
-        path = spec.qos_path("feed")
+        (path,) = spec.qos_paths
+        assert path.name == "feed"
         assert path.src == "A" and path.dst == "B"
         assert path.min_available_bps == 200 * 8e3
         assert path.max_utilization == 0.8

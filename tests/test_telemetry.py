@@ -278,7 +278,7 @@ class TestTracer:
         child.finish()
         parent.finish()
         assert child.parent_id == parent.span_id
-        assert tracer.children_of(parent) == [child]
+        assert [s for s in tracer.spans() if s.parent_id == parent.span_id] == [child]
 
     def test_ring_bounded(self):
         tracer, clock = self.make(capacity=3)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.traversal import NoPathError, find_path, path_nodes
 from repro.topology.graph import TopologyGraph
 from repro.topology.model import (
     ConnectionSpec,
@@ -98,11 +99,6 @@ class TestModel:
         assert len(spec.connections_of("sw")) == 2
         assert len(spec.connections_of("C")) == 0
 
-    def test_connection_at(self):
-        spec = simple_spec()
-        assert spec.connection_at(InterfaceRef("A", "eth0")) is spec.connections[0]
-        assert spec.connection_at(InterfaceRef("C", "eth0")) is None
-
     def test_qos_path_validation(self):
         with pytest.raises(TopologyError):
             QosPathSpec("p", "A", "A")
@@ -110,13 +106,6 @@ class TestModel:
             QosPathSpec("p", "A", "B", max_utilization=1.5)
         with pytest.raises(TopologyError):
             QosPathSpec("p", "A", "B", min_available_bps=-1)
-
-    def test_qos_path_lookup(self):
-        spec = simple_spec()
-        spec.qos_paths.append(QosPathSpec("p", "A", "B", min_available_bps=1.0))
-        assert spec.qos_path("p").src == "A"
-        with pytest.raises(TopologyError):
-            spec.qos_path("missing")
 
 
 class TestGraph:
@@ -147,16 +136,11 @@ class TestGraph:
         )
         assert TopologyGraph(spec).has_cycle()
 
-    def test_networkx_export(self):
-        graph = TopologyGraph(simple_spec()).to_networkx()
-        assert set(graph.nodes) == {"A", "B", "C", "sw"}
-        assert graph.number_of_edges() == 2
-        assert graph.nodes["sw"]["kind"] == "switch"
-
     def test_shortest_hop_path(self):
         graph = TopologyGraph(simple_spec())
-        assert graph.shortest_hop_path("A", "B") == ["A", "sw", "B"]
-        assert graph.shortest_hop_path("A", "C") is None
+        assert path_nodes(find_path(graph, "A", "B"), "A") == ["A", "sw", "B"]
+        with pytest.raises(NoPathError):
+            find_path(graph, "A", "C")
 
     def test_connection_to_unknown_node_rejected(self):
         spec = simple_spec()

@@ -6,7 +6,6 @@ from repro.simnet.network import Network
 from repro.simnet.trafficgen import (
     KBPS,
     BackgroundChatter,
-    PoissonLoad,
     StaircaseLoad,
     StepSchedule,
     TrafficError,
@@ -62,7 +61,6 @@ class TestStepSchedule:
     def test_breakpoints_exposed(self):
         sched = StepSchedule([(1.0, 5.0), (2.0, 0.0)])
         assert sched.breakpoints == [1.0, 2.0]
-        assert sched.end_time == 2.0
 
 
 def loaded_pair(schedule, payload=1000):
@@ -129,42 +127,6 @@ class TestStaircaseLoad:
         b = net.add_host("B")
         with pytest.raises(TrafficError):
             StaircaseLoad(a, b.primary_ip, StepSchedule([(0.0, 1.0)]), payload_size=0)
-
-
-class TestPoissonLoad:
-    def test_mean_rate_approximated(self):
-        net = Network()
-        a = net.add_host("A")
-        b = net.add_host("B")
-        sw = net.add_switch("sw", 4, managed=False)
-        net.connect(a, sw)
-        net.connect(b, sw)
-        net.announce_hosts()
-        PoissonLoad(a, b.primary_ip, mean_rate_bps=100_000.0, seed=7, end=60.0)
-        net.run(61.0)
-        assert b.discard.octets == pytest.approx(6_000_000, rel=0.15)
-
-    def test_seeded_determinism(self):
-        counts = []
-        for _ in range(2):
-            net = Network()
-            a = net.add_host("A")
-            b = net.add_host("B")
-            sw = net.add_switch("sw", 4, managed=False)
-            net.connect(a, sw)
-            net.connect(b, sw)
-            net.announce_hosts()
-            load = PoissonLoad(a, b.primary_ip, 50_000.0, seed=42, end=20.0)
-            net.run(21.0)
-            counts.append(load.datagrams_sent)
-        assert counts[0] == counts[1] > 0
-
-    def test_bad_rate_rejected(self):
-        net = Network()
-        a = net.add_host("A")
-        b = net.add_host("B")
-        with pytest.raises(TrafficError):
-            PoissonLoad(a, b.primary_ip, 0.0)
 
 
 class TestBackgroundChatter:
@@ -255,4 +217,4 @@ class TestDscpMarking:
         with pytest.raises(TrafficError):
             StaircaseLoad(a, "10.0.0.2", StepSchedule([(0.0, 1.0)]), dscp=64)
         with pytest.raises(TrafficError):
-            PoissonLoad(a, "10.0.0.2", mean_rate_bps=1000.0, dscp=-1)
+            StaircaseLoad(a, "10.0.0.2", StepSchedule([(0.0, 1.0)]), dscp=-1)

@@ -8,16 +8,21 @@ from repro.simnet.faults import LinkFailure
 from repro.simnet.network import Network
 from repro.snmp.agent import SnmpAgent
 from repro.snmp.datatypes import Integer, TimeTicks
-from repro.snmp.mib import build_mib2
+from repro.snmp.mib import IF_INDEX, build_mib2
 from repro.snmp.trap import (
     TRAP_LINK_DOWN,
     TRAP_LINK_UP,
     TrapReceiver,
     build_trap_pdu,
-    link_trap_pdu,
 )
 from repro.snmp.message import VERSION_2C, Message
-from repro.snmp.pdu import Pdu
+from repro.snmp.pdu import Pdu, VarBind
+
+
+def link_trap_pdu(uptime, if_index, up):
+    """A linkUp/linkDown trap for one interface, as the agent builds it."""
+    trap_oid = TRAP_LINK_UP if up else TRAP_LINK_DOWN
+    return build_trap_pdu(uptime, trap_oid, [VarBind(IF_INDEX + str(if_index), Integer(if_index))])
 
 
 class TestTrapPdu:

@@ -144,7 +144,6 @@ class TestChunks:
         assert bits_equal(dt, times)
         assert bits_equal(dv["a"], cols[0])
         assert bits_equal(dv["b"], cols[1])
-        assert bits_equal(sealed.decode_field("a"), cols[0])
 
     def test_predicted_column_needs_predictors_to_decode(self):
         predictors = {"total": lambda cols: cols["x"] + 1.0}
@@ -206,11 +205,6 @@ class TestSeries:
         series = self.make(n=10)
         assert series.latest() == (9.0, (90.0, -9.0))
         assert Series("e", ("v",)).latest() is None
-
-    def test_iter_samples_lazy_window(self):
-        series = self.make(n=50, chunk_size=8)
-        samples = list(series.iter_samples(5.0, 9.0))
-        assert samples == [(float(i), (i * 10.0, -float(i))) for i in range(5, 9)]
 
     def test_flush_seals_head(self):
         series = self.make(n=10, chunk_size=16)
