@@ -16,7 +16,7 @@ Fidelity notes:
   interface of interest on that agent, like the paper's Table 1: as one
   GET naming every instance, or as a GetBulk column walk -- the same
   :meth:`SnmpManager.poll_interfaces` call either way, answering with
-  per-column integer tables that one parser turns into snapshots.
+  per-column integer tables that one parser turns into samples.
 - Poll scheduling can carry seeded jitter, and agents add processing
   delay, so octets occasionally land in the *next* interval -- the paper's
   "abnormally small value followed by an abnormally large one".
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.health import AgentHealthTracker
@@ -251,8 +251,9 @@ class SnmpPoller:
                 probe_interval=interval * 3, events=self.telemetry.events
             )
         )
-        self._last: Dict[Tuple[str, int], _CounterSnapshot] = {}
-        # Samples ``_ingest`` produced that ``poll_samples_total`` has not
+        # Per node and ifIndex, the last reading: (sysUpTime, the six counters).
+        self._last: Dict[str, Dict[int, Tuple[int, Tuple[int, ...]]]] = {}
+        # Samples ``_derive`` produced that ``poll_samples_total`` has not
         # been told of yet: the counter catches up once per response.
         self._uncounted = 0
         self._task = None
@@ -501,88 +502,88 @@ class SnmpPoller:
             self._exchange_done(span, "error")
 
     def _on_response(self, target: PollTarget, reply, span=None) -> None:
-        """Turn ``(uptime_ticks, {column: {ifIndex: (tag, value)}})`` into
-        one snapshot per interface; a value of the wrong type (its tag
-        says) or a missing row is a parse error for that interface."""
+        """Account one answered poll, then :meth:`_derive` its reply."""
         self._exchange_done(span, "ok")
         self.health.record_success(target.node, self.sim.now)
         uptime, tables = reply
         if uptime is None:
             self._m_parse_errors.inc()
             return
-        counters = [tables[col] for col in _COLUMNS]
-        track_status = target.include_oper_status and self.on_status is not None
-        statuses = tables[IF_OPER_STATUS] if track_status else {}
-        speeds = tables[IF_SPEED] if target.include_speed else {}
-        for index in dict.fromkeys(target.if_indexes):
-            tag, status = statuses.get(index, _ABSENT)
-            if tag == TAG_INTEGER:
-                self.on_status(target.node, index, status == IF_STATUS_UP)
-            tags, values = zip(*[table.get(index, _ABSENT) for table in counters])
+        self._derive(target.node, target.if_indexes, uptime, tables)
+
+    def _ingest(self, node: str, if_index: int, snapshot: _CounterSnapshot) -> None:
+        """A reading handed in, not polled: derived as a one-row reply."""
+        uptime, *values = astuple(snapshot)
+        tables = {col: {if_index: (TAG_COUNTER32, v)} for col, v in zip(_COLUMNS, values)}
+        self._derive(node, (if_index,), uptime, tables)
+
+    def _derive(self, node: str, if_indexes: Sequence[int], uptime: int, tables: dict) -> None:
+        """Turn one reply, ``{column: {ifIndex: (tag, value)}}`` at sysUpTime
+        ``uptime``, into a sample per interface against its last ``(uptime,
+        six integers)``; a wrong type (its tag says) or a missing row is a
+        parse error.  The interval is judged once per baseline uptime (so a
+        restart counts once); six unmoved integers make rates of exactly
+        ``+0.0``, and raw snapshots are built only for ``inspect``."""
+        last, integrity, now = self._last.setdefault(node, {}), self.integrity, self.sim.now
+        in_octets, out_octets, in_ucast, out_ucast, in_nucast, out_nucast = [
+            tables[col] for col in _COLUMNS
+        ]
+        statuses = tables.get(IF_OPER_STATUS, {}) if self.on_status is not None else {}
+        since, seconds, restarted = None, None, []
+        for index in dict.fromkeys(if_indexes):
+            if statuses and statuses.get(index, _ABSENT)[0] == TAG_INTEGER:
+                self.on_status(node, index, statuses[index][1] == IF_STATUS_UP)
+            tags, values = zip(
+                in_octets.get(index, _ABSENT), out_octets.get(index, _ABSENT),
+                in_ucast.get(index, _ABSENT), out_ucast.get(index, _ABSENT),
+                in_nucast.get(index, _ABSENT), out_nucast.get(index, _ABSENT),
+            )
             if tags != _ALL_COUNTER32:
                 self._m_parse_errors.inc()
                 continue
-            tag, speed = speeds.get(index, _ABSENT)
-            self._ingest(
-                target.node, index, _CounterSnapshot(uptime, *values),
-                float(speed) if tag == TAG_GAUGE32 else None,
+            previous = last.get(index)
+            last[index] = (uptime, values)
+            if previous is None:
+                continue  # first poll only establishes the baseline
+            if previous[0] != since:
+                since = previous[0]
+                seconds = ((uptime - since) % _WRAP) / 100.0
+            if seconds <= 0:
+                continue  # same-tick duplicate; drop the sample
+            if seconds > self.max_plausible_interval:
+                # sysUpTime went backwards (agent restarted: "the time since
+                # the network management portion of the system was last
+                # re-initialized").  Counters restarted with it; this poll
+                # only re-establishes the baseline.
+                restarted.append(index)
+                if integrity is not None:
+                    integrity.note_restart(node, index)
+                continue
+            if values == previous[1]:
+                sample = InterfaceRates(node, index, now, seconds, 0.0, 0.0, 0.0, 0.0)
+            else:  # "The old value is subtracted from the new one", modulo the wrap
+                d = [(new - old) % _WRAP for new, old in zip(values, previous[1])]
+                sample = InterfaceRates(  # octets, then unicast + non-unicast packets
+                    node, index, now, seconds, d[0] / seconds, d[1] / seconds,
+                    (d[2] + d[4]) / seconds, (d[3] + d[5]) / seconds,
+                )
+            self._uncounted += 1
+            if integrity is not None:
+                tag, speed = tables.get(IF_SPEED, {}).get(index, _ABSENT)
+                if not integrity.inspect(
+                    sample, _CounterSnapshot(previous[0], *previous[1]),
+                    _CounterSnapshot(uptime, *values),
+                    float(speed) if tag == TAG_GAUGE32 else None,
+                ):
+                    # Withheld: the table keeps its last admitted sample, which
+                    # ages into staleness -- bad data degrades like missing data.
+                    continue
+            self.on_sample(sample)
+        if restarted:
+            self._m_restarts.inc()
+            self.telemetry.events.publish(
+                AGENT_RESTART, now, node=node, if_indexes=tuple(restarted)
             )
         if self._uncounted:
             self._m_samples.inc(self._uncounted)
             self._uncounted = 0
-
-    def _ingest(
-        self,
-        node: str,
-        if_index: int,
-        snapshot: _CounterSnapshot,
-        polled_speed: Optional[float] = None,
-    ) -> None:
-        key = (node, if_index)
-        previous = self._last.get(key)
-        self._last[key] = snapshot
-        if previous is None:
-            return  # first poll only establishes the baseline
-        seconds = ((snapshot.uptime - previous.uptime) % _WRAP) / 100.0
-        if seconds <= 0:
-            # Same-tick duplicate; drop the sample.
-            return
-        if seconds > self.max_plausible_interval:
-            # sysUpTime went backwards (agent restarted: "the time since
-            # the network management portion of the system was last
-            # re-initialized").  Counters restarted with it; this poll
-            # only re-establishes the baseline.
-            self._m_restarts.inc()
-            self.telemetry.events.publish(
-                AGENT_RESTART, self.sim.now, node=node, if_index=if_index
-            )
-            if self.integrity is not None:
-                self.integrity.note_restart(node, if_index)
-            return
-        # "The old value is subtracted from the new one", modulo the wrap.
-        in_pkts = (
-            (snapshot.ucast_in - previous.ucast_in) % _WRAP
-            + (snapshot.nucast_in - previous.nucast_in) % _WRAP
-        )
-        out_pkts = (
-            (snapshot.ucast_out - previous.ucast_out) % _WRAP
-            + (snapshot.nucast_out - previous.nucast_out) % _WRAP
-        )
-        sample = InterfaceRates(
-            node=node,
-            if_index=if_index,
-            time=self.sim.now,
-            interval=seconds,
-            in_bytes_per_s=(snapshot.octets_in - previous.octets_in) % _WRAP / seconds,
-            out_bytes_per_s=(snapshot.octets_out - previous.octets_out) % _WRAP / seconds,
-            in_pkts_per_s=in_pkts / seconds,
-            out_pkts_per_s=out_pkts / seconds,
-        )
-        self._uncounted += 1
-        if self.integrity is not None and not self.integrity.inspect(
-            sample, previous, snapshot, polled_speed
-        ):
-            # Withheld: the table keeps its last admitted sample, which
-            # ages into staleness -- bad data degrades like missing data.
-            return
-        self.on_sample(sample)

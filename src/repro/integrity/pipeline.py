@@ -4,7 +4,7 @@ Sits between the SNMP poller and the bandwidth calculator:
 
 ::
 
-    poller._ingest ──► pipeline.inspect ──┬─ admit ──► RateTable ──► calculator
+    poller._derive ──► pipeline.inspect ──┬─ admit ──► RateTable ──► calculator
                                           └─ reject (violation / quarantined)
                                                 │
                                           trust scores ──► quarantine
@@ -233,7 +233,7 @@ class IntegrityPipeline:
         return sorted(self._wrap_warned)
 
     # ------------------------------------------------------------------
-    # Per-sample path (called from SnmpPoller._ingest)
+    # Per-sample path (called from SnmpPoller._derive)
     # ------------------------------------------------------------------
     def _bind(self, key: Key) -> _Interface:
         """First sight of an interface, by a sample or by a verdict."""

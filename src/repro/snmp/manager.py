@@ -8,8 +8,10 @@ to ``retries`` times and then fail with :class:`SnmpTimeout`.
 A response is decoded once and completely *before* its request is popped:
 the header in place, then the varbinds -- by the general decoder, or, for
 the interface poll (:meth:`SnmpManager.poll_interfaces`), by a column
-reader that files integers straight from the bytes.  A datagram rejected
-anywhere changes no state; any non-zero error-status reaches ``errback``.
+reader that files integers straight from the bytes and, for a reply to a
+request it has read before, reads again only the varbinds whose bytes
+differ.  A datagram rejected anywhere changes no state; any non-zero
+error-status reaches ``errback``.
 
 Retransmission timeouts are **adaptive, per destination** (RFC 6298
 style): each agent gets an :class:`RtoEstimator` that smooths observed
@@ -31,6 +33,8 @@ paper counts this among its ~2 % systematic overhead.
 from __future__ import annotations
 
 import itertools
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -52,6 +56,9 @@ ErrorCallback = Callable[[Exception], None]
 DEFAULT_TIMEOUT = 1.0
 DEFAULT_RETRIES = 1
 MAX_WALK_EXCHANGES = 8  # a bulk interface poll chains at most this many requests
+
+# Poll replies remembered, bounded like the agent's memos (a 64-row reply is 9 KB).
+_MEMO_REPLIES, _MEMO_REPLY_BYTES = 256, 16384
 
 # RFC 6298 smoothing gains and variance multiplier.
 RTO_ALPHA = 0.125
@@ -119,13 +126,13 @@ class DestinationStats:
 class _Pending:
     __slots__ = (
         "payload", "dst", "attempts", "timer", "callback", "errback",
-        "sent_at", "first_sent_at", "columns",
+        "sent_at", "first_sent_at", "poll",
     )
 
-    def __init__(self, payload, dst, callback, errback, columns=None) -> None:
+    def __init__(self, payload, dst, callback, errback, poll=None) -> None:
         self.payload = payload
         self.dst = dst
-        self.columns = columns  # set by the interface poll: read the reply by column
+        self.poll = poll  # an interface poll's (agent, column set, request varbinds)
         self.attempts = 0
         self.timer = None
         self.callback = callback
@@ -158,6 +165,7 @@ class SnmpManager:
         self._pending: Dict[int, _Pending] = {}
         self._estimators: Dict[IPv4Address, RtoEstimator] = {}
         self.destinations: Dict[IPv4Address, DestinationStats] = {}
+        self._replies: Dict[tuple, _Reading] = {}  # see _read
         # Statistics live in the telemetry registry (a standalone manager
         # gets a private disabled hub: counters still count, the optional
         # extras -- per-agent RTT quantiles -- stay off until a monitor
@@ -329,7 +337,8 @@ class SnmpManager:
         column, ``{ifIndex: (tag, value)}`` -- the BER tag of what the
         agent served for that row and its integer (0 where the type has
         none).  Replies are read by :func:`_read_columns` straight from
-        the datagram.  Each exchange is an ordinary request (adaptive
+        the datagram, each against the last reply to the same request
+        (:meth:`_read`).  Each exchange is an ordinary request (adaptive
         RTO, retries, RTT accounting); one that times out or errors
         fails the whole poll through ``errback``.
         """
@@ -337,19 +346,17 @@ class SnmpManager:
         column_set = _column_set(key)
         if not bulk:
             request_id = next(self._request_ids)
-            pdu = encode_pdu(
-                ber.TAG_GET_REQUEST, request_id, 0, 0,
-                _poll_varbinds(key, tuple(if_indexes), include_uptime, bulk=False),
-            )
+            varbinds = _poll_varbinds(key, tuple(if_indexes), include_uptime, bulk=False)
+            pdu = encode_pdu(ber.TAG_GET_REQUEST, request_id, 0, 0, varbinds)
 
-            def file_rows(reply) -> None:
-                uptime, rows = reply
+            def file_rows(reading: _Reading) -> None:
                 tables: List[Dict[int, Tuple[int, int]]] = [{} for _ in key]
-                for column, row, tag, value in rows:
+                for column, row, tag, value in reading.rows:
                     tables[column][row] = (tag, value)
-                callback((uptime, dict(zip(key, tables))))
+                callback((reading.uptime, dict(zip(key, tables))))
 
-            self._send(request_id, pdu, dst_ip, file_rows, errback, community, column_set)
+            poll = (dst_ip, column_set, varbinds)
+            self._send(request_id, pdu, dst_ip, file_rows, errback, community, poll)
         elif self.version != VERSION_2C:
             raise SnmpError("a bulk poll_interfaces requires SNMPv2c (GetBulk)")
         elif not if_indexes or not columns:
@@ -399,18 +406,18 @@ class SnmpManager:
         callback: Callable,
         errback: Optional[ErrorCallback],
         community: Optional[str] = None,
-        columns: Optional["_ColumnSet"] = None,
+        poll: Optional[tuple] = None,
     ) -> int:
         """Transmit ``pdu`` (or one already encoded: an interface poll's).
-        ``callback`` gets the response's ``VarBind`` list -- or, given the
-        ``columns`` of an interface poll, what :func:`_read_columns` makes
-        of the same bytes."""
+        ``callback`` gets the response's ``VarBind`` list -- or, given an
+        interface poll's key ``(dst_ip, column set, request varbinds)``,
+        the :class:`_Reading` :meth:`_read` makes of the same bytes."""
         payload = encode_message(
             self.version, community if community is not None else self.community,
             pdu if isinstance(pdu, bytes) else pdu.encode(),
         )
         self._pending[request_id] = _Pending(
-            payload, (dst_ip, SNMP_PORT), callback, errback, columns
+            payload, (dst_ip, SNMP_PORT), callback, errback, poll
         )
         self._transmit(request_id)
         return request_id
@@ -464,10 +471,10 @@ class SnmpManager:
                 Message.decode(payload)  # not for us; malformed or unmatched, as ever
             else:
                 pending = self._pending.get(request_id)
-                if pending is None or pending.columns is None:
+                if pending is None or pending.poll is None:
                     result = decode_varbinds(payload, start, end)
                 else:
-                    result = _read_columns(payload, start, end, pending.columns)
+                    result = self._read(pending.poll, payload, start, end)
         except ber.BerError:
             self._m_decode_errors.inc()
             return
@@ -501,6 +508,20 @@ class SnmpManager:
                 pending.errback(SnmpErrorResponse(status, index))
             return
         pending.callback(result)
+
+    def _read(self, poll: tuple, data: bytes, start: int, end: int) -> "_Reading":
+        """Read a poll's reply against the last one read for its key, or
+        whole: a pure function of the bytes and the column set, so the key
+        sets only the hit rate.  A datagram that raises leaves no trace."""
+        last = self._replies.get(poll)
+        reading = last.next(data, start, end, poll[1]) if last is not None else None
+        if reading is None:
+            reading = _Reading(data, start, end, poll[1])
+        if end - start <= _MEMO_REPLY_BYTES:
+            if last is None and len(self._replies) >= _MEMO_REPLIES:
+                self._replies.clear()  # the agents still polled re-enter next poll
+            self._replies[poll] = reading
+        return reading
 
 
 def interface_oids(if_indexes: Tuple[int, ...], columns: Tuple[Oid, ...]) -> Tuple[Oid, ...]:
@@ -544,11 +565,13 @@ class _ColumnSet:
 
 
 _column_set = lru_cache(maxsize=256)(_ColumnSet)  # derived once per distinct column tuple
+_DIFFERS = re.compile(rb"[^\x00]")  # a byte where two replies' XOR is not zero
 _EXCEPTION_TAGS = (ber.TAG_NO_SUCH_OBJECT, ber.TAG_NO_SUCH_INSTANCE, ber.TAG_END_OF_MIB_VIEW)
 
 
 def _read_columns(
-    data: bytes, start: int, end: int, columns: _ColumnSet
+    data: bytes, start: int, end: int, columns: _ColumnSet,
+    starts: Optional[List[int]] = None, odd: Optional[Dict[int, bool]] = None,
 ) -> Tuple[Optional[int], List[Tuple[int, int, int, int]]]:
     """Read an interface poll's reply ``data[start:end]`` by column.
 
@@ -563,16 +586,20 @@ def _read_columns(
     goes through :meth:`VarBind.decode` and is classified from the
     decoded object, so the reader accepts only what the general decoder
     accepts and means the same by it (docs/architecture.md, "Where a
-    cycle's time goes").  Pure: it touches no manager state.
+    cycle's time goes").  Pure: it touches no manager state.  ``starts``
+    gets each varbind's offset, ``odd`` whether one that is no row is sysUpTime.
     """
     if end != len(data):
         data = data[:end]  # offsets stay valid; the list's end bounds every TLV in it
+    if starts is None:
+        starts, odd = [], {}
     prefixes, prefix_lengths = columns.prefixes, columns.prefix_lengths
     from_bytes = int.from_bytes
     uptime: Optional[int] = None
     rows: List[Tuple[int, int, int, int]] = []
     pos = start
     while pos < end:
+        starts.append(pos)
         try:
             # 30 len 06 len <oid> tag len <value>, the value ending the
             # varbind (which holds the OID's length octet short-form too).
@@ -625,10 +652,79 @@ def _read_columns(
                     number if isinstance(number, int) else 0,
                 ))
                 break
-        else:
-            if arcs == SYS_UPTIME:
+        else:  # no row: sysUpTime (the last one named wins), or neither
+            odd[len(starts) - 1] = named_uptime = arcs == SYS_UPTIME
+            if named_uptime:
                 uptime = value.value if isinstance(value, TimeTicks) else None
     return uptime, rows
+
+
+class _Reading:
+    """One interface-poll reply, read: ``uptime`` and ``rows`` as
+    :func:`_read_columns` returns them, plus the range as an integer
+    (``number``), where each varbind starts (``starts``, counted in the
+    datagram read whole, whose range began at ``base``) and which are no
+    row (``odd``).  One made by :meth:`next` lists the rows it replaced as
+    ``changed`` and carries as ``basis`` what the consumer ``filed`` from
+    the reading it was made from, so :class:`_BulkWalk` files the change."""
+
+    __slots__ = (
+        "uptime", "rows", "number", "size", "base", "starts", "odd",
+        "changed", "basis", "filed",
+    )
+
+    def __init__(self, data: bytes, start: int, end: int, columns: _ColumnSet) -> None:
+        self.starts, self.odd = [], {}
+        self.uptime, self.rows = _read_columns(data, start, end, columns, self.starts, self.odd)
+        self.number = int.from_bytes(data[start:end], "big")
+        self.size, self.base = end - start, start
+        self.changed = self.basis = self.filed = None
+
+    def next(
+        self, data: bytes, start: int, end: int, columns: _ColumnSet
+    ) -> Optional["_Reading"]:
+        """The reading of ``data[start:end]``, a reply to the same request,
+        made from this one: the ranges XORed as integers, in C, and only the
+        varbinds holding a non-zero byte of it read again, in one pass over
+        their bytes; every other reads as it did, at no call.  None (read whole):
+        another length, more bytes moved than half the varbinds, a varbind
+        that no longer ends where it did or changed kind."""
+        if end - start != self.size:
+            return None
+        starts, odd, base, size = self.starts, self.odd, self.base, self.size
+        number = int.from_bytes(data[start:end], "big")
+        diff = (number ^ self.number).to_bytes(size, "big")  # zero where nothing moved
+        if size - diff.count(0) > len(starts) // 2:
+            return None  # more bytes differ than half the varbinds: most moved
+        ats, spans = [], []  # the varbinds that differ, and their bytes
+        differs = _DIFFERS.search(diff)
+        while differs:
+            at = bisect_right(starts, base + differs.start()) - 1
+            hi = starts[at + 1] - base if at + 1 < len(starts) else size
+            ats.append(at)
+            spans.append(data[start + starts[at] - base : start + hi])
+            differs = _DIFFERS.search(diff, hi)  # past this varbind
+        offsets = list(itertools.accumulate(map(len, spans), initial=0))
+        found, kinds, length = [], {}, offsets.pop()  # where each span starts; all
+        try:
+            value, read = _read_columns(b"".join(spans), 0, length, columns, found, kinds)
+        except ber.BerError:
+            return None  # the whole pass says so, or reads it otherwise
+        if found != offsets or kinds != {k: odd[at] for k, at in enumerate(ats) if at in odd}:
+            return None  # no longer one varbind where one was, or not of its kind
+        rows, changed, uptime = list(self.rows), [], self.uptime
+        for at in ats:
+            if at not in odd:
+                row = at - bisect_left(list(odd), at)
+                changed.append((row, rows[row]))
+                rows[row] = read[len(changed) - 1]
+        if max((i for i, named in odd.items() if named), default=None) in ats:
+            uptime = value  # the last sysUpTime named moved
+        reading = _Reading.__new__(_Reading)
+        reading.uptime, reading.rows, reading.number = uptime, rows, number
+        reading.size, reading.base, reading.starts, reading.odd = size, base, starts, odd
+        reading.changed, reading.basis, reading.filed = changed, self.filed, None
+        return reading
 
 
 class _BulkWalk:
@@ -686,26 +782,50 @@ class _BulkWalk:
         self.exchanges += 1
         manager = self.manager
         request_id = next(manager._request_ids)
-        pdu = encode_pdu(
-            ber.TAG_GET_BULK_REQUEST, request_id, int(uptime), reps,
-            _poll_varbinds(self.columns.columns, rows, uptime, bulk=True),
-        )
+        varbinds = _poll_varbinds(self.columns.columns, rows, uptime, bulk=True)
+        pdu = encode_pdu(ber.TAG_GET_BULK_REQUEST, request_id, int(uptime), reps, varbinds)
         manager._send(
             request_id, pdu, self.dst_ip, self._on_response, self.errback,
-            self.community, self.columns,
+            self.community, (self.dst_ip, self.columns, varbinds),
         )
 
-    def _on_response(self, reply) -> None:
-        uptime, rows = reply
+    def _on_response(self, reading: _Reading) -> None:
         if self.include_uptime and self.exchanges == 1:
             # Asked for on the first exchange only; any other varbind
             # outside the columns is where an exhausted column walked to.
-            self.uptime = uptime
+            self.uptime = reading.uptime
+        # Filing is a pure function of the rows and this state: rows that
+        # changed but kept column, row and kind change only their cells.
+        state = (self.max_idx, *self.cursor_rows, *self.done)
+        filed, rows = reading.basis, reading.rows
+        if filed is not None and filed[0] == state and all(
+            old[:2] == rows[at][:2]
+            and (old[2] in _EXCEPTION_TAGS) == (rows[at][2] in _EXCEPTION_TAGS)
+            for at, old in reading.changed
+        ):
+            cells, filed_at = filed[1], filed[4]
+            for at, _old in reading.changed:
+                if filed_at[at]:
+                    column, row, tag, value = rows[at]
+                    cells[column][row] = (tag, value)
+        else:
+            filed = self._file(rows, state)
+        _state, cells, cursor_rows, done, _filed_at = reading.filed = filed
+        for table, new in zip(self.tables, cells):
+            table.update(new)  # the walk's own dicts: none is handed out twice
+        self.cursor_rows, self.done = list(cursor_rows), list(done)
+        if all(done) or self.exchanges >= MAX_WALK_EXCHANGES:
+            self.callback((self.uptime, dict(zip(self.columns.columns, self.tables))))
+        else:
+            self.issue()
+
+    def _file(self, rows: List[Tuple[int, int, int, int]], state: tuple) -> tuple:
+        """One exchange's filing: (state, cells, cursor rows, done, filed)."""
+        done, cursor_rows, max_idx = list(self.done), list(self.cursor_rows), self.max_idx
+        cells: List[Dict[int, Tuple[int, int]]] = [{} for _ in done]
+        filed_at = [False] * len(rows)
         progressed: set = set()
-        done, cursor_rows, tables, max_idx = (
-            self.done, self.cursor_rows, self.tables, self.max_idx
-        )
-        for column, row, tag, value in rows:
+        for at, (column, row, tag, value) in enumerate(rows):
             if done[column]:
                 continue
             if tag in _EXCEPTION_TAGS:
@@ -716,7 +836,8 @@ class _BulkWalk:
             if row > max_idx:
                 done[column] = True
                 continue
-            tables[column][row] = (tag, value)
+            cells[column][row] = (tag, value)
+            filed_at[at] = True
             cursor_rows[column] = row
             progressed.add(column)
             if row == max_idx:
@@ -727,7 +848,4 @@ class _BulkWalk:
         for column in range(len(done)):
             if not done[column] and column not in progressed:
                 done[column] = True
-        if all(done) or self.exchanges >= MAX_WALK_EXCHANGES:
-            self.callback((self.uptime, dict(zip(self.columns.columns, tables))))
-        else:
-            self.issue()
+        return state, cells, cursor_rows, done, filed_at

@@ -224,6 +224,13 @@ class TrapReceiver:
         if pdu.kind not in ("trap", "inform") or len(pdu.varbinds) < 2:
             self.malformed += 1
             return
+        # Judged before an inform is acknowledged or remembered.
+        uptime_vb, trapoid_vb = pdu.varbinds[0], pdu.varbinds[1]
+        if not isinstance(uptime_vb.value, TimeTicks) or not isinstance(
+            trapoid_vb.value, ObjectIdentifier
+        ):
+            self.malformed += 1
+            return
         if pdu.kind == "inform":
             # Acknowledge first -- even duplicates, whose original ack
             # evidently never made it back.
@@ -238,12 +245,6 @@ class TrapReceiver:
                 self.duplicate_informs += 1
                 return
             self._seen_informs.add(dedup_key)
-        uptime_vb, trapoid_vb = pdu.varbinds[0], pdu.varbinds[1]
-        if not isinstance(uptime_vb.value, TimeTicks) or not isinstance(
-            trapoid_vb.value, ObjectIdentifier
-        ):
-            self.malformed += 1
-            return
         event = TrapEvent(
             source_ip=src_ip,
             uptime=uptime_vb.value,

@@ -12,14 +12,16 @@ from collections import Counter
 from unittest import mock
 
 
-def call_counts(fn, by_file: bool = False) -> Counter:
+def call_counts(fn, by_file: bool = False, c_calls: bool = False) -> Counter:
     """Python-level calls made while ``fn`` runs, by function name.
 
     ``by_file`` keys them ``(source file, function name)`` instead, for a
     guard that must tell one module's ``begin`` or ``__init__`` from
-    another's.  The collector is held off meanwhile: ``gc.callbacks``
-    hooks (hypothesis installs one) are Python calls that come and go
-    with memory pressure.
+    another's.  ``c_calls`` also counts calls into C (``dict.get``,
+    ``int.from_bytes``, ...), keyed ``("<C>", qualified name)``: a guard
+    on a loop that makes no Python call per item.  The collector is held
+    off meanwhile: ``gc.callbacks`` hooks (hypothesis installs one) are
+    Python calls that come and go with memory pressure.
     """
     calls: Counter = Counter()
 
@@ -27,6 +29,8 @@ def call_counts(fn, by_file: bool = False) -> Counter:
         if event == "call":
             code = frame.f_code
             calls[(code.co_filename, code.co_name) if by_file else code.co_name] += 1
+        elif event == "c_call" and c_calls:
+            calls[("<C>", getattr(arg, "__qualname__", repr(arg)))] += 1
 
     collecting = gc.isenabled()
     gc.disable()

@@ -23,6 +23,8 @@ everything that was not rewritten is shared -- are how the tests know:
   sample-at-a-time uplink: the ingest hands its sink one sample, the
   endpoint queues it and flushes when the shipper says the batch is full.
   :func:`make_reference` hangs them on an unstarted monitor tree.
+- :class:`ReferencePoller` is the old reply parser and ``_ingest``: a raw
+  snapshot per interface and every sample derived, moved or not.
 
 Nothing here is called by the product.
 """
@@ -50,7 +52,16 @@ from repro.core.deltas import (
     is_delta,
 )
 from repro.core.distributed import RESEND_BUFFER, SampleShipper
-from repro.core.poller import InterfaceRates
+from repro.core.poller import (
+    _ABSENT,
+    _ALL_COUNTER32,
+    _COLUMNS,
+    _WRAP,
+    InterfaceRates,
+    PollTarget,
+    SnmpPoller,
+    _CounterSnapshot,
+)
 from repro.integrity.pipeline import IntegrityPipeline
 from repro.integrity.quarantine import QuarantineManager, TrustRecord
 from repro.integrity.validators import (
@@ -64,7 +75,9 @@ from repro.integrity.validators import (
     WrapRiskValidator,
     wrap_period_seconds,
 )
-from repro.telemetry.events import CROSS_CHECK_MISMATCH, INTEGRITY_VIOLATION
+from repro.snmp.ber import TAG_GAUGE32, TAG_INTEGER
+from repro.snmp.mib import IF_OPER_STATUS, IF_SPEED, IF_STATUS_UP
+from repro.telemetry.events import AGENT_RESTART, CROSS_CHECK_MISMATCH, INTEGRITY_VIOLATION
 
 
 # ----------------------------------------------------------------------
@@ -673,3 +686,85 @@ def make_reference(tiers) -> None:
             lambda state, batch, ingest=ingest, sink=sink:
             reference_deliver(ingest, sink, state, batch)
         )
+
+
+# ----------------------------------------------------------------------
+# The worker's poller: a snapshot per interface, every sample derived
+# ----------------------------------------------------------------------
+class ReferencePoller(SnmpPoller):
+    """The parent's reply parser and ``_ingest``: a ``_CounterSnapshot``
+    per interface per reply, kept as the baseline; every sample derived
+    by the modular arithmetic, moved or not; the uptime judged, and a
+    restart counted and published, once per interface."""
+
+    def _on_response(self, target: PollTarget, reply, span=None) -> None:
+        self._exchange_done(span, "ok")
+        self.health.record_success(target.node, self.sim.now)
+        uptime, tables = reply
+        if uptime is None:
+            self._m_parse_errors.inc()
+            return
+        counters = [tables[col] for col in _COLUMNS]
+        track_status = target.include_oper_status and self.on_status is not None
+        statuses = tables[IF_OPER_STATUS] if track_status else {}
+        speeds = tables[IF_SPEED] if target.include_speed else {}
+        for index in dict.fromkeys(target.if_indexes):
+            tag, status = statuses.get(index, _ABSENT)
+            if tag == TAG_INTEGER:
+                self.on_status(target.node, index, status == IF_STATUS_UP)
+            tags, values = zip(*[table.get(index, _ABSENT) for table in counters])
+            if tags != _ALL_COUNTER32:
+                self._m_parse_errors.inc()
+                continue
+            tag, speed = speeds.get(index, _ABSENT)
+            self._ingest(
+                target.node, index, _CounterSnapshot(uptime, *values),
+                float(speed) if tag == TAG_GAUGE32 else None,
+            )
+        if self._uncounted:
+            self._m_samples.inc(self._uncounted)
+            self._uncounted = 0
+
+    def _ingest(self, node, if_index, snapshot, polled_speed=None) -> None:
+        key = (node, if_index)
+        previous = self._last.get(key)
+        self._last[key] = snapshot
+        if previous is None:
+            return  # first poll only establishes the baseline
+        seconds = ((snapshot.uptime - previous.uptime) % _WRAP) / 100.0
+        if seconds <= 0:
+            # Same-tick duplicate; drop the sample.
+            return
+        if seconds > self.max_plausible_interval:
+            self._m_restarts.inc()
+            self.telemetry.events.publish(
+                AGENT_RESTART, self.sim.now, node=node, if_index=if_index
+            )
+            if self.integrity is not None:
+                self.integrity.note_restart(node, if_index)
+            return
+        # "The old value is subtracted from the new one", modulo the wrap.
+        in_pkts = (
+            (snapshot.ucast_in - previous.ucast_in) % _WRAP
+            + (snapshot.nucast_in - previous.nucast_in) % _WRAP
+        )
+        out_pkts = (
+            (snapshot.ucast_out - previous.ucast_out) % _WRAP
+            + (snapshot.nucast_out - previous.nucast_out) % _WRAP
+        )
+        sample = InterfaceRates(
+            node=node,
+            if_index=if_index,
+            time=self.sim.now,
+            interval=seconds,
+            in_bytes_per_s=(snapshot.octets_in - previous.octets_in) % _WRAP / seconds,
+            out_bytes_per_s=(snapshot.octets_out - previous.octets_out) % _WRAP / seconds,
+            in_pkts_per_s=in_pkts / seconds,
+            out_pkts_per_s=out_pkts / seconds,
+        )
+        self._uncounted += 1
+        if self.integrity is not None and not self.integrity.inspect(
+            sample, previous, snapshot, polled_speed
+        ):
+            return
+        self.on_sample(sample)

@@ -239,6 +239,43 @@ class TestIngestEdges:
         assert latest.in_bytes_per_s == pytest.approx(4000 / 2.0)
         assert latest.interval == pytest.approx(2.0)
 
+    def test_one_reboot_is_one_restart_whatever_the_interfaces(self):
+        """sysUpTime is the agent's, not an interface's: a reply that reads
+        it reset is one restart -- one count, one event naming the agent
+        and every interface re-baselined -- while integrity still forgets
+        each interface's streak.  The parent counted four here."""
+        from repro.core.poller import _COLUMNS
+        from repro.snmp.ber import TAG_COUNTER32
+        from repro.telemetry.events import AGENT_RESTART
+
+        net, poller, *_ = polling_net()
+        forgotten = []
+
+        class Integrity:
+            def note_restart(self, node, if_index):
+                forgotten.append((node, if_index))
+
+            def inspect(self, sample, prev, cur, polled_speed=None):
+                return True
+
+        poller.integrity = Integrity()
+        target = PollTarget("S1", None, [1, 2, 3, 4])
+
+        def reply(uptime, octets):
+            row = {i: (TAG_COUNTER32, octets) for i in target.if_indexes}
+            return uptime, {col: row for col in _COLUMNS}
+
+        poller._on_response(target, reply(100_000, 5_000))
+        poller._on_response(target, reply(100, 40))  # the agent rebooted
+        events = poller.telemetry.events
+        assert poller.agent_restarts == 1 and events.count(AGENT_RESTART) == 1
+        assert events.last(AGENT_RESTART).attrs == {"node": "S1", "if_indexes": (1, 2, 3, 4)}
+        assert forgotten == [("S1", i) for i in (1, 2, 3, 4)]
+        assert poller.samples_produced == 0
+        poller._on_response(target, reply(300, 440))  # re-baselined: rates again
+        assert poller.samples_produced == 4 and poller.agent_restarts == 1
+        assert poller.rates.latest("S1", 3).in_bytes_per_s == pytest.approx(400 / 2.0)
+
 
 class TestErrorClassification:
     def test_missing_counters_are_parse_errors_agent_stays_healthy(self):

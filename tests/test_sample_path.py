@@ -1,7 +1,7 @@
 """The sample path -- poll reply to the root's rate table -- is held to the
 parent commit's (``tests/sample_reference.py``) and to a call budget.
 
-Three things, none of which reads a clock:
+Four things, none of which reads a clock:
 
 - **integrity**: any sequence of local and remote samples, restarts,
   cross-checks and external verdicts moves ``IntegrityPipeline`` (one
@@ -13,7 +13,10 @@ Three things, none of which reads a clock:
   worker -> leaf -> root tree and delivers the same samples in the same
   order as the old sample-at-a-time sink did;
 - **cost**: what one more record costs each tier, counted in Python calls
-  on the three-tier rig of ``tests/costs.py``.
+  on the three-tier rig of ``tests/costs.py``;
+- **poller**: any run of poll replies lands the same samples and hands
+  integrity the same arguments as the parent's reply parser did, whether
+  an interface's counters moved or not.
 """
 
 import dataclasses
@@ -25,14 +28,25 @@ from hypothesis import strategies as st
 
 from repro.core.counters import CounterSource
 from repro.core.deltas import parse_delta
-from repro.core.poller import InterfaceRates, _CounterSnapshot
+from repro.core.poller import (
+    _COLUMNS,
+    InterfaceRates,
+    PollTarget,
+    SnmpPoller,
+    _CounterSnapshot,
+)
 from repro.integrity import CrossPair, IntegrityConfig, IntegrityPipeline
 from repro.integrity.validators import IntegrityVerdict, Severity
+from repro.simnet.network import Network
+from repro.snmp.ber import TAG_COUNTER32, TAG_GAUGE32
+from repro.snmp.manager import SnmpManager
+from repro.snmp.mib import IF_SPEED
 from repro.telemetry import Telemetry
 from repro.topology.model import InterfaceRef
 from tests.costs import ThreeTiers, per_record
 from tests.sample_reference import (
     ReferencePipeline,
+    ReferencePoller,
     make_reference,
     reference_parse_delta,
 )
@@ -325,11 +339,13 @@ class TestCostPerRecord:
         return per_record(active=True)
 
     def test_worker(self, quiet):
-        """The reply's row gathered, ``_ingest``, the clock read, the
-        sample and the raw snapshot it was derived from, the shipper."""
+        """Once six: the reply's row gathered, ``_ingest``, the clock read,
+        the sample and the raw snapshot it was derived from, the shipper.
+        Now an interface whose counters did not move costs its sample,
+        built from the reply's interval, and the shipper."""
         calls = quiet["worker"]
-        assert sum(calls.values()) <= 6, calls
-        assert calls[_BUILT] == 2, calls
+        assert sum(calls.values()) <= 2, calls
+        assert calls[_BUILT] == 1, calls  # the sample; no _CounterSnapshot
 
     def test_leaf(self, quiet):
         calls = quiet["leaf"]
@@ -354,3 +370,97 @@ class TestCostPerRecord:
         for calls in (quiet[tier], stuck[tier]):
             named = {name for _, name in calls}
             assert not named & set(PER_RECORD_FORBIDDEN), calls
+
+
+# ----------------------------------------------------------------------
+# (iv) the worker's poller: an unmoved interface's sample is the derived one
+# ----------------------------------------------------------------------
+POLLED = [1, 2, 2, 7]  # a duplicate index is polled once
+#: how one counter moved since the last reply: not at all, by one, by a
+#: whole wrap less one, by much
+COUNTER_MOVES = st.sampled_from([0, 0, 0, 0, 1, 2**32 - 1, 70_000])
+#: how sysUpTime moved: a poll, the same tick, across its wrap, a reboot,
+#: unreadable (not TimeTicks)
+UPTIME_MOVES = st.sampled_from([200, 200, 200, 0, 2**32 - 50, "reboot", None])
+#: what the agent served for one cell: the counter, another type, nothing
+CELL_FATES = st.sampled_from(["counter"] * 10 + ["gauge", "missing"])
+POLL_REPLIES = st.lists(
+    st.tuples(
+        UPTIME_MOVES,
+        st.lists(st.tuples(COUNTER_MOVES, CELL_FATES), min_size=18, max_size=18),
+    ),
+    min_size=1, max_size=10,
+)
+
+
+class _Inspector:
+    """An integrity pipeline that records what it is handed and withholds
+    fast samples."""
+
+    def __init__(self):
+        self.seen = []
+
+    def inspect(self, sample, prev, cur, polled_speed=None):
+        self.seen.append((repr(sample), prev, cur, polled_speed))
+        return not sample.in_bytes_per_s > 20_000
+
+    def note_restart(self, node, if_index):
+        self.seen.append(("restart", node, if_index))
+
+
+def _poller(cls, inspector):
+    poller = cls(SnmpManager(Network().add_host("L")), [])
+    poller.integrity = inspector
+    landed = []
+    poller.on_sample = lambda sample: landed.append(repr(sample))  # -0.0 is not 0.0
+    return poller, landed
+
+
+@given(POLL_REPLIES, st.booleans(), st.booleans())
+@example(  # idle, idle, one counter moving by one, a reboot, idle again
+    [(200, [(0, "counter")] * 18)] * 2
+    + [(200, [(1, "counter")] + [(0, "counter")] * 17),
+       ("reboot", [(0, "counter")] * 18), (200, [(0, "counter")] * 18)],
+    True, True,
+)
+@settings(max_examples=200, deadline=None)
+def test_an_unmoved_interface_samples_as_the_derived_path_did(replies, integrity, speed):
+    """Any run of replies -- counters still, moving by one or by a wrap
+    less one, of another type or missing; sysUpTime on, on the same tick,
+    across its wrap, reset or unreadable -- lands the same samples, bit
+    for bit (an unmoved rate is ``+0.0``), and hands ``inspect`` the same
+    sample and raw snapshots, as the parent's snapshot-per-interface path.
+    A reset is counted once per reply, where the parent counted a row."""
+    inspectors = [_Inspector(), _Inspector()] if integrity else [None, None]
+    (new, new_landed), (old, old_landed) = (
+        _poller(cls, inspector)
+        for cls, inspector in zip((SnmpPoller, ReferencePoller), inspectors)
+    )
+    target = PollTarget("sw", None, POLLED, include_speed=speed)
+    ticks, counters, reboots = 1000, {}, 0
+    for uptime_move, cells in replies:
+        if uptime_move == "reboot":
+            ticks = 100
+        elif uptime_move is not None:
+            ticks = (ticks + uptime_move) % 2**32
+        tables = {col: {} for col in _COLUMNS}
+        for n, (move, fate) in enumerate(cells):
+            index, col = (1, 2, 7)[n // 6], _COLUMNS[n % 6]
+            value = counters[index, col] = (counters.get((index, col), n * 1000) + move) % 2**32
+            if fate != "missing":
+                tag = TAG_COUNTER32 if fate == "counter" else TAG_GAUGE32
+                tables[col][index] = (tag, value)
+        if speed:
+            tables[IF_SPEED] = {1: (TAG_GAUGE32, 100_000_000), 7: (TAG_GAUGE32, 10_000_000)}
+        reply = (ticks if uptime_move is not None else None), tables
+        restarts = old.agent_restarts
+        for poller in (new, old):
+            poller._on_response(target, reply)
+        reboots += old.agent_restarts > restarts
+        assert new_landed == old_landed
+        if integrity:
+            assert inspectors[0].seen == inspectors[1].seen
+        value = lambda p, name: p.telemetry.registry.value(name)  # noqa: E731
+        assert value(new, "poll_parse_errors_total") == value(old, "poll_parse_errors_total")
+        assert new.samples_produced == old.samples_produced
+        assert new.agent_restarts == reboots  # one per reply that read a reset, not per row

@@ -5,7 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simnet.network import Network
+from repro.simnet.address import IPv4Address
 from repro.snmp import agent as agent_module
+from repro.snmp import manager as manager_module
 from repro.snmp import message as message_module
 from repro.snmp.agent import MAX_MESSAGE_BYTES, SnmpAgent
 from repro.snmp.ber import BerError
@@ -321,13 +323,15 @@ class TestCostPerVarbind:
         encode and three encode_tlv on the agent; ten frames of
         VarBind.decode, a dict entry and an isinstance on the manager.
         Then 5: accessor, wrap, Counter32() and encode on the agent and
-        the poller's per-interface work spread over six columns.  Now 2:
+        the poller's per-interface work spread over six columns.  Then 2:
         the counters the first poll read have not moved, so the agent pays
-        the accessor alone."""
+        the accessor alone.  Now 1.33: nor does the manager read them again
+        or the poller derive their zero rates -- an interface's sample and
+        its landing, over six columns."""
         small, big = (self.second_poll(ports, "poller") for ports in (16, 48))
         total = lambda sides: sum(sum(side.values()) for side in sides)  # noqa: E731
         marginal = (total(big) - total(small)) / ((48 - 16) * len(POLLED))
-        assert marginal <= 3, (marginal, big[0] - small[0], big[1] - small[1])
+        assert marginal <= 2, (marginal, big[0] - small[0], big[1] - small[1])
 
     def test_an_in_column_row_costs_the_manager_no_call_at_all(self):
         """Three times the rows, the same Python calls from datagram to
@@ -338,6 +342,42 @@ class TestCostPerVarbind:
         for name in ("decode_tlv", "decode_value", "decode_unsigned_content", "__new__"):
             assert big[name] <= 3, (name, big[name])  # sysUpTime's varbind only
         assert big["_read_columns"] == 1
+
+    def third_reply_read(self, ports):
+        """Python and C calls, by name, from datagram to callback, for the
+        third whole-table bulk poll of a ``ports``-port switch: a reply to
+        the request the manager read twice already.  Port 1's ifInOctets
+        moves (in place) between polls; nothing else does."""
+        net, mgr, sw_ip, agent = switch_rig(ports)
+        counters, got = net.device("sw").interfaces[0].counters, Collect()
+        for poll in range(3):
+            mgr.poll_interfaces(sw_ip, range(1, ports + 1), POLLED, got.ok, got.fail)
+            (request,) = [pending.payload for pending in mgr._pending.values()]
+            counters.in_octets = 0x01000000 + poll  # four octets every time
+            reply = agent_reply(agent, request, sw_ip)
+            read = lambda: mgr._on_datagram(reply, len(reply), sw_ip, 161)  # noqa: E731
+            calls = call_counts(read, c_calls=True)
+        assert got.error is None and got.results[1][IF_IN_OCTETS][1][1] == 0x01000002
+        return calls
+
+    def test_an_unchanged_varbind_costs_the_reader_nothing(self):
+        """The parent read every varbind of every reply: no Python call but
+        about 3 C calls each (``dict.get``, ``int.from_bytes``,
+        ``list.append``).  Now a reply is compared with the last one to the
+        same request as two integers, and a varbind whose bytes did not
+        change is read again by nothing, filed again by nothing."""
+        small, big = (self.third_reply_read(ports) for ports in (16, 48))
+        extra = (48 - 16) * len(POLLED)
+        is_c = lambda name: isinstance(name, tuple) and name[0] == "<C>"  # noqa: E731
+        python = sum(n for name, n in big.items() if not is_c(name)) - sum(
+            n for name, n in small.items() if not is_c(name)
+        )
+        c = sum(n for name, n in big.items() if is_c(name)) - sum(
+            n for name, n in small.items() if is_c(name)
+        )
+        assert python == 0, big - small
+        assert c / extra <= 0.1, (c / extra, big - small)
+        assert big["_read_columns"] == 1  # port 1's varbind, alone
 
     # -- cost proportional to change: the third poll of an idle switch ----
     MOVED = ("in_octets", "out_octets", "in_ucast_pkts", "out_ucast_pkts",
@@ -574,3 +614,36 @@ class TestMemosAreBounded:
         agent_reply(agent, poll, sw_ip)
         calls = call_counts(lambda: agent._on_datagram(poll, len(poll), sw_ip, 4000))
         assert calls["read"] == 8 * len(POLLED) and calls["encode"] == calls["wrap"] == 0
+
+    def test_the_managers_replies(self):
+        """The manager's memo of poll replies read: 1 000 distinct requests
+        (one per agent address), then a target moved from one worker's
+        manager to another's, and a reply too long to keep -- no memo
+        outgrows its bound, and every reply reads as it would whole."""
+        net, mgr, sw_ip, agent = switch_rig(8)
+        other = SnmpManager(net.add_host("W2"), timeout=0.5, retries=1)
+        bound = manager_module._MEMO_REPLIES
+
+        def poll(manager, dst, ports=8, bulk=True):
+            got = Collect()
+            manager.socket.sendto = lambda *datagram: None  # handed over below
+            manager.poll_interfaces(
+                dst, range(1, ports + 1), EVERY_POLLED, got.ok, got.fail, bulk=bulk
+            )
+            (request,) = [p.payload for p in manager._pending.values()]
+            reply = agent_reply(agent, request, sw_ip)
+            manager._on_datagram(reply, len(reply), dst, 161)
+            assert got.error is None and len(got.results[1][IF_IN_OCTETS]) == ports
+            return len(reply)
+
+        for i in range(1000):
+            poll(mgr, IPv4Address(0x0A090000 + i))
+            assert len(mgr._replies) <= bound
+        for manager in (mgr, mgr, other, other):  # reassigned after two polls
+            poll(manager, sw_ip)
+            assert len(manager._replies) <= bound
+        assert {key[0] for key in other._replies} == {sw_ip}
+
+        net, mgr, sw_ip, agent = switch_rig(150)
+        assert poll(mgr, sw_ip, ports=150, bulk=False) > manager_module._MEMO_REPLY_BYTES
+        assert mgr._replies == {}  # read, never remembered

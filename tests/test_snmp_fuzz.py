@@ -16,7 +16,8 @@ The differential properties at the end hold the two fast paths to the
 general codec (``tests/snmp_reference.py``): the agent's reply writer to
 the old handlers' ``Message(...).encode()``, and ``_read_columns`` to
 ``decode_varbinds`` plus the old classification -- same rows, same uptime,
-the same ``BerError`` or none.
+the same ``BerError`` or none; and a reply read against the last reply to
+the same request to ``_read_columns`` on its own bytes.
 """
 
 import dataclasses
@@ -42,7 +43,14 @@ from repro.snmp.datatypes import (
     OctetString,
     TimeTicks,
 )
-from repro.snmp.manager import SnmpManager, _column_set, _read_columns
+from repro.snmp.manager import (
+    MAX_WALK_EXCHANGES,
+    SnmpManager,
+    _BulkWalk,
+    _column_set,
+    _read_columns,
+    _Reading,
+)
 from repro.snmp.message import VERSION_1, VERSION_2C, Message, decode_header
 from repro.snmp.mib import (
     IF_DESCR,
@@ -409,6 +417,19 @@ class TestTrapReceiver:
         )
         assert receiver.malformed == 1 and receiver.events == []
 
+    def test_a_malformed_inform_is_neither_acknowledged_nor_remembered(self):
+        """The parent acknowledged an inform and remembered its id before
+        finding that its first varbind was no sysUpTime TimeTicks: a
+        counted reject that still sent a datagram and moved the dedup set."""
+        net, host, peer, _agent = lan()
+        receiver = TrapReceiver(host)
+        pdu = inform_pdu()
+        pdu.varbinds[0] = VarBind(SYS_UPTIME, Integer(100))
+        payload = _message(pdu)
+        before = receiver_state(net, receiver)
+        receiver._on_datagram(payload, len(payload), peer.primary_ip, 4000)
+        assert receiver.malformed == 1 and receiver_state(net, receiver) == before
+
 
 class TestInformSender:
     @settings(max_examples=300, deadline=None)
@@ -550,6 +571,104 @@ def poll_replies(draw):
     return columns, payload
 
 
+SEQUENCE_ROWS = [1, 2, 127, 128, 300]  # row arcs of one and two octets
+EXCEPTIONS = [NoSuchInstance(), EndOfMibView(), Null()]  # NULL: a value, as long
+CELL = st.integers(1, 40)  # a varbind after sysUpTime, modulo the reply's
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("move"), CELL, st.sampled_from([0, 1, 2**32 - 1])),
+        st.tuples(st.just("move"), CELL, st.sampled_from([0, 1, 2**32 - 1])),
+        st.tuples(st.just("tick"), st.sampled_from([0, 200, 2**32 - 1])),
+        st.tuples(st.just("exception"), CELL, st.integers(0, 2)),  # of EXCEPTIONS
+        st.tuples(st.just("renumber"), CELL),  # another row arc of as many octets
+        st.tuples(st.just("leave"), CELL),  # the row is named out of the columns
+        st.tuples(st.just("back"), CELL),  # ... and in its column again
+        st.tuples(st.just("uptime twice"), st.integers(0, 2**32 - 1)),  # or once again
+        st.tuples(st.just("long form"), st.integers(0, 40)),  # toggled
+        st.tuples(st.just("mutate")),  # this reply only, by the mutation corpus
+    ),
+    max_size=12,
+)
+
+
+@st.composite
+def reply_sequences(draw):
+    """``(layout, rows, counter values, steps)``: an interface poll's first
+    reply, GET- or bulk-ordered, and what happens to it poll by poll."""
+    layout = draw(st.sampled_from(["get", "bulk"]))
+    rows = draw(st.lists(st.sampled_from(SEQUENCE_ROWS), min_size=1, max_size=3, unique=True))
+    if layout == "bulk":
+        rows.sort()
+    values = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    return layout, rows, values, draw(STEPS)
+
+
+def _reply_cells(layout, rows, values):
+    """The reply as ``[oid, value, long form, column, row]`` per varbind."""
+    if layout == "bulk":
+        order = [(col, row) for col in range(len(COLUMNS)) for row in rows]
+    else:
+        order = [(col, row) for row in rows for col in range(len(COLUMNS))]
+    return [[SYS_UPTIME, TimeTicks(1000), False, None, None]] + [
+        [COLUMNS[col].extend(row), Counter32(values[i % len(values)]), False, col, row]
+        for i, (col, row) in enumerate(order)
+    ]
+
+
+def _encode_cells(cells):
+    varbinds = [
+        _tlv(ber.TAG_SEQUENCE, ber.encode_oid(oid) + value.encode(), long_form)
+        for oid, value, long_form, _col, _row in cells
+    ]
+    pdu = ber.encode_tlv(
+        ber.TAG_GET_RESPONSE,
+        ber.encode_integer(2) + ber.encode_integer(0) + ber.encode_integer(0)
+        + ber.encode_sequence(*varbinds),
+    )
+    return ber.encode_sequence(
+        ber.encode_integer(VERSION_2C), ber.encode_octet_string(b"public"), pdu
+    )
+
+
+def _step(cells, step):
+    """Apply one of :data:`STEPS` to ``cells``; the reply they now encode."""
+    kind, *args = step
+    if kind == "tick":
+        cells[0][1] = TimeTicks((cells[0][1].value + args[0]) % 2**32)
+    elif kind == "uptime twice":
+        if cells[-1][0] == SYS_UPTIME and len(cells) > 1:
+            cells.pop()
+        else:
+            cells.append([SYS_UPTIME, TimeTicks(args[0]), False, None, None])
+    elif kind == "long form":
+        cells[args[0] % len(cells)][2] ^= True
+    elif kind != "mutate":
+        cell = cells[1 + (args[0] - 1) % (len(cells) - 1)]
+        oid, value, _long, col, row = cell
+        if kind == "move" and isinstance(value, Counter32):
+            cell[1] = Counter32((value.value + args[1]) % 2**32)
+        elif kind == "exception":
+            cell[1] = EXCEPTIONS[args[1]]
+        elif kind == "renumber" and col is not None:
+            cell[0] = oid.parent.extend(oid[-1] ^ 1)
+        elif kind == "leave" and col is not None:
+            cell[0] = IF_DESCR.extend(row)
+        elif kind == "back" and col is not None:
+            cell[0], cell[1] = COLUMNS[col].extend(row), Counter32(row)
+    return _encode_cells(cells)
+
+
+def _filed(manager, rows, reading):
+    """What a walk over ``rows`` makes of one reading: its cursors, done
+    flags and tables (it is told it may issue no further exchange)."""
+    got = []
+    columns = _column_set(tuple(COLUMNS))
+    walk = _BulkWalk(manager, None, rows, columns, got.append, None, True, None)
+    walk.exchanges = MAX_WALK_EXCHANGES
+    walk._on_response(reading)
+    return walk.cursor_rows, walk.done, got
+
+
 class TestColumnReaderIsTheGeneralDecoder:
     def test_on_the_valid_replies(self):
         for payload in (REPLY_WALK, REPLY_GET, RESPONSES[2]):
@@ -611,3 +730,69 @@ class TestColumnReaderIsTheGeneralDecoder:
         assert read_both_ways(reply(prefix + b"\x05", overflow), COLUMNS) == (BerError, BerError)
         empty = _tlv(ber.TAG_COUNTER32, b"")
         assert read_both_ways(reply(prefix + b"\x05", empty), COLUMNS) == (BerError, BerError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sequence=reply_sequences(), data=st.data())
+    @example(  # counters across one and two octets, then the uptime named twice
+        sequence=("bulk", [1, 128], [127, 0, 2**32 - 1], [
+            ("move", 1, 1), ("move", 2, 1), ("move", 3, 2**32 - 1), ("tick", 200),
+            ("uptime twice", 9), ("tick", 0), ("uptime twice", 0), ("long form", 4),
+        ]),
+        data=st.data(),
+    )
+    def test_a_reply_read_against_the_last_one_is_read_whole(self, sequence, data):
+        """One request, then replies to it in turn: each read against the
+        last one read (:meth:`SnmpManager._read`) is what ``_read_columns``
+        makes of the same bytes -- rows, uptime, ``BerError`` or none --
+        a datagram that raises leaves the memo as it was, and the walk
+        files every reading as it files the same bytes read whole."""
+        _net, manager, _agent, _walk, _got = manager_rig()
+        poll = manager._pending[2].poll  # the interface poll's request
+        columns = poll[1]
+        layout, rows, values, steps = sequence
+        cells = _reply_cells(layout, rows, values)
+        for step in [None] + steps:
+            payload = _encode_cells(cells) if step is None else _step(cells, step)
+            if step is not None and step[0] == "mutate":
+                payload = data.draw(mutated([payload]))
+            try:
+                start, end = decode_header(payload)[-2:]
+            except BerError:
+                continue  # refused before any reader sees it
+            try:
+                want = _read_columns(payload, start, end, columns)
+            except BerError:
+                want = BerError
+            before = manager._replies.get(poll)
+            try:
+                reading = manager._read(poll, payload, start, end)
+            except BerError:
+                assert want is BerError and manager._replies.get(poll) is before
+                continue
+            assert (reading.uptime, reading.rows) == want, step
+            whole = _Reading(payload, start, end, columns)
+            assert _filed(manager, rows, reading) == _filed(manager, rows, whole), step
+
+    def test_a_varbind_that_became_two_is_read_whole(self):
+        """A reply of the same length whose changed bytes no longer hold one
+        varbind where one was: read whole, not half of it read again."""
+        _net, manager, _agent, _walk, _got = manager_rig()
+        poll = manager._pending[2].poll
+        pair = [[COLUMNS[0].extend(1), Counter32(7), False, 0, 1],
+                [COLUMNS[1].extend(1), Counter32(9), False, 1, 1]]
+        tail = [  # enough unchanged varbinds that the change is worth reading alone
+            [COLUMNS[col].extend(row), Counter32(5), False, col, row]
+            for col in range(len(COLUMNS)) for row in range(2, 14)
+        ]
+        uptime = [[SYS_UPTIME, TimeTicks(1000), False, None, None]]
+        two = _encode_cells(uptime + pair + tail)
+        head = len(ber.encode_oid(pair[0][0])) + 4  # the sequence's and the string's headers
+        padding = b"x" * (len(_encode_cells(pair)) - len(_encode_cells([])) - head)
+        string = [[COLUMNS[0].extend(1), OctetString(padding), False, 0, 1]]
+        one = _encode_cells(uptime + string + tail)
+        assert len(one) == len(two)
+        for payload in (one, two):
+            start, end = decode_header(payload)[-2:]
+            reading = manager._read(poll, payload, start, end)
+            assert (reading.uptime, reading.rows) == _read_columns(payload, start, end, poll[1])
+        assert len(reading.rows) == 2 + len(tail)
