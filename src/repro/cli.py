@@ -818,7 +818,7 @@ def cmd_topology(args) -> int:
         except NoPathError:
             print(f"{a} <-> {b}: UNREACHABLE")
             continue
-        flag = "redundant" if pair_redundant(graph, a, b) else "single-path"
+        flag = "redundant" if pair_redundant(graph, a, b, path) else "single-path"
         print(f"{a} <-> {b} [{flag}]: " + " | ".join(str(c) for c in path))
 
     events = monitor.telemetry.events

@@ -55,7 +55,7 @@ from repro.core.matrix import BandwidthMatrix, MatrixSnapshot
 from repro.core.monitor import NetworkMonitor
 from repro.core.poller import InterfaceRates, RateTable, SnmpPoller
 from repro.core.report import PathReport
-from repro.core.traversal import NoPathError, find_all_paths, find_path
+from repro.core.traversal import NoPathError, find_path
 
 __all__ = [
     "AgentHealth",
@@ -81,6 +81,5 @@ __all__ = [
     "RateTable",
     "SnmpPoller",
     "TopologyDiscoverer",
-    "find_all_paths",
     "find_path",
 ]

@@ -31,7 +31,6 @@ measured at most once per instant.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.counters import CounterSource, hub_host_connections, resolve_counter_source
@@ -57,13 +56,22 @@ class BandwidthCalculator:
     from every input -- rate-table ingest, link-state flips, quarantine
     enter/release, health transitions (see :mod:`repro.core.dataflow`).
     A holder binds its path to the cache entries once (:meth:`bind`); a
-    report is then a composition of entries, each brought up to date at
-    most once per instant: untouched while nothing moved, re-aged when
-    only the report instant moved, re-tokenised only when an input clock
-    moved.  Hub aggregates are computed once per hub per epoch and shared
-    by every leg.  The cache may only ever change how much work is done:
-    outputs are bit-identical to ``measure_path(..., fresh=True)``, the
-    from-scratch reference (enforced by ``tests/test_dataflow.py``).
+    report is then a validation (:meth:`refresh`) followed by a
+    composition (:meth:`compose`).  Validation brings each entry up to
+    date at most once per instant: untouched while nothing moved,
+    re-aged when only the report instant moved, re-tokenised only when
+    an input clock moved.  Composition reads the entries and builds the
+    report, nothing else.  :meth:`measure_path` is the two in a row; the
+    all-pairs matrix validates its distinct connections once per
+    snapshot (41 on the ledger's mesh) and then composes each of its
+    pairs (630) from them.  Each measurement carries its
+    ``a_i = m_i - u_i`` and each report its ``A = min a_i``, computed
+    once when built, so the pairs that share a connection share its
+    ``a_i``.  Hub aggregates are computed once per hub per epoch and
+    shared by every leg.  The cache may only ever change how much work
+    is done: outputs are bit-identical to ``measure_path(...,
+    fresh=True)``, the from-scratch reference (enforced by
+    ``tests/test_dataflow.py``).
     """
 
     def __init__(
@@ -133,7 +141,7 @@ class BandwidthCalculator:
         # Hub membership: hub name -> its host-facing connections.
         self._hub_host_conns: Dict[str, List[ConnectionSpec]] = hub_host_connections(spec)
         # --- incremental dataflow state ---------------------------------
-        self.lookups = 0  # entries asked for through the cache
+        self.lookups = 0  # entries validated, plus entries a matrix composed
         self.recomputes = 0
         self._entries: Dict[Tuple, ConnCacheEntry] = {}
         self._hub_by_conn: Dict[Tuple, Optional[str]] = {}
@@ -238,7 +246,8 @@ class BandwidthCalculator:
     def _revalidate(self, now: Optional[float]) -> None:
         """Advance the validation stamps for a report at instant ``now``.
 
-        Run once per report.  *An input clock moved* (rates, link state,
+        Run once per :meth:`refresh`: per watch report, per probe pick,
+        per matrix snapshot.  *An input clock moved* (rates, link state,
         health, integrity, degraded sources): both stamps advance and
         every entry re-reads its token before it is used again.  *Only
         the instant moved*: ``_stamp`` alone advances, tokens are known
@@ -338,7 +347,8 @@ class BandwidthCalculator:
         """Bring every entry of ``bound`` up to date at instant ``now``.
 
         One :meth:`_revalidate` for the lot; an entry already validated at
-        the current stamp costs one int compare.
+        the current stamp costs one int compare.  Each entry counts as
+        one of :attr:`lookups`.
         """
         self._revalidate(now)
         self.lookups += len(bound)
@@ -386,7 +396,8 @@ class BandwidthCalculator:
 
         Must mirror :meth:`_compute_measurement` exactly: age is
         ``max(0, now - sample_time)`` (``InterfaceRates.age``), staleness
-        the same threshold comparison.
+        the same threshold comparison.  A moved age builds the new
+        measurement through its constructor, as the first one was.
         """
         age = (
             max(0.0, now - m.sample_time)
@@ -400,7 +411,19 @@ class BandwidthCalculator:
         )
         if age == m.sample_age and stale == m.stale:
             return m
-        return replace(m, sample_age=age, stale=stale)
+        return ConnectionMeasurement(
+            connection=m.connection,
+            capacity_bps=m.capacity_bps,
+            used_bps=m.used_bps,
+            source=m.source,
+            rule=m.rule,
+            sample_time=m.sample_time,
+            sample_interval=m.sample_interval,
+            sample_age=age,
+            stale=stale,
+            quarantined=m.quarantined,
+            degraded_source=m.degraded_source,
+        )
 
     def _compute_measurement(
         self, conn: ConnectionSpec, now: Optional[float], cached: bool
@@ -525,6 +548,25 @@ class BandwidthCalculator:
         else:
             entries = path if type(path) is BoundPath else self.bind(path)
             self.refresh(entries, time)
+        return self.compose(entries, src, dst, time, name, redundant)
+
+    def compose(
+        self,
+        entries,
+        src: str,
+        dst: str,
+        time: float,
+        name: Optional[str],
+        redundant: bool,
+    ) -> PathReport:
+        """The :class:`PathReport` on ``entries``, each already brought up
+        to date at ``time``: the one way a report is composed.
+
+        :meth:`measure_path` is :meth:`refresh` plus this; the matrix
+        refreshes its distinct connections once per snapshot and then
+        calls this alone for every pair it recomposes.  Reads only what
+        the entries hold -- no clock, no token, no measurement.
+        """
         measurements = []
         freshness: Optional[float] = None  # max of the known ages
         confidence: Optional[float] = None  # min of the expected sources'

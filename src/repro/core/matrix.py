@@ -8,13 +8,22 @@ available bandwidth / utilisation that an operator (or the RM's placement
 search) can read at a glance.
 
 The matrix binds every pair's path to the calculator's cache entries
-once per topology epoch and keeps the previous snapshot plus a reverse
+once per topology epoch, judges once per connection whether the
+physical graph can route around it (``pair_redundant``'s bridge rule, so
+each cell carries the pair's ``redundant`` flag), and keeps the previous snapshot plus a reverse
 index from those entries to the host pairs whose path crosses them.  A
-new snapshot validates each distinct connection once (see
+snapshot is **one validation plus one composition per pair**: a single
+``refresh`` brings each distinct connection up to date (see
 :mod:`repro.core.dataflow`) and reads its epoch token off the entry;
-pairs that cross no dirty connection reuse their previous report verbatim
-when the report instant is unchanged, and otherwise recompose it from the
-bound entries.  Cells are not consumer-facing reports: a snapshot records
+then every pair is composed from its bound entries by
+``BandwidthCalculator.compose`` -- the step ``measure_path`` ends in, so
+there is one way to compose a report -- with no clock read, no token and
+no measurement per pair.  On the ledger's 36-host mesh that is 41
+connections validated and 630 pairs composed.  Each measurement already
+holds its ``a_i`` and each composed report holds its ``A``, so reading a
+cell's ``available_bps`` costs no call.  Pairs that cross no dirty
+connection reuse their previous report verbatim when the report instant
+is unchanged.  Cells are not consumer-facing reports: a snapshot records
 one ``matrix_snapshot`` span and no per-pair telemetry.  Output is
 bit-identical to ``measure_path(..., fresh=True)`` per pair.
 """
@@ -29,7 +38,7 @@ import numpy as np
 from repro.core.bandwidth import BandwidthCalculator
 from repro.core.dataflow import BoundPath, ConnCacheEntry
 from repro.core.report import PathReport
-from repro.core.traversal import NoPathError, find_path
+from repro.core.traversal import NoPathError, find_path, pair_redundant
 from repro.telemetry.trace import NULL_SPAN
 from repro.topology.graph import TopologyGraph
 from repro.topology.model import DeviceKind, TopologySpec
@@ -165,10 +174,15 @@ class BandwidthMatrix:
 
     def _build_paths(self) -> None:
         self._topology_epoch = self.graph.topology_epoch
-        # pair -> (bound path, report name), None when disconnected
-        self._paths: Dict[Tuple[str, str], Optional[Tuple[BoundPath, str]]] = {}
+        # pair -> (bound path, report name, redundant), None when disconnected
+        self._paths: Dict[Tuple[str, str], Optional[Tuple[BoundPath, str, bool]]] = {}
         self._pairs_of_conn: Dict[ConnCacheEntry, List[Tuple[str, str]]] = {}
         bind = self.calculator.bind
+        # A pair is redundant when its path crosses a connection whose own
+        # two ends are a redundant pair (pair_redundant on that one
+        # connection: it is not a bridge).  Asked once per distinct
+        # connection, then a set test per pair.
+        spare: Set[ConnCacheEntry] = set()
         for i, a in enumerate(self.hosts):
             for b in self.hosts[i + 1:]:
                 try:
@@ -176,9 +190,19 @@ class BandwidthMatrix:
                 except NoPathError:
                     self._paths[(a, b)] = None
                     continue
-                self._paths[(a, b)] = (bound, f"matrix:{a}<->{b}")
                 for entry in bound:
-                    self._pairs_of_conn.setdefault(entry, []).append((a, b))
+                    pairs = self._pairs_of_conn.get(entry)
+                    if pairs is None:
+                        pairs = self._pairs_of_conn[entry] = []
+                        conn = entry.conn
+                        if pair_redundant(
+                            self.graph, conn.end_a.node, conn.end_b.node, (conn,)
+                        ):
+                            spare.add(entry)
+                    pairs.append((a, b))
+                self._paths[(a, b)] = (
+                    bound, f"matrix:{a}<->{b}", not spare.isdisjoint(bound)
+                )
         self._conns = BoundPath(self._pairs_of_conn)  # each distinct entry
         # Previous-snapshot state for dirty-pair reuse: void on new paths.
         self._prev_reports: Dict[Tuple[str, str], Optional[PathReport]] = {}
@@ -205,10 +229,11 @@ class BandwidthMatrix:
                 dirty_pairs.update(pairs)
         # A previous report is reusable *verbatim* only at the same report
         # instant (age fields depend on it); across instants the pair is
-        # recomposed from the calculator's memoized measurements, which is
+        # recomposed from the entries validated just above, which is
         # cheap but produces a new PathReport with fresh age figures.
         same_time = self._prev_time == time and bool(self._prev_reports)
-        measure_path = self.calculator.measure_path
+        compose = self.calculator.compose
+        composed_entries = 0
         reports: Dict[Tuple[str, str], Optional[PathReport]] = {}
         for pair, held in self._paths.items():
             if held is None:
@@ -220,9 +245,13 @@ class BandwidthMatrix:
                     reports[pair] = prev
                     self.pair_cache_hits += 1
                     continue
-            bound, name = held
-            reports[pair] = measure_path(bound, *pair, time=time, name=name)
+            bound, name, redundant = held
+            reports[pair] = compose(bound, pair[0], pair[1], time, name, redundant)
+            composed_entries += len(bound)
             self.pair_recomputes += 1
+        # A composed pair asked the cache for each of its entries: count
+        # them as lookups, as a report built through measure_path does.
+        self.calculator.lookups += composed_entries
         self._prev_reports = reports
         self._prev_time = time
         self.dirty_pairs_last = len(dirty_pairs)

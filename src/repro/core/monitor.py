@@ -94,6 +94,9 @@ class _Watch:
     # Graph topology epoch the path was resolved under; when the graph
     # moves past it the watch re-resolves before measuring.
     epoch: int
+    # ``pair_redundant`` on the physical graph: fixed for the watch's life,
+    # since physical adjacency never changes.
+    redundant: bool
 
 
 class MonitorError(ValueError):
@@ -330,7 +333,7 @@ class ReportCore:
         path = find_path(self.graph, src, dst)
         self._watches[label] = _Watch(
             label, src, dst, path, self.calculator.bind(path),
-            self.graph.topology_epoch,
+            self.graph.topology_epoch, pair_redundant(self.graph, src, dst, path),
         )
         logger.info(
             "watching path %s: %d connection(s) %s -> %s", label, len(path), src, dst
@@ -519,7 +522,7 @@ class ReportCore:
             self._refresh_watch(watch)
         report = self.calculator.measure_path(
             watch.bound, watch.src, watch.dst, time=self.sim.now, name=watch.name,
-            redundant=pair_redundant(self.graph, watch.src, watch.dst),
+            redundant=watch.redundant,
         )
         return self.calculator.observe_report(report)
 

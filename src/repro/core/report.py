@@ -19,14 +19,22 @@ bandwidth" and "no idea".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.topology.model import ConnectionSpec, InterfaceRef
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConnectionMeasurement:
-    """One connection's bandwidth figures at one instant."""
+    """One connection's bandwidth figures at one instant.
+
+    A value, never mutated once built, but slotted rather than ``frozen``
+    (``InterfaceRates``'s reason): the calculator builds one per
+    connection each time its inputs or its report instant move.
+    ``available_bps`` is derived from the fields when the measurement is
+    built, once, and read as a plain attribute by every path report that
+    crosses the connection; it takes no part in equality or hashing.
+    """
 
     connection: ConnectionSpec
     capacity_bps: float  # m_i: static bandwidth (ifSpeed / spec)
@@ -39,13 +47,14 @@ class ConnectionMeasurement:
     stale: bool = False  # sample older than the monitor's staleness bound
     quarantined: bool = False  # counter source held by the integrity pipeline
     degraded_source: bool = False  # distributed plane knows newer data was lost
+    available_bps: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def available_bps(self) -> float:
-        """a_i = m_i - u_i, floored at zero; a downed link offers nothing."""
+    def __post_init__(self) -> None:
+        # a_i = m_i - u_i, floored at zero; a downed link offers nothing.
         if self.rule == "down":
-            return 0.0
-        return max(0.0, self.capacity_bps - self.used_bps)
+            self.available_bps = 0.0
+        else:
+            self.available_bps = max(0.0, self.capacity_bps - self.used_bps)
 
     @property
     def utilization(self) -> float:
@@ -56,7 +65,7 @@ class ConnectionMeasurement:
         return self.rule != "unmeasured"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PathReport:
     """End-to-end bandwidth for one watched host pair at one instant.
 
@@ -64,6 +73,14 @@ class PathReport:
     ``used_bps`` is the largest per-connection traffic along the path,
     which is the "measured traffic between hosts" the paper plots in
     Figures 4-6.
+
+    A value, slotted rather than ``frozen`` like
+    :class:`ConnectionMeasurement`.  ``available_bps`` is taken once,
+    when the report is built -- composed by the calculator, built by
+    hand or copied by ``dataclasses.replace`` alike -- and is then a
+    plain attribute: the stream publisher reads it twice per matrix pair
+    per cycle.  Like every derived figure it takes no part in equality
+    or hashing.
     """
 
     src: str
@@ -82,10 +99,22 @@ class PathReport:
     # Distinguishes "degraded but protected" from "single point of
     # failure" for the resource manager.
     redundant: bool = False
+    available_bps: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.connections and self.src != self.dst:
             raise ValueError(f"empty path report between distinct hosts {self.src}->{self.dst}")
+        if self.unavailable:
+            # A dead path has *unknown* availability; NaN refuses to let a
+            # stale minimum masquerade as a live measurement.
+            self.available_bps = float("nan")
+            return
+        least = float("inf")  # what an empty path offers
+        for m in self.connections:
+            available = m.available_bps
+            if available < least:
+                least = available
+        self.available_bps = least
 
     @property
     def complete(self) -> bool:
@@ -117,21 +146,6 @@ class PathReport:
     @property
     def quarantined_connections(self) -> Tuple[ConnectionMeasurement, ...]:
         return tuple(m for m in self.connections if m.quarantined)
-
-    @property
-    def available_bps(self) -> float:
-        if self.unavailable:
-            # A dead path has *unknown* availability; NaN refuses to let a
-            # stale minimum masquerade as a live measurement.
-            return float("nan")
-        # A plain loop, not min() over a generator: the stream publisher
-        # reads this twice per matrix pair per cycle.
-        least = float("inf")  # what an empty path offers
-        for m in self.connections:
-            available = m.available_bps
-            if available < least:
-                least = available
-        return least
 
     @property
     def used_bps(self) -> float:

@@ -10,8 +10,7 @@ series of network connections."
 to an explicit-stack depth-first search so deep switch chains from the
 scale generator cannot hit Python's recursion limit.  It still carries
 the visited set so cyclic topologies terminate, and still returns the
-deterministic first (declaration-order) path; :func:`find_all_paths`
-enumerates the alternatives for diagnosis tools.
+deterministic first (declaration-order) path.
 
 When the caller passes a :class:`~repro.topology.graph.TopologyGraph`
 (rather than a bare spec), :func:`find_path` memoizes results in the
@@ -23,13 +22,13 @@ in :mod:`repro.core.topology_sync`) or a caller invalidates explicitly.
 
 :func:`find_path` walks the **active** view (spanning-tree blocked
 uplinks excluded): its result is the path traffic actually takes.
-:func:`find_all_paths` and :func:`pair_redundant` walk the **physical**
-view: their results answer what the topology could do after failover.
+:func:`pair_redundant` walks the **physical** view: it answers what the
+topology could do after failover.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.topology.graph import TopologyGraph
 from repro.topology.model import ConnectionSpec, TopologyError, TopologySpec
@@ -77,7 +76,9 @@ def find_path(
         graph.neighbors(src)  # existence check
         return []
     graph.neighbors(src)  # raise on unknown source before searching
-    path = _dfs(graph, src, dst)
+    # Traversal walks the *active* view: a spanning-tree blocked uplink
+    # carries no traffic, so the measured path must not include it.
+    path = _dfs(graph.active_neighbors, src, dst)
     if path is None:
         graph.neighbors(dst)  # raise on unknown destination
         if caching:
@@ -88,8 +89,11 @@ def find_path(
     return path
 
 
-def _dfs(graph: TopologyGraph, src: str, dst: str) -> Optional[Path]:
-    """The paper's traversal with its loop detector, on an explicit stack.
+def _dfs(
+    neighbors: Callable[[str], List[Tuple[ConnectionSpec, str]]], src: str, dst: str
+) -> Optional[Path]:
+    """The paper's traversal with its loop detector, on an explicit stack,
+    over the view ``neighbors`` gives (active or physical).
 
     Neighbor lists are consumed through iterators held on the stack, so
     declaration order is preserved exactly as in the recursive original.
@@ -101,11 +105,7 @@ def _dfs(graph: TopologyGraph, src: str, dst: str) -> Optional[Path]:
     visited: Set[str] = {src}
     # Each frame is the neighbor iterator of one node on the trail;
     # ``trail`` holds the connection taken into each frame's node.
-    # Traversal walks the *active* view: a spanning-tree blocked uplink
-    # carries no traffic, so the measured path must not include it.
-    stack: List[Iterator[Tuple[ConnectionSpec, str]]] = [
-        iter(graph.active_neighbors(src))
-    ]
+    stack: List[Iterator[Tuple[ConnectionSpec, str]]] = [iter(neighbors(src))]
     trail: List[ConnectionSpec] = []
     while stack:
         frame = stack[-1]
@@ -117,7 +117,7 @@ def _dfs(graph: TopologyGraph, src: str, dst: str) -> Optional[Path]:
                 return trail + [conn]
             visited.add(peer)
             trail.append(conn)
-            stack.append(iter(graph.active_neighbors(peer)))
+            stack.append(iter(neighbors(peer)))
             advanced = True
             break
         if not advanced:
@@ -128,81 +128,41 @@ def _dfs(graph: TopologyGraph, src: str, dst: str) -> Optional[Path]:
 
 
 def pair_redundant(
-    topology: Union[TopologySpec, TopologyGraph], src: str, dst: str
+    topology: Union[TopologySpec, TopologyGraph],
+    src: str,
+    dst: str,
+    path: Optional[Sequence[ConnectionSpec]] = None,
 ) -> bool:
     """Does the **physical** topology offer >= 2 simple paths src->dst?
 
     A redundant pair keeps communicating after any single link failure on
     its path -- "degraded but protected"; a non-redundant pair is a
     single point of failure.  Blocked (spanning-tree inactive) uplinks
-    count: they are exactly the protection.  Memoized on the graph when
-    the caller owns it, and never invalidated, because physical
-    adjacency is immutable for a graph's lifetime.
+    count: they are exactly the protection.
+
+    Every simple path between two hosts crosses the same bridges of the
+    physical graph (:meth:`~repro.topology.graph.TopologyGraph.bridges`),
+    so the pair has a second path exactly when one path between them
+    crosses a connection that is not a bridge.  ``path`` is that one
+    path when the caller already holds it -- the active path is a
+    physical path too -- and is walked for otherwise.  The bridges are
+    memoized on the graph, so with ``path`` given the answer costs one
+    set test per connection.
     """
     graph = _as_graph(topology)
-    caching = graph is topology
-    if caching:
-        cached = graph.cached_redundancy(src, dst)
-        if cached is not None:
-            return cached
-    redundant = len(find_all_paths(graph, src, dst, max_paths=2)) >= 2
-    if caching:
-        graph.store_redundancy(src, dst, redundant)
-    return redundant
-
-
-def find_all_paths(
-    topology: Union[TopologySpec, TopologyGraph],
-    src: str,
-    dst: str,
-    max_paths: int = 64,
-) -> List[Path]:
-    """Every simple **physical** path between two hosts (bounded).
-
-    Unlike :func:`find_path` this ignores the graph's active view:
-    enumeration answers "what could carry traffic", including
-    spanning-tree blocked backup uplinks.  Parallel connections between
-    the same two devices yield distinct paths.
-    """
-    graph = _as_graph(topology)
-    graph.neighbors(src)
-    graph.neighbors(dst)
-    if src == dst:
-        return [[]]
-    results: List[Path] = []
-    # Unlike find_path, enumeration must un-visit on backtrack (a node
-    # excluded from one path may appear on another), so each frame also
-    # remembers its node for the discard when the frame pops.
-    visited: Set[str] = {src}
-    stack: List[Tuple[str, Iterator[Tuple[ConnectionSpec, str]]]] = [
-        (src, iter(graph.neighbors(src)))
-    ]
-    trail: List[ConnectionSpec] = []
-    while stack:
-        if len(results) >= max_paths:
-            break
-        node, frame = stack[-1]
-        advanced = False
-        for conn, peer in frame:
-            if peer in visited:
-                continue
-            if peer == dst:
-                results.append(trail + [conn])
-                if len(results) >= max_paths:
-                    break
-                continue
-            visited.add(peer)
-            trail.append(conn)
-            stack.append((peer, iter(graph.neighbors(peer))))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            if node != src:
-                visited.discard(node)
-            if trail:
-                trail.pop()
-    return results
+    if path is None:
+        graph.neighbors(src)  # raise on unknown names
+        graph.neighbors(dst)
+        if src == dst:
+            return False  # the empty path is the only one
+        path = _dfs(graph.neighbors, src, dst)
+        if path is None:
+            return False  # no path at all
+    bridges = graph.bridges()
+    for conn in path:
+        if conn.endpoints() not in bridges:
+            return True
+    return False
 
 
 def path_nodes(path: Path, src: str) -> List[str]:

@@ -7,7 +7,7 @@ connectivity/cycle queries used by spec validation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.topology.model import ConnectionSpec, InterfaceRef, TopologyError, TopologySpec
 
@@ -42,9 +42,9 @@ class TopologyGraph:
         # topology changed via invalidate_paths().
         # None records a proven miss (disconnected pair).
         self._path_cache: Dict[Tuple[str, str], Optional[Tuple[ConnectionSpec, ...]]] = {}
-        # Physical-redundancy memo (see repro.core.traversal.pair_redundant);
-        # physical adjacency never changes, so this never invalidates.
-        self._redundancy_cache: Dict[Tuple[str, str], bool] = {}
+        # Bridge memo (see bridges()); physical adjacency never changes,
+        # so this never invalidates.
+        self._bridges: Optional[FrozenSet[ConnKey]] = None
         self._blocked: set[ConnKey] = set()
         self.topology_epoch = 0
 
@@ -100,12 +100,6 @@ class TopologyGraph:
         self._path_cache.clear()
         self.topology_epoch += 1
 
-    def cached_redundancy(self, src: str, dst: str) -> Optional[bool]:
-        return self._redundancy_cache.get((src, dst))
-
-    def store_redundancy(self, src: str, dst: str, redundant: bool) -> None:
-        self._redundancy_cache[(src, dst)] = redundant
-
     def neighbors(self, node_name: str) -> List[Tuple[ConnectionSpec, str]]:
         """Connections leaving ``node_name`` with the peer node name."""
         try:
@@ -131,6 +125,52 @@ class TopologyGraph:
                     seen.add(peer)
                     frontier.append(peer)
         return seen
+
+    def bridges(self) -> FrozenSet[ConnKey]:
+        """The **physical** connections whose loss would split the graph.
+
+        Two hosts have a second simple path between them exactly when some
+        connection on a path between them is *not* a bridge: the bridges
+        on a path lie on every path, so a path of bridges is the only one,
+        while a connection on a cycle can be routed around.  That is
+        :func:`~repro.core.traversal.pair_redundant`'s rule.  A parallel
+        connection (a redundant uplink) is never a bridge.  Blocked
+        (spanning-tree inactive) connections count.  One lowpoint pass
+        (Tarjan) over the whole graph, on an explicit stack so deep switch
+        chains cannot hit the recursion limit; memoized, because physical
+        adjacency is immutable for a graph's lifetime.
+        """
+        if self._bridges is not None:
+            return self._bridges
+        order: Dict[str, int] = {}  # discovery index
+        low: Dict[str, int] = {}  # least index the node's subtree reaches back to
+        found: Set[ConnKey] = set()
+        for root in self._adjacency:
+            if root in order:
+                continue
+            order[root] = low[root] = len(order)
+            # Frames: (node, connection taken into it, neighbor iterator).
+            stack = [(root, None, iter(self._adjacency[root]))]
+            while stack:
+                node, via, frame = stack[-1]
+                for conn, peer in frame:
+                    if conn is via:
+                        continue  # the tree edge itself; a parallel twin is not
+                    if peer in order:
+                        low[node] = min(low[node], order[peer])
+                    else:
+                        order[peer] = low[peer] = len(order)
+                        stack.append((peer, conn, iter(self._adjacency[peer])))
+                        break
+                else:
+                    stack.pop()
+                    if stack:
+                        parent = stack[-1][0]
+                        low[parent] = min(low[parent], low[node])
+                        if low[node] > order[parent]:
+                            found.add(via.endpoints())
+        self._bridges = frozenset(found)
+        return self._bridges
 
     def is_connected(self) -> bool:
         if not self._adjacency:

@@ -4,13 +4,14 @@ import pytest
 
 from repro.core.traversal import (
     NoPathError,
-    find_all_paths,
     find_path,
     format_path,
+    pair_redundant,
     path_nodes,
 )
 from repro.spec.parser import parse_spec
 from repro.topology.model import TopologyError
+from tests.dataflow_reference import find_all_paths
 
 TREE = """
 network topology tree {
@@ -91,6 +92,8 @@ class TestFindPath:
 
 
 class TestFindAllPaths:
+    """The enumeration ``pair_redundant`` is held to, itself checked."""
+
     def test_tree_has_single_path(self):
         spec = parse_spec(TREE)
         assert len(find_all_paths(spec, "S1", "N1")) == 1
@@ -116,3 +119,28 @@ class TestFindAllPaths:
             "connect A.eth0 <-> B.eth0; }"
         )
         assert find_all_paths(spec, "A", "C") == []
+
+
+class TestPairRedundant:
+    def test_tree_pair_is_a_single_point_of_failure(self):
+        assert not pair_redundant(parse_spec(TREE), "S1", "N1")
+
+    def test_loop_on_the_path_protects(self):
+        spec = parse_spec(MESH)
+        assert pair_redundant(spec, "A", "B")
+        assert pair_redundant(spec, "A", "B", find_path(spec, "A", "B"))
+
+    def test_same_host_and_disconnected(self):
+        assert not pair_redundant(parse_spec(MESH), "A", "A")
+        spec = parse_spec(
+            "network topology t { host A { } host B { } host C { } "
+            "connect A.eth0 <-> B.eth0; }"
+        )
+        assert not pair_redundant(spec, "A", "C")
+
+    def test_unknown_nodes_raise(self):
+        spec = parse_spec(TREE)
+        with pytest.raises(TopologyError):
+            pair_redundant(spec, "ghost", "N1")
+        with pytest.raises(TopologyError):
+            pair_redundant(spec, "S1", "ghost")

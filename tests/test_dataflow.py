@@ -8,8 +8,11 @@ matrix and a naive from-scratch one and requires exact report equality
 after every operation.
 """
 
+import struct
 from collections import Counter
+from dataclasses import fields, replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,21 +20,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bandwidth import BandwidthCalculator
-from repro.core.dataflow import DegradedSourceSet
+from repro.core.dataflow import ConnCacheEntry, DegradedSourceSet
 from repro.core.health import AgentHealthTracker
 from repro.core.linkstate import LinkStateRegistry
 from repro.core.matrix import BandwidthMatrix, MatrixError, MatrixSnapshot
 from repro.core.monitor import NetworkMonitor, ReportCore
 from repro.core.poller import InterfaceRates, RateTable
-from repro.core.traversal import NoPathError, find_all_paths, find_path, pair_redundant
+from repro.core.report import ConnectionMeasurement, PathReport
+from repro.core.traversal import NoPathError, find_path, pair_redundant
 from repro.experiments.scale import populate_rates, scale_spec
+from repro.experiments.testbed import TESTBED_SPEC_TEXT
 from repro.integrity.quarantine import QuarantineManager
 from repro.integrity.validators import IntegrityVerdict, Severity
 from repro.spec.builder import build_network
+from repro.spec.parser import parse_spec
+from repro.stream import MatrixPublisher
 from repro.telemetry import Telemetry
 from repro.topology.graph import TopologyGraph
+from repro.topology.model import ConnectionSpec, InterfaceRef
 from tests.costs import call_counts
-from tests.dataflow_reference import reference_snapshot
+from tests.dataflow_reference import find_all_paths, reference_redundant, reference_snapshot
+
+
+def _bits(value):
+    """A float's IEEE-754 bytes: equal only when bit-identical (NaN too)."""
+    return struct.pack("<d", value)
 
 
 def sample(node, if_index, time, bps=1e6):
@@ -473,9 +486,16 @@ def test_incremental_equals_full_recompute(ops, clockless):
             got = incremental.snapshot(t)
             want = reference_snapshot(incremental, t)
             # Exact equality, field by field: confidence, trusted/degraded
-            # flags, freshness, every ConnectionMeasurement.  Caching must
-            # be invisible in the output.
+            # flags, freshness, the redundancy flag, every
+            # ConnectionMeasurement.  Caching must be invisible in the
+            # output.  ``available_bps`` is derived, so outside equality:
+            # held bit for bit on its own.
             assert got.reports == want.reports
+            for pair, cell in got.reports.items():
+                if cell is not None:
+                    assert _bits(cell.available_bps) == _bits(
+                        want.reports[pair].available_bps
+                    )
             assert np.array_equal(got.values(), want.values(), equal_nan=True)
             assert np.array_equal(
                 got.values("utilization"), want.values("utilization"),
@@ -484,15 +504,239 @@ def test_incremental_equals_full_recompute(ops, clockless):
         # The watch: its held, re-bound path against the same path from
         # scratch; and the pick query against the report it stands for.
         report = core.current_report(label)
-        assert core.current_report(label, _probe_cap=False) == calc.measure_path(
+        raw = core.current_report(label, _probe_cap=False)
+        scratch = calc.measure_path(
             core.path_of(label), src, dst, time=t, name=label, fresh=True,
-            redundant=pair_redundant(graph, src, dst),
+            redundant=reference_redundant(graph, src, dst),
         )
+        assert raw == scratch
+        assert _bits(raw.available_bps) == _bits(scratch.available_bps)
         if trust is None:
             trust = core.watch_trust(label)
         assert trust == (report.confidence, report.degraded)
         if prober.cap is not None:
             assert report.confidence <= prober.cap and report.degraded
+
+
+# ----------------------------------------------------------------------
+# Redundancy: a matrix cell carries its pair's flag, by the bridge rule
+# ----------------------------------------------------------------------
+def _host_pairs(spec):
+    hosts = [node.name for node in spec.hosts()]
+    return [(a, b) for i, a in enumerate(hosts) for b in hosts[i + 1:]]
+
+
+def _fresh_matrix(spec, graph=None):
+    rates = RateTable()
+    populate_rates(spec, rates, time=0.0)
+    return BandwidthMatrix(spec, BandwidthCalculator(spec, rates), graph=graph)
+
+
+class TestMatrixRedundancy:
+    # The ledger's mesh_flat topology: a chain of six switches, each
+    # uplink doubled by a parallel spare.
+    MESH = scale_spec(switches=6, hosts_per_switch=6, arity=1, redundant_uplinks=1)
+
+    def test_cells_carry_the_pairs_redundancy(self):
+        matrix = _fresh_matrix(self.MESH)
+        cells = matrix.snapshot(2.0).reports
+        # Every pair that crosses an uplink can fail over; the 6 x 15
+        # pairs that share a switch have one path.
+        assert sum(cell.redundant for cell in cells.values()) == 540
+        assert cells[("h0_1", "h5_2")].redundant
+        assert not cells[("h0_1", "h0_2")].redundant
+        for (a, b), cell in cells.items():
+            assert cell.redundant == reference_redundant(matrix.graph, a, b)
+
+    def test_a_watch_and_the_cell_agree(self):
+        build = build_network(self.MESH)
+        monitor = NetworkMonitor(build, "h0_0", poll_jitter=0.0)
+        for a, b in (("h0_1", "h5_2"), ("h0_1", "h0_2")):
+            monitor.watch_path(a, b)
+        # The watch asks pair_redundant once, when it binds its path.
+        with mock.patch("repro.core.monitor.pair_redundant") as asked:
+            monitor.start()
+            build.network.run(7.0)
+        assert not asked.called
+        watched = {
+            (r.src, r.dst): r.redundant
+            for r in (monitor.current_report(label) for label in monitor.watched_paths())
+        }
+        cells = _fresh_matrix(self.MESH, monitor.graph).snapshot(2.0).reports
+        assert watched == {pair: cells[pair].redundant for pair in watched}
+        assert watched == {("h0_1", "h5_2"): True, ("h0_1", "h0_2"): False}
+
+    def test_stream_events_carry_it(self):
+        matrix = _fresh_matrix(self.MESH)
+        publisher = MatrixPublisher(matrix)
+        events = []
+        publisher.manager.subscribe(
+            "rm", pairs=[("h0_1", "h5_2"), ("h0_1", "h0_2")], callback=events.append
+        )
+        publisher.publish(2.0)
+        flags = {event.pair: event.report.redundant for event in events}
+        assert flags == {("h0_1", "h5_2"): True, ("h0_1", "h0_2"): False}
+
+    def test_figure3_testbed(self):
+        matrix = _fresh_matrix(parse_spec(TESTBED_SPEC_TEXT))
+        for (a, b), cell in matrix.snapshot(2.0).reports.items():
+            assert cell.redundant == reference_redundant(matrix.graph, a, b)
+
+    def test_bridges_are_computed_once_per_graph(self):
+        graph = TopologyGraph(self.MESH)
+        assert graph.bridges() is graph.bridges()
+        # 36 host legs; every uplink has its parallel twin.
+        assert len(graph.bridges()) == 36
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    switches=st.integers(1, 5),
+    hosts_per_switch=st.integers(1, 3),
+    arity=st.integers(1, 3),
+    hubs=st.integers(0, 5),
+    hub_hosts=st.integers(1, 3),
+    redundant_uplinks=st.integers(0, 2),
+    blocked=st.sets(st.integers(0, 63), max_size=4),
+)
+def test_bridge_rule_equals_path_enumeration(
+    switches, hosts_per_switch, arity, hubs, hub_hosts, redundant_uplinks, blocked
+):
+    """A pair has >= 2 simple physical paths iff some connection on one of
+    its paths is not a bridge: ``pair_redundant``'s rule -- on the path it
+    walks itself, on the active path a caller hands it, and per distinct
+    connection in the matrix's cells -- against
+    ``find_all_paths(max_paths=2)`` on every host pair, with spanning
+    tree blocking some connections out of the active view."""
+    spec = scale_spec(
+        switches=switches, hosts_per_switch=hosts_per_switch, arity=arity,
+        hub_pockets=min(hubs, switches), hub_hosts=hub_hosts,
+        redundant_uplinks=redundant_uplinks,
+    )
+    graph = TopologyGraph(spec)
+    graph.set_blocked([spec.connections[i % len(spec.connections)] for i in blocked])
+    cells = _fresh_matrix(spec, graph).snapshot(2.0).reports
+    for a, b in _host_pairs(spec):
+        enumerated = len(find_all_paths(graph, a, b, max_paths=2)) >= 2
+        assert pair_redundant(graph, a, b) == enumerated
+        try:
+            path = find_path(graph, a, b)
+        except NoPathError:
+            assert cells[(a, b)] is None
+            continue
+        assert pair_redundant(graph, a, b, path) == enumerated
+        assert cells[(a, b)].redundant == enumerated
+
+
+# ----------------------------------------------------------------------
+# A = min(a_i): computed once per measurement and once per report, the
+# same float as the formula recomputed from the fields
+# ----------------------------------------------------------------------
+def _reference_a_i(m):
+    """The per-connection figure, recomputed from the measurement's fields."""
+    if m.rule == "down":
+        return 0.0
+    return max(0.0, m.capacity_bps - m.used_bps)
+
+
+def _reference_available(report):
+    """``A`` recomputed from the report's fields: same order, ``inf``
+    start, NaN when unavailable."""
+    if report.unavailable:
+        return float("nan")
+    least = float("inf")
+    for m in report.connections:
+        available = _reference_a_i(m)
+        if available < least:
+            least = available
+    return least
+
+
+_MEASUREMENTS = st.lists(
+    st.tuples(
+        st.sampled_from(["switch", "hub", "down", "unmeasured"]),
+        st.sampled_from([1e6, 1.25e6, 1.25e7]),  # capacities (bytes/s)
+        st.floats(0.0, 2e7, allow_nan=False),  # used: above capacity too
+        st.sampled_from([None, "A", "dead"]),  # source agent ("dead" is DEAD)
+        st.one_of(st.none(), st.floats(0.0, 20.0)),  # sample age
+        st.booleans(),  # quarantined
+        st.booleans(),  # degraded source
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mix=_MEASUREMENTS, now=st.floats(0.0, 30.0))
+def test_available_once_equals_available_recomputed(mix, now):
+    health = AgentHealthTracker(suspect_after=1, dead_after=2)
+    health.record_failure("dead", 0.0)
+    health.record_failure("dead", 0.0)
+    calc = BandwidthCalculator(
+        _SPEC, RateTable(), stale_after=4.0, dead_after=12.0, health=health
+    )
+    entries = []
+    for k, (rule, capacity, used, agent, age, quarantined, lossy) in enumerate(mix):
+        conn = ConnectionSpec(InterfaceRef(f"x{k}", "eth0"), InterfaceRef(f"y{k}", "eth0"))
+        m = ConnectionMeasurement(
+            connection=conn, capacity_bps=capacity, used_bps=used,
+            source=None if agent is None else InterfaceRef(agent, "eth0"),
+            rule=rule,
+            sample_time=None if age is None else now - age,
+            sample_age=age,
+            stale=age is not None and age > 4.0,
+            quarantined=quarantined,
+            degraded_source=lossy,
+        )
+        assert _bits(m.available_bps) == _bits(_reference_a_i(m))
+        # Re-ageing builds a new measurement; its a_i is the same float.
+        aged = calc._refresh_measurement(m, now + 3.0)
+        assert _bits(aged.available_bps) == _bits(_reference_a_i(aged))
+        entries.append(
+            ConnCacheEntry(conn, measurement=m, confidence=calc._connection_confidence(m))
+        )
+    src, dst = ("h", "h") if not entries else ("h", "g")  # empty: src == dst
+    report = calc.compose(entries, src, dst, now, None, False)
+    want = _reference_available(report)
+    assert _bits(report.available_bps) == _bits(want)
+    if not entries:
+        assert report.available_bps == float("inf")
+    # A hand-built report, and a copy with its trust changed, hold it too.
+    by_hand = PathReport(
+        src=src, dst=dst, time=now, connections=report.connections,
+        unavailable=report.unavailable,
+    )
+    assert _bits(by_hand.available_bps) == _bits(want)
+    dead = replace(report, confidence=0.0, degraded=True, unavailable=True)
+    assert _bits(dead.available_bps) == _bits(float("nan"))
+    revived = replace(dead, confidence=1.0, degraded=False, unavailable=False)
+    assert _bits(revived.available_bps) == _bits(
+        _reference_available(revived)
+    )
+
+
+def test_reageing_carries_every_field():
+    """Re-ageing spells the measurement's fields out by hand; every one
+    but the age and staleness must come through as ``replace`` would
+    carry it.  ``values`` must name every field, so a field added later
+    fails here until it is set to a non-default value and carried."""
+    conn = ConnectionSpec(InterfaceRef("x", "eth0"), InterfaceRef("y", "eth0"))
+    values = dict(
+        connection=conn, capacity_bps=1.25e6, used_bps=2e5,
+        source=InterfaceRef("x", "eth0"), rule="hub", sample_time=1.0,
+        sample_interval=2.0, sample_age=6.0, stale=True, quarantined=True,
+        degraded_source=True,
+    )
+    init = [f for f in fields(ConnectionMeasurement) if f.init]
+    assert set(values) == {f.name for f in init}
+    for f in init:
+        assert values[f.name] != f.default, f.name
+    m = ConnectionMeasurement(**values)
+    calc = BandwidthCalculator(_SPEC, RateTable(), stale_after=4.0)
+    aged = calc._refresh_measurement(m, 2.0)
+    want = replace(m, sample_age=1.0, stale=False)
+    for f in fields(ConnectionMeasurement):
+        assert getattr(aged, f.name) == getattr(want, f.name), f.name
 
 
 # ----------------------------------------------------------------------
@@ -523,27 +767,60 @@ class TestReportCost:
 
     def test_new_instant_snapshot_is_o_connections_not_o_pairs(self):
         rates, matrix = self._matrix()
+        calc = matrix.calculator
         populate_rates(self.SPEC, rates, time=2.0)  # every interface re-sampled
+        lookups = calc.lookups
         calls = call_counts(lambda: matrix.snapshot(2.5), by_file=True)
         pairs, conns = len(matrix._paths), len(matrix._conns)
         assert (pairs, matrix.dirty_pairs_last) == (630, 630)
-        assert sum(calls.values()) <= 14 * pairs
+        # One validation of the 41 connections, then one composition per
+        # pair: 7.2 calls a pair measured (12.1 when each pair was
+        # validated again on its own).
+        assert sum(calls.values()) <= 8 * pairs
         by_name = Counter()
         for (_, name), n in calls.items():
             by_name[name] += n
+        assert by_name["_revalidate"] == 1
         assert by_name["connection_token"] == conns
         assert by_name["endpoints"] <= 8 * conns
-        assert by_name["measure_path"] == pairs  # still the one way to a report
+        assert by_name["compose"] == pairs  # the one way to a report
+        assert by_name["measure_path"] == 0
+        # a_i once per measurement built (every connection moved), A once
+        # per report built, each as the value is built.
+        built = sum(
+            n for (path, name), n in calls.items()
+            if name == "__post_init__" and path.endswith("/repro/core/report.py")
+        )
+        assert built == conns + pairs
+        assert by_name["available_bps"] == 0
+        # Every composed pair's entries still count as lookups, so
+        # dataflow.cache_hit_ratio reads as it did per measure_path.
+        path_entries = sum(len(held[0]) for held in matrix._paths.values())
+        assert calc.lookups - lookups == conns + path_entries
         # Telemetry: the one matrix_snapshot span, whatever the size.
         assert _in("/repro/telemetry/", calls) <= 6
+
+    def test_reading_a_cells_available_costs_no_call(self):
+        _, matrix = self._matrix()
+        cells = list(matrix.snapshot(2.0).reports.values())
+
+        def read():  # what the stream publisher reads per pair, and more
+            for cell in cells:
+                cell.available_bps, cell.available_bps
+                for m in cell.connections:
+                    m.available_bps
+
+        assert _in("/repro/", call_counts(read, by_file=True)) == 0
 
     def test_instant_only_move_reads_no_token(self):
         _, matrix = self._matrix()
         calls = call_counts(lambda: matrix.snapshot(0.596))
         assert matrix.dirty_pairs_last == 0
+        assert calls["_revalidate"] == 1
         assert calls["connection_token"] == 0
         assert calls["_compute_measurement"] == 0
         assert calls["_refresh_measurement"] == len(matrix._conns)
+        assert calls["replace"] == 0  # re-ageing builds each measurement directly
 
     def test_probe_pick_builds_no_report(self):
         build = build_network(self.SPEC)
@@ -554,7 +831,19 @@ class TestReportCost:
         monitor.start()
         build.network.run(7.0)
         started = monitor.telemetry.tracer.spans_started
-        calls = call_counts(prober._pick, by_file=True)
+        entries = list(monitor.calculator._entries.values())
+        before = [entry.measurement for entry in entries]
+        with mock.patch.object(
+            PathReport, "__post_init__", autospec=True,
+            side_effect=PathReport.__post_init__,
+        ) as path_reports:
+            calls = call_counts(prober._pick, by_file=True)
         assert sum(calls.values()) <= 250
-        assert _in("/repro/core/report.py", calls) == 0  # no PathReport built or read
+        assert path_reports.call_count == 0  # no PathReport built
+        # Nor read: report.py runs only where a measurement the pick
+        # re-aged or recomputed derives its a_i, once per one built.
+        built = sum(
+            entry.measurement is not held for entry, held in zip(entries, before)
+        )
+        assert _in("/repro/core/report.py", calls) == built
         assert monitor.telemetry.tracer.spans_started == started
