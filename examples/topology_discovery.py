@@ -32,7 +32,8 @@ def main() -> None:
 
     manager = SnmpManager(net.host("L"))
     candidates = [
-        (name, net.ip_of(name)) for name in ("L", "S1", "S2", "N1", "N2", "switch")
+        (name, net.ip_of(name), build.spec.node(name).snmp_community)
+        for name in ("L", "S1", "S2", "N1", "N2", "switch")
     ]
     discoverer = TopologyDiscoverer(manager, candidates)
     box = {}

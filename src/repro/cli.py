@@ -699,7 +699,7 @@ def cmd_integrity(args) -> int:
 
 
 def cmd_discover(args) -> int:
-    from repro.core.discovery import TopologyDiscoverer
+    from repro.core.discovery import TopologyDiscoverer, snmp_candidates
     from repro.simnet.network import BROADCAST_IP
     from repro.snmp.manager import SnmpManager
 
@@ -716,13 +716,8 @@ def cmd_discover(args) -> int:
         manager = SnmpManager(net.host(args.host))
     except Exception as exc:
         return _fail(exc, 2)
-    candidates = [
-        (node.name, net.ip_of(node.name))
-        for node in spec.nodes
-        if node.snmp_enabled and node.name in build.agents
-    ]
     box = {}
-    TopologyDiscoverer(manager, candidates).discover(
+    TopologyDiscoverer(manager, snmp_candidates(build)).discover(
         lambda result: box.update(result=result)
     )
     net.run(net.now + args.until)
@@ -911,11 +906,9 @@ def cmd_stream(args) -> int:
                 PercentileQuery(
                     f"p{round(p * 100)}:{src}<->{dst}",
                     p=p,
-                    metric="utilization",
                     window_s=args.window,
                     interval_s=args.interval,
                     threshold=util,
-                    op=">",
                     pairs=[(src, dst)],
                 ),
                 "cli",

@@ -183,23 +183,33 @@ class DiscoveryResult:
         return None
 
 
+def snmp_candidates(build) -> List[Tuple[str, IPv4Address, str]]:
+    """``(name, address, community)`` of every SNMP-enabled spec node the
+    build gave an agent, in spec order: who discovery can ask, and how."""
+    return [
+        (node.name, build.network.ip_of(node.name), node.snmp_community)
+        for node in build.spec.nodes
+        if node.snmp_enabled and node.name in build.agents
+    ]
+
+
 class TopologyDiscoverer:
     """Asynchronous SNMP discovery across a set of candidate agents."""
 
     def __init__(
         self,
         manager: SnmpManager,
-        candidates: List[Tuple[str, IPv4Address]],
-        community: str = "public",
+        candidates: List[Tuple[str, IPv4Address, str]],
         include_stp: bool = False,
         use_bulk: bool = False,
     ) -> None:
-        """``include_stp`` adds a dot1dStpPortState walk per candidate so
+        """``candidates`` are ``(name, address, community)``: each agent is
+        walked under its own community (:func:`snmp_candidates`).
+        ``include_stp`` adds a dot1dStpPortState walk per candidate so
         switch spanning-tree state rides along with the attachments.
         ``use_bulk`` walks with GETBULK (fewer, larger requests)."""
         self.manager = manager
         self.candidates = list(candidates)
-        self.community = community
         self.include_stp = include_stp
         self.use_bulk = use_bulk
         self._nodes: Dict[str, DiscoveredNode] = {}
@@ -216,28 +226,25 @@ class TopologyDiscoverer:
         if self._callback is not None:
             raise RuntimeError("discovery already running")
         self._callback = callback
-        for name, address in self.candidates:
+        for name, address, community in self.candidates:
             node = DiscoveredNode(name=name, address=address)
             self._nodes[name] = node
             # Three walks per candidate: identity, MACs, FDB (plus the
             # optional spanning-tree port-state walk).
-            self._begin(lambda vbs, n=node: self._on_sysname(n, vbs), node, SYS_NAME)
-            self._begin(
-                lambda vbs, n=node: self._on_phys_addresses(n, vbs),
-                node,
-                IF_PHYS_ADDRESS,
-            )
-            self._begin(
-                lambda vbs, n=node: self._on_fdb(n, vbs), node, DOT1D_TP_FDB_PORT
-            )
+            walks = [
+                (self._on_sysname, SYS_NAME),
+                (self._on_phys_addresses, IF_PHYS_ADDRESS),
+                (self._on_fdb, DOT1D_TP_FDB_PORT),
+            ]
             if self.include_stp:
+                walks.append((self._on_stp, DOT1D_STP_PORT_STATE))
+            for on_rows, root in walks:
                 self._begin(
-                    lambda vbs, n=node: self._on_stp(n, vbs),
-                    node,
-                    DOT1D_STP_PORT_STATE,
+                    lambda vbs, n=node, on_rows=on_rows: on_rows(n, vbs),
+                    node, root, community,
                 )
 
-    def _begin(self, handler, node: DiscoveredNode, root: Oid) -> None:
+    def _begin(self, handler, node: DiscoveredNode, root: Oid, community: str) -> None:
         self._pending += 1
         key = node.name  # candidate name; sysName may rename the node later
         self._walks[key] = self._walks.get(key, 0) + 1
@@ -250,7 +257,9 @@ class TopologyDiscoverer:
             self._failures[key] = self._failures.get(key, 0) + 1
             self._complete()
 
-        self.manager.walk(node.address, root, done, failed, use_bulk=self.use_bulk)
+        self.manager.walk(
+            node.address, root, done, failed, use_bulk=self.use_bulk, community=community
+        )
 
     def _complete(self) -> None:
         self._pending -= 1

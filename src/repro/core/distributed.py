@@ -1167,16 +1167,13 @@ class DistributedMonitor(ReportCore, SampleIngest):
         worker_hosts: Sequence[str],
         poll_interval: float = 2.0,
         report_offset: float = 0.5,
-        telemetry: Union[bool, Telemetry] = True,
         integrity: Union[bool, IntegrityConfig] = True,
         **ingest_options,
     ) -> None:
         """``ingest_options`` are :class:`SampleIngest`'s (``poll_jitter``,
         ``seed``, the batching and pipelining sizes, ``targets``,
         ``adopt_streams``)."""
-        ReportCore.__init__(
-            self, build, coordinator_host, poll_interval, report_offset, telemetry
-        )
+        ReportCore.__init__(self, build, coordinator_host, poll_interval, report_offset, True)
         SampleIngest.__init__(
             self, build, coordinator_host, worker_hosts, self._accept,
             self.telemetry, poll_interval, **ingest_options,

@@ -171,31 +171,19 @@ class AgentHealthTracker(_LadderTracker):
 
     _subject, _evidence = "node", "consecutive_failures"
     _transition, _event, _dead = HealthTransition, HEALTH_TRANSITION, HealthState.DEAD
+    suspect_after = 3
+    dead_after = 5
+    recovery_successes = 2
 
     def __init__(
-        self,
-        suspect_after: int = 3,
-        dead_after: int = 5,
-        recovery_successes: int = 2,
-        probe_interval: float = 6.0,
-        events: Optional[EventBus] = None,
+        self, probe_interval: float = 6.0, events: Optional[EventBus] = None
     ) -> None:
         """``events``: optional :class:`~repro.telemetry.events.EventBus`;
         every state change is published on it as a ``health_transition``
         event in addition to the transition list and callbacks."""
         super().__init__(events)
-        if not 1 <= suspect_after <= dead_after:
-            raise ValueError(
-                f"need 1 <= suspect_after <= dead_after, got "
-                f"{suspect_after!r} / {dead_after!r}"
-            )
-        if recovery_successes < 1:
-            raise ValueError(f"recovery_successes must be >= 1, got {recovery_successes!r}")
         if probe_interval <= 0:
             raise ValueError(f"non-positive probe interval {probe_interval!r}")
-        self.suspect_after = suspect_after
-        self.dead_after = dead_after
-        self.recovery_successes = recovery_successes
         self.probe_interval = probe_interval
         self.polls_suppressed = 0
 

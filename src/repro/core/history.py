@@ -18,7 +18,7 @@ with aged-out chunks optionally downsampled instead of discarded.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,11 +61,9 @@ class PathSeries:
     window sharing no storage with the parent.
     """
 
-    def __init__(self, label: str, series: Optional[Series] = None) -> None:
+    def __init__(self, label: str, series: Series) -> None:
         self.label = label
-        self._ts = series if series is not None else Series(
-            label, HISTORY_FIELDS, predictors=HISTORY_PREDICTORS
-        )
+        self._ts = series
         self.reports: List[PathReport] = []
         self._latest: Optional[PathReport] = None
         self._cache: Optional[Tuple[np.ndarray, Dict[str, np.ndarray]]] = None
@@ -111,24 +109,6 @@ class PathSeries:
 
     def available(self) -> np.ndarray:
         return self._arrays()[1]["available_bps"]
-
-    def column(self, field: str) -> np.ndarray:
-        """Any stored numeric column (see :data:`HISTORY_FIELDS`)."""
-        return self._arrays()[1][field]
-
-    def series(
-        self, extract: Callable[[PathReport], float]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Custom extraction over the retained full report objects."""
-        times = self.times()
-        if len(self.reports) != len(times):
-            raise ValueError(
-                f"series({self.label}): custom extraction needs the full "
-                f"report objects, but only {len(self.reports)} of "
-                f"{len(times)} survived retention"
-            )
-        values = np.array([extract(r) for r in self.reports], dtype=float)
-        return times, values
 
     def between(self, t_start: float, t_end: float) -> "PathSeries":
         """The sub-series with t_start <= time < t_end (read-only view)."""

@@ -39,6 +39,8 @@ DEFAULT_PROP_DELAY = 5e-6  # matches repro.simnet.link.DEFAULT_PROP_DELAY
 SWITCH_LATENCY = 10e-6  # matches repro.simnet.switch.SWITCH_FORWARD_LATENCY
 FRAME_BYTES = 1500  # the frame whose transmission time a hop is charged
 MAX_UTILISATION = 0.97  # cap rho so the M/M/1 term stays finite
+ECHO_INTERVAL = 0.2  # seconds between a session's echo probes
+ECHO_TIMEOUT = 1.0  # how long after the last probe its echo may still land
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,8 @@ class PathProber:
 
     The destination host must run :class:`~repro.simnet.sockets.
     EchoService`.  Probes carry a sequence number; RTTs are recorded on
-    the echo's arrival.  ``on_complete`` fires after the last probe's
-    timeout window closes.
+    the echo's arrival, one probe every :data:`ECHO_INTERVAL`.
+    ``on_complete`` fires :data:`ECHO_TIMEOUT` after the last probe.
     """
 
     def __init__(
@@ -121,9 +123,7 @@ class PathProber:
         src: Host,
         dst_ip,
         count: int = 10,
-        interval: float = 0.2,
         payload_size: int = 64,
-        timeout: float = 1.0,
         on_complete: Optional[Callable[[ProbeStats], None]] = None,
     ) -> None:
         if count < 1:
@@ -131,9 +131,7 @@ class PathProber:
         self.src = src
         self.dst_ip = dst_ip
         self.count = count
-        self.interval = interval
         self.payload_size = payload_size
-        self.timeout = timeout
         self.on_complete = on_complete
         self.sim = src.sim
         self.socket = src.create_socket()
@@ -153,9 +151,9 @@ class PathProber:
         payload = seq.to_bytes(4, "big") + b"\x00" * max(0, self.payload_size - 4)
         self.socket.sendto(payload, (self.dst_ip, ECHO_PORT))
         if self._next_seq < self.count:
-            self.sim.schedule(self.interval, self._send_next)
+            self.sim.schedule(ECHO_INTERVAL, self._send_next)
         else:
-            self.sim.schedule(self.timeout, self._finish)
+            self.sim.schedule(ECHO_TIMEOUT, self._finish)
 
     def _on_echo(self, payload, size, src_ip, src_port) -> None:
         if payload is None or len(payload) < 4:

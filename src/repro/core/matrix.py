@@ -31,7 +31,7 @@ bit-identical to ``measure_path(..., fresh=True)`` per pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.core.report import PathReport
 from repro.core.traversal import NoPathError, find_path, pair_redundant
 from repro.telemetry.trace import NULL_SPAN
 from repro.topology.graph import TopologyGraph
-from repro.topology.model import DeviceKind, TopologySpec
+from repro.topology.model import TopologySpec
 
 _METRICS = ("available", "used", "utilization")
 
@@ -145,20 +145,14 @@ class BandwidthMatrix:
         self,
         spec: TopologySpec,
         calculator: BandwidthCalculator,
-        hosts: Optional[Sequence[str]] = None,
         graph: Optional[TopologyGraph] = None,
     ) -> None:
-        """``graph`` shares a caller-owned :class:`TopologyGraph` so
-        traversal memos are shared too."""
+        """Every host pair of the spec.  ``graph`` shares a caller-owned
+        :class:`TopologyGraph` so traversal memos are shared too."""
         self.spec = spec
         self.calculator = calculator
         self.graph = graph if graph is not None else TopologyGraph(spec)
-        if hosts is None:
-            hosts = [n.name for n in spec.hosts()]
-        for host in hosts:
-            if spec.node(host).kind is not DeviceKind.HOST:
-                raise MatrixError(f"{host!r} is not a host")
-        self.hosts = list(hosts)
+        self.hosts = [n.name for n in spec.hosts()]
         # Paths traversed, bound to the calculator's cache entries and
         # named once, up front (topology is static, paper §3.2), and again
         # only when the graph's topology epoch moves.

@@ -46,6 +46,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 from repro.core.bandwidth import BandwidthCalculator
 from repro.core.counters import if_index_of, required_poll_targets
 from repro.core.dataflow import BoundPath
+from repro.core.discovery import snmp_candidates
 from repro.core.health import HealthState
 from repro.core.history import MeasurementHistory
 from repro.core.linkstate import LinkStateRegistry
@@ -280,11 +281,7 @@ class ReportCore:
     # ------------------------------------------------------------------
     def _link_state_registry(self) -> LinkStateRegistry:
         if self.link_state is None:
-            addresses = {
-                node.name: self.network.ip_of(node.name)
-                for node in self.spec.nodes
-                if node.snmp_enabled and node.name in self.build.agents
-            }
+            addresses = {name: address for name, address, _ in snmp_candidates(self.build)}
             self.link_state = LinkStateRegistry(self.spec, addresses)
             self.calculator.link_state = self.link_state
         return self.link_state
@@ -305,16 +302,18 @@ class ReportCore:
         """
         if self.trap_receiver is not None:
             return self.link_state
-        from repro.snmp.trap import TrapReceiver  # local: optional feature
+        from repro.snmp.trap import TRAP_COMMUNITY, TrapReceiver  # local: optional feature
 
         link_state = self._link_state_registry()
         self.trap_receiver = TrapReceiver(self.host, callback=link_state.apply_trap)
         monitor_ip = self.host.primary_ip
+        # Every agent notifies under the listener's community, whatever
+        # community the spec gave it for reads.
         for agent in self.build.agents.values():
             if confirmed:
-                agent.enable_link_informs(monitor_ip)
+                agent.enable_link_informs(monitor_ip, TRAP_COMMUNITY)
             else:
-                agent.enable_link_traps(monitor_ip)
+                agent.enable_link_traps(monitor_ip, TRAP_COMMUNITY)
         return link_state
 
     # ------------------------------------------------------------------
@@ -371,22 +370,20 @@ class ReportCore:
     # Streaming subscriptions
     # ------------------------------------------------------------------
     def enable_streaming(
-        self,
-        hosts: Optional[Sequence[str]] = None,
-        significance: Union[bool, "SignificanceFilter", None] = True,
+        self, significance: Union[bool, "QuantileDeadbandFilter", None] = True
     ) -> "MatrixPublisher":
         """Publish matrix changes as typed stream events each cycle.
 
-        Builds a :class:`~repro.core.matrix.BandwidthMatrix` over this
-        monitor's calculator (sharing its epoch caches and topology
-        graph) and a :class:`~repro.stream.MatrixPublisher` on top; each
-        report cycle then also publishes the matrix's dirty pairs to the
-        publisher's subscribers.  ``significance=True`` installs the
-        default adaptive :class:`~repro.stream.QuantileDeadbandFilter`;
-        pass a filter instance to tune it, or ``False``/``None`` to
-        deliver every change.  ``hosts`` restricts the matrix (default:
-        every host in the spec).  Idempotent -- returns the existing
-        publisher on repeat calls.
+        Builds a :class:`~repro.core.matrix.BandwidthMatrix` of every host
+        pair over this monitor's calculator (sharing its epoch caches and
+        topology graph) and a :class:`~repro.stream.MatrixPublisher` on
+        top; each report cycle then also publishes the matrix's dirty
+        pairs to the publisher's subscribers.  ``significance=True``
+        installs the default adaptive
+        :class:`~repro.stream.QuantileDeadbandFilter`; pass a filter
+        instance to tune it, or ``False``/``None`` to deliver every
+        change.  Idempotent -- returns the existing publisher on repeat
+        calls.
         """
         if self.stream is not None:
             return self.stream
@@ -401,9 +398,7 @@ class ReportCore:
             significance = QuantileDeadbandFilter()
         elif significance is False:
             significance = None
-        matrix = BandwidthMatrix(
-            self.spec, self.calculator, hosts=hosts, graph=self.graph
-        )
+        matrix = BandwidthMatrix(self.spec, self.calculator, graph=self.graph)
         self.stream = MatrixPublisher(
             matrix,
             manager=SubscriptionManager(self.telemetry),
@@ -424,8 +419,7 @@ class ReportCore:
         confirmed disagreements cap the path's report confidence, emit
         telemetry/stream events, and feed the integrity quarantine.
         ``options`` are forwarded to the scheduler (``budget_fraction``,
-        ``count``, ``payload_size``, ``timeout``, ``rel_tolerance``,
-        ``breach_count``, ``abs_floor_bps``, ``tos``).  If the monitor is
+        ``count``, ``payload_size``, ``timeout``).  If the monitor is
         already running, probing starts immediately; otherwise it starts
         with :meth:`start`.  Idempotent -- returns the existing
         scheduler on repeat calls (options are then ignored).
@@ -451,8 +445,8 @@ class ReportCore:
         attachments.  Changes flush the path memos (bumping the graph's
         topology epoch), so the next report cycle re-resolves watched
         paths -- retiring the manual ``invalidate_paths()`` contract.
-        ``options`` are forwarded (``interval``, ``full_every``,
-        ``community``).  The rounds are SNMP traffic from this host: a
+        ``options`` are forwarded (``full_every``); each agent is asked
+        under its spec community.  The rounds are SNMP traffic from this host: a
         plane with no local manager gets one here, on first use, so a
         coordinator that never syncs owns no idle socket.  If the
         monitor is already running, syncing starts immediately;

@@ -218,7 +218,6 @@ class SnmpPoller:
         jitter: float = 0.0,
         seed: int = 0,
         rate_table: Optional[RateTable] = None,
-        health: Optional[AgentHealthTracker] = None,
         telemetry: Optional[Telemetry] = None,
         poll_mode: str = "get",
         pipeline_window: int = 0,
@@ -244,12 +243,8 @@ class SnmpPoller:
         # Reachability tracking + circuit breaker: DEAD agents are polled
         # only at the tracker's slow probe cadence (default: every third
         # cycle) instead of burning a timeout slot every cycle.
-        self.health = (
-            health
-            if health is not None
-            else AgentHealthTracker(
-                probe_interval=interval * 3, events=self.telemetry.events
-            )
+        self.health = AgentHealthTracker(
+            probe_interval=interval * 3, events=self.telemetry.events
         )
         # Per node and ifIndex, the last reading: (sysUpTime, the six counters).
         self._last: Dict[str, Dict[int, Tuple[int, Tuple[int, ...]]]] = {}

@@ -12,7 +12,7 @@ without an operator editing the spec.
 SNMP traffic through the monitor's own manager (so its overhead is
 visible to the measurements like any other management traffic):
 
-**Light rounds** (every ``interval``) read ``dot1dStpPortState`` for
+**Light rounds** (one per poll cycle) read ``dot1dStpPortState`` for
 just the *inter-switch* ports -- one multi-varbind GET per switch, not
 a table walk: spanning tree only ever blocks redundant uplinks, their
 ifIndexes are known from the spec, and a whole-table walk would cost
@@ -47,7 +47,7 @@ from __future__ import annotations
 import logging
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.discovery import DiscoveryResult, TopologyDiscoverer
+from repro.core.discovery import DiscoveryResult, TopologyDiscoverer, snmp_candidates
 from repro.snmp.datatypes import EndOfMibView, NoSuchInstance, NoSuchObject
 from repro.snmp.mib import DOT1D_STP_PORT_STATE
 from repro.telemetry.events import TOPOLOGY_CHANGED
@@ -77,9 +77,6 @@ def register_topology_metrics(registry) -> None:
     registry.counter(
         "topology_changes_total", "active-topology changes applied by the sync loop"
     )
-    registry.counter(
-        "path_reroutes_total", "watched paths re-resolved onto different links"
-    )
     registry.gauge(
         "topology_blocked_connections",
         "connections currently excluded from the active view",
@@ -94,16 +91,10 @@ class TopologySync:
     its ``manager`` from its report host.
     """
 
-    def __init__(
-        self,
-        monitor,
-        interval: Optional[float] = None,
-        full_every: int = DEFAULT_FULL_EVERY,
-        community: str = "public",
-    ) -> None:
-        """``interval`` defaults to the monitor's poll interval (one sync
-        round per poll cycle); ``full_every`` is the round period of the
-        complete discovery pass (light STP-only rounds in between)."""
+    def __init__(self, monitor, full_every: int = DEFAULT_FULL_EVERY) -> None:
+        """One sync round per poll cycle; ``full_every`` is the round
+        period of the complete discovery pass (light STP-only rounds in
+        between)."""
         if full_every < 1:
             raise ValueError(f"full_every must be >= 1, got {full_every!r}")
         self.monitor = monitor
@@ -111,19 +102,14 @@ class TopologySync:
         self.graph = monitor.graph
         self.manager = monitor.manager
         self.sim = monitor.sim
-        self.interval = monitor.poll_interval if interval is None else interval
+        self.interval = monitor.poll_interval
         self.full_every = full_every
-        self.community = community
-        # Agents worth talking to: SNMP-enabled spec nodes the build
-        # actually gave an agent (candidates for full discovery).
-        self._candidates: List[Tuple[str, object]] = [
-            (node.name, monitor.network.ip_of(node.name))
-            for node in self.spec.nodes
-            if node.snmp_enabled and node.name in monitor.build.agents
-        ]
-        self._switch_addresses: Dict[str, object] = {
-            name: addr
-            for name, addr in self._candidates
+        # Agents worth talking to, each under its spec community (the
+        # candidates for full discovery).
+        self._candidates = snmp_candidates(monitor.build)
+        self._switches: Dict[str, Tuple[object, str]] = {
+            name: (addr, community)
+            for name, addr, community in self._candidates
             if self.spec.node(name).kind is DeviceKind.SWITCH
         }
         # (switch name, ifIndex) -> the connection on that port.  The
@@ -144,7 +130,7 @@ class TopologySync:
         # this model, and the full round re-reads everything anyway).
         self._uplink_ports: Dict[str, List[int]] = {}
         for (switch, port), conn in sorted(self._conn_by_port.items()):
-            if switch not in self._switch_addresses:
+            if switch not in self._switches:
                 continue
             if all(
                 self.spec.node(end.node).kind is DeviceKind.SWITCH
@@ -162,22 +148,12 @@ class TopologySync:
         self._inflight = 0
         self._round_states: Dict[Tuple[str, int], int] = {}
         self._round_failed: Set[str] = set()
+        # The families are the monitor's (register_topology_metrics).
         registry = monitor.telemetry.registry
-        self._m_rounds = registry.counter(
-            "topology_rounds_total", "topology sync rounds completed"
-        )
-        self._m_full = registry.counter(
-            "topology_full_rounds_total", "full (discovery) topology sync rounds"
-        )
-        self._m_changes = registry.counter(
-            "topology_changes_total",
-            "active-topology changes applied by the sync loop",
-        )
-        self._m_blocked = registry.gauge(
-            "topology_blocked_connections",
-            "connections currently excluded from the active view",
-        )
-        self._m_blocked.set_function(
+        self._m_rounds = registry.get("topology_rounds_total")
+        self._m_full = registry.get("topology_full_rounds_total")
+        self._m_changes = registry.get("topology_changes_total")
+        registry.get("topology_blocked_connections").set_function(
             lambda: float(len(self.graph.blocked_connections()))
         )
 
@@ -197,7 +173,7 @@ class TopologySync:
             "topology sync started: interval %.2fs, full discovery every %d rounds, "
             "%d switch(es) / %d candidate agent(s)",
             self.interval, self.full_every,
-            len(self._switch_addresses), len(self._candidates),
+            len(self._switches), len(self._candidates),
         )
 
     def stop(self) -> None:
@@ -252,11 +228,13 @@ class TopologySync:
                 self._round_failed.add(switch)
                 self._light_done()
 
+            address, community = self._switches[name]
             self.manager.get(
-                self._switch_addresses[name],
+                address,
                 [DOT1D_STP_PORT_STATE.extend(port) for port in ports],
                 done,
                 failed,
+                community,
             )
 
     def _light_done(self) -> None:
@@ -278,7 +256,6 @@ class TopologySync:
         discoverer = TopologyDiscoverer(
             self.manager,
             list(self._candidates),
-            community=self.community,
             include_stp=True,
             use_bulk=True,
         )

@@ -50,6 +50,12 @@ from repro.probe.stats import ProbeReport
 
 #: Ceiling on a path's report confidence while a disagreement is active.
 CONFIDENCE_CAP = 0.4
+#: A probe figure this far (relative, and never under the absolute floor,
+#: in bytes/s) outside the passive envelope disagrees with it.
+REL_TOLERANCE = 0.35
+ABS_FLOOR_BPS = 100_000.0
+#: Consecutive disagreeing rounds before a finding is raised.
+BREACH_COUNT = 2
 
 
 @dataclass(frozen=True)
@@ -88,21 +94,8 @@ class ProbeCrossValidator:
     name the suspect ``(node, if_index)`` for the quarantine.
     """
 
-    def __init__(
-        self,
-        calculator=None,
-        rel_tolerance: float = 0.35,
-        abs_floor_bps: float = 100_000.0,
-        breach_count: int = 2,
-    ) -> None:
-        if not 0.0 < rel_tolerance < 1.0:
-            raise ValueError(f"rel_tolerance out of (0, 1): {rel_tolerance!r}")
-        if breach_count < 1:
-            raise ValueError(f"breach_count must be >= 1: {breach_count!r}")
+    def __init__(self, calculator=None) -> None:
         self.calculator = calculator
-        self.rel_tolerance = rel_tolerance
-        self.abs_floor_bps = abs_floor_bps
-        self.breach_count = breach_count
         self._streaks: Dict[str, int] = {}
         #: Findings currently holding a confidence cap, per path label.
         self.active: Dict[str, ProbeDisagreementFinding] = {}
@@ -122,13 +115,13 @@ class ProbeCrossValidator:
     ) -> Optional[str]:
         """``"below"``/``"above"`` when outside the envelope, else None."""
         floor = available_bps - max(
-            self.abs_floor_bps, self.rel_tolerance * available_bps
+            ABS_FLOOR_BPS, REL_TOLERANCE * available_bps
         )
         if probe_bps < floor:
             return "below"
         if not np.isnan(capacity_bps):
             ceiling = capacity_bps + max(
-                self.abs_floor_bps, self.rel_tolerance * capacity_bps
+                ABS_FLOOR_BPS, REL_TOLERANCE * capacity_bps
             )
             if probe_bps > ceiling:
                 return "above"
@@ -166,7 +159,7 @@ class ProbeCrossValidator:
             return None, recovered
         streak = self._streaks.get(label, 0) + 1
         self._streaks[label] = streak
-        if streak < self.breach_count:
+        if streak < BREACH_COUNT:
             return None, False
         finding = self._localize(probe, passive, capacity, direction, now, streak)
         self.disagreements += 1

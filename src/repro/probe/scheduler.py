@@ -36,7 +36,7 @@ from typing import Dict, List, Optional
 
 from repro.probe.crossval import ProbeCrossValidator, ProbeDisagreementFinding
 from repro.probe.stats import ProbeReport
-from repro.probe.train import PROBE_TOS, ProbeError, ProbeTrain, check_train
+from repro.probe.train import ProbeError, ProbeTrain, check_train
 from repro.stream.events import ProbeDisagreement, pair_key
 from repro.telemetry.events import (
     PROBE_DISAGREEMENT,
@@ -93,12 +93,7 @@ class ProbeScheduler:
         budget_fraction: float = DEFAULT_BUDGET_FRACTION,
         count: int = 16,
         payload_size: int = 1472,
-        warmup: int = 2,
         timeout: float = 1.0,
-        rel_tolerance: float = 0.35,
-        abs_floor_bps: float = 100_000.0,
-        breach_count: int = 2,
-        tos: int = PROBE_TOS,
     ) -> None:
         if not 0.0 < budget_fraction <= 0.25:
             raise ProbeError(
@@ -106,24 +101,17 @@ class ProbeScheduler:
             )
         # Every round builds a train from these: refuse them here, not
         # at the first round.
-        check_train(count, payload_size, warmup, timeout)
+        check_train(count, payload_size, timeout)
         self.monitor = monitor
         self.sim = monitor.sim
         self.budget_fraction = budget_fraction
         self.count = count
         self.payload_size = payload_size
-        self.warmup = warmup
         self.timeout = timeout
-        self.tos = tos
         #: Sized from the budget over the watched paths when probing starts.
         self.round_interval: Optional[float] = None
         self.priority_confidence = PRIORITY_CONFIDENCE
-        self.validator = ProbeCrossValidator(
-            calculator=monitor.calculator,
-            rel_tolerance=rel_tolerance,
-            abs_floor_bps=abs_floor_bps,
-            breach_count=breach_count,
-        )
+        self.validator = ProbeCrossValidator(calculator=monitor.calculator)
         #: Latest completed report per watch label.
         self.reports: Dict[str, ProbeReport] = {}
         #: Trains completed per watch label (the fairness ledger).
@@ -250,9 +238,7 @@ class ProbeScheduler:
             self.monitor.network.host(dst),
             count=self.count,
             payload_size=self.payload_size,
-            warmup=self.warmup,
             timeout=self.timeout,
-            tos=self.tos,
             on_complete=lambda report, label=label: self._on_done(label, report),
         )
         self._inflight = label

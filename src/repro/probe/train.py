@@ -46,6 +46,9 @@ PROBE_PORT = 5001
 #: Probe traffic is marked Expedited Forwarding (DSCP 46).
 PROBE_DSCP = 46
 PROBE_TOS = PROBE_DSCP << 2
+#: Arrivals trimmed from a train's front: they may reflect an empty-queue
+#: transient rather than the path's steady service rate.
+PROBE_WARMUP = 2
 
 #: train_id (4) + sequence (4) + send time in microsecond ticks (8).
 _HEADER_BYTES = 16
@@ -53,26 +56,22 @@ _WIRE_OVERHEAD = UDP_HEADER_SIZE + IPV4_HEADER_SIZE
 
 _train_ids = itertools.count(1)
 
-# One sink per (host, port), shared by every train targeting that host.
-_sinks: "weakref.WeakKeyDictionary[Host, Dict[int, ProbeSink]]" = (
-    weakref.WeakKeyDictionary()
-)
+# One sink per host, shared by every train targeting that host.
+_sinks: "weakref.WeakKeyDictionary[Host, ProbeSink]" = weakref.WeakKeyDictionary()
 
 
 class ProbeError(ValueError):
     """Raised for malformed train parameters."""
 
 
-def check_train(count: int, payload_size: int, warmup: int, timeout: float) -> None:
+def check_train(count: int, payload_size: int, timeout: float) -> None:
     """Raise :class:`ProbeError` unless these parameters make a train."""
-    if count < 2:
-        raise ProbeError("a train needs at least two probes")
+    if count < PROBE_WARMUP + 2:
+        raise ProbeError(
+            f"a train needs at least two probes past its {PROBE_WARMUP} warm-up ones"
+        )
     if payload_size < _HEADER_BYTES:
         raise ProbeError(f"payload_size must be >= {_HEADER_BYTES} bytes")
-    if not 0 <= warmup < count - 1:
-        raise ProbeError(
-            f"warmup {warmup} must leave at least two measured probes"
-        )
     if timeout <= 0:
         raise ProbeError(f"non-positive timeout {timeout!r}")
 
@@ -80,14 +79,14 @@ def check_train(count: int, payload_size: int, warmup: int, timeout: float) -> N
 class ProbeSink:
     """Receiver side of the probe protocol: timestamp and file arrivals.
 
-    Obtain via :meth:`ensure` -- a host runs at most one sink per port,
-    shared by every train aimed at it.  Arrival records are kept per
+    Obtain via :meth:`ensure` -- a host runs at most one sink, on
+    :data:`PROBE_PORT`, shared by every train aimed at it.  Arrival records are kept per
     train id until the owning train collects them with :meth:`take`.
     """
 
-    def __init__(self, host: Host, port: int = PROBE_PORT) -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
-        self.socket = host.create_socket(port)
+        self.socket = host.create_socket(PROBE_PORT)
         self.socket.on_receive = self._on_receive
         self.packets = 0
         self.octets = 0
@@ -98,13 +97,11 @@ class ProbeSink:
         self._watchers: Dict[int, Tuple[int, Callable[[], None]]] = {}
 
     @classmethod
-    def ensure(cls, host: Host, port: int = PROBE_PORT) -> "ProbeSink":
-        """The host's probe sink on ``port``, created on first use."""
-        sinks = _sinks.setdefault(host, {})
-        sink = sinks.get(port)
+    def ensure(cls, host: Host) -> "ProbeSink":
+        """The host's probe sink, created on first use."""
+        sink = _sinks.get(host)
         if sink is None:
-            sink = cls(host, port)
-            sinks[port] = sink
+            sink = _sinks[host] = cls(host)
         return sink
 
     def _on_receive(self, payload, size, src_ip, src_port) -> None:
@@ -150,25 +147,21 @@ class ProbeTrain:
         dst: Host,
         count: int = 16,
         payload_size: int = 1472,
-        warmup: int = 2,
         timeout: float = 1.0,
-        tos: int = PROBE_TOS,
-        port: int = PROBE_PORT,
         on_complete: Optional[Callable[[ProbeReport], None]] = None,
     ) -> None:
-        check_train(count, payload_size, warmup, timeout)
+        check_train(count, payload_size, timeout)
         self.src = src
         self.dst = dst
         self.count = count
         self.payload_size = payload_size
-        self.warmup = warmup
         self.timeout = timeout
         self.on_complete = on_complete
         self.sim = src.sim
         self.train_id = next(_train_ids)
-        self.sink = ProbeSink.ensure(dst, port)
+        self.sink = ProbeSink.ensure(dst)
         self.socket = src.create_socket()
-        self.socket.tos = tos
+        self.socket.tos = PROBE_TOS
         self.report: Optional[ProbeReport] = None
         self._started = False
         self._timer = None
@@ -216,9 +209,8 @@ class ProbeTrain:
         records = sorted(self.sink.take(self.train_id), key=lambda r: r[2])
         self.socket.close()
         loss_rate, gaps = sequence_loss(self.count, [r[0] for r in records])
-        # Warm-up trimming: the first arrivals may reflect an empty-queue
-        # transient rather than the path's steady service rate.
-        measured = records[self.warmup:] if len(records) > self.warmup else []
+        # Warm-up trimming (PROBE_WARMUP).
+        measured = records[PROBE_WARMUP:]
         transits = [arrival - sent for (_seq, sent, arrival) in measured]
         delays_all = [arrival - sent for (_seq, sent, arrival) in records]
         arrivals = [arrival for (_seq, _sent, arrival) in measured]
@@ -229,7 +221,7 @@ class ProbeTrain:
             sent=self.count,
             received=len(records),
             train_bytes=self.train_bytes,
-            warmup=self.warmup,
+            warmup=PROBE_WARMUP,
             achievable_bps=dispersion_bps(arrivals, self.wire_bytes_per_packet),
             loss_rate=loss_rate,
             gaps=gaps,

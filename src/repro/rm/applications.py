@@ -76,10 +76,7 @@ class ApplicationRuntime:
         build,
         monitor: NetworkMonitor,
         headroom: float = 1.3,
-        breach_count: int = 2,
-        clear_count: int = 2,
         auto_move: bool = False,
-        payload_size: int = 1472,
     ) -> None:
         if headroom < 1.0:
             raise TopologyError(f"headroom must be >= 1, got {headroom!r}")
@@ -88,11 +85,8 @@ class ApplicationRuntime:
         self.network = build.network
         self.monitor = monitor
         self.headroom = headroom
-        self.breach_count = breach_count
-        self.clear_count = clear_count
         self.auto_move = auto_move
         self.move_cooldown = MOVE_COOLDOWN
-        self.payload_size = payload_size
         self.placements: Dict[str, str] = {
             app.name: app.host for app in self.spec.applications
         }
@@ -140,11 +134,7 @@ class ApplicationRuntime:
             dst=dst_host,
             min_available_bps=flow.rate_bps / 8.0 * self.headroom,
         )
-        flow.detector = ViolationDetector(
-            flow.requirement,
-            breach_count=self.breach_count,
-            clear_count=self.clear_count,
-        )
+        flow.detector = ViolationDetector(flow.requirement)
 
     def _start_traffic(self, flow: _Flow) -> None:
         src_host = self.network.host(self.placements[flow.src_app])
@@ -154,7 +144,6 @@ class ApplicationRuntime:
             src_host,
             dst_ip,
             StepSchedule([(self.network.now, rate_bytes)]),
-            payload_size=self.payload_size,
         )
         flow.generator.start()
 

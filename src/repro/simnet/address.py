@@ -165,9 +165,10 @@ class MacAllocator:
 
 
 class IPv4Allocator:
-    """Deterministic allocator of host addresses inside one subnet."""
+    """Deterministic allocator of host addresses inside one subnet (a
+    deployment setting the caller names: there is no default plan)."""
 
-    def __init__(self, network: str = "10.0.0.0", prefix_len: int = 16) -> None:
+    def __init__(self, network: str, prefix_len: int) -> None:
         self.network = IPv4Address(network)
         self.prefix_len = prefix_len
         host_bits = 32 - prefix_len

@@ -125,7 +125,8 @@ class Fault:
     end, and lifecycle publication on the optional ``events`` bus
     (normally the monitor's ``telemetry.events``), so experiments can
     correlate injected failures with the monitor's reaction on one
-    timeline.  A concrete fault validates its own parameters and supplies
+    timeline (a fault whose constructor takes no bus is given one as
+    ``fault.events`` before it begins).  A concrete fault validates its own parameters and supplies
     ``apply()`` and ``revert()``, each returning the attributes of the
     event it causes.  What ``apply`` overrides on the target it takes with
     :meth:`_hold`, never by saving the previous value itself; the base
@@ -297,9 +298,8 @@ class AgentOutage(Fault):
         agent,
         at: float,
         until: float,
-        events: Optional["EventBus"] = None,
     ) -> None:
-        super().__init__(sim, at, until, events)
+        super().__init__(sim, at, until)
         self.agent = agent
         self.requests_ignored = 0
 
@@ -326,17 +326,10 @@ class AgentReboot(AgentOutage):
     reset is what gives the restart away, exactly as MIB-II intends.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        agent,
-        at: float,
-        outage: float = 2.0,
-        events: Optional["EventBus"] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, agent, at: float, outage: float) -> None:
         if outage <= 0:
             raise FaultError(f"non-positive reboot outage {outage!r}")
-        super().__init__(sim, agent, at, at + outage, events)
+        super().__init__(sim, agent, at, at + outage)
         self.outage = outage
         self.rebooted = False
 
@@ -385,13 +378,12 @@ class ResponseDelay(Fault):
         sim: Simulator,
         agent,
         extra: float,
-        at: float = 0.0,
-        until: Optional[float] = None,
-        events: Optional["EventBus"] = None,
+        at: float,
+        until: Optional[float],
     ) -> None:
         if extra <= 0:
             raise FaultError(f"non-positive extra delay {extra!r}")
-        super().__init__(sim, at, until, events)
+        super().__init__(sim, at, until)
         self.agent = agent
         self.extra = extra
 
@@ -518,7 +510,6 @@ class CounterCorruption(Fault):
         mode: str = "random",
         scale: float = 0.5,
         if_index: Optional[int] = None,
-        seed: int = 0,
         columns=None,
         events: Optional["EventBus"] = None,
     ) -> None:
@@ -531,7 +522,7 @@ class CounterCorruption(Fault):
         self.mode = mode
         self.scale = scale
         self.if_index = if_index
-        self.rng = random.Random(seed)
+        self.rng = random.Random(0)  # the random mode's values, reproducible
         self.values_corrupted = 0
         self._frozen = {}  # oid -> first value served while stuck
         self._columns = columns

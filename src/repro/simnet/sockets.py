@@ -110,8 +110,8 @@ class EchoService:
     round-trip times by timestamping datagrams to this service.
     """
 
-    def __init__(self, host: "UDPEndpoint", port: int = ECHO_PORT) -> None:
-        self.socket = host.create_socket(port)
+    def __init__(self, host: "UDPEndpoint") -> None:
+        self.socket = host.create_socket(ECHO_PORT)
         self.socket.on_receive = self._on_receive
         self.echoed = 0
 

@@ -66,7 +66,6 @@ class SnmpAgent:
         endpoint,
         mib: MibTree,
         community: str = "public",
-        port: int = SNMP_PORT,
         response_delay: float = DEFAULT_RESPONSE_DELAY,
         response_jitter: float = DEFAULT_RESPONSE_JITTER,
         seed: int = 0,
@@ -80,7 +79,7 @@ class SnmpAgent:
         # Seed mixes in the endpoint name deterministically (str hash is
         # randomised per-process, so crc32 instead).
         self.rng = random.Random(seed ^ zlib.crc32(endpoint.name.encode()))
-        self.socket = endpoint.create_socket(port)
+        self.socket = endpoint.create_socket(SNMP_PORT)
         self.socket.on_receive = self._on_datagram
         # Statistics, served back over SNMP as the RFC 1213 snmp group.
         self.in_packets = 0

@@ -23,7 +23,8 @@ fast one is declared lost quickly.  Unlike TCP, a request that fails
 outright does *not* persist its backoff into the next request -- the
 poller's health layer (:mod:`repro.core.health`) owns the give-up policy
 for persistently dead agents, and polls to distinct agents are
-independent.  ``timeout`` is each destination's RTO before its first sample.
+independent.  :data:`DEFAULT_TIMEOUT` is each destination's RTO before
+its first sample.
 
 The manager's packets are real BER bytes travelling the simulated LAN, so
 polling consumes bandwidth that the monitor itself then measures -- the
@@ -55,6 +56,8 @@ ErrorCallback = Callable[[Exception], None]
 
 DEFAULT_TIMEOUT = 1.0
 DEFAULT_RETRIES = 1
+# Sent unless a request names its agent's own (a spec node's ``snmp community``).
+DEFAULT_COMMUNITY = "public"
 MAX_WALK_EXCHANGES = 8  # a bulk interface poll chains at most this many requests
 
 # Poll replies remembered, bounded like the agent's memos (a 64-row reply is 9 KB).
@@ -71,25 +74,21 @@ DEFAULT_MAX_RTO = 30.0
 class RtoEstimator:
     """Smoothed-RTT retransmission timeout for one destination.
 
-    Until the first sample the RTO is ``initial``; afterwards it is
-    ``SRTT + K * RTTVAR`` clamped to [min_rto, max_rto].  Exponential
+    Until the first sample the RTO is :data:`DEFAULT_TIMEOUT`; afterwards
+    it is ``SRTT + K * RTTVAR`` clamped to [min_rto, max_rto].  Exponential
     backoff is applied per attempt via :meth:`timeout_for`, not stored.
     """
 
-    __slots__ = ("initial", "min_rto", "max_rto", "srtt", "rttvar", "rto", "samples")
+    __slots__ = ("min_rto", "max_rto", "srtt", "rttvar", "rto", "samples")
 
     def __init__(
-        self,
-        initial: float = DEFAULT_TIMEOUT,
-        min_rto: float = DEFAULT_MIN_RTO,
-        max_rto: float = DEFAULT_MAX_RTO,
+        self, min_rto: float = DEFAULT_MIN_RTO, max_rto: float = DEFAULT_MAX_RTO
     ) -> None:
-        self.initial = initial
         self.min_rto = min_rto
         self.max_rto = max_rto
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
-        self.rto = initial
+        self.rto = DEFAULT_TIMEOUT
         self.samples = 0
 
     def observe(self, rtt: float) -> None:
@@ -147,17 +146,13 @@ class SnmpManager:
     def __init__(
         self,
         endpoint,
-        community: str = "public",
         version: int = VERSION_2C,
-        timeout: float = DEFAULT_TIMEOUT,
         retries: int = DEFAULT_RETRIES,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.endpoint = endpoint
         self.sim = endpoint.sim
-        self.community = community
         self.version = version
-        self.timeout = timeout  # every destination's RTO before its first sample
         self.retries = retries
         self.socket = endpoint.create_socket()  # one ephemeral port for all requests
         self.socket.on_receive = self._on_datagram
@@ -237,7 +232,7 @@ class SnmpManager:
     ) -> int:
         """GET a batch of exact instances; returns the request id.
 
-        ``community`` overrides the manager default for this request only
+        ``community`` overrides :data:`DEFAULT_COMMUNITY` for this request
         (agents on different nodes may use different community strings).
         """
         request_id = next(self._request_ids)
@@ -279,8 +274,10 @@ class SnmpManager:
         callback: SuccessCallback,
         errback: Optional[ErrorCallback] = None,
         use_bulk: bool = False,
+        community: Optional[str] = None,
     ) -> None:
-        """Walk the subtree under ``root`` with chained GETNEXT/GETBULK.
+        """Walk the subtree under ``root`` with chained GETNEXT/GETBULK,
+        every request under ``community`` (default: the manager's).
 
         ``callback`` receives the accumulated in-subtree varbinds once the
         walk leaves the subtree or hits endOfMibView.
@@ -301,15 +298,17 @@ class SnmpManager:
             if cursor is None:
                 callback(collected)
                 return
-            self._walk_step(dst_ip, cursor, step, errback, use_bulk)
+            self._walk_step(dst_ip, cursor, step, errback, use_bulk, community)
 
-        self._walk_step(dst_ip, root, step, errback, use_bulk)
+        self._walk_step(dst_ip, root, step, errback, use_bulk, community)
 
-    def _walk_step(self, dst_ip, cursor, step, errback, use_bulk) -> None:
+    def _walk_step(self, dst_ip, cursor, step, errback, use_bulk, community) -> None:
         if use_bulk:
-            self.get_bulk(dst_ip, [cursor], step, errback, max_repetitions=16)
+            self.get_bulk(
+                dst_ip, [cursor], step, errback, max_repetitions=16, community=community
+            )
         else:
-            self.get_next(dst_ip, [cursor], step, errback)
+            self.get_next(dst_ip, [cursor], step, errback, community)
 
     def poll_interfaces(
         self,
@@ -375,7 +374,7 @@ class SnmpManager:
         """The (auto-created) RTO estimator for one destination."""
         estimator = self._estimators.get(dst_ip)
         if estimator is None:
-            estimator = self._estimators[dst_ip] = RtoEstimator(initial=self.timeout)
+            estimator = self._estimators[dst_ip] = RtoEstimator()
         return estimator
 
     def current_rto(self, dst_ip: IPv4Address) -> float:
@@ -413,7 +412,7 @@ class SnmpManager:
         interface poll's key ``(dst_ip, column set, request varbinds)``,
         the :class:`_Reading` :meth:`_read` makes of the same bytes."""
         payload = encode_message(
-            self.version, community if community is not None else self.community,
+            self.version, community if community is not None else DEFAULT_COMMUNITY,
             pdu if isinstance(pdu, bytes) else pdu.encode(),
         )
         self._pending[request_id] = _Pending(

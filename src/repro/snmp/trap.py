@@ -26,6 +26,7 @@ from repro.snmp.pdu import Pdu, VarBind, decode_varbinds
 from repro.simnet.address import IPv4Address
 
 TRAP_PORT = 162  # standard notification-receiver port
+TRAP_COMMUNITY = "public"  # what the receiver accepts
 
 # snmpTrapOID.0 (RFC 3418) and the generic trap identities (RFC 1907).
 SNMP_TRAP_OID = Oid("1.3.6.1.6.3.1.1.4.1.0")
@@ -168,7 +169,8 @@ class TrapEvent:
 
 
 class TrapReceiver:
-    """Listens on UDP :162 for traps and informs.
+    """Listens on UDP :162 for traps and informs sent under
+    :data:`TRAP_COMMUNITY`.
 
     Informs are acknowledged (a Response PDU echoing the request-id goes
     back to the sender) and de-duplicated by (source, request-id), since
@@ -176,16 +178,12 @@ class TrapReceiver:
     """
 
     def __init__(
-        self,
-        endpoint,
-        community: str = "public",
-        port: int = TRAP_PORT,
-        callback: Optional[Callable[[TrapEvent], None]] = None,
+        self, endpoint, callback: Optional[Callable[[TrapEvent], None]] = None
     ) -> None:
         self.endpoint = endpoint
         self.sim = endpoint.sim
-        self.community = community
-        self.socket = endpoint.create_socket(port)
+        self.community = TRAP_COMMUNITY
+        self.socket = endpoint.create_socket(TRAP_PORT)
         self.socket.on_receive = self._on_datagram
         self.callback = callback
         self.events: List[TrapEvent] = []

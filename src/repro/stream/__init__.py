@@ -41,11 +41,7 @@ from repro.stream.queries import (
     QueryError,
     ThresholdQuery,
 )
-from repro.stream.significance import (
-    DeadbandFilter,
-    QuantileDeadbandFilter,
-    SignificanceFilter,
-)
+from repro.stream.significance import QuantileDeadbandFilter
 from repro.stream.subscription import (
     DEFAULT_QUEUE_BOUND,
     OverflowPolicy,
@@ -55,7 +51,6 @@ from repro.stream.subscription import (
 __all__ = [
     "DEFAULT_QUEUE_BOUND",
     "ContinuousQuery",
-    "DeadbandFilter",
     "MatrixPublisher",
     "OverflowPolicy",
     "PairChanged",
@@ -68,7 +63,6 @@ __all__ = [
     "QueryCleared",
     "QueryError",
     "QueryFired",
-    "SignificanceFilter",
     "StreamError",
     "StreamEvent",
     "Subscription",

@@ -45,7 +45,7 @@ from repro.stream.events import (
 )
 from repro.stream.manager import SubscriptionManager
 from repro.stream.queries import ContinuousQuery
-from repro.stream.significance import SignificanceFilter
+from repro.stream.significance import QuantileDeadbandFilter
 
 __all__ = ["MatrixPublisher"]
 
@@ -61,15 +61,14 @@ class MatrixPublisher:
         self,
         matrix: BandwidthMatrix,
         manager: Optional[SubscriptionManager] = None,
-        significance: Optional[SignificanceFilter] = None,
-        telemetry=None,
+        significance: Optional[QuantileDeadbandFilter] = None,
     ) -> None:
         """``significance``: the publisher-wide filter applied before
         enqueue (None: every change on a dirty pair is an event).
         Status transitions, query events, heartbeats and resyncs are
         never filtered."""
         self.matrix = matrix
-        self.manager = manager if manager is not None else SubscriptionManager(telemetry)
+        self.manager = manager if manager is not None else SubscriptionManager()
         self.significance = significance
         self.clock = PublishClock()
         self._queries: Dict[str, ContinuousQuery] = {}

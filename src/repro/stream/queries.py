@@ -9,20 +9,21 @@ the answer changes.  Queries hold O(pairs-touched) state and update in
 O(1) per pair change -- never a rescan of history.
 
 :class:`ThresholdQuery`
-    "available on (A,B) < 20 Mbps for >= 2 samples": a comparison plus
+    "available on (A,B) < 20 Mbps for >= 2 samples": a comparison (of the
+    metric and operator it names) plus
     a consecutive-sample debounce, the stream twin of the RM detector's
     hysteresis.  Fires once when the streak reaches ``for_samples``,
     clears on the first non-matching sample.
 
 :class:`PercentileQuery`
-    "p90 utilization over the last 60 s": one
+    "p90 bottleneck utilization over the last 60 s": one
     :class:`~repro.telemetry.quantile.EwmaQuantile` estimator per pair,
     its weight derived from the window length so observations older
     than roughly one window carry little weight (the classic EWMA
     span ~ window equivalence) -- O(1) memory instead of a 60 s sample
     buffer.  The estimate is readable at any time
     (:meth:`PercentileQuery.value`), and with a ``threshold`` the query
-    also fires/clears like a threshold query on the *estimate*.
+    also fires while the *estimate* is above it, and clears below.
 
 Queries see the pair's *raw* per-cycle values -- the publisher routes
 every recomputed dirty pair to them before significance filtering, so
@@ -42,6 +43,7 @@ from repro.telemetry.quantile import EwmaQuantile
 __all__ = ["ContinuousQuery", "PercentileQuery", "QueryError", "ThresholdQuery"]
 
 PairKey = Tuple[str, str]
+
 
 _METRICS: Dict[str, Callable[[PathReport], float]] = {
     "available": lambda r: r.available_bps,
@@ -64,25 +66,21 @@ class QueryError(ValueError):
 
 
 class ContinuousQuery:
-    """Base: name, metric extraction, pair selection, firing state."""
+    """Base: name, pair selection, firing state; a subclass reads its
+    metric off each report (:meth:`_extract`)."""
 
     def __init__(
-        self,
-        name: str,
-        metric: str = "available",
-        pairs: Optional[Tuple[Tuple[str, str], ...]] = None,
+        self, name: str, pairs: Optional[Tuple[Tuple[str, str], ...]] = None
     ) -> None:
-        if metric not in _METRICS:
-            raise QueryError(
-                f"unknown metric {metric!r}; pick from {sorted(_METRICS)}"
-            )
         self.name = name
-        self.metric = metric
-        self._extract = _METRICS[metric]
         self.pairs: Optional[frozenset] = (
             frozenset(pair_key(a, b) for a, b in pairs) if pairs is not None else None
         )
         self._firing: Dict[PairKey, bool] = {}
+
+    @staticmethod
+    def _extract(report: PathReport) -> float:
+        raise NotImplementedError
 
     def wants(self, pair: PairKey) -> bool:
         return self.pairs is None or pair in self.pairs
@@ -106,17 +104,23 @@ class ThresholdQuery(ContinuousQuery):
     def __init__(
         self,
         name: str,
-        metric: str = "available",
-        op: str = "<",
+        metric: str,
+        op: str,
         threshold: float = 0.0,
         for_samples: int = 1,
         pairs: Optional[Tuple[Tuple[str, str], ...]] = None,
     ) -> None:
+        if metric not in _METRICS:
+            raise QueryError(
+                f"unknown metric {metric!r}; pick from {sorted(_METRICS)}"
+            )
         if op not in _OPS:
             raise QueryError(f"unknown operator {op!r}; pick from {sorted(_OPS)}")
         if for_samples < 1:
             raise QueryError(f"for_samples must be >= 1, got {for_samples!r}")
-        super().__init__(name, metric=metric, pairs=pairs)
+        super().__init__(name, pairs=pairs)
+        self.metric = metric
+        self._extract = _METRICS[metric]
         self.op = op
         self._compare = _OPS[op]
         self.threshold = threshold
@@ -149,7 +153,8 @@ class ThresholdQuery(ContinuousQuery):
 
 
 class PercentileQuery(ContinuousQuery):
-    """Windowed percentile of a metric, estimated in O(1) memory.
+    """Windowed percentile of the bottleneck's utilization, estimated in
+    O(1) memory; with a ``threshold`` it fires while the estimate is above.
 
     ``window_s`` sets the effective look-back: the estimator's EWMA
     weight is ``2 / (window_s / interval_s + 1)`` (the span formula),
@@ -160,34 +165,30 @@ class PercentileQuery(ContinuousQuery):
         self,
         name: str,
         p: float = 0.9,
-        metric: str = "utilization",
         window_s: float = 60.0,
         interval_s: float = 2.0,
         threshold: Optional[float] = None,
-        op: str = ">",
         pairs: Optional[Tuple[Tuple[str, str], ...]] = None,
     ) -> None:
         if window_s <= 0 or interval_s <= 0 or window_s < interval_s:
             raise QueryError(
                 f"need window_s >= interval_s > 0, got {window_s!r}/{interval_s!r}"
             )
-        if op not in _OPS:
-            raise QueryError(f"unknown operator {op!r}; pick from {sorted(_OPS)}")
-        super().__init__(name, metric=metric, pairs=pairs)
+        super().__init__(name, pairs=pairs)
         self.p = p
         self.window_s = window_s
         self.interval_s = interval_s
         self.threshold = threshold
-        self.op = op
-        self._compare = _OPS[op]
         self.weight = 2.0 / (window_s / interval_s + 1.0)
         self._estimators: Dict[PairKey, EwmaQuantile] = {}
 
     def describe(self) -> str:
-        base = f"p{round(self.p * 100)}({self.metric}) over {self.window_s:g}s"
+        base = f"p{round(self.p * 100)}(utilization) over {self.window_s:g}s"
         if self.threshold is None:
             return base
-        return f"{base} {self.op} {self.threshold:g}"
+        return f"{base} > {self.threshold:g}"
+
+    _extract = staticmethod(_METRICS["utilization"])
 
     def _estimator(self, pair: PairKey) -> EwmaQuantile:
         estimator = self._estimators.get(pair)
@@ -211,7 +212,7 @@ class PercentileQuery(ContinuousQuery):
         if self.threshold is None:
             return None
         estimate = estimator.value
-        matches = self._compare(estimate, self.threshold)
+        matches = estimate > self.threshold
         if matches and not self._firing.get(pair, False):
             self._firing[pair] = True
             return ("fired", estimate)

@@ -7,6 +7,7 @@ from repro.simnet.network import Network
 from repro.snmp.agent import SnmpAgent
 from repro.snmp.manager import (
     DEFAULT_MIN_RTO,
+    DEFAULT_TIMEOUT,
     RtoEstimator,
     SnmpManager,
 )
@@ -15,19 +16,19 @@ from repro.snmp.mib import SYS_NAME, build_mib2
 
 class TestRtoEstimator:
     def test_initial_rto_until_first_sample(self):
-        est = RtoEstimator(initial=1.5)
-        assert est.rto == 1.5
+        est = RtoEstimator()
+        assert est.rto == DEFAULT_TIMEOUT
         assert est.samples == 0
 
     def test_first_sample_seeds_srtt_and_rttvar(self):
-        est = RtoEstimator(initial=1.0, min_rto=0.0)
+        est = RtoEstimator(min_rto=0.0)
         est.observe(0.2)
         assert est.srtt == pytest.approx(0.2)
         assert est.rttvar == pytest.approx(0.1)
         assert est.rto == pytest.approx(0.2 + 4 * 0.1)
 
     def test_converges_toward_steady_rtt(self):
-        est = RtoEstimator(initial=1.0, min_rto=0.0)
+        est = RtoEstimator(min_rto=0.0)
         for _ in range(50):
             est.observe(0.1)
         assert est.srtt == pytest.approx(0.1, rel=0.01)
@@ -35,23 +36,22 @@ class TestRtoEstimator:
         assert est.rto < 0.15
 
     def test_min_and_max_clamps(self):
-        est = RtoEstimator(initial=1.0, min_rto=0.25, max_rto=2.0)
+        est = RtoEstimator(min_rto=0.25, max_rto=2.0)
         for _ in range(50):
             est.observe(0.001)
         assert est.rto == 0.25
-        est2 = RtoEstimator(initial=1.0, min_rto=0.25, max_rto=2.0)
+        est2 = RtoEstimator(min_rto=0.25, max_rto=2.0)
         est2.observe(10.0)
         assert est2.rto == 2.0
 
     def test_backoff_doubles_per_attempt(self):
-        est = RtoEstimator(initial=0.5, max_rto=3.0)
-        assert est.timeout_for(1) == 0.5
-        assert est.timeout_for(2) == 1.0
-        assert est.timeout_for(3) == 2.0
-        assert est.timeout_for(4) == 3.0  # clamped
+        est = RtoEstimator(max_rto=3.0)
+        assert est.timeout_for(1) == 1.0
+        assert est.timeout_for(2) == 2.0
+        assert est.timeout_for(3) == 3.0  # clamped
 
     def test_negative_sample_ignored(self):
-        est = RtoEstimator(initial=1.0)
+        est = RtoEstimator()
         est.observe(-0.1)
         assert est.samples == 0
 
@@ -69,8 +69,8 @@ def agent_pair(extra_delay=None, delay_at=0.0):
     SnmpAgent(fast, build_mib2(fast, net.sim))
     slow_agent = SnmpAgent(slow, build_mib2(slow, net.sim))
     if extra_delay is not None:
-        ResponseDelay(net.sim, slow_agent, extra=extra_delay, at=delay_at)
-    manager = SnmpManager(mon, timeout=1.0, retries=2)
+        ResponseDelay(net.sim, slow_agent, extra=extra_delay, at=delay_at, until=None)
+    manager = SnmpManager(mon, retries=2)
     return net, manager, fast, slow
 
 

@@ -163,7 +163,7 @@ def mixed_integrity_run():
 
     AgentReboot(net.sim, build.agents["N1"], at=8.0, outage=3.0)
     CounterCorruption(
-        net.sim, build.agents["S1"], at=10.0, until=26.0, seed=3,
+        net.sim, build.agents["S1"], at=10.0, until=26.0,
         events=monitor.telemetry.events,
     )
     loss = PacketLoss(uplink(build), loss_rate=0.2, seed=11)

@@ -3,75 +3,65 @@
 import numpy as np
 import pytest
 
-from repro.analysis.charts import AsciiChart, ChartError, render_pair
+from repro.analysis.charts import HEIGHT, TICK_WIDTH, WIDTH, ChartError, render_pair
 from repro.experiments.scenarios import SeriesPair
 
 
-def simple_chart(**kwargs):
-    chart = AsciiChart(title="t", **kwargs)
-    chart.add_series("s", [0.0, 1.0, 2.0], [0.0, 5.0, 10.0])
-    return chart
+def pair_of(times, measured, generated=None):
+    times = np.asarray(times, dtype=float)
+    return SeriesPair(
+        label="p",
+        times=times,
+        measured_kbps=np.asarray(measured, dtype=float),
+        generated_kbps=np.asarray(
+            np.zeros_like(times) if generated is None else generated, dtype=float
+        ),
+    )
+
+
+def plot_rows(text):
+    return [line for line in text.splitlines() if "|" in line]
 
 
 class TestAsciiChart:
     def test_render_contains_axes_and_legend(self):
-        text = simple_chart().render()
+        text = render_pair(pair_of([0.0, 1.0, 2.0], [0.0, 5.0, 10.0]), title="t")
         assert "t" in text.splitlines()[0]
         assert "10.0" in text  # y max tick
         assert "0.0" in text  # y min tick
-        assert "* s" in text  # legend
+        assert "* measured" in text and "- generated" in text  # legend
         assert "time (s)" in text
 
     def test_markers_appear(self):
-        text = simple_chart().render()
+        text = render_pair(pair_of([0.0, 1.0, 2.0], [1.0, 5.0, 10.0]))
         assert text.count("*") >= 3 + 1  # three points + legend
 
     def test_peak_on_top_row(self):
-        chart = AsciiChart(height=6, width=30)
-        chart.add_series("s", [0, 1, 2], [0, 0, 100])
-        rows = [l for l in chart.render().splitlines() if "|" in l]
+        rows = plot_rows(render_pair(pair_of([0, 1, 2], [0, 0, 100])))
+        assert len(rows) == HEIGHT
         assert "*" in rows[0]  # the 100 lands on the top row
-        assert "*" in rows[-1]  # the zeros land on the bottom row
+        assert "-" in rows[-1]  # the generated zeros land on the bottom row
 
     def test_multiple_series_distinct_markers(self):
-        chart = AsciiChart(width=40, height=8)
-        chart.add_series("a", [0, 1], [1, 1], marker="a")
-        chart.add_series("b", [0, 1], [2, 2], marker="b")
-        text = chart.render()
-        assert "a" in text and "b" in text
+        text = render_pair(pair_of([0, 1], [1, 1], generated=[2, 2]))
+        top, *below = plot_rows(text)
+        assert "-" in top and "*" not in top
+        assert any("*" in row for row in below)
 
     def test_flat_zero_series_renders(self):
-        chart = AsciiChart(width=30, height=5)
-        chart.add_series("flat", [0, 1, 2], [0, 0, 0])
-        chart.render()  # must not divide by zero
+        render_pair(pair_of([0, 1, 2], [0, 0, 0]))  # must not divide by zero
 
     def test_empty_series_rejected(self):
-        chart = AsciiChart()
         with pytest.raises(ChartError):
-            chart.add_series("e", [], [])
+            render_pair(pair_of([], []))
 
     def test_mismatched_lengths_rejected(self):
-        chart = AsciiChart()
-        with pytest.raises(ChartError):
-            chart.add_series("e", [0, 1], [1])
-
-    def test_bad_marker_rejected(self):
-        chart = AsciiChart()
-        with pytest.raises(ChartError):
-            chart.add_series("e", [0], [1], marker="**")
-
-    def test_no_series_rejected(self):
-        with pytest.raises(ChartError):
-            AsciiChart().render()
-
-    def test_too_small_rejected(self):
-        with pytest.raises(ChartError):
-            AsciiChart(width=5, height=2)
+        with pytest.raises(ValueError):  # the series pair refuses them
+            pair_of([0, 1], [1], generated=[1, 1])
 
     def test_width_respected(self):
-        text = simple_chart(width=40, height=6).render()
-        plot_rows = [l for l in text.splitlines() if "|" in l]
-        assert all(len(row) <= 10 + 2 + 40 for row in plot_rows)
+        text = render_pair(pair_of([0.0, 1.0, 2.0], [0.0, 5.0, 10.0]))
+        assert all(len(row) <= TICK_WIDTH + 2 + WIDTH for row in plot_rows(text))
 
 
 class TestRenderPair:

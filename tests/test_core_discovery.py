@@ -19,7 +19,9 @@ def discovered(candidates=None, warmup_traffic=True):
         net.run(2.0)
     manager = SnmpManager(net.host("L"))
     if candidates is None:
-        candidates = [(n, net.ip_of(n)) for n in ("L", "S1", "S2", "N1", "N2", "switch")]
+        candidates = [
+            (n, net.ip_of(n), "public") for n in ("L", "S1", "S2", "N1", "N2", "switch")
+        ]
     discoverer = TopologyDiscoverer(manager, candidates)
     box = {}
     discoverer.discover(lambda r: box.update(result=r))
@@ -96,7 +98,7 @@ class TestVerification:
         build = build_testbed()
         net = build.network
         manager = SnmpManager(net.host("L"))
-        discoverer = TopologyDiscoverer(manager, [("S1", net.ip_of("S1"))])
+        discoverer = TopologyDiscoverer(manager, [("S1", net.ip_of("S1"), "public")])
         discoverer.discover(lambda r: None)
         with pytest.raises(RuntimeError):
             discoverer.discover(lambda r: None)
@@ -119,7 +121,7 @@ class TestPartialOutage:
         net.run(2.5)  # outage active before the first walk request
         manager = SnmpManager(net.host("L"))
         candidates = [
-            (n, net.ip_of(n)) for n in ("L", "S1", "S2", "N1", "N2", "switch")
+            (n, net.ip_of(n), "public") for n in ("L", "S1", "S2", "N1", "N2", "switch")
         ]
         discoverer = TopologyDiscoverer(manager, candidates)
         box = {}
@@ -176,7 +178,7 @@ class TestPartialOutage:
         net.announce_hosts(at=0.5)
         net.run(4.0)  # STP converged: one uplink forwarding, one blocked
         manager = SnmpManager(net.host("A"))
-        candidates = [(n, net.ip_of(n)) for n in ("A", "B", "sw1", "sw2")]
+        candidates = [(n, net.ip_of(n), "public") for n in ("A", "B", "sw1", "sw2")]
         discoverer = TopologyDiscoverer(manager, candidates, include_stp=True)
         box = {}
         discoverer.discover(lambda r: box.update(result=r))

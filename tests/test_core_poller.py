@@ -20,7 +20,7 @@ def polling_net(interval=2.0, jitter=0.0):
         net.connect(h, sw)
     net.announce_hosts()
     SnmpAgent(target_host, build_mib2(target_host, net.sim))
-    manager = SnmpManager(mon, timeout=0.5, retries=1)
+    manager = SnmpManager(mon, retries=1)
     target = PollTarget("S1", target_host.primary_ip, [1])
     poller = SnmpPoller(manager, [target], interval=interval, jitter=jitter)
     return net, poller, target_host, peer
@@ -299,7 +299,7 @@ class TestErrorClassification:
 
         net, poller, target, peer = polling_net()
         v1_manager = SnmpManager(
-            net.host("L"), timeout=0.5, retries=1, version=VERSION_1
+            net.host("L"), retries=1, version=VERSION_1
         )
         v1_poller = SnmpPoller(
             v1_manager,

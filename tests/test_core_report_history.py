@@ -21,6 +21,10 @@ def measurement(capacity, used, rule="switch", conn_tag="x"):
     )
 
 
+def path_series():
+    return PathSeries("p", MeasurementHistory().db.series("p"))
+
+
 def report(time=0.0, measurements=(), name=None):
     return PathReport(
         src="S", dst="D", time=time, connections=tuple(measurements), name=name
@@ -84,7 +88,7 @@ class TestPathReport:
 
 class TestPathSeries:
     def test_append_and_extract(self):
-        series = PathSeries("p")
+        series = path_series()
         for t, used in [(1.0, 10.0), (2.0, 20.0)]:
             series.append(report(time=t, measurements=[measurement(100, used)]))
         np.testing.assert_allclose(series.times(), [1.0, 2.0])
@@ -92,26 +96,20 @@ class TestPathSeries:
         np.testing.assert_allclose(series.available(), [90.0, 80.0])
 
     def test_out_of_order_rejected(self):
-        series = PathSeries("p")
+        series = path_series()
         series.append(report(time=5.0, measurements=[measurement(1, 0)]))
         with pytest.raises(ValueError):
             series.append(report(time=4.0, measurements=[measurement(1, 0)]))
 
     def test_between_window(self):
-        series = PathSeries("p")
+        series = path_series()
         for t in (1.0, 2.0, 3.0, 4.0):
             series.append(report(time=t, measurements=[measurement(1, 0)]))
         sub = series.between(2.0, 4.0)
         np.testing.assert_allclose(sub.times(), [2.0, 3.0])
 
-    def test_custom_extractor(self):
-        series = PathSeries("p")
-        series.append(report(time=1.0, measurements=[measurement(100, 40)]))
-        times, values = series.series(lambda r: r.bottleneck.utilization)
-        assert values[0] == pytest.approx(0.4)
-
     def test_latest(self):
-        series = PathSeries("p")
+        series = path_series()
         assert series.latest() is None
         series.append(report(time=1.0, measurements=[measurement(1, 0)]))
         assert series.latest().time == 1.0

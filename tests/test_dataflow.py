@@ -110,7 +110,8 @@ class TestEpochSources:
         assert ls.clock == 1
 
     def test_health_bumps_on_transitions_only(self):
-        health = AgentHealthTracker(suspect_after=2, dead_after=3)
+        health = AgentHealthTracker()
+        health.suspect_after, health.dead_after = 2, 3
         assert health.epoch_of("A") == 0
         health.record_success("A", 1.0)  # HEALTHY -> HEALTHY: no bump
         assert health.epoch_of("A") == 0
@@ -669,7 +670,8 @@ _MEASUREMENTS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(mix=_MEASUREMENTS, now=st.floats(0.0, 30.0))
 def test_available_once_equals_available_recomputed(mix, now):
-    health = AgentHealthTracker(suspect_after=1, dead_after=2)
+    health = AgentHealthTracker()
+    health.suspect_after, health.dead_after = 1, 2
     health.record_failure("dead", 0.0)
     health.record_failure("dead", 0.0)
     calc = BandwidthCalculator(

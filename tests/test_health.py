@@ -20,9 +20,7 @@ from tests.costs import python_calls
 
 class TestStateMachine:
     def tracker(self, **kw):
-        return AgentHealthTracker(
-            suspect_after=3, dead_after=5, recovery_successes=2, probe_interval=6.0, **kw
-        )
+        return AgentHealthTracker(probe_interval=6.0, **kw)
 
     def test_starts_healthy(self):
         t = self.tracker()
@@ -86,12 +84,6 @@ class TestStateMachine:
         assert t.nodes() == ["a", "b"]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AgentHealthTracker(suspect_after=0)
-        with pytest.raises(ValueError):
-            AgentHealthTracker(suspect_after=6, dead_after=5)
-        with pytest.raises(ValueError):
-            AgentHealthTracker(recovery_successes=0)
         with pytest.raises(ValueError):
             AgentHealthTracker(probe_interval=0.0)
 

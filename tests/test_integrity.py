@@ -677,7 +677,6 @@ def corrupted_scenario(fault=True):
             scenario.network.sim,
             scenario.build.agents["S1"],
             at=FAULT_AT,
-            seed=0,
             events=scenario.monitor.telemetry.events,
         )
     scenario.run(RUN_UNTIL)
@@ -746,7 +745,7 @@ class TestCorruptionAcceptance:
         reports = collect_reports(scenario)
         CounterCorruption(
             scenario.network.sim, scenario.build.agents["S1"],
-            at=10.0, until=16.0, seed=0,
+            at=10.0, until=16.0,
             events=scenario.monitor.telemetry.events,
         )
         scenario.run(60.0)

@@ -12,6 +12,7 @@ from repro.simnet.packet import (
     UDP_HEADER_SIZE,
     EthernetFrame,
     IPPacket,
+    REASSEMBLY_TIMEOUT,
     PacketError,
     ReassemblyBuffer,
     UDPDatagram,
@@ -183,15 +184,16 @@ class TestReassembly:
         assert done2.payload is p2.payload
 
     def test_expiry_discards_stale_groups(self):
-        buf = ReassemblyBuffer(timeout=10.0)
+        buf = ReassemblyBuffer()
         frags = fragment_ip_packet(make_packet(4000), 1500)
         assert buf.add(frags[0], now=0.0) is None
         assert buf.pending_groups() == 1
         # A later packet triggers expiry of the stale group.
+        later = REASSEMBLY_TIMEOUT + 10.0
         other = make_packet(100)
-        buf.add(other, now=20.0)
+        buf.add(other, now=later)
         frag2 = fragment_ip_packet(make_packet(200), 150)
-        buf.add(frag2[0], now=20.0)
+        buf.add(frag2[0], now=later)
         assert buf.expired_groups == 1
 
 

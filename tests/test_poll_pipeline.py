@@ -49,7 +49,7 @@ def switch_poller(mode, ports=8, window=0, interval=2.0, with_agent=True):
     net.announce_hosts()
     if with_agent:
         SnmpAgent(net.endpoint("sw"), build_mib2(net.device("sw"), net.sim))
-    manager = SnmpManager(mgr, timeout=0.5, retries=1)
+    manager = SnmpManager(mgr, retries=1)
     target = PollTarget("sw", net.endpoint("sw").primary_ip, list(range(1, ports + 1)))
     poller = SnmpPoller(
         manager, [target], interval=interval, jitter=0.0,

@@ -165,7 +165,7 @@ class TestProbeTrain:
         with pytest.raises(ProbeError):
             ProbeTrain(a, b, payload_size=8)
         with pytest.raises(ProbeError):
-            ProbeTrain(a, b, count=4, warmup=3)
+            ProbeTrain(a, b, count=3)  # two warm-up, one measured
         with pytest.raises(ProbeError):
             ProbeTrain(a, b, timeout=0.0)
 
@@ -208,10 +208,8 @@ class TestScheduler:
         )
         # N1's agent dies: S1<->N1 goes stale/degraded and should draw
         # probe rounds away from the healthy S1<->S2 path.
-        AgentOutage(
-            build.network.sim, build.agents["N1"], at=6.0, until=40.0,
-            events=monitor.telemetry.events,
-        )
+        outage = AgentOutage(build.network.sim, build.agents["N1"], at=6.0, until=40.0)
+        outage.events = monitor.telemetry.events
         monitor.start()
         build.network.run(40.0)
         counts = prober.stats()["trains_per_path"]
@@ -268,7 +266,7 @@ class TestScheduler:
         assert monitor.enable_probing() is prober
 
     @pytest.mark.parametrize(
-        "options", [{"count": 1}, {"payload_size": 8}, {"count": 4, "warmup": 3}, {"timeout": 0.0}]
+        "options", [{"count": 1}, {"payload_size": 8}, {"count": 3}, {"timeout": 0.0}]
     )
     def test_a_train_that_cannot_be_built_is_refused_at_the_call(self, options):
         """Not at the first probe round, out of ``network.run``."""

@@ -106,10 +106,10 @@ class TestResponseDelay:
     def test_slow_agents_degrade_passive_but_not_probing(self):
         build, monitor, prober = probed()
         for name in ("S1", "N1", "switch"):
-            ResponseDelay(
-                build.network.sim, build.agents[name], extra=0.8, at=5.0,
-                events=monitor.telemetry.events,
+            fault = ResponseDelay(
+                build.network.sim, build.agents[name], extra=0.8, at=5.0, until=None
             )
+            fault.events = monitor.telemetry.events
         monitor.start()
         build.network.run(40.0)
         stats = prober.stats()

@@ -20,7 +20,7 @@ from repro.snmp.oid import Oid
 from repro.snmp.pdu import Pdu
 
 
-def snmp_net(agent_community="public", mgr_version=VERSION_2C, mgr_community="public"):
+def snmp_net(agent_community="public", mgr_version=VERSION_2C):
     net = Network()
     mgr_host = net.add_host("L")
     agent_host = net.add_host("S1")
@@ -29,9 +29,7 @@ def snmp_net(agent_community="public", mgr_version=VERSION_2C, mgr_community="pu
     net.connect(agent_host, sw)
     net.announce_hosts()
     agent = SnmpAgent(agent_host, build_mib2(agent_host, net.sim), community=agent_community)
-    manager = SnmpManager(
-        mgr_host, community=mgr_community, version=mgr_version, timeout=0.5, retries=1
-    )
+    manager = SnmpManager(mgr_host, version=mgr_version, retries=1)
     return net, manager, agent, agent_host
 
 
@@ -76,7 +74,7 @@ class TestGet:
         assert got.error.index == 1
 
     def test_wrong_community_times_out(self):
-        net, mgr, agent, host = snmp_net(mgr_community="wrong")
+        net, mgr, agent, host = snmp_net(agent_community="secret")
         got = Collect()
         mgr.get(host.primary_ip, [SYS_NAME], got.ok, got.fail)
         net.run(5.0)
@@ -85,7 +83,7 @@ class TestGet:
         assert mgr.timeouts == 1
 
     def test_per_request_community_override(self):
-        net, mgr, agent, host = snmp_net(agent_community="secret", mgr_community="public")
+        net, mgr, agent, host = snmp_net(agent_community="secret")
         got = Collect()
         mgr.get(host.primary_ip, [SYS_NAME], got.ok, got.fail, community="secret")
         net.run(1.0)
@@ -215,7 +213,7 @@ class TestAgentRobustness:
         assert agent.malformed == 1
 
     def test_cancel_all_suppresses_errbacks(self):
-        net, mgr, agent, host = snmp_net(mgr_community="wrong")
+        net, mgr, agent, host = snmp_net(agent_community="secret")
         got = Collect()
         mgr.get(host.primary_ip, [SYS_NAME], got.ok, got.fail)
         mgr.cancel_all()

@@ -13,7 +13,7 @@ from repro.snmp.agent import MAX_MESSAGE_BYTES, SnmpAgent
 from repro.snmp.ber import BerError
 from repro.snmp.datatypes import Counter32, EndOfMibView, Integer, OctetString, TimeTicks
 from repro.snmp.errors import ErrorStatus, SnmpError
-from repro.snmp.manager import SnmpManager, _BulkWalk
+from repro.snmp.manager import DEFAULT_COMMUNITY, SnmpManager, _BulkWalk
 from repro.snmp.message import VERSION_1, VERSION_2C, Message
 from repro.snmp.mib import (
     IF_DESCR,
@@ -52,7 +52,7 @@ def snmp_net():
     net.connect(agent_host, sw)
     net.announce_hosts()
     SnmpAgent(agent_host, build_mib2(agent_host, net.sim))
-    manager = SnmpManager(mgr_host, timeout=0.5, retries=1)
+    manager = SnmpManager(mgr_host, retries=1)
     return net, manager, agent_host
 
 
@@ -64,7 +64,7 @@ def switch_rig(ports=24):
     net.connect(mgr_host, sw)
     net.announce_hosts()
     agent = SnmpAgent(net.endpoint("sw"), build_mib2(net.device("sw"), net.sim))
-    manager = SnmpManager(mgr_host, timeout=0.5, retries=1)
+    manager = SnmpManager(mgr_host, retries=1)
     return net, manager, net.endpoint("sw").primary_ip, agent
 
 
@@ -271,7 +271,7 @@ class TestPollInterfaces:
         net.run(0.5)
         assert len(sw.fdb_entries()) >= 9
         SnmpAgent(net.endpoint("sw"), build_mib2(sw, net.sim))
-        mgr = SnmpManager(mgr_host, timeout=0.5, retries=1)
+        mgr = SnmpManager(mgr_host, retries=1)
         calls = []
         live_entries = sw.fdb_entries
         sw.fdb_entries = lambda: calls.append(net.sim.now) or live_entries()
@@ -474,7 +474,7 @@ class TestThePollRequestIsTheParents:
     )
     def test_every_datagram_of_a_poll(self, rows, columns, include_uptime, community, bulk):
         net, mgr, sw_ip, agent = switch_rig(self.PORTS)
-        agent.community = community or mgr.community
+        agent.community = community or DEFAULT_COMMUNITY
         sent, expected, got = [], [], Collect()
         sendto, issue = mgr.socket.sendto, _BulkWalk.issue
         mgr.socket.sendto = lambda payload, to: sent.append(payload) or sendto(payload, to)
@@ -621,7 +621,7 @@ class TestMemosAreBounded:
         manager to another's, and a reply too long to keep -- no memo
         outgrows its bound, and every reply reads as it would whole."""
         net, mgr, sw_ip, agent = switch_rig(8)
-        other = SnmpManager(net.add_host("W2"), timeout=0.5, retries=1)
+        other = SnmpManager(net.add_host("W2"), retries=1)
         bound = manager_module._MEMO_REPLIES
 
         def poll(manager, dst, ports=8, bulk=True):

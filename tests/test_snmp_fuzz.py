@@ -133,7 +133,7 @@ def manager_rig():
     """A manager with one GET (request-id 1) and one interface-poll walk
     (request-id 2, its first exchange) pending."""
     net, host, _peer, agent = lan()
-    manager = SnmpManager(host, timeout=0.5, retries=1)
+    manager = SnmpManager(host, retries=1)
     got = Outcomes()
     agent_ip = net.endpoint("sw").primary_ip
     manager.get(

@@ -25,7 +25,6 @@ from repro.rm.middleware import RmMiddleware
 from repro.rm.qos import QosRequirement
 from repro.simnet.trafficgen import KBPS, StaircaseLoad, StepSchedule
 from repro.stream import (
-    DeadbandFilter,
     MatrixPublisher,
     OverflowPolicy,
     PairChanged,
@@ -101,27 +100,30 @@ class TestEvents:
 # Significance filters
 # ----------------------------------------------------------------------
 class TestDeadbandFilter:
+    """The rules every deadband applies, seen through a cold filter, whose
+    deadband is its fixed ``floor_bps``."""
+
+    @staticmethod
+    def cold(floor_bps):
+        f = QuantileDeadbandFilter(floor_bps=floor_bps)
+        f.min_samples = 1_000  # never warm: the floor is the deadband
+        return f
+
     def test_first_observation_always_significant(self):
-        f = DeadbandFilter(absolute_bps=1000.0)
+        f = self.cold(1000.0)
         assert f.significant(PAIR, 5000.0)
 
     def test_moves_inside_deadband_suppressed(self):
-        f = DeadbandFilter(absolute_bps=1000.0)
+        f = self.cold(1000.0)
         f.significant(PAIR, 5000.0)
         f.delivered(PAIR, 5000.0)
         assert not f.significant(PAIR, 5500.0)
         assert f.significant(PAIR, 7000.0)
 
-    def test_relative_deadband_scales_with_level(self):
-        f = DeadbandFilter(relative=0.1)
-        f.delivered(PAIR, 100_000.0)
-        assert not f.significant(PAIR, 105_000.0)  # 5% move
-        assert f.significant(PAIR, 120_000.0)  # 20% move
-
     def test_slow_drift_accumulates_against_anchor(self):
         # Each step is sub-deadband, but the anchor is the last
         # *delivered* value, so the drift eventually passes.
-        f = DeadbandFilter(absolute_bps=1000.0)
+        f = self.cold(1000.0)
         f.delivered(PAIR, 0.0)
         value, fired = 0.0, False
         for _ in range(10):
@@ -132,7 +134,7 @@ class TestDeadbandFilter:
         assert fired
 
     def test_nan_flip_significant_steady_nan_not(self):
-        f = DeadbandFilter(absolute_bps=1e12)  # nothing numeric passes
+        f = self.cold(1e12)  # nothing numeric passes
         f.delivered(PAIR, 5000.0)
         assert f.significant(PAIR, math.nan)  # value -> NaN: a flip
         f.delivered(PAIR, math.nan)
@@ -140,22 +142,16 @@ class TestDeadbandFilter:
         assert f.significant(PAIR, 5000.0)  # NaN -> value: a flip
 
     def test_reset_forgets_anchor(self):
-        f = DeadbandFilter(absolute_bps=1e12)
+        f = self.cold(1e12)
         f.delivered(PAIR, 5000.0)
         assert not f.significant(PAIR, 5000.0)
         f.reset()
         assert f.significant(PAIR, 5000.0)
 
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            DeadbandFilter(absolute_bps=-1.0)
-        with pytest.raises(ValueError):
-            DeadbandFilter(relative=1.0)
-
 
 class TestQuantileDeadbandFilter:
     def test_learns_jitter_and_suppresses_it(self):
-        f = QuantileDeadbandFilter(q=0.9)
+        f = QuantileDeadbandFilter()
         base = 1_000_000.0
         # Teach the filter +-1000 B/s jitter (cold period: floor 0, so
         # the early jitter is delivered while the estimator warms).
@@ -382,6 +378,11 @@ class TestManager:
 # ----------------------------------------------------------------------
 # Continuous queries
 # ----------------------------------------------------------------------
+def report_with_utilization(utilization):
+    """A one-connection PathReport whose bottleneck is this busy."""
+    return report_with_available(10_000_000.0 * (1.0 - utilization))
+
+
 def report_with_available(available_bps, time=0.0, src="a", dst="b"):
     """A one-connection PathReport with the given available bandwidth."""
     from repro.core.report import ConnectionMeasurement, PathReport
@@ -435,43 +436,40 @@ class TestThresholdQuery:
         assert query.offer(key, report_with_available(500.0)) is None
 
     def test_describe_mentions_threshold(self):
-        query = ThresholdQuery("q", op="<", threshold=20e6, for_samples=2)
+        query = ThresholdQuery("q", "available", op="<", threshold=20e6, for_samples=2)
         assert "available < 2e+07" in query.describe()
 
     def test_rejects_bad_definitions(self):
         with pytest.raises(QueryError):
-            ThresholdQuery("q", metric="nope")
+            ThresholdQuery("q", metric="nope", op="<")
         with pytest.raises(QueryError):
-            ThresholdQuery("q", op="!=")
+            ThresholdQuery("q", metric="available", op="!=")
         with pytest.raises(QueryError):
-            ThresholdQuery("q", for_samples=0)
+            ThresholdQuery("q", metric="available", op="<", for_samples=0)
 
 
 class TestPercentileQuery:
     def test_estimate_tracks_distribution(self):
-        query = PercentileQuery(
-            "p90", p=0.9, metric="available", window_s=60.0, interval_s=2.0
-        )
+        query = PercentileQuery("p90", p=0.9, window_s=60.0, interval_s=2.0)
         key = pair_key("a", "b")
         for i in range(200):
-            query.offer(key, report_with_available(1000.0 + (i % 10) * 100.0))
+            query.offer(key, report_with_utilization(0.10 + (i % 10) * 0.01))
         estimate = query.value(("a", "b"))
-        assert 1000.0 <= estimate <= 1900.0
-        assert estimate > 1400.0  # a p90 sits in the upper tail
+        assert 0.10 <= estimate <= 0.19
+        assert estimate > 0.14  # a p90 sits in the upper tail
 
     def test_threshold_fires_and_clears_on_estimate(self):
         query = PercentileQuery(
-            "p50-low", p=0.5, metric="available", window_s=8.0,
-            interval_s=2.0, threshold=1000.0, op="<",
+            "p50-high", p=0.5, window_s=8.0, interval_s=2.0, threshold=0.5
         )
         key = pair_key("a", "b")
         fired = None
         for _ in range(30):
-            fired = fired or query.offer(key, report_with_available(100.0))
+            fired = fired or query.offer(key, report_with_utilization(0.99))
         assert fired is not None and fired[0] == "fired"
         cleared = None
         for _ in range(60):
-            cleared = cleared or query.offer(key, report_with_available(9e6))
+            cleared = cleared or query.offer(key, report_with_utilization(0.1))
         assert cleared is not None and cleared[0] == "cleared"
 
     def test_window_sets_ewma_weight(self):
@@ -537,7 +535,7 @@ class TestPublisher:
 
     def test_status_transitions_always_delivered(self):
         spec, rates, publisher = make_publisher(
-            significance=DeadbandFilter(absolute_bps=1e15)  # swallow values
+            significance=QuantileDeadbandFilter(floor_bps=1e15)  # swallow values
         )
         sub = publisher.manager.subscribe("all", bound=4096)
         publisher.publish(0.5)
@@ -561,7 +559,7 @@ class TestPublisher:
     def test_significance_filter_suppresses_jitter(self):
         # Once the adaptive filter has learned a pair's jitter amplitude,
         # pure jitter rounds deliver zero PairChanged events.
-        filt = QuantileDeadbandFilter(q=0.9)
+        filt = QuantileDeadbandFilter()
         filt.factor, filt.min_samples = 3.0, 4
         spec, rates, publisher = make_publisher(significance=filt)
         sub = publisher.manager.subscribe("all", bound=8192)
@@ -665,14 +663,14 @@ class TestPublisher:
     def test_query_needs_existing_subscriber(self):
         spec, rates, publisher = make_publisher()
         with pytest.raises(StreamError):
-            publisher.register_query(ThresholdQuery("q"), "nobody")
+            publisher.register_query(ThresholdQuery("q", "available", "<"), "nobody")
 
     def test_duplicate_query_name_rejected(self):
         spec, rates, publisher = make_publisher()
         publisher.manager.subscribe("s")
-        publisher.register_query(ThresholdQuery("q"), "s")
+        publisher.register_query(ThresholdQuery("q", "available", "<"), "s")
         with pytest.raises(ValueError):
-            publisher.register_query(ThresholdQuery("q"), "s")
+            publisher.register_query(ThresholdQuery("q", "available", "<"), "s")
 
     def test_stats_surface(self):
         spec, rates, publisher = make_publisher()

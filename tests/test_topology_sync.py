@@ -32,8 +32,8 @@ network topology redundant {
 """
 
 
-def build_redundant():
-    return build_network(parse_spec(REDUNDANT_PAIR))
+def build_redundant(community="public"):
+    return build_network(parse_spec(REDUNDANT_PAIR.replace("public", community)))
 
 
 def start_monitor(build, **sync_options):
@@ -55,8 +55,10 @@ def uplink_conns(monitor):
 
 
 class TestStpSync:
-    def test_blocked_uplink_synced_from_port_states(self):
-        build = build_redundant()
+    # Each agent is asked under its own spec community, not the manager's.
+    @pytest.mark.parametrize("community", ["public", "private"])
+    def test_blocked_uplink_synced_from_port_states(self, community):
+        build = build_redundant(community)
         monitor = start_monitor(build)
         build.network.sim.run(until=6.0)
         blocked = monitor.graph.blocked_connections()

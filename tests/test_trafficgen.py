@@ -165,7 +165,7 @@ class TestBackgroundChatter:
         net = Network()
         a = net.add_host("A")
         with pytest.raises(TrafficError):
-            BackgroundChatter([a])
+            BackgroundChatter([a], aggregate_rate_bps=800.0)
 
     def test_broadcast_fraction_reaches_everyone(self):
         net, hosts, chatter = self.chatter_net()

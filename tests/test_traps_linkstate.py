@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.monitor import NetworkMonitor
-from repro.experiments.testbed import build_testbed
+from repro.experiments.testbed import TESTBED_SPEC_TEXT, build_testbed
 from repro.simnet.faults import LinkFailure
 from repro.simnet.network import Network
 from repro.snmp.agent import SnmpAgent
@@ -17,6 +17,8 @@ from repro.snmp.trap import (
 )
 from repro.snmp.message import VERSION_2C, Message
 from repro.snmp.pdu import Pdu, VarBind
+from repro.spec.builder import build_network
+from repro.spec.parser import parse_spec
 
 
 def link_trap_pdu(uptime, if_index, up):
@@ -152,6 +154,20 @@ class TestLinkStateMonitoring:
         assert report.available_bps > 1_000_000
         assert len(registry) == 0
         assert all(m.rule != "down" for m in report.connections)
+
+    def test_agents_under_another_community_still_reach_the_listener(self):
+        # The spec names each agent's community; the listener tells every
+        # agent which one to send notifications under.
+        text = TESTBED_SPEC_TEXT.replace('"public"', '"private"')
+        build = build_network(parse_spec(text))
+        monitor = NetworkMonitor(build, "L", poll_jitter=0.0)
+        registry = monitor.enable_trap_listener()
+        net = build.network
+        LinkFailure(net.sim, net.host("S1").interfaces[0].link, at=10.0)
+        monitor.start()
+        net.run(10.1)
+        assert monitor.trap_receiver.bad_community == 0
+        assert registry.down_connections()
 
     def test_detection_faster_than_polling(self):
         """The trap lands within milliseconds, not a poll interval."""
