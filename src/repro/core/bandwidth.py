@@ -146,7 +146,7 @@ class BandwidthCalculator:
         self._entries: Dict[Tuple, ConnCacheEntry] = {}
         self._hub_by_conn: Dict[Tuple, Optional[str]] = {}
         self._hub_leg_keys: Dict[str, Tuple] = {}
-        # hub -> (rates token, total, newest sample, any_measured)
+        # hub -> (rates token, total, oldest sample, any_measured)
         self._hub_cache: Dict[str, Tuple] = {}
         # Validation stamps (see _revalidate): ``_stamp`` moves with the
         # report instant or any input clock, ``_inputs_stamp`` is its
@@ -278,9 +278,13 @@ class BandwidthCalculator:
     # The two rules
     # ------------------------------------------------------------------
     def _hub_sum(self, hub: str) -> Tuple[float, Optional[InterfaceRates], bool]:
-        """(summed host-leg traffic, newest sample, any leg measured)."""
+        """(summed host-leg traffic, oldest sample, any leg measured).
+
+        The sum is as old as its oldest term: one leg's agent gone silent
+        leaves its last sample in the total, so that sample's age is the
+        hub's (its staleness, and so its confidence)."""
         total = 0.0
-        newest: Optional[InterfaceRates] = None
+        oldest: Optional[InterfaceRates] = None
         any_measured = False
         for leg in self._hub_host_conns.get(hub, []):
             sample = self.raw_traffic(leg)
@@ -288,9 +292,9 @@ class BandwidthCalculator:
                 continue
             any_measured = True
             total += sample.total_bytes_per_s
-            if newest is None or sample.time > newest.time:
-                newest = sample
-        return total, newest, any_measured
+            if oldest is None or sample.time < oldest.time:
+                oldest = sample
+        return total, oldest, any_measured
 
     def used_bandwidth(
         self, conn: ConnectionSpec, cached: bool = False
@@ -315,13 +319,13 @@ class BandwidthCalculator:
             memo = self._hub_cache.get(hub)
             if memo is None or memo[0] != token:
                 memo = self._hub_cache[hub] = (token, *self._hub_sum(hub))
-            _, total, newest, any_measured = memo
+            _, total, oldest, any_measured = memo
         else:
-            total, newest, any_measured = self._hub_sum(hub)
+            total, oldest, any_measured = self._hub_sum(hub)
         if not any_measured:
             return None, "unmeasured", None
         hub_speed_bytes = self.spec.node(hub).interfaces[0].speed_bps / 8.0
-        return min(total, hub_speed_bytes), "hub", newest
+        return min(total, hub_speed_bytes), "hub", oldest
 
     # ------------------------------------------------------------------
     # Cache entries

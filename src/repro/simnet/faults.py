@@ -345,13 +345,15 @@ class AgentReboot(AgentOutage):
 
         def fresh_mib(old_mib):
             # Rebuild the MIB with boot_time = now, so sysUpTime restarts at
-            # zero; preserve a caching wrapper's refresh interval if present.
+            # zero; preserve a caching wrapper's refresh interval if present,
+            # and stop the old wrapper's timer: nobody serves its snapshot.
             mib = build_mib2(device, self.sim, boot_time=self.sim.now)
             try:
                 register_snmp_group(mib, self.agent)
             except MibError:
                 pass
             if isinstance(old_mib, CachingMibTree):
+                old_mib.stop()
                 mib = CachingMibTree(mib, self.sim, old_mib.refresh_interval)
             return mib
 

@@ -215,6 +215,18 @@ class SpanningTree:
             return PORT_STATE_OIDS[ROLE_DISABLED]
         return PORT_STATE_OIDS[self._ports[iface].state]
 
+    def port_state_values(self) -> Tuple[int, ...]:
+        """Every port's :meth:`port_state_value`, in port order, read in
+        one pass: what a snapshot of the bridge MIB reads at a tick."""
+        disabled = PORT_STATE_OIDS[ROLE_DISABLED]
+        values = []
+        for iface, info in self._ports.items():
+            if not iface.admin_up or iface.link is None or info.role == ROLE_DISABLED:
+                values.append(disabled)
+            else:
+                values.append(PORT_STATE_OIDS[info.state])
+        return tuple(values)
+
     @property
     def is_root(self) -> bool:
         return self.root == self.bridge

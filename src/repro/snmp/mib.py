@@ -22,7 +22,7 @@ enumerate rows on demand.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from operator import itemgetter
+from operator import attrgetter, itemgetter, methodcaller
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple, Union
 
 from repro.snmp.datatypes import (
@@ -100,16 +100,18 @@ class MibError(RuntimeError):
 
 
 class MibProvider(Protocol):
-    """A dynamic subtree: rows are enumerated at query time (``items``:
-    all of them, in OID order)."""
+    """A dynamic subtree: its rows, all under ``prefix``, enumerated at
+    query time.  ``rows()`` is the same :class:`_RowIndex` for as long as
+    the rows stand still, so a snapshot copies them again only when they
+    moved."""
 
     prefix: Oid
 
-    def get(self, oid: Oid) -> Optional[SnmpValue]: ...
+    def rows(self) -> "_RowIndex": ...
 
-    def next(self, oid: Oid) -> Optional[Tuple[Oid, SnmpValue]]: ...
 
-    def items(self) -> List[Tuple[Oid, SnmpValue]]: ...
+# A group's getter: ``getter(source)`` is a tuple of raw readings.
+Getter = Callable[[object], tuple]
 
 
 class MibTree:
@@ -117,26 +119,70 @@ class MibTree:
 
     ``get`` answers exact-instance reads; ``get_next`` answers the
     lexicographic successor query that powers GETNEXT/GETBULK walks,
-    merging static entries with the view of every provider whose subtree
+    merging static entries with the rows of every provider whose subtree
     can hold the successor.
+
+    A scalar registered as a value is kept as it is (``_constants``);
+    every other one has an accessor a GET calls (``_static``).  Beside
+    them the tree keeps what a :class:`CachingMibTree` refresh needs to
+    read only what can move: groups of rows one call reads
+    (:meth:`register_group`), each interface's status pair, and the
+    accessors of everything else.  ``_registrations`` counts every
+    registration, so a snapshot knows when its layout is out of date.
     """
 
     def __init__(self) -> None:
         self._static: Dict[Oid, Accessor] = {}
+        self._constants: Dict[Oid, SnmpValue] = {}
         self._sorted: List[Oid] = []
         self._providers: List[MibProvider] = []
         self._provider_floor: Optional[Oid] = None  # the smallest provider prefix
+        self._groups: List[Tuple[Getter, object, Tuple[Oid, ...], Callable]] = []
+        self._statuses: List[Tuple[object, Oid, Oid]] = []
+        self._accessors: Dict[Oid, Accessor] = {}
+        self._registrations = 0
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register(self, oid: Oid, value: Union[SnmpValue, Accessor]) -> None:
-        """Register a scalar instance (a full OID ending in its index)."""
-        if oid in self._static:
+    def _add(self, oid: Oid) -> None:
+        if oid in self._static or oid in self._constants:
             raise MibError(f"OID {oid} registered twice")
-        accessor: Accessor = value if callable(value) else (lambda v=value: v)
-        self._static[oid] = accessor
         insort(self._sorted, oid)
+        self._registrations += 1
+
+    def register(self, oid: Oid, value: Union[SnmpValue, Accessor]) -> None:
+        """Register a scalar instance (a full OID ending in its index): a
+        value, served as it is, or an accessor, called for every read."""
+        self._add(oid)
+        if callable(value):
+            self._static[oid] = self._accessors[oid] = value
+        else:
+            self._constants[oid] = value
+
+    def register_group(
+        self, source, getter: Getter, rows: Iterable[Tuple[Oid, Accessor]], wrap: Callable
+    ) -> None:
+        """Register rows that one call reads: ``getter(source)`` is a tuple
+        of raw readings, and the k-th row's value is ``wrap(raw[k])``.  A
+        GET calls the row's own accessor; a snapshot refresh calls
+        ``getter`` once and wraps again only the readings that moved."""
+        oids = []
+        for oid, accessor in rows:
+            self._add(oid)
+            self._static[oid] = accessor
+            oids.append(oid)
+        self._groups.append((getter, source, tuple(oids), wrap))
+
+    def register_status(self, iface, admin_oid: Oid, oper_oid: Oid) -> None:
+        """Register an interface's ifAdminStatus and ifOperStatus: up(1)
+        while it is administratively up -- and, for the operational one,
+        linked -- else down(2).  Both values are shared objects."""
+        self._add(admin_oid)
+        self._add(oper_oid)
+        self._static[admin_oid] = lambda: _STATUS[not iface.admin_up]
+        self._static[oper_oid] = lambda: _STATUS[not (iface.admin_up and iface.link is not None)]
+        self._statuses.append((iface, admin_oid, oper_oid))
 
     def register_provider(self, provider: MibProvider) -> None:
         for existing in self._providers:
@@ -148,6 +194,7 @@ class MibTree:
                 )
         self._providers.append(provider)
         self._provider_floor = min(p.prefix for p in self._providers)
+        self._registrations += 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -156,57 +203,72 @@ class MibTree:
         accessor = self._static.get(oid)
         if accessor is not None:
             return accessor()
+        value = self._constants.get(oid)
+        if value is not None:
+            return value
         for provider in self._providers:
             if oid.startswith(provider.prefix):
-                return provider.get(oid)
+                return provider.rows().get(oid)
         return None
 
     def get_next(self, oid: Oid) -> Optional[Tuple[Oid, SnmpValue]]:
         """Smallest registered instance strictly greater than ``oid``."""
-        best: Optional[Tuple[Oid, SnmpValue]] = None
-        candidate: Optional[Oid] = None
-        idx = bisect_right(self._sorted, oid)
-        if idx < len(self._sorted):
-            candidate = self._sorted[idx]
-            best = (candidate, self._static[candidate]())
-        for provider in self._providers:
-            prefix = provider.prefix
-            # Every row of a provider extends its prefix, so it cannot
-            # hold the successor when a static instance already sorts
-            # before the whole subtree or the cursor is past its end.
-            if (candidate is not None and candidate < prefix) or oid[: len(prefix)] > prefix:
-                continue
-            hit = provider.next(oid)
-            if hit is not None and (best is None or hit[0] < best[0]):
-                best = hit
-        return best
+        run = self.get_next_run(oid, 1)
+        return run[0] if run else None
+
+    def successors(self, oid: Oid, count: int) -> List[Oid]:
+        """The OIDs of up to ``count`` successive successors of ``oid``
+        (shorter only where the MIB ends), no value read.  Static
+        instances sorting before every provider's prefix are each other's
+        successors, so that stretch is one ``bisect`` and a slice; from the
+        first one a provider might own, each successor is the smaller of
+        the next static instance and the next row of every provider whose
+        subtree can hold it."""
+        ordered = self._sorted
+        start = bisect_right(ordered, oid)
+        run = ordered[start : start + count]
+        floor = self._provider_floor
+        if floor is not None and run and run[-1] >= floor:
+            run = run[: bisect_left(run, floor)]
+        cursor = run[-1] if run else oid
+        while len(run) < count:
+            i = bisect_right(ordered, cursor)
+            best = ordered[i] if i < len(ordered) else None
+            for provider in self._providers:
+                prefix = provider.prefix
+                # Every row of a provider extends its prefix, so it cannot
+                # hold the successor when a static instance already sorts
+                # before the whole subtree or the cursor is past its end.
+                if (best is not None and best < prefix) or cursor[: len(prefix)] > prefix:
+                    continue
+                hit = provider.rows().next(cursor)
+                if hit is not None and (best is None or hit < best):
+                    best = hit
+            if best is None:
+                break
+            run.append(best)
+            cursor = best
+        return run
 
     def get_next_run(self, oid: Oid, count: int) -> List[Tuple[Oid, SnmpValue]]:
-        """Up to ``count`` successive successors of ``oid`` (what chaining
-        :meth:`get_next` gives; shorter only where the MIB ends): a
-        GetBulk repeater's whole run at once.  Static instances sorting
-        before every provider's prefix are each other's successors, so
-        that stretch is one ``bisect`` and a slice; from the first one a
-        provider might own, the run continues through :meth:`get_next`.
+        """Up to ``count`` successive successors of ``oid`` with their
+        values (what chaining :meth:`get_next` gives): a GetBulk
+        repeater's whole run at once, a scalar's value read by its
+        accessor alone, or none.
 
         A view wrapped around a tree must define this itself, in terms of
         its own ``get``/rewrite: delegated, it serves the wrapped values.
         """
-        start = bisect_right(self._sorted, oid)
-        ahead = self._sorted[start : start + count]
-        floor = self._provider_floor
-        if floor is not None and ahead and ahead[-1] >= floor:
-            ahead = ahead[: bisect_left(ahead, floor)]
-        static = self._static
-        run = [(next_oid, static[next_oid]()) for next_oid in ahead]
-        cursor = ahead[-1] if ahead else oid
-        while len(run) < count:
-            hit = self.get_next(cursor)
-            if hit is None:
-                break
-            run.append(hit)
-            cursor = hit[0]
-        return run
+        static, constants, get = self._static, self._constants, self.get
+        return [
+            (
+                next_oid,
+                static[next_oid]() if next_oid in static
+                else constants[next_oid] if next_oid in constants
+                else get(next_oid),
+            )
+            for next_oid in self.successors(oid, count)
+        ]
 
     def has_subtree(self, oid: Oid) -> bool:
         """True when any instance lives strictly under ``oid``.
@@ -215,26 +277,11 @@ class MibTree:
         does not... approximated as: some sibling subtree exists) from
         ``noSuchObject``.
         """
-        nxt = self.get_next(oid)
-        return nxt is not None and nxt[0].startswith(oid)
-
-    def walk_all(self) -> List[Tuple[Oid, SnmpValue]]:
-        """Fully materialise the tree, in OID order.
-
-        Every :class:`CachingMibTree` refresh tick pays this, so each row
-        is read once, not found by ``get_next`` from its predecessor; the
-        sort only merges runs that are already sorted.
-        """
-        static = self._static
-        rows = [(oid, static[oid]()) for oid in self._sorted]
-        if self._providers:
-            for provider in self._providers:
-                rows.extend(provider.items())
-            rows.sort(key=itemgetter(0))
-        return rows
+        nxt = self.successors(oid, 1)
+        return bool(nxt) and nxt[0].startswith(oid)
 
     def __len__(self) -> int:
-        return len(self._static)
+        return len(self._sorted)
 
 
 # ----------------------------------------------------------------------
@@ -250,6 +297,21 @@ _IF_COUNTERS = {
     IF_IN_NUCAST_PKTS: "in_nucast_pkts", IF_OUT_NUCAST_PKTS: "out_nucast_pkts",
     IF_IN_DISCARDS: "in_discards", IF_OUT_DISCARDS: "out_discards",
 }
+
+# The snmp group's counters, by the agent's attribute.
+_SNMP_COUNTERS = {
+    SNMP_IN_PKTS: "in_packets", SNMP_OUT_PKTS: "out_packets",
+    SNMP_IN_BAD_COMMUNITY_NAMES: "bad_community", SNMP_IN_ASN_PARSE_ERRS: "malformed",
+    SNMP_IN_GET_REQUESTS: "get_requests",
+}
+
+# Values a status row takes, shared: a value object is immutable, so the
+# same one is served for as long as the reading stands.  ``_STATUS[not
+# up]`` is ifAdminStatus/ifOperStatus; ``_PORT_STATES`` holds RFC 1493's
+# dot1dStpPortState, disabled(1) .. broken(6).
+_STATUS = (Integer(IF_STATUS_UP), Integer(IF_STATUS_DOWN))
+_PORT_STATES = {state: Integer(state) for state in range(1, 7)}
+_ADMIN_AND_LINK = attrgetter("admin_up", "link")
 
 
 class _LiveCounter:
@@ -274,6 +336,18 @@ class _LiveCounter:
             self._raw = raw
             self._value = Counter32.wrap(raw)
         return self._value
+
+
+def _register_counters(tree: MibTree, source, columns: Dict[Oid, str]) -> None:
+    """Counter32 rows over ``source``'s attributes (``columns``: row OID
+    -> attribute), one group: a GET reads its own counter, a snapshot all
+    of them in one ``attrgetter`` call."""
+    tree.register_group(
+        source,
+        attrgetter(*columns.values()),
+        [(oid, _LiveCounter(source, attribute).read) for oid, attribute in columns.items()],
+        Counter32.wrap,
+    )
 
 
 def build_mib2(
@@ -324,27 +398,44 @@ def build_mib2(
         speed = min(int(iface.speed_bps), (1 << 32) - 1)
         tree.register(IF_SPEED + str(i), Gauge32(speed))
         tree.register(IF_PHYS_ADDRESS + str(i), OctetString(iface.mac.to_bytes()))
-        tree.register(
-            IF_ADMIN_STATUS + str(i),
-            lambda ifc=iface: Integer(IF_STATUS_UP if ifc.admin_up else IF_STATUS_DOWN),
-        )
-        tree.register(
-            IF_OPER_STATUS + str(i),
-            lambda ifc=iface: Integer(
-                IF_STATUS_UP if (ifc.admin_up and ifc.link is not None) else IF_STATUS_DOWN
-            ),
-        )
+        tree.register_status(iface, IF_ADMIN_STATUS + str(i), IF_OPER_STATUS + str(i))
         tree.register(IF_LAST_CHANGE + str(i), TimeTicks(0))
-        for column, attribute in _IF_COUNTERS.items():
-            tree.register(column + str(i), _LiveCounter(iface.counters, attribute).read)
+        _register_counters(
+            tree, iface.counters,
+            {column + str(i): attribute for column, attribute in _IF_COUNTERS.items()},
+        )
         tree.register(IF_IN_ERRORS + str(i), Counter32(0))
         tree.register(IF_OUT_ERRORS + str(i), Counter32(0))
 
     if kind == "switch":
         tree.register_provider(BridgeFdbProvider(device))
-        if getattr(device, "stp", None) is not None:
-            tree.register_provider(BridgeStpProvider(device))
+        stp = getattr(device, "stp", None)
+        if stp is not None:
+            _register_stp_ports(tree, interfaces, stp)
     return tree
+
+
+def _register_stp_ports(tree: MibTree, ports, stp) -> None:
+    """RFC 1493 ``dot1dStpPortTable``: ``dot1dStpPort`` (the port index)
+    and ``dot1dStpPortState`` (disabled(1) / blocking(2) / forwarding(5))
+    per switch port.  The monitor's topology-sync loop walks the state
+    column to map the switch's active tree onto the topology graph's
+    blocked-connection view.  A switch's ports are fixed at construction;
+    the states are one group, read for a snapshot in one pass."""
+    for iface in ports:
+        tree.register(DOT1D_STP_PORT.extend(iface.if_index), Integer(iface.if_index))
+    tree.register_group(
+        stp,
+        methodcaller("port_state_values"),
+        [
+            (
+                DOT1D_STP_PORT_STATE.extend(iface.if_index),
+                lambda i=iface.if_index: _PORT_STATES[stp.port_state_value(i)],
+            )
+            for iface in ports
+        ],
+        _PORT_STATES.__getitem__,
+    )
 
 
 def register_snmp_group(tree, agent) -> None:
@@ -356,13 +447,7 @@ def register_snmp_group(tree, agent) -> None:
     everything else it serves).
     """
     target = tree.inner if isinstance(tree, CachingMibTree) else tree
-    target.register(SNMP_IN_PKTS, lambda: Counter32.wrap(agent.in_packets))
-    target.register(SNMP_OUT_PKTS, lambda: Counter32.wrap(agent.out_packets))
-    target.register(
-        SNMP_IN_BAD_COMMUNITY_NAMES, lambda: Counter32.wrap(agent.bad_community)
-    )
-    target.register(SNMP_IN_ASN_PARSE_ERRS, lambda: Counter32.wrap(agent.malformed))
-    target.register(SNMP_IN_GET_REQUESTS, lambda: Counter32.wrap(agent.get_requests))
+    _register_counters(target, agent, _SNMP_COUNTERS)
 
 
 class CachingMibTree:
@@ -391,17 +476,65 @@ class CachingMibTree:
         self.sim = sim
         self.refresh_interval = refresh_interval
         self._snapshot: Dict[Oid, SnmpValue] = {}
+        # What the snapshot was refreshed from: the inner tree's
+        # registration count it lays out, and per group, status pair and
+        # provider the raw readings (row index) it last copied.
+        self._layout = -1
+        self._raws: List[tuple] = []
+        self._status_raws: List[Optional[tuple]] = []
+        self._indexes: List[_RowIndex] = []
         self.refreshes = 0
         # Eager periodic snapshots: the real artefact is that the agent's
         # values were captured *at the timer tick*, not at request time.
         self._task = sim.call_every(refresh_interval, self._take_snapshot, start=sim.now)
 
     def _take_snapshot(self) -> None:
-        self._snapshot = dict(self.inner.walk_all())
+        """Leave the snapshot equal to a full read of the inner tree now,
+        reading only what can move: the constants were copied once; each
+        group and each status pair is read in one call, and a reading
+        that did not move keeps its value object; a provider's rows are
+        copied again only when its row index is a new one; any other
+        accessor is called.  A registration since the last tick lays the
+        snapshot out afresh."""
+        inner, snapshot = self.inner, self._snapshot
+        if self._layout != inner._registrations:
+            self._layout = inner._registrations
+            snapshot.clear()
+            snapshot.update(inner._constants)
+            self._raws = [(_UNREAD,) * len(oids) for _g, _s, oids, _w in inner._groups]
+            self._status_raws = [None] * len(inner._statuses)
+            self._indexes = [_NO_ROWS] * len(inner._providers)
+        raws = self._raws
+        for k, (getter, source, oids, wrap) in enumerate(inner._groups):
+            raw = getter(source)
+            last = raws[k]
+            if raw != last:
+                raws[k] = raw
+                for oid, new, old in zip(oids, raw, last):
+                    if new != old:
+                        snapshot[oid] = wrap(new)
+        status_raws = self._status_raws
+        for k, (iface, admin_oid, oper_oid) in enumerate(inner._statuses):
+            raw = _ADMIN_AND_LINK(iface)
+            if raw != status_raws[k]:
+                status_raws[k] = raw
+                admin_up, link = raw
+                snapshot[admin_oid] = _STATUS[not admin_up]
+                snapshot[oper_oid] = _STATUS[not (admin_up and link is not None)]
+        for oid, accessor in inner._accessors.items():
+            snapshot[oid] = accessor()
+        indexes = self._indexes
+        for k, provider in enumerate(inner._providers):
+            index = provider.rows()
+            if index is not indexes[k]:
+                for oid in indexes[k].oids:
+                    del snapshot[oid]
+                snapshot.update(zip(index.oids, index.values))
+                indexes[k] = index
         self.refreshes += 1
 
     def stop(self) -> None:
-        """Cancel the refresh timer (teardown in long test sessions)."""
+        """Cancel the refresh timer (a replaced tree, or teardown)."""
         self._task.cancel()
 
     def get(self, oid: Oid) -> Optional[SnmpValue]:
@@ -418,60 +551,47 @@ class CachingMibTree:
     def get_next_run(self, oid: Oid, count: int) -> List[Tuple[Oid, SnmpValue]]:
         """The inner tree's successors, each served as :meth:`get` serves
         it.  A row that appeared after the snapshot serves its live value
-        (same behaviour as real agents walking a half-updated table)."""
-        run = []
-        for next_oid, live in self.inner.get_next_run(oid, count):
+        (same behaviour as real agents walking a half-updated table); no
+        other live value is read."""
+        inner, run = self.inner, []
+        for next_oid in inner.successors(oid, count):
             value = self.get(next_oid)
-            run.append((next_oid, value if value is not None else live))
+            run.append((next_oid, value if value is not None else inner.get(next_oid)))
         return run
 
     def has_subtree(self, oid: Oid) -> bool:
         return self.inner.has_subtree(oid)
 
-    def walk_all(self) -> List[Tuple[Oid, SnmpValue]]:
-        return [(oid, self.get(oid)) for oid, _v in self.inner.walk_all()]
-
     def __len__(self) -> int:
         return len(self.inner)
 
 
+_UNREAD = object()  # a group's raw reading before its first read: equal to nothing
+
+
 class _RowIndex:
-    """One dynamic table's rows in OID order, looked up by ``bisect``.
+    """One dynamic table's rows in OID order, looked up by ``bisect``."""
 
-    A row's value is an :data:`SnmpValue`, or an accessor called at
-    lookup time for state that changes without the row set changing.
-    """
+    __slots__ = ("oids", "values")
 
-    __slots__ = ("_oids", "_values")
-
-    def __init__(
-        self, rows: Iterable[Tuple[Oid, Union[SnmpValue, Accessor]]] = ()
-    ) -> None:
+    def __init__(self, rows: Iterable[Tuple[Oid, SnmpValue]] = ()) -> None:
         ordered = sorted(rows, key=itemgetter(0))
-        self._oids = [oid for oid, _value in ordered]
-        self._values = [value for _oid, value in ordered]
-
-    def _value(self, i: int) -> SnmpValue:
-        value = self._values[i]
-        return value() if callable(value) else value
+        self.oids = [oid for oid, _value in ordered]
+        self.values = [value for _oid, value in ordered]
 
     def get(self, oid: Oid) -> Optional[SnmpValue]:
-        i = bisect_left(self._oids, oid)
-        if i < len(self._oids) and self._oids[i] == oid:
-            return self._value(i)
+        i = bisect_left(self.oids, oid)
+        if i < len(self.oids) and self.oids[i] == oid:
+            return self.values[i]
         return None
 
-    def next(self, oid: Oid) -> Optional[Tuple[Oid, SnmpValue]]:
-        i = bisect_right(self._oids, oid)
-        if i < len(self._oids):
-            return (self._oids[i], self._value(i))
-        return None
+    def next(self, oid: Oid) -> Optional[Oid]:
+        """The first row's OID past ``oid``."""
+        i = bisect_right(self.oids, oid)
+        return self.oids[i] if i < len(self.oids) else None
 
-    def items(self) -> List[Tuple[Oid, SnmpValue]]:
-        return [
-            (oid, value() if callable(value) else value)
-            for oid, value in zip(self._oids, self._values)
-        ]
+
+_NO_ROWS = _RowIndex()
 
 
 class BridgeFdbProvider:
@@ -482,7 +602,7 @@ class BridgeFdbProvider:
     table to learn which MACs sit behind which switch port.
 
     Rows are materialised on the first query that reaches this subtree
-    (:meth:`MibTree.get_next` never asks for a walk that stays in the
+    (:meth:`MibTree.successors` never asks for a walk that stays in the
     ifTable) and reused until the FDB's bindings change.
     """
 
@@ -494,10 +614,10 @@ class BridgeFdbProvider:
 
     def __init__(self, switch) -> None:
         self.switch = switch
-        self._index = _RowIndex()
+        self._index = _NO_ROWS
         self._index_key = (-1, -1.0)
 
-    def _rows(self) -> _RowIndex:
+    def rows(self) -> _RowIndex:
         key = (
             self.switch.fdb_version,
             self.switch.sim.now // self._AGE_GRANULARITY,
@@ -513,40 +633,3 @@ class BridgeFdbProvider:
             self._index = _RowIndex(rows)
             self._index_key = key
         return self._index
-
-    def get(self, oid: Oid) -> Optional[SnmpValue]:
-        return self._rows().get(oid)
-
-    def next(self, oid: Oid) -> Optional[Tuple[Oid, SnmpValue]]:
-        return self._rows().next(oid)
-
-    def items(self) -> List[Tuple[Oid, SnmpValue]]:
-        return self._rows().items()
-
-
-class BridgeStpProvider(_RowIndex):
-    """RFC 1493 ``dot1dStpPortTable`` rows backed by a live spanning tree.
-
-    Serves ``dot1dStpPort`` (the port index) and ``dot1dStpPortState``
-    (disabled(1) / blocking(2) / forwarding(5)) per switch port.  The
-    monitor's topology-sync loop walks this column to map the switch's
-    active tree onto the topology graph's blocked-connection view.
-
-    A switch's ports are fixed at construction, so the row set is built
-    once; only the state values are read live.
-    """
-
-    prefix = DOT1D_STP_PORT_ENTRY
-
-    def __init__(self, switch) -> None:
-        rows: List[Tuple[Oid, Union[SnmpValue, Accessor]]] = []
-        for iface in switch.interfaces:
-            i = iface.if_index
-            rows.append((DOT1D_STP_PORT.extend(i), Integer(i)))
-            rows.append(
-                (
-                    DOT1D_STP_PORT_STATE.extend(i),
-                    lambda i=i: Integer(switch.stp.port_state_value(i)),
-                )
-            )
-        super().__init__(rows)

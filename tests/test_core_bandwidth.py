@@ -126,6 +126,19 @@ class TestHubRule:
         m = calc.measure_connection(conn(spec, "N1", "hb"))
         assert m.rule == "unmeasured"
 
+    def test_a_hub_connection_is_as_old_as_its_oldest_leg(self):
+        """N1's last sample (t = 10) is still in the sum at t = 30, so the
+        sum is 20 s old and stale, however fresh N2's leg is."""
+        spec = parse_spec(SPEC)
+        rates = RateTable()
+        calc = BandwidthCalculator(spec, rates, stale_after=5.0, dead_after=60.0)
+        feed(rates, "N1", 1, in_bps=100_000, out_bps=0, t=10.0)
+        feed(rates, "N2", 1, in_bps=50_000, out_bps=0, t=29.5)
+        for ends in (("N1", "hb"), ("N2", "hb"), ("sw", "hb")):
+            m = calc.measure_connection(conn(spec, *ends), now=30.0)
+            assert m.used_bps == 150_000, ends
+            assert (m.sample_time, m.sample_age, m.stale) == (10.0, 20.0, True), ends
+
     def test_hub_of(self):
         spec, rates, calc = setup()
         assert calc.hub_of(conn(spec, "N1", "hb")) == "hb"

@@ -161,6 +161,23 @@ class TestAgentOutage:
         assert monitor.poller.rates.latest("N1", 1) is not None
         assert monitor.poller.rates.latest("S1", 1) is None
 
+    def test_a_silent_hub_leg_ages_the_hub_connections(self):
+        """N1's agent goes silent at t = 10 while its last sample stays in
+        the hub's sum: at t = 30 both hub connections on S1 -> N2 are as
+        old as that sample, stale, and the report is degraded."""
+        build = build_testbed()
+        monitor = NetworkMonitor(build, "L", poll_jitter=0.0)
+        label = monitor.watch_path("S1", "N2")
+        AgentOutage(build.network.sim, build.agents["N1"], at=10.0, until=60.0)
+        monitor.start()
+        build.network.run(30.0)
+        report = monitor.current_report(label)
+        hub = [m for m in report.connections if m.rule == "hub"]
+        assert len(hub) == 2
+        for m in hub:
+            assert m.sample_time < 10.0 and m.sample_age > 20.0 and m.stale, m
+        assert report.degraded and report.confidence < 1.0
+
     def test_window_validated(self):
         build = build_testbed()
         with pytest.raises(FaultError):
@@ -210,6 +227,27 @@ class TestAgentReboot:
         net.run(20.0)
         assert fault.requests_ignored >= 1
         assert len(errors) == 1  # the request inside the window timed out
+
+    def test_a_cached_agent_stops_the_old_snapshot_timer(self):
+        """The reboot wraps the fresh tree in a new caching view; the old
+        view, which nobody serves any more, stops refreshing, and the
+        simulator is left with the events it had before the reboot."""
+        from repro.snmp.agent import SnmpAgent
+        from repro.snmp.mib import CachingMibTree, build_mib2
+
+        net, _a, b = small_net()
+        agent = SnmpAgent(b, CachingMibTree(build_mib2(b, net.sim), net.sim, 0.5))
+        old = agent.mib
+        net.run(1.0)
+        before = net.sim.pending_count()
+        AgentReboot(net.sim, agent, at=2.0, outage=1.0)
+        net.run(3.5)
+        assert isinstance(agent.mib, CachingMibTree) and agent.mib is not old
+        refreshes = old.refreshes
+        net.run(13.5)
+        assert old.refreshes == refreshes
+        assert agent.mib.refreshes >= 20
+        assert net.sim.pending_count() == before
 
     def test_outage_validated(self):
         net, a, b, agent, manager, _ = self.rebootable_net()

@@ -1,13 +1,16 @@
 """Unit tests for the MIB tree, MIB-II bindings and the caching view."""
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simnet.address import MacAddress
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
 from repro.simnet.sockets import DISCARD_PORT
+from repro.simnet.stp import ROLE_DISABLED
 from repro.snmp.datatypes import (
     Counter32,
     EndOfMibView,
@@ -29,6 +32,7 @@ from repro.snmp.mib import (
     IF_ENTRY,
     IF_IN_OCTETS,
     IF_IN_UCAST_PKTS,
+    IF_ADMIN_STATUS,
     IF_NUMBER,
     IF_OPER_STATUS,
     IF_OUT_DISCARDS,
@@ -38,6 +42,9 @@ from repro.snmp.mib import (
     MibError,
     MibTree,
     SNMP_GROUP,
+    SNMP_IN_ASN_PARSE_ERRS,
+    SNMP_IN_BAD_COMMUNITY_NAMES,
+    SNMP_OUT_PKTS,
     SYS_NAME,
     SYS_UPTIME,
     build_mib2,
@@ -94,11 +101,11 @@ class TestMibTree:
         tree.register(Oid("1.3.1.0"), Integer(0))
         assert tree.get_next(Oid("1.3.1.0")) is None
 
-    def test_walk_all_sorted(self):
+    def test_successors_sorted(self):
         tree = MibTree()
         for text in ("1.3.2.0", "1.3.1.0", "1.4.0"):
             tree.register(Oid(text), Integer(0))
-        oids = [oid for oid, _v in tree.walk_all()]
+        oids = tree.successors(Oid("0"), 10)
         assert oids == sorted(oids)
         assert len(oids) == 3
 
@@ -269,6 +276,7 @@ class NaiveMib:
 
     def rows(self):
         rows = {oid: accessor() for oid, accessor in self.tree._static.items()}
+        rows.update(self.tree._constants)
         for mac, port, _age in self.switch.fdb_entries():
             index = tuple(mac.to_bytes())
             rows[DOT1D_TP_FDB_ADDRESS.extend(*index)] = OctetString(mac.to_bytes())
@@ -292,6 +300,21 @@ class NaiveMib:
             if row_oid > oid:
                 return (row_oid, value)
         return None
+
+
+def full_walk(tree):
+    """Every row a live tree serves at this instant, in OID order: each
+    scalar's accessor called (or its value), each provider's rows chained
+    by ``next`` from its prefix.  The reference a snapshot is held to."""
+    rows = [(oid, accessor()) for oid, accessor in tree._static.items()]
+    rows.extend(tree._constants.items())
+    for provider in tree._providers:
+        index = provider.rows()
+        cursor = index.next(provider.prefix)
+        while cursor is not None:
+            rows.append((cursor, index.get(cursor)))
+            cursor = index.next(cursor)
+    return sorted(rows, key=lambda row: row[0])
 
 
 def bridge_rig(ports=6, hosts=3):
@@ -361,8 +384,7 @@ class TestIndexedLookupsMatchNaiveReference:
                 assert tree.get_next(cursor) == naive.get_next(cursor), cursor
                 hit, want = cached.get_next(cursor), naive.get_next(cursor)
                 assert (hit and hit[0]) == (want and want[0]), cursor
-        assert tree.walk_all() == naive.rows()
-        assert [oid for oid, _v in cached.walk_all()] == [o for o, _v in naive.rows()]
+        assert full_walk(tree) == naive.rows()
         cached.stop()
 
     def test_relearning_an_aged_out_binding_shows_at_once(self):
@@ -698,23 +720,196 @@ class TestLiveCounter:
         assert vars(served) == {"value": served.value}
 
 
+# ----------------------------------------------------------------------
+# A snapshot is a full walk of its tree at the tick, whatever moved
+# ----------------------------------------------------------------------
+SNAPSHOT_PORTS = 6
+PROGRAM = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("traffic"), st.integers(0, SNAPSHOT_PORTS - 1),
+            st.sampled_from(COUNTER_NAMES), st.sampled_from(MOVES),
+        ),
+        st.tuples(st.just("admin"), st.integers(0, SNAPSHOT_PORTS - 1), st.booleans()),
+        st.tuples(st.just("unlink"), st.integers(0, SNAPSHOT_PORTS - 1)),
+        st.tuples(st.just("learn"), st.integers(1, 12), st.integers(0, SNAPSHOT_PORTS - 1)),
+        st.tuples(st.just("age"), st.sampled_from([10.0, 40.0, 310.0])),
+        st.tuples(st.just("flush")),
+        st.tuples(
+            st.just("stp"), st.integers(0, SNAPSHOT_PORTS - 1),
+            st.sampled_from(["forwarding", "blocking", "disabled"]),
+        ),
+        st.tuples(st.just("request"), st.sampled_from(["get", "bad-community", "garbage"])),
+        st.tuples(st.just("reboot")),
+        st.tuples(st.just("register"), st.booleans()),
+        st.tuples(st.just("tick"), st.sampled_from([0.3, 1.0, 2.5])),
+        st.tuples(st.just("serve"), st.integers(0, 500), st.integers(1, 64)),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+class TestSnapshotEqualsAFullWalk:
+    """After every refresh tick, a caching agent's snapshot equals
+    :func:`full_walk` of its inner tree at that instant -- the system
+    group included -- and between ticks the view serves that snapshot
+    (a row registered since, live): over any program of traffic, admin
+    and link changes, FDB learning, ageing and flushes, spanning-tree
+    state changes, requests that move the snmp group, reboots and rows
+    registered after the first tick."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(program=PROGRAM)
+    @example(program=[("traffic", 0, "in_octets", 1), ("admin", 1, False), ("stp", 2, "disabled")])
+    @example(program=[("learn", 1, 0), ("tick", 1.0), ("flush",), ("learn", 2, 1)])
+    @example(program=[("register", False), ("tick", 1.0), ("register", True)])
+    def test_after_every_tick(self, program):
+        net, sw, tree, _naive = bridge_rig(ports=SNAPSHOT_PORTS, hosts=3)
+        sim, peer = net.sim, net.device("h0").primary_ip
+        ticked, links, registered = {}, {}, 0
+        take_snapshot = CachingMibTree._take_snapshot
+
+        def checked_tick(view):
+            take_snapshot(view)
+            walk = dict(full_walk(view.inner))
+            assert view._snapshot == walk, sim.now
+            assert SYS_UPTIME in walk
+            ticked[view] = walk
+
+        def check_served(cursor, count):
+            view = agent.mib
+            walk = ticked.get(view)
+            for oid, value in view.get_next_run(cursor, count):
+                if oid.startswith(SYS_UPTIME.parent) or walk is None or oid not in walk:
+                    assert value == view.inner.get(oid), oid  # fresh, or not yet ticked
+                else:
+                    assert value == walk[oid] == view.get(oid), oid  # what the tick read
+
+        with mock.patch.object(CachingMibTree, "_take_snapshot", checked_tick):
+            agent = SnmpAgent(net.endpoint("sw"), CachingMibTree(tree, sim, refresh_interval=1.0))
+            check_served(Oid("0"), 10_000)  # before the first tick: live
+            net.run(sim.now)
+            for step in program + [("serve", 0, 0), ("tick", 1.0), ("serve", 0, 0)]:
+                op = step[0]
+                if op == "traffic":
+                    _, port, name, by = step
+                    counters = sw.interfaces[port].counters
+                    setattr(counters, name, getattr(counters, name) + by)
+                elif op == "admin":
+                    sw.interfaces[step[1]].set_admin_up(step[2])
+                elif op == "unlink":
+                    iface = sw.interfaces[step[1]]
+                    if iface.link is not None:
+                        links[iface], iface.link = iface.link, None
+                    else:
+                        iface.link = links.pop(iface, None)
+                elif op == "learn":
+                    sw._learn(MacAddress(0x020000000000 | step[1]), sw.interfaces[step[2]])
+                elif op == "age":
+                    net.run(sim.now + step[1])
+                elif op == "flush":
+                    sw.flush_fdb()
+                elif op == "stp":
+                    iface = sw.interfaces[step[1]]
+                    info = sw.stp._ports[iface]
+                    if step[2] == "disabled":
+                        info.role = ROLE_DISABLED
+                    else:
+                        sw.stp._set_state(iface, info, step[2])
+                elif op == "request":
+                    community = "private" if step[1] == "bad-community" else "public"
+                    payload = Message(
+                        VERSION_2C, community, Pdu.get_request(1, [SNMP_GROUP.extend(1, 0)])
+                    ).encode()
+                    if step[1] == "garbage":
+                        payload = b"\x30\x03junk"
+                    agent._on_datagram(payload, len(payload), peer, 4000)
+                elif op == "reboot":
+                    old = agent.mib
+                    AgentReboot(sim, agent, at=sim.now, outage=0.01)
+                    net.run(sim.now + 0.02)
+                    assert agent.mib is not old and isinstance(agent.mib, CachingMibTree)
+                elif op == "register":
+                    registered += 1
+                    oid = PAST_PROVIDERS.extend(300 + registered, 0)
+                    counters = sw.interfaces[0].counters
+                    agent.mib.inner.register(
+                        oid, (lambda: Counter32.wrap(counters.in_octets)) if step[1]
+                        else Counter32(registered),
+                    )
+                elif op == "tick":
+                    net.run(sim.now + step[1])
+                elif step[2]:
+                    rows = full_walk(agent.mib.inner)
+                    check_served(cursor_for("row", step[1], step[1], rows), step[2])
+                else:
+                    check_served(Oid("0"), 10_000)  # the whole MIB
+        agent.mib.stop()
+
+
 class TestSnapshotCost:
-    def test_refresh_is_one_pass_over_the_rows(self):
-        """No wall clock: a caching agent's refresh tick on a 50-port
-        switch (958 static rows + 100 spanning-tree + 36 FDB rows) reads
-        each row once -- about two Python calls per row, the accessor and
-        the value it builds -- and asks no successor query.  Walking by
-        ``get_next`` took 4 374 Python calls here; one pass takes 2 122
-        (asserted with 10 % headroom)."""
+    """No wall clock: Python calls, on a 50-port spanning-tree switch
+    (958 ifTable and system rows, 100 spanning-tree and 36 FDB rows)."""
+
+    def warm_switch(self):
         net, sw, tree, naive = bridge_rig(ports=50, hosts=12)
         for i in range(12):
             sw._learn(MacAddress(0x020000000100 | i), sw.interfaces[i])
         cached = CachingMibTree(tree, net.sim, refresh_interval=5.0)
-        cached._take_snapshot()  # builds the FDB row index, reused below
-        rows = naive.rows()
+        cached._take_snapshot()  # lays the snapshot out, builds the FDB row index
+        return net, sw, tree, cached
+
+    def test_an_idle_refresh_reads_no_row(self):
+        """Re-walking the whole tree took 1 321 Python calls here, two a
+        row: the accessor and the value it built.  Now the constants sit
+        in the snapshot once, each interface's counters and status are
+        one C call each, the spanning-tree states one pass, and the FDB
+        index is the one copied last time: at most a tenth of a call a
+        row, and every value but sysUpTime the object it was."""
+        net, sw, tree, cached = self.warm_switch()
+        before = dict(cached._snapshot)
         calls = call_counts(cached._take_snapshot)
         cached.stop()
+        rows = full_walk(tree)
         assert len(rows) == 958 + 100 + 36
         assert cached._snapshot == dict(rows)
-        assert "get_next" not in calls and "next" not in calls, calls
-        assert sum(calls.values()) <= 2.13 * len(rows), calls
+        assert SYS_UPTIME in cached._snapshot  # the system group is in it too
+        assert "get_next" not in calls and "successors" not in calls, calls
+        assert sum(calls.values()) <= 0.1 * len(rows), calls
+        moved = [oid for oid, value in before.items() if cached._snapshot[oid] is not value]
+        assert moved == [SYS_UPTIME], moved
+
+    def test_a_moved_counter_costs_two_calls(self):
+        """Wrapping a moved counter is ``Counter32.wrap`` and its
+        ``__init__``; an interface that moved re-wraps only what did."""
+        net, sw, tree, cached = self.warm_switch()
+        idle = sum(call_counts(cached._take_snapshot).values())
+        for iface in sw.interfaces[:20]:
+            iface.counters.in_octets += 1500
+            iface.counters.in_ucast_pkts += 1
+        calls = call_counts(cached._take_snapshot)
+        cached.stop()
+        assert sum(calls.values()) - idle <= 2 * 40, calls
+        assert calls["wrap"] == 40, calls
+        assert cached._snapshot == dict(full_walk(tree))
+
+    def test_a_live_status_or_snmp_row_builds_no_value(self):
+        """A GET of every ifAdminStatus and ifOperStatus and of the snmp
+        group's unmoved counters, asked again of a warm live agent: no
+        value object is built, and every value is the one the reply memo
+        wrote last time."""
+        net, sw, tree, _naive = bridge_rig(ports=50, hosts=12)
+        agent = SnmpAgent(net.endpoint("sw"), tree)
+        oids = [column.extend(i) for column in (IF_ADMIN_STATUS, IF_OPER_STATUS)
+                for i in range(1, 51)]
+        oids += [SNMP_OUT_PKTS, SNMP_IN_BAD_COMMUNITY_NAMES, SNMP_IN_ASN_PARSE_ERRS]
+        payload = Message(VERSION_2C, "public", Pdu.get_request(1, oids)).encode()
+        peer = net.device("h0").primary_ip
+        first = agent_reply(agent, payload, peer)
+        reply = []
+        calls = call_counts(lambda: reply.append(agent_reply(agent, payload, peer)), by_file=True)
+        assert reply == [first]
+        built = {key: n for key, n in calls.items() if key[0].endswith("datatypes.py")}
+        assert not built, built
+        for oid in oids:
+            assert agent._written[oid][0] is tree.get(oid), oid
