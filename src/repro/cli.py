@@ -7,7 +7,7 @@ Installed as the ``repro`` console script::
     repro experiment fig4 --seed 1           # regenerate a paper artefact
     repro monitor topology.net --host L --watch S1:N1 \\
           --load L:N1:200:10:40 --until 60 --chart
-    repro tsdb --load L:N1:200:10:40         # storage stats + range queries
+    repro history --load L:N1:200:10:40      # held reports + range queries
     repro integrity --corrupt S1:random:10 --until 30   # trust + quarantine
     repro stream --load L:N1:300:5:30 --threshold S1:N1:500   # push events
     repro discover topology.net --host L     # SNMP topology discovery
@@ -21,10 +21,14 @@ code (0 ok, 1 failure, 2 usage), so the tool scripts cleanly.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
+import numpy as np
+
 from repro.analysis.charts import render_pair
+from repro.core.history import HISTORY_HORIZON_S, PathSeries
 from repro.core.monitor import NetworkMonitor
 from repro.simnet.network import NetworkError
 from repro.simnet.trafficgen import KBPS, StaircaseLoad, StepSchedule
@@ -37,6 +41,8 @@ from repro.topology.graph import TopologyGraph
 from repro.topology.model import TopologyError
 
 EXPERIMENTS = ("fig4", "fig5", "fig6", "table2")
+# The numeric ``PathReport`` fields ``repro history`` prints and aggregates.
+HISTORY_FIELDS = ("used_bps", "available_bps", "capacity_bps", "confidence")
 
 # A spec file that cannot be read, parsed, validated or built: exit 1.
 # (SpecValidationError is a TopologyError.)
@@ -47,6 +53,16 @@ _SPEC_ERRORS = (ParseError, LexError, TopologyError, OSError)
 _USAGE_ERRORS = (ValueError, KeyError, NetworkError)
 _NEED_HOST = "--host is required with a spec file"
 _NEED_WATCH = "at least one --watch SRC:DST is required"
+
+
+def _seconds(text: str) -> float:
+    """A simulated duration: a finite number, zero or more."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"wants a finite number of seconds >= 0, got {text!r}"
+        )
+    return value
 
 
 def _scenario_args(
@@ -74,7 +90,7 @@ def _scenario_args(
         "--load", action="append", default=[], metavar="SRC:DST:KBPS:T0:T1",
         help="UDP load to generate (repeatable)",
     )
-    parent.add_argument("--until", type=float, default=until, help="simulated seconds")
+    parent.add_argument("--until", type=_seconds, default=until, help="simulated seconds")
     parent.add_argument("--interval", type=float, default=2.0, help="poll interval")
     return parent
 
@@ -114,33 +130,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (text includes a Prometheus section)",
     )
 
-    p_tsdb = sub.add_parser(
-        "tsdb", parents=[_scenario_args()],
-        help="run a monitoring scenario and inspect the embedded time-series store",
+    p_hist = sub.add_parser(
+        "history", parents=[_scenario_args()],
+        help="run a monitoring scenario and inspect the reports history keeps",
     )
-    p_tsdb.add_argument(
-        "--retention", type=float, default=None, metavar="S",
-        help="drop raw history older than S simulated seconds",
+    p_hist.add_argument(
+        "--retention", type=float, default=HISTORY_HORIZON_S, metavar="S",
+        help="keep each path's reports of its last S simulated seconds "
+             f"(default {HISTORY_HORIZON_S:g})",
     )
-    p_tsdb.add_argument(
-        "--downsample", type=float, default=None, metavar="S",
-        help="downsample aged-out chunks into S-second windows (needs --retention)",
-    )
-    p_tsdb.add_argument(
+    p_hist.add_argument(
         "--range", dest="range_", default=None, metavar="SRC:DST",
-        help="print the stored samples for one watched path",
+        help="print the held reports for one watched path",
     )
-    p_tsdb.add_argument("--start", type=float, default=None, help="range start time")
-    p_tsdb.add_argument("--end", type=float, default=None, help="range end time")
-    p_tsdb.add_argument(
-        "--field", default="used_bps",
-        help="column for --window aggregation (default used_bps)",
+    p_hist.add_argument(
+        "--start", type=float, default=-math.inf, help="range start time"
     )
-    p_tsdb.add_argument(
+    p_hist.add_argument("--end", type=float, default=math.inf, help="range end time")
+    p_hist.add_argument(
+        "--field", choices=HISTORY_FIELDS, default="used_bps",
+        help="report field for --window aggregation (default used_bps)",
+    )
+    p_hist.add_argument(
         "--window", type=float, default=None, metavar="S",
         help="aggregate the --range query into S-second windows",
     )
-    p_tsdb.add_argument(
+    p_hist.add_argument(
         "--agg", choices=("min", "max", "mean", "last"), default="mean",
         help="aggregate for --window (default mean)",
     )
@@ -266,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc = sub.add_parser("discover", help="SNMP topology discovery + verification")
     p_disc.add_argument("specfile")
     p_disc.add_argument("--host", required=True, help="host running discovery")
-    p_disc.add_argument("--until", type=float, default=60.0)
+    p_disc.add_argument("--until", type=_seconds, default=60.0)
 
     p_topo = sub.add_parser(
         "topology",
@@ -274,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_topo.add_argument("specfile")
     p_topo.add_argument("--host", required=True, help="host running the monitor")
-    p_topo.add_argument("--until", type=float, default=12.0)
+    p_topo.add_argument("--until", type=_seconds, default=12.0)
     p_topo.add_argument(
         "--fail-uplink",
         metavar="A:B[:AT]",
@@ -291,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--load", action="append", default=[], metavar="SRC:DST:KBPS:T0:T1",
         help="UDP load to generate (repeatable)",
     )
-    p_matrix.add_argument("--until", type=float, default=20.0)
+    p_matrix.add_argument("--until", type=_seconds, default=20.0)
     p_matrix.add_argument(
         "--metric", choices=("available", "used", "utilization"), default="available"
     )
@@ -416,6 +431,9 @@ def cmd_monitor(args) -> int:
     monitor.start()
     build.network.run(args.until)
     for label in labels:
+        if label not in monitor.history:
+            print(f"{label}: 0 reports")
+            continue
         series = monitor.history.series(label)
         used = series.used()
         avail = series.available()
@@ -424,7 +442,6 @@ def cmd_monitor(args) -> int:
               f"{avail.min() / 1000:.1f} KB/s")
         if args.chart:
             from repro.experiments.scenarios import SeriesPair
-            import numpy as np
 
             pair = SeriesPair(
                 label=label,
@@ -527,7 +544,24 @@ def cmd_telemetry(args) -> int:
     return 0
 
 
-def cmd_tsdb(args) -> int:
+def _window_aggregate(times, values, window: float, agg: str):
+    """``(window starts, aggregates)`` of ``values`` over ``window``-second
+    buckets aligned to multiples of ``window``; empty buckets are absent."""
+    if not len(times):
+        return times, values
+    buckets = np.floor(times / window)
+    starts = np.flatnonzero(np.r_[True, buckets[1:] != buckets[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    if agg == "last":
+        out = values[ends - 1]
+    elif agg == "mean":
+        out = np.add.reduceat(values, starts) / (ends - starts)
+    else:
+        out = {"min": np.minimum, "max": np.maximum}[agg].reduceat(values, starts)
+    return buckets[starts] * window, out
+
+
+def cmd_history(args) -> int:
     opened = _open(args, args.host, args.watch)
     if isinstance(opened, int):
         return opened
@@ -536,65 +570,56 @@ def cmd_tsdb(args) -> int:
         monitor = NetworkMonitor(
             build, host, poll_interval=args.interval,
             history_retention_s=args.retention,
-            history_downsample_s=args.downsample,
         )
-        for watch in watches:
-            monitor.watch_path(*_parse_watch(watch))
+        labels = [monitor.watch_path(*_parse_watch(w)) for w in watches]
         _start_loads(build, args.load)
+        label = args.range_
+        if label is not None and label not in labels:
+            label = label.replace(":", "<->")  # SRC:DST names its watch label
+            if label not in labels:
+                raise ValueError(f"no watched path {args.range_!r} (have {labels})")
+        if args.window is not None and not args.window > 0:
+            raise ValueError(f"window must be positive, got {args.window!r}")
     except _USAGE_ERRORS as exc:
         return _fail(exc, 2)
     monitor.start()
     build.network.run(args.until)
 
-    db = monitor.history.db
-    db.flush()  # seal head chunks so the byte counts reflect compression
-    print(f"storage after {build.network.now:.1f} simulated seconds\n")
-    header = (f"{'series':>14} {'samples':>8} {'dropped':>8} {'chunks':>7} "
-              f"{'bytes':>9} {'raw':>9} {'ratio':>7}")
-    print(header)
+    history = monitor.history
 
-    def _row(name: str, s) -> None:
-        print(f"{name:>14} {s.samples:>8d} {s.samples_dropped:>8d} "
-              f"{s.chunks:>7d} {s.nbytes:>9d} {s.raw_nbytes:>9d} "
-              f"{s.compression_ratio:>6.1f}x")
+    def held(name: str) -> PathSeries:
+        return history.series(name) if name in history else PathSeries(name, [])
 
-    for label in db.labels():
-        _row(label, db.series_stats(label))
-    total = db.stats()
-    _row("(total)", total)
-    down = total.downsampled_windows
-    if down:
-        print(f"\n{down} downsampled window(s) retained from "
-              f"{total.samples_dropped} dropped sample(s)")
+    print(f"history after {build.network.now:.1f} simulated seconds "
+          f"(horizon {history.retention_s:g} s)\n")
+    print(f"{'path':>14} {'reports':>8} {'dropped':>8} {'first':>8} {'last':>8}")
+    for name in labels:
+        series = held(name)
+        span = (f"{series.reports[0].time:>8.2f} {series.reports[-1].time:>8.2f}"
+                if series.reports else f"{'-':>8} {'-':>8}")
+        print(f"{name:>14} {len(series):>8d} {series.dropped:>8d} {span}")
+    print(f"{'(total)':>14} {history.reports_held:>8d} "
+          f"{history.reports_dropped:>8d}")
 
-    if args.range_ is not None:
-        label = args.range_
-        if label not in db and ":" in label:
-            src, dst = _parse_watch(label)
-            label = f"{src}<->{dst}"
-        if label not in db:
-            return _fail(f"no series {label!r} (have {db.labels()})", 2)
-        if args.field not in db.fields:
-            return _fail(f"no field {args.field!r} (have {list(db.fields)})", 2)
+    if label is not None:
+        series = held(label).between(args.start, args.end)
         print(f"\n{label}:")
         if args.window is not None:
-            try:
-                starts, values = db.aggregate(
-                    label, args.field, args.window, args.agg,
-                    t_start=args.start, t_end=args.end,
-                )
-            except ValueError as exc:
-                return _fail(exc, 2)
+            values = np.array(
+                [getattr(r, args.field) for r in series.reports], dtype=np.float64
+            )
+            starts, out = _window_aggregate(
+                series.times(), values, args.window, args.agg
+            )
             print(f"{'window':>10} {args.agg + '(' + args.field + ')':>24}")
-            for t, v in zip(starts, values):
+            for t, v in zip(starts, out):
                 print(f"{t:>10.1f} {v:>24.1f}")
         else:
-            times, columns = db.range(label, args.start, args.end)
-            names = list(db.fields)
-            print(f"{'time':>10} " + " ".join(f"{n:>14}" for n in names))
-            for i, t in enumerate(times):
-                cells = " ".join(f"{columns[n][i]:>14.1f}" for n in names)
-                print(f"{t:>10.2f} {cells}")
+            print(f"{'time':>10} " + " ".join(f"{n:>14}" for n in HISTORY_FIELDS)
+                  + f" {'status':>12}")
+            for r in series.reports:
+                cells = " ".join(f"{getattr(r, n):>14.1f}" for n in HISTORY_FIELDS)
+                print(f"{r.time:>10.2f} {cells} {r.status:>12}")
     return 0
 
 
@@ -1029,6 +1054,9 @@ def cmd_distributed(args) -> int:
                   f"overruns {poller.window_overruns}")
     print("\nwatched paths:")
     for label in labels:
+        if label not in dm.history:
+            print(f"  {label}: 0 reports")
+            continue
         series = dm.history.series(label)
         trusted = sum(1 for r in series.reports if r.trusted)
         used = series.used()
@@ -1112,7 +1140,7 @@ _COMMANDS = {
     "experiment": cmd_experiment,
     "monitor": cmd_monitor,
     "telemetry": cmd_telemetry,
-    "tsdb": cmd_tsdb,
+    "history": cmd_history,
     "integrity": cmd_integrity,
     "distributed": cmd_distributed,
     "discover": cmd_discover,

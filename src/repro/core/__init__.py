@@ -18,7 +18,8 @@ Pipeline (paper §3):
    is steps 1, 3 and 4 plus watches, history, subscribers and the
    optional streaming / probing / topology-sync planes, emitting
    :class:`~repro.core.report.PathReport` records into
-   :mod:`repro.core.history` and to subscribers (the RM middleware);
+   :mod:`repro.core.history` (each path's reports of the last
+   ``HISTORY_HORIZON_S`` seconds) and to subscribers (the RM middleware);
    :class:`NetworkMonitor` is that core fed by a local step-2 poller.
 
 Extensions implementing the paper's §5 future work:
@@ -48,7 +49,7 @@ from repro.core.health import (
     HealthState,
     HealthTransition,
 )
-from repro.core.history import MeasurementHistory, PathSeries
+from repro.core.history import HISTORY_HORIZON_S, MeasurementHistory, PathSeries
 from repro.core.latency import LatencyEstimator, PathProber
 from repro.core.linkstate import LinkStateRegistry
 from repro.core.matrix import BandwidthMatrix, MatrixSnapshot
@@ -66,6 +67,7 @@ __all__ = [
     "CounterSource",
     "DiscoveryResult",
     "DistributedMonitor",
+    "HISTORY_HORIZON_S",
     "HealthState",
     "HealthTransition",
     "InterfaceRates",

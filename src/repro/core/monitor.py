@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bandwidth import BandwidthCalculator
@@ -48,7 +49,7 @@ from repro.core.counters import if_index_of, required_poll_targets
 from repro.core.dataflow import BoundPath
 from repro.core.discovery import snmp_candidates
 from repro.core.health import HealthState
-from repro.core.history import MeasurementHistory
+from repro.core.history import HISTORY_HORIZON_S, MeasurementHistory
 from repro.core.linkstate import LinkStateRegistry
 from repro.core.poller import PollTarget, RateTable, SnmpPoller
 from repro.core.report import PathReport
@@ -114,8 +115,7 @@ class ReportCore:
         poll_interval: float,
         report_offset: float,
         telemetry: Union[bool, Telemetry],
-        history_retention_s: Optional[float] = None,
-        history_downsample_s: Optional[float] = None,
+        history_retention_s: float = HISTORY_HORIZON_S,
     ) -> None:
         """``host`` is where the reports are computed (the paper's L; a
         coordinator on the distributed planes): the trap listener and
@@ -155,23 +155,14 @@ class ReportCore:
         self.trap_receiver = None
         self.stale_after = poll_interval * STALE_AFTER_POLLS
         self.dead_after = poll_interval * DEAD_AFTER_POLLS
-        # History storage: compressed tsdb columns (always) plus the full
-        # report objects.  ``history_retention_s`` bounds both -- chunks
-        # older than the horizon are downsampled (when configured) and
-        # dropped, keeping hour-scale runs memory-flat.
-        if history_retention_s is not None and history_retention_s <= 0:
+        # Each path's reports, trimmed to the last ``history_retention_s``
+        # seconds so a run of any length holds a bounded history.
+        if history_retention_s is None or not 0 < history_retention_s < math.inf:
             raise MonitorError(
-                f"history_retention_s must be positive, got {history_retention_s!r}"
+                "history_retention_s must be a positive, finite number of "
+                f"seconds, got {history_retention_s!r}"
             )
-        if history_downsample_s is not None and history_retention_s is None:
-            raise MonitorError(
-                "history_downsample_s needs history_retention_s: only chunks "
-                "aged past the retention horizon are downsampled"
-            )
-        self.history = MeasurementHistory(
-            retention_s=history_retention_s,
-            downsample_s=history_downsample_s,
-        )
+        self.history = MeasurementHistory(retention_s=history_retention_s)
         self._watches: Dict[str, _Watch] = {}
         self._subscribers: List[ReportCallback] = []
         # One shared graph: watch traversal memoizes into it, and matrix
@@ -249,14 +240,11 @@ class ReportCore:
             "watched_paths", "path watches currently registered"
         ).set_function(lambda: float(len(self._watches)))
         registry.gauge(
-            "history_samples", "report samples held in the history tsdb"
-        ).set_function(lambda: float(self.history.storage_stats().samples))
+            "history_samples", "path reports held in the history"
+        ).set_function(lambda: float(self.history.reports_held))
         registry.gauge(
-            "history_dropped_samples", "history samples dropped by retention"
-        ).set_function(lambda: float(self.history.dropped_samples))
-        registry.gauge(
-            "history_bytes", "compressed bytes held by the history tsdb"
-        ).set_function(lambda: float(self.history.storage_stats().nbytes))
+            "history_dropped_samples", "path reports trimmed past the history horizon"
+        ).set_function(lambda: float(self.history.reports_dropped))
         registry.gauge(
             "dataflow_cache_hits",
             "connection measurements served from the epoch cache",
@@ -687,8 +675,7 @@ class NetworkMonitor(ReportCore):
         report_offset: float = DEFAULT_REPORT_OFFSET,
         seed: int = 0,
         telemetry: Union[bool, Telemetry] = True,
-        history_retention_s: Optional[float] = None,
-        history_downsample_s: Optional[float] = None,
+        history_retention_s: float = HISTORY_HORIZON_S,
         integrity: Union[bool, IntegrityConfig] = True,
         cross_check: bool = False,
     ) -> None:
@@ -702,7 +689,7 @@ class NetworkMonitor(ReportCore):
         traffic to the measured links."""
         super().__init__(
             build, monitor_host, poll_interval, report_offset, telemetry,
-            history_retention_s, history_downsample_s,
+            history_retention_s,
         )
         self.manager = SnmpManager(self.host, telemetry=self.telemetry)
         self.cross_check = cross_check

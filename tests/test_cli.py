@@ -211,73 +211,97 @@ class TestMatrix:
         assert main(["matrix", good_spec, "--host", "zzz"]) == 1
 
 
-class TestTsdb:
-    def test_default_testbed_prints_storage_stats(self, capsys):
-        assert main(["tsdb", "--until", "30"]) == 0
+class TestHistory:
+    def test_default_testbed_prints_held_reports(self, capsys):
+        assert main(["history", "--until", "30"]) == 0
         out = capsys.readouterr().out
-        assert "storage after 30.0 simulated seconds" in out
-        assert "S1<->N1" in out
-        assert "(total)" in out
-        assert "ratio" in out
+        assert "history after 30.0 simulated seconds (horizon 600 s)" in out
+        # Reports at 2.5, 4.5, ..., 28.5: 14 held, none trimmed.
+        assert "       S1<->N1       14        0     2.50    28.50" in out
+        assert "       (total)       14        0" in out
 
-    def test_range_query_prints_samples(self, capsys):
+    def test_range_query_prints_reports(self, capsys):
         code = main([
-            "tsdb", "--until", "20", "--load", "L:N1:200:5:15",
+            "history", "--until", "20", "--load", "L:N1:200:5:15",
             "--range", "S1:N1", "--start", "5", "--end", "15",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "used_bps" in out and "available_bps" in out
+        rows = out.split("S1<->N1:\n")[1].splitlines()[1:]
+        assert [row.split()[0] for row in rows] == [
+            "6.50", "8.50", "10.50", "12.50", "14.50",
+        ]
+        assert all(row.split()[-1] == "fresh" for row in rows)
 
     def test_windowed_aggregate_query(self, capsys):
         code = main([
-            "tsdb", "--until", "30", "--range", "S1:N1",
-            "--window", "10", "--agg", "max", "--field", "used_bps",
+            "history", "--until", "30", "--load", "L:N1:200:10:20",
+            "--range", "S1:N1", "--window", "10", "--agg", "max",
+            "--field", "used_bps",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "max(used_bps)" in out
+        rows = [row.split() for row in out.split("max(used_bps)\n")[1].splitlines()]
+        assert [row[0] for row in rows] == ["0.0", "10.0", "20.0"]
+        peaks = [float(row[1]) for row in rows]
+        assert peaks[1] > 200_000 > peaks[0]
 
-    def test_retention_flags_accepted(self, capsys):
-        code = main([
-            "tsdb", "--until", "30", "--retention", "10", "--downsample", "5",
-        ])
+    @pytest.mark.parametrize("agg", ["min", "max", "mean", "last"])
+    def test_aggregates_match_numpy(self, agg):
+        import numpy as np
+
+        from repro.cli import _window_aggregate
+
+        times = np.array([0.5, 1.0, 4.0, 9.5, 10.0, 10.5, 31.0])
+        values = np.array([3.0, 1.0, 2.0, 7.0, 5.0, 6.0, 4.0])
+        starts, out = _window_aggregate(times, values, 10.0, agg)
+        assert starts.tolist() == [0.0, 10.0, 30.0]
+        groups = [values[:4], values[4:6], values[6:]]
+        want = {"min": np.min, "max": np.max, "mean": np.mean,
+                "last": lambda g: g[-1]}[agg]
+        assert out.tolist() == [want(g) for g in groups]
+
+    def test_retention_trims_history(self, capsys):
+        code = main(["history", "--until", "30", "--retention", "10"])
         assert code == 0
-        assert "storage after" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "(horizon 10 s)" in out
+        # Held: 18.5 .. 28.5 (six reports); trimmed: 2.5 .. 16.5 (eight).
+        assert "       S1<->N1        6        8    18.50    28.50" in out
+
+    def test_a_path_with_no_report_yet(self, capsys):
+        assert main(["history", "--until", "1", "--range", "S1:N1"]) == 0
+        out = capsys.readouterr().out
+        assert "       S1<->N1        0        0        -        -" in out
 
     def test_unknown_range_series_fails(self, capsys):
-        code = main(["tsdb", "--until", "10", "--range", "S2:N9"])
+        code = main(["history", "--until", "10", "--range", "S2:N9"])
         assert code == 2
-        assert "no series" in capsys.readouterr().err
+        assert "no watched path 'S2:N9'" in capsys.readouterr().err
 
     def test_unknown_field_fails(self, capsys):
-        code = main([
-            "tsdb", "--until", "10", "--range", "S1:N1", "--field", "bogus",
-        ])
-        assert code == 2
-        assert "no field" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["history", "--until", "10", "--range", "S1:N1", "--field", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_spec_file_requires_host_and_watch(self, good_spec, capsys):
-        assert main(["tsdb", good_spec]) == 2
-        assert main(["tsdb", good_spec, "--host", "L"]) == 2
+        assert main(["history", good_spec]) == 2
+        assert main(["history", good_spec, "--host", "L"]) == 2
 
     def test_spec_file_end_to_end(self, good_spec, capsys):
         code = main([
-            "tsdb", good_spec, "--host", "L", "--watch", "S1:N1",
+            "history", good_spec, "--host", "L", "--watch", "S1:N1",
             "--until", "20",
         ])
         assert code == 0
         assert "S1<->N1" in capsys.readouterr().out
 
     def test_negative_retention_rejected(self, capsys):
-        assert main(["tsdb", "--until", "10", "--retention", "-5"]) == 2
+        assert main(["history", "--until", "10", "--retention", "-5"]) == 2
         assert "history_retention_s" in capsys.readouterr().err
-
-    def test_downsample_without_retention_rejected(self, capsys):
-        """The help says "needs --retention": nothing ages out without a
-        horizon, so the flag alone used to be silently ignored."""
-        assert main(["tsdb", "--until", "20", "--downsample", "10"]) == 2
-        assert "needs history_retention_s" in capsys.readouterr().err
 
 
 class TestDistributed:
@@ -469,7 +493,7 @@ def _exit_code(argv):
         return exc.code
 
 
-_MONITORING = ("monitor", "telemetry", "tsdb", "integrity", "distributed", "stream", "probe")
+_MONITORING = ("monitor", "telemetry", "history", "integrity", "distributed", "stream", "probe")
 _SPEC_ONLY = ("discover", "topology", "matrix")
 
 
@@ -560,7 +584,7 @@ class TestValuesTheRunCannotUse:
         "argv, message",
         [
             (["topology", "SPEC", "--host", "L", "--fail-uplink", "switch:hub:xyz"], "'xyz'"),
-            (["tsdb", "--range", "S1:N1", "--window", "0", "--until", "6"],
+            (["history", "--range", "S1:N1", "--window", "0", "--until", "6"],
              "window must be positive"),
             (["distributed", "--hierarchy", "1", "--pod-switches", "0"],
              "need at least one switch"),
@@ -573,6 +597,45 @@ class TestValuesTheRunCannotUse:
         assert _exit_code(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+class TestAPathWithNoReportYet:
+    """The first report lands at 2.5 s: a run that ends before it prints
+    the watched path with no reports instead of failing on it."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["monitor", "--until", "1"], "S1<->N1: 0 reports\n"),
+            (["distributed", "--until", "1"], "  S1<->N1: 0 reports\n"),
+            (["distributed", "--until", "1", "--hierarchy", "2"],
+             "  p0h0_0<->p1h1_3: 0 reports\n"),
+        ],
+    )
+    def test_prints_zero_reports(self, argv, line, capsys):
+        assert main(argv) == 0
+        assert line in capsys.readouterr().out
+
+
+class TestUntil:
+    """``--until`` is a finite number of simulated seconds, zero or more;
+    anything else is a usage error that argparse reports, never a
+    traceback from a simulator asked to run backwards."""
+
+    @pytest.mark.parametrize("until", ["-5", "nan", "inf"])
+    @pytest.mark.parametrize("command", _MONITORING + _SPEC_ONLY)
+    def test_rejected_as_usage(self, command, until, good_spec, capsys):
+        argv = [command]
+        if command in _SPEC_ONLY:
+            argv += [good_spec, "--host", "L"]
+        assert _exit_code(argv + [f"--until={until}"]) == 2
+        assert "argument --until: wants a finite number of seconds" in (
+            capsys.readouterr().err
+        )
+
+    def test_zero_is_a_run(self, capsys):
+        assert main(["monitor", "--until", "0"]) == 0
+        assert "S1<->N1: 0 reports" in capsys.readouterr().out
 
 
 class TestDistributedHierarchy:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.history import HISTORY_HORIZON_S
 from repro.core.monitor import MonitorError, NetworkMonitor
 from repro.experiments.testbed import build_testbed
 from repro.simnet.trafficgen import StaircaseLoad, StepSchedule
@@ -133,16 +134,13 @@ class TestLifecycle:
         with pytest.raises(MonitorError):
             NetworkMonitor(build, "L", poll_interval=2.0, report_offset=3.0)
 
-    def test_downsampling_without_a_retention_horizon_rejected(self):
-        """Only chunks aged past the horizon are downsampled: without one
-        the window used to be accepted and never applied."""
-        build = build_testbed()
-        with pytest.raises(MonitorError, match="needs history_retention_s"):
-            NetworkMonitor(build, "L", history_downsample_s=10.0)
-        monitor = NetworkMonitor(
-            build, "L", history_retention_s=60.0, history_downsample_s=10.0
-        )
-        assert monitor.history.db.retention.downsample_window_s == 10.0
+    @pytest.mark.parametrize(
+        "retention", [None, 0.0, -5.0, float("nan"), float("inf")]
+    )
+    def test_history_horizon_must_be_positive_and_finite(self, retention):
+        """History is always bounded: there is no unbounded setting."""
+        with pytest.raises(MonitorError, match="history_retention_s"):
+            NetworkMonitor(build_testbed(), "L", history_retention_s=retention)
 
     def test_snmpless_hosts_still_measurable(self):
         """The paper's S4<->S5 case: no agents, measured via the switch."""
@@ -157,3 +155,43 @@ class TestLifecycle:
         series = monitor.history.series(label)
         assert series.used().max() == pytest.approx(500_000 * 1.019, rel=0.05)
         assert series.latest().complete
+
+
+class TestHistoryHorizon:
+    def test_history_is_bounded_with_default_options(self):
+        """Run the testbed half again past the horizon with no history
+        argument: every path keeps at most a horizon of reports, the
+        trimmed ones are counted, and what is kept is bit for bit what a
+        twin with a horizon longer than the run holds."""
+        until = 1.5 * HISTORY_HORIZON_S
+        runs = []
+        for options in ({}, {"history_retention_s": 2000.0}):
+            build = build_testbed()
+            net = build.network
+            monitor = NetworkMonitor(build, "L", **options)
+            labels = [monitor.watch_path("S1", "N1"), monitor.watch_path("S2", "N2")]
+            StaircaseLoad(
+                net.host("L"), net.ip_of("N1"),
+                StepSchedule([(400.0, 300_000.0), (700.0, 0.0)]),
+            ).start()
+            monitor.start()
+            net.run(until)
+            runs.append(monitor)
+        bounded, twin = runs
+
+        assert bounded.stats()["history_dropped"] > 0
+        assert twin.stats()["history_dropped"] == 0
+        for label in labels:
+            kept = bounded.history.series(label)
+            full = twin.history.series(label)
+            assert len(kept) <= HISTORY_HORIZON_S / bounded.poll_interval + 1
+            assert len(kept) < len(full)
+            assert kept.times()[0] >= kept.times()[-1] - HISTORY_HORIZON_S
+            window = full.between(kept.times()[0], until + 1.0)
+            for column in ("times", "used", "available"):
+                mine = getattr(kept, column)()
+                theirs = getattr(window, column)()
+                assert (mine.view("uint64") == theirs.view("uint64")).all()
+            assert kept.used().max() > 0  # the load lies inside the window
+            assert kept.latest() == full.latest()
+            assert kept.latest().available_bps == full.latest().available_bps

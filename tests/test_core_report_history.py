@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.history import MeasurementHistory, PathSeries
+from repro.core.history import HISTORY_HORIZON_S, MeasurementHistory, PathSeries
 from repro.core.report import ConnectionMeasurement, PathReport
 from repro.topology.model import ConnectionSpec, InterfaceRef
 
@@ -22,7 +22,7 @@ def measurement(capacity, used, rule="switch", conn_tag="x"):
 
 
 def path_series():
-    return PathSeries("p", MeasurementHistory().db.series("p"))
+    return PathSeries("p", [])
 
 
 def report(time=0.0, measurements=(), name=None):
@@ -107,12 +107,34 @@ class TestPathSeries:
             series.append(report(time=t, measurements=[measurement(1, 0)]))
         sub = series.between(2.0, 4.0)
         np.testing.assert_allclose(sub.times(), [2.0, 3.0])
+        assert [r.time for r in sub.reports] == [2.0, 3.0]
+        assert sub.latest().time == 3.0
+        assert len(series.between(5.0, 9.0)) == 0
+
+    def test_between_is_a_copy(self):
+        series = path_series()
+        series.append(report(time=1.0, measurements=[measurement(1, 0)]))
+        sub = series.between(0.0, 9.0)
+        sub.append(report(time=2.0, measurements=[measurement(1, 0)]))
+        assert len(series) == 1 and len(sub) == 2
 
     def test_latest(self):
         series = path_series()
         assert series.latest() is None
         series.append(report(time=1.0, measurements=[measurement(1, 0)]))
         assert series.latest().time == 1.0
+
+    def test_empty_arrays(self):
+        series = path_series()
+        for column in (series.times(), series.used(), series.available()):
+            assert column.dtype == np.float64 and len(column) == 0
+
+
+def _fill(history, times, name="a"):
+    for t in times:
+        history.append(
+            report(time=t, measurements=[measurement(100, t)], name=name)
+        )
 
 
 class TestMeasurementHistory:
@@ -128,3 +150,38 @@ class TestMeasurementHistory:
     def test_unknown_label_raises(self):
         with pytest.raises(KeyError):
             MeasurementHistory().series("missing")
+
+    def test_default_horizon(self):
+        assert MeasurementHistory().retention_s == HISTORY_HORIZON_S
+
+    def test_trim_is_exact_at_report_granularity(self):
+        """A report survives while it is no older than the newest minus the
+        horizon -- the one exactly at the floor included."""
+        history = MeasurementHistory(retention_s=10.0)
+        _fill(history, [2.0 * k for k in range(12)])  # 0, 2, ..., 22
+        series = history.series("a")
+        assert series.times().tolist() == [12.0, 14.0, 16.0, 18.0, 20.0, 22.0]
+        assert series.dropped == 6
+        assert history.reports_held == 6 and history.reports_dropped == 6
+        # Each later append trims exactly what fell past the floor.
+        _fill(history, [23.0])
+        assert series.times()[0] == 14.0 and series.dropped == 7
+
+    def test_trim_is_per_path(self):
+        history = MeasurementHistory(retention_s=5.0)
+        _fill(history, [0.0, 1.0], name="quiet")
+        _fill(history, [0.0, 4.0, 8.0], name="busy")
+        assert len(history.series("quiet")) == 2
+        assert history.series("busy").times().tolist() == [4.0, 8.0]
+        assert history.reports_held == 4 and history.reports_dropped == 1
+
+    def test_between_and_latest_on_a_trimmed_series(self):
+        history = MeasurementHistory(retention_s=6.0)
+        _fill(history, [float(t) for t in range(20)])
+        series = history.series("a")
+        assert series.times().tolist() == [13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+        # A window reaching back past the horizon returns what is held.
+        assert series.between(0.0, 15.0).times().tolist() == [13.0, 14.0]
+        assert len(series.between(0.0, 13.0)) == 0
+        assert series.latest().time == 19.0
+        np.testing.assert_array_equal(series.used(), series.times())

@@ -271,99 +271,6 @@ class TestLexerProperties:
         assert tokenize(str(value))[0].value == value
 
 
-class TestTsdbCodecProperties:
-    """The storage codecs must be bit-exact on *any* stream (satellite 3)."""
-
-    # Finite, NaN and infinite float64 values, including signed zeros,
-    # denormals and arbitrary NaN payloads (nothing is canonicalised).
-    any_float = st.floats(width=64, allow_nan=True, allow_infinity=True)
-    finite_float = st.floats(width=64, allow_nan=False, allow_infinity=False)
-
-    # Monotonic non-negative times: cumulative sums of non-negative gaps,
-    # mixing grid-aligned (exactly representable in µs ticks) and
-    # arbitrary-precision gaps so both codec paths are exercised.
-    gaps = st.one_of(
-        st.integers(min_value=0, max_value=10**7).map(lambda n: n / 1e6),
-        st.floats(min_value=0, max_value=1e4, allow_nan=False),
-    )
-    times = st.lists(gaps, min_size=1, max_size=60).map(
-        lambda gs: [sum(gs[: i + 1]) for i in range(len(gs))]
-    )
-
-    @staticmethod
-    def _bits_equal(decoded, original):
-        import numpy as np
-
-        original = np.asarray(original, dtype=np.float64)
-        return bool(
-            np.all(decoded.view(np.uint64) == original.view(np.uint64))
-        )
-
-    @given(times)
-    def test_timestamp_roundtrip_monotonic(self, ts):
-        from repro.tsdb import decode_timestamps, encode_timestamps
-
-        decoded = decode_timestamps(encode_timestamps(ts), len(ts))
-        assert self._bits_equal(decoded, ts)
-
-    @given(st.lists(any_float, min_size=1, max_size=80))
-    def test_value_roundtrip_any_floats(self, values):
-        """NaN payloads, infinities, -0.0, denormals: all bit-exact."""
-        from repro.tsdb import decode_column, encode_column
-
-        decoded = decode_column(encode_column(values), len(values))
-        assert self._bits_equal(decoded, values)
-
-    @given(st.floats(allow_nan=False, allow_infinity=False),
-           st.integers(min_value=1, max_value=200))
-    def test_constant_stream_roundtrip_and_size(self, value, n):
-        from repro.tsdb import decode_column, encode_column
-
-        values = [value] * n
-        data = encode_column(values)
-        assert self._bits_equal(decode_column(data, n), values)
-        # First sample is 64 bits; each repeat costs exactly one bit.
-        assert len(data) <= (64 + (n - 1)) // 8 + 1
-
-    @given(st.lists(st.floats(min_value=0, max_value=5e-308,
-                              allow_nan=False), min_size=1, max_size=50))
-    def test_denormal_stream_roundtrip(self, values):
-        from repro.tsdb import decode_column, encode_column
-
-        decoded = decode_column(encode_column(values), len(values))
-        assert self._bits_equal(decoded, values)
-
-    @given(st.lists(st.tuples(any_float, any_float), min_size=1, max_size=50))
-    def test_predicted_roundtrip_any_predictions(self, pairs):
-        """Predictive XOR is lossless no matter how wrong the model is."""
-        from repro.tsdb import decode_column, encode_column
-
-        values = [v for v, _ in pairs]
-        predictions = [p for _, p in pairs]
-        data = encode_column(values, predictions=predictions)
-        decoded = decode_column(data, len(values), predictions=predictions)
-        assert self._bits_equal(decoded, values)
-
-    @settings(max_examples=40)
-    @given(times, st.data())
-    def test_series_roundtrip_through_chunks(self, ts, data):
-        """Whole pipeline: append -> seal -> decode is the identity."""
-        import numpy as np
-
-        from repro.tsdb import Series
-
-        values = data.draw(
-            st.lists(self.any_float, min_size=len(ts), max_size=len(ts))
-        )
-        series = Series("prop", ("v",), chunk_size=8)
-        for t, v in zip(ts, values):
-            series.append(t, (v,))
-        series.flush()
-        decoded_t, decoded_v = series.arrays()
-        assert self._bits_equal(decoded_t, ts)
-        assert self._bits_equal(decoded_v["v"], values)
-
-
 class TestAddressProperties:
     @given(st.integers(min_value=0, max_value=2**48 - 1))
     def test_mac_str_roundtrip(self, value):

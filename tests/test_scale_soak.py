@@ -116,26 +116,23 @@ def test_campus_soak(seed):
 
 @pytest.mark.parametrize("seed", [0])
 def test_campus_soak_bounded_history_under_retention(seed):
-    """Retention keeps history memory bounded without touching QoS results.
+    """Retention keeps history bounded without touching QoS results.
 
-    Two identical campus runs, one with unlimited history and one with a
-    40-second retention window: inside the retained window every series
-    must decode to exactly the same arrays (so QoS conclusions are
-    unchanged), while total storage stays bounded and the monitor
-    reports the dropped samples it spilled.
+    Two identical campus runs, one with the default horizon (longer than
+    the run) and one with a 40-second one: inside the retained window
+    every series holds exactly the same reports (so QoS conclusions are
+    unchanged), while no series holds more than a horizon of reports
+    and the monitor reports the ones it trimmed.
     """
     spec = campus_spec()
     results = {}
     for retention in (None, 40.0):
         build = build_network(spec)
         net = build.network
+        options = {} if retention is None else {"history_retention_s": retention}
         monitor = NetworkMonitor(
-            build, "h0_0", poll_interval=2.0, seed=seed,
-            history_retention_s=retention,
-            # Small chunks so retention actually gets sealed chunks to
-            # drop within a two-minute run.
-            )
-        monitor.history.db.chunk_size = 16
+            build, "h0_0", poll_interval=2.0, seed=seed, **options
+        )
         watches = [
             monitor.watch_path("h0_1", "h3_1"),
             monitor.watch_path("h1_3", "h3_7"),
@@ -156,37 +153,39 @@ def test_campus_soak_bounded_history_under_retention(seed):
     retained, _ = results[40.0]
 
     # Retention actually dropped data, and the monitor accounts for it.
-    dropped = retained.history.dropped_samples
+    dropped = retained.history.reports_dropped
     assert dropped > 0
     assert retained.stats()["history_dropped"] == dropped
-    assert unlimited.history.dropped_samples == 0
+    assert unlimited.history.reports_dropped == 0
+    assert (retained.stats()["history_samples"] + dropped
+            == unlimited.stats()["history_samples"])
 
-    # Memory is bounded: the retained run stores strictly less, and no
-    # series holds more than retention-window + one-chunk of samples.
-    assert (retained.history.storage_stats().nbytes
-            < unlimited.history.storage_stats().nbytes)
-    max_samples = int(40.0 / 2.0) + 16 + 1  # window + straddling chunk slack
+    # The bound is exact at report granularity: a horizon of reports
+    # plus the one at its floor, every one no older than the newest
+    # minus the horizon.
     for label in watches:
         series = retained.history.series(label)
-        assert len(series) <= max_samples
-        assert len(series.reports) == len(series)  # pruned in lockstep
+        assert len(series) <= int(40.0 / 2.0) + 1
+        times = series.times()
+        assert times[0] >= times[-1] - 40.0
+        full = unlimited.history.series(label)
+        assert len(full.between(-1.0, times[-1] - 40.0)) == series.dropped
 
     # QoS detection is unchanged: within the surviving window both runs
-    # decode bit-identical measurement arrays.
+    # hold bit-identical measurement arrays.
     for label in watches:
         full = unlimited.history.series(label)
         trimmed = retained.history.series(label)
         floor = trimmed.times()[0]
         window_full = full.between(floor, 1e9)
-        window_trim = trimmed.between(floor, 1e9)
-        assert (window_full.times() == window_trim.times()).all()
+        assert (window_full.times() == trimmed.times()).all()
         assert (
             window_full.used().view("uint64")
-            == window_trim.used().view("uint64")
+            == trimmed.used().view("uint64")
         ).all()
         assert (
             window_full.available().view("uint64")
-            == window_trim.available().view("uint64")
+            == trimmed.available().view("uint64")
         ).all()
         # The latest report -- what the RM middleware acts on -- agrees.
         assert trimmed.latest().available_bps == full.latest().available_bps
