@@ -10,28 +10,33 @@ search) can read at a glance.
 The matrix binds every pair's path to the calculator's cache entries
 once per topology epoch, judges once per connection whether the
 physical graph can route around it (``pair_redundant``'s bridge rule, so
-each cell carries the pair's ``redundant`` flag), and keeps the previous snapshot plus a reverse
-index from those entries to the host pairs whose path crosses them.  A
-snapshot is **one validation plus one composition per pair**: a single
-``refresh`` brings each distinct connection up to date (see
-:mod:`repro.core.dataflow`) and reads its epoch token off the entry;
-then every pair is composed from its bound entries by
-``BandwidthCalculator.compose`` -- the step ``measure_path`` ends in, so
-there is one way to compose a report -- with no clock read, no token and
-no measurement per pair.  On the ledger's 36-host mesh that is 41
-connections validated and 630 pairs composed.  Each measurement already
-holds its ``a_i`` and each composed report holds its ``A``, so reading a
-cell's ``available_bps`` costs no call.  Pairs that cross no dirty
-connection reuse their previous report verbatim when the report instant
-is unchanged.  Cells are not consumer-facing reports: a snapshot records
+each cell carries the pair's ``redundant`` flag), and lays the pair set
+out as columns: a pair -> connection index over the distinct connections
+its paths cross.  A snapshot is **one validation per connection plus a
+few array operations for all pairs**: a single ``refresh`` brings each
+distinct connection up to date (see :mod:`repro.core.dataflow`), the
+snapshot captures each one's immutable measurement, confidence and
+whether its epoch token moved, and from those computes every pair's
+``A = min(m_i - u_i)``, its degraded / unavailable flags and its
+dirtiness as columns over the index.  On the ledger's 36-host mesh that
+is 41 connections validated and no Python call per pair.
+
+A pair's :class:`~repro.core.report.PathReport` is composed only when
+something reads its cell, by ``BandwidthCalculator.compose`` -- the step
+``measure_path`` ends in, so there is one way to compose a report -- over
+the measurements the snapshot captured, and is memoized for the
+snapshot's life.  A pair that crosses no dirty connection hands on the
+previous snapshot's report verbatim when the report instant is
+unchanged.  Cells are not consumer-facing reports: a snapshot records
 one ``matrix_snapshot`` span and no per-pair telemetry.  Output is
 bit-identical to ``measure_path(..., fresh=True)`` per pair.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -44,6 +49,12 @@ from repro.topology.graph import TopologyGraph
 from repro.topology.model import TopologySpec
 
 _METRICS = ("available", "used", "utilization")
+#: A cell's trust status as a small integer, in rank order.
+STATUSES = ("fresh", "degraded", "unavailable")
+
+Pair = Tuple[str, str]
+
+_UNREAD = object()  # a cell whose report nobody has asked for yet
 
 
 class MatrixError(ValueError):
@@ -52,11 +63,18 @@ class MatrixError(ValueError):
 
 @dataclass
 class MatrixSnapshot:
-    """One instant's all-pairs measurements."""
+    """One instant's all-pairs measurements.
+
+    ``reports`` maps each unordered host pair (in the matrix's host
+    order) to its :class:`PathReport`, or None for a disconnected pair.
+    A snapshot taken by :class:`BandwidthMatrix` holds a mapping there
+    that composes a pair's report when it is read, and carries every
+    pair's ``A``, trust status and dirtiness as columns beside.
+    """
 
     hosts: List[str]
     time: float
-    reports: Dict[Tuple[str, str], Optional[PathReport]]  # unordered pairs
+    reports: Mapping[Pair, Optional[PathReport]]  # unordered pairs
     _cache: Dict[str, np.ndarray] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -71,9 +89,10 @@ class MatrixSnapshot:
             raise MatrixError(f"pair ({a}, {b}) not in this matrix") from None
 
     def values(self, metric: str = "available") -> np.ndarray:
-        """A symmetric matrix of the chosen metric (NaN on the diagonal
-        and for disconnected pairs).  Units: bytes/second, or a fraction
-        for "utilization"."""
+        """A symmetric matrix of the chosen metric (NaN on the diagonal,
+        for disconnected pairs, and for unavailable ones, whose figures
+        are stale).  Units: bytes/second, or a fraction for
+        "utilization"."""
         if metric not in _METRICS:
             raise MatrixError(f"unknown metric {metric!r}; pick from {_METRICS}")
         cached = self._cache.get(metric)
@@ -83,8 +102,8 @@ class MatrixSnapshot:
             cols: List[int] = []
             vals: List[float] = []
             for (a, b), report in self.reports.items():
-                if report is None:
-                    continue  # disconnected pair stays NaN
+                if report is None or report.unavailable:
+                    continue  # disconnected or unknown pair stays NaN
                 if metric == "available":
                     value = report.available_bps
                 elif metric == "used":
@@ -128,14 +147,190 @@ class MatrixSnapshot:
         return "\n".join(lines)
 
     def worst_pair(self) -> Optional[Tuple[str, str, float]]:
-        """The host pair with the least available bandwidth."""
+        """The measurable host pair with the least available bandwidth
+        (None when no pair is measurable: an unavailable pair's ``A`` is
+        unknown, not small)."""
         worst: Optional[Tuple[str, str, float]] = None
         for (a, b), report in self.reports.items():
-            if report is None:
+            if report is None or report.unavailable:
                 continue
             if worst is None or report.available_bps < worst[2]:
                 worst = (a, b, report.available_bps)
         return worst
+
+
+class _Layout:
+    """One topology epoch's pair set, laid out for columns.
+
+    ``keys[i]`` is pair ``i`` (matrix host order); ``held[i]`` its
+    ``(connection indices, report name, redundant)``, None when
+    disconnected; ``table[i]`` the indices of its connections into
+    ``entries``, padded with ``len(entries)`` (a sentinel column every
+    per-connection array carries last) to one width plus one, so every
+    row holds at least one sentinel; ``order`` the pair indices sorted
+    by pair.
+    """
+
+    __slots__ = (
+        "keys", "index", "held", "entries", "table", "lengths", "connected",
+        "connected_count", "path_entries", "order",
+    )
+
+    def __init__(
+        self,
+        keys: List[Pair],
+        held: List[Optional[Tuple[Tuple[int, ...], str, bool]]],
+        entries: List[ConnCacheEntry],
+    ) -> None:
+        self.keys = keys
+        self.index = {pair: i for i, pair in enumerate(keys)}
+        self.held = held
+        self.entries = entries
+        sentinel = len(entries)
+        paths = [() if h is None else h[0] for h in held]
+        width = max((len(p) for p in paths), default=0) + 1
+        table = np.full((len(keys), width), sentinel, dtype=np.intp)
+        for i, path in enumerate(paths):
+            table[i, : len(path)] = path
+        self.table = table
+        self.lengths = np.array([len(p) for p in paths], dtype=np.int64)
+        self.connected = np.array([h is not None for h in held], dtype=bool)
+        self.connected_count = int(np.count_nonzero(self.connected))
+        self.path_entries = int(self.lengths.sum())
+        self.order = np.array(
+            sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp
+        )
+
+
+class _PairCells(Mapping):
+    """One snapshot's cells: columns over every pair, and a
+    :class:`PathReport` composed for a pair only when its cell is read.
+
+    A mapping from pair to report (None: disconnected), so it reads like
+    the dict of reports it stands for.  The columns hold what a report
+    would say without composing it: ``available`` is each pair's ``A``
+    (NaN when unavailable), ``status`` its index into :data:`STATUSES`,
+    ``dirty`` whether its path crosses a connection whose token moved
+    since the previous snapshot.
+    """
+
+    __slots__ = (
+        "layout", "time", "available", "status", "dirty", "_compose",
+        "_measurements", "_confidences", "_gathered", "_reused", "_origin",
+        "_memo", "_entries", "_columns",
+    )
+
+    def __init__(
+        self,
+        layout: _Layout,
+        time: float,
+        compose: Callable[..., PathReport],
+        captured: Tuple[list, list, np.ndarray],
+        columns: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        reused: Optional[np.ndarray],
+        origin: Optional["_PairCells"],
+    ) -> None:
+        self.layout = layout
+        self.time = time
+        self._compose = compose
+        self._measurements, self._confidences, self._gathered = captured
+        self.available, self.status, self.dirty = columns
+        self._reused = reused  # same-instant clean pairs: the origin's report
+        self._origin = origin
+        self._memo = [_UNREAD] * len(layout.keys)
+        self._entries: List[Optional[ConnCacheEntry]] = [None] * len(layout.entries)
+        self._columns: Dict[str, np.ndarray] = {}
+
+    # -- the mapping ------------------------------------------------------
+    def __getitem__(self, pair: Pair) -> Optional[PathReport]:
+        return self.cell(self.layout.index[pair])
+
+    def __contains__(self, pair: object) -> bool:
+        return pair in self.layout.index
+
+    def __iter__(self) -> Iterator[Pair]:
+        return iter(self.layout.keys)
+
+    def __len__(self) -> int:
+        return len(self.layout.keys)
+
+    def get(self, pair: Pair, default=None):
+        i = self.layout.index.get(pair)
+        return default if i is None else self.cell(i)
+
+    # -- cells ------------------------------------------------------------
+    def candidates(self) -> np.ndarray:
+        """The indices of the dirty pairs, sorted by pair."""
+        order = self.layout.order
+        return order[self.dirty[order]]
+
+    def cell(self, i: int) -> Optional[PathReport]:
+        """Pair ``i``'s report, composed on first read."""
+        report = self._memo[i]
+        if report is _UNREAD:
+            held = self.layout.held[i]
+            if held is None:
+                report = None
+            elif self._reused is not None and self._reused[i]:
+                report = self._origin.cell(i)
+            else:
+                conns, name, redundant = held
+                a, b = self.layout.keys[i]
+                entries = self._entries
+                report = self._compose(
+                    [entries[k] or self._entry(k) for k in conns],
+                    a, b, self.time, name, redundant,
+                )
+            self._memo[i] = report
+        return report
+
+    def _entry(self, k: int) -> ConnCacheEntry:
+        """Connection ``k`` as the snapshot captured it, in the form
+        ``compose`` reads; made once per snapshot."""
+        entry = self._entries[k] = ConnCacheEntry(
+            self.layout.entries[k].conn,
+            measurement=self._measurements[k],
+            confidence=self._confidences[k],
+        )
+        return entry
+
+    def column(self, metric: str) -> np.ndarray:
+        """``metric`` ("available", "used" or "utilization") of every pair,
+        as its composed report would read it."""
+        if metric == "available":
+            return self.available
+        out = self._columns.get(metric)
+        if out is None:
+            table = self.layout.table
+            if metric == "used":
+                out = self._used(table)
+            elif metric == "utilization":
+                # The bottleneck is the first connection of least a_i
+                # (a_i is never NaN); the sentinel's +inf never wins.
+                utilization = np.array(
+                    [m.utilization for m in self._measurements] + [0.0]
+                )
+                first_least = self._gathered.argmin(axis=1)
+                out = utilization[table[np.arange(len(table)), first_least]]
+            else:
+                raise MatrixError(f"unknown metric {metric!r}; pick from {_METRICS}")
+            self._columns[metric] = out
+        return out
+
+    def _used(self, table: np.ndarray) -> np.ndarray:
+        """``max`` of the measured connections' ``u_i`` (0.0 when none),
+        column by column in path order, as ``max`` compares them."""
+        used = np.array([m.used_bps for m in self._measurements] + [0.0])
+        measured = np.array([m.measured for m in self._measurements] + [False])
+        best = np.full(len(table), np.nan)
+        have = np.zeros(len(table), dtype=bool)
+        for k in range(table.shape[1]):
+            value = used[table[:, k]]
+            counts = measured[table[:, k]]
+            take = counts & (~have | (value > best))
+            best = np.where(take, value, best)
+            have |= counts
+        return np.where(have, best, 0.0)
 
 
 class BandwidthMatrix:
@@ -160,17 +355,17 @@ class BandwidthMatrix:
         self.pair_cache_hits = 0
         self.pair_recomputes = 0
         self.dirty_pairs_last = 0
-        # Stream hook: the dirty-pair set behind the latest snapshot, and
-        # whether that snapshot rebuilt its paths (topology epoch moved).
-        # The stream publisher reads these instead of diffing snapshots.
-        self.last_dirty_pairs: Set[Tuple[str, str]] = set()
+        # Whether the latest snapshot rebuilt its paths (topology epoch
+        # moved); its cells say which pairs are dirty.
         self.last_snapshot_rebuilt = False
 
     def _build_paths(self) -> None:
         self._topology_epoch = self.graph.topology_epoch
-        # pair -> (bound path, report name, redundant), None when disconnected
-        self._paths: Dict[Tuple[str, str], Optional[Tuple[BoundPath, str, bool]]] = {}
-        self._pairs_of_conn: Dict[ConnCacheEntry, List[Tuple[str, str]]] = {}
+        keys: List[Pair] = []
+        # per pair: (its entries' columns, report name, redundant), None
+        # when disconnected
+        held: List[Optional[Tuple[Tuple[int, ...], str, bool]]] = []
+        position: Dict[ConnCacheEntry, int] = {}  # distinct entry -> column
         bind = self.calculator.bind
         # A pair is redundant when its path crosses a connection whose own
         # two ends are a redundant pair (pair_redundant on that one
@@ -179,28 +374,29 @@ class BandwidthMatrix:
         spare: Set[ConnCacheEntry] = set()
         for i, a in enumerate(self.hosts):
             for b in self.hosts[i + 1:]:
+                keys.append((a, b))
                 try:
                     bound = bind(find_path(self.graph, a, b))
                 except NoPathError:
-                    self._paths[(a, b)] = None
+                    held.append(None)
                     continue
                 for entry in bound:
-                    pairs = self._pairs_of_conn.get(entry)
-                    if pairs is None:
-                        pairs = self._pairs_of_conn[entry] = []
+                    if entry not in position:
+                        position[entry] = len(position)
                         conn = entry.conn
                         if pair_redundant(
                             self.graph, conn.end_a.node, conn.end_b.node, (conn,)
                         ):
                             spare.add(entry)
-                    pairs.append((a, b))
-                self._paths[(a, b)] = (
-                    bound, f"matrix:{a}<->{b}", not spare.isdisjoint(bound)
-                )
-        self._conns = BoundPath(self._pairs_of_conn)  # each distinct entry
+                held.append((
+                    tuple(position[entry] for entry in bound),
+                    f"matrix:{a}<->{b}",
+                    not spare.isdisjoint(bound),
+                ))
+        self._conns = BoundPath(position)  # each distinct entry, in column order
+        self._layout = _Layout(keys, held, list(self._conns))
         # Previous-snapshot state for dirty-pair reuse: void on new paths.
-        self._prev_reports: Dict[Tuple[str, str], Optional[PathReport]] = {}
-        self._prev_time: Optional[float] = None
+        self._prev: Optional[_PairCells] = None
         self._prev_tokens: Dict[ConnCacheEntry, Tuple] = {}
 
     def snapshot(self, time: float) -> MatrixSnapshot:
@@ -211,49 +407,75 @@ class BandwidthMatrix:
             # Topology changed: paths may differ, previous state is void.
             self._build_paths()
             rebuilt = True
-        # One validation pass over the distinct connections; a pair is
-        # dirty when it crosses an entry whose token moved since the
-        # previous snapshot.
+        layout = self._layout
+        # One validation pass over the distinct connections, then capture
+        # what each holds now; a connection is dirty when its token moved
+        # since the previous snapshot.
         self.calculator.refresh(self._conns, time)
-        dirty_pairs: Set[Tuple[str, str]] = set()
+        measurements = []
+        confidences = []
+        available = []
+        trust = []
+        moved = []
         prev_tokens = self._prev_tokens
-        for entry, pairs in self._pairs_of_conn.items():
-            if prev_tokens.get(entry) != entry.token:
-                prev_tokens[entry] = entry.token
-                dirty_pairs.update(pairs)
+        inf = float("inf")
+        for entry in layout.entries:
+            m = entry.measurement
+            c = entry.confidence
+            measurements.append(m)
+            confidences.append(c)
+            available.append(m.available_bps)
+            trust.append(inf if c is None else c)  # None: not expected
+            token = entry.token
+            if prev_tokens.get(entry) != token:
+                prev_tokens[entry] = token
+                moved.append(True)
+            else:
+                moved.append(False)
+        table = layout.table
+        # Every pair at once, as compose would judge it: A is the least
+        # a_i (never NaN, so min is the loop's first least), confidence
+        # the least expected source's (+inf: none expected).
+        gathered = np.array(available + [inf])[table]
+        least = np.array(trust + [inf])[table].min(axis=1)
+        measured = least < inf
+        confidence = np.where(measured, least, 1.0)
+        unavailable = measured & (confidence <= 0.0)
+        status = np.where(unavailable, 2, np.where(confidence < 1.0, 1, 0))
+        a_column = np.where(unavailable, np.nan, gathered.min(axis=1))
+        dirty = np.array(moved + [False])[table].any(axis=1)
         # A previous report is reusable *verbatim* only at the same report
-        # instant (age fields depend on it); across instants the pair is
-        # recomposed from the entries validated just above, which is
-        # cheap but produces a new PathReport with fresh age figures.
-        same_time = self._prev_time == time and bool(self._prev_reports)
-        compose = self.calculator.compose
-        composed_entries = 0
-        reports: Dict[Tuple[str, str], Optional[PathReport]] = {}
-        for pair, held in self._paths.items():
-            if held is None:
-                reports[pair] = None
-                continue
-            if same_time and pair not in dirty_pairs:
-                prev = self._prev_reports.get(pair)
-                if prev is not None:
-                    reports[pair] = prev
-                    self.pair_cache_hits += 1
-                    continue
-            bound, name, redundant = held
-            reports[pair] = compose(bound, pair[0], pair[1], time, name, redundant)
-            composed_entries += len(bound)
-            self.pair_recomputes += 1
-        # A composed pair asked the cache for each of its entries: count
-        # them as lookups, as a report built through measure_path does.
-        self.calculator.lookups += composed_entries
-        self._prev_reports = reports
-        self._prev_time = time
-        self.dirty_pairs_last = len(dirty_pairs)
+        # instant (age fields depend on it); across instants a pair is
+        # recomposed, when read, from the measurements captured above.
+        prev = self._prev
+        reused = None
+        reused_count = reused_entries = 0
+        if prev is not None and prev.time == time:
+            reused = layout.connected & ~dirty
+            reused_count = int(np.count_nonzero(reused))
+            reused_entries = int(layout.lengths[reused].sum())
+        self.pair_cache_hits += reused_count
+        self.pair_recomputes += layout.connected_count - reused_count
+        # A recomposed pair asks for each of its entries: count them as
+        # lookups, as a report built through measure_path does.
+        self.calculator.lookups += layout.path_entries - reused_entries
+        cells = _PairCells(
+            layout,
+            time,
+            self.calculator.compose,
+            (measurements, confidences, gathered),
+            (a_column, status, dirty),
+            reused,
+            prev if reused is not None else None,
+        )
+        self._prev = cells
+        self.dirty_pairs_last = int(np.count_nonzero(dirty))
         # After a rebuild previous tokens were void, so every measurable
-        # pair landed in dirty_pairs -- exactly what the stream publisher
-        # must re-deliver; it still needs the rebuilt flag to re-baseline
-        # its significance filters.
-        self.last_dirty_pairs = dirty_pairs
+        # pair is dirty -- exactly what the stream publisher must
+        # re-deliver; it still needs the rebuilt flag to re-baseline its
+        # significance filters.
         self.last_snapshot_rebuilt = rebuilt
-        span.finish(pairs=len(reports), dirty_pairs=len(dirty_pairs), rebuilt=rebuilt)
-        return MatrixSnapshot(hosts=list(self.hosts), time=time, reports=reports)
+        span.finish(
+            pairs=len(layout.keys), dirty_pairs=self.dirty_pairs_last, rebuilt=rebuilt
+        )
+        return MatrixSnapshot(hosts=list(self.hosts), time=time, reports=cells)

@@ -13,11 +13,19 @@ Per :meth:`publish` cycle:
 
 1. advance the :class:`~repro.core.dataflow.PublishClock` (all events
    this cycle share the new epoch -- the coherence guarantee);
-2. take a matrix snapshot and read the dirty-pair hook;
-3. for each dirty pair: route the raw value to continuous queries,
-   emit trust-status transitions unconditionally, and emit a
-   ``PairChanged`` only if the significance filter agrees;
-4. serve ``deliver_unchanged`` subscriptions (the RM heartbeat mode)
+2. take a matrix snapshot, whose cells carry every pair's ``A``, trust
+   status and dirtiness as columns;
+3. judge all dirty pairs at once, as columns: route the raw values to
+   the continuous queries, compare each status with the pair's last, and
+   run the significance filter -- a few array operations per cycle
+   whatever the pair count, because every piece of per-pair state lives
+   in arrays (:mod:`repro.stream.columns`);
+4. then, pair by pair in sorted order and only for pairs that have one,
+   emit the events: query events, then a trust-status transition
+   (always), then a ``PairChanged`` if the filter passed the value and
+   someone subscribes to the pair.  Only these pairs' reports are
+   composed;
+5. serve ``deliver_unchanged`` subscriptions (the RM heartbeat mode)
    and ``block``-policy resyncs from the same snapshot.
 
 A topology rebuild (the matrix re-traversed its paths) resets the
@@ -31,9 +39,12 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.dataflow import PublishClock
-from repro.core.matrix import BandwidthMatrix, MatrixSnapshot
+from repro.core.matrix import STATUSES, BandwidthMatrix, MatrixSnapshot
 from repro.core.report import PathReport
+from repro.stream.columns import PairColumns
 from repro.stream.events import (
     PairChanged,
     PathDegraded,
@@ -51,7 +62,28 @@ __all__ = ["MatrixPublisher"]
 
 PairKey = Tuple[str, str]
 
-_STATUS_RANK = {"fresh": 0, "degraded": 1, "unavailable": 2}
+_UNAVAILABLE = STATUSES.index("unavailable")
+
+
+class _Statuses(PairColumns):
+    """Each pair's last trust status, as an index into STATUSES."""
+
+    _EMPTY = {"last": -1}  # no status seen yet
+
+
+class _Plan:
+    """What the publisher derives from one pair layout (one topology
+    epoch of the matrix): each pair's event key and its state slots."""
+
+    __slots__ = ("layout", "keys", "status_slots", "filter_slots", "queries")
+
+    def __init__(self, layout, keys: List[PairKey]) -> None:
+        self.layout = layout
+        self.keys = keys
+        self.status_slots: Optional[np.ndarray] = None
+        self.filter_slots: Optional[np.ndarray] = None
+        # query name -> (pair wanted, slot), both over the layout's pairs
+        self.queries: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
 
 class MatrixPublisher:
@@ -73,7 +105,8 @@ class MatrixPublisher:
         self.clock = PublishClock()
         self._queries: Dict[str, ContinuousQuery] = {}
         self._query_owner: Dict[str, str] = {}
-        self._last_status: Dict[PairKey, str] = {}
+        self._statuses = _Statuses()
+        self._plan: Optional[_Plan] = None
         self._last_snapshot: Optional[MatrixSnapshot] = None
         self.cycles = 0
         self.filter_resets = 0
@@ -103,14 +136,7 @@ class MatrixPublisher:
         self.cycles += 1
         if self.matrix.last_snapshot_rebuilt:
             self._rebaseline()
-        candidates = [
-            pair
-            for pair in self.matrix.last_dirty_pairs
-            if snapshot.reports.get(pair) is not None
-        ]
-        candidates.sort()
-        for pair in candidates:
-            self._publish_pair(pair, snapshot.reports[pair], time, epoch)
+        self._judge(snapshot.reports, time, epoch)
         self._serve_heartbeats(snapshot, time, epoch)
         self._serve_resyncs(snapshot, time, epoch)
         self._last_snapshot = snapshot
@@ -122,63 +148,118 @@ class MatrixPublisher:
             self.significance.reset()
         for query in self._queries.values():
             query.reset()
-        self._last_status.clear()
+        self._statuses.reset()
         self.filter_resets += 1
 
-    def _publish_pair(
-        self, pair: PairKey, report: PathReport, time: float, epoch: int
-    ) -> None:
-        key = pair_key(*pair)
+    def _plan_for(self, layout) -> _Plan:
+        plan = self._plan
+        if plan is None or plan.layout is not layout:
+            keys = [pair_key(a, b) for a, b in layout.keys]
+            plan = self._plan = _Plan(layout, keys)
+            plan.status_slots = self._statuses.slots(keys)
+            if self.significance is not None:
+                plan.filter_slots = self.significance.slots(keys)
+        return plan
+
+    def _query_plan(self, plan: _Plan, query: ContinuousQuery):
+        held = plan.queries.get(query.name)
+        if held is None:
+            wanted = np.array([query.wants(key) for key in plan.keys], dtype=bool)
+            held = plan.queries[query.name] = (wanted, query.slots(plan.keys))
+        return held
+
+    def _judge(self, cells, time: float, epoch: int) -> None:
+        """Judge every dirty pair of the cycle at once, then emit each
+        pair's events in sorted-pair order."""
+        rows = cells.candidates()
+        count = len(rows)
+        if not count:
+            return
+        plan = self._plan_for(cells.layout)
+        status = cells.status[rows]
+        unavailable = status == _UNAVAILABLE
+        emit = np.zeros(count, dtype=bool)
         # 1. Continuous queries see the raw, unfiltered value.
+        outcomes = []
         for name, query in self._queries.items():
-            if not query.wants(key):
+            wanted, slots = self._query_plan(plan, query)
+            pick = wanted[rows]
+            if not pick.any():
                 continue
-            outcome = query.offer(key, report)
-            if outcome is None:
-                continue
-            what, value = outcome
-            owner = self._query_owner[name]
-            if what == "fired":
-                describe = getattr(query, "describe", None)
-                event: StreamEvent = QueryFired(
-                    pair=key, time=time, epoch=epoch, query=name, value=value,
-                    detail=describe() if describe is not None else None,
-                )
-            else:
-                event = QueryCleared(
-                    pair=key, time=time, epoch=epoch, query=name, value=value
-                )
-            self.manager.deliver_to(self.manager.get(owner), event)
+            fired, cleared, values = query.judge(
+                slots[rows][pick], cells.column(query.metric)[rows][pick],
+                unavailable[pick],
+            )
+            hit = fired | cleared
+            if hit.any():
+                at = np.flatnonzero(pick)[hit]
+                emit[at] = True
+                outcomes.append((name, query, dict(
+                    zip(at.tolist(), zip(fired[hit].tolist(), values[hit].tolist()))
+                )))
         # 2. Trust-status transitions are always events.
-        status = report.status
-        previous_status = self._last_status.get(key)
-        if previous_status is not None and status != previous_status:
-            if _STATUS_RANK[status] > _STATUS_RANK[previous_status]:
-                self.manager.deliver(
-                    PathDegraded(
-                        pair=key, time=time, epoch=epoch, report=report,
-                        status=status, previous_status=previous_status,
-                    )
-                )
-            else:
-                self.manager.deliver(
-                    PathRestored(
-                        pair=key, time=time, epoch=epoch, report=report,
-                        status=status, previous_status=previous_status,
-                    )
-                )
-        self._last_status[key] = status
+        status_slots = plan.status_slots[rows]
+        previous = self._statuses.last[status_slots]
+        self._statuses.last[status_slots] = status
+        moved = (previous >= 0) & (previous != status)
         # 3. The value change itself, behind the significance filter.
-        available = report.available_bps
-        if self.significance is not None:
-            if not self.significance.significant(key, available):
-                self.manager.note_suppressed()
-                return
-            previous = self.significance.last_delivered(key)
-            self.significance.delivered(key, available)
+        available = cells.available[rows]
+        if self.significance is None:
+            passed = np.ones(count, dtype=bool)
+            anchors = np.full(count, math.nan)
         else:
-            previous = math.nan
-        self.manager.deliver(self._changed_event(key, report, time, epoch, previous))
+            filter_slots = plan.filter_slots[rows]
+            passed = self.significance.significant(filter_slots, available)
+            anchors = self.significance.last_delivered(filter_slots)
+            self.significance.delivered(filter_slots[passed], available[passed])
+            suppressed = count - int(np.count_nonzero(passed))
+            if suppressed:
+                self.manager.note_suppressed(suppressed)
+        emit |= moved | passed
+        # Then the events, pair by pair, composing only these reports.
+        manager = self.manager
+        rows_at = rows.tolist()
+        status_at = status.tolist()
+        previous_at = previous.tolist()
+        moved_at = moved.tolist()
+        passed_at = passed.tolist()
+        anchors_at = anchors.tolist()
+        for j in np.flatnonzero(emit).tolist():
+            i = rows_at[j]
+            key = plan.keys[i]
+            for name, query, hits in outcomes:
+                hit = hits.get(j)
+                if hit is None:
+                    continue
+                was_fired, value = hit
+                if was_fired:
+                    describe = getattr(query, "describe", None)
+                    event: StreamEvent = QueryFired(
+                        pair=key, time=time, epoch=epoch, query=name, value=value,
+                        detail=describe() if describe is not None else None,
+                    )
+                else:
+                    event = QueryCleared(
+                        pair=key, time=time, epoch=epoch, query=name, value=value
+                    )
+                manager.deliver_to(manager.get(self._query_owner[name]), event)
+            report = None
+            if moved_at[j]:
+                report = cells.cell(i)
+                now, before = STATUSES[status_at[j]], STATUSES[previous_at[j]]
+                kind = PathDegraded if status_at[j] > previous_at[j] else PathRestored
+                manager.deliver(
+                    kind(
+                        pair=key, time=time, epoch=epoch, report=report,
+                        status=now, previous_status=before,
+                    )
+                )
+            if passed_at[j] and manager.subscribers_of(key):
+                if report is None:
+                    report = cells.cell(i)
+                manager.deliver(
+                    self._changed_event(key, report, time, epoch, anchors_at[j])
+                )
 
     @staticmethod
     def _changed_event(

@@ -17,7 +17,7 @@ O(1) per pair change -- never a rescan of history.
 
 :class:`PercentileQuery`
     "p90 bottleneck utilization over the last 60 s": one
-    :class:`~repro.telemetry.quantile.EwmaQuantile` estimator per pair,
+    :class:`~repro.telemetry.quantile.EwmaQuantiles` estimator per pair,
     its weight derived from the window length so observations older
     than roughly one window carry little weight (the classic EWMA
     span ~ window equivalence) -- O(1) memory instead of a 60 s sample
@@ -28,21 +28,35 @@ O(1) per pair change -- never a rescan of history.
 Queries see the pair's *raw* per-cycle values -- the publisher routes
 every recomputed dirty pair to them before significance filtering, so
 a deadband tuned for subscriber wake-ups never distorts a query's
-statistics.
+statistics.  An *unavailable* report is not a value: its availability is
+NaN and its utilization a stale figure, so a query holds its state
+(streak, firing flag, estimator) on it -- "unknown" is evidence of
+neither "still starved" nor "no longer starved".
+
+A query keeps its per-pair state as columns (:mod:`repro.stream.columns`)
+and the publisher feeds a cycle's pairs to its ``judge`` at once;
+:meth:`~ContinuousQuery.offer` is that same code on a batch of one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.core.report import PathReport
+from repro.stream.columns import PairColumns
 from repro.stream.events import pair_key
-from repro.telemetry.quantile import EwmaQuantile
+from repro.telemetry.quantile import EwmaQuantiles
 
 __all__ = ["ContinuousQuery", "PercentileQuery", "QueryError", "ThresholdQuery"]
 
 PairKey = Tuple[str, str]
+#: ``(fired, cleared, value)``: per pair, whether the query fired or
+#: cleared on this batch, and the value its event carries.
+Outcome = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 _METRICS: Dict[str, Callable[[PathReport], float]] = {
@@ -53,53 +67,64 @@ _METRICS: Dict[str, Callable[[PathReport], float]] = {
     ),
 }
 
-_OPS: Dict[str, Callable[[float, float], bool]] = {
-    "<": lambda x, t: x < t,
-    "<=": lambda x, t: x <= t,
-    ">": lambda x, t: x > t,
-    ">=": lambda x, t: x >= t,
-}
+# Each compares a float or, elementwise, an array.
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class QueryError(ValueError):
     """Raised for malformed query definitions."""
 
 
-class ContinuousQuery:
-    """Base: name, pair selection, firing state; a subclass reads its
-    metric off each report (:meth:`_extract`)."""
+class ContinuousQuery(PairColumns):
+    """Base: name, pair selection, firing state.
+
+    A subclass names the report metric it reads (:attr:`metric`) and
+    implements ``judge(slots, values, unavailable) -> (fired, cleared,
+    value)``: it feeds a batch of distinct pairs' (:meth:`slots`)
+    recomputed values, of which an ``unavailable`` pair's is no
+    evidence, and says per pair whether the query fired or cleared and
+    the value its event carries.
+    """
+
+    metric = "available"
+    _EMPTY = {"_firing": False}
 
     def __init__(
         self, name: str, pairs: Optional[Tuple[Tuple[str, str], ...]] = None
     ) -> None:
+        super().__init__()
         self.name = name
         self.pairs: Optional[frozenset] = (
             frozenset(pair_key(a, b) for a, b in pairs) if pairs is not None else None
         )
-        self._firing: Dict[PairKey, bool] = {}
-
-    @staticmethod
-    def _extract(report: PathReport) -> float:
-        raise NotImplementedError
 
     def wants(self, pair: PairKey) -> bool:
         return self.pairs is None or pair in self.pairs
 
     def firing(self, pair: Tuple[str, str]) -> bool:
         """Is the predicate currently holding for this pair?"""
-        return self._firing.get(pair_key(*pair), False)
+        slot = self._slot_of.get(pair_key(*pair))
+        return slot is not None and bool(self._firing[slot])
 
     def offer(self, pair: PairKey, report: PathReport) -> Optional[Tuple[str, float]]:
-        """Feed one recomputed pair; ("fired"|"cleared", value) on change."""
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Forget all per-pair state (topology epoch bump)."""
-        self._firing.clear()
+        """Feed one recomputed pair, a batch of one; ("fired"|"cleared",
+        value) on change."""
+        fired, cleared, values = self.judge(
+            self.slots((pair,)),
+            np.array([_METRICS[self.metric](report)], dtype=float),
+            np.array([report.unavailable]),
+        )
+        if fired[0]:
+            return ("fired", float(values[0]))
+        if cleared[0]:
+            return ("cleared", float(values[0]))
+        return None
 
 
 class ThresholdQuery(ContinuousQuery):
     """``metric OP threshold`` sustained for >= ``for_samples`` samples."""
+
+    _EMPTY = {**ContinuousQuery._EMPTY, "_streaks": 0}
 
     def __init__(
         self,
@@ -120,36 +145,30 @@ class ThresholdQuery(ContinuousQuery):
             raise QueryError(f"for_samples must be >= 1, got {for_samples!r}")
         super().__init__(name, pairs=pairs)
         self.metric = metric
-        self._extract = _METRICS[metric]
         self.op = op
         self._compare = _OPS[op]
         self.threshold = threshold
         self.for_samples = for_samples
-        self._streaks: Dict[PairKey, int] = {}
 
     def describe(self) -> str:
         tail = f" for >= {self.for_samples} samples" if self.for_samples > 1 else ""
         return f"{self.metric} {self.op} {self.threshold:g}{tail}"
 
-    def offer(self, pair: PairKey, report: PathReport) -> Optional[Tuple[str, float]]:
-        value = self._extract(report)
-        matches = not math.isnan(value) and self._compare(value, self.threshold)
-        if matches:
-            streak = self._streaks.get(pair, 0) + 1
-            self._streaks[pair] = streak
-            if streak >= self.for_samples and not self._firing.get(pair, False):
-                self._firing[pair] = True
-                return ("fired", value)
-            return None
-        self._streaks[pair] = 0
-        if self._firing.get(pair, False):
-            self._firing[pair] = False
-            return ("cleared", value)
-        return None
-
-    def reset(self) -> None:
-        super().reset()
-        self._streaks.clear()
+    def judge(
+        self, slots: np.ndarray, values: np.ndarray, unavailable: np.ndarray
+    ) -> Outcome:
+        live = ~unavailable
+        matches = live & ~np.isnan(values) & self._compare(values, self.threshold)
+        streaks = self._streaks[slots]
+        was_firing = self._firing[slots]
+        # A match extends the streak, a live miss ends it, "unknown" holds it.
+        self._streaks[slots] = np.where(
+            matches, streaks + 1, np.where(live, 0, streaks)
+        )
+        fired = matches & (streaks + 1 >= self.for_samples) & ~was_firing
+        cleared = live & ~matches & was_firing
+        self._firing[slots] = (was_firing | fired) & ~cleared
+        return fired, cleared, values
 
 
 class PercentileQuery(ContinuousQuery):
@@ -160,6 +179,8 @@ class PercentileQuery(ContinuousQuery):
     weight is ``2 / (window_s / interval_s + 1)`` (the span formula),
     so samples older than about one window have negligible influence.
     """
+
+    metric = "utilization"
 
     def __init__(
         self,
@@ -180,7 +201,7 @@ class PercentileQuery(ContinuousQuery):
         self.interval_s = interval_s
         self.threshold = threshold
         self.weight = 2.0 / (window_s / interval_s + 1.0)
-        self._estimators: Dict[PairKey, EwmaQuantile] = {}
+        self._estimators = EwmaQuantiles(p, self.weight)
 
     def describe(self) -> str:
         base = f"p{round(self.p * 100)}(utilization) over {self.window_s:g}s"
@@ -188,40 +209,33 @@ class PercentileQuery(ContinuousQuery):
             return base
         return f"{base} > {self.threshold:g}"
 
-    _extract = staticmethod(_METRICS["utilization"])
-
-    def _estimator(self, pair: PairKey) -> EwmaQuantile:
-        estimator = self._estimators.get(pair)
-        if estimator is None:
-            estimator = self._estimators[pair] = EwmaQuantile(
-                self.p, weight=self.weight
-            )
-        return estimator
+    def _grow(self, size: int) -> None:
+        self._estimators.grow(size)
 
     def value(self, pair: Tuple[str, str]) -> float:
         """Current percentile estimate for one pair (NaN: no samples)."""
-        estimator = self._estimators.get(pair_key(*pair))
-        return estimator.value if estimator is not None else math.nan
+        slot = self._slot_of.get(pair_key(*pair))
+        return math.nan if slot is None else float(self._estimators.estimate[slot])
 
-    def offer(self, pair: PairKey, report: PathReport) -> Optional[Tuple[str, float]]:
-        sample = self._extract(report)
-        if math.isnan(sample):
-            return None  # an unavailable path contributes no statistics
-        estimator = self._estimator(pair)
-        estimator.observe(sample)
+    def judge(
+        self, slots: np.ndarray, values: np.ndarray, unavailable: np.ndarray
+    ) -> Outcome:
+        live = ~unavailable
+        if live.any():
+            self._estimators.observe(slots[live], values[live])
+        estimates = self._estimators.estimate[slots]
         if self.threshold is None:
-            return None
-        estimate = estimator.value
-        matches = estimate > self.threshold
-        if matches and not self._firing.get(pair, False):
-            self._firing[pair] = True
-            return ("fired", estimate)
-        if not matches and self._firing.get(pair, False):
-            self._firing[pair] = False
-            return ("cleared", estimate)
-        return None
+            quiet = np.zeros(len(slots), dtype=bool)
+            return quiet, quiet, estimates
+        matches = estimates > self.threshold
+        was_firing = self._firing[slots]
+        fired = live & matches & ~was_firing
+        cleared = live & ~matches & was_firing
+        self._firing[slots] = (was_firing | fired) & ~cleared
+        return fired, cleared, estimates
 
     def reset(self) -> None:
         super().reset()
-        for estimator in self._estimators.values():
-            estimator.reset()
+        self._estimators = EwmaQuantiles(self.p, self.weight)
+        self._estimators.grow(len(self._slot_of))
+

@@ -35,14 +35,14 @@ from repro.telemetry.metrics import (
     MetricError,
     MetricsRegistry,
 )
-from repro.telemetry.quantile import EwmaQuantile, P2Quantile
+from repro.telemetry.quantile import EwmaQuantiles, P2Quantile
 from repro.telemetry.trace import Span, Tracer
 
 __all__ = [
     "Counter",
     "Event",
     "EventBus",
-    "EwmaQuantile",
+    "EwmaQuantiles",
     "Gauge",
     "Histogram",
     "MetricError",

@@ -11,7 +11,7 @@ months).  Two estimators are provided:
     interpolation as observations stream in.  Converges on stationary
     streams; memory is five floats regardless of stream length.
 
-:class:`EwmaQuantile`
+:class:`EwmaQuantiles`
     The exponentially-weighted stochastic-approximation variant in the
     spirit of Chambers, James, Lambert & Vander Wiel, *Monitoring
     Networked Applications With Incremental Quantile Estimation*
@@ -20,20 +20,24 @@ months).  Two estimators are provided:
     mid-run moves the p99 within tens of samples instead of thousands).
     The update is the classic Robbins-Monro step ``q += step * (p - I(x
     <= q))`` with a step size scaled by an exponentially-weighted mean
-    absolute deviation.
+    absolute deviation.  One instance holds a column of independent
+    estimators (one per host pair of the stream) and updates a batch of
+    them at once.
 
-Both expose the same tiny interface: ``observe(x)``, ``value`` and
-``reset()`` -- the latter discards all learned state, returning the
-estimator to its just-constructed condition.  Consumers tracking a
-distribution that is *defined* to have changed (the stream's
-significance filters after a topology epoch bump) re-baseline with it
-instead of letting stale markers bias the new regime.
+Both take observations with ``observe`` and read the current estimate
+off the estimator.  :class:`P2Quantile` re-primes with ``reset()``; a
+consumer of :class:`EwmaQuantiles` tracking a distribution that is
+*defined* to have changed (the stream's significance filters after a
+topology epoch bump) starts a fresh one instead of letting stale
+estimates bias the new regime.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List
+
+import numpy as np
 
 
 class P2Quantile:
@@ -120,45 +124,66 @@ class P2Quantile:
         return self._heights[2]
 
 
-class EwmaQuantile:
-    """Exponentially-weighted incremental quantile for drifting streams.
+class EwmaQuantiles:
+    """Exponentially-weighted incremental quantiles for drifting streams,
+    one independent estimator per slot, updated as columns.
 
     ``weight`` plays the usual EWMA role: larger values track changes
     faster at the price of more estimation noise.  The step size adapts
     to the data's scale through an exponentially-weighted mean absolute
     deviation, so the estimator needs no prior knowledge of units.
+
+    A consumer that tracks many streams at once (one per host pair) keeps
+    them here as three arrays and feeds a whole batch in one
+    :meth:`observe`: numpy does, element by element, the same float
+    operations in the same order as the one-stream update, so every
+    estimate is bit-identical to feeding each stream on its own.
     """
 
-    __slots__ = ("p", "weight", "count", "_estimate", "_scale")
+    __slots__ = ("p", "weight", "count", "estimate", "scale")
 
-    def __init__(self, p: float, weight: float = 0.05) -> None:
+    def __init__(self, p: float, weight: float) -> None:
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile must be in (0, 1), got {p!r}")
         if not 0.0 < weight <= 1.0:
             raise ValueError(f"weight must be in (0, 1], got {weight!r}")
         self.p = p
         self.weight = weight
-        self.reset()
+        self.count = np.zeros(0, dtype=np.int64)
+        self.estimate = np.zeros(0)  # NaN: no observation yet
+        self.scale = np.zeros(0)
 
-    def reset(self) -> None:
-        """Forget every observation; the next one re-seeds the estimate."""
-        self.count = 0
-        self._estimate: Optional[float] = None
-        self._scale = 0.0
+    def grow(self, size: int) -> None:
+        """Make slots ``0 .. size - 1`` exist; new ones have seen nothing."""
+        extra = size - len(self.count)
+        if extra > 0:
+            self.count = np.concatenate((self.count, np.zeros(extra, dtype=np.int64)))
+            self.estimate = np.concatenate((self.estimate, np.full(extra, np.nan)))
+            self.scale = np.concatenate((self.scale, np.zeros(extra)))
 
-    def observe(self, x: float) -> None:
-        self.count += 1
-        if self._estimate is None:
-            self._estimate = float(x)
-            return
-        deviation = abs(x - self._estimate)
-        self._scale += self.weight * (deviation - self._scale)
-        step = self.weight * (self._scale if self._scale > 0.0 else deviation or 1.0)
-        if x > self._estimate:
-            self._estimate += step * self.p / max(self.p, 1.0 - self.p)
-        else:
-            self._estimate -= step * (1.0 - self.p) / max(self.p, 1.0 - self.p)
+    def observe(self, slots: np.ndarray, x: np.ndarray) -> None:
+        """Feed ``x[k]`` to slot ``slots[k]``; the slots must be distinct.
 
-    @property
-    def value(self) -> float:
-        return math.nan if self._estimate is None else self._estimate
+        The Robbins-Monro step ``q += step * (p - I(x <= q))``: a slot's
+        first observation seeds its estimate, every later one moves the
+        scale and then the estimate.
+        """
+        p, weight = self.p, self.weight
+        bound = max(p, 1.0 - p)
+        count = self.count[slots]
+        estimate = self.estimate[slots]
+        scale = self.scale[slots]
+        deviation = np.abs(x - estimate)
+        moved = scale + weight * (deviation - scale)
+        step = weight * np.where(
+            moved > 0.0, moved, np.where(deviation != 0.0, deviation, 1.0)
+        )
+        stepped = np.where(
+            x > estimate,
+            estimate + step * p / bound,
+            estimate - step * (1.0 - p) / bound,
+        )
+        first = count == 0
+        self.count[slots] = count + 1
+        self.estimate[slots] = np.where(first, x, stepped)
+        self.scale[slots] = np.where(first, scale, moved)

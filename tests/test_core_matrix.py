@@ -115,3 +115,63 @@ class TestConstruction:
         snap = matrix.snapshot(time=0.0)
         assert snap.report("A", "C") is None
         assert "n/a" in snap.format_table()
+
+
+class TestUnavailablePairs:
+    """An unavailable pair's A is unknown (NaN) and its other figures
+    stale: it is never the tightest pair and prints n/a in every table."""
+
+    @staticmethod
+    def cell(src, dst, available, unavailable=False):
+        from repro.core.report import ConnectionMeasurement, PathReport
+        from repro.topology.model import ConnectionSpec, InterfaceRef
+
+        capacity = 10_000.0
+        conn = ConnectionSpec(
+            end_a=InterfaceRef(src, "eth0"), end_b=InterfaceRef(dst, "eth0"),
+            bandwidth_bps=capacity * 8,
+        )
+        return PathReport(
+            src=src, dst=dst, time=1.0, unavailable=unavailable,
+            connections=(
+                ConnectionMeasurement(
+                    connection=conn, capacity_bps=capacity,
+                    used_bps=capacity - available, source=None, rule="switch",
+                ),
+            ),
+        )
+
+    def snapshot(self, order):
+        from repro.core.matrix import MatrixSnapshot
+
+        cells = {
+            ("a", "b"): self.cell("a", "b", 1.0, unavailable=True),
+            ("a", "c"): self.cell("a", "c", 5.0),
+            ("b", "c"): self.cell("b", "c", 9.0),
+        }
+        return MatrixSnapshot(
+            hosts=["a", "b", "c"], time=1.0, reports={k: cells[k] for k in order}
+        )
+
+    @pytest.mark.parametrize("order", [
+        (("a", "b"), ("a", "c"), ("b", "c")),
+        (("a", "c"), ("a", "b"), ("b", "c")),
+        (("b", "c"), ("a", "c"), ("a", "b")),
+    ])
+    def test_worst_pair_skips_an_unavailable_pair_in_any_order(self, order):
+        assert self.snapshot(order).worst_pair() == ("a", "c", 5.0)
+
+    def test_no_measurable_pair_has_no_worst(self):
+        from repro.core.matrix import MatrixSnapshot
+
+        dead = self.cell("a", "b", 1.0, unavailable=True)
+        snap = MatrixSnapshot(hosts=["a", "b"], time=1.0, reports={("a", "b"): dead})
+        assert snap.worst_pair() is None
+
+    @pytest.mark.parametrize("metric", ["available", "used", "utilization"])
+    def test_an_unavailable_cell_is_nan_in_every_metric(self, metric):
+        snap = self.snapshot((("a", "b"), ("a", "c"), ("b", "c")))
+        values = snap.values(metric)
+        assert np.isnan(values[0, 1]) and np.isnan(values[1, 0])
+        assert not np.isnan(values[0, 2])
+        assert "n/a" in snap.format_table(metric).splitlines()[2]

@@ -23,7 +23,7 @@ from repro.core.bandwidth import BandwidthCalculator
 from repro.core.dataflow import ConnCacheEntry, DegradedSourceSet
 from repro.core.health import AgentHealthTracker
 from repro.core.linkstate import LinkStateRegistry
-from repro.core.matrix import BandwidthMatrix, MatrixError, MatrixSnapshot
+from repro.core.matrix import STATUSES, BandwidthMatrix, MatrixError, MatrixSnapshot
 from repro.core.monitor import NetworkMonitor, ReportCore
 from repro.core.poller import InterfaceRates, RateTable
 from repro.core.report import ConnectionMeasurement, PathReport
@@ -492,10 +492,18 @@ def test_incremental_equals_full_recompute(ops, clockless):
             # output.  ``available_bps`` is derived, so outside equality:
             # held bit for bit on its own.
             assert got.reports == want.reports
-            for pair, cell in got.reports.items():
+            columns = got.reports
+            for i, (pair, cell) in enumerate(got.reports.items()):
                 if cell is not None:
                     assert _bits(cell.available_bps) == _bits(
                         want.reports[pair].available_bps
+                    )
+                    # What the columns say of a pair is what its report says.
+                    assert _bits(columns.available[i]) == _bits(cell.available_bps)
+                    assert STATUSES[columns.status[i]] == cell.status
+                    assert _bits(columns.column("used")[i]) == _bits(cell.used_bps)
+                    assert _bits(columns.column("utilization")[i]) == _bits(
+                        cell.bottleneck.utilization
                     )
             assert np.array_equal(got.values(), want.values(), equal_nan=True)
             assert np.array_equal(
@@ -773,41 +781,51 @@ class TestReportCost:
         populate_rates(self.SPEC, rates, time=2.0)  # every interface re-sampled
         lookups = calc.lookups
         calls = call_counts(lambda: matrix.snapshot(2.5), by_file=True)
-        pairs, conns = len(matrix._paths), len(matrix._conns)
+        pairs, conns = len(matrix._layout.keys), len(matrix._conns)
         assert (pairs, matrix.dirty_pairs_last) == (630, 630)
-        # One validation of the 41 connections, then one composition per
-        # pair: 7.2 calls a pair measured (12.1 when each pair was
-        # validated again on its own).
-        assert sum(calls.values()) <= 8 * pairs
+        # One validation of the 41 connections, then no call per pair:
+        # every pair's A, trust and dirtiness are array operations (12.1
+        # calls a pair when each pair was validated on its own, 7.2 when
+        # each was composed).
+        assert sum(calls.values()) <= 70 * conns
+        assert _in("/repro/core/matrix.py", calls) <= 3
         by_name = Counter()
         for (_, name), n in calls.items():
             by_name[name] += n
         assert by_name["_revalidate"] == 1
         assert by_name["connection_token"] == conns
         assert by_name["endpoints"] <= 8 * conns
-        assert by_name["compose"] == pairs  # the one way to a report
+        assert by_name["compose"] == 0  # no cell read, no report composed
         assert by_name["measure_path"] == 0
-        # a_i once per measurement built (every connection moved), A once
-        # per report built, each as the value is built.
+        # a_i once per measurement built (every connection moved), and no
+        # report built.
         built = sum(
             n for (path, name), n in calls.items()
             if name == "__post_init__" and path.endswith("/repro/core/report.py")
         )
-        assert built == conns + pairs
+        assert built == conns
         assert by_name["available_bps"] == 0
-        # Every composed pair's entries still count as lookups, so
+        # Every recomposed pair's entries still count as lookups, so
         # dataflow.cache_hit_ratio reads as it did per measure_path.
-        path_entries = sum(len(held[0]) for held in matrix._paths.values())
+        path_entries = sum(len(held[0]) for held in matrix._layout.held if held)
         assert calc.lookups - lookups == conns + path_entries
         # Telemetry: the one matrix_snapshot span, whatever the size.
         assert _in("/repro/telemetry/", calls) <= 6
 
     def test_reading_a_cells_available_costs_no_call(self):
+        # A cell's report is composed when the cell is first read, and
+        # once; A is then an attribute.
         _, matrix = self._matrix()
-        cells = list(matrix.snapshot(2.0).reports.values())
+        cells = matrix.snapshot(2.0).reports
+        pairs = list(cells)[:10]
+        first = call_counts(lambda: [cells[pair] for pair in pairs])
+        assert first["compose"] == len(pairs)
+        again = call_counts(lambda: [cells[pair] for pair in pairs])
+        assert again["compose"] == 0
+        reports = list(cells.values())
 
-        def read():  # what the stream publisher reads per pair, and more
-            for cell in cells:
+        def read():  # what a consumer reads of a composed cell, and more
+            for cell in reports:
                 cell.available_bps, cell.available_bps
                 for m in cell.connections:
                     m.available_bps

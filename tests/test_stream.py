@@ -11,6 +11,7 @@ detector's hysteresis is bit-identical in stream and snapshot modes.
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +100,15 @@ class TestEvents:
 # ----------------------------------------------------------------------
 # Significance filters
 # ----------------------------------------------------------------------
+def significant(f, value, pair=PAIR):
+    """The filter's answer for one pair: its batch of one."""
+    return bool(f.significant(f.slots([pair]), np.array([value], dtype=float))[0])
+
+
+def delivered(f, value, pair=PAIR):
+    f.delivered(f.slots([pair]), np.array([value], dtype=float))
+
+
 class TestDeadbandFilter:
     """The rules every deadband applies, seen through a cold filter, whose
     deadband is its fixed ``floor_bps``."""
@@ -111,42 +121,42 @@ class TestDeadbandFilter:
 
     def test_first_observation_always_significant(self):
         f = self.cold(1000.0)
-        assert f.significant(PAIR, 5000.0)
+        assert significant(f, 5000.0)
 
     def test_moves_inside_deadband_suppressed(self):
         f = self.cold(1000.0)
-        f.significant(PAIR, 5000.0)
-        f.delivered(PAIR, 5000.0)
-        assert not f.significant(PAIR, 5500.0)
-        assert f.significant(PAIR, 7000.0)
+        significant(f, 5000.0)
+        delivered(f, 5000.0)
+        assert not significant(f, 5500.0)
+        assert significant(f, 7000.0)
 
     def test_slow_drift_accumulates_against_anchor(self):
         # Each step is sub-deadband, but the anchor is the last
         # *delivered* value, so the drift eventually passes.
         f = self.cold(1000.0)
-        f.delivered(PAIR, 0.0)
+        delivered(f, 0.0)
         value, fired = 0.0, False
         for _ in range(10):
             value += 400.0
-            if f.significant(PAIR, value):
+            if significant(f, value):
                 fired = True
                 break
         assert fired
 
     def test_nan_flip_significant_steady_nan_not(self):
         f = self.cold(1e12)  # nothing numeric passes
-        f.delivered(PAIR, 5000.0)
-        assert f.significant(PAIR, math.nan)  # value -> NaN: a flip
-        f.delivered(PAIR, math.nan)
-        assert not f.significant(PAIR, math.nan)  # steady NaN: nothing new
-        assert f.significant(PAIR, 5000.0)  # NaN -> value: a flip
+        delivered(f, 5000.0)
+        assert significant(f, math.nan)  # value -> NaN: a flip
+        delivered(f, math.nan)
+        assert not significant(f, math.nan)  # steady NaN: nothing new
+        assert significant(f, 5000.0)  # NaN -> value: a flip
 
     def test_reset_forgets_anchor(self):
         f = self.cold(1e12)
-        f.delivered(PAIR, 5000.0)
-        assert not f.significant(PAIR, 5000.0)
+        delivered(f, 5000.0)
+        assert not significant(f, 5000.0)
         f.reset()
-        assert f.significant(PAIR, 5000.0)
+        assert significant(f, 5000.0)
 
 
 class TestQuantileDeadbandFilter:
@@ -158,31 +168,31 @@ class TestQuantileDeadbandFilter:
         value = base
         for i in range(30):
             value = base + (1000.0 if i % 2 else -1000.0)
-            if f.significant(PAIR, value):
-                f.delivered(PAIR, value)
+            if significant(f, value):
+                delivered(f, value)
         assert f.noise_floor(PAIR) is not None
         # Routine jitter is now sub-deadband...
-        assert not f.significant(PAIR, value + 1000.0)
+        assert not significant(f, value + 1000.0)
         # ...but a genuine level shift far exceeds the learned quantile.
-        assert f.significant(PAIR, base + 200_000.0)
+        assert significant(f, base + 200_000.0)
 
     def test_floor_stands_in_while_cold(self):
         f = QuantileDeadbandFilter(floor_bps=5000.0)
         f.min_samples = 100
-        f.delivered(PAIR, 10_000.0)
-        f.significant(PAIR, 10_000.0)
-        assert not f.significant(PAIR, 12_000.0)  # under the floor
-        assert f.significant(PAIR, 20_000.0)
+        delivered(f, 10_000.0)
+        significant(f, 10_000.0)
+        assert not significant(f, 12_000.0)  # under the floor
+        assert significant(f, 20_000.0)
 
     def test_reset_clears_learned_state(self):
         f = QuantileDeadbandFilter()
         f.min_samples = 2
         for i in range(10):
-            f.significant(PAIR, 1000.0 * i)
+            significant(f, 1000.0 * i)
         assert f.noise_floor(PAIR) is not None
         f.reset()
         assert f.noise_floor(PAIR) is None
-        assert f.significant(PAIR, 0.0)  # first observation again
+        assert significant(f, 0.0)  # first observation again
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -435,6 +445,26 @@ class TestThresholdQuery:
         query.offer(key, report_with_available(5000.0))  # streak broken
         assert query.offer(key, report_with_available(500.0)) is None
 
+    def test_an_unavailable_report_is_no_evidence(self):
+        # Starved at t=1 and t=2, then the path goes unavailable: "unknown"
+        # is not "no longer starved", so nothing clears and the streak holds.
+        query = ThresholdQuery(
+            "starved", metric="available", op="<", threshold=500.0, for_samples=2
+        )
+        key = pair_key("a", "b")
+        assert query.offer(key, report_with_available(100.0, time=1.0)) is None
+        assert query.offer(key, report_with_available(100.0, time=2.0)) == (
+            "fired", 100.0,
+        )
+        dead = replace(report_with_available(100.0, time=3.0), unavailable=True)
+        assert query.offer(key, dead) is None
+        assert query.firing(key)
+        assert query.offer(key, report_with_available(5000.0, time=4.0))[0] == "cleared"
+        # A streak interrupted by an unavailable report is held, not reset.
+        query.offer(key, report_with_available(100.0, time=5.0))
+        query.offer(key, replace(report_with_available(100.0, time=6.0), unavailable=True))
+        assert query.offer(key, report_with_available(100.0, time=7.0))[0] == "fired"
+
     def test_describe_mentions_threshold(self):
         query = ThresholdQuery("q", "available", op="<", threshold=20e6, for_samples=2)
         assert "available < 2e+07" in query.describe()
@@ -471,6 +501,18 @@ class TestPercentileQuery:
         for _ in range(60):
             cleared = cleared or query.offer(key, report_with_utilization(0.1))
         assert cleared is not None and cleared[0] == "cleared"
+
+    def test_an_unavailable_report_contributes_no_statistics(self):
+        # A dead path's bottleneck utilization is a stale figure, not NaN:
+        # it must not move the estimate.
+        query = PercentileQuery("p90", p=0.9, window_s=60.0, interval_s=2.0)
+        key = pair_key("a", "b")
+        for _ in range(50):
+            query.offer(key, report_with_utilization(0.10))
+        before = query.value(key)
+        stale = replace(report_with_utilization(0.95), unavailable=True)
+        assert query.offer(key, stale) is None
+        assert query.value(key) == before
 
     def test_window_sets_ewma_weight(self):
         query = PercentileQuery("q", window_s=60.0, interval_s=2.0)
@@ -513,10 +555,11 @@ class TestPublisher:
         sub.drain()
         key = sorted(rates.keys())[0]
         touch(rates, key, 2.0)
-        publisher.publish(2.5)
+        cells = publisher.publish(2.5).reports
         events = sub.drain()
         assert events, "a dirty connection must produce events"
-        dirty = publisher.matrix.last_dirty_pairs
+        dirty = [pair for pair, moved in zip(cells, cells.dirty) if moved]
+        assert len(dirty) == publisher.matrix.dirty_pairs_last
         assert {e.pair for e in events} <= {pair_key(*p) for p in dirty}
         assert {e.epoch for e in events} == {2}
 

@@ -3,12 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.analysis.stats import exact_quantile, exact_quantiles, quantile_rank_error
 from repro.telemetry import (
     EventBus,
-    EwmaQuantile,
+    EwmaQuantiles,
     MetricError,
     MetricsRegistry,
     P2Quantile,
@@ -104,24 +105,32 @@ class TestP2Quantile:
         assert qs[0.5] <= qs[0.9]
 
 
+def one_stream(p, weight):
+    """An :class:`EwmaQuantiles` of one slot, and a feed for it."""
+    est = EwmaQuantiles(p, weight=weight)
+    est.grow(1)
+    slot = np.zeros(1, dtype=np.intp)
+    return est, lambda x: est.observe(slot, np.array([x]))
+
+
 class TestEwmaQuantile:
     def test_tracks_distribution_shift(self):
         # The whole point of the EWMA variant: follow a drifting stream.
-        est = EwmaQuantile(0.5, weight=0.1)
+        est, observe = one_stream(0.5, weight=0.1)
         for x in uniform_stream(2000, seed=1):
-            est.observe(x)
-        before = est.value
+            observe(x)
+        before = est.estimate[0]
         assert abs(before - 0.5) < 0.15
         for x in [u + 10.0 for u in uniform_stream(2000, seed=2)]:
-            est.observe(x)
-        assert abs(est.value - 10.5) < 0.3
+            observe(x)
+        assert abs(est.estimate[0] - 10.5) < 0.3
 
     def test_uniform_rough_accuracy(self):
         data = uniform_stream(5000, seed=5)
-        est = EwmaQuantile(0.9, weight=0.05)
+        est, observe = one_stream(0.9, weight=0.05)
         for x in data:
-            est.observe(x)
-        assert quantile_rank_error(data, 0.9, est.value) < 0.1
+            observe(x)
+        assert quantile_rank_error(data, 0.9, est.estimate[0]) < 0.1
 
 
 # ----------------------------------------------------------------------
