@@ -433,6 +433,19 @@ class _TamperedMib:
             for next_oid, value in self.inner.get_next_run(oid, count)
         ]
 
+    def readers(self, oids):
+        # Spelled out too: forwarded, a reply plan would serve the truth.
+        readers = self.inner.readers(oids)
+        if readers is None:
+            return None
+        return [self._lying(oid, reader) for oid, reader in zip(oids, readers)]
+
+    def _lying(self, oid, reader):
+        rewrite = self._rewrite
+        if callable(reader):
+            return lambda: rewrite(oid, reader())
+        return lambda: rewrite(oid, reader)
+
     def has_subtree(self, oid):
         return self.inner.has_subtree(oid)
 

@@ -6,6 +6,8 @@ decodes incoming BER messages, services Get / GetNext / GetBulk against a
 simulated network after a small processing delay.  The handlers return
 ``(oid, value)`` pairs -- a GetBulk repeater's as one run of successors --
 and one writer turns them into the reply's bytes; nothing else is built.
+A request answered before is answered again from its reply plan: its
+header read, each value read, and only a value that moved written again.
 
 The processing delay matters for fidelity: the paper observed that
 "occasionally, some data bytes are counted in a later SNMP message instead
@@ -19,12 +21,14 @@ from __future__ import annotations
 
 import random
 import zlib
+from itertools import compress, count
+from operator import is_not
 from typing import Dict, List, Optional, Tuple
 
 from repro.snmp import ber
 from repro.snmp.datatypes import EndOfMibView, NoSuchInstance, NoSuchObject, SnmpValue
 from repro.snmp.errors import ErrorStatus
-from repro.snmp.message import VERSION_1, VERSION_2C, Message, encode_message
+from repro.snmp.message import VERSION_1, VERSION_2C, Message, decode_header, encode_message
 from repro.snmp.mib import MibError, MibTree, register_snmp_group
 from repro.snmp.oid import Oid
 from repro.snmp.pdu import MAX_BULK_REPETITIONS, Pdu, VarBind, encode_pdu
@@ -41,15 +45,35 @@ __all__ = ["SnmpAgent", "MAX_BULK_REPETITIONS"]
 
 Pair = Tuple[Oid, SnmpValue]
 
-# The reply writer's memo of written varbinds is bounded in entries and in
-# bytes per entry: a walker names every OID there is and a hostile peer
-# any.  A polled varbind is ~20 bytes; one agent serves at most 8 x 64.
-_MEMO_VARBINDS, _MEMO_VARBIND_BYTES = 4096, 64
+# The reply plans are bounded in entries and in varbind bytes per entry: a
+# walker sends a new request every exchange and a hostile peer any.  A
+# poller sends an agent a handful; the longest poll reply is 9 KB, and a
+# kept reply is never one the writer would cut or answer tooBig.
+_MEMO_PLANS, _MEMO_PLAN_BYTES = 64, 16384
+
+# Values a plan never serves again: what they answer moves with the MIB's
+# extent, not with a reading.
+_EXCEPTIONS = (EndOfMibView, NoSuchInstance, NoSuchObject)
 
 
 class _Refused(Exception):
     """``(error_status, error_index)``, raised by a handler: the request is
     answered with that error and its own varbinds."""
+
+
+class _Plan:
+    """A request's reply, kept to be served again: the ``view`` it was
+    resolved in and that view's registration ``stamp``, the reply's
+    ``varbinds`` (bytes, in reply order) and, for each position a value
+    can move at -- ``slots`` -- its ``reader``, its encoded OID ``prefix``
+    and the value object last served (``values``), whose bytes are in
+    ``varbinds``.  A constant's position has no reader: its bytes stand."""
+
+    __slots__ = ("view", "stamp", "varbinds", "slots", "readers", "prefixes", "values")
+
+    def __init__(self, view, stamp, varbinds, slots, readers, prefixes, values) -> None:
+        self.view, self.stamp, self.varbinds = view, stamp, varbinds
+        self.slots, self.readers, self.prefixes, self.values = slots, readers, prefixes, values
 
 
 class SnmpAgent:
@@ -83,12 +107,13 @@ class SnmpAgent:
         self.socket.on_receive = self._on_datagram
         # Statistics, served back over SNMP as the RFC 1213 snmp group.
         self.in_packets = 0
-        self.out_packets = 0
         self.malformed = 0
         self.bad_community = 0
         self.unsupported = 0
         self.get_requests = 0
-        self._written: Dict[Oid, Tuple[SnmpValue, bytes]] = {}  # see _encode_reply
+        self._sent = 0  # replies and traps; out_packets adds the informs
+        self._inform_sender = None
+        self._plans: Dict[tuple, _Plan] = {}  # see _serve
         try:
             register_snmp_group(mib, self)
         except MibError:
@@ -97,6 +122,13 @@ class SnmpAgent:
     @property
     def name(self) -> str:
         return self.endpoint.name
+
+    @property
+    def out_packets(self) -> int:
+        """snmpOutPkts (RFC 1213): every message passed to the transport --
+        each reply, each trap and each InformRequest transmission."""
+        informs = self._inform_sender
+        return self._sent + (informs.sent if informs is not None else 0)
 
     # ------------------------------------------------------------------
     # Notifications
@@ -153,7 +185,7 @@ class SnmpAgent:
         uptime = self.mib.get(SYS_UPTIME)
         trap_oid = TRAP_LINK_UP if up else TRAP_LINK_DOWN
         varbinds = [VarBind(IF_INDEX + str(iface.if_index), Integer(iface.if_index))]
-        inform_sender = getattr(self, "_inform_sender", None)
+        inform_sender = self._inform_sender
         if inform_sender is not None:
             pdu = build_trap_pdu(uptime, trap_oid, varbinds, confirmed=True)
             inform_sender.send(pdu)
@@ -164,6 +196,7 @@ class SnmpAgent:
             return
         pdu = build_trap_pdu(uptime, trap_oid, varbinds, confirmed=False)
         payload = Message(VERSION_2C, self._trap_community, pdu).encode()
+        self._sent += 1
         self.socket.sendto(payload, destination)
         self.traps_sent += 1
 
@@ -178,15 +211,44 @@ class SnmpAgent:
             self.malformed += 1
             return
         try:
-            message = Message.decode(payload)
+            version, community, tag, request_id, field_1, field_2, start, end = decode_header(
+                payload
+            )
         except ber.BerError:
             self.malformed += 1
             return
+        # A request is its reply plan's key but for its request-id.
+        key = (version, community, tag, field_1, field_2, payload[start:end])
+        plan, mib = self._plans.get(key), self.mib
+        if (
+            plan is not None and plan.view is mib and plan.stamp == mib._registrations
+            and community == self.community
+        ):
+            if tag == ber.TAG_GET_REQUEST:
+                self.get_requests += 1
+            reply = self._serve(plan, version, request_id, tag == ber.TAG_GET_BULK_REQUEST)
+        else:
+            reply = self._answer(payload, key)
+            if reply is None:
+                return
+        delay = self.response_delay + self.rng.random() * self.response_jitter
+        self.sim.schedule(delay, self._send_reply, reply, src_ip, src_port)
+
+    def _answer(self, payload: bytes, key: tuple) -> Optional[bytes]:
+        """The reply to a request no plan serves (``None``: none is sent),
+        through the handlers and the writer; kept as ``key``'s plan when
+        it can be served again.  The order of checks is
+        ``Message.decode``'s own: varbinds before the community."""
+        try:
+            message = Message.decode(payload)
+        except ber.BerError:
+            self.malformed += 1
+            return None
         if message.community != self.community:
             # RFC 1157: silently drop (and would send an authenticationFailure
             # trap); the manager sees a timeout.
             self.bad_community += 1
-            return
+            return None
         pdu, version, kind = message.pdu, message.version, message.pdu.kind
         status, index = ErrorStatus.NO_ERROR, 0
         try:
@@ -205,59 +267,80 @@ class SnmpAgent:
                 raise _Refused(read_only, 1 if pdu.varbinds else 0)
             else:
                 self.unsupported += 1
-                return
+                return None
         except _Refused as refused:
             # An error response echoes the request's own varbinds.
             status, index = refused.args
             pairs = [(vb.oid, vb.value) for vb in pdu.varbinds]
-        reply = self._encode_reply(
-            version, pdu.request_id, pairs, status, index, bulk=kind == "get-bulk"
+        encode_oid, encode_tlv = ber.encode_oid, ber.encode_tlv
+        varbinds = [
+            encode_tlv(ber.TAG_SEQUENCE, encode_oid(oid) + value.encode()) for oid, value in pairs
+        ]
+        if status == ErrorStatus.NO_ERROR and sum(map(len, varbinds)) <= _MEMO_PLAN_BYTES:
+            self._keep(key, pairs, varbinds)
+        return self._encode_reply(
+            version, pdu.request_id, varbinds, status, index, bulk=kind == "get-bulk"
         )
-        delay = self.response_delay + self.rng.random() * self.response_jitter
-        self.sim.schedule(delay, self._send_reply, reply, src_ip, src_port)
+
+    def _keep(self, key: tuple, pairs: List[Pair], varbinds: List[bytes]) -> None:
+        """Keep ``key``'s plan: the reply just written, when the view can
+        read each of its values again the way it just did (``readers``;
+        not a provider's row, nor anything its run could have reached one
+        on) and none is an exception value.  The plan is bound to the view
+        *object* and its registration stamp: a lie, a reboot's new tree, a
+        snapshot laid out afresh or a new instance each get a fresh one."""
+        mib = self.mib
+        if any(isinstance(value, _EXCEPTIONS) for _oid, value in pairs):
+            return
+        readers = mib.readers([oid for oid, _value in pairs])
+        if readers is None:
+            return
+        slots = [k for k, reader in enumerate(readers) if callable(reader)]
+        plans = self._plans
+        if key not in plans and len(plans) >= _MEMO_PLANS:
+            plans.clear()  # a walk's leavings: a poll's plan is made again next poll
+        plans[key] = _Plan(
+            mib, mib._registrations, varbinds, slots, [readers[k] for k in slots],
+            [ber.encode_oid(pairs[k][0]) for k in slots], [pairs[k][1] for k in slots],
+        )
+
+    def _serve(self, plan: _Plan, version: int, request_id: int, bulk: bool) -> bytes:
+        """``plan``'s reply to this request: every reader read, and a value
+        that is not the very object served last time (``is``, never ``==``)
+        written again -- inline, so a moved counter costs what it always
+        did: ``read``, ``wrap``, ``Counter32()``, ``encode``.  A value is
+        immutable, so one object's bytes cannot go stale.  Byte for byte
+        what the handlers and the writer would answer."""
+        values = [read() for read in plan.readers]
+        moved = list(compress(count(), map(is_not, values, plan.values)))
+        if moved:
+            varbinds, slots, prefixes = plan.varbinds, plan.slots, plan.prefixes
+            for k in moved:
+                body = prefixes[k] + values[k].encode()
+                varbinds[slots[k]] = (
+                    bytes((ber.TAG_SEQUENCE, len(body))) + body if len(body) < 0x80
+                    else ber.encode_tlv(ber.TAG_SEQUENCE, body)
+                )
+            plan.values = values
+        return self._encode_reply(version, request_id, plan.varbinds, bulk=bulk)
 
     def _send_reply(self, payload: bytes, dst_ip: IPv4Address, dst_port: int) -> None:
-        self.out_packets += 1
+        self._sent += 1
         self.socket.sendto(payload, (dst_ip, dst_port))
 
     def _encode_reply(
-        self, version: int, request_id: int, pairs: List[Pair],
+        self, version: int, request_id: int, varbinds: List[bytes],
         status: ErrorStatus = ErrorStatus.NO_ERROR, index: int = 0, bulk: bool = False,
     ) -> bytes:
-        """The one reply writer: a Response straight from (oid, value)
-        pairs, byte for byte ``Message(version, community,
-        request.response(varbinds, status, index)).encode()`` with no
-        VarBind, Pdu or Message built -- and no value written twice:
-        ``_written`` keeps, per OID, the value object last served and its
-        varbind's bytes, and a pair carrying that very object (``is``)
-        costs one dict probe.  A value is immutable, so one object's bytes
-        cannot go stale, whichever MIB view handed it out; a view makes an
-        unchanged instance cheap by handing out the same object again.
-        The memo sits here, never on the value (``SnmpValue.__eq__``
-        compares ``__dict__``), is bounded, and an error reply's varbinds
-        -- the request's own -- are written past it.
+        """The one reply writer: a Response around its encoded varbinds,
+        byte for byte ``Message(version, community, request.response(
+        varbinds, status, index)).encode()`` with no VarBind, Pdu or
+        Message built.
 
         No reply exceeds :data:`MAX_MESSAGE_BYTES`: a GetBulk response is
         cut short until it fits (RFC 3416 section 4.2.3), any other is
         answered ``tooBig`` with an empty list (section 4.2.1).
         """
-        encode_oid, varbinds = ber.encode_oid, []
-        written = self._written if status == ErrorStatus.NO_ERROR else {}
-        for oid, value in pairs:
-            entry = written.get(oid)
-            if entry is not None and entry[0] is value:
-                varbinds.append(entry[1])
-                continue
-            body = encode_oid(oid) + value.encode()
-            if len(body) < 0x80:  # short form: every varbind on the poll path
-                varbind = bytes((ber.TAG_SEQUENCE, len(body))) + body
-            else:
-                varbind = ber.encode_tlv(ber.TAG_SEQUENCE, body)
-            varbinds.append(varbind)
-            if len(varbind) <= _MEMO_VARBIND_BYTES:
-                if entry is None and len(written) >= _MEMO_VARBINDS:
-                    written.clear()  # a walk's leavings: polled rows re-enter next poll
-                written[oid] = (value, varbind)
         while True:
             reply = encode_message(version, self.community, encode_pdu(
                 ber.TAG_GET_RESPONSE, request_id, int(status), index,
@@ -267,8 +350,11 @@ class SnmpAgent:
             if excess <= 0:
                 return reply
             if bulk:
+                kept = len(varbinds)
                 while excess > 0:  # shorter length octets come on top
-                    excess -= len(varbinds.pop())
+                    kept -= 1
+                    excess -= len(varbinds[kept])
+                varbinds = varbinds[:kept]
             else:
                 status, index, varbinds = ErrorStatus.TOO_BIG, 0, []
 

@@ -22,6 +22,7 @@ enumerate rows on demand.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from functools import partial
 from operator import attrgetter, itemgetter, methodcaller
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple, Union
 
@@ -269,6 +270,27 @@ class MibTree:
             )
             for next_oid in self.successors(oid, count)
         ]
+
+    def readers(self, oids: List[Oid]) -> Optional[List[Union[Accessor, SnmpValue]]]:
+        """What serves each of ``oids`` at every read from now on, as
+        :meth:`get` and :meth:`get_next_run` serve it: its accessor, or a
+        constant's value itself (the very object every read serves).
+        ``None`` when one's value, or its place among the successors, can
+        change before the next registration: an instance that is not
+        registered here, or that sorts at or past a provider's prefix
+        (whose rows come and go).  The agent's reply plans are made of
+        these; a view wrapped around a tree must define this itself, like
+        :meth:`get_next_run`."""
+        floor, static, constants = self._provider_floor, self._static, self._constants
+        if floor is not None and oids and max(oids) >= floor:
+            return None
+        out: List[Union[Accessor, SnmpValue]] = []
+        for oid in oids:
+            reader = static.get(oid) or constants.get(oid)
+            if reader is None:
+                return None
+            out.append(reader)
+        return out
 
     def has_subtree(self, oid: Oid) -> bool:
         """True when any instance lives strictly under ``oid``.
@@ -558,6 +580,28 @@ class CachingMibTree:
             value = self.get(next_oid)
             run.append((next_oid, value if value is not None else inner.get(next_oid)))
         return run
+
+    @property
+    def _registrations(self) -> Tuple[int, int]:
+        """What a reply plan over this view stays valid for: the inner
+        tree's registrations and the layout the snapshot was last laid out
+        to (``-1`` before the first tick, when every read is live)."""
+        return self.inner._registrations, self._layout
+
+    def readers(self, oids: List[Oid]) -> Optional[List[Union[Accessor, SnmpValue]]]:
+        """The inner tree's readers, each read as :meth:`get_next_run`
+        reads it: the snapshot's entry, except in the system group, before
+        the first tick and for a row registered since the last one, which
+        read live.  A constant is the object the snapshot holds."""
+        readers, snapshot = self.inner.readers(oids), self._snapshot
+        if readers is None or not snapshot:
+            return readers
+        fresh = self._FRESH_PREFIX
+        return [
+            reader if not callable(reader) or oid.startswith(fresh) or oid not in snapshot
+            else partial(snapshot.__getitem__, oid)
+            for oid, reader in zip(oids, readers)
+        ]
 
     def has_subtree(self, oid: Oid) -> bool:
         return self.inner.has_subtree(oid)

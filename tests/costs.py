@@ -113,6 +113,35 @@ def datagram_cost(net, src, dst):
     return calls, net.sim.events_processed - fired
 
 
+def repeated_bulk_poll(ports: int):
+    """``(calls, varbinds)``: the Python calls, by ``(source file, function
+    name)``, the agent of a managed ``ports``-port switch makes answering a
+    whole-table GetBulk of sysUpTime and the poller's six counter columns
+    it answered twice before, and the varbinds of its reply.  The request
+    is handed over, the replies never sent: nothing moves in between."""
+    from repro.core.poller import _COLUMNS
+    from repro.simnet.network import Network
+    from repro.snmp.agent import SnmpAgent
+    from repro.snmp.message import VERSION_2C, Message
+    from repro.snmp.mib import SYS_UPTIME, build_mib2
+    from repro.snmp.pdu import Pdu
+
+    net = Network()
+    host, sw = net.add_host("L"), net.add_switch("sw", ports, managed=True)
+    net.connect(host, sw)
+    net.announce_hosts()
+    agent = SnmpAgent(net.endpoint("sw"), build_mib2(sw, net.sim))
+    names = [SYS_UPTIME.parent] + [column.extend(0) for column in _COLUMNS]
+    request = Message(VERSION_2C, "public", Pdu.get_bulk_request(1, names, 1, ports)).encode()
+
+    def answer():
+        agent._on_datagram(request, len(request), host.primary_ip, 4000)
+
+    answer()
+    answer()
+    return call_counts(answer, by_file=True), 1 + ports * len(_COLUMNS)
+
+
 #: Names that must not run per frame: addresses are compared and hashed
 #: as integers, and their flags are attributes fixed at construction; a
 #: destination is resolved once per sender, the FDB probed and a port's

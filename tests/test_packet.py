@@ -197,6 +197,91 @@ class TestReassembly:
         assert buf.expired_groups == 1
 
 
+class TestReassemblyCoversTheDatagram:
+    """A fragment group is complete when what arrived covers the datagram
+    from its first byte to its last -- not when the sizes add up."""
+
+    @staticmethod
+    def shifted(fragment, by):
+        """A foreign fragment: ``fragment``'s group and size, ``by`` bytes on."""
+        return IPPacket(
+            src=fragment.src, dst=fragment.dst, fragment_id=fragment.fragment_id,
+            fragment_offset=fragment.fragment_offset + by, more_fragments=True,
+            fragment_payload_size=fragment.transport_size,
+        )
+
+    def test_a_shifted_copy_does_not_stand_in_for_a_lost_fragment(self):
+        """A 3 440-byte datagram: (0, 1480), (1480, 1480), (2960, 480).  The middle
+        one lost and a copy of the first at offset 8 in its place: the
+        sizes add up, bytes 1 488 to 2 960 never arrived."""
+        buf = ReassemblyBuffer()
+        packet = make_packet(3440 - UDP_HEADER_SIZE)
+        first, middle, last = fragment_ip_packet(packet, 1500)
+        assert [(f.fragment_offset, f.transport_size) for f in (first, middle, last)] == [
+            (0, 1480), (1480, 1480), (2960, 480)
+        ]
+        for fragment in (first, self.shifted(first, 8), last):
+            assert buf.add(fragment, now=0.0) is None
+        assert buf.pending_groups() == 1
+        whole = buf.add(middle, now=0.0)
+        assert whole is not None and whole.payload is packet.payload
+        assert buf.pending_groups() == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.integers(1, 6000), mtu=st.sampled_from([68, 200, 576, 1500]),
+        data=st.data(),
+    )
+    def test_duplicated_and_reordered_fragments_reassemble_once(self, size, mtu, data):
+        """Every true fragment at least once, in any order, any of them
+        again before the last one new: one datagram, when the last new
+        one lands."""
+        packet = make_packet(size)
+        fragments = fragment_ip_packet(packet, mtu)
+        picks = list(range(len(fragments))) + data.draw(
+            st.lists(st.integers(0, len(fragments) - 1), max_size=10)
+        )
+        order = data.draw(st.permutations(picks))
+        seen, cut = set(), 0
+        while len(seen) < len(fragments):
+            seen.add(order[cut])
+            cut += 1
+        buf = ReassemblyBuffer()
+        results = [buf.add(fragments[i], now=0.0) for i in order[:cut]]
+        done = [r for r in results if r is not None and not r.is_fragment]
+        if len(fragments) == 1:
+            assert results == [packet] * cut
+        else:
+            assert results[:-1] == [None] * (cut - 1) and len(done) == 1
+            assert done[0].payload is packet.payload
+        assert buf.pending_groups() == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(size=st.integers(100, 6000), mtu=st.sampled_from([68, 200, 576, 1500]),
+           data=st.data())
+    def test_an_overlapping_foreign_fragment_never_fills_a_gap(self, size, mtu, data):
+        """One true fragment lost; the rest in any order and number, with
+        copies of them shifted by multiples of 8 that leave the lost one's
+        first byte uncovered: never complete."""
+        fragments = fragment_ip_packet(make_packet(size), mtu)
+        if len(fragments) < 2:
+            return
+        lost = data.draw(st.integers(0, len(fragments) - 1))
+        hole = fragments[lost].fragment_offset
+        kept = [f for i, f in enumerate(fragments) if i != lost]
+        foreign = []
+        for fragment, eighths in data.draw(st.lists(
+            st.tuples(st.sampled_from(kept), st.integers(1, 400)), min_size=1, max_size=6
+        )):
+            copy = self.shifted(fragment, 8 * eighths)
+            if copy.fragment_offset > hole or copy.fragment_offset + copy.transport_size <= hole:
+                foreign.append(copy)
+        arrivals = data.draw(st.permutations(kept + kept[: data.draw(st.integers(0, 3))] + foreign))
+        buf = ReassemblyBuffer()
+        assert [buf.add(f, now=0.0) for f in arrivals] == [None] * len(arrivals)
+        assert buf.pending_groups() == 1
+
+
 class TestTosOctet:
     def test_default_tos_is_best_effort(self):
         assert make_packet(10).tos == 0

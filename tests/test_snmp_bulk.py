@@ -566,21 +566,32 @@ class TestMemosAreBounded:
         requests sent at one agent: neither memo outgrows its bound, no
         entry its size, and the polled rows are remembered again after."""
         net, mgr, sw_ip, agent = switch_rig(8)
-        base = Oid("1.3.6.1.4.1.99999.7")
+        # Below the bridge FDB's prefix: a walk there is answered from
+        # static instances alone, so every reply of it is kept as a plan.
+        base = Oid("1.3.6.1.2.1.16.7")
         for i in range(20_000):
             agent.mib.register(base.extend(i), Integer(i))
         agent.mib.register(base.extend(20_000), OctetString(b"x" * 100))  # an outsize varbind
-        entries, entry_bytes = agent_module._MEMO_VARBINDS, agent_module._MEMO_VARBIND_BYTES
-        seen = 0
+        entries, entry_bytes = agent_module._MEMO_PLANS, agent_module._MEMO_PLAN_BYTES
+        seen, kept = 0, 0
         for first in range(0, 20_001, MAX_BULK_REPETITIONS):
             cursor = base.extend(first - 1) if first else base
             request = Pdu.get_bulk_request(first, [cursor], 0, 10_000)
-            reply = agent_reply(agent, Message(VERSION_2C, "public", request).encode(), sw_ip)
+            payload = Message(VERSION_2C, "public", request).encode()
+            reply = agent_reply(agent, payload, sw_ip)
+            assert reply == old_reply(agent.mib, "public", payload)
             seen += len(old_decode(reply).pdu.varbinds)
-            assert len(agent._written) <= entries
-        assert seen >= 20_001
-        assert all(len(varbind) <= entry_bytes for _value, varbind in agent._written.values())
-        assert not any(isinstance(value, OctetString) for value, _vb in agent._written.values())
+            kept = max(kept, len(agent._plans))
+            assert len(agent._plans) <= entries
+        assert seen >= 20_001 and kept == entries
+        # 20 repeaters of 64 rows: 18 KB of varbinds, answered and not kept.
+        request = Pdu.get_bulk_request(1, [base] * 20, 0, MAX_BULK_REPETITIONS)
+        payload = Message(VERSION_2C, "public", request).encode()
+        plans = dict(agent._plans)
+        reply = agent_reply(agent, payload, sw_ip)
+        assert reply == old_reply(agent.mib, "public", payload) and len(reply) > entry_bytes
+        assert agent._plans == plans
+        assert all(sum(map(len, plan.varbinds)) <= entry_bytes for plan in plans.values())
 
         lists, list_bytes = message_module._MEMO_LISTS, message_module._MEMO_LIST_BYTES
         decoded = message_module._decoded

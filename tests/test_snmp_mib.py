@@ -896,8 +896,8 @@ class TestSnapshotCost:
     def test_a_live_status_or_snmp_row_builds_no_value(self):
         """A GET of every ifAdminStatus and ifOperStatus and of the snmp
         group's unmoved counters, asked again of a warm live agent: no
-        value object is built, and every value is the one the reply memo
-        wrote last time."""
+        value object is built, and every value is the one the request's
+        reply plan served last time."""
         net, sw, tree, _naive = bridge_rig(ports=50, hosts=12)
         agent = SnmpAgent(net.endpoint("sw"), tree)
         oids = [column.extend(i) for column in (IF_ADMIN_STATUS, IF_OPER_STATUS)
@@ -911,5 +911,7 @@ class TestSnapshotCost:
         assert reply == [first]
         built = {key: n for key, n in calls.items() if key[0].endswith("datatypes.py")}
         assert not built, built
+        (plan,) = agent._plans.values()
+        served = dict(zip([oids[k] for k in plan.slots], plan.values))
         for oid in oids:
-            assert agent._written[oid][0] is tree.get(oid), oid
+            assert served[oid] is tree.get(oid), oid

@@ -7,8 +7,9 @@ from repro.experiments.testbed import TESTBED_SPEC_TEXT, build_testbed
 from repro.simnet.faults import LinkFailure
 from repro.simnet.network import Network
 from repro.snmp.agent import SnmpAgent
-from repro.snmp.datatypes import Integer, TimeTicks
-from repro.snmp.mib import IF_INDEX, build_mib2
+from repro.snmp.datatypes import Counter32, Integer, TimeTicks
+from repro.snmp.manager import SnmpManager
+from repro.snmp.mib import IF_INDEX, SNMP_OUT_PKTS, build_mib2
 from repro.snmp.trap import (
     TRAP_LINK_DOWN,
     TRAP_LINK_UP,
@@ -207,3 +208,52 @@ class TestLinkStateMonitoring:
         net.run(1.0)
         assert len(monitor.trap_receiver.events) == 1
         assert registry.events_applied == 0
+
+
+class TestOutPktsCountsNotifications:
+    """snmpOutPkts (RFC 1213) counts every message the agent passes to
+    the transport: replies, and each trap and InformRequest transmission."""
+
+    def managed_switch(self):
+        net = Network()
+        mon = net.add_host("L")
+        sw = net.add_switch("sw", 4, managed=True)
+        net.connect(mon, sw)
+        net.announce_hosts()
+        agent = SnmpAgent(net.endpoint("sw"), build_mib2(sw, net.sim))
+        return net, mon, sw, agent
+
+    def test_a_trap_is_an_out_packet(self):
+        net, mon, sw, agent = self.managed_switch()
+        agent.enable_link_traps(mon.primary_ip)
+        sw.interfaces[2].set_admin_up(False)
+        net.run(0.5)
+        sw.interfaces[2].set_admin_up(True)
+        net.run(1.0)
+        assert agent.traps_sent == 2
+        assert agent.mib.get(SNMP_OUT_PKTS) == Counter32(2)
+
+    def test_each_inform_transmission_is_an_out_packet(self):
+        """Nobody acknowledges: the inform is sent again every second."""
+        net, mon, sw, agent = self.managed_switch()
+        agent.enable_link_informs(mon.primary_ip, timeout=1.0, max_attempts=3)
+        sw.interfaces[2].set_admin_up(False)
+        net.run(10.0)
+        sender = agent._inform_sender
+        assert (agent.traps_sent, sender.sent, sender.retransmissions) == (1, 3, 2)
+        assert agent.out_packets == 3
+        assert agent.mib.get(SNMP_OUT_PKTS) == Counter32(3)
+
+    def test_replies_and_traps_together(self):
+        net, mon, sw, agent = self.managed_switch()
+        agent.enable_link_traps(mon.primary_ip)
+        got = []
+        manager = SnmpManager(mon, retries=0)
+        manager.get(net.endpoint("sw").primary_ip, [SNMP_OUT_PKTS], got.append)
+        net.run(1.0)
+        sw.interfaces[2].set_admin_up(False)
+        manager.get(net.endpoint("sw").primary_ip, [SNMP_OUT_PKTS], got.append)
+        net.run(2.0)
+        # Read before its own reply leaves: the first reply, then it and the trap.
+        assert [varbinds[0].value for varbinds in got] == [Counter32(0), Counter32(2)]
+        assert agent.out_packets == 3

@@ -31,6 +31,7 @@ from repro.snmp.mib import (
     IF_OUT_UCAST_PKTS,
     CachingMibTree,
 )
+from tests.snmp_reference import old_decode
 
 # The ifTable counter columns, by the counter block's attribute.
 COUNTERS = {
@@ -64,9 +65,13 @@ def figure4():
         }
         log.append(("tick", device.name, truth))
 
-    def serve(agent, version, request_id, pairs, *args, **kwargs):
-        log.append(("serve", agent.name, agent.sim.now, list(pairs)))
-        return encode_reply(agent, version, request_id, pairs, *args, **kwargs)
+    def serve(agent, *args, **kwargs):
+        # Every reply, from a plan or not, leaves through the one writer:
+        # its pairs are what the reply carries.
+        reply = encode_reply(agent, *args, **kwargs)
+        pairs = [(vb.oid, vb.value) for vb in old_decode(reply).pdu.varbinds]
+        log.append(("serve", agent.name, agent.sim.now, pairs))
+        return reply
 
     patch.setattr(CachingMibTree, "_take_snapshot", tick)
     patch.setattr(SnmpAgent, "_encode_reply", serve)
