@@ -28,6 +28,16 @@ def main() -> None:
     net = build.network
     monitor = NetworkMonitor(build, "L", poll_jitter=0.0)
     registry = monitor.enable_trap_listener()
+    # The receiver hands each notification to one callback (the registry's
+    # apply_trap); keep a copy of every one on its way through.
+    traps = []
+    apply_trap = monitor.trap_receiver.callback
+
+    def on_trap(event):
+        traps.append(event)
+        apply_trap(event)
+
+    monitor.trap_receiver.callback = on_trap
 
     requirement = QosRequirement(
         name="s1-feed", src="S1", dst="N1", min_available_bps=200 * KBPS
@@ -44,7 +54,7 @@ def main() -> None:
     net.run(65.0)
 
     print("=== traps received by the monitor ===")
-    for event in monitor.trap_receiver.events:
+    for event in traps:
         kind = "linkDown" if event.is_link_down else "linkUp"
         print(f"t={event.received_at:6.3f}s  {kind} from {event.source_ip} "
               f"ifIndex={event.if_index()}")

@@ -778,10 +778,13 @@ def cmd_topology(args) -> int:
         fail_between = (a, b)
     try:
         build = build_network(parse_file(args.specfile))
+    except _SPEC_ERRORS as exc:
+        return _fail(exc, 1)
+    try:
         monitor = NetworkMonitor(build, args.host, poll_jitter=0.0)
         monitor.enable_topology_sync()
-    except _SPEC_ERRORS + _USAGE_ERRORS as exc:
-        return _fail(exc, 1)
+    except _USAGE_ERRORS as exc:
+        return _fail(exc, 2)
     spec, net = build.spec, build.network
     graph = monitor.graph
     hosts = [n.name for n in spec.hosts()]
@@ -859,11 +862,14 @@ def cmd_matrix(args) -> int:
 
     try:
         build = build_network(parse_file(args.specfile))
+    except _SPEC_ERRORS as exc:
+        return _fail(exc, 1)
+    try:
         monitor = NetworkMonitor(build, args.host)
         _start_loads(build, args.load)
         matrix = BandwidthMatrix(build.spec, monitor.calculator, graph=monitor.graph)
-    except _SPEC_ERRORS + _USAGE_ERRORS as exc:
-        return _fail(exc, 1)
+    except _USAGE_ERRORS as exc:
+        return _fail(exc, 2)
     monitor.start()
     build.network.run(args.until)
     snapshot = matrix.snapshot(time=build.network.now)

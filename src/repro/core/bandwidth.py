@@ -78,7 +78,6 @@ class BandwidthCalculator:
         self,
         spec: TopologySpec,
         rates: RateTable,
-        link_state=None,
         stale_after: Optional[float] = None,
         dead_after: Optional[float] = None,
         health=None,
@@ -86,9 +85,7 @@ class BandwidthCalculator:
         integrity=None,
         degraded_sources=None,
     ) -> None:
-        """``link_state``: optional :class:`~repro.core.linkstate.
-        LinkStateRegistry`; connections it marks down report zero
-        availability with rule "down".  ``health``: optional
+        """``health``: optional
         :class:`~repro.core.health.AgentHealthTracker` consulted for the
         counter-source agents.  ``stale_after``/``dead_after``: sample
         ages (seconds) beyond which data is degraded / untrustworthy.
@@ -116,7 +113,9 @@ class BandwidthCalculator:
             )
         self.spec = spec
         self.rates = rates
-        self.link_state = link_state
+        # A LinkStateRegistry, assigned by the monitor when link traps go
+        # on: connections it marks down report zero availability, rule "down".
+        self.link_state = None
         self.stale_after = stale_after
         self.dead_after = dead_after
         self.health = health
@@ -207,18 +206,12 @@ class BandwidthCalculator:
         return tuple(self.rates.epoch(*k) if k is not None else 0 for k in keys)
 
     @staticmethod
-    def _epoch_part(collaborator, state: str, *key) -> object:
+    def _epoch_part(collaborator, *key) -> object:
         """One collaborator's share of a token: its epoch for ``key``.
-
-        A collaborator that predates the epoch surface (a test double)
-        falls back to its raw boolean ``state`` query, which still flips
-        whenever the answer would.  0: no collaborator, or no counter
-        source to ask it about.
-        """
+        0: no collaborator, or no counter source to ask it about."""
         if collaborator is None or key[0] is None:
             return 0
-        epoch_of = getattr(collaborator, "epoch_of", None)
-        return (epoch_of or getattr(collaborator, state))(*key)
+        return collaborator.epoch_of(*key)
 
     def connection_token(self, conn: ConnectionSpec) -> Tuple:
         """The epochs of every input ``_compute_measurement`` reads.
@@ -237,10 +230,10 @@ class BandwidthCalculator:
         node, if_index = source.key() if source is not None else (None, None)
         return (
             rates_part,
-            self._epoch_part(self.link_state, "is_down", conn),
-            self._epoch_part(self.integrity, "is_quarantined", node, if_index),
-            self._epoch_part(self.health, "is_dead", node),
-            self._epoch_part(self.degraded_sources, "is_degraded", node, if_index),
+            self._epoch_part(self.link_state, conn),
+            self._epoch_part(self.integrity, node, if_index),
+            self._epoch_part(self.health, node),
+            self._epoch_part(self.degraded_sources, node, if_index),
         )
 
     def _revalidate(self, now: Optional[float]) -> None:
@@ -253,19 +246,17 @@ class BandwidthCalculator:
         the instant moved*: ``_stamp`` alone advances, tokens are known
         current and entries merely re-derive their ages.  Nothing moved:
         entries already validated are reusable on a single int compare.
-        A collaborator without a clock (a test double) yields None and
-        proves nothing, so it forces the token re-read every time.
         """
         ls, health = self.link_state, self.health
         integ, degraded = self.integrity, self.degraded_sources
         clocks = (
-            getattr(self.rates, "clock", None),
-            getattr(ls, "clock", None) if ls is not None else 0,
-            getattr(health, "clock", None) if health is not None else 0,
-            getattr(integ, "clock", None) if integ is not None else 0,
-            getattr(degraded, "clock", None) if degraded is not None else 0,
+            self.rates.clock,
+            ls.clock if ls is not None else 0,
+            health.clock if health is not None else 0,
+            integ.clock if integ is not None else 0,
+            degraded.clock if degraded is not None else 0,
         )
-        if None in clocks or clocks != self._input_clocks:
+        if clocks != self._input_clocks:
             self._input_clocks = clocks
             self._now = now
             self._stamp += 1

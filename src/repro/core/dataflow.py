@@ -13,8 +13,7 @@ source                epoch key                                    bumped by
 ====================  ==========================================  =====================
 rate table            (node, ifIndex)                              sample admitted on ingest
 link-state registry   connection endpoints                         linkDown/linkUp trap,
-                                                                   ifOperStatus change,
-                                                                   mark_down/mark_up
+                                                                   ifOperStatus change
 agent health          node                                         health-state transition
 quarantine            (node, ifIndex)                              quarantine enter/release
 degraded sources      (node, ifIndex)                              mark/clear (lossy uplink)

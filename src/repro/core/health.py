@@ -378,9 +378,6 @@ class WorkerLeaseTracker(_LadderTracker):
             lease = self._records[worker] = WorkerLease(worker, now)
         return lease
 
-    def lease(self, worker: str) -> WorkerLease:
-        return self._records[worker]
-
     def state(self, worker: str) -> WorkerState:
         return self._records[worker].state
 

@@ -21,7 +21,7 @@ from repro.core.counters import if_index_of
 from repro.core.dataflow import EpochClock
 from repro.simnet.address import IPv4Address
 from repro.snmp.trap import TrapEvent
-from repro.topology.model import ConnectionSpec, InterfaceRef, TopologySpec
+from repro.topology.model import ConnectionSpec, TopologySpec
 
 logger = logging.getLogger("repro.monitor")
 
@@ -85,18 +85,13 @@ class LinkStateRegistry:
             return None
         self._last_uptime[uptime_key] = event.uptime.value
         self.events_applied += 1
+        self._flip(key, event.is_link_down)
         if event.is_link_down:
-            if key not in self._down:
-                self._down.add(key)
-                self._epochs.bump(key)
             logger.warning(
                 "linkDown: connection %s is operationally down (trap from %s)",
                 conn, event.source_ip,
             )
         else:
-            if key in self._down:
-                self._down.discard(key)
-                self._epochs.bump(key)
             logger.info("linkUp: connection %s recovered", conn)
         return conn
 
@@ -110,32 +105,27 @@ class LinkStateRegistry:
         if conn is None:
             self.events_unmapped += 1
             return
-        key = conn.endpoints()
+        if not self._flip(conn.endpoints(), not up):
+            return
         if up:
-            if key in self._down:
-                logger.info("ifOperStatus: connection %s recovered", conn)
-                self._down.discard(key)
-                self._epochs.bump(key)
+            logger.info("ifOperStatus: connection %s recovered", conn)
         else:
-            if key not in self._down:
-                logger.warning(
-                    "ifOperStatus: connection %s is operationally down "
-                    "(observed at %s ifIndex %d)", conn, node, if_index,
-                )
-                self._down.add(key)
-                self._epochs.bump(key)
+            logger.warning(
+                "ifOperStatus: connection %s is operationally down "
+                "(observed at %s ifIndex %d)", conn, node, if_index,
+            )
 
-    def mark_down(self, conn: ConnectionSpec) -> None:
-        key = conn.endpoints()
-        if key not in self._down:
+    def _flip(self, key: Tuple, down: bool) -> bool:
+        """Set one connection down or up; True when that changed its
+        state (and so bumped its epoch)."""
+        if (key in self._down) == down:
+            return False
+        if down:
             self._down.add(key)
-            self._epochs.bump(key)
-
-    def mark_up(self, conn: ConnectionSpec) -> None:
-        key = conn.endpoints()
-        if key in self._down:
+        else:
             self._down.discard(key)
-            self._epochs.bump(key)
+        self._epochs.bump(key)
+        return True
 
     # ------------------------------------------------------------------
     # Queries

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.health import AgentHealthTracker
@@ -505,12 +505,6 @@ class SnmpPoller:
             self._m_parse_errors.inc()
             return
         self._derive(target.node, target.if_indexes, uptime, tables)
-
-    def _ingest(self, node: str, if_index: int, snapshot: _CounterSnapshot) -> None:
-        """A reading handed in, not polled: derived as a one-row reply."""
-        uptime, *values = astuple(snapshot)
-        tables = {col: {if_index: (TAG_COUNTER32, v)} for col, v in zip(_COLUMNS, values)}
-        self._derive(node, (if_index,), uptime, tables)
 
     def _derive(self, node: str, if_indexes: Sequence[int], uptime: int, tables: dict) -> None:
         """Turn one reply, ``{column: {ifIndex: (tag, value)}}`` at sysUpTime

@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -111,17 +110,6 @@ class RtoEstimator:
         return min(self.max_rto, self.rto * (2 ** max(0, attempt - 1)))
 
 
-@dataclass
-class DestinationStats:
-    """Per-agent request accounting (adaptive-RTO diagnostics)."""
-
-    requests_sent: int = 0
-    retransmissions: int = 0
-    timeouts: int = 0
-    responses: int = 0
-    last_rtt: Optional[float] = None
-
-
 class _Pending:
     __slots__ = (
         "payload", "dst", "attempts", "timer", "callback", "errback",
@@ -159,7 +147,6 @@ class SnmpManager:
         self._request_ids = itertools.count(1)
         self._pending: Dict[int, _Pending] = {}
         self._estimators: Dict[IPv4Address, RtoEstimator] = {}
-        self.destinations: Dict[IPv4Address, DestinationStats] = {}
         self._replies: Dict[tuple, _Reading] = {}  # see _read
         # Statistics live in the telemetry registry (a standalone manager
         # gets a private disabled hub: counters still count, the optional
@@ -366,10 +353,6 @@ class SnmpManager:
                 include_uptime, community,
             ).issue()
 
-    @property
-    def outstanding(self) -> int:
-        return len(self._pending)
-
     def estimator_for(self, dst_ip: IPv4Address) -> RtoEstimator:
         """The (auto-created) RTO estimator for one destination."""
         estimator = self._estimators.get(dst_ip)
@@ -380,12 +363,6 @@ class SnmpManager:
     def current_rto(self, dst_ip: IPv4Address) -> float:
         """The first-attempt timeout currently in force for ``dst_ip``."""
         return self.estimator_for(dst_ip).rto
-
-    def destination_stats(self, dst_ip: IPv4Address) -> DestinationStats:
-        stats = self.destinations.get(dst_ip)
-        if stats is None:
-            stats = self.destinations[dst_ip] = DestinationStats()
-        return stats
 
     def cancel_all(self) -> None:
         """Abort every outstanding request without invoking errbacks."""
@@ -426,18 +403,14 @@ class SnmpManager:
         if pending is None:
             return
         pending.attempts += 1
-        dst_ip = pending.dst[0]
-        stats = self.destination_stats(dst_ip)
         if pending.attempts > 1:
             self._m_retransmissions.inc()
-            stats.retransmissions += 1
         self._m_requests.inc()
-        stats.requests_sent += 1
         pending.sent_at = self.sim.now
         if pending.attempts == 1:
             pending.first_sent_at = self.sim.now
         self.socket.sendto(pending.payload, pending.dst)
-        rto = self.estimator_for(dst_ip).timeout_for(pending.attempts)
+        rto = self.estimator_for(pending.dst[0]).timeout_for(pending.attempts)
         pending.timer = self.sim.schedule(rto, self._on_timeout, request_id)
 
     def _on_timeout(self, request_id: int) -> None:
@@ -449,7 +422,6 @@ class SnmpManager:
             return
         del self._pending[request_id]
         self._m_timeouts.inc()
-        self.destination_stats(pending.dst[0]).timeouts += 1
         if pending.errback is not None:
             pending.errback(SnmpTimeout(str(pending.dst[0]), pending.attempts))
 
@@ -485,8 +457,6 @@ class SnmpManager:
         if pending.timer is not None:
             self.sim.cancel(pending.timer)
         self._m_responses.inc()
-        stats = self.destination_stats(pending.dst[0])
-        stats.responses += 1
         # Karn's rule: a response after a retransmit is ambiguous about
         # which copy it answers, so it yields no exact RTT sample.  It
         # does bound the RTT from above by the time since the *first*
@@ -496,8 +466,6 @@ class SnmpManager:
         # Only unambiguous first-transmission RTTs feed the histogram.
         first_try = pending.attempts == 1
         rtt = self.sim.now - (pending.sent_at if first_try else pending.first_sent_at)
-        if first_try:
-            stats.last_rtt = rtt
         self.estimator_for(pending.dst[0]).observe(rtt)
         if first_try and self.telemetry.enabled:
             self._h_rtt.labels(agent=self._agent_label(pending.dst[0])).observe(rtt)

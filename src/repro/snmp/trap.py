@@ -36,6 +36,12 @@ TRAP_LINK_UP = Oid("1.3.6.1.6.3.1.1.5.4")
 
 _trap_request_ids = itertools.count(0x7000)
 
+#: Informs a receiver remembers for de-duplication, the oldest forgotten
+#: first.  A sender retransmits one inform for at most ``max_attempts *
+#: timeout`` (60 s by default); a duplicate is caught as long as fewer
+#: informs than this reached the receiver since its original.
+INFORM_MEMORY = 1024
+
 # SNMPv1 generic-trap codes (RFC 1157 §4.1.6).
 GENERIC_COLD_START = 0
 GENERIC_LINK_DOWN = 2
@@ -174,7 +180,8 @@ class TrapReceiver:
 
     Informs are acknowledged (a Response PDU echoing the request-id goes
     back to the sender) and de-duplicated by (source, request-id), since
-    a lost acknowledgement makes the sender retransmit.
+    a lost acknowledgement makes the sender retransmit; the last
+    :data:`INFORM_MEMORY` keys are remembered.
     """
 
     def __init__(
@@ -186,12 +193,11 @@ class TrapReceiver:
         self.socket = endpoint.create_socket(TRAP_PORT)
         self.socket.on_receive = self._on_datagram
         self.callback = callback
-        self.events: List[TrapEvent] = []
         self.malformed = 0
         self.bad_community = 0
         self.informs_acked = 0
         self.duplicate_informs = 0
-        self._seen_informs: set = set()
+        self._seen_informs: dict = {}  # (source, request-id) -> None, oldest first
 
     def _on_datagram(self, payload, size, src_ip, src_port) -> None:
         if payload is None:
@@ -215,7 +221,6 @@ class TrapReceiver:
                 varbinds=tuple(pdu.varbinds),
                 received_at=self.sim.now,
             )
-            self.events.append(event)
             if self.callback is not None:
                 self.callback(event)
             return
@@ -238,11 +243,14 @@ class TrapReceiver:
                 (src_ip, src_port),
             )
             self.informs_acked += 1
+            seen = self._seen_informs
             dedup_key = (src_ip, pdu.request_id)
-            if dedup_key in self._seen_informs:
+            if dedup_key in seen:
                 self.duplicate_informs += 1
                 return
-            self._seen_informs.add(dedup_key)
+            seen[dedup_key] = None
+            if len(seen) > INFORM_MEMORY:
+                del seen[next(iter(seen))]
         event = TrapEvent(
             source_ip=src_ip,
             uptime=uptime_vb.value,
@@ -250,7 +258,6 @@ class TrapReceiver:
             varbinds=tuple(pdu.varbinds[2:]),
             received_at=self.sim.now,
         )
-        self.events.append(event)
         if self.callback is not None:
             self.callback(event)
 
@@ -330,7 +337,3 @@ class InformSender:
         if entry[2] is not None:
             self.sim.cancel(entry[2])
         self.acked += 1
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._pending)

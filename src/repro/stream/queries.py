@@ -34,19 +34,18 @@ NaN and its utilization a stale figure, so a query holds its state
 neither "still starved" nor "no longer starved".
 
 A query keeps its per-pair state as columns (:mod:`repro.stream.columns`)
-and the publisher feeds a cycle's pairs to its ``judge`` at once;
-:meth:`~ContinuousQuery.offer` is that same code on a batch of one.
+and the publisher feeds a cycle's pairs to its ``judge`` at once; one
+pair is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.report import PathReport
 from repro.stream.columns import PairColumns
 from repro.stream.events import pair_key
 from repro.telemetry.quantile import EwmaQuantiles
@@ -59,13 +58,8 @@ PairKey = Tuple[str, str]
 Outcome = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-_METRICS: Dict[str, Callable[[PathReport], float]] = {
-    "available": lambda r: r.available_bps,
-    "used": lambda r: r.used_bps,
-    "utilization": lambda r: (
-        r.bottleneck.utilization if r.bottleneck is not None else 0.0
-    ),
-}
+#: The report metrics a query can read (a snapshot's value columns).
+_METRICS = ("available", "used", "utilization")
 
 # Each compares a float or, elementwise, an array.
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -105,20 +99,6 @@ class ContinuousQuery(PairColumns):
         """Is the predicate currently holding for this pair?"""
         slot = self._slot_of.get(pair_key(*pair))
         return slot is not None and bool(self._firing[slot])
-
-    def offer(self, pair: PairKey, report: PathReport) -> Optional[Tuple[str, float]]:
-        """Feed one recomputed pair, a batch of one; ("fired"|"cleared",
-        value) on change."""
-        fired, cleared, values = self.judge(
-            self.slots((pair,)),
-            np.array([_METRICS[self.metric](report)], dtype=float),
-            np.array([report.unavailable]),
-        )
-        if fired[0]:
-            return ("fired", float(values[0]))
-        if cleared[0]:
-            return ("cleared", float(values[0]))
-        return None
 
 
 class ThresholdQuery(ContinuousQuery):

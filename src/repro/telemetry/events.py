@@ -82,13 +82,15 @@ class Event:
 EventCallback = Callable[[Event], None]
 
 
+#: Events an :class:`EventBus` retains, the oldest dropped first.
+CAPACITY = 1024
+
+
 class EventBus:
     """Publish/subscribe fan-out plus bounded retention and counting."""
 
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError(f"event capacity must be >= 1, got {capacity!r}")
-        self.recent: Deque[Event] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self.recent: Deque[Event] = deque(maxlen=CAPACITY)
         self.counts: Dict[str, int] = {}
         self._subscribers: List[tuple] = []  # (callback, frozenset-of-kinds | None)
 

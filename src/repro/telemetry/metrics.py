@@ -10,8 +10,8 @@ Three primitives, deliberately prometheus-shaped:
   is sampled at collection time instead of being mirrored on every
   change.
 - :class:`Histogram` -- a streaming distribution summary: count, sum,
-  min, max and a set of quantiles tracked incrementally in O(1) memory
-  (see :mod:`repro.telemetry.quantile`), never a sample buffer.
+  min, max and the quantiles :data:`QUANTILES`, tracked incrementally in
+  O(1) memory (see :mod:`repro.telemetry.quantile`), never a sample buffer.
 
 Metrics are created through :class:`MetricsRegistry`, which owns the
 namespace, deduplicates families, and supports labels::
@@ -37,7 +37,7 @@ from repro.telemetry.quantile import P2Quantile
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
+QUANTILES = (0.5, 0.9, 0.99)  # what every histogram tracks
 
 
 class MetricError(ValueError):
@@ -96,14 +96,12 @@ class Histogram:
 
     __slots__ = ("count", "sum", "min", "max", "_estimators")
 
-    def __init__(self, quantiles: Sequence[float] = DEFAULT_QUANTILES) -> None:
-        if not quantiles:
-            raise MetricError("histogram needs at least one target quantile")
+    def __init__(self) -> None:
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._estimators = {q: P2Quantile(q) for q in quantiles}
+        self._estimators = {q: P2Quantile(q) for q in QUANTILES}
 
     def observe(self, x: float) -> None:
         self.count += 1
@@ -259,12 +257,8 @@ class MetricsRegistry:
         name: str,
         help: str = "",
         labelnames: Sequence[str] = (),
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
     ) -> MetricFamily:
-        quantiles = tuple(quantiles)
-        return self._register(
-            name, "histogram", help, labelnames, lambda: Histogram(quantiles)
-        )
+        return self._register(name, "histogram", help, labelnames, Histogram)
 
     def _register(self, name, kind, help, labelnames, make) -> MetricFamily:
         if not _NAME_RE.match(name):

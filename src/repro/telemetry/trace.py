@@ -22,6 +22,7 @@ from typing import Callable, Deque, Dict, List, Optional
 
 logger = logging.getLogger("repro.telemetry")
 
+CAPACITY = 512  # finished spans kept
 SLOW_CAPACITY = 64  # slow spans kept for the forensic trail
 
 
@@ -113,16 +114,13 @@ class Tracer:
     def __init__(
         self,
         clock: Callable[[], float],
-        capacity: int = 512,
         slow_threshold: Optional[float] = None,
         enabled: bool = True,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("tracer ring capacity must be >= 1")
         self.clock = clock
         self.enabled = enabled
         self.slow_threshold = slow_threshold
-        self.finished: Deque[Span] = deque(maxlen=capacity)
+        self.finished: Deque[Span] = deque(maxlen=CAPACITY)
         self.slow: Deque[Span] = deque(maxlen=SLOW_CAPACITY)
         self.spans_started = 0
         self.spans_finished = 0

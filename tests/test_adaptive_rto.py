@@ -75,24 +75,28 @@ def agent_pair(extra_delay=None, delay_at=0.0):
 
 
 def poll_every(net, manager, host, period, count, start=0.0):
+    """Schedule ``count`` GETs of ``host``; returns the list their
+    answers land in."""
+    answers = []
     for i in range(count):
         net.sim.schedule_at(
             start + i * period,
-            lambda: manager.get(host.primary_ip, [SYS_NAME], lambda vbs: None),
+            lambda: manager.get(host.primary_ip, [SYS_NAME], answers.append),
         )
+    return answers
 
 
 class TestManagerAdaptation:
     def test_rto_converges_down_for_fast_agent(self):
         net, manager, fast, slow = agent_pair()
-        poll_every(net, manager, fast, 1.0, 10)
+        answers = poll_every(net, manager, fast, 1.0, 10)
         net.run(12.0)
         # LAN RTT is milliseconds; the floor stops the collapse.
         assert manager.current_rto(fast.primary_ip) == DEFAULT_MIN_RTO
-        stats = manager.destination_stats(fast.primary_ip)
-        assert stats.responses == 10
-        assert stats.retransmissions == 0
-        assert stats.last_rtt is not None and stats.last_rtt < 0.05
+        estimator = manager.estimator_for(fast.primary_ip)
+        assert len(answers) == 10 and estimator.samples == 10
+        assert manager.retransmissions == 0
+        assert estimator.srtt < 0.05
 
     def test_slow_agent_raises_its_own_rto_only(self):
         """The acceptance case: a ResponseDelay fault raises the slow
@@ -102,22 +106,22 @@ class TestManagerAdaptation:
         # (0.25 s) before the agent turns slow (+0.6 s) at t=10.
         net, manager, fast, slow = agent_pair(extra_delay=0.6, delay_at=10.0)
         poll_every(net, manager, fast, 1.0, 30)
-        poll_every(net, manager, slow, 1.0, 30)
+        answers = poll_every(net, manager, slow, 1.0, 30)
         net.run(36.0)
         assert manager.current_rto(slow.primary_ip) > 0.6
         assert manager.current_rto(fast.primary_ip) == DEFAULT_MIN_RTO
-        slow_stats = manager.destination_stats(slow.primary_ip)
         # Every request was eventually answered -- the slow agent is alive.
-        assert slow_stats.responses == 30
-        assert slow_stats.timeouts == 0
+        assert len(answers) == 30
+        assert manager.estimator_for(slow.primary_ip).samples == 30
+        assert manager.timeouts == 0
         # Right after the slowdown the converged-low RTO fires spurious
-        # retransmits; adaptation must then stop them entirely.
-        early = slow_stats.retransmissions
-        assert early > 0
+        # retransmits (the fast agent's never does); adaptation must then
+        # stop them entirely.
         mark = manager.retransmissions
-        poll_every(net, manager, slow, 1.0, 10, start=36.0)
+        assert mark > 0
+        later = poll_every(net, manager, slow, 1.0, 10, start=36.0)
         net.run(50.0)
-        assert manager.destination_stats(slow.primary_ip).responses == 40
+        assert len(answers) + len(later) == 40
         assert manager.retransmissions == mark  # zero new retransmits
 
     def test_estimators_are_per_destination(self):
@@ -137,7 +141,6 @@ class TestManagerAdaptation:
         manager.get(net.host("L").primary_ip, [SYS_NAME], lambda vbs: None, errors.append)
         net.run(20.0)
         assert len(errors) == 1
-        stats = manager.destination_stats(net.host("L").primary_ip)
-        assert stats.timeouts == 1
-        assert stats.retransmissions == 2  # retries=2
-        assert stats.responses == 0
+        assert manager.timeouts == 1
+        assert manager.retransmissions == 2  # retries=2
+        assert manager.estimator_for(net.host("L").primary_ip).samples == 0

@@ -208,7 +208,7 @@ class TestMatrix:
         assert "%" in capsys.readouterr().out
 
     def test_matrix_bad_host(self, good_spec, capsys):
-        assert main(["matrix", good_spec, "--host", "zzz"]) == 1
+        assert main(["matrix", good_spec, "--host", "zzz"]) == 2
 
 
 class TestHistory:
@@ -535,7 +535,7 @@ class TestSharedPrologue:
     @pytest.mark.parametrize(
         "command, code",
         [(c, 2) for c in _MONITORING]
-        + [("discover", 2), ("topology", 1), ("matrix", 1)],
+        + [("discover", 2), ("topology", 2), ("matrix", 2)],
     )
     def test_unknown_monitor_host(self, command, code, good_spec, capsys):
         argv = [command, good_spec] + _host_args(command, "zzz")
@@ -559,7 +559,7 @@ class TestSharedPrologue:
         assert "wants SRC:DST" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, code", [(c, 2) for c in _MONITORING] + [("matrix", 1)]
+        "command, code", [(c, 2) for c in _MONITORING] + [("matrix", 2)]
     )
     @pytest.mark.parametrize(
         "load, message",

@@ -127,7 +127,7 @@ class TestLifecycle:
         monitor.stop()
         build.network.run(20.0)
         assert monitor.stats()["reports"] == reports
-        assert monitor.manager.outstanding == 0
+        assert not monitor.manager._pending
 
     def test_bad_report_offset_rejected(self):
         build = build_testbed()

@@ -1,13 +1,23 @@
 """Unit tests for the SNMP poller: deltas, uptime intervals, wraps."""
 
+from dataclasses import astuple
+
 import pytest
 
-from repro.core.poller import InterfaceRates, PollTarget, RateTable, SnmpPoller
+from repro.core.poller import _COLUMNS, InterfaceRates, PollTarget, RateTable, SnmpPoller
+from repro.snmp.ber import TAG_COUNTER32
 from repro.simnet.network import Network
 from repro.simnet.sockets import DISCARD_PORT
 from repro.snmp.agent import SnmpAgent
 from repro.snmp.manager import SnmpManager
 from repro.snmp.mib import SYS_UPTIME, build_mib2
+
+
+def derive(poller, node, if_index, snapshot):
+    """Hand ``snapshot`` to the poller as a one-row reply of ``node``."""
+    uptime, *values = astuple(snapshot)
+    tables = {col: {if_index: (TAG_COUNTER32, v)} for col, v in zip(_COLUMNS, values)}
+    poller._derive(node, (if_index,), uptime, tables)
 
 
 def polling_net(interval=2.0, jitter=0.0):
@@ -215,26 +225,26 @@ class TestIngestEdges:
 
     def test_same_tick_duplicate_dropped(self):
         net, poller, *_ = polling_net()
-        poller._ingest("S1", 1, self.snap(10.0, octets=100))  # baseline
-        poller._ingest("S1", 1, self.snap(10.0, octets=999))  # same uptime tick
+        derive(poller, "S1", 1, self.snap(10.0, octets=100))  # baseline
+        derive(poller, "S1", 1, self.snap(10.0, octets=999))  # same uptime tick
         assert poller.samples_produced == 0
         assert poller.rates.latest("S1", 1) is None
 
     def test_counter32_wrap_yields_positive_rate(self):
         net, poller, *_ = polling_net()
-        poller._ingest("S1", 1, self.snap(10.0, octets=(1 << 32) - 500))
-        poller._ingest("S1", 1, self.snap(12.0, octets=1500))  # wrapped past 2^32
+        derive(poller, "S1", 1, self.snap(10.0, octets=(1 << 32) - 500))
+        derive(poller, "S1", 1, self.snap(12.0, octets=1500))  # wrapped past 2^32
         latest = poller.rates.latest("S1", 1)
         assert latest is not None
         assert latest.in_bytes_per_s == pytest.approx((500 + 1500) / 2.0)
 
     def test_uptime_regression_counts_restart_and_rebaselines(self):
         net, poller, *_ = polling_net()
-        poller._ingest("S1", 1, self.snap(1000.0, octets=5_000_000))
-        poller._ingest("S1", 1, self.snap(1.0, octets=100))  # rebooted agent
+        derive(poller, "S1", 1, self.snap(1000.0, octets=5_000_000))
+        derive(poller, "S1", 1, self.snap(1.0, octets=100))  # rebooted agent
         assert poller.agent_restarts == 1
         assert poller.samples_produced == 0  # baseline only, no garbage rate
-        poller._ingest("S1", 1, self.snap(3.0, octets=4100))
+        derive(poller, "S1", 1, self.snap(3.0, octets=4100))
         latest = poller.rates.latest("S1", 1)
         assert latest.in_bytes_per_s == pytest.approx(4000 / 2.0)
         assert latest.interval == pytest.approx(2.0)
@@ -244,8 +254,6 @@ class TestIngestEdges:
         it reset is one restart -- one count, one event naming the agent
         and every interface re-baselined -- while integrity still forgets
         each interface's streak.  The parent counted four here."""
-        from repro.core.poller import _COLUMNS
-        from repro.snmp.ber import TAG_COUNTER32
         from repro.telemetry.events import AGENT_RESTART
 
         net, poller, *_ = polling_net()

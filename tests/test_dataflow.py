@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bandwidth import BandwidthCalculator
+from repro.core.counters import if_index_of
 from repro.core.dataflow import ConnCacheEntry, DegradedSourceSet
 from repro.core.health import AgentHealthTracker
 from repro.core.linkstate import LinkStateRegistry
@@ -28,10 +29,15 @@ from repro.core.monitor import NetworkMonitor, ReportCore
 from repro.core.poller import InterfaceRates, RateTable
 from repro.core.report import ConnectionMeasurement, PathReport
 from repro.core.traversal import NoPathError, find_path, pair_redundant
-from repro.experiments.scale import populate_rates, scale_spec
+from repro.experiments.scale import scale_spec
 from repro.experiments.testbed import TESTBED_SPEC_TEXT
 from repro.integrity.quarantine import QuarantineManager
 from repro.integrity.validators import IntegrityVerdict, Severity
+from repro.simnet.address import IPv4Address
+from repro.snmp.datatypes import Integer, TimeTicks
+from repro.snmp.mib import IF_INDEX
+from repro.snmp.pdu import VarBind
+from repro.snmp.trap import TRAP_LINK_DOWN, TRAP_LINK_UP, TrapEvent
 from repro.spec.builder import build_network
 from repro.spec.parser import parse_spec
 from repro.stream import MatrixPublisher
@@ -40,11 +46,19 @@ from repro.topology.graph import TopologyGraph
 from repro.topology.model import ConnectionSpec, InterfaceRef
 from tests.costs import call_counts
 from tests.dataflow_reference import find_all_paths, reference_redundant, reference_snapshot
+from tests.synthetic import populate_rates
 
 
 def _bits(value):
     """A float's IEEE-754 bytes: equal only when bit-identical (NaN too)."""
     return struct.pack("<d", value)
+
+
+def set_link(ls, conn, up):
+    """Flip ``conn`` through the registry's ifOperStatus sink, as a poll
+    of its first end's interface would."""
+    end = conn.end_a
+    ls.apply_oper_status(end.node, if_index_of(ls.spec.node(end.node), end.interface), up)
 
 
 def sample(node, if_index, time, bps=1e6):
@@ -79,29 +93,37 @@ class TestEpochSources:
 
     def test_link_state_bumps_only_on_flips(self):
         spec = scale_spec(switches=1, hosts_per_switch=2)
-        ls = LinkStateRegistry(spec, {})
         conn = spec.connections[0]
+        end = conn.end_a
+        agent = IPv4Address("10.0.0.1")
+        ls = LinkStateRegistry(spec, {end.node: agent})
+        idx = if_index_of(spec.node(end.node), end.interface)
+        uptimes = iter(range(100, 1000, 100))
+
+        def trap(kind):
+            return TrapEvent(
+                agent, TimeTicks(next(uptimes)), kind,
+                (VarBind(IF_INDEX + str(idx), Integer(idx)),), 0.0,
+            )
+
         assert ls.epoch_of(conn) == 0
-        ls.mark_down(conn)
+        assert ls.apply_trap(trap(TRAP_LINK_DOWN)) is conn
         first = ls.epoch_of(conn)
         assert first == 1
-        ls.mark_down(conn)  # redundant: no flip, no bump
+        ls.apply_trap(trap(TRAP_LINK_DOWN))  # redundant: no flip, no bump
         assert ls.epoch_of(conn) == first
-        ls.mark_up(conn)
+        ls.apply_trap(trap(TRAP_LINK_UP))
         assert ls.epoch_of(conn) == 2
-        ls.mark_up(conn)
+        ls.apply_trap(trap(TRAP_LINK_UP))
         assert ls.epoch_of(conn) == 2
-        assert ls.clock == 2
+        assert (ls.clock, ls.events_applied) == (2, 4)
 
     def test_oper_status_bumps_only_on_flips(self):
         spec = scale_spec(switches=1, hosts_per_switch=2)
         ls = LinkStateRegistry(spec, {})
         conn = spec.connections[0]
         end = conn.end_a
-        node = spec.node(end.node)
-        from repro.core.counters import if_index_of
-
-        idx = if_index_of(node, end.interface)
+        idx = if_index_of(spec.node(end.node), end.interface)
         ls.apply_oper_status(end.node, idx, up=True)  # already up
         assert ls.clock == 0
         ls.apply_oper_status(end.node, idx, up=False)
@@ -370,13 +392,6 @@ _OPS = st.one_of(
 )
 
 
-class _ClocklessLinkState:
-    """A collaborator that predates the epoch surface: ``is_down`` only."""
-
-    def __init__(self, registry):
-        self.is_down = registry.is_down
-
-
 class _ProbeCap:
     """The one thing the report core asks of a prober."""
 
@@ -400,8 +415,8 @@ def _report_core(calc, graph, prober):
 
 
 @settings(max_examples=200, deadline=None)
-@given(ops=st.lists(_OPS, min_size=1, max_size=40), clockless=st.booleans())
-def test_incremental_equals_full_recompute(ops, clockless):
+@given(ops=st.lists(_OPS, min_size=1, max_size=40))
+def test_incremental_equals_full_recompute(ops):
     rates = RateTable()
     ls = LinkStateRegistry(_SPEC, {})
     health = AgentHealthTracker()
@@ -410,13 +425,13 @@ def test_incremental_equals_full_recompute(ops, clockless):
     calc = BandwidthCalculator(
         _SPEC,
         rates,
-        link_state=_ClocklessLinkState(ls) if clockless else ls,
         stale_after=4.0,
         dead_after=12.0,
         health=health,
         integrity=qm,
         degraded_sources=lossy,
     )
+    calc.link_state = ls
     incremental = BandwidthMatrix(_SPEC, calc)
     graph = incremental.graph  # the reference traverses the same active view
     # A watch holds one bound path across the topology churn and re-binds
@@ -437,10 +452,8 @@ def test_incremental_equals_full_recompute(ops, clockless):
             t += 0.096
         elif op == "stall":
             t += 5.0
-        elif op == "down":
-            ls.mark_down(_SPEC.connections[index])
-        elif op == "up":
-            ls.mark_up(_SPEC.connections[index])
+        elif op in ("down", "up"):
+            set_link(ls, _SPEC.connections[index], up=op == "up")
         elif op == "fail":
             health.record_failure(_NODES[index], t)
         elif op == "ok":
@@ -767,10 +780,11 @@ class TestReportCost:
         rates = RateTable()
         populate_rates(self.SPEC, rates, time=0.0)
         calc = BandwidthCalculator(
-            self.SPEC, rates, link_state=LinkStateRegistry(self.SPEC, {}),
-            stale_after=5.0, dead_after=12.0, health=AgentHealthTracker(),
-            integrity=QuarantineManager(), telemetry=Telemetry(),
+            self.SPEC, rates, stale_after=5.0, dead_after=12.0,
+            health=AgentHealthTracker(), integrity=QuarantineManager(),
+            telemetry=Telemetry(),
         )
+        calc.link_state = LinkStateRegistry(self.SPEC, {})
         matrix = BandwidthMatrix(self.SPEC, calc)
         matrix.snapshot(0.5)
         return rates, matrix

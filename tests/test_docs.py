@@ -4,7 +4,10 @@ The docs embed spec-language sources; if the grammar or validator
 changes, these tests force the docs to move in lockstep.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from repro.spec.validate import validate_spec
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 README = Path(__file__).resolve().parent.parent / "README.md"
+EXAMPLES = sorted((README.parent / "examples").glob("*.py"))
 
 
 def extract_specs(text: str):
@@ -204,3 +208,17 @@ class TestProbeDocsContract:
             "quarantine_candidate_agent",
         ):
             assert cause in text
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.stem)
+def test_every_example_runs(script):
+    """Each example is a product caller of what it uses, so each runs."""
+    src = str(README.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    done = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -135,7 +135,7 @@ class TestLeaseMachine:
             t.check(now)
             assert t.state("w") is state, now
         assert [tr.silence for tr in t.transitions] == [3.1, 6.1]
-        assert t.lease("w").expiries == 1
+        assert t._records["w"].expiries == 1
 
     def test_alive_can_expire_without_passing_suspect(self):
         t = self.tracker()
@@ -149,7 +149,7 @@ class TestLeaseMachine:
         assert t.state("w") is WorkerState.ALIVE
         t.check(7.0)  # 2.5 s since the beat: the clock restarted
         assert t.state("w") is WorkerState.ALIVE
-        assert t.lease("w").recoveries == 0  # never died, nothing to recover
+        assert t._records["w"].recoveries == 0  # never died, nothing to recover
 
     def test_recovery_needs_consecutive_beats(self):
         t = self.dead()
@@ -157,7 +157,7 @@ class TestLeaseMachine:
         assert t.state("w") is WorkerState.RECOVERING  # one beat is not enough
         t.beat("w", 9.0)
         assert t.state("w") is WorkerState.ALIVE
-        lease = t.lease("w")
+        lease = t._records["w"]
         assert (lease.expiries, lease.recoveries, lease.beats) == (1, 1, 2)
         assert "dead -> recovering" in str(t.transitions[-2])
 
@@ -166,12 +166,12 @@ class TestLeaseMachine:
         t.beat("w", 8.0)
         t.check(14.5)  # silent again past the lease: relapse
         assert t.state("w") is WorkerState.DEAD
-        assert t.lease("w").recovery_streak == 0
+        assert t._records["w"].recovery_streak == 0
         t.beat("w", 15.0)
         assert t.state("w") is WorkerState.RECOVERING  # the old beat does not count
         t.beat("w", 15.5)
         assert t.state("w") is WorkerState.ALIVE
-        lease = t.lease("w")
+        lease = t._records["w"]
         assert (lease.expiries, lease.recoveries) == (2, 1)
 
     def test_beat_registers_an_unknown_worker_alive(self):

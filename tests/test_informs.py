@@ -6,6 +6,8 @@ from repro.simnet.faults import LinkFailure
 from repro.simnet.network import Network
 from repro.snmp.datatypes import Integer, TimeTicks
 from repro.snmp.pdu import Pdu, VarBind
+from repro.snmp.message import VERSION_2C, Message
+from repro.snmp import trap
 from repro.snmp.trap import (
     TRAP_LINK_DOWN,
     InformSender,
@@ -13,6 +15,7 @@ from repro.snmp.trap import (
     build_trap_pdu,
 )
 from repro.snmp.mib import IF_INDEX
+from tests.test_traps_linkstate import tap
 
 
 def inform_net():
@@ -46,7 +49,7 @@ class TestInformDelivery:
         assert len(events) == 1
         assert events[0].is_link_down
         assert sender.acked == 1
-        assert sender.outstanding == 0
+        assert not sender._pending
         assert sender.retransmissions == 0
 
     def test_survives_outage_and_delivers_after(self):
@@ -88,7 +91,7 @@ class TestInformDelivery:
         sender.send(link_down_inform())
         net.run(30.0)
         assert sender.abandoned == 1
-        assert sender.outstanding == 0
+        assert not sender._pending
         assert events == []
 
     def test_rejects_non_inform_pdus(self):
@@ -105,6 +108,27 @@ class TestInformDelivery:
         assert receiver.informs_acked == 2
         assert len(events) == 2
 
+    def test_dedup_memory_is_bounded(self):
+        """One agent's 10 000 informs leave at most INFORM_MEMORY keys
+        behind, not one per inform for the receiver's life, and a
+        retransmission inside that memory is acked, not redelivered."""
+        net, s, r, sender, receiver, events = inform_net()
+
+        def arrive(payload):
+            receiver._on_datagram(payload, len(payload), s.primary_ip, 4000)
+
+        payloads = [
+            Message(VERSION_2C, "public", link_down_inform()).encode()
+            for _ in range(10_000)
+        ]
+        for payload in payloads:
+            arrive(payload)
+        assert len(events) == receiver.informs_acked == 10_000
+        assert len(receiver._seen_informs) <= trap.INFORM_MEMORY
+        arrive(payloads[-trap.INFORM_MEMORY])  # the oldest one still remembered
+        assert receiver.informs_acked == 10_001
+        assert (len(events), receiver.duplicate_informs) == (10_000, 1)
+
     def test_monitor_confirmed_mode_survives_own_link_death(self):
         """S1's linkDown inform arrives after the restore; the registry
         must record the history yet end in the UP state (stale-event
@@ -116,6 +140,7 @@ class TestInformDelivery:
         monitor = NetworkMonitor(build, "L", poll_jitter=0.0)
         monitor.watch_path("S1", "N1")
         registry = monitor.enable_trap_listener(confirmed=True)
+        delivered = tap(monitor.trap_receiver)
         net = build.network
         LinkFailure(net.sim, net.host("S1").interfaces[0].link, at=10.0, until=20.0)
         monitor.start()
@@ -124,7 +149,7 @@ class TestInformDelivery:
         net.run(45.0)
         # All four notifications eventually arrived (2 from the switch
         # live, 2 from S1 delivered after restore)...
-        assert len(monitor.trap_receiver.events) == 4
+        assert len(delivered) == 4
         # ...the out-of-order linkDown retransmissions were discarded...
         assert registry.events_stale >= 1
         # ...and the final state is healthy.

@@ -56,6 +56,7 @@ from repro.telemetry.events import (
     QUARANTINE_EXIT,
 )
 from tests.costs import call_counts, python_calls, scenario_with
+from tests.test_core_poller import derive
 
 POLL = 2.0
 
@@ -610,8 +611,8 @@ class TestTimeTicksWrap:
         wrap = 2 ** 32
         # Baseline 1 s before the wrap, next poll 1 s after: the raw
         # tick values regress but the wrap-aware delta is 2 s.
-        poller._ingest("S1", 1, snapshot_at_ticks(wrap - 100, octets=1_000))
-        poller._ingest("S1", 1, snapshot_at_ticks(100, octets=1_000 + 25_000))
+        derive(poller, "S1", 1, snapshot_at_ticks(wrap - 100, octets=1_000))
+        derive(poller, "S1", 1, snapshot_at_ticks(100, octets=1_000 + 25_000))
         got = poller.rates.latest("S1", 1)
         assert got is not None
         assert got.interval == pytest.approx(2.0)

@@ -35,7 +35,8 @@ under ``src/repro``, plus every public method and property of a public
 class.  A *reference* is the identifier as a ``Name``, an ``Attribute``,
 an import alias or a string literal (which covers ``getattr`` and stats
 keys); a package ``__init__`` re-export, an ``__all__`` entry and a
-docstring are not references.  Reachability is a fixed point from the
+docstring are not references.  A bare ``Name`` reaches module-level
+names only: a local variable that shares a method's name calls nothing.  Reachability is a fixed point from the
 product's top-level code: a reference made inside a definition counts
 only once that definition is itself reached, so a name used only by
 dead code is dead too.  A method is reached by its name from anywhere
@@ -65,13 +66,11 @@ MONITOR = SRC / "core" / "monitor.py"
 
 _SIM = "simulator model parameter: tests tune the magnitude to exercise the model"
 _ORACLE = "the oracle tests/sample_reference.py reads it; retires with the path it mirrors"
-_SEAM = "test seam"
 _TARGET = "which interface a fault lies about is the scenario's; tests aim it at one port"
 
 #: ``"Class.param"`` or ``"Class.enable_x.param"``: reason, for every
 #: option no product caller sets or the product sets to one value.
 ALLOWED = {
-    "BandwidthCalculator.link_state": f"{_SEAM}: the monitor assigns the attribute when traps go on",
     "SampleShipper.keyframe_every": "tests shorten it to see periodic keyframes (PR 16 ruled on the plane's)",
     "DistributedMonitor.report_offset": "validated timing parameter of the public monitor; tests move it",
     "NetworkMonitor.report_offset": "validated timing parameter of the public monitor; tests move it",
@@ -107,13 +106,10 @@ ALLOWED = {
     "SnmpManager.version": "SNMPv1 interoperability, exercised by the agent and bulk tests",
     "SnmpManager.retries": "chaos tests vary the give-up point",
     "QuantileDeadbandFilter.floor_bps": "a subscriber's own filter: its parameters are the subscriber's",
-    "EventBus.capacity": f"{_SEAM}: the ring bound is checked with a small one",
-    "Tracer.capacity": f"{_SEAM}: the ring bound is checked with a small one",
-    "Histogram.quantiles": "which quantiles a family tracks; the export tests use it",
 }
 
 #: Lower it whenever an entry goes; never raise it.
-CEILING = 40
+CEILING = 35
 
 
 def _parse_product(root):
@@ -554,7 +550,6 @@ _FAULT = (
     "chaos-suite fault injector: the one seeded fault schedule the chaos "
     "suites are to share will be its product caller"
 )
-_LINK_SEAM = f"{_SEAM}: flips a connection's state without a trap"
 
 #: ``"module.Name"`` or ``"module.Class.member"``: reason, for every
 #: public name no product file reaches.
@@ -562,12 +557,9 @@ ALLOWED_NAMES = {
     "analysis.stats.exact_quantile": _TRUTH,
     "analysis.stats.exact_quantiles": _TRUTH,
     "analysis.stats.quantile_rank_error": _TRUTH,
-    "experiments.scale.populate_rates": "fills a campus-sized rate table for the dataflow and stream tests without a run",
     "core.monitor.NetworkMonitor.enable_oper_status_tracking": "documented capability with tests: the poll-based link-state backstop for lost traps",
     "core.linkstate.LinkStateRegistry.apply_oper_status": "the backstop's sink, reached only by enable_oper_status_tracking",
     "core.linkstate.LinkStateRegistry.down_connections": _VIEW,
-    "core.linkstate.LinkStateRegistry.mark_down": _LINK_SEAM,
-    "core.linkstate.LinkStateRegistry.mark_up": _LINK_SEAM,
     "core.report.PathReport.complete": _VIEW,
     "probe.stats.ProbeReport.complete": _VIEW,
     "rm.qos.QosRequirement.from_spec": "the qospath-to-requirement bridge its module documents; the CLI and examples build requirements directly",
@@ -590,7 +582,7 @@ ALLOWED_NAMES = {
 }
 
 #: Lower it whenever an entry goes; never raise it.
-NAMES_CEILING = 28
+NAMES_CEILING = 25
 
 
 def _public_names(trees, src):
@@ -625,10 +617,13 @@ def _is_all(node):
 
 
 def _references(tree, is_init, owner):
-    """``(context, identifier)`` for every reference in one module.
+    """``(context, identifier, bare)`` for every reference in one module.
 
     The context is the key of the innermost census definition the
-    reference sits in (None at top level or in private code outside one).
+    reference sits in (None at top level or in private code outside one);
+    ``bare`` says the reference is a ``Name``, which only a module-level
+    name can answer to (a local variable that shares a method's name is
+    no caller of the method).
     """
     docstrings = {
         id(node.value)
@@ -644,17 +639,17 @@ def _references(tree, is_init, owner):
         if _is_all(node) or (is_init and isinstance(node, (ast.Import, ast.ImportFrom))):
             continue
         if isinstance(node, ast.Name):
-            yield context, node.id
+            yield context, node.id, True
         elif isinstance(node, ast.Attribute):
-            yield context, node.attr
+            yield context, node.attr, False
         elif isinstance(node, ast.alias):
-            yield context, node.name.rpartition(".")[2]
+            yield context, node.name.rpartition(".")[2], False
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and id(node) not in docstrings
         ):
-            yield context, node.value
+            yield context, node.value, False
         stack.extend((child, context) for child in ast.iter_child_nodes(node))
 
 
@@ -662,20 +657,26 @@ def _reachability(trees, src):
     """(every public name, those no product file reaches)."""
     names = _public_names(trees, src)
     owner = {id(node): key for key, (nodes, _) in names.items() for node in nodes}
-    made_in = {}
+    made_in = {}  # context -> (every identifier, those made other than bare)
     for path, tree in trees.items():
-        for context, identifier in _references(tree, path.name == "__init__.py", owner):
-            made_in.setdefault(context, set()).add(identifier)
-    reached, referenced = set(), set(made_in.get(None, ()))
+        for context, identifier, bare in _references(tree, path.name == "__init__.py", owner):
+            every, qualified = made_in.setdefault(context, (set(), set()))
+            every.add(identifier)
+            if not bare:
+                qualified.add(identifier)
+    reached = set()
+    referenced, qualified = (set(ids) for ids in made_in.get(None, ((), ())))
     grew = True
     while grew:
         grew = False
         for key, (_, cls) in names.items():
             if key in reached or (cls is not None and cls not in reached):
                 continue
-            if key.rpartition(".")[2] in referenced:
+            if key.rpartition(".")[2] in (referenced if cls is None else qualified):
                 reached.add(key)
-                referenced |= made_in.get(key, set())
+                every, attributes = made_in.get(key, ((), ()))
+                referenced.update(every)
+                qualified.update(attributes)
                 grew = True
     unreached = {
         key
@@ -722,7 +723,8 @@ def test_the_names_census_on_a_tiny_tree(tmp_path):
     write("src/pkg/mod.py", '''
         def used():
             """documented_only"""
-            return 1
+            size = 1  # a local, not Kept.size
+            return size
 
         def dead():
             return only_from_dead()
@@ -738,6 +740,8 @@ def test_the_names_census_on_a_tiny_tree(tmp_path):
         class Kept:
             def method(self):
                 return self.method()  # its own definition: no reference
+
+            def size(self): ...
     ''')
     write("examples/run.py", '''
         from pkg import mod
@@ -749,7 +753,7 @@ def test_the_names_census_on_a_tiny_tree(tmp_path):
     assert "mod.Kept.method" in names
     assert unreached == {
         "mod.dead", "mod.only_from_dead", "mod.exported", "mod.listed",
-        "mod.documented_only", "mod.Kept.method",
+        "mod.documented_only", "mod.Kept.method", "mod.Kept.size",
     }
 
 

@@ -219,7 +219,7 @@ class TestAgentRobustness:
         mgr.cancel_all()
         net.run(5.0)
         assert got.error is None
-        assert mgr.outstanding == 0
+        assert not mgr._pending
 
     def test_response_traffic_loads_network(self):
         """SNMP polling itself consumes bandwidth (paper's ~2% overhead)."""
@@ -254,7 +254,7 @@ class TestErrorStatusOffTheWire:
             VERSION_2C, "public", Pdu(ber.TAG_GET_RESPONSE, request_id, status, 1)
         ).encode()
         mgr._on_datagram(reply, len(reply), host.primary_ip, 161)
-        assert mgr.outstanding == 0 and results == []
+        assert not mgr._pending and results == []
         (exc,) = errors
         assert isinstance(exc, SnmpErrorResponse)
         assert (exc.status, exc.raw_status, exc.index) == (reads_as, status, 1)

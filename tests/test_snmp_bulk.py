@@ -313,7 +313,7 @@ class TestCostPerVarbind:
         reply = []
         agent_side = call_counts(lambda: reply.append(agent_reply(agent, request, sw_ip)))
         manager_side = call_counts(lambda: mgr._on_datagram(reply[0], len(reply[0]), sw_ip, 161))
-        assert mgr.outstanding == 0 and mgr.requests_sent == 2 - (consumer != "poller")
+        assert not mgr._pending and mgr.requests_sent == 2 - (consumer != "poller")
         assert done() == ports
         return agent_side, manager_side
 

@@ -328,7 +328,6 @@ def manager_state(manager, walk):
     return (
         sorted((i, p.attempts, manager.sim.pending(p.timer)) for i, p in manager._pending.items()),
         {ip: (e.srtt, e.rttvar, e.rto, e.samples) for ip, e in manager._estimators.items()},
-        {ip: dataclasses.astuple(d) for ip, d in manager.destinations.items()},
         (manager.requests_sent, responses(manager)[0]),
         (walk.exchanges, walk.uptime, list(walk.cursor_rows), list(walk.done)),
         [dict(table) for table in walk.tables],
@@ -358,7 +357,7 @@ class TestManager:
             assert 2 in manager._pending
         else:
             assert 2 not in manager._pending
-            went_on = manager.requests_sent == 3 and manager.outstanding == 2
+            went_on = manager.requests_sent == 3 and len(manager._pending) == 2
             assert went_on != ([name for name, *_ in got.ended] == ["poll"])
 
     def test_the_valid_replies_complete_both_requests(self):
@@ -366,7 +365,7 @@ class TestManager:
         for payload in (REPLY_WALK, REPLY_GET):
             manager._on_datagram(payload, len(payload), None, 161)
         (_, how, (uptime, tables)), (_, _, varbinds) = got.ended
-        assert how == "ok" and manager.outstanding == 0
+        assert how == "ok" and not manager._pending
         assert uptime == 0 and [len(tables[col]) for col in COLUMNS] == [PORTS] * 6
         assert [vb.oid for vb in varbinds] == [SYS_UPTIME, IF_DESCR.extend(1)]
 
@@ -381,9 +380,15 @@ class TestManager:
 # ----------------------------------------------------------------------
 # TrapReceiver and InformSender
 # ----------------------------------------------------------------------
-def receiver_state(net, receiver):
+def listening(host):
+    """A receiver on ``host`` and the list its callback delivers into."""
+    events = []
+    return TrapReceiver(host, callback=events.append), events
+
+
+def receiver_state(net, receiver, events):
     return (
-        list(receiver.events), set(receiver._seen_informs), receiver.informs_acked,
+        list(events), set(receiver._seen_informs), receiver.informs_acked,
         receiver.duplicate_informs, net.sim.pending_count(),
     )
 
@@ -394,16 +399,16 @@ class TestTrapReceiver:
     @example(payload=NEGATIVE_SPECIFIC_TRAP)
     def test_counted_reject_or_one_event(self, payload):
         net, host, peer, _agent = lan()
-        receiver = TrapReceiver(host)
-        before = receiver_state(net, receiver)
+        receiver, events = listening(host)
+        before = receiver_state(net, receiver, events)
         receiver._on_datagram(payload, len(payload), peer.primary_ip, 4000)
         rejected = receiver.malformed + receiver.bad_community
         assert rejected in (0, 1)
         if rejected:
-            assert receiver_state(net, receiver) == before
+            assert receiver_state(net, receiver, events) == before
         else:
-            assert len(receiver.events) == 1
-            event = receiver.events[0]
+            assert len(events) == 1
+            event = events[0]
             assert isinstance(event.trap_oid, Oid) and isinstance(event.uptime, TimeTicks)
             assert len(receiver._seen_informs) == receiver.informs_acked <= 1
 
@@ -411,24 +416,24 @@ class TestTrapReceiver:
         """The parent's failing case: ``enterprise.0.-1`` is no OID, and
         ``OidError`` left the socket callback."""
         net, host, peer, _agent = lan()
-        receiver = TrapReceiver(host)
+        receiver, events = listening(host)
         receiver._on_datagram(
             NEGATIVE_SPECIFIC_TRAP, len(NEGATIVE_SPECIFIC_TRAP), peer.primary_ip, 4000
         )
-        assert receiver.malformed == 1 and receiver.events == []
+        assert receiver.malformed == 1 and events == []
 
     def test_a_malformed_inform_is_neither_acknowledged_nor_remembered(self):
         """The parent acknowledged an inform and remembered its id before
         finding that its first varbind was no sysUpTime TimeTicks: a
         counted reject that still sent a datagram and moved the dedup set."""
         net, host, peer, _agent = lan()
-        receiver = TrapReceiver(host)
+        receiver, events = listening(host)
         pdu = inform_pdu()
         pdu.varbinds[0] = VarBind(SYS_UPTIME, Integer(100))
         payload = _message(pdu)
-        before = receiver_state(net, receiver)
+        before = receiver_state(net, receiver, events)
         receiver._on_datagram(payload, len(payload), peer.primary_ip, 4000)
-        assert receiver.malformed == 1 and receiver_state(net, receiver) == before
+        assert receiver.malformed == 1 and receiver_state(net, receiver, events) == before
 
 
 class TestInformSender:
@@ -446,7 +451,7 @@ class TestInformSender:
         except BerError:
             settles = False
         if settles:
-            assert sender.acked == 1 and sender.outstanding == 0 and not net.sim.pending(timer)
+            assert sender.acked == 1 and not sender._pending and not net.sim.pending(timer)
         else:
             assert sender.acked == 0 and sender.sent == sent
             assert sender._pending[INFORM_ID][1:] == [attempts, timer] and net.sim.pending(timer)

@@ -20,7 +20,7 @@ from repro.core.bandwidth import BandwidthCalculator
 from repro.core.matrix import BandwidthMatrix
 from repro.core.monitor import NetworkMonitor
 from repro.core.poller import RateTable
-from repro.experiments.scale import populate_rates, scale_spec
+from repro.experiments.scale import scale_spec
 from repro.experiments.testbed import MONITOR_HOST, build_testbed
 from repro.rm.middleware import RmMiddleware
 from repro.rm.qos import QosRequirement
@@ -43,6 +43,7 @@ from repro.stream import (
     pair_key,
 )
 from repro.telemetry import Telemetry
+from tests.synthetic import populate_rates
 
 PAIR = ("a", "b")
 
@@ -421,18 +422,39 @@ def report_with_available(available_bps, time=0.0, src="a", dst="b"):
     )
 
 
+#: A report's value under each query metric (what a snapshot's columns hold).
+_METRIC_OF = {
+    "available": lambda r: r.available_bps,
+    "used": lambda r: r.used_bps,
+    "utilization": lambda r: r.bottleneck.utilization if r.bottleneck is not None else 0.0,
+}
+
+
+def judged(query, pair, report):
+    """The query's answer for one pair, its batch of one: ("fired" |
+    "cleared", value) when its state changed, else None."""
+    fired, cleared, values = query.judge(
+        query.slots([pair]),
+        np.array([_METRIC_OF[query.metric](report)], dtype=float),
+        np.array([report.unavailable]),
+    )
+    if fired[0] or cleared[0]:
+        return ("fired" if fired[0] else "cleared", float(values[0]))
+    return None
+
+
 class TestThresholdQuery:
     def test_fires_after_consecutive_samples_and_clears(self):
         query = ThresholdQuery(
             "low", metric="available", op="<", threshold=1000.0, for_samples=2
         )
         key = pair_key("a", "b")
-        assert query.offer(key, report_with_available(500.0)) is None  # 1st
-        outcome = query.offer(key, report_with_available(500.0))  # 2nd
+        assert judged(query, key, report_with_available(500.0)) is None  # 1st
+        outcome = judged(query, key, report_with_available(500.0))  # 2nd
         assert outcome == ("fired", 500.0)
         assert query.firing(key)
-        assert query.offer(key, report_with_available(500.0)) is None  # held
-        what, value = query.offer(key, report_with_available(5000.0))
+        assert judged(query, key, report_with_available(500.0)) is None  # held
+        what, value = judged(query, key, report_with_available(5000.0))
         assert what == "cleared"
         assert not query.firing(key)
 
@@ -441,9 +463,9 @@ class TestThresholdQuery:
             "low", metric="available", op="<", threshold=1000.0, for_samples=2
         )
         key = pair_key("a", "b")
-        query.offer(key, report_with_available(500.0))
-        query.offer(key, report_with_available(5000.0))  # streak broken
-        assert query.offer(key, report_with_available(500.0)) is None
+        judged(query, key, report_with_available(500.0))
+        judged(query, key, report_with_available(5000.0))  # streak broken
+        assert judged(query, key, report_with_available(500.0)) is None
 
     def test_an_unavailable_report_is_no_evidence(self):
         # Starved at t=1 and t=2, then the path goes unavailable: "unknown"
@@ -452,18 +474,18 @@ class TestThresholdQuery:
             "starved", metric="available", op="<", threshold=500.0, for_samples=2
         )
         key = pair_key("a", "b")
-        assert query.offer(key, report_with_available(100.0, time=1.0)) is None
-        assert query.offer(key, report_with_available(100.0, time=2.0)) == (
+        assert judged(query, key, report_with_available(100.0, time=1.0)) is None
+        assert judged(query, key, report_with_available(100.0, time=2.0)) == (
             "fired", 100.0,
         )
         dead = replace(report_with_available(100.0, time=3.0), unavailable=True)
-        assert query.offer(key, dead) is None
+        assert judged(query, key, dead) is None
         assert query.firing(key)
-        assert query.offer(key, report_with_available(5000.0, time=4.0))[0] == "cleared"
+        assert judged(query, key, report_with_available(5000.0, time=4.0))[0] == "cleared"
         # A streak interrupted by an unavailable report is held, not reset.
-        query.offer(key, report_with_available(100.0, time=5.0))
-        query.offer(key, replace(report_with_available(100.0, time=6.0), unavailable=True))
-        assert query.offer(key, report_with_available(100.0, time=7.0))[0] == "fired"
+        judged(query, key, report_with_available(100.0, time=5.0))
+        judged(query, key, replace(report_with_available(100.0, time=6.0), unavailable=True))
+        assert judged(query, key, report_with_available(100.0, time=7.0))[0] == "fired"
 
     def test_describe_mentions_threshold(self):
         query = ThresholdQuery("q", "available", op="<", threshold=20e6, for_samples=2)
@@ -483,7 +505,7 @@ class TestPercentileQuery:
         query = PercentileQuery("p90", p=0.9, window_s=60.0, interval_s=2.0)
         key = pair_key("a", "b")
         for i in range(200):
-            query.offer(key, report_with_utilization(0.10 + (i % 10) * 0.01))
+            judged(query, key, report_with_utilization(0.10 + (i % 10) * 0.01))
         estimate = query.value(("a", "b"))
         assert 0.10 <= estimate <= 0.19
         assert estimate > 0.14  # a p90 sits in the upper tail
@@ -495,11 +517,11 @@ class TestPercentileQuery:
         key = pair_key("a", "b")
         fired = None
         for _ in range(30):
-            fired = fired or query.offer(key, report_with_utilization(0.99))
+            fired = fired or judged(query, key, report_with_utilization(0.99))
         assert fired is not None and fired[0] == "fired"
         cleared = None
         for _ in range(60):
-            cleared = cleared or query.offer(key, report_with_utilization(0.1))
+            cleared = cleared or judged(query, key, report_with_utilization(0.1))
         assert cleared is not None and cleared[0] == "cleared"
 
     def test_an_unavailable_report_contributes_no_statistics(self):
@@ -508,10 +530,10 @@ class TestPercentileQuery:
         query = PercentileQuery("p90", p=0.9, window_s=60.0, interval_s=2.0)
         key = pair_key("a", "b")
         for _ in range(50):
-            query.offer(key, report_with_utilization(0.10))
+            judged(query, key, report_with_utilization(0.10))
         before = query.value(key)
         stale = replace(report_with_utilization(0.95), unavailable=True)
-        assert query.offer(key, stale) is None
+        assert judged(query, key, stale) is None
         assert query.value(key) == before
 
     def test_window_sets_ewma_weight(self):

@@ -25,7 +25,7 @@ from repro.core.health import AgentHealthTracker
 from repro.core.linkstate import LinkStateRegistry
 from repro.core.matrix import BandwidthMatrix
 from repro.core.poller import RateTable
-from repro.experiments.scale import populate_rates, scale_spec
+from repro.experiments.scale import scale_spec
 from repro.integrity.quarantine import QuarantineManager
 from repro.stream import (
     MatrixPublisher,
@@ -40,7 +40,8 @@ from repro.stream import (
 from repro.topology.graph import TopologyGraph
 from tests import stream_reference as ref
 from tests.costs import call_counts
-from tests.test_dataflow import _NODES, _SOURCES, _SPEC, _op, sample
+from tests.synthetic import populate_rates
+from tests.test_dataflow import _NODES, _SOURCES, _SPEC, _op, sample, set_link
 
 
 def fingerprint(event):
@@ -113,9 +114,10 @@ class _Side:
     def __init__(self, product, inputs, graph, filtered):
         rates, links, health, integrity, lossy = inputs
         calculator = BandwidthCalculator(
-            _SPEC, rates, link_state=links, stale_after=4.0, dead_after=12.0,
+            _SPEC, rates, stale_after=4.0, dead_after=12.0,
             health=health, integrity=integrity, degraded_sources=lossy,
         )
+        calculator.link_state = links
         matrix_cls = BandwidthMatrix if product else ref.BandwidthMatrix
         self.matrix = matrix_cls(_SPEC, calculator, graph=graph)
         self.filter = None
@@ -210,10 +212,8 @@ def test_columns_publish_what_the_per_pair_path_did(ops, filtered):
             t += 0.5
         elif op == "stall":
             t += 5.0
-        elif op == "down":
-            links.mark_down(_SPEC.connections[index])
-        elif op == "up":
-            links.mark_up(_SPEC.connections[index])
+        elif op in ("down", "up"):
+            set_link(links, _SPEC.connections[index], up=op == "up")
         elif op == "fail":
             for _ in range(5):
                 health.record_failure(_NODES[index], t)

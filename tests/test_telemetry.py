@@ -17,10 +17,12 @@ from repro.telemetry import (
     Tracer,
 )
 from repro.telemetry.events import (
+    CAPACITY,
     FAULT_INJECTED,
     HEALTH_TRANSITION,
     QOS_VIOLATION,
 )
+from repro.telemetry.trace import CAPACITY as TRACER_CAPACITY
 from repro.telemetry.trace import NULL_SPAN
 
 
@@ -202,7 +204,7 @@ class TestRegistry:
 
     def test_histogram_summary(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat_seconds", quantiles=(0.5, 0.9))
+        h = reg.histogram("lat_seconds")
         for x in (1.0, 2.0, 3.0, 4.0):
             h.observe(x)
         summary = reg.value("lat_seconds")
@@ -227,14 +229,14 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 class TestEventBus:
     def test_publish_counts_and_ring(self):
-        bus = EventBus(capacity=2)
-        bus.publish(HEALTH_TRANSITION, 1.0, node="S1")
-        bus.publish(HEALTH_TRANSITION, 2.0, node="S1")
-        bus.publish(QOS_VIOLATION, 3.0, path="a<->b")
-        assert bus.count(HEALTH_TRANSITION) == 2
-        assert bus.total() == 3
-        # Ring keeps the newest two only; counts keep everything.
-        assert [e.time for e in bus.events()] == [2.0, 3.0]
+        bus = EventBus()
+        for i in range(CAPACITY):
+            bus.publish(HEALTH_TRANSITION, float(i), node="S1")
+        bus.publish(QOS_VIOLATION, float(CAPACITY), path="a<->b")
+        assert bus.count(HEALTH_TRANSITION) == CAPACITY
+        assert bus.total() == CAPACITY + 1
+        # The ring keeps the newest CAPACITY only; counts keep everything.
+        assert [e.time for e in bus.events()] == [float(i) for i in range(1, CAPACITY + 1)]
         assert bus.last(QOS_VIOLATION).attrs["path"] == "a<->b"
         assert bus.last("nope") is None
 
@@ -290,10 +292,10 @@ class TestTracer:
         assert [s for s in tracer.spans() if s.parent_id == parent.span_id] == [child]
 
     def test_ring_bounded(self):
-        tracer, clock = self.make(capacity=3)
-        for i in range(10):
+        tracer, clock = self.make()
+        for i in range(TRACER_CAPACITY + 3):
             tracer.begin("s", i=i).finish()
-        assert [s.attrs["i"] for s in tracer.spans("s")] == [7, 8, 9]
+        assert [s.attrs["i"] for s in tracer.spans("s")] == list(range(3, TRACER_CAPACITY + 3))
 
     def test_slow_log(self):
         tracer, clock = self.make(slow_threshold=1.0)

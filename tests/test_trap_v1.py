@@ -64,10 +64,10 @@ class TestWireFormat:
         raw = Message(VERSION_1, "public", v1_trap(generic, specific)).encode()
         with pytest.raises(ber.BerError):
             Message.decode(raw)
-        net = Network()
-        receiver = TrapReceiver(net.add_host("L"))
+        net, events = Network(), []
+        receiver = TrapReceiver(net.add_host("L"), callback=events.append)
         receiver._on_datagram(raw, len(raw), None, 4000)
-        assert receiver.malformed == 1 and receiver.events == []
+        assert receiver.malformed == 1 and events == []
 
     def test_v2_identity_mapping(self):
         assert v1_trap(GENERIC_LINK_DOWN).v2_identity() == TRAP_LINK_DOWN

@@ -22,6 +22,18 @@ from repro.spec.builder import build_network
 from repro.spec.parser import parse_spec
 
 
+def tap(receiver):
+    """Every notification ``receiver`` delivers, collected beside its callback."""
+    seen, deliver = [], receiver.callback
+
+    def callback(event):
+        seen.append(event)
+        deliver(event)
+
+    receiver.callback = callback
+    return seen
+
+
 def link_trap_pdu(uptime, if_index, up):
     """A linkUp/linkDown trap for one interface, as the agent builds it."""
     trap_oid = TRAP_LINK_UP if up else TRAP_LINK_DOWN
@@ -204,9 +216,10 @@ class TestLinkStateMonitoring:
         agent = build.agents["S1"]
         pdu = build_trap_pdu(TimeTicks(0), TRAP_COLD_START)
         raw = Message(VERSION_2C, "public", pdu).encode()
+        delivered = tap(monitor.trap_receiver)
         agent.socket.sendto(raw, (net.host("L").primary_ip, 162))
         net.run(1.0)
-        assert len(monitor.trap_receiver.events) == 1
+        assert [event.trap_oid for event in delivered] == [TRAP_COLD_START]
         assert registry.events_applied == 0
 
 

@@ -120,7 +120,7 @@ def ingest_state(dm):
     stats.pop("decode_errors")
     return (
         stats,
-        {w: dm.leases.lease(w).beats for w in dm.workers},
+        {w: dm.leases._records[w].beats for w in dm.workers},
         {
             w: (s.incarnation, s.expected, s.anchored, sorted(s.buffer),
                 sorted(s.gaps), s.delta.needs_keyframe)
