@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
+from repro._numpy import np
 
 #: The plot area, in characters, and the width of the y-axis ticks.
 WIDTH, HEIGHT, TICK_WIDTH = 70, 12, 10

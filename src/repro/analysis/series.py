@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
+from repro._numpy import np
 from repro.simnet.trafficgen import StepSchedule
 
 

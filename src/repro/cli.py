@@ -25,8 +25,7 @@ import math
 import sys
 from typing import List, Optional
 
-import numpy as np
-
+from repro._numpy import np
 from repro.analysis.charts import render_pair
 from repro.core.history import HISTORY_HORIZON_S, PathSeries
 from repro.core.monitor import NetworkMonitor

@@ -137,6 +137,7 @@ class BandwidthCalculator:
                 "age of the stalest sample behind each path report",
             )
         self._source_cache: Dict[Tuple, Optional[CounterSource]] = {}
+        self._capacity: Dict[Tuple, float] = {}  # bytes/s, per connection
         # Hub membership: hub name -> its host-facing connections.
         self._hub_host_conns: Dict[str, List[ConnectionSpec]] = hub_host_connections(spec)
         # --- incremental dataflow state ---------------------------------
@@ -423,7 +424,10 @@ class BandwidthCalculator:
     def _compute_measurement(
         self, conn: ConnectionSpec, now: Optional[float], cached: bool
     ) -> ConnectionMeasurement:
-        capacity_bytes = self.spec.effective_bandwidth(conn) / 8.0
+        key = (conn.end_a, conn.end_b)  # conn.endpoints(), without the call
+        capacity_bytes = self._capacity.get(key)
+        if capacity_bytes is None:
+            capacity_bytes = self._capacity[key] = self.spec.effective_bandwidth(conn) / 8.0
         if self.link_state is not None and self.link_state.is_down(conn):
             source = self.counter_source(conn)
             return ConnectionMeasurement(

@@ -656,14 +656,15 @@ class SampleIngest:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
+    def _counter(self, key: str, help_text: str):
+        """The ``dist_<key>_total`` counter, reported by :meth:`stats`."""
+        self._stat_counters.append(key)
+        return self.telemetry.registry.counter(f"dist_{key}_total", help_text)
+
     def _register_metrics(self) -> None:
         registry = self.telemetry.registry
         self._stat_counters: List[str] = []  # stats() key -> dist_<key>_total
-
-        def c(key: str, help_text: str):
-            self._stat_counters.append(key)
-            return registry.counter(f"dist_{key}_total", help_text)
-
+        c = self._counter
         self._m_samples = c("samples_received", "samples merged into the rate table")
         self._m_batches = c("batches_received", "sequenced report batches delivered")
         self._m_decode_errors = c("decode_errors", "undecodable plane datagrams")
@@ -1181,6 +1182,12 @@ class DistributedMonitor(ReportCore, SampleIngest):
         self._build_pipeline(
             integrity, self.targets, degraded_sources=self.degraded
         )
+        # The interfaces of the pool, fixed for the root: a batch naming
+        # any other one is no sample of ours and mints no key.
+        self._pool = {(t.node, i) for t in self.targets for i in t.if_indexes}
+        self._m_foreign = self._counter(
+            "foreign_samples", "shipped samples of no interface in the poll-target pool"
+        )
 
     def _accept(self, *samples: InterfaceRates) -> List[InterfaceRates]:
         """Ingest sink: shipped samples face the same integrity gauntlet
@@ -1189,7 +1196,9 @@ class DistributedMonitor(ReportCore, SampleIngest):
         inspect = self.integrity.inspect if self.integrity is not None else None
         accepted = []
         for sample in samples:
-            if inspect is None or inspect(sample, None, None):
+            if (sample.node, sample.if_index) not in self._pool:
+                self._m_foreign.inc()
+            elif inspect is None or inspect(sample, None, None):
                 self.rates.update(sample)
                 accepted.append(sample)
         return accepted

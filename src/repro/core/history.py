@@ -18,8 +18,7 @@ from bisect import bisect_left
 from operator import attrgetter
 from typing import Dict, List, Optional
 
-import numpy as np
-
+from repro._numpy import np
 from repro.core.report import PathReport
 
 #: Seconds of reports each path keeps, counted back from its newest.

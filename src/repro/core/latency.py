@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
+from repro._numpy import np
 from repro.core.bandwidth import BandwidthCalculator
 from repro.core.traversal import find_path
 from repro.probe.stats import ProbeStats  # shared result model with repro.probe

@@ -38,8 +38,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-import numpy as np
-
+from repro._numpy import np
 from repro.core.bandwidth import BandwidthCalculator
 from repro.core.dataflow import BoundPath, ConnCacheEntry
 from repro.core.report import PathReport

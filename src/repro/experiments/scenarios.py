@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro._numpy import np
 from repro.analysis.series import combined_stable_mask
 from repro.analysis.stats import TrafficStatistics, compute_table2
 from repro.core.history import PathSeries

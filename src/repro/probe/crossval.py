@@ -42,8 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
+from repro._numpy import np
 from repro.core.report import ConnectionMeasurement, PathReport
 from repro.integrity.validators import IntegrityVerdict, Severity
 from repro.probe.stats import ProbeReport

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
+from repro._numpy import np
 
 #: RFC 3550 §6.4.1 gain: each transit difference moves the estimate 1/16.
 RFC3550_GAIN = 1.0 / 16.0

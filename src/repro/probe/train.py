@@ -27,11 +27,9 @@ wedged scheduler.
 from __future__ import annotations
 
 import itertools
-import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
+from repro._numpy import np
 from repro.probe.stats import (
     ProbeReport,
     dispersion_bps,
@@ -56,9 +54,6 @@ _WIRE_OVERHEAD = UDP_HEADER_SIZE + IPV4_HEADER_SIZE
 
 _train_ids = itertools.count(1)
 
-# One sink per host, shared by every train targeting that host.
-_sinks: "weakref.WeakKeyDictionary[Host, ProbeSink]" = weakref.WeakKeyDictionary()
-
 
 class ProbeError(ValueError):
     """Raised for malformed train parameters."""
@@ -81,7 +76,8 @@ class ProbeSink:
 
     Obtain via :meth:`ensure` -- a host runs at most one sink, on
     :data:`PROBE_PORT`, shared by every train aimed at it.  Arrival records are kept per
-    train id until the owning train collects them with :meth:`take`.
+    train id from :meth:`watch` until the owning train collects them with
+    :meth:`take`; a probe of a train nobody watches is counted and dropped.
     """
 
     def __init__(self, host: Host) -> None:
@@ -98,11 +94,11 @@ class ProbeSink:
 
     @classmethod
     def ensure(cls, host: Host) -> "ProbeSink":
-        """The host's probe sink, created on first use."""
-        sink = _sinks.get(host)
-        if sink is None:
-            sink = _sinks[host] = cls(host)
-        return sink
+        """The host's probe sink, created on first use.  The host owns it:
+        it is what the socket bound on :data:`PROBE_PORT` delivers to."""
+        socket = host.bound(PROBE_PORT)
+        sink = getattr(socket.on_receive, "__self__", None) if socket else None
+        return sink if isinstance(sink, cls) else cls(host)
 
     def _on_receive(self, payload, size, src_ip, src_port) -> None:
         if payload is None or len(payload) < _HEADER_BYTES:
@@ -113,10 +109,12 @@ class ProbeSink:
         sent_s = int.from_bytes(payload[8:16], "big") / 1e6
         self.packets += 1
         self.octets += size
+        watcher = self._watchers.get(train_id)
+        if watcher is None:
+            return  # a straggler of a reduced train, or no train of ours
         records = self._records.setdefault(train_id, [])
         records.append((seq, sent_s, self.host.sim.now))
-        watcher = self._watchers.get(train_id)
-        if watcher is not None and len(records) >= watcher[0]:
+        if len(records) >= watcher[0]:
             del self._watchers[train_id]
             watcher[1]()
 
@@ -138,7 +136,7 @@ class ProbeTrain:
     The burst is handed to the source NIC in one go; the network paces
     it.  ``timeout`` seconds after the last send the train reduces
     whatever arrived (``on_complete(report)``); stragglers arriving
-    later are discarded by the sink when the records are collected.
+    later find no watcher, and the sink drops them.
     """
 
     def __init__(
@@ -180,6 +178,9 @@ class ProbeTrain:
         if self._started:
             raise ProbeError("probe train already started")
         self._started = True
+        # Finish early once every probe has arrived; the timeout stays
+        # armed regardless, so a lossy train still completes.
+        self.sink.watch(self.train_id, self.count, self._all_arrived)
         dst_ip = self.dst.primary_ip
         pad = b"\x00" * (self.payload_size - _HEADER_BYTES)
         for seq in range(self.count):
@@ -192,9 +193,6 @@ class ProbeTrain:
             # A NIC tail-drop is simply a lost probe; sequence accounting
             # reports it, so the send result is deliberately ignored.
             self.socket.sendto(payload, (dst_ip, self.sink.socket.port))
-        # Finish early once every probe has arrived; the timeout stays
-        # armed regardless, so a lossy train still completes.
-        self.sink.watch(self.train_id, self.count, self._all_arrived)
         self._timer = self.sim.schedule(self.timeout, self._finish)
 
     def _all_arrived(self) -> None:

@@ -93,6 +93,10 @@ class UDPEndpoint:
         self._sockets[port] = sock
         return sock
 
+    def bound(self, port: int) -> Optional[UDPSocket]:
+        """The socket bound on ``port``, if any."""
+        return self._sockets.get(port)
+
     def _pick_ephemeral(self) -> int:
         start = self._next_ephemeral
         port = start

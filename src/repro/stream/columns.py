@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
-import numpy as np
+from repro._numpy import np
 
 __all__ = ["PairColumns"]
 

@@ -39,8 +39,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
+from repro._numpy import np
 from repro.core.dataflow import PublishClock
 from repro.core.matrix import STATUSES, BandwidthMatrix, MatrixSnapshot
 from repro.core.report import PathReport

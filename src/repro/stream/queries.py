@@ -44,8 +44,7 @@ import math
 import operator
 from typing import Optional, Tuple
 
-import numpy as np
-
+from repro._numpy import np
 from repro.stream.columns import PairColumns
 from repro.stream.events import pair_key
 from repro.telemetry.quantile import EwmaQuantiles
@@ -55,7 +54,7 @@ __all__ = ["ContinuousQuery", "PercentileQuery", "QueryError", "ThresholdQuery"]
 PairKey = Tuple[str, str]
 #: ``(fired, cleared, value)``: per pair, whether the query fired or
 #: cleared on this batch, and the value its event carries.
-Outcome = Tuple[np.ndarray, np.ndarray, np.ndarray]
+Outcome = Tuple["np.ndarray", "np.ndarray", "np.ndarray"]
 
 
 #: The report metrics a query can read (a snapshot's value columns).

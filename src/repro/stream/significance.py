@@ -31,10 +31,10 @@ candidate pair, and a single pair is a batch of one.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
-import numpy as np
-
+from repro._numpy import np
 from repro.stream.columns import PairColumns
 from repro.telemetry.quantile import EwmaQuantiles
 
@@ -69,7 +69,7 @@ class QuantileDeadbandFilter(PairColumns):
     # anchor), each with a flag for "none yet": NaN is a value both can
     # legitimately hold.
     _EMPTY = {
-        "_seen": np.nan, "_has_seen": False, "_anchor": np.nan, "_has_anchor": False,
+        "_seen": math.nan, "_has_seen": False, "_anchor": math.nan, "_has_anchor": False,
     }
 
     def __init__(self, floor_bps: float = 0.0) -> None:

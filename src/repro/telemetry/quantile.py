@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import List
 
-import numpy as np
+from repro._numpy import np
 
 
 class P2Quantile:

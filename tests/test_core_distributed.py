@@ -364,6 +364,26 @@ class TestArq:
         assert dm.stats()["degraded_sources"] == 0.0
 
 
+class TestPoolAdmission:
+    def test_a_spoofed_batch_mints_no_key(self):
+        """A batch with a known worker's name, incarnation and next seq,
+        whose records name interfaces outside the poll-target pool, adds
+        no key to the rate table or the integrity state; the root counts
+        what it dropped."""
+        build, dm = distributed()
+        dm.start()
+        build.network.run(10.0)
+        keys, inspected = dm.rates.keys(), set(dm.integrity._interfaces)
+        received = dm.samples_received
+        state = dm._ingest["S1"]
+        ghosts = [("ghost", i) for i in range(1, 2001)]
+        dm._on_delta(batch(state.expected, samples=ghosts, inc=state.incarnation))
+        assert dm.rates.keys() == keys
+        assert set(dm.integrity._interfaces) == inspected
+        assert dm.samples_received == received
+        assert dm.stats()["foreign_samples"] == 2000.0
+
+
 class TestSequenceDedup:
     """Sequence-number dedup: whatever order batches arrive in, and
     however often they are duplicated (retransmit overshoot, replays),

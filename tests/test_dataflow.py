@@ -23,13 +23,14 @@ from repro.core.bandwidth import BandwidthCalculator
 from repro.core.counters import if_index_of
 from repro.core.dataflow import ConnCacheEntry, DegradedSourceSet
 from repro.core.health import AgentHealthTracker
+from repro.core.hierarchy import HierarchicalMonitor
 from repro.core.linkstate import LinkStateRegistry
 from repro.core.matrix import STATUSES, BandwidthMatrix, MatrixError, MatrixSnapshot
 from repro.core.monitor import NetworkMonitor, ReportCore
 from repro.core.poller import InterfaceRates, RateTable
 from repro.core.report import ConnectionMeasurement, PathReport
 from repro.core.traversal import NoPathError, find_path, pair_redundant
-from repro.experiments.scale import scale_spec
+from repro.experiments.scale import hierarchy_plan, scale_spec
 from repro.experiments.testbed import TESTBED_SPEC_TEXT
 from repro.integrity.quarantine import QuarantineManager
 from repro.integrity.validators import IntegrityVerdict, Severity
@@ -825,6 +826,24 @@ class TestReportCost:
         assert calc.lookups - lookups == conns + path_entries
         # Telemetry: the one matrix_snapshot span, whatever the size.
         assert _in("/repro/telemetry/", calls) <= 6
+
+    def test_a_steady_campus_cycle_scans_no_spec_node(self):
+        """A recomputed measurement reads its connection's capacity from
+        the calculator's cache, not two ``TopologySpec.node`` scans."""
+        shape = dict(switches=2, hosts_per_switch=3)
+        build = build_network(scale_spec(hierarchical=2, host_agents=False, **shape))
+        monitor = HierarchicalMonitor(build, hierarchy_plan(2, **shape), poll_jitter=0.0)
+        monitor.watch_path("p0h0_2", "p1h1_2")
+        monitor.start()
+        build.network.run(10.0)
+        recomputes = monitor.calculator.recomputes
+        calls = call_counts(lambda: build.network.run(12.0), by_file=True)
+        assert monitor.calculator.recomputes > recomputes  # a cycle that recomputed
+        spec_calls = {
+            name: n for (path, name), n in calls.items()
+            if path.endswith("/repro/topology/model.py")
+        }
+        assert "node" not in spec_calls and "effective_bandwidth" not in spec_calls, spec_calls
 
     def test_reading_a_cells_available_costs_no_call(self):
         # A cell's report is composed when the cell is first read, and

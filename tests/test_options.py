@@ -758,13 +758,16 @@ def test_the_names_census_on_a_tiny_tree(tmp_path):
 
 
 def test_every_module_imports_without_networkx():
-    """``networkx`` is no dependency: every module imports with it blocked."""
+    """``networkx`` is no dependency: every module imports with it blocked.
+    Nor does importing one load numpy: it loads on the first array."""
     script = """
 import pkgutil, sys
 sys.modules["networkx"] = None
 import repro
 for module in pkgutil.walk_packages(repro.__path__, "repro."):
     __import__(module.name)
+loaded = sorted(name for name in sys.modules if name.startswith("numpy."))
+assert not loaded, f"importing repro loaded {loaded[:5]}"
 """
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run(

@@ -7,6 +7,7 @@ from repro import NetworkMonitor, build_network, parse_spec
 from repro.experiments.scale import scale_spec
 from repro.experiments.testbed import build_testbed
 from repro.probe import (
+    PROBE_PORT,
     PROBE_TOS,
     ProbeError,
     ProbeTrain,
@@ -136,6 +137,25 @@ class TestProbeTrain:
         ).start()
         net.run(1.0)  # far less than the timeout
         assert len(done) == 1 and done[0].complete
+
+    def test_a_probe_nobody_waits_for_is_dropped(self):
+        """A straggler of a reduced train, or a train id the sink never
+        saw, is counted and not filed: nothing would ever collect it."""
+        build = build_testbed()
+        net = build.network
+        done = []
+        train = ProbeTrain(net.host("S1"), net.host("N1"), on_complete=done.append)
+        train.start()
+        net.run(2.0)
+        assert len(done) == 1 and train.sink._records == {}
+        packets = train.sink.packets
+        sock = net.host("S1").create_socket()
+        for train_id in (train.train_id, 2**32 - 1):  # reduced, unknown
+            header = train_id.to_bytes(4, "big") + bytes(12)
+            sock.sendto(header, (net.host("N1").primary_ip, PROBE_PORT))
+        net.run(3.0)
+        assert train.sink.packets == packets + 2
+        assert train.sink._records == {}
 
     def test_probe_traffic_separable_by_tos(self):
         build = build_testbed()

@@ -218,6 +218,10 @@ class _Tree:
 
     def __init__(self, reference: bool) -> None:
         self.tiers = ThreeTiers(hosts=2, integrity=False, max_batch=32, keyframe_every=5)
+        # The keys reach past the root's poll-target pool, whose other
+        # interfaces the root drops; here it admits every one, as the
+        # reference sink does, so that each record lands.
+        self.tiers.root._pool.update((node, i) for node in NODES for i in range(1, 71))
         if reference:
             make_reference(self.tiers)
         self.landed = []
