@@ -908,6 +908,8 @@ def cmd_stream(args) -> int:
         return opened
     build, host, _ = opened
     try:
+        if args.events < 0:
+            raise ValueError(f"--events must be >= 0, got {args.events!r}")
         monitor = NetworkMonitor(build, host, poll_interval=args.interval)
         publisher = monitor.enable_streaming(significance=args.significance)
         pairs = [_parse_watch(p) for p in args.pair] or None

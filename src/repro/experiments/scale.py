@@ -11,7 +11,7 @@ topology bigger than the testbed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.topology.model import (
     ConnectionSpec,
@@ -66,6 +66,12 @@ def scale_spec(
     sources resolve to the switch ports instead: the realistic 10k-host
     posture where the monitor polls a few hundred many-interface switch
     agents rather than every workstation.
+
+    Node names are public -- workloads, the CLI and :func:`hierarchy_plan`
+    spell them: switch ``s`` is ``[p<p>]sw<s>``, host ``h`` on it is
+    ``[p<p>]h<s>_<h>`` (the ``p<p>`` prefix only inside pod ``p``), host
+    ``h`` on hub pocket ``p`` is ``n<p>_<h>`` on ``hub<p>``, and the
+    coordinator hosts are ``mon<p>`` and ``monroot`` on switch ``core``.
     """
     if switches < 1:
         raise ValueError(f"need at least one switch, got {switches!r}")
@@ -73,90 +79,50 @@ def scale_spec(
         raise ValueError(f"need at least one host per switch, got {hosts_per_switch!r}")
     if arity < 1:
         raise ValueError(f"tree arity must be >= 1, got {arity!r}")
+    if hub_pockets < 0:
+        raise ValueError(f"hub_pockets must be >= 0, got {hub_pockets!r}")
     if hub_pockets > switches:
         raise ValueError(
             f"cannot attach {hub_pockets} hub pocket(s) to {switches} switch(es)"
         )
+    if hub_hosts < 1:
+        raise ValueError(f"hub_hosts must be >= 1, got {hub_hosts!r}")
     if redundant_uplinks < 0:
         raise ValueError(
             f"redundant_uplinks must be >= 0, got {redundant_uplinks!r}"
         )
+    if hierarchical < 0:
+        raise ValueError(f"hierarchical must be >= 0, got {hierarchical!r}")
+    if hierarchical and (hub_pockets or redundant_uplinks):
+        raise ValueError(
+            "hierarchical pods cannot combine with hub_pockets or redundant_uplinks"
+        )
+    nodes: List[NodeSpec] = []
+    connections: List[ConnectionSpec] = []
+    shape = dict(
+        switches=switches, hosts_per_switch=hosts_per_switch, arity=arity,
+        host_agents=host_agents,
+    )
     if hierarchical:
-        if hierarchical < 1:
-            raise ValueError(f"hierarchical must be >= 0, got {hierarchical!r}")
-        if hub_pockets or redundant_uplinks:
-            raise ValueError(
-                "hierarchical pods cannot combine with hub_pockets or "
-                "redundant_uplinks"
-            )
-        return _hierarchical_spec(
-            pods=hierarchical,
-            switches=switches,
-            hosts_per_switch=hosts_per_switch,
-            arity=arity,
-            host_agents=host_agents,
-            name=name,
-        )
-    nodes = []
-    connections = []
-    # Ports per switch: hosts + uplink(s) + child uplinks + hub (maybe).
-    # Exact counts matter -- a 2000-switch chain must not allocate
-    # O(switches) ports per switch.
-    uplinks_each = 1 + redundant_uplinks
-    children = [0] * switches
-    for s in range(1, switches):
-        children[(s - 1) // arity] += 1
-    for s in range(switches):
-        ports = (
-            hosts_per_switch
-            + (uplinks_each if s > 0 else 0)
-            + children[s] * uplinks_each
-            + (1 if s < hub_pockets else 0)
-        )
-        nodes.append(
-            NodeSpec(
-                f"sw{s}",
-                kind=DeviceKind.SWITCH,
-                interfaces=[
-                    InterfaceSpec(f"port{p + 1}", speed_bps=SWITCH_SPEED_BPS)
-                    for p in range(ports)
-                ],
-                snmp_enabled=True,
-                attributes={"stp": "on"} if redundant_uplinks else {},
-            )
-        )
-    next_port: Dict[str, int] = {f"sw{s}": 0 for s in range(switches)}
-
-    def take_port(switch: str) -> str:
-        port = next_port[switch]
-        next_port[switch] = port + 1
-        return f"port{port + 1}"
-
-    for s in range(switches):
-        for h in range(hosts_per_switch):
-            host = f"h{s}_{h}"
-            nodes.append(
-                NodeSpec(
-                    host,
-                    interfaces=[InterfaceSpec("eth0", speed_bps=SWITCH_SPEED_BPS)],
-                    snmp_enabled=host_agents,
-                )
-            )
-            connections.append(
-                ConnectionSpec(
-                    InterfaceRef(host, "eth0"),
-                    InterfaceRef(f"sw{s}", take_port(f"sw{s}")),
-                )
-            )
-    for s in range(1, switches):
-        parent = f"sw{(s - 1) // arity}"
-        for _ in range(uplinks_each):
-            connections.append(
-                ConnectionSpec(
-                    InterfaceRef(f"sw{s}", take_port(f"sw{s}")),
-                    InterfaceRef(parent, take_port(parent)),
-                )
-            )
+        # Core: one uplink per pod plus the root monitor host.
+        nodes.append(_switch("core", hierarchical + 1))
+        nodes.append(_host("monroot", snmp_enabled=False))
+        connections.append(_wire("monroot", "eth0", "core", "port1"))
+        for p in range(hierarchical):
+            root = f"p{p}sw0"
+            # The pod root also carries the coordinator host and the core uplink.
+            take_port = _tree(nodes, connections, f"p{p}", **shape, spare=[2])
+            nodes.append(_host(f"mon{p}", snmp_enabled=False))
+            connections.append(_wire(f"mon{p}", "eth0", root, take_port(root)))
+            connections.append(_wire(root, take_port(root), "core", f"port{p + 2}"))
+        label = f"hier-{hierarchical}pod-{switches}sw-{hosts_per_switch}h"
+        return TopologySpec(name or label, nodes, connections)
+    take_port = _tree(
+        nodes, connections, "", **shape,
+        uplinks=1 + redundant_uplinks,
+        stp=bool(redundant_uplinks),
+        spare=[1] * hub_pockets,
+    )
     for p in range(hub_pockets):
         hub = f"hub{p}"
         nodes.append(
@@ -169,27 +135,10 @@ def scale_spec(
                 ],
             )
         )
-        connections.append(
-            ConnectionSpec(
-                InterfaceRef(hub, "port1"),
-                InterfaceRef(f"sw{p}", take_port(f"sw{p}")),
-            )
-        )
+        connections.append(_wire(hub, "port1", f"sw{p}", take_port(f"sw{p}")))
         for h in range(hub_hosts):
-            host = f"n{p}_{h}"
-            nodes.append(
-                NodeSpec(
-                    host,
-                    interfaces=[InterfaceSpec("eth0", speed_bps=HUB_SPEED_BPS)],
-                    snmp_enabled=True,
-                )
-            )
-            connections.append(
-                ConnectionSpec(
-                    InterfaceRef(host, "eth0"),
-                    InterfaceRef(hub, f"port{h + 2}"),
-                )
-            )
+            nodes.append(_host(f"n{p}_{h}", snmp_enabled=True, speed_bps=HUB_SPEED_BPS))
+            connections.append(_wire(f"n{p}_{h}", "eth0", hub, f"port{h + 2}"))
     label = name or (
         f"scale-{switches}sw-{hosts_per_switch}h"
         + (f"-{hub_pockets}hub" if hub_pockets else "")
@@ -198,118 +147,84 @@ def scale_spec(
     return TopologySpec(label, nodes, connections)
 
 
-def _hierarchical_spec(
-    pods: int,
+def _tree(
+    nodes: List[NodeSpec],
+    connections: List[ConnectionSpec],
+    prefix: str,
     switches: int,
     hosts_per_switch: int,
     arity: int,
     host_agents: bool,
-    name: Optional[str],
-) -> TopologySpec:
-    """Two-tier pod topology; see :func:`scale_spec` (``hierarchical=``)."""
-    nodes = []
-    connections = []
-    # Core: one uplink per pod plus the root monitor host.
-    nodes.append(
-        NodeSpec(
-            "core",
-            kind=DeviceKind.SWITCH,
-            interfaces=[
-                InterfaceSpec(f"port{p + 1}", speed_bps=SWITCH_SPEED_BPS)
-                for p in range(pods + 1)
-            ],
-            snmp_enabled=True,
-        )
-    )
-    nodes.append(
-        NodeSpec(
-            "monroot",
-            interfaces=[InterfaceSpec("eth0", speed_bps=SWITCH_SPEED_BPS)],
-            snmp_enabled=False,
-        )
-    )
-    connections.append(
-        ConnectionSpec(InterfaceRef("monroot", "eth0"), InterfaceRef("core", "port1"))
-    )
+    uplinks: int = 1,
+    stp: bool = False,
+    spare: Sequence[int] = (),
+) -> Callable[[str], str]:
+    """Append one switch tree with its hosts and uplinks; return its port
+    allocator, which hands out each switch's next free port.
+
+    Switch ``s`` (s > 0) uplinks to switch ``(s - 1) // arity`` over
+    ``uplinks`` parallel links; switch ``s`` keeps ``spare[s]`` free ports
+    (when given) for the caller to wire.  Exact port counts matter -- a
+    2000-switch chain must not allocate O(switches) ports per switch.
+    """
     children = [0] * switches
     for s in range(1, switches):
         children[(s - 1) // arity] += 1
-    for p in range(pods):
-        prefix = f"p{p}"
-        next_port: Dict[str, int] = {}
+    for s in range(switches):
+        ports = (
+            hosts_per_switch
+            + (uplinks if s > 0 else 0)
+            + children[s] * uplinks
+            + (spare[s] if s < len(spare) else 0)
+        )
+        nodes.append(_switch(f"{prefix}sw{s}", ports, stp))
+    next_port: Dict[str, int] = {f"{prefix}sw{s}": 0 for s in range(switches)}
 
-        def take_port(switch: str) -> str:
-            port = next_port.get(switch, 0)
-            next_port[switch] = port + 1
-            return f"port{port + 1}"
+    def take_port(switch: str) -> str:
+        port = next_port[switch]
+        next_port[switch] = port + 1
+        return f"port{port + 1}"
 
-        for s in range(switches):
-            ports = (
-                hosts_per_switch
-                + (1 if s > 0 else 0)  # uplink to parent within the pod
-                + children[s]
-                # The pod root additionally carries the core uplink and
-                # the pod's coordinator host.
-                + (2 if s == 0 else 0)
-            )
-            nodes.append(
-                NodeSpec(
-                    f"{prefix}sw{s}",
-                    kind=DeviceKind.SWITCH,
-                    interfaces=[
-                        InterfaceSpec(f"port{q + 1}", speed_bps=SWITCH_SPEED_BPS)
-                        for q in range(ports)
-                    ],
-                    snmp_enabled=True,
-                )
-            )
-        for s in range(switches):
-            for h in range(hosts_per_switch):
-                host = f"{prefix}h{s}_{h}"
-                nodes.append(
-                    NodeSpec(
-                        host,
-                        interfaces=[InterfaceSpec("eth0", speed_bps=SWITCH_SPEED_BPS)],
-                        snmp_enabled=host_agents,
-                    )
-                )
-                connections.append(
-                    ConnectionSpec(
-                        InterfaceRef(host, "eth0"),
-                        InterfaceRef(f"{prefix}sw{s}", take_port(f"{prefix}sw{s}")),
-                    )
-                )
-        for s in range(1, switches):
-            parent = f"{prefix}sw{(s - 1) // arity}"
+    for s in range(switches):
+        switch = f"{prefix}sw{s}"
+        for h in range(hosts_per_switch):
+            host = f"{prefix}h{s}_{h}"
+            nodes.append(_host(host, snmp_enabled=host_agents))
+            connections.append(_wire(host, "eth0", switch, take_port(switch)))
+    for s in range(1, switches):
+        switch, parent = f"{prefix}sw{s}", f"{prefix}sw{(s - 1) // arity}"
+        for _ in range(uplinks):
             connections.append(
-                ConnectionSpec(
-                    InterfaceRef(f"{prefix}sw{s}", take_port(f"{prefix}sw{s}")),
-                    InterfaceRef(parent, take_port(parent)),
-                )
+                _wire(switch, take_port(switch), parent, take_port(parent))
             )
-        # Pod coordinator host and the uplink into the core.
-        mon = f"mon{p}"
-        nodes.append(
-            NodeSpec(
-                mon,
-                interfaces=[InterfaceSpec("eth0", speed_bps=SWITCH_SPEED_BPS)],
-                snmp_enabled=False,
-            )
-        )
-        connections.append(
-            ConnectionSpec(
-                InterfaceRef(mon, "eth0"),
-                InterfaceRef(f"{prefix}sw0", take_port(f"{prefix}sw0")),
-            )
-        )
-        connections.append(
-            ConnectionSpec(
-                InterfaceRef(f"{prefix}sw0", take_port(f"{prefix}sw0")),
-                InterfaceRef("core", f"port{p + 2}"),
-            )
-        )
-    label = name or f"hier-{pods}pod-{switches}sw-{hosts_per_switch}h"
-    return TopologySpec(label, nodes, connections)
+    return take_port
+
+
+def _switch(name: str, ports: int, stp: bool = False) -> NodeSpec:
+    return NodeSpec(
+        name,
+        kind=DeviceKind.SWITCH,
+        interfaces=[
+            InterfaceSpec(f"port{p + 1}", speed_bps=SWITCH_SPEED_BPS)
+            for p in range(ports)
+        ],
+        snmp_enabled=True,
+        attributes={"stp": "on"} if stp else {},
+    )
+
+
+def _host(
+    name: str, snmp_enabled: bool, speed_bps: float = SWITCH_SPEED_BPS
+) -> NodeSpec:
+    return NodeSpec(
+        name,
+        interfaces=[InterfaceSpec("eth0", speed_bps=speed_bps)],
+        snmp_enabled=snmp_enabled,
+    )
+
+
+def _wire(node_a: str, port_a: str, node_b: str, port_b: str) -> ConnectionSpec:
+    return ConnectionSpec(InterfaceRef(node_a, port_a), InterfaceRef(node_b, port_b))
 
 
 def hierarchy_plan(
@@ -327,6 +242,8 @@ def hierarchy_plan(
     every node of the pod (used by the hierarchical monitor to give each
     shard its home targets).
     """
+    if pods < 1:
+        raise ValueError(f"pods must be >= 1, got {pods!r}")
     if workers_per_shard < 1:
         raise ValueError(f"workers_per_shard must be >= 1, got {workers_per_shard!r}")
     if workers_per_shard > switches * hosts_per_switch:

@@ -103,9 +103,6 @@ class Hub:
                 return iface
         raise HubError(f"hub {self.name} has no free ports")
 
-    def attached_ports(self) -> List[Interface]:
-        return [i for i in self.interfaces if i.link is not None]
-
     # ------------------------------------------------------------------
     # Repeating
     # ------------------------------------------------------------------

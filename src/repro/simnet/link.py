@@ -131,14 +131,6 @@ class Link:
         end_a.attach(self)
         end_b.attach(self)
 
-    def peer_of(self, iface: "Interface") -> "Interface":
-        """The interface on the other end of the link."""
-        if iface is self.end_a:
-            return self.end_b
-        if iface is self.end_b:
-            return self.end_a
-        raise LinkError(f"{iface.full_name} is not an endpoint of this link")
-
     def channel_from(self, src: "Interface") -> _Channel:
         """The directional channel that carries what ``src`` transmits."""
         if src is self.end_a:

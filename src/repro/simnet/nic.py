@@ -151,11 +151,6 @@ class Interface:
         self.link = link
         self._tx = link.channel_from(self)
 
-    @property
-    def connected_peer(self) -> Optional["Interface"]:
-        """The interface on the far side of this interface's link."""
-        return self.link.peer_of(self) if self.link is not None else None
-
     def set_admin_up(self, up: bool) -> None:
         """Change administrative state, notifying observers on transition."""
         if up == self.admin_up:

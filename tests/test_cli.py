@@ -432,6 +432,12 @@ class TestStream:
         with pytest.raises(SystemExit):
             main(["stream", "--policy", "teleport"])
 
+    def test_negative_events_rejected(self, capsys):
+        assert main(["stream", "--until", "6", "--events", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --events must be >= 0" in captured.err
+        assert "more" not in captured.out
+
 
 class TestProbe:
     def test_default_testbed_runs_clean(self, capsys):

@@ -86,10 +86,6 @@ class TestPorts:
         net, hosts, hub = hub_net(n_hosts=2)
         assert hub.free_port().link is None
 
-    def test_attached_ports(self):
-        net, hosts, hub = hub_net(n_hosts=3)
-        assert len(hub.attached_ports()) == 3
-
     def test_minimum_ports(self):
         net = Network()
         with pytest.raises(HubError):

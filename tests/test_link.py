@@ -80,25 +80,6 @@ class TestWiring:
         with pytest.raises(LinkError):
             Link(sim, a, c)
 
-    def test_peer_of(self):
-        sim = Simulator()
-        a, _ = make_iface(sim, "a")
-        b, _ = make_iface(sim, "b")
-        link = Link(sim, a, b)
-        assert link.peer_of(a) is b
-        assert link.peer_of(b) is a
-        c, _ = make_iface(sim, "c")
-        with pytest.raises(LinkError):
-            link.peer_of(c)
-
-    def test_connected_peer_property(self):
-        sim = Simulator()
-        a, _ = make_iface(sim, "a")
-        b, _ = make_iface(sim, "b")
-        assert a.connected_peer is None
-        Link(sim, a, b)
-        assert a.connected_peer is b
-
     def test_non_positive_bandwidth_rejected(self):
         sim = Simulator()
         a, _ = make_iface(sim, "a")
