@@ -26,6 +26,9 @@ from repro.simnet.nic import Interface
 from repro.simnet.switch import Switch
 
 BROADCAST_IP = IPv4Address("255.255.255.255")
+# Seconds between two hosts' announcements: a hub's shared medium never
+# sees two at the same instant, so no run depends on a tie-break there.
+ANNOUNCE_STAGGER = 1e-4
 
 Device = Union[Host, Switch, Hub]
 
@@ -196,15 +199,11 @@ class Network:
     def broadcast_ip(self) -> IPv4Address:
         return BROADCAST_IP
 
-    def announce_hosts(self, at: float = 0.0, stagger: float = 1e-4) -> None:
-        """Schedule every host's gratuitous announcement.
-
-        Announcements are staggered by ``stagger`` seconds so that the
-        hub's shared medium never sees two at the same instant, keeping
-        runs deterministic.
-        """
+    def announce_hosts(self, at: float = 0.0) -> None:
+        """Schedule every host's gratuitous announcement, in name order,
+        ``ANNOUNCE_STAGGER`` seconds apart."""
         for i, host in enumerate(sorted(self.hosts.values(), key=lambda h: h.name)):
-            self.sim.schedule_at(max(at, self.sim.now) + i * stagger, host.announce)
+            self.sim.schedule_at(max(at, self.sim.now) + i * ANNOUNCE_STAGGER, host.announce)
 
     @property
     def now(self) -> float:

@@ -4,7 +4,10 @@
 not all the hosts connected to the switch" -- this is the property that
 makes the paper's switch bandwidth rule (``u_i = t_i``) correct, and it is
 modelled directly: unicast frames to a learned MAC go out exactly one
-port, everything else floods.
+port, everything else floods.  A flood is one event: the ports it leaves
+by are decided when the frame arrives (every linked, forwarding port but
+the one it came in on), and after the forwarding latency each of them is
+handed the frame in port order.
 
 The switch is store-and-forward with a non-blocking backplane: forwarding
 adds a fixed (tiny) processing latency and output frames serialise on the
@@ -44,6 +47,18 @@ _STP_GROUP = STP_MULTICAST._value
 
 class SwitchError(RuntimeError):
     """Raised for switch misconfiguration."""
+
+
+def _flood(ports: List[Interface], frame: EthernetFrame) -> None:
+    """Hand one flooded frame to every port it was decided for, in order.
+
+    One event for the whole flood is exact: the ports' departures fall at
+    one instant and nothing else is scheduled between them, and a
+    ``transmit`` schedules only an arrival, strictly later -- so one event
+    per port would fire the same calls in the same order.
+    """
+    for port in ports:
+        port.transmit(frame)
 
 
 class FdbEntry:
@@ -192,11 +207,13 @@ class Switch:
             self.sim.schedule(SWITCH_FORWARD_LATENCY, out.transmit, frame.hop_copy())
         else:
             self.frames_flooded += 1
-            forwarded = frame.hop_copy()
-            for port in self.interfaces:
-                if port is in_port or port.link is None or not port.forwarding:
-                    continue
-                self.sim.schedule(SWITCH_FORWARD_LATENCY, port.transmit, forwarded)
+            ports = [
+                port
+                for port in self.interfaces
+                if port is not in_port and port.link is not None and port.forwarding
+            ]
+            if ports:
+                self.sim.schedule(SWITCH_FORWARD_LATENCY, _flood, ports, frame.hop_copy())
             # Broadcasts also reach the management plane.
             if frame.is_broadcast and self._mgmt_handler is not None:
                 self._mgmt_handler(in_port, frame)
@@ -212,17 +229,6 @@ class Switch:
             return
         self._fdb[mac._value] = FdbEntry(mac, port, self.sim.now)
         self.fdb_version += 1
-
-    def _lookup(self, mac: int, now: float) -> Optional[Interface]:
-        """The live binding's port for a MAC's integer; ages it out if stale."""
-        entry = self._fdb.get(mac)
-        if entry is None:
-            return None
-        if now - entry.learned_at > MAC_AGING:
-            del self._fdb[mac]
-            self.fdb_version += 1
-            return None
-        return entry.port
 
     def flush_fdb(self) -> None:
         """Drop every learned binding (spanning-tree topology change)."""
@@ -243,9 +249,14 @@ class Switch:
         If the destination is unlearned the frame floods, exactly like
         transit traffic -- management responses are ordinary packets.
         """
-        out = self._lookup(frame.dst._value, self.sim._now)
-        if out is not None and frame.is_unicast and out.forwarding:
-            return out.transmit(frame)
+        dst = frame.dst._value
+        entry = self._fdb.get(dst)
+        if entry is not None:
+            if self.sim._now - entry.learned_at > MAC_AGING:
+                del self._fdb[dst]
+                self.fdb_version += 1
+            elif frame.is_unicast and entry.port.forwarding:
+                return entry.port.transmit(frame)
         ok = False
         for port in self.interfaces:
             if port.link is None or not port.forwarding:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.topology.graph import TopologyGraph
-from repro.topology.model import DeviceKind, InterfaceRef, TopologyError, TopologySpec
+from repro.topology.model import DeviceKind, InterfaceRef, NodeSpec, TopologyError, TopologySpec
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,21 @@ class SpecValidationError(TopologyError):
 def validate_spec(spec: TopologySpec, strict: bool = True) -> List[ValidationIssue]:
     """Validate ``spec``; in strict mode raise if any *errors* were found.
 
-    Returns the full issue list (errors + warnings) either way.
+    Returns the full issue list (errors + warnings) either way.  Nodes
+    are looked up in one name map, built once: a name declared twice
+    resolves to its first node, as :meth:`TopologySpec.node` does.
     """
     issues: List[ValidationIssue] = []
+    nodes: Dict[str, NodeSpec] = {}
+    for node in spec.nodes:
+        nodes.setdefault(node.name, node)
     _check_duplicate_nodes(spec, issues)
-    _check_connections(spec, issues)
-    _check_qos_paths(spec, issues)
-    _check_applications(spec, issues)
+    _check_connections(spec, nodes, issues)
+    _check_qos_paths(spec, nodes, issues)
+    _check_applications(spec, nodes, issues)
     if not any(i.severity == "error" for i in issues):
         _check_graph_shape(spec, issues)
-        _check_observability(spec, issues)
+        _check_observability(spec, nodes, issues)
     if strict and any(i.severity == "error" for i in issues):
         raise SpecValidationError(issues)
     return issues
@@ -86,14 +91,16 @@ def _check_duplicate_nodes(spec: TopologySpec, issues: List[ValidationIssue]) ->
             _error(issues, f"node {name!r} declared {count} times")
 
 
-def _check_connections(spec: TopologySpec, issues: List[ValidationIssue]) -> None:
+def _check_connections(
+    spec: TopologySpec, nodes: Dict[str, NodeSpec], issues: List[ValidationIssue]
+) -> None:
     used: Dict[InterfaceRef, int] = {}
     for conn in spec.connections:
         for end in conn.endpoints():
-            if not spec.has_node(end.node):
+            node = nodes.get(end.node)
+            if node is None:
                 _error(issues, f"connection {conn} references unknown node {end.node!r}")
                 continue
-            node = spec.node(end.node)
             try:
                 node.interface(end.interface)
             except TopologyError:
@@ -113,20 +120,23 @@ def _check_connections(spec: TopologySpec, issues: List[ValidationIssue]) -> Non
             )
 
 
-def _check_applications(spec: TopologySpec, issues: List[ValidationIssue]) -> None:
+def _check_applications(
+    spec: TopologySpec, nodes: Dict[str, NodeSpec], issues: List[ValidationIssue]
+) -> None:
     seen = set()
     app_names = {app.name for app in spec.applications}
     for app in spec.applications:
         if app.name in seen:
             _error(issues, f"application {app.name!r} declared twice")
         seen.add(app.name)
-        if not spec.has_node(app.host):
+        host = nodes.get(app.host)
+        if host is None:
             _error(issues, f"application {app.name!r} placed on unknown host {app.host!r}")
-        elif spec.node(app.host).kind is not DeviceKind.HOST:
+        elif host.kind is not DeviceKind.HOST:
             _error(
                 issues,
                 f"application {app.name!r} placed on {app.host!r}, which is a "
-                f"{spec.node(app.host).kind.value}, not a host",
+                f"{host.kind.value}, not a host",
             )
         for flow in app.flows:
             if flow.dst_app not in app_names:
@@ -137,16 +147,19 @@ def _check_applications(spec: TopologySpec, issues: List[ValidationIssue]) -> No
                 )
 
 
-def _check_qos_paths(spec: TopologySpec, issues: List[ValidationIssue]) -> None:
+def _check_qos_paths(
+    spec: TopologySpec, nodes: Dict[str, NodeSpec], issues: List[ValidationIssue]
+) -> None:
     for path in spec.qos_paths:
         for endpoint in (path.src, path.dst):
-            if not spec.has_node(endpoint):
+            node = nodes.get(endpoint)
+            if node is None:
                 _error(issues, f"QoS path {path.name!r} references unknown node {endpoint!r}")
-            elif spec.node(endpoint).kind is not DeviceKind.HOST:
+            elif node.kind is not DeviceKind.HOST:
                 _error(
                     issues,
                     f"QoS path {path.name!r} endpoint {endpoint!r} is a "
-                    f"{spec.node(endpoint).kind.value}, not a host",
+                    f"{node.kind.value}, not a host",
                 )
 
 
@@ -173,7 +186,9 @@ def _check_graph_shape(spec: TopologySpec, issues: List[ValidationIssue]) -> Non
                          f"{connected[0]!r}: {', '.join(stranded)}")
 
 
-def _check_observability(spec: TopologySpec, issues: List[ValidationIssue]) -> None:
+def _check_observability(
+    spec: TopologySpec, nodes: Dict[str, NodeSpec], issues: List[ValidationIssue]
+) -> None:
     """Every connection should be measurable from at least one end.
 
     The paper monitors S4<->S5 without SNMP on either host "by polling
@@ -182,7 +197,7 @@ def _check_observability(spec: TopologySpec, issues: List[ValidationIssue]) -> N
     Hubs never run SNMP, so a host-hub segment needs the host side.
     """
     for conn in spec.connections:
-        observable = any(spec.node(end.node).snmp_enabled for end in conn.endpoints())
+        observable = any(nodes[end.node].snmp_enabled for end in conn.endpoints())
         if not observable:
             _warning(
                 issues,

@@ -226,9 +226,6 @@ class TopologySpec:
                 return node
         raise TopologyError(f"no node named {name!r}")
 
-    def has_node(self, name: str) -> bool:
-        return any(node.name == name for node in self.nodes)
-
     def hosts(self) -> List[NodeSpec]:
         return [n for n in self.nodes if n.kind == DeviceKind.HOST]
 

@@ -173,8 +173,8 @@ class TestManagementStack:
         through it, and a reply that fits the MTU is never offered to the
         fragmenter -- ``sendto`` to the arrival being scheduled is
         ``sendto``, ``send_udp``, ``udp_frame``, the fabric
-        (``send_management_frame`` + ``_lookup``), ``transmit`` and
-        ``schedule_at``."""
+        (``send_management_frame``, which probes the FDB inline),
+        ``transmit`` and ``schedule_at``."""
         net, host, stack = self.managed_net()
         sock = stack.create_socket(9000)
         replies = []
@@ -192,10 +192,10 @@ class TestManagementStack:
         calls = call_counts(ask)
         assert asker.datagrams_received == 2
         assert not calls["add"] and not calls["fragment_ip_packet"], calls
-        assert not [name for name in PER_FRAME_FORBIDDEN if name != "_lookup" and calls[name]]
+        assert not [name for name in PER_FRAME_FORBIDDEN if calls[name]]
         reply = replies[-1]
         del reply["<lambda>"]
-        assert sum(reply.values()) <= 7, reply
+        assert sum(reply.values()) <= 6, reply
 
 
 class TestAnnouncements:

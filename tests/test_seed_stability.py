@@ -95,15 +95,23 @@ TRACE_UNTIL = 20.0
 # the name it had then: the event is the same one.  PR 24 made the arrival
 # event the receiving interface's ``deliver`` itself, and a host's UDP/IP
 # half the endpoint it shares with a switch's management stack.
+#
+# A switch's flood is one event, ``_flood(ports, frame)``, calling
+# ``transmit`` on each port it was decided for; each of those calls was
+# an event of its own, all at one instant with consecutive sequence
+# numbers.  It is logged as those events: one line per port.
+FLOOD = "_flood"
 RECORDED_AS = {
     "Interface.deliver": "_Channel._deliver",
     "UDPEndpoint._deliver_udp": "Host._deliver_udp",
     "transmit_through_send": "Interface.transmit",  # the reference channel's way in
+    FLOOD: "Interface.transmit",
 }
 
 
 class _Traced:
-    """A scheduled callback that logs ``(time, qualname)`` when fired."""
+    """A scheduled callback that logs ``(time, qualname)`` when fired --
+    a flood once per port it hands the frame to."""
 
     __slots__ = ("sim", "fn", "log")
 
@@ -112,7 +120,8 @@ class _Traced:
 
     def __call__(self, *args):
         name = getattr(self.fn, "__qualname__", type(self.fn).__qualname__)
-        self.log(f"{self.sim.now!r} {RECORDED_AS.get(name, name)}\n".encode())
+        line = f"{self.sim.now!r} {RECORDED_AS.get(name, name)}\n".encode()
+        self.log(line, len(args[0]) if name == FLOOD else 1)
         return self.fn(*args)
 
 
@@ -121,21 +130,27 @@ def trace_lines(monkeypatch, build_and_run):
 
     Wraps callbacks at the two public scheduling entry points, so it
     holds for any engine that keeps that surface -- it does not look at
-    the heap.
+    the heap.  A flood of ``k`` ports is one event and ``k`` lines.
     """
     lines = []
+    extra = [0]  # sum of (ports - 1) over the flood events
+
+    def log(line, times):
+        lines.extend([line] * times)
+        extra[0] += times - 1
+
     with monkeypatch.context() as patch:
         for name in ("schedule", "schedule_at"):
             original = getattr(Simulator, name)
 
             def traced(self, when, callback, *args, _original=original):
                 if not isinstance(callback, _Traced):  # schedule may call schedule_at
-                    callback = _Traced(self, callback, lines.append)
+                    callback = _Traced(self, callback, log)
                 return _original(self, when, callback, *args)
 
             patch.setattr(Simulator, name, traced)
         sim = build_and_run()
-    assert len(lines) == sim.events_processed  # nothing fired unlogged
+    assert len(lines) == sim.events_processed + extra[0]  # nothing fired unlogged
     return lines
 
 

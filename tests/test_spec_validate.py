@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.experiments.scale import scale_spec
 from repro.spec.parser import parse_spec
 from repro.spec.validate import SpecValidationError, validate_spec
+from tests.costs import call_counts
 
 
 def issues_of(text, strict=False):
@@ -93,6 +95,37 @@ class TestErrors:
 
     def test_strict_mode_passes_clean_spec(self):
         issues_of(VALID, strict=True)
+
+    def test_a_duplicated_node_resolves_to_its_first_declaration(self):
+        """``A`` is a switch first and a host second: the QoS path from
+        it is judged against the switch, as ``TopologySpec.node`` would."""
+        text = """
+        network topology t {
+            switch A { ports 2; }
+            host A { }
+            host B { }
+            qospath p { from A to B; min_available 1 Kbps; }
+        }
+        """
+        assert messages(issues_of(text), "error") == [
+            "node 'A' declared 2 times",
+            "QoS path 'p' endpoint 'A' is a switch, not a host",
+        ]
+
+
+class TestCost:
+    def test_validation_is_linear_in_the_spec(self):
+        """No wall clock.  Every check looks nodes up in one name map
+        built per call; a scan of the node list per connection end or
+        path endpoint made a 600-switch chain cost 3.9x the Python calls
+        of a 300-switch one."""
+        costs = []
+        for n in (300, 600):
+            spec = scale_spec(switches=n, hosts_per_switch=1, arity=1)
+            calls = call_counts(lambda: validate_spec(spec))
+            assert not calls["node"] and not calls["has_node"], calls
+            costs.append(sum(calls.values()))
+        assert costs[1] <= 2.2 * costs[0], costs
 
 
 class TestWarnings:

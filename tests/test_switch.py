@@ -272,6 +272,22 @@ class TestForwardingCost:
         assert sum(calls.values()) <= 22, calls
         assert events == 3  # arrive at the switch, leave it, arrive at the host
 
+    @pytest.mark.parametrize("others", [2, 6, 14])
+    def test_a_flood_is_one_event(self, others):
+        """A broadcast from one host to ``others`` more is ``others + 2``
+        events: the arrival at the switch, the flood, one arrival per
+        host.  The flood hands the frame to every linked port but the one
+        it came in on in one event; it was one event per port, ``2k + 1``
+        in all (5, 13 and 29 here)."""
+        net, (h0, *rest), _sw = star(others + 1)
+        before = [host.interfaces[0].counters.in_nucast_pkts for host in rest]
+        fired = net.sim.events_processed
+        h0.create_socket().sendto(50, (BROADCAST_IP, 520))
+        net.run(net.now + 1.0)
+        assert net.sim.events_processed - fired == others + 2
+        after = [host.interfaces[0].counters.in_nucast_pkts for host in rest]
+        assert [b - a for a, b in zip(before, after)] == [1] * others
+
     def test_each_further_switch_adds_six_calls_and_two_events(self):
         """The guard is on the slope, not the intercept: one more switch
         on a host -> switch x n -> host chain is one more arrival
