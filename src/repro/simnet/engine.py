@@ -15,7 +15,7 @@ order is part of every experiment's result (same seed, same event trace;
 pinned in ``tests/test_seed_stability.py``): a change here may make an
 event cheaper but never reorder, add or drop one.  The Figure-4 staircase
 fires about 1 200 events per simulated second and the 300-host campus
-114 000 during its announce flood, at one Python call each beside the
+16 600 during its announce flood, at one Python call each beside the
 callback (``schedule``; firing makes none) and no object but the entry.
 """
 

@@ -22,6 +22,11 @@ counter (the sender's are charged on acceptance, the receiver's on
 arrival) and needs no event; ``tests/link_reference.py`` keeps the
 event-per-stage channel this replaced, as the reference.  A queueing
 discipline other than FIFO is a different rule for ``start`` there.
+
+A switch's flood crosses several links at once, and its crossings that
+end at one instant share one arrival event (:func:`repro.simnet.switch.
+_flood`): ``transmit`` hands such an arrival back instead of scheduling
+it, and the flood schedules each run of them as one.
 """
 
 from __future__ import annotations

@@ -162,7 +162,7 @@ class Interface:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def transmit(self, frame: EthernetFrame) -> bool:
+    def transmit(self, frame: EthernetFrame, _arrivals: Optional[list] = None) -> bool:
         """Send a frame out this interface.  Returns False on tail-drop.
 
         Offer and admission in one call: the frame joins this end's
@@ -171,6 +171,10 @@ class Interface:
         packet counters are charged on acceptance; tail-dropped frames
         land in ``out_discards`` instead, mirroring how real NIC drivers
         account output drops.
+
+        A switch's flood passes ``_arrivals``: the accepted frame's
+        ``(arrival time, far interface)`` is appended to it instead of
+        scheduled, and the flood schedules its ports' arrivals itself.
         """
         tx = self._tx
         if tx is None:
@@ -204,7 +208,10 @@ class Interface:
         # this replaces: arrival times are equal to the last bit.
         done = start + size * 8.0 / tx.bandwidth_bps
         tx.free_at = done
-        sim.schedule_at(done + tx.prop_delay, tx.dst.deliver, frame)
+        if _arrivals is None:
+            sim.schedule_at(done + tx.prop_delay, tx.dst.deliver, frame)
+        else:
+            _arrivals.append((done + tx.prop_delay, tx.dst))
         counters.out_octets += size
         tos = frame.payload.tos
         if tos:

@@ -7,7 +7,8 @@ modelled directly: unicast frames to a learned MAC go out exactly one
 port, everything else floods.  A flood is one event: the ports it leaves
 by are decided when the frame arrives (every linked, forwarding port but
 the one it came in on), and after the forwarding latency each of them is
-handed the frame in port order.
+handed the frame in port order.  Its crossings that end at one instant
+share one arrival event: on an idle star, one for every host at once.
 
 The switch is store-and-forward with a non-blocking backplane: forwarding
 adds a fixed (tiny) processing latency and output frames serialise on the
@@ -31,6 +32,8 @@ paths in bounded sim-time.
 from __future__ import annotations
 
 import zlib
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.simnet.address import IPv4Address, MacAddress
@@ -49,16 +52,39 @@ class SwitchError(RuntimeError):
     """Raised for switch misconfiguration."""
 
 
-def _flood(ports: List[Interface], frame: EthernetFrame) -> None:
-    """Hand one flooded frame to every port it was decided for, in order.
+def _flood(ports: List[Interface], frame: EthernetFrame) -> bool:
+    """Hand one flooded frame to every port it was decided for, in order;
+    True if any port accepted it.
 
-    One event for the whole flood is exact: the ports' departures fall at
-    one instant and nothing else is scheduled between them, and a
-    ``transmit`` schedules only an arrival, strictly later -- so one event
-    per port would fire the same calls in the same order.
+    Each port admits the frame through its own ``transmit``, which hands
+    the arrival back instead of scheduling it, and each run of
+    consecutive ports whose arrivals fall at one instant becomes one
+    arrival event, :func:`_deliver_each` (a run of one, the far
+    interface's plain ``deliver``).  That fires what an event per port
+    did, in the same order: the ``transmit`` calls schedule nothing else,
+    so their arrivals would take consecutive sequence numbers, a run's
+    would fire back to back, and whatever a delivery schedules comes
+    after them either way.
     """
+    arrivals: List[Tuple[float, Interface]] = []
     for port in ports:
-        port.transmit(frame)
+        port.transmit(frame, arrivals)
+    if arrivals:
+        schedule_at = ports[0]._tx.sim.schedule_at  # type: ignore[union-attr]
+        for at, run in groupby(arrivals, itemgetter(0)):
+            interfaces = [iface for _, iface in run]
+            if len(interfaces) == 1:
+                schedule_at(at, interfaces[0].deliver, frame)
+            else:
+                schedule_at(at, _deliver_each, interfaces, frame)
+    return bool(arrivals)
+
+
+def _deliver_each(interfaces: List[Interface], frame: EthernetFrame) -> None:
+    """The arrival event of a flood's frames that reach ``interfaces`` at
+    one instant: each delivers in turn, in port order."""
+    for iface in interfaces:
+        iface.deliver(frame)
 
 
 class FdbEntry:
@@ -177,8 +203,12 @@ class Switch:
             and now - entry.learned_at <= MAC_AGING
         ):
             entry.learned_at = now  # unchanged and live: refreshed in place
-        else:
-            self._learn(src, in_port)
+        elif not src.is_multicast:  # group addresses (broadcast too) are no station
+            # New, moved, or aged out -- and an expired binding is no
+            # binding: fdb_entries() stopped listing it when it aged out,
+            # so learning it again changes the row set like the other two.
+            fdb[src._value] = FdbEntry(src, in_port, now)
+            self.fdb_version += 1
         # In-band management: frames addressed to the switch itself.
         management_mac = self.management_mac
         if management_mac is not None and dst == management_mac._value:
@@ -218,18 +248,6 @@ class Switch:
             if frame.is_broadcast and self._mgmt_handler is not None:
                 self._mgmt_handler(in_port, frame)
 
-    def _learn(self, mac: MacAddress, port: Interface) -> None:
-        """Bind a station to a port it was not (or is no longer) bound to.
-
-        New, moved, or aged out -- and an expired binding is no binding:
-        fdb_entries() stopped listing it when it aged out, so learning it
-        again changes the row set like the other two.
-        """
-        if mac.is_multicast:  # group addresses (broadcast too) are no station
-            return
-        self._fdb[mac._value] = FdbEntry(mac, port, self.sim.now)
-        self.fdb_version += 1
-
     def flush_fdb(self) -> None:
         """Drop every learned binding (spanning-tree topology change)."""
         if self._fdb:
@@ -247,7 +265,8 @@ class Switch:
         """Transmit a management-plane frame using the FDB.
 
         If the destination is unlearned the frame floods, exactly like
-        transit traffic -- management responses are ordinary packets.
+        transit traffic -- management responses are ordinary packets --
+        out of every linked, forwarding port; True if any accepted it.
         """
         dst = frame.dst._value
         entry = self._fdb.get(dst)
@@ -257,12 +276,10 @@ class Switch:
                 self.fdb_version += 1
             elif frame.is_unicast and entry.port.forwarding:
                 return entry.port.transmit(frame)
-        ok = False
-        for port in self.interfaces:
-            if port.link is None or not port.forwarding:
-                continue
-            ok = port.transmit(frame) or ok
-        return ok
+        return _flood(
+            [port for port in self.interfaces if port.link is not None and port.forwarding],
+            frame,
+        )
 
     def fdb_entries(self) -> List[Tuple[MacAddress, int, float]]:
         """Live FDB as (mac, port ifIndex, age) -- the bridge-MIB view."""

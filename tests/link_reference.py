@@ -18,6 +18,11 @@ differ is a tie the old one broke by scheduling order -- an offer at the
 very instant the serialiser frees -- and a ``bandwidth_bps`` assigned
 while frames wait (read here when a frame starts, there when it is
 offered).  Both are pinned by their own tests in ``tests/test_link.py``.
+
+:func:`flood_port_by_port` is a switch's flood as it was while each
+port's crossing scheduled its own arrival, the reference for the flood
+whose arrivals at one instant are one event (``tests/test_switch.py``),
+and the flood the old channel's ``send`` runs under.
 """
 
 from collections import deque
@@ -107,3 +112,11 @@ class _Channel:
     def utilization_estimate(self) -> float:
         """Instantaneous queue occupancy as a fraction of buffer space."""
         return self.queue_bytes / self.max_queue_bytes if self.max_queue_bytes else 0.0
+
+
+def flood_port_by_port(ports, frame) -> bool:
+    """``repro.simnet.switch._flood`` before a flood's arrivals at one
+    instant were one event: each port's ``transmit`` schedules its own.
+    True if any port accepted the frame."""
+    accepted = [port.transmit(frame) for port in ports]
+    return any(accepted)

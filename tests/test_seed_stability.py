@@ -99,19 +99,24 @@ TRACE_UNTIL = 20.0
 # A switch's flood is one event, ``_flood(ports, frame)``, calling
 # ``transmit`` on each port it was decided for; each of those calls was
 # an event of its own, all at one instant with consecutive sequence
-# numbers.  It is logged as those events: one line per port.
-FLOOD = "_flood"
+# numbers.  It is logged as those events: one line per port.  So are the
+# flood's arrivals that fall at one instant, one ``_deliver_each(
+# interfaces, frame)`` event: one arrival line per interface.
 RECORDED_AS = {
     "Interface.deliver": "_Channel._deliver",
     "UDPEndpoint._deliver_udp": "Host._deliver_udp",
     "transmit_through_send": "Interface.transmit",  # the reference channel's way in
-    FLOOD: "Interface.transmit",
+    "_flood": "Interface.transmit",
+    "flood_port_by_port": "Interface.transmit",  # the reference channel's flood
+    "_deliver_each": "_Channel._deliver",
 }
+GROUPED = {"_flood", "flood_port_by_port", "_deliver_each"}  # args[0]: one line each
 
 
 class _Traced:
     """A scheduled callback that logs ``(time, qualname)`` when fired --
-    a flood once per port it hands the frame to."""
+    a flood once per port it hands the frame to, and a flood's arrivals
+    at one instant once per interface they reach."""
 
     __slots__ = ("sim", "fn", "log")
 
@@ -121,7 +126,7 @@ class _Traced:
     def __call__(self, *args):
         name = getattr(self.fn, "__qualname__", type(self.fn).__qualname__)
         line = f"{self.sim.now!r} {RECORDED_AS.get(name, name)}\n".encode()
-        self.log(line, len(args[0]) if name == FLOOD else 1)
+        self.log(line, len(args[0]) if name in GROUPED else 1)
         return self.fn(*args)
 
 
@@ -130,10 +135,11 @@ def trace_lines(monkeypatch, build_and_run):
 
     Wraps callbacks at the two public scheduling entry points, so it
     holds for any engine that keeps that surface -- it does not look at
-    the heap.  A flood of ``k`` ports is one event and ``k`` lines.
+    the heap.  A flood of ``k`` ports is one event and ``k`` lines, and
+    so are ``k`` of its arrivals at one instant.
     """
     lines = []
-    extra = [0]  # sum of (ports - 1) over the flood events
+    extra = [0]  # sum of (ports or interfaces - 1) over the grouped events
 
     def log(line, times):
         lines.extend([line] * times)
@@ -279,7 +285,8 @@ def same_instant_transpositions(old, new):
 def test_ordered_goldens_are_derived_from_the_parents(
     monkeypatch, build_and_run, parent_golden, golden, transpositions
 ):
-    """The old channel under today's simulator fires the parent's trace;
+    """The old channel (and the flood that schedules an arrival per port)
+    under today's simulator fires the parent's trace;
     today's trace is that one with ``_tx_done`` removed, up to a counted
     number of adjacent swaps of simultaneous events.
 
@@ -292,6 +299,7 @@ def test_ordered_goldens_are_derived_from_the_parents(
     with monkeypatch.context() as patch:
         patch.setattr("repro.simnet.link._Channel", link_reference._Channel)
         patch.setattr(Interface, "transmit", transmit_through_send)
+        patch.setattr("repro.simnet.switch._flood", link_reference.flood_port_by_port)
         parents = trace_lines(monkeypatch, build_and_run)
     assert trace_hash(parents) == parent_golden
     by_callback = Counter(line.split()[1] for line in parents)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.simnet.address import MacAddress
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
+from repro.simnet.packet import EthernetFrame, IPPacket, UDPDatagram
 from repro.simnet.sockets import DISCARD_PORT
 from repro.simnet.stp import ROLE_DISABLED
 from repro.snmp.datatypes import (
@@ -329,6 +330,17 @@ def bridge_rig(ports=6, hosts=3):
     return net, sw, tree, NaiveMib(tree, sw)
 
 
+def learn(sw, mac, port):
+    """Teach ``sw`` the station ``mac`` on ``port`` the way traffic does:
+    hand it a frame from the station, addressed to the station itself so
+    that it is filtered, not forwarded.  The port forwards for that one
+    frame whatever its spanning-tree state: the rig's may still listen."""
+    packet = IPPacket(sw.management_ip, sw.management_ip, UDPDatagram(1, 2, payload_size=10))
+    forwarding, port.forwarding = port.forwarding, True
+    sw.on_frame(port, EthernetFrame(mac, mac, packet))
+    port.forwarding = forwarding
+
+
 PREFIXES = (IF_ENTRY, DOT1D_STP_PORT_ENTRY, DOT1D_TP_FDB_ENTRY)
 
 
@@ -368,7 +380,7 @@ class TestIndexedLookupsMatchNaiveReference:
         cached = CachingMibTree(tree, net.sim, refresh_interval=5.0)
         for op, a, b in ops + [("row", 0, 0), ("prefix", 2, 2)]:
             if op == "learn":
-                sw._learn(MacAddress(0x020000000000 | a), sw.interfaces[b])
+                learn(sw, MacAddress(0x020000000000 | a), sw.interfaces[b])
             elif op == "age":
                 # Whole ageing-granularity steps: a row that aged out is
                 # gone from the provider's next answer.
@@ -394,12 +406,12 @@ class TestIndexedLookupsMatchNaiveReference:
         net, sw, tree, _naive = bridge_rig()
         mac = MacAddress(0x020000000042)
         row = DOT1D_TP_FDB_PORT.extend(*mac.to_bytes())
-        sw._learn(mac, sw.interfaces[0])
+        learn(sw, mac, sw.interfaces[0])
         assert tree.get(row) == Integer(1)
         net.run(net.sim.now + 310.0)  # past the 300 s MAC ageing
         assert tree.get(row) is None
         version = sw.fdb_version
-        sw._learn(mac, sw.interfaces[0])
+        learn(sw, mac, sw.interfaces[0])
         assert sw.fdb_version == version + 1
         assert tree.get(row) == Integer(1)
 
@@ -444,7 +456,7 @@ PAST_PROVIDERS = Oid("1.3.6.1.4.1.99999.5")
 def widened_rig(**kwargs):
     net, sw, tree, naive = bridge_rig(**kwargs)
     for i in range(4):  # the rig's ports are still listening: learn by hand
-        sw._learn(MacAddress(0x020000000100 | i), sw.interfaces[i])
+        learn(sw, MacAddress(0x020000000100 | i), sw.interfaces[i])
     tree.register(BETWEEN_PROVIDERS, Integer(3))
     for n in range(104, 124, 3):
         tree.register(PAST_PROVIDERS.extend(n, 0), OctetString(b"x" * n))
@@ -804,7 +816,7 @@ class TestSnapshotEqualsAFullWalk:
                     else:
                         iface.link = links.pop(iface, None)
                 elif op == "learn":
-                    sw._learn(MacAddress(0x020000000000 | step[1]), sw.interfaces[step[2]])
+                    learn(sw, MacAddress(0x020000000000 | step[1]), sw.interfaces[step[2]])
                 elif op == "age":
                     net.run(sim.now + step[1])
                 elif op == "flush":
@@ -854,7 +866,7 @@ class TestSnapshotCost:
     def warm_switch(self):
         net, sw, tree, naive = bridge_rig(ports=50, hosts=12)
         for i in range(12):
-            sw._learn(MacAddress(0x020000000100 | i), sw.interfaces[i])
+            learn(sw, MacAddress(0x020000000100 | i), sw.interfaces[i])
         cached = CachingMibTree(tree, net.sim, refresh_interval=5.0)
         cached._take_snapshot()  # lays the snapshot out, builds the FDB row index
         return net, sw, tree, cached

@@ -1,14 +1,21 @@
 """Unit tests for the learning switch: the paper's per-port isolation."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simnet import switch as switch_module
-from repro.simnet.address import BROADCAST_MAC
+from repro.simnet.address import BROADCAST_MAC, MacAddress
+from repro.simnet.faults import PacketLoss
 from repro.simnet.network import BROADCAST_IP, Network
+from repro.simnet.nic import Interface
 from repro.simnet.packet import EthernetFrame, IPPacket, UDPDatagram
 from repro.simnet.sockets import DISCARD_PORT
 from repro.simnet.switch import SwitchError
-from tests.costs import PER_FRAME_FORBIDDEN, datagram_cost, switch_chain
+from tests.costs import PER_FRAME_FORBIDDEN, call_counts, datagram_cost, switch_chain
+from tests.link_reference import flood_port_by_port
 
 
 def star(n_hosts=3, managed=False):
@@ -272,21 +279,57 @@ class TestForwardingCost:
         assert sum(calls.values()) <= 22, calls
         assert events == 3  # arrive at the switch, leave it, arrive at the host
 
-    @pytest.mark.parametrize("others", [2, 6, 14])
-    def test_a_flood_is_one_event(self, others):
-        """A broadcast from one host to ``others`` more is ``others + 2``
-        events: the arrival at the switch, the flood, one arrival per
-        host.  The flood hands the frame to every linked port but the one
-        it came in on in one event; it was one event per port, ``2k + 1``
-        in all (5, 13 and 29 here)."""
-        net, (h0, *rest), _sw = star(others + 1)
+    @staticmethod
+    def broadcast_events(net, h0, rest):
+        """Events fired by one broadcast from ``h0``; each of ``rest``
+        takes it exactly once."""
         before = [host.interfaces[0].counters.in_nucast_pkts for host in rest]
         fired = net.sim.events_processed
         h0.create_socket().sendto(50, (BROADCAST_IP, 520))
         net.run(net.now + 1.0)
-        assert net.sim.events_processed - fired == others + 2
         after = [host.interfaces[0].counters.in_nucast_pkts for host in rest]
-        assert [b - a for a, b in zip(before, after)] == [1] * others
+        assert [b - a for a, b in zip(before, after)] == [1] * len(rest)
+        return net.sim.events_processed - fired
+
+    @pytest.mark.parametrize("others", [2, 6, 14])
+    def test_a_flood_is_one_event(self, others):
+        """A broadcast from one host to ``others`` idle hosts is 3 events:
+        the arrival at the switch, the flood, and one arrival for all of
+        them -- their crossings end at one instant.  It was ``k + 2`` (4,
+        8 and 16 here) while each port's arrival was an event, and before
+        that ``2k + 1`` (5, 13 and 29) while each port's departure was."""
+        net, (h0, *rest), _sw = star(others + 1)
+        assert self.broadcast_events(net, h0, rest) == 3
+
+    def test_a_slower_host_is_a_second_arrival(self):
+        """One 10 Mb/s host, on the last port, among 100 Mb/s ones: its
+        copy of the broadcast lands later, so the flood's arrivals are
+        two events and the broadcast four."""
+        net = Network()
+        hosts = [net.add_host(f"H{i}") for i in range(4)] + [net.add_host("slow", 10e6)]
+        sw = net.add_switch("sw", 6, managed=False)
+        for host in hosts:
+            net.connect(host, sw)
+        net.announce_hosts()
+        net.run(0.01)
+        assert self.broadcast_events(net, hosts[0], hosts[1:]) == 4
+
+    def test_learning_a_station_costs_its_fdb_entry_alone(self):
+        """A frame from a station the switch has not learned costs
+        ``on_frame`` exactly one Python call more than one from a learned
+        station, both to one learned destination: the ``FdbEntry`` it
+        writes.  It was three while learning was a method (``_learn``,
+        the ``now`` property and the entry)."""
+        net, (h0, h1, _h2), sw = star()
+        packet = IPPacket(h0.primary_ip, h1.primary_ip, UDPDatagram(1, 2, payload_size=10))
+        stranger = MacAddress(0x02AB00000001)
+        learned = EthernetFrame(h0.interfaces[0].mac, h1.interfaces[0].mac, packet)
+        unlearned = EthernetFrame(stranger, h1.interfaces[0].mac, packet)
+        known = call_counts(lambda: sw.on_frame(sw.port(1), learned))
+        new = call_counts(lambda: sw.on_frame(sw.port(1), unlearned))
+        assert sum(new.values()) - sum(known.values()) == 1, (known, new)
+        assert new - known == Counter({"__init__": 1}) and not known - new
+        assert sw._fdb[stranger.value].port is sw.port(1)
 
     def test_each_further_switch_adds_six_calls_and_two_events(self):
         """The guard is on the slope, not the intercept: one more switch
@@ -307,3 +350,124 @@ class TestForwardingCost:
             # Validation runs where the datagram is built, all three layers
             # in one call, and never again however long the chain.
             assert calls["udp_frame"] == 1 and not calls["__post_init__"]
+
+
+# ----------------------------------------------------------------------
+# A flood's arrivals at one instant are one event: the same deliveries
+# ----------------------------------------------------------------------
+SPEEDS = st.sampled_from([10e6, 100e6, 100e6, 1e9])
+GAPS = st.sampled_from([0.0, 0.0, 1e-5, 1e-4, 1e-3])
+SIZES = st.sampled_from([64, 576, 1500])
+
+
+@st.composite
+def flood_programs(draw):
+    """A star (one switch) or chain (two or three) of switches with
+    hosts of mixed speeds, wired in any order, some links lossy; and a
+    program of broadcasts, unknown-unicast floods and management floods,
+    with switch ports pre-queued, shrunk to tail-drop or taken down."""
+    n_switches = draw(st.integers(1, 3))
+    hosts = draw(st.lists(st.lists(SPEEDS, min_size=1, max_size=4),
+                          min_size=n_switches, max_size=n_switches))
+    wiring = [("host", i, j) for i, speeds in enumerate(hosts) for j in range(len(speeds))]
+    wiring += [("uplink", i, draw(SPEEDS)) for i in range(n_switches - 1)]
+    wiring = draw(st.permutations(wiring))
+    lossy = draw(st.lists(st.sampled_from([0.0, 0.0, 0.3, 1.0]),
+                          min_size=len(wiring), max_size=len(wiring)))
+    n_hosts = sum(len(speeds) for speeds in hosts)
+    ops = st.one_of(
+        st.tuples(st.sampled_from(["broadcast", "unknown"]), st.integers(0, n_hosts - 1), SIZES),
+        st.tuples(st.just("management"), st.integers(0, n_switches - 1), SIZES),
+        st.tuples(st.sampled_from(["queue", "shrink", "down"]),
+                  st.integers(0, n_switches - 1), st.integers(0, 5)),
+    )
+    program = draw(st.lists(st.tuples(GAPS, ops), min_size=1, max_size=10))
+    return hosts, wiring, lossy, program
+
+
+def run_flood_program(hosts, wiring, lossy, program):
+    """``(delivery trace, counters)`` of ``program`` run to the end.
+
+    The trace is every ``transmit`` and ``deliver`` as it happens:
+    ``(time, callback, interface, frame hops, outcome)``; the counters
+    every interface's MIB-II block and channel drops, and every switch's
+    forwarding counters."""
+    net = Network()
+    switches = [net.add_switch(f"sw{i}", 8, managed=False) for i in range(len(hosts))]
+    stations = {}
+    for (kind, i, arg), rate in zip(wiring, lossy):
+        if kind == "host":
+            stations[i, arg] = net.add_host(f"h{i}_{arg}", speed_bps=hosts[i][arg])
+            link = net.connect(stations[i, arg], switches[i])
+        else:
+            link = net.connect(switches[i], switches[i + 1], bandwidth_bps=arg)
+        if rate:
+            PacketLoss(link, rate, seed=len(net.links))
+    stations = [stations[key] for key in sorted(stations)]
+    sim, trace = net.sim, []
+    transmit, deliver = Interface.transmit, Interface.deliver
+
+    def traced_transmit(self, frame, *arrivals):
+        ok = transmit(self, frame, *arrivals)
+        trace.append((sim.now, "transmit", self.full_name, frame.hops, ok))
+        return ok
+
+    def traced_deliver(self, frame):
+        trace.append((sim.now, "deliver", self.full_name, frame.hops, None))
+        deliver(self, frame)
+
+    def frame_from(station, dst_mac, size):
+        iface = station.interfaces[0]
+        packet = IPPacket(iface.ip, BROADCAST_IP, UDPDatagram(68, 520, payload_size=size))
+        return EthernetFrame(iface.mac, dst_mac, packet)
+
+    def step(op, a, b):
+        if op == "broadcast":
+            stations[a].interfaces[0].transmit(frame_from(stations[a], BROADCAST_MAC, b))
+        elif op == "unknown":
+            stations[a].interfaces[0].transmit(frame_from(stations[a], MacAddress(0x02EE00000000 | b), b))
+        elif op == "management":
+            ok = switches[a].send_management_frame(frame_from(stations[0], MacAddress(0x02EF00000000 | b), b))
+            trace.append((sim.now, "management", switches[a].name, 0, ok))
+        else:
+            port = switches[a].interfaces[b]
+            if op == "queue" and port.link is not None:
+                port.transmit(frame_from(stations[0], MacAddress(0x02ED00000000), 1500))
+            elif op == "shrink" and port.link is not None:
+                port._tx.max_queue_bytes = 1600
+            elif op == "down":
+                port.set_admin_up(False)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Interface, "transmit", traced_transmit)
+        patch.setattr(Interface, "deliver", traced_deliver)
+        at = 0.0
+        for gap, op in program:
+            at += gap
+            sim.schedule_at(at, step, *op)
+        net.run(at + 1.0)
+    counters = {
+        iface.full_name: (iface.counters.snapshot(), iface.tos_in_octets, iface.tos_out_octets,
+                          iface._tx.frames_dropped if iface._tx else None)
+        for device in switches + stations
+        for iface in device.interfaces
+    }
+    for sw in switches:
+        counters[sw.name] = (sw.frames_flooded, sw.frames_forwarded, sw.frames_dropped_hops)
+    return trace, counters
+
+
+class TestGroupedArrivalsAreThePortByPortFlood:
+    @given(flood_programs())
+    @settings(max_examples=60, deadline=None)
+    def test_same_deliveries_same_counters(self, program):
+        """A flood whose arrivals at one instant are one event delivers
+        what the flood that scheduled an arrival per port delivered:
+        the same calls at the same instants in the same order, and the
+        same counters everywhere -- through mixed link speeds, queued,
+        shrunk and downed ports, lossy links and management floods."""
+        grouped = run_flood_program(*program)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(switch_module, "_flood", flood_port_by_port)
+            port_by_port = run_flood_program(*program)
+        assert grouped == port_by_port
