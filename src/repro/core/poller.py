@@ -49,6 +49,7 @@ from repro.snmp.mib import (
 from repro.snmp.oid import Oid
 from repro.telemetry import Telemetry
 from repro.telemetry.events import AGENT_RESTART
+from repro.telemetry.trace import NULL_SPAN
 
 # The per-interface columns polled each cycle (paper Table 1 uses octets
 # and packet counters in both directions).
@@ -172,13 +173,14 @@ class PollTarget:
 
 
 class _PollUnit:
-    """One target's worth of work inside a poll cycle."""
+    """One target's worth of work inside poll cycle number ``cycle``."""
 
-    __slots__ = ("target", "span")
+    __slots__ = ("target", "span", "cycle")
 
-    def __init__(self, target: PollTarget, span) -> None:
+    def __init__(self, target: PollTarget, span, cycle: int) -> None:
         self.target = target
         self.span = span
+        self.cycle = cycle
 
 
 POLL_MODES = ("get", "bulk")
@@ -207,7 +209,15 @@ class SnmpPoller:
     ``pipeline_window``; each completion launches the next.  Backlog
     still queued when the next cycle begins is dropped and counted as an
     overrun (the new cycle's fresher poll of the same target supersedes
-    it).  0 launches everything at once.
+    it); :meth:`stop` drops it too.  0 launches everything at once.
+
+    The poller closes its own cycles, telemetry on or off: once, when the
+    last exchange resolves (answered, timed out, refused or dropped from
+    the backlog), at once when the circuit breaker suppressed every
+    target, or when the next cycle begins first.  A straggler from a
+    closed cycle changes nothing.  The close finishes the ``poll_cycle``
+    span and observes ``poll_cycle_seconds`` (with telemetry on), then
+    calls ``on_cycle(number)``, after the cycle's last ``on_sample``.
     """
 
     def __init__(
@@ -292,11 +302,10 @@ class SnmpPoller:
         self._backlog: Deque[_PollUnit] = deque()
         self._in_flight = 0
         self.window_peak = 0
-        # The open span of the in-flight cycle, plus outstanding-exchange
-        # counts per cycle span id (late responses from a forced-closed
-        # cycle must not leak into the next cycle's accounting).
-        self._cycle_span = None
-        self._exchanges_pending: Dict[int, int] = {}
+        # The open cycle (0: none), its span and its unresolved exchanges.
+        self._open_cycle = 0
+        self._cycle_span = NULL_SPAN
+        self._unresolved = 0
         # An uptime delta beyond this is read as an agent restart (the
         # counter baselines are then worthless and are re-established).
         # TimeTicks wrap legitimately only every ~497 days; any apparent
@@ -313,6 +322,8 @@ class SnmpPoller:
         # whose target requests oper-status tracking -- the poll-based
         # link-state backstop for when linkDown traps are lost.
         self.on_status: Optional[Callable[[str, int, bool], None]] = None
+        #: Called with a cycle's number when it closes (see the class doc).
+        self.on_cycle: Optional[Callable[[int], object]] = None
 
     @property
     def polls_suppressed(self) -> int:
@@ -363,9 +374,12 @@ class SnmpPoller:
         )
 
     def stop(self) -> None:
+        """Poll no more: exchanges in flight still land, nothing queued launches."""
         if self._task is not None:
             self._task.cancel()
             self._task = None
+        while self._backlog:
+            self._resolve(self._backlog.popleft(), "dropped")
 
     # ------------------------------------------------------------------
     # Polling
@@ -376,30 +390,21 @@ class SnmpPoller:
         # this cycle's fresher poll of the same targets: drop it (counted)
         # rather than let a slow network build an ever-deeper queue.
         while self._backlog:
-            unit = self._backlog.popleft()
             self._m_window_overruns.inc()
-            self._exchange_done(unit.span, "overrun")
-        tel = self.telemetry
-        tracing = tel.enabled
-        if tracing:
-            self._force_close_cycle()
-            self._cycle_span = tel.tracer.begin("poll_cycle", cycle=self.cycles)
-            self._exchanges_pending[self._cycle_span.span_id] = 0
-        units: List[_PollUnit] = []
-        for target in self.targets:
-            if not self.health.should_poll(target.node, self.sim.now):
-                continue  # circuit open: this DEAD agent's probe is not due
-            span = None
-            if tracing:
-                span = tel.tracer.begin(
-                    "snmp_exchange", parent=self._cycle_span, agent=target.node
-                )
-                self._exchanges_pending[self._cycle_span.span_id] += 1
-            units.append(_PollUnit(target, span))
-        if tracing and self._exchanges_pending.get(self._cycle_span.span_id) == 0:
-            # Every target suppressed: the cycle is over as it begins.
-            self._exchanges_pending.pop(self._cycle_span.span_id, None)
-            self._finish_cycle(self._cycle_span)
+            self._resolve(self._backlog.popleft(), "overrun")
+        if self._open_cycle:  # the previous cycle's stragglers are still out
+            self._close_cycle(unfinished_exchanges=self._unresolved)
+        cycle, tracer, now = self.cycles, self.telemetry.tracer, self.sim.now
+        span = tracer.begin("poll_cycle", cycle=cycle)
+        units = [
+            _PollUnit(target, tracer.begin("snmp_exchange", parent=span, agent=target.node), cycle)
+            for target in self.targets
+            # Circuit open: a DEAD agent is skipped until its probe is due.
+            if self.health.should_poll(target.node, now)
+        ]
+        self._open_cycle, self._cycle_span, self._unresolved = cycle, span, len(units)
+        if not units:
+            self._close_cycle()  # every target suppressed: over as it begins
         window = self.pipeline_window
         if window and len(units) > window:
             launch_now, deferred = units[:window], units[window:]
@@ -416,15 +421,14 @@ class SnmpPoller:
         self._in_flight += 1
         if self._in_flight > self.window_peak:
             self.window_peak = self._in_flight
-        target, span = unit.target, unit.span
+        target = unit.target
 
-        def on_ok(reply, t=target, s=span) -> None:
-            self._on_response(t, reply, s)
-            self._unit_done()
+        def on_ok(reply) -> None:
+            self._on_response(target, reply)
+            self._landed(unit, "ok")
 
-        def on_err(exc: Exception, t=target, s=span) -> None:
-            self._on_error(t, exc, s)
-            self._unit_done()
+        def on_err(exc: Exception) -> None:
+            self._landed(unit, self._on_error(target, exc))
 
         # A target with no interfaces is still probed (a GET of sysUpTime).
         self.manager.poll_interfaces(
@@ -437,68 +441,50 @@ class SnmpPoller:
             community=target.community,
         )
 
-    def _unit_done(self) -> None:
+    def _landed(self, unit: _PollUnit, outcome: str) -> None:
+        """A launched unit's exchange is over: resolve it, and give its
+        window slot to the next queued unit."""
         self._in_flight = max(0, self._in_flight - 1)
+        self._resolve(unit, outcome)
         if self._backlog:
             self._launch(self._backlog.popleft())
 
-    # -- cycle span management -----------------------------------------
-    def _finish_cycle(self, span) -> None:
+    # -- the cycle clock -------------------------------------------------
+    def _resolve(self, unit: _PollUnit, outcome: str) -> None:
+        """Every unit ends here, once; the open cycle's last one closes it."""
+        unit.span.finish(outcome=outcome)
+        if unit.cycle == self._open_cycle:
+            self._unresolved -= 1
+            if not self._unresolved:
+                self._close_cycle()
+
+    def _close_cycle(self, **attrs: object) -> None:
+        """The open cycle is over: its span reads the close, then the hook."""
+        number, span = self._open_cycle, self._cycle_span
+        self._open_cycle, self._cycle_span = 0, NULL_SPAN
         if span.open:
-            span.finish()
-            if span.duration is not None:
-                self._h_cycle.observe(span.duration)
-        if span is self._cycle_span:
-            self._cycle_span = None
+            span.finish(**attrs)
+            self._h_cycle.observe(span.duration)
+        if self.on_cycle is not None:
+            self.on_cycle(number)
 
-    def _force_close_cycle(self) -> None:
-        """Close the previous cycle's span if responses never drained."""
-        span = self._cycle_span
-        if span is None:
-            return
-        outstanding = self._exchanges_pending.get(span.span_id, 0)
-        if outstanding:
-            # Entry stays so stragglers still balance their decrement.
-            span.attrs["unfinished_exchanges"] = outstanding
-        else:
-            self._exchanges_pending.pop(span.span_id, None)
-        self._finish_cycle(span)
-
-    def _exchange_done(self, span, outcome: str) -> None:
-        if span is None:
-            return
-        span.finish(outcome=outcome)
-        parent = span.parent_id
-        if parent is None:
-            return
-        left = self._exchanges_pending.get(parent)
-        if left is None:
-            return
-        if left <= 1:
-            self._exchanges_pending.pop(parent, None)
-            if self._cycle_span is not None and self._cycle_span.span_id == parent:
-                self._finish_cycle(self._cycle_span)
-        else:
-            self._exchanges_pending[parent] = left - 1
-
-    def _on_error(self, target: PollTarget, exc: Exception, span=None) -> None:
+    def _on_error(self, target: PollTarget, exc: Exception) -> str:
+        """Account one failed poll; returns its exchange's outcome."""
         self._m_errors.inc()
         if isinstance(exc, SnmpTimeout):
             self._m_timeout_errors.inc()
-            self._exchange_done(span, "timeout")
             self.health.record_failure(target.node, self.sim.now)
-        elif isinstance(exc, SnmpErrorResponse):
+            return "timeout"
+        if isinstance(exc, SnmpErrorResponse):
             # The agent answered -- it is alive -- but the response is
             # unusable.  Reachability up, data quality down.
             self._m_error_responses.inc()
-            self._exchange_done(span, "error_response")
             self.health.record_success(target.node, self.sim.now)
-        else:
-            self._exchange_done(span, "error")
+            return "error_response"
+        return "error"
 
-    def _on_response(self, target: PollTarget, reply, span=None) -> None:
+    def _on_response(self, target: PollTarget, reply) -> None:
         """Account one answered poll, then :meth:`_derive` its reply."""
-        self._exchange_done(span, "ok")
         self.health.record_success(target.node, self.sim.now)
         uptime, tables = reply
         if uptime is None:

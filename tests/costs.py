@@ -7,6 +7,7 @@ rigs those guards run on live here too.
 
 import functools
 import gc
+import os
 import sys
 from collections import Counter
 from unittest import mock
@@ -254,3 +255,71 @@ def per_record(active: bool, sizes=(16, 32)):
         delta.subtract(small[tier])
         out[tier] = Counter({k: v / span for k, v in delta.items() if v})
     return out
+
+
+class HandManager:
+    """An :class:`~repro.snmp.manager.SnmpManager` stand-in that sends
+    nothing: ``poll_interfaces`` keeps each exchange's callback and
+    errback in ``pending`` for the caller to answer by hand.  Its
+    telemetry hub, on the clock of its own simulator, is off unless
+    ``telemetry``."""
+
+    def __init__(self, telemetry: bool = False) -> None:
+        from repro.simnet.engine import Simulator
+        from repro.telemetry import Telemetry
+
+        self.sim = Simulator()
+        self.telemetry = Telemetry(lambda: self.sim.now, enabled=telemetry)
+        self.pending = []
+
+    def poll_interfaces(self, address, if_indexes, columns, callback, errback, **_):
+        self.pending.append((callback, errback))
+
+
+_COMPREHENSIONS = ("<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>")
+
+
+def per_exchange(outcome: str, sizes=(4, 8), interfaces: int = 4) -> Counter:
+    """What one more exchange costs a steady poll cycle with telemetry
+    off, by ``(source file, function name)``: the difference between a
+    ``sizes[1]``- and a ``sizes[0]``-agent cycle -- the cycle opened, every
+    exchange launched and answered by hand, all ``"ok"`` (``interfaces``
+    counters moved) or all ``"timeout"`` -- over the difference in agents.
+    Only the package's frames count (and the ``__init__`` a dataclass
+    generates), not the comprehension frames Python 3.11 counts and 3.12
+    inlines: the slope is the same on both."""
+    import repro
+    from repro.core.poller import _COLUMNS, PollTarget, SnmpPoller
+    from repro.snmp.ber import TAG_COUNTER32
+    from repro.snmp.errors import SnmpTimeout
+
+    package, cycles = os.path.dirname(repro.__file__), []
+    for n in sizes:
+        manager = HandManager()
+        targets = [PollTarget(f"a{i}", None, list(range(1, interfaces + 1))) for i in range(n)]
+        poller = SnmpPoller(manager, targets)
+
+        def cycle(k, answer):
+            poller._poll_cycle()
+            reply = 200 * k, {column: {i: (TAG_COUNTER32, 1000 * k) for i in
+                                       range(1, interfaces + 1)} for column in _COLUMNS}
+            for callback, errback in manager.pending:
+                if answer == "ok":
+                    callback(reply)
+                else:
+                    errback(SnmpTimeout("a", 2))
+            manager.pending.clear()
+
+        cycle(1, "ok")  # the baseline
+        cycle(2, "ok")  # the first rates
+        calls = call_counts(lambda: cycle(3, outcome), by_file=True)
+        cycles.append(Counter({
+            key: v for key, v in calls.items()
+            if key[0].startswith(package) or key[0] == "<string>"
+            if key[1] not in _COMPREHENSIONS
+        }))
+    small, large = cycles
+    delta = Counter(large)
+    delta.subtract(small)
+    span = sizes[1] - sizes[0]
+    return Counter({k: v / span for k, v in delta.items() if v})

@@ -697,8 +697,7 @@ class ReferencePoller(SnmpPoller):
     by the modular arithmetic, moved or not; the uptime judged, and a
     restart counted and published, once per interface."""
 
-    def _on_response(self, target: PollTarget, reply, span=None) -> None:
-        self._exchange_done(span, "ok")
+    def _on_response(self, target: PollTarget, reply) -> None:
         self.health.record_success(target.node, self.sim.now)
         uptime, tables = reply
         if uptime is None:

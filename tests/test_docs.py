@@ -1,9 +1,11 @@
 """Documentation-rot protection.
 
 The docs embed spec-language sources; if the grammar or validator
-changes, these tests force the docs to move in lockstep.
+changes, these tests force the docs to move in lockstep.  The tests they
+name by ``tests/<file>.py::Class::test`` must exist.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -19,6 +21,16 @@ from repro.spec.validate import validate_spec
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 README = Path(__file__).resolve().parent.parent / "README.md"
 EXAMPLES = sorted((README.parent / "examples").glob("*.py"))
+TESTS = README.parent / "tests"
+#: What names tests: the docs, the README and the CI steps.  (ROADMAP.md
+#: is left out: it names tests still to be written.)
+REFERRING = [
+    *sorted(DOCS.glob("*.md")), README,
+    *sorted((README.parent / ".github" / "workflows").glob("*.yml")),
+]
+#: ``tests/<file>.py``, then any ``::Class`` or ``::test``; a Markdown
+#: line may wrap after the ``::``.
+TEST_REFERENCE = re.compile(r"tests/([\w/]+\.py)((?:::\s*\w+)*)")
 
 
 def extract_specs(text: str):
@@ -222,3 +234,49 @@ def test_every_example_runs(script):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def _definition(module: ast.Module, owner, name: str):
+    """The class or function ``name`` that ``owner`` (``module`` or a class
+    or function in it) defines, or a class inherits from a base defined
+    in ``module``; None if there is none."""
+    for node in owner.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == name:
+                return node
+    for base in getattr(owner, "bases", ()):
+        parent = isinstance(base, ast.Name) and _definition(module, module, base.id)
+        found = parent and _definition(module, parent, name)
+        if found:
+            return found
+    return None
+
+
+def unresolved_test_references(text: str) -> list:
+    """Each ``tests/<file>.py[::Class[::test]]`` in ``text`` whose file or
+    definition does not exist."""
+    unresolved = []
+    for match in TEST_REFERENCE.finditer(text):
+        path = TESTS / match.group(1)
+        module = node = ast.parse(path.read_text()) if path.is_file() else None
+        for name in re.findall(r"\w+", match.group(2)):
+            node = node and _definition(module, node, name)
+        if node is None:
+            unresolved.append(re.sub(r"\s+", "", match.group(0)))
+    return unresolved
+
+
+class TestTestReferences:
+    @pytest.mark.parametrize("doc", REFERRING, ids=lambda path: path.name)
+    def test_every_test_a_doc_names_exists(self, doc):
+        assert unresolved_test_references(doc.read_text()) == []
+
+    def test_a_renamed_test_is_caught(self):
+        text = """`tests/test_docs.py::TestTestReferences::test_a_renamed_test_is_caught`,
+        `tests/test_docs.py::\n  TestTestReferences::test_renamed`, `tests/test_docs.py`,
+        `tests/costs.py::per_exchange`, `tests/test_gone.py` and `tests/costs.py::gone`"""
+        assert unresolved_test_references(text) == [
+            "tests/test_docs.py::TestTestReferences::test_renamed",
+            "tests/test_gone.py",
+            "tests/costs.py::gone",
+        ]
