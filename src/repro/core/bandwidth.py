@@ -60,8 +60,10 @@ class BandwidthCalculator:
     composition (:meth:`compose`).  Validation brings each entry up to
     date at most once per instant: untouched while nothing moved,
     re-aged when only the report instant moved, re-tokenised only when
-    an input clock moved.  Composition reads the entries and builds the
-    report, nothing else.  :meth:`measure_path` is the two in a row; the
+    an input clock moved -- and then re-timed to the new sample when
+    only its ingest epoch moved (its rates did not), measured afresh
+    only when what its values rest on moved.  Composition reads the
+    entries and builds the report, nothing else.  :meth:`measure_path` is the two in a row; the
     all-pairs matrix validates its distinct connections once per
     snapshot (41 on the ledger's mesh) and then composes each of its
     pairs (630) from them.  Each measurement carries its
@@ -165,7 +167,7 @@ class BandwidthCalculator:
     # Per-connection traffic
     # ------------------------------------------------------------------
     def counter_source(self, conn: ConnectionSpec) -> Optional[CounterSource]:
-        key = conn.endpoints()
+        key = (conn.end_a, conn.end_b)  # conn.endpoints(), without the call
         if key not in self._source_cache:
             self._source_cache[key] = resolve_counter_source(self.spec, conn)
         return self._source_cache[key]
@@ -179,7 +181,7 @@ class BandwidthCalculator:
 
     def hub_of(self, conn: ConnectionSpec) -> Optional[str]:
         """The hub this connection touches, if any."""
-        key = conn.endpoints()
+        key = (conn.end_a, conn.end_b)
         try:
             return self._hub_by_conn[key]
         except KeyError:
@@ -206,35 +208,36 @@ class BandwidthCalculator:
             keys = self._hub_leg_keys[hub] = tuple(resolved)
         return tuple(self.rates.epoch(*k) if k is not None else 0 for k in keys)
 
-    @staticmethod
-    def _epoch_part(collaborator, *key) -> object:
-        """One collaborator's share of a token: its epoch for ``key``.
-        0: no collaborator, or no counter source to ask it about."""
-        if collaborator is None or key[0] is None:
-            return 0
-        return collaborator.epoch_of(*key)
-
-    def connection_token(self, conn: ConnectionSpec) -> Tuple:
-        """The epochs of every input ``_compute_measurement`` reads.
+    def connection_token(self, entry: ConnCacheEntry) -> Tuple:
+        """The epochs of every input ``_compute_measurement`` reads for
+        ``entry``'s connection: the ingest epochs of the samples it reads,
+        then the epochs its values rest on -- the rate epoch of a switch
+        connection's sample (a hub sum rests on every ingest of its legs)
+        and each collaborator's.
 
         A measurement computed under one token is valid exactly as long
-        as the token is unchanged.
+        as the token is unchanged; one whose token moved in its first
+        part alone is valid but for the time of its sample.
         """
-        source = self.counter_source(conn)
-        hub = self.hub_of(conn)
+        source, hub = entry.resolved
         if hub is not None:
             rates_part: object = self._hub_rates_token(hub)
+            values_part = rates_part
         elif source is not None:
             rates_part = self.rates.epoch(source.node, source.if_index)
+            values_part = self.rates.rate_epoch(source.node, source.if_index)
         else:
-            rates_part = 0
-        node, if_index = source.key() if source is not None else (None, None)
-        return (
-            rates_part,
-            self._epoch_part(self.link_state, conn),
-            self._epoch_part(self.integrity, node, if_index),
-            self._epoch_part(self.health, node),
-            self._epoch_part(self.degraded_sources, node, if_index),
+            rates_part = values_part = 0
+        link = self.link_state
+        token = (rates_part, values_part, 0 if link is None else link.epoch_of(entry.conn))
+        if source is None:  # no counter source to ask the others about
+            return token + (0, 0, 0)
+        node, if_index = source.node, source.if_index
+        integrity, health, degraded = self.integrity, self.health, self.degraded_sources
+        return token + (
+            0 if integrity is None else integrity.epoch_of(node, if_index),
+            0 if health is None else health.epoch_of(node),
+            0 if degraded is None else degraded.epoch_of(node, if_index),
         )
 
     def _revalidate(self, now: Optional[float]) -> None:
@@ -335,7 +338,9 @@ class BandwidthCalculator:
             key = conn.endpoints()
             entry = entries.get(key)
             if entry is None:
-                entry = entries[key] = ConnCacheEntry(conn)
+                entry = entries[key] = ConnCacheEntry(
+                    conn, (self.counter_source(conn), self.hub_of(conn))
+                )
             bound.append(entry)
         return BoundPath(bound)
 
@@ -355,22 +360,27 @@ class BandwidthCalculator:
 
     def _validate(self, entry: ConnCacheEntry, now: Optional[float]) -> None:
         """The per-entry routine behind :meth:`refresh`."""
+        sample = None
         if entry.stamp < self._inputs_stamp:
             # An input clock moved since this entry was last looked at.
-            token = self.connection_token(entry.conn)
-            if token != entry.token:
+            token = self.connection_token(entry)
+            last, entry.token = entry.token, token
+            if last is None or token[1:] != last[1:]:
                 measurement = self._compute_measurement(entry.conn, now, cached=True)
-                entry.token = token
                 entry.now = now
                 entry.measurement = measurement
                 entry.confidence = self._connection_confidence(measurement)
                 entry.stamp = self._stamp
                 self.recomputes += 1
                 return
-        if entry.now != now:
-            # Same inputs, different instant: only the age-derived
-            # fields (and with them the confidence) can differ.
-            measurement = self._refresh_measurement(entry.measurement, now)
+            if token[0] != last[0] and entry.measurement.rule == "switch":
+                # A newer sample with the same rates: only its time moved.
+                source = entry.resolved[0]
+                sample = self.rates.latest(source.node, source.if_index)
+        if sample is not None or entry.now != now:
+            # Same values, a different instant or sample time: only the
+            # time fields (and with them the confidence) can differ.
+            measurement = self._refresh_measurement(entry.measurement, now, sample)
             if measurement is not entry.measurement:
                 entry.measurement = measurement
                 entry.confidence = self._connection_confidence(measurement)
@@ -386,26 +396,32 @@ class BandwidthCalculator:
         return bound[0].measurement
 
     def _refresh_measurement(
-        self, m: ConnectionMeasurement, now: Optional[float]
+        self, m: ConnectionMeasurement, now: Optional[float], sample=None
     ) -> ConnectionMeasurement:
-        """Re-derive the age fields of a cached measurement at ``now``.
+        """Re-derive the time fields of a cached measurement at ``now``:
+        its sample's age and staleness and, given ``sample`` -- a newer
+        sample with the rates ``m`` was computed from -- that sample's
+        time and interval.
 
         Must mirror :meth:`_compute_measurement` exactly: age is
         ``max(0, now - sample_time)`` (``InterfaceRates.age``), staleness
-        the same threshold comparison.  A moved age builds the new
+        the same threshold comparison.  A moved field builds the new
         measurement through its constructor, as the first one was.
         """
-        age = (
-            max(0.0, now - m.sample_time)
-            if (m.sample_time is not None and now is not None)
-            else None
-        )
+        if sample is None:
+            time, interval = m.sample_time, m.sample_interval
+        else:
+            time, interval = sample.time, sample.interval
+        age = max(0.0, now - time) if (time is not None and now is not None) else None
         stale = (
             age is not None
             and self.stale_after is not None
             and age > self.stale_after
         )
-        if age == m.sample_age and stale == m.stale:
+        if (
+            age == m.sample_age and stale == m.stale
+            and time == m.sample_time and interval == m.sample_interval
+        ):
             return m
         return ConnectionMeasurement(
             connection=m.connection,
@@ -413,8 +429,8 @@ class BandwidthCalculator:
             used_bps=m.used_bps,
             source=m.source,
             rule=m.rule,
-            sample_time=m.sample_time,
-            sample_interval=m.sample_interval,
+            sample_time=time,
+            sample_interval=interval,
             sample_age=age,
             stale=stale,
             quarantined=m.quarantined,

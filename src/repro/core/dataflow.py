@@ -174,7 +174,9 @@ class ConnCacheEntry:
     """One connection's memoized measurement inside the calculator.
 
     The entry owns its ``conn``: a holder that keeps entries (a
-    :class:`BoundPath`) never hashes ``conn.endpoints()`` again.
+    :class:`BoundPath`) never hashes ``conn.endpoints()`` again, and
+    neither does the calculator, which keeps the connection's counter
+    source and hub, resolved once, as ``resolved``.
     ``token`` is the tuple of input epochs the measurement was computed
     from; ``now`` the report instant it was aged against; ``confidence``
     the trust figure derived from exactly this ``measurement`` (None is a
@@ -187,6 +189,7 @@ class ConnCacheEntry:
     """
 
     conn: object
+    resolved: Optional[Tuple] = None  # (counter source, hub)
     token: Optional[Tuple] = None
     now: Optional[float] = None
     measurement: object = None

@@ -50,7 +50,10 @@ one (the ``kfreq`` control message); senders also emit a keyframe every
 
 from __future__ import annotations
 
+import re
 import struct
+from functools import lru_cache
+from itertools import repeat
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.poller import InterfaceRates
@@ -66,6 +69,18 @@ REC_ADVANCE_SAME_D = 3
 REC_REFRESH = 4
 
 _F64 = struct.Struct("<d")
+# A steady record with a one-byte id: type, id, time -- ten bytes.  A run
+# of them (up to _STEADY_MAX at a time) is one match and one unpack.
+_STEADY_RUN = re.compile(rb"(?:\x03[\x00-\x7f].{8})+", re.DOTALL)  # \x03: REC_ADVANCE_SAME_D
+_STEADY_SIZE, _STEADY_MAX = 10, 128
+
+
+@lru_cache(maxsize=_STEADY_MAX)
+def _steady_struct(n: int) -> struct.Struct:
+    """A run of ``n`` steady records: ``(3, id, time)`` each, flat."""
+    return struct.Struct("<" + "BBd" * n)
+
+
 _F64X2 = struct.Struct("<2d")
 _F64X6 = struct.Struct("<6d")
 # What follows the id of a record that names no key: its floats, and
@@ -153,7 +168,12 @@ def parse_delta(payload: bytes) -> DeltaBatch:
 
     Safe to call on out-of-order arrivals -- applying the records to the
     receiver's last-value state (:meth:`DeltaDecoder.apply`) is the part
-    that must wait for sequence order.
+    that must wait for sequence order.  A run of steady records
+    (``ADVANCE_SAME_D`` with one-byte ids, a quiet network's every record)
+    is found by one regex match and unpacked by one cached ``Struct``,
+    capped at the records ``count`` has left: no Python call a record.  A
+    keyed record's short name and ifIndex are read in place.  Record for
+    record and error for error the record-at-a-time parse.
     """
     if not is_delta(payload):
         raise DeltaError("not a delta batch")
@@ -168,10 +188,22 @@ def parse_delta(payload: bytes) -> DeltaBatch:
     count, pos = _get_varint(payload, pos)
     records: List[tuple] = []
     end = len(payload)
-    for _ in range(count):
+    left = count
+    while left:
         if pos >= end:
             raise DeltaError("truncated record")
         rec_type = payload[pos]
+        if rec_type == REC_ADVANCE_SAME_D:
+            # A run of steady records with one-byte ids, unpacked whole.
+            run = _STEADY_RUN.match(payload, pos, pos + _STEADY_SIZE * _STEADY_MAX)
+            if run is not None:
+                n = min((run.end() - pos) // _STEADY_SIZE, left)
+                flat = _steady_struct(n).unpack_from(payload, pos)
+                records += zip(flat[::3], flat[1::3], repeat(None), repeat(None), zip(flat[2::3]))
+                pos += n * _STEADY_SIZE
+                left -= n
+                continue
+        left -= 1
         # An id below 128 is its own varint: read the byte in place.
         if pos + 1 < end and payload[pos + 1] < 0x80:
             rec_id = payload[pos + 1]
@@ -179,8 +211,20 @@ def parse_delta(payload: bytes) -> DeltaBatch:
         else:
             rec_id, pos = _get_varint(payload, pos + 1)
         if rec_type in (REC_FULL, REC_REFRESH):
-            node, pos = _get_str(payload, pos)
-            if_index, pos = _get_varint(payload, pos)
+            # A name shorter than 128 bytes and an ifIndex below 128 are
+            # read in place; anything else by the helpers, which word the
+            # errors.
+            at = pos + 1 + payload[pos] if pos < end else end  # the ifIndex
+            node = None
+            if at < end and payload[pos] < 0x80 and payload[at] < 0x80:
+                try:
+                    node, if_index = payload[pos + 1 : at].decode(), payload[at]
+                    pos = at + 1
+                except UnicodeDecodeError:
+                    pass
+            if node is None:
+                node, pos = _get_str(payload, pos)
+                if_index, pos = _get_varint(payload, pos)
             floats, what = _F64X6, "full"
         elif rec_type in _UNKEYED:
             node = if_index = None

@@ -115,10 +115,13 @@ class RateTable:
     is :class:`~repro.core.history.MeasurementHistory`'s job.
 
     Every admitted sample bumps the key's **ingest epoch** (see
-    :mod:`repro.core.dataflow`): downstream caches -- connection
-    measurements, hub aggregates, matrix cells -- key their validity on
-    these stamps, so a poll cycle that refreshed three interfaces dirties
-    exactly the measurements resting on those three interfaces.
+    :mod:`repro.core.dataflow`): downstream caches -- hub aggregates,
+    matrix cells -- key their validity on these stamps, so a poll cycle
+    that refreshed three interfaces dirties exactly the pairs resting on
+    those three interfaces.  Its **rate epoch** moves only with the four
+    rates: a sample that repeats them (a quiet interface, cycle after
+    cycle) leaves it, and a connection measurement keyed on it is only
+    re-timed to the new sample.
     """
 
     def __init__(self) -> None:
@@ -127,15 +130,30 @@ class RateTable:
         #: ``EpochClock`` written out: admitting a sample is one call.)
         self.clock = 0
         self._epochs: Dict[Tuple[str, int], int] = {}
+        self._rate_epochs: Dict[Tuple[str, int], int] = {}
 
     def epoch(self, node: str, if_index: int) -> int:
         """Ingest epoch of one interface (0: no sample ever admitted)."""
         return self._epochs.get((node, if_index), 0)
 
+    def rate_epoch(self, node: str, if_index: int) -> int:
+        """The ingest epoch at which the interface's rates last moved
+        (0: no sample ever admitted)."""
+        return self._rate_epochs.get((node, if_index), 0)
+
     def update(self, sample: InterfaceRates) -> None:
         key = (sample.node, sample.if_index)
+        last = self._latest.get(key)
         self._latest[key] = sample
         self.clock = self._epochs[key] = self.clock + 1
+        if (
+            last is None
+            or last.in_bytes_per_s != sample.in_bytes_per_s
+            or last.out_bytes_per_s != sample.out_bytes_per_s
+            or last.in_pkts_per_s != sample.in_pkts_per_s
+            or last.out_pkts_per_s != sample.out_pkts_per_s
+        ):
+            self._rate_epochs[key] = self.clock
 
     def latest(self, node: str, if_index: int) -> Optional[InterfaceRates]:
         return self._latest.get((node, if_index))
@@ -298,9 +316,10 @@ class SnmpPoller:
             "poll cycle duration: requests issued to last outcome landed",
         )
         # Pipeline scheduler state: queued units awaiting a window slot,
-        # the current in-flight count, and the high-water mark.
+        # the units in flight (launched, unresolved, in launch order), and
+        # the high-water mark of their number.
         self._backlog: Deque[_PollUnit] = deque()
-        self._in_flight = 0
+        self._flying: Dict[_PollUnit, None] = {}
         self.window_peak = 0
         # The open cycle (0: none), its span and its unresolved exchanges.
         self._open_cycle = 0
@@ -374,12 +393,17 @@ class SnmpPoller:
         )
 
     def stop(self) -> None:
-        """Poll no more: exchanges in flight still land, nothing queued launches."""
+        """Poll no more: nothing queued launches, every unit queued or in
+        flight resolves as dropped -- so the open cycle closes here, once
+        -- and a reply that lands after this changes nothing."""
         if self._task is not None:
             self._task.cancel()
             self._task = None
         while self._backlog:
             self._resolve(self._backlog.popleft(), "dropped")
+        flying, self._flying = self._flying, {}
+        for unit in flying:  # in launch order
+            self._resolve(unit, "dropped")
 
     # ------------------------------------------------------------------
     # Polling
@@ -418,17 +442,19 @@ class SnmpPoller:
 
     # -- pipelined launch ----------------------------------------------
     def _launch(self, unit: _PollUnit) -> None:
-        self._in_flight += 1
-        if self._in_flight > self.window_peak:
-            self.window_peak = self._in_flight
+        self._flying[unit] = None
+        if len(self._flying) > self.window_peak:
+            self.window_peak = len(self._flying)
         target = unit.target
 
         def on_ok(reply) -> None:
-            self._on_response(target, reply)
-            self._landed(unit, "ok")
+            if unit in self._flying:  # else dropped by stop()
+                self._on_response(target, reply)
+                self._landed(unit, "ok")
 
         def on_err(exc: Exception) -> None:
-            self._landed(unit, self._on_error(target, exc))
+            if unit in self._flying:
+                self._landed(unit, self._on_error(target, exc))
 
         # A target with no interfaces is still probed (a GET of sysUpTime).
         self.manager.poll_interfaces(
@@ -444,7 +470,7 @@ class SnmpPoller:
     def _landed(self, unit: _PollUnit, outcome: str) -> None:
         """A launched unit's exchange is over: resolve it, and give its
         window slot to the next queued unit."""
-        self._in_flight = max(0, self._in_flight - 1)
+        del self._flying[unit]
         self._resolve(unit, outcome)
         if self._backlog:
             self._launch(self._backlog.popleft())

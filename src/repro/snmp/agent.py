@@ -7,7 +7,9 @@ simulated network after a small processing delay.  The handlers return
 ``(oid, value)`` pairs -- a GetBulk repeater's as one run of successors --
 and one writer turns them into the reply's bytes; nothing else is built.
 A request answered before is answered again from its reply plan: its
-header read, each value read, and only a value that moved written again.
+header read, each interface's counters read as one tuple and compared
+with the tuple last served, and only a value that moved written again --
+an idle counter costs the agent no Python call.
 
 The processing delay matters for fidelity: the paper observed that
 "occasionally, some data bytes are counted in a later SNMP message instead
@@ -22,14 +24,14 @@ from __future__ import annotations
 import random
 import zlib
 from itertools import compress, count
-from operator import is_not
+from operator import call, is_not, ne
 from typing import Dict, List, Optional, Tuple
 
 from repro.snmp import ber
 from repro.snmp.datatypes import EndOfMibView, NoSuchInstance, NoSuchObject, SnmpValue
 from repro.snmp.errors import ErrorStatus
 from repro.snmp.message import VERSION_1, VERSION_2C, Message, decode_header, encode_message
-from repro.snmp.mib import MibError, MibTree, register_snmp_group
+from repro.snmp.mib import MibError, MibTree, _LiveCounter, register_snmp_group
 from repro.snmp.oid import Oid
 from repro.snmp.pdu import MAX_BULK_REPETITIONS, Pdu, VarBind, encode_pdu
 from repro.simnet.address import IPv4Address
@@ -65,15 +67,40 @@ class _Plan:
     """A request's reply, kept to be served again: the ``view`` it was
     resolved in and that view's registration ``stamp``, the reply's
     ``varbinds`` (bytes, in reply order) and, for each position a value
-    can move at -- ``slots`` -- its ``reader``, its encoded OID ``prefix``
-    and the value object last served (``values``), whose bytes are in
-    ``varbinds``.  A constant's position has no reader: its bytes stand."""
+    can move at -- ``slots`` -- its ``reader`` and its encoded OID
+    ``prefix``.  A constant's position has no reader: its bytes stand.
 
-    __slots__ = ("view", "stamp", "varbinds", "slots", "readers", "prefixes", "values")
+    A live counter's reader is read through its row group -- the k-th
+    group is ``getters[k](sources[k])``, its ``members`` each a ``(slot,
+    position)`` -- all groups' raw tuples in one pass, compared with those
+    last served (``raws``), and the reader only for a member whose raw
+    reading moved.  Any other reader (``single``) is read every time, its
+    value compared by identity with the object last served (``values``)."""
+
+    __slots__ = (
+        "view", "stamp", "varbinds", "slots", "readers", "prefixes",
+        "single", "single_readers", "values", "getters", "sources", "members", "raws",
+    )
 
     def __init__(self, view, stamp, varbinds, slots, readers, prefixes, values) -> None:
         self.view, self.stamp, self.varbinds = view, stamp, varbinds
-        self.slots, self.readers, self.prefixes, self.values = slots, readers, prefixes, values
+        self.slots, self.readers, self.prefixes = slots, readers, prefixes
+        grouped: Dict[int, Tuple[tuple, list]] = {}
+        single = []
+        for k, reader in enumerate(readers):
+            counter = getattr(reader, "__self__", None)
+            if type(counter) is _LiveCounter:
+                group = counter.group
+                grouped.setdefault(id(group), (group, []))[1].append((k, counter.position))
+            else:
+                single.append(k)
+        self.single, self.single_readers = single, [readers[k] for k in single]
+        self.values = [values[k] for k in single]
+        self.getters = [getter for (getter, _source), _members in grouped.values()]
+        self.sources = [source for (_getter, source), _members in grouped.values()]
+        self.members = [tuple(members) for _group, members in grouped.values()]
+        # Read now, at the instant the reply's values were: what they encode.
+        self.raws = list(map(call, self.getters, self.sources))
 
 
 class SnmpAgent:
@@ -83,6 +110,13 @@ class SnmpAgent:
     :class:`~repro.simnet.mgmt.ManagementStack` (they share the socket
     API).  The agent answers both SNMPv1 and v2c, with the correct error
     semantics for each.
+
+    A request answered before is served from its reply plan
+    (:class:`_Plan`): each interface's counters are read as one tuple by
+    their row group's getter and compared with the tuple last served, so
+    a counter that did not move costs no Python call; only a reading
+    that moved is read through its reader and written again.  Byte for
+    byte what the handlers would answer.
     """
 
     def __init__(
@@ -305,23 +339,36 @@ class SnmpAgent:
         )
 
     def _serve(self, plan: _Plan, version: int, request_id: int, bulk: bool) -> bytes:
-        """``plan``'s reply to this request: every reader read, and a value
-        that is not the very object served last time (``is``, never ``==``)
-        written again -- inline, so a moved counter costs what it always
+        """``plan``'s reply to this request: each row group read in one
+        call and compared with the raw tuple last served, every other
+        reader read and its value compared by identity (``is``, never
+        ``==``) with the object served last time.  Only a value that moved
+        is written again -- inline, so a moved counter costs what it always
         did: ``read``, ``wrap``, ``Counter32()``, ``encode``.  A value is
-        immutable, so one object's bytes cannot go stale.  Byte for byte
-        what the handlers and the writer would answer."""
-        values = [read() for read in plan.readers]
-        moved = list(compress(count(), map(is_not, values, plan.values)))
-        if moved:
+        immutable and a counter's bytes a function of its raw reading, so
+        bytes kept cannot go stale.  Byte for byte what the handlers and
+        the writer would answer."""
+        changed = []
+        raws, lasts, readers = list(map(call, plan.getters, plan.sources)), plan.raws, plan.readers
+        for g in compress(count(), map(ne, raws, lasts)):
+            raw, last = raws[g], lasts[g]
+            for k, position in plan.members[g]:
+                if raw[position] != last[position]:
+                    changed.append((k, readers[k]()))
+        plan.raws = raws
+        values = list(map(call, plan.single_readers))
+        single = plan.single
+        for j in compress(count(), map(is_not, values, plan.values)):
+            changed.append((single[j], values[j]))
+        plan.values = values
+        if changed:
             varbinds, slots, prefixes = plan.varbinds, plan.slots, plan.prefixes
-            for k in moved:
-                body = prefixes[k] + values[k].encode()
+            for k, value in changed:
+                body = prefixes[k] + value.encode()
                 varbinds[slots[k]] = (
                     bytes((ber.TAG_SEQUENCE, len(body))) + body if len(body) < 0x80
                     else ber.encode_tlv(ber.TAG_SEQUENCE, body)
                 )
-            plan.values = values
         return self._encode_reply(version, request_id, plan.varbinds, bulk=bulk)
 
     def _send_reply(self, payload: bytes, dst_ip: IPv4Address, dst_port: int) -> None:

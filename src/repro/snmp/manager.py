@@ -34,9 +34,9 @@ paper counts this among its ~2 % systematic overhead.
 from __future__ import annotations
 
 import itertools
-import re
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.snmp import ber
@@ -532,7 +532,7 @@ class _ColumnSet:
 
 
 _column_set = lru_cache(maxsize=256)(_ColumnSet)  # derived once per distinct column tuple
-_DIFFERS = re.compile(rb"[^\x00]")  # a byte where two replies' XOR is not zero
+_UPTIME_OID = ber.encode_oid_content(SYS_UPTIME)  # the fast shape's one odd varbind
 _EXCEPTION_TAGS = (ber.TAG_NO_SUCH_OBJECT, ber.TAG_NO_SUCH_INSTANCE, ber.TAG_END_OF_MIB_VIEW)
 
 
@@ -548,8 +548,9 @@ def _read_columns(
     integer or 0)``.  The **fast shape** -- short-form lengths, OID
     content starting byte for byte with a column's encoded prefix, one
     row arc of one or two octets, a 32-bit unsigned, INTEGER or empty
-    exception value ending the varbind -- costs indexing, one
-    ``dict.get`` on a slice and ``int.from_bytes``.  **Anything else**
+    exception value ending the varbind; or sysUpTime.0's OID content byte
+    for byte and a 32-bit TimeTicks -- costs indexing, one ``dict.get``
+    on a slice and ``int.from_bytes``.  **Anything else**
     goes through :meth:`VarBind.decode` and is classified from the
     decoded object, so the reader accepts only what the general decoder
     accepts and means the same by it (docs/architecture.md, "Where a
@@ -584,6 +585,17 @@ def _read_columns(
                     column = prefixes.get(data[oid_at : oid_at + n])
                     if column is not None:
                         break
+                if (
+                    column is None and tag == ber.TAG_TIMETICKS and value_len
+                    and data[oid_at:value_at] == _UPTIME_OID
+                ):
+                    # sysUpTime.0 as TimeTicks: no row, the uptime.
+                    value = from_bytes(data[value_at + 2 : after], "big")
+                    if value <= 0xFFFFFFFF:
+                        odd[len(starts) - 1] = True
+                        uptime = value
+                        pos = after
+                        continue
                 row = value = None
                 row_octets = value_at - oid_at - n if column is not None else 0
                 if row_octets == 1 and data[value_at - 1] < 0x80:
@@ -628,70 +640,154 @@ def _read_columns(
 
 class _Reading:
     """One interface-poll reply, read: ``uptime`` and ``rows`` as
-    :func:`_read_columns` returns them, plus the range as an integer
-    (``number``), where each varbind starts (``starts``, counted in the
-    datagram read whole, whose range began at ``base``) and which are no
-    row (``odd``).  One made by :meth:`next` lists the rows it replaced as
-    ``changed`` and carries as ``basis`` what the consumer ``filed`` from
-    the reading it was made from, so :class:`_BulkWalk` files the change."""
+    :func:`_read_columns` returns them, plus the varbind list's bytes
+    (``data``) and the same as an integer (``number``), where each varbind
+    starts in them (``starts``), which are no row (``odd``) and which of
+    those is the last sysUpTime named (``named``).  One made by
+    :meth:`next` lists the rows it replaced as ``changed`` and carries as
+    ``basis`` what the consumer ``filed`` from the reading it was made
+    from, so :class:`_BulkWalk` files the change."""
 
     __slots__ = (
-        "uptime", "rows", "number", "size", "base", "starts", "odd",
+        "uptime", "rows", "data", "number", "starts", "odd", "named",
         "changed", "basis", "filed",
     )
 
     def __init__(self, data: bytes, start: int, end: int, columns: _ColumnSet) -> None:
+        self.data = data = data[start:end]
         self.starts, self.odd = [], {}
-        self.uptime, self.rows = _read_columns(data, start, end, columns, self.starts, self.odd)
-        self.number = int.from_bytes(data[start:end], "big")
-        self.size, self.base = end - start, start
+        self.uptime, self.rows = _read_columns(data, 0, len(data), columns, self.starts, self.odd)
+        self.named = max([at for at, named in self.odd.items() if named], default=None)
+        self.number = int.from_bytes(data, "big")
         self.changed = self.basis = self.filed = None
 
     def next(
         self, data: bytes, start: int, end: int, columns: _ColumnSet
     ) -> Optional["_Reading"]:
         """The reading of ``data[start:end]``, a reply to the same request,
-        made from this one: the ranges XORed as integers, in C, and only the
-        varbinds holding a non-zero byte of it read again, in one pass over
-        their bytes; every other reads as it did, at no call.  None (read whole):
-        another length, more bytes moved than half the varbinds, a varbind
-        that no longer ends where it did or changed kind."""
-        if end - start != self.size:
+        made from this one: only the varbinds that moved read again, in one
+        pass over their bytes, and every other read as it was, at no call.
+        The moved ones are found by arithmetic on the two lists as integers
+        (:func:`_moved`), a varbind that grew or shrank re-aligning the
+        rest.  None (read whole): more than half the varbinds moved, or the
+        bytes that moved no longer hold one varbind of the same kind where
+        one was."""
+        new = data[start:end]
+        starts, odd = self.starts, self.odd
+        reading = _Reading.__new__(_Reading)
+        reading.data, reading.odd, reading.named = new, odd, self.named
+        reading.basis, reading.filed = self.filed, None
+        if new == self.data:
+            reading.uptime, reading.rows, reading.number = self.uptime, self.rows, self.number
+            reading.starts, reading.changed = starts, []
+            return reading
+        number = int.from_bytes(new, "big")
+        moved = _moved(self.data, self.number, new, number, starts, len(starts) // 2)
+        if moved is None:
             return None
-        starts, odd, base, size = self.starts, self.odd, self.base, self.size
-        number = int.from_bytes(data[start:end], "big")
-        diff = (number ^ self.number).to_bytes(size, "big")  # zero where nothing moved
-        if size - diff.count(0) > len(starts) // 2:
-            return None  # more bytes differ than half the varbinds: most moved
-        ats, spans = [], []  # the varbinds that differ, and their bytes
-        differs = _DIFFERS.search(diff)
-        while differs:
-            at = bisect_right(starts, base + differs.start()) - 1
-            hi = starts[at + 1] - base if at + 1 < len(starts) else size
-            ats.append(at)
-            spans.append(data[start + starts[at] - base : start + hi])
-            differs = _DIFFERS.search(diff, hi)  # past this varbind
+        ats, spans, grown = moved
         offsets = list(itertools.accumulate(map(len, spans), initial=0))
         found, kinds, length = [], {}, offsets.pop()  # where each span starts; all
         try:
             value, read = _read_columns(b"".join(spans), 0, length, columns, found, kinds)
         except ber.BerError:
             return None  # the whole pass says so, or reads it otherwise
-        if found != offsets or kinds != {k: odd[at] for k, at in enumerate(ats) if at in odd}:
-            return None  # no longer one varbind where one was, or not of its kind
+        if found != offsets:
+            return None  # no longer one varbind where one was
         rows, changed, uptime = list(self.rows), [], self.uptime
-        for at in ats:
-            if at not in odd:
+        for k, at in enumerate(ats):
+            if at in odd:
+                if kinds.get(k) != odd[at]:
+                    return None  # not of its kind
+                if at == self.named:
+                    uptime = value  # the last sysUpTime named moved
+            elif k in kinds:
+                return None
+            else:
                 row = at - bisect_left(list(odd), at)
                 changed.append((row, rows[row]))
                 rows[row] = read[len(changed) - 1]
-        if max((i for i, named in odd.items() if named), default=None) in ats:
-            uptime = value  # the last sysUpTime named moved
-        reading = _Reading.__new__(_Reading)
-        reading.uptime, reading.rows, reading.number = uptime, rows, number
-        reading.size, reading.base, reading.starts, reading.odd = size, base, starts, odd
-        reading.changed, reading.basis, reading.filed = changed, self.filed, None
+        reading.uptime, reading.rows, reading.number, reading.changed = uptime, rows, number, changed
+        reading.starts = _realigned(starts, ats, grown) if grown else starts
         return reading
+
+
+# Every non-zero byte to 1: where two lists' XOR says a varbind moved.
+_NONZERO = bytes([0] + [1] * 255)
+
+
+def _moved(
+    old: bytes, old_number: int, new: bytes, new_number: int, starts: List[int], limit: int
+) -> Optional[Tuple[List[int], List[bytes], Dict[int, int]]]:
+    """The varbinds of ``old`` (each starting at ``starts``) whose bytes
+    differ in ``new``, both lists also given as integers: their indexes,
+    their bytes in ``new``, and by how many bytes each that grew or shrank
+    did.  None past ``limit`` of them, or where ``new`` no longer holds a
+    short-form varbind at one that moved.
+
+    The two lists XORed as integers are zero but at the moved varbinds;
+    mapped to one byte in 0/1 each, ``bytes.find`` steps from one moved
+    varbind to the next and a ``bisect`` names it.  A varbind that grew
+    or shrank shifts the rest of ``new`` against ``old``: the remainders
+    past it are compared afresh, front-aligned while their lengths
+    differ.  A few C calls a moved varbind, none for one that did not."""
+    from_bytes = int.from_bytes
+    old_len, new_len, last = len(old), len(new), len(starts) - 1
+    ats: List[int] = []
+    spans: List[bytes] = []
+    grown: Dict[int, int] = {}
+    xor = None
+    o = n = 0  # where the remainders start, each at a varbind of its list
+    while True:
+        rest = old_len - o
+        aligned = rest == new_len - n
+        if aligned:  # the lists' last ``rest`` bytes, XORed
+            if xor is None:
+                xor = (old_number ^ new_number).to_bytes(max(old_len, new_len), "big")
+            diff = xor[len(xor) - rest :].translate(_NONZERO)
+        else:
+            span = min(rest, new_len - n)
+            diff = (
+                from_bytes(old[o : o + span], "big") ^ from_bytes(new[n : n + span], "big")
+            ).to_bytes(span, "big").translate(_NONZERO)
+        p = diff.find(1)
+        if p < 0:
+            return (ats, spans, grown) if aligned else None  # else a varbind came or went
+        while p >= 0:
+            at = bisect_right(starts, o + p) - 1
+            s = starts[at]
+            e = starts[at + 1] if at < last else old_len
+            at_new = s - o + n
+            if at_new + 1 >= new_len or new[at_new] != ber.TAG_SEQUENCE or new[at_new + 1] >= 0x80:
+                return None
+            end_new = at_new + 2 + new[at_new + 1]
+            if end_new > new_len or not limit:
+                return None
+            limit -= 1
+            ats.append(at)
+            spans.append(new[at_new:end_new])
+            if end_new - at_new != e - s:
+                grown[at] = end_new - at_new - (e - s)
+            if not aligned or at in grown:
+                o, n = e, end_new  # re-align the remainders past it
+                break
+            p = diff.find(1, e - o)
+        else:
+            return ats, spans, grown
+
+
+def _realigned(starts: List[int], ats: List[int], grown: Dict[int, int]) -> List[int]:
+    """Where each varbind starts once those in ``grown`` grew (or shrank)
+    by as many bytes as it says: every later one shifted by their sum."""
+    out: List[int] = []
+    done = shift = 0
+    for at in ats:
+        if at in grown:
+            out += map(add, starts[done : at + 1], itertools.repeat(shift))
+            shift += grown[at]
+            done = at + 1
+    out += map(add, starts[done:], itertools.repeat(shift))
+    return out
 
 
 class _BulkWalk:

@@ -340,17 +340,21 @@ class _LiveCounter:
     """One such counter, :meth:`read` as a :class:`Counter32`: the *same*
     object for as long as the raw counter has not moved -- the agent's
     reply writer reuses the bytes it wrote for a value object, for that
-    object only, so an idle counter costs this one call.  The raw value is
-    compared, not the wrapped one: moved by exactly 2**32 is a new object
-    all the same.  (Slotted, its bound ``read`` registered: a third of a
-    closure's memory and as quick.)"""
+    object only.  The raw value is compared, not the wrapped one: moved by
+    exactly 2**32 is a new object all the same.  ``group`` is the
+    ``(getter, source)`` pair that reads the counter's whole row group and
+    ``position`` its place in the tuple: an agent's reply plan reads the
+    group in one call and this counter only when its reading moved.
+    (Slotted, its bound ``read`` registered: a third of a closure's memory
+    and as quick.)"""
 
-    __slots__ = ("_source", "_attribute", "_raw", "_value")
+    __slots__ = ("_source", "_attribute", "_raw", "_value", "group", "position")
 
-    def __init__(self, source, attribute: str) -> None:
+    def __init__(self, source, attribute: str, group: tuple, position: int) -> None:
         self._source = source
         self._attribute = attribute
         self._raw = self._value = None
+        self.group, self.position = group, position
 
     def read(self) -> Counter32:
         raw = getattr(self._source, self._attribute)
@@ -362,12 +366,17 @@ class _LiveCounter:
 
 def _register_counters(tree: MibTree, source, columns: Dict[Oid, str]) -> None:
     """Counter32 rows over ``source``'s attributes (``columns``: row OID
-    -> attribute), one group: a GET reads its own counter, a snapshot all
-    of them in one ``attrgetter`` call."""
+    -> attribute), one group: a GET reads its own counter, a snapshot or
+    a reply plan all of them in one ``attrgetter`` call."""
+    getter = attrgetter(*columns.values())
+    group = (getter, source)
     tree.register_group(
         source,
-        attrgetter(*columns.values()),
-        [(oid, _LiveCounter(source, attribute).read) for oid, attribute in columns.items()],
+        getter,
+        [
+            (oid, _LiveCounter(source, attribute, group, k).read)
+            for k, (oid, attribute) in enumerate(columns.items())
+        ],
         Counter32.wrap,
     )
 

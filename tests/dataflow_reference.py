@@ -5,10 +5,15 @@ entries; the reference re-traverses nothing cleverly and measures every
 pair with ``measure_path(..., fresh=True)``, which bypasses every cache,
 flagged by :func:`reference_redundant`, which enumerates the physical
 paths rather than asking the bridge rule.
+
+:class:`RecomputingCalculator` is the report cache as it was before a
+connection's measurement was keyed on the rate epochs: every new sample
+at its counter source, whatever its rates, measured it afresh.
 """
 
 import weakref
 
+from repro.core.bandwidth import BandwidthCalculator
 from repro.core.matrix import MatrixSnapshot
 from repro.core.traversal import NoPathError, find_path
 from repro.topology.graph import TopologyGraph
@@ -101,3 +106,33 @@ def reference_snapshot(matrix, time, paths=None):
         for (a, b), path in paths.items()
     }
     return MatrixSnapshot(hosts=list(matrix.hosts), time=time, reports=reports)
+
+
+class RecomputingCalculator(BandwidthCalculator):
+    """The parent's report cache: an entry whose token moved -- any sample
+    landing at its counter source, or any collaborator's epoch -- is
+    measured afresh; one whose report instant alone moved is re-aged."""
+
+    def connection_token(self, entry):
+        token = super().connection_token(entry)
+        return token[:1] + token[2:]  # the ingest epochs, then the collaborators'
+
+    def _validate(self, entry, now):
+        if entry.stamp < self._inputs_stamp:
+            token = self.connection_token(entry)
+            if token != entry.token:
+                measurement = self._compute_measurement(entry.conn, now, cached=True)
+                entry.token = token
+                entry.now = now
+                entry.measurement = measurement
+                entry.confidence = self._connection_confidence(measurement)
+                entry.stamp = self._stamp
+                self.recomputes += 1
+                return
+        if entry.now != now:
+            measurement = self._refresh_measurement(entry.measurement, now)
+            if measurement is not entry.measurement:
+                entry.measurement = measurement
+                entry.confidence = self._connection_confidence(measurement)
+            entry.now = now
+        entry.stamp = self._stamp

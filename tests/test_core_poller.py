@@ -417,8 +417,8 @@ class TestOnCycle:
     def test_a_stopped_poller_launches_nothing_more(self):
         """Stopped during its first cycle, with a window of one and four
         targets, a poller used to send the three queued requests after
-        stop(); the backlog is dropped instead, and the cycle closes
-        once, when the exchange in flight lands."""
+        stop(); the backlog is dropped instead, the exchange in flight
+        with it, and the cycle closes once, at stop()."""
         net, poller, target, peer = polling_net()
         windowed = SnmpPoller(
             poller.manager, [PollTarget("S1", target.primary_ip, [1])] * 4,
@@ -430,10 +430,38 @@ class TestOnCycle:
         sent = windowed.manager.requests_sent
         assert sent == 1 and fired == []
         windowed.stop()
-        net.run(net.now + 10.0)
+        assert fired == [(1, 1)]
+        net.run(net.now + 10.0)  # the reply in flight lands: nothing changes
         assert windowed.manager.requests_sent == sent
         assert fired == [(1, 1)]
-        assert windowed.samples_produced == 0  # the first poll is a baseline
+        assert windowed.samples_produced == 0 and windowed._last == {}
+
+    def test_a_worker_crashed_mid_cycle_closes_its_cycle(self):
+        """A worker crashes with its cycle's exchanges in flight: its
+        teardown stops the poller and cancels those exchanges without
+        errbacks.  The parent never closed that cycle; now stop() closes
+        it, once, and the crashed worker ships nothing."""
+        from repro.core.distributed import DistributedMonitor
+        from repro.experiments.testbed import build_testbed
+
+        build = build_testbed()
+        dm = DistributedMonitor(
+            build, coordinator_host="L", worker_hosts=["L", "S1", "S2"], poll_jitter=0.0
+        )
+        worker = dm.workers["S2"]
+        fired = watch_cycles(worker.poller)
+        samples = []
+        worker.poller.on_sample = samples.append
+        dm.start()
+        net = build.network
+        net.run(4.0)  # cycles 1 and 2 closed by their last answers; 3 begins
+        assert worker.poller.cycles == 3 and worker.manager._pending  # in flight
+        assert [number for number, _ in fired] == [1, 2]
+        shipped = len(samples)
+        worker.crash()
+        assert [number for number, _ in fired] == [1, 2, 3]
+        net.run(net.now + 10.0)
+        assert [number for number, _ in fired] == [1, 2, 3] and len(samples) == shipped
 
 
 class _Worker:
@@ -529,18 +557,17 @@ class CycleRig(HandManager):
 def closing_rule(log, units):
     """``(due, unfinished)``, replaying ``log``: the position of the entry
     after which each cycle must close -- its last unit resolved (answered,
-    or dropped from the backlog by ``stop()`` or by the next cycle's start),
-    or the next cycle began first -- and, for a cycle the next one closed
-    with exchanges still out, how many."""
+    dropped from the backlog by the next cycle's start, or dropped queued
+    or in flight by ``stop()``), or the next cycle began first -- and, for
+    a cycle the next one closed with exchanges still out, how many."""
     due, unfinished, open_cycle, left, queued = {}, {}, None, 0, 0
     for pos, (kind, cycle) in enumerate(log):
         if kind in ("start", "stop") and open_cycle is not None:
             left -= queued
-            if kind == "start" or not left:
-                due[open_cycle] = pos
-                if left:
-                    unfinished[open_cycle] = left
-                open_cycle = None
+            due[open_cycle] = pos
+            if kind == "start" and left:
+                unfinished[open_cycle] = left
+            open_cycle = None
             queued = 0
         if kind == "start":
             open_cycle, left, queued = cycle, units[cycle], units[cycle]

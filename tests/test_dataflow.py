@@ -845,6 +845,37 @@ class TestReportCost:
         }
         assert "node" not in spec_calls and "effective_bandwidth" not in spec_calls, spec_calls
 
+    def test_a_steady_campus_report_recomputes_only_what_moved(self):
+        """Every watched connection gets a new sample each cycle, and on an
+        idle campus few of them carry new rates: only those are measured
+        afresh.  The rest are re-timed to their new sample -- no
+        ``_compute_measurement``, no spec method -- and read as they
+        would afresh (``test_a_measurement_moves_with_its_rates_and_reports_as_the_parents``
+        in ``tests/test_stream_columns.py``)."""
+        shape = dict(switches=2, hosts_per_switch=3)
+        build = build_network(scale_spec(hierarchical=2, host_agents=False, **shape))
+        monitor = HierarchicalMonitor(build, hierarchy_plan(2, **shape), poll_jitter=0.0)
+        for a, b in (("p0h0_2", "p1h1_2"), ("p0h1_0", "p1h0_1")):
+            monitor.watch_path(a, b)
+        monitor.start()
+        calc = monitor.calculator
+        build.network.run(10.0)
+        for until in (12.0, 14.0, 16.0):
+            entries = list(calc._entries.values())
+            values = [entry.token[1:] for entry in entries]
+            times = [entry.measurement.sample_time for entry in entries]
+            recomputes = calc.recomputes
+            calls = call_counts(lambda: build.network.run(until), by_file=True)
+            moved = sum(entry.token[1:] != old for entry, old in zip(entries, values))
+            retimed = sum(
+                entry.measurement.sample_time != old for entry, old in zip(entries, times)
+            )
+            assert calc.recomputes - recomputes == moved < retimed, (until, moved, retimed)
+            by_name = Counter(name for (_path, name), n in calls.items() for _ in range(n))
+            assert by_name["_compute_measurement"] == moved
+            spec = [key for key in calls if key[0].endswith("/repro/topology/model.py")]
+            assert not spec, spec
+
     def test_reading_a_cells_available_costs_no_call(self):
         # A cell's report is composed when the cell is first read, and
         # once; A is then an attribute.

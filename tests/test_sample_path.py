@@ -43,7 +43,7 @@ from repro.snmp.manager import SnmpManager
 from repro.snmp.mib import IF_SPEED
 from repro.telemetry import Telemetry
 from repro.topology.model import InterfaceRef
-from tests.costs import ThreeTiers, per_record
+from tests.costs import ThreeTiers, call_counts, per_record
 from tests.sample_reference import (
     ReferencePipeline,
     ReferencePoller,
@@ -361,6 +361,24 @@ class TestCostPerRecord:
         calls = quiet["root"]
         assert sum(calls.values()) <= 4, calls
         assert calls[_BUILT] == 1, calls
+
+    def test_a_steady_run_parses_at_no_call_a_record(self):
+        """The root's and a leaf's parse of a quiet cycle's batch: 16 and
+        64 steady records (``ADVANCE_SAME_D``, one-byte ids) cost the same
+        Python calls and the same C calls -- the run is one regex match
+        and one cached ``Struct`` unpack.  The parent unpacked each."""
+        from repro.core.deltas import DeltaEncoder
+
+        def steady(n):
+            encoder = DeltaEncoder("w")
+            batch = [InterfaceRates("sw", i, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0) for i in range(n)]
+            encoder.encode(1, 1, batch)
+            payload = encoder.encode(1, 2, [dataclasses.replace(r, time=4.0) for r in batch])
+            parse_delta(payload)  # the run's Struct, made once
+            return call_counts(lambda: parse_delta(payload), c_calls=True)
+
+        small, big = steady(16), steady(64)
+        assert big == small, big - small
 
     def test_root_when_the_stuck_rule_fires(self, stuck):
         calls = stuck["root"]

@@ -273,5 +273,5 @@ class TestErrorStatusOffTheWire:
         reply = Message(VERSION_2C, "public", Pdu(ber.TAG_GET_RESPONSE, request_id, 65, 0)).encode()
         mgr._on_datagram(reply, len(reply), host.primary_ip, 161)
         error_responses = poller.telemetry.registry.value("poll_error_responses_total")
-        assert (error_responses, poller.poll_errors, poller._in_flight) == (1, 1, 0)
+        assert (error_responses, poller.poll_errors, len(poller._flying)) == (1, 1, 0)
 

@@ -379,6 +379,55 @@ class TestCostPerVarbind:
         assert c / extra <= 0.1, (c / extra, big - small)
         assert big["_read_columns"] == 1  # port 1's varbind, alone
 
+    def moved_reply_read(self, ports, moved, grow):
+        """C and Python calls, by name, reading the third reply to one
+        whole-table bulk poll of a ``ports``-port switch in which the
+        ifInOctets of the first ``moved`` ports moved -- each across an
+        octet boundary when ``grow``, so the reply is longer by as many
+        bytes -- and then the fourth, whose same counters moved again
+        within their octets: ``(third, fourth)``."""
+        net, mgr, sw_ip, agent = switch_rig(ports)
+        interfaces, got, calls = net.device("sw").interfaces, Collect(), []
+        for poll in range(4):
+            mgr.poll_interfaces(sw_ip, range(1, ports + 1), POLLED, got.ok, got.fail)
+            (request,) = [pending.payload for pending in mgr._pending.values()]
+            for iface in interfaces[:moved]:  # 7F FF 80, then 00 80 00 00: one octet more
+                iface.counters.in_octets = (0x7FFF00 if grow else 0x01000000) + poll * 0x80
+            reply = agent_reply(agent, request, sw_ip)
+            read = lambda: mgr._on_datagram(reply, len(reply), sw_ip, 161)  # noqa: E731
+            calls.append(call_counts(read, c_calls=True))
+        assert got.error is None and got.results[1][IF_IN_OCTETS][1][1] == (
+            0x800080 if grow else 0x01000180
+        )
+        return calls[2], calls[3]
+
+    def test_k_moved_varbinds_cost_the_reader_k_times_a_few_c_calls(self):
+        """The varbinds that moved are found by arithmetic on the two
+        replies as integers -- no regex -- at a few C calls each, whatever
+        the reply's size; a reply that grew because a counter gained an
+        octet is read against the last one too, re-aligned after it, not
+        read whole (the parent read 3.3 replies a campus cycle whole so),
+        and so is the next reply, against the grown one."""
+        is_c = lambda name: isinstance(name, tuple) and name[0] == "<C>"  # noqa: E731
+        for grow in (False, True):
+            cost = {
+                (ports, moved): self.moved_reply_read(ports, moved, grow)
+                for ports in (16, 48) for moved in (2, 6)
+            }
+            for third, fourth in cost.values():
+                for calls in (third, fourth):
+                    assert not any("search" in str(name) for name in calls), calls
+                    assert calls["_read_columns"] == 1 and calls["__init__"] == 0  # none whole
+            c = {key: sum(n for name, n in calls[0].items() if is_c(name))
+                 for key, calls in cost.items()}
+            python = {key: sum(n for name, n in calls[0].items() if not is_c(name))
+                      for key, calls in cost.items()}
+            # 144 more varbinds, none of them moved: no call more.
+            assert c[48, 2] == c[16, 2] and c[48, 6] == c[16, 6], (grow, c)
+            assert python[48, 6] == python[16, 6], (grow, python)
+            # Four more moved: a bounded number of C calls each.
+            assert 0 < (c[16, 6] - c[16, 2]) / 4 <= (18 if grow else 12), (grow, c)
+
     # -- cost proportional to change: the third poll of an idle switch ----
     MOVED = ("in_octets", "out_octets", "in_ucast_pkts", "out_ucast_pkts",
              "in_nucast_pkts", "out_nucast_pkts")  # what POLLED reads
@@ -617,14 +666,15 @@ class TestMemosAreBounded:
         assert decoded.cache_info().misses == 1000  # decoded, never remembered
 
         # The memo a walk swept is refilled by the next poll and hit by the
-        # one after: an idle counter costs the accessor again.
+        # one after: an idle counter costs no reader call again.
         poll = Message(
             VERSION_2C, "public",
             Pdu.get_bulk_request(1, [col.extend(0) for col in POLLED], 0, 8),
         ).encode()
         agent_reply(agent, poll, sw_ip)
         calls = call_counts(lambda: agent._on_datagram(poll, len(poll), sw_ip, 4000))
-        assert calls["read"] == 8 * len(POLLED) and calls["encode"] == calls["wrap"] == 0
+        assert calls["read"] == calls["encode"] == calls["wrap"] == 0
+        assert calls["_serve"] == 1
 
     def test_the_managers_replies(self):
         """The manager's memo of poll replies read: 1 000 distinct requests

@@ -698,6 +698,100 @@ class TestWarmAgentEqualsTheOldHandlers:
             agent.mib.stop()
 
 
+# The steps of a program a reply plan is served over, again and again:
+# moves of any size (exactly 2**32 among them), a counter that moves and
+# comes back between two serves of one plan -- read live in between by a
+# GET of its row -- lies, reboots and snapshot ticks, and the whole table
+# asked in bulk and in GET form, interleaved.
+PLAN_STEPS = st.one_of(
+    st.tuples(
+        st.just("move"), st.integers(0, SEQUENCE_PORTS - 1), st.sampled_from(COUNTER_NAMES),
+        st.sampled_from(MOVES),
+    ),
+    st.tuples(
+        st.just("bounce"), st.integers(0, SEQUENCE_PORTS - 1), st.sampled_from(COUNTER_NAMES),
+        st.sampled_from(MOVES[1:]),
+    ),
+    st.tuples(st.just("whole"), st.sampled_from(["bulk", "bulk", "get"])),
+    st.tuples(st.just("row"), st.integers(0, SEQUENCE_PORTS - 1)),
+    st.tuples(st.just("lie"), st.sampled_from(["stuck", "scaled"]), st.sampled_from([None, 1])),
+    st.tuples(st.just("truth")),
+    st.tuples(st.just("reboot")),
+    st.tuples(st.just("tick"), st.sampled_from([0.01, 6.0])),
+)
+
+
+class TestAPlanServedAgainIsTheParentsReply:
+    """One agent asked the same few requests over and over while its
+    counters move, come back, lie and reboot: every reply -- most of them
+    from a reply plan that reads a row group at once and a counter only
+    when its raw reading moved -- is byte for byte what the parent's
+    handlers build from ``agent.mib`` as it stands."""
+
+    @staticmethod
+    def payload(form, rows, request_id):
+        if form == "bulk":
+            names = [SYS_UPTIME.parent] + [column.extend(0) for column in ASKED[:4]]
+            pdu = Pdu.get_bulk_request(request_id, names, 1, SEQUENCE_PORTS)
+        else:
+            pdu = Pdu.get_request(
+                request_id, [SYS_UPTIME] + [column.extend(row) for row in rows
+                                             for column in ASKED[:4]],
+            )
+        return Message(VERSION_2C, "public", pdu).encode()
+
+    @pytest.mark.parametrize("view", ["tree", "caching"])
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(PLAN_STEPS, min_size=3, max_size=40))
+    @example(steps=[  # back to its raw value between two serves; 2**32
+        ("whole", "bulk"), ("bounce", 2, "in_octets", 1500), ("whole", "bulk"),
+        ("move", 3, "out_octets", 2**32), ("whole", "get"), ("whole", "bulk"),
+    ])
+    def test_over_any_program_of_moves(self, view, steps):
+        net, sw, tree, _naive = widened_rig(ports=SEQUENCE_PORTS, hosts=3)
+        sim, peer = net.sim, net.device("h0").primary_ip
+        if view == "caching":
+            tree = CachingMibTree(tree, sim, refresh_interval=5.0)
+        agent = SnmpAgent(net.endpoint("sw"), tree)
+        every_row = range(1, SEQUENCE_PORTS + 1)
+        lies, asked = [], 0
+
+        def ask(form, rows=every_row):
+            nonlocal asked
+            asked += 1
+            payload = self.payload(form, rows, asked % 3)  # request-ids recur too
+            assert agent_reply(agent, payload, peer) == old_reply(agent.mib, "public", payload)
+
+        for step in [("whole", "bulk"), ("whole", "get")] + steps + [("whole", "bulk")]:
+            kind = step[0]
+            if kind in ("move", "bounce"):
+                _, port, name, by = step
+                counters = sw.interfaces[port].counters
+                setattr(counters, name, getattr(counters, name) + by)
+                if kind == "bounce":
+                    ask("get", [port + 1])  # read live at the moved value
+                    setattr(counters, name, getattr(counters, name) - by)
+            elif kind == "whole":
+                ask(step[1])
+            elif kind == "row":
+                ask("get", [step[1] + 1])
+            elif kind == "lie":
+                lies.append(CounterCorruption(sim, agent, None, mode=step[1], if_index=step[2]))
+                lies[-1]._begin()
+            elif kind == "truth":
+                if lies:
+                    lies.pop()._end()
+            elif kind == "reboot":
+                AgentReboot(sim, agent, at=sim.now, outage=0.01)
+                net.run(sim.now + 0.02)
+            else:
+                net.run(sim.now + step[1])
+        while lies:
+            lies.pop()._end()
+        if view == "caching":
+            agent.mib.stop()
+
+
 class TestLiveCounter:
     """The MIB hands out the same Counter32 for as long as the raw
     simulator counter stands still, and never otherwise."""
@@ -908,8 +1002,9 @@ class TestSnapshotCost:
     def test_a_live_status_or_snmp_row_builds_no_value(self):
         """A GET of every ifAdminStatus and ifOperStatus and of the snmp
         group's unmoved counters, asked again of a warm live agent: no
-        value object is built, and every value is the one the request's
-        reply plan served last time."""
+        value object is built, every status value is the one the
+        request's reply plan served last time, and the counters are read
+        as their group's raw tuple, the one it served."""
         net, sw, tree, _naive = bridge_rig(ports=50, hosts=12)
         agent = SnmpAgent(net.endpoint("sw"), tree)
         oids = [column.extend(i) for column in (IF_ADMIN_STATUS, IF_OPER_STATUS)
@@ -924,6 +1019,8 @@ class TestSnapshotCost:
         built = {key: n for key, n in calls.items() if key[0].endswith("datatypes.py")}
         assert not built, built
         (plan,) = agent._plans.values()
-        served = dict(zip([oids[k] for k in plan.slots], plan.values))
-        for oid in oids:
+        served = dict(zip([oids[plan.slots[k]] for k in plan.single], plan.values))
+        for oid in oids[:100]:
             assert served[oid] is tree.get(oid), oid
+        assert not set(served) & set(oids[100:])
+        assert plan.raws == [getter(source) for getter, source in zip(plan.getters, plan.sources)]

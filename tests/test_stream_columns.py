@@ -12,6 +12,7 @@ its events, not its pairs.
 """
 
 import math
+from dataclasses import replace
 import random
 from collections import Counter
 
@@ -37,10 +38,13 @@ from repro.stream import (
     ThresholdQuery,
     pair_key,
 )
+from repro.core.traversal import find_path
 from repro.topology.graph import TopologyGraph
 from tests import stream_reference as ref
 from tests.costs import call_counts
 from tests.synthetic import populate_rates
+from repro.integrity.validators import IntegrityVerdict, Severity
+from tests.dataflow_reference import RecomputingCalculator
 from tests.test_dataflow import _NODES, _SOURCES, _SPEC, _op, sample, set_link
 
 
@@ -111,9 +115,9 @@ class _Side:
     (``product``) or the reference's, with the same subscribers and
     queries."""
 
-    def __init__(self, product, inputs, graph, filtered):
+    def __init__(self, product, inputs, graph, filtered, calculator_cls=BandwidthCalculator):
         rates, links, health, integrity, lossy = inputs
-        calculator = BandwidthCalculator(
+        calculator = calculator_cls(
             _SPEC, rates, stale_after=4.0, dead_after=12.0,
             health=health, integrity=integrity, degraded_sources=lossy,
         )
@@ -240,6 +244,116 @@ def test_columns_publish_what_the_per_pair_path_did(ops, filtered):
     product.drain()
     oracle.drain()
     _assert_same_state(product, oracle)
+
+
+# ----------------------------------------------------------------------
+# Property: the report cache keyed on rate epochs ≡ the parent's
+# ----------------------------------------------------------------------
+_CACHE_OPS = st.one_of(
+    # A poll cycle: every source re-sampled at a new instant -- those in
+    # ``moved`` (a bit mask) at the drawn rate, the rest at their own last
+    # rates: a quiet interface's sample, moved in time alone.
+    st.tuples(st.just("poll"), st.integers(0, 2 ** len(_SOURCES) - 1), _RATES),
+    st.tuples(st.just("poll"), st.just(0), st.just(0.0)),
+    st.tuples(st.just("sample"), st.integers(0, len(_SOURCES) - 1), _RATES),
+    st.tuples(st.just("again"), st.integers(0, len(_SOURCES) - 1), st.just(0.0)),
+    _op("advance"),
+    _op("tick"),
+    _op("stall"),
+    _op("down", len(_SPEC.connections) - 1),
+    _op("up", len(_SPEC.connections) - 1),
+    _op("fail", len(_NODES) - 1),
+    _op("ok", len(_NODES) - 1),
+    _op("violate", len(_SOURCES) - 1),
+    _op("clean", len(_SOURCES) - 1),
+    _op("degrade", len(_SOURCES) - 1),
+    _op("restore", len(_SOURCES) - 1),
+    _op("drain"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_CACHE_OPS, min_size=1, max_size=40), filtered=st.booleans())
+@example(ops=[("poll", 1, math.nan), ("poll", 0, 0.0)], filtered=False)  # NaN rates
+def test_a_measurement_moves_with_its_rates_and_reports_as_the_parents(ops, filtered):
+    """The product's calculator re-times a cached measurement to a newer
+    sample with the same rates; the parent's
+    (``tests/dataflow_reference.py::RecomputingCalculator``) measured it
+    afresh.  Over moved and unmoved samples and link-state, health,
+    integrity and degraded-source changes: every field of every watch
+    report, every matrix cell and every stream event is the parent's, bit
+    for bit -- and the product recomputes no more than the parent."""
+    rates = RateTable()
+    inputs = (rates, LinkStateRegistry(_SPEC, {}), AgentHealthTracker(),
+              QuarantineManager(), DegradedSourceSet())
+    _rates, links, health, integrity, lossy = inputs
+    graph = TopologyGraph(_SPEC)
+    product = _Side(True, inputs, graph, filtered)
+    parent = _Side(True, inputs, graph, filtered, calculator_cls=RecomputingCalculator)
+    watched = find_path(graph, _HOSTS[0], _HOSTS[-1])
+    bounds = [side.matrix.calculator.bind(watched) for side in (product, parent)]
+    last = {}  # source index -> (its last rate, when)
+    t = 0.5
+
+    def resample(i, bps):
+        # The interval is the time since this source's last sample: it
+        # moves with the instant, rates or no rates.
+        interval = t - last[i][1] if i in last and t > last[i][1] else 2.0
+        last[i] = bps, t
+        source = _SOURCES[i]
+        rates.update(replace(sample(source.node, source.if_index, t, bps), interval=interval))
+
+    for i in range(len(_SOURCES)):
+        resample(i, 1e5 * (i + 1))
+    for op, index, arg in ops:
+        if op == "poll":
+            t += 2.0
+            for i in range(len(_SOURCES)):
+                resample(i, arg if index >> i & 1 else last[i][0])
+        elif op == "sample":
+            resample(index, arg)
+        elif op == "again":
+            resample(index, last[index][0])
+        elif op == "advance":
+            t += 2.0
+        elif op == "tick":
+            t += 0.5
+        elif op == "stall":
+            t += 5.0
+        elif op in ("down", "up"):
+            set_link(links, _SPEC.connections[index], up=op == "up")
+        elif op == "fail":
+            for _ in range(5):
+                health.record_failure(_NODES[index], t)
+        elif op == "ok":
+            health.record_success(_NODES[index], t)
+        elif op == "violate":
+            node, if_index = _SOURCES[index].key()
+            verdict = IntegrityVerdict("rate_bound", Severity.VIOLATION, node, if_index, t)
+            integrity.apply(node, if_index, [verdict], t)
+        elif op == "clean":
+            integrity.record_clean(*_SOURCES[index].key(), t)
+        elif op == "degrade":
+            lossy.mark(*_SOURCES[index].key())
+        elif op == "restore":
+            lossy.clear(*_SOURCES[index].key())
+        elif op == "drain":
+            product.drain()
+            parent.drain()
+        reports = [
+            side.matrix.calculator.measure_path(bound, _HOSTS[0], _HOSTS[-1], t, name="w")
+            for side, bound in zip((product, parent), bounds)
+        ]
+        # Every field by its repr: floats round-trip exact, NaN and -0.0 included.
+        assert repr(reports[0]) == repr(reports[1]), op
+        assert reports[0].available_bps.hex() == reports[1].available_bps.hex()
+        got, want = product.publisher.publish(t), parent.publisher.publish(t)
+        assert cells(got) == cells(want), op
+        assert list(got.reports.dirty) == list(want.reports.dirty), op
+        assert product.log == parent.log, op
+        assert product.publisher.stats() == parent.publisher.stats()
+    mine, theirs = (side.matrix.calculator for side in (product, parent))
+    assert mine.lookups == theirs.lookups and mine.recomputes <= theirs.recomputes
 
 
 # ----------------------------------------------------------------------

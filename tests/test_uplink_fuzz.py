@@ -12,11 +12,25 @@ and truncate.  A sequence number far ahead of the stream is *valid*, not
 hostile bytes; what it may cost is bounded separately, at the end.
 """
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.deltas import DeltaDecoder, DeltaEncoder, DeltaError, parse_delta
+from repro.core.deltas import (
+    DELTA_MAGIC,
+    REC_ADVANCE,
+    REC_ADVANCE_SAME_D,
+    REC_CHANGED,
+    REC_FULL,
+    DeltaDecoder,
+    DeltaEncoder,
+    DeltaError,
+    _put_str,
+    _put_varint,
+    parse_delta,
+)
 from repro.core.distributed import (
     DistributedMonitor,
     _targets_doc,
@@ -25,6 +39,7 @@ from repro.core.distributed import (
 )
 from repro.core.poller import InterfaceRates
 from repro.experiments.testbed import build_testbed
+from tests.sample_reference import reference_parse_delta
 
 
 def plane():
@@ -113,6 +128,87 @@ class TestDeltaDecoders:
 # ----------------------------------------------------------------------
 # Control messages, coordinator side (hb, gone)
 # ----------------------------------------------------------------------
+def parsed(parse, payload):
+    """What ``parse`` makes of ``payload``: the batch's fields, floats by
+    their repr (NaN and -0.0 included), or the error and its words."""
+    try:
+        batch = parse(payload)
+    except DeltaError as exc:
+        return "DeltaError", str(exc)
+    return batch.worker, batch.incarnation, batch.seq, batch.keyframe, repr(batch.records)
+
+
+TIMES = st.one_of(
+    st.sampled_from([0.0, -0.0, 2.0, float("nan"), float("inf")]), st.floats(allow_nan=False),
+)
+RECORDS = st.one_of(
+    st.tuples(st.just(REC_ADVANCE_SAME_D), st.integers(0, 127), TIMES),
+    st.tuples(st.just(REC_ADVANCE_SAME_D), st.integers(0, 127), TIMES),
+    st.tuples(st.just(REC_ADVANCE_SAME_D), st.integers(128, 20_000), TIMES),
+    st.tuples(st.just(REC_ADVANCE), st.integers(0, 300), TIMES),
+    st.tuples(st.just(REC_CHANGED), st.integers(0, 300), TIMES),
+    st.tuples(st.just(REC_FULL), st.integers(0, 300), TIMES),
+)
+
+
+@st.composite
+def steady_batches(draw):
+    """A batch of mostly steady records in runs, ids of one octet and of
+    more between them, its ``count`` off by a few either way (a run longer
+    than ``count``; records ``count`` promises that never come), and its
+    last record cut short, sometimes."""
+    records = draw(st.lists(RECORDS, max_size=60))
+    body = bytearray()
+    for kind, rec_id, time in records:
+        body.append(kind)
+        _put_varint(body, rec_id)
+        if kind == REC_FULL:
+            _put_str(body, "sw")
+            _put_varint(body, rec_id % 50)
+        floats = {REC_ADVANCE_SAME_D: 1, REC_ADVANCE: 2}.get(kind, 6)
+        body += struct.pack(f"<{floats}d", *[time] * floats)
+    if records and draw(st.booleans()):
+        del body[len(body) - draw(st.integers(1, 9)):]
+    out = bytearray([DELTA_MAGIC, draw(st.sampled_from([0, 1]))])
+    _put_str(out, "w")
+    _put_varint(out, 1)
+    _put_varint(out, 7)
+    _put_varint(out, max(0, len(records) + draw(st.integers(-3, 2))))
+    return bytes(out + body)
+
+
+class TestARunIsParsedAsItsRecords:
+    """``parse_delta`` unpacks a run of steady records whole; the parent
+    parsed them one by one (``tests/sample_reference.py``).  Same batch
+    or the same error, word for word, on any bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(payload=mutated(BATCHES))
+    def test_on_the_fuzz_corpus(self, payload):
+        assert parsed(parse_delta, payload) == parsed(reference_parse_delta, payload)
+
+    @settings(max_examples=400, deadline=None)
+    @given(payload=steady_batches())
+    def test_on_runs_cut_anywhere(self, payload):
+        assert parsed(parse_delta, payload) == parsed(reference_parse_delta, payload)
+
+    def test_a_run_longer_than_the_batch_is_the_batch(self):
+        body = b"".join(
+            bytes((REC_ADVANCE_SAME_D, i % 128)) + struct.pack("<d", 2.0 * i) for i in range(300)
+        )
+        for count in (0, 1, 127, 128, 129, 299, 300):
+            out = bytearray([DELTA_MAGIC, 0])
+            _put_str(out, "w")
+            for field in (1, 7, count):
+                _put_varint(out, field)
+            payload = bytes(out) + body[: 10 * count]
+            assert parsed(parse_delta, payload) == parsed(reference_parse_delta, payload)
+            assert len(parse_delta(payload).records) == count
+            if count < 300:  # one record more than it counts: the run stops at the count
+                with pytest.raises(DeltaError, match="trailing bytes"):
+                    parse_delta(bytes(out) + body[: 10 * count + 10])
+
+
 def ingest_state(dm):
     """Everything a datagram can move on the coordinator, bar the
     decode-error counter."""
