@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -22,10 +23,12 @@ DOCS = Path(__file__).resolve().parent.parent / "docs"
 README = Path(__file__).resolve().parent.parent / "README.md"
 EXAMPLES = sorted((README.parent / "examples").glob("*.py"))
 TESTS = README.parent / "tests"
-#: What names tests: the docs, the README and the CI steps.  (ROADMAP.md
-#: is left out: it names tests still to be written.)
+#: What names tests: the docs, the README, EXPERIMENTS.md, the verify
+#: recipe and the CI steps.  (ROADMAP.md is left out: it names tests still
+#: to be written.)
 REFERRING = [
-    *sorted(DOCS.glob("*.md")), README,
+    *sorted(DOCS.glob("*.md")), README, README.parent / "EXPERIMENTS.md",
+    README.parent / ".claude" / "skills" / "verify" / "SKILL.md",
     *sorted((README.parent / ".github" / "workflows").glob("*.yml")),
 ]
 #: ``tests/<file>.py``, then any ``::Class`` or ``::test``; a Markdown
@@ -264,6 +267,37 @@ def unresolved_test_references(text: str) -> list:
         if node is None:
             unresolved.append(re.sub(r"\s+", "", match.group(0)))
     return unresolved
+
+
+class TestTheRecordStaysSmall:
+    """The docs say how a mechanism works and name the test that pins its
+    cost; CHANGES.md says what each PR claimed and changed.  Neither
+    restates what a test already holds, so both stay short."""
+
+    ARCHITECTURE_LINES = 900
+    ENTRY_LINES, COLUMNS = 40, 100
+
+    def test_the_architecture_doc_is_short(self):
+        lines = (DOCS / "architecture.md").read_text().splitlines()
+        assert len(lines) <= self.ARCHITECTURE_LINES
+
+    def test_every_changes_entry_is_one_short_pr_bullet(self):
+        """After the title, an entry is an unindented line and what
+        follows it up to the next one (a ``FOUND:`` or ``MENDED:`` line
+        belongs to the entry above); each starts ``- **PR N`` and wraps
+        to at most 40 lines."""
+        text = (README.parent / "CHANGES.md").read_text()
+        entries = []
+        for line in text.splitlines()[1:]:
+            if line[:1].strip() and not line.startswith(("FOUND:", "MENDED:")):
+                entries.append([])
+            if entries:
+                entries[-1].append(line)
+        assert entries
+        for entry in entries:
+            assert re.match(r"- \*\*PR \d+", entry[0]), entry[0][:60]
+            wrapped = sum(len(textwrap.wrap(line, self.COLUMNS)) or 1 for line in entry)
+            assert wrapped <= self.ENTRY_LINES, (entry[0][:60], wrapped)
 
 
 class TestTestReferences:
