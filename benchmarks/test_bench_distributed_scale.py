@@ -23,6 +23,7 @@ How long a cycle takes is the perf ledger's to measure (``bench/``,
 
 import pytest
 
+from repro.core.distributed import poll_targets
 from repro.core.hierarchy import HierarchicalMonitor
 from repro.experiments.scale import hierarchy_plan, scale_spec
 from repro.simnet.faults import WorkerCrash
@@ -44,7 +45,10 @@ RECOVER_AT = 25.0
 CHAOS_UNTIL = 36.0
 
 
-def _plane():
+def _plane(whole_pool=False):
+    """The campus tree.  Its pool follows its watches, unless
+    ``whole_pool`` pins it through ``targets=`` to every connection: all
+    21 agents polled, watched or not."""
     spec = scale_spec(
         hierarchical=PODS, switches=SWITCHES, hosts_per_switch=HOSTS,
         host_agents=False,
@@ -55,6 +59,7 @@ def _plane():
     dm = HierarchicalMonitor(
         build, plan, poll_interval=POLL, poll_jitter=0.0, seed=0,
         max_batch=256,
+        targets=poll_targets(build, spec.connections) if whole_pool else None,
     )
     return build, dm
 
@@ -65,8 +70,8 @@ def _exchanges(dm):
 
 @pytest.fixture(scope="module")
 def steady_run():
-    """The plane, quiescent, 16 cycles."""
-    build, dm = _plane()
+    """The plane, quiescent, 16 cycles, polling all 21 agents."""
+    build, dm = _plane(whole_pool=True)
     dm.start()
     build.network.run(STEADY_UNTIL)
     shipped = sum(l.shipper.bytes_shipped for l in dm.leaves.values())

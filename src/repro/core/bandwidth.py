@@ -273,54 +273,58 @@ class BandwidthCalculator:
     # The two rules
     # ------------------------------------------------------------------
     def _hub_sum(self, hub: str) -> Tuple[float, Optional[InterfaceRates], bool]:
-        """(summed host-leg traffic, oldest sample, any leg measured).
+        """(summed host-leg traffic, oldest sample, a measured leg missing).
 
         The sum is as old as its oldest term: one leg's agent gone silent
         leaves its last sample in the total, so that sample's age is the
-        hub's (its staleness, and so its confidence)."""
+        hub's (its staleness, and so its confidence).  A leg with a
+        counter source but no sample at all is a term the sum lacks: the
+        total under-reports, and the hub's connections say so (see
+        :meth:`_compute_measurement`)."""
         total = 0.0
         oldest: Optional[InterfaceRates] = None
-        any_measured = False
+        partial = False
         for leg in self._hub_host_conns.get(hub, []):
             sample = self.raw_traffic(leg)
             if sample is None:
+                partial = partial or self.counter_source(leg) is not None
                 continue
-            any_measured = True
             total += sample.total_bytes_per_s
             if oldest is None or sample.time < oldest.time:
                 oldest = sample
-        return total, oldest, any_measured
+        return total, oldest, partial
 
     def used_bandwidth(
         self, conn: ConnectionSpec, cached: bool = False
-    ) -> Tuple[Optional[float], str, Optional[InterfaceRates]]:
-        """(u_i in bytes/s, rule name, underlying sample).
+    ) -> Tuple[Optional[float], str, Optional[InterfaceRates], bool]:
+        """(u_i in bytes/s, rule name, underlying sample, partial hub sum).
 
-        Returns ``(None, "unmeasured", None)`` when no counter source (or
-        no sample yet) exists for the inputs the rule needs.  ``cached``
-        shares the hub aggregate across legs: it is computed once per hub
-        per rates epoch and reused by every connection touching that hub
-        (same summation order, so the float result is bit-identical).
+        Returns ``(None, "unmeasured", None, False)`` when no counter
+        source (or no sample yet) exists for the inputs the rule needs.
+        ``cached`` shares the hub aggregate across legs: it is computed
+        once per hub per rates epoch and reused by every connection
+        touching that hub (same summation order, so the float result is
+        bit-identical).
         """
         hub = self.hub_of(conn)
         if hub is None:
             sample = self.raw_traffic(conn)
             if sample is None:
-                return None, "unmeasured", None
-            return sample.total_bytes_per_s, "switch", sample
+                return None, "unmeasured", None, False
+            return sample.total_bytes_per_s, "switch", sample, False
         # Hub rule: sum the host legs, clamp to the hub speed.
         if cached:
             token = self._hub_rates_token(hub)
             memo = self._hub_cache.get(hub)
             if memo is None or memo[0] != token:
                 memo = self._hub_cache[hub] = (token, *self._hub_sum(hub))
-            _, total, oldest, any_measured = memo
+            _, total, oldest, partial = memo
         else:
-            total, oldest, any_measured = self._hub_sum(hub)
-        if not any_measured:
-            return None, "unmeasured", None
+            total, oldest, partial = self._hub_sum(hub)
+        if oldest is None:
+            return None, "unmeasured", None, False
         hub_speed_bytes = self.spec.node(hub).interfaces[0].speed_bps / 8.0
-        return min(total, hub_speed_bytes), "hub", oldest
+        return min(total, hub_speed_bytes), "hub", oldest, partial
 
     # ------------------------------------------------------------------
     # Cache entries
@@ -453,7 +457,7 @@ class BandwidthCalculator:
                 source=source.endpoint if source is not None else None,
                 rule="down",
             )
-        used, rule, sample = self.used_bandwidth(conn, cached)
+        used, rule, sample, partial = self.used_bandwidth(conn, cached)
         source = self.counter_source(conn)
         age = sample.age(now) if (sample is not None and now is not None) else None
         stale = (
@@ -466,7 +470,9 @@ class BandwidthCalculator:
             and source is not None
             and self.integrity.is_quarantined(source.node, source.if_index)
         )
-        degraded_source = (
+        # A hub sum short of a measured leg is capped like a lossy source:
+        # its total is provably less than the medium carried.
+        degraded_source = partial or (
             self.degraded_sources is not None
             and source is not None
             and self.degraded_sources.is_degraded(source.node, source.if_index)
@@ -501,9 +507,10 @@ class BandwidthCalculator:
           says, a source the integrity pipeline distrusts is never fully
           believed, and as its withheld samples age the ordinary decay
           below takes it the rest of the way down.
-        - Degraded source (distributed plane knows newer data was lost):
-          same 0.5 cap -- the sample may be young, but it is provably not
-          the latest data the network produced.
+        - Degraded source (distributed plane knows newer data was lost,
+          or a hub sum lacks a measured leg): same 0.5 cap -- the sample
+          may be young, but it is provably not all the data the network
+          produced.
         """
         if m.rule == "down":
             return 1.0

@@ -105,16 +105,23 @@ def required_poll_targets(
     """Which (node -> ifIndexes) must be polled to measure ``connections``.
 
     This is what lets the monitor poll only what its watched paths need
-    instead of walking every agent's whole ifTable each interval.
+    instead of walking every agent's whole ifTable each interval.  A
+    connection touching a hub needs every host leg of that hub, because
+    the hub rule sums them all.
     """
+    hub_legs = hub_host_connections(spec)
     targets: Dict[str, List[int]] = {}
     for conn in connections:
-        source = resolve_counter_source(spec, conn)
-        if source is None:
-            continue
-        indexes = targets.setdefault(source.node, [])
-        if source.if_index not in indexes:
-            indexes.append(source.if_index)
+        measured = [conn]
+        for end in conn.endpoints():
+            measured += hub_legs.get(end.node, ())
+        for leg in measured:
+            source = resolve_counter_source(spec, leg)
+            if source is None:
+                continue
+            indexes = targets.setdefault(source.node, [])
+            if source.if_index not in indexes:
+                indexes.append(source.if_index)
     for indexes in targets.values():
         indexes.sort()
     return targets

@@ -64,7 +64,7 @@ import json
 import logging
 from collections import OrderedDict
 from math import isfinite
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.counters import required_poll_targets
 from repro.core.dataflow import DegradedSourceSet
@@ -78,7 +78,7 @@ from repro.core.deltas import (
 )
 from repro.core.health import LeaseTransition, WorkerLeaseTracker, WorkerState
 from repro.core.monitor import ReportCore
-from repro.core.poller import InterfaceRates, PollTarget, SnmpPoller
+from repro.core.poller import InterfaceRates, PollTarget, SnmpPoller, polled_interfaces
 from repro.integrity import IntegrityConfig
 from repro.simnet.address import IPv4Address
 from repro.simnet.network import NetworkError
@@ -86,6 +86,7 @@ from repro.snmp.manager import SnmpManager
 from repro.spec.builder import BuildResult
 from repro.telemetry import Telemetry
 from repro.telemetry.events import SAMPLE_GAP, WORKER_FAILOVER, WORKER_REBALANCE
+from repro.topology.model import ConnectionSpec
 
 logger = logging.getLogger("repro.distributed")
 
@@ -142,6 +143,24 @@ def decode_message(payload: bytes) -> Dict[str, object]:
     if not isinstance(doc, dict) or "k" not in doc:
         raise ValueError(f"not a plane message: {payload[:64]!r}")
     return doc
+
+
+def poll_targets(build: BuildResult, connections: Iterable[ConnectionSpec]) -> List[PollTarget]:
+    """One target per agent that measuring ``connections`` needs, in node
+    order: :func:`~repro.core.counters.required_poll_targets` addressed.
+    A tree plane's pool is this of its watched connections."""
+    spec, network = build.spec, build.network
+    return [
+        PollTarget(
+            node=node_name,
+            address=network.ip_of(node_name),
+            if_indexes=if_indexes,
+            community=spec.node(node_name).snmp_community,
+        )
+        for node_name, if_indexes in sorted(
+            required_poll_targets(spec, list(connections)).items()
+        )
+    ]
 
 
 def _targets_doc(targets: Sequence[PollTarget]) -> List[Dict[str, object]]:
@@ -501,13 +520,13 @@ class MonitorWorker(UplinkEndpoint):
         self.manager.socket.close()
 
     def _apply_targets(self, targets: List[PollTarget]) -> None:
-        added = {t.node for t in targets} - {t.node for t in self.poller.targets}
-        self.poller.targets[:] = targets
-        if added:
-            # Adopted targets have no counter baselines here: poll once
+        added = self.poller.retarget(targets)
+        if added and self._started:
+            # Adopted interfaces have no counter baselines here: poll once
             # immediately to establish them and once again shortly after
             # so a rate sample exists ~one short interval later, instead
-            # of waiting up to two full poll cycles.
+            # of waiting up to two full poll cycles.  (Before the worker
+            # runs, its first cycle sets them.)
             self.poller._poll_cycle()
             self.sim.schedule(self.poll_interval * 0.5, self._adoption_poll)
 
@@ -625,9 +644,13 @@ class SampleIngest:
         self._open_sockets()
 
         self._worker_order = list(worker_hosts)
+        self._started = False
+        #: An explicit ``targets`` is the pool; without one the pool is
+        #: :meth:`_derive_pool`'s and follows what it derives from.
+        self._pinned = targets is not None
         #: The poll-target pool partitioned over the workers.
         self.targets: List[PollTarget] = (
-            list(targets) if targets is not None else self._derive_pool()
+            list(targets) if self._pinned else self._derive_pool()
         )
         assignments = self._partition(self._worker_order)
         self.workers: Dict[str, UplinkEndpoint] = {
@@ -706,17 +729,9 @@ class SampleIngest:
         )
 
     def _derive_pool(self) -> List[PollTarget]:
-        """Every poll target the topology needs (the default pool)."""
-        needed = required_poll_targets(self.spec, list(self.spec.connections))
-        return [
-            PollTarget(
-                node=node_name,
-                address=self.network.ip_of(node_name),
-                if_indexes=if_indexes,
-                community=self.spec.node(node_name).snmp_community,
-            )
-            for node_name, if_indexes in sorted(needed.items())
-        ]
+        """The pool when no ``targets`` were given (the coordinator with
+        a report core behind it derives it from its watches)."""
+        raise NotImplementedError
 
     def _affinity(self, target: PollTarget) -> Optional[str]:
         """Preferred owner of ``target`` (polling thyself costs loopback
@@ -745,9 +760,21 @@ class SampleIngest:
 
     def set_target_pool(self, targets: Sequence[PollTarget]) -> None:
         """Replace the poll-target pool and repartition over the live
-        workers (the hierarchy root resizes a leaf's shard this way)."""
+        workers (the hierarchy root resizes a leaf's shard this way, and
+        a tree plane's watches move its pool).  An interface that leaves
+        the pool leaves the known-lossy set.  Before :meth:`start` the
+        workers are this process's own objects: each takes its share as
+        at construction, and no datagram is sent."""
+        for key in sorted(polled_interfaces(self.targets) - polled_interfaces(targets)):
+            self.degraded.clear(*key)
         self.targets = list(targets)
-        self._rebalance(reason="rebalance", about="pool")
+        if self._started:
+            self._rebalance(reason="pool", about="pool")
+            return
+        assignments = self._partition(self._worker_order)
+        for name in self._worker_order:
+            self._assignments[name] = share = assignments.get(name, [])
+            self.workers[name]._apply_targets(list(share))
 
     def targets_of(self, worker: str) -> List[str]:
         return [t.node for t in self.workers[worker].poller.targets]
@@ -785,7 +812,12 @@ class SampleIngest:
         ]
 
     def _rebalance(self, reason: str, about: str) -> None:
-        """Repartition over the live workers and ship changed assignments."""
+        """Repartition over the live workers and ship changed assignments.
+
+        ``reason`` is "failover" or "rebalance" when a lease moved, each
+        counted and published; "pool" when the pool itself moved (watch
+        traffic, or the root resizing a leaf's shard), which is routine
+        and is logged at INFO only."""
         live = self._live_workers()
         if not live:
             logger.warning("no live workers left; keeping assignments frozen")
@@ -794,12 +826,18 @@ class SampleIngest:
         moved: List[str] = []
         for name in self._worker_order:
             new = desired.get(name, [])
-            if [t.node for t in new] == [t.node for t in self._assignments[name]]:
-                continue
+            if new == self._assignments[name]:
+                continue  # same nodes, same interfaces: nothing to ship
             self._assignments[name] = list(new)
             moved.append(name)
             if self.leases.state(name) is not WorkerState.DEAD:
                 self._send_assignment(name)
+        if reason == "pool":
+            logger.info(
+                "poll-target pool moved: new assignment %s",
+                {n: self.assigned_targets_of(n) for n in self._worker_order},
+            )
+            return
         if reason == "failover":
             self._m_failovers.inc()
         else:
@@ -1074,6 +1112,7 @@ class SampleIngest:
         )
 
     def start(self, at: Optional[float] = None) -> None:
+        self._started = True
         start = self.sim.now if at is None else at
         for worker in self.workers.values():
             worker.start(at=start)
@@ -1082,6 +1121,7 @@ class SampleIngest:
     def stop(self) -> None:
         """Stop the workers and release every socket (coordinator
         included), so a new plane can be built on the same hosts."""
+        self._started = False
         for worker in self.workers.values():
             worker.stop()
         self.suspend()
@@ -1173,7 +1213,8 @@ class DistributedMonitor(ReportCore, SampleIngest):
     ) -> None:
         """``ingest_options`` are :class:`SampleIngest`'s (``poll_jitter``,
         ``seed``, the batching and pipelining sizes, ``targets``,
-        ``adopt_streams``)."""
+        ``adopt_streams``).  Without ``targets`` the pool is what the
+        watches read (:meth:`_derive_pool`), and follows them."""
         ReportCore.__init__(self, build, coordinator_host, poll_interval, report_offset, True)
         SampleIngest.__init__(
             self, build, coordinator_host, worker_hosts, self._accept,
@@ -1182,12 +1223,35 @@ class DistributedMonitor(ReportCore, SampleIngest):
         self._build_pipeline(
             integrity, self.targets, degraded_sources=self.degraded
         )
-        # The interfaces of the pool, fixed for the root: a batch naming
-        # any other one is no sample of ours and mints no key.
-        self._pool = {(t.node, i) for t in self.targets for i in t.if_indexes}
+        # The interfaces of the pool: a batch naming any other one is no
+        # sample of ours and mints no key.
+        self._pool = polled_interfaces(self.targets)
         self._m_foreign = self._counter(
             "foreign_samples", "shipped samples of no interface in the poll-target pool"
         )
+
+    # -- the pool follows the watches ------------------------------------
+    def _derive_pool(self) -> List[PollTarget]:
+        """What the watched connections need: every watched path's, or
+        every connection once the all-pairs matrix reads them all."""
+        return poll_targets(self.build, self._watched_connections())
+
+    def _watches_moved(self) -> None:
+        if not self._pinned:
+            pool = self._derive_pool()
+            if pool != self.targets:
+                self.set_target_pool(pool)
+
+    def set_target_pool(self, targets: Sequence[PollTarget]) -> None:
+        """The ingest's repartition; then the admission set, the speeds
+        the integrity pipeline judges by and the rate table follow the
+        pool, so an interface that left it keeps no state here."""
+        SampleIngest.set_target_pool(self, targets)
+        pool = polled_interfaces(self.targets)
+        self.rates.discard(sorted(self._pool - pool))
+        self._pool = pool
+        if self.integrity is not None:
+            self.integrity.follow(self._interface_speeds(self.targets), self.sim.now)
 
     def _accept(self, *samples: InterfaceRates) -> List[InterfaceRates]:
         """Ingest sink: shipped samples face the same integrity gauntlet

@@ -325,6 +325,7 @@ class ReportCore:
         logger.info(
             "watching path %s: %d connection(s) %s -> %s", label, len(path), src, dst
         )
+        self._watches_moved()
         return label
 
     def _watch(self, label: str) -> _Watch:
@@ -336,6 +337,24 @@ class ReportCore:
     def unwatch_path(self, label: str) -> None:
         self._watch(label)  # raises for an unknown label
         del self._watches[label]
+        self._watches_moved()
+
+    def _watched_connections(self) -> List[ConnectionSpec]:
+        """Every connection a report reads: the watched paths', in watch
+        order, or all of them once the all-pairs matrix is attached."""
+        if self.stream is not None:
+            return list(self.spec.connections)
+        read: Dict[tuple, ConnectionSpec] = {}
+        for watch in self._watches.values():
+            for conn in watch.path:
+                read.setdefault((conn.end_a, conn.end_b), conn)
+        return list(read.values())
+
+    def _watches_moved(self) -> None:
+        """Hook: what the reports read may have changed (a watch came,
+        went or was rerouted, or the matrix attached).  The flat monitor
+        polls every connection whatever is watched; a tree plane's pool
+        follows :meth:`_watched_connections`."""
 
     def watched_paths(self) -> List[str]:
         """Watch labels in registration order (the probe scheduler's
@@ -392,6 +411,7 @@ class ReportCore:
             manager=SubscriptionManager(self.telemetry),
             significance=significance,
         )
+        self._watches_moved()
         return self.stream
 
     # ------------------------------------------------------------------
@@ -577,6 +597,7 @@ class ReportCore:
         watch.path = new_path
         watch.bound = self.calculator.bind(new_path)
         self._m_reroutes.inc()
+        self._watches_moved()
         logger.warning(
             "watch %s rerouted: %s ==> %s",
             watch.name, " | ".join(old_nodes), " | ".join(new_nodes),

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.health import AgentHealthTracker
 from repro.simnet.address import IPv4Address
@@ -158,6 +158,15 @@ class RateTable:
     def latest(self, node: str, if_index: int) -> Optional[InterfaceRates]:
         return self._latest.get((node, if_index))
 
+    def discard(self, keys) -> None:
+        """Forget the samples of ``keys`` (interfaces no longer polled).
+        The clock moves, so nothing cached on them outlives them."""
+        for key in keys:
+            if self._latest.pop(key, None) is not None:
+                del self._epochs[key]
+                self._rate_epochs.pop(key, None)
+                self.clock += 1
+
     def keys(self) -> List[Tuple[str, int]]:
         return sorted(self._latest)
 
@@ -188,6 +197,11 @@ class PollTarget:
     def oids(self) -> List[Oid]:
         """Every instance a poll of this target must fetch (what its GET names)."""
         return [SYS_UPTIME, *interface_oids(tuple(self.if_indexes), tuple(self.columns()))]
+
+
+def polled_interfaces(targets: Iterable[PollTarget]) -> Set[Tuple[str, int]]:
+    """The (node, ifIndex) keys a target list polls."""
+    return {(t.node, i) for t in targets for i in t.if_indexes}
 
 
 class _PollUnit:
@@ -404,6 +418,19 @@ class SnmpPoller:
         flying, self._flying = self._flying, {}
         for unit in flying:  # in launch order
             self._resolve(unit, "dropped")
+
+    def retarget(self, targets: Sequence[PollTarget]) -> Set[Tuple[str, int]]:
+        """Poll ``targets`` from now on; returns the (node, ifIndex) keys
+        newly polled.  An interface that was not polled until now has no
+        baseline here, whatever an earlier poll or a straggling reply to
+        one left: its first poll sets one, so its first sample covers one
+        measured interval, not the time it went unpolled."""
+        before = polled_interfaces(self.targets)
+        self.targets[:] = targets
+        after = polled_interfaces(self.targets)
+        for node, index in before ^ after:
+            self._last.get(node, {}).pop(index, None)
+        return after - before
 
     # ------------------------------------------------------------------
     # Polling

@@ -46,7 +46,9 @@ class ConnectionMeasurement:
     sample_age: Optional[float] = None  # report time minus sample time
     stale: bool = False  # sample older than the monitor's staleness bound
     quarantined: bool = False  # counter source held by the integrity pipeline
-    degraded_source: bool = False  # distributed plane knows newer data was lost
+    # The figure is provably short: the distributed plane knows newer data
+    # was lost, or a hub sum lacks a measured leg.
+    degraded_source: bool = False
     available_bps: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -232,6 +232,21 @@ class IntegrityPipeline:
         """Interfaces whose configured interval can hide a counter wrap."""
         return sorted(self._wrap_warned)
 
+    def follow(self, speeds: Dict[Key, float], now: float) -> None:
+        """The measured interfaces are now ``speeds``' keys: an interface
+        that left keeps no state here (trust, quarantine, streaks, its
+        gauge), and one that joined is judged from its first sample."""
+        for key in sorted(set(self.speeds).union(self._interfaces) - set(speeds)):
+            self._interfaces.pop(key, None)
+            self._shadow.pop(key, None)
+            self._last_offence.pop(key, None)
+            self._wrap_warned.discard(key)
+            self._stuck.forget(*key)
+            self.quarantine.forget(key)
+            self._metrics["trust"].remove(interface=f"{key[0]}:{key[1]}")
+        self.speeds = dict(speeds)
+        self._warn_wrap_risk_config(now)
+
     # ------------------------------------------------------------------
     # Per-sample path (called from SnmpPoller._derive)
     # ------------------------------------------------------------------

@@ -116,6 +116,14 @@ class QuarantineManager:
     def records(self) -> Dict[Key, TrustRecord]:
         return dict(self._records)
 
+    def forget(self, key: Key) -> None:
+        """Drop one interface's record (it is no longer measured); a
+        quarantined one leaves the quarantine with it."""
+        rec = self._records.pop(key, None)
+        if rec is not None and rec.quarantined:
+            self.quarantined -= 1
+            self._epochs.bump(key)
+
     # ------------------------------------------------------------------
     def apply(self, node: str, if_index: int, verdicts: Iterable[IntegrityVerdict], now: float) -> TrustRecord:
         """Decay trust per the verdicts, then update quarantine state."""

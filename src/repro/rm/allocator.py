@@ -64,7 +64,8 @@ class ReallocationAdvisor:
 
         Best first: placements avoiding the bottleneck outrank those that
         do not; ties break on measured available bandwidth.  Placements
-        below ``min_available_bps`` are dropped entirely.
+        below ``min_available_bps`` are dropped entirely, and so are those
+        the monitor has no figures for (:func:`_unmeasured`).
         """
         bottleneck_conn: Optional[ConnectionSpec] = None
         if diagnosis is not None:
@@ -78,7 +79,7 @@ class ReallocationAdvisor:
             report = self.calculator.measure_path(
                 path, src, host, time=time, name=f"advise:{src}->{host}"
             )
-            if report.available_bps < min_available_bps:
+            if _unmeasured(report) or report.available_bps < min_available_bps:
                 continue
             avoids = bottleneck_conn is None or all(
                 conn is not bottleneck_conn
@@ -90,3 +91,15 @@ class ReallocationAdvisor:
             )
         advice.sort(key=lambda a: (not a.avoids_bottleneck, -a.available_bps, a.host))
         return advice
+
+
+def _unmeasured(report: PathReport) -> bool:
+    """True when the path is unavailable, or crosses a connection whose
+    counter source has no sample.  Such a connection reads as idle (its
+    whole capacity free), which is no evidence for a placement: a tree
+    plane polls only the connections its watches read, so most paths to
+    other hosts cross some it never samples."""
+    return report.unavailable or any(
+        m.source is not None and m.sample_time is None and m.rule != "down"
+        for m in report.connections
+    )

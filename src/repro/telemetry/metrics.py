@@ -201,6 +201,11 @@ class MetricFamily:
             child = self._children[key] = self._make()
         return child
 
+    def remove(self, **labels: str) -> None:
+        """Drop one labelled child (what it measured is gone); no-op
+        when there is none."""
+        self._children.pop(tuple(str(labels[ln]) for ln in self.labelnames), None)
+
     def children(self) -> List[Tuple[Tuple[str, ...], object]]:
         """(label-values, child) pairs; one ``((), child)`` when unlabelled."""
         if not self.labelnames:

@@ -170,6 +170,7 @@ class ThreeTiers:
     NODE = "p0sw0"
 
     def __init__(self, hosts: int = 32, **options) -> None:
+        from repro.core.distributed import poll_targets
         from repro.core.hierarchy import HierarchicalMonitor
         from repro.experiments.scale import hierarchy_plan, scale_spec
         from repro.spec.builder import build_network
@@ -178,8 +179,10 @@ class ThreeTiers:
                           host_agents=False)
         self.build = build_network(spec)
         plan = hierarchy_plan(1, switches=1, hosts_per_switch=hosts, workers_per_shard=1)
+        # Every interface of the switch is in the pool, watched or not.
         self.root = HierarchicalMonitor(
-            self.build, plan, poll_interval=2.0, poll_jitter=0.0, **options
+            self.build, plan, poll_interval=2.0, poll_jitter=0.0,
+            targets=poll_targets(self.build, spec.connections), **options
         )
         (self.leaf,) = self.root.leaves.values()
         (self.worker,) = self.leaf.dm.workers.values()

@@ -3,7 +3,7 @@ reference the cheap one is held equal to.
 
 Until PR 20 a polled interface's sample cost 57 Python calls between the
 decoded poll reply and the root's rate table.  What it costs now is in
-``docs/architecture.md`` ("Cost of one sample"); what it *does* must not
+``docs/architecture.md`` ("A sample"); what it *does* must not
 have moved, and the bodies below -- the parent commit's, verbatim, hung
 on subclasses of today's classes so that construction, configuration and
 everything that was not rewritten is shared -- are how the tests know:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.deltas import DeltaDecoder, DeltaEncoder, DeltaError, parse_delta
-from repro.core.distributed import DistributedMonitor, decode_message
+from repro.core.distributed import DistributedMonitor, decode_message, poll_targets
 from repro.core.poller import InterfaceRates
 from repro.experiments.testbed import build_testbed
 from repro.simnet.faults import NetworkPartition, WorkerCrash
@@ -80,8 +80,14 @@ class TestSampleCodec:
                 pass  # the documented decode-failure surface (DeltaError is one)
 
 
-def distributed(worker_hosts=("L", "S1", "S2"), **kwargs):
+def distributed(worker_hosts=("L", "S1", "S2"), whole_pool=False, **kwargs):
+    """A plane on the testbed.  Its pool follows its watches, unless
+    ``whole_pool`` pins it through ``targets=`` to every connection: the
+    partitioning, failover and ARQ tests below reason about all six
+    agents, whatever is watched."""
     build = build_testbed()
+    if whole_pool:
+        kwargs["targets"] = poll_targets(build, build.spec.connections)
     dm = DistributedMonitor(
         build, coordinator_host="L", worker_hosts=list(worker_hosts),
         poll_jitter=0.0, **kwargs
@@ -103,18 +109,18 @@ def footprint(build, dm):
 
 class TestPartitioning:
     def test_every_snmp_node_assigned_exactly_once(self):
-        build, dm = distributed()
+        build, dm = distributed(whole_pool=True)
         assigned = [t for w in dm.workers.values() for t in w.poller.targets]
         assert sorted(t.node for t in assigned) == ALL_SNMP_NODES
 
     def test_affinity_workers_poll_themselves(self):
-        build, dm = distributed()
+        build, dm = distributed(whole_pool=True)
         assert "L" in dm.targets_of("L")
         assert "S1" in dm.targets_of("S1")
         assert "S2" in dm.targets_of("S2")
 
     def test_single_worker_gets_everything(self):
-        build, dm = distributed(worker_hosts=("S2",))
+        build, dm = distributed(worker_hosts=("S2",), whole_pool=True)
         assert sorted(dm.targets_of("S2")) == ALL_SNMP_NODES
 
     def test_no_workers_rejected(self):
@@ -125,7 +131,7 @@ class TestPartitioning:
     def test_worker_host_that_is_not_a_poll_target(self):
         # S3 runs no SNMP agent, so it appears nowhere in the target set;
         # it still works fine as a worker and absorbs its round-robin share.
-        build, dm = distributed(worker_hosts=("S3", "S1"))
+        build, dm = distributed(worker_hosts=("S3", "S1"), whole_pool=True)
         union = sorted(dm.targets_of("S3") + dm.targets_of("S1"))
         assert union == ALL_SNMP_NODES
         assert "S3" not in union
@@ -133,7 +139,7 @@ class TestPartitioning:
 
     def test_more_workers_than_targets_leaves_spares(self):
         hosts = ("L", "S1", "S2", "S3", "S4", "S5", "S6")
-        build, dm = distributed(worker_hosts=hosts)
+        build, dm = distributed(worker_hosts=hosts, whole_pool=True)
         # Every worker exists (spares are failover capacity), every target
         # is covered exactly once, and no worker is required to have work.
         assert sorted(dm.workers) == sorted(hosts)
@@ -142,8 +148,8 @@ class TestPartitioning:
         assert any(not dm.targets_of(w) for w in hosts)  # at least one spare
 
     def test_partition_is_deterministic(self):
-        _, dm1 = distributed()
-        _, dm2 = distributed()
+        _, dm1 = distributed(whole_pool=True)
+        _, dm2 = distributed(whole_pool=True)
         for worker in ("L", "S1", "S2"):
             assert dm1.targets_of(worker) == dm2.targets_of(worker)
 
@@ -262,8 +268,8 @@ class TestFailover:
         recovery the plane rebalances back.  Surviving the crash costs
         within 10 % of a fault-free twin's SNMP requests and NIC octets
         under the same 200 KB/s load."""
-        build, dm = distributed()  # poll_interval=2.0
-        twin_build, twin = distributed()
+        build, dm = distributed(whole_pool=True)  # poll_interval=2.0
+        twin_build, twin = distributed(whole_pool=True)
         for b, plane in ((build, dm), (twin_build, twin)):
             plane.watch_path("S1", "N1")
             StaircaseLoad(
@@ -321,7 +327,7 @@ class TestArq:
         """Batches lost in a short partition come back via selective
         retransmit from the worker's resend buffer -- no failover, no
         permanent loss, no double-counting."""
-        build, dm = distributed()
+        build, dm = distributed(whole_pool=True)
         dm.watch_path("S1", "N1")
         net = build.network
         # Sever S2's uplink for 1.2 s: long enough to lose batches and
@@ -342,7 +348,7 @@ class TestArq:
         """A gap the worker can no longer serve (evicted from its resend
         buffer) is abandoned: the worker's assigned sources go degraded,
         and fresh in-order samples clear the marks again."""
-        build, dm = distributed(integrity=False)
+        build, dm = distributed(whole_pool=True, integrity=False)
         # S1's affinity share is itself plus round-robined N2.
         assert sorted(dm.assigned_targets_of("S1")) == ["N2", "S1"]
         dm._on_delta(batch(1))
@@ -395,7 +401,7 @@ class TestSequenceDedup:
         dups=st.lists(st.integers(min_value=1, max_value=8), max_size=12),
     )
     def test_each_sequence_delivered_exactly_once(self, order, dups):
-        build, dm = distributed(integrity=False)
+        build, dm = distributed(whole_pool=True, integrity=False)
         for seq in list(order) + dups:
             dm._on_delta(batch(seq))
         # All 8 unique batches delivered exactly once, however mangled
@@ -409,7 +415,7 @@ class TestSequenceDedup:
         """A restart resets the worker's sequence numbers; the coordinator
         must adopt the new incarnation instead of treating seq 1 as a
         duplicate of the old seq 1."""
-        build, dm = distributed(integrity=False)
+        build, dm = distributed(whole_pool=True, integrity=False)
         dm._on_delta(batch(1))
         dm._on_delta(batch(2))
         assert dm.samples_received == 2

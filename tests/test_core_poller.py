@@ -392,13 +392,14 @@ class TestOnCycle:
     def test_an_adoption_poll(self):
         """A crashed worker's agents move to the survivors, which poll them
         at once and half an interval later, between their own cycles."""
-        from repro.core.distributed import DistributedMonitor
+        from repro.core.distributed import DistributedMonitor, poll_targets
         from repro.experiments.testbed import build_testbed
         from repro.simnet.faults import WorkerCrash
 
         build = build_testbed()
         dm = DistributedMonitor(
-            build, coordinator_host="L", worker_hosts=["L", "S1", "S2"], poll_jitter=0.0
+            build, coordinator_host="L", worker_hosts=["L", "S1", "S2"], poll_jitter=0.0,
+            targets=poll_targets(build, build.spec.connections),
         )
         survivors = [dm.workers[name].poller for name in ("L", "S1")]
         fired = [watch_cycles(poller) for poller in survivors]
@@ -441,12 +442,13 @@ class TestOnCycle:
         teardown stops the poller and cancels those exchanges without
         errbacks.  The parent never closed that cycle; now stop() closes
         it, once, and the crashed worker ships nothing."""
-        from repro.core.distributed import DistributedMonitor
+        from repro.core.distributed import DistributedMonitor, poll_targets
         from repro.experiments.testbed import build_testbed
 
         build = build_testbed()
         dm = DistributedMonitor(
-            build, coordinator_host="L", worker_hosts=["L", "S1", "S2"], poll_jitter=0.0
+            build, coordinator_host="L", worker_hosts=["L", "S1", "S2"], poll_jitter=0.0,
+            targets=poll_targets(build, build.spec.connections),
         )
         worker = dm.workers["S2"]
         fired = watch_cycles(worker.poller)

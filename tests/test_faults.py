@@ -178,6 +178,26 @@ class TestAgentOutage:
             assert m.sample_time < 10.0 and m.sample_age > 20.0 and m.stale, m
         assert report.degraded and report.confidence < 1.0
 
+    def test_a_hub_leg_never_sampled_degrades_the_hub_connections(self):
+        """N2's agent is silent from t = 0, so the hub sum on S1 -> N1 never
+        has N2's leg: N1's alone under-reports the shared medium.  Both hub
+        connections say so (capped like a lossy source), and so do the
+        reports: degraded, never trusted."""
+        build = build_testbed()
+        monitor = NetworkMonitor(build, "L", poll_jitter=0.0)
+        label = monitor.watch_path("S1", "N1")
+        reports = []
+        monitor.subscribe(reports.append)
+        AgentOutage(build.network.sim, build.agents["N2"], at=0.0, until=60.0)
+        monitor.start()
+        build.network.run(30.0)
+        assert monitor.poller.rates.latest("N2", 1) is None
+        assert reports and all(r.degraded and not r.trusted for r in reports)
+        report = monitor.current_report(label)
+        hub = [m for m in report.connections if m.rule == "hub"]
+        assert len(hub) == 2 and all(m.degraded_source for m in hub)
+        assert report.confidence == 0.5
+
     def test_window_validated(self):
         build = build_testbed()
         with pytest.raises(FaultError):

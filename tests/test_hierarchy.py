@@ -11,7 +11,7 @@ the leaves emulate.
 
 import pytest
 
-from repro.core.distributed import DistributedMonitor
+from repro.core.distributed import DistributedMonitor, poll_targets
 from repro.core.hierarchy import HierarchicalMonitor, LeafCoordinator
 from repro.core.monitor import NetworkMonitor
 from repro.experiments.scale import hierarchy_plan, scale_spec
@@ -28,13 +28,18 @@ PODS, SWITCHES, HOSTS = 2, 2, 3
 POD_SWITCHES = [f"p{p}sw{s}" for p in range(PODS) for s in range(SWITCHES)]
 
 
-def hierarchical(**kwargs):
+def hierarchical(whole_pool=False, **kwargs):
+    """The two-pod tree.  Its pool follows its watches, unless
+    ``whole_pool`` pins it through ``targets=`` to every connection: the
+    shard-layout and failover tests reason about every switch."""
     spec = scale_spec(
         hierarchical=PODS, switches=SWITCHES, hosts_per_switch=HOSTS,
         host_agents=False,
     )
     plan = hierarchy_plan(PODS, switches=SWITCHES, hosts_per_switch=HOSTS)
     build = build_network(spec)
+    if whole_pool:
+        kwargs["targets"] = poll_targets(build, spec.connections)
     dm = HierarchicalMonitor(build, plan, poll_jitter=0.0, **kwargs)
     return build, dm
 
@@ -43,7 +48,7 @@ class TestShardLayout:
     def test_targets_stay_in_home_shard(self):
         """Affinity: a pod's switches are polled by that pod's shard, so
         poll traffic never crosses the core until aggregation."""
-        build, dm = hierarchical()
+        build, dm = hierarchical(whole_pool=True)
         for p in range(PODS):
             mine = dm.targets_of(f"mon{p}")
             for s in range(SWITCHES):
@@ -51,7 +56,7 @@ class TestShardLayout:
                 assert f"p{p}sw{s}" not in dm.targets_of(f"mon{1 - p}")
 
     def test_every_switch_assigned_exactly_once(self):
-        build, dm = hierarchical()
+        build, dm = hierarchical(whole_pool=True)
         owned = [t for leaf in dm.leaves for t in dm.targets_of(leaf)]
         assert sorted(t for t in owned if t in POD_SWITCHES) == sorted(POD_SWITCHES)
         assert len(owned) == len(set(owned))
@@ -64,7 +69,7 @@ class TestShardLayout:
             HierarchicalMonitor(build, {"root": "monroot", "shards": {}})
 
     def test_leaves_quack_like_workers(self):
-        build, dm = hierarchical()
+        build, dm = hierarchical(whole_pool=True)
         for leaf in dm.leaves.values():
             assert isinstance(leaf, LeafCoordinator)
             assert leaf.assign_version >= 1  # seeded by the root ctor
@@ -103,7 +108,7 @@ class TestEndToEnd:
         """Quiescent interfaces ship as ADVANCE records, so a sample
         costs less than one FULL record (>= 53 bytes) even with a
         keyframe every fourth batch bounding resync cost."""
-        build, dm = hierarchical(keyframe_every=4)
+        build, dm = hierarchical(whole_pool=True, keyframe_every=4)
         dm.start()
         build.network.run(20.0)
         stats = dm.stats()
@@ -115,7 +120,7 @@ class TestEndToEnd:
         dm.stop()
 
     def test_pipelined_bulk_polling_inside_shards(self):
-        build, dm = hierarchical(pipeline_window=2)
+        build, dm = hierarchical(whole_pool=True, pipeline_window=2)
         dm.start()
         build.network.run(10.0)
         for leaf in dm.leaves.values():
@@ -130,7 +135,7 @@ class TestLeafFailover:
         *coordinator* mid-run.  Its shard is re-adopted by the surviving
         leaf within three poll cycles; on restart the pod's targets come
         home."""
-        build, dm = hierarchical()
+        build, dm = hierarchical(whole_pool=True)
         label = dm.watch_path("p1h0_0", "p1h1_0")  # pod 1: unaffected shard
         reports = []
         dm.subscribe(reports.append)
@@ -164,7 +169,7 @@ class TestLeafFailover:
     def test_crash_leaves_inner_workers_polling(self):
         """A leaf crash kills the coordinator *process* only: the
         shard's worker hosts keep polling while the uplink is dark."""
-        build, dm = hierarchical()
+        build, dm = hierarchical(whole_pool=True)
         dm.start()
         build.network.run(8.0)
         leaf = dm.leaves["mon0"]

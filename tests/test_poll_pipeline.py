@@ -20,7 +20,7 @@ from repro.core.deltas import (
     is_delta,
     parse_delta,
 )
-from repro.core.distributed import DistributedMonitor, SampleShipper
+from repro.core.distributed import DistributedMonitor, SampleShipper, poll_targets
 from repro.core.poller import (
     POLL_MODES,
     InterfaceRates,
@@ -255,9 +255,11 @@ class TestDeltaCodec:
 class TestShippedEquivalence:
     def _run(self, **options):
         build = build_testbed()
+        # Every agent polled, not only the watch's: the pool is pinned.
         dm = DistributedMonitor(
             build, MONITOR_HOST, ["L", "S1", "S2"], poll_interval=2.0,
-            max_batch=4, integrity=False, **options,
+            max_batch=4, integrity=False,
+            targets=poll_targets(build, build.spec.connections), **options,
         )
         dm.watch_path("N1", "N2")
         # Everything each worker's poller produces, in production order.

@@ -16,6 +16,7 @@ refresh tick by test-side instrumentation only:
 
 import pytest
 
+from repro.core.poller import polled_interfaces
 from repro.experiments import fig4
 from repro.experiments.scenarios import Scenario
 from repro.snmp.agent import SnmpAgent
@@ -29,8 +30,10 @@ from repro.snmp.mib import (
     IF_OUT_NUCAST_PKTS,
     IF_OUT_OCTETS,
     IF_OUT_UCAST_PKTS,
+    SYS_UPTIME,
     CachingMibTree,
 )
+from repro.simnet.trafficgen import KBPS, StepSchedule, StaircaseLoad
 from tests.snmp_reference import old_decode
 
 # The ifTable counter columns, by the counter block's attribute.
@@ -140,3 +143,201 @@ class TestCachedAgentsServeTheirTicks:
             assert octets_out == pytest.approx(last[2] - first[2], rel=1e-9, abs=1e-6), key
             grew += last[1] + last[2] - first[1] - first[2] > 1_000_000
         assert grew == 3  # the load left L, crossed the switch and reached N1
+
+
+# ----------------------------------------------------------------------
+# The coordinator tree's samples against the truth
+# ----------------------------------------------------------------------
+class _TreeTruth:
+    """A tree plane run with every agent read and every accepted sample
+    logged, by test-side instrumentation only.
+
+    ``reads`` maps ``(agent, sysUpTime)`` to ``(time, {ifIndex: (true in
+    octets, true out octets)})`` for every row a reply served: the
+    interface's ``Interface.counters`` at the instant of the read, or at
+    the agent's last snapshot tick where it caches.  ``uptimes`` maps a
+    worker's ``(node, time)`` of a derived reply to the sysUpTime it
+    carried; ``accepted`` holds every sample the root admitted, in order.
+    """
+
+    def __init__(self, patch, build_plane, poll_interval):
+        from repro.core.poller import SnmpPoller
+
+        self.reads, self.uptimes, self.accepted = {}, {}, []
+        self.poll_interval = poll_interval
+        ticks = {}
+        take_snapshot, encode_reply = CachingMibTree._take_snapshot, SnmpAgent._encode_reply
+        derive = SnmpPoller._derive
+        devices = {}
+
+        def truth_of(device):
+            return {
+                iface.if_index: (iface.counters.in_octets, iface.counters.out_octets)
+                for iface in device.interfaces
+            }
+
+        def tick(tree):
+            take_snapshot(tree)
+            ticks[tree] = truth_of(devices[tree])
+
+        def serve(agent, *args, **kwargs):
+            reply = encode_reply(agent, *args, **kwargs)
+            pairs = [(vb.oid, vb.value) for vb in old_decode(reply).pdu.varbinds]
+            uptimes = [value.value for oid, value in pairs if oid == SYS_UPTIME]
+            if uptimes:
+                mib = agent.mib
+                truth = (
+                    ticks[mib] if isinstance(mib, CachingMibTree)
+                    else truth_of(self.network.device(agent.name))
+                )
+                rows = {
+                    oid[-1]: truth[oid[-1]] for oid, _ in pairs
+                    if oid.parent in (IF_IN_OCTETS, IF_OUT_OCTETS)
+                }
+                self.reads[(agent.name, uptimes[-1])] = (agent.sim.now, rows)
+            return reply
+
+        def derive_logged(poller, node, if_indexes, uptime, tables):
+            self.uptimes[(node, poller.sim.now)] = uptime
+            return derive(poller, node, if_indexes, uptime, tables)
+
+        patch.setattr(CachingMibTree, "_take_snapshot", tick)
+        patch.setattr(SnmpAgent, "_encode_reply", serve)
+        patch.setattr(SnmpPoller, "_derive", derive_logged)
+        self.build, self.plane = build_plane()
+        self.network = self.build.network
+        for name, agent in self.build.agents.items():
+            if isinstance(agent.mib, CachingMibTree):
+                devices[agent.mib] = self.network.device(name)
+        update = self.plane.rates.update
+        self.plane.rates.update = lambda s: (self.accepted.append(s), update(s))
+
+    def reads_behind(self, sample):
+        """The two reads a sample was derived from: ``(time, rows)`` each."""
+        uptime = self.uptimes[(sample.node, sample.time)]
+        before = uptime - round(sample.interval * 100)
+        return self.reads[(sample.node, before)], self.reads[(sample.node, uptime)]
+
+    def check_every_accepted_sample(self):
+        """Each admitted sample's octets are the true growth between its
+        two reads, and those reads are one poll apart (a baseline older
+        than that would be a rate over time the interface went
+        unpolled)."""
+        assert self.accepted
+        for sample in self.accepted:
+            (t0, first), (t1, last) = self.reads_behind(sample)
+            true_in = last[sample.if_index][0] - first[sample.if_index][0]
+            true_out = last[sample.if_index][1] - first[sample.if_index][1]
+            where = (sample.node, sample.if_index, sample.time)
+            assert sample.in_bytes_per_s * sample.interval == pytest.approx(
+                true_in, rel=1e-9, abs=1e-6
+            ), where
+            assert sample.out_bytes_per_s * sample.interval == pytest.approx(
+                true_out, rel=1e-9, abs=1e-6
+            ), where
+            assert 0 < t1 - t0 <= 1.5 * self.poll_interval, where
+
+    def first_after(self, key, at):
+        """The first sample of ``key`` the root admitted after ``at``."""
+        return next(
+            s for s in self.accepted if (s.node, s.if_index) == key and s.time > at
+        )
+
+
+def _watched_keys(plane, label):
+    from repro.core.counters import required_poll_targets
+
+    needed = required_poll_targets(plane.spec, plane.path_of(label))
+    return {(node, i) for node, indexes in needed.items() for i in indexes}
+
+
+def _rewatch_run(patch, build_plane, steady, spare, back, load):
+    """Watch ``steady`` and ``spare``; drop ``spare`` at t = 12 and watch
+    ``back`` at t = 24, while ``load`` runs.  Returns the rig, the keys
+    ``back`` brought back into the pool and what its first report read."""
+    rig = _TreeTruth(patch, build_plane, poll_interval=2.0)
+    plane, net = rig.plane, rig.network
+    plane.watch_path(*steady)
+    dropped = plane.watch_path(*spare, name="spare")
+    spare_keys = _watched_keys(plane, dropped)
+    StaircaseLoad(net.host(load[0]), net.ip_of(load[1]), load[2]).start()
+    plane.start()
+    net.run(12.0)
+    plane.unwatch_path(dropped)
+    gone = spare_keys - polled_interfaces(plane.targets)
+    assert gone and all(plane.rates.latest(*key) is None for key in gone)
+    net.run(24.0)
+    label = plane.watch_path(*back)
+    returned = _watched_keys(plane, label) & gone
+    first_report = plane.current_report(label)
+    net.run(40.0)
+    return rig, returned, first_report
+
+
+class TestTheTreeMeasuresTheTruth:
+    """ROADMAP item 1(a) property (i) on the tree planes, with the pool
+    narrowed to the watches: every sample the root admits is the true
+    octet growth between the two agent reads it came from -- including an
+    interface's first sample after a watch brings it back into the pool,
+    whose baseline is a read after its return."""
+
+    def test_three_workers_on_the_testbed(self):
+        from repro.core.distributed import DistributedMonitor
+        from repro.experiments.testbed import build_testbed
+
+        def build_plane():
+            build = build_testbed()
+            return build, DistributedMonitor(
+                build, "L", ["L", "S1", "S2"], poll_jitter=0.0
+            )
+
+        with pytest.MonkeyPatch.context() as patch:
+            rig, returned, first = _rewatch_run(
+                patch, build_plane, ("S1", "N1"), ("L", "S2"), ("S2", "N1"),
+                ("L", "N1", StepSchedule.pulse(4.0, 36.0, 200 * KBPS)),
+            )
+        self._check(rig, returned, first)
+
+    def test_the_small_campus_hierarchy(self):
+        from repro.core.hierarchy import HierarchicalMonitor
+        from repro.experiments.scale import hierarchy_plan, scale_spec
+        from repro.spec.builder import build_network
+
+        shape = dict(switches=2, hosts_per_switch=3)
+
+        def build_plane():
+            build = build_network(
+                scale_spec(hierarchical=2, host_agents=False, **shape), agent_seed=0
+            )
+            return build, HierarchicalMonitor(
+                build, hierarchy_plan(2, **shape), poll_interval=2.0,
+                poll_jitter=0.0, seed=0,
+            )
+
+        with pytest.MonkeyPatch.context() as patch:
+            rig, returned, first = _rewatch_run(
+                patch, build_plane, ("p0h0_2", "p1h1_2"), ("p0h1_0", "p1h0_0"),
+                ("p0h1_0", "p1h1_2"),
+                ("p0h0_2", "p1h1_2", StepSchedule.pulse(1.0, 36.0, 50 * KBPS)),
+            )
+        self._check(rig, returned, first)
+
+    @staticmethod
+    def _check(rig, returned, first):
+        rig.check_every_accepted_sample()
+        moved = {
+            (s.node, s.if_index) for s in rig.accepted if s.in_bytes_per_s > 1000
+        }
+        assert moved  # the load crossed what was measured
+        # The returning interfaces' first report reads no sample of theirs...
+        assert returned
+        source = rig.plane.calculator.counter_source
+        unsampled = {
+            source(m.connection).key() for m in first.connections if m.sample_time is None
+        }
+        assert returned <= unsampled and not first.trusted
+        # ...and their first sample rests on reads made after the watch.
+        for key in returned:
+            sample = rig.first_after(key, 24.0)
+            (t0, _), _ = rig.reads_behind(sample)
+            assert t0 > 24.0, (key, t0)

@@ -36,6 +36,7 @@ from repro.core.distributed import (
     _targets_doc,
     decode_message,
     encode_message,
+    poll_targets,
 )
 from repro.core.poller import InterfaceRates
 from repro.experiments.testbed import build_testbed
@@ -43,9 +44,12 @@ from tests.sample_reference import reference_parse_delta
 
 
 def plane():
+    """A testbed plane polling every agent, watched or not (its pool
+    pinned through ``targets=``): the batches below name them all."""
     build = build_testbed()
     dm = DistributedMonitor(
-        build, "L", ["L", "S1", "S2"], poll_jitter=0.0, integrity=False
+        build, "L", ["L", "S1", "S2"], poll_jitter=0.0, integrity=False,
+        targets=poll_targets(build, build.spec.connections),
     )
     return build, dm
 
