@@ -230,8 +230,9 @@ class SnmpPoller:
     ``poll_mode`` selects the wire strategy per target: ``"get"`` (one
     GET naming every instance -- the paper's layout, what the single
     monitor uses) or ``"bulk"`` (a GetBulk column walk, 1-2 exchanges
-    per agent regardless of interface count -- what the distributed
-    plane's workers use).  It is one argument of the one
+    per agent regardless of interface count, for a target whose rows are
+    not too sparse to walk -- what the distributed plane's workers use).
+    It is one argument of the one
     :meth:`SnmpManager.poll_interfaces` call; both answer with the same
     per-column tables and feed the same parse/ingest path, so the rate
     table contents are mode-independent on a fault-free network.
@@ -484,13 +485,24 @@ class SnmpPoller:
                 self._landed(unit, self._on_error(target, exc))
 
         # A target with no interfaces is still probed (a GET of sysUpTime).
+        # A walk asks one cursor per column and is answered every row from
+        # the lowest ifIndex asked for to the highest; a GET names each of
+        # the n rows in request and reply alike.  The walk is no dearer
+        # while it spans at most 2n - 1 rows.  A sparser target (a few
+        # watched ports of a big switch) is read by GET, so what it costs
+        # follows how many ports are polled, not where they sit.
+        rows = target.if_indexes
+        walk = (
+            self.poll_mode == "bulk" and bool(rows)
+            and max(rows) - min(rows) < 2 * len(rows) - 1
+        )
         self.manager.poll_interfaces(
             target.address,
-            target.if_indexes,
+            rows,
             target.columns(),
             callback=on_ok,
             errback=on_err,
-            bulk=self.poll_mode == "bulk" and bool(target.if_indexes),
+            bulk=walk,
             community=target.community,
         )
 

@@ -105,6 +105,31 @@ class TestPollModes:
         assert ("sw", 2) in results["get"]  # the comparison is not vacuous
         assert results["get"][("sw", 2)][1] > 0  # and saw the load
 
+    @pytest.mark.parametrize("rows, walked", [
+        ([4], True), ([2, 3], True), ([2, 4], True), ([2, 5], False),
+        ([1, 8], False), ([1, 2, 3, 6], True), ([1, 2, 3, 8], False),
+    ])
+    def test_a_sparse_target_is_read_by_get(self, rows, walked):
+        """A walk reads every row between the lowest and highest ifIndex
+        asked for: a bulk-mode poller walks a target only while that spans
+        at most 2n - 1 rows, and names a sparser target's instances in a
+        GET.  Either way the samples are the rows asked for."""
+        net, poller, manager, *_ = switch_poller("bulk", ports=8)
+        poller.targets[0].if_indexes = rows
+        forms = []
+        poll = manager.poll_interfaces
+
+        def spy(*args, bulk, **kwargs):
+            forms.append(bulk)
+            return poll(*args, bulk=bulk, **kwargs)
+
+        manager.poll_interfaces = spy
+        poller.start()
+        net.run(5.0)
+        assert forms and set(forms) == {walked}
+        assert manager.requests_sent == len(forms)  # one exchange a cycle
+        assert sorted(i for _, i in poller.rates.keys()) == rows
+
     def test_bulk_mode_produces_samples(self):
         net, poller, manager, t, d = switch_poller("bulk", ports=6)
         poller.start()

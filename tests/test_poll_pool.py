@@ -11,7 +11,8 @@ datagram; an interface that leaves the pool leaves the root's rate table
 and integrity state; and a pool change that only adds an interface on an
 agent already polled reaches the worker that polls it.  Watch traffic
 is no lease recovery, and reallocation advice ranks no host whose path
-crosses a connection the plane never samples.
+crosses a connection the plane never samples.  What a watch costs the
+monitoring hosts follows how many ports it polls, not where they sit.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from repro.core.counters import required_poll_targets
 from repro.core.distributed import DistributedMonitor
 from repro.core.hierarchy import HierarchicalMonitor, LeafCoordinator
 from repro.core.poller import PollTarget
+from repro.experiments.scale import hierarchy_plan, scale_spec
 from repro.experiments.testbed import build_testbed
 from repro.rm.middleware import RmMiddleware
 from repro.rm.qos import QosRequirement
@@ -225,3 +227,41 @@ def test_advice_ranks_only_hosts_over_sampled_connections(name):
         for advice in action.advice:
             assert all(m.sample_time is not None for m in advice.report.connections)
     plane.stop()
+
+
+def test_what_a_watch_costs_does_not_depend_on_where_its_ports_sit():
+    """Each watch below polls one host port and one uplink on the same
+    two switches; only the host port moves.  A GetBulk walk from the
+    lowest polled ifIndex to the highest would read every port between,
+    so the farther the port from the uplink the more bytes (the walk read
+    64 380 octets in ten cycles at port 1, 54 080 at port 6).  The
+    monitoring hosts move the same bytes wherever the port sits."""
+    shape = dict(switches=2, hosts_per_switch=8)
+    costs = {}
+    for host in (0, 2, 5):
+        build = build_network(
+            scale_spec(hierarchical=2, host_agents=False, **shape), agent_seed=0
+        )
+        plan = hierarchy_plan(2, **shape)
+        plane = HierarchicalMonitor(build, plan, poll_jitter=0.0)
+        plane.watch_path(f"p0h1_{host}", f"p1h1_{host}")
+        plane.start()
+        net = build.network
+        monitoring = [plan["root"], *plan["shards"]] + [
+            worker for shard in plan["shards"].values() for worker in shard["workers"]
+        ]
+
+        def octets():
+            return sum(
+                i.counters.in_octets + i.counters.out_octets
+                for name in monitoring
+                for i in net.host(name).interfaces
+            )
+
+        net.run(7.0)
+        before = octets()
+        net.run(7.0 + 10 * plane.poll_interval)
+        costs[host] = octets() - before
+        assert len(polled(plane)["p0sw1"]) == 2  # the host port and the uplink
+        plane.stop()
+    assert max(costs.values()) <= 1.01 * min(costs.values()), costs

@@ -84,17 +84,20 @@ def test_seeds_differ_but_agree():
 # purpose re-records the ordered pair, says so, and shows the diff of
 # event counts by callback.
 #
-# The campus's three were re-recorded once on purpose, when the tree's
+# The campus's three were re-recorded on purpose when the tree's
 # poll pool came to follow its watches: the run polls the 5 interfaces
 # its watch reads on 3 agents, not every port of all 5 switches, so fewer
 # poll and uplink frames cross it (6 514 -> 6 305 events: ``Interface.transmit`` -70,
-# ``_Channel._deliver`` -119, ``SnmpAgent._send_reply`` -20).
+# ``_Channel._deliver`` -119, ``SnmpAgent._send_reply`` -20).  A worker
+# then read its sparse targets by GET instead of a GetBulk walk over the
+# ports between them: the same 6 305 events by callback, smaller poll
+# frames, so the instants moved.
 GOLDEN_TESTBED_EVENTS = "ee26af59fe60b8c412587d47769a095cd6e591559029da28d97d18fe6e8f7b1c"
-GOLDEN_CAMPUS_EVENTS = "29987e2fb83657110189ee85077246b55df4d229990999773d2c1fc01b57a5b3"
+GOLDEN_CAMPUS_EVENTS = "05af8cdc7a1ca728e44f3eff6897d285454e621486a82310b4a063d45d2a543c"
 PARENT_TESTBED_TRACE = "9f50e3cbae33d13d081402d37750c792e35a2c1fb15db038d87857aad405488a"
-PARENT_CAMPUS_TRACE = "46e91e281f1b82f01c8a423451f1084344148d2b27ff10702c0476768b6914ee"
+PARENT_CAMPUS_TRACE = "9110659db9cec54f66c2df9c9068d08360e55fd3bb37c069bb8991d72b008e71"
 GOLDEN_TESTBED_TRACE = "35b7fe502f23c85edad7593719b8bd6329635d013091a88953cbaa0ec95552e8"
-GOLDEN_CAMPUS_TRACE = "663bc06703798f71fdb633fa150fa90f082ff8489aa17d7231e2fb65a98205fb"
+GOLDEN_CAMPUS_TRACE = "7cad595d98dde974a414d0f9de5644e284d8c825baf5b7ad84111956f3224397"
 TRACE_UNTIL = 20.0
 
 # A callback that moved since the goldens were recorded is logged under
