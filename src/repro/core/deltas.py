@@ -54,7 +54,7 @@ import re
 import struct
 from functools import lru_cache
 from itertools import repeat
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.poller import InterfaceRates
 
@@ -249,6 +249,7 @@ class DeltaEncoder:
         self._last: Dict[int, Tuple[float, ...]] = {}
         self._next_id = 1
         self._kf_pending = True  # the first batch always maps every id
+        self._pool: Optional[Set[Tuple[str, int]]] = None  # None: remember every key
         self.records_full = 0
         self.records_changed = 0
         self.records_advance = 0
@@ -258,6 +259,17 @@ class DeltaEncoder:
     def force_keyframe(self) -> None:
         """Make the next batch a keyframe (receiver asked via ``kfreq``)."""
         self._kf_pending = True
+
+    def follow(self, keys: Set[Tuple[str, int]]) -> None:
+        """Remember only ``keys``, the interfaces now polled: every other
+        key's id and last values go, so no keyframe re-states it.  A
+        sample of another key (one polled before, still queued or on its
+        way up) travels FULL under a fresh id and is forgotten at once.
+        An id is never reused (``_next_id`` only grows), so a key that
+        comes back travels FULL under a new one."""
+        self._pool = keys
+        for key in [key for key in self._ids if key not in keys]:
+            del self._last[self._ids.pop(key)]
 
     def encode(
         self, incarnation: int, seq: int, samples: Sequence[InterfaceRates],
@@ -280,9 +292,14 @@ class DeltaEncoder:
             )
             rec_id = ids.get(key)
             if rec_id is None:
-                rec_id = ids[key] = self._next_id
+                rec_id = self._next_id
                 self._next_id += 1
-            elif not kf:
+                if self._pool is None or key in self._pool:
+                    ids[key] = rec_id
+                    self._last[rec_id] = fields
+            elif kf:
+                self._last[rec_id] = fields
+            else:
                 last = self._last[rec_id]
                 if fields[2:] != last[2:]:
                     rec_type, packed = REC_CHANGED, _F64X6.pack(*fields)
@@ -304,7 +321,6 @@ class DeltaEncoder:
             # A key's first appearance -- and, inside a keyframe, every
             # delivered sample -- travels full, so a reset receiver can
             # rebuild its maps.
-            self._last[rec_id] = fields
             self._encode_keyed(body, REC_FULL, rec_id, key[0], key[1], fields)
             self.records_full += 1
         records = len(samples)
@@ -312,7 +328,7 @@ class DeltaEncoder:
             # Re-state every key the batch did not touch, as map-only
             # refresh records (not delivered as samples downstream).  Ids
             # are handed out in insertion order: the map is already sorted.
-            touched = {ids[(sample.node, sample.if_index)] for sample in samples}
+            touched = {ids.get((sample.node, sample.if_index)) for sample in samples}
             for key, rec_id in ids.items():
                 if rec_id in touched:
                     continue

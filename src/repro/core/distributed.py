@@ -468,6 +468,7 @@ class UplinkEndpoint:
             self.name, version, sorted(t.node for t in targets),
         )
         self._apply_targets(targets)
+        self.shipper.delta.follow(polled_interfaces(targets))
 
 
 class MonitorWorker(UplinkEndpoint):

@@ -45,17 +45,8 @@ class LinkStateRegistry:
         # Epochs bump only on actual up<->down flips, never on redundant
         # notifications, so downstream caches stay warm through trap spam.
         self._epochs = EpochClock()
-        # Newest notification uptime seen per (reporting node, connection):
-        # a retransmitted (inform) linkDown that arrives *after* the
-        # linkUp it predates must not re-mark the connection down.  Keyed
-        # per reporting node because an inter-switch uplink is observed
-        # from both ends, and the two agents' sysUpTime clocks are not
-        # comparable -- one end's high uptime must never suppress the
-        # other end's genuinely-new notification.
-        self._last_uptime: Dict[Tuple, int] = {}
         self.events_applied = 0
         self.events_unmapped = 0
-        self.events_stale = 0
 
     # ------------------------------------------------------------------
     # Event intake
@@ -73,19 +64,8 @@ class LinkStateRegistry:
         if conn is None:
             self.events_unmapped += 1
             return None
-        key = conn.endpoints()
-        uptime_key = (node, key)
-        previous = self._last_uptime.get(uptime_key)
-        if previous is not None and event.uptime.value <= previous:
-            self.events_stale += 1
-            logger.info(
-                "ignoring stale link notification for %s (uptime %d <= %d)",
-                conn, event.uptime.value, previous,
-            )
-            return None
-        self._last_uptime[uptime_key] = event.uptime.value
         self.events_applied += 1
-        self._flip(key, event.is_link_down)
+        self._flip(conn.endpoints(), event.is_link_down)
         if event.is_link_down:
             logger.warning(
                 "linkDown: connection %s is operationally down (trap from %s)",

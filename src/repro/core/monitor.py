@@ -274,19 +274,14 @@ class ReportCore:
             self.calculator.link_state = self.link_state
         return self.link_state
 
-    def enable_trap_listener(self, confirmed: bool = False) -> LinkStateRegistry:
+    def enable_trap_listener(self) -> LinkStateRegistry:
         """Listen for linkDown/linkUp notifications, fold them into reports.
 
         Starts a receiver on this host's UDP :162, registers every SNMP
         node's agent as a notification source, and marks affected
         connections so downed links report zero available bandwidth
-        immediately instead of at the next polling interval.
-
-        ``confirmed=True`` makes agents send acknowledged InformRequests
-        instead of fire-and-forget traps: notifications that cannot cross
-        a dead link are retransmitted and arrive once connectivity
-        returns (the registry discards ones a newer event has overtaken).
-        Returns the registry for inspection.  Idempotent.
+        immediately instead of at the next polling interval.  Returns the
+        registry for inspection.  Idempotent.
         """
         if self.trap_receiver is not None:
             return self.link_state
@@ -298,10 +293,7 @@ class ReportCore:
         # Every agent notifies under the listener's community, whatever
         # community the spec gave it for reads.
         for agent in self.build.agents.values():
-            if confirmed:
-                agent.enable_link_informs(monitor_ip, TRAP_COMMUNITY)
-            else:
-                agent.enable_link_traps(monitor_ip, TRAP_COMMUNITY)
+            agent.enable_link_traps(monitor_ip, TRAP_COMMUNITY)
         return link_state
 
     # ------------------------------------------------------------------

@@ -145,8 +145,7 @@ class SnmpAgent:
         self.bad_community = 0
         self.unsupported = 0
         self.get_requests = 0
-        self._sent = 0  # replies and traps; out_packets adds the informs
-        self._inform_sender = None
+        self.out_packets = 0  # snmpOutPkts (RFC 1213): every reply and trap sent
         self._plans: Dict[tuple, _Plan] = {}  # see _serve
         try:
             register_snmp_group(mib, self)
@@ -156,13 +155,6 @@ class SnmpAgent:
     @property
     def name(self) -> str:
         return self.endpoint.name
-
-    @property
-    def out_packets(self) -> int:
-        """snmpOutPkts (RFC 1213): every message passed to the transport --
-        each reply, each trap and each InformRequest transmission."""
-        informs = self._inform_sender
-        return self._sent + (informs.sent if informs is not None else 0)
 
     # ------------------------------------------------------------------
     # Notifications
@@ -180,31 +172,7 @@ class SnmpAgent:
         """
         self._trap_destination = (destination, port)
         self._trap_community = community if community is not None else self.community
-        self._observe_interfaces()
         self.traps_sent = 0
-
-    def enable_link_informs(
-        self, destination: IPv4Address, community: Optional[str] = None,
-        port: int = 162, timeout: float = 2.0, max_attempts: int = 30,
-    ) -> None:
-        """Like :meth:`enable_link_traps`, but acknowledged.
-
-        Link-state notifications become InformRequests that retransmit
-        until the receiver acknowledges -- so a linkDown about the
-        agent's own uplink is delivered once connectivity returns,
-        instead of dying with the link.
-        """
-        from repro.snmp.trap import InformSender  # local: avoid cycle
-
-        self._inform_sender = InformSender(
-            self.endpoint, destination,
-            community=community if community is not None else self.community,
-            port=port, timeout=timeout, max_attempts=max_attempts,
-        )
-        self._observe_interfaces()
-        self.traps_sent = 0
-
-    def _observe_interfaces(self) -> None:
         device = getattr(self.endpoint, "switch", self.endpoint)
         for iface in getattr(device, "interfaces", []):
             if self._on_link_state not in iface.state_observers:
@@ -219,19 +187,10 @@ class SnmpAgent:
         uptime = self.mib.get(SYS_UPTIME)
         trap_oid = TRAP_LINK_UP if up else TRAP_LINK_DOWN
         varbinds = [VarBind(IF_INDEX + str(iface.if_index), Integer(iface.if_index))]
-        inform_sender = self._inform_sender
-        if inform_sender is not None:
-            pdu = build_trap_pdu(uptime, trap_oid, varbinds, confirmed=True)
-            inform_sender.send(pdu)
-            self.traps_sent += 1
-            return
-        destination = getattr(self, "_trap_destination", None)
-        if destination is None:
-            return
-        pdu = build_trap_pdu(uptime, trap_oid, varbinds, confirmed=False)
+        pdu = build_trap_pdu(uptime, trap_oid, varbinds)
         payload = Message(VERSION_2C, self._trap_community, pdu).encode()
-        self._sent += 1
-        self.socket.sendto(payload, destination)
+        self.out_packets += 1
+        self.socket.sendto(payload, self._trap_destination)
         self.traps_sent += 1
 
     # ------------------------------------------------------------------
@@ -372,7 +331,7 @@ class SnmpAgent:
         return self._encode_reply(version, request_id, plan.varbinds, bulk=bulk)
 
     def _send_reply(self, payload: bytes, dst_ip: IPv4Address, dst_port: int) -> None:
-        self._sent += 1
+        self.out_packets += 1
         self.socket.sendto(payload, (dst_ip, dst_port))
 
     def _encode_reply(

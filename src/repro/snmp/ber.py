@@ -44,7 +44,6 @@ TAG_GET_REQUEST = 0xA0
 TAG_GET_NEXT_REQUEST = 0xA1
 TAG_GET_RESPONSE = 0xA2
 TAG_SET_REQUEST = 0xA3
-TAG_TRAP_V1 = 0xA4
 TAG_GET_BULK_REQUEST = 0xA5
 TAG_INFORM_REQUEST = 0xA6
 TAG_SNMPV2_TRAP = 0xA7

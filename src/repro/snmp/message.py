@@ -50,13 +50,7 @@ class Message:
     @staticmethod
     def decode(data: bytes) -> "Message":
         version, community, tag, request_id, status, index, start, end = decode_header(data)
-        if tag == ber.TAG_TRAP_V1:
-            from repro.snmp.trap import TrapV1Pdu  # local: avoids a cycle
-
-            pdu, pos = TrapV1Pdu.decode(data, start)
-            if pos != end:
-                raise ber.BerError("trailing bytes inside SNMP message")
-        elif end - start > _MEMO_LIST_BYTES:
+        if end - start > _MEMO_LIST_BYTES:
             pdu = Pdu(tag, request_id, status, index, decode_varbinds(data, start, end))
         else:
             pdu = Pdu(tag, request_id, status, index, list(_decoded(data[start:end])))
@@ -65,8 +59,8 @@ class Message:
 
 def encode_message(version: int, community: str, pdu: bytes) -> bytes:
     """The one envelope writer: an encoded PDU (:func:`~repro.snmp.pdu.
-    encode_pdu`, or a v1 Trap-PDU's own writer) under version and
-    community.  Refuses the versions :func:`decode_header` refuses."""
+    encode_pdu`) under version and community.  Refuses the versions
+    :func:`decode_header` refuses."""
     if version not in _KNOWN_VERSIONS:
         raise ber.BerError(f"unsupported SNMP version {version!r}")
     return ber.encode_sequence(
@@ -80,8 +74,8 @@ def decode_header(data: bytes) -> Tuple[int, str, int, int, int, int, int, int]:
     Returns ``(version, community, pdu_tag, request_id, error_status,
     error_index, start, end)`` with the varbind list left undecoded as
     ``data[start:end]`` (see :func:`~repro.snmp.pdu.decode_pdu_header`).
-    An RFC 1157 Trap-PDU has its own structure entirely: its three
-    integers read 0 and the range is the whole Trap-PDU.
+    An RFC 1157 Trap-PDU (tag 0xA4) is no PDU this stack speaks: its tag
+    is refused like any unknown one.
     """
     tag, pos, end = ber.tlv_span(data, 0, len(data))
     ber.expect_tag(tag, ber.TAG_SEQUENCE, "SEQUENCE")
@@ -93,8 +87,6 @@ def decode_header(data: bytes) -> Tuple[int, str, int, int, int, int, int, int]:
     tag, start, pos = ber.tlv_span(data, pos, end)
     ber.expect_tag(tag, ber.TAG_OCTET_STRING, "community")
     community = data[start:pos].decode(errors="replace")
-    if pos < end and data[pos] == ber.TAG_TRAP_V1:
-        return version, community, ber.TAG_TRAP_V1, 0, 0, 0, pos, end
     fields = decode_pdu_header(data, pos, end)
     if fields[-1] != end:
         raise ber.BerError("trailing bytes inside SNMP message")

@@ -32,7 +32,6 @@ from repro.snmp.manager import interface_oids
 from repro.snmp.message import VERSION_1, VERSION_2C, Message, decode_header
 from repro.snmp.mib import SYS_UPTIME
 from repro.snmp.pdu import MAX_BULK_REPETITIONS, Pdu, VarBind, decode_varbinds
-from repro.snmp.trap import TrapV1Pdu
 
 
 def old_handle_get(mib, version, pdu):
@@ -155,29 +154,21 @@ def old_decode(payload):
     """``Message.decode(payload)`` as the parent read it: every varbind
     list decoded afresh, none remembered."""
     version, community, tag, request_id, status, index, start, end = decode_header(payload)
-    if tag == ber.TAG_TRAP_V1:
-        pdu, pos = TrapV1Pdu.decode(payload, start)
-        if pos != end:
-            raise BerError("trailing bytes inside SNMP message")
-    else:
-        pdu = Pdu(tag, request_id, status, index, decode_varbinds(payload, start, end))
+    pdu = Pdu(tag, request_id, status, index, decode_varbinds(payload, start, end))
     return Message(version, community, pdu)
 
 
 def old_encode(message):
     """``message.encode()`` as the parent wrote it: ``Message.encode``
-    around ``Pdu.encode`` (a v1 Trap-PDU writes itself, then as now)."""
+    around ``Pdu.encode``."""
     pdu = message.pdu
-    if isinstance(pdu, Pdu):
-        body = (
-            ber.encode_integer(pdu.request_id)
-            + ber.encode_integer(pdu.error_status)
-            + ber.encode_integer(pdu.error_index)
-            + ber.encode_sequence(*[vb.encode() for vb in pdu.varbinds])
-        )
-        encoded = ber.encode_tlv(pdu.pdu_type, body)
-    else:
-        encoded = pdu.encode()
+    body = (
+        ber.encode_integer(pdu.request_id)
+        + ber.encode_integer(pdu.error_status)
+        + ber.encode_integer(pdu.error_index)
+        + ber.encode_sequence(*[vb.encode() for vb in pdu.varbinds])
+    )
+    encoded = ber.encode_tlv(pdu.pdu_type, body)
     return ber.encode_sequence(
         ber.encode_integer(message.version),
         ber.encode_octet_string(message.community.encode()),

@@ -8,7 +8,7 @@ when a watch comes, goes or is rerouted.  Held here: the interfaces the
 workers' pollers poll are exactly that derivation, at both tree levels;
 a watch made before ``start()`` settles the pool with no control
 datagram; an interface that leaves the pool leaves the root's rate table
-and integrity state; and a pool change that only adds an interface on an
+and integrity state, and every uplink encoder's map; and a pool change that only adds an interface on an
 agent already polled reaches the worker that polls it.  Watch traffic
 is no lease recovery, and reallocation advice ranks no host whose path
 crosses a connection the plane never samples.  What a watch costs the
@@ -18,6 +18,7 @@ monitoring hosts follows how many ports it polls, not where they sit.
 import pytest
 
 from repro.core.counters import required_poll_targets
+from repro.core.deltas import REC_FULL, is_delta, parse_delta
 from repro.core.distributed import DistributedMonitor
 from repro.core.hierarchy import HierarchicalMonitor, LeafCoordinator
 from repro.core.poller import PollTarget
@@ -265,3 +266,68 @@ def test_what_a_watch_costs_does_not_depend_on_where_its_ports_sit():
         assert len(polled(plane)["p0sw1"]) == 2  # the host port and the uplink
         plane.stop()
     assert max(costs.values()) <= 1.01 * min(costs.values()), costs
+
+
+def tap_shipping(plane):
+    """Every delta batch shipped upstream, as ``(endpoint, batch)``: by the
+    workers, and in a tree by each leaf and the workers under it."""
+    shipped = []
+    endpoints = list(plane.workers.values())
+    for leaf in endpoints[:]:
+        if isinstance(leaf, LeafCoordinator):
+            endpoints += leaf.dm.workers.values()
+    for endpoint in endpoints:
+        def tapped(payload, send=endpoint.shipper.send, name=endpoint.name):
+            if is_delta(payload):
+                shipped.append((name, parse_delta(payload)))
+            send(payload)
+
+        endpoint.shipper.send = tapped
+    return shipped
+
+
+@pytest.mark.parametrize("at", [20.0, 20.1])
+@pytest.mark.parametrize("name", sorted(TESTBED_PLANES))
+def test_an_unwatched_interface_leaves_the_keyframes(name, at):
+    """(L, 1) leaves the pool with the watch through it, and every encoder
+    that shipped it forgets it: no later batch names it, not as a
+    keyframe's REFRESH record nor as a straggler still queued when the
+    assignment landed (at 20.1 s one is).  Watched again, it travels FULL
+    under an id its encoder never used before."""
+    build = build_testbed()
+    net = build.network
+    plane = TESTBED_PLANES[name](build)
+    through_l = plane.watch_path("L", "S1")
+    plane.watch_path("S1", "N1")
+    shipped = tap_shipping(plane)
+
+    def naming_l():
+        return [
+            (who, record[0], record[1])
+            for who, batch in shipped for record in batch.records
+            if record[2:4] == ("L", 1)
+        ]
+
+    plane.start()
+    net.run(at)
+    used = {}
+    for who, _type, rec_id in naming_l():
+        used[who] = max(used.get(who, 0), rec_id)
+    assert used
+    plane.unwatch_path(through_l)
+    net.run(at + plane.poll_interval)  # the assignments land, stragglers leave
+    del shipped[:]
+    net.run(at + 40.0)  # a keyframe every 32 s here
+    assert {who for who, batch in shipped if batch.keyframe} >= set(used)
+    assert naming_l() == []
+
+    plane.watch_path("L", "S1")
+    del shipped[:]
+    net.run(at + 40.0 + 2 * plane.poll_interval)
+    first = {}
+    for who, rec_type, rec_id in naming_l():
+        first.setdefault(who, (rec_type, rec_id))
+    assert set(first) == set(used)
+    for who, (rec_type, rec_id) in first.items():
+        assert rec_type == REC_FULL and rec_id > used[who]
+    plane.stop()

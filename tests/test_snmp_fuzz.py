@@ -2,15 +2,16 @@
 receiver, and the streaming column reader held equal to the general decoder.
 
 ``tests/test_robustness.py`` throws random bytes, which die at the first
-TLV.  Here the seeds are valid messages -- every PDU kind, v1 traps, every
-value type, a 97-varbind interface-poll reply -- and one to three bytes are
-set, deleted, inserted or bit-flipped, so a mutant gets as deep into a
-decoder as a real corrupt datagram would.  The contract at every receiver
-(``Message.decode``, ``SnmpAgent``, ``SnmpManager`` with a GET and an
-interface-poll walk pending, ``TrapReceiver``, ``InformSender``): a
-``BerError`` / counted reject or a valid object, never another exception,
-and on a reject no pending request, timer, estimator, walk table or dedup
-entry has changed.
+TLV.  Here the seeds are valid messages -- every PDU kind, every value
+type, a 97-varbind interface-poll reply -- and, as raw bytes, the
+InformRequest and SNMPv1 Trap-PDUs that no sender here writes and every
+receiver refuses; one to three bytes are set, deleted, inserted or
+bit-flipped, so a mutant gets as deep into a decoder as a real corrupt
+datagram would.  The contract at every receiver (``Message.decode``,
+``SnmpAgent``, ``SnmpManager`` with a GET and an interface-poll walk
+pending, ``TrapReceiver``): a ``BerError`` / counted reject or a valid
+object, never another exception, and on a reject no pending request,
+timer, estimator or walk table has changed, and nothing is sent.
 
 The differential properties at the end hold the two fast paths to the
 general codec (``tests/snmp_reference.py``): the agent's reply writer to
@@ -20,8 +21,7 @@ the same ``BerError`` or none; and a reply read against the last reply to
 the same request to ``_read_columns`` on its own bytes.
 """
 
-import dataclasses
-
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -70,13 +70,7 @@ from repro.snmp.mib import (
 )
 from repro.snmp.oid import Oid
 from repro.snmp.pdu import Pdu, VarBind, decode_varbinds
-from repro.snmp.trap import (
-    TRAP_LINK_DOWN,
-    InformSender,
-    TrapReceiver,
-    TrapV1Pdu,
-    build_trap_pdu,
-)
+from repro.snmp.trap import TRAP_LINK_DOWN, TRAP_PORT, TrapReceiver, build_trap_pdu
 from tests.snmp_reference import (
     agent_reply,
     counted,
@@ -178,40 +172,43 @@ def _seeds():
         _message(Pdu(ber.TAG_GET_RESPONSE, 1, 2, 1, [VarBind(SYS_UPTIME)]), VERSION_1),
         _message(Pdu(ber.TAG_GET_RESPONSE, INFORM_ID, 0, 0, [])),
     ]
-    v1_trap = TrapV1Pdu(
-        Oid("1.3.6.1.4.1.99999"), IpAddress("10.0.0.7"), 2, 0, TimeTicks(4242),
-        [VarBind(IF_DESCR.extend(3), OctetString("eth2"))],
-    )
     notifications = [
         _message(build_trap_pdu(TimeTicks(100), TRAP_LINK_DOWN, [VarBind(IF_INDEX + "3", Integer(3))])),
-        _message(inform_pdu()),
-        _message(v1_trap, VERSION_1),
-        _message(dataclasses.replace(v1_trap, generic_trap=6, specific_trap=17), VERSION_1),
+        INFORM, V1_TRAP, V1_TRAP_SPECIFIC,
     ]
     return requests, responses, notifications
 
 
-def inform_pdu():
-    pdu = build_trap_pdu(
-        TimeTicks(100), TRAP_LINK_DOWN, [VarBind(IF_DESCR.extend(3), Integer(3))],
-        confirmed=True,
-    )
-    pdu.request_id = INFORM_ID
-    return pdu
-
+# No sender here writes these, so they are kept as the bytes once written:
+# an InformRequest (request-id INFORM_ID, a linkDown for ifDescr.3), and
+# v1 Trap-PDUs (tag 0xA4) from agent 10.0.0.7, enterprise 99999, carrying
+# ifDescr.3 = "eth2": a linkDown, and an enterprise-specific trap 17.
+INFORM = bytes.fromhex(
+    "305202010104067075626c6963a645020270010201000201003039300d06082b0601020101030043"
+    "01643017060a2b06010603010104010006092b0601060301010503300f060a2b0601020102020102"
+    "03020103"
+)
+V1_TRAP = bytes.fromhex(
+    "303d02010004067075626c6963a43006082b06010401868d1f40040a0000070201020201004302"
+    "109230143012060a2b060102010202010203040465746832"
+)
+V1_TRAP_SPECIFIC = bytes.fromhex(
+    "303d02010004067075626c6963a43006082b06010401868d1f40040a0000070201060201114302"
+    "109230143012060a2b060102010202010203040465746832"
+)
 
 REQUESTS, RESPONSES, NOTIFICATIONS = _seeds()
 EVERYTHING = REQUESTS + RESPONSES + NOTIFICATIONS
+#: The seeds that are messages this stack decodes; a v1 Trap-PDU is not.
+VALID = REQUESTS + RESPONSES + NOTIFICATIONS[:2]
 REPLY_GET, REPLY_WALK = RESPONSES[0], RESPONSES[1]
 
 # The two inputs that escaped a socket callback at the parent commit.
 STATUS_16 = _message(Pdu(ber.TAG_GET_RESPONSE, 1, 16, 1, [VarBind(SYS_UPTIME)]))
 STATUS_65 = _message(Pdu(ber.TAG_GET_RESPONSE, 1, 65, 0, []))
-NEGATIVE_SPECIFIC_TRAP = _message(
-    TrapV1Pdu(
-        Oid("1.3.6.1.4.1.99999"), IpAddress("10.0.0.7"), 6, -1, TimeTicks(1), []
-    ),
-    VERSION_1,
+# A v1 trap whose specific-trap is -1: enterprise.0.-1 is no OID.
+NEGATIVE_SPECIFIC_TRAP = bytes.fromhex(
+    "302802010004067075626c6963a41b06082b06010401868d1f40040a0000070201060201ff4301013000"
 )
 
 
@@ -243,14 +240,17 @@ SAME_SIZE = ("set", "flip")
 # ----------------------------------------------------------------------
 class TestMessageDecode:
     def test_every_seed_is_valid(self):
-        for payload in EVERYTHING:
+        for payload in VALID:
             assert Message.decode(payload).encode() == payload
+        for payload in NOTIFICATIONS[2:]:
+            with pytest.raises(BerError, match="unknown PDU tag 0xa4"):
+                Message.decode(payload)
 
     def test_the_one_envelope_writer_writes_the_old_bytes(self):
         """``Message.encode`` through ``encode_message`` over ``encode_pdu``
-        (or a v1 Trap-PDU's own writer) against the parent's two nested
-        writers, on every PDU kind and value type."""
-        for payload in EVERYTHING:
+        against the parent's two nested writers, on every PDU kind and
+        value type."""
+        for payload in VALID:
             message = Message.decode(payload)
             assert message.encode() == old_encode(message) == payload
 
@@ -369,16 +369,18 @@ class TestManager:
         assert uptime == 0 and [len(tables[col]) for col in COLUMNS] == [PORTS] * 6
         assert [vb.oid for vb in varbinds] == [SYS_UPTIME, IF_DESCR.extend(1)]
 
-    def test_a_v1_trap_on_the_managers_port_is_unmatched(self):
+    def test_a_v1_trap_on_the_managers_port_is_a_decode_error(self):
+        """Tag 0xA4 is no PDU this stack decodes, so a v1 Trap-PDU is
+        refused at its tag, well formed or not."""
         net, manager, _agent, walk, got = manager_rig()
         manager._on_datagram(NOTIFICATIONS[2], len(NOTIFICATIONS[2]), None, 162)
-        assert (responses(manager)[1], manager.decode_errors) == (1, 0)
+        assert (responses(manager)[1], manager.decode_errors) == (0, 1)
         manager._on_datagram(NEGATIVE_SPECIFIC_TRAP, len(NEGATIVE_SPECIFIC_TRAP), None, 162)
-        assert (responses(manager)[1], manager.decode_errors) == (1, 1)
+        assert (responses(manager)[1], manager.decode_errors) == (0, 2)
 
 
 # ----------------------------------------------------------------------
-# TrapReceiver and InformSender
+# TrapReceiver
 # ----------------------------------------------------------------------
 def listening(host):
     """A receiver on ``host`` and the list its callback delivers into."""
@@ -387,10 +389,9 @@ def listening(host):
 
 
 def receiver_state(net, receiver, events):
-    return (
-        list(events), set(receiver._seen_informs), receiver.informs_acked,
-        receiver.duplicate_informs, net.sim.pending_count(),
-    )
+    """What a datagram can move bar the reject counters: the events
+    delivered, and the simulator's queue, where a reply sent would wait."""
+    return list(events), net.sim.pending_count()
 
 
 class TestTrapReceiver:
@@ -410,10 +411,10 @@ class TestTrapReceiver:
             assert len(events) == 1
             event = events[0]
             assert isinstance(event.trap_oid, Oid) and isinstance(event.uptime, TimeTicks)
-            assert len(receiver._seen_informs) == receiver.informs_acked <= 1
+            assert net.sim.pending_count() == before[1]
 
     def test_negative_specific_trap_is_malformed(self):
-        """The parent's failing case: ``enterprise.0.-1`` is no OID, and
+        """Once a failing case: ``enterprise.0.-1`` is no OID, and
         ``OidError`` left the socket callback."""
         net, host, peer, _agent = lan()
         receiver, events = listening(host)
@@ -423,38 +424,29 @@ class TestTrapReceiver:
         assert receiver.malformed == 1 and events == []
 
     def test_a_malformed_inform_is_neither_acknowledged_nor_remembered(self):
-        """The parent acknowledged an inform and remembered its id before
-        finding that its first varbind was no sysUpTime TimeTicks: a
-        counted reject that still sent a datagram and moved the dedup set."""
+        """An inform whose first varbind is no sysUpTime TimeTicks: a
+        counted reject, and no datagram sent."""
         net, host, peer, _agent = lan()
         receiver, events = listening(host)
-        pdu = inform_pdu()
-        pdu.varbinds[0] = VarBind(SYS_UPTIME, Integer(100))
-        payload = _message(pdu)
+        message = Message.decode(INFORM)
+        message.pdu.varbinds[0] = VarBind(SYS_UPTIME, Integer(100))
+        payload = message.encode()
         before = receiver_state(net, receiver, events)
         receiver._on_datagram(payload, len(payload), peer.primary_ip, 4000)
         assert receiver.malformed == 1 and receiver_state(net, receiver, events) == before
 
-
-class TestInformSender:
-    @settings(max_examples=300, deadline=None)
-    @given(payload=mutated(RESPONSES + NOTIFICATIONS[:2], least=0))
-    def test_only_its_own_acknowledgement_settles_an_inform(self, payload):
+    def test_an_inform_and_a_v1_trap_are_malformed_and_answered_with_nothing(self):
+        """Sent over the network from S1: each is counted ``malformed``,
+        none is delivered, and nothing comes back."""
         net, host, peer, _agent = lan()
-        sender = InformSender(peer, host.primary_ip)
-        sender.send(inform_pdu())
-        (attempts, timer), sent = sender._pending[INFORM_ID][1:], sender.sent
-        sender._on_datagram(payload, len(payload), host.primary_ip, 162)
-        try:
-            pdu = Message.decode(payload).pdu
-            settles = pdu.kind == "response" and pdu.request_id == INFORM_ID
-        except BerError:
-            settles = False
-        if settles:
-            assert sender.acked == 1 and not sender._pending and not net.sim.pending(timer)
-        else:
-            assert sender.acked == 0 and sender.sent == sent
-            assert sender._pending[INFORM_ID][1:] == [attempts, timer] and net.sim.pending(timer)
+        receiver, events = listening(host)
+        back = []
+        sender = peer.create_socket(4000)
+        sender.on_receive = lambda *datagram: back.append(datagram)
+        for payload in (INFORM, V1_TRAP, V1_TRAP_SPECIFIC, NEGATIVE_SPECIFIC_TRAP):
+            sender.sendto(payload, (host.primary_ip, TRAP_PORT))
+        net.run(1.0)
+        assert (receiver.malformed, receiver.bad_community, events, back) == (4, 0, [], [])
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.monitor import NetworkMonitor
 from repro.experiments.testbed import TESTBED_SPEC_TEXT, build_testbed
-from repro.simnet.faults import LinkFailure
+from repro.simnet.faults import AgentReboot, LinkFailure
 from repro.simnet.network import Network
 from repro.snmp.agent import SnmpAgent
 from repro.snmp.datatypes import Counter32, Integer, TimeTicks
@@ -192,6 +192,23 @@ class TestLinkStateMonitoring:
         net.run(10.1)  # one tenth of a 2 s poll interval later
         assert registry.down_connections(), "trap should beat the poller"
 
+    def test_a_link_down_after_an_agent_reboot_is_applied(self):
+        """A reboot restarts the switch's sysUpTime, so its next trap
+        carries a lower uptime than the last one before it: still news."""
+        build, monitor, label, registry = self.failure_scenario()
+        net = build.network
+        port = net.switches["switch"].interfaces[2]
+        monitor.start()
+        net.run(30.0)
+        port.set_admin_up(False)
+        net.run(31.0)
+        port.set_admin_up(True)
+        AgentReboot(net.sim, build.agents["switch"], at=35.0, outage=2.0)
+        net.run(40.0)
+        port.set_admin_up(False)
+        net.run(41.0)
+        assert (registry.events_applied, len(registry)) == (3, 1)
+
     def test_enable_idempotent(self):
         build, monitor, label, registry = self.failure_scenario()
         assert monitor.enable_trap_listener() is registry
@@ -225,7 +242,7 @@ class TestLinkStateMonitoring:
 
 class TestOutPktsCountsNotifications:
     """snmpOutPkts (RFC 1213) counts every message the agent passes to
-    the transport: replies, and each trap and InformRequest transmission."""
+    the transport: replies and traps."""
 
     def managed_switch(self):
         net = Network()
@@ -245,17 +262,6 @@ class TestOutPktsCountsNotifications:
         net.run(1.0)
         assert agent.traps_sent == 2
         assert agent.mib.get(SNMP_OUT_PKTS) == Counter32(2)
-
-    def test_each_inform_transmission_is_an_out_packet(self):
-        """Nobody acknowledges: the inform is sent again every second."""
-        net, mon, sw, agent = self.managed_switch()
-        agent.enable_link_informs(mon.primary_ip, timeout=1.0, max_attempts=3)
-        sw.interfaces[2].set_admin_up(False)
-        net.run(10.0)
-        sender = agent._inform_sender
-        assert (agent.traps_sent, sender.sent, sender.retransmissions) == (1, 3, 2)
-        assert agent.out_packets == 3
-        assert agent.mib.get(SNMP_OUT_PKTS) == Counter32(3)
 
     def test_replies_and_traps_together(self):
         net, mon, sw, agent = self.managed_switch()
