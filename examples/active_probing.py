@@ -7,6 +7,8 @@ observes the pocket, so passive monitoring must assume it idle.  When a
 hub host floods its neighbour, the passive plane keeps claiming the
 full pocket bandwidth while UDP probe trains measure the real residual.
 
+Because no counter observes the pocket, the watch is *in doubt* from
+the start and gets a train every budget round rather than one per poll.
 ``ProbeCrossValidator`` compares each train against the passive
 envelope ``available <= achievable <= capacity``; after two breaching
 rounds it localizes the disagreement to the unmetered segment, caps the
@@ -61,7 +63,9 @@ def main() -> None:
     monitor.start()
     print(
         f"probe budget: one {prober.train_bytes}-byte train every "
-        f"{prober.round_interval:.2f}s (2% of the 10 Mb/s pocket)"
+        f"{prober.round_interval:.2f}s (2% of the 10 Mb/s pocket), not one per "
+        f"{monitor.poll_interval:g}s report: no counter observes the pocket "
+        f"S1<->N1 crosses"
     )
     net.run(10.0)
     show(monitor, prober, "idle: planes agree")

@@ -1110,7 +1110,8 @@ def cmd_probe(args) -> int:
 
     print(f"probe plane after {build.network.now:.1f} simulated seconds "
           f"[budget {args.budget:.1%}, "
-          f"round interval {prober.round_interval:.2f}s]\n")
+          f"round interval {prober.round_interval:.2f}s while a watch is in doubt, "
+          f"else one train per watch per {monitor.poll_interval:g}s report]\n")
     print("latest trains:")
     for label in labels:
         report = prober.reports.get(label)
@@ -1133,9 +1134,12 @@ def cmd_probe(args) -> int:
         print("  active and passive planes agree on every watched path")
     for finding in findings:
         print(f"  {finding}")
+    print("\nin doubt (budget cadence):")
+    print("\n".join(f"  {label}: {cause}" for label, cause in prober.in_doubt.items())
+          or "  none: passive SNMP accounts for every watched path")
     print("\nprobe counters:")
     for key, value in sorted(prober.stats().items()):
-        if key in ("trains_per_path", "active_disagreements"):
+        if key in ("trains_per_path", "active_disagreements", "in_doubt"):
             continue
         print(f"  {key:<24} {value}")
     return 0

@@ -62,7 +62,6 @@ from repro.integrity import (
     register_integrity_metrics,
     two_ended_pairs,
 )
-from repro.probe.scheduler import register_probe_metrics
 from repro.snmp.manager import SnmpManager
 from repro.spec.builder import BuildResult
 from repro.stream.manager import register_stream_metrics
@@ -99,6 +98,14 @@ class _Watch:
     # ``pair_redundant`` on the physical graph: fixed for the watch's life,
     # since physical adjacency never changes.
     redundant: bool
+    # Whether ``bound`` crosses a connection no counter source observes;
+    # resolved with the binding (see ``watch_unmetered``).
+    unmetered: bool
+
+
+def _unmetered(bound: BoundPath) -> bool:
+    """Whether a bound path crosses a connection with no counter source."""
+    return any(entry.resolved[0] is None for entry in bound)
 
 
 class MonitorError(ValueError):
@@ -171,6 +178,10 @@ class ReportCore:
         registry = self.telemetry.registry
         # Every optional plane's metric families are registered
         # unconditionally so ``stats()`` keys resolve with it disabled.
+        # The probe scheduler imports this module (for MonitorError), so
+        # its families are fetched here rather than at import.
+        from repro.probe.scheduler import register_probe_metrics
+
         register_integrity_metrics(registry)
         register_stream_metrics(registry)
         register_probe_metrics(registry)
@@ -310,9 +321,11 @@ class ReportCore:
         if label in self._watches:
             raise MonitorError(f"path watch {label!r} already exists")
         path = find_path(self.graph, src, dst)
+        bound = self.calculator.bind(path)
         self._watches[label] = _Watch(
-            label, src, dst, path, self.calculator.bind(path),
+            label, src, dst, path, bound,
             self.graph.topology_epoch, pair_redundant(self.graph, src, dst, path),
+            _unmetered(bound),
         )
         logger.info(
             "watching path %s: %d connection(s) %s -> %s", label, len(path), src, dst
@@ -412,10 +425,12 @@ class ReportCore:
     def enable_probing(self, **options) -> "ProbeScheduler":
         """Attach a budgeted active-probing plane over the watched paths.
 
-        Builds a :class:`~repro.probe.ProbeScheduler` that sends one UDP
-        probe train per round (round interval sized so probe load stays
-        under ``budget_fraction`` of the narrowest link on any watched
-        path) and cross-validates each train against the passive report;
+        Builds a :class:`~repro.probe.ProbeScheduler` that sends UDP
+        probe trains at most one a round (round interval sized so probe
+        load stays under ``budget_fraction`` of the narrowest link on any
+        watched path), every round while a watch is in doubt and one per
+        watch per poll interval otherwise, and cross-validates each train
+        against the passive report;
         confirmed disagreements cap the path's report confidence, emit
         telemetry/stream events, and feed the integrity quarantine.
         ``options`` are forwarded to the scheduler (``budget_fraction``,
@@ -561,6 +576,13 @@ class ReportCore:
             label, self.calculator.path_confidence(watch.bound, self.sim.now)
         )
 
+    def watch_unmetered(self, label: str) -> bool:
+        """Whether ``label``'s path crosses a connection that no counter
+        source observes, so no passive figure vouches for all of it (the
+        probe scheduler's rule (a); read off the watch, resolved when its
+        path was bound)."""
+        return self._watch(label).unmetered
+
     def _refresh_watch(self, watch: _Watch) -> None:
         """Re-resolve a watch's path after a topology-epoch move.
 
@@ -588,6 +610,7 @@ class ReportCore:
         new_nodes = tuple(str(conn) for conn in new_path)
         watch.path = new_path
         watch.bound = self.calculator.bind(new_path)
+        watch.unmetered = _unmetered(watch.bound)
         self._m_reroutes.inc()
         self._watches_moved()
         logger.warning(

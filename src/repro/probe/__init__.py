@@ -9,7 +9,8 @@ rolled into a typed :class:`ProbeReport`.
 
 Probing is budgeted like polling is: :class:`ProbeScheduler` sizes its
 round interval so probe bytes never exceed a configured fraction of the
-narrowest link on any watched path, and :class:`ProbeCrossValidator`
+narrowest link on any watched path, and spends it only on a watch in
+doubt (one train per poll interval for the rest); :class:`ProbeCrossValidator`
 turns debounced active/passive disagreements into localized findings
 (unmetered hub segment, stale counter, or quarantine-candidate agent)
 that feed the integrity pipeline, the telemetry event bus, and the

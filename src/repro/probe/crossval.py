@@ -165,6 +165,10 @@ class ProbeCrossValidator:
         self.active[label] = finding
         return finding, False
 
+    def streak(self, label: str) -> int:
+        """Consecutive disagreeing rounds on ``label`` up to the last."""
+        return self._streaks.get(label, 0)
+
     def confidence_cap_for(self, label: str) -> Optional[float]:
         """The cap to apply to ``label``'s reports, if one is active."""
         return CONFIDENCE_CAP if label in self.active else None

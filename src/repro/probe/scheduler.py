@@ -2,25 +2,44 @@
 
 Active probing has the same self-awareness obligation SNMP polling does:
 the measurement must not perturb what it measures.  The scheduler makes
-that a provable bound rather than a hope -- it launches **one train per
-round**, and sizes the round interval so that even if every round's
-train crossed the same link, that link would carry at most
-``budget_fraction`` of its capacity in probe bytes:
+that a provable bound rather than a hope -- it launches at most **one
+train per round**, and rounds are never closer than the round interval,
+sized so that even if every round's train crossed the same link, that
+link would carry at most ``budget_fraction`` of its capacity in probe
+bytes:
 
     round_interval = max over paths of
         train_bytes / (budget_fraction * narrowest_bytes_per_s)
 
-Within that budget, rounds go to the least-recently-probed path, with a
-priority boost for paths that most need a second opinion: passive
-report degraded, confidence below ``priority_confidence``, or an active
-cross-validation disagreement.  That question is asked of every watch on
-every round only to rank them, so the pick reads the trust figures the
-passive report would carry (``ReportCore.watch_trust``) and builds no
-report; the one passive report a round needs is built when its train
-completes, for the cross-validator.  A train that never completes (flapped
-link, blackholed probes) is abandoned by its own timeout, and the
-in-flight guard merely skips rounds until then -- the scheduler cannot
-wedge, and a skipped round only *lowers* probe load, never raises it.
+Probing is spent in proportion to doubt.  A watch is **in doubt** when
+
+(a) its path crosses a connection no counter source observes (resolved
+    once per bound path, :meth:`~repro.core.monitor.ReportCore.watch_unmetered`);
+(b) its passive report is degraded or below ``priority_confidence``;
+(c) it has an active cross-validation finding, or a breach streak is
+    under way, so the confirming train follows one round later; or
+(d) one of its last ``BREACH_COUNT`` trains lost packets or was abandoned.
+
+While a watch is in doubt, or a train is in flight, the next round is
+armed one round interval out: the budget cadence.  Otherwise passive
+SNMP accounts for every watch, and each gets one train per poll interval
+-- each passive report is cross-checked once -- so the next round is
+armed for when the least recently probed watch is one poll interval old,
+never sooner than the round interval.  A round goes to a watch in doubt
+or one that is due, the least recently probed first -- but a due watch,
+and one that most needs a second opinion (rule (b), or rule (c)'s
+finding or streak), ahead of the rest; so a watch not in doubt keeps its
+train per report however long another is in doubt.  The causes found at
+the last round are :attr:`ProbeScheduler.in_doubt`.
+
+Doubt is asked of every watch on every round, so the pick reads the
+trust figures the passive report would carry (``ReportCore.watch_trust``)
+and builds no report; the one passive report a round needs is built when
+its train completes, for the cross-validator.  A train that never
+completes (flapped link, blackholed probes) is abandoned by its own
+timeout, and the in-flight guard merely skips rounds until then -- the
+scheduler cannot wedge, and a skipped round only *lowers* probe load,
+never raises it.
 
 Each completed train is cross-validated against the passive path report
 (see :mod:`repro.probe.crossval`); confirmed disagreements surface as
@@ -34,7 +53,12 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-from repro.probe.crossval import ProbeCrossValidator, ProbeDisagreementFinding
+from repro.core.monitor import MonitorError
+from repro.probe.crossval import (
+    BREACH_COUNT,
+    ProbeCrossValidator,
+    ProbeDisagreementFinding,
+)
 from repro.probe.stats import ProbeReport
 from repro.probe.train import ProbeError, ProbeTrain, check_train
 from repro.stream.events import ProbeDisagreement, pair_key
@@ -48,6 +72,8 @@ from repro.telemetry.events import (
 DEFAULT_BUDGET_FRACTION = 0.02
 #: A watch whose passive confidence is below this is probed ahead of its turn.
 PRIORITY_CONFIDENCE = 0.7
+#: Doubt causes that rank a watch with the due ones, ahead of other doubt.
+_URGENT = ("disagreement", "degraded", "streak")
 
 # Metric family names (see register_probe_metrics).
 TRAINS_TOTAL = "probe_trains_total"
@@ -79,7 +105,7 @@ def register_probe_metrics(registry) -> None:
 
 
 class ProbeScheduler:
-    """Round-robin probe trains over a monitor's watched paths.
+    """Probe trains over a monitor's watched paths, paced by doubt.
 
     ``monitor`` is any monitor plane (a
     :class:`~repro.core.monitor.ReportCore`); the scheduler reads its
@@ -116,10 +142,15 @@ class ProbeScheduler:
         self.reports: Dict[str, ProbeReport] = {}
         #: Trains completed per watch label (the fairness ledger).
         self.trains_per_path: Dict[str, int] = {}
+        #: Why each watch took the budget cadence at the last round:
+        #: label -> "unmetered" | "degraded" | "disagreement" | "streak" | "loss".
+        self.in_doubt: Dict[str, str] = {}
         self._last_probed: Dict[str, float] = {}
         self._announced: Dict[str, str] = {}  # label -> announced cause
+        # label -> trains left at the budget cadence after a lossy one.
+        self._lossy: Dict[str, int] = {}
         self._inflight: Optional[str] = None
-        self._task = None
+        self._task = None  # the armed round's event handle
         self.rounds = 0
         self.rounds_skipped = 0
         self.trains_started = 0
@@ -187,11 +218,11 @@ class ProbeScheduler:
         if at is None:
             base = self.sim.now if after is None else max(self.sim.now, after)
             at = base + interval
-        self._task = self.sim.call_every(interval, self._round, start=at)
+        self._task = self.sim.schedule_at(at, self._round)
 
     def stop(self) -> None:
         if self._task is not None:
-            self._task.cancel()
+            self.sim.cancel(self._task)
             self._task = None
 
     # ------------------------------------------------------------------
@@ -200,38 +231,74 @@ class ProbeScheduler:
     def _needs_attention(self, label: str) -> bool:
         if label in self.validator.active:
             return True
-        try:
-            confidence, degraded = self.monitor.watch_trust(label)
-        except Exception:
-            return False
+        confidence, degraded = self.monitor.watch_trust(label)
         return degraded or confidence < self.priority_confidence
 
+    def _doubt(self, label: str) -> Optional[str]:
+        """Why ``label`` takes the budget cadence (rules (a)-(d) of the
+        module docstring), or None when passive SNMP accounts for it."""
+        if self._needs_attention(label):
+            return "disagreement" if label in self.validator.active else "degraded"
+        if self.monitor.watch_unmetered(label):
+            return "unmetered"
+        if self.validator.streak(label):
+            return "streak"
+        return "loss" if self._lossy.get(label) else None
+
     def _pick(self) -> Optional[str]:
+        """The watch this round's train goes to, or None: of those due (a
+        poll interval past their last train) or in doubt, the least
+        recently probed, due and urgent ones first.  Refreshes
+        :attr:`in_doubt`."""
         labels = self.monitor.watched_paths()
-        if not labels:
-            return None
         # Drop ledger entries for watches that went away.
         for stale in set(self._last_probed) - set(labels):
             self._last_probed.pop(stale, None)
-        return min(
-            labels,
-            key=lambda lb: (
-                not self._needs_attention(lb),
-                self._last_probed.get(lb, -math.inf),
-            ),
+            self._lossy.pop(stale, None)
+        self.in_doubt = in_doubt = {}
+        now, period = self.sim.now, self.monitor.poll_interval
+        best, best_key = None, None
+        for label in labels:
+            cause = self._doubt(label)
+            last = self._last_probed.get(label, -math.inf)
+            due = last + period <= now
+            if cause is not None:
+                in_doubt[label] = cause
+            elif not due:
+                continue  # its last train cross-checked the current report
+            key = (not due and cause not in _URGENT, last)
+            if best_key is None or key < best_key:
+                best, best_key = label, key
+        return best
+
+    def _next_round(self, busy: bool) -> float:
+        """When the round after this one fires: one round interval out
+        while a train was in flight (``busy``) or a watch is in doubt, else
+        when the least recently probed watch is one poll interval old."""
+        soonest = self.sim.now + self.round_interval
+        if busy or self.in_doubt:
+            return soonest
+        last = self._last_probed
+        oldest = min(
+            (last.get(label, -math.inf) for label in self.monitor.watched_paths()),
+            default=-math.inf,
         )
+        return max(soonest, oldest + self.monitor.poll_interval)
 
     def _round(self) -> None:
         self.rounds += 1
-        if self._inflight is not None:
-            # A train is still outstanding (its timeout will reap it);
-            # skipping only lowers probe load, so the budget bound holds.
-            self.rounds_skipped += 1
-            return
-        label = self._pick()
+        # A round that finds a train still outstanding (its timeout will
+        # reap it) is skipped; skipping only lowers probe load, so the
+        # budget bound holds.
+        busy = self._inflight is not None
+        label = None if busy else self._pick()
         if label is None:
             self.rounds_skipped += 1
-            return
+        else:
+            self._launch(label)
+        self._task = self.sim.schedule_at(self._next_round(busy), self._round)
+
+    def _launch(self, label: str) -> None:
         src, dst = self.monitor.endpoints_of(label)
         train = ProbeTrain(
             self.monitor.network.host(src),
@@ -253,8 +320,10 @@ class ProbeScheduler:
         self._inflight = None
         self.reports[label] = report
         self.trains_per_path[label] = self.trains_per_path.get(label, 0) + 1
-        if not report.delivered:
-            self.trains_abandoned += 1
+        self.trains_abandoned += not report.delivered
+        self._lossy[label] = (
+            BREACH_COUNT if not report.complete else max(self._lossy.get(label, 0) - 1, 0)
+        )
         self._m_trains.inc()
         self._m_sent.inc(report.sent)
         self._m_lost.inc(report.sent - report.received)
@@ -271,9 +340,16 @@ class ProbeScheduler:
         )
         try:
             passive = self.monitor.current_report(label, _probe_cap=False)
-        except Exception:
+        except MonitorError:
             return  # watch vanished mid-flight; nothing to compare against
         finding, recovered = self.validator.observe(report, passive, now)
+        if self._lossy[label] or self.validator.streak(label):
+            # This train opened a doubt: its confirming train follows one
+            # round interval after it set out, not a poll interval.
+            at = max(now, self._last_probed[label] + self.round_interval)
+            if self._task is not None and self._task[0] > at:
+                self.sim.cancel(self._task)
+                self._task = self.sim.schedule_at(at, self._round)
         if recovered:
             self._m_recoveries.inc()
             self._announced.pop(label, None)
@@ -341,4 +417,5 @@ class ProbeScheduler:
             "comparisons": self.validator.comparisons,
             "disagreements": self.validator.disagreements,
             "active_disagreements": sorted(self.validator.active),
+            "in_doubt": dict(self.in_doubt),
         }

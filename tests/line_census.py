@@ -94,8 +94,8 @@ UNREACHED: Dict[str, Tuple[int, str]] = {
     "integrity/quarantine.py": (10, _FAULTS),
     "integrity/validators.py": (22, _FAULTS),
     "probe/crossval.py": (57, _FAULTS),
-    "probe/scheduler.py": (20, _FAULTS),
-    "probe/stats.py": (8, _ERRORS),
+    "probe/scheduler.py": (19, _FAULTS),
+    "probe/stats.py": (7, _ERRORS),
     "probe/train.py": (4, _ERRORS),
     "rm/applications.py": (5, _LIFECYCLE),
     "rm/detector.py": (22, _LIFECYCLE),
@@ -148,7 +148,7 @@ UNREACHED: Dict[str, Tuple[int, str]] = {
 }
 
 #: The total of the above; lower it whenever the total falls, never raise it.
-UNREACHED_CEILING = 1430
+UNREACHED_CEILING = 1428
 
 #: Steady cycles per ledger workload.
 WORKLOAD_CYCLES = {

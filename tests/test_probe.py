@@ -16,7 +16,8 @@ from repro.probe import (
     mean_abs_consecutive,
     sequence_loss,
 )
-from repro.simnet.faults import AgentOutage, SpeedMisreport
+from repro.probe.crossval import BREACH_COUNT
+from repro.simnet.faults import AgentOutage, PacketLoss, SpeedMisreport
 from repro.simnet.trafficgen import StaircaseLoad, StepSchedule
 from repro.telemetry.events import (
     PROBE_DISAGREEMENT,
@@ -446,3 +447,132 @@ class TestCrossValidation:
         assert event.cause == "unmetered_segment"
         assert event.pair == ("N1", "S1")
         assert "PROBE DISAGREES" in str(event)
+
+
+# ----------------------------------------------------------------------
+# Cadence: the budget while a watch is in doubt, one train per report else
+# ----------------------------------------------------------------------
+class TestDoubtCadence:
+    """A watch passive SNMP fully accounts for gets one train per poll
+    interval; one in doubt gets the budget's round interval."""
+
+    # The ledger's mesh_flat topology and the pick guard's four watches.
+    MESH_WATCHES = (("h0_1", "h5_0"), ("h1_0", "h4_0"), ("h2_0", "h3_0"), ("h0_2", "h3_1"))
+
+    @staticmethod
+    def completions(monitor, since=0.0):
+        return [
+            e for e in monitor.telemetry.events.events(PROBE_TRAIN_COMPLETED)
+            if e.time >= since
+        ]
+
+    def test_a_metered_mesh_gets_one_train_per_watch_per_report(self):
+        build = build_network(
+            scale_spec(switches=6, hosts_per_switch=6, arity=1, redundant_uplinks=1)
+        )
+        monitor = NetworkMonitor(build, "h0_0", poll_jitter=0.0)
+        for a, b in self.MESH_WATCHES:
+            monitor.watch_path(a, b)
+        prober = monitor.enable_probing()
+        monitor.start()
+        net = build.network
+        net.run(10.0)
+        assert prober.in_doubt == {}
+        before = dict(prober.stats()["trains_per_path"])
+        rounds = prober.rounds
+        cycles = 10
+        net.run(10.0 + cycles * monitor.poll_interval)
+        after = prober.stats()["trains_per_path"]
+        assert {label: after[label] - before[label] for label in after} == {
+            label: cycles for label in monitor.watched_paths()
+        }
+        assert prober.rounds - rounds <= cycles * (len(self.MESH_WATCHES) + 1)
+        assert prober.in_doubt == {}
+        assert prober.stats()["disagreements"] == 0
+
+    def test_an_unmetered_watch_keeps_the_budget_cadence(self):
+        # No counter observes the hub pocket: every round is in doubt, so
+        # the watch gets the trains it got when every round probed.
+        build, monitor, prober = probed_hubdemo()
+        monitor.start()
+        build.network.run(40.0)
+        stats = prober.stats()
+        assert stats["in_doubt"] == {"S1<->N1": "unmetered"}
+        assert stats["trains_started"] == 39
+        assert stats["rounds_skipped"] == 0
+
+    def test_a_degraded_watch_takes_the_budget_cadence(self):
+        build, monitor, prober = probed_testbed(watches=(("S1", "N1"), ("S1", "S2")))
+        AgentOutage(build.network.sim, build.agents["N1"], at=6.0, until=60.0)
+        monitor.start()
+        net = build.network
+        net.run(20.0)
+        assert prober.in_doubt == {"S1<->N1": "degraded"}
+        rounds, skipped = prober.rounds, prober.rounds_skipped
+        net.run(30.0)
+        assert prober.in_doubt == {"S1<->N1": "degraded"}
+        # Every round of the budget sends a train ...
+        assert prober.rounds - rounds >= 10.0 / prober.round_interval - 1
+        assert prober.rounds_skipped == skipped
+        # ... and the healthy watch still gets its one per report, at the
+        # first round after it falls due; the degraded one gets the rest.
+        healthy = [
+            e.time for e in self.completions(monitor, since=20.0)
+            if e.attrs["path"] == "S1<->S2"
+        ]
+        gaps = [b - a for a, b in zip(healthy, healthy[1:])]
+        assert len(healthy) >= 3
+        assert all(
+            monitor.poll_interval - 0.01 <= gap < monitor.poll_interval + prober.round_interval
+            for gap in gaps
+        )
+
+    def test_a_liar_on_a_metered_path_is_found_a_report_and_two_rounds_after_onset(self):
+        build, monitor, prober = probed_testbed(watches=(("S1", "S2"),))
+        net = build.network
+        SpeedMisreport(
+            net.sim, build.agents["S1"], if_index=1, claimed_bps=100_000_000,
+            at=0.0, events=monitor.telemetry.events,
+        )
+        monitor.start()
+        net.run(12.0)
+        assert prober.in_doubt == {}
+        # The NIC falls back to 10 Mb/s just after a train: the next one
+        # is a whole poll interval away, the worst case for the onset.
+        net.run(self.completions(monitor)[-1].time + monitor.poll_interval + 0.05)
+        onset = net.now
+        iface = net.host("S1").interfaces[0]
+        link = iface.link
+        iface.speed_bps = 10e6
+        for end in (link.end_a, link.end_b):
+            link.channel_from(end).bandwidth_bps = 10e6
+        link.bandwidth_bps = 10e6
+        net.run(onset + 3 * monitor.poll_interval)
+        first = next(iter(monitor.telemetry.events.events(PROBE_DISAGREEMENT)))
+        assert first.attrs["cause"] == "quarantine_candidate_agent"
+        # One poll interval to the first train that sees it; its streak
+        # brings the confirming train one round interval later.
+        assert first.time - onset <= monitor.poll_interval + 2 * prober.round_interval
+        assert prober.in_doubt == {"S1<->S2": "disagreement"}
+
+    def test_a_lossy_train_keeps_its_watch_at_the_budget_cadence(self):
+        build, monitor, prober = probed_testbed()
+        net = build.network
+        monitor.start()
+        net.run(12.0)
+        # Drop every frame on the hub leg across the next train's launch,
+        # and nothing before or after it.
+        net.run(self.completions(monitor)[-1].time + monitor.poll_interval - 0.1)
+        start = net.now
+        loss = PacketLoss(net.host("N1").interfaces[0].link, loss_rate=1.0)
+        net.run(start + 0.15)
+        loss.loss_rate = 0.0
+        net.run(start + 10.0)
+        done = self.completions(monitor, since=start)
+        assert done[0].attrs["loss_rate"] == 1.0
+        assert all(e.attrs["loss_rate"] == 0.0 for e in done[1:])
+        gaps = [b.time - a.time for a, b in zip(done, done[1:])]
+        # The BREACH_COUNT trains after the lossy one follow at the budget
+        # cadence; the one after them is a poll interval later.
+        assert all(gap <= prober.round_interval + 0.01 for gap in gaps[:BREACH_COUNT])
+        assert gaps[BREACH_COUNT] == pytest.approx(monitor.poll_interval, abs=0.01)
