@@ -12,7 +12,9 @@ the start and gets a train every budget round rather than one per poll.
 ``ProbeCrossValidator`` compares each train against the passive
 envelope ``available <= achievable <= capacity``; after two breaching
 rounds it localizes the disagreement to the unmetered segment, caps the
-path's confidence, and lifts the cap once the flood ends.
+path's confidence, and lifts the cap once the flood ends.  A finding
+lives as long as its watch: a second flood raises it again, and
+unwatching the path drops it.
 
 Run:  python examples/active_probing.py
 """
@@ -82,6 +84,17 @@ def main() -> None:
 
     net.run(45.0)
     show(monitor, prober, "flood over: cap lifted")
+
+    StaircaseLoad(
+        net.host("N2"), net.ip_of("N1"), StepSchedule([(45.0, 1_000_000.0)])
+    ).start()
+    net.run(60.0)
+    show(monitor, prober, "flooded again")
+    monitor.unwatch_path("S1<->N1")
+    net.run(65.0)
+    print(f"\n-- unwatched S1<->N1 (t={net.now:.0f}s) --\n"
+          f"  findings: {len(prober.findings())}, active disagreements: "
+          f"{monitor.stats()['probe_active_disagreements']:.0f}")
 
     stats = monitor.stats()
     print(

@@ -16,15 +16,23 @@ The plane also survives its own failures.  This example runs three acts:
    over to the survivors, and the watched path is back to *trusted*
    reports within three poll cycles (degraded, never silently stale, in
    between);
-3. S2 comes back -- the plane rebalances to the original assignment.
+3. S2 comes back -- the plane rebalances to the original assignment;
+4. the same one level down, in the two-level coordinator tree: a shard
+   worker dies before its first sample.  The first report says so
+   (degraded, the connection unmeasured); the shard's leaf fails the
+   worker's switch over to its other worker, and ships each poll cycle
+   as soon as the closing batches of the workers it still leases are in.
 
 Run:  python examples/distributed_monitoring.py
 """
 
 from repro import NetworkMonitor, StepSchedule, build_testbed
 from repro.core.distributed import DistributedMonitor
+from repro.core.hierarchy import HierarchicalMonitor
+from repro.experiments.scale import hierarchy_plan, scale_spec
 from repro.simnet.faults import WorkerCrash
 from repro.simnet.trafficgen import KBPS, StaircaseLoad
+from repro.spec.builder import build_network
 
 LOAD = StepSchedule.pulse(10.0, 50.0, 300 * KBPS)
 RUN_UNTIL = 60.0
@@ -101,6 +109,33 @@ def run_with_crash():
         print(f"  {worker}: polls {', '.join(dm.targets_of(worker)) or '(spare)'}")
 
 
+def run_tree_with_worker_crash():
+    shape = dict(switches=2, hosts_per_switch=3)
+    build = build_network(scale_spec(hierarchical=2, host_agents=False, **shape))
+    tree = HierarchicalMonitor(build, hierarchy_plan(2, **shape), poll_jitter=0.0)
+    tree.watch_path("p0h0_2", "p1h1_2")
+    leaf = tree.leaves["mon1"]
+    victim = "p1h0_1"  # polls p1sw1, on the watched path
+    reports = []
+    tree.subscribe(reports.append)
+    WorkerCrash(build.network.sim, leaf.dm.workers[victim], at=1.0, until=9.0)
+    tree.start()
+    build.network.run(16.0)
+
+    print(f"shard mon1 lease transitions (worker {victim} dies at t=1s, "
+          f"returns at t=9s):")
+    for transition in leaf.dm.leases.transitions:
+        print(f"  {transition}")
+    print("reports at the root:")
+    for report in reports:
+        marker = "TRUSTED " if report.trusted else "degraded"
+        ages = ", ".join(
+            "unmeasured" if m.sample_age is None else f"{m.sample_age:.2f}s"
+            for m in report.connections
+        )
+        print(f"  [{report.time:5.1f}s] {marker} sample ages: {ages}")
+
+
 def main() -> None:
     print("=== single monitor (the paper's design) ===")
     single_peak, single_load = run_single()
@@ -119,6 +154,9 @@ def main() -> None:
     print(f"\n=== chaos: worker S2 dies at t={CRASH_AT:.0f}s, "
           f"returns at t={RECOVER_AT:.0f}s ===")
     run_with_crash()
+
+    print("\n=== the tree: a shard worker dies before its first sample ===")
+    run_tree_with_worker_crash()
 
 
 if __name__ == "__main__":

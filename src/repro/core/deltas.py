@@ -32,12 +32,12 @@ is **bit-identical** to the sample the sender measured -- delta encoding
 changes the wire cost, never the data.
 
 Every batch carries a (worker, incarnation, seq) envelope for the
-sequencing/ARQ machinery in :mod:`repro.core.distributed`; control
-messages (heartbeats, assignments, retransmit requests) stay JSON and
-are told apart by the first byte.  Decoding is split into
-a stateless :func:`parse_delta` (safe on out-of-order arrivals, feeds the
-reorder buffer) and a stateful :meth:`DeltaDecoder.apply` that must run
-in sequence order at delivery time.
+sequencing/ARQ machinery in :mod:`repro.core.distributed` and flags the
+last of its sender's poll cycle; control messages (heartbeats, assignments,
+retransmit requests) stay JSON, told apart by the first byte.  Decoding is
+split into a stateless :func:`parse_delta` (safe on out-of-order arrivals,
+feeds the reorder buffer) and a stateful :meth:`DeltaDecoder.apply` that
+must run in sequence order at delivery time.
 
 Loss recovery: after an abandoned sequence gap the receiver's last-value
 table is stale, so ``advance`` records can no longer be trusted --
@@ -50,6 +50,7 @@ one (the ``kfreq`` control message); senders also emit a keyframe every
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import struct
 from functools import lru_cache
@@ -61,6 +62,7 @@ from repro.core.poller import InterfaceRates
 DELTA_MAGIC = 0xD7
 
 _FLAG_KEYFRAME = 0x01
+_FLAG_CLOSES = 0x02  # the last batch of the sender's poll cycle
 
 REC_FULL = 0
 REC_CHANGED = 1
@@ -149,18 +151,16 @@ def is_delta(payload: bytes) -> bool:
     return len(payload) > 0 and payload[0] == DELTA_MAGIC
 
 
+@dataclasses.dataclass(slots=True, eq=False)
 class DeltaBatch:
     """A parsed (but not yet applied) delta batch."""
 
-    __slots__ = ("worker", "incarnation", "seq", "keyframe", "records")
-
-    def __init__(self, worker, incarnation, seq, keyframe, records) -> None:
-        self.worker = worker
-        self.incarnation = incarnation
-        self.seq = seq
-        self.keyframe = keyframe
-        # (rec_type, id, node|None, if_index|None, fields-tuple|None)
-        self.records: List[tuple] = records
+    worker: str
+    incarnation: int
+    seq: int
+    keyframe: bool
+    records: List[tuple]  # (rec_type, id, node|None, if_index|None, fields-tuple|None)
+    closes: bool  # the last batch of the sender's poll cycle
 
 
 def parse_delta(payload: bytes) -> DeltaBatch:
@@ -237,7 +237,8 @@ def parse_delta(payload: bytes) -> DeltaBatch:
         pos += floats.size
     if pos != end:
         raise DeltaError("trailing bytes in delta batch")
-    return DeltaBatch(worker, incarnation, seq, bool(flags & _FLAG_KEYFRAME), records)
+    closes = bool(flags & _FLAG_CLOSES)
+    return DeltaBatch(worker, incarnation, seq, bool(flags & _FLAG_KEYFRAME), records, closes)
 
 
 class DeltaEncoder:
@@ -273,9 +274,9 @@ class DeltaEncoder:
 
     def encode(
         self, incarnation: int, seq: int, samples: Sequence[InterfaceRates],
-        keyframe: bool = False,
+        keyframe: bool = False, closes: bool = False,
     ) -> bytes:
-        """Encode one batch; consumes any pending keyframe request."""
+        """Encode one batch (``closes``: its cycle's last); consumes a pending keyframe request."""
         kf = keyframe or self._kf_pending
         self._kf_pending = False
         body = bytearray()
@@ -337,7 +338,7 @@ class DeltaEncoder:
                 self.records_refresh += 1
                 records += 1
             self.keyframes += 1
-        out = bytearray([DELTA_MAGIC, _FLAG_KEYFRAME if kf else 0])
+        out = bytearray([DELTA_MAGIC, _FLAG_KEYFRAME * kf | _FLAG_CLOSES * closes])  # bools
         _put_str(out, self.worker)
         _put_varint(out, incarnation)
         _put_varint(out, seq)

@@ -64,7 +64,7 @@ import json
 import logging
 from collections import OrderedDict
 from math import isfinite
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.core.counters import required_poll_targets
 from repro.core.dataflow import DegradedSourceSet
@@ -216,7 +216,7 @@ class SampleShipper:
         self.max_batch = max_batch
         self.incarnation = 1
         self.next_seq = 1
-        self._pending: List[InterfaceRates] = []
+        self.pending: List[InterfaceRates] = []
         self._resend: "OrderedDict[int, bytes]" = OrderedDict()
         self.delta = DeltaEncoder(name)
         self.keyframe_every = keyframe_every
@@ -229,32 +229,30 @@ class SampleShipper:
         self.retransmits_missed = 0
 
     def enqueue(self, *samples: InterfaceRates) -> Sequence[InterfaceRates]:
-        """Queue samples, shipping a batch each time ``max_batch`` fills,
+        """Queue samples, shipping ``max_batch`` once one more is queued,
         and return them: a sink (see :class:`SampleIngest`) that accepts
         everything.  A worker's poller hands over one sample at a time, a
-        leaf's ingest a delivered batch whole -- cut at the same
-        boundaries either way."""
-        pending = self._pending
+        leaf's ingest a delivered batch whole -- cut the same either way."""
+        pending = self.pending
         pending.extend(samples)
-        while len(pending) >= self.max_batch:
-            self._ship(pending[: self.max_batch])
+        while len(pending) > self.max_batch:
+            self._ship(pending[: self.max_batch], False)
             del pending[: self.max_batch]
         return samples
 
     def flush(self) -> None:
-        """Ship whatever is queued (the linger timer: a partial batch)."""
-        if self._pending:
-            samples, self._pending = self._pending, []
-            self._ship(samples)
+        """The cycle closed: ship the queue as its closing batch, even empty."""
+        samples, self.pending = self.pending, []
+        self._ship(samples, True)
 
-    def _ship(self, samples: List[InterfaceRates]) -> None:
+    def _ship(self, samples: List[InterfaceRates], closes: bool) -> None:
         seq = self.next_seq
         self.next_seq += 1
         due = (
             self.keyframe_every > 0
             and self._since_keyframe + 1 >= self.keyframe_every
         )
-        payload = self.delta.encode(self.incarnation, seq, samples, keyframe=due)
+        payload = self.delta.encode(self.incarnation, seq, samples, due, closes)
         if payload[1] & 0x01:  # the encoder may also have had one pending
             self._since_keyframe = 0
             self.keyframes_shipped += 1
@@ -290,7 +288,7 @@ class SampleShipper:
         """The owning process restarted: new incarnation, fresh state."""
         self.incarnation = incarnation
         self.next_seq = 1
-        self._pending.clear()
+        self.pending.clear()
         self._resend.clear()
         self._since_keyframe = 0
         self.delta.reset()
@@ -302,10 +300,10 @@ class SampleShipper:
 class UplinkEndpoint:
     """What a polling worker and a leaf coordinator have in common.
 
-    Samples handed to the shipper accumulate into batches (flushed
-    when ``max_batch`` fills or every ``batch_linger`` seconds) and are
-    shipped upstream with a per-incarnation monotonic sequence number;
-    periodic heartbeats renew the lease and echo the applied assignment
+    Samples handed to the shipper are shipped upstream in batches with
+    a per-incarnation monotonic sequence number, the last of a poll cycle
+    when it closes (see :meth:`SampleIngest._closed_by`); the one timer,
+    a heartbeat, renews the lease and echoes the applied assignment
     version; a control listener serves ``retx`` / ``assign`` / ``kfreq``.
     ``crash()``/``restart()`` simulate the process dying and coming back
     (used by :class:`~repro.simnet.faults.WorkerCrash`): a restarted
@@ -337,7 +335,6 @@ class UplinkEndpoint:
         self.upstream_ip = upstream_ip
         self.poll_interval = poll_interval
         self.heartbeat_interval = poll_interval * HEARTBEAT_RATIO
-        self.batch_linger = poll_interval * 0.25
         # Shipping (sequencing, resend buffer, delta encoding) lives in
         # the shipper: the only send-side state, bounded, so a
         # dead upstream can never wedge this endpoint.
@@ -345,7 +342,7 @@ class UplinkEndpoint:
         self.assign_version = 0
         self.crashed = False
         self._started = False
-        self._tasks: list = []  # heartbeat + linger flush while running
+        self._beat = None  # the heartbeat task while running
         self._open_sockets()
 
     @property
@@ -372,18 +369,12 @@ class UplinkEndpoint:
     def _begin_tasks(self) -> None:
         if self.crashed:
             return  # crashed before the scheduled start; restart() re-runs this
-        start = self.sim.now
-        self._tasks = [
-            self.sim.call_every(self.heartbeat_interval, self._heartbeat, start=start),
-            self.sim.call_every(
-                self.batch_linger, self._flush, start=start + self.batch_linger
-            ),
-        ]
+        self._beat = self.sim.call_every(
+            self.heartbeat_interval, self._heartbeat, start=self.sim.now)
 
     def _teardown(self) -> None:
-        for task in self._tasks:
-            task.cancel()
-        self._tasks = []
+        if self._beat is not None:
+            self._beat.cancel()  # idempotent: a second teardown is harmless
         # Close the sockets so the host's ports are reusable (a stopped
         # or crashed plane must be restartable on the same host).
         self._report_socket.close()
@@ -423,15 +414,7 @@ class UplinkEndpoint:
         if self._started:
             self._begin_tasks()
 
-    # -- shipping --------------------------------------------------------
-    def _flush(self) -> None:
-        if self.crashed:
-            return
-        self.shipper.flush()
-
     def _heartbeat(self) -> None:
-        if self.crashed:
-            return
         self._send_report(
             encode_message(
                 "hb", w=self.name, inc=self.incarnation,
@@ -452,7 +435,7 @@ class UplinkEndpoint:
                 self._apply_assignment(doc)
             elif kind == "kfreq":
                 # The receiver lost delta context: re-state everything
-                # with the next flush.
+                # with the next batch.
                 self.shipper.delta.force_keyframe()
         except _MALFORMED:
             return  # malformed control traffic: ignore, nothing applied
@@ -508,6 +491,12 @@ class MonitorWorker(UplinkEndpoint):
         self.poller = SnmpPoller(self.manager, targets, **self._poller_options)
         # A worker keeps no table of its own: every sample leaves on the uplink.
         self.poller.on_sample = self.shipper.enqueue
+        self.poller.on_cycle = self._close_cycle
+
+    def _close_cycle(self, number: int) -> None:
+        """Ship the closing batch: none if stop() or crash() closed it or none is polled."""
+        if self._started and not self.crashed and self.poller.targets:
+            self.shipper.flush()
 
     def _begin_tasks(self) -> None:
         if not self.crashed:
@@ -641,6 +630,8 @@ class SampleIngest:
             events=self.telemetry.events,
         )
         self.leases.subscribe(self._on_lease_transition)
+        self.on_cycle: Optional[Callable[[], object]] = None  # see _closed_by
+        self._closed: Set[str] = set()  # workers whose closing batch is in
         self._sweep_task = None
         self._open_sockets()
 
@@ -799,6 +790,7 @@ class SampleIngest:
             and transition.old is WorkerState.RECOVERING
         ):
             self._rebalance(reason="rebalance", about=transition.worker)
+        self._check_cycle()  # a lease moved: the cycle may be over
 
     def _mark_degraded(self, worker: str) -> None:
         for target in self._assignments.get(worker, []):
@@ -1085,6 +1077,24 @@ class SampleIngest:
                 # Fresh in-order data for these sources: no longer known-lossy.
                 for sample in accepted:
                     self.degraded.clear(sample.node, sample.if_index)
+        if batch.closes and self.on_cycle is not None and self._assignments[state.name]:
+            self._closed_by(state.name)
+
+    def _closed_by(self, worker: str) -> None:
+        """``worker`` (holding an assignment) delivered its closing batch.
+        The cycle is over once every live worker holding one has, or once
+        one closes again first: then it is over for those that missed it."""
+        if worker in self._closed:
+            self._closed.clear()
+            self.on_cycle()
+        self._closed.add(worker)
+        self._check_cycle()
+
+    def _check_cycle(self) -> None:
+        closed = self._closed
+        if closed and all(w in closed for w in self._live_workers() if self._assignments[w]):
+            closed.clear()
+            self.on_cycle()
 
     # ------------------------------------------------------------------
     # Periodic sweep: lease expiry + ARQ retries/abandonment

@@ -24,9 +24,8 @@ construction rather than duplication:
 * **Leaf uplink** -- a leaf and a worker are the same
   :class:`~repro.core.distributed.UplinkEndpoint` (heartbeats, sequenced
   shipping with a bounded resend buffer, retransmit/assign/keyframe
-  control) over different sample sources: quiescent shards cost a few
-  bytes per interface per batch, and periodic keyframes bound the cost
-  of any lost context.
+  control) over different sample sources, and both ship when their poll
+  cycle closes: a leaf's, once its workers' closing batches are in.
 * **Failover, twice** -- a dead *worker* is handled inside its leaf
   (the shard repartitions over the surviving workers); a dead *leaf*
   is handled by the root (its shard's targets repartition over the
@@ -91,6 +90,7 @@ class LeafCoordinator(UplinkEndpoint):
             adopt_streams=True,
             **shipping,
         )
+        self.dm.on_cycle = self._ship_cycle
 
     @property
     def poller(self) -> SampleIngest:
@@ -132,6 +132,11 @@ class LeafCoordinator(UplinkEndpoint):
 
     def _apply_targets(self, targets: List[PollTarget]) -> None:
         self.dm.set_target_pool(targets)
+
+    def _ship_cycle(self) -> None:
+        """The shard's cycle is over: ship what its workers delivered, if anything."""
+        if self.shipper.pending:
+            self.shipper.flush()
 
 
 class HierarchicalMonitor(DistributedMonitor):

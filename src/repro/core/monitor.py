@@ -342,6 +342,8 @@ class ReportCore:
     def unwatch_path(self, label: str) -> None:
         self._watch(label)  # raises for an unknown label
         del self._watches[label]
+        if self.prober is not None:
+            self.prober.forget(label)
         self._watches_moved()
 
     def _watched_connections(self) -> List[ConnectionSpec]:

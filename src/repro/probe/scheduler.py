@@ -251,10 +251,6 @@ class ProbeScheduler:
         recently probed, due and urgent ones first.  Refreshes
         :attr:`in_doubt`."""
         labels = self.monitor.watched_paths()
-        # Drop ledger entries for watches that went away.
-        for stale in set(self._last_probed) - set(labels):
-            self._last_probed.pop(stale, None)
-            self._lossy.pop(stale, None)
         self.in_doubt = in_doubt = {}
         now, period = self.sim.now, self.monitor.poll_interval
         best, best_key = None, None
@@ -321,9 +317,6 @@ class ProbeScheduler:
         self.reports[label] = report
         self.trains_per_path[label] = self.trains_per_path.get(label, 0) + 1
         self.trains_abandoned += not report.delivered
-        self._lossy[label] = (
-            BREACH_COUNT if not report.complete else max(self._lossy.get(label, 0) - 1, 0)
-        )
         self._m_trains.inc()
         self._m_sent.inc(report.sent)
         self._m_lost.inc(report.sent - report.received)
@@ -342,6 +335,9 @@ class ProbeScheduler:
             passive = self.monitor.current_report(label, _probe_cap=False)
         except MonitorError:
             return  # watch vanished mid-flight; nothing to compare against
+        self._lossy[label] = (
+            BREACH_COUNT if not report.complete else max(self._lossy.get(label, 0) - 1, 0)
+        )
         finding, recovered = self.validator.observe(report, passive, now)
         if self._lossy[label] or self.validator.streak(label):
             # This train opened a doubt: its confirming train follows one
@@ -393,6 +389,12 @@ class ProbeScheduler:
                 blamed=finding.blamed,
             )
             self.monitor.stream.manager.deliver(event)
+
+    def forget(self, label: str) -> None:
+        """``label`` was unwatched: no finding, streak or ledger outlives it."""
+        for ledger in (self.in_doubt, self._last_probed, self._lossy, self._announced,
+                       self.validator.active, self.validator._streaks):
+            ledger.pop(label, None)
 
     # ------------------------------------------------------------------
     # Queries

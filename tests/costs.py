@@ -162,9 +162,9 @@ class ThreeTiers:
     :meth:`carry` takes what is new one tier up.  :meth:`poll` feeds the
     worker's poller one reply for the first ``n`` interfaces of the
     switch and carries the samples to the root, returning the Python
-    calls each tier made on the way -- worker ``_on_response`` + flush,
-    leaf ingest + relay + flush, root ingest -- by ``(source file,
-    function name)``.
+    calls each tier made on the way -- worker ``_on_response`` + its
+    closing batch, leaf ingest + relay + the shard's closing batch, root
+    ingest -- by ``(source file, function name)``.
     """
 
     NODE = "p0sw0"
@@ -218,11 +218,10 @@ class ThreeTiers:
 
         def on_worker():
             self.worker.poller._on_response(target, reply)
-            self.worker._flush()
+            self.worker.shipper.flush()  # the worker's cycle closes
 
         def on_leaf():
-            self.carry(0)
-            self.leaf._flush()
+            self.carry(0)  # its closing batch ends the shard's cycle: the leaf ships
 
         def on_root():
             self.carry(1)

@@ -72,7 +72,7 @@ UNREACHED: Dict[str, Tuple[int, str]] = {
     "core/dataflow.py": (3, _SURFACE),
     "core/deltas.py": (20, _ARQ),
     "core/discovery.py": (29, _ERRORS),
-    "core/distributed.py": (142, _ARQ),
+    "core/distributed.py": (140, _ARQ),
     "core/health.py": (3, _FAULTS),
     "core/hierarchy.py": (5, _LIFECYCLE),
     "core/history.py": (2, _SURFACE),
@@ -80,7 +80,7 @@ UNREACHED: Dict[str, Tuple[int, str]] = {
     "core/linkstate.py": (17, _FAULTS),
     "core/matrix.py": (30, _SURFACE),
     "core/monitor.py": (26, _LIFECYCLE),
-    "core/poller.py": (32, _FAULTS),
+    "core/poller.py": (31, _FAULTS),
     "core/report.py": (5, _SURFACE),
     "core/topology_sync.py": (32, _FAULTS),
     "core/traversal.py": (12, _ERRORS),
@@ -94,7 +94,7 @@ UNREACHED: Dict[str, Tuple[int, str]] = {
     "integrity/quarantine.py": (10, _FAULTS),
     "integrity/validators.py": (22, _FAULTS),
     "probe/crossval.py": (57, _FAULTS),
-    "probe/scheduler.py": (19, _FAULTS),
+    "probe/scheduler.py": (16, _FAULTS),
     "probe/stats.py": (7, _ERRORS),
     "probe/train.py": (4, _ERRORS),
     "rm/applications.py": (5, _LIFECYCLE),
@@ -148,7 +148,7 @@ UNREACHED: Dict[str, Tuple[int, str]] = {
 }
 
 #: The total of the above; lower it whenever the total falls, never raise it.
-UNREACHED_CEILING = 1428
+UNREACHED_CEILING = 1422
 
 #: Steady cycles per ledger workload.
 WORKLOAD_CYCLES = {

@@ -34,6 +34,7 @@ from typing import List, Sequence, Tuple
 from repro.core.deltas import (
     _F64,
     _F64X6,
+    _FLAG_CLOSES,
     _FLAG_KEYFRAME,
     DELTA_MAGIC,
     REC_ADVANCE,
@@ -479,11 +480,15 @@ def reference_parse_delta(payload: bytes) -> DeltaBatch:
             raise DeltaError(f"unknown record type {rec_type!r}")
     if pos != len(payload):
         raise DeltaError("trailing bytes in delta batch")
-    return DeltaBatch(worker, incarnation, seq, bool(flags & _FLAG_KEYFRAME), records)
+    return DeltaBatch(
+        worker, incarnation, seq, bool(flags & _FLAG_KEYFRAME), records,
+        bool(flags & _FLAG_CLOSES),
+    )
 
 
 class ReferenceEncoder(DeltaEncoder):
-    def encode(self, incarnation, seq, samples, keyframe: bool = False) -> bytes:
+    def encode(self, incarnation, seq, samples, keyframe: bool = False,
+               closes: bool = False) -> bytes:
         """Encode one batch; consumes any pending keyframe request."""
         kf = keyframe or self._kf_pending
         self._kf_pending = False
@@ -538,7 +543,7 @@ class ReferenceEncoder(DeltaEncoder):
                 self.records_refresh += 1
                 records += 1
             self.keyframes += 1
-        out = bytearray([DELTA_MAGIC, _FLAG_KEYFRAME if kf else 0])
+        out = bytearray([DELTA_MAGIC, (_FLAG_KEYFRAME if kf else 0) | (_FLAG_CLOSES if closes else 0)])
         _put_str(out, self.worker)
         _put_varint(out, incarnation)
         _put_varint(out, seq)
@@ -606,22 +611,23 @@ class ReferenceShipper(SampleShipper):
         self.delta = ReferenceEncoder(self.name)
 
     def enqueue(self, sample: InterfaceRates) -> bool:
-        """Queue one sample; True when the batch is full (caller flushes)."""
-        self._pending.append(sample)
-        return len(self._pending) >= self.max_batch
+        """Queue one sample; True when one more than a batch is queued
+        (caller flushes the full batch)."""
+        self.pending.append(sample)
+        return len(self.pending) > self.max_batch
 
-    def flush(self) -> None:
-        if not self._pending:
-            return
+    def flush(self, closes: bool = True) -> None:
+        """Ship the first ``max_batch`` samples queued, or the whole queue
+        as the batch closing a cycle (which ships even empty)."""
         seq = self.next_seq
         self.next_seq += 1
-        samples = self._pending
-        self._pending = []
+        cut = len(self.pending) if closes else self.max_batch
+        samples, self.pending = self.pending[:cut], self.pending[cut:]
         due = (
             self.keyframe_every > 0
             and self._since_keyframe + 1 >= self.keyframe_every
         )
-        payload = self.delta.encode(self.incarnation, seq, samples, keyframe=due)
+        payload = self.delta.encode(self.incarnation, seq, samples, keyframe=due, closes=closes)
         if payload[1] & 0x01:  # the encoder may also have had one pending
             self._since_keyframe = 0
             self.keyframes_shipped += 1
@@ -639,7 +645,7 @@ class ReferenceShipper(SampleShipper):
 def reference_enqueue(endpoint, sample: InterfaceRates) -> bool:
     """``UplinkEndpoint._enqueue``: an ingest's per-sample sink."""
     if endpoint.shipper.enqueue(sample):
-        endpoint._flush()
+        endpoint.shipper.flush(closes=False)
     return True  # an ingest sink's "accepted"
 
 

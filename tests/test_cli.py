@@ -654,6 +654,6 @@ class TestDistributedHierarchy:
         assert "mon1: p1sw0, p1sw1" in out
         assert "shard economics:" in out
         assert "mon0: 6 SNMP exchanges, uplink keyframes/batches 1/5" in out
-        assert "p0h0_0<->p1h1_3: 5 reports (4 trusted)" in out
+        assert "p0h0_0<->p1h1_3: 5 reports (5 trusted)" in out  # the first one too
         assert "samples_received                 25" in out
         assert "decode_errors                    0" in out

@@ -11,6 +11,7 @@ the leaves emulate.
 
 import pytest
 
+from repro.core.deltas import parse_delta
 from repro.core.distributed import DistributedMonitor, poll_targets
 from repro.core.hierarchy import HierarchicalMonitor, LeafCoordinator
 from repro.core.monitor import NetworkMonitor
@@ -308,3 +309,91 @@ def test_report_surface_is_the_same_on_every_plane(plane):
     elapsed = net.now - 2.5
     assert stats["probe_bytes_sent"] / elapsed <= 0.02 * 100e6 / 8.0
     monitor.stop()
+
+
+# ----------------------------------------------------------------------
+# Shipping follows the poll cycle, at every tier
+# ----------------------------------------------------------------------
+def _report_ages(plane):
+    """Every report of ``plane`` on the parity spec under load, as
+    ``{instant: [sample age of each connection]}``."""
+    build = build_network(parse_spec(PARITY_SPEC))
+    net = build.network
+    monitor = PLANES[plane](build)
+    monitor.watch_path("A", "B")
+    ages = {}
+    monitor.subscribe(
+        lambda r: ages.__setitem__(r.time, [c.sample_age for c in r.connections])
+    )
+    StaircaseLoad(
+        net.host("A"), net.ip_of("B"), StepSchedule.pulse(6.0, 30.0, 200 * KBPS)
+    ).start()
+    net.announce_hosts(at=2.0)
+    monitor.start(at=2.5)
+    net.run(20.0)
+    return monitor, ages
+
+
+class TestShippingFollowsTheCycle:
+    """A worker ships when its poll cycle closes, and a leaf when its
+    workers' cycles are in (``SampleIngest._closed_by``): a report reads
+    the cycle just polled, on every plane."""
+
+    def test_flat_and_tree_report_inputs_of_the_same_age(self):
+        """The same watch on the same spec: at every report instant the
+        tree's inputs are as old as the flat monitor's -- the cycle polled
+        ``report_offset`` ago -- not a cycle older."""
+        flat, flat_ages = _report_ages("flat")
+        tree, tree_ages = _report_ages("hierarchical")
+        assert len(flat_ages) == 8 and tree_ages.keys() == flat_ages.keys()
+        for instant, ages in flat_ages.items():
+            assert None not in tree_ages[instant], instant
+            assert max(tree_ages[instant]) <= tree.report_offset
+            assert tree_ages[instant] == pytest.approx(ages, abs=1e-3), instant
+
+    def test_a_worker_crash_mid_cycle_holds_back_none_of_its_shard(self):
+        """One of a shard's two workers crashes mid-cycle.  The leaf stops
+        waiting for its close once its lease is lost, so the other
+        worker's samples still reach the root within one poll interval
+        of being measured."""
+        build, dm = hierarchical(whole_pool=True)
+        net = build.network
+        landed = []
+        sink = dm.sink
+
+        def spy(*samples):
+            landed.extend((net.now, net.now - s.time, s.node) for s in samples)
+            return sink(*samples)
+
+        dm.sink = spy
+        leaf = dm.leaves["mon0"]
+        survivor, victim = leaf.dm.workers
+        kept = set(leaf.dm.targets_of(survivor))
+        WorkerCrash(net.sim, leaf.dm.workers[victim], at=11.0, until=100.0)
+        dm.start()
+        net.run(20.0)
+        assert leaf.dm.worker_states()[victim] == "dead"
+        after = [(lag, node) for at, lag, node in landed if at >= 11.0]
+        assert {node for lag, node in after if lag < 2.0} >= kept
+        assert max(lag for lag, node in after) < dm.poll_interval
+        dm.stop()
+
+    @pytest.mark.parametrize("end", ["stop", "crash"])
+    def test_a_cycle_closed_by_stop_or_crash_ships_nothing(self, end):
+        """A worker stopped or crashed with its cycle open closes that
+        cycle (the poller's rule) but sends no closing batch: a straggler
+        could land in a plane rebuilt on the same hosts."""
+        build, dm = hierarchical(whole_pool=True)
+        worker = dm.leaves["mon0"].dm.workers["p0h0_0"]
+        shipped = []
+        send = worker.shipper.send
+        worker.shipper.send = lambda payload: (shipped.append(payload), send(payload))
+        dm.start()
+        build.network.run(4.0)  # cycles 1 and 2 closed; 3 has begun
+        assert worker.poller._open_cycle == 3 and worker.manager._pending
+        assert [parse_delta(p).closes for p in shipped] == [True, True]
+        getattr(worker, end)()
+        assert not worker.poller._open_cycle
+        build.network.run(10.0)
+        assert len(shipped) == 2
+        dm.stop()

@@ -314,7 +314,7 @@ class TestShippedEquivalence:
         fields included, whichever record type carried it."""
         dm, per_worker, landed = self._run(keyframe_every=4)
         produced = [s for samples in per_worker.values() for s in samples]
-        shipped = [s for s in produced if s.time < 24.0 - 0.5]  # linger + flight
+        shipped = [s for s in produced if s.time < 24.0 - 0.5]  # cycle closed before stop()
         assert len(shipped) > 100
 
         def bits(sample):

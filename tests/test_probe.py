@@ -17,6 +17,7 @@ from repro.probe import (
     sequence_loss,
 )
 from repro.probe.crossval import BREACH_COUNT
+from repro.probe.scheduler import ACTIVE_DISAGREEMENTS
 from repro.simnet.faults import AgentOutage, PacketLoss, SpeedMisreport
 from repro.simnet.trafficgen import StaircaseLoad, StepSchedule
 from repro.telemetry.events import (
@@ -422,6 +423,28 @@ class TestCrossValidation:
         assert prober.findings() == []
         report = monitor.current_report("S1<->N1")
         assert report.confidence == 1.0
+
+    def test_unwatching_forgets_the_finding(self):
+        """A finding lives no longer than its watch: once ``S1<->N1`` is
+        unwatched, neither the findings, the stats nor the gauge name it."""
+        build, monitor, prober = probed_hubdemo()
+        net = build.network
+        StaircaseLoad(
+            net.host("N2"),
+            net.host("N1").primary_ip,
+            StepSchedule.pulse(8.0, 60.0, 1_000_000.0),
+        ).start()
+        monitor.start()
+        net.run(30.0)
+        gauge = lambda: monitor.telemetry.registry.value(ACTIVE_DISAGREEMENTS)  # noqa: E731
+        assert len(prober.findings()) == 1 and gauge() == 1.0
+        monitor.unwatch_path("S1<->N1")
+        net.run(40.0)  # the flood goes on
+        assert prober.findings() == []
+        stats = prober.stats()
+        assert stats["active_disagreements"] == [] and stats["in_doubt"] == {}
+        assert gauge() == 0.0
+        assert prober.confidence_cap_for("S1<->N1") is None
 
     def test_disagreement_reaches_stream_subscribers(self):
         from repro.stream import ProbeDisagreement

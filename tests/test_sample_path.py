@@ -8,7 +8,7 @@ Four things, none of which reads a clock:
   bound record per interface, firing conditions on bound numbers, a
   verdict object only when a rule fires) exactly as it moves the old
   pipeline (a context and four lists per sample);
-- **uplink**: any program of batches, linger flushes, keyframe requests
+- **uplink**: any program of batches, cycle closes, keyframe requests
   and receiver-side losses puts the same bytes on both uplinks of a
   worker -> leaf -> root tree and delivers the same samples in the same
   order as the old sample-at-a-time sink did;
@@ -203,7 +203,7 @@ UPLINK_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("batch"), st.lists(UPLINK_SAMPLE, min_size=1, max_size=70)),
         st.tuples(st.just("batch"), st.lists(UPLINK_SAMPLE, min_size=1, max_size=70)),
-        st.tuples(st.just("linger"), TIERS),  # the linger timer fires
+        st.tuples(st.just("close"), TIERS),  # a tier's poll cycle closes
         st.tuples(st.just("keyframe"), TIERS),  # the receiver's kfreq arrives
         st.tuples(st.just("desync"), TIERS),  # an abandoned gap
         st.tuples(st.just("forget"), TIERS),  # a receiver that lost its maps
@@ -222,6 +222,8 @@ class _Tree:
         # interfaces the root drops; here it admits every one, as the
         # reference sink does, so that each record lands.
         self.tiers.root._pool.update((node, i) for node in NODES for i in range(1, 71))
+        # The program closes each tier's cycle, the leaf's included.
+        self.tiers.leaf.dm.on_cycle = None
         if reference:
             make_reference(self.tiers)
         self.landed = []
@@ -241,8 +243,8 @@ class _Tree:
                 tiers.worker.poller.on_sample(
                     InterfaceRates(node, if_index, now, interval, rate, rate / 2, 1.0, 0.0)
                 )
-        elif kind == "linger":
-            endpoints[arg]._flush()
+        elif kind == "close":  # the worker's closing batch, or the leaf's
+            (tiers.worker.shipper.flush, tiers.leaf._ship_cycle)[arg]()
         elif kind == "keyframe":
             endpoints[arg].shipper.delta.force_keyframe()
         elif kind == "desync":
@@ -270,7 +272,7 @@ class _Tree:
             ],
             "shipped": [
                 (s.samples_shipped, s.batches_shipped, s.bytes_shipped,
-                 s.keyframes_shipped, s.next_seq, len(s._pending))
+                 s.keyframes_shipped, s.next_seq, len(s.pending))
                 for s in (tiers.worker.shipper, tiers.leaf.shipper)
             ],
             "decoders": [
@@ -295,20 +297,20 @@ _EVERY_KEY = [(node, i) for node in NODES for i in range(1, 71)]
 @given(UPLINK_OPS)
 @example(  # ids past 127, then a quiet cycle of two-byte ADVANCE records
     [_batch(_EVERY_KEY[:70]), _batch(_EVERY_KEY[70:140]), _batch(_EVERY_KEY[140:]),
-     ("linger", 0), ("linger", 1),
-     _batch(_EVERY_KEY[100:170]), ("linger", 0), ("linger", 1)]
+     ("close", 0), ("close", 1),
+     _batch(_EVERY_KEY[100:170]), ("close", 0), ("close", 1)]
 )
-@example(  # a batch cut mid-way by a linger flush; lost maps; a keyframe heals
-    [_batch(_EVERY_KEY[:40]), ("linger", 0), _batch(_EVERY_KEY[:40], interval=1.99),
-     ("forget", 1), ("degrade", _EVERY_KEY[3]), ("linger", 0), ("linger", 1),
+@example(  # a batch cut mid-way by a cycle close; lost maps; a keyframe heals
+    [_batch(_EVERY_KEY[:40]), ("close", 0), _batch(_EVERY_KEY[:40], interval=1.99),
+     ("forget", 1), ("degrade", _EVERY_KEY[3]), ("close", 0), ("close", 1),
      _batch(_EVERY_KEY[:40], rate=99.5), ("keyframe", 1), ("desync", 0),
-     ("linger", 0), ("linger", 1), _batch(_EVERY_KEY[:40], rate=99.5),
-     ("keyframe", 0), _batch(_EVERY_KEY[:10]), ("linger", 0), ("linger", 1)]
+     ("close", 0), ("close", 1), _batch(_EVERY_KEY[:40], rate=99.5),
+     ("keyframe", 0), _batch(_EVERY_KEY[:10]), ("close", 0), ("close", 1)]
 )
 @settings(max_examples=40, deadline=None)
 def test_batches_through_the_sink_ship_what_samples_through_the_sink_shipped(ops):
     new, old = _Tree(reference=False), _Tree(reference=True)
-    drain = [("linger", 0), ("linger", 1)]  # nothing left queued at the end
+    drain = [("close", 0), ("close", 1)]  # nothing left queued at the end
     for i, op in enumerate(ops + drain):
         now = POLL * (i + 1)
         new.run(op, now)
