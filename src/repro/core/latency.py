@@ -30,12 +30,12 @@ from repro.core.bandwidth import BandwidthCalculator
 from repro.core.traversal import find_path
 from repro.probe.stats import ProbeStats  # shared result model with repro.probe
 from repro.simnet.host import Host
+from repro.simnet.link import DEFAULT_PROP_DELAY
 from repro.simnet.packet import IPV4_HEADER_SIZE, UDP_HEADER_SIZE
 from repro.simnet.sockets import ECHO_PORT
+from repro.simnet.switch import SWITCH_FORWARD_LATENCY
 from repro.topology.model import DeviceKind, TopologySpec
 
-DEFAULT_PROP_DELAY = 5e-6  # matches repro.simnet.link.DEFAULT_PROP_DELAY
-SWITCH_LATENCY = 10e-6  # matches repro.simnet.switch.SWITCH_FORWARD_LATENCY
 FRAME_BYTES = 1500  # the frame whose transmission time a hop is charged
 MAX_UTILISATION = 0.97  # cap rho so the M/M/1 term stays finite
 ECHO_INTERVAL = 0.2  # seconds between a session's echo probes
@@ -89,7 +89,7 @@ class LatencyEstimator:
             for end in conn.endpoints():
                 kind = self.spec.node(end.node).kind
                 if kind is DeviceKind.SWITCH:
-                    hop += SWITCH_LATENCY / 2.0  # split across its two links
+                    hop += SWITCH_FORWARD_LATENCY / 2.0  # split across its two links
                 elif kind is DeviceKind.HUB:
                     hop += tx  # store-and-forward repeat time
                     charged_hubs.add(end.node)

@@ -13,10 +13,12 @@ entirely by C tuple comparison -- no Python-level ``__lt__`` on the hot
 path -- and simultaneous events fire first-scheduled first.  That tie
 order is part of every experiment's result (same seed, same event trace;
 pinned in ``tests/test_seed_stability.py``): a change here may make an
-event cheaper but never reorder, add or drop one.  The Figure-4 staircase
-fires about 1 200 events per simulated second and the 300-host campus
-16 600 during its announce flood, at one Python call each beside the
-callback (``schedule``; firing makes none) and no object but the entry.
+event cheaper but never reorder, add or drop one.  A link crossing is one
+event, its arrival, and a switch hop adds none.  The Figure-4 staircase
+fires about 1 000 events per simulated second and the 300-host campus
+8 400 in its set-up, announce flood included, at one Python call each
+beside the callback (``schedule``; firing makes none) and no object but
+the entry.
 """
 
 from __future__ import annotations

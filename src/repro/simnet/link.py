@@ -26,7 +26,10 @@ discipline other than FIFO is a different rule for ``start`` there.
 A switch's flood crosses several links at once, and its crossings that
 end at one instant share one arrival event (:func:`repro.simnet.switch.
 _flood`): ``transmit`` hands such an arrival back instead of scheduling
-it, and the flood schedules each run of them as one.
+it, and the flood schedules each run of them as one.  A switch offers a
+frame the moment it arrives, with its forwarding latency as an offset:
+the channel admits it as of that later instant, so a switch hop adds no
+event to the crossing's.
 """
 
 from __future__ import annotations

@@ -162,7 +162,9 @@ class Interface:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def transmit(self, frame: EthernetFrame, _arrivals: Optional[list] = None) -> bool:
+    def transmit(
+        self, frame: EthernetFrame, _arrivals: Optional[list] = None, _offset: float = 0.0
+    ) -> bool:
         """Send a frame out this interface.  Returns False on tail-drop.
 
         Offer and admission in one call: the frame joins this end's
@@ -175,6 +177,10 @@ class Interface:
         A switch's flood passes ``_arrivals``: the accepted frame's
         ``(arrival time, far interface)`` is appended to it instead of
         scheduled, and the flood schedules its ports' arrivals itself.
+        A switch passes ``_offset`` too, its forwarding latency: the frame
+        is admitted when it reaches the switch, as of that much later.  The
+        admin state, the fault hook and the counters are read and charged
+        at the call, so what changes inside that window is not seen.
         """
         tx = self._tx
         if tx is None:
@@ -185,7 +191,7 @@ class Interface:
             return False
         size = frame.size
         sim = tx.sim
-        now = sim._now
+        now = sim._now + _offset
         lost = tx.drop_filter is not None and tx.drop_filter(frame)
         # Settle: a frame whose serialisation has started -- at this very
         # instant included -- has left the queue.

@@ -4,11 +4,12 @@
 not all the hosts connected to the switch" -- this is the property that
 makes the paper's switch bandwidth rule (``u_i = t_i``) correct, and it is
 modelled directly: unicast frames to a learned MAC go out exactly one
-port, everything else floods.  A flood is one event: the ports it leaves
-by are decided when the frame arrives (every linked, forwarding port but
-the one it came in on), and after the forwarding latency each of them is
-handed the frame in port order.  Its crossings that end at one instant
-share one arrival event: on an idle star, one for every host at once.
+port, everything else floods.  A hop is one event, the frame's arrival:
+the switch decides there and hands the frame to its out-port -- or, for a
+flood, to every linked, forwarding port but the one it came in on, in
+port order -- which admits it as of the forwarding latency later.  A
+flood's crossings that end at one instant share one arrival event: on an
+idle star, one for every host at once.
 
 The switch is store-and-forward with a non-blocking backplane: forwarding
 adds a fixed (tiny) processing latency and output frames serialise on the
@@ -52,9 +53,9 @@ class SwitchError(RuntimeError):
     """Raised for switch misconfiguration."""
 
 
-def _flood(ports: List[Interface], frame: EthernetFrame) -> bool:
-    """Hand one flooded frame to every port it was decided for, in order;
-    True if any port accepted it.
+def _flood(ports: List[Interface], frame: EthernetFrame, offset: float = 0.0) -> bool:
+    """Hand one flooded frame to every port it was decided for, in order,
+    admitted as of ``offset`` from now; True if any port accepted it.
 
     Each port admits the frame through its own ``transmit``, which hands
     the arrival back instead of scheduling it, and each run of
@@ -68,7 +69,7 @@ def _flood(ports: List[Interface], frame: EthernetFrame) -> bool:
     """
     arrivals: List[Tuple[float, Interface]] = []
     for port in ports:
-        port.transmit(frame, arrivals)
+        port.transmit(frame, arrivals, offset)
     if arrivals:
         schedule_at = ports[0]._tx.sim.schedule_at  # type: ignore[union-attr]
         for at, run in groupby(arrivals, itemgetter(0)):
@@ -234,7 +235,7 @@ class Switch:
             if out is in_port:
                 return  # destination is back where it came from; filter
             self.frames_forwarded += 1
-            self.sim.schedule(SWITCH_FORWARD_LATENCY, out.transmit, frame.hop_copy())
+            out.transmit(frame.hop_copy(), None, SWITCH_FORWARD_LATENCY)
         else:
             self.frames_flooded += 1
             ports = [
@@ -243,7 +244,7 @@ class Switch:
                 if port is not in_port and port.link is not None and port.forwarding
             ]
             if ports:
-                self.sim.schedule(SWITCH_FORWARD_LATENCY, _flood, ports, frame.hop_copy())
+                _flood(ports, frame.hop_copy(), SWITCH_FORWARD_LATENCY)
             # Broadcasts also reach the management plane.
             if frame.is_broadcast and self._mgmt_handler is not None:
                 self._mgmt_handler(in_port, frame)

@@ -140,15 +140,17 @@ class StaircaseLoad:
         self.payload_octets_sent = 0
         self._send_handle: Optional[Event] = None
         self._started = False
+        # Breakpoints not yet armed, last first: one is pending at a time.
+        self._ahead: List[float] = []
 
     def start(self) -> None:
         """Arm the schedule.  Safe to call once, before or during a run."""
         if self._started:
             raise TrafficError("load generator already started")
         self._started = True
-        for t in self.schedule.breakpoints:
-            if t >= self.sim.now:
-                self.sim.schedule_at(t, self._repace)
+        self._ahead = [t for t in reversed(self.schedule.breakpoints) if t >= self.sim.now]
+        if self._ahead:
+            self.sim.schedule_at(self._ahead.pop(), self._repace, True)
         self._repace()
 
     def stop(self) -> None:
@@ -162,7 +164,10 @@ class StaircaseLoad:
     def current_rate(self) -> float:
         return self.schedule.rate_at(self.sim.now)
 
-    def _repace(self) -> None:
+    def _repace(self, at_breakpoint: bool = False) -> None:
+        # A breakpoint arms the next one, even after stop().
+        if at_breakpoint and self._ahead:
+            self.sim.schedule_at(self._ahead.pop(), self._repace, True)
         if self._send_handle is not None:
             self.sim.cancel(self._send_handle)
         self._send_handle = None

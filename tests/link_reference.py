@@ -23,13 +23,28 @@ offered).  Both are pinned by their own tests in ``tests/test_link.py``.
 port's crossing scheduled its own arrival, the reference for the flood
 whose arrivals at one instant are one event (``tests/test_switch.py``),
 and the flood the old channel's ``send`` runs under.
+
+:func:`forward_as_event` is a switch's ``on_frame`` as it was while each
+switch crossing was two events: the arrival, then the forwarding latency
+later an event that handed the frame to its out-port (or flooded it).
+The switch now admits the frame at arrival, as of that latency later;
+this is the reference it is held to (``tests/test_switch.py``), and the
+switch the parent traces ran (``tests/test_seed_stability.py``).
 """
 
 from collections import deque
 from typing import Deque
 
+from repro.simnet import switch as switch_module
 from repro.simnet.engine import Simulator
 from repro.simnet.packet import EthernetFrame
+from repro.simnet.switch import (
+    _STP_GROUP,
+    MAC_AGING,
+    MAX_L2_HOPS,
+    SWITCH_FORWARD_LATENCY,
+    FdbEntry,
+)
 
 
 class _Channel:
@@ -114,9 +129,83 @@ class _Channel:
         return self.queue_bytes / self.max_queue_bytes if self.max_queue_bytes else 0.0
 
 
-def flood_port_by_port(ports, frame) -> bool:
+def flood_port_by_port(ports, frame, offset=0.0) -> bool:
     """``repro.simnet.switch._flood`` before a flood's arrivals at one
     instant were one event: each port's ``transmit`` schedules its own.
     True if any port accepted the frame."""
-    accepted = [port.transmit(frame) for port in ports]
+    accepted = [port.transmit(frame, None, offset) for port in ports]
     return any(accepted)
+
+
+def forward_as_event(self, in_port, frame) -> None:
+    """``Switch.on_frame`` while forwarding was an event of its own: the
+    out-port's ``transmit``, or the flood, is scheduled the forwarding
+    latency after the arrival (the flood looked up in the switch's module
+    when the frame arrives, so that a test may put its reference there)."""
+    dst = frame.dst._value
+    # Bridge-group traffic is consumed here, never forwarded or
+    # learned (IEEE 802.1D reserved address) -- even with STP off.
+    if dst == _STP_GROUP:
+        if self.stp is not None:
+            self.stp.receive(in_port, frame)
+        return
+    # A blocking port drops all data frames, in both directions.
+    if not in_port.forwarding:
+        self.frames_dropped_blocked += 1
+        return
+    now = self.sim._now
+    src = frame.src
+    fdb = self._fdb
+    entry = fdb.get(src._value)
+    if (
+        entry is not None
+        and entry.port is in_port
+        and now - entry.learned_at <= MAC_AGING
+    ):
+        entry.learned_at = now  # unchanged and live: refreshed in place
+    elif not src.is_multicast:  # group addresses (broadcast too) are no station
+        # New, moved, or aged out -- and an expired binding is no
+        # binding: fdb_entries() stopped listing it when it aged out,
+        # so learning it again changes the row set like the other two.
+        fdb[src._value] = FdbEntry(src, in_port, now)
+        self.fdb_version += 1
+    # In-band management: frames addressed to the switch itself.
+    management_mac = self.management_mac
+    if management_mac is not None and dst == management_mac._value:
+        self.frames_local += 1
+        if self._mgmt_handler is not None:
+            self._mgmt_handler(in_port, frame)
+        return
+    if frame.hops >= MAX_L2_HOPS:
+        self.frames_dropped_hops += 1
+        return
+    # Only station addresses are ever learned, so only a unicast
+    # destination can be in the FDB; a stale binding ages out here.
+    out = None
+    if frame.is_unicast:
+        bound = fdb.get(dst)
+        if bound is not None:
+            if now - bound.learned_at > MAC_AGING:
+                del fdb[dst]
+                self.fdb_version += 1
+            else:
+                out = bound.port
+    if out is not None and out.forwarding:
+        if out is in_port:
+            return  # destination is back where it came from; filter
+        self.frames_forwarded += 1
+        self.sim.schedule(SWITCH_FORWARD_LATENCY, out.transmit, frame.hop_copy())
+    else:
+        self.frames_flooded += 1
+        ports = [
+            port
+            for port in self.interfaces
+            if port is not in_port and port.link is not None and port.forwarding
+        ]
+        if ports:
+            self.sim.schedule(
+                SWITCH_FORWARD_LATENCY, switch_module._flood, ports, frame.hop_copy()
+            )
+        # Broadcasts also reach the management plane.
+        if frame.is_broadcast and self._mgmt_handler is not None:
+            self._mgmt_handler(in_port, frame)

@@ -8,6 +8,7 @@ The second half pins the other direction: one seed must always produce
 the same event trace, to the last timestamp bit and tie-break.
 """
 
+import functools
 import hashlib
 from collections import Counter
 
@@ -20,6 +21,7 @@ from repro.experiments.scale import hierarchy_plan, scale_spec
 from repro.experiments.scenarios import Scenario
 from repro.simnet.engine import Simulator
 from repro.simnet.nic import Interface
+from repro.simnet.switch import SWITCH_FORWARD_LATENCY, Switch
 from repro.simnet.trafficgen import KBPS, StaircaseLoad, StepSchedule
 from repro.spec.builder import build_network
 from tests import link_reference
@@ -59,7 +61,7 @@ def test_seeds_differ_but_agree():
 
 
 # ----------------------------------------------------------------------
-# Same seed -> same event trace (ROADMAP 4c)
+# Same seed -> same event trace (ROADMAP item 6)
 # ----------------------------------------------------------------------
 # Two goldens per pinned run.
 #
@@ -97,12 +99,25 @@ def test_seeds_differ_but_agree():
 # fires of 6 endpoints over 10 cycles; ``Interface.transmit`` +3 and
 # ``_Channel._deliver`` +6, the empty closing batch each of the three
 # polling workers ships for its baseline-only first cycle).
+#
+# Both ordered goldens were re-recorded when a switch came to admit what
+# it forwards as the frame arrives, as of its forwarding latency later,
+# instead of scheduling that as an event.  Each forward is logged as the
+# ``Interface.transmit`` event it replaces, at that event's instant (a
+# flood one line per port, as before), so the lines by callback are
+# unchanged: testbed 19 525, campus 6 074, ``Interface.transmit`` 2 841
+# and 2 282 of them.  What fires is fewer: testbed 19 279 -> 16 570
+# events, campus 5 611 -> 3 561 -- every forwarding event, 2 709 and
+# 2 050, and nothing else.  A forward's line now comes right after the
+# arrival that decided it: without those lines, and with only them, each
+# trace is the one before, in order
+# (``test_ordered_goldens_are_derived_from_the_parents``).
 GOLDEN_TESTBED_EVENTS = "ee26af59fe60b8c412587d47769a095cd6e591559029da28d97d18fe6e8f7b1c"
 GOLDEN_CAMPUS_EVENTS = "3f154782fe55ddaa35d58ab0b11fa8437005600a9b01a705b769588d3bd16a47"
 PARENT_TESTBED_TRACE = "9f50e3cbae33d13d081402d37750c792e35a2c1fb15db038d87857aad405488a"
 PARENT_CAMPUS_TRACE = "7aef9623196e2a28f2a8af35a7cc480bca21dd8b1704e72acfa0f4cf1126b12a"
-GOLDEN_TESTBED_TRACE = "35b7fe502f23c85edad7593719b8bd6329635d013091a88953cbaa0ec95552e8"
-GOLDEN_CAMPUS_TRACE = "5652c6d973ea4469b06bdb113a7cc0ba601b17c949b30fa63d3a3dea1aa1b3b5"
+GOLDEN_TESTBED_TRACE = "c3538261e05137a511e9b5429e6128b516bddd61a69a24c43b27277705a6ecf9"
+GOLDEN_CAMPUS_TRACE = "7f00658f2e7d1a52f41479e561af6f1121ca381175295278fce57aaae78d417b"
 TRACE_UNTIL = 20.0
 
 # A callback that moved since the goldens were recorded is logged under
@@ -110,12 +125,15 @@ TRACE_UNTIL = 20.0
 # event the receiving interface's ``deliver`` itself, and a host's UDP/IP
 # half the endpoint it shares with a switch's management stack.
 #
-# A switch's flood is one event, ``_flood(ports, frame)``, calling
+# A switch's flood was one event, ``_flood(ports, frame)``, calling
 # ``transmit`` on each port it was decided for; each of those calls was
 # an event of its own, all at one instant with consecutive sequence
 # numbers.  It is logged as those events: one line per port.  So are the
 # flood's arrivals that fall at one instant, one ``_deliver_each(
-# interfaces, frame)`` event: one arrival line per interface.
+# interfaces, frame)`` event: one arrival line per interface.  A switch
+# now forwards, and floods, with no event at all: it calls ``transmit``
+# as the frame arrives, with its forwarding latency as ``_offset``, and
+# each such call is logged as the event it replaces (``trace_lines``).
 RECORDED_AS = {
     "Interface.deliver": "_Channel._deliver",
     "UDPEndpoint._deliver_udp": "Host._deliver_udp",
@@ -150,14 +168,16 @@ def trace_lines(monkeypatch, build_and_run):
     Wraps callbacks at the two public scheduling entry points, so it
     holds for any engine that keeps that surface -- it does not look at
     the heap.  A flood of ``k`` ports is one event and ``k`` lines, and
-    so are ``k`` of its arrivals at one instant.
+    so are ``k`` of its arrivals at one instant.  A ``transmit`` a switch
+    admits ahead of time is no event and one line: the forwarding event
+    it replaces, logged when the frame arrives, at that event's instant.
     """
     lines = []
-    extra = [0]  # sum of (ports or interfaces - 1) over the grouped events
+    extra = [0]  # lines logged less events fired
 
-    def log(line, times):
+    def log(line, times, fired=1):
         lines.extend([line] * times)
-        extra[0] += times - 1
+        extra[0] += times - fired
 
     with monkeypatch.context() as patch:
         for name in ("schedule", "schedule_at"):
@@ -169,6 +189,16 @@ def trace_lines(monkeypatch, build_and_run):
                 return _original(self, when, callback, *args)
 
             patch.setattr(Simulator, name, traced)
+        transmit = Interface.transmit
+
+        @functools.wraps(transmit)
+        def folding(iface, frame, _arrivals=None, _offset=0.0):
+            if _offset:  # a switch's forward: the event it replaces, at its instant
+                line = f"{iface._tx.sim._now + _offset!r} Interface.transmit\n"
+                log(line.encode(), 1, fired=0)
+            return transmit(iface, frame, _arrivals, _offset)
+
+        patch.setattr(Interface, "transmit", folding)
         sim = build_and_run()
     assert len(lines) == sim.events_processed + extra[0]  # nothing fired unlogged
     return lines
@@ -245,10 +275,13 @@ def test_event_set_is_pinned(monkeypatch, build_and_run, golden):
     )
 
 
-def transmit_through_send(self, frame):
+def transmit_through_send(self, frame, _arrivals=None, _offset=0.0):
     """``Interface.transmit`` as it was while a channel had a ``send`` of
     its own -- offer here, admission there: how the reference channel,
-    which still has one, is put back under today's interfaces."""
+    which still has one, is put back under today's interfaces.  It runs
+    under the switch that forwards as an event, which admits nothing
+    ahead of time, and the flood that schedules an arrival per port."""
+    assert _arrivals is None and not _offset
     counters = self.counters
     if not self.admin_up or not self._tx.send(frame):
         counters.out_discards += 1
@@ -288,6 +321,16 @@ def same_instant_transpositions(old, new):
     return swapped
 
 
+def forwards(lines):
+    """A switch's forwards: the only ``Interface.transmit`` lines, since
+    nothing else schedules ``transmit`` or a flood, or admits ahead."""
+    return [line for line in lines if line.endswith(b" Interface.transmit\n")]
+
+
+def everything_else(lines):
+    return [line for line in lines if not line.endswith(b" Interface.transmit\n")]
+
+
 @pytest.mark.parametrize(
     "build_and_run, parent_golden, golden, transpositions",
     [
@@ -299,18 +342,25 @@ def same_instant_transpositions(old, new):
 def test_ordered_goldens_are_derived_from_the_parents(
     monkeypatch, build_and_run, parent_golden, golden, transpositions
 ):
-    """The old channel (and the flood that schedules an arrival per port)
-    under today's simulator fires the parent's trace;
-    today's trace is that one with ``_tx_done`` removed, up to a counted
-    number of adjacent swaps of simultaneous events.
+    """The old channel, the flood that schedules an arrival per port and
+    the switch that forwards as an event (``tests/link_reference.py``)
+    under today's simulator fire the parent's trace.  That switch on
+    today's channel and flood fires it with ``_tx_done`` removed, up to a
+    counted number of adjacent swaps of simultaneous events.  Today's
+    trace is that one with each forward's line moved up to just after the
+    arrival that decided it, a forwarding latency earlier: the forwards'
+    lines on their own are the same in the same order, and so is
+    everything else.
 
-    On the campus there is none.  On the testbed each is an arrival at
+    On the campus there is no swap.  On the testbed each is an arrival at
     the hub coinciding with the hub finishing a repeat: the arrival's
     place among simultaneous events is now drawn when the frame is
     offered, not a transmission time later, and either order emits the
     queued frame at the same instant (busy-then-pop or idle-then-start).
     """
     with monkeypatch.context() as patch:
+        patch.setattr(Switch, "on_frame", link_reference.forward_as_event)
+        unfolded = trace_lines(monkeypatch, build_and_run)
         patch.setattr("repro.simnet.link._Channel", link_reference._Channel)
         patch.setattr(Interface, "transmit", transmit_through_send)
         patch.setattr("repro.simnet.switch._flood", link_reference.flood_port_by_port)
@@ -318,12 +368,22 @@ def test_ordered_goldens_are_derived_from_the_parents(
     assert trace_hash(parents) == parent_golden
     by_callback = Counter(line.split()[1] for line in parents)
     assert by_callback[b"_Channel._tx_done"] == by_callback[b"_Channel._deliver"] > 0
+    assert Counter(line.split()[1] for line in unfolded) == by_callback - Counter(
+        {b"_Channel._tx_done": by_callback[b"_Channel._tx_done"]}
+    )
+    swapped = same_instant_transpositions(without_tx_done(parents), unfolded)
+    assert len(swapped) == transpositions
+    assert set(swapped) <= {frozenset(("Hub._emit", "_Channel._deliver"))}
 
     todays = trace_lines(monkeypatch, build_and_run)
     assert trace_hash(todays) == golden
-    assert Counter(line.split()[1] for line in todays) == by_callback - Counter(
-        {b"_Channel._tx_done": by_callback[b"_Channel._tx_done"]}
-    )
-    swapped = same_instant_transpositions(without_tx_done(parents), todays)
-    assert len(swapped) == transpositions
-    assert set(swapped) <= {frozenset(("Hub._emit", "_Channel._deliver"))}
+    assert forwards(todays) == forwards(unfolded) and forwards(todays)
+    assert everything_else(todays) == everything_else(unfolded)
+    decided_by = None
+    for line in todays:
+        time, name = line.split()
+        if name != b"Interface.transmit":
+            decided_by = (float(time), name)
+        else:
+            assert decided_by[1] == b"_Channel._deliver", line
+            assert decided_by[0] + SWITCH_FORWARD_LATENCY == float(time), line

@@ -116,6 +116,31 @@ class TestStaircaseLoad:
         net.run(10.0)
         assert load.datagrams_sent == sent
 
+    def test_one_breakpoint_is_pending_at_a_time(self, monkeypatch):
+        """Each breakpoint arms the next, so the heap holds one of a
+        load's breakpoints, not all of them; they fire at every instant
+        of the schedule from ``start()`` on, ``stop()`` or not."""
+        fired = []
+        repace = StaircaseLoad._repace
+
+        def logged(self, *at_breakpoint):
+            fired.append(self.sim.now)
+            return repace(self, *at_breakpoint)
+
+        monkeypatch.setattr(StaircaseLoad, "_repace", logged)
+        schedule = StepSchedule.staircase(0.5, 10_000.0, 10_000.0, 1.0, 8, 9.0)
+        net, a, b, load = loaded_pair(schedule)
+        fired.clear()  # start()'s own re-pace is no breakpoint
+        for until in (0.0, 0.5, 3.2, 5.0):
+            net.run(until)
+            pending = [e for e in net.sim._heap if getattr(e[2], "__func__", None) is logged]
+            assert len(pending) == 1
+        load.stop()
+        sent = load.datagrams_sent
+        net.run(20.0)
+        assert fired == schedule.breakpoints
+        assert load.datagrams_sent == sent and not net.sim._heap
+
     def test_double_start_rejected(self):
         net, a, b, load = loaded_pair(StepSchedule([(0.0, 1000.0)]))
         with pytest.raises(TrafficError):
