@@ -10,9 +10,9 @@ delta-encoded uplinks.  Acceptance properties:
   which costs exactly one exchange per polled OID per cycle (6171 at
   this scale, which is the point) and is therefore computed, not run.
 - **>= 80 % uplink traffic reduction, quiescent.**  With no offered
-  load, shard uplinks ship deltas (ADVANCE/CHANGED records) whose cost
-  per sample is at most a fifth of what a self-describing JSON sample
-  document cost on the same run.
+  load, shard uplinks ship deltas (an unmoved interface as its id
+  alone) whose cost per sample is at most a fifth of what a
+  self-describing JSON sample document cost on the same run.
 - **Leaf failover re-coverage <= 3 cycles.**  Killing a leaf
   coordinator mid-run must leave every watched path in its shard back
   to trusted reports within three poll intervals.

@@ -1,97 +1,58 @@
-"""Wire-level delta shipping for rate samples (the dataflow layer).
+"""Wire-level delta shipping of counter readings (the dataflow layer).
 
-Workers (and leaf coordinators) ship rate samples upstream every poll
-cycle.  At 10k-host scale a self-describing batch is dominated by bytes
-that never change: node names, interface indexes, and -- on a quiescent
-network -- the rates themselves, which sit at exactly ``0.0`` cycle after
-cycle.  This module defines the plane's one sample wire format: a compact
-binary batch in which a sender tracks the last value it shipped per
-(node, ifIndex) key and encodes only what changed:
+Workers ship what the agents said; the root derives the rates with the
+flat poller's own :meth:`~repro.core.poller.Derivation.derive`.  A batch
+holds one **agent record** per agent that answered a poll -- the worker
+that read it, sysUpTime ticks, the worker's receive time -- with an entry
+per polled interface.  A sender keeps, per (node, ifIndex), an id and the
+last six Counter32 values it shipped; an entry is
 
-``full``
-    First appearance of a key: numeric id assignment, node name,
-    ifIndex, and all six float fields.  Ids are monotonic and never
-    reused within an incarnation.
-``changed``
-    Known key whose rates moved: id plus the six float fields.
-``advance``
-    Known key whose four rates are bit-identical to the last shipped
-    sample: id, new sample time, new interval.  ~18 bytes instead of
-    the ~60 of a full record.
-``advance (same interval)``
-    As above with the interval also unchanged: id and time only.
-``refresh``
-    Keyframe filler: re-states a key's mapping and last value for
-    resynchronising receivers, but is *not* delivered as a sample (a
-    receiver that was never desynchronised must not see duplicate
-    samples: the coordinator's rate table receives exactly the samples
-    the pollers produced).
+``same``  the id alone: the values equal the last shipped;
+``moved`` the id and the six values as varints;
+``full``  id, node, ifIndex and values.  It mints an id with the key's
+          first reading -- an id new to the receiver marks a reading that
+          only sets a baseline -- and inside a keyframe re-states one.
 
-Floats travel as IEEE-754 doubles (``struct '<d'``), so a decoded sample
-is **bit-identical** to the sample the sender measured -- delta encoding
-changes the wire cost, never the data.
+Integers travel as integers, so the root derives from exactly the
+readings the worker took.  Ids are never reused within an incarnation:
+a key the encoder forgot (:meth:`DeltaEncoder.follow`) mints a new one.
 
-Every batch carries a (worker, incarnation, seq) envelope for the
-sequencing/ARQ machinery in :mod:`repro.core.distributed` and flags the
-last of its sender's poll cycle; control messages (heartbeats, assignments,
-retransmit requests) stay JSON, told apart by the first byte.  Decoding is
-split into a stateless :func:`parse_delta` (safe on out-of-order arrivals,
-feeds the reorder buffer) and a stateful :meth:`DeltaDecoder.apply` that
-must run in sequence order at delivery time.
-
-Loss recovery: after an abandoned sequence gap the receiver's last-value
-table is stale, so ``advance`` records can no longer be trusted --
-:meth:`DeltaDecoder.mark_desync` drops them (``full``/``changed`` carry
-complete values and stay safe) until a keyframe re-states every key.
-``DeltaDecoder.needs_keyframe`` tells the receiver to ask the sender for
-one (the ``kfreq`` control message); senders also emit a keyframe every
-``keyframe_every`` batches as a backstop.
+Every batch carries a (worker, incarnation, seq) envelope for the ARQ in
+:mod:`repro.core.distributed`, flags the last of its sender's poll cycle
+and names the workers whose readings it carries (a leaf forwards its
+workers' readings, each tagged with the worker that took it).  Parsing
+(:func:`parse_delta`) is stateless; :meth:`DeltaDecoder.apply` must run
+in sequence order.  After an abandoned gap, :meth:`DeltaDecoder.mark_desync`
+drops the id table and the baselines it fed: entries without their key
+are dropped until a keyframe.  A keyframe re-states each agent's last
+reading, all ``full``: a receiver that lost nothing reads readings it has
+(same sysUpTime, no sample), one that lost its tables a baseline.  The
+receiver asks for one with ``kfreq``; senders also send one every
+``keyframe_every`` batches.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import re
 import struct
-from functools import lru_cache
-from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-from repro.core.poller import InterfaceRates
 
 DELTA_MAGIC = 0xD7
 
 _FLAG_KEYFRAME = 0x01
 _FLAG_CLOSES = 0x02  # the last batch of the sender's poll cycle
 
-REC_FULL = 0
-REC_CHANGED = 1
-REC_ADVANCE = 2
-REC_ADVANCE_SAME_D = 3
-REC_REFRESH = 4
+# An entry's head is one varint: id << 2 | kind.
+REC_SAME = 0
+REC_MOVED = 1
+REC_FULL = 2
 
 _F64 = struct.Struct("<d")
-# A steady record with a one-byte id: type, id, time -- ten bytes.  A run
-# of them (up to _STEADY_MAX at a time) is one match and one unpack.
-_STEADY_RUN = re.compile(rb"(?:\x03[\x00-\x7f].{8})+", re.DOTALL)  # \x03: REC_ADVANCE_SAME_D
-_STEADY_SIZE, _STEADY_MAX = 10, 128
+_COUNTERS = 6  # the Counter32 columns of a reading, in poller._COLUMNS order
 
-
-@lru_cache(maxsize=_STEADY_MAX)
-def _steady_struct(n: int) -> struct.Struct:
-    """A run of ``n`` steady records: ``(3, id, time)`` each, flat."""
-    return struct.Struct("<" + "BBd" * n)
-
-
-_F64X2 = struct.Struct("<2d")
-_F64X6 = struct.Struct("<6d")
-# What follows the id of a record that names no key: its floats, and
-# what a truncated one is called.
-_UNKEYED = {
-    REC_CHANGED: (_F64X6, "changed"),
-    REC_ADVANCE: (_F64X2, "advance"),
-    REC_ADVANCE_SAME_D: (_F64, "advance"),
-}
+#: An agent's reading between tiers: ``(worker, node, uptime, time, rows,
+#: first)``, rows ``(ifIndex, six counters)``, first the baseline-only ones.
+Reading = Tuple[str, str, int, float, list, Sequence[int]]
 
 
 class DeltaError(ValueError):
@@ -104,14 +65,10 @@ class DeltaError(ValueError):
 def _put_varint(out: bytearray, value: int) -> None:
     if value < 0:
         raise DeltaError(f"negative varint {value!r}")
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(value)
 
 
 def _get_varint(data: bytes, pos: int) -> Tuple[int, int]:
@@ -128,6 +85,17 @@ def _get_varint(data: bytes, pos: int) -> Tuple[int, int]:
         shift += 7
         if shift > 63:
             raise DeltaError("varint too long")
+
+
+def _get_counters(data: bytes, pos: int) -> Tuple[Tuple[int, ...], int]:
+    """Six Counter32 values, each a varint."""
+    values = []
+    for _ in range(_COUNTERS):
+        value, pos = _get_varint(data, pos)
+        values.append(value)
+    if max(values) >> 32:
+        raise DeltaError(f"counter {max(values)} out of Counter32 range")
+    return tuple(values), pos
 
 
 def _put_str(out: bytearray, text: str) -> None:
@@ -159,103 +127,101 @@ class DeltaBatch:
     incarnation: int
     seq: int
     keyframe: bool
-    records: List[tuple]  # (rec_type, id, node|None, if_index|None, fields-tuple|None)
+    names: List[str]  # the workers whose readings the batch carries
+    #: ``(tag, uptime, time, entries)`` per agent record; an entry is
+    #: ``(kind, id, (node, ifIndex) | None, six counters | None)``.
+    records: List[tuple]
     closes: bool  # the last batch of the sender's poll cycle
 
 
 def parse_delta(payload: bytes) -> DeltaBatch:
-    """Stateless wire parse; raises :class:`DeltaError` when malformed.
-
-    Safe to call on out-of-order arrivals -- applying the records to the
-    receiver's last-value state (:meth:`DeltaDecoder.apply`) is the part
-    that must wait for sequence order.  A run of steady records
-    (``ADVANCE_SAME_D`` with one-byte ids, a quiet network's every record)
-    is found by one regex match and unpacked by one cached ``Struct``,
-    capped at the records ``count`` has left: no Python call a record.  A
-    keyed record's short name and ifIndex are read in place.  Record for
-    record and error for error the record-at-a-time parse.
-    """
+    """Stateless wire parse, safe on out-of-order arrivals; raises
+    :class:`DeltaError` when malformed.  A ``same`` entry with an id below
+    32 is one byte, read in place: no Python call an unmoved interface."""
     if not is_delta(payload):
         raise DeltaError("not a delta batch")
-    pos = 1
-    if pos >= len(payload):
+    if len(payload) < 2:
         raise DeltaError("truncated flags")
-    flags = payload[pos]
-    pos += 1
-    worker, pos = _get_str(payload, pos)
+    flags = payload[1]
+    worker, pos = _get_str(payload, 2)
     incarnation, pos = _get_varint(payload, pos)
     seq, pos = _get_varint(payload, pos)
     count, pos = _get_varint(payload, pos)
+    names = []
+    for _ in range(count):
+        name, pos = _get_str(payload, pos)
+        names.append(name)
+    count, pos = _get_varint(payload, pos)
     records: List[tuple] = []
     end = len(payload)
-    left = count
-    while left:
-        if pos >= end:
-            raise DeltaError("truncated record")
-        rec_type = payload[pos]
-        if rec_type == REC_ADVANCE_SAME_D:
-            # A run of steady records with one-byte ids, unpacked whole.
-            run = _STEADY_RUN.match(payload, pos, pos + _STEADY_SIZE * _STEADY_MAX)
-            if run is not None:
-                n = min((run.end() - pos) // _STEADY_SIZE, left)
-                flat = _steady_struct(n).unpack_from(payload, pos)
-                records += zip(flat[::3], flat[1::3], repeat(None), repeat(None), zip(flat[2::3]))
-                pos += n * _STEADY_SIZE
-                left -= n
+    for _ in range(count):
+        tag, pos = _get_varint(payload, pos)
+        if tag >= len(names):
+            raise DeltaError(f"record names worker {tag} of {len(names)}")
+        uptime, pos = _get_varint(payload, pos)
+        if uptime >> 32:
+            raise DeltaError(f"sysUpTime {uptime} out of TimeTicks range")
+        if pos + _F64.size > end:
+            raise DeltaError("truncated agent record")
+        (time,) = _F64.unpack_from(payload, pos)
+        entries: List[tuple] = []
+        left, pos = _get_varint(payload, pos + _F64.size)
+        while left:
+            left -= 1
+            if pos >= end:
+                raise DeltaError("truncated entry")
+            head = payload[pos]
+            if head < 0x80:  # its own varint: read in place
+                pos += 1
+            else:
+                head, pos = _get_varint(payload, pos)
+            kind = head & 3
+            if kind == REC_SAME:
+                entries.append((REC_SAME, head >> 2, None, None))
                 continue
-        left -= 1
-        # An id below 128 is its own varint: read the byte in place.
-        if pos + 1 < end and payload[pos + 1] < 0x80:
-            rec_id = payload[pos + 1]
-            pos += 2
-        else:
-            rec_id, pos = _get_varint(payload, pos + 1)
-        if rec_type in (REC_FULL, REC_REFRESH):
-            # A name shorter than 128 bytes and an ifIndex below 128 are
-            # read in place; anything else by the helpers, which word the
-            # errors.
-            at = pos + 1 + payload[pos] if pos < end else end  # the ifIndex
-            node = None
-            if at < end and payload[pos] < 0x80 and payload[at] < 0x80:
-                try:
-                    node, if_index = payload[pos + 1 : at].decode(), payload[at]
-                    pos = at + 1
-                except UnicodeDecodeError:
-                    pass
-            if node is None:
+            if kind == REC_FULL:
                 node, pos = _get_str(payload, pos)
                 if_index, pos = _get_varint(payload, pos)
-            floats, what = _F64X6, "full"
-        elif rec_type in _UNKEYED:
-            node = if_index = None
-            floats, what = _UNKEYED[rec_type]
-        else:
-            raise DeltaError(f"unknown record type {rec_type!r}")
-        if pos + floats.size > end:
-            raise DeltaError(f"truncated {what} record")
-        records.append((rec_type, rec_id, node, if_index, floats.unpack_from(payload, pos)))
-        pos += floats.size
+                key = (node, if_index)
+            elif kind == REC_MOVED:
+                key = None
+            else:
+                raise DeltaError(f"unknown entry kind {kind!r}")
+            values, pos = _get_counters(payload, pos)
+            entries.append((kind, head >> 2, key, values))
+        records.append((tag, uptime, time, entries))
     if pos != end:
         raise DeltaError("trailing bytes in delta batch")
     closes = bool(flags & _FLAG_CLOSES)
-    return DeltaBatch(worker, incarnation, seq, bool(flags & _FLAG_KEYFRAME), records, closes)
+    return DeltaBatch(
+        worker, incarnation, seq, bool(flags & _FLAG_KEYFRAME), names, records, closes
+    )
 
 
 class DeltaEncoder:
-    """Sender-side last-shipped tracking and batch encoding."""
+    """Sender-side last-shipped tracking and batch encoding.
 
-    def __init__(self, worker: str) -> None:
+    :meth:`add` writes a reading into the open batch against the id table
+    of that moment, so a key :meth:`follow` forgets later does not make a
+    queued reading a first one; :meth:`close` finishes the batch.  A batch
+    is a keyframe or not from when it opens.
+    """
+
+    def __init__(self, worker: str, keyframe_every: int) -> None:
         self.worker = worker
+        self.keyframe_every = keyframe_every
         self._ids: Dict[Tuple[str, int], int] = {}
-        self._last: Dict[int, Tuple[float, ...]] = {}
+        self._last: Dict[int, Tuple[int, ...]] = {}
+        #: (worker, node) -> (uptime, time, rows): each agent's last record
+        #: shipped, oldest first -- what a keyframe re-states.
+        self._agents: Dict[Tuple[str, str], tuple] = {}
         self._next_id = 1
-        self._kf_pending = True  # the first batch always maps every id
         self._pool: Optional[Set[Tuple[str, int]]] = None  # None: remember every key
-        self.records_full = 0
-        self.records_changed = 0
-        self.records_advance = 0
-        self.records_refresh = 0
-        self.keyframes = 0
+        self._kf_pending = True  # the first batch always maps every id
+        self._since_keyframe = 0
+        self._body: Optional[bytearray] = None  # the open batch, if any (see _open)
+        #: Interface readings in the open batch.
+        self.entries = 0
 
     def force_keyframe(self) -> None:
         """Make the next batch a keyframe (receiver asked via ``kfreq``)."""
@@ -263,164 +229,193 @@ class DeltaEncoder:
 
     def follow(self, keys: Set[Tuple[str, int]]) -> None:
         """Remember only ``keys``, the interfaces now polled: every other
-        key's id and last values go, so no keyframe re-states it.  A
-        sample of another key (one polled before, still queued or on its
-        way up) travels FULL under a fresh id and is forgotten at once.
-        An id is never reused (``_next_id`` only grows), so a key that
-        comes back travels FULL under a new one."""
+        key's id, last values and re-stated reading go.  A reading of
+        another key (a late answer) travels full under a fresh id and is
+        forgotten at once; a key that comes back mints a new id."""
         self._pool = keys
         for key in [key for key in self._ids if key not in keys]:
             del self._last[self._ids.pop(key)]
+        for agent, (uptime, time, rows) in list(self._agents.items()):
+            kept = [row for row in rows if (agent[1], row[0]) in keys]
+            if not kept:
+                del self._agents[agent]
+            elif len(kept) < len(rows):
+                self._agents[agent] = (uptime, time, kept)
 
-    def encode(
-        self, incarnation: int, seq: int, samples: Sequence[InterfaceRates],
-        keyframe: bool = False, closes: bool = False,
-    ) -> bytes:
-        """Encode one batch (``closes``: its cycle's last); consumes a pending keyframe request."""
-        kf = keyframe or self._kf_pending
-        self._kf_pending = False
-        body = bytearray()
-        ids = self._ids
-        for sample in samples:
-            key = (sample.node, sample.if_index)
-            fields = (  # the six floats of a sample, in wire order
-                sample.time,
-                sample.interval,
-                sample.in_bytes_per_s,
-                sample.out_bytes_per_s,
-                sample.in_pkts_per_s,
-                sample.out_pkts_per_s,
-            )
+    def _open(self) -> None:
+        due = 0 < self.keyframe_every <= self._since_keyframe + 1
+        self._keyframe, self._kf_pending = self._kf_pending or due, False
+        self._body = bytearray()
+        self._tags: Dict[str, int] = {}  # the batch's worker names, by tag
+        self._records = 0
+        self._touched: Set[Tuple[str, str]] = set()  # the agents it carries
+        self.entries = 0
+
+    def _record_head(self, body: bytearray, worker: str, uptime: int, time: float, n: int) -> None:
+        tag = self._tags.get(worker)
+        if tag is None:
+            tag = self._tags[worker] = len(self._tags)
+        _put_varint(body, tag)
+        _put_varint(body, uptime)
+        body += _F64.pack(time)
+        _put_varint(body, n)
+        self._records += 1
+
+    def add(
+        self, worker: str, node: str, uptime: int, time: float, rows: list,
+        first: Sequence[int] = (),
+    ) -> None:
+        """Encode one agent reading (see :data:`Reading`) into the open batch."""
+        if self._body is None:
+            self._open()
+        body, keyframe = self._body, self._keyframe
+        self._record_head(body, worker, uptime, time, len(rows))
+        ids, last, pool = self._ids, self._last, self._pool
+        kept = rows
+        for index, values in rows:
+            key = (node, index)
             rec_id = ids.get(key)
-            if rec_id is None:
+            if rec_id is None or first and index in first:
+                # The key's first reading: a new id, full.
+                if rec_id is not None:
+                    del last[rec_id]
                 rec_id = self._next_id
                 self._next_id += 1
-                if self._pool is None or key in self._pool:
+                if pool is None or key in pool:
                     ids[key] = rec_id
-                    self._last[rec_id] = fields
-            elif kf:
-                self._last[rec_id] = fields
-            else:
-                last = self._last[rec_id]
-                if fields[2:] != last[2:]:
-                    rec_type, packed = REC_CHANGED, _F64X6.pack(*fields)
-                    self.records_changed += 1
-                elif fields[1] != last[1]:
-                    rec_type, packed = REC_ADVANCE, _F64X2.pack(fields[0], fields[1])
-                    self.records_advance += 1
+                    last[rec_id] = values
                 else:
-                    rec_type, packed = REC_ADVANCE_SAME_D, _F64.pack(fields[0])
-                    self.records_advance += 1
-                self._last[rec_id] = fields
-                body.append(rec_type)
-                if rec_id < 0x80:
-                    body.append(rec_id)  # an id below 128 is its own varint
+                    ids.pop(key, None)
+                    kept = None
+                kind = REC_FULL
+            elif keyframe:
+                last[rec_id] = values
+                kind = REC_FULL
+            elif values == last[rec_id]:
+                head = rec_id << 2  # REC_SAME
+                if head < 0x80:
+                    body.append(head)
                 else:
-                    _put_varint(body, rec_id)
-                body += packed
+                    _put_varint(body, head)
                 continue
-            # A key's first appearance -- and, inside a keyframe, every
-            # delivered sample -- travels full, so a reset receiver can
-            # rebuild its maps.
-            self._encode_keyed(body, REC_FULL, rec_id, key[0], key[1], fields)
-            self.records_full += 1
-        records = len(samples)
-        if kf:
-            # Re-state every key the batch did not touch, as map-only
-            # refresh records (not delivered as samples downstream).  Ids
-            # are handed out in insertion order: the map is already sorted.
-            touched = {ids.get((sample.node, sample.if_index)) for sample in samples}
-            for key, rec_id in ids.items():
-                if rec_id in touched:
+            else:
+                last[rec_id] = values
+                kind = REC_MOVED
+            _put_varint(body, rec_id << 2 | kind)
+            if kind == REC_FULL:
+                _put_str(body, node)
+                _put_varint(body, index)
+            for value in values:
+                _put_varint(body, value)
+        self.entries += len(rows)
+        agent = (worker, node)
+        self._touched.add(agent)
+        self._agents.pop(agent, None)  # re-inserted last: the newest record
+        if kept is None:
+            kept = [row for row in rows if (node, row[0]) in pool]
+        if kept:
+            self._agents[agent] = (uptime, time, kept)
+
+    def close(self, incarnation: int, seq: int, closes: bool = False) -> bytes:
+        """Finish the open batch (``closes``: its cycle's last) and return
+        its bytes; with nothing added it is an empty batch."""
+        if self._body is None:
+            self._open()
+        body, keyframe = self._body, self._keyframe
+        self._body = None
+        if keyframe:
+            # Re-state every agent's last record the batch did not carry,
+            # before it: older first, so each id ends on the sender's values.
+            restated = bytearray()
+            for (worker, node), (uptime, time, rows) in self._agents.items():
+                if (worker, node) in self._touched:
                     continue
-                self._encode_keyed(body, REC_REFRESH, rec_id, key[0], key[1],
-                                   self._last[rec_id])
-                self.records_refresh += 1
-                records += 1
-            self.keyframes += 1
-        out = bytearray([DELTA_MAGIC, _FLAG_KEYFRAME * kf | _FLAG_CLOSES * closes])  # bools
+                self._record_head(restated, worker, uptime, time, len(rows))
+                for index, values in rows:
+                    _put_varint(restated, self._ids[(node, index)] << 2 | REC_FULL)
+                    _put_str(restated, node)
+                    _put_varint(restated, index)
+                    for value in values:
+                        _put_varint(restated, value)
+            body = restated + body
+            self._since_keyframe = 0
+        else:
+            self._since_keyframe += 1
+        out = bytearray([DELTA_MAGIC, _FLAG_KEYFRAME * keyframe | _FLAG_CLOSES * closes])
         _put_str(out, self.worker)
         _put_varint(out, incarnation)
         _put_varint(out, seq)
-        _put_varint(out, records)
-        out.extend(body)
+        _put_varint(out, len(self._tags))
+        for name in self._tags:  # in tag order
+            _put_str(out, name)
+        _put_varint(out, self._records)
+        out += body
+        self.entries = 0
         return bytes(out)
-
-    @staticmethod
-    def _encode_keyed(body, rec_type, rec_id, node, if_index, fields) -> None:
-        body.append(rec_type)
-        _put_varint(body, rec_id)
-        _put_str(body, node)
-        _put_varint(body, if_index)
-        body.extend(_F64X6.pack(*fields))
 
     def reset(self) -> None:
         """Forget everything (sender restarted: new incarnation)."""
         self._ids.clear()
         self._last.clear()
+        self._agents.clear()
         self._next_id = 1
         self._kf_pending = True
+        self._since_keyframe = 0
+        self._body = None
+        self.entries = 0
 
 
 class DeltaDecoder:
-    """Receiver-side last-value state; apply batches in sequence order."""
+    """Receiver-side id table; apply batches in sequence order.
+
+    ``baselines`` -- ``{(worker, node): {ifIndex: (uptime, counters)}}``,
+    the root's derivation state for this stream -- lives and dies with
+    the stream that carried those readings.  A leaf never fills it.
+    """
 
     def __init__(self) -> None:
         self._keys: Dict[int, Tuple[str, int]] = {}
-        self._last: Dict[int, Tuple[float, ...]] = {}
-        self.desync = False
+        self._last: Dict[int, Tuple[int, ...]] = {}
+        self.baselines: Dict[Tuple[str, str], Dict[int, tuple]] = {}
         self.needs_keyframe = False
-        self.samples_skipped = 0
+        self.entries_skipped = 0
 
     def mark_desync(self) -> None:
-        """An upstream batch was lost for good: advance records are now
-        built on values this decoder never saw."""
-        self.desync = True
-        self.needs_keyframe = True
+        """An upstream batch was lost for good: the id table and the
+        baselines it fed may rest on readings this decoder never saw."""
+        self._keys, self._last, self.baselines, self.needs_keyframe = {}, {}, {}, True
 
-    def apply(self, batch: DeltaBatch) -> List[InterfaceRates]:
-        """Fold one in-order batch in; returns the delivered samples."""
-        out: List[InterfaceRates] = []
-        for rec_type, rec_id, node, if_index, fields in batch.records:
-            if rec_type in (REC_FULL, REC_REFRESH):
-                self._keys[rec_id] = (node, if_index)
-                self._last[rec_id] = fields
-                if rec_type == REC_FULL:
-                    out.append(InterfaceRates(node, if_index, *fields))
-                continue
-            key = self._keys.get(rec_id)
-            if key is None:
-                # Reset receiver (restart / adopted stream): the mapping
-                # rode a batch we never saw.  Only a keyframe helps.
-                self.samples_skipped += 1
-                self.needs_keyframe = True
-                continue
-            if rec_type == REC_CHANGED:
-                self._last[rec_id] = fields
-                out.append(InterfaceRates(key[0], key[1], *fields))
-            elif rec_type == REC_ADVANCE or rec_type == REC_ADVANCE_SAME_D:
-                if self.desync:
-                    # The base values are stale; delivering would present
-                    # pre-loss rates as current measurements.
-                    self.samples_skipped += 1
-                    self.needs_keyframe = True
-                    continue
-                last = self._last[rec_id]
-                if rec_type == REC_ADVANCE:
-                    new = (fields[0], fields[1]) + last[2:]
+    def apply(self, batch: DeltaBatch) -> List[Reading]:
+        """Fold one in-order batch in; returns its readings, per agent."""
+        keys, last, names = self._keys, self._last, batch.names
+        out: List[Reading] = []
+        for tag, uptime, time, entries in batch.records:
+            worker, node = names[tag], None
+            for kind, rec_id, key, values in entries:
+                fresh = False
+                if kind == REC_FULL:
+                    if keys.get(rec_id) != key:
+                        keys[rec_id] = key
+                        fresh = True  # an id new here: a first reading
+                    last[rec_id] = values
                 else:
-                    new = (fields[0],) + last[1:]
-                self._last[rec_id] = new
-                out.append(InterfaceRates(key[0], key[1], *new))
+                    key = keys.get(rec_id)
+                    if key is None:
+                        # Reset receiver (restart, adopted stream, abandoned
+                        # gap): the mapping rode a batch it never saw.
+                        self.entries_skipped += 1
+                        self.needs_keyframe = True
+                        continue
+                    if kind == REC_SAME:
+                        values = last[rec_id]
+                    else:
+                        last[rec_id] = values
+                if key[0] != node:
+                    node, rows, first = key[0], [], []
+                    out.append((worker, node, uptime, time, rows, first))
+                rows.append((key[1], values))
+                if fresh:
+                    first.append(key[1])
         if batch.keyframe:
-            # Every key was just re-stated: advance records are safe again.
-            self.desync = False
-            self.needs_keyframe = False
+            self.needs_keyframe = False  # every key was just re-stated
         return out
-
-    def reset(self) -> None:
-        """Forget everything (sender restarted: new incarnation)."""
-        self._keys.clear()
-        self._last.clear()
-        self.desync = False
-        self.needs_keyframe = False

@@ -3,9 +3,10 @@
 One monitor polling every agent from one host (the paper's design) makes
 that host's links a hot spot and scales linearly in one manager's request
 load.  The distributed variant partitions the SNMP targets across several
-*worker* hosts; each worker polls its share locally and ships the derived
-rate samples to a *coordinator* host over the same simulated network.
-The coordinator merges them into one
+*worker* hosts; each worker polls its share locally and ships what the
+agents said to a *coordinator* host over the same simulated network.
+The coordinator derives the rates with the single monitor's own
+:meth:`~repro.core.poller.Derivation.derive` into one
 :class:`~repro.core.poller.RateTable` and computes path reports with
 the single monitor's own report core.
 
@@ -17,7 +18,7 @@ runs a :class:`~repro.core.health.WorkerLeaseTracker` per-worker state
 machine (alive -> suspect -> dead -> recovering, with hysteresis on the
 way back) and publishes transitions on the telemetry event bus.
 
-**Reliable sample shipping.**  Samples travel in *sequenced, batched
+**Reliable reading shipping.**  Readings travel in *sequenced, batched
 report datagrams* in one wire format, the binary delta encoding of
 :mod:`repro.core.deltas`: each worker stamps batches with a
 per-incarnation monotonic sequence number and keeps a bounded
@@ -30,7 +31,7 @@ unfillable, *marks the worker's counter sources degraded* in a
 reports drop to low confidence instead of presenting the last sample it
 happened to see as current.  Duplicate and stale-incarnation batches are
 discarded by sequence number, so retransmits and worker restarts never
-double-count a sample.
+double-count a reading.
 
 **Automatic failover.**  When a lease expires the coordinator
 repartitions the poll targets over the surviving workers
@@ -47,8 +48,8 @@ buffer is the only send-side state, bounded and drop-oldest.
 **Integration.**  The coordinator's report half is the same
 :class:`~repro.core.monitor.ReportCore` the single monitor has (watches
 that follow topology epochs, streaming, probing, topology sync); ingest
-routes through the :mod:`repro.integrity` pipeline (rate bounds and
-quarantine apply to shipped samples exactly as to local polls), plane
+derives and routes through the :mod:`repro.integrity` pipeline (every
+validator sees the two raw readings, exactly as for local polls), plane
 state is exported as telemetry gauges and flat ``stats()`` keys, and
 ``repro distributed`` exercises the whole plane from the CLI.
 
@@ -73,12 +74,13 @@ from repro.core.deltas import (
     DeltaDecoder,
     DeltaEncoder,
     DeltaError,
+    Reading,
     is_delta,
     parse_delta,
 )
 from repro.core.health import LeaseTransition, WorkerLeaseTracker, WorkerState
 from repro.core.monitor import ReportCore
-from repro.core.poller import InterfaceRates, PollTarget, SnmpPoller, polled_interfaces
+from repro.core.poller import Derivation, PollTarget, SnmpPoller, polled_interfaces
 from repro.integrity import IntegrityConfig
 from repro.simnet.address import IPv4Address
 from repro.simnet.network import NetworkError
@@ -110,7 +112,7 @@ RESEND_BUFFER = 32
 
 # ----------------------------------------------------------------------
 # Control messages (JSON keeps them debuggable on the simulated wire;
-# samples travel as binary delta batches, see repro.core.deltas)
+# readings travel as binary delta batches, see repro.core.deltas)
 # ----------------------------------------------------------------------
 def encode_message(kind: str, **fields) -> bytes:
     """One control message: ``hb`` (``w, inc, q, av``: lease renewal;
@@ -190,16 +192,16 @@ def _targets_from_doc(network, docs: Sequence[Dict[str, object]]) -> List[PollTa
 # Send-side shipping (shared by workers and leaf coordinators)
 # ----------------------------------------------------------------------
 class SampleShipper:
-    """Sequenced, batched, delta-encoded sample shipping.
+    """Sequenced, batched, delta-encoded reading shipping.
 
     Owns the per-incarnation monotonic sequence number, the bounded
     drop-oldest resend buffer, and the
     :class:`~repro.core.deltas.DeltaEncoder` (``delta``) whose
-    last-shipped tracking turns quiescent batches into a few bytes per
-    interface.  ``send`` is the owner's transmit function, so the same
+    last-shipped tracking turns a quiescent agent's reading into a byte
+    per interface.  ``send`` is the owner's transmit function, so the same
     shipper serves a worker shipping to its coordinator and a leaf
     coordinator shipping to the hierarchy root.  ``bytes_shipped`` over
-    ``samples_shipped`` is the uplink's cost per sample.
+    ``samples_shipped`` (interface readings) is the uplink's cost per one.
     """
 
     def __init__(
@@ -216,11 +218,8 @@ class SampleShipper:
         self.max_batch = max_batch
         self.incarnation = 1
         self.next_seq = 1
-        self.pending: List[InterfaceRates] = []
         self._resend: "OrderedDict[int, bytes]" = OrderedDict()
-        self.delta = DeltaEncoder(name)
-        self.keyframe_every = keyframe_every
-        self._since_keyframe = 0
+        self.delta = DeltaEncoder(name, keyframe_every)
         self.samples_shipped = 0
         self.batches_shipped = 0
         self.bytes_shipped = 0
@@ -228,37 +227,30 @@ class SampleShipper:
         self.retransmits_served = 0
         self.retransmits_missed = 0
 
-    def enqueue(self, *samples: InterfaceRates) -> Sequence[InterfaceRates]:
-        """Queue samples, shipping ``max_batch`` once one more is queued,
-        and return them: a sink (see :class:`SampleIngest`) that accepts
-        everything.  A worker's poller hands over one sample at a time, a
-        leaf's ingest a delivered batch whole -- cut the same either way."""
-        pending = self.pending
-        pending.extend(samples)
-        while len(pending) > self.max_batch:
-            self._ship(pending[: self.max_batch], False)
-            del pending[: self.max_batch]
-        return samples
+    def enqueue(self, *readings: Reading) -> int:
+        """Queue agent readings (:data:`~repro.core.deltas.Reading`), a
+        batch shipping first if one would take it past ``max_batch``
+        interfaces; returns the interface readings queued."""
+        delta, queued = self.delta, 0
+        for reading in readings:
+            rows = len(reading[4])
+            if delta.entries and delta.entries + rows > self.max_batch:
+                self._ship(False)
+            delta.add(*reading)
+            queued += rows
+        return queued
 
     def flush(self) -> None:
-        """The cycle closed: ship the queue as its closing batch, even empty."""
-        samples, self.pending = self.pending, []
-        self._ship(samples, True)
+        """The cycle closed: ship the open batch as its closing one, even empty."""
+        self._ship(True)
 
-    def _ship(self, samples: List[InterfaceRates], closes: bool) -> None:
+    def _ship(self, closes: bool) -> None:
         seq = self.next_seq
         self.next_seq += 1
-        due = (
-            self.keyframe_every > 0
-            and self._since_keyframe + 1 >= self.keyframe_every
-        )
-        payload = self.delta.encode(self.incarnation, seq, samples, due, closes)
-        if payload[1] & 0x01:  # the encoder may also have had one pending
-            self._since_keyframe = 0
+        self.samples_shipped += self.delta.entries
+        payload = self.delta.close(self.incarnation, seq, closes)
+        if payload[1] & 0x01:
             self.keyframes_shipped += 1
-        else:
-            self._since_keyframe += 1
-        self.samples_shipped += len(samples)
         self.batches_shipped += 1
         self.bytes_shipped += len(payload)
         self._resend[seq] = payload
@@ -288,19 +280,17 @@ class SampleShipper:
         """The owning process restarted: new incarnation, fresh state."""
         self.incarnation = incarnation
         self.next_seq = 1
-        self.pending.clear()
         self._resend.clear()
-        self._since_keyframe = 0
         self.delta.reset()
 
 
 # ----------------------------------------------------------------------
-# Uplink endpoints: the sending end of one sample stream
+# Uplink endpoints: the sending end of one reading stream
 # ----------------------------------------------------------------------
 class UplinkEndpoint:
     """What a polling worker and a leaf coordinator have in common.
 
-    Samples handed to the shipper are shipped upstream in batches with
+    Readings handed to the shipper are shipped upstream in batches with
     a per-incarnation monotonic sequence number, the last of a poll cycle
     when it closes (see :meth:`SampleIngest._closed_by`); the one timer,
     a heartbeat, renews the lease and echoes the applied assignment
@@ -311,7 +301,7 @@ class UplinkEndpoint:
     advertises assignment version 0 so upstream ships the current
     assignment back.
 
-    Subclasses supply where the samples come from, through two hooks:
+    Subclasses supply where the readings come from, through two hooks:
     :meth:`_rebuild` (bring the source back after a restart) and
     :meth:`_apply_targets` (a new target list arrived), and extend
     :meth:`_begin_tasks` / :meth:`_teardown` to run and halt it.
@@ -394,7 +384,7 @@ class UplinkEndpoint:
             self._teardown()
 
     def crash(self) -> None:
-        """The process dies: no samples, no heartbeats, no shipping."""
+        """The process dies: no readings, no heartbeats, no shipping."""
         if self.crashed:
             return
         self.crashed = True
@@ -489,8 +479,9 @@ class MonitorWorker(UplinkEndpoint):
     def _rebuild(self, targets: Sequence[PollTarget] = ()) -> None:
         self.manager = SnmpManager(self.host)
         self.poller = SnmpPoller(self.manager, targets, **self._poller_options)
-        # A worker keeps no table of its own: every sample leaves on the uplink.
-        self.poller.on_sample = self.shipper.enqueue
+        # A worker derives nothing: every reading leaves on the uplink.
+        self.poller.on_reading = lambda node, uptime, now, rows: self.shipper.enqueue(
+            (self.name, node, uptime, now, rows, ()))
         self.poller.on_cycle = self._close_cycle
 
     def _close_cycle(self, number: int) -> None:
@@ -545,7 +536,7 @@ class _WorkerIngest:
     malformed ones surface as decode errors there); the stateful
     :class:`~repro.core.deltas.DeltaDecoder` applies them only at
     in-order delivery, because applying out of order would corrupt the
-    decoder's last-sample context.
+    decoder's id table and the baselines it holds.
     """
 
     name: str
@@ -564,16 +555,17 @@ class _WorkerIngest:
         self.anchored = True  # a fresh incarnation numbers from 1
         self.buffer.clear()
         self.gaps.clear()
-        self.delta.reset()
+        self.delta = DeltaDecoder()
 
 
 class SampleIngest:
     """The receiving end of the plane: workers, leases, ARQ, assignments.
 
     Owns the worker endpoints on ``worker_hosts`` and the coordinator
-    sockets on ``coordinator_host``; the samples of every batch that
-    arrives in sequence are handed to ``sink(*samples)`` together, in
-    order, and it returns those it accepted.
+    sockets on ``coordinator_host``; the readings of every batch that
+    arrives in sequence are handed to ``sink(decoder, readings)``
+    together, in order, with the stream's decoder (whose ``baselines``
+    they rest on), and it returns how many samples it admitted.
     Target assignment is affinity-first (a worker polling itself costs
     loopback only) with the rest round-robined deterministically; the
     same partitioning function re-runs over the surviving workers on
@@ -588,7 +580,7 @@ class SampleIngest:
         build: BuildResult,
         coordinator_host: str,
         worker_hosts: Sequence[str],
-        sink: Callable[..., Sequence[InterfaceRates]],
+        sink: Callable[[DeltaDecoder, List[Reading]], int],
         telemetry: Telemetry,
         poll_interval: float = 2.0,
         poll_jitter: float = 0.05,
@@ -680,7 +672,7 @@ class SampleIngest:
         registry = self.telemetry.registry
         self._stat_counters: List[str] = []  # stats() key -> dist_<key>_total
         c = self._counter
-        self._m_samples = c("samples_received", "samples merged into the rate table")
+        self._m_samples = c("samples_received", "samples the sink admitted")
         self._m_batches = c("batches_received", "sequenced report batches delivered")
         self._m_decode_errors = c("decode_errors", "undecodable plane datagrams")
         self._m_duplicates = c("duplicate_batches", "batches dropped by sequence dedup")
@@ -973,6 +965,7 @@ class SampleIngest:
             for seq in known:
                 del state.gaps[seq]
             state.expected = horizon
+            state.delta.mark_desync()
             self._abandoned(state, lost, first=first, upto=horizon)
             for seq in held:
                 self._deliver(state, state.buffer.pop(seq))
@@ -1033,6 +1026,7 @@ class SampleIngest:
             state.gaps.pop(state.expected)
             abandoned.append(state.expected)
             state.expected += 1
+            state.delta.mark_desync()  # before anything past the hole is applied
             self._drain(state)
         if abandoned:
             self._abandoned(state, len(abandoned), seqs=abandoned)
@@ -1041,15 +1035,14 @@ class SampleIngest:
         """``count`` batches (``seqs``, or the range ``[first, upto)``)
         of this stream are lost for good."""
         self._m_gaps_abandoned.inc(count)
-        # The lost batches carried samples for *some* of this worker's
+        # The lost batches carried readings for *some* of this worker's
         # interfaces; without them we cannot know which, so every counter
         # source currently assigned to the worker is marked lossy until a
         # fresh sample clears it.
         self._mark_degraded(state.name)
-        # A delta stream cannot advance over a hole: its per-interface
-        # context is now stale, so drop rate-only records until the
-        # sender re-states everything with a keyframe.
-        state.delta.mark_desync()
+        # The caller dropped the stream's id table and baselines
+        # (``mark_desync``) before applying anything past the hole; only a
+        # keyframe re-states them.
         self._request_keyframe(state)
         self._publish_gap(state, "abandoned", **which)
 
@@ -1065,18 +1058,12 @@ class SampleIngest:
         self._send_control(state.name, "kfreq", inc=state.incarnation)
 
     def _deliver(self, state: _WorkerIngest, batch: DeltaBatch) -> None:
-        samples = state.delta.apply(batch)
+        readings = state.delta.apply(batch)
         if state.delta.needs_keyframe:
             self._request_keyframe(state)
         self._m_batches.inc()
-        # Rejected or quarantined samples never reach the table.
-        accepted = self.sink(*samples)
-        if accepted:
-            self._m_samples.inc(len(accepted))
-            if self.degraded:
-                # Fresh in-order data for these sources: no longer known-lossy.
-                for sample in accepted:
-                    self.degraded.clear(sample.node, sample.if_index)
+        if readings:
+            self._m_samples.inc(self.sink(state.delta, readings))
         if batch.closes and self.on_cycle is not None and self._assignments[state.name]:
             self._closed_by(state.name)
 
@@ -1208,8 +1195,8 @@ class DistributedMonitor(ReportCore, SampleIngest):
     their batches (:class:`SampleIngest`) into the rate table of a
     :class:`~repro.core.monitor.ReportCore` and serves path reports,
     streaming, probing and topology sync exactly like the single
-    monitor.  Shipped samples pass the :mod:`repro.integrity` pipeline
-    on the way in.
+    monitor, deriving the shipped readings as the single monitor derives
+    its own.
     """
 
     def __init__(
@@ -1234,11 +1221,13 @@ class DistributedMonitor(ReportCore, SampleIngest):
         self._build_pipeline(
             integrity, self.targets, degraded_sources=self.degraded
         )
+        self.derivation = Derivation(self.telemetry, poll_interval)
+        self.derivation.integrity = self.integrity
         # The interfaces of the pool: a batch naming any other one is no
-        # sample of ours and mints no key.
+        # reading of ours and leaves no baseline.
         self._pool = polled_interfaces(self.targets)
         self._m_foreign = self._counter(
-            "foreign_samples", "shipped samples of no interface in the poll-target pool"
+            "foreign_samples", "shipped readings of no interface in the poll-target pool"
         )
 
     # -- the pool follows the watches ------------------------------------
@@ -1255,28 +1244,44 @@ class DistributedMonitor(ReportCore, SampleIngest):
 
     def set_target_pool(self, targets: Sequence[PollTarget]) -> None:
         """The ingest's repartition; then the admission set, the speeds
-        the integrity pipeline judges by and the rate table follow the
-        pool, so an interface that left it keeps no state here."""
+        the integrity pipeline judges by, the baselines and the rate table
+        follow the pool, so an interface that left it keeps no state here."""
         SampleIngest.set_target_pool(self, targets)
         pool = polled_interfaces(self.targets)
-        self.rates.discard(sorted(self._pool - pool))
+        gone = self._pool - pool
+        self.rates.discard(sorted(gone))
+        for state in self._ingest.values():
+            state.delta.baselines = {a: {i: r for i, r in last.items() if (a[1], i) not in gone}
+                                     for a, last in state.delta.baselines.items()}
         self._pool = pool
         if self.integrity is not None:
             self.integrity.follow(self._interface_speeds(self.targets), self.sim.now)
 
-    def _accept(self, *samples: InterfaceRates) -> List[InterfaceRates]:
-        """Ingest sink: shipped samples face the same integrity gauntlet
-        as local polls before they reach the rate table -- remotely (see
-        :meth:`IntegrityPipeline.inspect`), with no raw snapshots."""
-        inspect = self.integrity.inspect if self.integrity is not None else None
-        accepted = []
-        for sample in samples:
-            if (sample.node, sample.if_index) not in self._pool:
-                self._m_foreign.inc()
-            elif inspect is None or inspect(sample, None, None):
-                self.rates.update(sample)
-                accepted.append(sample)
-        return accepted
+    def _accept(self, decoder: DeltaDecoder, readings: List[Reading]) -> int:
+        """Ingest sink: derive the pool's readings against the baselines
+        of their stream, reading worker and agent (a first reading only
+        sets one), as the flat poller does its own; returns how many
+        samples reached the rate table."""
+        pool, derive, baselines = self._pool, self.derivation.derive, decoder.baselines
+        admitted, foreign = [], 0
+        for worker, node, uptime, time, rows, first in readings:
+            ours = [row for row in rows if (node, row[0]) in pool]
+            foreign += len(rows) - len(ours)
+            if ours:
+                last = baselines.get((worker, node))
+                if last is None:
+                    last = baselines[(worker, node)] = {}
+                for if_index in first:
+                    last.pop(if_index, None)
+                admitted += derive(last, node, uptime, time, ours)
+        if foreign:
+            self._m_foreign.inc(foreign)
+        update, degraded = self.rates.update, self.degraded or None
+        for sample in admitted:
+            update(sample)
+            if degraded is not None:  # a fresh in-order sample: no longer known-lossy
+                degraded.clear(sample.node, sample.if_index)
+        return len(admitted)
 
     # -- sample source: the workers, through the inherited ingest --------
     def _start_source(self, at: float) -> None:

@@ -8,8 +8,8 @@ a :class:`LeafCoordinator` -- the fault-tolerant
 shard's worker hosts, with no report core behind it -- which merges its
 workers' streams and ships them up one delta-encoded, sequenced stream.
 The :class:`HierarchicalMonitor` root therefore sees *one stream per
-shard* (plus heartbeats), not one per worker, and its rate table and
-path reports are computed exactly like the flat plane's.
+shard* (plus heartbeats), not one per worker, and derives its rate table
+and path reports exactly like the flat plane.
 
 The tree reuses the flat plane's machinery at both levels, by
 construction rather than duplication:
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.deltas import DeltaDecoder, Reading
 from repro.core.distributed import DistributedMonitor, SampleIngest, UplinkEndpoint
 from repro.core.poller import PollTarget
 from repro.simnet.address import IPv4Address
@@ -54,12 +55,11 @@ class LeafCoordinator(UplinkEndpoint):
     """One shard: a local coordinator over its worker hosts, plus an
     uplink to the hierarchy root.
 
-    The sample source is a :class:`~repro.core.distributed.SampleIngest`
-    over the shard's workers whose sink is this endpoint's shipper, so
-    the root drives leaves with the unmodified flat machinery.  No
-    report core (the root reports), no integrity (the root inspects
-    once, so shipped samples face exactly the same gauntlet as in the
-    flat plane), no telemetry registry worth exporting.
+    The reading source is a :class:`~repro.core.distributed.SampleIngest`
+    over the shard's workers whose sink relays to this endpoint's
+    shipper, so the root drives leaves with the unmodified flat
+    machinery.  No report core, derivation or integrity (the root has
+    them), no telemetry registry worth exporting.
     """
 
     def __init__(
@@ -80,7 +80,7 @@ class LeafCoordinator(UplinkEndpoint):
             build,
             host_name,
             list(worker_hosts),
-            sink=self.shipper.enqueue,
+            sink=self._relay,
             telemetry=Telemetry.disabled(clock=lambda: self.sim.now),
             poll_interval=poll_interval,
             poll_jitter=poll_jitter,
@@ -133,9 +133,16 @@ class LeafCoordinator(UplinkEndpoint):
     def _apply_targets(self, targets: List[PollTarget]) -> None:
         self.dm.set_target_pool(targets)
 
+    def _relay(self, decoder: DeltaDecoder, readings: List[Reading]) -> int:
+        """Forward a batch's readings, still tagged with who took them."""
+        for _, node, _, _, rows, _ in readings if self.dm.degraded else ():
+            for if_index, _ in rows:  # fresh data: no longer known-lossy here
+                self.dm.degraded.clear(node, if_index)
+        return self.shipper.enqueue(*readings)
+
     def _ship_cycle(self) -> None:
         """The shard's cycle is over: ship what its workers delivered, if anything."""
-        if self.shipper.pending:
+        if self.shipper.delta.entries:
             self.shipper.flush()
 
 
@@ -148,7 +155,7 @@ class HierarchicalMonitor(DistributedMonitor):
     (the affinity map: a target's home shard is the pod it lives in, so
     monitoring traffic stays inside the pod until aggregation).  Leaves
     are driven through the inherited flat-plane machinery -- leases,
-    ARQ, versioned ``assign`` messages -- and ship delta-encoded sample
+    ARQ, versioned ``assign`` messages -- and ship delta-encoded reading
     streams; the root's report surface is the flat coordinator's, and so
     are its options, except that the tree batches 32 samples per
     datagram where the flat plane batches 8 -- at both levels:

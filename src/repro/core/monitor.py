@@ -749,8 +749,7 @@ class NetworkMonitor(ReportCore):
             self.manager.agent_labels[target.address] = target.node
         # The integrity pipeline validates every sample before it
         # reaches the rate table and quarantines untrustworthy
-        # interfaces; here it sits inside the poller, which has the raw
-        # counter snapshots the regression diagnosis reads.
+        # interfaces; here it sits inside the poller's derivation.
         self._build_pipeline(
             integrity, self.poller.targets, pairs=cross_pairs, health=self.health
         )

@@ -20,6 +20,8 @@ Fidelity notes:
 - Poll scheduling can carry seeded jitter, and agents add processing
   delay, so octets occasionally land in the *next* interval -- the paper's
   "abnormally small value followed by an abnormally large one".
+- The subtraction is :meth:`Derivation.derive` on every plane: the flat
+  poller's replies, and the readings a tree's workers ship to its root.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ _COLUMNS = (
 _ALL_COUNTER32 = (TAG_COUNTER32,) * len(_COLUMNS)
 _ABSENT = (None, 0)  # the table cell of a row the agent did not serve
 _WRAP = 1 << 32  # Counter32 and TimeTicks both wrap here
+_NO_SPEEDS: Dict[int, tuple] = {}  # no ifSpeed column read (never written)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -93,19 +96,6 @@ class InterfaceRates:
     def age(self, now: float) -> float:
         """Seconds elapsed since this sample was computed."""
         return max(0.0, now - self.time)
-
-
-@dataclass(slots=True)
-class _CounterSnapshot:
-    """One interface's raw reading: sysUpTime ticks, then :data:`_COLUMNS`."""
-
-    uptime: int
-    octets_in: int
-    octets_out: int
-    ucast_in: int
-    ucast_out: int
-    nucast_in: int
-    nucast_out: int
 
 
 class RateTable:
@@ -215,17 +205,112 @@ class _PollUnit:
         self.cycle = cycle
 
 
+class Derivation:
+    """Counter readings to rate samples: paper §3.1's subtraction, against
+    baselines the caller keeps -- the flat poller per node, a tree's root
+    per stream, reading worker and node.  ``integrity``, when set, judges
+    each sample on its two raw readings first."""
+
+    def __init__(self, telemetry: Telemetry, interval: float) -> None:
+        self.telemetry = telemetry
+        registry = telemetry.registry
+        self._m_samples = registry.counter(
+            "poll_samples_total", "rate samples computed from counter deltas"
+        )
+        self._m_restarts = registry.counter(
+            "agent_restarts_total", "sysUpTime resets read as agent restarts"
+        )
+        self._uncounted = 0  # samples ``poll_samples_total`` is yet to count
+        # An uptime delta beyond this is read as an agent restart (the
+        # counter baselines are then worthless and are re-established).
+        # TimeTicks wrap legitimately only every ~497 days; any apparent
+        # backward jump that "wraps" into a huge interval is a restart.
+        self.max_plausible_interval = max(3600.0, interval * 100)
+        # Optional measurement-integrity pipeline (repro.integrity),
+        # duck-typed: only the samples its ``inspect`` admits are returned.
+        self.integrity = None
+
+    @property
+    def samples_produced(self) -> int:
+        return self._m_samples.value + self._uncounted
+
+    @property
+    def agent_restarts(self) -> int:
+        return self._m_restarts.value
+
+    def derive(
+        self, last: Dict[int, tuple], node: str, uptime: int, now: float,
+        rows: Sequence[Tuple[int, Tuple[int, ...]]], speeds: Dict[int, tuple] = _NO_SPEEDS,
+    ) -> List[InterfaceRates]:
+        """Derive one agent's reading -- sysUpTime ``uptime``, rows of
+        ``(ifIndex, six counters)`` taken at ``now`` -- against ``last``,
+        its baselines; returns the admitted samples.  The interval is
+        judged once per baseline uptime (a restart counts once a reading);
+        six unmoved integers make rates of exactly ``+0.0``.  ``speeds`` is
+        the reply's ifSpeed column, when polled."""
+        integrity, admitted = self.integrity, []
+        since, seconds, restarted = None, None, []
+        for index, values in rows:
+            previous = last.get(index)
+            last[index] = current = (uptime, values)
+            if previous is None:
+                continue  # first reading only establishes the baseline
+            if previous[0] != since:
+                since = previous[0]
+                seconds = ((uptime - since) % _WRAP) / 100.0
+            if seconds <= 0:
+                continue  # same-tick duplicate; drop the sample
+            if seconds > self.max_plausible_interval:
+                # sysUpTime went backwards (agent restarted: "the time since
+                # the network management portion of the system was last
+                # re-initialized").  Counters restarted with it; this reading
+                # only re-establishes the baseline.
+                restarted.append(index)
+                if integrity is not None:
+                    integrity.note_restart(node, index)
+                continue
+            if values == previous[1]:
+                sample = InterfaceRates(node, index, now, seconds, 0.0, 0.0, 0.0, 0.0)
+            else:  # "The old value is subtracted from the new one", modulo the wrap
+                d = [(new - old) % _WRAP for new, old in zip(values, previous[1])]
+                sample = InterfaceRates(  # octets, then unicast + non-unicast packets
+                    node, index, now, seconds, d[0] / seconds, d[1] / seconds,
+                    (d[2] + d[4]) / seconds, (d[3] + d[5]) / seconds,
+                )
+            self._uncounted += 1
+            if integrity is not None:
+                tag, speed = speeds.get(index, _ABSENT)
+                if not integrity.inspect(
+                    sample, previous, current, float(speed) if tag == TAG_GAUGE32 else None
+                ):
+                    # Withheld: the table keeps its last admitted sample, which
+                    # ages into staleness -- bad data degrades like missing data.
+                    continue
+            admitted.append(sample)
+        if restarted:
+            self._m_restarts.inc()
+            self.telemetry.events.publish(
+                AGENT_RESTART, now, node=node, if_indexes=tuple(restarted)
+            )
+        if self._uncounted:
+            self._m_samples.inc(self._uncounted)
+            self._uncounted = 0
+        return admitted
+
+
 POLL_MODES = ("get", "bulk")
 
 
-class SnmpPoller:
+class SnmpPoller(Derivation):
     """Polls a set of targets every ``interval`` seconds.
 
-    Each response's admitted samples leave through the one exit,
-    ``on_sample``: the poller's own :class:`RateTable` unless the owner
-    assigns another sink (a worker ships them instead).  The monitor
-    schedules its report generation slightly after each cycle itself,
-    leaving the poller reusable on its own.
+    Each answered poll is an agent reading, derived against the poller's
+    own baselines; the admitted samples leave through the one exit,
+    ``on_sample`` (the poller's :class:`RateTable` unless the owner
+    assigns another sink).  An owner that sets ``on_reading`` takes the
+    readings instead (a worker ships them).  The monitor schedules its
+    report generation slightly after each cycle itself, leaving the
+    poller reusable on its own.
 
     ``poll_mode`` selects the wire strategy per target: ``"get"`` (one
     GET naming every instance -- the paper's layout, what the single
@@ -275,14 +360,14 @@ class SnmpPoller:
         self.pipeline_window = pipeline_window
         self.manager = manager
         self.sim = manager.sim
+        # Sharing the manager's hub keeps poller and manager statistics in
+        # one registry even when no monitor wired an enabled hub through.
+        super().__init__(telemetry if telemetry is not None else manager.telemetry, interval)
         self.targets = list(targets)
         self.interval = interval
         self.jitter = jitter
         self.rng = random.Random(seed)
         self.rates = rate_table if rate_table is not None else RateTable()
-        # Sharing the manager's hub keeps poller and manager statistics in
-        # one registry even when no monitor wired an enabled hub through.
-        self.telemetry = telemetry if telemetry is not None else manager.telemetry
         # Reachability tracking + circuit breaker: DEAD agents are polled
         # only at the tracker's slow probe cadence (default: every third
         # cycle) instead of burning a timeout slot every cycle.
@@ -291,9 +376,6 @@ class SnmpPoller:
         )
         # Per node and ifIndex, the last reading: (sysUpTime, the six counters).
         self._last: Dict[str, Dict[int, Tuple[int, Tuple[int, ...]]]] = {}
-        # Samples ``_derive`` produced that ``poll_samples_total`` has not
-        # been told of yet: the counter catches up once per response.
-        self._uncounted = 0
         self._task = None
         registry = self.telemetry.registry
         self._m_cycles = registry.counter(
@@ -311,12 +393,6 @@ class SnmpPoller:
         )
         self._m_parse_errors = registry.counter(
             "poll_parse_errors_total", "poll responses whose varbinds were unusable"
-        )
-        self._m_samples = registry.counter(
-            "poll_samples_total", "rate samples computed from counter deltas"
-        )
-        self._m_restarts = registry.counter(
-            "agent_restarts_total", "sysUpTime resets read as agent restarts"
         )
         self._m_window_deferred = registry.counter(
             "poll_window_deferred_total",
@@ -340,18 +416,10 @@ class SnmpPoller:
         self._open_cycle = 0
         self._cycle_span = NULL_SPAN
         self._unresolved = 0
-        # An uptime delta beyond this is read as an agent restart (the
-        # counter baselines are then worthless and are re-established).
-        # TimeTicks wrap legitimately only every ~497 days; any apparent
-        # backward jump that "wraps" into a huge interval is a restart.
-        self.max_plausible_interval = max(3600.0, interval * 100)
-        # Optional measurement-integrity pipeline (repro.integrity): when
-        # set, every computed sample passes through ``inspect`` and only
-        # admitted samples reach the rate table.  Duck-typed so the
-        # poller stays usable without the integrity package.
-        self.integrity = None
         #: The one exit: every admitted sample is handed to this callable.
         self.on_sample: Callable[[InterfaceRates], object] = self.rates.update
+        #: When set, takes each reading, ``(node, uptime, now, rows)``, underived.
+        self.on_reading: Optional[Callable[[str, int, float, list], object]] = None
         # Invoked as (node, if_index, up: bool) for every polled interface
         # whose target requests oper-status tracking -- the poll-based
         # link-state backstop for when linkDown traps are lost.
@@ -374,14 +442,6 @@ class SnmpPoller:
     @property
     def poll_errors(self) -> int:
         return self._m_errors.value
-
-    @property
-    def samples_produced(self) -> int:
-        return self._m_samples.value + self._uncounted
-
-    @property
-    def agent_restarts(self) -> int:
-        return self._m_restarts.value
 
     @property
     def window_deferred(self) -> int:
@@ -559,17 +619,15 @@ class SnmpPoller:
 
     def _derive(self, node: str, if_indexes: Sequence[int], uptime: int, tables: dict) -> None:
         """Turn one reply, ``{column: {ifIndex: (tag, value)}}`` at sysUpTime
-        ``uptime``, into a sample per interface against its last ``(uptime,
-        six integers)``; a wrong type (its tag says) or a missing row is a
-        parse error.  The interval is judged once per baseline uptime (so a
-        restart counts once); six unmoved integers make rates of exactly
-        ``+0.0``, and raw snapshots are built only for ``inspect``."""
-        last, integrity, now = self._last.setdefault(node, {}), self.integrity, self.sim.now
+        ``uptime``, into the agent's reading -- a row of six integers per
+        interface; a wrong type (its tag says) or a missing row is a parse
+        error -- and :meth:`derive` it against the poller's own baselines,
+        or hand it to ``on_reading``."""
         in_octets, out_octets, in_ucast, out_ucast, in_nucast, out_nucast = [
             tables[col] for col in _COLUMNS
         ]
         statuses = tables.get(IF_OPER_STATUS, {}) if self.on_status is not None else {}
-        since, seconds, restarted = None, None, []
+        rows = []
         for index in dict.fromkeys(if_indexes):
             if statuses and statuses.get(index, _ABSENT)[0] == TAG_INTEGER:
                 self.on_status(node, index, statuses[index][1] == IF_STATUS_UP)
@@ -581,49 +639,12 @@ class SnmpPoller:
             if tags != _ALL_COUNTER32:
                 self._m_parse_errors.inc()
                 continue
-            previous = last.get(index)
-            last[index] = (uptime, values)
-            if previous is None:
-                continue  # first poll only establishes the baseline
-            if previous[0] != since:
-                since = previous[0]
-                seconds = ((uptime - since) % _WRAP) / 100.0
-            if seconds <= 0:
-                continue  # same-tick duplicate; drop the sample
-            if seconds > self.max_plausible_interval:
-                # sysUpTime went backwards (agent restarted: "the time since
-                # the network management portion of the system was last
-                # re-initialized").  Counters restarted with it; this poll
-                # only re-establishes the baseline.
-                restarted.append(index)
-                if integrity is not None:
-                    integrity.note_restart(node, index)
-                continue
-            if values == previous[1]:
-                sample = InterfaceRates(node, index, now, seconds, 0.0, 0.0, 0.0, 0.0)
-            else:  # "The old value is subtracted from the new one", modulo the wrap
-                d = [(new - old) % _WRAP for new, old in zip(values, previous[1])]
-                sample = InterfaceRates(  # octets, then unicast + non-unicast packets
-                    node, index, now, seconds, d[0] / seconds, d[1] / seconds,
-                    (d[2] + d[4]) / seconds, (d[3] + d[5]) / seconds,
-                )
-            self._uncounted += 1
-            if integrity is not None:
-                tag, speed = tables.get(IF_SPEED, {}).get(index, _ABSENT)
-                if not integrity.inspect(
-                    sample, _CounterSnapshot(previous[0], *previous[1]),
-                    _CounterSnapshot(uptime, *values),
-                    float(speed) if tag == TAG_GAUGE32 else None,
-                ):
-                    # Withheld: the table keeps its last admitted sample, which
-                    # ages into staleness -- bad data degrades like missing data.
-                    continue
-            self.on_sample(sample)
-        if restarted:
-            self._m_restarts.inc()
-            self.telemetry.events.publish(
-                AGENT_RESTART, now, node=node, if_indexes=tuple(restarted)
-            )
-        if self._uncounted:
-            self._m_samples.inc(self._uncounted)
-            self._uncounted = 0
+            rows.append((index, values))
+        if self.on_reading is not None:
+            self.on_reading(node, uptime, self.sim.now, rows)
+        else:
+            for sample in self.derive(
+                self._last.setdefault(node, {}), node, uptime, self.sim.now, rows,
+                tables.get(IF_SPEED, _NO_SPEEDS),
+            ):
+                self.on_sample(sample)

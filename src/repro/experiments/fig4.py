@@ -109,6 +109,3 @@ def main(seed: int = 0) -> Fig4Result:
         print(line)
     return result
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

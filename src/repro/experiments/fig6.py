@@ -60,6 +60,3 @@ def main(seed: int = 0) -> PathsResult:
     )
     return result
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -72,6 +72,3 @@ def main(seed: int = 0) -> Table2Result:
     )
     return out
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -4,14 +4,15 @@ Sits between the SNMP poller and the bandwidth calculator:
 
 ::
 
-    poller._derive ──► pipeline.inspect ──┬─ admit ──► RateTable ──► calculator
-                                          └─ reject (violation / quarantined)
-                                                │
-                                          trust scores ──► quarantine
-                                                ▲
-    report cycle  ──► pipeline.run_cross_checks ┘   (shadow samples)
+    Derivation.derive ──► pipeline.inspect ──┬─ admit ──► RateTable ──► calculator
+                                             └─ reject (violation / quarantined)
+                                                   │
+                                             trust scores ──► quarantine
+                                                   ▲
+    report cycle  ──► pipeline.run_cross_checks ───┘   (shadow samples)
 
-``inspect`` runs the per-sample validators and decides admission; the
+``inspect`` runs the per-sample validators on the two raw readings a
+sample was derived from, on every plane, and decides admission; the
 monitor calls ``run_cross_checks`` each report cycle to compare both
 ends of every two-ended connection.  Rejected samples never reach the
 ``RateTable``, so the PR-1 staleness/confidence machinery degrades
@@ -248,7 +249,7 @@ class IntegrityPipeline:
         self._warn_wrap_risk_config(now)
 
     # ------------------------------------------------------------------
-    # Per-sample path (called from SnmpPoller._derive)
+    # Per-sample path (called from Derivation.derive)
     # ------------------------------------------------------------------
     def _bind(self, key: Key) -> _Interface:
         """First sight of an interface, by a sample or by a verdict."""
@@ -268,8 +269,8 @@ class IntegrityPipeline:
     def inspect(
         self,
         sample: InterfaceRates,
-        prev: object,
-        cur: object,
+        prev: tuple,
+        cur: tuple,
         polled_speed_bps: Optional[float] = None,
     ) -> bool:
         """Validate one sample; return True when it may enter the table.
@@ -281,12 +282,8 @@ class IntegrityPipeline:
         is false for NaN (``not (rate <= limit)``, never ``rate >
         limit``): a value that is no number falls through and is judged.
 
-        A sample shipped from a remote worker arrives as derived rates,
-        not raw counter snapshots, so the coordinator passes
-        ``prev``/``cur`` as None: the rate bound still applies (a remote worker, or anything
-        spoofing one, must not inject impossible rates into the table);
-        the regression diagnosis and polled-ifSpeed cross-check simply
-        have nothing to read.
+        ``prev`` and ``cur`` are the two raw readings the sample was
+        derived from, ``(sysUpTime, six Counter32 values)`` each.
         """
         key = (sample.node, sample.if_index)
         self._shadow[key] = sample

@@ -2,8 +2,8 @@
 
 PR 1 hardened the monitor against *absent* data; these checks harden it
 against *wrong* data.  Each validator inspects one freshly computed
-:class:`~repro.core.poller.InterfaceRates` sample (plus the raw counter
-snapshots it was derived from) and yields zero or more typed
+:class:`~repro.core.poller.InterfaceRates` sample (plus the two raw
+readings it was derived from) and yields zero or more typed
 :class:`IntegrityVerdict` records.
 
 Severity semantics:
@@ -70,18 +70,17 @@ class IntegrityVerdict:
 class SampleContext:
     """Everything a validator may inspect about one ingested sample.
 
-    ``prev``/``cur`` are the poller's raw ``_CounterSnapshot`` records
-    (duck-typed here: ``uptime``, ``octets_in``, ``octets_out`` and the
-    four packet counters, all plain integers) -- or ``None`` for samples shipped from a
-    remote worker, which arrive pre-derived without raw snapshots;
-    validators must tolerate that.  ``speed_bps`` is the topology-declared
+    ``prev``/``cur`` are the two raw readings the sample was derived
+    from, ``(sysUpTime, counters)`` with ``counters`` the six Counter32
+    values in the poller's column order (octets in and out, unicast
+    packets in and out, non-unicast packets in and out).  ``speed_bps`` is the topology-declared
     interface speed; ``polled_speed_bps`` is what the agent's own MIB
     claimed via ifSpeed, when the monitor polls it (cross-check mode).
     """
 
     sample: InterfaceRates
-    prev: object
-    cur: object
+    prev: tuple
+    cur: tuple
     speed_bps: Optional[float]
     polled_speed_bps: Optional[float]
     configured_interval: float
@@ -118,27 +117,14 @@ class RateBoundValidator:
             return []
         limit = self.limit(speed)
         verdicts: List[IntegrityVerdict] = []
-        # Remotely shipped samples arrive without raw snapshots; the rate
-        # bound still applies, only the regression diagnosis is skipped.
-        have_raw = ctx.prev is not None and ctx.cur is not None
-        directions = (
-            (
-                "in",
-                ctx.sample.in_bytes_per_s,
-                ctx.cur.octets_in if have_raw else None,
-                ctx.prev.octets_in if have_raw else None,
-            ),
-            (
-                "out",
-                ctx.sample.out_bytes_per_s,
-                ctx.cur.octets_out if have_raw else None,
-                ctx.prev.octets_out if have_raw else None,
-            ),
+        cur, prev = ctx.cur[1], ctx.prev[1]
+        directions = (  # the octet counters are the first two
+            ("in", ctx.sample.in_bytes_per_s, cur[0] < prev[0]),
+            ("out", ctx.sample.out_bytes_per_s, cur[1] < prev[1]),
         )
-        for name, rate, cur, prev in directions:
+        for name, rate, regressed in directions:
             if rate <= limit:  # false for NaN: a rate that is no number is over
                 continue
-            regressed = have_raw and cur < prev
             verdicts.append(
                 IntegrityVerdict(
                     check="counter_regression" if regressed else "rate_bound",
@@ -193,29 +179,14 @@ class StuckCounterValidator:
         self._state.pop((node, if_index), None)
 
     def advance(
-        self, state: List, sample: InterfaceRates, prev: object, cur: object
+        self, state: List, sample: InterfaceRates, prev: tuple, cur: tuple
     ) -> Optional[IntegrityVerdict]:
         """Move one interface's ``state`` over one sample; the verdict the
         sample draws, if any.  The rule keeps state, so it sees every
-        sample: ``check`` is this on the state it looks up itself."""
-        if prev is None or cur is None:
-            # No raw snapshots (remotely shipped sample): fall back to the
-            # derived figures -- all-zero rates mean the counters did not
-            # move over the sample's interval.
-            frozen = (
-                sample.in_bytes_per_s == 0.0
-                and sample.out_bytes_per_s == 0.0
-                and sample.in_pkts_per_s == 0.0
-                and sample.out_pkts_per_s == 0.0
-            )
-        else:
-            frozen = (
-                cur.octets_in == prev.octets_in
-                and cur.octets_out == prev.octets_out
-                and cur.ucast_in == prev.ucast_in
-                and cur.ucast_out == prev.ucast_out
-            )
-        if frozen:
+        sample: ``check`` is this on the state it looks up itself.
+        Frozen means the octet and unicast counters, the first four of
+        each reading, did not move."""
+        if cur[1][:4] == prev[1][:4]:
             state[0] += 1
         else:
             state[0], state[1] = 0, True

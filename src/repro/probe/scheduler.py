@@ -11,6 +11,9 @@ bytes:
     round_interval = max over paths of
         train_bytes / (budget_fraction * narrowest_bytes_per_s)
 
+where a watch in doubt counts what its last train achieved instead, when
+lower: a link below its spec speed is budgeted by what it carries.
+
 Probing is spent in proportion to doubt.  A watch is **in doubt** when
 
 (a) its path crosses a connection no counter source observes (resolved
@@ -186,12 +189,18 @@ class ProbeScheduler:
         ) / 8.0
 
     def required_interval(self, label: str) -> float:
-        """Round interval keeping ``label``'s narrowest link in budget."""
-        return self.train_bytes / (self.budget_fraction * self.narrowest_bytes(label))
+        """Round interval keeping ``label``'s narrowest link in budget: by
+        its spec speed, or while in doubt its last train's, if lower."""
+        capacity, report = self.narrowest_bytes(label), self.reports.get(label)
+        if report is not None and 0 < report.achievable_bps < capacity and self._doubt(label):
+            capacity = report.achievable_bps
+        return self.train_bytes / (self.budget_fraction * capacity)
 
     def _compute_interval(self) -> float:
         labels = self.monitor.watched_paths()
         if not labels:
+            if self.round_interval is not None:
+                return self.round_interval  # nothing watched for now: as sized last
             raise ProbeError("no watched paths to probe; call watch_path() first")
         return max(self.required_interval(label) for label in labels)
 
@@ -292,6 +301,7 @@ class ProbeScheduler:
             self.rounds_skipped += 1
         else:
             self._launch(label)
+        self.round_interval = self._compute_interval()
         self._task = self.sim.schedule_at(self._next_round(busy), self._round)
 
     def _launch(self, label: str) -> None:
@@ -339,6 +349,7 @@ class ProbeScheduler:
             BREACH_COUNT if not report.complete else max(self._lossy.get(label, 0) - 1, 0)
         )
         finding, recovered = self.validator.observe(report, passive, now)
+        self.round_interval = self._compute_interval()
         if self._lossy[label] or self.validator.streak(label):
             # This train opened a doubt: its confirming train follows one
             # round interval after it set out, not a poll interval.

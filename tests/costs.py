@@ -161,10 +161,10 @@ class ThreeTiers:
     ``worker_out`` and ``leaf_out`` (every payload ever, in order);
     :meth:`carry` takes what is new one tier up.  :meth:`poll` feeds the
     worker's poller one reply for the first ``n`` interfaces of the
-    switch and carries the samples to the root, returning the Python
+    switch and carries the reading to the root, returning the Python
     calls each tier made on the way -- worker ``_on_response`` + its
     closing batch, leaf ingest + relay + the shard's closing batch, root
-    ingest -- by ``(source file, function name)``.
+    ingest and derivation -- by ``(source file, function name)``.
     """
 
     NODE = "p0sw0"
@@ -232,21 +232,23 @@ class ThreeTiers:
         }
 
 
-def per_record(active: bool, sizes=(16, 32)):
-    """``{tier: Counter}``: what one more steady ``ADVANCE`` record costs
-    each tier, by ``(source file, function name)`` -- the difference
-    between a ``sizes[1]``- and a ``sizes[0]``-interface cycle over the
-    difference in records.  Both sizes fit one batch and one-byte record
-    ids, so the slope is the record and the intercept (the batch, the
-    datagram) drops out.  With ``active`` the counters move once and
-    then freeze, and by the measured cycle the root's stuck-counter rule
-    fires on every record; without, they never move and nothing fires.
+def per_record(active: bool, sizes=(12, 24)):
+    """``{tier: Counter}``: what one more steady interface -- a ``same``
+    entry, its id alone -- costs each tier, by ``(source file, function
+    name)``: the difference between a ``sizes[1]``- and a
+    ``sizes[0]``-interface cycle over the difference in interfaces.  Both
+    sizes fit one batch, one agent record and one-byte entry heads (ids
+    below 32), so the slope is the entry and the intercept (the batch,
+    the datagram, the agent record) drops out.  With ``active`` the
+    counters move once and then freeze, and by the measured cycle the
+    root's stuck-counter rule fires on every sample; without, they never
+    move and nothing fires.
     """
     cycles = []
     for n in sizes:
         tiers = ThreeTiers()
         tiers.poll(n, 1000)  # the baseline
-        for _ in range(5):  # into the steady state: ADVANCE records only
+        for _ in range(5):  # into the steady state: same entries only
             calls = tiers.poll(n, 1500 if active else 1000)
         cycles.append(calls)
     small, large = cycles

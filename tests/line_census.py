@@ -59,7 +59,6 @@ _SIZE = "input-size path: fragments, long lists, multi-byte lengths, ports that 
 _SPEC = "spec-language section or topology shape no shipped spec uses"
 _SURFACE = "operator surface: a repr, accessor, query or export read by an operator or a test"
 _LIFECYCLE = "lifecycle edge: a stop, restart, repeated call, stalled subscriber or late event"
-_MAIN = "the module's own command line (python -m), which no entry runs"
 
 #: ``"path under src/repro": (count, reason)``: the unreached non-error
 #: lines each file may keep, and why they stay.  Lower an entry whenever
@@ -70,7 +69,7 @@ UNREACHED: Dict[str, Tuple[int, str]] = {
     "cli.py": (20, _ERRORS),
     "core/bandwidth.py": (11, _FAULTS),
     "core/dataflow.py": (3, _SURFACE),
-    "core/deltas.py": (20, _ARQ),
+    "core/deltas.py": (19, _ARQ),
     "core/discovery.py": (29, _ERRORS),
     "core/distributed.py": (140, _ARQ),
     "core/health.py": (3, _FAULTS),
@@ -84,17 +83,13 @@ UNREACHED: Dict[str, Tuple[int, str]] = {
     "core/report.py": (5, _SURFACE),
     "core/topology_sync.py": (32, _FAULTS),
     "core/traversal.py": (12, _ERRORS),
-    "experiments/fig4.py": (9, _MAIN),
-    "experiments/fig5.py": (1, _MAIN),
-    "experiments/fig6.py": (9, _MAIN),
     "experiments/scale.py": (12, _SPEC),
-    "experiments/table2.py": (12, _MAIN),
     "integrity/crosscheck.py": (13, _FAULTS),
     "integrity/pipeline.py": (24, _FAULTS),
     "integrity/quarantine.py": (10, _FAULTS),
     "integrity/validators.py": (22, _FAULTS),
     "probe/crossval.py": (57, _FAULTS),
-    "probe/scheduler.py": (16, _FAULTS),
+    "probe/scheduler.py": (14, _FAULTS),
     "probe/stats.py": (7, _ERRORS),
     "probe/train.py": (4, _ERRORS),
     "rm/applications.py": (5, _LIFECYCLE),
@@ -148,7 +143,7 @@ UNREACHED: Dict[str, Tuple[int, str]] = {
 }
 
 #: The total of the above; lower it whenever the total falls, never raise it.
-UNREACHED_CEILING = 1422
+UNREACHED_CEILING = 1388
 
 #: Steady cycles per ledger workload.
 WORKLOAD_CYCLES = {

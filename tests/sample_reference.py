@@ -15,44 +15,19 @@ everything that was not rewritten is shared -- are how the tests know:
   (:class:`ReferenceStuck` replaces its ``[streak, was_active]`` list on
   every call) and its :class:`ReferenceQuarantine` (``_update_state``
   after every call) are the old ones too.
-- :class:`ReferenceEncoder`, :func:`reference_parse_delta` and
-  :class:`ReferenceDecoder` are the old delta codec: ``_fields`` /
-  ``_sample`` per record, every id through the general varint loop.
-- :class:`ReferenceShipper`, :func:`reference_enqueue`,
-  :func:`reference_deliver` and :func:`reference_accept` are the old
-  sample-at-a-time uplink: the ingest hands its sink one sample, the
-  endpoint queues it and flushes when the shipper says the batch is full.
-  :func:`make_reference` hangs them on an unstarted monitor tree.
 - :class:`ReferencePoller` is the old reply parser and ``_ingest``: a raw
   snapshot per interface and every sample derived, moved or not.
+
+A raw reading is ``(sysUpTime, six counters)`` in the poller's column
+order, as the product hands it to ``inspect``; the bodies read it by
+index where they read a snapshot's fields by name.  (The old float
+uplink's codec, which this module also kept, went with that format.)
 
 Nothing here is called by the product.
 """
 
-from typing import List, Sequence, Tuple
+from typing import List
 
-from repro.core.deltas import (
-    _F64,
-    _F64X6,
-    _FLAG_CLOSES,
-    _FLAG_KEYFRAME,
-    DELTA_MAGIC,
-    REC_ADVANCE,
-    REC_ADVANCE_SAME_D,
-    REC_CHANGED,
-    REC_FULL,
-    REC_REFRESH,
-    DeltaBatch,
-    DeltaDecoder,
-    DeltaEncoder,
-    DeltaError,
-    _get_str,
-    _get_varint,
-    _put_str,
-    _put_varint,
-    is_delta,
-)
-from repro.core.distributed import RESEND_BUFFER, SampleShipper
 from repro.core.poller import (
     _ABSENT,
     _ALL_COUNTER32,
@@ -61,7 +36,6 @@ from repro.core.poller import (
     InterfaceRates,
     PollTarget,
     SnmpPoller,
-    _CounterSnapshot,
 )
 from repro.integrity.pipeline import IntegrityPipeline
 from repro.integrity.quarantine import QuarantineManager, TrustRecord
@@ -98,14 +72,14 @@ class ReferenceRateBound(RateBoundValidator):
             (
                 "in",
                 ctx.sample.in_bytes_per_s,
-                ctx.cur.octets_in if have_raw else None,
-                ctx.prev.octets_in if have_raw else None,
+                ctx.cur[1][0] if have_raw else None,
+                ctx.prev[1][0] if have_raw else None,
             ),
             (
                 "out",
                 ctx.sample.out_bytes_per_s,
-                ctx.cur.octets_out if have_raw else None,
-                ctx.prev.octets_out if have_raw else None,
+                ctx.cur[1][1] if have_raw else None,
+                ctx.prev[1][1] if have_raw else None,
             ),
         )
         for name, rate, cur, prev in directions:
@@ -145,11 +119,12 @@ class ReferenceStuck(StuckCounterValidator):
                 and s.in_pkts_per_s == 0.0
                 and s.out_pkts_per_s == 0.0
             )
+        cur, prev = cur[1], prev[1]  # octets in and out, unicast in and out
         return (
-            cur.octets_in == prev.octets_in
-            and cur.octets_out == prev.octets_out
-            and cur.ucast_in == prev.ucast_in
-            and cur.ucast_out == prev.ucast_out
+            cur[0] == prev[0]
+            and cur[1] == prev[1]
+            and cur[2] == prev[2]
+            and cur[3] == prev[3]
         )
 
     def forget(self, node: str, if_index: int) -> None:
@@ -403,303 +378,11 @@ class ReferencePipeline(IntegrityPipeline):
 
 
 # ----------------------------------------------------------------------
-# Uplink: the delta codec
-# ----------------------------------------------------------------------
-# Six float fields of a sample, in wire order.
-def _fields(sample: InterfaceRates) -> Tuple[float, float, float, float, float, float]:
-    return (
-        sample.time,
-        sample.interval,
-        sample.in_bytes_per_s,
-        sample.out_bytes_per_s,
-        sample.in_pkts_per_s,
-        sample.out_pkts_per_s,
-    )
-
-
-def _sample(node: str, if_index: int, fields: Sequence[float]) -> InterfaceRates:
-    return InterfaceRates(
-        node=node,
-        if_index=if_index,
-        time=fields[0],
-        interval=fields[1],
-        in_bytes_per_s=fields[2],
-        out_bytes_per_s=fields[3],
-        in_pkts_per_s=fields[4],
-        out_pkts_per_s=fields[5],
-    )
-
-
-def reference_parse_delta(payload: bytes) -> DeltaBatch:
-    if not is_delta(payload):
-        raise DeltaError("not a delta batch")
-    pos = 1
-    if pos >= len(payload):
-        raise DeltaError("truncated flags")
-    flags = payload[pos]
-    pos += 1
-    worker, pos = _get_str(payload, pos)
-    incarnation, pos = _get_varint(payload, pos)
-    seq, pos = _get_varint(payload, pos)
-    count, pos = _get_varint(payload, pos)
-    records: List[tuple] = []
-    for _ in range(count):
-        if pos >= len(payload):
-            raise DeltaError("truncated record")
-        rec_type = payload[pos]
-        pos += 1
-        rec_id, pos = _get_varint(payload, pos)
-        if rec_type in (REC_FULL, REC_REFRESH):
-            node, pos = _get_str(payload, pos)
-            if_index, pos = _get_varint(payload, pos)
-            if pos + _F64X6.size > len(payload):
-                raise DeltaError("truncated full record")
-            fields = _F64X6.unpack_from(payload, pos)
-            pos += _F64X6.size
-            records.append((rec_type, rec_id, node, if_index, fields))
-        elif rec_type == REC_CHANGED:
-            if pos + _F64X6.size > len(payload):
-                raise DeltaError("truncated changed record")
-            fields = _F64X6.unpack_from(payload, pos)
-            pos += _F64X6.size
-            records.append((rec_type, rec_id, None, None, fields))
-        elif rec_type == REC_ADVANCE:
-            if pos + 2 * _F64.size > len(payload):
-                raise DeltaError("truncated advance record")
-            t = _F64.unpack_from(payload, pos)[0]
-            d = _F64.unpack_from(payload, pos + _F64.size)[0]
-            pos += 2 * _F64.size
-            records.append((rec_type, rec_id, None, None, (t, d)))
-        elif rec_type == REC_ADVANCE_SAME_D:
-            if pos + _F64.size > len(payload):
-                raise DeltaError("truncated advance record")
-            t = _F64.unpack_from(payload, pos)[0]
-            pos += _F64.size
-            records.append((rec_type, rec_id, None, None, (t,)))
-        else:
-            raise DeltaError(f"unknown record type {rec_type!r}")
-    if pos != len(payload):
-        raise DeltaError("trailing bytes in delta batch")
-    return DeltaBatch(
-        worker, incarnation, seq, bool(flags & _FLAG_KEYFRAME), records,
-        bool(flags & _FLAG_CLOSES),
-    )
-
-
-class ReferenceEncoder(DeltaEncoder):
-    def encode(self, incarnation, seq, samples, keyframe: bool = False,
-               closes: bool = False) -> bytes:
-        """Encode one batch; consumes any pending keyframe request."""
-        kf = keyframe or self._kf_pending
-        self._kf_pending = False
-        body = bytearray()
-        records = 0
-        touched: set = set()
-        for sample in samples:
-            key = (sample.node, sample.if_index)
-            fields = _fields(sample)
-            rec_id = self._ids.get(key)
-            if rec_id is None:
-                rec_id = self._ids[key] = self._next_id
-                self._next_id += 1
-                self._encode_keyed(body, REC_FULL, rec_id, sample.node,
-                                   sample.if_index, fields)
-                self.records_full += 1
-            else:
-                last = self._last[rec_id]
-                if kf:
-                    # Inside a keyframe every delivered sample travels
-                    # full, so a reset receiver can rebuild its maps.
-                    self._encode_keyed(body, REC_FULL, rec_id, sample.node,
-                                       sample.if_index, fields)
-                    self.records_full += 1
-                elif fields[2:] != last[2:]:
-                    body.append(REC_CHANGED)
-                    _put_varint(body, rec_id)
-                    body.extend(_F64X6.pack(*fields))
-                    self.records_changed += 1
-                elif fields[1] != last[1]:
-                    body.append(REC_ADVANCE)
-                    _put_varint(body, rec_id)
-                    body.extend(_F64.pack(fields[0]))
-                    body.extend(_F64.pack(fields[1]))
-                    self.records_advance += 1
-                else:
-                    body.append(REC_ADVANCE_SAME_D)
-                    _put_varint(body, rec_id)
-                    body.extend(_F64.pack(fields[0]))
-                    self.records_advance += 1
-            self._last[rec_id] = fields
-            touched.add(rec_id)
-            records += 1
-        if kf:
-            # Re-state every key the batch did not touch, as map-only
-            # refresh records (not delivered as samples downstream).
-            for key, rec_id in sorted(self._ids.items(), key=lambda kv: kv[1]):
-                if rec_id in touched:
-                    continue
-                self._encode_keyed(body, REC_REFRESH, rec_id, key[0], key[1],
-                                   self._last[rec_id])
-                self.records_refresh += 1
-                records += 1
-            self.keyframes += 1
-        out = bytearray([DELTA_MAGIC, (_FLAG_KEYFRAME if kf else 0) | (_FLAG_CLOSES if closes else 0)])
-        _put_str(out, self.worker)
-        _put_varint(out, incarnation)
-        _put_varint(out, seq)
-        _put_varint(out, records)
-        out.extend(body)
-        return bytes(out)
-
-    @staticmethod
-    def _encode_keyed(body, rec_type, rec_id, node, if_index, fields) -> None:
-        body.append(rec_type)
-        _put_varint(body, rec_id)
-        _put_str(body, node)
-        _put_varint(body, if_index)
-        body.extend(_F64X6.pack(*fields))
-
-
-class ReferenceDecoder(DeltaDecoder):
-    def apply(self, batch: DeltaBatch) -> List[InterfaceRates]:
-        """Fold one in-order batch in; returns the delivered samples."""
-        out: List[InterfaceRates] = []
-        for rec_type, rec_id, node, if_index, fields in batch.records:
-            if rec_type in (REC_FULL, REC_REFRESH):
-                self._keys[rec_id] = (node, if_index)
-                self._last[rec_id] = fields
-                if rec_type == REC_FULL:
-                    out.append(_sample(node, if_index, fields))
-                continue
-            key = self._keys.get(rec_id)
-            if key is None:
-                # Reset receiver (restart / adopted stream): the mapping
-                # rode a batch we never saw.  Only a keyframe helps.
-                self.samples_skipped += 1
-                self.needs_keyframe = True
-                continue
-            if rec_type == REC_CHANGED:
-                self._last[rec_id] = fields
-                out.append(_sample(key[0], key[1], fields))
-            elif rec_type == REC_ADVANCE or rec_type == REC_ADVANCE_SAME_D:
-                if self.desync:
-                    # The base values are stale; delivering would present
-                    # pre-loss rates as current measurements.
-                    self.samples_skipped += 1
-                    self.needs_keyframe = True
-                    continue
-                last = self._last[rec_id]
-                if rec_type == REC_ADVANCE:
-                    new = (fields[0], fields[1]) + last[2:]
-                else:
-                    new = (fields[0],) + last[1:]
-                self._last[rec_id] = new
-                out.append(_sample(key[0], key[1], new))
-        if batch.keyframe:
-            # Every key was just re-stated: advance records are safe again.
-            self.desync = False
-            self.needs_keyframe = False
-        return out
-
-
-# ----------------------------------------------------------------------
-# Uplink: the sample-at-a-time shipper, sink and delivery loop
-# ----------------------------------------------------------------------
-class ReferenceShipper(SampleShipper):
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.delta = ReferenceEncoder(self.name)
-
-    def enqueue(self, sample: InterfaceRates) -> bool:
-        """Queue one sample; True when one more than a batch is queued
-        (caller flushes the full batch)."""
-        self.pending.append(sample)
-        return len(self.pending) > self.max_batch
-
-    def flush(self, closes: bool = True) -> None:
-        """Ship the first ``max_batch`` samples queued, or the whole queue
-        as the batch closing a cycle (which ships even empty)."""
-        seq = self.next_seq
-        self.next_seq += 1
-        cut = len(self.pending) if closes else self.max_batch
-        samples, self.pending = self.pending[:cut], self.pending[cut:]
-        due = (
-            self.keyframe_every > 0
-            and self._since_keyframe + 1 >= self.keyframe_every
-        )
-        payload = self.delta.encode(self.incarnation, seq, samples, keyframe=due, closes=closes)
-        if payload[1] & 0x01:  # the encoder may also have had one pending
-            self._since_keyframe = 0
-            self.keyframes_shipped += 1
-        else:
-            self._since_keyframe += 1
-        self.samples_shipped += len(samples)
-        self.batches_shipped += 1
-        self.bytes_shipped += len(payload)
-        self._resend[seq] = payload
-        while len(self._resend) > RESEND_BUFFER:
-            self._resend.popitem(last=False)  # drop-oldest: bounded memory
-        self.send(payload)
-
-
-def reference_enqueue(endpoint, sample: InterfaceRates) -> bool:
-    """``UplinkEndpoint._enqueue``: an ingest's per-sample sink."""
-    if endpoint.shipper.enqueue(sample):
-        endpoint.shipper.flush(closes=False)
-    return True  # an ingest sink's "accepted"
-
-
-def reference_accept(monitor, sample: InterfaceRates) -> bool:
-    """``DistributedMonitor._accept``: the root's per-sample sink."""
-    if monitor.integrity is not None and not monitor.integrity.inspect(sample, None, None):
-        return False
-    monitor.rates.update(sample)
-    return True
-
-
-def reference_deliver(ingest, sink, state, batch: DeltaBatch) -> None:
-    """``SampleIngest._deliver`` with its per-sample ``sink``."""
-    samples = state.delta.apply(batch)
-    if state.delta.needs_keyframe:
-        ingest._request_keyframe(state)
-    ingest._m_batches.inc()
-    for sample in samples:
-        if not sink(sample):
-            continue  # rejected or quarantined: never reaches the table
-        ingest._m_samples.inc()
-        # Fresh in-order data for this source: no longer known-lossy.
-        ingest.degraded.clear(sample.node, sample.if_index)
-
-
-def make_reference(tiers) -> None:
-    """Put the old uplink on an unstarted :class:`tests.costs.ThreeTiers`:
-    both shippers, both decoders, both delivery loops and both sinks."""
-    worker, leaf, root = tiers.worker, tiers.leaf, tiers.root
-    for endpoint in (worker, leaf):
-        old = endpoint.shipper
-        endpoint.shipper = ReferenceShipper(
-            old.name, old.send, max_batch=old.max_batch,
-            keyframe_every=old.keyframe_every,
-        )
-    worker.poller.on_sample = lambda sample: reference_enqueue(worker, sample)
-    for ingest, sink in (
-        (leaf.dm, lambda sample: reference_enqueue(leaf, sample)),
-        (root, lambda sample: reference_accept(root, sample)),
-    ):
-        for state in ingest._ingest.values():
-            state.delta = ReferenceDecoder()
-        ingest._deliver = (
-            lambda state, batch, ingest=ingest, sink=sink:
-            reference_deliver(ingest, sink, state, batch)
-        )
-
-
-# ----------------------------------------------------------------------
 # The worker's poller: a snapshot per interface, every sample derived
 # ----------------------------------------------------------------------
 class ReferencePoller(SnmpPoller):
-    """The parent's reply parser and ``_ingest``: a ``_CounterSnapshot``
-    per interface per reply, kept as the baseline; every sample derived
+    """The parent's reply parser and ``_ingest``: a raw reading per
+    interface per reply, kept as the baseline; every sample derived
     by the modular arithmetic, moved or not; the uptime judged, and a
     restart counted and published, once per interface."""
 
@@ -723,7 +406,7 @@ class ReferencePoller(SnmpPoller):
                 continue
             tag, speed = speeds.get(index, _ABSENT)
             self._ingest(
-                target.node, index, _CounterSnapshot(uptime, *values),
+                target.node, index, (uptime, values),
                 float(speed) if tag == TAG_GAUGE32 else None,
             )
         if self._uncounted:
@@ -736,7 +419,7 @@ class ReferencePoller(SnmpPoller):
         self._last[key] = snapshot
         if previous is None:
             return  # first poll only establishes the baseline
-        seconds = ((snapshot.uptime - previous.uptime) % _WRAP) / 100.0
+        seconds = ((snapshot[0] - previous[0]) % _WRAP) / 100.0
         if seconds <= 0:
             # Same-tick duplicate; drop the sample.
             return
@@ -749,21 +432,16 @@ class ReferencePoller(SnmpPoller):
                 self.integrity.note_restart(node, if_index)
             return
         # "The old value is subtracted from the new one", modulo the wrap.
-        in_pkts = (
-            (snapshot.ucast_in - previous.ucast_in) % _WRAP
-            + (snapshot.nucast_in - previous.nucast_in) % _WRAP
-        )
-        out_pkts = (
-            (snapshot.ucast_out - previous.ucast_out) % _WRAP
-            + (snapshot.nucast_out - previous.nucast_out) % _WRAP
-        )
+        new, old = snapshot[1], previous[1]  # octets, unicast, non-unicast; in, out
+        in_pkts = (new[2] - old[2]) % _WRAP + (new[4] - old[4]) % _WRAP
+        out_pkts = (new[3] - old[3]) % _WRAP + (new[5] - old[5]) % _WRAP
         sample = InterfaceRates(
             node=node,
             if_index=if_index,
             time=self.sim.now,
             interval=seconds,
-            in_bytes_per_s=(snapshot.octets_in - previous.octets_in) % _WRAP / seconds,
-            out_bytes_per_s=(snapshot.octets_out - previous.octets_out) % _WRAP / seconds,
+            in_bytes_per_s=(new[0] - old[0]) % _WRAP / seconds,
+            out_bytes_per_s=(new[1] - old[1]) % _WRAP / seconds,
             in_pkts_per_s=in_pkts / seconds,
             out_pkts_per_s=out_pkts / seconds,
         )

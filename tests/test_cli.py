@@ -354,6 +354,22 @@ class TestExperiment:
         assert "Figure 5" in out
         assert "hub sum" in out
 
+    def test_fig4_runs(self, capsys):
+        assert main(["experiment", "fig4"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 4 -- dynamically varying network load (S1 <-> N1)" in out
+        assert "Fig 4a/4b: generated (-) vs measured (*)" in out
+
+    def test_fig6_runs(self, capsys):
+        assert main(["experiment", "fig6"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 6 -- switch-connected hosts (per-port isolation)" in out
+
+    def test_table2_runs(self, capsys):
+        assert main(["experiment", "table2"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 2 -- Statistics of Measured Traffic Load (KB/s)" in out
+
 
 class TestStream:
     def test_default_testbed_runs_clean(self, capsys):
@@ -653,7 +669,7 @@ class TestDistributedHierarchy:
         assert "mon0: p0sw0\n" in out
         assert "mon1: p1sw0, p1sw1" in out
         assert "shard economics:" in out
-        assert "mon0: 6 SNMP exchanges, uplink keyframes/batches 1/5" in out
+        assert "mon0: 6 SNMP exchanges, uplink keyframes/batches 1/6" in out
         assert "p0h0_0<->p1h1_3: 5 reports (5 trusted)" in out  # the first one too
         assert "samples_received                 25" in out
         assert "decode_errors                    0" in out

@@ -1,6 +1,6 @@
 """Tests for the fault-tolerant distributed-monitoring plane.
 
-Covers the two wire codecs (binary sample batches, JSON control
+Covers the two wire codecs (binary reading batches, JSON control
 messages, including type-confused payload hardening; the byte-mutation
 fuzz lives in test_uplink_fuzz.py), deterministic target partitioning
 and its edge cases,
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.core.deltas import DeltaDecoder, DeltaEncoder, DeltaError, parse_delta
 from repro.core.distributed import DistributedMonitor, decode_message, poll_targets
-from repro.core.poller import InterfaceRates
 from repro.experiments.testbed import build_testbed
 from repro.simnet.faults import NetworkPartition, WorkerCrash
 from repro.simnet.trafficgen import StaircaseLoad, StepSchedule
@@ -25,22 +24,23 @@ ALL_SNMP_NODES = ["L", "N1", "N2", "S1", "S2", "switch"]
 
 
 def batch(seq, samples=(("N1", 1),), worker="S1", inc=1):
-    """A sample batch as it arrives at the coordinator: one sample per
-    source, every batch a keyframe so that it decodes on its own."""
-    return DeltaEncoder(worker).encode(
-        inc, seq,
-        [
-            InterfaceRates(node, if_index, float(seq), 1.0, 10.0, 10.0, 1.0, 1.0)
-            for node, if_index in samples
-        ],
-    )
+    """A batch as it arrives at the coordinator: one reading per source,
+    taken at ``seq`` seconds (sysUpTime ``100 * seq``), 1 000 octets a
+    second; every batch a keyframe so that it decodes on its own.  Ids
+    follow ``samples`` order, so a source keeps its id from batch to
+    batch; the root derives a sample from the second reading of it on."""
+    encoder = DeltaEncoder(worker, 0)
+    for node, if_index in samples:
+        counters = (1000 * seq,) * 2 + (seq,) * 4
+        encoder.add(worker, node, 100 * seq, float(seq), [(if_index, counters)])
+    return encoder.close(inc, seq)
 
 
 class TestSampleCodec:
     def test_roundtrip(self):
-        sample = InterfaceRates("S1", 3, 12.5, 2.0, 100.5, 50.25, 10.0, 5.0)
-        parsed = parse_delta(DeltaEncoder("w").encode(1, 1, [sample]))
-        assert DeltaDecoder().apply(parsed) == [sample]
+        reading = ("w", "S1", 1250, 12.5, [(3, (100, 50, 10, 5, 0, 2**32 - 1))], [3])
+        parsed = parse_delta(_encode([reading]))
+        assert DeltaDecoder().apply(parsed) == [reading]
 
     def test_garbage_rejected(self):
         with pytest.raises(DeltaError):
@@ -105,6 +105,13 @@ def footprint(build, dm):
         host.interfaces[0].counters.out_octets for host in build.network.hosts.values()
     )
     return requests, octets
+
+
+def _encode(readings, worker="w"):
+    encoder = DeltaEncoder(worker, 0)
+    for reading in readings:
+        encoder.add(*reading)
+    return encoder.close(1, 1)
 
 
 class TestPartitioning:
@@ -363,14 +370,17 @@ class TestArq:
         dm._sweep()
         stats = dm.stats()
         assert stats["gaps_abandoned"] == 1.0
-        # Seq 3 was drained past the abandoned gap; nothing re-delivered.
-        assert dm.samples_received == 2
+        # Seq 3 was drained past the abandoned gap, once; its reading only
+        # set a baseline, since the gap took the stream's baselines.
+        assert stats["batches_received"] == 2 and dm.samples_received == 0
         # Every source S1 is responsible for is now marked lossy...
         assert stats["degraded_sources"] == 2.0
         assert dm.degraded.is_degraded("S1", 1)
         assert dm.degraded.is_degraded("N2", 1)
         # ...until fresh in-order samples arrive and clear the marks.
         dm._on_delta(batch(4, samples=(("S1", 1), ("N2", 1))))
+        assert dm.stats()["degraded_sources"] == 2.0  # baselines only
+        dm._on_delta(batch(5, samples=(("S1", 1), ("N2", 1))))
         assert dm.stats()["degraded_sources"] == 0.0
 
 
@@ -409,8 +419,10 @@ class TestSequenceDedup:
         for seq in list(order) + dups:
             dm._on_delta(batch(seq))
         # All 8 unique batches delivered exactly once, however mangled
-        # the arrival order and however many duplicates came in.
-        assert dm.samples_received == 8
+        # the arrival order and however many duplicates came in: the
+        # first reading set the baseline, each later one made a sample.
+        assert dm.stats()["batches_received"] == 8
+        assert dm.samples_received == 7
         assert dm.stats()["duplicate_batches"] == float(len(dups))
         # And the rate table holds exactly the newest sample.
         assert dm.rates.latest("N1", 1).time == 8.0
@@ -422,10 +434,14 @@ class TestSequenceDedup:
         build, dm = distributed(whole_pool=True, integrity=False)
         dm._on_delta(batch(1))
         dm._on_delta(batch(2))
-        assert dm.samples_received == 2
+        assert dm.stats()["batches_received"] == 2
         dm._on_delta(batch(1, inc=2))
-        assert dm.samples_received == 3
+        assert dm.stats()["batches_received"] == 3
         assert dm.stats()["duplicate_batches"] == 0.0
         # Stragglers from the previous incarnation are dropped.
         dm._on_delta(batch(2))
-        assert dm.samples_received == 3
+        assert dm.stats()["batches_received"] == 3
+        # The new life's first reading was a baseline; its second samples.
+        assert dm.samples_received == 1
+        dm._on_delta(batch(2, inc=2))
+        assert dm.samples_received == 2

@@ -1,7 +1,5 @@
 """Unit tests for the SNMP poller: deltas, uptime intervals, wraps."""
 
-from dataclasses import astuple
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,9 +16,10 @@ from repro.snmp.mib import SYS_UPTIME, build_mib2
 from tests.costs import HandManager, per_exchange
 
 
-def derive(poller, node, if_index, snapshot):
-    """Hand ``snapshot`` to the poller as a one-row reply of ``node``."""
-    uptime, *values = astuple(snapshot)
+def derive(poller, node, if_index, reading):
+    """Hand ``reading``, ``(sysUpTime, six counters)``, to the poller as a
+    one-row reply of ``node``."""
+    uptime, values = reading
     tables = {col: {if_index: (TAG_COUNTER32, v)} for col, v in zip(_COLUMNS, values)}
     poller._derive(node, (if_index,), uptime, tables)
 
@@ -218,15 +217,10 @@ class TestIngestEdges:
     """Direct unit tests of the poller's sample-derivation branches."""
 
     def snap(self, uptime_s, octets=0):
-        from repro.core.poller import _CounterSnapshot
         from repro.snmp.datatypes import Counter32, TimeTicks
 
         c = Counter32.wrap(octets).value
-        return _CounterSnapshot(
-            uptime=TimeTicks.from_seconds(uptime_s).value,
-            octets_in=c, octets_out=c, ucast_in=c, ucast_out=c,
-            nucast_in=0, nucast_out=0,
-        )
+        return TimeTicks.from_seconds(uptime_s).value, (c, c, c, c, 0, 0)
 
     def test_same_tick_duplicate_dropped(self):
         net, poller, *_ = polling_net()

@@ -11,7 +11,7 @@ the leaves emulate.
 
 import pytest
 
-from repro.core.deltas import parse_delta
+from repro.core.deltas import REC_SAME, parse_delta
 from repro.core.distributed import DistributedMonitor, poll_targets
 from repro.core.hierarchy import HierarchicalMonitor, LeafCoordinator
 from repro.core.monitor import NetworkMonitor
@@ -106,17 +106,27 @@ class TestEndToEnd:
         dm.stop()
 
     def test_uplinks_ship_deltas(self):
-        """Quiescent interfaces ship as ADVANCE records, so a sample
-        costs less than one FULL record (>= 53 bytes) even with a
+        """Quiescent interfaces ship as their id alone, so a reading
+        costs less than one FULL entry (>= 53 bytes) even with a
         keyframe every fourth batch bounding resync cost."""
         build, dm = hierarchical(whole_pool=True, keyframe_every=4)
+        kinds = {p: set() for p in range(PODS)}
+        for p in range(PODS):
+            shipper = dm.leaves[f"mon{p}"].shipper
+
+            def tapped(payload, send=shipper.send, seen=kinds[p]):
+                for record in parse_delta(payload).records:
+                    seen.update(entry[0] for entry in record[3])
+                send(payload)
+
+            shipper.send = tapped
         dm.start()
         build.network.run(20.0)
         stats = dm.stats()
         for p in range(PODS):
             assert stats[f"per_shard_keyframes.mon{p}"] >= 1
             shipper = dm.leaves[f"mon{p}"].shipper
-            assert shipper.delta.records_advance > 0
+            assert REC_SAME in kinds[p]
             assert shipper.bytes_shipped < 50 * shipper.samples_shipped
         dm.stop()
 
@@ -354,16 +364,16 @@ class TestShippingFollowsTheCycle:
     def test_a_worker_crash_mid_cycle_holds_back_none_of_its_shard(self):
         """One of a shard's two workers crashes mid-cycle.  The leaf stops
         waiting for its close once its lease is lost, so the other
-        worker's samples still reach the root within one poll interval
-        of being measured."""
+        worker's readings still reach the root within one poll interval
+        of being taken."""
         build, dm = hierarchical(whole_pool=True)
         net = build.network
         landed = []
         sink = dm.sink
 
-        def spy(*samples):
-            landed.extend((net.now, net.now - s.time, s.node) for s in samples)
-            return sink(*samples)
+        def spy(decoder, readings):
+            landed.extend((net.now, net.now - r[3], r[1]) for r in readings)
+            return sink(decoder, readings)
 
         dm.sink = spy
         leaf = dm.leaves["mon0"]

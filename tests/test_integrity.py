@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.monitor import NetworkMonitor
-from repro.core.poller import InterfaceRates, _CounterSnapshot
+from repro.core.poller import InterfaceRates
 from repro.experiments.scenarios import Scenario
 from repro.experiments.testbed import TESTBED_SPEC_TEXT, build_testbed
 from repro.spec.parser import parse_spec
@@ -78,15 +78,15 @@ def collect_reports(scenario):
 # Helpers: hand-built samples and snapshots
 # ----------------------------------------------------------------------
 def snapshot(uptime_s=0.0, octets_in=0, octets_out=0, ucast=0):
-    return _CounterSnapshot(
-        uptime=TimeTicks.from_seconds(uptime_s).value,
-        octets_in=Counter32.wrap(octets_in).value,
-        octets_out=Counter32.wrap(octets_out).value,
-        ucast_in=Counter32.wrap(ucast).value,
-        ucast_out=Counter32.wrap(ucast).value,
-        nucast_in=0,
-        nucast_out=0,
+    """A raw reading: ``(sysUpTime, six counters)``."""
+    ucast = Counter32.wrap(ucast).value
+    return TimeTicks.from_seconds(uptime_s).value, (
+        Counter32.wrap(octets_in).value, Counter32.wrap(octets_out).value, ucast, ucast, 0, 0,
     )
+
+
+#: Two readings of an interface whose counters did not move.
+IDLE = snapshot(0.0), snapshot(2.0)
 
 
 def sample(node="S1", if_index=1, time=2.0, interval=2.0, in_bps=0.0, out_bps=0.0):
@@ -137,7 +137,7 @@ class TestRateBoundValidator:
         # A counter running backwards reads as a near-4GB wrap delta.
         prev = snapshot(0.0, octets_out=50_000)
         cur = snapshot(2.0, octets_out=10_000)
-        rate = (cur.octets_out - prev.octets_out) % 2**32 / 2.0
+        rate = (cur[1][1] - prev[1][1]) % 2**32 / 2.0  # the out octets
         bad = sample(out_bps=rate)
         found = RateBoundValidator().check(context(bad, prev=prev, cur=cur))
         assert [f.check for f in found] == ["counter_regression"]
@@ -347,7 +347,7 @@ def tracked_pipeline(n_interfaces):
     speeds = {(f"sw{i // 50}", i % 50 + 1): 100e6 for i in range(n_interfaces)}
     pipe = IntegrityPipeline(speeds, POLL)
     for node, if_index in speeds:
-        assert pipe.inspect(sample(node=node, if_index=if_index), None, None)
+        assert pipe.inspect(sample(node=node, if_index=if_index), *IDLE)
     return pipe
 
 
@@ -366,15 +366,14 @@ class TestPerSampleCost:
         for n in (10, 1000):
             pipe = tracked_pipeline(n)
             again = sample(node="sw0", if_index=1, time=4.0)
-            counts[n] = python_calls(lambda: pipe.inspect(again, None, None))
+            counts[n] = python_calls(lambda: pipe.inspect(again, *IDLE))
         assert counts[10] == counts[1000] <= 3, counts
 
-    @pytest.mark.parametrize("remote", [True, False], ids=["remote", "local"])
-    def test_a_firing_rule_costs_its_verdict_and_no_more(self, remote):
+    def test_a_firing_rule_costs_its_verdict_and_no_more(self):
         """The stuck-counter rule fires on nine idle-campus samples in
         ten, so the firing path is the common one: the validator's
         verdict and the suspect counter are all it adds, the trust
-        record's tallies moved in place (5 calls, remote or local; 23 and
+        record's tallies moved in place (5 calls, on every plane; 23 and
         22 before)."""
         counts = {}
         for n in (10, 1000):
@@ -384,8 +383,6 @@ class TestPerSampleCost:
 
             def poll(i, before, after, rate):
                 s = sample(node="sw0", if_index=1, time=4.0 + 2 * i, in_bps=rate)
-                if remote:
-                    return python_calls(lambda: pipe.inspect(s, None, None))
                 return python_calls(lambda: pipe.inspect(s, before, after))
 
             poll(0, frozen, moved, 200.0)  # activity, then three frozen polls
@@ -414,7 +411,7 @@ class TestPerSampleCost:
         for i, ((node, if_index), move) in enumerate(moves):
             t = POLL * i
             if move == "clean":
-                pipe.inspect(sample(node=node, if_index=if_index, time=t), None, None)
+                pipe.inspect(sample(node=node, if_index=if_index, time=t), *IDLE)
             else:
                 sev = Severity.VIOLATION if move == "violation" else Severity.SUSPECT
                 pipe.apply_external_verdicts(
@@ -457,8 +454,8 @@ class TestRatesThatAreNoNumber:
         pipe = IntegrityPipeline({("S1", 1): 100e6}, POLL, telemetry=monitor.telemetry)
         bad = sample(**{direction: rate})
 
-        def accept(s):  # what DistributedMonitor._accept does with one sample
-            if pipe.inspect(s, None, None):
+        def accept(s):  # what a root's derivation does with one sample
+            if pipe.inspect(s, *IDLE):
                 monitor.rates.update(s)
 
         accept(bad)
@@ -475,7 +472,7 @@ class TestRatesThatAreNoNumber:
 
     def test_a_nan_interval_draws_wrap_risk_and_is_admitted(self):
         pipe = IntegrityPipeline({("S1", 1): 100e6}, POLL)
-        assert pipe.inspect(sample(interval=math.nan), None, None)
+        assert pipe.inspect(sample(interval=math.nan), *IDLE)
         rec = pipe.quarantine.record("S1", 1)
         assert rec.last_verdict.check == "wrap_risk"
         assert rec.last_verdict.severity is Severity.SUSPECT
@@ -624,15 +621,8 @@ class TestTimeTicksWrap:
 
 
 def snapshot_at_ticks(ticks, octets):
-    return _CounterSnapshot(
-        uptime=TimeTicks(ticks % 2 ** 32).value,
-        octets_in=Counter32.wrap(octets).value,
-        octets_out=Counter32.wrap(octets).value,
-        ucast_in=Counter32.wrap(octets // 500).value,
-        ucast_out=Counter32.wrap(octets // 500).value,
-        nucast_in=0,
-        nucast_out=0,
-    )
+    octets, ucast = Counter32.wrap(octets).value, Counter32.wrap(octets // 500).value
+    return TimeTicks(ticks % 2 ** 32).value, (octets, octets, ucast, ucast, 0, 0)
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,9 @@
 The scaled poll path must change the *cost* of measurement, never the
 measurement itself: GetBulk batching against the paper's one GET per
 agent, and wire-level delta shipping against the samples the workers'
-own pollers produced.
+own pollers derive from the same replies.
 """
 
-import struct
 from collections import Counter
 
 import pytest
@@ -14,25 +13,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.deltas import (
-    DeltaBatch,
+    REC_FULL,
+    REC_MOVED,
+    REC_SAME,
     DeltaDecoder,
     DeltaEncoder,
     is_delta,
     parse_delta,
 )
 from repro.core.distributed import DistributedMonitor, SampleShipper, poll_targets
-from repro.core.poller import (
-    POLL_MODES,
-    InterfaceRates,
-    PollTarget,
-    SnmpPoller,
-)
+from repro.core.poller import POLL_MODES, PollTarget, SnmpPoller
 from repro.experiments.testbed import MONITOR_HOST, build_testbed
 from repro.simnet.network import Network
 from repro.simnet.trafficgen import KBPS, StaircaseLoad, StepSchedule
 from repro.snmp.agent import SnmpAgent
 from repro.snmp.manager import SnmpManager
 from repro.snmp.mib import build_mib2
+from tests.tree_reference import admitted_by, bits, derive_alongside, held_to_the_pollers
 
 
 def switch_poller(mode, ports=8, window=0, interval=2.0, with_agent=True):
@@ -177,104 +174,118 @@ class TestPipelineWindow:
         assert poller.window_overruns > 0
 
 
-SAMPLE_FLOATS = st.floats(
-    allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12
-)
+COUNTERS = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
+AGENTS = ["sw1", "sw2", "h3"]
 
 
 @st.composite
-def sample_batches(draw):
-    keys = draw(
-        st.lists(
-            st.tuples(st.sampled_from(["sw1", "sw2", "h3"]),
-                      st.integers(min_value=1, max_value=6)),
-            min_size=1, max_size=6, unique=True,
-        )
-    )
-    n_batches = draw(st.integers(min_value=1, max_value=6))
-    batches = []
-    for _ in range(n_batches):
+def reading_batches(draw):
+    """Batches of agent readings: each agent polls a fixed set of
+    ifIndexes; a row's counters move or repeat, cycle after cycle."""
+    polled = {
+        node: draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
+        for node in draw(st.lists(st.sampled_from(AGENTS), min_size=1, unique=True))
+    }
+    last, batches = {}, []
+    for cycle in range(draw(st.integers(min_value=1, max_value=6))):
         batch = []
-        for node, if_index in draw(st.permutations(keys)):
-            batch.append(
-                InterfaceRates(
-                    node, if_index,
-                    time=draw(SAMPLE_FLOATS), interval=draw(SAMPLE_FLOATS),
-                    in_bytes_per_s=draw(SAMPLE_FLOATS),
-                    out_bytes_per_s=draw(SAMPLE_FLOATS),
-                    in_pkts_per_s=draw(SAMPLE_FLOATS),
-                    out_pkts_per_s=draw(SAMPLE_FLOATS),
-                )
-            )
+        for node in draw(st.permutations(sorted(polled))):
+            rows = []
+            for index in polled[node]:
+                if (node, index) not in last or draw(st.booleans()):
+                    last[node, index] = tuple(draw(COUNTERS) for _ in range(6))
+                rows.append((index, last[node, index]))
+            batch.append(("w1", node, 100 * cycle, 2.0 * cycle, rows))
         batches.append(batch)
     return batches
 
 
+def _ship(encoder, seq, readings):
+    for reading in readings:
+        encoder.add(*reading)
+    return encoder.close(1, seq)
+
+
+def _kinds(payloads):
+    """How many entries of each kind the payloads carry."""
+    return Counter(
+        entry[0] for payload in payloads
+        for record in parse_delta(payload).records for entry in record[3]
+    )
+
+
 class TestDeltaCodec:
     @settings(max_examples=60, deadline=None)
-    @given(batches=sample_batches(), kf_every=st.integers(min_value=0, max_value=3))
+    @given(batches=reading_batches(), kf_every=st.integers(min_value=0, max_value=3))
     def test_round_trip_is_bit_identical(self, batches, kf_every):
-        """Whatever mix of FULL/CHANGED/ADVANCE records the encoder
-        picks, the decoder must reproduce the exact input samples."""
-        encoder = DeltaEncoder("w1")
+        """Whatever mix of full/moved/same entries the encoder picks, the
+        decoder reproduces the exact readings, each row's first reading
+        flagged; a keyframe re-states the other agents' last readings
+        first."""
+        encoder = DeltaEncoder("w1", kf_every)
         decoder = DeltaDecoder()
-        for seq, samples in enumerate(batches, start=1):
-            keyframe = kf_every > 0 and seq % kf_every == 0
-            payload = encoder.encode(1, seq, samples, keyframe=keyframe)
+        seen, last = set(), {}
+        for seq, readings in enumerate(batches, start=1):
+            payload = _ship(encoder, seq, readings)
             assert is_delta(payload)
             batch = parse_delta(payload)
             assert (batch.worker, batch.incarnation, batch.seq) == ("w1", 1, seq)
-            assert decoder.apply(batch) == samples
+            decoded = decoder.apply(batch)
+            want = []
+            for worker, node, uptime, time, rows in readings:
+                first = [i for i, _ in rows if (node, i) not in seen]
+                seen.update((node, i) for i, _ in rows)
+                want.append((worker, node, uptime, time, rows, first))
+            restated, ours = decoded[: len(decoded) - len(want)], decoded[-len(want):]
+            assert ours == want
+            assert restated == [] or batch.keyframe
+            for worker, node, uptime, time, rows, first in restated:
+                assert first == [] and last[node] == (uptime, time, rows)
+            for _, node, uptime, time, rows, _ in want:
+                last[node] = (uptime, time, rows)
 
     def test_quiescent_stream_shrinks(self):
-        """Unchanged rates ship as ADVANCE records, a fraction of what
-        the same sample costs as a FULL record."""
-        samples = [
-            InterfaceRates("sw1", i, 10.0, 2.0, 100.0, 50.0, 10.0, 5.0)
-            for i in range(1, 9)
-        ]
+        """Unmoved counters ship as their id alone, a fraction of what the
+        same reading costs full."""
+        rows = [(i, (1000 * i, 500, 10, 5, 0, 0)) for i in range(1, 9)]
         sent = []
         shipper = SampleShipper("w1", sent.append, max_batch=8, keyframe_every=0)
         for cycle in range(10):
-            for s in samples:
-                shipper.enqueue(
-                    InterfaceRates(
-                        s.node, s.if_index, 10.0 + 2.0 * cycle, 2.0,
-                        s.in_bytes_per_s, s.out_bytes_per_s,
-                        s.in_pkts_per_s, s.out_pkts_per_s,
-                    )
-                )
+            shipper.enqueue(("w1", "sw1", 200 * cycle, 2.0 * cycle, rows, ()))
             shipper.flush()
         assert len(sent) == 10
-        assert shipper.delta.records_full == 8  # the first batch only
-        assert shipper.delta.records_advance == 72
+        assert _kinds(sent) == {REC_FULL: 8, REC_SAME: 72}  # full in the first batch only
         assert max(map(len, sent[1:])) * 4 < len(sent[0])
 
     def test_desync_drops_advance_until_keyframe(self):
-        encoder = DeltaEncoder("w1")
+        """After an abandoned gap the id table is gone: an entry that
+        names an id alone or with its values only is dropped until a
+        keyframe re-states the key."""
+        encoder = DeltaEncoder("w1", 0)
         decoder = DeltaDecoder()
-        mk = lambda t: [InterfaceRates("sw1", 1, t, 2.0, 1.0, 2.0, 3.0, 4.0)]
-        decoder.apply(parse_delta(encoder.encode(1, 1, mk(1.0))))
+        mk = lambda t, v: [("w1", "sw1", int(100 * t), t, [(1, (v, v, 1, 1, 0, 0))])]
+        decoder.apply(parse_delta(_ship(encoder, 1, mk(1.0, 10))))
         decoder.mark_desync()  # an unfillable gap was abandoned
-        delivered = decoder.apply(parse_delta(encoder.encode(1, 2, mk(3.0))))
-        assert delivered == []  # ADVANCE-only batch: context is suspect
-        assert decoder.needs_keyframe
+        for seq, reading in ((2, mk(3.0, 10)), (3, mk(5.0, 20))):  # same, then moved
+            assert decoder.apply(parse_delta(_ship(encoder, seq, reading))) == []
+            assert decoder.needs_keyframe
         encoder.force_keyframe()
-        delivered = decoder.apply(parse_delta(encoder.encode(1, 3, mk(5.0))))
-        assert delivered == mk(5.0)
+        delivered = decoder.apply(parse_delta(_ship(encoder, 4, mk(7.0, 30))))
+        (worker, node, uptime, time, rows, first), = delivered
+        assert rows == mk(7.0, 30)[0][4] and first == [1]  # a baseline: the gap took it
         assert not decoder.needs_keyframe
 
     def test_fresh_decoder_skips_unknown_ids(self):
-        """A restarted receiver cannot interpret CHANGED/ADVANCE records
-        for ids it never saw; it must skip them and ask for a keyframe."""
-        encoder = DeltaEncoder("w1")
-        mk = lambda t: [InterfaceRates("sw1", 1, t, 2.0, 1.0, 2.0, 3.0, 4.0)]
-        encoder.encode(1, 1, mk(1.0))  # lost before the restart
+        """A restarted receiver cannot interpret entries for ids it never
+        saw mapped; it must skip them and ask for a keyframe."""
+        encoder = DeltaEncoder("w1", 0)
+        mk = lambda t: [("w1", "sw1", int(100 * t), t, [(1, (1, 2, 3, 4, 0, 0))])]
+        _ship(encoder, 1, mk(1.0))  # lost before the restart
         late = DeltaDecoder()
-        delivered = late.apply(parse_delta(encoder.encode(1, 2, mk(3.0))))
+        delivered = late.apply(parse_delta(_ship(encoder, 2, mk(3.0))))
         assert delivered == []
         assert late.needs_keyframe
-        assert late.samples_skipped > 0
+        assert late.entries_skipped > 0
 
 
 class TestShippedEquivalence:
@@ -287,17 +298,20 @@ class TestShippedEquivalence:
             targets=poll_targets(build, build.spec.connections), **options,
         )
         dm.watch_path("N1", "N2")
-        # Everything each worker's poller produces, in production order.
-        produced = {name: [] for name in dm.workers}
+        # What each worker's own poller derives from its replies, in order...
+        derived = derive_alongside(dm)
+        # ...the interface readings it queues and the bytes it ships...
+        sent, queued = {name: [] for name in dm.workers}, []
         for name, worker in dm.workers.items():
-            ship = worker.poller.on_sample
-            worker.poller.on_sample = (
-                lambda s, ship=ship, mine=produced[name]: (mine.append(s), ship(s))
+            send, enqueue = worker.shipper.send, worker.shipper.enqueue
+            worker.shipper.send = (
+                lambda p, send=send, mine=sent[name]: (mine.append(p), send(p))
+            )
+            worker.shipper.enqueue = (
+                lambda *rs, enqueue=enqueue: queued.append(enqueue(*rs)) or queued[-1]
             )
         # ...and everything the coordinator's rate table admits.
-        landed = []
-        update = dm.rates.update
-        dm.rates.update = lambda s: (landed.append(s), update(s))
+        landed = admitted_by(dm)
         StaircaseLoad(
             build.network.host("S1"), build.network.ip_of("N1"),
             StepSchedule.pulse(4.0, 20.0, 64 * KBPS),
@@ -306,48 +320,39 @@ class TestShippedEquivalence:
         build.network.run(24.0)
         dm.stop()
         build.network.run(25.0)  # drain batches already on the wire
-        return dm, produced, landed
+        return dm, derived, landed, sent, queued
 
     def test_every_polled_sample_lands_bit_identical(self):
-        """Same polls, same samples: every sample a worker's poller
-        produced reaches the coordinator's rate table bit for bit, float
-        fields included, whichever record type carried it."""
-        dm, per_worker, landed = self._run(keyframe_every=4)
-        produced = [s for samples in per_worker.values() for s in samples]
+        """Same replies, same samples: every sample a worker's own poller
+        derives from the replies it reads reaches the coordinator's rate
+        table bit for bit, derived there from the shipped integers,
+        whichever entry carried them."""
+        dm, derived, landed, sent, _ = self._run(keyframe_every=4)
+        produced = [sample for _, sample in derived]
         shipped = [s for s in produced if s.time < 24.0 - 0.5]  # cycle closed before stop()
         assert len(shipped) > 100
-
-        def bits(sample):
-            return (sample.node, sample.if_index) + tuple(
-                struct.pack("<d", f)
-                for f in (sample.time, sample.interval, sample.in_bytes_per_s,
-                          sample.out_bytes_per_s, sample.in_pkts_per_s,
-                          sample.out_pkts_per_s)
-            )
-
         assert Counter(map(bits, shipped)) <= Counter(map(bits, landed))
-        # Nothing invented, nothing doubled.
-        assert Counter(map(bits, landed)) <= Counter(map(bits, produced))
+        # Nothing invented, nothing doubled, each worker's in its order.
+        assert held_to_the_pollers(landed, derived) == len(landed)
         # The latest sample of every key is the producing worker's own latest.
-        for samples in per_worker.values():
-            latest = {(s.node, s.if_index): s for s in samples}
-            assert len(latest) > 0
-            for key, sample in latest.items():
-                assert bits(dm.rates.latest(*key)) == bits(sample)
-        # The run exercised every way a sample can travel.
-        encoders = [w.shipper.delta for w in dm.workers.values()]
-        assert sum(e.keyframes for e in encoders) > len(encoders)  # periodic ones too
-        assert sum(e.records_full for e in encoders) > 0
-        assert sum(e.records_changed for e in encoders) > 0
-        assert sum(e.records_advance for e in encoders) > 0
+        latest = {(s.node, s.if_index): s for s in shipped}
+        assert len(latest) > 0
+        for key, sample in latest.items():
+            assert bits(dm.rates.latest(*key)) == bits(sample)
+        # The run exercised every way a reading can travel.
+        shippers = [w.shipper for w in dm.workers.values()]
+        assert sum(s.keyframes_shipped for s in shippers) > len(shippers)  # periodic ones too
+        kinds = _kinds([p for payloads in sent.values() for p in payloads])
+        assert kinds[REC_FULL] > 0 and kinds[REC_MOVED] > 0 and kinds[REC_SAME] > 0
         assert dm.stats()["decode_errors"] == 0
 
     def test_a_sample_ships_for_less_than_a_full_record(self):
         """Even on the ten-interface testbed, where most interfaces
-        carry the monitor's own traffic and so ship CHANGED, a sample
-        costs less on the wire than one FULL record (>= 53 bytes)."""
-        dm, per_worker, _ = self._run()
+        carry the monitor's own traffic and so ship their moved counters,
+        a reading costs less on the wire than one full entry (>= 53
+        bytes)."""
+        dm, _, _, _, queued = self._run()
         shippers = [w.shipper for w in dm.workers.values()]
         samples = sum(s.samples_shipped for s in shippers)
-        assert samples == sum(map(len, per_worker.values()))
+        assert samples == sum(queued)
         assert sum(s.bytes_shipped for s in shippers) < 50 * samples

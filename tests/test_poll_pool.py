@@ -291,7 +291,7 @@ def tap_shipping(plane):
 def test_an_unwatched_interface_leaves_the_keyframes(name, at):
     """(L, 1) leaves the pool with the watch through it, and every encoder
     that shipped it forgets it: no later batch names it, not as a
-    keyframe's REFRESH record nor as a straggler still queued when the
+    keyframe's re-stated reading nor as a straggler still queued when the
     assignment landed (at 20.1 s one is).  Watched again, it travels FULL
     under an id its encoder never used before."""
     build = build_testbed()
@@ -302,10 +302,10 @@ def test_an_unwatched_interface_leaves_the_keyframes(name, at):
     shipped = tap_shipping(plane)
 
     def naming_l():
-        return [
-            (who, record[0], record[1])
-            for who, batch in shipped for record in batch.records
-            if record[2:4] == ("L", 1)
+        return [  # (who, entry kind, id) of every entry that names (L, 1) by key
+            (who, entry[0], entry[1])
+            for who, batch in shipped for record in batch.records for entry in record[3]
+            if entry[2] == ("L", 1)
         ]
 
     plane.start()

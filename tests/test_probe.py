@@ -599,3 +599,39 @@ class TestDoubtCadence:
         # cadence; the one after them is a poll interval later.
         assert all(gap <= prober.round_interval + 0.01 for gap in gaps[:BREACH_COUNT])
         assert gaps[BREACH_COUNT] == pytest.approx(monitor.poll_interval, abs=0.01)
+
+
+class TestTheBudgetFollowsTheLink:
+    """ROADMAP item 18(d): a watch in doubt is probed at the cadence its
+    last train says the link carries, not its spec speed."""
+
+    def test_a_link_below_its_spec_speed_carries_its_budget_and_no_more(self):
+        """The speed-misreport rig: S1's NIC negotiated 10 Mb/s, the spec
+        says 100.  Sized by the spec, the disputed watch's trains took
+        0.1997 of that link over 10-30 s, ten times the 0.02 budget.
+        The share is read from the end of one train to the end of
+        another, so a window's edge cuts no train in two."""
+        build, monitor, prober = probed_testbed(watches=(("S1", "S2"),))
+        net = build.network
+        iface = net.host("S1").interfaces[0]
+        link = iface.link
+        iface.speed_bps = 10e6
+        for end in (link.end_a, link.end_b):
+            link.channel_from(end).bandwidth_bps = 10e6
+        link.bandwidth_bps = 10e6
+        SpeedMisreport(
+            net.sim, build.agents["S1"], if_index=1, claimed_bps=100_000_000,
+            at=0.0, events=monitor.telemetry.events,
+        )
+        ends = []  # (time, probe octets S1 has sent) as each train completes
+        on_done = prober._on_done
+        prober._on_done = lambda label, report: (
+            ends.append((net.now, iface.tos_out_octets.get(PROBE_TOS, 0))),
+            on_done(label, report),
+        )
+        monitor.start()
+        net.run(30.0)
+        (t0, sent0), *_, (t1, sent1) = [end for end in ends if end[0] >= 10.0]
+        share = (sent1 - sent0) / ((t1 - t0) * 10e6 / 8.0)
+        assert prober.in_doubt == {"S1<->S2": "disagreement"}
+        assert t1 - t0 > 15.0 and 0 < share <= prober.budget_fraction, share

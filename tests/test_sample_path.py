@@ -1,19 +1,21 @@
 """The sample path -- poll reply to the root's rate table -- is held to the
-parent commit's (``tests/sample_reference.py``) and to a call budget.
+parent commit's (``tests/sample_reference.py``), to each worker's own
+poller (``tests/tree_reference.py``) and to a call budget.
 
-Four things, none of which reads a clock:
+Four things:
 
-- **integrity**: any sequence of local and remote samples, restarts,
-  cross-checks and external verdicts moves ``IntegrityPipeline`` (one
-  bound record per interface, firing conditions on bound numbers, a
-  verdict object only when a rule fires) exactly as it moves the old
-  pipeline (a context and four lists per sample);
-- **uplink**: any program of batches, cycle closes, keyframe requests
-  and receiver-side losses puts the same bytes on both uplinks of a
-  worker -> leaf -> root tree and delivers the same samples in the same
-  order as the old sample-at-a-time sink did;
-- **cost**: what one more record costs each tier, counted in Python calls
-  on the three-tier rig of ``tests/costs.py``;
+- **integrity**: any sequence of samples, restarts, cross-checks and
+  external verdicts moves ``IntegrityPipeline`` (one bound record per
+  interface, firing conditions on bound numbers, a verdict object only
+  when a rule fires) exactly as it moves the old pipeline (a context and
+  four lists per sample);
+- **the tree derives what the poller derives**: on a campus tree with
+  churning flows, through a worker crash and restart, a leaf kill, an
+  agent that stops answering, an agent reboot and an abandoned sequence
+  gap, every sample the root admits is, bit for bit and in order, one
+  that a worker's own ``SnmpPoller`` derived from the same replies;
+- **cost**: what one more interface costs each tier, counted in Python
+  calls on the three-tier rig of ``tests/costs.py``;
 - **poller**: any run of poll replies lands the same samples and hands
   integrity the same arguments as the parent's reply parser did, whether
   an interface's counters moved or not.
@@ -21,35 +23,32 @@ Four things, none of which reads a clock:
 
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.counters import CounterSource
-from repro.core.deltas import parse_delta
-from repro.core.poller import (
-    _COLUMNS,
-    InterfaceRates,
-    PollTarget,
-    SnmpPoller,
-    _CounterSnapshot,
-)
+from repro.core.distributed import poll_targets
+from repro.core.hierarchy import HierarchicalMonitor
+from repro.core.poller import _COLUMNS, InterfaceRates, PollTarget, SnmpPoller
+from repro.experiments.scale import hierarchy_plan, scale_spec
 from repro.integrity import CrossPair, IntegrityConfig, IntegrityPipeline
 from repro.integrity.validators import IntegrityVerdict, Severity
+from repro.simnet.faults import AgentOutage, AgentReboot, WorkerCrash
 from repro.simnet.network import Network
+from repro.simnet.trafficgen import KBPS, StaircaseLoad, StepSchedule
 from repro.snmp.ber import TAG_COUNTER32, TAG_GAUGE32
 from repro.snmp.manager import SnmpManager
 from repro.snmp.mib import IF_SPEED
+from repro.spec.builder import build_network
 from repro.telemetry import Telemetry
+from repro.telemetry.events import AGENT_RESTART
 from repro.topology.model import InterfaceRef
-from tests.costs import ThreeTiers, call_counts, per_record
-from tests.sample_reference import (
-    ReferencePipeline,
-    ReferencePoller,
-    make_reference,
-    reference_parse_delta,
-)
+from tests.costs import per_record
+from tests.sample_reference import ReferencePipeline, ReferencePoller
+from tests.tree_reference import admitted_by, derive_alongside, held_to_the_pollers
 
 POLL = 2.0
 
@@ -74,7 +73,7 @@ RATES = st.sampled_from(
 INTERVALS = st.sampled_from([POLL, POLL, 1000.0, 5000.0, math.nan, math.inf, -1.0])
 #: not polled, agreeing with either declared speed, disagreeing, absurd
 POLLED_SPEEDS = st.sampled_from([None, None, 100e6, 10e6, 55e6, 0.0, math.nan])
-#: how the raw octet counters moved between the two snapshots of a local
+#: how the raw octet counters moved between the two readings of a
 #: sample: not at all, forwards, backwards (a regressed counter)
 RAW_MOVES = st.sampled_from([0, 0, 4000, -4000])
 
@@ -85,7 +84,7 @@ SAMPLE = st.tuples(
     RATES,
     st.sampled_from([0.0, 0.0, 3.0]),  # packets per second, both ways
     INTERVALS,
-    st.one_of(st.none(), st.tuples(RAW_MOVES, POLLED_SPEEDS)),  # None: remote
+    st.tuples(RAW_MOVES, POLLED_SPEEDS),
 )
 RESTART = st.tuples(st.just("restart"), st.sampled_from(INTERFACES))
 CROSS = st.tuples(st.just("cross"))
@@ -140,13 +139,9 @@ def _run(pipe, op, now):
         sample = InterfaceRates(
             node, if_index, now, interval, in_rate, out_rate, pkts, pkts
         )
-        if raw is None:
-            return pipe.inspect(sample, None, None)
         moved, polled_speed = raw
-        prev = _CounterSnapshot(100, 50_000, 50_000, 500, 500, 0, 0)
-        cur = _CounterSnapshot(
-            300, 50_000 + moved, 50_000 + moved, 500 + bool(moved), 500, 0, 0
-        )
+        prev = 100, (50_000, 50_000, 500, 500, 0, 0)
+        cur = 300, (50_000 + moved, 50_000 + moved, 500 + bool(moved), 500, 0, 0)
         return pipe.inspect(sample, prev, cur, polled_speed)
     if kind == "restart":
         return pipe.note_restart(*op[1])
@@ -160,16 +155,16 @@ def _run(pipe, op, now):
 
 
 @given(OPS, st.booleans())
-@example(  # quarantine entry and release, remote and local, cross-checked
-    [_sample_op(("A", 1), 1e9, 0.0, 3.0, POLL, None)] * 2
+@example(  # quarantine entry and release, cross-checked
+    [_sample_op(("A", 1), 1e9, 0.0, 3.0, POLL, (4000, None))] * 2
     + [("cross",)]
     + [_sample_op(("A", 1), 1200.0, 1200.0, 3.0, POLL, (4000, None))] * 7
     + [("cross",)],
     False,
 )
 @example(  # active, then frozen into the stuck rule; a restart in between
-    [_sample_op(("B", 1), 1200.0, 0.0, 3.0, POLL, None)]
-    + [_sample_op(("B", 1), 0.0, 0.0, 0.0, POLL, None)] * 4
+    [_sample_op(("B", 1), 1200.0, 0.0, 3.0, POLL, (4000, None))]
+    + [_sample_op(("B", 1), 0.0, 0.0, 0.0, POLL, (0, None))] * 4
     + [("restart", ("B", 1))]
     + [_sample_op(("B", 1), 0.0, 0.0, 0.0, POLL, (0, 10e6))] * 4,
     True,
@@ -188,153 +183,112 @@ def test_one_record_per_interface_decides_as_the_parents_inspect_did(ops, stuck_
 
 
 # ----------------------------------------------------------------------
-# (ii) uplink: batches through the sink == samples through the sink
+# (ii) the tree derives what each worker's own poller derives
 # ----------------------------------------------------------------------
-NODES = ("p0sw0", "core", "elsewhere")
-#: 3 nodes x 70 interfaces: a stream can run past the one-byte record ids
-KEYS = st.tuples(st.sampled_from(NODES), st.integers(1, 70))
-UPLINK_SAMPLE = st.tuples(
-    KEYS,
-    st.sampled_from([0.0, 0.0, 0.0, 1250.0, 99.5]),  # repeated and changed rates
-    st.sampled_from([POLL, POLL, POLL, 1.99]),  # ... and intervals
-)
-TIERS = st.sampled_from([0, 1])  # the worker's uplink, the leaf's
-UPLINK_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("batch"), st.lists(UPLINK_SAMPLE, min_size=1, max_size=70)),
-        st.tuples(st.just("batch"), st.lists(UPLINK_SAMPLE, min_size=1, max_size=70)),
-        st.tuples(st.just("close"), TIERS),  # a tier's poll cycle closes
-        st.tuples(st.just("keyframe"), TIERS),  # the receiver's kfreq arrives
-        st.tuples(st.just("desync"), TIERS),  # an abandoned gap
-        st.tuples(st.just("forget"), TIERS),  # a receiver that lost its maps
-        st.tuples(st.just("degrade"), KEYS),  # a source marked lossy
-    ),
-    max_size=14,
-)
+#: Flows across the two pods whose rates re-draw every poll interval.
+FLOWS = [("p0h0_2", "p1h1_2"), ("p1h0_2", "p0h1_1"), ("p0h1_2", "p1h0_1")]
+FAULT_UNTIL = 64.0
 
 
-class _Tree:
-    """A three-tier tree, its sends captured and its root's table spied on."""
+class _Differential:
+    """The two-pod campus tree with every switch polled and integrity off,
+    under churn and one fault after another; every sample the root admits
+    and every one a worker's poller derives from the same replies."""
 
-    def __init__(self, reference: bool) -> None:
-        self.tiers = ThreeTiers(hosts=2, integrity=False, max_batch=32, keyframe_every=5)
-        # The keys reach past the root's poll-target pool, whose other
-        # interfaces the root drops; here it admits every one, as the
-        # reference sink does, so that each record lands.
-        self.tiers.root._pool.update((node, i) for node in NODES for i in range(1, 71))
-        # The program closes each tier's cycle, the leaf's included.
-        self.tiers.leaf.dm.on_cycle = None
-        if reference:
-            make_reference(self.tiers)
-        self.landed = []
-        update = self.tiers.root.rates.update
-        self.tiers.root.rates.update = lambda s: (self.landed.append(s), update(s))
-
-    def run(self, op, now: float) -> None:
-        tiers = self.tiers
-        kind, arg = op
-        endpoints = (tiers.worker, tiers.leaf)
-        receivers = (
-            tiers.leaf.dm._ingest[tiers.worker.name],
-            tiers.root._ingest[tiers.leaf.name],
+    def __init__(self):
+        shape = dict(switches=2, hosts_per_switch=3)
+        spec = scale_spec(hierarchical=2, host_agents=False, **shape)
+        build = build_network(spec, agent_seed=0)
+        self.net = net = build.network
+        self.plane = plane = HierarchicalMonitor(
+            build, hierarchy_plan(2, **shape), poll_jitter=0.0, seed=0,
+            integrity=False, targets=poll_targets(build, spec.connections),
         )
-        if kind == "batch":
-            for (node, if_index), rate, interval in arg:
-                tiers.worker.poller.on_sample(
-                    InterfaceRates(node, if_index, now, interval, rate, rate / 2, 1.0, 0.0)
-                )
-        elif kind == "close":  # the worker's closing batch, or the leaf's
-            (tiers.worker.shipper.flush, tiers.leaf._ship_cycle)[arg]()
-        elif kind == "keyframe":
-            endpoints[arg].shipper.delta.force_keyframe()
-        elif kind == "desync":
-            receivers[arg].delta.mark_desync()
-        elif kind == "forget":
-            receivers[arg].delta.reset()
-        elif kind == "degrade":
-            tiers.leaf.dm.degraded.mark(*arg)
-            tiers.root.degraded.mark(*arg)
-        tiers.carry(0)
-        tiers.carry(1)
+        self.derived, self.landed = derive_alongside(plane), admitted_by(plane)
+        rng = random.Random(7)
+        for src, dst in FLOWS:
+            steps = [(t, rng.choice([5.0, 20.0, 60.0]) * KBPS) for t in range(1, 62, 2)]
+            StaircaseLoad(net.host(src), net.ip_of(dst), StepSchedule(steps)).start()
+        sim, leaf = net.sim, plane.leaves["mon0"]
+        WorkerCrash(sim, leaf.dm.workers["p0h0_1"], at=9.0, until=17.0)
+        WorkerCrash(sim, plane.leaves["mon1"], at=25.0, until=33.0)  # the leaf dies
+        AgentOutage(sim, build.agents["p1sw1"], at=41.0, until=46.0)  # polls time out
+        AgentReboot(sim, build.agents["p0sw1"], at=49.1, outage=0.5)
+        self.lost = []  # the one leaf batch lost for good, at 55 s
+        send = leaf.shipper.send
 
-    def observable(self):
-        tiers = self.tiers
-        ingests = (tiers.leaf.dm, tiers.root)
-        encoders = (tiers.worker.shipper.delta, tiers.leaf.shipper.delta)
-        return {
-            "worker uplink": tiers.worker_out,
-            "leaf uplink": tiers.leaf_out,
-            "landed": self.landed,
-            "records": [
-                (e.records_full, e.records_changed, e.records_advance,
-                 e.records_refresh, e.keyframes)
-                for e in encoders
-            ],
-            "shipped": [
-                (s.samples_shipped, s.batches_shipped, s.bytes_shipped,
-                 s.keyframes_shipped, s.next_seq, len(s.pending))
-                for s in (tiers.worker.shipper, tiers.leaf.shipper)
-            ],
-            "decoders": [
-                (s.delta.samples_skipped, s.delta.needs_keyframe, s.delta.desync)
-                for ingest in ingests for s in ingest._ingest.values()
-            ],
-            "ingests": [
-                (ingest.stats(), ingest.degraded.keys(), ingest.degraded.clock)
-                for ingest in ingests
-            ],
-            "rate table": (tiers.root.rates.clock, tiers.root.rates.keys()),
-        }
+        def lossy(payload):
+            if not self.lost and net.now >= 55.0 and payload[0] == 0xD7:
+                seq = leaf.shipper.next_seq - 1
+                self.lost.append(seq)
+                del leaf.shipper._resend[seq]  # gone: the root abandons the gap
+                return
+            send(payload)
+
+        leaf.shipper.send = lossy
+        plane.start()
+        net.run(FAULT_UNTIL)
 
 
-def _batch(keys, rate=0.0, interval=POLL):
-    return ("batch", [(key, rate, interval) for key in keys])
+@pytest.fixture(scope="module")
+def differential():
+    return _Differential()
 
 
-_EVERY_KEY = [(node, i) for node in NODES for i in range(1, 71)]
+class TestTheTreeDerivesWhatThePollerDerives:
+    """ROADMAP item 21: the workers ship readings and the root runs the
+    flat poller's derivation on them.  Held on one rig, four ways."""
 
+    def test_every_admitted_sample_is_a_pollers_in_its_order(self, differential):
+        """Bit for bit, none twice, per worker life in the order its
+        poller derived them: a sample pairs two readings one worker took
+        -- never two workers', never across a timed-out poll read as
+        unmoved, never across a reading lost with an abandoned gap."""
+        rig = differential
+        assert held_to_the_pollers(rig.landed, rig.derived) == len(rig.landed)
 
-@given(UPLINK_OPS)
-@example(  # ids past 127, then a quiet cycle of two-byte ADVANCE records
-    [_batch(_EVERY_KEY[:70]), _batch(_EVERY_KEY[70:140]), _batch(_EVERY_KEY[140:]),
-     ("close", 0), ("close", 1),
-     _batch(_EVERY_KEY[100:170]), ("close", 0), ("close", 1)]
-)
-@example(  # a batch cut mid-way by a cycle close; lost maps; a keyframe heals
-    [_batch(_EVERY_KEY[:40]), ("close", 0), _batch(_EVERY_KEY[:40], interval=1.99),
-     ("forget", 1), ("degrade", _EVERY_KEY[3]), ("close", 0), ("close", 1),
-     _batch(_EVERY_KEY[:40], rate=99.5), ("keyframe", 1), ("desync", 0),
-     ("close", 0), ("close", 1), _batch(_EVERY_KEY[:40], rate=99.5),
-     ("keyframe", 0), _batch(_EVERY_KEY[:10]), ("close", 0), ("close", 1)]
-)
-@settings(max_examples=40, deadline=None)
-def test_batches_through_the_sink_ship_what_samples_through_the_sink_shipped(ops):
-    new, old = _Tree(reference=False), _Tree(reference=True)
-    drain = [("close", 0), ("close", 1)]  # nothing left queued at the end
-    for i, op in enumerate(ops + drain):
-        now = POLL * (i + 1)
-        new.run(op, now)
-        old.run(op, now)
-        assert new.observable() == old.observable(), (i, op)
-    for payload in new.tiers.worker_out + new.tiers.leaf_out:
-        ours, theirs = parse_delta(payload), reference_parse_delta(payload)
-        for field in ("worker", "incarnation", "seq", "keyframe", "records"):
-            assert getattr(ours, field) == getattr(theirs, field)
+    def test_the_faults_happened(self, differential):
+        stats = differential.plane.stats()
+        assert stats["failovers"] >= 1 and stats["rebalances"] >= 1  # the leaf
+        assert stats["gaps_abandoned"] == 1 and differential.lost
+        worker = differential.plane.leaves["mon0"].dm.workers["p0h0_1"]
+        assert worker.incarnation == 2 and stats["decode_errors"] == 0
+
+    def test_one_reboot_is_one_restart_at_the_root(self, differential):
+        """A sysUpTime that goes backwards re-baselines at the root: one
+        count, one event naming the agent."""
+        plane = differential.plane
+        assert plane.telemetry.registry.value("agent_restarts_total") == 1
+        (event,) = plane.telemetry.events.events(AGENT_RESTART)
+        assert event.attrs["node"] == "p0sw1"
+
+    def test_most_of_what_the_pollers_derived_lands(self, differential):
+        """What the faults cost, bounded: the samples the root missed are
+        the ones no reading pair of one worker could give it."""
+        rig = differential
+        landed = len(rig.landed)
+        derived = sum(1 for _, s in rig.derived if s.time < FAULT_UNTIL - 1.0)
+        assert landed > 0.85 * derived, (landed, derived)
 
 
 # ----------------------------------------------------------------------
-# (iii) what one more record costs each tier
+# (iii) what one more interface costs each tier
 # ----------------------------------------------------------------------
 #: Helpers the sample path used to call once per record or more.
-PER_RECORD_FORBIDDEN = ("_only", "_sample", "_fields", "_put_varint", "_get_varint")
+PER_RECORD_FORBIDDEN = (
+    "_only", "_sample", "_fields", "_put_varint", "_get_varint",
+    "_put_counters", "_get_counters",
+)
 _BUILT = ("<string>", "__init__")  # a dataclass's generated constructor
 
 
 class TestCostPerRecord:
-    """The slope, 16 against 32 records in one batch, not the intercept:
-    at the parent a steady ``ADVANCE`` record cost the worker 14.1 calls,
-    the leaf 11.1 and the root 27 (32 when the stuck rule fired); the
-    issue asked for <= 9, <= 2, <= 6 and <= 8."""
+    """The slope, 12 against 24 interfaces of one agent in one batch, not
+    the intercept.  While the tree shipped float rates a steady interface
+    cost the worker 2 calls (its sample and the shipper), the leaf 1 (the
+    sample, decoded) and the root 4 (6 when the stuck rule fired).  Now
+    the worker derives nothing and an unmoved interface is its id alone:
+    its row, its entry and its reading are written and read in place."""
 
     @pytest.fixture(scope="class")
     def quiet(self):
@@ -345,49 +299,26 @@ class TestCostPerRecord:
         return per_record(active=True)
 
     def test_worker(self, quiet):
-        """Once six: the reply's row gathered, ``_ingest``, the clock read,
-        the sample and the raw snapshot it was derived from, the shipper.
-        Now an interface whose counters did not move costs its sample,
-        built from the reply's interval, and the shipper."""
-        calls = quiet["worker"]
-        assert sum(calls.values()) <= 2, calls
-        assert calls[_BUILT] == 1, calls  # the sample; no _CounterSnapshot
+        """The reply's row gathered and its one-byte entry written."""
+        assert sum(quiet["worker"].values()) == 0, quiet["worker"]
 
     def test_leaf(self, quiet):
-        calls = quiet["leaf"]
-        assert sum(calls.values()) <= 1, calls
-        assert calls[_BUILT] == 1, calls  # the sample, decoded: nothing else
+        """The entry parsed and resolved, the reading forwarded."""
+        assert sum(quiet["leaf"].values()) == 0, quiet["leaf"]
 
     def test_root_when_nothing_fires(self, quiet):
-        """The sample, ``inspect``, the stuck rule's look, the rate table."""
+        """The derived sample, ``inspect``, the stuck rule's look, the rate
+        table: the flat poller's own per-sample path."""
         calls = quiet["root"]
         assert sum(calls.values()) <= 4, calls
         assert calls[_BUILT] == 1, calls
-
-    def test_a_steady_run_parses_at_no_call_a_record(self):
-        """The root's and a leaf's parse of a quiet cycle's batch: 16 and
-        64 steady records (``ADVANCE_SAME_D``, one-byte ids) cost the same
-        Python calls and the same C calls -- the run is one regex match
-        and one cached ``Struct`` unpack.  The parent unpacked each."""
-        from repro.core.deltas import DeltaEncoder
-
-        def steady(n):
-            encoder = DeltaEncoder("w")
-            batch = [InterfaceRates("sw", i, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0) for i in range(n)]
-            encoder.encode(1, 1, batch)
-            payload = encoder.encode(1, 2, [dataclasses.replace(r, time=4.0) for r in batch])
-            parse_delta(payload)  # the run's Struct, made once
-            return call_counts(lambda: parse_delta(payload), c_calls=True)
-
-        small, big = steady(16), steady(64)
-        assert big == small, big - small
 
     def test_root_when_the_stuck_rule_fires(self, stuck):
         calls = stuck["root"]
         assert sum(calls.values()) <= 6, calls
         assert calls[_BUILT] == 2, calls  # the sample and its verdict
-        for tier, bound in (("worker", 6), ("leaf", 1)):  # a verdict is not their cost
-            assert sum(stuck[tier].values()) <= bound, stuck[tier]
+        for tier in ("worker", "leaf"):  # a verdict is not their cost
+            assert sum(stuck[tier].values()) == 0, stuck[tier]
 
     @pytest.mark.parametrize("tier", ["worker", "leaf", "root"])
     def test_no_helper_runs_per_record(self, quiet, stuck, tier):

@@ -112,12 +112,20 @@ def test_seeds_differ_but_agree():
 # arrival that decided it: without those lines, and with only them, each
 # trace is the one before, in order
 # (``test_ordered_goldens_are_derived_from_the_parents``).
+#
+# The campus's three were re-recorded when the tree came to ship counter
+# readings instead of rates: the first cycle's readings, which set the
+# root's baselines, now travel up (a leaf shipped nothing for a
+# baseline-only cycle before), and every batch's bytes changed, so the
+# instants moved (6 074 -> 6 084 lines: ``Interface.transmit`` 2 282 ->
+# 2 286, ``_Channel._deliver`` 2 975 -> 2 981; every other callback
+# unchanged).
 GOLDEN_TESTBED_EVENTS = "ee26af59fe60b8c412587d47769a095cd6e591559029da28d97d18fe6e8f7b1c"
-GOLDEN_CAMPUS_EVENTS = "3f154782fe55ddaa35d58ab0b11fa8437005600a9b01a705b769588d3bd16a47"
+GOLDEN_CAMPUS_EVENTS = "4546f2238793376eaa509c5972ea3c87999db006522ba9eb7677c75f8ec55370"
 PARENT_TESTBED_TRACE = "9f50e3cbae33d13d081402d37750c792e35a2c1fb15db038d87857aad405488a"
-PARENT_CAMPUS_TRACE = "7aef9623196e2a28f2a8af35a7cc480bca21dd8b1704e72acfa0f4cf1126b12a"
+PARENT_CAMPUS_TRACE = "06e29009db421e7528f6add967c9b2c2b95ed0ebd4f4ef6a10e5ddf5f80f7124"
 GOLDEN_TESTBED_TRACE = "c3538261e05137a511e9b5429e6128b516bddd61a69a24c43b27277705a6ecf9"
-GOLDEN_CAMPUS_TRACE = "7f00658f2e7d1a52f41479e561af6f1121ca381175295278fce57aaae78d417b"
+GOLDEN_CAMPUS_TRACE = "7e29b5423b819349aa476eb87f1289ae18cf01e9f2eefe041c5d8e2212065ffc"
 TRACE_UNTIL = 20.0
 
 # A callback that moved since the goldens were recorded is logged under

@@ -341,3 +341,67 @@ class TestTheTreeMeasuresTheTruth:
             sample = rig.first_after(key, 24.0)
             (t0, _), _ = rig.reads_behind(sample)
             assert t0 > 24.0, (key, t0)
+
+
+class _FlatTruth(_TreeTruth):
+    """The same rig on the flat monitor, whose poller hands its samples
+    to the rate table itself: they are logged on their way out of it."""
+
+    def __init__(self, patch, build_plane, poll_interval):
+        super().__init__(patch, build_plane, poll_interval)
+        poller = self.plane.poller
+        hand_on = poller.on_sample
+        poller.on_sample = lambda sample: (self.accepted.append(sample), hand_on(sample))
+
+
+class TestTheFlatPlaneMeasuresTheTruth:
+    """ROADMAP item 1(a) property (i) on the flat plane: the flat poller
+    and a tree's root derive with the same code, and each answers to the
+    simulator -- every sample the flat monitor admits is the true octet
+    growth between the two agent reads it came from, one poll apart."""
+
+    @staticmethod
+    def _run(patch, build_plane, watch, load):
+        rig = _FlatTruth(patch, build_plane, poll_interval=2.0)
+        rig.plane.watch_path(*watch)
+        net = rig.network
+        StaircaseLoad(net.host(load[0]), net.ip_of(load[1]), load[2]).start()
+        rig.plane.start()
+        net.run(40.0)
+        rig.check_every_accepted_sample()
+        moved = {(s.node, s.if_index) for s in rig.accepted if s.in_bytes_per_s > 1000}
+        assert moved  # the load crossed what was measured
+        return rig
+
+    def test_the_testbed(self):
+        from repro.core.monitor import NetworkMonitor
+        from repro.experiments.testbed import build_testbed
+
+        def build_plane():
+            build = build_testbed()
+            return build, NetworkMonitor(build, "L", poll_interval=2.0)
+
+        with pytest.MonkeyPatch.context() as patch:
+            self._run(
+                patch, build_plane, ("S1", "N1"),
+                ("L", "N1", StepSchedule.pulse(4.0, 36.0, 200 * KBPS)),
+            )
+
+    def test_a_small_mesh(self):
+        from repro.core.monitor import NetworkMonitor
+        from repro.experiments.scale import scale_spec
+        from repro.spec.builder import build_network
+
+        def build_plane():
+            spec = scale_spec(switches=3, hosts_per_switch=2, arity=1, redundant_uplinks=1)
+            build = build_network(spec, agent_seed=0)
+            build.network.run(2.0)  # spanning tree settles before anything polls
+            build.network.announce_hosts()
+            return build, NetworkMonitor(build, "h0_0", poll_interval=2.0)
+
+        with pytest.MonkeyPatch.context() as patch:
+            rig = self._run(
+                patch, build_plane, ("h0_1", "h2_1"),
+                ("h0_1", "h2_1", StepSchedule.pulse(4.0, 36.0, 100 * KBPS)),
+            )
+        assert {s.node for s in rig.accepted} >= {"sw0", "sw1", "sw2"}

@@ -1,6 +1,6 @@
 """Hostile input on the uplink: byte-mutated datagrams at both decoders.
 
-The uplink carries two things: binary sample batches
+The uplink carries two things: binary reading batches
 (:func:`~repro.core.deltas.parse_delta` then ``DeltaDecoder.apply``) and
 JSON control messages (:func:`~repro.core.distributed.decode_message`
 then one handler per ``"k"``, on the coordinator and on the endpoint).
@@ -12,25 +12,11 @@ and truncate.  A sequence number far ahead of the stream is *valid*, not
 hostile bytes; what it may cost is bounded separately, at the end.
 """
 
-import struct
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.deltas import (
-    DELTA_MAGIC,
-    REC_ADVANCE,
-    REC_ADVANCE_SAME_D,
-    REC_CHANGED,
-    REC_FULL,
-    DeltaDecoder,
-    DeltaEncoder,
-    DeltaError,
-    _put_str,
-    _put_varint,
-    parse_delta,
-)
+from repro.core.deltas import DeltaDecoder, DeltaEncoder, DeltaError, parse_delta
 from repro.core.distributed import (
     DistributedMonitor,
     _targets_doc,
@@ -38,9 +24,7 @@ from repro.core.distributed import (
     encode_message,
     poll_targets,
 )
-from repro.core.poller import InterfaceRates
 from repro.experiments.testbed import build_testbed
-from tests.sample_reference import reference_parse_delta
 
 
 def plane():
@@ -54,20 +38,20 @@ def plane():
     return build, dm
 
 
-def _samples(t, rate=10.0):
-    return [
-        InterfaceRates("S1", 1, t, 2.0, rate, 10.0, 1.0, 1.0),
-        InterfaceRates("N2", 1, t, 2.0, 0.0, 0.0, 0.0, 0.0),
-    ]
+def _batch(encoder, seq, t, octets=1000):
+    """S1 read at ``t``: its port 1 at ``octets``, N2's port idle."""
+    encoder.add("S1", "S1", int(100 * t), t, [(1, (octets, 10, 1, 1, 0, 0))])
+    encoder.add("S1", "N2", int(100 * t), t, [(1, (0, 0, 0, 0, 0, 0))])
+    return encoder.close(1, seq)
 
 
 def _batches():
-    """A keyframe, a CHANGED/ADVANCE batch and an ADVANCE-only batch."""
-    encoder = DeltaEncoder("S1")
+    """A keyframe, a moved/same batch and a same-only batch."""
+    encoder = DeltaEncoder("S1", 0)
     return [
-        encoder.encode(1, 1, _samples(2.0)),
-        encoder.encode(1, 2, _samples(4.0, rate=20.0)),
-        encoder.encode(1, 3, _samples(6.0, rate=20.0)),
+        _batch(encoder, 1, 2.0),
+        _batch(encoder, 2, 4.0, octets=21_000),
+        _batch(encoder, 3, 6.0, octets=21_000),
     ]
 
 
@@ -101,14 +85,18 @@ class TestDeltaDecoders:
             batch = parse_delta(payload)
         except DeltaError:
             return  # stateless: there is nothing a reject could have touched
-        for sample in decoder.apply(batch):
-            assert isinstance(sample, InterfaceRates)
-            assert isinstance(sample.node, str) and isinstance(sample.if_index, int)
+        for worker, node, uptime, time, rows, first in decoder.apply(batch):
+            assert isinstance(worker, str) and isinstance(node, str)
+            assert 0 <= uptime < 2**32 and isinstance(time, float)
+            for if_index, counters in rows:
+                assert isinstance(if_index, int) and len(counters) == 6
+                assert all(0 <= c < 2**32 for c in counters)
+            assert set(first) <= {if_index for if_index, _ in rows}
 
     def test_corrupted_name_byte_is_a_decode_error(self):
         """The parent's failing case: a name that is no longer UTF-8."""
         payload = bytearray(BATCHES[0])
-        payload[payload.index(b"S1", 4)] = 0xFF  # the first record's node name
+        payload[payload.index(b"N2", 4)] = 0xFF  # the second record's node name
         with pytest.raises(DeltaError):
             parse_delta(bytes(payload))
         build, dm = plane()
@@ -132,87 +120,6 @@ class TestDeltaDecoders:
 # ----------------------------------------------------------------------
 # Control messages, coordinator side (hb, gone)
 # ----------------------------------------------------------------------
-def parsed(parse, payload):
-    """What ``parse`` makes of ``payload``: the batch's fields, floats by
-    their repr (NaN and -0.0 included), or the error and its words."""
-    try:
-        batch = parse(payload)
-    except DeltaError as exc:
-        return "DeltaError", str(exc)
-    return batch.worker, batch.incarnation, batch.seq, batch.keyframe, repr(batch.records)
-
-
-TIMES = st.one_of(
-    st.sampled_from([0.0, -0.0, 2.0, float("nan"), float("inf")]), st.floats(allow_nan=False),
-)
-RECORDS = st.one_of(
-    st.tuples(st.just(REC_ADVANCE_SAME_D), st.integers(0, 127), TIMES),
-    st.tuples(st.just(REC_ADVANCE_SAME_D), st.integers(0, 127), TIMES),
-    st.tuples(st.just(REC_ADVANCE_SAME_D), st.integers(128, 20_000), TIMES),
-    st.tuples(st.just(REC_ADVANCE), st.integers(0, 300), TIMES),
-    st.tuples(st.just(REC_CHANGED), st.integers(0, 300), TIMES),
-    st.tuples(st.just(REC_FULL), st.integers(0, 300), TIMES),
-)
-
-
-@st.composite
-def steady_batches(draw):
-    """A batch of mostly steady records in runs, ids of one octet and of
-    more between them, its ``count`` off by a few either way (a run longer
-    than ``count``; records ``count`` promises that never come), and its
-    last record cut short, sometimes."""
-    records = draw(st.lists(RECORDS, max_size=60))
-    body = bytearray()
-    for kind, rec_id, time in records:
-        body.append(kind)
-        _put_varint(body, rec_id)
-        if kind == REC_FULL:
-            _put_str(body, "sw")
-            _put_varint(body, rec_id % 50)
-        floats = {REC_ADVANCE_SAME_D: 1, REC_ADVANCE: 2}.get(kind, 6)
-        body += struct.pack(f"<{floats}d", *[time] * floats)
-    if records and draw(st.booleans()):
-        del body[len(body) - draw(st.integers(1, 9)):]
-    out = bytearray([DELTA_MAGIC, draw(st.sampled_from([0, 1]))])
-    _put_str(out, "w")
-    _put_varint(out, 1)
-    _put_varint(out, 7)
-    _put_varint(out, max(0, len(records) + draw(st.integers(-3, 2))))
-    return bytes(out + body)
-
-
-class TestARunIsParsedAsItsRecords:
-    """``parse_delta`` unpacks a run of steady records whole; the parent
-    parsed them one by one (``tests/sample_reference.py``).  Same batch
-    or the same error, word for word, on any bytes."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(payload=mutated(BATCHES))
-    def test_on_the_fuzz_corpus(self, payload):
-        assert parsed(parse_delta, payload) == parsed(reference_parse_delta, payload)
-
-    @settings(max_examples=400, deadline=None)
-    @given(payload=steady_batches())
-    def test_on_runs_cut_anywhere(self, payload):
-        assert parsed(parse_delta, payload) == parsed(reference_parse_delta, payload)
-
-    def test_a_run_longer_than_the_batch_is_the_batch(self):
-        body = b"".join(
-            bytes((REC_ADVANCE_SAME_D, i % 128)) + struct.pack("<d", 2.0 * i) for i in range(300)
-        )
-        for count in (0, 1, 127, 128, 129, 299, 300):
-            out = bytearray([DELTA_MAGIC, 0])
-            _put_str(out, "w")
-            for field in (1, 7, count):
-                _put_varint(out, field)
-            payload = bytes(out) + body[: 10 * count]
-            assert parsed(parse_delta, payload) == parsed(reference_parse_delta, payload)
-            assert len(parse_delta(payload).records) == count
-            if count < 300:  # one record more than it counts: the run stops at the count
-                with pytest.raises(DeltaError, match="trailing bytes"):
-                    parse_delta(bytes(out) + body[: 10 * count + 10])
-
-
 def ingest_state(dm):
     """Everything a datagram can move on the coordinator, bar the
     decode-error counter."""
@@ -376,7 +283,7 @@ class TestFarAheadSequence:
         if kind == "heartbeat":
             payload = encode_message("hb", w="S1", inc=1, q=self.FAR, av=1)
         else:
-            payload = DeltaEncoder("S1").encode(1, self.FAR, _samples(4.0))
+            payload = _batch(DeltaEncoder("S1", 0), self.FAR, 4.0)
         calls = python_calls(
             lambda: dm._on_datagram(payload, len(payload), None, 1234)
         )
