@@ -32,7 +32,7 @@ Extensions implementing the paper's §5 future work:
 - :mod:`repro.core.distributed` -- the same report core fed by remote
   workers: ``UplinkEndpoint`` (the sending end of a sample stream; a
   ``MonitorWorker`` is one over a poller), ``SampleIngest`` (leases,
-  ARQ, assignments) and :class:`DistributedMonitor` = core + ingest.
+  gaps, assignments) and :class:`DistributedMonitor` = core + ingest.
 - :mod:`repro.core.hierarchy`   -- the two-level tree: a
   ``LeafCoordinator`` is an uplink endpoint over an ingest, and
   ``HierarchicalMonitor`` a ``DistributedMonitor`` whose endpoints are

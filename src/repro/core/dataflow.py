@@ -79,17 +79,18 @@ class DegradedSourceSet:
     """Counter sources whose data is known-lossy right now.
 
     The distributed plane marks a (node, ifIndex) here when the worker
-    responsible for polling it lost its lease or when a sequence gap in
-    its shipped samples had to be abandoned: the rate table then still
-    holds a sample, but the plane *knows* newer data existed and was
-    lost, so dependent reports must not present that sample at full
-    confidence while it is still younger than the staleness bound.
+    responsible for polling it lost its lease or when a batch of its
+    shipped readings was lost: the rate table then still holds a sample,
+    but the plane *knows* newer data existed and was lost, so dependent
+    reports must not present that sample at full confidence while it is
+    still younger than the staleness bound.
 
-    Marks clear per-interface the moment a fresh in-order sample for the
-    key is admitted again (failover re-coverage, gap filled, worker
-    recovered).  State changes bump an :class:`EpochClock` so the
-    bandwidth calculator's memoized measurements invalidate exactly like
-    they do for quarantine or health flips.
+    Marks clear per-interface the moment a fresh sample for the key is
+    admitted again (failover re-coverage, the next reading spanning a
+    lost batch, worker recovered).  State changes bump an
+    :class:`EpochClock` so the bandwidth calculator's memoized
+    measurements invalidate exactly like they do for quarantine or health
+    flips.
     """
 
     __slots__ = ("_degraded", "_epochs")

@@ -17,18 +17,20 @@ Integers travel as integers, so the root derives from exactly the
 readings the worker took.  Ids are never reused within an incarnation:
 a key the encoder forgot (:meth:`DeltaEncoder.follow`) mints a new one.
 
-Every batch carries a (worker, incarnation, seq) envelope for the ARQ in
-:mod:`repro.core.distributed`, flags the last of its sender's poll cycle
-and names the workers whose readings it carries (a leaf forwards its
-workers' readings, each tagged with the worker that took it).  Parsing
-(:func:`parse_delta`) is stateless; :meth:`DeltaDecoder.apply` must run
-in sequence order.  After an abandoned gap, :meth:`DeltaDecoder.mark_desync`
-drops the id table and the baselines it fed: entries without their key
-are dropped until a keyframe.  A keyframe re-states each agent's last
-reading, all ``full``: a receiver that lost nothing reads readings it has
-(same sysUpTime, no sample), one that lost its tables a baseline.  The
-receiver asks for one with ``kfreq``; senders also send one every
-``keyframe_every`` batches.
+Every batch carries a (worker, incarnation, seq) envelope, flags the last
+of its sender's poll cycle and names the workers whose readings it
+carries (a leaf forwards its workers' readings, each tagged with the
+worker that took it).  Parsing (:func:`parse_delta`) is stateless;
+:meth:`DeltaDecoder.apply` must run in sequence order.  A lost batch is a
+missed poll (:mod:`repro.core.distributed`): the receiver keeps its id
+table and baselines and only :meth:`DeltaDecoder.forget_values`, so a
+``moved`` or ``full`` entry of a known id derives against the reading
+before the loss, spanning it, and a ``same`` entry -- values the receiver
+may never have seen -- is skipped until its id is re-stated.  A keyframe
+re-states each agent's last reading, all ``full``: a receiver that lost
+nothing reads readings it has (same sysUpTime, no sample), one that lost
+values reads them again.  The receiver asks for one with ``kfreq``;
+senders also send one every ``keyframe_every`` batches.
 """
 
 from __future__ import annotations
@@ -380,10 +382,12 @@ class DeltaDecoder:
         self.needs_keyframe = False
         self.entries_skipped = 0
 
-    def mark_desync(self) -> None:
-        """An upstream batch was lost for good: the id table and the
-        baselines it fed may rest on readings this decoder never saw."""
-        self._keys, self._last, self.baselines, self.needs_keyframe = {}, {}, {}, True
+    def forget_values(self) -> None:
+        """Batches of this stream were lost.  Ids are never reused within
+        an incarnation and every baseline is a reading this receiver saw,
+        so both stand; only the values a ``same`` entry names may have
+        moved in the lost batches."""
+        self._last = {}
 
     def apply(self, batch: DeltaBatch) -> List[Reading]:
         """Fold one in-order batch in; returns its readings, per agent."""
@@ -400,15 +404,15 @@ class DeltaDecoder:
                     last[rec_id] = values
                 else:
                     key = keys.get(rec_id)
-                    if key is None:
-                        # Reset receiver (restart, adopted stream, abandoned
-                        # gap): the mapping rode a batch it never saw.
+                    if kind == REC_SAME:
+                        values = last.get(rec_id)
+                    if key is None or values is None:
+                        # The mapping (restart, adopted stream) or the values
+                        # (a gap) rode a batch this receiver never saw.
                         self.entries_skipped += 1
                         self.needs_keyframe = True
                         continue
-                    if kind == REC_SAME:
-                        values = last[rec_id]
-                    else:
+                    if kind == REC_MOVED:
                         last[rec_id] = values
                 if key[0] != node:
                     node, rows, first = key[0], [], []

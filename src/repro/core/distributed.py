@@ -18,20 +18,21 @@ runs a :class:`~repro.core.health.WorkerLeaseTracker` per-worker state
 machine (alive -> suspect -> dead -> recovering, with hysteresis on the
 way back) and publishes transitions on the telemetry event bus.
 
-**Reliable reading shipping.**  Readings travel in *sequenced, batched
-report datagrams* in one wire format, the binary delta encoding of
-:mod:`repro.core.deltas`: each worker stamps batches with a
-per-incarnation monotonic sequence number and keeps a bounded
-drop-oldest resend buffer.
-The coordinator detects sequence gaps (from later batches, or from the
-``next_seq`` carried by heartbeats), requests selective retransmits
-(ARQ with capped retries and exponential backoff) and, when a gap is
-unfillable, *marks the worker's counter sources degraded* in a
+**A lost batch is a missed poll.**  Readings travel in *sequenced,
+batched report datagrams* in one wire format, the binary delta encoding
+of :mod:`repro.core.deltas`: each worker stamps batches with a
+per-incarnation monotonic sequence number.  A batch carries the agents'
+own readings, so losing one is what losing a poll is to the flat poller
+(paper §3.1): the next reading of each interface derives against the
+last one the coordinator saw, over a longer, exactly measured interval.
+Nothing is resent.  The coordinator detects a gap (from a later batch,
+or from the ``next_seq`` carried by heartbeats), moves past it, forgets
+only the values the stream's ``same`` entries refer to, asks for a
+keyframe, and *marks the worker's counter sources degraded* in a
 :class:`~repro.core.dataflow.DegradedSourceSet` so dependent path
-reports drop to low confidence instead of presenting the last sample it
-happened to see as current.  Duplicate and stale-incarnation batches are
-discarded by sequence number, so retransmits and worker restarts never
-double-count a reading.
+reports drop to low confidence until fresh samples land.  Duplicate,
+straggling and stale-incarnation batches are discarded by sequence
+number, so a worker restart never double-counts a reading.
 
 **Automatic failover.**  When a lease expires the coordinator
 repartitions the poll targets over the surviving workers
@@ -42,8 +43,8 @@ back.  Assignments are versioned and carried to idempotent effect: each
 heartbeat echoes the worker's applied version, and the coordinator
 re-sends the assignment whenever the echo is stale -- lost control
 datagrams heal themselves within a heartbeat.  A dead coordinator
-cannot wedge a worker: shipping is fire-and-forget UDP and the resend
-buffer is the only send-side state, bounded and drop-oldest.
+cannot wedge a worker: shipping is fire-and-forget UDP and nothing
+waits for an answer.
 
 **Integration.**  The coordinator's report half is the same
 :class:`~repro.core.monitor.ReportCore` the single monitor has (watches
@@ -53,9 +54,9 @@ validator sees the two raw readings, exactly as for local polls), plane
 state is exported as telemetry gauges and flat ``stats()`` keys, and
 ``repro distributed`` exercises the whole plane from the CLI.
 
-Everything -- polls, responses, batches, heartbeats, retransmits,
-assignments -- is real simulated traffic, so the monitoring system's own
-footprint (and its failure modes) remain measurable.
+Everything -- polls, responses, batches, heartbeats, keyframe requests,
+assignments -- is real simulated traffic, so the monitoring system's
+own footprint (and its failure modes) remain measurable.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-from collections import OrderedDict
 from math import isfinite
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
 
@@ -93,21 +93,17 @@ from repro.topology.model import ConnectionSpec
 logger = logging.getLogger("repro.distributed")
 
 REPORT_PORT = 8765  # coordinator's sample/heartbeat sink
-CONTROL_PORT = 8766  # each worker's assignment/retransmit listener
+CONTROL_PORT = 8766  # each worker's assignment/keyframe-request listener
 
-# Liveness and ARQ tuning: fixed ratios of the poll interval, not
-# options.  They detect a dead worker in ~one poll interval (just over
-# two missed heartbeats) so failover plus the adopters' re-baselining
-# completes within three poll cycles.
+# Liveness tuning: fixed ratios of the poll interval, not options.  They
+# detect a dead worker in ~one poll interval (just over two missed
+# heartbeats) so failover plus the adopters' re-baselining completes
+# within three poll cycles.
 HEARTBEAT_RATIO = 0.4  # heartbeat period / poll interval
 LEASE_RATIO = 0.9  # lease timeout / poll interval
 SUSPECT_RATIO = 0.55  # suspect threshold / lease timeout
-RETX_BACKOFF_RATIO = 0.25  # first ARQ (and keyframe-request) backoff / poll interval
+KFREQ_SPACING_RATIO = 0.25  # least time between keyframe requests / poll interval
 RECOVERY_BEATS = 2  # consecutive renewals before a dead worker is trusted again
-RETX_MAX_ATTEMPTS = 3  # retransmit requests per gap before it is abandoned
-# Batches a sender keeps for retransmission, drop-oldest; the receiver
-# gives up at once on a missing seq further behind than this.
-RESEND_BUFFER = 32
 
 
 # ----------------------------------------------------------------------
@@ -116,9 +112,9 @@ RESEND_BUFFER = 32
 # ----------------------------------------------------------------------
 def encode_message(kind: str, **fields) -> bytes:
     """One control message: ``hb`` (``w, inc, q, av``: lease renewal;
-    ``q``, the next seq, exposes trailing gaps and ``av`` lets the
-    coordinator re-send a lost assignment), ``gone`` (``w, inc, seqs``),
-    ``retx`` (``inc, seqs``), ``assign`` (``v, t``), ``kfreq`` (``inc``)."""
+    ``q``, the next seq, exposes a trailing gap and ``av`` lets the
+    coordinator re-send a lost assignment), ``assign`` (``v, t``),
+    ``kfreq`` (``inc``)."""
     return json.dumps({"k": kind, **fields}).encode()
 
 
@@ -194,8 +190,7 @@ def _targets_from_doc(network, docs: Sequence[Dict[str, object]]) -> List[PollTa
 class SampleShipper:
     """Sequenced, batched, delta-encoded reading shipping.
 
-    Owns the per-incarnation monotonic sequence number, the bounded
-    drop-oldest resend buffer, and the
+    Owns the per-incarnation monotonic sequence number and the
     :class:`~repro.core.deltas.DeltaEncoder` (``delta``) whose
     last-shipped tracking turns a quiescent agent's reading into a byte
     per interface.  ``send`` is the owner's transmit function, so the same
@@ -218,14 +213,11 @@ class SampleShipper:
         self.max_batch = max_batch
         self.incarnation = 1
         self.next_seq = 1
-        self._resend: "OrderedDict[int, bytes]" = OrderedDict()
         self.delta = DeltaEncoder(name, keyframe_every)
         self.samples_shipped = 0
         self.batches_shipped = 0
         self.bytes_shipped = 0
         self.keyframes_shipped = 0
-        self.retransmits_served = 0
-        self.retransmits_missed = 0
 
     def enqueue(self, *readings: Reading) -> int:
         """Queue agent readings (:data:`~repro.core.deltas.Reading`), a
@@ -253,34 +245,12 @@ class SampleShipper:
             self.keyframes_shipped += 1
         self.batches_shipped += 1
         self.bytes_shipped += len(payload)
-        self._resend[seq] = payload
-        while len(self._resend) > RESEND_BUFFER:
-            self._resend.popitem(last=False)  # drop-oldest: bounded memory
         self.send(payload)
-
-    def serve_retransmit(self, doc: Dict[str, object]) -> None:
-        incarnation, seqs = int(doc["inc"]), [int(s) for s in doc["seqs"]]
-        if incarnation != self.incarnation:
-            return  # request addresses a previous life of this sender
-        gone: List[int] = []
-        for seq in seqs:
-            payload = self._resend.get(seq)
-            if payload is None:
-                gone.append(seq)  # evicted from the bounded buffer
-                self.retransmits_missed += 1
-            else:
-                self.retransmits_served += 1
-                self.send(payload)
-        if gone:
-            self.send(
-                encode_message("gone", w=self.name, inc=self.incarnation, seqs=gone)
-            )
 
     def reset(self, incarnation: int) -> None:
         """The owning process restarted: new incarnation, fresh state."""
         self.incarnation = incarnation
         self.next_seq = 1
-        self._resend.clear()
         self.delta.reset()
 
 
@@ -294,7 +264,7 @@ class UplinkEndpoint:
     a per-incarnation monotonic sequence number, the last of a poll cycle
     when it closes (see :meth:`SampleIngest._closed_by`); the one timer,
     a heartbeat, renews the lease and echoes the applied assignment
-    version; a control listener serves ``retx`` / ``assign`` / ``kfreq``.
+    version; a control listener serves ``assign`` / ``kfreq``.
     ``crash()``/``restart()`` simulate the process dying and coming back
     (used by :class:`~repro.simnet.faults.WorkerCrash`): a restarted
     endpoint bumps its incarnation, restarts its sequence at 1, and
@@ -325,9 +295,9 @@ class UplinkEndpoint:
         self.upstream_ip = upstream_ip
         self.poll_interval = poll_interval
         self.heartbeat_interval = poll_interval * HEARTBEAT_RATIO
-        # Shipping (sequencing, resend buffer, delta encoding) lives in
-        # the shipper: the only send-side state, bounded, so a
-        # dead upstream can never wedge this endpoint.
+        # Shipping (sequencing, delta encoding) lives in the shipper,
+        # which waits for no answer: a dead upstream cannot wedge this
+        # endpoint.
         self.shipper = SampleShipper(host_name, self._send_report, **shipping)
         self.assign_version = 0
         self.crashed = False
@@ -392,8 +362,8 @@ class UplinkEndpoint:
 
     def restart(self) -> None:
         """The process comes back: new incarnation, sequence restarts at
-        1, the resend buffer is gone, and assignment version 0 makes
-        upstream re-ship the current assignment."""
+        1, and assignment version 0 makes upstream re-ship the current
+        assignment."""
         if not self.crashed:
             return
         self.crashed = False
@@ -419,9 +389,7 @@ class UplinkEndpoint:
         try:
             doc = decode_message(payload)
             kind = doc["k"]
-            if kind == "retx":
-                self.shipper.serve_retransmit(doc)
-            elif kind == "assign":
+            if kind == "assign":
                 self._apply_assignment(doc)
             elif kind == "kfreq":
                 # The receiver lost delta context: re-state everything
@@ -519,33 +487,17 @@ class MonitorWorker(UplinkEndpoint):
 # ----------------------------------------------------------------------
 # Coordinator-side ingest bookkeeping
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(slots=True)
-class _Gap:
-    """One missing batch sequence number under ARQ."""
-
-    seq: int
-    next_retry: float  # first request goes out at once
-    attempts: int = 0
-
-
 @dataclasses.dataclass(slots=True, eq=False)
 class _WorkerIngest:
-    """Per-stream sequencing state on the receiving coordinator.
-
-    The reorder buffer holds batches parsed statelessly at arrival (so
-    malformed ones surface as decode errors there); the stateful
-    :class:`~repro.core.deltas.DeltaDecoder` applies them only at
-    in-order delivery, because applying out of order would corrupt the
-    decoder's id table and the baselines it holds.
-    """
+    """Per-stream sequencing state on the receiving coordinator: the
+    next seq it expects and the stream's
+    :class:`~repro.core.deltas.DeltaDecoder`, which applies batches in
+    sequence order only."""
 
     name: str
     anchored: bool = True  # False: adopt the first observed seq
     incarnation: int = 0  # adopts the worker's on first contact
     expected: int = 1  # next in-order batch seq
-    #: seq -> out-of-order batch
-    buffer: Dict[int, DeltaBatch] = dataclasses.field(default_factory=dict)
-    gaps: Dict[int, _Gap] = dataclasses.field(default_factory=dict)
     delta: DeltaDecoder = dataclasses.field(default_factory=DeltaDecoder)
     kfreq_after: float = 0.0  # earliest next keyframe request
 
@@ -553,13 +505,11 @@ class _WorkerIngest:
         self.incarnation = incarnation
         self.expected = 1
         self.anchored = True  # a fresh incarnation numbers from 1
-        self.buffer.clear()
-        self.gaps.clear()
         self.delta = DeltaDecoder()
 
 
 class SampleIngest:
-    """The receiving end of the plane: workers, leases, ARQ, assignments.
+    """The receiving end of the plane: workers, leases, gaps, assignments.
 
     Owns the worker endpoints on ``worker_hosts`` and the coordinator
     sockets on ``coordinator_host``; the readings of every batch that
@@ -593,8 +543,8 @@ class SampleIngest:
         """``pipeline_window`` bounds each worker's in-flight polls;
         ``shipping`` (:class:`SampleShipper`'s ``max_batch`` /
         ``keyframe_every``) reaches every endpoint under this
-        coordinator.  Lease, heartbeat and ARQ timing are not options:
-        they are the module's fixed ratios of ``poll_interval``."""
+        coordinator.  Lease, heartbeat and keyframe-request timing are not
+        options: they are the module's fixed ratios of ``poll_interval``."""
         if not worker_hosts:
             raise ValueError("need at least one worker host")
         self.build = build
@@ -610,7 +560,7 @@ class SampleIngest:
         self._suspended = False
         self.coordinator = self.network.host(coordinator_host)
         self.heartbeat_interval = poll_interval * HEARTBEAT_RATIO
-        self.retx_backoff = poll_interval * RETX_BACKOFF_RATIO
+        self.kfreq_spacing = poll_interval * KFREQ_SPACING_RATIO
         # What every endpoint under this coordinator is built with.
         self._endpoint_options = dict(shipping, pipeline_window=pipeline_window)
         self.degraded = DegradedSourceSet()
@@ -676,10 +626,7 @@ class SampleIngest:
         self._m_batches = c("batches_received", "sequenced report batches delivered")
         self._m_decode_errors = c("decode_errors", "undecodable plane datagrams")
         self._m_duplicates = c("duplicate_batches", "batches dropped by sequence dedup")
-        self._m_gaps = c("gaps_detected", "batch sequence gaps detected")
-        self._m_gaps_filled = c("gaps_filled", "gaps closed by retransmission")
-        self._m_gaps_abandoned = c("gaps_abandoned", "gaps given up after ARQ caps")
-        self._m_retx = c("retx_requests", "selective retransmit requests sent")
+        self._m_gaps = c("gaps_detected", "batches lost: sequence numbers skipped")
         self._m_kfreq = c("keyframe_requests", "delta keyframe requests sent")
         self._m_failovers = c("failovers", "lease expiries that moved poll targets")
         self._m_rebalances = c("rebalances", "recoveries that moved poll targets back")
@@ -866,8 +813,6 @@ class SampleIngest:
             kind = doc["k"]
             if kind == "hb":
                 self._on_heartbeat(doc)
-            elif kind == "gone":
-                self._on_gone(doc)
             else:
                 self._m_decode_errors.inc()
         except _MALFORMED:
@@ -887,8 +832,8 @@ class SampleIngest:
         return state
 
     def _on_delta(self, payload: bytes) -> None:
-        """Sample batch: parse statelessly now, apply the stateful
-        decoder only at in-order delivery."""
+        """Sample batch: delivered at once if it is the next in sequence or
+        past a gap; a duplicate or a straggler from behind one is dropped."""
         try:
             batch = parse_delta(payload)
         except DeltaError:
@@ -900,18 +845,15 @@ class SampleIngest:
         seq = batch.seq
         if not state.anchored:
             # Adopting a mid-flight stream (coordinator resume): accept
-            # from here instead of demanding retransmits back to seq 1;
-            # the stream heals its decoder via keyframe request.
+            # from here; the stream heals its decoder via keyframe request.
             state.anchored = True
             state.expected = seq
-        if seq < state.expected or seq in state.buffer:
+        if seq < state.expected:
             self._m_duplicates.inc()
-            return  # retransmit overshoot or duplicate: sequence dedup
-        state.buffer[seq] = batch
-        if seq == state.expected:
-            self._drain(state)
-        else:
-            self._note_gaps(state, upto=seq)
+            return
+        self._skip_to(state, seq)
+        state.expected = seq + 1
+        self._deliver(state, batch)
 
     def _on_heartbeat(self, doc: Dict[str, object]) -> None:
         # Every field is read before the first side effect (the lease
@@ -928,132 +870,41 @@ class SampleIngest:
         # that we have not seen was shipped and lost with nothing after
         # it to reveal the gap -- a trailing gap only liveness traffic
         # can expose.
-        self._note_gaps(state, upto=next_seq)
+        self._skip_to(state, next_seq)
         # Self-healing control: a stale applied-version echo means the
         # last assignment datagram was lost; ship it again.
         if applied != self._assign_version.get(worker, 0):
             if self.leases.state(worker) is not WorkerState.DEAD:
                 self._send_assignment(worker)
 
-    def _on_gone(self, doc: Dict[str, object]) -> None:
-        """The worker evicted requested batches: those gaps are unfillable."""
-        worker, incarnation = doc["w"], int(doc["inc"])
-        seqs = [int(s) for s in doc["seqs"]]
-        state = self._ingest_state(worker, incarnation)
-        if state is None:
+    def _skip_to(self, state: _WorkerIngest, seq: int) -> None:
+        """Batches ``[expected, seq)`` were lost: a missed poll for every
+        reading they carried.  The stream's ids and baselines stand, so
+        the next reading of each interface derives across the hole;
+        only the values its ``same`` entries name are forgotten until a
+        ``moved`` entry or the requested keyframe re-states them.  Which
+        interfaces the lost batches carried is unknown, so every source
+        assigned to the worker is degraded until a fresh sample lands."""
+        first = state.expected
+        if seq <= first:
             return
-        for seq in seqs:
-            gap = state.gaps.get(seq)
-            if gap is not None:
-                gap.attempts = RETX_MAX_ATTEMPTS  # abandon at next sweep
-                gap.next_retry = self.sim.now
-
-    def _note_gaps(self, state: _WorkerIngest, upto: int) -> None:
-        """Register ARQ gaps for every missing seq in [expected, upto).
-
-        Only the newest :data:`RESEND_BUFFER` seqs can still be resent;
-        anything missing further behind ``upto`` is given up at once, by
-        count, so a far-ahead seq costs O(window), not O(jump).
-        """
-        horizon = upto - RESEND_BUFFER
-        if state.expected < horizon:
-            first = state.expected
-            held = sorted(seq for seq in state.buffer if seq < horizon)
-            known = [seq for seq in state.gaps if seq < horizon]
-            lost = horizon - first - len(held)
-            self._m_gaps.inc(lost - len(known))
-            for seq in known:
-                del state.gaps[seq]
-            state.expected = horizon
-            state.delta.mark_desync()
-            self._abandoned(state, lost, first=first, upto=horizon)
-            for seq in held:
-                self._deliver(state, state.buffer.pop(seq))
-            self._drain(state)
-        new_gaps = [
-            seq
-            for seq in range(state.expected, upto)
-            if seq not in state.buffer and seq not in state.gaps
-        ]
-        if not new_gaps:
-            return
-        for seq in new_gaps:
-            state.gaps[seq] = _Gap(seq, self.sim.now)
-            self._m_gaps.inc()
-        self._publish_gap(state, "detected", seqs=new_gaps)
-        self._request_retransmits(state)
-
-    def _publish_gap(self, state: _WorkerIngest, action: str, **which) -> None:
+        self._m_gaps.inc(seq - first)
         self.telemetry.events.publish(
-            SAMPLE_GAP, self.sim.now, worker=state.name, action=action, **which
+            SAMPLE_GAP, self.sim.now, worker=state.name, first=first, upto=seq
         )
-
-    def _request_retransmits(self, state: _WorkerIngest) -> None:
-        """Ask the worker for every currently-due gap, one datagram."""
-        now = self.sim.now
-        due = [g for g in state.gaps.values() if g.next_retry <= now
-               and g.attempts < RETX_MAX_ATTEMPTS]
-        if not due:
-            return
-        for gap in due:
-            gap.attempts += 1
-            # Exponential backoff, capped by the attempt limit.
-            gap.next_retry = now + self.retx_backoff * (2 ** (gap.attempts - 1))
-        self._m_retx.inc()
-        self._send_control(
-            state.name, "retx", inc=state.incarnation,
-            seqs=sorted(g.seq for g in due),
-        )
-
-    def _drain(self, state: _WorkerIngest) -> None:
-        while state.expected in state.buffer:
-            batch = state.buffer.pop(state.expected)
-            gap = state.gaps.pop(state.expected, None)
-            if gap is not None and gap.attempts > 0:
-                self._m_gaps_filled.inc()
-            self._deliver(state, batch)
-            state.expected += 1
-
-    def _abandon_front_gaps(self, state: _WorkerIngest) -> None:
-        """Give up on head-of-line gaps whose ARQ budget is spent."""
-        abandoned: List[int] = []
-        while True:
-            gap = state.gaps.get(state.expected)
-            if gap is None or gap.attempts < RETX_MAX_ATTEMPTS:
-                break
-            if gap.next_retry > self.sim.now:
-                break  # the last retransmit may still be in flight
-            state.gaps.pop(state.expected)
-            abandoned.append(state.expected)
-            state.expected += 1
-            state.delta.mark_desync()  # before anything past the hole is applied
-            self._drain(state)
-        if abandoned:
-            self._abandoned(state, len(abandoned), seqs=abandoned)
-
-    def _abandoned(self, state: _WorkerIngest, count: int, **which) -> None:
-        """``count`` batches (``seqs``, or the range ``[first, upto)``)
-        of this stream are lost for good."""
-        self._m_gaps_abandoned.inc(count)
-        # The lost batches carried readings for *some* of this worker's
-        # interfaces; without them we cannot know which, so every counter
-        # source currently assigned to the worker is marked lossy until a
-        # fresh sample clears it.
         self._mark_degraded(state.name)
-        # The caller dropped the stream's id table and baselines
-        # (``mark_desync``) before applying anything past the hole; only a
-        # keyframe re-states them.
+        state.delta.forget_values()
         self._request_keyframe(state)
-        self._publish_gap(state, "abandoned", **which)
+        state.expected = seq
 
     def _request_keyframe(self, state: _WorkerIngest) -> None:
         """Ask a delta sender to re-state its full universe; rate-limited
-        so a desynced stream sends one request per backoff window, not
-        one per arriving batch."""
+        so a stream missing values sends one request per spacing window,
+        not one per arriving batch."""
         now = self.sim.now
         if now < state.kfreq_after:
             return
-        state.kfreq_after = now + self.retx_backoff
+        state.kfreq_after = now + self.kfreq_spacing
         self._m_kfreq.inc()
         self._send_control(state.name, "kfreq", inc=state.incarnation)
 
@@ -1084,15 +935,10 @@ class SampleIngest:
             self.on_cycle()
 
     # ------------------------------------------------------------------
-    # Periodic sweep: lease expiry + ARQ retries/abandonment
+    # Periodic sweep: lease expiry
     # ------------------------------------------------------------------
     def _sweep(self) -> None:
         self.leases.check(self.sim.now)
-        for state in self._ingest.values():
-            if self.leases.state(state.name) is WorkerState.DEAD:
-                continue  # no point retransmit-nagging a dead worker
-            self._request_retransmits(state)
-            self._abandon_front_gaps(state)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1100,7 +946,7 @@ class SampleIngest:
     def _open_sockets(self) -> None:
         self._sink = self.coordinator.create_socket(REPORT_PORT)
         self._sink.on_receive = self._on_datagram
-        self._control = self.coordinator.create_socket()  # retx/assign sender
+        self._control = self.coordinator.create_socket()  # assign/kfreq sender
 
     def _begin_sweeps(self, at: float) -> None:
         self._sweep_task = self.sim.call_every(
@@ -1143,7 +989,7 @@ class SampleIngest:
     def resume(self) -> None:
         """The coordinator comes back: fresh sockets, fresh per-stream
         ingest state (with ``adopt_streams`` it anchors mid-flight
-        streams instead of demanding retransmits back to seq 1), and one
+        streams instead of reading seq 1 onwards as lost), and one
         lease renewal per worker so nobody is declared dead for
         heartbeats lost while the coordinator was down."""
         if not self._suspended:
@@ -1248,10 +1094,10 @@ class DistributedMonitor(ReportCore, SampleIngest):
         follow the pool, so an interface that left it keeps no state here."""
         SampleIngest.set_target_pool(self, targets)
         pool = polled_interfaces(self.targets)
-        gone = self._pool - pool
-        self.rates.discard(sorted(gone))
+        left = self._pool - pool
+        self.rates.discard(sorted(left))
         for state in self._ingest.values():
-            state.delta.baselines = {a: {i: r for i, r in last.items() if (a[1], i) not in gone}
+            state.delta.baselines = {a: {i: r for i, r in last.items() if (a[1], i) not in left}
                                      for a, last in state.delta.baselines.items()}
         self._pool = pool
         if self.integrity is not None:

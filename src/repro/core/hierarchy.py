@@ -1,9 +1,9 @@
 """Two-level coordinator tree for 10k-host-scale monitoring.
 
 One coordinator ingesting every worker's batches scales linearly in one
-host's receive path and one process's ARQ bookkeeping.  The hierarchical
-plane splits the poll-target pool into *shards*: each shard is owned by
-a :class:`LeafCoordinator` -- the fault-tolerant
+host's receive path and one process's per-stream bookkeeping.  The
+hierarchical plane splits the poll-target pool into *shards*: each shard
+is owned by a :class:`LeafCoordinator` -- the fault-tolerant
 :class:`~repro.core.distributed.SampleIngest` of the flat plane over the
 shard's worker hosts, with no report core behind it -- which merges its
 workers' streams and ships them up one delta-encoded, sequenced stream.
@@ -16,16 +16,20 @@ construction rather than duplication:
 
 * **Root ingest** -- ``HierarchicalMonitor`` *is* a
   ``DistributedMonitor`` whose "workers" are leaf coordinators: leases,
-  selective-retransmit ARQ, degraded-source marking, versioned
-  assignments and the watch/report surface are inherited unchanged.
+  gap detection, degraded-source marking, versioned assignments and the
+  watch/report surface are inherited unchanged.
   Shard assignment rides the same ``assign`` control message workers
   use, so a lost shard datagram heals through the same stale-echo
   resend.
 * **Leaf uplink** -- a leaf and a worker are the same
   :class:`~repro.core.distributed.UplinkEndpoint` (heartbeats, sequenced
-  shipping with a bounded resend buffer, retransmit/assign/keyframe
-  control) over different sample sources, and both ship when their poll
-  cycle closes: a leaf's, once its workers' closing batches are in.
+  shipping, assign/keyframe control) over different sample sources, and
+  both ship when their poll cycle closes: a leaf's, once its workers'
+  closing batches are in.
+* **One loss model, twice** -- a batch lost worker->leaf or leaf->root
+  is a missed poll: nothing is resent, the receiving tier keeps its ids
+  and baselines, and the root derives the next reading of each interface
+  across the hole, as the flat poller does after a timed-out poll.
 * **Failover, twice** -- a dead *worker* is handled inside its leaf
   (the shard repartitions over the surviving workers); a dead *leaf*
   is handled by the root (its shard's targets repartition over the
@@ -35,8 +39,8 @@ construction rather than duplication:
 A leaf coordinator crash kills only the coordinator *process*: its
 workers -- separate hosts -- keep polling and shipping into the void.
 On restart the leaf resumes with fresh ingest state, *adopts* its
-workers' mid-flight sequence streams instead of demanding retransmits
-back to seq 1, and heals its delta decoders with keyframe requests.
+workers' mid-flight sequence streams instead of reading everything
+since seq 1 as lost, and heals its delta decoders with keyframe requests.
 """
 
 from __future__ import annotations
@@ -154,10 +158,10 @@ class HierarchicalMonitor(DistributedMonitor):
     worker hosts inside each shard, and each shard's *member* nodes
     (the affinity map: a target's home shard is the pod it lives in, so
     monitoring traffic stays inside the pod until aggregation).  Leaves
-    are driven through the inherited flat-plane machinery -- leases,
-    ARQ, versioned ``assign`` messages -- and ship delta-encoded reading
-    streams; the root's report surface is the flat coordinator's, and so
-    are its options, except that the tree batches 32 samples per
+    are driven through the inherited flat-plane machinery -- leases, gap
+    detection, versioned ``assign`` messages -- and ship delta-encoded
+    reading streams; the root's report surface is the flat coordinator's,
+    and so are its options, except that the tree batches 32 samples per
     datagram where the flat plane batches 8 -- at both levels:
     ``max_batch`` rides the shipping options through each leaf into its
     shard's ingest and on to every worker under it.

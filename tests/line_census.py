@@ -54,7 +54,6 @@ SRC = ROOT / "src" / "repro"
 
 _ERRORS = "error handling: a reject counted, reported or returned rather than raised"
 _FAULTS = "fault path: item 6(a)'s fault schedule is to become its product entry"
-_ARQ = "fault path: the uplink's loss repair, which item 24 replaces"
 _SIZE = "input-size path: fragments, long lists, multi-byte lengths, ports that wrap"
 _SPEC = "spec-language section or topology shape no shipped spec uses"
 _SURFACE = "operator surface: a repr, accessor, query or export read by an operator or a test"
@@ -69,9 +68,9 @@ UNREACHED: Dict[str, Tuple[int, str]] = {
     "cli.py": (20, _ERRORS),
     "core/bandwidth.py": (11, _FAULTS),
     "core/dataflow.py": (3, _SURFACE),
-    "core/deltas.py": (19, _ARQ),
+    "core/deltas.py": (19, _FAULTS),
     "core/discovery.py": (29, _ERRORS),
-    "core/distributed.py": (140, _ARQ),
+    "core/distributed.py": (77, _FAULTS),
     "core/health.py": (3, _FAULTS),
     "core/hierarchy.py": (5, _LIFECYCLE),
     "core/history.py": (2, _SURFACE),
@@ -143,7 +142,7 @@ UNREACHED: Dict[str, Tuple[int, str]] = {
 }
 
 #: The total of the above; lower it whenever the total falls, never raise it.
-UNREACHED_CEILING = 1388
+UNREACHED_CEILING = 1325
 
 #: Steady cycles per ledger workload.
 WORKLOAD_CYCLES = {

@@ -5,9 +5,9 @@ messages, including type-confused payload hardening; the byte-mutation
 fuzz lives in test_uplink_fuzz.py), deterministic target partitioning
 and its edge cases,
 normal-operation semantics vs. the single monitor, worker-crash
-failover/failback (the chaos acceptance scenario), ARQ gap repair under
-a network partition, and a hypothesis property proving sequence-number
-dedup never double-counts a sample.
+failover/failback (the chaos acceptance scenario), lost batches under
+a network partition read as missed polls, and a hypothesis property
+proving sequence-number dedup never double-counts a sample.
 """
 
 import pytest
@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.deltas import DeltaDecoder, DeltaEncoder, DeltaError, parse_delta
-from repro.core.distributed import DistributedMonitor, decode_message, poll_targets
+from repro.core.distributed import (
+    DistributedMonitor,
+    decode_message,
+    encode_message,
+    poll_targets,
+)
 from repro.experiments.testbed import build_testbed
 from repro.simnet.faults import NetworkPartition, WorkerCrash
 from repro.simnet.trafficgen import StaircaseLoad, StepSchedule
@@ -83,7 +88,7 @@ class TestSampleCodec:
 def distributed(worker_hosts=("L", "S1", "S2"), whole_pool=False, **kwargs):
     """A plane on the testbed.  Its pool follows its watches, unless
     ``whole_pool`` pins it through ``targets=`` to every connection: the
-    partitioning, failover and ARQ tests below reason about all six
+    partitioning, failover and lost-batch tests below reason about all six
     agents, whatever is watched."""
     build = build_testbed()
     if whole_pool:
@@ -333,55 +338,83 @@ class TestFailover:
         assert dm.worker_states() == {w: "alive" for w in ("L", "S1", "S2")}
 
 
-class TestArq:
-    def test_partition_gaps_are_detected_and_refilled(self):
-        """Batches lost in a short partition come back via selective
-        retransmit from the worker's resend buffer -- no failover, no
-        permanent loss, no double-counting."""
+class TestLostBatches:
+    """A lost batch is a missed poll: nothing is resent; the next reading
+    of each interface derives across the hole, and the worker's sources
+    are degraded until it does."""
+
+    def test_partition_gaps_are_detected_and_spanned(self):
+        """Batches lost in a short partition of S2's uplink: the gap is
+        detected, S2's sources are degraded inside the window and cleared
+        by the next samples, which span the missed poll; no failover, and
+        no report in the window presents an old input as current."""
         build, dm = distributed(whole_pool=True)
         dm.watch_path("S1", "N1")
         net = build.network
         # Sever S2's uplink for 1.2 s: long enough to lose batches and
         # heartbeats, short enough that the lease survives (suspect only).
+        heal, period = 11.2, dm.poll_interval
         uplink = net.host("S2").interfaces[0].link
-        NetworkPartition(net.sim, [uplink], at=10.0, until=11.2)
+        NetworkPartition(net.sim, [uplink], at=10.0, until=heal)
+        reports, landed = [], []
+        dm.subscribe(reports.append)
+        update = dm.rates.update
+        dm.rates.update = lambda sample: (landed.append(sample), update(sample))
         dm.start()
-        net.run(30.0)
+        degraded = []  # the degraded count, every 0.1 s through the window
+        for step in range(100, 100 + int(10 * 2 * period) + 13):
+            net.run(step / 10)
+            degraded.append((net.now, dm.stats()["degraded_sources"]))
         stats = dm.stats()
-        assert stats["gaps_detected"] >= 1.0
-        assert stats["gaps_filled"] == stats["gaps_detected"]
-        assert stats["gaps_abandoned"] == 0.0
+        assert stats["gaps_detected"] >= 1.0 and stats["keyframe_requests"] >= 1.0
         assert stats["failovers"] == 0.0
         assert dm.worker_states()["S2"] == "alive"
+        # S2's share went degraded inside the window, and is clear again
+        # within two poll cycles of the heal.
+        share = [(t.node, i) for t in dm._assignments["S2"] for i in t.if_indexes]
+        assert max(count for _, count in degraded) == len(share)
+        assert all(count == 0.0 for t, count in degraded if t >= heal + 2 * period)
+        # Each of those interfaces has a fresh sample within two cycles of
+        # the heal, the first one spanning the poll the partition lost.
+        for node, if_index in share:
+            fresh = [s for s in landed if (s.node, s.if_index) == (node, if_index)
+                     and heal < s.time <= heal + 2 * period]
+            assert fresh and fresh[0].interval > 1.5 * period, (node, if_index)
+        # The declared degraded window: every report in it is degraded, or
+        # rests on inputs all younger than a poll and the report offset.
+        window = [r for r in reports if 10.0 <= r.time <= heal + 2 * period]
+        assert window and all(
+            r.degraded or r.freshness < period + dm.report_offset for r in window
+        )
+        net.run(30.0)
         assert dm.stats()["degraded_sources"] == 0.0
+        assert all(r.trusted for r in reports if r.time >= heal + 2 * period)
 
-    def test_unfillable_gap_degrades_then_recovers(self):
-        """A gap the worker can no longer serve (evicted from its resend
-        buffer) is abandoned: the worker's assigned sources go degraded,
-        and fresh in-order samples clear the marks again."""
+    def test_a_lost_batch_degrades_then_recovers(self):
+        """Seq 2 is lost and a heartbeat reveals it: the worker's assigned
+        sources go degraded and a keyframe is asked for; seq 3's readings
+        derive against seq 1's across the hole, which clears the marks;
+        seq 2 arriving late is dropped."""
         build, dm = distributed(whole_pool=True, integrity=False)
         # S1's affinity share is itself plus round-robined N2.
         assert sorted(dm.assigned_targets_of("S1")) == ["N2", "S1"]
-        dm._on_delta(batch(1))
-        dm._on_delta(batch(3))  # seq 2 never arrives: gap + retx
-        assert dm.stats()["gaps_detected"] == 1.0
-        # The worker answers that seq 2 fell out of its resend buffer.
-        dm._on_gone({"k": "gone", "w": "S1", "inc": 1, "seqs": [2]})
-        dm._sweep()
+        both = (("S1", 1), ("N2", 1))
+        dm._on_delta(batch(1, samples=both))
+        heartbeat = encode_message("hb", w="S1", inc=1, q=3, av=1)
+        dm._on_datagram(heartbeat, len(heartbeat), None, 1234)
         stats = dm.stats()
-        assert stats["gaps_abandoned"] == 1.0
-        # Seq 3 was drained past the abandoned gap, once; its reading only
-        # set a baseline, since the gap took the stream's baselines.
-        assert stats["batches_received"] == 2 and dm.samples_received == 0
-        # Every source S1 is responsible for is now marked lossy...
+        assert stats["gaps_detected"] == 1.0 and stats["keyframe_requests"] == 1.0
         assert stats["degraded_sources"] == 2.0
-        assert dm.degraded.is_degraded("S1", 1)
-        assert dm.degraded.is_degraded("N2", 1)
-        # ...until fresh in-order samples arrive and clear the marks.
-        dm._on_delta(batch(4, samples=(("S1", 1), ("N2", 1))))
-        assert dm.stats()["degraded_sources"] == 2.0  # baselines only
-        dm._on_delta(batch(5, samples=(("S1", 1), ("N2", 1))))
-        assert dm.stats()["degraded_sources"] == 0.0
+        assert dm.degraded.is_degraded("S1", 1) and dm.degraded.is_degraded("N2", 1)
+        dm._on_delta(batch(3, samples=both))
+        assert dm.samples_received == 2 and dm.stats()["degraded_sources"] == 0.0
+        for node in ("S1", "N2"):
+            sample = dm.rates.latest(node, 1)
+            assert (sample.interval, sample.in_bytes_per_s) == (2.0, 1000.0)
+        dm._on_delta(batch(2, samples=both))  # a straggler from behind the gap
+        stats = dm.stats()
+        assert stats["duplicate_batches"] == 1.0 and stats["batches_received"] == 2.0
+        assert stats["gaps_detected"] == 1.0 and dm.samples_received == 2
 
 
 class TestPoolAdmission:
@@ -405,27 +438,54 @@ class TestPoolAdmission:
 
 
 class TestSequenceDedup:
-    """Sequence-number dedup: whatever order batches arrive in, and
-    however often they are duplicated (retransmit overshoot, replays),
-    each unique batch is delivered exactly once."""
+    """Sequence-number dedup: a batch is never delivered twice, however
+    often it is duplicated (replays) and whatever order batches arrive in;
+    one that arrives in order is delivered exactly once."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(dups=st.lists(st.integers(min_value=1, max_value=8), max_size=12))
+    def test_each_sequence_delivered_exactly_once(self, dups):
+        build, dm = distributed(whole_pool=True, integrity=False)
+        arrivals = []
+        for seq in range(1, 9):
+            arrivals.append(seq)
+            arrivals += [d for d in dups if d <= seq][:2]  # replays behind it
+        for seq in arrivals:
+            dm._on_delta(batch(seq))
+        # All 8 batches delivered once: the first reading set the
+        # baseline, each later one made a sample.
+        stats = dm.stats()
+        assert stats["batches_received"] == 8 and dm.samples_received == 7
+        assert stats["duplicate_batches"] == float(len(arrivals) - 8)
+        assert stats["gaps_detected"] == 0.0
+        assert dm.rates.latest("N1", 1).time == 8.0
 
     @settings(max_examples=25, deadline=None)
     @given(
         order=st.permutations(list(range(1, 9))),
         dups=st.lists(st.integers(min_value=1, max_value=8), max_size=12),
     )
-    def test_each_sequence_delivered_exactly_once(self, order, dups):
+    def test_any_arrival_order_delivers_each_at_most_once(self, order, dups):
+        """Out of order, a batch behind the newest delivered one is a
+        straggler from behind a gap and is dropped: what is delivered is
+        each new highest seq, once, and its reading spans the gap."""
         build, dm = distributed(whole_pool=True, integrity=False)
+        delivered = []
+        sink = dm.sink
+        dm.sink = lambda decoder, readings: (
+            delivered.extend(r[3] for r in readings), sink(decoder, readings))[1]
+        newest = 0
         for seq in list(order) + dups:
             dm._on_delta(batch(seq))
-        # All 8 unique batches delivered exactly once, however mangled
-        # the arrival order and however many duplicates came in: the
-        # first reading set the baseline, each later one made a sample.
-        assert dm.stats()["batches_received"] == 8
-        assert dm.samples_received == 7
-        assert dm.stats()["duplicate_batches"] == float(len(dups))
-        # And the rate table holds exactly the newest sample.
-        assert dm.rates.latest("N1", 1).time == 8.0
+            newest = max(newest, seq)
+        assert delivered == sorted(set(delivered))  # none twice, in order
+        stats = dm.stats()
+        assert stats["batches_received"] == len(delivered)
+        assert stats["duplicate_batches"] == len(order) + len(dups) - len(delivered)
+        assert stats["gaps_detected"] == newest - len(delivered)
+        assert dm.samples_received == len(delivered) - 1 and delivered[-1] == 8.0
+        latest = dm.rates.latest("N1", 1)  # none if seq 8 came first: a baseline
+        assert (latest.time if latest else None) == (8.0 if len(delivered) > 1 else None)
 
     def test_restarted_worker_sequence_space_is_fresh(self):
         """A restart resets the worker's sequence numbers; the coordinator

@@ -1,7 +1,7 @@
 """Two-level coordinator tree: leaf shards, root aggregation, failover.
 
 The hierarchical plane must be observationally a DistributedMonitor --
-same rate table, same report surface, same lease/ARQ behaviour -- while
+same rate table, same report surface, same lease/gap behaviour -- while
 routing every sample through a leaf coordinator first.  These tests
 drive a small two-pod campus: end-to-end reports, shard affinity,
 leaf-coordinator crash (re-adoption within three poll cycles, then
@@ -196,8 +196,8 @@ class TestLeafFailover:
 
     def test_restarted_leaf_readopts_streams(self):
         """After a restart the leaf adopts its workers' mid-flight
-        sequence streams rather than demanding history it never saw:
-        no abandoned gaps, no permanently degraded sources."""
+        sequence streams rather than reading history it never saw as
+        lost: no permanently degraded sources."""
         build, dm = hierarchical()
         net = build.network
         WorkerCrash(net.sim, dm.leaves["mon0"], at=8.0, until=14.0)

@@ -257,23 +257,29 @@ class TestDeltaCodec:
         assert _kinds(sent) == {REC_FULL: 8, REC_SAME: 72}  # full in the first batch only
         assert max(map(len, sent[1:])) * 4 < len(sent[0])
 
-    def test_desync_drops_advance_until_keyframe(self):
-        """After an abandoned gap the id table is gone: an entry that
-        names an id alone or with its values only is dropped until a
-        keyframe re-states the key."""
+    def test_a_gap_skips_same_until_restated(self):
+        """After a gap the receiver keeps its ids and forgets the values:
+        a ``same`` entry -- values it may never have seen -- is skipped;
+        a ``moved`` entry is delivered, and a keyframe re-states the rest,
+        neither of them a first reading (the baselines stand)."""
         encoder = DeltaEncoder("w1", 0)
         decoder = DeltaDecoder()
-        mk = lambda t, v: [("w1", "sw1", int(100 * t), t, [(1, (v, v, 1, 1, 0, 0))])]
-        decoder.apply(parse_delta(_ship(encoder, 1, mk(1.0, 10))))
-        decoder.mark_desync()  # an unfillable gap was abandoned
-        for seq, reading in ((2, mk(3.0, 10)), (3, mk(5.0, 20))):  # same, then moved
-            assert decoder.apply(parse_delta(_ship(encoder, seq, reading))) == []
-            assert decoder.needs_keyframe
+        rows = lambda p1, p2: [(1, (p1, p1, 1, 1, 0, 0)), (2, (p2, p2, 1, 1, 0, 0))]
+        mk = lambda t, p1, p2: [("w1", "sw1", int(100 * t), t, rows(p1, p2))]
+        decoder.apply(parse_delta(_ship(encoder, 1, mk(1.0, 10, 7))))
+        _ship(encoder, 2, mk(3.0, 20, 7))  # lost: port 1 moved in it
+        decoder.forget_values()
+        # Port 1 unmoved since the lost batch, port 2 moved.
+        delivered = decoder.apply(parse_delta(_ship(encoder, 3, mk(5.0, 20, 9))))
+        assert delivered == [("w1", "sw1", 500, 5.0, rows(20, 9)[1:], [])]
+        assert decoder.needs_keyframe and decoder.entries_skipped == 1
         encoder.force_keyframe()
-        delivered = decoder.apply(parse_delta(_ship(encoder, 4, mk(7.0, 30))))
-        (worker, node, uptime, time, rows, first), = delivered
-        assert rows == mk(7.0, 30)[0][4] and first == [1]  # a baseline: the gap took it
+        delivered = decoder.apply(parse_delta(_ship(encoder, 4, mk(7.0, 30, 9))))
+        assert delivered == [("w1", "sw1", 700, 7.0, rows(30, 9), [])]
         assert not decoder.needs_keyframe
+        # Re-stated: unmoved ports read again.
+        delivered = decoder.apply(parse_delta(_ship(encoder, 5, mk(9.0, 30, 9))))
+        assert delivered == [("w1", "sw1", 900, 9.0, rows(30, 9), [])]
 
     def test_fresh_decoder_skips_unknown_ids(self):
         """A restarted receiver cannot interpret entries for ids it never

@@ -11,9 +11,10 @@ Four things:
   four lists per sample);
 - **the tree derives what the poller derives**: on a campus tree with
   churning flows, through a worker crash and restart, a leaf kill, an
-  agent that stops answering, an agent reboot and an abandoned sequence
-  gap, every sample the root admits is, bit for bit and in order, one
-  that a worker's own ``SnmpPoller`` derived from the same replies;
+  agent that stops answering, an agent reboot and a lost leaf batch,
+  every sample the root admits is, bit for bit and in order, one that a
+  worker's own ``SnmpPoller`` derived from the same replies -- or, after
+  the lost batch, one it would have derived had it missed those replies;
 - **cost**: what one more interface costs each tier, counted in Python
   calls on the three-tier rig of ``tests/costs.py``;
 - **poller**: any run of poll replies lands the same samples and hands
@@ -30,6 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.counters import CounterSource
+from repro.core.deltas import is_delta, parse_delta
 from repro.core.distributed import poll_targets
 from repro.core.hierarchy import HierarchicalMonitor
 from repro.core.poller import _COLUMNS, InterfaceRates, PollTarget, SnmpPoller
@@ -48,7 +50,13 @@ from repro.telemetry.events import AGENT_RESTART
 from repro.topology.model import InterfaceRef
 from tests.costs import per_record
 from tests.sample_reference import ReferencePipeline, ReferencePoller
-from tests.tree_reference import admitted_by, derive_alongside, held_to_the_pollers
+from tests.tree_reference import (
+    across,
+    admitted_by,
+    bits,
+    derive_alongside,
+    held_to_the_pollers,
+)
 
 POLL = 2.0
 
@@ -204,7 +212,8 @@ class _Differential:
             build, hierarchy_plan(2, **shape), poll_jitter=0.0, seed=0,
             integrity=False, targets=poll_targets(build, spec.connections),
         )
-        self.derived, self.landed = derive_alongside(plane), admitted_by(plane)
+        self.shipped = []
+        self.derived, self.landed = derive_alongside(plane, self.shipped), admitted_by(plane)
         rng = random.Random(7)
         for src, dst in FLOWS:
             steps = [(t, rng.choice([5.0, 20.0, 60.0]) * KBPS) for t in range(1, 62, 2)]
@@ -214,14 +223,15 @@ class _Differential:
         WorkerCrash(sim, plane.leaves["mon1"], at=25.0, until=33.0)  # the leaf dies
         AgentOutage(sim, build.agents["p1sw1"], at=41.0, until=46.0)  # polls time out
         AgentReboot(sim, build.agents["p0sw1"], at=49.1, outage=0.5)
-        self.lost = []  # the one leaf batch lost for good, at 55 s
+        self.lost = []  # the readings of the one leaf batch lost, at 55 s
         send = leaf.shipper.send
 
         def lossy(payload):
-            if not self.lost and net.now >= 55.0 and payload[0] == 0xD7:
-                seq = leaf.shipper.next_seq - 1
-                self.lost.append(seq)
-                del leaf.shipper._resend[seq]  # gone: the root abandons the gap
+            if not self.lost and net.now >= 55.0 and is_delta(payload):
+                key_of = {rec_id: key for key, rec_id in leaf.shipper.delta._ids.items()}
+                for _, uptime, _, entries in parse_delta(payload).records:
+                    for _, rec_id, key, _ in entries:
+                        self.lost.append(((key or key_of[rec_id])[0], uptime))
                 return
             send(payload)
 
@@ -243,14 +253,19 @@ class TestTheTreeDerivesWhatThePollerDerives:
         """Bit for bit, none twice, per worker life in the order its
         poller derived them: a sample pairs two readings one worker took
         -- never two workers', never across a timed-out poll read as
-        unmoved, never across a reading lost with an abandoned gap."""
+        unmoved -- and after the lost batch, what the poller would have
+        derived had it missed those replies: the next reading against the
+        last one before them."""
         rig = differential
-        assert held_to_the_pollers(rig.landed, rig.derived) == len(rig.landed)
+        spans = across(rig.shipped, set(rig.lost), rig.plane.poll_interval)
+        assert held_to_the_pollers(rig.landed, rig.derived, spans) == len(rig.landed)
+        spanned = {bits(s) for _, s in spans} & {bits(s) for s in rig.landed}
+        assert spanned  # the root derived across the lost batch
 
     def test_the_faults_happened(self, differential):
         stats = differential.plane.stats()
         assert stats["failovers"] >= 1 and stats["rebalances"] >= 1  # the leaf
-        assert stats["gaps_abandoned"] == 1 and differential.lost
+        assert stats["gaps_detected"] == 1 and differential.lost
         worker = differential.plane.leaves["mon0"].dm.workers["p0h0_1"]
         assert worker.incarnation == 2 and stats["decode_errors"] == 0
 

@@ -11,11 +11,15 @@ refresh tick by test-side instrumentation only:
   at or before the request;
 - per polled interface, the octets of the monitor's samples (rate times
   interval) add up to the true growth between the ticks that served the
-  first and the last poll.
+  first and the last poll;
+- a reading lost on the way -- an SNMP reply, or a batch on either tier
+  of the coordinator tree -- is a missed poll: the next sample spans it,
+  and is the true growth across it.
 """
 
 import pytest
 
+from repro.core.deltas import REC_SAME, is_delta, parse_delta
 from repro.core.poller import polled_interfaces
 from repro.experiments import fig4
 from repro.experiments.scenarios import Scenario
@@ -158,12 +162,14 @@ class _TreeTruth:
     the agent's last snapshot tick where it caches.  ``uptimes`` maps a
     worker's ``(node, time)`` of a derived reply to the sysUpTime it
     carried; ``accepted`` holds every sample the root admitted, in order.
+    ``lost`` holds ``(agent, ifIndex, sysUpTime)`` of every read a rig
+    lost on its way to the root on purpose.
     """
 
     def __init__(self, patch, build_plane, poll_interval):
         from repro.core.poller import SnmpPoller
 
-        self.reads, self.uptimes, self.accepted = {}, {}, []
+        self.reads, self.uptimes, self.accepted, self.lost = {}, {}, [], set()
         self.poll_interval = poll_interval
         ticks = {}
         take_snapshot, encode_reply = CachingMibTree._take_snapshot, SnmpAgent._encode_reply
@@ -218,13 +224,27 @@ class _TreeTruth:
         before = uptime - round(sample.interval * 100)
         return self.reads[(sample.node, before)], self.reads[(sample.node, uptime)]
 
+    def lost_between(self, sample):
+        """The reads of the sample's interface between its two, each of
+        which must have been recorded lost."""
+        uptime = self.uptimes[(sample.node, sample.time)]
+        before = uptime - round(sample.interval * 100)
+        between = [
+            up for (node, up), (_, rows) in self.reads.items()
+            if node == sample.node and sample.if_index in rows and before < up < uptime
+        ]
+        for up in between:
+            assert (sample.node, sample.if_index, up) in self.lost, (sample, up)
+        return between
+
     def check_every_accepted_sample(self):
         """Each admitted sample's octets are the true growth between its
-        two reads, and those reads are one poll apart (a baseline older
-        than that would be a rate over time the interface went
-        unpolled)."""
+        two reads, and those reads are one poll apart, or one more for
+        each read between them recorded lost (a baseline older than that
+        would be a rate over time the interface went unpolled)."""
         assert self.accepted
         for sample in self.accepted:
+            lost = len(self.lost_between(sample))
             (t0, first), (t1, last) = self.reads_behind(sample)
             true_in = last[sample.if_index][0] - first[sample.if_index][0]
             true_out = last[sample.if_index][1] - first[sample.if_index][1]
@@ -235,7 +255,7 @@ class _TreeTruth:
             assert sample.out_bytes_per_s * sample.interval == pytest.approx(
                 true_out, rel=1e-9, abs=1e-6
             ), where
-            assert 0 < t1 - t0 <= 1.5 * self.poll_interval, where
+            assert 0 < t1 - t0 <= (1.5 + lost) * self.poll_interval, where
 
     def first_after(self, key, at):
         """The first sample of ``key`` the root admitted after ``at``."""
@@ -405,3 +425,136 @@ class TestTheFlatPlaneMeasuresTheTruth:
                 ("h0_1", "h2_1", StepSchedule.pulse(4.0, 36.0, 100 * KBPS)),
             )
         assert {s.node for s in rig.accepted} >= {"sw0", "sw1", "sw2"}
+
+
+# ----------------------------------------------------------------------
+# One loss model: a lost reading is a missed poll, on every plane
+# ----------------------------------------------------------------------
+LOSS_AT = 15.5  # the first reading each rig loses is read after this
+
+
+def _flat_loss(patch):
+    """The testbed's flat monitor, with the first reply the switch sends
+    after :data:`LOSS_AT` lost on its way to the manager."""
+    from repro.core.monitor import NetworkMonitor
+    from repro.experiments.testbed import build_testbed
+
+    def build_plane():
+        build = build_testbed()
+        return build, NetworkMonitor(build, "L", poll_interval=2.0)
+
+    rig = _FlatTruth(patch, build_plane, poll_interval=2.0)
+    net, rig.unreadable = rig.network, set()
+    rig.plane.watch_path("S1", "N1")
+    StaircaseLoad(
+        net.host("L"), net.ip_of("N1"), StepSchedule.pulse(4.0, 36.0, 200 * KBPS)
+    ).start()
+    socket, switch = rig.plane.poller.manager.socket, net.ip_of("switch")
+    receive = socket.on_receive
+
+    def lossy(payload, size, src_ip, src_port):
+        if not rig.lost and net.now >= LOSS_AT and src_ip == switch and payload:
+            pairs = [(vb.oid, vb.value) for vb in old_decode(payload).pdu.varbinds]
+            (uptime,) = [value.value for oid, value in pairs if oid == SYS_UPTIME]
+            rig.lost = {("switch", oid[-1], uptime) for oid, _ in pairs
+                        if oid.parent == IF_IN_OCTETS}
+            return
+        receive(payload, size, src_ip, src_port)
+
+    socket.on_receive = lossy
+    rig.plane.start()
+    net.run(24.0)
+    return rig, rig.plane.stats()
+
+
+def _tree_loss(patch, tier):
+    """The two-pod campus tree, with the first batch that shard ``mon0``'s
+    ``tier`` -- a worker or the leaf -- ships after :data:`LOSS_AT` lost,
+    and with it the keyframe request the gap sends, so the next batch is a
+    plain delta.  ``unreadable`` holds that batch's ``same`` entries: they
+    name values that rode the lost batch."""
+    from repro.core.hierarchy import HierarchicalMonitor
+    from repro.experiments.scale import hierarchy_plan, scale_spec
+    from repro.spec.builder import build_network
+
+    shape = dict(switches=2, hosts_per_switch=3)
+
+    def build_plane():
+        build = build_network(
+            scale_spec(hierarchical=2, host_agents=False, **shape), agent_seed=0
+        )
+        return build, HierarchicalMonitor(
+            build, hierarchy_plan(2, **shape), poll_interval=2.0, poll_jitter=0.0, seed=0,
+        )
+
+    rig = _TreeTruth(patch, build_plane, poll_interval=2.0)
+    net, plane, leaf = rig.network, rig.plane, rig.plane.leaves["mon0"]
+    sender, receiver = (leaf.dm.workers["p0h0_0"], leaf.dm) if tier == "worker" else (leaf, plane)
+    plane.watch_path("p0h0_2", "p1h1_2")
+    StaircaseLoad(  # it ends as the lost batch is read: its octets ride only that one
+        net.host("p0h0_2"), net.ip_of("p1h1_2"), StepSchedule.pulse(1.0, 15.0, 50 * KBPS)
+    ).start()
+    shipper, rig.unreadable, kfreqs = sender.shipper, set(), []
+    send, control = shipper.send, receiver._send_control
+
+    def lossy(payload):
+        if is_delta(payload) and net.now >= LOSS_AT and not rig.unreadable:
+            key_of = {rec_id: key for key, rec_id in shipper.delta._ids.items()}
+            reads = {
+                (*(key or key_of[rec_id]), uptime): kind
+                for _, uptime, _, entries in parse_delta(payload).records
+                for kind, rec_id, key, _ in entries
+            }
+            if not rig.lost:
+                rig.lost = set(reads)
+                return
+            rig.unreadable = {read for read, kind in reads.items() if kind == REC_SAME}
+            rig.lost |= rig.unreadable
+        send(payload)
+
+    def lossy_control(worker, kind, **fields):
+        if kind == "kfreq" and worker == sender.name and rig.lost and not kfreqs:
+            kfreqs.append(net.now)
+            return
+        control(worker, kind, **fields)
+
+    shipper.send, receiver._send_control = lossy, lossy_control
+    plane.start()
+    net.run(26.0)
+    assert kfreqs  # the gap asked for a keyframe, and that was lost too
+    return rig, receiver.stats()
+
+
+class TestOneLossModel:
+    """ROADMAP item 24: the paper's one loss model on every plane.  A
+    reply the flat manager never gets, a batch a leaf never gets from its
+    worker, one the root never gets from a leaf: each is a missed poll.
+    The next sample of every interface the lost reading carried pairs the
+    reads on either side of it (the baseline is the read before: the gap
+    kept it), over the longer interval, and is the true octet growth
+    between them."""
+
+    @pytest.mark.parametrize("tier", ["flat", "worker", "leaf"])
+    def test_the_next_sample_spans_the_lost_reading(self, tier):
+        with pytest.MonkeyPatch.context() as patch:
+            rig, stats = _flat_loss(patch) if tier == "flat" else _tree_loss(patch, tier)
+        rig.check_every_accepted_sample()
+        dropped = rig.lost - rig.unreadable
+        assert dropped
+        if tier != "flat":
+            assert stats["gaps_detected"] == 1 and stats["failovers"] == 0
+            # An interface moved in the lost batch and was still after it:
+            # its next entry names values only the lost batch carried.
+            assert rig.unreadable
+        spanned = 0
+        for node, if_index, uptime in dropped:
+            lost_at = rig.reads[(node, uptime)][0]
+            sample = rig.first_after((node, if_index), lost_at)
+            behind = rig.uptimes[(sample.node, sample.time)] - round(sample.interval * 100)
+            reads = [up for (n, up), (_, rows) in rig.reads.items()
+                     if n == node and if_index in rows and up < uptime]
+            assert behind == max(reads), (node, if_index)
+            spanned += sample.interval > 1.5 * rig.poll_interval
+        # Over a longer interval, but for the flat manager's retry: read
+        # within the poll it retries.
+        assert spanned == (0 if tier == "flat" else len(dropped))

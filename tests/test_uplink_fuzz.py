@@ -9,7 +9,9 @@ object, never another exception, and no state change on a reject.
 
 Seeds are valid datagrams with small numbers; mutations replace bytes
 and truncate.  A sequence number far ahead of the stream is *valid*, not
-hostile bytes; what it may cost is bounded separately, at the end.
+hostile bytes; what it may cost is bounded separately, at the end.  The
+retired retransmit kinds, ``retx`` and ``gone``, are unknown kinds now:
+a counted decode error at a coordinator, ignored at an endpoint.
 """
 
 import pytest
@@ -118,7 +120,7 @@ class TestDeltaDecoders:
 
 
 # ----------------------------------------------------------------------
-# Control messages, coordinator side (hb, gone)
+# Control messages, coordinator side (hb)
 # ----------------------------------------------------------------------
 def ingest_state(dm):
     """Everything a datagram can move on the coordinator, bar the
@@ -129,8 +131,7 @@ def ingest_state(dm):
         stats,
         {w: dm.leases._records[w].beats for w in dm.workers},
         {
-            w: (s.incarnation, s.expected, s.anchored, sorted(s.buffer),
-                sorted(s.gaps), s.delta.needs_keyframe)
+            w: (s.incarnation, s.expected, s.anchored, s.delta.needs_keyframe)
             for w, s in dm._ingest.items()
         },
         dict(dm._assign_version),
@@ -173,6 +174,18 @@ class TestCoordinatorControl:
         assert dm.decode_errors == 3
         assert ingest_state(dm) == before
 
+    def test_retired_kinds_are_unknown(self):
+        """``retx`` and ``gone`` well formed: a coordinator counts each as
+        a decode error and changes nothing; an endpoint ignores them."""
+        build, dm = plane()
+        worker = dm.workers["S1"]
+        before, at_worker = ingest_state(dm), endpoint_state(worker)
+        for payload in (TO_COORDINATOR[1], encode_message("retx", inc=1, seqs=[1])):
+            dm._on_datagram(payload, len(payload), None, 1234)
+            worker._on_control(payload, len(payload), None, 1234)
+        assert dm.decode_errors == 2 and ingest_state(dm) == before
+        assert endpoint_state(worker) == at_worker
+
     @settings(max_examples=300, deadline=None)
     @given(payload=mutated(TO_COORDINATOR))
     def test_mutated_messages_are_dropped_whole_or_handled(self, payload):
@@ -187,7 +200,7 @@ class TestCoordinatorControl:
 
 
 # ----------------------------------------------------------------------
-# Control messages, endpoint side (retx, assign, kfreq)
+# Control messages, endpoint side (assign, kfreq)
 # ----------------------------------------------------------------------
 def endpoint_state(worker):
     shipper = worker.shipper
@@ -195,7 +208,6 @@ def endpoint_state(worker):
         worker.assign_version,
         [(t.node, tuple(t.if_indexes), t.community) for t in worker.poller.targets],
         shipper.incarnation, shipper.next_seq,
-        shipper.retransmits_served, shipper.retransmits_missed,
         shipper.delta._kf_pending,
         worker.manager.requests_sent,
     )
@@ -243,11 +255,7 @@ class TestEndpointControl:
     def test_mutated_control_never_raises_and_applies_atomically(self, data):
         build, dm = plane()
         worker = dm.workers["S1"]
-        seeds = [
-            _assign(dm, 2),
-            b'{"k":"retx","inc":1,"seqs":[1,2]}',
-            b'{"k":"kfreq","inc":1}',
-        ]
+        seeds = [_assign(dm, 2), b'{"k":"kfreq","inc":1}']
         payload = data.draw(mutated(seeds))
         before = endpoint_state(worker)
         worker._on_control(payload, len(payload), None, 1234)
@@ -266,55 +274,34 @@ class TestEndpointControl:
 # A valid sequence number far ahead of the stream
 # ----------------------------------------------------------------------
 class TestFarAheadSequence:
-    """A ``q``/seq of 2**40 is a *valid* datagram.  Everything missing
-    further back than the sender's resend buffer is given up by count;
-    only the newest window gets gap records and a retransmit request."""
-
-    FAR = 2**40
+    """A ``q``/seq of 2**40 is a *valid* datagram: a gap of every seq
+    before it.  With nothing held or resent, it costs the receiver a
+    constant -- the count, the event, the marks, one keyframe request --
+    whatever the jump."""
 
     @pytest.mark.parametrize("kind", ["heartbeat", "batch"])
-    def test_costs_the_window_not_the_jump(self, kind):
-        from repro.core.distributed import RESEND_BUFFER
+    def test_costs_a_constant_not_the_jump(self, kind):
         from repro.telemetry.events import SAMPLE_GAP
         from tests.costs import python_calls
 
-        build, dm = plane()
-        dm._on_datagram(BATCHES[0], len(BATCHES[0]), None, 1234)  # expected = 2
-        if kind == "heartbeat":
-            payload = encode_message("hb", w="S1", inc=1, q=self.FAR, av=1)
-        else:
-            payload = _batch(DeltaEncoder("S1", 0), self.FAR, 4.0)
-        calls = python_calls(
-            lambda: dm._on_datagram(payload, len(payload), None, 1234)
-        )
-        # Measured 304 / 315, ~6 per gap record in the window (what the
-        # parent paid per *missing seq*: 603 769 calls for a jump of 1e5).
-        assert calls < 15 * RESEND_BUFFER
-
-        state, stats = dm._ingest["S1"], dm.stats()
-        missing = self.FAR - 2
-        assert len(state.gaps) == RESEND_BUFFER
-        assert state.expected == self.FAR - RESEND_BUFFER
-        assert len(state.buffer) == (kind == "batch")
-        assert stats["gaps_detected"] == missing
-        assert stats["gaps_abandoned"] == missing - RESEND_BUFFER
-        assert stats["retx_requests"] == 1 and stats["keyframe_requests"] == 1
-        assert stats["degraded_sources"] > 0 and state.delta.needs_keyframe
-        abandoned = [
-            e for e in dm.telemetry.events.events(SAMPLE_GAP)
-            if e.attrs["action"] == "abandoned"
-        ]
-        assert [(e.attrs["first"], e.attrs["upto"]) for e in abandoned] == [
-            (2, self.FAR - RESEND_BUFFER)
-        ]
-
-    def test_batches_held_below_the_horizon_are_delivered_not_leaked(self):
-        build, dm = plane()
-        for payload in (BATCHES[0], BATCHES[2]):  # seq 1 delivered, seq 3 held
-            dm._on_datagram(payload, len(payload), None, 1234)
-        state = dm._ingest["S1"]
-        assert sorted(state.buffer) == [3] and sorted(state.gaps) == [2]
-        far = encode_message("hb", w="S1", inc=1, q=self.FAR, av=1)
-        dm._on_datagram(far, len(far), None, 1234)
-        assert state.buffer == {} and min(state.gaps) >= state.expected
-        assert dm.stats()["batches_received"] == 2
+        calls = {}
+        for far in (2**6, 2**40):
+            build, dm = plane()
+            dm._on_datagram(BATCHES[0], len(BATCHES[0]), None, 1234)  # expected = 2
+            if kind == "heartbeat":
+                payload = encode_message("hb", w="S1", inc=1, q=far, av=1)
+            else:
+                payload = _batch(DeltaEncoder("S1", 0), far, 4.0)
+            calls[far] = python_calls(
+                lambda: dm._on_datagram(payload, len(payload), None, 1234)
+            )
+            state, stats = dm._ingest["S1"], dm.stats()
+            assert stats["gaps_detected"] == far - 2
+            assert state.expected == far + (kind == "batch")
+            assert stats["keyframe_requests"] == 1
+            # The gap degraded S1's share; a batch's readings span it at once.
+            assert stats["degraded_sources"] == (0 if kind == "batch" else 2)
+            assert dm.samples_received == (2 if kind == "batch" else 0)
+            (event,) = dm.telemetry.events.events(SAMPLE_GAP)
+            assert (event.attrs["first"], event.attrs["upto"]) == (2, far)
+        assert calls[2**40] == calls[2**6], calls
