@@ -20,7 +20,10 @@ a key the encoder forgot (:meth:`DeltaEncoder.follow`) mints a new one.
 Every batch carries a (worker, incarnation, seq) envelope, flags the last
 of its sender's poll cycle and names the workers whose readings it
 carries (a leaf forwards its workers' readings, each tagged with the
-worker that took it).  Parsing (:func:`parse_delta`) is stateless;
+worker that took it).  The closing batch is the sender's heartbeat: a
+varint after the flags byte echoes the assignment version it applied,
+and a leaf's names the ids it could not vouch for that cycle (flag
+``0x04``).  Parsing (:func:`parse_delta`) is stateless;
 :meth:`DeltaDecoder.apply` must run in sequence order.  A lost batch is a
 missed poll (:mod:`repro.core.distributed`): the receiver keeps its id
 table and baselines and only :meth:`DeltaDecoder.forget_values`, so a
@@ -42,7 +45,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 DELTA_MAGIC = 0xD7
 
 _FLAG_KEYFRAME = 0x01
-_FLAG_CLOSES = 0x02  # the last batch of the sender's poll cycle
+_FLAG_CLOSES = 0x02  # the last batch of the sender's poll cycle; av follows
+_FLAG_UNVOUCHED = 0x04  # a count and that many ids follow av
 
 # An entry's head is one varint: id << 2 | kind.
 REC_SAME = 0
@@ -64,50 +68,46 @@ class DeltaError(ValueError):
 # ----------------------------------------------------------------------
 # Varints (LEB128, unsigned)
 # ----------------------------------------------------------------------
-def _put_varint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise DeltaError(f"negative varint {value!r}")
-    while value > 0x7F:
-        out.append(value & 0x7F | 0x80)
-        value >>= 7
-    out.append(value)
+def _put_varints(out: bytearray, values: Sequence[int]) -> None:
+    """Each of ``values`` as a varint, in one loop: no call a value."""
+    for value in values:
+        if value < 0:
+            raise DeltaError(f"negative varint {value!r}")
+        while value > 0x7F:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        out.append(value)
 
 
-def _get_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    value = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise DeltaError("truncated varint")
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        shift += 7
-        if shift > 63:
-            raise DeltaError("varint too long")
-
-
-def _get_counters(data: bytes, pos: int) -> Tuple[Tuple[int, ...], int]:
-    """Six Counter32 values, each a varint."""
+def _get_varints(data: bytes, pos: int, n: int) -> Tuple[List[int], int]:
+    """``n`` varints, read in one loop: no call a value."""
     values = []
-    for _ in range(_COUNTERS):
-        value, pos = _get_varint(data, pos)
+    end = len(data)
+    for _ in range(n):
+        value = shift = 0
+        while True:
+            if pos >= end:
+                raise DeltaError("truncated varint")
+            byte = data[pos]
+            pos += 1
+            value |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                break
+            shift += 7
+            if shift > 63:
+                raise DeltaError("varint too long")
         values.append(value)
-    if max(values) >> 32:
-        raise DeltaError(f"counter {max(values)} out of Counter32 range")
-    return tuple(values), pos
+    return values, pos
 
 
 def _put_str(out: bytearray, text: str) -> None:
     raw = text.encode()
-    _put_varint(out, len(raw))
+    _put_varints(out, (len(raw),))
     out.extend(raw)
 
 
 def _get_str(data: bytes, pos: int) -> Tuple[str, int]:
-    length, pos = _get_varint(data, pos)
+    (length,), pos = _get_varints(data, pos, 1)
     if pos + length > len(data):
         raise DeltaError("truncated string")
     try:
@@ -134,6 +134,9 @@ class DeltaBatch:
     #: ``(kind, id, (node, ifIndex) | None, six counters | None)``.
     records: List[tuple]
     closes: bool  # the last batch of the sender's poll cycle
+    av: int = 0  # a closing batch's applied assignment version
+    #: Ids of the interfaces the sender could not vouch for this cycle.
+    unvouched: List[int] = dataclasses.field(default_factory=list)
 
 
 def parse_delta(payload: bytes) -> DeltaBatch:
@@ -144,30 +147,40 @@ def parse_delta(payload: bytes) -> DeltaBatch:
         raise DeltaError("not a delta batch")
     if len(payload) < 2:
         raise DeltaError("truncated flags")
-    flags = payload[1]
-    worker, pos = _get_str(payload, 2)
-    incarnation, pos = _get_varint(payload, pos)
-    seq, pos = _get_varint(payload, pos)
-    count, pos = _get_varint(payload, pos)
+    flags, pos, av, unvouched = payload[1], 2, 0, []
+    closes = bool(flags & _FLAG_CLOSES)
+    if closes:
+        (av,), pos = _get_varints(payload, pos, 1)
+        if av >> 32:
+            raise DeltaError(f"assignment version {av} out of range")
+    if flags & _FLAG_UNVOUCHED:
+        (count,), pos = _get_varints(payload, pos, 1)
+        unvouched, pos = _get_varints(payload, pos, count)
+    worker, pos = _get_str(payload, pos)
+    (incarnation, seq, count), pos = _get_varints(payload, pos, 3)
     names = []
     for _ in range(count):
         name, pos = _get_str(payload, pos)
         names.append(name)
-    count, pos = _get_varint(payload, pos)
+    (count,), pos = _get_varints(payload, pos, 1)
     records: List[tuple] = []
     end = len(payload)
     for _ in range(count):
-        tag, pos = _get_varint(payload, pos)
+        (tag, uptime), pos = _get_varints(payload, pos, 2)
         if tag >= len(names):
             raise DeltaError(f"record names worker {tag} of {len(names)}")
-        uptime, pos = _get_varint(payload, pos)
         if uptime >> 32:
             raise DeltaError(f"sysUpTime {uptime} out of TimeTicks range")
         if pos + _F64.size > end:
             raise DeltaError("truncated agent record")
         (time,) = _F64.unpack_from(payload, pos)
+        pos += _F64.size
+        if pos < end and payload[pos] < 0x80:  # its own varint: read in place
+            left = payload[pos]
+            pos += 1
+        else:
+            (left,), pos = _get_varints(payload, pos, 1)
         entries: List[tuple] = []
-        left, pos = _get_varint(payload, pos + _F64.size)
         while left:
             left -= 1
             if pos >= end:
@@ -176,28 +189,28 @@ def parse_delta(payload: bytes) -> DeltaBatch:
             if head < 0x80:  # its own varint: read in place
                 pos += 1
             else:
-                head, pos = _get_varint(payload, pos)
+                (head,), pos = _get_varints(payload, pos, 1)
             kind = head & 3
             if kind == REC_SAME:
                 entries.append((REC_SAME, head >> 2, None, None))
                 continue
             if kind == REC_FULL:
                 node, pos = _get_str(payload, pos)
-                if_index, pos = _get_varint(payload, pos)
+                (if_index, *values), pos = _get_varints(payload, pos, 1 + _COUNTERS)
                 key = (node, if_index)
             elif kind == REC_MOVED:
+                values, pos = _get_varints(payload, pos, _COUNTERS)
                 key = None
             else:
                 raise DeltaError(f"unknown entry kind {kind!r}")
-            values, pos = _get_counters(payload, pos)
-            entries.append((kind, head >> 2, key, values))
+            if max(values) >> 32:
+                raise DeltaError(f"counter {max(values)} out of Counter32 range")
+            entries.append((kind, head >> 2, key, tuple(values)))
         records.append((tag, uptime, time, entries))
     if pos != end:
         raise DeltaError("trailing bytes in delta batch")
-    closes = bool(flags & _FLAG_CLOSES)
-    return DeltaBatch(
-        worker, incarnation, seq, bool(flags & _FLAG_KEYFRAME), names, records, closes
-    )
+    keyframe = bool(flags & _FLAG_KEYFRAME)
+    return DeltaBatch(worker, incarnation, seq, keyframe, names, records, closes, av, unvouched)
 
 
 class DeltaEncoder:
@@ -257,10 +270,12 @@ class DeltaEncoder:
         tag = self._tags.get(worker)
         if tag is None:
             tag = self._tags[worker] = len(self._tags)
-        _put_varint(body, tag)
-        _put_varint(body, uptime)
+        _put_varints(body, (tag, uptime))
         body += _F64.pack(time)
-        _put_varint(body, n)
+        if n < 0x80:  # its own varint: written in place
+            body.append(n)
+        else:
+            _put_varints(body, (n,))
         self._records += 1
 
     def add(
@@ -298,17 +313,17 @@ class DeltaEncoder:
                 if head < 0x80:
                     body.append(head)
                 else:
-                    _put_varint(body, head)
+                    _put_varints(body, (head,))
                 continue
             else:
                 last[rec_id] = values
                 kind = REC_MOVED
-            _put_varint(body, rec_id << 2 | kind)
             if kind == REC_FULL:
+                _put_varints(body, (rec_id << 2 | REC_FULL,))
                 _put_str(body, node)
-                _put_varint(body, index)
-            for value in values:
-                _put_varint(body, value)
+                _put_varints(body, (index, *values))
+            else:
+                _put_varints(body, (rec_id << 2 | REC_MOVED, *values))
         self.entries += len(rows)
         agent = (worker, node)
         self._touched.add(agent)
@@ -318,9 +333,14 @@ class DeltaEncoder:
         if kept:
             self._agents[agent] = (uptime, time, kept)
 
-    def close(self, incarnation: int, seq: int, closes: bool = False) -> bytes:
-        """Finish the open batch (``closes``: its cycle's last) and return
-        its bytes; with nothing added it is an empty batch."""
+    def close(
+        self, incarnation: int, seq: int, av: Optional[int] = None,
+        unvouched: Sequence[Tuple[str, int]] = (),
+    ) -> bytes:
+        """Finish the open batch and return its bytes; with nothing added
+        it is an empty batch.  Given ``av``, the assignment version the
+        sender applied, it is its cycle's closing batch; it names the ids
+        of the ``unvouched`` interfaces that have one."""
         if self._body is None:
             self._open()
         body, keyframe = self._body, self._keyframe
@@ -334,23 +354,25 @@ class DeltaEncoder:
                     continue
                 self._record_head(restated, worker, uptime, time, len(rows))
                 for index, values in rows:
-                    _put_varint(restated, self._ids[(node, index)] << 2 | REC_FULL)
+                    _put_varints(restated, (self._ids[(node, index)] << 2 | REC_FULL,))
                     _put_str(restated, node)
-                    _put_varint(restated, index)
-                    for value in values:
-                        _put_varint(restated, value)
+                    _put_varints(restated, (index, *values))
             body = restated + body
             self._since_keyframe = 0
         else:
             self._since_keyframe += 1
-        out = bytearray([DELTA_MAGIC, _FLAG_KEYFRAME * keyframe | _FLAG_CLOSES * closes])
+        head = [] if av is None else [av]
+        ids = [self._ids[key] for key in unvouched if key in self._ids] if unvouched else []
+        if ids:
+            head += [len(ids), *ids]
+        flags = _FLAG_KEYFRAME * keyframe | _FLAG_CLOSES * (av is not None)
+        out = bytearray([DELTA_MAGIC, flags | _FLAG_UNVOUCHED * bool(ids)])
+        _put_varints(out, head)
         _put_str(out, self.worker)
-        _put_varint(out, incarnation)
-        _put_varint(out, seq)
-        _put_varint(out, len(self._tags))
+        _put_varints(out, (incarnation, seq, len(self._tags)))
         for name in self._tags:  # in tag order
             _put_str(out, name)
-        _put_varint(out, self._records)
+        _put_varints(out, (self._records,))
         out += body
         self.entries = 0
         return bytes(out)
@@ -386,8 +408,13 @@ class DeltaDecoder:
         """Batches of this stream were lost.  Ids are never reused within
         an incarnation and every baseline is a reading this receiver saw,
         so both stand; only the values a ``same`` entry names may have
-        moved in the lost batches."""
+        moved in the lost batches, and a keyframe re-states them."""
         self._last = {}
+        self.needs_keyframe = True
+
+    def keys_of(self, ids: Sequence[int]) -> List[Tuple[str, int]]:
+        """The interfaces ``ids`` name, of those this receiver has mapped."""
+        return [self._keys[rec_id] for rec_id in ids if rec_id in self._keys]
 
     def apply(self, batch: DeltaBatch) -> List[Reading]:
         """Fold one in-order batch in; returns its readings, per agent."""

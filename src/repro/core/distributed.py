@@ -12,11 +12,12 @@ the single monitor's own report core.
 
 The plane is built to survive its own failures, not just the network's:
 
-**Worker liveness.**  Every worker ships periodic heartbeats (lease
-renewals -- any datagram from a worker renews its lease); the coordinator
-runs a :class:`~repro.core.health.WorkerLeaseTracker` per-worker state
-machine (alive -> suspect -> dead -> recovering, with hysteresis on the
-way back) and publishes transitions on the telemetry event bus.
+**Worker liveness.**  A batch is a heartbeat: any datagram renews a
+worker's lease, a running worker ships a closing batch each poll cycle,
+and only one silent for a whole interval sends an ``hb``.  The
+coordinator runs a :class:`~repro.core.health.WorkerLeaseTracker`
+per-worker state machine (alive -> suspect -> dead -> recovering, with
+hysteresis on the way back) and publishes transitions on the event bus.
 
 **A lost batch is a missed poll.**  Readings travel in *sequenced,
 batched report datagrams* in one wire format, the binary delta encoding
@@ -26,9 +27,9 @@ own readings, so losing one is what losing a poll is to the flat poller
 (paper §3.1): the next reading of each interface derives against the
 last one the coordinator saw, over a longer, exactly measured interval.
 Nothing is resent.  The coordinator detects a gap (from a later batch,
-or from the ``next_seq`` carried by heartbeats), moves past it, forgets
-only the values the stream's ``same`` entries refer to, asks for a
-keyframe, and *marks the worker's counter sources degraded* in a
+or from the ``next_seq`` an idle worker's ``hb`` carries), moves past
+it, forgets only the values the stream's ``same`` entries refer to, asks
+for a keyframe, and *marks the worker's counter sources degraded* in a
 :class:`~repro.core.dataflow.DegradedSourceSet` so dependent path
 reports drop to low confidence until fresh samples land.  Duplicate,
 straggling and stale-incarnation batches are discarded by sequence
@@ -40,9 +41,9 @@ repartitions the poll targets over the surviving workers
 new assignment as real control traffic; when the worker recovers (and
 holds its lease through the hysteresis window) the plane rebalances
 back.  Assignments are versioned and carried to idempotent effect: each
-heartbeat echoes the worker's applied version, and the coordinator
-re-sends the assignment whenever the echo is stale -- lost control
-datagrams heal themselves within a heartbeat.  A dead coordinator
+closing batch (and ``hb``) echoes the worker's applied version, and the
+coordinator re-sends the assignment whenever the echo is stale -- lost
+control datagrams heal themselves within a poll cycle.  A dead coordinator
 cannot wedge a worker: shipping is fire-and-forget UDP and nothing
 waits for an answer.
 
@@ -95,14 +96,15 @@ logger = logging.getLogger("repro.distributed")
 REPORT_PORT = 8765  # coordinator's sample/heartbeat sink
 CONTROL_PORT = 8766  # each worker's assignment/keyframe-request listener
 
-# Liveness tuning: fixed ratios of the poll interval, not options.  They
-# detect a dead worker in ~one poll interval (just over two missed
-# heartbeats) so failover plus the adopters' re-baselining completes
-# within three poll cycles.
-HEARTBEAT_RATIO = 0.4  # heartbeat period / poll interval
-LEASE_RATIO = 0.9  # lease timeout / poll interval
-SUSPECT_RATIO = 0.55  # suspect threshold / lease timeout
-KFREQ_SPACING_RATIO = 0.25  # least time between keyframe requests / poll interval
+# Liveness tuning: fixed ratios of the poll interval, not options.  A
+# running endpoint sends upstream once a cycle, a poll's jitter late at
+# most.  Silence past 1.5 intervals is one closing batch missed (suspect:
+# sources degraded, its tier's cycle waits no more); past 2.5, two (dead:
+# failover, and adopters re-baselined within three cycles of the last).
+LEASE_RATIO = 2.5  # lease timeout / poll interval
+SUSPECT_RATIO = 1.5  # suspect threshold / poll interval
+SWEEP_RATIO = 0.2  # lease sweep period / poll interval
+KFREQ_SPACING_RATIO = 0.5  # least time between keyframe requests / poll interval
 RECOVERY_BEATS = 2  # consecutive renewals before a dead worker is trusted again
 
 
@@ -111,10 +113,10 @@ RECOVERY_BEATS = 2  # consecutive renewals before a dead worker is trusted again
 # readings travel as binary delta batches, see repro.core.deltas)
 # ----------------------------------------------------------------------
 def encode_message(kind: str, **fields) -> bytes:
-    """One control message: ``hb`` (``w, inc, q, av``: lease renewal;
-    ``q``, the next seq, exposes a trailing gap and ``av`` lets the
-    coordinator re-send a lost assignment), ``assign`` (``v, t``),
-    ``kfreq`` (``inc``)."""
+    """One control message: ``hb`` (``w, inc, q, av``: an idle endpoint's
+    lease renewal; ``q``, the next seq, exposes a trailing gap and ``av``
+    lets the coordinator re-send a lost assignment), ``assign`` (``v,
+    t``), ``kfreq`` (``inc``)."""
     return json.dumps({"k": kind, **fields}).encode()
 
 
@@ -227,20 +229,21 @@ class SampleShipper:
         for reading in readings:
             rows = len(reading[4])
             if delta.entries and delta.entries + rows > self.max_batch:
-                self._ship(False)
+                self._ship()
             delta.add(*reading)
             queued += rows
         return queued
 
-    def flush(self) -> None:
-        """The cycle closed: ship the open batch as its closing one, even empty."""
-        self._ship(True)
+    def flush(self, av: int = 0, unvouched: Sequence[tuple] = ()) -> None:
+        """The cycle closed: ship the open batch as its closing one, even
+        empty, echoing ``av`` (see :meth:`DeltaEncoder.close`)."""
+        self._ship(av, unvouched)
 
-    def _ship(self, closes: bool) -> None:
+    def _ship(self, av: Optional[int] = None, unvouched: Sequence[tuple] = ()) -> None:
         seq = self.next_seq
         self.next_seq += 1
         self.samples_shipped += self.delta.entries
-        payload = self.delta.close(self.incarnation, seq, closes)
+        payload = self.delta.close(self.incarnation, seq, av, unvouched)
         if payload[1] & 0x01:
             self.keyframes_shipped += 1
         self.batches_shipped += 1
@@ -262,9 +265,11 @@ class UplinkEndpoint:
 
     Readings handed to the shipper are shipped upstream in batches with
     a per-incarnation monotonic sequence number, the last of a poll cycle
-    when it closes (see :meth:`SampleIngest._closed_by`); the one timer,
-    a heartbeat, renews the lease and echoes the applied assignment
-    version; a control listener serves ``assign`` / ``kfreq``.
+    when it closes (see :meth:`SampleIngest._closed_by`).  That closing
+    batch is the heartbeat: it renews the lease and echoes the applied
+    assignment version.  The one timer fires once a poll interval and
+    sends an ``hb`` only when nothing went upstream since it last fired;
+    a control listener serves ``assign`` / ``kfreq``.
     ``crash()``/``restart()`` simulate the process dying and coming back
     (used by :class:`~repro.simnet.faults.WorkerCrash`): a restarted
     endpoint bumps its incarnation, restarts its sequence at 1, and
@@ -294,7 +299,6 @@ class UplinkEndpoint:
         self.sim = self.host.sim
         self.upstream_ip = upstream_ip
         self.poll_interval = poll_interval
-        self.heartbeat_interval = poll_interval * HEARTBEAT_RATIO
         # Shipping (sequencing, delta encoding) lives in the shipper,
         # which waits for no answer: a dead upstream cannot wedge this
         # endpoint.
@@ -303,6 +307,7 @@ class UplinkEndpoint:
         self.crashed = False
         self._started = False
         self._beat = None  # the heartbeat task while running
+        self._quiet = False  # nothing sent upstream since the task last fired
         self._open_sockets()
 
     @property
@@ -324,13 +329,14 @@ class UplinkEndpoint:
         self._control_socket.on_receive = self._on_control
 
     def _send_report(self, payload: bytes) -> None:
+        self._quiet = False
         self._report_socket.sendto(payload, (self.upstream_ip, REPORT_PORT))
 
     def _begin_tasks(self) -> None:
         if self.crashed:
             return  # crashed before the scheduled start; restart() re-runs this
         self._beat = self.sim.call_every(
-            self.heartbeat_interval, self._heartbeat, start=self.sim.now)
+            self.poll_interval, self._heartbeat, start=self.sim.now)
 
     def _teardown(self) -> None:
         if self._beat is not None:
@@ -369,18 +375,19 @@ class UplinkEndpoint:
         self.crashed = False
         self.shipper.reset(self.shipper.incarnation + 1)
         self.assign_version = 0
+        self._quiet = True  # announce the new incarnation at once
         self._open_sockets()
         self._rebuild()
         if self._started:
             self._begin_tasks()
 
     def _heartbeat(self) -> None:
-        self._send_report(
-            encode_message(
+        """A poll interval went by: renew the lease if nothing else did."""
+        if self._quiet:
+            self._send_report(encode_message(
                 "hb", w=self.name, inc=self.incarnation,
-                q=self.shipper.next_seq, av=self.assign_version,
-            )
-        )
+                q=self.shipper.next_seq, av=self.assign_version))
+        self._quiet = True
 
     # -- control ---------------------------------------------------------
     def _on_control(self, payload, size, src_ip, src_port) -> None:
@@ -455,7 +462,7 @@ class MonitorWorker(UplinkEndpoint):
     def _close_cycle(self, number: int) -> None:
         """Ship the closing batch: none if stop() or crash() closed it or none is polled."""
         if self._started and not self.crashed and self.poller.targets:
-            self.shipper.flush()
+            self.shipper.flush(self.assign_version)
 
     def _begin_tasks(self) -> None:
         if not self.crashed:
@@ -543,7 +550,7 @@ class SampleIngest:
         """``pipeline_window`` bounds each worker's in-flight polls;
         ``shipping`` (:class:`SampleShipper`'s ``max_batch`` /
         ``keyframe_every``) reaches every endpoint under this
-        coordinator.  Lease, heartbeat and keyframe-request timing are not
+        coordinator.  Lease, sweep and keyframe-request timing are not
         options: they are the module's fixed ratios of ``poll_interval``."""
         if not worker_hosts:
             raise ValueError("need at least one worker host")
@@ -559,15 +566,13 @@ class SampleIngest:
         self.adopt_streams = adopt_streams
         self._suspended = False
         self.coordinator = self.network.host(coordinator_host)
-        self.heartbeat_interval = poll_interval * HEARTBEAT_RATIO
         self.kfreq_spacing = poll_interval * KFREQ_SPACING_RATIO
         # What every endpoint under this coordinator is built with.
         self._endpoint_options = dict(shipping, pipeline_window=pipeline_window)
         self.degraded = DegradedSourceSet()
-        lease_timeout = poll_interval * LEASE_RATIO
         self.leases = WorkerLeaseTracker(
-            lease_timeout=lease_timeout,
-            suspect_after=lease_timeout * SUSPECT_RATIO,
+            lease_timeout=poll_interval * LEASE_RATIO,
+            suspect_after=poll_interval * SUSPECT_RATIO,
             recovery_beats=RECOVERY_BEATS,
             events=self.telemetry.events,
         )
@@ -594,7 +599,7 @@ class SampleIngest:
         # Assignment bookkeeping: desired targets and version per worker.
         # Workers constructed with their initial share already hold
         # version 1 semantics; seed their counters to match so the first
-        # heartbeat does not trigger a redundant re-send.
+        # closing batch does not trigger a redundant re-send.
         self._assignments: Dict[str, List[PollTarget]] = {
             name: list(assignments.get(name, [])) for name in self._worker_order
         }
@@ -719,10 +724,11 @@ class SampleIngest:
     # Failover / failback
     # ------------------------------------------------------------------
     def _on_lease_transition(self, transition: LeaseTransition) -> None:
-        if transition.new is WorkerState.DEAD:
-            # Everything the dead worker was responsible for is now
-            # known-lossy until a survivor's samples land.
+        if transition.new in (WorkerState.SUSPECT, WorkerState.DEAD):
+            # A closing batch is missing: everything the worker polls is
+            # known-lossy until its, or once dead a survivor's, samples land.
             self._mark_degraded(transition.worker)
+        if transition.new is WorkerState.DEAD:
             self._rebalance(reason="failover", about=transition.worker)
         elif (
             transition.new is WorkerState.ALIVE
@@ -736,13 +742,6 @@ class SampleIngest:
             for if_index in target.if_indexes:
                 self.degraded.mark(target.node, if_index)
 
-    def _live_workers(self) -> List[str]:
-        return [
-            w
-            for w in self._worker_order
-            if self.leases.state(w) is not WorkerState.DEAD
-        ]
-
     def _rebalance(self, reason: str, about: str) -> None:
         """Repartition over the live workers and ship changed assignments.
 
@@ -750,7 +749,7 @@ class SampleIngest:
         counted and published; "pool" when the pool itself moved (watch
         traffic, or the root resizing a leaf's shard), which is routine
         and is logged at INFO only."""
-        live = self._live_workers()
+        live = [w for w in self._worker_order if self.leases.state(w) is not WorkerState.DEAD]
         if not live:
             logger.warning("no live workers left; keeping assignments frozen")
             return
@@ -818,7 +817,9 @@ class SampleIngest:
         except _MALFORMED:
             self._m_decode_errors.inc()  # dropped whole: no state touched
 
-    def _ingest_state(self, worker: str, incarnation: int) -> Optional[_WorkerIngest]:
+    def _ingest_state(self, worker: str, incarnation: int, seq: int) -> Optional[_WorkerIngest]:
+        """The sender's stream, its lease renewed; None drops the datagram.
+        An adopted stream anchors at ``seq``: a batch's, or an ``hb``'s next."""
         state = self._ingest.get(worker)
         if state is None:
             return None  # unknown sender: not one of our workers
@@ -829,6 +830,11 @@ class SampleIngest:
         if incarnation > state.incarnation:
             # The worker restarted: its sequence space starts over.
             state.reset_for(incarnation)
+        if not state.anchored:
+            # Adopting a mid-flight stream (coordinator resume): accept
+            # from here; the stream heals its decoder via keyframe request.
+            state.anchored = True
+            state.expected = seq
         return state
 
     def _on_delta(self, payload: bytes) -> None:
@@ -839,15 +845,10 @@ class SampleIngest:
         except DeltaError:
             self._m_decode_errors.inc()
             return
-        state = self._ingest_state(batch.worker, batch.incarnation)
+        seq = batch.seq
+        state = self._ingest_state(batch.worker, batch.incarnation, seq)
         if state is None:
             return
-        seq = batch.seq
-        if not state.anchored:
-            # Adopting a mid-flight stream (coordinator resume): accept
-            # from here; the stream heals its decoder via keyframe request.
-            state.anchored = True
-            state.expected = seq
         if seq < state.expected:
             self._m_duplicates.inc()
             return
@@ -860,20 +861,18 @@ class SampleIngest:
         # renewal in _ingest_state): a malformed heartbeat changes nothing.
         worker, incarnation = doc["w"], int(doc["inc"])
         next_seq, applied = int(doc["q"]), int(doc.get("av", 0))
-        state = self._ingest_state(worker, incarnation)
+        state = self._ingest_state(worker, incarnation, next_seq)
         if state is None:
             return
-        if not state.anchored:
-            state.anchored = True
-            state.expected = next_seq
         # ``q`` is the seq the *next* batch will carry: anything below it
         # that we have not seen was shipped and lost with nothing after
-        # it to reveal the gap -- a trailing gap only liveness traffic
-        # can expose.
+        # it to reveal the gap, until the next batch a cycle later.
         self._skip_to(state, next_seq)
-        # Self-healing control: a stale applied-version echo means the
-        # last assignment datagram was lost; ship it again.
-        if applied != self._assign_version.get(worker, 0):
+        self._echoed(worker, applied)
+
+    def _echoed(self, worker: str, applied: int) -> None:
+        """A stale applied-version echo: the assignment was lost; re-send."""
+        if applied != self._assign_version[worker]:
             if self.leases.state(worker) is not WorkerState.DEAD:
                 self._send_assignment(worker)
 
@@ -915,13 +914,19 @@ class SampleIngest:
         self._m_batches.inc()
         if readings:
             self._m_samples.inc(self.sink(state.delta, readings))
-        if batch.closes and self.on_cycle is not None and self._assignments[state.name]:
-            self._closed_by(state.name)
+        if batch.unvouched:  # lost below the sender: known-lossy here too
+            for key in state.delta.keys_of(batch.unvouched):
+                self.degraded.mark(*key)
+        if batch.closes:
+            self._echoed(state.name, batch.av)
+            if self.on_cycle is not None and self._assignments[state.name]:
+                self._closed_by(state.name)
 
     def _closed_by(self, worker: str) -> None:
         """``worker`` (holding an assignment) delivered its closing batch.
-        The cycle is over once every live worker holding one has, or once
-        one closes again first: then it is over for those that missed it."""
+        The cycle is over once every alive worker holding one has, or once
+        one closes again first: then it is over for those that missed it.
+        A suspect worker has missed one already and is not waited for."""
         if worker in self._closed:
             self._closed.clear()
             self.on_cycle()
@@ -930,15 +935,21 @@ class SampleIngest:
 
     def _check_cycle(self) -> None:
         closed = self._closed
-        if closed and all(w in closed for w in self._live_workers() if self._assignments[w]):
+        alive = WorkerState.ALIVE
+        if closed and all(w in closed for w in self._worker_order
+                          if self._assignments[w] and self.leases.state(w) is alive):
             closed.clear()
             self.on_cycle()
 
     # ------------------------------------------------------------------
-    # Periodic sweep: lease expiry
+    # Periodic sweep: lease expiry, and keyframes still missing
     # ------------------------------------------------------------------
     def _sweep(self) -> None:
         self.leases.check(self.sim.now)
+        for name, state in self._ingest.items():
+            # The request or its keyframe was lost: ask again, once a spacing.
+            if state.delta.needs_keyframe and self.leases.state(name) is not WorkerState.DEAD:
+                self._request_keyframe(state)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -949,11 +960,8 @@ class SampleIngest:
         self._control = self.coordinator.create_socket()  # assign/kfreq sender
 
     def _begin_sweeps(self, at: float) -> None:
-        self._sweep_task = self.sim.call_every(
-            self.heartbeat_interval * 0.5,
-            self._sweep,
-            start=at + self.heartbeat_interval,
-        )
+        period = self.poll_interval * SWEEP_RATIO
+        self._sweep_task = self.sim.call_every(period, self._sweep, start=at + period)
 
     def start(self, at: Optional[float] = None) -> None:
         self._started = True
@@ -991,7 +999,7 @@ class SampleIngest:
         ingest state (with ``adopt_streams`` it anchors mid-flight
         streams instead of reading seq 1 onwards as lost), and one
         lease renewal per worker so nobody is declared dead for
-        heartbeats lost while the coordinator was down."""
+        batches lost while the coordinator was down."""
         if not self._suspended:
             return
         self._suspended = False

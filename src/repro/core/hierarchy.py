@@ -8,8 +8,8 @@ is owned by a :class:`LeafCoordinator` -- the fault-tolerant
 shard's worker hosts, with no report core behind it -- which merges its
 workers' streams and ships them up one delta-encoded, sequenced stream.
 The :class:`HierarchicalMonitor` root therefore sees *one stream per
-shard* (plus heartbeats), not one per worker, and derives its rate table
-and path reports exactly like the flat plane.
+shard* (an idle shard's heartbeats aside), not one per worker, and
+derives its rate table and path reports exactly like the flat plane.
 
 The tree reuses the flat plane's machinery at both levels, by
 construction rather than duplication:
@@ -22,10 +22,10 @@ construction rather than duplication:
   use, so a lost shard datagram heals through the same stale-echo
   resend.
 * **Leaf uplink** -- a leaf and a worker are the same
-  :class:`~repro.core.distributed.UplinkEndpoint` (heartbeats, sequenced
-  shipping, assign/keyframe control) over different sample sources, and
-  both ship when their poll cycle closes: a leaf's, once its workers'
-  closing batches are in.
+  :class:`~repro.core.distributed.UplinkEndpoint` (sequenced shipping,
+  assign/keyframe control) over different sample sources, and both ship
+  when their poll cycle closes -- a leaf's, once its workers' closing
+  batches are in -- and that closing batch is their heartbeat.
 * **One loss model, twice** -- a batch lost worker->leaf or leaf->root
   is a missed poll: nothing is resent, the receiving tier keeps its ids
   and baselines, and the root derives the next reading of each interface
@@ -145,9 +145,10 @@ class LeafCoordinator(UplinkEndpoint):
         return self.shipper.enqueue(*readings)
 
     def _ship_cycle(self) -> None:
-        """The shard's cycle is over: ship what its workers delivered, if anything."""
+        """The shard's cycle is over: ship what its workers delivered, if
+        anything, naming what a lost batch or lease left it unable to vouch for."""
         if self.shipper.delta.entries:
-            self.shipper.flush()
+            self.shipper.flush(self.assign_version, self.dm.degraded.keys())
 
 
 class HierarchicalMonitor(DistributedMonitor):

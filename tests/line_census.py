@@ -67,11 +67,11 @@ UNREACHED: Dict[str, Tuple[int, str]] = {
     "analysis/stats.py": (11, _SURFACE),
     "cli.py": (20, _ERRORS),
     "core/bandwidth.py": (11, _FAULTS),
-    "core/dataflow.py": (3, _SURFACE),
-    "core/deltas.py": (19, _FAULTS),
+    "core/dataflow.py": (1, _SURFACE),
+    "core/deltas.py": (17, _FAULTS),
     "core/discovery.py": (29, _ERRORS),
-    "core/distributed.py": (77, _FAULTS),
-    "core/health.py": (3, _FAULTS),
+    "core/distributed.py": (76, _FAULTS),
+    "core/health.py": (2, _FAULTS),
     "core/hierarchy.py": (5, _LIFECYCLE),
     "core/history.py": (2, _SURFACE),
     "core/latency.py": (2, _ERRORS),
@@ -142,7 +142,7 @@ UNREACHED: Dict[str, Tuple[int, str]] = {
 }
 
 #: The total of the above; lower it whenever the total falls, never raise it.
-UNREACHED_CEILING = 1325
+UNREACHED_CEILING = 1319
 
 #: Steady cycles per ledger workload.
 WORKLOAD_CYCLES = {

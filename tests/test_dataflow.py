@@ -35,6 +35,7 @@ from repro.experiments.testbed import TESTBED_SPEC_TEXT
 from repro.integrity.quarantine import QuarantineManager
 from repro.integrity.validators import IntegrityVerdict, Severity
 from repro.simnet.address import IPv4Address
+from repro.simnet.trafficgen import KBPS, StaircaseLoad, StepSchedule
 from repro.snmp.datatypes import Integer, TimeTicks
 from repro.snmp.mib import IF_INDEX
 from repro.snmp.pdu import VarBind
@@ -829,11 +830,18 @@ class TestReportCost:
 
     def test_a_steady_campus_cycle_scans_no_spec_node(self):
         """A recomputed measurement reads its connection's capacity from
-        the calculator's cache, not two ``TopologySpec.node`` scans."""
+        the calculator's cache, not two ``TopologySpec.node`` scans.  A
+        flow on the watched path steps its rate inside the window, so the
+        cycle recomputes: the idle campus's monitor moves no counter of its
+        own there."""
         shape = dict(switches=2, hosts_per_switch=3)
         build = build_network(scale_spec(hierarchical=2, host_agents=False, **shape))
         monitor = HierarchicalMonitor(build, hierarchy_plan(2, **shape), poll_jitter=0.0)
         monitor.watch_path("p0h0_2", "p1h1_2")
+        StaircaseLoad(
+            build.network.host("p0h0_2"), build.network.ip_of("p1h1_2"),
+            StepSchedule([(1.0, 20 * KBPS), (11.0, 40 * KBPS)]),
+        ).start()
         monitor.start()
         build.network.run(10.0)
         recomputes = monitor.calculator.recomputes

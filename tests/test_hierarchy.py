@@ -11,7 +11,7 @@ the leaves emulate.
 
 import pytest
 
-from repro.core.deltas import REC_SAME, parse_delta
+from repro.core.deltas import REC_SAME, is_delta, parse_delta
 from repro.core.distributed import DistributedMonitor, poll_targets
 from repro.core.hierarchy import HierarchicalMonitor, LeafCoordinator
 from repro.core.monitor import NetworkMonitor
@@ -41,7 +41,8 @@ def hierarchical(whole_pool=False, **kwargs):
     build = build_network(spec)
     if whole_pool:
         kwargs["targets"] = poll_targets(build, spec.connections)
-    dm = HierarchicalMonitor(build, plan, poll_jitter=0.0, **kwargs)
+    kwargs.setdefault("poll_jitter", 0.0)
+    dm = HierarchicalMonitor(build, plan, **kwargs)
     return build, dm
 
 
@@ -406,4 +407,151 @@ class TestShippingFollowsTheCycle:
         assert not worker.poller._open_cycle
         build.network.run(10.0)
         assert len(shipped) == 2
+        dm.stop()
+
+
+# ----------------------------------------------------------------------
+# A batch is a heartbeat
+# ----------------------------------------------------------------------
+def _endpoints(dm):
+    """Every uplink endpoint of the tree: the leaves and their workers."""
+    workers = {n: w for leaf in dm.leaves.values() for n, w in leaf.dm.workers.items()}
+    return {**dm.leaves, **workers}
+
+
+def _tap_uplinks(dm, net, drop=lambda name, payload: False):
+    """``{endpoint: [(time, payload)]}`` of every datagram each endpoint
+    sends upstream, tapped at its socket, so a dropped one (``drop``) was
+    sent as far as the endpoint knows."""
+    sent = {}
+    for name, endpoint in _endpoints(dm).items():
+        log = sent[name] = []
+
+        def sendto(payload, address, send=endpoint._report_socket.sendto, log=log, name=name):
+            log.append((net.now, payload))
+            if not drop(name, payload):
+                send(payload, address)
+
+        endpoint._report_socket.sendto = sendto
+    return sent
+
+
+class TestABatchIsAHeartbeat:
+    """Every running endpoint ships a closing batch each poll cycle, and
+    any datagram renews its lease: an ``hb`` goes only after a poll
+    interval in which an endpoint sent nothing upstream."""
+
+    def test_an_endpoint_that_ships_sends_no_hb(self):
+        build, dm = hierarchical()
+        dm.watch_path("p0h0_2", "p1h1_2")
+        net = build.network
+        sent = _tap_uplinks(dm, net)
+        dm.start()
+        net.run(20.0)
+        hbs = {name: [t for t, p in log if not is_delta(p)] for name, log in sent.items()}
+        shipping = {name for name, log in sent.items() if any(is_delta(p) for _, p in log)}
+        idle = {name for name, w in _endpoints(dm).items() if not w.poller.targets}
+        assert shipping and idle and shipping.isdisjoint(idle)
+        assert set(dm.leaves) <= shipping
+        for name in shipping:
+            assert hbs[name] == [], name
+        # A worker with no targets renews its lease once a poll interval.
+        for name in idle:
+            assert hbs[name] == pytest.approx([2.0 * k for k in range(1, 11)]), name
+        dm.stop()
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.05, 0.25])
+    def test_no_lease_leaves_alive(self, jitter):
+        build, dm = hierarchical(poll_jitter=jitter)
+        dm.watch_path("p0h0_2", "p1h1_2")
+        dm.watch_path("p0h1_0", "p1h0_1")
+        moved = []
+        for ingest in (dm, *(leaf.dm for leaf in dm.leaves.values())):
+            ingest.leases.subscribe(moved.append)
+        dm.start()
+        build.network.run(20.0)
+        assert moved == []
+        for ingest in (dm, *(leaf.dm for leaf in dm.leaves.values())):
+            assert set(ingest.worker_states().values()) == {"alive"}
+        dm.stop()
+
+    def test_a_dropped_assign_heals_through_the_next_closing_batch(self):
+        """A new watch moves the pool; the root's ``assign`` to one leaf is
+        lost.  That leaf's next closing batch echoes the old version, and
+        the root ships the assignment again: no ``hb`` involved."""
+        build, dm = hierarchical()
+        dm.watch_path("p0h0_2", "p1h1_2")
+        net = build.network
+        sent = _tap_uplinks(dm, net)
+        dropped, assigns = [], []
+        control = dm._send_control
+
+        def lossy(worker, kind, **fields):
+            if kind == "assign" and worker == "mon0":
+                if not dropped:
+                    dropped.append((net.now, fields["v"]))
+                    return
+                assigns.append((net.now, fields["v"]))
+            control(worker, kind, **fields)
+
+        dm._send_control = lossy
+        dm.start()
+        net.run(5.0)
+        dm.watch_path("p0h1_0", "p1h0_1")  # pod 0's share grows
+        net.run(10.0)
+        leaf = dm.leaves["mon0"]
+        assert dropped == [(5.0, 2)]
+        # Re-sent once, as the leaf's first closing batch after the loss
+        # landed with version 1 on it.
+        closing = [t for t, p in sent["mon0"] if is_delta(p) and t > 5.0]
+        assert [v for _, v in assigns] == [3]
+        assert closing[0] <= assigns[0][0] < closing[0] + 0.01
+        assert leaf.assign_version == 3
+        assert dm.targets_of("mon0") == dm.assigned_targets_of("mon0")
+        assert "p0sw1" in dm.targets_of("mon0")
+        assert all(is_delta(p) for _, p in sent["mon0"])
+        dm.stop()
+
+
+class TestTheRootSeesAShardsLoss:
+    def test_a_lost_worker_batch_degrades_the_roots_reports(self):
+        """A worker's batch is lost on its way to the leaf.  The leaf
+        degrades the worker's sources; its closing batch names those it
+        still cannot vouch for, so the root marks them as well, and
+        reports through them read degraded until fresh samples land."""
+        build, dm = hierarchical()
+        label = dm.watch_path("p0h0_2", "p1h1_2")
+        net = build.network
+        leaf = dm.leaves["mon0"]
+        worker = leaf.dm.workers["p0h0_0"]
+        assert [(t.node, t.if_indexes) for t in worker.poller.targets] == [("p0sw0", [3, 6])]
+        lost = []
+
+        def drop(name, payload):
+            if name == "p0h0_0" and not lost and net.now >= 16.0 and is_delta(payload):
+                lost.append(net.now)
+                return True
+            return False
+
+        sent = _tap_uplinks(dm, net, drop)
+        reports, marks = [], []
+        dm.subscribe(reports.append)
+        dm.start()
+        for step in range(150, 260):
+            net.run(step / 10)
+            marks.append((net.now, set(dm.degraded.keys())))
+        assert lost and 16.0 <= lost[0] < 16.1
+        ports = {("p0sw0", 3), ("p0sw0", 6)}
+        assert set().union(*(keys for _, keys in marks)) == ports
+        first = min(t for t, keys in marks if keys)
+        clear = min(t for t, keys in marks if t > first and not keys)
+        # The leaf named what it could not vouch for in a closing batch.
+        ids = {rec_id: key for key, rec_id in leaf.shipper.delta._ids.items()}
+        named = {ids[i] for t, p in sent["mon0"] if is_delta(p) for i in parse_delta(p).unvouched}
+        assert named and named <= ports
+        window = [r for r in reports if r.label == label and first <= r.time < clear]
+        assert window and all(r.degraded for r in window)
+        after = [r for r in reports if r.label == label and r.time >= clear]
+        assert after and all(r.trusted for r in after)
+        assert clear <= lost[0] + 3 * dm.poll_interval
         dm.stop()

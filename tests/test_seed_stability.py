@@ -120,12 +120,22 @@ def test_seeds_differ_but_agree():
 # instants moved (6 074 -> 6 084 lines: ``Interface.transmit`` 2 282 ->
 # 2 286, ``_Channel._deliver`` 2 975 -> 2 981; every other callback
 # unchanged).
+#
+# The campus's three were re-recorded when a batch became the heartbeat:
+# an endpoint sends ``hb`` only after a poll interval in which it sent
+# nothing upstream, so its task fires once a poll interval, not every
+# 0.4 of one, and the shipping endpoints' ``hb`` frames leave the links;
+# the lease sweep starts one period after the plane, not two (6 084 ->
+# 5 416 lines: ``PeriodicTask._fire`` 350 -> 269, of it
+# ``UplinkEndpoint._heartbeat`` 150 -> 66 and ``SampleIngest._sweep``
+# 147 -> 150; ``Interface.transmit`` 2 286 -> 2 063, ``_Channel._deliver``
+# 2 981 -> 2 617; every other callback unchanged).
 GOLDEN_TESTBED_EVENTS = "ee26af59fe60b8c412587d47769a095cd6e591559029da28d97d18fe6e8f7b1c"
-GOLDEN_CAMPUS_EVENTS = "4546f2238793376eaa509c5972ea3c87999db006522ba9eb7677c75f8ec55370"
+GOLDEN_CAMPUS_EVENTS = "443463cffccd198121e4270eb88d158e56b6b0e8b04d185d8e73c31195c5b973"
 PARENT_TESTBED_TRACE = "9f50e3cbae33d13d081402d37750c792e35a2c1fb15db038d87857aad405488a"
-PARENT_CAMPUS_TRACE = "06e29009db421e7528f6add967c9b2c2b95ed0ebd4f4ef6a10e5ddf5f80f7124"
+PARENT_CAMPUS_TRACE = "a00cb092103374ccaa54016ee7529034aa4efcf939aaccae3b946103c10d19e2"
 GOLDEN_TESTBED_TRACE = "c3538261e05137a511e9b5429e6128b516bddd61a69a24c43b27277705a6ecf9"
-GOLDEN_CAMPUS_TRACE = "7e29b5423b819349aa476eb87f1289ae18cf01e9f2eefe041c5d8e2212065ffc"
+GOLDEN_CAMPUS_TRACE = "270ea851812aed43d3a5c81d98478621c70842d29fceb0be45f48ce6179f4dc4"
 TRACE_UNTIL = 20.0
 
 # A callback that moved since the goldens were recorded is logged under

@@ -120,6 +120,58 @@ class TestDeltaDecoders:
 
 
 # ----------------------------------------------------------------------
+# The closing batch's assignment-version echo
+# ----------------------------------------------------------------------
+def _closing(av=b"\x01"):
+    """S1's second batch, closing its cycle, with ``av`` as the raw bytes
+    of its assignment-version varint (one byte after the flags)."""
+    encoder = DeltaEncoder("S1", 0)
+    _batch(encoder, 1, 2.0)
+    encoder.add("S1", "S1", 400, 4.0, [(1, (21_000, 10, 1, 1, 0, 0))])
+    payload = encoder.close(1, 2, av=1)
+    assert payload[2:3] == b"\x01"
+    return payload[:2] + av + payload[3:]
+
+
+BAD_ECHOES = {
+    "truncated": _closing()[:2] + b"\x81",
+    "over-long": _closing(b"\xff" * 10 + b"\x01"),
+    "huge": _closing(b"\x80\x80\x80\x80\x80\x01"),  # 2**35
+}
+
+
+class TestClosingBatchEcho:
+    def test_a_valid_echo_parses(self):
+        batch = parse_delta(_closing())
+        assert batch.closes and batch.av == 1 and batch.seq == 2
+
+    @pytest.mark.parametrize("kind", sorted(BAD_ECHOES))
+    def test_a_bad_echo_is_one_decode_error_and_renews_nothing(self, kind):
+        payload = BAD_ECHOES[kind]
+        with pytest.raises(DeltaError):
+            parse_delta(payload)
+        build, dm = plane()
+        dm._on_datagram(BATCHES[0], len(BATCHES[0]), None, 1234)
+        before = ingest_state(dm)
+        dm._on_datagram(payload, len(payload), None, 1234)
+        assert dm.decode_errors == 1
+        assert ingest_state(dm) == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=mutated([_closing()]))
+    def test_mutated_closing_batches_are_dropped_whole_or_handled(self, payload):
+        build, dm = plane()
+        dm._on_datagram(BATCHES[0], len(BATCHES[0]), None, 1234)
+        before = ingest_state(dm)
+        dm._on_datagram(payload, len(payload), None, 1234)
+        if dm.decode_errors:
+            assert dm.decode_errors == 1
+            assert ingest_state(dm) == before
+        else:
+            parse_delta(payload)  # handled: it was a batch
+
+
+# ----------------------------------------------------------------------
 # Control messages, coordinator side (hb)
 # ----------------------------------------------------------------------
 def ingest_state(dm):
